@@ -19,19 +19,46 @@
 //!   unit until the whole extent empties, at which point the extent returns to
 //!   the GAM.
 //!
-//! Both levels are free-space bookkeeping, so both sit on
-//! [`lor_alloc::RunIndexMap`] — the same mechanism the filesystem volume's
-//! allocators use — rather than on private sets: the [`Gam`] is a run map at
-//! extent granularity (free = unassigned), and each [`AllocationUnit`] holds a
-//! run map at page granularity in which exactly the free pages *inside the
-//! unit's assigned extents* are free.  Where a run must be *chosen* (a fresh
-//! extent from the GAM, the start of a new page run inside the unit) the
-//! choice is delegated to the shared [`FitPolicy`] implementation, selected
-//! through [`AllocationPolicy`]: the paper-faithful native behaviour is
-//! [`FitPolicy::FirstFit`] — lowest first — at both granularities, and the
-//! ablation benches can swap in any other fit without touching the mechanism.
-
-use std::collections::BTreeSet;
+//! ## Representation: runs all the way down
+//!
+//! Every structure here stores and moves **runs**, never single pages or
+//! single extents:
+//!
+//! * the [`Gam`] is a [`RunIndexMap`] at extent granularity (free =
+//!   unassigned); extents are assigned and released a run at a time
+//!   ([`Gam::assign_run`], [`Gam::release_run`]);
+//! * an [`AllocationUnit`] holds a [`RunIndexMap`] at page granularity in
+//!   which exactly the data-free pages *inside the unit's assigned extents*
+//!   are free, plus its IAM chain as a dense bitmap over the file's extents
+//!   (one bit each — 38 KB for a 20 GB file), so "is this extent mine?" is a
+//!   bit test on the allocation and free paths rather than a probe of an
+//!   ordered set with one node per extent;
+//! * allocations return [`PageRuns`] — the object's layout as maximal page
+//!   runs — and frees take runs back ([`AllocationUnit::free_run`]).
+//!
+//! Two transitions cross the levels, each in one step.  A **fresh-tail
+//! adoption** — an object streaming past the unit's last extent into
+//! unassigned territory — assigns as many consecutive GAM extents as the
+//! request needs in one GAM reservation and one page-map release.  An
+//! **emptying release** hands every extent a freed run emptied back to the
+//! GAM as one aligned span.  Both leave exactly the state the one-extent-at-
+//! a-time procedure would (the free maps are canonical: a function of the
+//! free set alone), which `tests/differential.rs` pins against a
+//! page-at-a-time reference model.
+//!
+//! Where a run must be *chosen* (a fresh extent from the GAM, the start of a
+//! new page run inside the unit) the choice is delegated to the shared
+//! [`FitPolicy`] implementation, selected through [`AllocationPolicy`]: the
+//! paper-faithful native behaviour is [`FitPolicy::FirstFit`] — lowest first
+//! — at both granularities, and the ablation benches can swap in any other
+//! fit without touching the mechanism.
+//!
+//! ## Panics
+//!
+//! The `expect`s below each state the structural invariant that makes them
+//! unreachable; [`AllocationUnit::verify`] (and `Database::verify` above it)
+//! checks those invariants, and debug builds run it after every maintenance
+//! step.  Freeing space that is not allocated is an engine bug and panics.
 
 use lor_alloc::{
     AllocationPolicy, Extent, FitPicker, FitPolicy, FreeSpace, PlacementConsumer, PlacementPolicy,
@@ -40,11 +67,26 @@ use lor_alloc::{
 use serde::{Deserialize, Serialize};
 
 use crate::error::DbError;
-use crate::page::{ExtentId, PageId, PageKind, PAGES_PER_EXTENT};
+use crate::page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};
 
 /// The fit the database's native policy applies: SQL Server reuses the lowest
 /// free page / extent first.
 const NATIVE_FIT: FitPolicy = FitPolicy::FirstFit;
+
+/// The pages of a run of extents.
+pub(crate) const fn pages_of(extents: Extent) -> Extent {
+    Extent::new(
+        extents.start * PAGES_PER_EXTENT,
+        extents.len * PAGES_PER_EXTENT,
+    )
+}
+
+/// The extents a non-empty run of pages touches.
+const fn extents_touched(pages: Extent) -> Extent {
+    let first = pages.start / PAGES_PER_EXTENT;
+    let last = (pages.end() - 1) / PAGES_PER_EXTENT;
+    Extent::new(first, last - first + 1)
+}
 
 /// The Global Allocation Map: which extents of the data file are unassigned.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -112,9 +154,16 @@ impl Gam {
     /// Assigns a specific extent if it is free.  Used to continue an object's
     /// layout into the physically next extent.
     pub fn assign_specific(&mut self, extent: ExtentId) -> bool {
-        let taken = self.map.reserve(Extent::new(extent.0, 1)).is_ok();
+        self.assign_run(Extent::new(extent.0, 1))
+    }
+
+    /// Assigns a run of consecutive extents if every one of them is free
+    /// (all or nothing), leaving the policy's cursor where assigning them
+    /// one by one, ascending, would.
+    pub fn assign_run(&mut self, extents: Extent) -> bool {
+        let taken = !extents.is_empty() && self.map.reserve(extents).is_ok();
         if taken {
-            self.picker.advance(Extent::new(extent.0, 1));
+            self.picker.advance(extents);
         }
         taken
     }
@@ -142,13 +191,22 @@ impl Gam {
     /// # Panics
     /// Panics if the extent is already free (double release is an engine bug).
     pub fn release(&mut self, extent: ExtentId) {
+        self.release_run(Extent::new(extent.0, 1));
+    }
+
+    /// Returns a run of consecutive extents to the free pool.
+    ///
+    /// # Panics
+    /// Panics if any of them is outside the data file or already free
+    /// (double release is an engine bug).
+    pub fn release_run(&mut self, extents: Extent) {
         assert!(
-            extent.0 < self.total_extents(),
-            "extent {extent} outside the data file"
+            extents.end() <= self.total_extents(),
+            "extents {extents:?} outside the data file"
         );
         self.map
-            .release(Extent::new(extent.0, 1))
-            .unwrap_or_else(|_| panic!("extent {extent} released twice"));
+            .release(extents)
+            .unwrap_or_else(|_| panic!("extents {extents:?} released twice"));
     }
 
     /// `true` if the extent is currently unassigned.
@@ -157,15 +215,76 @@ impl Gam {
     }
 }
 
+/// Which extents of the data file belong to one allocation unit: a dense
+/// bitmap (one bit per extent) plus the population count.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct ExtentBitmap {
+    words: Vec<u64>,
+    count: u64,
+}
+
+impl ExtentBitmap {
+    fn new(total_extents: u64) -> Self {
+        ExtentBitmap {
+            words: vec![0; total_extents.div_ceil(64) as usize],
+            count: 0,
+        }
+    }
+
+    /// `true` if the extent is in the set (`false` for any extent past the
+    /// end of the data file).
+    fn contains(&self, extent: u64) -> bool {
+        self.words
+            .get((extent / 64) as usize)
+            .is_some_and(|word| (word >> (extent % 64)) & 1 == 1)
+    }
+
+    fn contains_all(&self, extents: Extent) -> bool {
+        (extents.start..extents.end()).all(|extent| self.contains(extent))
+    }
+
+    /// Adds a run of extents, none of which is in the set.
+    fn insert_run(&mut self, extents: Extent) {
+        for extent in extents.start..extents.end() {
+            debug_assert!(!self.contains(extent), "extent {extent} assigned twice");
+            self.words[(extent / 64) as usize] |= 1 << (extent % 64);
+        }
+        self.count += extents.len;
+    }
+
+    /// Removes a run of extents, all of which are in the set.
+    fn remove_run(&mut self, extents: Extent) {
+        for extent in extents.start..extents.end() {
+            debug_assert!(self.contains(extent), "extent {extent} was not assigned");
+            self.words[(extent / 64) as usize] &= !(1 << (extent % 64));
+        }
+        self.count -= extents.len;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().enumerate().flat_map(|(index, &word)| {
+            (0..64)
+                .filter(move |bit| (word >> bit) & 1 == 1)
+                .map(move |bit| index as u64 * 64 + bit)
+        })
+    }
+}
+
 /// One allocation unit (e.g. the LOB_DATA unit of the object table).
+///
+/// The unit and the [`Gam`] it is used with must describe the same data
+/// file (`total_pages` = the GAM's extents × [`PAGES_PER_EXTENT`], plus at
+/// most a partial trailing extent nobody can assign).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AllocationUnit {
     kind: PageKind,
     /// Extents assigned to this unit (the IAM chain).
-    extents: BTreeSet<ExtentId>,
+    extents: ExtentBitmap,
     /// Page-granular free-space map over the whole data file in which exactly
     /// the data-free pages of assigned extents are free; pages of unassigned
-    /// extents count as allocated until the extent joins the unit.
+    /// extents count as allocated until the extent joins the unit.  No
+    /// assigned extent is ever wholly free: the release that would empty it
+    /// returns it to the GAM instead.
     map: RunIndexMap,
     /// Shared policy/next-fit-cursor implementation, in page units.
     picker: FitPicker,
@@ -194,7 +313,7 @@ impl AllocationUnit {
     ) -> Self {
         AllocationUnit {
             kind,
-            extents: BTreeSet::new(),
+            extents: ExtentBitmap::new(total_pages / PAGES_PER_EXTENT),
             map: RunIndexMap::new_allocated(total_pages),
             // The page space overlays the GAM's extent space: aligning the
             // band boundary to whole extents keeps the two granularities in
@@ -213,7 +332,7 @@ impl AllocationUnit {
 
     /// Number of extents assigned to the unit.
     pub fn extent_count(&self) -> u64 {
-        self.extents.len() as u64
+        self.extents.count
     }
 
     /// Pages holding data.
@@ -239,59 +358,68 @@ impl AllocationUnit {
         self.free_page_count() + gam.free_extent_count() * PAGES_PER_EXTENT
     }
 
-    /// Allocates `count` pages for one object streamed into the store.
-    ///
-    /// Strategy (see module docs): keep extending the run that ends at the
-    /// previously allocated page — taking the next free page, or assigning the
-    /// physically next extent when it is still unassigned — and when the run
-    /// cannot be extended, start a new run at the policy-chosen free page in
-    /// the file (natively: the lowest, first fit), assigning a fresh extent
-    /// from the GAM only when the unit has no free page of its own.
-    pub fn allocate_pages(&mut self, gam: &mut Gam, count: u64) -> Result<Vec<PageId>, DbError> {
-        if count == 0 {
-            return Ok(Vec::new());
+    fn out_of_space(&self, gam: &Gam, requested_pages: u64) -> DbError {
+        DbError::OutOfSpace {
+            requested_pages,
+            free_pages: self.available_pages(gam),
         }
-        if count > self.available_pages(gam) {
-            return Err(DbError::OutOfSpace {
-                requested_pages: count,
-                free_pages: self.available_pages(gam),
-            });
-        }
+    }
 
-        let mut pages: Vec<PageId> = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
-            let remaining = count - pages.len() as u64;
-            // 1. Try to continue the current run — taking the whole overlap
-            //    of the free run that begins right after the last page in one
-            //    reservation, rather than a page at a time (the result is
-            //    identical; only the free-map traffic shrinks).
-            if let Some(&last) = pages.last() {
-                let next = PageId(last.0 + 1);
-                let took = self.take_run_at(gam, next, remaining);
-                if took > 0 {
-                    pages.extend((next.0..next.0 + took).map(PageId));
-                    continue;
-                }
-            }
-            // 2. Start a new run.  Free pages inside already-assigned extents
-            //    are consumed before any fresh extent is assigned (the engine
-            //    does not waste partially used extents), at the policy-chosen
-            //    position — natively the lowest page first; only when no such
-            //    page exists is a policy-chosen unassigned extent taken from
-            //    the GAM.  This ordering is what seeds the paper's
-            //    "constant-size objects still fragment" behaviour: the
-            //    partially used extents left at object boundaries are soaked
-            //    up by later allocations, which therefore start away from the
-            //    extents that hold their bulk.
-            let start = self
-                .pick_page()
-                .or_else(|| gam.peek_next().map(|extent| extent.first_page()))
-                .expect("available_pages() guaranteed enough space");
-            let took = self.take_run_at(gam, start, remaining);
-            debug_assert!(took > 0, "the picked free position must be takeable");
-            pages.extend((start.0..start.0 + took).map(PageId));
+    /// Allocates `count` pages for one object streamed into the store,
+    /// appending them to `layout`; on error nothing is allocated or appended.
+    ///
+    /// Strategy (see module docs): keep extending the run this call took
+    /// last — taking the free pages that follow it, or assigning the
+    /// physically next extents when they are still unassigned — and when the
+    /// run cannot be extended, start a new run at the policy-chosen free page
+    /// in the file (natively: the lowest, first fit), assigning a fresh
+    /// extent from the GAM only when the unit has no free page of its own.
+    /// Pages already in `layout` are never continued from: every call is one
+    /// write request's worth of streaming, which is how concurrent uploads
+    /// come to interleave.
+    pub fn allocate_pages(
+        &mut self,
+        gam: &mut Gam,
+        count: u64,
+        layout: &mut PageRuns,
+    ) -> Result<(), DbError> {
+        if count > self.available_pages(gam) {
+            return Err(self.out_of_space(gam, count));
         }
-        Ok(pages)
+        let mut remaining = count;
+        let mut next: Option<PageId> = None;
+        while remaining > 0 {
+            let taken = next
+                // 1. Try to continue the current run.
+                .and_then(|page| self.take_run_at(gam, page, remaining))
+                // 2. Start a new run.  Free pages inside already-assigned
+                //    extents are consumed before any fresh extent is
+                //    assigned (the engine does not waste partially used
+                //    extents), at the policy-chosen position — natively the
+                //    lowest page first; only when no such page exists is a
+                //    policy-chosen unassigned extent taken from the GAM.
+                //    This ordering is what seeds the paper's "constant-size
+                //    objects still fragment" behaviour: the partially used
+                //    extents left at object boundaries are soaked up by
+                //    later allocations, which therefore start away from the
+                //    extents that hold their bulk.
+                .or_else(|| {
+                    let start = self
+                        .pick_page()
+                        .or_else(|| gam.peek_next().map(ExtentId::first_page))?;
+                    self.take_run_at(gam, start, remaining)
+                })
+                // `remaining <= available_pages()`, so the unit map or the
+                // GAM holds a free run (their free counters match their runs
+                // — `verify`), a one-page foreground pick always finds it
+                // (foreground placement spills across bands), and a picked
+                // position is free or adoptable by construction.
+                .expect("free space counted by available_pages() is pickable");
+            layout.push(taken);
+            remaining -= taken.len;
+            next = Some(PageId(taken.end()));
+        }
+        Ok(())
     }
 
     /// Allocates `count` pages from the high end of the file: free pages in
@@ -300,36 +428,26 @@ impl AllocationUnit {
     /// Used for the metadata table's clustered-index pages so that the small,
     /// cached metadata structures never interrupt the BLOB data laid out from
     /// the front of the file.
-    pub fn allocate_pages_high(
-        &mut self,
-        gam: &mut Gam,
-        count: u64,
-    ) -> Result<Vec<PageId>, DbError> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
+    pub fn allocate_pages_high(&mut self, gam: &mut Gam, count: u64) -> Result<PageRuns, DbError> {
         if count > self.available_pages(gam) {
-            return Err(DbError::OutOfSpace {
-                requested_pages: count,
-                free_pages: self.available_pages(gam),
-            });
+            return Err(self.out_of_space(gam, count));
         }
-        let mut pages = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
+        let mut layout = PageRuns::new();
+        while layout.page_count() < count {
             if let Some(run) = self.map.last_run() {
-                let page = PageId(run.end() - 1);
-                self.map
-                    .reserve(Extent::new(page.0, 1))
-                    .expect("the last run's final page is free");
-                pages.push(page);
+                let page = Extent::new(run.end() - 1, 1);
+                self.reserve_free(page);
+                layout.push(page);
                 continue;
             }
+            // `count <= available_pages()` and the unit map is empty, so the
+            // GAM has a free extent.
             let extent = gam
                 .assign_highest()
-                .expect("available_pages() guaranteed enough space");
-            self.adopt_extent(extent);
+                .expect("free space counted by available_pages() is assignable");
+            self.adopt_run(Extent::new(extent.0, 1));
         }
-        Ok(pages)
+        Ok(layout)
     }
 
     /// Allocates `count` pages greedily from the largest free runs (the
@@ -337,65 +455,22 @@ impl AllocationUnit {
     /// larger), minimizing the number of physical runs in the result.
     ///
     /// This is the engine compaction's best-effort mode: when no single run
-    /// can hold a whole blob ([`AllocationUnit::allocate_contiguous`] fails),
-    /// the largest-first allocation still yields far fewer runs than the
-    /// native lowest-first reuse, so an incremental compactor keeps making
-    /// progress instead of stalling until cleanup happens to coalesce a big
-    /// run.  Returns `None` — leaving all state untouched — only when the
-    /// unit plus GAM cannot supply `count` pages at all.
-    pub fn allocate_largest_runs(&mut self, gam: &mut Gam, count: u64) -> Option<Vec<PageId>> {
-        if count == 0 {
-            return Some(Vec::new());
-        }
-        if count > self.available_pages(gam) {
-            return None;
-        }
-        let mut pages: Vec<PageId> = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
-            let remaining = count - pages.len() as u64;
-            let unit_run = self.map.largest();
-            let gam_run = gam.free_space().largest();
-            let unit_pages = unit_run.map_or(0, |run| run.len);
-            let gam_pages = gam_run.map_or(0, |run| run.len * PAGES_PER_EXTENT);
-            debug_assert!(
-                unit_pages > 0 || gam_pages > 0,
-                "available_pages() guaranteed enough space"
-            );
-            if unit_pages >= gam_pages {
-                let run = unit_run.expect("unit run exists when unit_pages > 0");
-                let take = run.len.min(remaining);
-                let taken = Extent::new(run.start, take);
-                self.map.reserve(taken).expect("largest unit run is free");
-                self.picker.advance(taken);
-                pages.extend((run.start..run.start + take).map(PageId));
-            } else {
-                let run = gam_run.expect("gam run exists when gam_pages > 0");
-                let extents = remaining.div_ceil(PAGES_PER_EXTENT).min(run.len);
-                for index in 0..extents {
-                    let extent = ExtentId(run.start + index);
-                    let taken = gam.assign_specific(extent);
-                    debug_assert!(taken, "extents of a free GAM run are assignable");
-                    self.adopt_extent(extent);
-                }
-                let first = ExtentId(run.start).first_page().0;
-                let take = (extents * PAGES_PER_EXTENT).min(remaining);
-                let taken = Extent::new(first, take);
-                self.map
-                    .reserve(taken)
-                    .expect("pages of freshly adopted extents are free");
-                self.picker.advance(taken);
-                pages.extend((first..first + take).map(PageId));
-            }
-        }
-        Some(pages)
+    /// can hold a whole blob, the largest-first allocation still yields far
+    /// fewer runs than the native lowest-first reuse, so an incremental
+    /// compactor keeps making progress instead of stalling until cleanup
+    /// happens to coalesce a big run.  Returns `None` — leaving all state
+    /// untouched — only when the unit plus GAM cannot supply `count` pages
+    /// at all.
+    pub fn allocate_largest_runs(&mut self, gam: &mut Gam, count: u64) -> Option<PageRuns> {
+        self.allocate_eligible_runs(gam, count, PlacementPolicy::Unrestricted, 0)
     }
 
     /// Allocates `count` pages for a **maintenance relocation** (the
     /// engine's incremental compactor) under the unit's placement policy.
     ///
-    /// * [`PlacementPolicy::Unrestricted`] delegates to
-    ///   [`AllocationUnit::allocate_largest_runs`] unchanged — the
-    ///   pre-placement behaviour, bit-identical (the oracle tests pin this).
+    /// * [`PlacementPolicy::Unrestricted`] is exactly
+    ///   [`AllocationUnit::allocate_largest_runs`] — the pre-placement
+    ///   behaviour, bit-identical (the oracle tests pin this).
     /// * [`PlacementPolicy::Banded`] runs the same largest-first greedy loop
     ///   but only over runs inside the maintenance band, at both
     ///   granularities (unit pages and unassigned GAM extents).  It never
@@ -412,74 +487,65 @@ impl AllocationUnit {
         gam: &mut Gam,
         count: u64,
         foreground_watermark_pages: u64,
-    ) -> Option<Vec<PageId>> {
+    ) -> Option<PageRuns> {
         let placement = self.picker.placement();
-        if placement.is_unrestricted() {
-            return self.allocate_largest_runs(gam, count);
-        }
-        if count == 0 {
-            return Some(Vec::new());
-        }
+        self.allocate_eligible_runs(gam, count, placement, foreground_watermark_pages)
+    }
+
+    /// The largest-first greedy loop behind both maintenance allocators:
+    /// repeatedly takes the larger of the largest `placement`-eligible unit
+    /// run and the largest eligible run of unassigned GAM extents.
+    fn allocate_eligible_runs(
+        &mut self,
+        gam: &mut Gam,
+        count: u64,
+        placement: PlacementPolicy,
+        foreground_watermark_pages: u64,
+    ) -> Option<PageRuns> {
         if count > self.available_pages(gam) {
             return None;
         }
-        let mut pages: Vec<PageId> = Vec::with_capacity(count as usize);
-        while (pages.len() as u64) < count {
-            let remaining = count - pages.len() as u64;
-            let unit_run = self.maintenance_unit_candidate(placement, foreground_watermark_pages);
-            let gam_run =
-                Self::maintenance_gam_candidate(gam, placement, foreground_watermark_pages);
-            let unit_pages = unit_run.map_or(0, |run| run.len);
-            let gam_pages = gam_run.map_or(0, |run| run.len * PAGES_PER_EXTENT);
-            if unit_pages == 0 && gam_pages == 0 {
-                // The placement-eligible runs are exhausted: refuse rather
-                // than violate the placement, undoing any partial progress
-                // (frees restore the GAM exactly — coalescing is
-                // deterministic).
-                self.free_pages(gam, pages);
-                return None;
-            }
-            if unit_pages >= gam_pages {
-                let run = unit_run.expect("unit run exists when unit_pages > 0");
-                let take = run.len.min(remaining);
-                let taken = Extent::new(run.start, take);
-                self.map.reserve(taken).expect("candidate unit run is free");
-                self.picker.advance(taken);
-                pages.extend((run.start..run.start + take).map(PageId));
-            } else {
-                let run = gam_run.expect("gam run exists when gam_pages > 0");
-                let extents = remaining.div_ceil(PAGES_PER_EXTENT).min(run.len);
-                for index in 0..extents {
-                    let extent = ExtentId(run.start + index);
-                    let taken = gam.assign_specific(extent);
-                    debug_assert!(taken, "extents of a free GAM run are assignable");
-                    self.adopt_extent(extent);
-                }
-                let first = ExtentId(run.start).first_page().0;
-                let take = (extents * PAGES_PER_EXTENT).min(remaining);
-                let taken = Extent::new(first, take);
-                self.map
-                    .reserve(taken)
-                    .expect("pages of freshly adopted extents are free");
-                self.picker.advance(taken);
-                pages.extend((first..first + take).map(PageId));
-            }
-        }
-        Some(pages)
-    }
-
-    /// The largest placement-eligible free run inside the unit for a
-    /// maintenance allocation, if any.  The band boundary is aligned to
-    /// whole extents so the page and extent granularities agree on it.
-    fn maintenance_unit_candidate(
-        &self,
-        placement: PlacementPolicy,
-        foreground_watermark_pages: u64,
-    ) -> Option<Extent> {
         let consumer = PlacementConsumer::Maintenance {
             foreground_watermark: foreground_watermark_pages,
         };
-        placement.largest_eligible(&self.map, consumer, PAGES_PER_EXTENT)
+        let mut layout = PageRuns::new();
+        while layout.page_count() < count {
+            let remaining = count - layout.page_count();
+            // The band boundary is aligned to whole extents so the page and
+            // extent granularities agree on it.
+            let unit_run = placement.largest_eligible(&self.map, consumer, PAGES_PER_EXTENT);
+            let gam_run = Self::maintenance_gam_candidate(gam, placement, consumer);
+            let gam_pages = gam_run.map_or(0, |run| run.len * PAGES_PER_EXTENT);
+            let taken = match (unit_run, gam_run) {
+                (Some(run), _) if run.len >= gam_pages => {
+                    Extent::new(run.start, run.len.min(remaining))
+                }
+                (_, Some(run)) => {
+                    let extents = remaining.div_ceil(PAGES_PER_EXTENT).min(run.len);
+                    let adopted = Extent::new(run.start, extents);
+                    let assigned = gam.assign_run(adopted);
+                    debug_assert!(assigned, "extents of a free GAM run are assignable");
+                    self.adopt_run(adopted);
+                    Extent::new(
+                        pages_of(adopted).start,
+                        pages_of(adopted).len.min(remaining),
+                    )
+                }
+                (_, None) => {
+                    // The placement-eligible runs are exhausted (under the
+                    // unrestricted placement `count <= available_pages()`
+                    // rules this out): refuse rather than violate the
+                    // placement, undoing any partial progress (frees restore
+                    // both maps exactly — they are canonical).
+                    self.free_runs(gam, layout.runs());
+                    return None;
+                }
+            };
+            self.reserve_free(taken);
+            self.picker.advance(taken);
+            layout.push(taken);
+        }
+        Some(layout)
     }
 
     /// The largest placement-eligible free run of unassigned GAM extents for
@@ -491,15 +557,12 @@ impl AllocationUnit {
     fn maintenance_gam_candidate(
         gam: &Gam,
         placement: PlacementPolicy,
-        foreground_watermark_pages: u64,
+        consumer: PlacementConsumer,
     ) -> Option<Extent> {
-        let consumer = PlacementConsumer::Maintenance {
-            foreground_watermark: foreground_watermark_pages,
-        };
-        if placement.run_cap(consumer).is_some() {
+        if let Some(cap_pages) = placement.run_cap(consumer) {
             // A GAM run of L extents is L × PAGES_PER_EXTENT contiguous
             // pages; it is eligible only if that stays within the watermark.
-            let cap_extents = foreground_watermark_pages / PAGES_PER_EXTENT;
+            let cap_extents = cap_pages / PAGES_PER_EXTENT;
             if cap_extents == 0 {
                 return None;
             }
@@ -514,40 +577,59 @@ impl AllocationUnit {
         self.picker.pick(&self.map, 1).map(|run| PageId(run.start))
     }
 
-    /// Registers a freshly assigned extent with the unit, marking its pages
-    /// free for data.
-    fn adopt_extent(&mut self, extent: ExtentId) {
-        self.extents.insert(extent);
+    /// Withdraws a run the unit map itself just reported free (a run
+    /// returned by one of its queries, or part of one, with no release or
+    /// reserve in between), so the reservation cannot fail.
+    fn reserve_free(&mut self, run: Extent) {
         self.map
-            .release(Extent::new(extent.first_page().0, PAGES_PER_EXTENT))
-            .expect("pages of a newly assigned extent were not free before");
+            .reserve(run)
+            .expect("a run the map just reported free is reservable");
+    }
+
+    /// Registers freshly assigned extents with the unit, marking their pages
+    /// free for data.
+    fn adopt_run(&mut self, extents: Extent) {
+        self.extents.insert_run(extents);
+        // Unit-map free pages lie only inside the unit's own extents
+        // (`verify`), and these were unassigned until now.
+        self.map
+            .release(pages_of(extents))
+            .expect("pages of an unassigned extent are not free in the unit map");
     }
 
     /// Takes up to `max_len` contiguous free pages starting exactly at
-    /// `page`, adopting the page's extent from the GAM first when it is
-    /// still unassigned.  Returns how many pages were taken — 0 when the
-    /// position is neither free nor adoptable.
+    /// `page`.  When the page's extent is still unassigned, first adopts it
+    /// from the GAM together with as many of the unassigned extents
+    /// physically following it as `max_len` pages need — one GAM reservation
+    /// and one page-map release however long the fresh tail is.  Returns the
+    /// run taken, or `None` when the position is neither free nor adoptable.
     ///
-    /// Taking `n` pages this way leaves the unit, GAM and picker in exactly
-    /// the state `n` single-page takes of consecutive pages would, with one
-    /// free-map update instead of `n`.
-    fn take_run_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> u64 {
-        if !self.map.is_free(Extent::new(page.0, 1)) {
-            let extent = page.extent();
-            if self.extents.contains(&extent) || !gam.assign_specific(extent) {
-                return 0;
+    /// Taking `n` pages this way leaves the unit, GAM and both pickers in
+    /// exactly the state `n` single-page takes of consecutive pages, each
+    /// adopting its own extent, would.
+    fn take_run_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> Option<Extent> {
+        let run = match self.map.run_at(page.0) {
+            Some(run) => run,
+            None => {
+                let extent = page.extent();
+                if self.extents.contains(extent.0) {
+                    return None;
+                }
+                let unassigned = gam.free_space().run_at(extent.0)?;
+                let wanted = (page.slot_in_extent() + max_len).div_ceil(PAGES_PER_EXTENT);
+                let adopted = Extent::new(extent.0, wanted.min(unassigned.end() - extent.0));
+                let assigned = gam.assign_run(adopted);
+                debug_assert!(assigned, "extents of a free GAM run are assignable");
+                self.adopt_run(adopted);
+                self.map
+                    .run_at(page.0)
+                    .expect("pages of a just-adopted extent are free")
             }
-            self.adopt_extent(extent);
-        }
-        let run = self
-            .map
-            .run_at(page.0)
-            .expect("the position was just checked or adopted free");
-        let take = (run.end() - page.0).min(max_len);
-        let taken = Extent::new(page.0, take);
-        self.map.reserve(taken).expect("the run's pages are free");
+        };
+        let taken = Extent::new(page.0, (run.end() - page.0).min(max_len));
+        self.reserve_free(taken);
         self.picker.advance(taken);
-        take
+        Some(taken)
     }
 
     /// Frees one page, returning its extent to the GAM if the extent is now
@@ -557,81 +639,138 @@ impl AllocationUnit {
     }
 
     /// Frees a contiguous run of pages in one free-map release, returning
-    /// each extent the run empties to the GAM.
+    /// the extents the run empties to the GAM as one span.
     ///
     /// The end state is identical to freeing the run's pages one
-    /// [`AllocationUnit::free_page`] at a time — release coalescing is
-    /// deterministic and the extent-emptiness checks commute — but a run
-    /// costs one release plus one check per touched extent instead of a
-    /// release and a check per page.
+    /// [`AllocationUnit::free_page`] at a time, in any order: both free maps
+    /// are canonical, and an extent goes back exactly when its last page is
+    /// freed.
+    ///
+    /// # Panics
+    /// Panics if any page of the run lies outside the unit's extents or is
+    /// already free (double free is an engine bug).
     pub fn free_run(&mut self, gam: &mut Gam, run: Extent) {
-        if run.len == 0 {
+        if run.is_empty() {
             return;
         }
-        let first_extent = PageId(run.start).extent();
-        let last_extent = PageId(run.end() - 1).extent();
-        for index in first_extent.0..=last_extent.0 {
-            assert!(
-                self.extents.contains(&ExtentId(index)),
-                "run {run:?} freed outside the unit's extents"
-            );
-        }
+        assert!(
+            self.extents.contains_all(extents_touched(run)),
+            "run {run:?} freed outside the unit's extents"
+        );
         self.map
             .release(run)
             .unwrap_or_else(|_| panic!("run {run:?} freed twice"));
 
-        // If every page of a touched extent is free, hand the extent back.
-        for index in first_extent.0..=last_extent.0 {
-            let extent = ExtentId(index);
-            let extent_pages = Extent::new(extent.first_page().0, PAGES_PER_EXTENT);
-            if self.map.is_free(extent_pages) {
-                self.map
-                    .reserve(extent_pages)
-                    .expect("a fully free extent's pages can be withdrawn");
-                self.extents.remove(&extent);
-                gam.release(extent);
-            }
+        // No assigned extent was wholly free before this release (`verify`),
+        // so the extents it emptied are exactly the whole extents inside the
+        // coalesced free run now surrounding `run` — one aligned span.
+        let around = self
+            .map
+            .run_at(run.start)
+            .expect("a just-released page is free");
+        let first_empty = around.start.div_ceil(PAGES_PER_EXTENT);
+        let end_empty = around.end() / PAGES_PER_EXTENT;
+        if end_empty > first_empty {
+            let emptied = Extent::new(first_empty, end_empty - first_empty);
+            self.reserve_free(pages_of(emptied));
+            self.extents.remove_run(emptied);
+            gam.release_run(emptied);
         }
     }
 
-    /// Frees a sequence of pages, merging neighbouring pages that arrive
-    /// consecutively (in either direction) into single [`free_run`] calls.
-    ///
-    /// Blob page lists and the ghost backlog's drain order are almost
-    /// entirely made of such runs, so this turns their page-at-a-time frees
-    /// into a handful of run releases.
-    ///
-    /// [`free_run`]: AllocationUnit::free_run
-    pub fn free_pages(&mut self, gam: &mut Gam, pages: impl IntoIterator<Item = PageId>) {
-        let mut run: Option<Extent> = None;
-        for page in pages {
-            run = Some(match run {
-                None => Extent::new(page.0, 1),
-                Some(open) if page.0 == open.end() => Extent::new(open.start, open.len + 1),
-                Some(open) if page.0 + 1 == open.start => Extent::new(page.0, open.len + 1),
-                Some(open) => {
-                    self.free_run(gam, open);
-                    Extent::new(page.0, 1)
-                }
-            });
-        }
-        if let Some(open) = run {
-            self.free_run(gam, open);
+    /// Frees every run of a layout (see [`AllocationUnit::free_run`]).
+    pub fn free_runs(&mut self, gam: &mut Gam, runs: &[Extent]) {
+        for &run in runs {
+            self.free_run(gam, run);
         }
     }
 
     /// The extents currently assigned to this unit, ascending.
     pub fn extents(&self) -> impl Iterator<Item = ExtentId> + '_ {
-        self.extents.iter().copied()
+        self.extents.iter().map(ExtentId)
+    }
+
+    /// `true` if the extent is assigned to this unit.
+    pub(crate) fn owns_extent(&self, extent: ExtentId) -> bool {
+        self.extents.contains(extent.0)
+    }
+
+    /// `true` if every page of the (non-empty) run holds data: it lies inside
+    /// the unit's extents and no page of it is free.
+    pub(crate) fn holds_data(&self, run: Extent) -> bool {
+        let first = PageId(run.start).extent().0;
+        let last = PageId(run.end() - 1).extent().0;
+        self.extents
+            .contains_all(Extent::new(first, last - first + 1))
+            && self.map.run_at(run.start).is_none()
+            && self.map.runs_in(run.start, run.end()).is_empty()
+    }
+
+    /// Checks the unit's structural invariants against the GAM it is used
+    /// with: the extent count matches the bitmap; every free page of the
+    /// unit map lies inside an assigned extent; no assigned extent is wholly
+    /// free (it would belong to the GAM) or unassigned in the GAM.
+    pub fn verify(&self, gam: &Gam) -> Result<(), String> {
+        let kind = self.kind;
+        let assigned = self.extents.iter().count() as u64;
+        if assigned != self.extents.count {
+            return Err(format!(
+                "{kind:?} unit: extent count {} but {assigned} bits set",
+                self.extents.count
+            ));
+        }
+        let free_runs = self.map.free_runs();
+        let free_pages: u64 = free_runs.iter().map(|run| run.len).sum();
+        if free_pages != self.map.free_clusters() {
+            return Err(format!(
+                "{kind:?} unit: free counter {} but the runs hold {free_pages} pages",
+                self.map.free_clusters()
+            ));
+        }
+        for run in free_runs {
+            let first = PageId(run.start).extent().0;
+            let last = PageId(run.end() - 1).extent().0;
+            if !self
+                .extents
+                .contains_all(Extent::new(first, last - first + 1))
+            {
+                return Err(format!(
+                    "{kind:?} unit: free run {run:?} outside the assigned extents"
+                ));
+            }
+            if run.start.div_ceil(PAGES_PER_EXTENT) < run.end() / PAGES_PER_EXTENT {
+                return Err(format!(
+                    "{kind:?} unit: free run {run:?} covers a whole extent the GAM should hold"
+                ));
+            }
+        }
+        for extent in self.extents() {
+            if gam.is_free(extent) {
+                return Err(format!(
+                    "{kind:?} unit: {extent} assigned but free in the GAM"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::fragment_count;
 
     const TEST_PAGES: u64 = 100 * PAGES_PER_EXTENT;
+
+    /// One streamed allocation as a layout of its own.
+    fn allocate(unit: &mut AllocationUnit, gam: &mut Gam, count: u64) -> Result<PageRuns, DbError> {
+        let mut layout = PageRuns::new();
+        unit.allocate_pages(gam, count, &mut layout)?;
+        Ok(layout)
+    }
+
+    fn pages(layout: &PageRuns) -> Vec<PageId> {
+        layout.pages().collect()
+    }
 
     #[test]
     fn gam_assigns_lowest_first() {
@@ -698,6 +837,23 @@ mod tests {
     }
 
     #[test]
+    fn gam_runs_assign_all_or_nothing_and_move_the_cursor_to_their_end() {
+        let mut gam = Gam::with_policy(10, AllocationPolicy::Fit(FitPolicy::NextFit));
+        assert!(gam.assign_specific(ExtentId(4)));
+        assert!(!gam.assign_run(Extent::new(2, 3)), "extent 4 is taken");
+        assert_eq!(gam.free_extent_count(), 9, "nothing was assigned");
+        assert!(!gam.assign_run(Extent::new(8, 3)), "past the data file");
+        assert!(
+            !gam.assign_run(Extent::new(2, 0)),
+            "an empty run assigns nothing"
+        );
+        assert!(gam.assign_run(Extent::new(0, 3)));
+        assert_eq!(gam.peek_next(), Some(ExtentId(3)), "next fit resumes at 3");
+        gam.release_run(Extent::new(0, 3));
+        assert_eq!(gam.free_extent_count(), 9);
+    }
+
+    #[test]
     #[should_panic(expected = "released twice")]
     fn gam_double_release_panics() {
         let mut gam = Gam::new(4);
@@ -708,14 +864,14 @@ mod tests {
     fn clean_file_allocations_are_contiguous() {
         let mut gam = Gam::new(100);
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
-        let a = unit.allocate_pages(&mut gam, 20).unwrap();
-        assert_eq!(a.len(), 20);
-        assert_eq!(fragment_count(&a), 1);
+        let a = allocate(&mut unit, &mut gam, 20).unwrap();
+        assert_eq!(a.page_count(), 20);
+        assert_eq!(a.fragment_count(), 1);
         // The next object continues right after the previous one, sharing its
         // partially used extent.
-        let b = unit.allocate_pages(&mut gam, 20).unwrap();
-        assert_eq!(fragment_count(&b), 1);
-        assert!(a.last().unwrap().is_followed_by(b[0]));
+        let b = allocate(&mut unit, &mut gam, 20).unwrap();
+        assert_eq!(b.fragment_count(), 1);
+        assert!(a.runs()[0].is_followed_by(&b.runs()[0]));
         assert_eq!(unit.used_pages(), 40);
         // 40 pages span extents 0..=4.
         assert_eq!(unit.extent_count(), 5);
@@ -725,23 +881,22 @@ mod tests {
     fn freed_low_pages_are_reused_before_the_tail() {
         let mut gam = Gam::new(100);
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
-        let a = unit.allocate_pages(&mut gam, 16).unwrap();
-        let _b = unit.allocate_pages(&mut gam, 16).unwrap();
+        let a = allocate(&mut unit, &mut gam, 16).unwrap();
+        let _b = allocate(&mut unit, &mut gam, 16).unwrap();
         // Delete `a`: its two extents return to the GAM.
-        for page in &a {
-            unit.free_page(&mut gam, *page);
+        for page in a.pages() {
+            unit.free_page(&mut gam, page);
         }
         // A new 8-page object lands in the freed low extent, not at the tail.
-        let c = unit.allocate_pages(&mut gam, 8).unwrap();
-        assert_eq!(c[0], PageId(0));
-        assert_eq!(fragment_count(&c), 1);
+        let c = allocate(&mut unit, &mut gam, 8).unwrap();
+        assert_eq!(c.runs(), [Extent::new(0, 8)]);
     }
 
     #[test]
     fn scattered_free_pages_fragment_new_objects() {
         let mut gam = Gam::new(100);
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
-        let a = unit.allocate_pages(&mut gam, 64).unwrap();
+        let a = pages(&allocate(&mut unit, &mut gam, 64).unwrap());
         // Free every other 4-page group of `a`, leaving 4-page holes.
         for chunk in a.chunks(8).map(|c| &c[..4]) {
             for page in chunk {
@@ -749,25 +904,25 @@ mod tests {
             }
         }
         // A 16-page object must span at least four of those holes.
-        let b = unit.allocate_pages(&mut gam, 16).unwrap();
+        let b = allocate(&mut unit, &mut gam, 16).unwrap();
         assert!(
-            fragment_count(&b) >= 4,
+            b.fragment_count() >= 4,
             "got {} fragments",
-            fragment_count(&b)
+            b.fragment_count()
         );
         // And it fills the lowest holes first.
-        assert_eq!(b[0], PageId(0));
+        assert_eq!(b.runs()[0], Extent::new(0, 4));
     }
 
     #[test]
     fn freeing_a_whole_extent_returns_it_to_the_gam() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 8).unwrap();
+        let layout = allocate(&mut unit, &mut gam, 8).unwrap();
         assert_eq!(unit.extent_count(), 1);
         let before = gam.free_extent_count();
-        for page in &pages {
-            unit.free_page(&mut gam, *page);
+        for page in layout.pages() {
+            unit.free_page(&mut gam, page);
         }
         assert_eq!(unit.extent_count(), 0);
         assert_eq!(unit.used_pages(), 0);
@@ -775,26 +930,88 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_tail_is_adopted_in_one_step_up_to_the_next_assigned_extent() {
+        let mut gam = Gam::new(100);
+        let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
+        // Someone else holds extent 2: the tail run stops there, and the
+        // object continues in the next policy-chosen extent.
+        assert!(gam.assign_specific(ExtentId(2)));
+        let layout = allocate(&mut unit, &mut gam, 20).unwrap();
+        assert_eq!(layout.runs(), [Extent::new(0, 16), Extent::new(24, 4)]);
+        assert_eq!(
+            unit.extents().collect::<Vec<_>>(),
+            [ExtentId(0), ExtentId(1), ExtentId(3)]
+        );
+        assert_eq!(unit.free_space().free_runs(), [Extent::new(28, 4)]);
+        assert_eq!(gam.free_space().free_runs(), [Extent::new(4, 96)]);
+        assert_eq!(unit.verify(&gam), Ok(()));
+        // Exactly as many extents as the pages need, never one more.
+        let more = allocate(&mut unit, &mut gam, 4 + 3 * PAGES_PER_EXTENT).unwrap();
+        assert_eq!(more.runs(), [Extent::new(28, 28)]);
+        assert_eq!(unit.extent_count(), 6);
+        assert_eq!(unit.free_page_count(), 0);
+    }
+
+    #[test]
+    fn a_release_returns_every_extent_it_empties_as_one_span() {
+        let mut gam = Gam::new(10);
+        let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
+        allocate(&mut unit, &mut gam, 40).unwrap();
+        // Pages 4..36 cover extents 1-3 wholly and extents 0 and 4 in part.
+        unit.free_run(&mut gam, Extent::new(4, 32));
+        assert_eq!(
+            unit.extents().collect::<Vec<_>>(),
+            [ExtentId(0), ExtentId(4)]
+        );
+        assert_eq!(
+            unit.free_space().free_runs(),
+            [Extent::new(4, 4), Extent::new(32, 4)]
+        );
+        assert_eq!(
+            gam.free_space().free_runs(),
+            [Extent::new(1, 3), Extent::new(5, 5)]
+        );
+        assert_eq!(unit.verify(&gam), Ok(()));
+        // Freeing the rest of extent 0 joins it to the span already returned.
+        unit.free_run(&mut gam, Extent::new(0, 4));
+        assert_eq!(
+            gam.free_space().free_runs(),
+            [Extent::new(0, 4), Extent::new(5, 5)]
+        );
+        assert_eq!(unit.free_space().free_runs(), [Extent::new(32, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the unit's extents")]
+    fn freeing_pages_of_a_returned_extent_panics() {
+        let mut gam = Gam::new(4);
+        let mut unit = AllocationUnit::new(PageKind::LobData, 4 * PAGES_PER_EXTENT);
+        allocate(&mut unit, &mut gam, 8).unwrap();
+        unit.free_run(&mut gam, Extent::new(0, 8));
+        unit.free_page(&mut gam, PageId(3));
+    }
+
+    #[test]
     fn partially_freed_extents_stay_with_the_unit() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 8).unwrap();
-        unit.free_page(&mut gam, pages[0]);
+        let first = allocate(&mut unit, &mut gam, 8).unwrap().runs()[0];
+        unit.free_page(&mut gam, PageId(first.start));
         assert_eq!(unit.extent_count(), 1);
         assert_eq!(unit.free_page_count(), 1);
         // The freed page is reused before any new extent is assigned.
-        let next = unit.allocate_pages(&mut gam, 1).unwrap();
-        assert_eq!(next[0], pages[0]);
+        let next = allocate(&mut unit, &mut gam, 1).unwrap();
+        assert_eq!(next.runs(), [Extent::new(first.start, 1)]);
     }
 
     #[test]
     fn out_of_space_is_detected() {
         let mut gam = Gam::new(2); // 16 pages total
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
-        assert!(unit.allocate_pages(&mut gam, 17).is_err());
-        let pages = unit.allocate_pages(&mut gam, 10).unwrap();
-        assert_eq!(pages.len(), 10);
-        let err = unit.allocate_pages(&mut gam, 7).unwrap_err();
+        assert!(allocate(&mut unit, &mut gam, 17).is_err());
+        let layout = allocate(&mut unit, &mut gam, 10).unwrap();
+        assert_eq!(layout.page_count(), 10);
+        let err = allocate(&mut unit, &mut gam, 7).unwrap_err();
         assert!(matches!(
             err,
             DbError::OutOfSpace {
@@ -812,16 +1029,16 @@ mod tests {
     fn double_free_panics() {
         let mut gam = Gam::new(2);
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 4).unwrap();
-        unit.free_page(&mut gam, pages[0]);
-        unit.free_page(&mut gam, pages[0]);
+        let first = allocate(&mut unit, &mut gam, 4).unwrap().runs()[0].start;
+        unit.free_page(&mut gam, PageId(first));
+        unit.free_page(&mut gam, PageId(first));
     }
 
     #[test]
     fn zero_page_allocations_are_empty() {
         let mut gam = Gam::new(2);
         let mut unit = AllocationUnit::new(PageKind::RowData, 2 * PAGES_PER_EXTENT);
-        assert!(unit.allocate_pages(&mut gam, 0).unwrap().is_empty());
+        assert!(allocate(&mut unit, &mut gam, 0).unwrap().is_empty());
         assert_eq!(unit.kind(), PageKind::RowData);
         assert_eq!(unit.extents().count(), 0);
     }
@@ -834,7 +1051,7 @@ mod tests {
             TEST_PAGES,
             AllocationPolicy::Fit(FitPolicy::BestFit),
         );
-        let a = unit.allocate_pages(&mut gam, 32).unwrap();
+        let a = pages(&allocate(&mut unit, &mut gam, 32).unwrap());
         // Carve two holes: a 1-page hole at page 5 and a 3-page hole at 16..19.
         unit.free_page(&mut gam, a[5]);
         for page in &a[16..19] {
@@ -842,15 +1059,15 @@ mod tests {
         }
         // A 1-page object goes to the snuggest hole (page 5), not the lowest
         // eligible position of first fit.
-        let b = unit.allocate_pages(&mut gam, 1).unwrap();
-        assert_eq!(b, vec![PageId(5)]);
+        let b = allocate(&mut unit, &mut gam, 1).unwrap();
+        assert_eq!(pages(&b), vec![PageId(5)]);
     }
 
     #[test]
     fn allocate_largest_runs_is_contiguous_when_a_run_fits() {
         let mut gam = Gam::new(100);
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
-        let a = unit.allocate_pages(&mut gam, 16).unwrap();
+        let a = pages(&allocate(&mut unit, &mut gam, 16).unwrap());
         // Free a 6-page hole inside the unit's extents.
         for page in &a[4..10] {
             unit.free_page(&mut gam, *page);
@@ -858,11 +1075,14 @@ mod tests {
         // The GAM's unassigned tail (98 extents) dwarfs the 6-page hole, so a
         // 4-page request lands contiguously in fresh extents...
         let from_gam = unit.allocate_largest_runs(&mut gam, 4).unwrap();
-        assert_eq!(fragment_count(&from_gam), 1);
-        assert_eq!(from_gam[0], ExtentId(2).first_page());
+        assert_eq!(
+            from_gam.runs(),
+            [Extent::new(ExtentId(2).first_page().0, 4)]
+        );
         // ...and a 20-page one is a single run of consecutive fresh extents.
         let bigger = unit.allocate_largest_runs(&mut gam, 20).unwrap();
-        assert_eq!(fragment_count(&bigger), 1);
+        assert_eq!(bigger.fragment_count(), 1);
+        assert_eq!(bigger.page_count(), 20);
         assert!(unit.allocate_largest_runs(&mut gam, 0).unwrap().is_empty());
     }
 
@@ -870,16 +1090,18 @@ mod tests {
     fn allocate_largest_runs_falls_back_to_several_runs() {
         let mut gam = Gam::new(2); // 16 pages
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages(&mut gam, 16).unwrap();
+        let pages = pages(&allocate(&mut unit, &mut gam, 16).unwrap());
         // Free pages in two separated runs of 3 and 2.
-        for page in [&pages[2..5], &pages[8..10]].concat() {
-            unit.free_page(&mut gam, page);
-        }
+        unit.free_run(&mut gam, Extent::new(pages[2].0, 3));
+        unit.free_run(&mut gam, Extent::new(pages[8].0, 2));
         // No single 5-page run exists anywhere; the largest-first fallback
         // uses exactly the two runs, biggest first.
         let scattered = unit.allocate_largest_runs(&mut gam, 5).unwrap();
-        assert_eq!(fragment_count(&scattered), 2);
-        assert_eq!(scattered[0], pages[2], "the 3-page run is taken first");
+        assert_eq!(
+            scattered.runs(),
+            [Extent::new(pages[2].0, 3), Extent::new(pages[8].0, 2)],
+            "the 3-page run is taken first"
+        );
         // More than the free pool refuses cleanly.
         assert!(unit.allocate_largest_runs(&mut gam, 1).is_none());
     }
@@ -902,15 +1124,15 @@ mod tests {
         let (mut gam, mut unit) = banded_pair(100, 0.6);
         let boundary_page = 60 * PAGES_PER_EXTENT;
         // Foreground allocations fill from the front as before...
-        let foreground = unit.allocate_pages(&mut gam, 16).unwrap();
-        assert_eq!(foreground[0], PageId(0));
+        let foreground = allocate(&mut unit, &mut gam, 16).unwrap();
+        assert_eq!(foreground.runs(), [Extent::new(0, 16)]);
         // ...while maintenance relocations land beyond the boundary.
         let moved = unit.allocate_maintenance_runs(&mut gam, 16, 0).unwrap();
         assert!(
-            moved.iter().all(|page| page.0 >= boundary_page),
+            moved.runs().iter().all(|run| run.start >= boundary_page),
             "maintenance pages {moved:?} must sit at or above page {boundary_page}"
         );
-        assert_eq!(fragment_count(&moved), 1);
+        assert_eq!(moved.fragment_count(), 1);
     }
 
     #[test]
@@ -942,7 +1164,7 @@ mod tests {
         let fits = unit
             .allocate_maintenance_runs(&mut gam, PAGES_PER_EXTENT, 0)
             .unwrap();
-        assert_eq!(fits[0], ExtentId(60).first_page());
+        assert_eq!(fits.pages().next(), Some(ExtentId(60).first_page()));
     }
 
     #[test]
@@ -959,21 +1181,21 @@ mod tests {
         let mut gam = Gam::with_placement(100, policy, placement);
         let mut unit =
             AllocationUnit::with_placement(PageKind::LobData, TEST_PAGES, policy, placement);
-        let all = unit.allocate_pages(&mut gam, 800).unwrap();
-        assert_eq!(all.len(), 800);
+        let all = allocate(&mut unit, &mut gam, 800).unwrap();
+        assert_eq!(all.runs(), [Extent::new(0, 800)]);
         unit.free_page(&mut gam, PageId(480));
         unit.free_page(&mut gam, PageId(100));
         unit.free_page(&mut gam, PageId(101));
-        let pick = unit.allocate_pages(&mut gam, 1).unwrap();
+        let pick = allocate(&mut unit, &mut gam, 1).unwrap();
         assert_eq!(
-            pick,
+            pages(&pick),
             vec![PageId(100)],
             "page 480 sits in the maintenance band under the aligned boundary"
         );
         // The maintenance side agrees: its candidate is exactly the hole at
         // the aligned boundary.
         let moved = unit.allocate_maintenance_runs(&mut gam, 1, 0).unwrap();
-        assert_eq!(moved, vec![PageId(480)]);
+        assert_eq!(pages(&moved), vec![PageId(480)]);
     }
 
     #[test]
@@ -1001,7 +1223,7 @@ mod tests {
         let pages = unit
             .allocate_maintenance_runs(&mut gam, 8, 4 * PAGES_PER_EXTENT)
             .unwrap();
-        assert_eq!(pages[0], ExtentId(10).first_page());
+        assert_eq!(pages.pages().next(), Some(ExtentId(10).first_page()));
         // A watermark below one extent admits no GAM run.
         assert_eq!(
             unit.allocate_maintenance_runs(&mut gam, 8, PAGES_PER_EXTENT - 1),
@@ -1015,12 +1237,12 @@ mod tests {
         let mut unit_a = AllocationUnit::new(PageKind::LobData, 20 * PAGES_PER_EXTENT);
         let mut gam_b = gam_a.clone();
         let mut unit_b = unit_a.clone();
-        let seed_a = unit_a.allocate_pages(&mut gam_a, 30).unwrap();
-        let seed_b = unit_b.allocate_pages(&mut gam_b, 30).unwrap();
+        let seed_a = allocate(&mut unit_a, &mut gam_a, 30).unwrap();
+        let seed_b = allocate(&mut unit_b, &mut gam_b, 30).unwrap();
         assert_eq!(seed_a, seed_b);
-        for page in seed_a.iter().skip(4).step_by(3) {
-            unit_a.free_page(&mut gam_a, *page);
-            unit_b.free_page(&mut gam_b, *page);
+        for page in seed_a.pages().skip(4).step_by(3) {
+            unit_a.free_page(&mut gam_a, page);
+            unit_b.free_page(&mut gam_b, page);
         }
         let via_maintenance = unit_a.allocate_maintenance_runs(&mut gam_a, 12, 7);
         let via_largest = unit_b.allocate_largest_runs(&mut gam_b, 12);
@@ -1035,7 +1257,7 @@ mod tests {
         let pages = unit.allocate_pages_high(&mut gam, 3).unwrap();
         let last = 10 * PAGES_PER_EXTENT - 1;
         assert_eq!(
-            pages,
+            pages.pages().collect::<Vec<_>>(),
             vec![PageId(last), PageId(last - 1), PageId(last - 2)]
         );
         assert_eq!(unit.extent_count(), 1);

@@ -1,15 +1,22 @@
-//! BLOB records: the page map of each stored object.
+//! BLOB records: the layout of each stored object.
 //!
 //! SQL Server stores large out-of-row values as a tree of text/image pages
 //! (the Exodus design the paper cites).  For fragmentation purposes what
-//! matters is the *ordered list of physical pages* holding the object's
-//! bytes; the tree's interior nodes are small and cached, so the record here
-//! keeps the leaf page list plus the object's logical size.
+//! matters is *where the object's bytes sit on disk, in logical order*; the
+//! tree's interior nodes are small and cached.  The engine allocates, frees
+//! and reads in runs of physically consecutive pages, so that is how a
+//! record keeps its layout: as [`PageRuns`], the maximal page runs in
+//! logical order, rather than one entry per 8 KB page.  A 1 MB object is 130
+//! pages but — even badly aged — a few dozen runs, and every question the
+//! engine asks of a layout is a question about runs: the fragment count is
+//! the number of runs, a read or write receipt is one byte run per page run,
+//! ghosting or freeing a version hands the runs over as they are.
 
+use lor_alloc::Extent;
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
 
-use crate::page::{fragment_count, page_runs, PageId};
+use crate::page::{PageId, PageRuns};
 
 /// Identifier of a stored BLOB.  Never reused within the lifetime of an
 /// engine instance.
@@ -22,7 +29,7 @@ impl std::fmt::Display for BlobId {
     }
 }
 
-/// One stored object: its key, logical size, and leaf page map.
+/// One stored object: its key, logical size, and leaf page layout.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlobRecord {
     /// Stable identifier.
@@ -31,29 +38,55 @@ pub struct BlobRecord {
     pub key: String,
     /// Logical size in bytes.
     pub size_bytes: u64,
-    /// Leaf pages in logical order.
-    pub pages: Vec<PageId>,
+    /// Leaf pages in logical order, as maximal physical runs.
+    layout: PageRuns,
 }
 
 impl BlobRecord {
     /// Creates a record for a freshly inserted object.
-    pub fn new(id: BlobId, key: impl Into<String>, size_bytes: u64, pages: Vec<PageId>) -> Self {
-        BlobRecord {
+    pub fn new(id: BlobId, key: impl Into<String>, size_bytes: u64, layout: PageRuns) -> Self {
+        let mut record = BlobRecord {
             id,
             key: key.into(),
             size_bytes,
-            pages,
-        }
+            layout: PageRuns::new(),
+        };
+        record.replace_layout(layout);
+        record
+    }
+
+    /// Installs a new version's layout, returning the one it replaces.  A
+    /// stored layout never grows, so the spare capacity appends left behind
+    /// is given back here rather than held for the life of the version.
+    pub(crate) fn replace_layout(&mut self, mut layout: PageRuns) -> PageRuns {
+        layout.shrink_to_fit();
+        std::mem::replace(&mut self.layout, layout)
+    }
+
+    /// The object's leaf pages as physically contiguous runs, in logical
+    /// order.
+    pub fn layout(&self) -> &PageRuns {
+        &self.layout
+    }
+
+    /// The page runs of [`BlobRecord::layout`].
+    pub fn runs(&self) -> &[Extent] {
+        self.layout.runs()
+    }
+
+    /// The leaf pages in logical order.
+    pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.layout.pages()
     }
 
     /// Number of physically discontiguous page runs (1 = contiguous).
     pub fn fragment_count(&self) -> usize {
-        fragment_count(&self.pages)
+        self.layout.fragment_count()
     }
 
     /// Number of leaf pages.
     pub fn page_count(&self) -> u64 {
-        self.pages.len() as u64
+        self.layout.page_count()
     }
 
     /// The byte runs a sequential scan of the object's leaf pages touches.
@@ -63,12 +96,7 @@ impl BlobRecord {
     /// header/packing overhead — one of the streaming-rate disadvantages the
     /// folklore attributes to databases.
     pub fn byte_runs(&self, page_size: u64, base_offset: u64) -> Vec<ByteRun> {
-        page_runs(&self.pages)
-            .into_iter()
-            .map(|(first, count)| {
-                ByteRun::new(base_offset + first.0 * page_size, count * page_size)
-            })
-            .collect()
+        self.layout.byte_runs(page_size, base_offset)
     }
 }
 
@@ -82,8 +110,10 @@ mod tests {
             BlobId(1),
             "k",
             100,
-            vec![PageId(10), PageId(11), PageId(20), PageId(21), PageId(22)],
+            PageRuns::from_pages([10, 11, 20, 21, 22].map(PageId)),
         );
+        assert_eq!(record.runs(), [Extent::new(10, 2), Extent::new(20, 3)]);
+        assert_eq!(record.pages().count(), 5);
         assert_eq!(record.page_count(), 5);
         assert_eq!(record.fragment_count(), 2);
         assert_eq!(BlobId(1).to_string(), "blob#1");
@@ -95,7 +125,7 @@ mod tests {
             BlobId(1),
             "k",
             10_000,
-            vec![PageId(2), PageId(3), PageId(9)],
+            PageRuns::from_pages([2, 3, 9].map(PageId)),
         );
         let runs = record.byte_runs(8192, 1_000_000);
         assert_eq!(
@@ -114,7 +144,7 @@ mod tests {
 
     #[test]
     fn empty_blob_has_no_runs() {
-        let record = BlobRecord::new(BlobId(1), "k", 0, Vec::new());
+        let record = BlobRecord::new(BlobId(1), "k", 0, PageRuns::new());
         assert_eq!(record.fragment_count(), 0);
         assert!(record.byte_runs(8192, 0).is_empty());
     }

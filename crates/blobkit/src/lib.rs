@@ -7,8 +7,9 @@
 //!
 //! * an 8 KB-page / 64 KB-extent data file with GAM/IAM-style space
 //!   management ([`Gam`], [`AllocationUnit`]);
-//! * out-of-row BLOB storage as ordered leaf-page lists ([`BlobRecord`],
-//!   the Exodus-style design the paper cites);
+//! * out-of-row BLOB storage as ordered leaf-page layouts ([`BlobRecord`],
+//!   the Exodus-style design the paper cites), kept as maximal page runs
+//!   ([`PageRuns`]) — the unit every layer below the key-value API moves;
 //! * a clustered metadata table whose rows stay small and cached;
 //! * wholesale-replacement updates whose old versions become ghosts, cleaned
 //!   up asynchronously, after which their pages — reused lowest-first —
@@ -46,4 +47,4 @@ pub use allocation::{AllocationUnit, Gam};
 pub use blob::{BlobId, BlobRecord};
 pub use engine::{CompactReport, Database, DbWriteReceipt, EngineConfig, EngineStats};
 pub use error::DbError;
-pub use page::{fragment_count, page_runs, ExtentId, PageId, PageKind, PAGES_PER_EXTENT};
+pub use page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};

@@ -5,7 +5,12 @@
 //! LOB pages whose payload is slightly smaller than the page (headers,
 //! record overhead), which is one of the reasons a database BLOB occupies a
 //! little more disk than the same object stored as a file.
+//!
+//! Pages and extents are the units of *addressing*; the unit the engine
+//! stores and moves is the **run** of consecutive pages ([`PageRuns`]).
 
+use lor_alloc::Extent;
+use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
 
 /// Pages per extent (SQL Server: 8).
@@ -72,35 +77,91 @@ pub enum PageKind {
     AllocationMap,
 }
 
-/// Counts runs of physically consecutive pages — the database-side equivalent
-/// of a file's fragment count.  An empty list has zero fragments; a contiguous
-/// list has one.
-pub fn fragment_count(pages: &[PageId]) -> usize {
-    let mut fragments = 0;
-    let mut previous: Option<PageId> = None;
-    for &page in pages {
-        match previous {
-            Some(prev) if prev.is_followed_by(page) => {}
-            _ => fragments += 1,
-        }
-        previous = Some(page);
-    }
-    fragments
+/// A BLOB's physical layout: its pages as contiguous runs, in logical order.
+///
+/// Appending merges a run into its predecessor when it begins exactly where
+/// the predecessor ends, so the list always holds the *maximal* runs a scan
+/// of the object's pages in logical order would find: the number of runs is
+/// the object's fragment count, and each run is one disk transfer.  Only
+/// forward adjacency merges — a run that physically precedes its logical
+/// predecessor is a seek, hence a fragment of its own.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PageRuns {
+    /// Non-empty runs in page units; no run starts where the previous ends.
+    runs: Vec<Extent>,
+    /// Total pages covered (the sum of the run lengths).
+    pages: u64,
 }
 
-/// Groups a logical page list into physically contiguous `(first_page, count)`
-/// runs, preserving logical order.
-pub fn page_runs(pages: &[PageId]) -> Vec<(PageId, u64)> {
-    let mut runs: Vec<(PageId, u64)> = Vec::new();
-    for &page in pages {
-        match runs.last_mut() {
-            Some((first, count)) if PageId(first.0 + *count - 1).is_followed_by(page) => {
-                *count += 1
-            }
-            _ => runs.push((page, 1)),
+impl PageRuns {
+    /// An empty layout.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The layout of `pages` taken in logical order.
+    pub fn from_pages(pages: impl IntoIterator<Item = PageId>) -> Self {
+        let mut layout = PageRuns::new();
+        for page in pages {
+            layout.push(Extent::new(page.0, 1));
+        }
+        layout
+    }
+
+    /// Appends a run of pages at the logical end of the layout.
+    pub fn push(&mut self, run: Extent) {
+        if run.is_empty() {
+            return;
+        }
+        self.pages += run.len;
+        match self.runs.last_mut() {
+            Some(last) if last.is_followed_by(&run) => last.len += run.len,
+            _ => self.runs.push(run),
         }
     }
-    runs
+
+    /// Gives back the spare capacity appends left behind; a committed layout
+    /// never grows again.
+    pub fn shrink_to_fit(&mut self) {
+        self.runs.shrink_to_fit();
+    }
+
+    /// The runs in logical order.
+    pub fn runs(&self) -> &[Extent] {
+        &self.runs
+    }
+
+    /// Number of pages.
+    pub fn page_count(&self) -> u64 {
+        self.pages
+    }
+
+    /// Number of physically discontiguous runs — the database-side
+    /// equivalent of a file's fragment count (0 = empty, 1 = contiguous).
+    pub fn fragment_count(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// `true` if the layout covers no pages.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The pages in logical order.
+    pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|run| (run.start..run.end()).map(PageId))
+    }
+
+    /// The byte runs a sequential scan of the layout touches: one per page
+    /// run, whole pages, for a data file starting at `base_offset`.
+    pub fn byte_runs(&self, page_size: u64, base_offset: u64) -> Vec<ByteRun> {
+        self.runs
+            .iter()
+            .map(|run| ByteRun::new(base_offset + run.start * page_size, run.len * page_size))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -127,27 +188,55 @@ mod tests {
         assert!(!PageId(5).is_followed_by(PageId(5)));
     }
 
+    fn fragments_of(pages: &[u64]) -> usize {
+        PageRuns::from_pages(pages.iter().copied().map(PageId)).fragment_count()
+    }
+
     #[test]
     fn fragment_counting() {
-        assert_eq!(fragment_count(&[]), 0);
-        assert_eq!(fragment_count(&[PageId(3)]), 1);
-        assert_eq!(fragment_count(&[PageId(3), PageId(4), PageId(5)]), 1);
-        assert_eq!(fragment_count(&[PageId(3), PageId(5), PageId(6)]), 2);
-        assert_eq!(fragment_count(&[PageId(9), PageId(3), PageId(4)]), 2);
+        assert_eq!(fragments_of(&[]), 0);
+        assert_eq!(fragments_of(&[3]), 1);
+        assert_eq!(fragments_of(&[3, 4, 5]), 1);
+        assert_eq!(fragments_of(&[3, 5, 6]), 2);
+        assert_eq!(fragments_of(&[9, 3, 4]), 2);
+        // Backward adjacency is a seek, not a continuation.
+        assert_eq!(fragments_of(&[4, 3]), 2);
     }
 
     #[test]
     fn run_grouping() {
-        let runs = page_runs(&[
-            PageId(3),
-            PageId(4),
-            PageId(10),
-            PageId(11),
-            PageId(12),
-            PageId(2),
-        ]);
-        assert_eq!(runs, vec![(PageId(3), 2), (PageId(10), 3), (PageId(2), 1)]);
-        assert!(page_runs(&[]).is_empty());
+        let pages = [3, 4, 10, 11, 12, 2].map(PageId);
+        let layout = PageRuns::from_pages(pages);
+        assert_eq!(
+            layout.runs(),
+            [Extent::new(3, 2), Extent::new(10, 3), Extent::new(2, 1)]
+        );
+        assert_eq!(layout.page_count(), 6);
+        assert_eq!(layout.pages().collect::<Vec<_>>(), pages);
+        assert!(PageRuns::new().is_empty());
+    }
+
+    #[test]
+    fn appended_runs_merge_only_with_their_logical_predecessor() {
+        let mut layout = PageRuns::new();
+        layout.push(Extent::new(8, 4));
+        layout.push(Extent::new(12, 0));
+        layout.push(Extent::new(12, 2));
+        layout.push(Extent::new(20, 1));
+        layout.push(Extent::new(14, 1));
+        assert_eq!(
+            layout.runs(),
+            [Extent::new(8, 6), Extent::new(20, 1), Extent::new(14, 1)]
+        );
+        assert_eq!(layout.page_count(), 8);
+        assert_eq!(
+            layout.byte_runs(8192, 100),
+            vec![
+                ByteRun::new(100 + 8 * 8192, 6 * 8192),
+                ByteRun::new(100 + 20 * 8192, 8192),
+                ByteRun::new(100 + 14 * 8192, 8192)
+            ]
+        );
     }
 
     #[test]

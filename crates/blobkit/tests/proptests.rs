@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use lor_blobkit::{AllocationUnit, Database, EngineConfig, Gam, PageId, PAGES_PER_EXTENT};
+use lor_blobkit::{AllocationUnit, Database, EngineConfig, Gam, PageRuns, PAGES_PER_EXTENT};
 use lor_core_free_space_oracle::combined_free_runs;
 use proptest::prelude::*;
 
@@ -57,30 +57,21 @@ fn arb_op() -> impl Strategy<Value = DbOp> {
     ]
 }
 
-/// Verifies the engine against a shadow model (key -> size).
+/// Verifies the engine against a shadow model (key -> size) and against its
+/// own structural invariants ([`Database::verify`]: page accounting, no page
+/// with two owners, extent bitmaps vs maps, incremental indexes vs rescan).
 fn check_invariants(db: &Database, live: &BTreeMap<String, u64>) -> Result<(), TestCaseError> {
     prop_assert_eq!(db.object_count(), live.len());
-    let mut seen_pages: std::collections::HashSet<PageId> = std::collections::HashSet::new();
     for (key, &size) in live {
         let record = db.get(key).expect("live key resolves");
         prop_assert_eq!(record.size_bytes, size);
         prop_assert_eq!(record.page_count(), db.config().pages_for(size));
-        // No page is shared between live objects.
-        for page in &record.pages {
-            prop_assert!(seen_pages.insert(*page), "page {page} stored twice");
-            prop_assert!(
-                page.0 < db.config().total_pages(),
-                "page {page} outside the data file"
-            );
-        }
         // The read plan covers exactly the object's pages.
         let plan = db.read_plan(key).unwrap();
         let plan_bytes: u64 = plan.iter().map(|r| r.len).sum();
         prop_assert_eq!(plan_bytes, record.page_count() * db.config().page_size);
     }
-    // The incremental fragmentation accounting answers exactly what a full
-    // rescan of every live blob would.
-    prop_assert_eq!(db.fragmentation(), db.fragmentation_rescan());
+    prop_assert_eq!(db.verify(), Ok(()));
     Ok(())
 }
 
@@ -232,17 +223,37 @@ fn check_against_oracle(
     let mut gam = Gam::with_policy(TOTAL_EXTENTS, policy);
     let mut unit = AllocationUnit::with_policy(lor_blobkit::PageKind::LobData, TOTAL_PAGES, policy);
     let mut oracle = BitmapMap::new_free(TOTAL_PAGES);
-    let mut live: Vec<Vec<PageId>> = Vec::new();
+    let mut live: Vec<PageRuns> = Vec::new();
+
+    // One streamed allocation, mirrored into the oracle run by run.
+    let allocate = |unit: &mut AllocationUnit, gam: &mut Gam, oracle: &mut BitmapMap, pages| {
+        let mut layout = PageRuns::new();
+        unit.allocate_pages(gam, pages, &mut layout).ok()?;
+        for &run in layout.runs() {
+            oracle.reserve(run).expect("oracle agrees the run was free");
+        }
+        Some(layout)
+    };
+    // Ghost cleanup of one version, alternating between the two free paths.
+    let free =
+        |unit: &mut AllocationUnit, gam: &mut Gam, oracle: &mut BitmapMap, ghosts: PageRuns| {
+            if ghosts.page_count().is_multiple_of(2) {
+                unit.free_runs(gam, ghosts.runs());
+            } else {
+                for page in ghosts.pages() {
+                    unit.free_page(gam, page);
+                }
+            }
+            for &run in ghosts.runs() {
+                oracle.release(run).expect("oracle agrees the run was used");
+            }
+        };
 
     for op in ops.iter().cloned() {
         match op {
             SpaceOp::Insert { pages } => {
-                if let Ok(allocated) = unit.allocate_pages(&mut gam, pages) {
-                    for page in &allocated {
-                        oracle
-                            .reserve(Extent::new(page.0, 1))
-                            .expect("oracle agrees the page was free");
-                    }
+                if let Some(allocated) = allocate(&mut unit, &mut gam, &mut oracle, pages) {
+                    prop_assert_eq!(allocated.page_count(), pages);
                     live.push(allocated);
                 }
             }
@@ -251,19 +262,9 @@ fn check_against_oracle(
                     continue;
                 }
                 let slot = index % live.len();
-                if let Ok(allocated) = unit.allocate_pages(&mut gam, pages) {
-                    for page in &allocated {
-                        oracle
-                            .reserve(Extent::new(page.0, 1))
-                            .expect("oracle agrees the page was free");
-                    }
+                if let Some(allocated) = allocate(&mut unit, &mut gam, &mut oracle, pages) {
                     let ghosts = std::mem::replace(&mut live[slot], allocated);
-                    for page in ghosts {
-                        unit.free_page(&mut gam, page);
-                        oracle
-                            .release(Extent::new(page.0, 1))
-                            .expect("oracle agrees the page was used");
-                    }
+                    free(&mut unit, &mut gam, &mut oracle, ghosts);
                 }
             }
             SpaceOp::Cleanup { index } => {
@@ -271,14 +272,10 @@ fn check_against_oracle(
                     continue;
                 }
                 let ghosts = live.swap_remove(index % live.len());
-                for page in ghosts {
-                    unit.free_page(&mut gam, page);
-                    oracle
-                        .release(Extent::new(page.0, 1))
-                        .expect("oracle agrees the page was used");
-                }
+                free(&mut unit, &mut gam, &mut oracle, ghosts);
             }
         }
+        prop_assert_eq!(unit.verify(&gam), Ok(()));
 
         // The two run-indexed levels, merged, must agree exactly with the
         // exhaustive bitmap.
@@ -306,12 +303,7 @@ fn check_against_oracle(
 
     // Teardown: free everything and both levels drain back to fully free.
     for object in live.drain(..) {
-        for page in object {
-            unit.free_page(&mut gam, page);
-            oracle
-                .release(Extent::new(page.0, 1))
-                .expect("oracle agrees the page was used");
-        }
+        free(&mut unit, &mut gam, &mut oracle, object);
     }
     prop_assert_eq!(gam.free_extent_count(), TOTAL_EXTENTS);
     prop_assert_eq!(unit.free_page_count(), 0);

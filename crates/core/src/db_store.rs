@@ -237,7 +237,7 @@ impl ObjectStore for DbObjectStore {
     }
 
     fn contains(&self, key: &str) -> bool {
-        self.db.get(key).is_ok()
+        self.db.contains_key(key)
     }
 
     fn object_count(&self) -> usize {
