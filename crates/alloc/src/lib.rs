@@ -11,8 +11,8 @@
 //!   [`BitmapMap`] oracle used in tests.
 //! * Allocation policies, kept separate from the mechanism as the malloc
 //!   survey the paper cites recommends: the classic fits
-//!   ([`FitPolicy`] / [`PolicyAllocator`]), the NTFS-style
-//!   [`RunCacheAllocator`], and the DTSS-style [`BuddyAllocator`].
+//!   ([`FitPolicy`] / [`PolicyAllocator`]) and the NTFS-style
+//!   [`RunCacheAllocator`].
 //! * The substrate-independent policy knobs — [`AllocationPolicy`] (which
 //!   free run a request is carved from) and [`PlacementPolicy`] (which
 //!   *region* of the space each consumer may draw from, separating
@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod buddy;
 mod error;
 mod extent;
 mod freespace;
@@ -55,7 +54,6 @@ mod runcache;
 mod select;
 mod tracker;
 
-pub use buddy::BuddyAllocator;
 pub use error::AllocError;
 pub use extent::{Extent, ExtentListExt};
 pub use freespace::{BitmapMap, FreeSpace, RunIndexMap};

@@ -4,8 +4,8 @@
 //! al.), this module separates the *mechanism* (the [`RunIndexMap`] free-space
 //! structure) from the *policy* (which free run a request is carved from).
 //! The classic policies — first fit, best fit, worst fit, next fit — are
-//! provided here; the NTFS-style run cache and the buddy system live in their
-//! own modules ([`crate::runcache`], [`crate::buddy`]).
+//! provided here; the NTFS-style run cache lives in its own module
+//! ([`crate::runcache`]).
 
 use serde::{Deserialize, Serialize};
 

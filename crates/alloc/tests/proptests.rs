@@ -6,8 +6,8 @@
 //! exact accounting, full restoration after freeing everything).
 
 use lor_alloc::{
-    AllocRequest, Allocator, BitmapMap, BuddyAllocator, Extent, ExtentListExt, FitPolicy,
-    FragmentationSummary, FreeSpace, PolicyAllocator, RunCacheAllocator, RunIndexMap,
+    AllocRequest, Allocator, BitmapMap, Extent, ExtentListExt, FitPolicy, FragmentationSummary,
+    FreeSpace, PolicyAllocator, RunCacheAllocator, RunIndexMap,
 };
 use proptest::prelude::*;
 
@@ -177,43 +177,6 @@ proptest! {
     #[test]
     fn run_cache_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
         run_script(RunCacheAllocator::new(VOLUME), ops)?;
-    }
-
-    /// The buddy allocator never fragments an allocation and always merges
-    /// back to a whole volume.  (It reserves more than requested internally,
-    /// so the exact-accounting check does not apply; disjointness and
-    /// restoration do.)
-    #[test]
-    fn buddy_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
-        let mut allocator = BuddyAllocator::new(12);
-        let total = allocator.total_clusters();
-        let mut live: Vec<Vec<Extent>> = Vec::new();
-        for op in ops {
-            match op {
-                AllocOp::Allocate { clusters, .. } => {
-                    if let Ok(extents) = allocator.allocate(&AllocRequest::best_effort(clusters)) {
-                        prop_assert_eq!(extents.len(), 1);
-                        prop_assert_eq!(extents.total_clusters(), clusters);
-                        for object in &live {
-                            prop_assert!(!object[0].overlaps(&extents[0]));
-                        }
-                        live.push(extents);
-                    }
-                }
-                AllocOp::Free(index) => {
-                    if !live.is_empty() {
-                        let object = live.swap_remove(index % live.len());
-                        allocator.free(&object).expect("freeing a live buddy block");
-                    }
-                }
-            }
-        }
-        for object in live.drain(..) {
-            allocator.free(&object).expect("free at teardown");
-        }
-        prop_assert_eq!(allocator.free_clusters(), total);
-        prop_assert_eq!(allocator.free_runs(), vec![Extent::new(0, total)]);
-        prop_assert_eq!(allocator.internal_fragmentation(), 0);
     }
 
     /// The fragmentation summary is scale-invariant in the obvious ways.

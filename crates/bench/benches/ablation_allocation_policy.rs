@@ -1,8 +1,8 @@
 //! Ablation over allocation policies at two levels:
 //!
 //! * **Raw allocators** — the policies the paper's Section 3 surveys (first
-//!   fit, best fit, worst fit, next fit, the NTFS-style run cache and the
-//!   DTSS-style buddy system), all driven by the same allocate/free churn.
+//!   fit, best fit, worst fit, next fit and the NTFS-style run cache), all
+//!   driven by the same allocate/free churn.
 //! * **Whole stores** — the shared [`AllocationPolicy`] knob threaded from
 //!   `ExperimentConfig` through **both** `FsObjectStore` and `DbObjectStore`
 //!   into their substrates, so the same policy sweep runs against the
@@ -11,8 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lor_core::lor_alloc::{
-    AllocRequest, AllocationPolicy, Allocator, BuddyAllocator, FitPolicy, PolicyAllocator,
-    RunCacheAllocator,
+    AllocRequest, AllocationPolicy, Allocator, FitPolicy, PolicyAllocator, RunCacheAllocator,
 };
 use lor_core::{run_aging_experiment, ExperimentConfig, SizeDistribution, StoreKind};
 
@@ -64,14 +63,6 @@ fn bench_raw_allocators(c: &mut Criterion) {
     }
     group.bench_function("run-cache", |b| {
         b.iter(|| std::hint::black_box(churn(RunCacheAllocator::new(VOLUME_CLUSTERS), rounds)))
-    });
-    group.bench_function("buddy", |b| {
-        b.iter(|| {
-            std::hint::black_box(churn(
-                BuddyAllocator::with_capacity(VOLUME_CLUSTERS),
-                rounds,
-            ))
-        })
     });
     group.finish();
 }

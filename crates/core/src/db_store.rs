@@ -1,14 +1,14 @@
 //! The database-backed object store (one out-of-row BLOB per object).
 
-use lor_blobkit::{Database, EngineConfig};
-use lor_disksim::{Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
-use lor_maint::{MaintenanceConfig, MaintenanceStats};
-use lor_obs::Obs;
+use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport, PlacementPolicy};
+use lor_blobkit::{Database, DbWriteReceipt, EngineConfig};
+use lor_disksim::{DiskConfig, SimDuration};
+use lor_maint::{MaintSubstrate, MaintenanceConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::maintenance::{DbMaintTarget, MaintenanceState};
-use crate::store::{CostModel, ObjectStore, OpReceipt, StoreKind};
+use crate::store::{CostModel, Store, StoreKind};
+use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a database-backed store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,45 +44,18 @@ impl DbStoreConfig {
 }
 
 /// Objects stored as out-of-row BLOBs in the SQL-Server-like engine.
-#[derive(Debug)]
-pub struct DbObjectStore {
-    db: Database,
-    disk: Disk,
-    cost: CostModel,
-    clock: SimClock,
-    write_request_size: u64,
-    maintenance: Option<MaintenanceState>,
-}
+pub type DbObjectStore = Store<Database>;
 
 impl DbObjectStore {
     /// Creates a store from an explicit configuration.
-    pub fn with_config(mut config: DbStoreConfig) -> Result<Self, StoreError> {
-        if config.write_request_size == 0 {
-            return Err(StoreError::BadConfig(
-                "write request size must be non-zero".into(),
-            ));
-        }
-        let maintenance = match config.maintenance {
-            Some(maint_config) => {
-                maint_config
-                    .validate()
-                    .map_err(|message| StoreError::BadConfig(message.into()))?;
-                // The scheduler owns ghost cleanup now; only the
-                // allocation-pressure emergency path stays in the engine.
-                config.engine.ghost_cleanup_interval_ops = 0;
-                Some(MaintenanceState::new(maint_config))
-            }
-            None => None,
-        };
-        let db = Database::create(config.engine)?;
-        Ok(DbObjectStore {
-            db,
-            disk: Disk::new(config.disk),
-            cost: config.cost,
-            clock: SimClock::new(),
-            write_request_size: config.write_request_size,
-            maintenance,
-        })
+    pub fn with_config(config: DbStoreConfig) -> Result<Self, StoreError> {
+        Store::build(
+            config.engine,
+            config.disk,
+            config.write_request_size,
+            config.cost,
+            config.maintenance,
+        )
     }
 
     /// Creates a store with a data file of `capacity_bytes` and defaults.
@@ -92,267 +65,186 @@ impl DbObjectStore {
 
     /// The underlying engine (read-only).
     pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// Mutable access to the underlying engine, for fixtures.
-    pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// The underlying disk model (read-only).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    fn charge(&mut self, disk_time: ServiceTime, host_time: SimDuration) {
-        self.clock.advance(disk_time.total() + host_time);
-    }
-
-    /// Reports a completed mutating operation of duration `op_time` to the
-    /// background scheduler (if any) and charges whatever background I/O it
-    /// performed to the foreground clock — the single spindle serializes
-    /// foreground and maintenance work.
-    fn after_mutating_op(&mut self, op_time: SimDuration) {
-        let Some(state) = self.maintenance.as_mut() else {
-            return;
-        };
-        if state.scheduler.config().server_driven {
-            // The request scheduler owns the drive: it calls
-            // `maintenance_slice` and models the overlap itself.
-            return;
-        }
-        let mut target = DbMaintTarget {
-            db: &mut self.db,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let interference = state.scheduler.on_foreground_op(op_time, &mut target);
-        self.clock.advance(interference);
-    }
-
-    fn write_receipt(
-        &mut self,
-        runs: Vec<lor_disksim::ByteRun>,
-        pages: u64,
-        size_bytes: u64,
-    ) -> OpReceipt {
-        let request = IoRequest::write_runs(runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.db_write_host_time(pages, size_bytes);
-        self.charge(disk_time, host_time);
-        let receipt = OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        };
-        self.after_mutating_op(receipt.total_time());
-        receipt
+        self.substrate()
     }
 }
 
-impl ObjectStore for DbObjectStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::Database
+/// What the store must service and cost for one engine write.
+fn written(receipt: DbWriteReceipt) -> Written {
+    Written {
+        runs: receipt.runs,
+        payload_bytes: receipt.bytes_written,
+        units: receipt.pages_written,
+        fragments: WrittenFragments::OfRequest,
+        forced_copy: Moved::default(),
+    }
+}
+
+impl Substrate for Database {
+    type Config = EngineConfig;
+    const KIND: StoreKind = StoreKind::Database;
+    const DISK_LABEL: &'static str = "db-store";
+    // The engine's lowest-first page reuse recycles released ghost space
+    // immediately — the eager-cleanup pathology the `SubstrateAware` policy's
+    // deferred release exists to break.
+    const REUSE: MaintSubstrate = MaintSubstrate::EagerReuse;
+
+    fn create(mut config: EngineConfig, scheduled: bool) -> Result<Self, StoreError> {
+        if scheduled {
+            config.ghost_cleanup_interval_ops = 0;
+        }
+        Ok(Database::create(config)?)
     }
 
-    fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.db.insert(key, size_bytes)?;
-        Ok(self.write_receipt(receipt.runs, receipt.pages_written, size_bytes))
+    fn write(
+        &mut self,
+        op: WriteOp,
+        key: &str,
+        size: u64,
+        _request: u64,
+    ) -> Result<Written, StoreError> {
+        Ok(written(match op {
+            WriteOp::Put => self.insert(key, size),
+            WriteOp::Replace => self.update(key, size),
+            WriteOp::MigrateIn => self.insert_as_maintenance(key, size),
+        }?))
     }
 
-    fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let record = self.db.get(key)?;
-        let size = record.size_bytes;
-        let pages = record.page_count();
-        let runs = record.byte_runs(self.db.config().page_size, self.db.config().base_offset);
-        let request = IoRequest::read_runs(runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.db_read_host_time(pages, size);
-        self.charge(disk_time, host_time);
-        Ok(OpReceipt {
-            payload_bytes: size,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        })
-    }
-
-    fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.db.update(key, size_bytes)?;
-        Ok(self.write_receipt(receipt.runs, receipt.pages_written, size_bytes))
-    }
-
-    fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
+    fn replace_interleaved(
+        &mut self,
+        items: &[(String, u64)],
+        request: u64,
+    ) -> Result<Option<Vec<Written>>, StoreError> {
         let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
-        let receipts = self.db.update_batch(&borrowed, self.write_request_size)?;
-        let out = receipts
-            .into_iter()
-            .map(|receipt| {
-                self.write_receipt(receipt.runs, receipt.pages_written, receipt.bytes_written)
-            })
-            .collect();
-        Ok(out)
+        let receipts = self.update_batch(&borrowed, request)?;
+        Ok(Some(receipts.into_iter().map(written).collect()))
     }
 
-    fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        self.db.delete(key)?;
-        let host_time = self.cost.db_lookup_time;
-        self.charge(ServiceTime::default(), host_time);
-        let receipt = OpReceipt {
-            host_time,
-            ..OpReceipt::default()
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
-    }
-
-    fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.db.insert_as_maintenance(key, size_bytes)?;
-        let request = IoRequest::write_runs(receipt.runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self
-            .cost
-            .db_write_host_time(receipt.pages_written, size_bytes);
-        self.charge(disk_time, host_time);
-        // No `after_mutating_op`: migration *is* maintenance, so it must not
-        // tick the destination's own maintenance scheduler.
-        Ok(OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
+    fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
+        let record = self.get(key)?;
+        Ok(ReadPlan {
+            runs: record.byte_runs(self.config().page_size, self.config().base_offset),
+            payload_bytes: record.size_bytes,
+            units: record.page_count(),
         })
     }
 
-    fn contains(&self, key: &str) -> bool {
-        self.db.contains_key(key)
+    fn remove(&mut self, key: &str) -> Result<(), StoreError> {
+        Ok(self.delete(key)?)
     }
 
-    fn object_count(&self) -> usize {
-        self.db.object_count()
+    /// Same shape as the read path; bulk-logged mode means there is no
+    /// second log copy of the data.
+    fn write_host_time(cost: &CostModel, pages: u64, payload_bytes: u64) -> SimDuration {
+        Self::read_host_time(cost, pages, payload_bytes)
     }
 
-    fn keys(&self) -> Vec<String> {
-        self.db.iter_blobs().map(|b| b.key.clone()).collect()
+    /// The lookup, per-page processing, and one round trip per client chunk.
+    fn read_host_time(cost: &CostModel, pages: u64, payload_bytes: u64) -> SimDuration {
+        let chunks = payload_bytes
+            .div_ceil(cost.db_client_chunk_bytes.max(1))
+            .max(1);
+        cost.db_lookup_time + cost.db_per_page_time * pages + cost.db_per_chunk_time * chunks
+    }
+
+    fn remove_host_time(cost: &CostModel) -> SimDuration {
+        cost.db_lookup_time
     }
 
     fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        Ok(self.db.get(key)?.size_bytes)
+        Ok(self.get(key)?.size_bytes)
     }
 
-    fn layout_of(&self, key: &str) -> Result<Vec<lor_disksim::ByteRun>, StoreError> {
-        Ok(self.db.read_plan(key)?)
+    fn object_count(&self) -> usize {
+        Database::object_count(self)
     }
 
-    fn fragmentation(&self) -> lor_alloc::FragmentationSummary {
-        self.db.fragmentation()
-    }
-
-    fn data_capacity_bytes(&self) -> u64 {
-        self.db.data_capacity_bytes()
+    fn keys(&self) -> Vec<String> {
+        self.iter_blobs().map(|b| b.key.clone()).collect()
     }
 
     fn live_bytes(&self) -> u64 {
-        self.db.iter_blobs().map(|b| b.size_bytes).sum()
+        self.iter_blobs().map(|b| b.size_bytes).sum()
     }
 
-    fn elapsed(&self) -> SimDuration {
-        self.clock.now()
+    fn data_capacity_bytes(&self) -> u64 {
+        Database::data_capacity_bytes(self)
     }
 
-    fn reset_measurements(&mut self) {
-        self.clock.reset();
-        self.disk.reset_measurements();
+    fn fragmentation(&self) -> FragmentationSummary {
+        Database::fragmentation(self)
     }
 
-    fn maintenance(&mut self) -> Result<u64, StoreError> {
-        let objects = self.db.object_count() as u64;
-        let copied = self.db.rebuild_into_new_filegroup()?;
-        // The rebuild reads every object and writes it back sequentially.
-        let transfer_rate = self
-            .disk
-            .config()
-            .transfer_rate_at(self.disk.config().capacity_bytes / 2);
-        let copy_time = SimDuration::from_secs_f64(2.0 * copied as f64 / transfer_rate);
-        let positioning = (self
-            .disk
-            .config()
-            .seek
-            .seek_time(self.disk.config().seek.cylinders / 3)
-            + self.disk.config().average_rotational_latency())
-            * objects;
-        self.charge(ServiceTime::default(), copy_time + positioning);
-        Ok(copied)
+    fn free_space_report(&self) -> FreeSpaceReport {
+        Database::free_space_report(self)
     }
 
-    fn write_request_size(&self) -> u64 {
-        self.write_request_size
+    fn band_occupancy(&self) -> BandOccupancy {
+        Database::band_occupancy(self)
     }
 
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.stats())
+    fn placement(&self) -> PlacementPolicy {
+        self.config().placement
     }
 
-    fn maintenance_config(&self) -> Option<MaintenanceConfig> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.config())
+    fn reclaimable_bytes(&self) -> u64 {
+        self.ghost_page_count() * self.config().page_size
     }
 
-    fn maintenance_slice(&mut self, budget_bytes: u64, now: SimDuration) -> lor_maint::MaintIo {
-        let Some(state) = self.maintenance.as_mut() else {
-            return lor_maint::MaintIo::NONE;
-        };
-        let mut target = DbMaintTarget {
-            db: &mut self.db,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        state
-            .scheduler
-            .run_budgeted_slice(&mut target, budget_bytes, now)
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        self.disk.set_obs(obs.clone(), "db-store");
-        if let Some(state) = self.maintenance.as_mut() {
-            state.scheduler.set_obs(obs);
+    fn ghost_cleanup(&mut self, budget_bytes: u64) -> Option<(u64, u64)> {
+        if self.ghost_page_count() == 0 {
+            return None;
         }
+        let page_size = self.config().page_size.max(1);
+        // The cleanup task *visits* each ghosted page (a read-modify-write
+        // clearing the ghost record and its PFS/IAM bits), so a budgeted pass
+        // reclaims at most the budget's worth of page visits — at least one,
+        // so a pass always makes progress — and a big backlog drains over
+        // several passes.  The engine releases the selected pages tail-first
+        // (highest offsets), keeping the backlog's low-offset holes away from
+        // its lowest-first reuse; see `ghost_cleanup_limited` and the
+        // small-budget pathology recorded in EXPERIMENTS.md.
+        let max_pages = (budget_bytes / page_size).max(1);
+        Some((self.ghost_cleanup_limited(max_pages), page_size))
     }
 
-    fn free_space_report(&self) -> Option<lor_alloc::FreeSpaceReport> {
-        Some(self.db.free_space_report())
+    fn checkpoint(&mut self) -> Option<u64> {
+        // Bulk-logged mode: the periodic checkpoint is a bare log force.
+        Some(0)
     }
 
-    fn band_occupancy(&self) -> Option<lor_alloc::BandOccupancy> {
-        Some(self.db.band_occupancy())
+    fn defragment_step(&mut self, budget_bytes: u64) -> Result<Moved, StoreError> {
+        let page_size = self.config().page_size.max(1);
+        // Each moved page is read once and written once.
+        let page_budget = (budget_bytes / (2 * page_size)).max(1);
+        let report = self.compact_step(page_budget);
+        Ok(Moved {
+            bytes_copied: report.pages_moved * page_size,
+            repositionings: 2 * report.blobs_moved,
+            table_units: None,
+        })
+    }
+
+    fn full_pass(&mut self) -> Result<Moved, StoreError> {
+        // The rebuild reads every object and writes it back sequentially:
+        // one positioning delay per object.
+        let objects = Database::object_count(self) as u64;
+        Ok(Moved {
+            bytes_copied: self.rebuild_into_new_filegroup()?,
+            repositionings: objects,
+            table_units: None,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ObjectStore;
 
     const MB: u64 = 1 << 20;
 
-    fn store() -> DbObjectStore {
-        DbObjectStore::new(256 * MB).unwrap()
-    }
+    crate::store::adapter_suite!(DbObjectStore, DbStoreConfig, StoreKind::Database);
 
     #[test]
     fn substrate_aware_slices_defer_ghost_release_but_still_compact() {
@@ -439,41 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn put_get_safe_write_delete_cycle() {
-        let mut store = store();
-        let put = store.put("a", MB).unwrap();
-        assert_eq!(put.payload_bytes, MB);
-        assert!(put.transferred_bytes >= MB, "whole pages are written");
-        assert!(store.contains("a"));
-
-        let get = store.get("a").unwrap();
-        assert_eq!(get.payload_bytes, MB);
-        assert_eq!(get.fragments, 1);
-        assert!(get.transferred_bytes >= MB);
-
-        let rewrite = store.safe_write("a", 2 * MB).unwrap();
-        assert_eq!(rewrite.payload_bytes, 2 * MB);
-        assert_eq!(store.size_of("a").unwrap(), 2 * MB);
-
-        store.delete("a").unwrap();
-        assert!(!store.contains("a"));
-        assert_eq!(store.object_count(), 0);
-    }
-
-    #[test]
-    fn clock_accumulates_and_resets() {
-        let mut store = store();
-        store.put("a", MB).unwrap();
-        store.get("a").unwrap();
-        assert!(store.elapsed() > SimDuration::ZERO);
-        store.reset_measurements();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        assert_eq!(store.disk().stats().total_requests(), 0);
-    }
-
-    #[test]
     fn maintenance_rebuild_leaves_objects_contiguous() {
-        let mut store = store();
+        let mut store = DbObjectStore::new(256 * MB).unwrap();
         for i in 0..16 {
             store.put(&format!("o{i}"), MB).unwrap();
         }
@@ -489,38 +348,5 @@ mod tests {
         assert_eq!(copied, 16 * MB);
         let summary = store.fragmentation();
         assert!((summary.fragments_per_object - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn errors_map_to_store_errors() {
-        let mut store = store();
-        assert!(matches!(
-            store.get("missing"),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        store.put("a", MB).unwrap();
-        assert!(matches!(
-            store.put("a", MB),
-            Err(StoreError::ObjectExists(_))
-        ));
-        let mut tiny = DbObjectStore::new(8 * MB).unwrap();
-        assert!(matches!(
-            tiny.put("big", 64 * MB),
-            Err(StoreError::OutOfSpace(_))
-        ));
-    }
-
-    #[test]
-    fn kind_capacity_and_keys() {
-        let mut store = store();
-        assert_eq!(store.kind(), StoreKind::Database);
-        assert!(store.data_capacity_bytes() > 200 * MB);
-        store.put("x", MB).unwrap();
-        store.put("y", MB).unwrap();
-        assert_eq!(store.keys().len(), 2);
-        assert_eq!(store.live_bytes(), 2 * MB);
-        assert_eq!(store.write_request_size(), 64 * 1024);
-        let layout = store.layout_of("x").unwrap();
-        assert!(layout.iter().map(|r| r.len).sum::<u64>() >= MB);
     }
 }

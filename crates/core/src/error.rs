@@ -4,6 +4,7 @@ use std::fmt;
 
 use lor_blobkit::DbError;
 use lor_fskit::FsError;
+use lor_logstore::LogError;
 
 /// Errors returned by object stores and the experiment harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +60,20 @@ impl From<DbError> for StoreError {
     }
 }
 
+/// The log knows objects by caller-assigned id only; where the store has the
+/// key at hand it substitutes it (see `log_store.rs`), and an id with no name
+/// (a cleaner failure) is reported as the id.
+impl From<LogError> for StoreError {
+    fn from(err: LogError) -> Self {
+        match err {
+            LogError::NoSuchObject(id) => StoreError::NoSuchObject(format!("log object {id}")),
+            LogError::ObjectExists(id) => StoreError::ObjectExists(format!("log object {id}")),
+            LogError::OutOfSpace => StoreError::OutOfSpace(err.to_string()),
+            LogError::BadConfig(_) => StoreError::BadConfig(err.to_string()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +101,30 @@ mod tests {
         }
         .into();
         assert!(matches!(err, StoreError::OutOfSpace(_)));
+    }
+
+    #[test]
+    fn log_errors_never_surface_as_filesystem_errors() {
+        // A cleaner failure names no key: the id stands in for it.
+        assert_eq!(
+            StoreError::from(LogError::NoSuchObject(7)),
+            StoreError::NoSuchObject("log object 7".into())
+        );
+        assert_eq!(
+            StoreError::from(LogError::ObjectExists(7)),
+            StoreError::ObjectExists("log object 7".into())
+        );
+        for err in [
+            LogError::OutOfSpace,
+            LogError::BadConfig("segment too small"),
+        ] {
+            let mapped = StoreError::from(err);
+            assert!(matches!(
+                mapped,
+                StoreError::OutOfSpace(_) | StoreError::BadConfig(_)
+            ));
+            assert!(!mapped.to_string().contains("filesystem"));
+        }
     }
 
     #[test]

@@ -24,17 +24,19 @@
 //! queue depth alongside the paper's throughput and fragmentation metrics.
 
 use lor_alloc::{AllocationPolicy, PlacementPolicy};
-use lor_disksim::{throughput_mb_per_sec, SimDuration};
+use lor_blobkit::Database;
+use lor_disksim::{throughput_mb_per_sec, DiskConfig, SimDuration};
 use lor_maint::MaintenanceConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::db_store::{DbObjectStore, DbStoreConfig};
+use crate::db_store::DbStoreConfig;
 use crate::error::StoreError;
-use crate::fs_store::{FsObjectStore, FsStoreConfig};
+use crate::fs_store::{FsStoreConfig, FsSubstrate};
 use crate::hist::LatencyHistogram;
-use crate::log_store::{LogObjectStore, LogStoreConfig};
+use crate::log_store::{LogStoreConfig, LogSubstrate};
 use crate::server::{Completion, LatencySummary, MixedOpenLoop, StoreServer};
-use crate::store::{CostModel, ObjectStore, StoreKind};
+use crate::store::{CostModel, ObjectStore, Store, StoreKind};
+use crate::substrate::Substrate;
 use crate::workload::{
     ObjectKey, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp, WorkloadSpec,
 };
@@ -293,34 +295,40 @@ impl ExperimentConfig {
         match kind {
             StoreKind::Filesystem => {
                 let mut config = FsStoreConfig::new(self.volume_bytes);
-                config.write_request_size = self.write_request_size;
-                config.cost = self.cost;
                 config.volume.allocation_policy = self.allocation_policy;
                 config.volume.placement = self.placement;
-                config.maintenance = self.maintenance;
-                Ok(Box::new(FsObjectStore::with_config(config)?))
+                self.boxed::<FsSubstrate>(config.volume, config.disk)
             }
             StoreKind::Database => {
                 let mut config = DbStoreConfig::new(self.volume_bytes);
-                config.write_request_size = self.write_request_size;
-                config.cost = self.cost;
                 config.engine.allocation_policy = self.allocation_policy;
                 config.engine.placement = self.placement;
-                config.maintenance = self.maintenance;
-                Ok(Box::new(DbObjectStore::with_config(config)?))
+                self.boxed::<Database>(config.engine, config.disk)
             }
             StoreKind::LogStructured => {
                 let mut config = LogStoreConfig::new(self.volume_bytes);
-                config.write_request_size = self.write_request_size;
-                config.cost = self.cost;
                 // The log has no fit policy to pick — appends always go to
                 // the head — but placement still governs which free segments
                 // each head may open.
                 config.log.placement = self.placement;
-                config.maintenance = self.maintenance;
-                Ok(Box::new(LogObjectStore::with_config(config)?))
+                self.boxed::<LogSubstrate>(config.log, config.disk)
             }
         }
+    }
+
+    /// The part of [`ExperimentConfig::build_store`] every substrate shares.
+    fn boxed<S: Substrate + 'static>(
+        &self,
+        engine: S::Config,
+        disk: DiskConfig,
+    ) -> Result<Box<dyn ObjectStore>, StoreError> {
+        Ok(Box::new(Store::<S>::build(
+            engine,
+            disk,
+            self.write_request_size,
+            self.cost,
+            self.maintenance,
+        )?))
     }
 
     fn validate(&self) -> Result<(), StoreError> {

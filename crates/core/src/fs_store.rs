@@ -1,14 +1,16 @@
 //! The filesystem-backed object store (one file per object, safe writes).
 
-use lor_disksim::{Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
-use lor_fskit::{Defragmenter, Volume, VolumeConfig};
-use lor_maint::{MaintenanceConfig, MaintenanceStats};
-use lor_obs::Obs;
+use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport, PlacementPolicy};
+use lor_disksim::{DiskConfig, SimDuration};
+use lor_fskit::{
+    DefragCursor, DefragReport, Defragmenter, FileId, Volume, VolumeConfig, WriteReceipt,
+};
+use lor_maint::{MaintSubstrate, MaintenanceConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::maintenance::{FsMaintTarget, MaintenanceState};
-use crate::store::{CostModel, ObjectStore, OpReceipt, StoreKind};
+use crate::store::{CostModel, Store, StoreKind};
+use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a filesystem-backed store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,46 +46,18 @@ impl FsStoreConfig {
 }
 
 /// Objects stored as one file each on the NTFS-like volume.
-#[derive(Debug)]
-pub struct FsObjectStore {
-    volume: Volume,
-    disk: Disk,
-    cost: CostModel,
-    clock: SimClock,
-    write_request_size: u64,
-    maintenance: Option<MaintenanceState>,
-}
+pub type FsObjectStore = Store<FsSubstrate>;
 
 impl FsObjectStore {
     /// Creates a store from an explicit configuration.
-    pub fn with_config(mut config: FsStoreConfig) -> Result<Self, StoreError> {
-        if config.write_request_size == 0 {
-            return Err(StoreError::BadConfig(
-                "write request size must be non-zero".into(),
-            ));
-        }
-        let maintenance = match config.maintenance {
-            Some(maint_config) => {
-                maint_config
-                    .validate()
-                    .map_err(|message| StoreError::BadConfig(message.into()))?;
-                // The scheduler owns checkpointing now; only the
-                // allocation-pressure emergency path stays interval-free in
-                // the substrate.
-                config.volume.checkpoint_interval_ops = 0;
-                Some(MaintenanceState::new(maint_config))
-            }
-            None => None,
-        };
-        let volume = Volume::format(config.volume)?;
-        Ok(FsObjectStore {
-            volume,
-            disk: Disk::new(config.disk),
-            cost: config.cost,
-            clock: SimClock::new(),
-            write_request_size: config.write_request_size,
-            maintenance,
-        })
+    pub fn with_config(config: FsStoreConfig) -> Result<Self, StoreError> {
+        Store::build(
+            config.volume,
+            config.disk,
+            config.write_request_size,
+            config.cost,
+            config.maintenance,
+        )
     }
 
     /// Creates a store on a volume of `capacity_bytes` with default settings.
@@ -94,192 +68,126 @@ impl FsObjectStore {
     /// The underlying volume (read-only), for fragmentation reports and test
     /// fixtures.
     pub fn volume(&self) -> &Volume {
-        &self.volume
-    }
-
-    /// Mutable access to the underlying volume, for fixtures such as the
-    /// pathological fragmenter.
-    pub fn volume_mut(&mut self) -> &mut Volume {
-        &mut self.volume
-    }
-
-    /// The underlying disk model (read-only).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    fn charge(&mut self, disk_time: ServiceTime, host_time: SimDuration) {
-        self.clock.advance(disk_time.total() + host_time);
-    }
-
-    fn write_requests_for(&self, size_bytes: u64) -> u64 {
-        size_bytes.div_ceil(self.write_request_size).max(1)
-    }
-
-    /// Reports a completed mutating operation of duration `op_time` to the
-    /// background scheduler (if any) and charges whatever background I/O it
-    /// performed to the foreground clock — the single spindle serializes
-    /// foreground and maintenance work.
-    fn after_mutating_op(&mut self, op_time: SimDuration) {
-        let Some(state) = self.maintenance.as_mut() else {
-            return;
-        };
-        if state.scheduler.config().server_driven {
-            // The request scheduler owns the drive: it calls
-            // `maintenance_slice` and models the overlap itself.
-            return;
-        }
-        let mut target = FsMaintTarget {
-            volume: &mut self.volume,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            cursor: &mut state.cursor,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let interference = state.scheduler.on_foreground_op(op_time, &mut target);
-        self.clock.advance(interference);
+        &self.substrate().volume
     }
 }
 
-impl ObjectStore for FsObjectStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::Filesystem
-    }
+/// The NTFS-like volume as a [`Substrate`].
+#[derive(Debug)]
+pub struct FsSubstrate {
+    volume: Volume,
+    /// Resumable position of the incremental defragmentation pass.
+    cursor: DefragCursor,
+}
 
-    fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self
-            .volume
-            .write_file(key, size_bytes, self.write_request_size)?;
-        let request = IoRequest::write_runs(receipt.runs.iter().copied());
-        let transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let host_time = self
-            .cost
-            .fs_write_host_time(self.write_requests_for(size_bytes));
-        self.charge(disk_time, host_time);
-        let fragments = self.volume.file(receipt.file_id)?.fragment_count() as u64;
-        let receipt = OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+/// What the store must service and cost for one volume write.
+fn written(receipt: WriteReceipt, request: u64) -> Written {
+    Written {
+        runs: receipt.runs,
+        payload_bytes: receipt.bytes_written,
+        units: receipt.bytes_written.div_ceil(request).max(1),
+        // The committed file's extent count, not the request's run count.
+        // When one batch names the same key twice, the later duplicate's
+        // commit replaces (and removes) the earlier item's just-committed
+        // file — last writer wins — and the earlier receipt falls back to
+        // the fragments its request physically produced.
+        fragments: WrittenFragments::OfRecord(receipt.file_id.0),
+        forced_copy: Moved::default(),
     }
+}
 
-    fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let id = self.volume.lookup(key)?;
-        let runs = self.volume.read_plan(id)?;
-        let request = IoRequest::read_runs(runs);
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.fs_read_host_time();
-        self.charge(disk_time, host_time);
-        Ok(OpReceipt {
-            payload_bytes: self.volume.file(id)?.size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        })
+/// Moving a file costs reading it and writing it back, plus a pair of
+/// positioning delays per file moved.
+fn moved(report: DefragReport) -> Moved {
+    Moved {
+        bytes_copied: report.bytes_copied,
+        repositionings: 2 * report.files_moved,
+        table_units: None,
     }
+}
 
-    fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self
-            .volume
-            .safe_write(key, size_bytes, self.write_request_size)?;
-        let request = IoRequest::write_runs(receipt.runs.iter().copied());
-        let transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let host_time = self
-            .cost
-            .fs_write_host_time(self.write_requests_for(size_bytes));
-        self.charge(disk_time, host_time);
-        let fragments = self.volume.file(receipt.file_id)?.fragment_count() as u64;
-        let receipt = OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
-    }
+impl Substrate for FsSubstrate {
+    type Config = VolumeConfig;
+    const KIND: StoreKind = StoreKind::Filesystem;
+    const DISK_LABEL: &'static str = "fs-store";
+    // Freed clusters are quarantined in the pending-free queue until a
+    // checkpoint, so eager release has no reuse pathology to trigger.
+    const REUSE: MaintSubstrate = MaintSubstrate::DeferredReuse;
 
-    fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
-        let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
-        let receipts = self
-            .volume
-            .safe_write_batch(&borrowed, self.write_request_size)?;
-        let mut out = Vec::with_capacity(receipts.len());
-        for receipt in receipts {
-            let request = IoRequest::write_runs(receipt.runs.iter().copied());
-            let transferred = request.total_bytes();
-            let disk_time = self.disk.service(&request);
-            let host_time = self
-                .cost
-                .fs_write_host_time(self.write_requests_for(receipt.bytes_written));
-            self.charge(disk_time, host_time);
-            // When one batch names the same key twice, the later duplicate's
-            // commit replaces (and removes) the earlier item's just-committed
-            // file — last writer wins.  The earlier write still hit the disk,
-            // so count the fragments it physically produced.
-            let fragments = match self.volume.file(receipt.file_id) {
-                Ok(record) => record.fragment_count() as u64,
-                Err(_) => request.coalesced().fragment_count() as u64,
-            };
-            let receipt = OpReceipt {
-                payload_bytes: receipt.bytes_written,
-                transferred_bytes: transferred,
-                disk_time,
-                host_time,
-                fragments,
-            };
-            self.after_mutating_op(receipt.total_time());
-            out.push(receipt);
+    fn create(mut config: VolumeConfig, scheduled: bool) -> Result<Self, StoreError> {
+        if scheduled {
+            config.checkpoint_interval_ops = 0;
         }
-        Ok(out)
-    }
-
-    fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        self.volume.delete_by_name(key)?;
-        let host_time = self.cost.metadata_io_time;
-        self.charge(ServiceTime::default(), host_time);
-        let receipt = OpReceipt {
-            host_time,
-            ..OpReceipt::default()
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
-    }
-
-    fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let receipt = self.volume.ingest_as_maintenance(key, size_bytes)?;
-        let request = IoRequest::write_runs(receipt.runs.iter().copied());
-        let transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let host_time = self
-            .cost
-            .fs_write_host_time(self.write_requests_for(size_bytes));
-        self.charge(disk_time, host_time);
-        let fragments = self.volume.file(receipt.file_id)?.fragment_count() as u64;
-        // No `after_mutating_op`: migration *is* maintenance, so it must not
-        // tick the destination's own maintenance scheduler.
-        Ok(OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
+        Ok(FsSubstrate {
+            volume: Volume::format(config)?,
+            cursor: DefragCursor::new(),
         })
     }
 
-    fn contains(&self, key: &str) -> bool {
-        self.volume.lookup(key).is_ok()
+    fn write(
+        &mut self,
+        op: WriteOp,
+        key: &str,
+        size: u64,
+        request: u64,
+    ) -> Result<Written, StoreError> {
+        let receipt = match op {
+            WriteOp::Put => self.volume.write_file(key, size, request),
+            WriteOp::Replace => self.volume.safe_write(key, size, request),
+            WriteOp::MigrateIn => self.volume.ingest_as_maintenance(key, size),
+        }?;
+        Ok(written(receipt, request))
+    }
+
+    fn replace_interleaved(
+        &mut self,
+        items: &[(String, u64)],
+        request: u64,
+    ) -> Result<Option<Vec<Written>>, StoreError> {
+        let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
+        let receipts = self.volume.safe_write_batch(&borrowed, request)?;
+        Ok(Some(
+            receipts.into_iter().map(|r| written(r, request)).collect(),
+        ))
+    }
+
+    fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
+        let id = self.volume.lookup(key)?;
+        Ok(ReadPlan {
+            runs: self.volume.read_plan(id)?,
+            payload_bytes: self.volume.file(id)?.size_bytes,
+            units: 0,
+        })
+    }
+
+    fn remove(&mut self, key: &str) -> Result<(), StoreError> {
+        Ok(self.volume.delete_by_name(key)?)
+    }
+
+    fn record_fragments(&self, version: u64) -> Option<u64> {
+        let record = self.volume.file(FileId(version)).ok()?;
+        Some(record.fragment_count() as u64)
+    }
+
+    /// Opening and creating the file (its metadata I/Os), plus a system call
+    /// per write request.
+    fn write_host_time(cost: &CostModel, write_requests: u64, _payload: u64) -> SimDuration {
+        cost.metadata_io_time * u64::from(cost.fs_open_metadata_ios + cost.fs_create_metadata_ios)
+            + cost.fs_per_write_request_time * write_requests
+    }
+
+    /// Opening the file.
+    fn read_host_time(cost: &CostModel, _units: u64, _payload: u64) -> SimDuration {
+        cost.metadata_io_time * u64::from(cost.fs_open_metadata_ios)
+    }
+
+    fn remove_host_time(cost: &CostModel) -> SimDuration {
+        cost.metadata_io_time
+    }
+
+    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
+        let id = self.volume.lookup(key)?;
+        Ok(self.volume.file(id)?.size_bytes)
     }
 
     fn object_count(&self) -> usize {
@@ -290,264 +198,86 @@ impl ObjectStore for FsObjectStore {
         self.volume.iter_files().map(|f| f.name.clone()).collect()
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        let id = self.volume.lookup(key)?;
-        Ok(self.volume.file(id)?.size_bytes)
-    }
-
-    fn layout_of(&self, key: &str) -> Result<Vec<lor_disksim::ByteRun>, StoreError> {
-        let id = self.volume.lookup(key)?;
-        Ok(self.volume.read_plan(id)?)
-    }
-
-    fn fragmentation(&self) -> lor_alloc::FragmentationSummary {
-        self.volume.fragmentation()
+    fn live_bytes(&self) -> u64 {
+        self.volume.iter_files().map(|f| f.size_bytes).sum()
     }
 
     fn data_capacity_bytes(&self) -> u64 {
         self.volume.data_capacity_bytes()
     }
 
-    fn live_bytes(&self) -> u64 {
-        self.volume.iter_files().map(|f| f.size_bytes).sum()
+    fn fragmentation(&self) -> FragmentationSummary {
+        self.volume.fragmentation()
     }
 
-    fn elapsed(&self) -> SimDuration {
-        self.clock.now()
+    fn free_space_report(&self) -> FreeSpaceReport {
+        self.volume.free_space_report()
     }
 
-    fn reset_measurements(&mut self) {
-        self.clock.reset();
-        self.disk.reset_measurements();
+    fn band_occupancy(&self) -> BandOccupancy {
+        self.volume.band_occupancy()
     }
 
-    fn maintenance(&mut self) -> Result<u64, StoreError> {
-        let report = Defragmenter::new()
-            .defragment_volume(&mut self.volume, 0)
-            .map_err(StoreError::from)?;
-        // Moving a file costs reading it and writing it back, plus a pair of
-        // positioning delays per file moved.
-        let transfer_rate = self
-            .disk
-            .config()
-            .transfer_rate_at(self.disk.config().capacity_bytes / 2);
-        let copy_time =
-            SimDuration::from_secs_f64(2.0 * report.bytes_copied as f64 / transfer_rate);
-        let positioning = (self
-            .disk
-            .config()
-            .seek
-            .seek_time(self.disk.config().seek.cylinders / 3)
-            + self.disk.config().average_rotational_latency())
-            * (2 * report.files_moved);
-        self.charge(ServiceTime::default(), copy_time + positioning);
-        Ok(report.bytes_copied)
+    fn placement(&self) -> PlacementPolicy {
+        self.volume.placement()
     }
 
-    fn write_request_size(&self) -> u64 {
-        self.write_request_size
+    fn reclaimable_bytes(&self) -> u64 {
+        self.volume.pending_clusters() * self.volume.cluster_size()
     }
 
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.stats())
-    }
+    // No `ghost_cleanup`: deferred frees are released by the log commit
+    // below; NTFS has no separate ghost mechanism.
 
-    fn maintenance_config(&self) -> Option<MaintenanceConfig> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.config())
-    }
-
-    fn maintenance_slice(&mut self, budget_bytes: u64, now: SimDuration) -> lor_maint::MaintIo {
-        let Some(state) = self.maintenance.as_mut() else {
-            return lor_maint::MaintIo::NONE;
-        };
-        let mut target = FsMaintTarget {
-            volume: &mut self.volume,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            cursor: &mut state.cursor,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        state
-            .scheduler
-            .run_budgeted_slice(&mut target, budget_bytes, now)
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        self.disk.set_obs(obs.clone(), "fs-store");
-        if let Some(state) = self.maintenance.as_mut() {
-            state.scheduler.set_obs(obs);
+    fn checkpoint(&mut self) -> Option<u64> {
+        let pending = self.volume.pending_clusters();
+        if pending == 0 {
+            return None;
         }
+        self.volume.checkpoint();
+        Some(pending)
     }
 
-    fn free_space_report(&self) -> Option<lor_alloc::FreeSpaceReport> {
-        Some(self.volume.free_space_report())
+    fn defragment_step(&mut self, budget_bytes: u64) -> Result<Moved, StoreError> {
+        if self.cursor.is_done() {
+            // The previous pass finished; start a fresh one so newly aged
+            // files become candidates again.
+            self.cursor.reset();
+        }
+        // Each copied byte is read once and written once.
+        let copy_budget = (budget_bytes / 2).max(1);
+        let defragmenter = Defragmenter::new();
+        Ok(moved(defragmenter.defragment_step(
+            &mut self.volume,
+            &mut self.cursor,
+            copy_budget,
+        )?))
     }
 
-    fn band_occupancy(&self) -> Option<lor_alloc::BandOccupancy> {
-        Some(self.volume.band_occupancy())
+    fn full_pass(&mut self) -> Result<Moved, StoreError> {
+        Ok(moved(
+            Defragmenter::new().defragment_volume(&mut self.volume, 0)?,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lor_maint::MaintenancePolicy;
+    use crate::store::ObjectStore;
 
     const MB: u64 = 1 << 20;
 
-    fn store() -> FsObjectStore {
-        FsObjectStore::new(256 * MB).unwrap()
-    }
-
-    #[test]
-    fn put_get_safe_write_delete_cycle() {
-        let mut store = store();
-        let put = store.put("a", MB).unwrap();
-        assert_eq!(put.payload_bytes, MB);
-        assert!(put.transferred_bytes >= MB);
-        assert!(store.contains("a"));
-        assert_eq!(store.object_count(), 1);
-        assert_eq!(store.size_of("a").unwrap(), MB);
-
-        let get = store.get("a").unwrap();
-        assert_eq!(get.payload_bytes, MB);
-        assert_eq!(get.fragments, 1, "clean store keeps objects contiguous");
-        assert!(get.host_time >= store.cost.fs_read_host_time());
-
-        let rewrite = store.safe_write("a", 2 * MB).unwrap();
-        assert_eq!(rewrite.payload_bytes, 2 * MB);
-        assert_eq!(store.size_of("a").unwrap(), 2 * MB);
-
-        store.delete("a").unwrap();
-        assert!(!store.contains("a"));
-        assert!(store.get("a").is_err());
-    }
-
-    #[test]
-    fn duplicate_keys_in_one_batch_degenerate_to_last_writer_wins() {
-        let mut store = store();
-        store.put("a", MB).unwrap();
-        store.put("b", MB).unwrap();
-        // The volume commits duplicates sequentially (last writer wins), so
-        // the first "a" receipt names a file the second "a" already replaced;
-        // the store must still produce a receipt for the I/O it performed.
-        let receipts = store
-            .safe_write_batch(&[
-                ("a".to_string(), MB),
-                ("b".to_string(), 2 * MB),
-                ("a".to_string(), 3 * MB),
-            ])
-            .unwrap();
-        assert_eq!(receipts.len(), 3);
-        for receipt in &receipts {
-            assert!(receipt.fragments >= 1);
-            assert!(receipt.transferred_bytes >= receipt.payload_bytes);
-        }
-        assert_eq!(store.size_of("a").unwrap(), 3 * MB);
-        assert_eq!(store.size_of("b").unwrap(), 2 * MB);
-        assert_eq!(store.object_count(), 2);
-    }
-
-    #[test]
-    fn clock_accumulates_and_resets() {
-        let mut store = store();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        store.put("a", MB).unwrap();
-        let after_put = store.elapsed();
-        assert!(after_put > SimDuration::ZERO);
-        store.get("a").unwrap();
-        assert!(store.elapsed() > after_put);
-        store.reset_measurements();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        assert_eq!(store.disk().stats().total_requests(), 0);
-    }
-
-    #[test]
-    fn layout_covers_the_object() {
-        let mut store = store();
-        store.put("a", 3 * MB).unwrap();
-        let layout = store.layout_of("a").unwrap();
-        assert_eq!(layout.iter().map(|r| r.len).sum::<u64>(), 3 * MB);
-    }
+    crate::store::adapter_suite!(FsObjectStore, FsStoreConfig, StoreKind::Filesystem);
 
     #[test]
     fn maintenance_reports_copied_bytes() {
-        let mut store = store();
+        let mut store = FsObjectStore::new(256 * MB).unwrap();
         for i in 0..8 {
             store.put(&format!("o{i}"), MB).unwrap();
         }
         // A clean store has nothing to defragment.
         assert_eq!(store.maintenance().unwrap(), 0);
-    }
-
-    #[test]
-    fn errors_map_to_store_errors() {
-        let mut store = store();
-        assert!(matches!(
-            store.get("missing"),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        store.put("a", MB).unwrap();
-        assert!(matches!(
-            store.put("a", MB),
-            Err(StoreError::ObjectExists(_))
-        ));
-        let mut tiny = FsObjectStore::new(8 * MB).unwrap();
-        assert!(matches!(
-            tiny.put("big", 64 * MB),
-            Err(StoreError::OutOfSpace(_))
-        ));
-        assert!(FsObjectStore::with_config(FsStoreConfig {
-            write_request_size: 0,
-            ..FsStoreConfig::new(MB)
-        })
-        .is_err());
-    }
-
-    #[test]
-    fn maintenance_scheduler_runs_and_charges_the_foreground_clock() {
-        let mut config = FsStoreConfig::new(128 * MB);
-        config.maintenance = Some(MaintenanceConfig::fixed_budget(16));
-        let mut store = FsObjectStore::with_config(config).unwrap();
-        assert!(store.maintenance_stats().is_some());
-
-        for i in 0..16 {
-            store.put(&format!("o{i}"), MB).unwrap();
-        }
-        for round in 0..3 {
-            for i in 0..16 {
-                store
-                    .safe_write(&format!("o{}", (i * 5 + round) % 16), MB)
-                    .unwrap();
-            }
-        }
-        let stats = store.maintenance_stats().unwrap();
-        assert!(stats.ticks > 0);
-        assert!(stats.foreground_ops >= 64);
-        assert!(
-            stats.checkpoint.runs > 0,
-            "the scheduler owns checkpointing now"
-        );
-        assert!(
-            stats.background_time > SimDuration::ZERO,
-            "background work must cost time"
-        );
-        // The interference was charged to the store's clock.
-        assert!(store.elapsed() > stats.background_time);
-
-        // An invalid maintenance config is rejected.
-        let mut bad = FsStoreConfig::new(64 * MB);
-        bad.maintenance = Some(MaintenanceConfig::new(MaintenancePolicy::Threshold {
-            frag_per_object: 0.0,
-        }));
-        assert!(matches!(
-            FsObjectStore::with_config(bad),
-            Err(StoreError::BadConfig(_))
-        ));
     }
 
     #[test]
@@ -602,15 +332,5 @@ mod tests {
         config.maintenance = Some(MaintenanceConfig::substrate_aware(5.0, 2000.0));
         let store = FsObjectStore::with_config(config).unwrap();
         assert!(store.maintenance_config().unwrap().server_driven);
-    }
-
-    #[test]
-    fn kind_and_capacity() {
-        let store = store();
-        assert_eq!(store.kind(), StoreKind::Filesystem);
-        assert!(store.data_capacity_bytes() <= 256 * MB);
-        assert!(store.data_capacity_bytes() > 200 * MB);
-        assert_eq!(store.live_bytes(), 0);
-        assert_eq!(store.write_request_size(), 64 * 1024);
     }
 }

@@ -5,16 +5,19 @@
 //! into the abstraction the paper studies and the methodology it proposes:
 //!
 //! * [`ObjectStore`] — the get/put/safe-write/delete interface web-style
-//!   applications use, with two implementations: [`FsObjectStore`] (one file
-//!   per object on the NTFS-like volume) and [`DbObjectStore`] (one
-//!   out-of-row BLOB per object in the SQL-Server-like engine), both charged
-//!   against a simulated disk plus a host [`CostModel`].
+//!   applications use, implemented once by [`Store`] over a narrow
+//!   [`Substrate`]: [`FsObjectStore`] (one file per object on the NTFS-like
+//!   volume), [`DbObjectStore`] (one out-of-row BLOB per object in the
+//!   SQL-Server-like engine) and [`LogObjectStore`] (versioned records in an
+//!   append-only segment log) are the same store — same clock, same disk
+//!   charging against a simulated disk plus a host [`CostModel`], same
+//!   maintenance drive — over three engines.
 //! * [`workload`] — the paper's synthetic workloads (constant and uniform
 //!   object sizes, whole-object safe writes, randomized reads) and
 //!   **storage age** accounting ([`StorageAgeTracker`]).
 //! * [`fragmentation`] — the marker-based fragmentation measurement tool.
 //! * [`maintenance`](crate::MaintenanceConfig) — the `lor-maint` background
-//!   scheduler bound to both stores: ghost cleanup, checkpointing and
+//!   scheduler bound to the store: ghost cleanup, checkpointing and
 //!   incremental defragmentation run as budgeted background tasks whose I/O
 //!   time is charged to the foreground clock (enable via
 //!   [`ExperimentConfig::with_maintenance`]).
@@ -65,6 +68,7 @@ mod fs_store;
 mod log_store;
 mod maintenance;
 mod store;
+mod substrate;
 
 pub mod anatomy;
 pub mod experiment;
@@ -84,26 +88,27 @@ pub use experiment::{
     TestbedConfig,
 };
 pub use fragmentation::{analyze_store, FragmentationReport};
-pub use fs_store::{FsObjectStore, FsStoreConfig};
+pub use fs_store::{FsObjectStore, FsStoreConfig, FsSubstrate};
 pub use hist::LatencyHistogram;
-pub use log_store::{LogObjectStore, LogStoreConfig};
+pub use log_store::{LogObjectStore, LogStoreConfig, LogSubstrate};
 pub use report::{Figure, Series, Table};
 pub use server::{
     ClientId, Completion, LatencySummary, MixedOpenLoop, OpenLoop, QueueStats, StoreRequest,
     StoreServer,
 };
-pub use store::{CostModel, ObjectStore, OpReceipt, StoreKind};
+pub use store::{CostModel, ObjectStore, OpReceipt, Store, StoreKind};
+pub use substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 pub use workload::{
     ObjectKey, ObjectKeyBuf, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp,
     WorkloadSpec, ZipfDistribution,
 };
 
 // The allocation- and placement-policy knobs threaded from
-// `ExperimentConfig` into both substrates, re-exported so experiment code
+// `ExperimentConfig` into the substrates, re-exported so experiment code
 // needs only `lor_core`.
 pub use lor_alloc::{AllocationPolicy, FitPolicy, PlacementConsumer, PlacementPolicy};
 
-// The maintenance knob threaded from `ExperimentConfig` into both substrates,
+// The maintenance knob threaded from `ExperimentConfig` into the substrates,
 // re-exported for the same reason.
 pub use lor_maint::{
     FragRateEstimator, MaintSubstrate, MaintenanceConfig, MaintenancePolicy, MaintenanceStats,

@@ -14,16 +14,18 @@
 
 use std::collections::BTreeMap;
 
-use lor_alloc::FreeSpace;
-use lor_disksim::{ByteRun, Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
-use lor_logstore::{AppendOutcome, LogConfig, LogError, SegmentLog};
-use lor_maint::{MaintenanceConfig, MaintenanceStats};
-use lor_obs::Obs;
+use lor_alloc::{
+    BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, PlacementPolicy,
+};
+use lor_disksim::{ByteRun, DiskConfig, SimDuration};
+use lor_logstore::{CleanReport, LogConfig, LogError, SegmentLog};
+use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
+use lor_obs::{ArgValue, Obs, Track};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::maintenance::{copy_io, LogMaintTarget, MaintenanceState};
-use crate::store::{CostModel, ObjectStore, OpReceipt, StoreKind};
+use crate::store::{CostModel, Store, StoreKind};
+use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a log-structured store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,51 +60,18 @@ impl LogStoreConfig {
 }
 
 /// Objects stored as versioned records in an append-only segment log.
-#[derive(Debug)]
-pub struct LogObjectStore {
-    log: SegmentLog,
-    /// Key-to-record index (memory-resident, like the blob index the paper's
-    /// repositories keep in their metadata tier).
-    names: BTreeMap<String, u64>,
-    next_id: u64,
-    disk: Disk,
-    cost: CostModel,
-    clock: SimClock,
-    write_request_size: u64,
-    maintenance: Option<MaintenanceState>,
-    obs: Option<Obs>,
-}
+pub type LogObjectStore = Store<LogSubstrate>;
 
 impl LogObjectStore {
     /// Creates a store from an explicit configuration.
     pub fn with_config(config: LogStoreConfig) -> Result<Self, StoreError> {
-        if config.write_request_size == 0 {
-            return Err(StoreError::BadConfig(
-                "write request size must be non-zero".into(),
-            ));
-        }
-        let maintenance = match config.maintenance {
-            Some(maint_config) => {
-                maint_config
-                    .validate()
-                    .map_err(|message| StoreError::BadConfig(message.into()))?;
-                Some(MaintenanceState::new(maint_config))
-            }
-            None => None,
-        };
-        let log =
-            SegmentLog::new(config.log).map_err(|err| StoreError::BadConfig(err.to_string()))?;
-        Ok(LogObjectStore {
-            log,
-            names: BTreeMap::new(),
-            next_id: 1,
-            disk: Disk::new(config.disk),
-            cost: config.cost,
-            clock: SimClock::new(),
-            write_request_size: config.write_request_size,
-            maintenance,
-            obs: None,
-        })
+        Store::build(
+            config.log,
+            config.disk,
+            config.write_request_size,
+            config.cost,
+            config.maintenance,
+        )
     }
 
     /// Creates a store on a log of `capacity_bytes` with default settings.
@@ -113,92 +82,45 @@ impl LogObjectStore {
     /// The underlying segment log (read-only), for segment statistics and
     /// test fixtures.
     pub fn log(&self) -> &SegmentLog {
-        &self.log
+        &self.substrate().log
     }
+}
 
-    /// The underlying disk model (read-only).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
+/// The segment log as a [`Substrate`], plus the name index the log itself
+/// does not keep.
+#[derive(Debug)]
+pub struct LogSubstrate {
+    log: SegmentLog,
+    /// Key-to-record index (memory-resident, like the blob index the paper's
+    /// repositories keep in their metadata tier).
+    names: BTreeMap<String, u64>,
+    next_id: u64,
+}
 
+impl LogSubstrate {
     fn lookup(&self, key: &str) -> Result<u64, StoreError> {
         self.names
             .get(key)
             .copied()
             .ok_or_else(|| StoreError::NoSuchObject(key.to_string()))
     }
+}
 
-    fn charge(&mut self, disk_time: ServiceTime, host_time: SimDuration) {
-        self.clock.advance(disk_time.total() + host_time);
-    }
+fn byte_runs(extents: &[Extent]) -> Vec<ByteRun> {
+    extents
+        .iter()
+        .map(|extent| ByteRun::new(extent.start, extent.len))
+        .collect()
+}
 
-    fn write_requests_for(&self, size_bytes: u64) -> u64 {
-        size_bytes.div_ceil(self.write_request_size).max(1)
-    }
-
-    /// Costs a completed append: the new version's runs go to the disk
-    /// model, the host pays the index update, and any emergency cleaning the
-    /// append forced is charged to this operation (its bytes show up in
-    /// `transferred_bytes`, making the write amplification visible).
-    fn append_receipt(&mut self, size_bytes: u64, outcome: &AppendOutcome) -> OpReceipt {
-        let request = IoRequest::write_runs(
-            outcome
-                .extents
-                .iter()
-                .map(|extent| ByteRun::new(extent.start, extent.len)),
-        );
-        let mut transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
-        let mut host_time = self
-            .cost
-            .log_write_host_time(self.write_requests_for(size_bytes));
-        if !outcome.emergency.is_empty() {
-            let io = copy_io(
-                self.disk.config(),
-                outcome.emergency.bytes_copied,
-                outcome.emergency.objects_moved,
-            );
-            transferred += io.bytes;
-            host_time += io.time;
-            if let Some(obs) = &self.obs {
-                obs.counter(
-                    "cleaner.emergency_bytes",
-                    self.clock.now().as_nanos(),
-                    self.log.emergency_totals().bytes_copied as f64,
-                );
-            }
-        }
-        self.charge(disk_time, host_time);
-        OpReceipt {
-            payload_bytes: size_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments: outcome.fragments,
-        }
-    }
-
-    /// Reports a completed mutating operation of duration `op_time` to the
-    /// background scheduler (if any) and charges whatever background I/O it
-    /// performed to the foreground clock — the single spindle serializes
-    /// foreground and cleaner work.
-    fn after_mutating_op(&mut self, op_time: SimDuration) {
-        let Some(state) = self.maintenance.as_mut() else {
-            return;
-        };
-        if state.scheduler.config().server_driven {
-            // The request scheduler owns the drive: it calls
-            // `maintenance_slice` and models the overlap itself.
-            return;
-        }
-        let mut target = LogMaintTarget {
-            log: &mut self.log,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let interference = state.scheduler.on_foreground_op(op_time, &mut target);
-        self.clock.advance(interference);
+/// Cleaning a segment costs reading the survivors and writing them back (a
+/// pair of positioning delays per object moved), plus the segment-table
+/// updates for the freed victims.
+fn moved(report: CleanReport) -> Moved {
+    Moved {
+        bytes_copied: report.bytes_copied,
+        repositionings: 2 * report.objects_moved,
+        table_units: Some(report.segments_freed),
     }
 }
 
@@ -210,110 +132,110 @@ fn log_err(err: LogError, key: &str) -> StoreError {
         LogError::OutOfSpace => StoreError::OutOfSpace(format!(
             "segment log full appending {key:?} (cleaning found no dead bytes)"
         )),
-        LogError::BadConfig(detail) => StoreError::BadConfig(detail.to_string()),
+        other => other.into(),
     }
 }
 
-impl ObjectStore for LogObjectStore {
-    fn kind(&self) -> StoreKind {
-        StoreKind::LogStructured
-    }
+impl Substrate for LogSubstrate {
+    type Config = LogConfig;
+    const KIND: StoreKind = StoreKind::LogStructured;
+    const DISK_LABEL: &'static str = "log-store";
+    // Dead bytes never come back on their own: the cleaner frees whole
+    // segments or nothing.
+    const REUSE: MaintSubstrate = MaintSubstrate::LogStructured;
 
-    fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        if self.names.contains_key(key) {
-            return Err(StoreError::ObjectExists(key.to_string()));
-        }
-        let id = self.next_id;
-        let outcome = self
-            .log
-            .insert(id, size_bytes)
-            .map_err(|e| log_err(e, key))?;
-        self.next_id += 1;
-        self.names.insert(key.to_string(), id);
-        let receipt = self.append_receipt(size_bytes, &outcome);
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
-    }
-
-    fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let id = self.lookup(key)?;
-        let extents = self.log.extents_of(id).map_err(|e| log_err(e, key))?;
-        let request = IoRequest::read_runs(
-            extents
-                .iter()
-                .map(|extent| ByteRun::new(extent.start, extent.len)),
-        );
-        let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = self.cost.log_read_host_time();
-        self.charge(disk_time, host_time);
-        Ok(OpReceipt {
-            payload_bytes: self.log.size_of(id).map_err(|e| log_err(e, key))?,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
+    fn create(config: LogConfig, _scheduled: bool) -> Result<Self, StoreError> {
+        // Nothing to switch off: the log has no interval-driven cleaning of
+        // its own, only the allocation-pressure emergency path.
+        Ok(LogSubstrate {
+            log: SegmentLog::new(config)?,
+            names: BTreeMap::new(),
+            next_id: 1,
         })
     }
 
-    fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let id = self.lookup(key)?;
-        // Append-then-deaden *is* the log's safe write: the old version stays
-        // readable until the new one is fully on disk, no temp file needed.
-        let outcome = self
-            .log
-            .update(id, size_bytes)
-            .map_err(|e| log_err(e, key))?;
-        let receipt = self.append_receipt(size_bytes, &outcome);
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+    fn write(
+        &mut self,
+        op: WriteOp,
+        key: &str,
+        size: u64,
+        request: u64,
+    ) -> Result<Written, StoreError> {
+        let new_object = op != WriteOp::Replace;
+        if new_object && self.names.contains_key(key) {
+            return Err(StoreError::ObjectExists(key.to_string()));
+        }
+        let appended = match op {
+            // Append-then-deaden *is* the log's safe write: the old version
+            // stays readable until the new one is fully on disk, no temp
+            // file needed.
+            WriteOp::Replace => self.log.update(self.lookup(key)?, size),
+            WriteOp::Put => self.log.insert(self.next_id, size),
+            WriteOp::MigrateIn => self.log.insert_as_maintenance(self.next_id, size),
+        };
+        let outcome = appended.map_err(|e| log_err(e, key))?;
+        if new_object {
+            self.names.insert(key.to_string(), self.next_id);
+            self.next_id += 1;
+        }
+        Ok(Written {
+            runs: byte_runs(&outcome.extents),
+            payload_bytes: size,
+            units: size.div_ceil(request).max(1),
+            fragments: WrittenFragments::Counted(outcome.fragments),
+            // Any emergency cleaning the append forced is charged to it.
+            forced_copy: moved(outcome.emergency),
+        })
     }
 
-    fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
+    fn replace_interleaved(
+        &mut self,
+        _items: &[(String, u64)],
+        _request: u64,
+    ) -> Result<Option<Vec<Written>>, StoreError> {
         // Group commit: a log serializes appends, so concurrent safe writes
         // land whole and contiguous in batch order at the head — the log
         // never interleaves a batch the way the filesystem's round-robin
         // temp-file writes do.  (Each record is still its own version, so
         // per-item receipts fall out naturally.)
-        items
-            .iter()
-            .map(|(key, size)| self.safe_write(key, *size))
-            .collect()
+        Ok(None)
     }
 
-    fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
+    fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
+        let id = self.lookup(key)?;
+        let extents = self.log.extents_of(id).map_err(|e| log_err(e, key))?;
+        Ok(ReadPlan {
+            runs: byte_runs(extents),
+            payload_bytes: self.log.size_of(id).map_err(|e| log_err(e, key))?,
+            units: 0,
+        })
+    }
+
+    fn remove(&mut self, key: &str) -> Result<(), StoreError> {
         let id = self.lookup(key)?;
         self.log.remove(id).map_err(|e| log_err(e, key))?;
         self.names.remove(key);
-        let host_time = self.cost.metadata_io_time;
-        self.charge(ServiceTime::default(), host_time);
-        let receipt = OpReceipt {
-            host_time,
-            ..OpReceipt::default()
-        };
-        self.after_mutating_op(receipt.total_time());
-        Ok(receipt)
+        Ok(())
     }
 
-    fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        if self.names.contains_key(key) {
-            return Err(StoreError::ObjectExists(key.to_string()));
-        }
-        let id = self.next_id;
-        let outcome = self
-            .log
-            .insert_as_maintenance(id, size_bytes)
-            .map_err(|e| log_err(e, key))?;
-        self.next_id += 1;
-        self.names.insert(key.to_string(), id);
-        // No `after_mutating_op`: migration *is* maintenance, so it must not
-        // tick the destination's own maintenance scheduler.
-        Ok(self.append_receipt(size_bytes, &outcome))
+    /// The index update plus per-request submission cost.
+    fn write_host_time(cost: &CostModel, write_requests: u64, _payload: u64) -> SimDuration {
+        cost.db_lookup_time + cost.fs_per_write_request_time * write_requests
     }
 
-    fn contains(&self, key: &str) -> bool {
-        self.names.contains_key(key)
+    /// One lookup, no metadata I/O: the log's index is memory-resident
+    /// (rebuilt at mount and pinned).
+    fn read_host_time(cost: &CostModel, _units: u64, _payload: u64) -> SimDuration {
+        cost.db_lookup_time
+    }
+
+    fn remove_host_time(cost: &CostModel) -> SimDuration {
+        cost.metadata_io_time
+    }
+
+    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
+        let id = self.lookup(key)?;
+        self.log.size_of(id).map_err(|e| log_err(e, key))
     }
 
     fn object_count(&self) -> usize {
@@ -324,223 +246,101 @@ impl ObjectStore for LogObjectStore {
         self.names.keys().cloned().collect()
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        let id = self.lookup(key)?;
-        self.log.size_of(id).map_err(|e| log_err(e, key))
-    }
-
-    fn layout_of(&self, key: &str) -> Result<Vec<ByteRun>, StoreError> {
-        let id = self.lookup(key)?;
-        Ok(self
-            .log
-            .extents_of(id)
-            .map_err(|e| log_err(e, key))?
-            .iter()
-            .map(|extent| ByteRun::new(extent.start, extent.len))
-            .collect())
-    }
-
-    fn fragmentation(&self) -> lor_alloc::FragmentationSummary {
-        self.log.fragmentation()
+    fn live_bytes(&self) -> u64 {
+        self.log.live_bytes()
     }
 
     fn data_capacity_bytes(&self) -> u64 {
         self.log.data_capacity_bytes()
     }
 
-    fn live_bytes(&self) -> u64 {
-        self.log.live_bytes()
+    fn fragmentation(&self) -> FragmentationSummary {
+        self.log.fragmentation()
     }
 
-    fn elapsed(&self) -> SimDuration {
-        self.clock.now()
-    }
-
-    fn reset_measurements(&mut self) {
-        self.clock.reset();
-        self.disk.reset_measurements();
-    }
-
-    fn maintenance(&mut self) -> Result<u64, StoreError> {
-        let report = self
-            .log
-            .clean_all()
-            .map_err(|err| StoreError::Filesystem(err.to_string()))?;
-        // Cleaning a segment costs reading the survivors and writing them
-        // back, plus a pair of positioning delays per object moved.
-        let transfer_rate = self
-            .disk
-            .config()
-            .transfer_rate_at(self.disk.config().capacity_bytes / 2);
-        let copy_time =
-            SimDuration::from_secs_f64(2.0 * report.bytes_copied as f64 / transfer_rate);
-        let positioning = (self
-            .disk
-            .config()
-            .seek
-            .seek_time(self.disk.config().seek.cylinders / 3)
-            + self.disk.config().average_rotational_latency())
-            * (2 * report.objects_moved);
-        self.charge(ServiceTime::default(), copy_time + positioning);
-        Ok(report.bytes_copied)
-    }
-
-    fn write_request_size(&self) -> u64 {
-        self.write_request_size
-    }
-
-    fn maintenance_stats(&self) -> Option<MaintenanceStats> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.stats())
-    }
-
-    fn maintenance_config(&self) -> Option<MaintenanceConfig> {
-        self.maintenance
-            .as_ref()
-            .map(|state| *state.scheduler.config())
-    }
-
-    fn maintenance_slice(&mut self, budget_bytes: u64, now: SimDuration) -> lor_maint::MaintIo {
-        let Some(state) = self.maintenance.as_mut() else {
-            return lor_maint::MaintIo::NONE;
-        };
-        let before = self.log.cleaner_totals();
-        let mut target = LogMaintTarget {
-            log: &mut self.log,
-            disk: self.disk.config(),
-            cost: &self.cost,
-            defrag_backoff: &mut state.defrag_backoff,
-        };
-        let io = state
-            .scheduler
-            .run_budgeted_slice(&mut target, budget_bytes, now);
-        if let Some(obs) = &self.obs {
-            let after = self.log.cleaner_totals();
-            let stats = self.log.segment_stats();
-            obs.gauge(
-                "log.segment_utilization",
-                now.as_nanos(),
-                stats.mean_utilization,
-            );
-            obs.counter(
-                "cleaner.bytes_moved",
-                now.as_nanos(),
-                after.bytes_copied as f64,
-            );
-            if after.bytes_copied > before.bytes_copied {
-                obs.span(
-                    lor_obs::Track::Cleaner,
-                    "clean",
-                    now.as_nanos(),
-                    io.time.as_nanos(),
-                    &[
-                        (
-                            "bytes_copied",
-                            lor_obs::ArgValue::U64(after.bytes_copied - before.bytes_copied),
-                        ),
-                        (
-                            "segments_freed",
-                            lor_obs::ArgValue::U64(after.segments_freed - before.segments_freed),
-                        ),
-                    ],
-                );
-            }
-        }
-        io
-    }
-
-    fn set_obs(&mut self, obs: Obs) {
-        self.disk.set_obs(obs.clone(), "log-store");
-        if let Some(state) = self.maintenance.as_mut() {
-            state.scheduler.set_obs(obs.clone());
-        }
-        self.obs = Some(obs);
-    }
-
-    fn free_space_report(&self) -> Option<lor_alloc::FreeSpaceReport> {
+    fn free_space_report(&self) -> FreeSpaceReport {
         // The log's allocation granule is the segment, so the report's
         // "clusters" are segments: `largest_run` is the longest contiguous
         // free-segment run, the resource the cleaner must replenish.
-        Some(lor_alloc::FreeSpaceReport::from_free_space(
-            self.log.free_map(),
-        ))
+        FreeSpaceReport::from_free_space(self.log.free_map())
     }
 
-    fn band_occupancy(&self) -> Option<lor_alloc::BandOccupancy> {
+    fn band_occupancy(&self) -> BandOccupancy {
         let map = self.log.free_map();
         let total = map.total_clusters();
         let boundary = self.log.config().placement.boundary_cluster(total);
-        Some(lor_alloc::BandOccupancy::from_runs(
-            total,
-            boundary,
-            &map.free_runs(),
-        ))
+        BandOccupancy::from_runs(total, boundary, &map.free_runs())
+    }
+
+    fn placement(&self) -> PlacementPolicy {
+        self.log.config().placement
+    }
+
+    fn reclaimable_bytes(&self) -> u64 {
+        self.log.dead_bytes()
+    }
+
+    // No `ghost_cleanup`: cleaning is the only reclamation — there is no
+    // ghost backlog that could be released short of running the cleaner.
+
+    fn checkpoint(&mut self) -> Option<u64> {
+        // Force the segment-usage table / index log tail, like the
+        // database's bulk-logged log force.
+        Some(0)
+    }
+
+    fn defragment_step(&mut self, budget_bytes: u64) -> Result<Moved, StoreError> {
+        // Each survivor byte is read once and written once.
+        let copy_budget = (budget_bytes / 2).max(1);
+        Ok(moved(self.log.clean_step(copy_budget)?))
+    }
+
+    fn full_pass(&mut self) -> Result<Moved, StoreError> {
+        Ok(moved(self.log.clean_all()?))
+    }
+
+    fn trace_forced_copy(&self, obs: &Obs, now: SimDuration) {
+        obs.counter(
+            "cleaner.emergency_bytes",
+            now.as_nanos(),
+            self.log.emergency_totals().bytes_copied as f64,
+        );
+    }
+
+    fn trace_slice(&self, obs: &Obs, now: SimDuration, io: MaintIo, moved: Moved) {
+        let now_ns = now.as_nanos();
+        let utilization = self.log.segment_stats().mean_utilization;
+        obs.gauge("log.segment_utilization", now_ns, utilization);
+        let total_moved = self.log.cleaner_totals().bytes_copied;
+        obs.counter("cleaner.bytes_moved", now_ns, total_moved as f64);
+        if moved.bytes_copied > 0 {
+            let freed = moved.table_units.unwrap_or(0);
+            obs.span(
+                Track::Cleaner,
+                "clean",
+                now_ns,
+                io.time.as_nanos(),
+                &[
+                    ("bytes_copied", ArgValue::U64(moved.bytes_copied)),
+                    ("segments_freed", ArgValue::U64(freed)),
+                ],
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lor_maint::MaintenancePolicy;
+    use crate::store::ObjectStore;
 
     const MB: u64 = 1 << 20;
 
-    fn store() -> LogObjectStore {
-        LogObjectStore::new(256 * MB).unwrap()
-    }
-
-    #[test]
-    fn put_get_safe_write_delete_cycle() {
-        let mut store = store();
-        let put = store.put("a", MB).unwrap();
-        assert_eq!(put.payload_bytes, MB);
-        assert!(put.transferred_bytes >= MB);
-        assert!(store.contains("a"));
-        assert_eq!(store.object_count(), 1);
-        assert_eq!(store.size_of("a").unwrap(), MB);
-
-        let get = store.get("a").unwrap();
-        assert_eq!(get.payload_bytes, MB);
-        assert_eq!(get.fragments, 1, "a fresh log keeps objects contiguous");
-        assert!(get.host_time >= store.cost.log_read_host_time());
-
-        let rewrite = store.safe_write("a", 2 * MB).unwrap();
-        assert_eq!(rewrite.payload_bytes, 2 * MB);
-        assert_eq!(store.size_of("a").unwrap(), 2 * MB);
-        // The old version's bytes are dead, waiting for the cleaner.
-        assert!(store.log().dead_bytes() >= MB);
-
-        store.delete("a").unwrap();
-        assert!(!store.contains("a"));
-        assert!(store.get("a").is_err());
-    }
-
-    #[test]
-    fn clock_accumulates_and_resets() {
-        let mut store = store();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        store.put("a", MB).unwrap();
-        let after_put = store.elapsed();
-        assert!(after_put > SimDuration::ZERO);
-        store.get("a").unwrap();
-        assert!(store.elapsed() > after_put);
-        store.reset_measurements();
-        assert_eq!(store.elapsed(), SimDuration::ZERO);
-        assert_eq!(store.disk().stats().total_requests(), 0);
-    }
-
-    #[test]
-    fn layout_covers_the_object() {
-        let mut store = store();
-        store.put("a", 3 * MB).unwrap();
-        let layout = store.layout_of("a").unwrap();
-        assert_eq!(layout.iter().map(|r| r.len).sum::<u64>(), 3 * MB);
-    }
+    crate::store::adapter_suite!(LogObjectStore, LogStoreConfig, StoreKind::LogStructured);
 
     #[test]
     fn maintenance_cleans_dead_segments() {
-        let mut store = store();
+        let mut store = LogObjectStore::new(256 * MB).unwrap();
         for i in 0..8 {
             store.put(&format!("o{i}"), MB).unwrap();
         }
@@ -551,6 +351,8 @@ mod tests {
         for i in (0..8).step_by(2) {
             store.safe_write(&format!("o{i}"), MB).unwrap();
         }
+        // The old versions' bytes are dead, waiting for the cleaner.
+        assert!(store.log().dead_bytes() >= 4 * MB);
         let before = store.elapsed();
         let copied = store.maintenance().unwrap();
         assert!(copied > 0, "survivors of half-dead segments must move");
@@ -559,36 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn errors_map_to_store_errors() {
-        let mut store = store();
-        assert!(matches!(
-            store.get("missing"),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        store.put("a", MB).unwrap();
-        assert!(matches!(
-            store.put("a", MB),
-            Err(StoreError::ObjectExists(_))
-        ));
-        assert!(matches!(
-            store.safe_write("missing", MB),
-            Err(StoreError::NoSuchObject(_))
-        ));
-        let mut tiny = LogObjectStore::new(8 * MB).unwrap();
-        assert!(matches!(
-            tiny.put("big", 64 * MB),
-            Err(StoreError::OutOfSpace(_))
-        ));
-        assert!(LogObjectStore::with_config(LogStoreConfig {
-            write_request_size: 0,
-            ..LogStoreConfig::new(MB)
-        })
-        .is_err());
-    }
-
-    #[test]
     fn migrate_in_uses_the_maintenance_head() {
-        let mut store = store();
+        let mut store = LogObjectStore::new(256 * MB).unwrap();
         store.put("fg", MB).unwrap();
         let receipt = store.migrate_in("moved", MB).unwrap();
         assert_eq!(receipt.payload_bytes, MB);
@@ -596,59 +370,5 @@ mod tests {
         assert_eq!(store.size_of("moved").unwrap(), MB);
         // Migration must not count as a foreground op for the scheduler.
         assert!(store.maintenance_stats().is_none());
-    }
-
-    #[test]
-    fn maintenance_scheduler_runs_and_charges_the_foreground_clock() {
-        let mut config = LogStoreConfig::new(128 * MB);
-        config.maintenance = Some(MaintenanceConfig::fixed_budget(16));
-        let mut store = LogObjectStore::with_config(config).unwrap();
-        assert!(store.maintenance_stats().is_some());
-
-        for i in 0..16 {
-            store.put(&format!("o{i}"), MB).unwrap();
-        }
-        for round in 0..3 {
-            for i in 0..16 {
-                store
-                    .safe_write(&format!("o{}", (i * 5 + round) % 16), MB)
-                    .unwrap();
-            }
-        }
-        let stats = store.maintenance_stats().unwrap();
-        assert!(stats.ticks > 0);
-        assert!(stats.foreground_ops >= 64);
-        assert!(
-            stats.background_bytes > 0,
-            "rewrites leave dead segments for the budgeted cleaner"
-        );
-        assert!(
-            stats.background_time > SimDuration::ZERO,
-            "background work must cost time"
-        );
-        // The interference was charged to the store's clock.
-        assert!(store.elapsed() > stats.background_time);
-
-        // An invalid maintenance config is rejected.
-        let mut bad = LogStoreConfig::new(64 * MB);
-        bad.maintenance = Some(MaintenanceConfig::new(MaintenancePolicy::Threshold {
-            frag_per_object: 0.0,
-        }));
-        assert!(matches!(
-            LogObjectStore::with_config(bad),
-            Err(StoreError::BadConfig(_))
-        ));
-    }
-
-    #[test]
-    fn kind_and_capacity() {
-        let store = store();
-        assert_eq!(store.kind(), StoreKind::LogStructured);
-        assert!(store.data_capacity_bytes() <= 256 * MB);
-        assert!(store.data_capacity_bytes() > 200 * MB);
-        assert_eq!(store.live_bytes(), 0);
-        assert_eq!(store.write_request_size(), 64 * 1024);
-        assert!(store.free_space_report().is_some());
-        assert!(store.band_occupancy().is_some());
     }
 }

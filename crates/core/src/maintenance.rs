@@ -1,23 +1,22 @@
-//! Binding the `lor-maint` background scheduler to the two object stores.
+//! Binding the `lor-maint` background scheduler to the object store.
 //!
 //! The scheduler is substrate-agnostic: it budgets bytes and accumulates
-//! time.  This module supplies the two [`MaintTarget`] adapters that map its
-//! three duties onto each substrate's native mechanisms and cost the
-//! resulting I/O with the store's own disk geometry:
+//! time.  [`Drive`] is the one [`MaintTarget`] adapter: it maps the
+//! scheduler's three duties onto whichever [`Substrate`] the store wraps,
+//! which reports *what it moved*, and costs the resulting I/O with the
+//! store's own disk geometry:
 //!
-//! | duty            | filesystem ([`FsMaintTarget`])      | database ([`DbMaintTarget`])          | segment log ([`LogMaintTarget`])     |
+//! | duty            | filesystem                          | database                              | segment log                          |
 //! |-----------------|-------------------------------------|---------------------------------------|--------------------------------------|
 //! | checkpoint      | drain the pending-free queue        | force the log (bulk-logged mode)      | force the segment-usage table        |
 //! | ghost cleanup   | (folded into the checkpoint)        | reclaim ghost pages / empty extents   | none — cleaning is the only reclamation |
-//! | defragmentation | [`Defragmenter::defragment_step`]   | [`Database::compact_step`]            | [`SegmentLog::clean_step`]           |
+//! | defragmentation | `Defragmenter::defragment_step`     | `Database::compact_step`              | `SegmentLog::clean_step`             |
 
-use lor_blobkit::Database;
 use lor_disksim::DiskConfig;
-use lor_fskit::{DefragCursor, Defragmenter, Volume};
-use lor_logstore::SegmentLog;
-use lor_maint::{MaintIo, MaintSubstrate, MaintTarget, MaintenanceConfig, MaintenanceScheduler};
+use lor_maint::{MaintIo, MaintSubstrate, MaintTarget};
 
 use crate::store::CostModel;
+use crate::substrate::{Moved, Substrate};
 
 /// Bytes charged per metadata I/O when costing maintenance passes (one small
 /// random read-modify-write of a bitmap / PFS / log page).
@@ -32,175 +31,89 @@ const UNITS_PER_METADATA_IO: u64 = 512;
 /// single tick.
 const DEFRAG_BACKOFF_TICKS: u64 = 15;
 
-/// A scheduler plus the per-store state its tasks need between ticks.
-#[derive(Debug)]
-pub(crate) struct MaintenanceState {
-    pub scheduler: MaintenanceScheduler,
-    /// Resumable position of the filesystem's incremental defragmentation
-    /// pass (unused by the database adapter).
-    pub cursor: DefragCursor,
-    /// Remaining ticks of the post-convergence defragmentation back-off.
-    pub defrag_backoff: u64,
-}
-
-impl MaintenanceState {
-    pub fn new(config: MaintenanceConfig) -> Self {
-        MaintenanceState {
-            scheduler: MaintenanceScheduler::new(config),
-            cursor: DefragCursor::new(),
-            defrag_backoff: 0,
-        }
-    }
-}
-
-/// Cost of a metadata sweep updating the allocation state of `units` pages
-/// or clusters.
+/// Cost of a metadata sweep updating the allocation state of `units` pages,
+/// clusters or segments (a bare log force when `units` is zero).
 fn metadata_sweep_io(cost: &CostModel, units: u64) -> MaintIo {
     let ios = 1 + units / UNITS_PER_METADATA_IO;
     MaintIo::new(ios * METADATA_IO_BYTES, cost.metadata_io_time * ios)
 }
 
-/// Cost of a background copy of `payload_bytes` spread over `objects_moved`
-/// relocated objects: every byte is read once and written once, with a pair
-/// of repositioning delays per object.
-pub(crate) fn copy_io(disk: &DiskConfig, payload_bytes: u64, objects_moved: u64) -> MaintIo {
-    let bytes = payload_bytes.saturating_mul(2);
-    MaintIo::new(bytes, disk.background_copy_time(bytes, objects_moved * 2))
+/// Cost of the background copy behind `moved`: every byte is read once and
+/// written once, plus its repositioning delays.
+pub(crate) fn copy_io(disk: &DiskConfig, moved: &Moved) -> MaintIo {
+    let bytes = moved.bytes_copied.saturating_mul(2);
+    MaintIo::new(
+        bytes,
+        disk.background_copy_time(bytes, moved.repositionings),
+    )
 }
 
-/// [`MaintTarget`] over the NTFS-like volume.
-pub(crate) struct FsMaintTarget<'a> {
-    pub volume: &'a mut Volume,
-    pub disk: &'a DiskConfig,
-    pub cost: &'a CostModel,
-    pub cursor: &'a mut DefragCursor,
-    pub defrag_backoff: &'a mut u64,
+/// [`MaintTarget`] over a store's substrate, borrowed for one tick or slice.
+pub(crate) struct Drive<'a, S> {
+    substrate: &'a mut S,
+    disk: &'a DiskConfig,
+    cost: &'a CostModel,
+    /// Remaining ticks of the post-convergence defragmentation back-off.
+    defrag_backoff: &'a mut u64,
+    /// What this drive's defragmentation steps moved.
+    pub moved: Moved,
 }
 
-impl MaintTarget for FsMaintTarget<'_> {
+impl<'a, S> Drive<'a, S> {
+    pub fn new(
+        substrate: &'a mut S,
+        disk: &'a DiskConfig,
+        cost: &'a CostModel,
+        defrag_backoff: &'a mut u64,
+    ) -> Self {
+        Drive {
+            substrate,
+            disk,
+            cost,
+            defrag_backoff,
+            moved: Moved::default(),
+        }
+    }
+}
+
+impl<S: Substrate> MaintTarget for Drive<'_, S> {
     fn substrate(&self) -> MaintSubstrate {
-        // Freed clusters are quarantined in the pending-free queue until a
-        // checkpoint, so eager release has no reuse pathology to trigger.
-        MaintSubstrate::DeferredReuse
+        S::REUSE
     }
 
     fn placement(&self) -> lor_alloc::PlacementPolicy {
-        self.volume.placement()
+        self.substrate.placement()
     }
 
     fn reclaimable_bytes(&self) -> u64 {
-        self.volume.pending_clusters() * self.volume.cluster_size()
+        self.substrate.reclaimable_bytes()
     }
 
     fn fragments_per_object(&self) -> f64 {
-        self.volume.fragmentation().fragments_per_object
+        self.substrate.fragmentation().fragments_per_object
     }
 
     fn excess_fragments(&self) -> u64 {
-        self.volume.fragmentation().excess_fragments()
-    }
-
-    fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
-        // Deferred frees are released by the log commit below; NTFS has no
-        // separate ghost mechanism.
-        MaintIo::NONE
-    }
-
-    fn checkpoint(&mut self) -> MaintIo {
-        let pending = self.volume.pending_clusters();
-        if pending == 0 {
-            return MaintIo::NONE;
-        }
-        self.volume.checkpoint();
-        metadata_sweep_io(self.cost, pending)
-    }
-
-    fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo {
-        if *self.defrag_backoff > 0 {
-            *self.defrag_backoff -= 1;
-            return MaintIo::NONE;
-        }
-        if self.cursor.is_done() {
-            // The previous pass finished; start a fresh one so newly aged
-            // files become candidates again.
-            self.cursor.reset();
-        }
-        // Each copied byte is read once and written once.
-        let copy_budget = (budget_bytes / 2).max(1);
-        let report =
-            match Defragmenter::new().defragment_step(self.volume, self.cursor, copy_budget) {
-                Ok(report) => report,
-                Err(_) => return MaintIo::NONE,
-            };
-        if report.bytes_copied == 0 {
-            // The pass drained without moving anything: the volume is as good
-            // as the defragmenter can make it right now, so back off instead
-            // of re-scanning every tick.
-            *self.defrag_backoff = DEFRAG_BACKOFF_TICKS;
-            return MaintIo::NONE;
-        }
-        copy_io(self.disk, report.bytes_copied, report.files_moved)
-    }
-}
-
-/// [`MaintTarget`] over the SQL-Server-like engine.
-pub(crate) struct DbMaintTarget<'a> {
-    pub db: &'a mut Database,
-    pub disk: &'a DiskConfig,
-    pub cost: &'a CostModel,
-    pub defrag_backoff: &'a mut u64,
-}
-
-impl MaintTarget for DbMaintTarget<'_> {
-    fn substrate(&self) -> MaintSubstrate {
-        // The engine's lowest-first page reuse recycles released ghost space
-        // immediately — the eager-cleanup pathology the `SubstrateAware`
-        // policy's deferred release exists to break.
-        MaintSubstrate::EagerReuse
-    }
-
-    fn placement(&self) -> lor_alloc::PlacementPolicy {
-        self.db.config().placement
-    }
-
-    fn reclaimable_bytes(&self) -> u64 {
-        self.db.ghost_page_count() * self.db.config().page_size
-    }
-
-    fn fragments_per_object(&self) -> f64 {
-        self.db.fragmentation().fragments_per_object
-    }
-
-    fn excess_fragments(&self) -> u64 {
-        self.db.fragmentation().excess_fragments()
+        self.substrate.fragmentation().excess_fragments()
     }
 
     fn ghost_cleanup(&mut self, budget_bytes: u64) -> MaintIo {
-        if self.db.ghost_page_count() == 0 {
+        let Some((units, unit_bytes)) = self.substrate.ghost_cleanup(budget_bytes) else {
             return MaintIo::NONE;
-        }
-        let page_size = self.db.config().page_size.max(1);
-        // The cleanup task *visits* each ghosted page (a read-modify-write
-        // clearing the ghost record and its PFS/IAM bits), so a budgeted pass
-        // reclaims at most the budget's worth of page visits — at least one,
-        // so a pass always makes progress — and a big backlog drains over
-        // several passes.  The engine releases the selected pages tail-first
-        // (highest offsets), keeping the backlog's low-offset holes away from
-        // its lowest-first reuse; see `ghost_cleanup_limited` and the
-        // small-budget pathology recorded in EXPERIMENTS.md.
-        let max_pages = (budget_bytes / page_size).max(1);
-        let reclaimed = self.db.ghost_cleanup_limited(max_pages);
-        let visit_bytes = reclaimed.saturating_mul(page_size);
+        };
+        let visit_bytes = units.saturating_mul(unit_bytes);
         let visits = self
             .disk
-            .background_copy_time(visit_bytes, 1 + reclaimed / UNITS_PER_METADATA_IO);
-        let sweep = metadata_sweep_io(self.cost, reclaimed);
+            .background_copy_time(visit_bytes, 1 + units / UNITS_PER_METADATA_IO);
+        let sweep = metadata_sweep_io(self.cost, units);
         MaintIo::new(visit_bytes + sweep.bytes, visits + sweep.time)
     }
 
     fn checkpoint(&mut self) -> MaintIo {
-        // Bulk-logged mode: the periodic checkpoint is a log force.
-        MaintIo::new(METADATA_IO_BYTES, self.cost.metadata_io_time)
+        match self.substrate.checkpoint() {
+            Some(units) => metadata_sweep_io(self.cost, units),
+            None => MaintIo::NONE,
+        }
     }
 
     fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo {
@@ -208,115 +121,47 @@ impl MaintTarget for DbMaintTarget<'_> {
             *self.defrag_backoff -= 1;
             return MaintIo::NONE;
         }
-        let page_size = self.db.config().page_size.max(1);
-        // Each moved page is read once and written once.
-        let page_budget = (budget_bytes / (2 * page_size)).max(1);
-        let report = self.db.compact_step(page_budget);
-        if report.pages_moved == 0 {
-            // Nothing movable: back off instead of re-scanning every blob on
-            // every tick.
-            *self.defrag_backoff = DEFRAG_BACKOFF_TICKS;
+        let Ok(moved) = self.substrate.defragment_step(budget_bytes) else {
             return MaintIo::NONE;
-        }
-        copy_io(
-            self.disk,
-            report.pages_moved * page_size,
-            report.blobs_moved,
-        )
-    }
-}
-
-/// [`MaintTarget`] over the append-only segment log.
-pub(crate) struct LogMaintTarget<'a> {
-    pub log: &'a mut SegmentLog,
-    pub disk: &'a DiskConfig,
-    pub cost: &'a CostModel,
-    pub defrag_backoff: &'a mut u64,
-}
-
-impl MaintTarget for LogMaintTarget<'_> {
-    fn substrate(&self) -> MaintSubstrate {
-        // Dead bytes never come back on their own: the cleaner frees whole
-        // segments or nothing.
-        MaintSubstrate::LogStructured
-    }
-
-    fn placement(&self) -> lor_alloc::PlacementPolicy {
-        self.log.config().placement
-    }
-
-    fn reclaimable_bytes(&self) -> u64 {
-        self.log.dead_bytes()
-    }
-
-    fn fragments_per_object(&self) -> f64 {
-        self.log.fragmentation().fragments_per_object
-    }
-
-    fn excess_fragments(&self) -> u64 {
-        self.log.fragmentation().excess_fragments()
-    }
-
-    fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
-        // Cleaning is the only reclamation: there is no ghost backlog that
-        // could be released short of running the cleaner itself.
-        MaintIo::NONE
-    }
-
-    fn checkpoint(&mut self) -> MaintIo {
-        // Force the segment-usage table / index log tail, like the
-        // database's bulk-logged log force.
-        MaintIo::new(METADATA_IO_BYTES, self.cost.metadata_io_time)
-    }
-
-    fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo {
-        if *self.defrag_backoff > 0 {
-            *self.defrag_backoff -= 1;
-            return MaintIo::NONE;
-        }
-        // Each survivor byte is read once and written once.
-        let copy_budget = (budget_bytes / 2).max(1);
-        let report = match self.log.clean_step(copy_budget) {
-            Ok(report) => report,
-            Err(_) => return MaintIo::NONE,
         };
-        if report.is_empty() {
-            // Nothing worth cleaning: back off instead of re-scoring every
-            // segment on every tick.
+        if moved.is_empty() {
+            // The layout is as good as the substrate can make it right now:
+            // back off instead of re-scanning every tick.
             *self.defrag_backoff = DEFRAG_BACKOFF_TICKS;
             return MaintIo::NONE;
         }
-        // Survivor copies plus the segment-table updates for freed victims.
-        copy_io(self.disk, report.bytes_copied, report.objects_moved)
-            .combined(&metadata_sweep_io(self.cost, report.segments_freed))
+        self.moved.absorb(moved);
+        let io = copy_io(self.disk, &moved);
+        match moved.table_units {
+            Some(units) => io.combined(&metadata_sweep_io(self.cost, units)),
+            None => io,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs_store::FsSubstrate;
+    use crate::log_store::LogSubstrate;
+    use crate::substrate::WriteOp;
+    use lor_blobkit::Database;
     use lor_fskit::VolumeConfig;
 
     const MB: u64 = 1 << 20;
+    const WRITE_REQUEST: u64 = 64 * 1024;
+
+    fn disk() -> DiskConfig {
+        DiskConfig::seagate_400gb_2005().scaled(64 * MB)
+    }
 
     #[test]
     fn fs_target_checkpoint_drains_the_pending_queue() {
-        let mut config = VolumeConfig::new(64 * MB);
-        config.checkpoint_interval_ops = 0;
-        let mut volume = Volume::format(config).unwrap();
-        volume.write_file("a", MB, 64 * 1024).unwrap();
-        volume.delete_by_name("a").unwrap();
-        let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
-        let cost = CostModel::default();
-        let mut cursor = DefragCursor::new();
-        let mut backoff = 0u64;
-        let mut target = FsMaintTarget {
-            volume: &mut volume,
-            disk: &disk,
-            cost: &cost,
-            cursor: &mut cursor,
-            defrag_backoff: &mut backoff,
-        };
+        let mut volume = FsSubstrate::create(VolumeConfig::new(64 * MB), true).unwrap();
+        volume.write(WriteOp::Put, "a", MB, WRITE_REQUEST).unwrap();
+        volume.remove("a").unwrap();
+        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
+        let mut target = Drive::new(&mut volume, &disk, &cost, &mut backoff);
         assert!(target.reclaimable_bytes() >= MB);
         let io = target.checkpoint();
         assert!(!io.is_none());
@@ -326,36 +171,20 @@ mod tests {
 
     #[test]
     fn substrate_declarations_match_each_engines_reuse_behaviour() {
-        let mut volume = Volume::format(VolumeConfig::new(64 * MB)).unwrap();
-        let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
-        let cost = CostModel::default();
-        let mut cursor = DefragCursor::new();
-        let mut backoff = 0u64;
-        let fs = FsMaintTarget {
-            volume: &mut volume,
-            disk: &disk,
-            cost: &cost,
-            cursor: &mut cursor,
-            defrag_backoff: &mut backoff,
-        };
+        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
+        let mut volume = FsSubstrate::create(VolumeConfig::new(64 * MB), false).unwrap();
+        let fs = Drive::new(&mut volume, &disk, &cost, &mut backoff);
         assert_eq!(fs.substrate(), MaintSubstrate::DeferredReuse);
 
         let mut db = Database::create(lor_blobkit::EngineConfig::new(64 * MB)).unwrap();
-        let mut backoff = 0u64;
-        let db_target = DbMaintTarget {
-            db: &mut db,
-            disk: &disk,
-            cost: &cost,
-            defrag_backoff: &mut backoff,
-        };
+        let db_target = Drive::new(&mut db, &disk, &cost, &mut backoff);
         assert_eq!(db_target.substrate(), MaintSubstrate::EagerReuse);
     }
 
     #[test]
     fn db_target_cleanup_and_compaction_report_io() {
-        let mut engine_config = lor_blobkit::EngineConfig::new(64 * MB);
-        engine_config.ghost_cleanup_interval_ops = 0;
-        let mut db = Database::create(engine_config).unwrap();
+        let mut db =
+            <Database as Substrate>::create(lor_blobkit::EngineConfig::new(64 * MB), true).unwrap();
         for i in 0..16 {
             db.insert(&format!("o{i}"), MB).unwrap();
         }
@@ -365,15 +194,8 @@ mod tests {
                     .unwrap();
             }
         }
-        let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
-        let cost = CostModel::default();
-        let mut backoff = 0u64;
-        let mut target = DbMaintTarget {
-            db: &mut db,
-            disk: &disk,
-            cost: &cost,
-            defrag_backoff: &mut backoff,
-        };
+        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
+        let mut target = Drive::new(&mut db, &disk, &cost, &mut backoff);
         assert!(target.reclaimable_bytes() > 0);
         // A one-I/O budget reclaims at most its metadata page's worth of
         // ghosts; repeated budgeted passes drain the rest.
@@ -390,6 +212,10 @@ mod tests {
             assert!(!target.ghost_cleanup(1 << 20).is_none());
         }
         assert_eq!(target.reclaimable_bytes(), 0);
+        assert!(
+            target.ghost_cleanup(1 << 20).is_none(),
+            "an empty backlog costs nothing"
+        );
         assert!(!target.checkpoint().is_none(), "log force always costs");
 
         let before = target.fragments_per_object();
@@ -405,30 +231,29 @@ mod tests {
         assert!(moved.bytes > 0);
         assert!(moved.time > lor_disksim::SimDuration::ZERO);
         assert!(target.fragments_per_object() < before);
+        assert_eq!(
+            moved.bytes,
+            2 * target.moved.bytes_copied,
+            "every moved byte is read once and written once"
+        );
     }
 
     #[test]
     fn log_target_cleans_and_reports_io() {
         let mut config = lor_logstore::LogConfig::new(64 * MB);
         config.segment_bytes = MB;
-        let mut log = SegmentLog::new(config).unwrap();
+        let mut log = LogSubstrate::create(config, true).unwrap();
         // Two half-MB objects per segment, every other one deleted: every
         // sealed segment is half dead.
         for id in 0..16 {
-            log.insert(id, MB / 2).unwrap();
+            log.write(WriteOp::Put, &format!("o{id}"), MB / 2, WRITE_REQUEST)
+                .unwrap();
         }
         for id in (0..16).step_by(2) {
-            log.remove(id).unwrap();
+            log.remove(&format!("o{id}")).unwrap();
         }
-        let disk = DiskConfig::seagate_400gb_2005().scaled(64 * MB);
-        let cost = CostModel::default();
-        let mut backoff = 0u64;
-        let mut target = LogMaintTarget {
-            log: &mut log,
-            disk: &disk,
-            cost: &cost,
-            defrag_backoff: &mut backoff,
-        };
+        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
+        let mut target = Drive::new(&mut log, &disk, &cost, &mut backoff);
         assert_eq!(target.substrate(), MaintSubstrate::LogStructured);
         assert!(target.reclaimable_bytes() > 0);
         assert!(

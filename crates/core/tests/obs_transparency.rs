@@ -3,7 +3,7 @@
 //! nanosecond.  An identical request schedule executed with the default
 //! `NullRecorder` and with a live trace must produce bit-identical
 //! receipts, the same final simulated clock, the same fragmentation
-//! summary and the same per-completion attribution — on both substrates,
+//! summary and the same per-completion attribution — on all three substrates,
 //! with server-driven maintenance enabled so every instrumented path
 //! (request spans, background-slice spans, scheduler task spans, probe
 //! gauges) actually fires.
@@ -108,14 +108,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Null vs trace: bit-identical receipts, clock, fragmentation and
-    /// attribution under arbitrary valid op sequences, on both substrates,
+    /// attribution under arbitrary valid op sequences, on all three substrates,
     /// at one and several clients.
     #[test]
     fn tracing_never_perturbs_the_simulation(
         raw in prop::collection::vec((0u8..4, 0u8..8, 1u32..48), 1..40),
         clients in 1usize..4
     ) {
-        for kind in [StoreKind::Filesystem, StoreKind::Database] {
+        for kind in StoreKind::ALL {
             let mut live = Vec::new();
             let ops: Vec<WorkloadOp> = raw
                 .iter()

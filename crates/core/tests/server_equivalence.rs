@@ -1,6 +1,6 @@
 //! The request/completion scheduler's backward-compatibility contract: a
 //! single-client, zero-think-time request schedule reproduces the *exact*
-//! receipts and elapsed clock of the old serial call path on both stores,
+//! receipts and elapsed clock of the old serial call path on all three stores,
 //! and a multi-client zero-think-time schedule reproduces the old harness's
 //! chunked `safe_write_batch` concurrency semantics.
 
@@ -83,12 +83,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// One client, zero think time: receipt-for-receipt and clock-for-clock
-    /// identical to the serial path, on both substrates.
+    /// identical to the serial path, on all three substrates.
     #[test]
     fn single_client_schedule_is_the_serial_path(
         raw in prop::collection::vec((0u8..4, 0u8..8, 1u32..48), 1..40)
     ) {
-        for kind in [StoreKind::Filesystem, StoreKind::Database] {
+        for kind in StoreKind::ALL {
             let mut live = Vec::new();
             let ops: Vec<WorkloadOp> = raw
                 .iter()
@@ -128,7 +128,7 @@ proptest! {
 /// `round.chunks(N)` batching: same receipts, same clock.
 #[test]
 fn multi_client_schedule_matches_the_chunked_batches() {
-    for kind in [StoreKind::Filesystem, StoreKind::Database] {
+    for kind in StoreKind::ALL {
         for clients in [2usize, 4, 7] {
             let keys: Vec<ObjectKey> = (0..12).map(ObjectKey).collect();
 

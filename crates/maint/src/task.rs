@@ -68,9 +68,10 @@ pub enum MaintSubstrate {
 
 /// What a storage substrate must expose to be maintained by the scheduler.
 ///
-/// `lor-core` implements this for both object stores (the NTFS-like volume
-/// and the SQL-Server-like engine); the methods map onto each substrate's
-/// native mechanisms and cost their I/O with the substrate's own disk model.
+/// `lor-core` implements this once, generically, for its `Store` over any of
+/// the three substrates (the NTFS-like volume, the SQL-Server-like engine,
+/// the segment log): the substrate reports what each duty moved through its
+/// native mechanism and the store costs that I/O with its own disk model.
 pub trait MaintTarget {
     /// How this substrate reacts to eager space release.  Defaults to
     /// [`MaintSubstrate::DeferredReuse`] (no pathology, nothing to defer);
