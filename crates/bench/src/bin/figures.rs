@@ -14,13 +14,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use lor_bench::{
-    adaptive_frontier_figures, figure1, figure2, figure3, figure4, figure5, figure6,
-    idle_detect_figures, latency_anatomy_figures, latency_percentile_figures, load_sweep_figures,
-    maintenance_ablation, maintenance_latency_figures, maintenance_policy_figures,
-    mixed_load_sweep_figures, placement_frontier_figures, policy_ablation_figures,
-    shard_sweep_figures, table1, write_request_size_sweep, Scale,
-};
+use lor_bench::{table1, Scale, FAMILIES};
 use lor_core::Figure;
 
 struct Options {
@@ -31,7 +25,20 @@ struct Options {
     concurrent_rebalance: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
+impl Options {
+    fn wants(&self, name: &str) -> bool {
+        self.only.as_ref().is_none_or(|set| set.contains(name))
+    }
+}
+
+/// Every name `--only` accepts, in the order the run prints them.
+fn family_names() -> Vec<&'static str> {
+    std::iter::once("table1")
+        .chain(FAMILIES.iter().map(|family| family.only))
+        .collect()
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut options = Options {
         scale: Scale::report(),
         scale_name: "report".to_string(),
@@ -39,23 +46,13 @@ fn parse_args() -> Result<Options, String> {
         only: None,
         concurrent_rebalance: false,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
-                options.scale = match value.as_str() {
-                    "full" => Scale::full(),
-                    "report" => Scale::report(),
-                    "bench" => Scale::bench(),
-                    "test" => Scale::test(),
-                    "smoke" => Scale::smoke(),
-                    other => {
-                        return Err(format!(
-                            "unknown scale {other:?} (use full|report|bench|test|smoke)"
-                        ))
-                    }
-                };
+                options.scale = Scale::by_name(&value).ok_or_else(|| {
+                    format!("unknown scale {value:?} (use full|report|bench|test|smoke)")
+                })?;
                 options.scale_name = value;
             }
             "--json" => {
@@ -68,15 +65,22 @@ fn parse_args() -> Result<Options, String> {
             }
             "--only" => {
                 let value = args.next().ok_or("--only needs a comma-separated list")?;
-                options.only = Some(value.split(',').map(|s| s.trim().to_lowercase()).collect());
+                let only: BTreeSet<String> =
+                    value.split(',').map(|s| s.trim().to_lowercase()).collect();
+                let names = family_names();
+                if let Some(unknown) = only.iter().find(|name| !names.contains(&name.as_str())) {
+                    return Err(format!(
+                        "unknown family {unknown:?} in --only (use {})",
+                        names.join(",")
+                    ));
+                }
+                options.only = Some(only);
             }
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--scale full|report|bench|test|smoke] [--json <dir>] \
-                     [--only table1,fig1,...,fig6,write-size,maintenance,policy-ablation,\
-                     maintenance-policies,maintenance-latency,latency-percentiles,load-sweep,\
-                     idle-detect,mixed-load-sweep,adaptive-frontier,placement-frontier,\
-                     latency-anatomy,shard-sweep] [--concurrent-rebalance]"
+                     [--only {}] [--concurrent-rebalance]",
+                    family_names().join(",")
                 );
                 std::process::exit(0);
             }
@@ -84,14 +88,6 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(options)
-}
-
-fn wanted(options: &Options, name: &str) -> bool {
-    options
-        .only
-        .as_ref()
-        .map(|set| set.contains(name))
-        .unwrap_or(true)
 }
 
 fn emit(options: &Options, name: &str, figures: &[Figure]) -> Result<(), String> {
@@ -109,95 +105,19 @@ fn emit(options: &Options, name: &str, figures: &[Figure]) -> Result<(), String>
 }
 
 fn run() -> Result<(), String> {
-    let options = parse_args()?;
+    let options = parse_args(std::env::args().skip(1))?;
     eprintln!(
         "regenerating figures at scale '{}' (volume factor {}, max storage age {})",
         options.scale_name, options.scale.volume_factor, options.scale.max_age
     );
 
-    if wanted(&options, "table1") {
+    if options.wants("table1") {
         println!("{}", table1().to_text());
     }
-    if wanted(&options, "fig1") {
-        let figures = figure1(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "figure1", &figures)?;
-    }
-    if wanted(&options, "fig2") {
-        let figure = figure2(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "figure2", std::slice::from_ref(&figure))?;
-    }
-    if wanted(&options, "fig3") {
-        let figure = figure3(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "figure3", std::slice::from_ref(&figure))?;
-    }
-    if wanted(&options, "fig4") {
-        let figure = figure4(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "figure4", std::slice::from_ref(&figure))?;
-    }
-    if wanted(&options, "fig5") {
-        let figures = figure5(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "figure5", &figures)?;
-    }
-    if wanted(&options, "fig6") {
-        let figures = figure6(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "figure6", &figures)?;
-    }
-    if wanted(&options, "write-size") {
-        let figure = write_request_size_sweep(&options.scale).map_err(|e| e.to_string())?;
-        emit(
-            &options,
-            "write_request_size",
-            std::slice::from_ref(&figure),
-        )?;
-    }
-    if wanted(&options, "maintenance") {
-        let figure = maintenance_ablation(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "maintenance", std::slice::from_ref(&figure))?;
-    }
-    if wanted(&options, "policy-ablation") {
-        let figures = policy_ablation_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "policy_ablation", &figures)?;
-    }
-    if wanted(&options, "maintenance-policies") {
-        let figures = maintenance_policy_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "maintenance_policies", &figures)?;
-    }
-    if wanted(&options, "maintenance-latency") {
-        let figures = maintenance_latency_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "maintenance_latency", &figures)?;
-    }
-    if wanted(&options, "latency-percentiles") {
-        let figures = latency_percentile_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "latency_percentiles", &figures)?;
-    }
-    if wanted(&options, "load-sweep") {
-        let figures = load_sweep_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "load_sweep", &figures)?;
-    }
-    if wanted(&options, "idle-detect") {
-        let figures = idle_detect_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "idle_detect", &figures)?;
-    }
-    if wanted(&options, "mixed-load-sweep") {
-        let figures = mixed_load_sweep_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "mixed_load_sweep", &figures)?;
-    }
-    if wanted(&options, "adaptive-frontier") {
-        let figures = adaptive_frontier_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "adaptive_frontier", &figures)?;
-    }
-    if wanted(&options, "placement-frontier") {
-        let figures = placement_frontier_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "placement_frontier", &figures)?;
-    }
-    if wanted(&options, "latency-anatomy") {
-        let figures = latency_anatomy_figures(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, "latency_anatomy", &figures)?;
-    }
-    if wanted(&options, "shard-sweep") {
-        let figures = shard_sweep_figures(&options.scale, options.concurrent_rebalance)
+    for family in FAMILIES.iter().filter(|f| options.wants(f.only)) {
+        let figures = (family.run)(&options.scale, options.concurrent_rebalance)
             .map_err(|e| e.to_string())?;
-        emit(&options, "shard_sweep", &figures)?;
+        emit(&options, family.json, &figures)?;
     }
     Ok(())
 }
@@ -206,5 +126,33 @@ fn main() {
     if let Err(message) = run() {
         eprintln!("error: {message}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn only_accepts_exactly_the_family_table() {
+        let names = family_names();
+        let unique: BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate --only name");
+        let files: BTreeSet<&str> = FAMILIES.iter().map(|family| family.json).collect();
+        assert_eq!(files.len(), FAMILIES.len(), "duplicate --json file stem");
+
+        let all = parse(&["--only", &names.join(",")]).unwrap();
+        assert!(names.iter().all(|name| all.wants(name)));
+        let some = parse(&["--only", "fig2, Shard-Sweep"]).unwrap();
+        assert!(some.wants("fig2") && some.wants("shard-sweep"));
+        assert!(!some.wants("fig3"));
+
+        let error = parse(&["--only", "fig2,bogus"]).err().unwrap();
+        assert!(error.contains("\"bogus\"") && error.contains("placement-frontier"));
+        assert!(parse(&["--scale", "bogus"]).is_err());
     }
 }

@@ -31,14 +31,13 @@
 
 use std::time::Instant;
 
-use lor_bench::Scale;
+use lor_bench::{paper_config, Scale};
+use lor_core::lor_obs::json_string;
 use lor_core::{
-    run_aging_experiment, ExperimentConfig, FleetParallelism, MaintenanceConfig, SizeDistribution,
-    StoreError, StoreKind, WorkloadGenerator,
+    run_aging_experiment, ExperimentConfig, FleetParallelism, MaintenanceConfig, StoreError,
+    StoreKind, WorkloadGenerator,
 };
 use lor_shard::{RouterPolicy, ShardedStore};
-
-const PAPER_VOLUME: u64 = 40_000_000_000;
 
 /// One timed aging run.
 struct PerfEntry {
@@ -48,25 +47,10 @@ struct PerfEntry {
     ops_per_s: f64,
 }
 
-fn scale_by_name(name: &str) -> Option<Scale> {
-    match name {
-        "full" => Some(Scale::full()),
-        "report" => Some(Scale::report()),
-        "bench" => Some(Scale::bench()),
-        "test" => Some(Scale::test()),
-        "smoke" => Some(Scale::smoke()),
-        _ => None,
-    }
-}
-
 fn aging_config(scale: &Scale) -> ExperimentConfig {
     // The Figure 3 workload: 256 KB objects at 50% occupancy, the paper's
     // most fragmentation-prone (and object-count-heavy) setup.
-    let object = ((256u64 << 10) as f64 * scale.object_factor).max(64.0 * 1024.0) as u64;
-    let volume = ((PAPER_VOLUME as f64) * scale.volume_factor).max(16.0 * 1024.0 * 1024.0) as u64;
-    let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(object));
-    config.volume_bytes = volume;
-    config.occupancy = 0.5;
+    let mut config = paper_config(scale, 256 << 10);
     config.read_sample = None;
     config
 }
@@ -154,14 +138,17 @@ fn peak_rss_kb() -> u64 {
 fn run_json(label: &str, scale_name: &str, entries: &[PerfEntry], rss_kb: u64) -> String {
     let mut out = String::new();
     out.push_str("    {\n");
-    out.push_str(&format!("      \"label\": \"{label}\",\n"));
-    out.push_str(&format!("      \"scale\": \"{scale_name}\",\n"));
+    out.push_str(&format!("      \"label\": {},\n", json_string(label)));
+    out.push_str(&format!("      \"scale\": {},\n", json_string(scale_name)));
     out.push_str("      \"entries\": [\n");
     for (index, entry) in entries.iter().enumerate() {
         let comma = if index + 1 < entries.len() { "," } else { "" };
         out.push_str(&format!(
-            "        {{\"name\": \"{}\", \"ops\": {}, \"wall_s\": {:.3}, \"ops_per_s\": {:.1}}}{comma}\n",
-            entry.name, entry.ops, entry.wall_s, entry.ops_per_s
+            "        {{\"name\": {}, \"ops\": {}, \"wall_s\": {:.3}, \"ops_per_s\": {:.1}}}{comma}\n",
+            json_string(&entry.name),
+            entry.ops,
+            entry.wall_s,
+            entry.ops_per_s
         ));
     }
     out.push_str("      ],\n");
@@ -290,7 +277,7 @@ fn main() {
             }
         }
     }
-    let scale = scale_by_name(&scale_name).unwrap_or_else(|| {
+    let scale = Scale::by_name(&scale_name).unwrap_or_else(|| {
         eprintln!("unknown scale: {scale_name}");
         std::process::exit(2);
     });

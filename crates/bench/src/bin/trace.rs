@@ -19,13 +19,10 @@
 
 use std::path::PathBuf;
 
-use lor_bench::Scale;
+use lor_bench::{paper_config, Scale};
 use lor_core::lor_disksim::SimDuration;
 use lor_core::lor_obs::{validate_chrome_trace, Obs};
-use lor_core::{
-    ExperimentConfig, MaintenanceConfig, PlacementPolicy, SizeDistribution, StoreKind, StoreServer,
-    WorkloadGenerator,
-};
+use lor_core::{MaintenanceConfig, PlacementPolicy, StoreKind, StoreServer, WorkloadGenerator};
 
 struct Options {
     scale: Scale,
@@ -50,18 +47,9 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
-                options.scale = match value.as_str() {
-                    "full" => Scale::full(),
-                    "report" => Scale::report(),
-                    "bench" => Scale::bench(),
-                    "test" => Scale::test(),
-                    "smoke" => Scale::smoke(),
-                    other => {
-                        return Err(format!(
-                            "unknown scale {other:?} (use full|report|bench|test|smoke)"
-                        ))
-                    }
-                };
+                options.scale = Scale::by_name(&value).ok_or_else(|| {
+                    format!("unknown scale {value:?} (use full|report|bench|test|smoke)")
+                })?;
                 options.scale_name = value;
             }
             "--kind" => {
@@ -99,12 +87,7 @@ fn run() -> Result<(), String> {
     let options = parse_args()?;
     let scale = &options.scale;
 
-    let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(
-        ((2u64 << 20) as f64 * scale.object_factor).max(64.0 * 1024.0) as u64,
-    ));
-    config.volume_bytes =
-        (40_000_000_000_f64 * scale.volume_factor).max(16.0 * 1024.0 * 1024.0) as u64;
-    config.occupancy = 0.5;
+    let mut config = paper_config(scale, 2 << 20);
     config.concurrency = 3;
     config.think_time_ms = 400.0;
     let config = config

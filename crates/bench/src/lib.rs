@@ -1,15 +1,16 @@
 //! # lor-bench — regenerating every table and figure of the paper
 //!
-//! Each public function reproduces one table or figure of the evaluation
-//! section (Section 5) of *Fragmentation in Large Object Repositories*.  The
-//! functions are parameterised by a [`Scale`] so the same code serves three
-//! purposes:
+//! Every experiment of the evaluation section (Section 5) of *Fragmentation
+//! in Large Object Repositories* is one protocol — bulk load, safe-write
+//! overwrite rounds, measure at a storage age — swept over one variable, so
+//! every figure family here is a declaration over one sweep runner
+//! (`aging_sweep`) and is listed once, in [`FAMILIES`].  The families are
+//! parameterised by a [`Scale`] so the same code serves two purposes:
 //!
 //! * the `figures` binary runs them at report scale and prints the series
-//!   recorded in `EXPERIMENTS.md`;
-//! * the Criterion benches run them at a small scale to track the simulator's
-//!   own performance;
-//! * the workspace integration tests run them at a tiny scale and assert the
+//!   recorded in `EXPERIMENTS.md` (and at smoke scale in CI, diffed against
+//!   `golden/figures_smoke.txt`);
+//! * the unit tests below run them at a tiny scale and assert the
 //!   qualitative shapes the paper reports.
 
 #![warn(missing_docs)]
@@ -17,9 +18,9 @@
 
 use lor_core::lor_disksim::SimDuration;
 use lor_core::{
-    calibrate_mixed_load, compare_systems, measure_mixed_load_calibrated, run_aging_experiment,
-    AllocationPolicy, AnatomyReport, Completion, ExperimentConfig, Figure, FleetParallelism,
-    LatencySummary, MaintenanceConfig, MixedLoadPoint, MixedOpenLoop, ObjectKey, ObjectStore,
+    age_store, calibrate_mixed_load, measure_mixed_load_calibrated, run_aging_experiment, AgePoint,
+    AgingResult, AllocationPolicy, AnatomyReport, Completion, ExperimentConfig, Figure,
+    FleetParallelism, LatencySummary, MaintenanceConfig, MixedLoadPoint, MixedOpenLoop, ObjectKey,
     OpenLoop, PlacementPolicy, Series, SizeDistribution, StoreError, StoreKind, StoreServer, Table,
     TestbedConfig, WorkloadGenerator, WorkloadOp,
 };
@@ -72,8 +73,8 @@ impl Scale {
         }
     }
 
-    /// Bench scale: small volumes and shorter aging so a Criterion iteration
-    /// completes in tens of milliseconds.
+    /// Bench scale: small volumes and shorter aging so one aging run
+    /// completes in tens of milliseconds (the `perf` binary's default).
     pub fn bench() -> Self {
         Scale {
             volume_factor: 0.004,
@@ -108,6 +109,19 @@ impl Scale {
         }
     }
 
+    /// The scale the binaries' `--scale` option names
+    /// (`full|report|bench|test|smoke`).
+    pub fn by_name(name: &str) -> Option<Scale> {
+        match name {
+            "full" => Some(Scale::full()),
+            "report" => Some(Scale::report()),
+            "bench" => Some(Scale::bench()),
+            "test" => Some(Scale::test()),
+            "smoke" => Some(Scale::smoke()),
+            _ => None,
+        }
+    }
+
     /// Fleet sizes the shard sweep visits: doubling from 2 up to
     /// [`Scale::max_fleet`] (report scale: 2, 4, 8, 16, 32, 64).
     pub fn fleet_sizes(&self) -> Vec<u32> {
@@ -137,18 +151,55 @@ impl Scale {
 const PAPER_VOLUME: u64 = 40_000_000_000;
 const PAPER_LARGE_VOLUME: u64 = 400_000_000_000;
 
+/// The paper's two systems, in the order its figures list them.
+const PAPER_KINDS: [StoreKind; 2] = [StoreKind::Database, StoreKind::Filesystem];
+
+/// The paper's two systems plus the log-structured substrate.
+const ALL_KINDS: [StoreKind; 3] = [
+    StoreKind::Database,
+    StoreKind::Filesystem,
+    StoreKind::LogStructured,
+];
+
+/// The paper's base experiment at `scale`: constant-size objects of
+/// `paper_object_bytes` on the 40 GB volume at 50% occupancy (both scaled).
+pub fn paper_config(scale: &Scale, paper_object_bytes: u64) -> ExperimentConfig {
+    let object = SizeDistribution::Constant(scale.object(paper_object_bytes));
+    let mut config = ExperimentConfig::paper_default(object);
+    config.volume_bytes = scale.volume(PAPER_VOLUME);
+    config.read_sample = scale.read_sample;
+    config
+}
+
+/// The think-time workload the gap-filling maintenance scenarios share: 2 MB
+/// objects, three closed-loop clients, 400 ms per-client think time —
+/// utilisation well under 1, so the spindle sees genuine idle gaps.
+fn think_time_config(scale: &Scale) -> ExperimentConfig {
+    let mut config = paper_config(scale, 2 << 20);
+    config.concurrency = 3;
+    config.think_time_ms = 400.0;
+    config
+}
+
+/// Every `(a, b)` pair, `a`-major.
+fn cross<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
+    a.iter()
+        .flat_map(|a| b.iter().map(move |b| (a.clone(), b.clone())))
+        .collect()
+}
+
 /// Runs one closure per item on its own scoped thread, preserving result
-/// order.
+/// order; the first error in item order fails the whole map.
 ///
-/// Every figure is a sweep of independent aging experiments over
-/// configurations, so the sweeps parallelise embarrassingly; this is what
-/// makes `figures --scale full` tolerable on a laptop (the ROADMAP's open
-/// item).  `std::thread::scope` keeps it dependency-free.
-fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// Every figure is a sweep of independent experiments over configurations,
+/// so the sweeps parallelise embarrassingly; this is what makes
+/// `figures --scale full` tolerable on a laptop.  `std::thread::scope` keeps
+/// it dependency-free.
+fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Result<Vec<R>, StoreError>
 where
     T: Send,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(T) -> Result<R, StoreError> + Sync,
 {
     let f = &f;
     std::thread::scope(|scope| {
@@ -163,44 +214,94 @@ where
     })
 }
 
-/// The (database, filesystem) aging results for each configuration, with the
-/// individual experiments — two per configuration — run in parallel.
-fn compare_systems_sweep(
-    configs: &[ExperimentConfig],
+/// One aging run of a sweep: the substrate, the variant and its result.
+type AgingRun<V> = (StoreKind, V, AgingResult);
+
+/// The one sweep runner behind every aging figure: one aging experiment per
+/// `(substrate, variant)`, each on its own thread, returned substrate-major
+/// with the variants in the order given.
+fn aging_sweep<V: Clone + Send>(
+    kinds: &[StoreKind],
+    variants: &[V],
+    config: impl Fn(&V) -> ExperimentConfig + Sync,
     ages: &[u32],
     measure_reads: bool,
-) -> Result<Vec<(lor_core::AgingResult, lor_core::AgingResult)>, StoreError> {
-    let jobs: Vec<(StoreKind, ExperimentConfig)> = configs
-        .iter()
-        .flat_map(|config| {
-            [
-                (StoreKind::Database, config.clone()),
-                (StoreKind::Filesystem, config.clone()),
-            ]
-        })
-        .collect();
-    let results = parallel_map(jobs, |(kind, config)| {
-        run_aging_experiment(kind, &config, ages, measure_reads)
-    });
-    let mut paired = Vec::with_capacity(configs.len());
-    let mut iter = results.into_iter();
-    while let (Some(db), Some(fs)) = (iter.next(), iter.next()) {
-        paired.push((db?, fs?));
-    }
-    Ok(paired)
+) -> Result<Vec<AgingRun<V>>, StoreError> {
+    parallel_map(cross(kinds, variants), |(kind, variant)| {
+        let result = run_aging_experiment(kind, &config(&variant), ages, measure_reads)?;
+        Ok((kind, variant, result))
+    })
 }
 
-fn config_for(
-    scale: &Scale,
-    object_size: SizeDistribution,
-    volume_bytes: u64,
-    occupancy: f64,
-) -> ExperimentConfig {
-    let mut config = ExperimentConfig::paper_default(object_size);
-    config.volume_bytes = volume_bytes;
-    config.occupancy = occupancy;
-    config.read_sample = scale.read_sample;
-    config
+/// The runs of a substrate-major sweep over `kinds`, one slice per substrate.
+fn by_kind<'a, T>(
+    kinds: &'a [StoreKind],
+    runs: &'a [T],
+) -> impl Iterator<Item = (StoreKind, &'a [T])> {
+    let per_kind = (runs.len() / kinds.len()).max(1);
+    kinds.iter().copied().zip(runs.chunks(per_kind))
+}
+
+/// One series per substrate of a sweep, one point per variant.
+fn kind_series<'a, V>(
+    kinds: &'a [StoreKind],
+    runs: &'a [AgingRun<V>],
+    point: impl Fn(&V, &AgingResult) -> (f64, f64) + 'a,
+) -> impl Iterator<Item = Series> + 'a {
+    by_kind(kinds, runs).map(move |(kind, runs)| {
+        let points = runs.iter().map(|(_, v, result)| point(v, result)).collect();
+        Series::new(kind.label(), points)
+    })
+}
+
+/// The last (most aged) checkpoint of a run.
+fn aged(result: &AgingResult) -> &AgePoint {
+    result.points.last().expect("a sweep measures an age")
+}
+
+/// `series` under the legend label the family plots it with (the `Series`
+/// constructors label by substrate).
+fn labelled(mut series: Series, label: impl Into<String>) -> Series {
+    series.label = label.into();
+    series
+}
+
+/// A figure holding `series`.
+fn figure(
+    id: impl Into<String>,
+    title: impl Into<String>,
+    x_label: &str,
+    y_label: &str,
+    series: impl IntoIterator<Item = Series>,
+) -> Figure {
+    let mut figure = Figure::new(id, title, x_label, y_label);
+    figure.series.extend(series);
+    figure
+}
+
+/// One fragments-vs-age figure per substrate of a sweep, one series per
+/// variant; `id` and `title` name a substrate's figure from its position and
+/// kind, `label` a variant's series.
+fn fragmentation_panels<V>(
+    kinds: &[StoreKind],
+    runs: &[AgingRun<V>],
+    id: impl Fn(usize, StoreKind) -> String,
+    title: impl Fn(StoreKind) -> String,
+    label: impl Fn(&V) -> String,
+) -> Vec<Figure> {
+    by_kind(kinds, runs)
+        .enumerate()
+        .map(|(panel, (kind, runs))| {
+            figure(
+                id(panel, kind),
+                title(kind),
+                "Storage Age",
+                "Fragments/object",
+                runs.iter()
+                    .map(|(_, v, result)| labelled(Series::fragments_vs_age(result), label(v))),
+            )
+        })
+        .collect()
 }
 
 /// Table 1: the configuration of the (simulated) test system.
@@ -216,164 +317,137 @@ pub fn table1() -> Table {
 /// overwrites, for 256 KB, 512 KB and 1 MB objects.
 ///
 /// Returns one figure per storage age (the paper's three panels).
-pub fn figure1(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+fn figure1(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     let sizes = [256u64 << 10, 512 << 10, 1 << 20];
     let ages = [0u32, 2, 4];
-    // results[size][system] = AgingResult with read throughput at each age.
-    let configs: Vec<ExperimentConfig> = sizes
-        .iter()
-        .map(|&size| {
-            config_for(
-                scale,
-                SizeDistribution::Constant(scale.object(size)),
-                scale.volume(PAPER_VOLUME),
-                0.5,
-            )
-        })
-        .collect();
-    let per_size: Vec<_> = sizes
-        .iter()
-        .copied()
-        .zip(compare_systems_sweep(&configs, &ages, true)?)
-        .collect();
-
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &sizes,
+        |&size| paper_config(scale, size),
+        &ages,
+        true,
+    )?;
     let panel_titles = [
         "Read Throughput After Bulk Load",
         "Read Throughput After Two Overwrites",
         "Read Throughput After Four Overwrites",
     ];
-    let mut figures = Vec::new();
-    for (panel, &age) in ages.iter().enumerate() {
-        let mut db_points = Vec::new();
-        let mut fs_points = Vec::new();
-        for (size, (db, fs)) in &per_size {
-            let x = (*size as f64) / 1024.0; // KB, a readable x axis
-            if let Some(point) = db.at_age(age as f64) {
-                db_points.push((x, point.read_throughput_mb_s.unwrap_or(0.0)));
-            }
-            if let Some(point) = fs.at_age(age as f64) {
-                fs_points.push((x, point.read_throughput_mb_s.unwrap_or(0.0)));
-            }
-        }
-        figures.push(
-            Figure::new(
+    Ok(ages
+        .iter()
+        .zip(panel_titles)
+        .enumerate()
+        .map(|(panel, (&age, title))| {
+            figure(
                 format!("Figure 1.{}", panel + 1),
-                panel_titles[panel],
+                title,
                 "Object Size (KB)",
                 "MB/sec",
+                kind_series(&PAPER_KINDS, &runs, |&size, result| {
+                    let read = result
+                        .at_age(age as f64)
+                        .and_then(|point| point.read_throughput_mb_s);
+                    (size as f64 / 1024.0, read.unwrap_or(0.0)) // KB, a readable x axis
+                }),
             )
-            .with_series(Series::new("Database", db_points))
-            .with_series(Series::new("Filesystem", fs_points)),
-        );
-    }
-    Ok(figures)
+        })
+        .collect())
 }
 
 /// Figure 2: fragments/object vs storage age for 10 MB objects.
-pub fn figure2(scale: &Scale) -> Result<Figure, StoreError> {
+fn figure2(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     fragmentation_figure(
         scale,
         "Figure 2",
         "Long Term Fragmentation With 10 MB Objects",
-        SizeDistribution::Constant(scale.object(10 << 20)),
+        10 << 20,
     )
 }
 
 /// Figure 3: fragments/object vs storage age for 256 KB objects.
-pub fn figure3(scale: &Scale) -> Result<Figure, StoreError> {
+fn figure3(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     fragmentation_figure(
         scale,
         "Figure 3",
         "Long Term Fragmentation With 256 KB Objects",
-        SizeDistribution::Constant(scale.object(256 << 10)),
+        256 << 10,
     )
 }
 
+/// The log-structured substrate rides along as a third series: without a
+/// cleaner its fragmentation comes only from emergency vacates, the baseline
+/// the cleaner scenarios are judged against.
 fn fragmentation_figure(
     scale: &Scale,
     id: &str,
     title: &str,
-    sizes: SizeDistribution,
-) -> Result<Figure, StoreError> {
-    let config = config_for(scale, sizes, scale.volume(PAPER_VOLUME), 0.5);
-    let ages = scale.age_points();
-    let log_config = config.clone();
-    let log_ages = ages.clone();
-    // The log-structured substrate rides along as a third series: without a
-    // cleaner its fragmentation comes only from emergency vacates, the
-    // baseline the cleaner scenarios are judged against.
-    let log_handle = std::thread::spawn(move || {
-        run_aging_experiment(StoreKind::LogStructured, &log_config, &log_ages, false)
-    });
-    let (db, fs) = compare_systems_sweep(std::slice::from_ref(&config), &ages, false)?
-        .pop()
-        .expect("one config yields one result pair");
-    let log = log_handle.join().expect("aging run must not panic")?;
-    Ok(Figure::new(id, title, "Storage Age", "Fragments/object")
-        .with_series(Series::fragments_vs_age(&db))
-        .with_series(Series::fragments_vs_age(&fs))
-        .with_series(Series::fragments_vs_age(&log)))
+    paper_object_bytes: u64,
+) -> Result<Vec<Figure>, StoreError> {
+    let runs = aging_sweep(
+        &ALL_KINDS,
+        &[()],
+        |_| paper_config(scale, paper_object_bytes),
+        &scale.age_points(),
+        false,
+    )?;
+    let series = runs
+        .iter()
+        .map(|(_, _, result)| Series::fragments_vs_age(result));
+    Ok(vec![figure(
+        id,
+        title,
+        "Storage Age",
+        "Fragments/object",
+        series,
+    )])
 }
 
 /// Figure 4: 512 KB write throughput during bulk load and between storage
 /// ages 0–2 and 2–4.
-pub fn figure4(scale: &Scale) -> Result<Figure, StoreError> {
-    let config = config_for(
-        scale,
-        SizeDistribution::Constant(scale.object(512 << 10)),
-        scale.volume(PAPER_VOLUME),
-        0.5,
-    );
-    let (db, fs) = compare_systems(&config, &[0, 2, 4], false)?;
-    Ok(Figure::new(
+fn figure4(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &[()],
+        |_| paper_config(scale, 512 << 10),
+        &[0, 2, 4],
+        false,
+    )?;
+    let series = runs
+        .iter()
+        .map(|(_, _, result)| Series::write_throughput_vs_age(result));
+    Ok(vec![figure(
         "Figure 4",
         "512 KB Write Throughput Over Time",
         "Storage Age",
         "MB/sec",
-    )
-    .with_series(Series::write_throughput_vs_age(&db))
-    .with_series(Series::write_throughput_vs_age(&fs)))
+        series,
+    )])
 }
 
 /// Figure 5: constant vs uniform object-size distributions (10 MB mean), one
 /// figure per system.
-pub fn figure5(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let mean = scale.object(10 << 20);
+fn figure5(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 10 << 20);
     let distributions = [
-        SizeDistribution::Constant(mean),
-        SizeDistribution::uniform_around(mean),
+        base.object_size,
+        SizeDistribution::uniform_around(base.object_size.mean()),
     ];
-    let configs: Vec<ExperimentConfig> = distributions
-        .iter()
-        .map(|&distribution| config_for(scale, distribution, scale.volume(PAPER_VOLUME), 0.5))
-        .collect();
-    let per_distribution: Vec<_> = distributions
-        .iter()
-        .copied()
-        .zip(compare_systems_sweep(&configs, &scale.age_points(), false)?)
-        .collect();
-
-    let mut database = Figure::new(
-        "Figure 5.1",
-        "Database Fragmentation: Blob Distributions",
-        "Storage Age",
-        "Fragments/object",
-    );
-    let mut filesystem = Figure::new(
-        "Figure 5.2",
-        "Filesystem Fragmentation: Blob Distributions",
-        "Storage Age",
-        "Fragments/object",
-    );
-    for (distribution, (db, fs)) in &per_distribution {
-        let mut db_series = Series::fragments_vs_age(db);
-        db_series.label = distribution.label().to_string();
-        let mut fs_series = Series::fragments_vs_age(fs);
-        fs_series.label = distribution.label().to_string();
-        database = database.with_series(db_series);
-        filesystem = filesystem.with_series(fs_series);
-    }
-    Ok(vec![database, filesystem])
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &distributions,
+        |&object_size| ExperimentConfig {
+            object_size,
+            ..base.clone()
+        },
+        &scale.age_points(),
+        false,
+    )?;
+    Ok(fragmentation_panels(
+        &PAPER_KINDS,
+        &runs,
+        |panel, _| format!("Figure 5.{}", panel + 1),
+        |kind| format!("{} Fragmentation: Blob Distributions", kind.label()),
+        |distribution| distribution.label().to_string(),
+    ))
 }
 
 /// Figure 6: the effect of volume size and occupancy (10 MB objects).
@@ -381,220 +455,143 @@ pub fn figure5(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
 /// Returns three figures matching the paper's three panels: database at 50%
 /// occupancy (two volume sizes), filesystem at 50% occupancy, and filesystem
 /// at 90% / 97.5% occupancy.
-pub fn figure6(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(10 << 20));
-    let small = scale.volume(PAPER_VOLUME);
-    let large = scale.volume(PAPER_LARGE_VOLUME);
+fn figure6(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 10 << 20);
+    let volumes = [
+        (scale.volume(PAPER_VOLUME), "40G"),
+        (scale.volume(PAPER_LARGE_VOLUME), "400G"),
+    ];
     let half_ages: Vec<u32> = (0..=scale.max_age / 2).collect();
 
-    let mut database_panel = Figure::new(
-        "Figure 6.1",
-        "Database Fragmentation: Different Volumes",
-        "Storage Age",
-        "Fragments/object",
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &volumes,
+        |&(volume_bytes, _)| ExperimentConfig {
+            volume_bytes,
+            ..base.clone()
+        },
+        &half_ages,
+        false,
+    )?;
+    let mut figures = fragmentation_panels(
+        &PAPER_KINDS,
+        &runs,
+        |panel, _| format!("Figure 6.{}", panel + 1),
+        |kind| format!("{} Fragmentation: Different Volumes", kind.label()),
+        |(_, volume_label)| format!("50% full - {volume_label}"),
     );
-    let mut filesystem_panel = Figure::new(
-        "Figure 6.2",
-        "Filesystem Fragmentation: Different Volumes",
-        "Storage Age",
-        "Fragments/object",
-    );
-    let volumes = [(small, "40G"), (large, "400G")];
-    let configs: Vec<ExperimentConfig> = volumes
-        .iter()
-        .map(|&(volume, _)| config_for(scale, object, volume, 0.5))
-        .collect();
-    for ((_, label_suffix), (db, fs)) in volumes
-        .iter()
-        .zip(compare_systems_sweep(&configs, &half_ages, false)?)
-    {
-        let mut db_series = Series::fragments_vs_age(&db);
-        db_series.label = format!("50% full - {label_suffix}");
-        let mut fs_series = Series::fragments_vs_age(&fs);
-        fs_series.label = format!("50% full - {label_suffix}");
-        database_panel = database_panel.with_series(db_series);
-        filesystem_panel = filesystem_panel.with_series(fs_series);
-    }
 
-    let mut occupancy_panel = Figure::new(
+    let crowded = aging_sweep(
+        &[StoreKind::Filesystem],
+        &cross(&[0.9f64, 0.975], &volumes),
+        |&(occupancy, (volume_bytes, _))| {
+            // A safe write needs a free object's worth of space per
+            // in-flight copy.  At the paper's scales the 2.5% free pool
+            // holds hundreds of objects and this cap never binds; at the
+            // miniature CI scales it lowers the occupancy just enough
+            // that the experiment still fits.
+            let objects = (volume_bytes as f64 * 0.95) / base.object_size.mean() as f64;
+            let ceiling = 1.0 - (base.concurrency as f64 + 1.0) / objects.max(1.0);
+            ExperimentConfig {
+                volume_bytes,
+                occupancy: occupancy.min(ceiling.max(0.5)),
+                ..base.clone()
+            }
+        },
+        &half_ages,
+        false,
+    )?;
+    figures.push(figure(
         "Figure 6.3",
         "Filesystem Fragmentation: Different Volumes (high occupancy)",
         "Storage Age",
         "Fragments/object",
-    );
-    let jobs: Vec<(f64, &str, ExperimentConfig)> = [0.9, 0.975]
-        .iter()
-        .flat_map(|&occupancy| {
-            volumes.iter().map(move |&(volume, label_suffix)| {
-                let mut config = config_for(scale, object, volume, occupancy);
-                // A safe write needs a free object's worth of space per
-                // in-flight copy.  At the paper's scales the 2.5% free pool
-                // holds hundreds of objects and this cap never binds; at the
-                // miniature CI scales it lowers the occupancy just enough
-                // that the experiment still fits.
-                let objects = (volume as f64 * 0.95) / config.object_size.mean() as f64;
-                let ceiling = 1.0 - (config.concurrency as f64 + 1.0) / objects.max(1.0);
-                config.occupancy = occupancy.min(ceiling.max(0.5));
-                (occupancy, label_suffix, config)
-            })
-        })
-        .collect();
-    let runs = parallel_map(jobs, |(occupancy, label_suffix, config)| {
-        run_aging_experiment(StoreKind::Filesystem, &config, &half_ages, false)
-            .map(|result| (occupancy, label_suffix, result))
-    });
-    for run in runs {
-        let (occupancy, label_suffix, result) = run?;
-        let mut series = Series::fragments_vs_age(&result);
-        series.label = format!("{:.1}% full - {label_suffix}", occupancy * 100.0);
-        occupancy_panel = occupancy_panel.with_series(series);
-    }
-    Ok(vec![database_panel, filesystem_panel, occupancy_panel])
+        crowded
+            .iter()
+            .map(|(_, (occupancy, (_, volume_label)), result)| {
+                labelled(
+                    Series::fragments_vs_age(result),
+                    format!("{:.1}% full - {volume_label}", occupancy * 100.0),
+                )
+            }),
+    ));
+    Ok(figures)
 }
 
 /// Section 5.4's write-request-size observation, swept explicitly: long-term
 /// fragments/object for 256 KB objects as a function of the write-request
 /// size used to append them.
-pub fn write_request_size_sweep(scale: &Scale) -> Result<Figure, StoreError> {
-    let object = scale.object(256 << 10);
-    let mut figure = Figure::new(
+fn write_request_size_sweep(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 256 << 10);
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &[16u64, 32, 64, 128, 256],
+        |&request_kb| ExperimentConfig {
+            write_request_size: request_kb * 1024,
+            ..base.clone()
+        },
+        &[scale.max_age.min(4)],
+        false,
+    )?;
+    Ok(vec![figure(
         "Write-request sweep",
         "Long-term fragments/object vs write-request size (256 KB objects, storage age 4)",
         "Write request (KB)",
         "Fragments/object",
-    );
-    let request_sizes = [16u64, 32, 64, 128, 256];
-    for kind in [StoreKind::Database, StoreKind::Filesystem] {
-        let jobs: Vec<(u64, ExperimentConfig)> = request_sizes
-            .iter()
-            .map(|&request_kb| {
-                let mut config = config_for(
-                    scale,
-                    SizeDistribution::Constant(object),
-                    scale.volume(PAPER_VOLUME),
-                    0.5,
-                );
-                config.write_request_size = request_kb * 1024;
-                (request_kb, config)
-            })
-            .collect();
-        let runs = parallel_map(jobs, |(request_kb, config)| {
-            run_aging_experiment(kind, &config, &[scale.max_age.min(4)], false)
-                .map(|result| (request_kb, result))
-        });
-        let mut points = Vec::new();
-        for run in runs {
-            let (request_kb, result) = run?;
-            let fragments = result
-                .points
-                .last()
-                .map(|p| p.fragments_per_object)
-                .unwrap_or(0.0);
-            points.push((request_kb as f64, fragments));
-        }
-        figure = figure.with_series(Series::new(kind.label(), points));
-    }
-    Ok(figure)
+        kind_series(&PAPER_KINDS, &runs, |&request_kb, result| {
+            (request_kb as f64, aged(result).fragments_per_object)
+        }),
+    )])
 }
 
 /// Ablation: the paper's proposed interface change (declaring object size at
 /// creation) and each system's recommended defragmentation, measured on the
 /// Figure 2 workload.
-pub fn maintenance_ablation(scale: &Scale) -> Result<Figure, StoreError> {
-    let object = scale.object(2 << 20);
-    let config = config_for(
-        scale,
-        SizeDistribution::Constant(object),
-        scale.volume(PAPER_VOLUME),
-        0.5,
-    );
-    let ages = [scale.max_age.min(4)];
-
-    let mut figure = Figure::new(
+fn maintenance_ablation(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let config = paper_config(scale, 2 << 20);
+    let series = parallel_map(PAPER_KINDS.to_vec(), |kind| {
+        let (mut store, _) = age_store(kind, &config, scale.max_age.min(4))?;
+        let before = store.fragmentation().fragments_per_object;
+        store.maintenance()?;
+        let after = store.fragmentation().fragments_per_object;
+        Ok(Series::new(kind.label(), vec![(0.0, before), (1.0, after)]))
+    })?;
+    Ok(vec![figure(
         "Maintenance ablation",
         "Fragments/object before and after maintenance (aged store)",
         "0 = before, 1 = after maintenance",
         "Fragments/object",
-    );
-    for kind in [StoreKind::Database, StoreKind::Filesystem] {
-        let result = run_aging_experiment(kind, &config, &ages, false)?;
-        let before = result
-            .points
-            .last()
-            .map(|p| p.fragments_per_object)
-            .unwrap_or(0.0);
-        // Re-run the aging to the same point, then apply maintenance.
-        let mut store = config.build_store(kind)?;
-        let mut generator = lor_core::WorkloadGenerator::new(config.workload());
-        for op in generator.bulk_load() {
-            if let lor_core::WorkloadOp::Put { key, size } = op {
-                store.put(&key.to_string(), size)?;
-            }
-        }
-        for _ in 0..ages[0] {
-            for op in generator.overwrite_round() {
-                if let lor_core::WorkloadOp::SafeWrite { key, size } = op {
-                    store.safe_write(&key.to_string(), size)?;
-                }
-            }
-        }
-        store.maintenance()?;
-        let after = store.fragmentation().fragments_per_object;
-        figure = figure.with_series(Series::new(kind.label(), vec![(0.0, before), (1.0, after)]));
-    }
-    Ok(figure)
+        series,
+    )])
 }
 
 /// Policy ablation: fragments/object vs storage age for every
-/// [`AllocationPolicy`] variant, one figure per system (the ROADMAP's
-/// "policy ablation figures" open item; series recorded in EXPERIMENTS.md).
+/// [`AllocationPolicy`] variant, one figure per system (series recorded in
+/// EXPERIMENTS.md).
 ///
 /// 256 KB objects on the Figure 3 workload, so the sweep isolates the effect
 /// of the placement policy on the paper's most fragmentation-prone setup.
-pub fn policy_ablation_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(256 << 10));
-    let base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
-    let ages = scale.age_points();
-
-    let jobs: Vec<(StoreKind, AllocationPolicy)> = [StoreKind::Database, StoreKind::Filesystem]
-        .iter()
-        .flat_map(|&kind| AllocationPolicy::ALL.map(|policy| (kind, policy)))
-        .collect();
-    let runs = parallel_map(jobs, |(kind, policy)| {
-        run_aging_experiment(
-            kind,
-            &base.clone().with_allocation_policy(policy),
-            &ages,
-            false,
-        )
-        .map(|result| (kind, policy, result))
-    });
-
-    let mut database = Figure::new(
-        "Policy ablation (database)",
-        "Database fragmentation under each allocation policy (256 KB objects)",
-        "Storage Age",
-        "Fragments/object",
-    );
-    let mut filesystem = Figure::new(
-        "Policy ablation (filesystem)",
-        "Filesystem fragmentation under each allocation policy (256 KB objects)",
-        "Storage Age",
-        "Fragments/object",
-    );
-    for run in runs {
-        let (kind, policy, result) = run?;
-        let mut series = Series::fragments_vs_age(&result);
-        series.label = policy.name().to_string();
-        match kind {
-            StoreKind::Database => database = database.with_series(series),
-            StoreKind::Filesystem => filesystem = filesystem.with_series(series),
-            StoreKind::LogStructured => {
-                unreachable!("this sweep drives only the paper's two substrates")
-            }
-        }
-    }
-    Ok(vec![database, filesystem])
+fn policy_ablation_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 256 << 10);
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &AllocationPolicy::ALL,
+        |&policy| base.clone().with_allocation_policy(policy),
+        &scale.age_points(),
+        false,
+    )?;
+    Ok(fragmentation_panels(
+        &PAPER_KINDS,
+        &runs,
+        |_, kind| format!("Policy ablation ({})", kind.label().to_lowercase()),
+        |kind| {
+            format!(
+                "{} fragmentation under each allocation policy (256 KB objects)",
+                kind.label()
+            )
+        },
+        |policy| policy.name().to_string(),
+    ))
 }
 
 /// The maintenance-policy configurations the scenario figures compare.
@@ -613,54 +610,27 @@ fn maintenance_policies() -> Vec<MaintenanceConfig> {
 /// with age; the fixed-budget and threshold policies hold it to a lower
 /// steady state at the cost of the foreground latency plotted by
 /// [`maintenance_latency_figures`].
-pub fn maintenance_policy_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(2 << 20));
-    let base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
-    let ages = scale.age_points();
-
-    let jobs: Vec<(StoreKind, MaintenanceConfig)> = [StoreKind::Database, StoreKind::Filesystem]
-        .iter()
-        .flat_map(|&kind| {
-            maintenance_policies()
-                .into_iter()
-                .map(move |policy| (kind, policy))
-        })
-        .collect();
-    let runs = parallel_map(jobs, |(kind, maintenance)| {
-        run_aging_experiment(
-            kind,
-            &base.clone().with_maintenance(maintenance),
-            &ages,
-            false,
-        )
-        .map(|result| (kind, maintenance, result))
-    });
-
-    let mut database = Figure::new(
-        "Maintenance policies (database)",
-        "Database fragmentation vs age under each maintenance policy (2 MB objects)",
-        "Storage Age",
-        "Fragments/object",
-    );
-    let mut filesystem = Figure::new(
-        "Maintenance policies (filesystem)",
-        "Filesystem fragmentation vs age under each maintenance policy (2 MB objects)",
-        "Storage Age",
-        "Fragments/object",
-    );
-    for run in runs {
-        let (kind, maintenance, result) = run?;
-        let mut series = Series::fragments_vs_age(&result);
-        series.label = maintenance.policy.label();
-        match kind {
-            StoreKind::Database => database = database.with_series(series),
-            StoreKind::Filesystem => filesystem = filesystem.with_series(series),
-            StoreKind::LogStructured => {
-                unreachable!("this sweep drives only the paper's two substrates")
-            }
-        }
-    }
-    Ok(vec![database, filesystem])
+fn maintenance_policy_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 2 << 20);
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &maintenance_policies(),
+        |&maintenance| base.clone().with_maintenance(maintenance),
+        &scale.age_points(),
+        false,
+    )?;
+    Ok(fragmentation_panels(
+        &PAPER_KINDS,
+        &runs,
+        |_, kind| format!("Maintenance policies ({})", kind.label().to_lowercase()),
+        |kind| {
+            format!(
+                "{} fragmentation vs age under each maintenance policy (2 MB objects)",
+                kind.label()
+            )
+        },
+        |maintenance| maintenance.policy.label(),
+    ))
 }
 
 /// Maintenance scenario: the latency-vs-throughput trade-off made explicit.
@@ -670,61 +640,44 @@ pub fn maintenance_policy_figures(scale: &Scale) -> Result<Vec<Figure>, StoreErr
 /// foreground safe-write latency at the end of the aging run, and the
 /// steady-state fragments/object the budget bought.  Together they are the
 /// "foreground latency vs background budget" figure family.
-pub fn maintenance_latency_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(2 << 20));
-    let base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
+fn maintenance_latency_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 2 << 20);
     let final_age = scale.max_age.clamp(1, 4);
-    let budgets = [0u64, 64, 256, 1024];
-
-    let jobs: Vec<(StoreKind, u64)> = [StoreKind::Database, StoreKind::Filesystem]
-        .iter()
-        .flat_map(|&kind| budgets.map(|budget| (kind, budget)))
-        .collect();
-    let runs = parallel_map(jobs, |(kind, budget)| {
-        run_aging_experiment(
-            kind,
-            &base
-                .clone()
-                .with_maintenance(MaintenanceConfig::fixed_budget(budget)),
-            &[final_age],
-            false,
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &[0u64, 64, 256, 1024],
+        |&budget| {
+            base.clone()
+                .with_maintenance(MaintenanceConfig::fixed_budget(budget))
+        },
+        &[final_age],
+        false,
+    )?;
+    let panel = |id: &str, title: String, y_label: &str, pick: fn(&AgePoint) -> f64| {
+        figure(
+            id,
+            title,
+            "Background budget (64 KB I/Os per tick)",
+            y_label,
+            kind_series(&PAPER_KINDS, &runs, move |&budget, result| {
+                (budget as f64, pick(aged(result)))
+            }),
         )
-        .map(|result| (kind, budget, result))
-    });
-
-    let mut latency = Figure::new(
-        "Maintenance latency",
-        format!("Foreground safe-write latency vs background budget (storage age {final_age})"),
-        "Background budget (64 KB I/Os per tick)",
-        "Latency (ms)",
-    );
-    let mut fragments = Figure::new(
-        "Maintenance steady state",
-        format!("Fragments/object vs background budget (storage age {final_age})"),
-        "Background budget (64 KB I/Os per tick)",
-        "Fragments/object",
-    );
-    let mut latency_points: std::collections::BTreeMap<&str, Vec<(f64, f64)>> = Default::default();
-    let mut fragment_points: std::collections::BTreeMap<&str, Vec<(f64, f64)>> = Default::default();
-    for run in runs {
-        let (kind, budget, result) = run?;
-        let point = result.points.last().expect("one measured age");
-        latency_points
-            .entry(kind.label())
-            .or_default()
-            .push((budget as f64, point.foreground_latency_ms));
-        fragment_points
-            .entry(kind.label())
-            .or_default()
-            .push((budget as f64, point.fragments_per_object));
-    }
-    for (label, points) in latency_points {
-        latency = latency.with_series(Series::new(label, points));
-    }
-    for (label, points) in fragment_points {
-        fragments = fragments.with_series(Series::new(label, points));
-    }
-    Ok(vec![latency, fragments])
+    };
+    Ok(vec![
+        panel(
+            "Maintenance latency",
+            format!("Foreground safe-write latency vs background budget (storage age {final_age})"),
+            "Latency (ms)",
+            |point| point.foreground_latency_ms,
+        ),
+        panel(
+            "Maintenance steady state",
+            format!("Fragments/object vs background budget (storage age {final_age})"),
+            "Fragments/object",
+            |point| point.fragments_per_object,
+        ),
+    ])
 }
 
 /// Latency-percentile scenario: the Figure 2 workload driven by eight
@@ -741,28 +694,16 @@ pub fn maintenance_latency_figures(scale: &Scale) -> Result<Vec<Figure>, StoreEr
 /// The age-0 checkpoint measures the *bulk load* (one client, puts), a
 /// different workload from the captioned 8-client safe writes, so these
 /// series start at age 1 instead of plotting a misleading cliff.
-pub fn latency_percentile_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(1 << 20));
-    let mut base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
+fn latency_percentile_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let mut base = paper_config(scale, 1 << 20);
     base.concurrency = 8;
-    let ages: Vec<u32> = scale.age_points().into_iter().filter(|&a| a > 0).collect();
+    let ages: Vec<u32> = (1..=scale.max_age).collect();
+    let runs = aging_sweep(&PAPER_KINDS, &[()], |_| base.clone(), &ages, false)?;
 
-    let jobs = vec![StoreKind::Database, StoreKind::Filesystem];
-    let runs = parallel_map(jobs, |kind| {
-        run_aging_experiment(kind, &base, &ages, false).map(|result| (kind, result))
-    });
-
-    let mut figures = Vec::new();
-    let mut depth = Figure::new(
-        "Latency percentiles (queue depth)",
-        "Mean request-queue depth vs storage age (8 closed-loop clients)",
-        "Storage Age",
-        "Waiting requests",
-    );
-    for run in runs {
-        let (kind, result) = run?;
-        figures.push(
-            Figure::new(
+    let mut figures: Vec<Figure> = runs
+        .iter()
+        .map(|(kind, _, result)| {
+            figure(
                 format!("Latency percentiles ({})", kind.label().to_lowercase()),
                 format!(
                     "{} client-observed safe-write latency vs storage age (8 closed-loop clients)",
@@ -770,39 +711,23 @@ pub fn latency_percentile_figures(scale: &Scale) -> Result<Vec<Figure>, StoreErr
                 ),
                 "Storage Age",
                 "Latency (ms)",
+                [
+                    Series::latency_p50_vs_age(result),
+                    Series::latency_p95_vs_age(result),
+                    Series::latency_p99_vs_age(result),
+                ],
             )
-            .with_series(Series::latency_p50_vs_age(&result))
-            .with_series(Series::latency_p95_vs_age(&result))
-            .with_series(Series::latency_p99_vs_age(&result)),
-        );
-        depth = depth.with_series(Series::queue_depth_vs_age(&result));
-    }
-    figures.push(depth);
+        })
+        .collect();
+    figures.push(figure(
+        "Latency percentiles (queue depth)",
+        "Mean request-queue depth vs storage age (8 closed-loop clients)",
+        "Storage Age",
+        "Waiting requests",
+        runs.iter()
+            .map(|(_, _, result)| Series::queue_depth_vs_age(result)),
+    ));
     Ok(figures)
-}
-
-/// Builds a store, bulk-loads it and ages it `age_rounds` via the request
-/// scheduler, returning the store plus a randomized read pass over (a sample
-/// of) its objects.
-fn aged_store_with_reads(
-    config: &ExperimentConfig,
-    kind: StoreKind,
-    age_rounds: u32,
-) -> Result<(Box<dyn ObjectStore>, Vec<WorkloadOp>), StoreError> {
-    let mut store = config.build_store(kind)?;
-    let mut generator = WorkloadGenerator::new(config.workload());
-    let mut server = StoreServer::new(store.as_mut());
-    server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)?;
-    for _ in 0..age_rounds {
-        server.run_closed_loop(
-            generator.overwrite_round(),
-            config.concurrency,
-            SimDuration::ZERO,
-        )?;
-    }
-    let limit = config.read_sample.unwrap_or(usize::MAX).max(1);
-    let reads: Vec<WorkloadOp> = generator.read_all().into_iter().take(limit).collect();
-    Ok((store, reads))
 }
 
 /// The offered-load fractions (of the measured serial capacity) the load
@@ -818,21 +743,17 @@ const LOAD_SWEEP_UTILISATIONS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 0.95];
 /// sample, so the x axis is utilisation (offered ops/s over capacity ops/s)
 /// and the two systems are comparable even though their absolute service
 /// times differ.
-pub fn load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(1 << 20));
-    let base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
+fn load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 1 << 20);
     let age_rounds = scale.max_age.clamp(1, 2);
 
     // One aged store per kind; the sweep itself issues only side-effect-free
     // reads, so the rates share the store instead of re-running the
     // expensive bulk-load + aging once per utilisation point.
-    let jobs = vec![
-        StoreKind::Database,
-        StoreKind::Filesystem,
-        StoreKind::LogStructured,
-    ];
-    let sweeps = parallel_map(jobs, |kind| -> Result<_, StoreError> {
-        let (mut store, reads) = aged_store_with_reads(&base, kind, age_rounds)?;
+    let sweeps = parallel_map(ALL_KINDS.to_vec(), |kind| {
+        let (mut store, mut generator) = age_store(kind, &base, age_rounds)?;
+        let limit = base.read_sample.unwrap_or(usize::MAX).max(1);
+        let reads: Vec<WorkloadOp> = generator.read_all().into_iter().take(limit).collect();
         let mut server = StoreServer::new(store.as_mut());
         // Calibrate capacity with a serial pass (reads are side-effect free).
         let serial = server.run_closed_loop(reads.clone(), 1, SimDuration::ZERO)?;
@@ -852,56 +773,33 @@ pub fn load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
             points.push((utilisation, summary, server.queue_stats().mean_depth()));
         }
         Ok((kind, points))
-    });
-    let runs: Vec<Result<_, StoreError>> = sweeps
-        .into_iter()
-        .flat_map(|sweep| match sweep {
-            Ok((kind, points)) => points
-                .into_iter()
-                .map(|(utilisation, summary, depth)| Ok((kind, utilisation, summary, depth)))
-                .collect::<Vec<_>>(),
-            Err(err) => vec![Err(err)],
-        })
-        .collect();
+    })?;
 
-    let mut latency = Figure::new(
-        "Load sweep (latency)",
-        format!("Open-loop read latency vs offered load (storage age {age_rounds})"),
-        "Offered load (fraction of capacity)",
-        "Latency (ms)",
-    );
-    let mut depth_figure = Figure::new(
-        "Load sweep (queue depth)",
-        format!("Mean queue depth vs offered load (storage age {age_rounds})"),
-        "Offered load (fraction of capacity)",
-        "Waiting requests",
-    );
-    let mut p50: std::collections::BTreeMap<&str, Vec<(f64, f64)>> = Default::default();
-    let mut p99: std::collections::BTreeMap<&str, Vec<(f64, f64)>> = Default::default();
-    let mut depths: std::collections::BTreeMap<&str, Vec<(f64, f64)>> = Default::default();
-    for run in runs {
-        let (kind, utilisation, summary, depth) = run?;
-        p50.entry(kind.label())
-            .or_default()
-            .push((utilisation, summary.p50_ms));
-        p99.entry(kind.label())
-            .or_default()
-            .push((utilisation, summary.p99_ms));
-        depths
-            .entry(kind.label())
-            .or_default()
-            .push((utilisation, depth));
-    }
-    for (label, points) in p50 {
-        latency = latency.with_series(Series::new(format!("{label} p50"), points));
-    }
-    for (label, points) in p99 {
-        latency = latency.with_series(Series::new(format!("{label} p99"), points));
-    }
-    for (label, points) in depths {
-        depth_figure = depth_figure.with_series(Series::new(label, points));
-    }
-    Ok(vec![latency, depth_figure])
+    type LoadPoint = (f64, LatencySummary, f64);
+    let series = |suffix: &'static str, pick: fn(&LoadPoint) -> f64| {
+        sweeps.iter().map(move |(kind, points)| {
+            Series::new(
+                format!("{}{suffix}", kind.label()),
+                points.iter().map(|point| (point.0, pick(point))).collect(),
+            )
+        })
+    };
+    Ok(vec![
+        figure(
+            "Load sweep (latency)",
+            format!("Open-loop read latency vs offered load (storage age {age_rounds})"),
+            "Offered load (fraction of capacity)",
+            "Latency (ms)",
+            series(" p50", |point| point.1.p50_ms).chain(series(" p99", |point| point.1.p99_ms)),
+        ),
+        figure(
+            "Load sweep (queue depth)",
+            format!("Mean queue depth vs offered load (storage age {age_rounds})"),
+            "Offered load (fraction of capacity)",
+            "Waiting requests",
+            series("", |point| point.2),
+        ),
+    ])
 }
 
 /// The write fractions the mixed load sweep visits (0 reproduces the pure
@@ -921,9 +819,8 @@ const MIXED_SWEEP_WRITE_FRACTIONS: [f64; 3] = [0.0, 0.25, 0.5];
 /// utilisation the more write-heavy the mix is — the shift the end-to-end
 /// tests assert.  Returns, per system, a p99-latency figure and a
 /// fragmentation-growth figure over the same x axis.
-pub fn mixed_load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(1 << 20));
-    let base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
+fn mixed_load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 1 << 20);
     let age_rounds = scale.max_age.clamp(1, 2);
     let ops = base.read_sample.unwrap_or(200).max(16);
 
@@ -931,81 +828,55 @@ pub fn mixed_load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError
     // capacity does not depend on the offered load, so calibrating per
     // utilisation point would repeat the expensive twin-store aging for
     // nothing.
-    let calibration_jobs: Vec<(StoreKind, f64)> = [StoreKind::Database, StoreKind::Filesystem]
-        .iter()
-        .flat_map(|&kind| {
-            MIXED_SWEEP_WRITE_FRACTIONS
-                .iter()
-                .map(move |&wf| (kind, wf))
-        })
-        .collect();
-    let calibrations = parallel_map(calibration_jobs, |(kind, write_fraction)| {
-        calibrate_mixed_load(kind, &base, age_rounds, write_fraction, ops)
-            .map(|calibration| (kind, calibration))
-    });
+    let mixes = cross(&PAPER_KINDS, &MIXED_SWEEP_WRITE_FRACTIONS);
+    let calibrations = parallel_map(mixes, |(kind, write_fraction)| {
+        let calibration = calibrate_mixed_load(kind, &base, age_rounds, write_fraction, ops)?;
+        Ok((kind, calibration))
+    })?;
     // Phase 2: every utilisation point of every mix, fanned out in full.
-    let mut measure_jobs = Vec::new();
-    for calibration in calibrations {
-        let (kind, calibration) = calibration?;
-        for &utilisation in &LOAD_SWEEP_UTILISATIONS {
-            measure_jobs.push((kind, calibration.clone(), utilisation));
-        }
-    }
-    let runs = parallel_map(measure_jobs, |(kind, calibration, utilisation)| {
-        measure_mixed_load_calibrated(kind, &base, age_rounds, &calibration, utilisation)
-            .map(|point| (kind, point))
-    });
+    let points = parallel_map(
+        cross(&calibrations, &LOAD_SWEEP_UTILISATIONS),
+        |((kind, calibration), utilisation)| {
+            measure_mixed_load_calibrated(kind, &base, age_rounds, &calibration, utilisation)
+        },
+    )?;
 
-    let mut figures = Vec::new();
-    for kind in [StoreKind::Database, StoreKind::Filesystem] {
-        figures.push(Figure::new(
-            format!("Mixed load sweep p99 ({})", kind.label().to_lowercase()),
-            format!(
-                "{} open-loop p99 latency vs offered load per write fraction (storage age {age_rounds})",
-                kind.label()
-            ),
-            "Offered load (fraction of mix capacity)",
-            "p99 latency (ms)",
-        ));
-        figures.push(Figure::new(
-            format!("Mixed load sweep frag growth ({})", kind.label().to_lowercase()),
-            format!(
-                "{} fragments/object grown during the sweep per write fraction (storage age {age_rounds})",
-                kind.label()
-            ),
-            "Offered load (fraction of mix capacity)",
-            "Fragments/object grown",
-        ));
-    }
-    let figure_offset = |kind: StoreKind| match kind {
-        StoreKind::Database => 0usize,
-        StoreKind::Filesystem => 2,
-        StoreKind::LogStructured => {
-            unreachable!("the mixed sweep drives only the paper's two substrates")
-        }
-    };
-    let mut p99: std::collections::BTreeMap<(usize, String), Vec<(f64, f64)>> = Default::default();
-    let mut growth: std::collections::BTreeMap<(usize, String), Vec<(f64, f64)>> =
-        Default::default();
-    for run in runs {
-        let (kind, point): (StoreKind, MixedLoadPoint) = run?;
-        let label = format!("{:.0}% writes", point.write_fraction * 100.0);
-        let offset = figure_offset(kind);
-        p99.entry((offset, label.clone()))
-            .or_default()
-            .push((point.utilisation, point.all.p99_ms));
-        growth.entry((offset + 1, label)).or_default().push((
-            point.utilisation,
-            point.fragments_after - point.fragments_before,
-        ));
-    }
-    for ((offset, label), points) in p99 {
-        figures[offset].series.push(Series::new(label, points));
-    }
-    for ((offset, label), points) in growth {
-        figures[offset].series.push(Series::new(label, points));
-    }
-    Ok(figures)
+    // `points` is substrate-major, one run of utilisation points per mix.
+    Ok(by_kind(&PAPER_KINDS, &points)
+        .flat_map(|(kind, points)| {
+            let panel = |id: &str, title: &str, y_label: &str, pick: fn(&MixedLoadPoint) -> f64| {
+                figure(
+                    format!("Mixed load sweep {id} ({})", kind.label().to_lowercase()),
+                    format!(
+                        "{} {title} per write fraction (storage age {age_rounds})",
+                        kind.label()
+                    ),
+                    "Offered load (fraction of mix capacity)",
+                    y_label,
+                    points.chunks(LOAD_SWEEP_UTILISATIONS.len()).map(|mix| {
+                        Series::new(
+                            format!("{:.0}% writes", mix[0].write_fraction * 100.0),
+                            mix.iter().map(|p| (p.utilisation, pick(p))).collect(),
+                        )
+                    }),
+                )
+            };
+            [
+                panel(
+                    "p99",
+                    "open-loop p99 latency vs offered load",
+                    "p99 latency (ms)",
+                    |point| point.all.p99_ms,
+                ),
+                panel(
+                    "frag growth",
+                    "fragments/object grown during the sweep",
+                    "Fragments/object grown",
+                    |point| point.fragments_after - point.fragments_before,
+                ),
+            ]
+        })
+        .collect())
 }
 
 /// The fixed background budgets whose (fragmentation, latency) points trace
@@ -1033,95 +904,49 @@ const FRONTIER_GAINS: [f64; 2] = [16.0, 64.0];
 /// fragmentation without paying fixed-budget latency on the stable tail.
 /// The end-to-end tests assert its points land on or inside the frontier on
 /// **both** substrates.
-pub fn adaptive_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(2 << 20));
-    let base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
+fn adaptive_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = paper_config(scale, 2 << 20);
     let final_age = scale.max_age.clamp(1, 4);
+    let policies: Vec<MaintenanceConfig> = FRONTIER_BUDGETS
+        .map(MaintenanceConfig::fixed_budget)
+        .into_iter()
+        .chain(FRONTIER_GAINS.map(MaintenanceConfig::adaptive))
+        .collect();
+    let runs = aging_sweep(
+        &ALL_KINDS,
+        &policies,
+        |&maintenance| base.clone().with_maintenance(maintenance),
+        &[final_age],
+        false,
+    )?;
 
-    enum Knob {
-        Budget(u64),
-        Gain(f64),
-    }
-    let jobs: Vec<(StoreKind, Knob)> = [
-        StoreKind::Database,
-        StoreKind::Filesystem,
-        StoreKind::LogStructured,
-    ]
-    .iter()
-    .flat_map(|&kind| {
-        FRONTIER_BUDGETS
-            .iter()
-            .map(move |&budget| (kind, Knob::Budget(budget)))
-            .chain(
-                FRONTIER_GAINS
-                    .iter()
-                    .map(move |&gain| (kind, Knob::Gain(gain))),
-            )
-    })
-    .collect();
-    let runs = parallel_map(jobs, |(kind, knob)| {
-        let maintenance = match knob {
-            Knob::Budget(budget) => MaintenanceConfig::fixed_budget(budget),
-            Knob::Gain(gain) => MaintenanceConfig::adaptive(gain),
-        };
-        run_aging_experiment(
-            kind,
-            &base.clone().with_maintenance(maintenance),
-            &[final_age],
-            false,
-        )
-        .map(|result| (kind, knob, result))
-    });
-
-    let mut frontier_points: std::collections::BTreeMap<&str, Vec<(f64, f64)>> = Default::default();
-    let mut adaptive_series: Vec<(StoreKind, Series)> = Vec::new();
-    for run in runs {
-        let (kind, knob, result) = run?;
-        let point = result.points.last().expect("one measured age");
-        let coords = (point.fragments_per_object, point.foreground_latency_ms);
-        match knob {
-            Knob::Budget(_) => frontier_points
-                .entry(kind.label())
-                .or_default()
-                .push(coords),
-            Knob::Gain(gain) => adaptive_series.push((
-                kind,
-                Series::new(
-                    lor_core::MaintenancePolicy::Adaptive { gain }.label(),
-                    vec![coords],
+    let coords = |result: &AgingResult| {
+        let point = aged(result);
+        (point.fragments_per_object, point.foreground_latency_ms)
+    };
+    Ok(by_kind(&ALL_KINDS, &runs)
+        .map(|(kind, runs)| {
+            let (fixed, adaptive) = runs.split_at(FRONTIER_BUDGETS.len());
+            let frontier = Series::frontier(
+                "fixed-budget frontier",
+                fixed.iter().map(|(_, _, result)| coords(result)).collect(),
+            );
+            let operating_points = adaptive.iter().map(|(_, maintenance, result)| {
+                Series::new(maintenance.policy.label(), vec![coords(result)])
+            });
+            figure(
+                format!("Adaptive frontier ({})", kind.label().to_lowercase()),
+                format!(
+                    "{} foreground latency vs fragments/object: fixed-budget frontier \
+                     and adaptive operating points (storage age {final_age})",
+                    kind.label()
                 ),
-            )),
-        }
-    }
-
-    let mut figures = Vec::new();
-    for kind in [
-        StoreKind::Database,
-        StoreKind::Filesystem,
-        StoreKind::LogStructured,
-    ] {
-        let mut figure = Figure::new(
-            format!("Adaptive frontier ({})", kind.label().to_lowercase()),
-            format!(
-                "{} foreground latency vs fragments/object: fixed-budget frontier \
-                 and adaptive operating points (storage age {final_age})",
-                kind.label()
-            ),
-            "Fragments/object",
-            "Foreground latency (ms)",
-        );
-        figure = figure.with_series(Series::frontier(
-            "fixed-budget frontier",
-            frontier_points.remove(kind.label()).unwrap_or_default(),
-        ));
-        for (series_kind, series) in &adaptive_series {
-            if *series_kind == kind {
-                figure = figure.with_series(series.clone());
-            }
-        }
-        figures.push(figure);
-    }
-    Ok(figures)
+                "Fragments/object",
+                "Foreground latency (ms)",
+                std::iter::once(frontier).chain(operating_points),
+            )
+        })
+        .collect())
 }
 
 /// The ghost-release deferral (simulated milliseconds) the substrate-aware
@@ -1146,83 +971,58 @@ fn idle_detect_policies() -> Vec<MaintenanceConfig> {
     ]
 }
 
-/// Idle-detect scenario: the latency/fragmentation frontier of the four
-/// maintenance policies under a workload with think-time slack (three
-/// closed-loop clients, 400 ms per-client think time — utilisation well
-/// under 1, so the spindle sees genuine idle gaps), one fragments-vs-age and
-/// one p99-latency-vs-age figure per system.
+/// Idle-detect scenario: the latency/fragmentation frontier of the
+/// maintenance policies under a workload with think-time slack
+/// ([`think_time_config`]), one fragments-vs-age and one p99-latency-vs-age
+/// figure per system.
 ///
 /// Under the queueing-aware interference model, `idle-detect` schedules its
 /// maintenance into the observed think-time gaps, so it buys roughly the
 /// fixed-budget policy's steady-state fragmentation while foreground
 /// requests only rarely land on top of background I/O — a lower p99 at equal
 /// layout quality.
-pub fn idle_detect_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(2 << 20));
-    let mut base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
-    base.concurrency = 3;
-    base.think_time_ms = 400.0;
-    let ages = scale.age_points();
-
-    let jobs: Vec<(StoreKind, MaintenanceConfig)> = [StoreKind::Database, StoreKind::Filesystem]
-        .iter()
-        .flat_map(|&kind| {
-            idle_detect_policies()
-                .into_iter()
-                .map(move |policy| (kind, policy))
+fn idle_detect_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = think_time_config(scale);
+    let runs = aging_sweep(
+        &PAPER_KINDS,
+        &idle_detect_policies(),
+        |&maintenance| base.clone().with_maintenance(maintenance),
+        &scale.age_points(),
+        false,
+    )?;
+    Ok(by_kind(&PAPER_KINDS, &runs)
+        .flat_map(|(kind, runs)| {
+            let panel =
+                |id: &str, title: &str, y_label: &str, series: fn(&AgingResult) -> Series| {
+                    figure(
+                        format!("Idle-detect {id} ({})", kind.label().to_lowercase()),
+                        format!(
+                            "{} {title} vs age per policy (3 clients, 400 ms think time)",
+                            kind.label()
+                        ),
+                        "Storage Age",
+                        y_label,
+                        runs.iter().map(|(_, maintenance, result)| {
+                            labelled(series(result), maintenance.policy.label())
+                        }),
+                    )
+                };
+            [
+                panel(
+                    "fragmentation",
+                    "fragments/object",
+                    "Fragments/object",
+                    Series::fragments_vs_age,
+                ),
+                panel(
+                    "p99 latency",
+                    "p99 safe-write latency",
+                    "p99 latency (ms)",
+                    Series::latency_p99_vs_age,
+                ),
+            ]
         })
-        .collect();
-    let runs = parallel_map(jobs, |(kind, maintenance)| {
-        run_aging_experiment(
-            kind,
-            &base.clone().with_maintenance(maintenance),
-            &ages,
-            false,
-        )
-        .map(|result| (kind, maintenance, result))
-    });
-
-    let mut figures: Vec<Figure> = Vec::new();
-    for kind in [StoreKind::Database, StoreKind::Filesystem] {
-        figures.push(Figure::new(
-            format!(
-                "Idle-detect fragmentation ({})",
-                kind.label().to_lowercase()
-            ),
-            format!(
-                "{} fragments/object vs age per policy (3 clients, 400 ms think time)",
-                kind.label()
-            ),
-            "Storage Age",
-            "Fragments/object",
-        ));
-        figures.push(Figure::new(
-            format!("Idle-detect p99 latency ({})", kind.label().to_lowercase()),
-            format!(
-                "{} p99 safe-write latency vs age per policy (3 clients, 400 ms think time)",
-                kind.label()
-            ),
-            "Storage Age",
-            "p99 latency (ms)",
-        ));
-    }
-    for run in runs {
-        let (kind, maintenance, result) = run?;
-        let offset = match kind {
-            StoreKind::Database => 0,
-            StoreKind::Filesystem => 2,
-            StoreKind::LogStructured => {
-                unreachable!("the idle-detect sweep drives only the paper's two substrates")
-            }
-        };
-        let mut frags = Series::fragments_vs_age(&result);
-        frags.label = maintenance.policy.label();
-        figures[offset].series.push(frags);
-        let mut p99 = Series::latency_p99_vs_age(&result);
-        p99.label = maintenance.policy.label();
-        figures[offset + 1].series.push(p99);
-    }
-    Ok(figures)
+        .collect())
 }
 
 /// The placement policies the placement-frontier scenario sweeps: the
@@ -1248,8 +1048,8 @@ fn placement_frontier_policies() -> Vec<MaintenanceConfig> {
 }
 
 /// Placement-frontier scenario: band boundary × gap-filling maintenance
-/// policy on both substrates, under the idle-detect workload (three
-/// closed-loop clients, 400 ms think time).
+/// policy on every substrate, under the idle-detect workload
+/// ([`think_time_config`]).
 ///
 /// PR 4 isolated the residual DB pathology of the gap-filling policies: the
 /// compactor competed with foreground writes for the same large contiguous
@@ -1262,92 +1062,66 @@ fn placement_frontier_policies() -> Vec<MaintenanceConfig> {
 /// `substrate-aware` lands strictly inside the DB gap-filling frontier:
 /// lower steady-state fragments than unrestricted `idle-detect` at a
 /// comparable p99.
-pub fn placement_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(2 << 20));
-    let mut base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
-    base.concurrency = 3;
-    base.think_time_ms = 400.0;
-    let ages = scale.age_points();
-
-    let jobs: Vec<(StoreKind, PlacementPolicy, MaintenanceConfig)> = [
-        StoreKind::Database,
-        StoreKind::Filesystem,
-        StoreKind::LogStructured,
-    ]
-    .iter()
-    .flat_map(|&kind| {
-        placement_variants().into_iter().flat_map(move |placement| {
-            placement_frontier_policies()
-                .into_iter()
-                .map(move |policy| (kind, placement, policy))
-        })
-    })
-    .collect();
-    let runs = parallel_map(jobs, |(kind, placement, maintenance)| {
-        run_aging_experiment(
-            kind,
-            &base
-                .clone()
+fn placement_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = think_time_config(scale);
+    let placements = placement_variants();
+    let runs = aging_sweep(
+        &ALL_KINDS,
+        &cross(&placement_frontier_policies(), &placements),
+        |&(maintenance, placement)| {
+            base.clone()
                 .with_placement(placement)
-                .with_maintenance(maintenance),
-            &ages,
-            false,
-        )
-        .map(|result| (kind, placement, maintenance, result))
-    });
+                .with_maintenance(maintenance)
+        },
+        &scale.age_points(),
+        false,
+    )?;
 
-    let mut figures: Vec<Figure> = Vec::new();
-    for kind in [
-        StoreKind::Database,
-        StoreKind::Filesystem,
-        StoreKind::LogStructured,
-    ] {
-        figures.push(Figure::new(
-            format!("Placement frontier ({})", kind.label().to_lowercase()),
-            format!(
-                "{} aged p99 latency vs fragments/object per placement \
-                 (gap-filling policies, 3 clients, 400 ms think time)",
-                kind.label()
-            ),
-            "Fragments/object",
-            "p99 latency (ms)",
-        ));
-        figures.push(Figure::new(
-            format!("Placement fragmentation ({})", kind.label().to_lowercase()),
-            format!(
-                "{} fragments/object vs age under substrate-aware per placement",
-                kind.label()
-            ),
-            "Storage Age",
-            "Fragments/object",
-        ));
-    }
-    let figure_offset = |kind: StoreKind| match kind {
-        StoreKind::Database => 0usize,
-        StoreKind::Filesystem => 2,
-        StoreKind::LogStructured => 4,
-    };
-    let mut frontier: std::collections::BTreeMap<(usize, String), Vec<(f64, f64)>> =
-        Default::default();
-    for run in runs {
-        let (kind, placement, maintenance, result) = run?;
-        let offset = figure_offset(kind);
-        let aged = result.points.last().expect("at least one measured age");
-        frontier
-            .entry((offset, maintenance.policy.name().to_string()))
-            .or_default()
-            .push((aged.fragments_per_object, aged.latency_p99_ms));
-        if maintenance.policy.name() == "substrate-aware" {
-            let mut series = Series::fragments_vs_age(&result);
-            series.label = placement.label();
-            figures[offset + 1].series.push(series);
-        }
-    }
-    for ((offset, label), mut points) in frontier {
-        points.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-        figures[offset].series.push(Series::new(label, points));
-    }
-    Ok(figures)
+    Ok(by_kind(&ALL_KINDS, &runs)
+        .flat_map(|(kind, runs)| {
+            // Policy-major variants: one run of placements per policy.
+            let frontier = runs.chunks(placements.len()).map(|runs| {
+                let mut points: Vec<(f64, f64)> = runs
+                    .iter()
+                    .map(|(_, _, result)| {
+                        let point = aged(result);
+                        (point.fragments_per_object, point.latency_p99_ms)
+                    })
+                    .collect();
+                points.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
+                Series::new(runs[0].1 .0.policy.name(), points)
+            });
+            let fragmentation = runs
+                .iter()
+                .filter(|(_, (maintenance, _), _)| maintenance.policy.name() == "substrate-aware")
+                .map(|(_, (_, placement), result)| {
+                    labelled(Series::fragments_vs_age(result), placement.label())
+                });
+            [
+                figure(
+                    format!("Placement frontier ({})", kind.label().to_lowercase()),
+                    format!(
+                        "{} aged p99 latency vs fragments/object per placement \
+                         (gap-filling policies, 3 clients, 400 ms think time)",
+                        kind.label()
+                    ),
+                    "Fragments/object",
+                    "p99 latency (ms)",
+                    frontier,
+                ),
+                figure(
+                    format!("Placement fragmentation ({})", kind.label().to_lowercase()),
+                    format!(
+                        "{} fragments/object vs age under substrate-aware per placement",
+                        kind.label()
+                    ),
+                    "Storage Age",
+                    "Fragments/object",
+                    fragmentation,
+                ),
+            ]
+        })
+        .collect())
 }
 
 /// The latency-tail percentile the anatomy scenario dissects.
@@ -1358,6 +1132,8 @@ const ANATOMY_QUANTILE: f64 = 0.99;
 ///
 /// Age 0 is skipped (the bulk load is a different, serial workload), matching
 /// [`latency_percentile_figures`].  Returns `(storage_age, report)` pairs.
+/// (It needs each round's completions, which [`age_store`] does not keep, so
+/// it drives the rounds itself.)
 pub fn anatomy_vs_age(
     kind: StoreKind,
     config: &ExperimentConfig,
@@ -1423,39 +1199,23 @@ fn anatomy_variants() -> Vec<(&'static str, PlacementPolicy, MaintenanceConfig)>
 /// banded` those components stay flat and a small maintenance-interference
 /// component appears instead — the trade the maintenance policy makes,
 /// itemised.
-pub fn latency_anatomy_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let object = SizeDistribution::Constant(scale.object(2 << 20));
-    let mut base = config_for(scale, object, scale.volume(PAPER_VOLUME), 0.5);
-    base.concurrency = 3;
-    base.think_time_ms = 400.0;
-    let ages: Vec<u32> = scale.age_points().into_iter().filter(|&a| a > 0).collect();
-
-    let jobs: Vec<(StoreKind, &'static str, ExperimentConfig)> =
-        [StoreKind::Database, StoreKind::Filesystem]
-            .iter()
-            .flat_map(|&kind| {
-                let base = &base;
-                anatomy_variants()
-                    .into_iter()
-                    .map(move |(label, placement, maintenance)| {
-                        (
-                            kind,
-                            label,
-                            base.clone()
-                                .with_placement(placement)
-                                .with_maintenance(maintenance),
-                        )
-                    })
-            })
-            .collect();
-    let runs = parallel_map(jobs, |(kind, label, config)| {
-        anatomy_vs_age(kind, &config, &ages).map(|points| (kind, label, points))
-    });
-
-    let mut figures = Vec::new();
-    for run in runs {
-        let (kind, label, points) = run?;
-        let mut figure = Figure::new(
+fn latency_anatomy_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let base = think_time_config(scale);
+    let ages: Vec<u32> = (1..=scale.max_age).collect();
+    let jobs = cross(&PAPER_KINDS, &anatomy_variants());
+    parallel_map(jobs, |(kind, (label, placement, maintenance))| {
+        let config = base
+            .clone()
+            .with_placement(placement)
+            .with_maintenance(maintenance);
+        let points = anatomy_vs_age(kind, &config, &ages)?;
+        let column = |name: &str, pick: fn(&AnatomyReport) -> f64| {
+            Series::new(
+                name,
+                points.iter().map(|(age, r)| (*age, pick(r))).collect(),
+            )
+        };
+        Ok(figure(
             format!("Latency anatomy ({}, {label})", kind.label().to_lowercase()),
             format!(
                 "{} anatomy of the p99 safe-write tail under {label} \
@@ -1464,23 +1224,16 @@ pub fn latency_anatomy_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError>
             ),
             "Storage Age",
             "Mean tail latency component (ms)",
-        );
-        let column = |name: &str, pick: fn(&AnatomyReport) -> f64| {
-            Series::new(
-                name,
-                points.iter().map(|(age, r)| (*age, pick(r))).collect(),
-            )
-        };
-        figure = figure
-            .with_series(column("total", |r| r.mean.total_ms))
-            .with_series(column("maintenance", |r| r.mean.maintenance_ms))
-            .with_series(column("queueing", |r| r.mean.queue_ms))
-            .with_series(column("frag-seeks", |r| r.mean.frag_seek_ms))
-            .with_series(column("disk", |r| r.mean.disk_ms))
-            .with_series(column("host", |r| r.mean.host_ms));
-        figures.push(figure);
-    }
-    Ok(figures)
+            [
+                column("total", |r| r.mean.total_ms),
+                column("maintenance", |r| r.mean.maintenance_ms),
+                column("queueing", |r| r.mean.queue_ms),
+                column("frag-seeks", |r| r.mean.frag_seek_ms),
+                column("disk", |r| r.mean.disk_ms),
+                column("host", |r| r.mean.host_ms),
+            ],
+        ))
+    })
 }
 
 /// Fan-out widths the tail-amplification panel sweeps.
@@ -1497,17 +1250,27 @@ const SHARD_SWEEP_THETA: f64 = 1.1;
 /// knob.
 const SHARD_SWEEP_WORKERS: u32 = 4;
 
-/// An aggregate-rate experiment config for a fleet of `shards` shards.
+/// A bulk-loaded fleet of `shards` shards at the aggregate rate, with its
+/// workload generator.
 ///
 /// The volume is floored so every shard still gets a workable slice of the
 /// paper volume at the CI scales.
-fn sharded_config(scale: &Scale, shards: u32, object_bytes: u64) -> ExperimentConfig {
-    let object = SizeDistribution::Constant(scale.object(object_bytes));
-    let volume = scale
-        .volume(PAPER_VOLUME)
-        .max(u64::from(shards) * (24 << 20));
-    config_for(scale, object, volume, 0.5)
-        .with_fleet_parallelism(FleetParallelism::Threads(SHARD_SWEEP_WORKERS))
+fn loaded_fleet(
+    scale: &Scale,
+    kind: StoreKind,
+    shards: u32,
+    object_bytes: u64,
+    placement: PlacementPolicy,
+) -> Result<(ShardedStore, WorkloadGenerator), StoreError> {
+    let mut config = paper_config(scale, object_bytes)
+        .with_placement(placement)
+        .with_fleet_parallelism(FleetParallelism::Threads(SHARD_SWEEP_WORKERS));
+    config.volume_bytes = config.volume_bytes.max(u64::from(shards) * (24 << 20));
+    let router = RouterPolicy::ConsistentHash { vnodes: 16 };
+    let mut fleet = ShardedStore::new(kind, &config, shards, router)?;
+    let mut generator = WorkloadGenerator::new(config.workload());
+    fleet.load(generator.bulk_load())?;
+    Ok((fleet, generator))
 }
 
 /// One round of Zipfian-popularity churn driven through the fleet at the
@@ -1547,27 +1310,6 @@ fn zipf_churn_round(
         }
         None => fleet.run_mixed_open_loop(reads, writes, load),
     }
-}
-
-/// Client-observed p99 latency (arrival to finish, in milliseconds) of a
-/// completion stream.
-fn foreground_p99_ms(completions: &[Completion]) -> f64 {
-    if completions.is_empty() {
-        return 0.0;
-    }
-    let mut latencies: Vec<f64> = completions
-        .iter()
-        .map(|completion| {
-            completion
-                .finish
-                .saturating_sub(completion.request.arrival)
-                .as_secs_f64()
-                * 1e3
-        })
-        .collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let index = ((latencies.len() as f64) * 0.99).ceil() as usize;
-    latencies[index.clamp(1, latencies.len()) - 1]
 }
 
 /// Worst single shard, by fragments per object.
@@ -1625,7 +1367,7 @@ impl RebalanceMode {
 ///    client-observed p99 of the final churn round vs fleet size.
 ///    Concurrent rebalancing charges migration I/O to the same spindles the
 ///    foreground is using; this panel shows what that costs the tail.
-pub fn shard_sweep_figures(
+fn shard_sweep_figures(
     scale: &Scale,
     concurrent_rebalance: bool,
 ) -> Result<Vec<Figure>, StoreError> {
@@ -1633,20 +1375,14 @@ pub fn shard_sweep_figures(
     let fleet_sizes = scale.fleet_sizes();
 
     // Panel 1: fan-out tail amplification, one fleet per substrate × size.
-    let fanout_jobs: Vec<(StoreKind, u32)> = [StoreKind::Database, StoreKind::Filesystem]
-        .iter()
-        .flat_map(|&kind| fleet_sizes.iter().map(move |&shards| (kind, shards)))
-        .collect();
-    let fanout_runs = parallel_map(fanout_jobs, |(kind, shards)| -> Result<_, StoreError> {
-        let config = sharded_config(scale, shards, 512 << 10);
-        let mut fleet = ShardedStore::new(
+    let fanout = parallel_map(cross(&PAPER_KINDS, &fleet_sizes), |(kind, shards)| {
+        let (mut fleet, generator) = loaded_fleet(
+            scale,
             kind,
-            &config,
             shards,
-            RouterPolicy::ConsistentHash { vnodes: 16 },
+            512 << 10,
+            PlacementPolicy::Unrestricted,
         )?;
-        let mut generator = WorkloadGenerator::new(config.workload());
-        fleet.load(generator.bulk_load())?;
         let keys: Vec<ObjectKey> = generator.live_keys().to_vec();
         let mut points = Vec::new();
         for width in SHARD_SWEEP_WIDTHS {
@@ -1666,186 +1402,185 @@ pub fn shard_sweep_figures(
             )?;
             points.push((width as f64, fanout_p99_ms(&completions)));
         }
-        Ok((kind, shards, points))
-    });
-    let mut fanout_figure = Figure::new(
-        "Shard fan-out tail",
-        "p99 latency of multi-object reads vs fan-out width at a fixed \
-         aggregate group rate (reads complete at the slowest shard)",
-        "Fan-out width (objects per read)",
-        "p99 latency (ms)",
-    );
-    for run in fanout_runs {
-        let (kind, shards, points) = run?;
-        fanout_figure.series.push(Series::new(
+        Ok(Series::new(
             format!("{} ({shards} shards)", kind.label().to_lowercase()),
             points,
-        ));
-    }
+        ))
+    })?;
 
     // Panel 2: per-shard fragmentation skew under Zipfian churn.
-    let skew_jobs: Vec<StoreKind> = vec![StoreKind::Database, StoreKind::Filesystem];
-    let skew_runs = parallel_map(skew_jobs, |kind| -> Result<_, StoreError> {
-        let config = sharded_config(scale, 4, 1 << 20);
-        let mut fleet = ShardedStore::new(
-            kind,
-            &config,
-            4,
-            RouterPolicy::ConsistentHash { vnodes: 16 },
-        )?;
-        let mut generator = WorkloadGenerator::new(config.workload());
-        fleet.load(generator.bulk_load())?;
+    let skew = parallel_map(PAPER_KINDS.to_vec(), |kind| {
+        let (mut fleet, mut generator) =
+            loaded_fleet(scale, kind, 4, 1 << 20, PlacementPolicy::Unrestricted)?;
         let mut points = vec![(0.0, fleet.fragmentation_skew())];
         for round in 1..=churn_rounds {
             zipf_churn_round(&mut fleet, &mut generator, u64::from(round), None)?;
             points.push((f64::from(round), fleet.fragmentation_skew()));
         }
-        Ok((kind, points))
-    });
-    let mut skew_figure = Figure::new(
-        "Shard fragmentation skew",
-        format!(
-            "max/mean fragments-per-object skew across a 4-shard fleet vs \
-             rounds of Zipfian churn (theta {SHARD_SWEEP_THETA})"
-        ),
-        "Zipfian churn rounds",
-        "Fragmentation skew (max/mean)",
-    );
-    for run in skew_runs {
-        let (kind, points) = run?;
-        skew_figure
-            .series
-            .push(Series::new(kind.label().to_lowercase(), points));
-    }
+        Ok(Series::new(kind.label().to_lowercase(), points))
+    })?;
 
-    // Panels 3-4: the rebalance frontier, per substrate, plus the
-    // foreground-p99 price of each drive mode (panel 5).
+    // Panels 3-5: the rebalance frontier, per substrate, plus the
+    // foreground-p99 price of each drive mode.  The modes are listed in
+    // label order, the order the recorded series appear in.
     let mut modes = vec![RebalanceMode::Off, RebalanceMode::Phased];
     if concurrent_rebalance {
-        modes.push(RebalanceMode::Concurrent);
+        modes.insert(0, RebalanceMode::Concurrent);
     }
-    let frontier_jobs: Vec<(StoreKind, u32, RebalanceMode)> =
-        [StoreKind::Database, StoreKind::Filesystem]
-            .iter()
-            .flat_map(|&kind| {
-                fleet_sizes.iter().flat_map({
-                    let modes = modes.clone();
-                    move |&shards| {
-                        modes
-                            .clone()
-                            .into_iter()
-                            .map(move |mode| (kind, shards, mode))
-                    }
-                })
-            })
-            .collect();
-    let frontier_runs = parallel_map(
-        frontier_jobs,
-        |(kind, shards, mode)| -> Result<_, StoreError> {
-            let mut config = sharded_config(scale, shards, 1 << 20);
-            // Banded placement so destination writes are confined to the
-            // maintenance band — migration may be refused, never spilled.
-            config.placement = PlacementPolicy::banded(0.7);
-            let mut fleet = ShardedStore::new(
-                kind,
-                &config,
-                shards,
-                RouterPolicy::ConsistentHash { vnodes: 16 },
-            )?;
-            let mut generator = WorkloadGenerator::new(config.workload());
-            fleet.load(generator.bulk_load())?;
-            let concurrent = if mode == RebalanceMode::Concurrent {
-                fleet.enable_rebalancing(MaintenanceConfig::fixed_budget(64))?;
-                Some((16u64 << 20, 4u32))
-            } else {
-                None
-            };
-            let mut last_round = Vec::new();
-            for round in 1..=churn_rounds {
-                last_round =
-                    zipf_churn_round(&mut fleet, &mut generator, u64::from(round), concurrent)?;
-            }
-            if mode == RebalanceMode::Phased {
-                fleet.enable_rebalancing(MaintenanceConfig::fixed_budget(64))?;
-                let mut now = fleet.elapsed();
-                for _ in 0..32 {
-                    let io = fleet.run_rebalance_slice(16 << 20, now);
-                    now += SimDuration::from_millis(250);
-                    if io.is_none() {
-                        break;
-                    }
+    let frontier_jobs = cross(&PAPER_KINDS, &cross(&modes, &fleet_sizes));
+    let frontier = parallel_map(frontier_jobs, |(kind, (mode, shards))| {
+        // Banded placement so destination writes are confined to the
+        // maintenance band — migration may be refused, never spilled.
+        let (mut fleet, mut generator) =
+            loaded_fleet(scale, kind, shards, 1 << 20, PlacementPolicy::banded(0.7))?;
+        let concurrent = if mode == RebalanceMode::Concurrent {
+            fleet.enable_rebalancing(MaintenanceConfig::fixed_budget(64))?;
+            Some((16u64 << 20, 4u32))
+        } else {
+            None
+        };
+        let mut last_round = Vec::new();
+        for round in 1..=churn_rounds {
+            last_round =
+                zipf_churn_round(&mut fleet, &mut generator, u64::from(round), concurrent)?;
+        }
+        if mode == RebalanceMode::Phased {
+            fleet.enable_rebalancing(MaintenanceConfig::fixed_budget(64))?;
+            let mut now = fleet.elapsed();
+            for _ in 0..32 {
+                let io = fleet.run_rebalance_slice(16 << 20, now);
+                now += SimDuration::from_millis(250);
+                if io.is_none() {
+                    break;
                 }
             }
-            Ok((
-                kind,
-                shards,
-                mode,
-                worst_shard_fpo(&fleet),
-                foreground_p99_ms(&last_round),
-            ))
-        },
-    );
-    let mut frontier_figures: Vec<Figure> = [StoreKind::Database, StoreKind::Filesystem]
-        .iter()
-        .map(|kind| {
-            Figure::new(
-                format!("Rebalance frontier ({})", kind.label().to_lowercase()),
-                format!(
-                    "{} worst-shard fragments/object vs fleet size after \
-                     Zipfian churn: rebalancing drive off, phased after the \
-                     churn, or interleaved with the live load",
-                    kind.label()
-                ),
-                "Shards",
-                "Worst-shard fragments/object",
+        }
+        let p99 = LatencySummary::of(&last_round).p99_ms;
+        Ok((mode, f64::from(shards), worst_shard_fpo(&fleet), p99))
+    })?;
+
+    let mut figures = vec![
+        figure(
+            "Shard fan-out tail",
+            "p99 latency of multi-object reads vs fan-out width at a fixed \
+             aggregate group rate (reads complete at the slowest shard)",
+            "Fan-out width (objects per read)",
+            "p99 latency (ms)",
+            fanout,
+        ),
+        figure(
+            "Shard fragmentation skew",
+            format!(
+                "max/mean fragments-per-object skew across a 4-shard fleet vs \
+                 rounds of Zipfian churn (theta {SHARD_SWEEP_THETA})"
+            ),
+            "Zipfian churn rounds",
+            "Fragmentation skew (max/mean)",
+            skew,
+        ),
+    ];
+    let mut foreground_p99 = Vec::new();
+    for (kind, runs) in by_kind(&PAPER_KINDS, &frontier) {
+        // Mode-major jobs: one run of fleet sizes per mode.
+        let per_mode = runs.chunks(fleet_sizes.len());
+        figures.push(figure(
+            format!("Rebalance frontier ({})", kind.label().to_lowercase()),
+            format!(
+                "{} worst-shard fragments/object vs fleet size after \
+                 Zipfian churn: rebalancing drive off, phased after the \
+                 churn, or interleaved with the live load",
+                kind.label()
+            ),
+            "Shards",
+            "Worst-shard fragments/object",
+            per_mode.clone().map(|runs| {
+                let points = runs.iter().map(|&(_, shards, worst, _)| (shards, worst));
+                Series::new(runs[0].0.label(), points.collect())
+            }),
+        ));
+        foreground_p99.extend(per_mode.map(|runs| {
+            let points = runs.iter().map(|&(_, shards, _, p99)| (shards, p99));
+            Series::new(
+                format!("{} {}", kind.label().to_lowercase(), runs[0].0.label()),
+                points.collect(),
             )
-        })
-        .collect();
-    let mut p99_figure = Figure::new(
+        }));
+    }
+    figures.push(figure(
         "Rebalance foreground impact",
         "Client-observed p99 of the final Zipfian churn round vs fleet \
          size, per rebalancing drive mode (concurrent rebalancing charges \
          migration I/O to the spindles the foreground is using)",
         "Shards",
         "Foreground p99 (ms)",
-    );
-    let mut frontier: std::collections::BTreeMap<(usize, &'static str), Vec<(f64, f64)>> =
-        Default::default();
-    let mut p99_series: std::collections::BTreeMap<String, Vec<(f64, f64)>> = Default::default();
-    for run in frontier_runs {
-        let (kind, shards, mode, worst, p99) = run?;
-        let offset = match kind {
-            StoreKind::Database => 0usize,
-            StoreKind::Filesystem => 1,
-            StoreKind::LogStructured => {
-                unreachable!("the shard sweep drives only the paper's two substrates")
-            }
-        };
-        frontier
-            .entry((offset, mode.label()))
-            .or_default()
-            .push((f64::from(shards), worst));
-        p99_series
-            .entry(format!("{} {}", kind.label().to_lowercase(), mode.label()))
-            .or_default()
-            .push((f64::from(shards), p99));
-    }
-    for ((offset, label), mut points) in frontier {
-        points.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-        frontier_figures[offset]
-            .series
-            .push(Series::new(label, points));
-    }
-    for (label, mut points) in p99_series {
-        points.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-        p99_figure.series.push(Series::new(label, points));
-    }
-
-    let mut figures = vec![fanout_figure, skew_figure];
-    figures.extend(frontier_figures);
-    figures.push(p99_figure);
+        foreground_p99,
+    ));
     Ok(figures)
 }
+
+/// One figure family: what `figures --only` calls it, the file stem its
+/// `figures --json` output is written under, and the function regenerating
+/// it at a scale (the flag adds the shard sweep's load-concurrent
+/// rebalancing series; the other families ignore it).
+pub struct Family {
+    /// The `--only` name.
+    pub only: &'static str,
+    /// The `--json` file stem.
+    pub json: &'static str,
+    /// Regenerates the family's figures.
+    pub run: FamilyFn,
+}
+
+/// `(scale, concurrent_rebalance) -> figures`.
+type FamilyFn = fn(&Scale, bool) -> Result<Vec<Figure>, StoreError>;
+
+impl Family {
+    const fn new(only: &'static str, json: &'static str, run: FamilyFn) -> Self {
+        Family { only, json, run }
+    }
+}
+
+/// Every figure family, in the order `figures` prints them — the one list
+/// behind its run order, `--only` validation and `--help`.
+pub const FAMILIES: &[Family] = &[
+    Family::new("fig1", "figure1", |s, _| figure1(s)),
+    Family::new("fig2", "figure2", |s, _| figure2(s)),
+    Family::new("fig3", "figure3", |s, _| figure3(s)),
+    Family::new("fig4", "figure4", |s, _| figure4(s)),
+    Family::new("fig5", "figure5", |s, _| figure5(s)),
+    Family::new("fig6", "figure6", |s, _| figure6(s)),
+    Family::new("write-size", "write_request_size", |s, _| {
+        write_request_size_sweep(s)
+    }),
+    Family::new("maintenance", "maintenance", |s, _| maintenance_ablation(s)),
+    Family::new("policy-ablation", "policy_ablation", |s, _| {
+        policy_ablation_figures(s)
+    }),
+    Family::new("maintenance-policies", "maintenance_policies", |s, _| {
+        maintenance_policy_figures(s)
+    }),
+    Family::new("maintenance-latency", "maintenance_latency", |s, _| {
+        maintenance_latency_figures(s)
+    }),
+    Family::new("latency-percentiles", "latency_percentiles", |s, _| {
+        latency_percentile_figures(s)
+    }),
+    Family::new("load-sweep", "load_sweep", |s, _| load_sweep_figures(s)),
+    Family::new("idle-detect", "idle_detect", |s, _| idle_detect_figures(s)),
+    Family::new("mixed-load-sweep", "mixed_load_sweep", |s, _| {
+        mixed_load_sweep_figures(s)
+    }),
+    Family::new("adaptive-frontier", "adaptive_frontier", |s, _| {
+        adaptive_frontier_figures(s)
+    }),
+    Family::new("placement-frontier", "placement_frontier", |s, _| {
+        placement_frontier_figures(s)
+    }),
+    Family::new("latency-anatomy", "latency_anatomy", |s, _| {
+        latency_anatomy_figures(s)
+    }),
+    Family::new("shard-sweep", "shard_sweep", shard_sweep_figures),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1867,6 +1602,35 @@ mod tests {
         assert_eq!(Scale::full().fleet_sizes(), vec![2, 4, 8, 16, 32, 64]);
         assert_eq!(Scale::smoke().fleet_sizes(), vec![2, 4]);
         assert_eq!(Scale::test().fleet_sizes(), vec![2, 4, 8]);
+        assert_eq!(Scale::by_name("report"), Some(report));
+        assert_eq!(Scale::by_name("smoke"), Some(Scale::smoke()));
+        assert_eq!(Scale::by_name("bogus"), None);
+    }
+
+    #[test]
+    fn aging_sweep_is_substrate_major_and_fails_whole_on_a_bad_variant() {
+        let scale = Scale::smoke();
+        let with_occupancy = |&occupancy: &f64| ExperimentConfig {
+            occupancy,
+            ..paper_config(&scale, 1 << 20)
+        };
+        let runs = aging_sweep(&ALL_KINDS, &[0.3, 0.5, 0.4], with_occupancy, &[1], false).unwrap();
+        let order: Vec<(StoreKind, f64)> = runs.iter().map(|(kind, v, _)| (*kind, *v)).collect();
+        assert_eq!(order, cross(&ALL_KINDS, &[0.3, 0.5, 0.4]));
+        for (kind, occupancy, result) in &runs {
+            assert_eq!((result.kind, result.config.occupancy), (*kind, *occupancy));
+        }
+        let per_kind: Vec<_> = by_kind(&ALL_KINDS, &runs).collect();
+        assert_eq!(per_kind.len(), 3);
+        for ((kind, runs), expected) in per_kind.iter().zip(ALL_KINDS) {
+            assert_eq!(*kind, expected);
+            assert!(runs.len() == 3 && runs.iter().all(|run| run.0 == expected));
+        }
+
+        // One variant that fails `validate()` fails the sweep with its typed
+        // error: no panic, no partial results.
+        let error = aging_sweep(&PAPER_KINDS, &[0.5, 1.5], with_occupancy, &[1], false);
+        assert!(matches!(error, Err(StoreError::BadConfig(_))), "{error:?}");
     }
 
     #[test]
@@ -1882,7 +1646,7 @@ mod tests {
     #[test]
     fn figure3_at_test_scale_has_both_series_and_all_ages() {
         let scale = Scale::test();
-        let figure = figure3(&scale).unwrap();
+        let figure = &figure3(&scale).unwrap()[0];
         assert_eq!(figure.series.len(), 3, "database, filesystem, log");
         for series in &figure.series {
             assert_eq!(series.points.len(), scale.age_points().len());
@@ -2092,11 +1856,7 @@ mod tests {
         // interference shows up under the gap-filling policy.
         for kind in [StoreKind::Database, StoreKind::Filesystem] {
             for (label, placement, maintenance) in anatomy_variants() {
-                let object = SizeDistribution::Constant(scale.object(2 << 20));
-                let mut config = config_for(&scale, object, scale.volume(PAPER_VOLUME), 0.5);
-                config.concurrency = 3;
-                config.think_time_ms = 400.0;
-                let config = config
+                let config = think_time_config(&scale)
                     .with_placement(placement)
                     .with_maintenance(maintenance);
                 let ages: Vec<u32> = scale.age_points().into_iter().filter(|&a| a > 0).collect();
@@ -2143,8 +1903,7 @@ mod tests {
         // time every background slice lands in front of a queued request.
         // (The gap-filling variants dodge the tail by design, which is the
         // point of the comparison figures above.)
-        let object = SizeDistribution::Constant(scale.object(2 << 20));
-        let mut config = config_for(&scale, object, scale.volume(PAPER_VOLUME), 0.5);
+        let mut config = paper_config(&scale, 2 << 20);
         config.concurrency = 3;
         let config =
             config.with_maintenance(MaintenanceConfig::fixed_budget(512).with_server_drive());
@@ -2158,7 +1917,7 @@ mod tests {
     #[test]
     fn figure4_reports_bulk_load_advantage_for_the_database() {
         let scale = Scale::test();
-        let figure = figure4(&scale).unwrap();
+        let figure = &figure4(&scale).unwrap()[0];
         let database = figure
             .series
             .iter()

@@ -1,6 +1,7 @@
 //! Report types: the series and tables the paper's figures plot, in a
 //! machine-readable (serde) and a plain-text form.
 
+use lor_obs::{json_f64, json_string};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::AgingResult;
@@ -261,7 +262,7 @@ impl Figure {
                 if pindex > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "[{x},{y}]");
+                let _ = write!(out, "[{},{}]", json_f64(*x), json_f64(*y));
             }
             out.push_str("]}");
         }
@@ -327,25 +328,6 @@ impl Figure {
         }
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A simple two-column table (used for the Table 1 substitute).

@@ -191,6 +191,32 @@ pub struct OpenLoop {
     pub seed: u64,
 }
 
+impl OpenLoop {
+    /// The process's first `n` arrival instants after `start`.
+    pub fn arrivals(&self, start: SimDuration, n: usize) -> Result<Vec<SimDuration>, StoreError> {
+        if !self.ops_per_sec.is_finite() || self.ops_per_sec <= 0.0 {
+            return Err(StoreError::BadConfig(
+                "open-loop offered load must be positive and finite".into(),
+            ));
+        }
+        Ok(poisson_arrivals(self.ops_per_sec, self.seed, start, n))
+    }
+}
+
+/// `n` Poisson arrival instants after `start`: unit-exponential gaps drawn
+/// from `seed`, scaled by `1 / rate`.
+fn poisson_arrivals(rate: f64, seed: u64, start: SimDuration, n: usize) -> Vec<SimDuration> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut at = start;
+    (0..n)
+        .map(|_| {
+            let unit: f64 = rng.gen_range(1e-12..1.0);
+            at += SimDuration::from_secs_f64(-unit.ln() / rate);
+            at
+        })
+        .collect()
+}
+
 /// A mixed open-loop arrival process: two independent Poisson streams — one
 /// of reads, one of safe writes — merged into a single deterministic
 /// interleave, so fragmentation growth (driven by the write class) interacts
@@ -267,14 +293,9 @@ impl MixedOpenLoop {
         Self::validate_rate(self.write_ops_per_sec, "write", writes.len())?;
 
         let arrival_stream = |ops: Vec<WorkloadOp>, rate: f64, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut at = start;
-            ops.into_iter()
-                .map(|op| {
-                    let unit: f64 = rng.gen_range(1e-12..1.0);
-                    at += SimDuration::from_secs_f64(-unit.ln() / rate);
-                    (at, op)
-                })
+            poisson_arrivals(rate, seed, start, ops.len())
+                .into_iter()
+                .zip(ops)
                 .collect::<Vec<_>>()
         };
         // Distinct per-class seeds (splitmix-style offset) keep the two
@@ -494,24 +515,15 @@ impl<'a> StoreServer<'a> {
         ops: Vec<WorkloadOp>,
         load: OpenLoop,
     ) -> Result<Vec<Completion>, StoreError> {
-        if !load.ops_per_sec.is_finite() || load.ops_per_sec <= 0.0 {
-            return Err(StoreError::BadConfig(
-                "open-loop offered load must be positive and finite".into(),
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(load.seed);
-        let mut at = self.now;
-        let stream: VecDeque<StoreRequest> = ops
+        let stream: VecDeque<StoreRequest> = load
+            .arrivals(self.now, ops.len())?
             .into_iter()
+            .zip(ops)
             .enumerate()
-            .map(|(index, op)| {
-                let unit: f64 = rng.gen_range(1e-12..1.0);
-                at += SimDuration::from_secs_f64(-unit.ln() / load.ops_per_sec);
-                StoreRequest {
-                    client: ClientId(index as u32),
-                    op,
-                    arrival: at,
-                }
+            .map(|(index, (arrival, op))| StoreRequest {
+                client: ClientId(index as u32),
+                op,
+                arrival,
             })
             .collect();
         self.run_stream(stream)
@@ -1214,6 +1226,29 @@ mod tests {
                 )
                 .is_err());
         }
+    }
+
+    #[test]
+    fn one_generator_draws_every_open_loop_arrival_stream() {
+        let load = OpenLoop {
+            ops_per_sec: 40.0,
+            seed: 7,
+        };
+        let start = SimDuration::from_millis(5);
+        let arrivals = load.arrivals(start, 50).unwrap();
+        assert!(arrivals[0] > start && arrivals.windows(2).all(|pair| pair[0] <= pair[1]));
+        // A prefix of the stream is the stream of a shorter run.
+        assert_eq!(load.arrivals(start, 20).unwrap(), arrivals[..20]);
+        // The mixed process's read class is the same process.
+        let reads = vec![WorkloadOp::Get { key: ObjectKey(0) }; 50];
+        let mixed = MixedOpenLoop {
+            read_ops_per_sec: load.ops_per_sec,
+            write_ops_per_sec: 0.0,
+            seed: load.seed,
+        };
+        let schedule = mixed.schedule(start, reads, Vec::new()).unwrap();
+        let scheduled: Vec<SimDuration> = schedule.iter().map(|r| r.arrival).collect();
+        assert_eq!(scheduled, arrivals);
     }
 
     #[test]

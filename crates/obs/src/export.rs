@@ -149,7 +149,9 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn json_string(value: &str) -> String {
+/// Escapes a string as a JSON string literal — the one escaper every
+/// hand-rolled JSON writer in the workspace shares.
+pub fn json_string(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
     out.push('"');
     for ch in value.chars() {
@@ -167,7 +169,9 @@ fn json_string(value: &str) -> String {
     out
 }
 
-fn json_f64(value: f64) -> String {
+/// Renders a number as a JSON value (`null` when it is not finite, which
+/// JSON cannot express).
+pub fn json_f64(value: f64) -> String {
     if value.is_finite() {
         format!("{value}")
     } else {

@@ -37,7 +37,7 @@
 mod export;
 mod validate;
 
-pub use export::TraceRecorder;
+pub use export::{json_f64, json_string, TraceRecorder};
 pub use validate::{validate_chrome_trace, TraceCheck};
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -32,8 +32,6 @@ use lor_core::{
 use lor_disksim::SimDuration;
 use lor_maint::{MaintIo, MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
 use lor_obs::{MetricSample, Obs, SpanRecord, Track};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::fanout::{FanoutCompletion, FanoutPart};
 use crate::rebalance::{RebalanceState, RebalanceTarget};
@@ -636,24 +634,15 @@ impl ShardedStore {
         ops: Vec<WorkloadOp>,
         load: OpenLoop,
     ) -> Result<Vec<Completion>, StoreError> {
-        if !load.ops_per_sec.is_finite() || load.ops_per_sec <= 0.0 {
-            return Err(StoreError::BadConfig(
-                "open-loop offered load must be positive and finite".into(),
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(load.seed);
-        let mut at = SimDuration::ZERO;
-        let schedule: Vec<StoreRequest> = ops
+        let schedule: Vec<StoreRequest> = load
+            .arrivals(SimDuration::ZERO, ops.len())?
             .into_iter()
+            .zip(ops)
             .enumerate()
-            .map(|(index, op)| {
-                let unit: f64 = rng.gen_range(1e-12..1.0);
-                at += SimDuration::from_secs_f64(-unit.ln() / load.ops_per_sec);
-                StoreRequest {
-                    client: ClientId(index as u32),
-                    op,
-                    arrival: at,
-                }
+            .map(|(index, (arrival, op))| StoreRequest {
+                client: ClientId(index as u32),
+                op,
+                arrival,
             })
             .collect();
         self.run_schedule(schedule)
@@ -697,22 +686,11 @@ impl ShardedStore {
         groups: Vec<Vec<ObjectKey>>,
         load: OpenLoop,
     ) -> Result<Vec<FanoutCompletion>, StoreError> {
-        if !load.ops_per_sec.is_finite() || load.ops_per_sec <= 0.0 {
-            return Err(StoreError::BadConfig(
-                "fan-out offered load must be positive and finite".into(),
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(load.seed);
-        let mut at = SimDuration::ZERO;
-        let group_count = groups.len();
+        let arrivals = load.arrivals(SimDuration::ZERO, groups.len())?;
         let mut streams: Vec<Vec<StoreRequest>> = vec![Vec::new(); self.shards.len()];
-        let mut arrivals = Vec::with_capacity(group_count);
         {
             let mut directory = self.directory.lock().expect(DIRECTORY_MSG);
-            for (group, keys) in groups.into_iter().enumerate() {
-                let unit: f64 = rng.gen_range(1e-12..1.0);
-                at += SimDuration::from_secs_f64(-unit.ln() / load.ops_per_sec);
-                arrivals.push(at);
+            for (group, (keys, &at)) in groups.into_iter().zip(&arrivals).enumerate() {
                 for key in keys {
                     let op = WorkloadOp::Get { key };
                     let shard = Self::route_request(&self.router, &mut directory, &op)?;
