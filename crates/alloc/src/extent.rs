@@ -91,7 +91,17 @@ impl ExtentListExt for [Extent] {
     }
 
     fn fragment_count(&self) -> usize {
-        self.coalesced().len()
+        // `coalesced().len()` without building the list: a fragment starts
+        // wherever a non-empty extent does not begin at its predecessor's end.
+        let mut count = 0;
+        let mut run_end = None;
+        for extent in self.iter().filter(|e| !e.is_empty()) {
+            if run_end != Some(extent.start) {
+                count += 1;
+            }
+            run_end = Some(extent.end());
+        }
+        count
     }
 
     fn coalesced(&self) -> Vec<Extent> {

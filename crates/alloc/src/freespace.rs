@@ -6,7 +6,10 @@
 //!   start offset (for coalescing and first-fit scans) and by length (for
 //!   best-fit / largest-run queries).  Memory is proportional to the number of
 //!   free runs, i.e. to fragmentation, not to volume size, so 400 GB volumes
-//!   are cheap to model.
+//!   are cheap to model.  Every substrate frees through its `release`, which
+//!   probes the offset index once each way and grows an adjacent predecessor
+//!   in place — an aged volume holds tens of thousands of runs between
+//!   checkpoints and releases a few per replaced object.
 //! * [`BitmapMap`] — a straightforward cluster bitmap used for small volumes
 //!   and, above all, as an oracle in property tests that cross-validate the
 //!   run-indexed structure.
@@ -256,41 +259,49 @@ impl FreeSpace for RunIndexMap {
             return Ok(());
         }
         self.check_bounds(extent)?;
-        // The released range must not intersect any existing free run.
-        if let Some((&prev_start, &prev_len)) = self.by_offset.range(..=extent.start).next_back() {
-            if prev_start + prev_len > extent.start {
-                return Err(AllocError::NotAllocated {
-                    start: extent.start,
-                    len: extent.len,
-                });
-            }
+        let not_allocated = AllocError::NotAllocated {
+            start: extent.start,
+            len: extent.len,
+        };
+        // One probe each way, every check before any mutation: the first
+        // free run at or after `start` must not begin inside the extent and
+        // the last one at or before `start` must not reach into it.  (A run
+        // beginning exactly at `start` is caught by the forward probe.)
+        let next = self
+            .by_offset
+            .range(extent.start..)
+            .next()
+            .map(|(&start, &len)| Extent::new(start, len));
+        if next.is_some_and(|run| run.start < extent.end()) {
+            return Err(not_allocated);
         }
-        if let Some((&next_start, _)) = self.by_offset.range(extent.start..).next() {
-            if next_start < extent.end() {
-                return Err(AllocError::NotAllocated {
-                    start: extent.start,
-                    len: extent.len,
-                });
-            }
-        }
+        let absorbed = next.filter(|run| run.start == extent.end());
+        let grown = extent.len + absorbed.map_or(0, |run| run.len);
 
-        // Coalesce with the predecessor and successor runs when adjacent.
-        let mut start = extent.start;
-        let mut len = extent.len;
-        if let Some((&prev_start, &prev_len)) = self.by_offset.range(..extent.start).next_back() {
-            if prev_start + prev_len == extent.start {
-                self.remove_run(prev_start, prev_len);
-                start = prev_start;
-                len += prev_len;
+        // An adjacent predecessor grows in place in the offset index; only
+        // its size-index entry is re-keyed.
+        let mut merged = None;
+        if let Some((&prev_start, prev_len)) = self.by_offset.range_mut(..=extent.start).next_back()
+        {
+            let prev_end = prev_start + *prev_len;
+            if prev_end > extent.start {
+                return Err(not_allocated);
+            }
+            if prev_end == extent.start {
+                merged = Some((prev_start, *prev_len));
+                *prev_len += grown;
             }
         }
-        if let Some((&next_start, &next_len)) = self.by_offset.range(extent.end()..).next() {
-            if next_start == extent.end() {
-                self.remove_run(next_start, next_len);
-                len += next_len;
-            }
+        if let Some(run) = absorbed {
+            self.remove_run(run.start, run.len);
         }
-        self.insert_run(start, len);
+        match merged {
+            Some((start, old_len)) => {
+                self.by_size.remove(&(old_len, start));
+                self.by_size.insert((old_len + grown, start));
+            }
+            None => self.insert_run(extent.start, grown),
+        }
         self.free += extent.len;
         Ok(())
     }

@@ -21,6 +21,10 @@
 //!    hold the entire request.
 //! 4. **Fragmentation** — otherwise the request is split across the largest
 //!    remaining runs, biggest first.
+//!
+//! [`RunCacheAllocator::allocate_into`] is that pipeline; it appends to a
+//! vector the caller owns, so a volume appending four write requests per
+//! object reuses one buffer instead of allocating one per request.
 
 use serde::{Deserialize, Serialize};
 
@@ -131,10 +135,17 @@ impl RunCacheAllocator {
     fn fragment_source(&self) -> Option<Extent> {
         self.map.largest().filter(|run| !run.is_empty())
     }
-}
 
-impl Allocator for RunCacheAllocator {
-    fn allocate(&mut self, request: &AllocRequest) -> Result<Vec<Extent>, AllocError> {
+    /// Allocates space for `request`, appending the extents to `out` — the
+    /// allocation routine ([`Allocator::allocate`] wraps it with a fresh
+    /// vector).  On failure every cluster reserved so far is released and
+    /// `out` is truncated back to the length it had on entry, so entries the
+    /// caller pushed earlier survive untouched.
+    pub fn allocate_into(
+        &mut self,
+        request: &AllocRequest,
+        out: &mut Vec<Extent>,
+    ) -> Result<(), AllocError> {
         if request.clusters == 0 {
             return Err(AllocError::EmptyRequest);
         }
@@ -153,10 +164,10 @@ impl Allocator for RunCacheAllocator {
             });
         }
 
-        let mut out: Vec<Extent> = Vec::new();
+        let base = out.len();
         let mut remaining = request.clusters;
         while remaining > 0 {
-            let candidate = if out.is_empty() {
+            let candidate = if out.len() == base {
                 request
                     .hint
                     .and_then(|hint| self.try_extension(hint, remaining))
@@ -170,9 +181,9 @@ impl Allocator for RunCacheAllocator {
                     .or_else(|| self.fragment_source())
             };
             let Some(run) = candidate.filter(|run| !run.is_empty()) else {
-                for extent in &out {
+                for extent in out.drain(base..) {
                     self.map
-                        .release(*extent)
+                        .release(extent)
                         .expect("rollback of freshly reserved extent");
                 }
                 return Err(AllocError::OutOfSpace {
@@ -185,6 +196,14 @@ impl Allocator for RunCacheAllocator {
             remaining -= take.len;
             out.push(take);
         }
+        Ok(())
+    }
+}
+
+impl Allocator for RunCacheAllocator {
+    fn allocate(&mut self, request: &AllocRequest) -> Result<Vec<Extent>, AllocError> {
+        let mut out = Vec::new();
+        self.allocate_into(request, &mut out)?;
         Ok(out)
     }
 

@@ -143,6 +143,24 @@ impl SelectableAllocator {
         }
     }
 
+    /// Foreground allocation appended to `out` — what a substrate's append
+    /// path calls once per write request with a buffer it reuses.  On
+    /// failure the map and `out` (entries the caller pushed earlier
+    /// included) are exactly as they were.
+    pub fn allocate_into(
+        &mut self,
+        request: &AllocRequest,
+        out: &mut Vec<Extent>,
+    ) -> Result<(), AllocError> {
+        match &mut self.inner {
+            SelectedAllocator::RunCache(inner) => inner.allocate_into(request, out),
+            SelectedAllocator::Fit(inner) => {
+                out.extend(inner.allocate(request)?);
+                Ok(())
+            }
+        }
+    }
+
     /// Maintenance allocation for the native run cache: carve the allowed
     /// runs directly off the free-space map (largest first) and pin them
     /// with [`RunCacheAllocator::reserve_exact`], which keeps the cache
@@ -275,6 +293,35 @@ mod tests {
             assert_eq!(allocator.free_space().free_clusters(), 900);
             allocator.free(&extents).unwrap();
             assert_eq!(allocator.free_runs(), vec![Extent::new(0, 1000)]);
+        }
+    }
+
+    #[test]
+    fn allocate_into_appends_and_leaves_no_trace_on_failure() {
+        for policy in AllocationPolicy::ALL {
+            let mut allocator = SelectableAllocator::new(policy, 100, RunCacheConfig::default());
+            allocator.reserve_exact(Extent::new(20, 40)).unwrap();
+            let earlier = Extent::new(7, 3);
+            let mut out = vec![earlier];
+
+            // 61 > 60 free clusters: refused, with the map and the caller's
+            // earlier entry exactly as they were.
+            let runs_before = allocator.free_runs();
+            let err = allocator
+                .allocate_into(&AllocRequest::best_effort(61), &mut out)
+                .unwrap_err();
+            assert!(matches!(err, AllocError::OutOfSpace { .. }), "{err:?}");
+            assert_eq!(out, vec![earlier], "{}", policy.name());
+            assert_eq!(allocator.free_runs(), runs_before, "{}", policy.name());
+
+            // All 60 fit only in two pieces; they land after the earlier entry.
+            allocator
+                .allocate_into(&AllocRequest::best_effort(60), &mut out)
+                .unwrap();
+            assert_eq!(out[0], earlier);
+            assert_eq!(out.len(), 3, "{}", policy.name());
+            assert_eq!(out[1].len + out[2].len, 60);
+            assert_eq!(allocator.free_clusters(), 0);
         }
     }
 

@@ -6,8 +6,8 @@
 //! exact accounting, full restoration after freeing everything).
 
 use lor_alloc::{
-    AllocRequest, Allocator, BitmapMap, Extent, ExtentListExt, FitPolicy, FragmentationSummary,
-    FreeSpace, PolicyAllocator, RunCacheAllocator, RunIndexMap,
+    AllocError, AllocRequest, Allocator, BitmapMap, Extent, ExtentListExt, FitPolicy,
+    FragmentationSummary, FreeSpace, PolicyAllocator, RunCacheAllocator, RunIndexMap,
 };
 use proptest::prelude::*;
 
@@ -69,6 +69,70 @@ proptest! {
         }
         prop_assert!(runs.iter().all(|r| !r.is_empty()));
         prop_assert_eq!(runs.iter().map(|r| r.len).sum::<u64>(), map.free_clusters());
+    }
+
+    /// Freeing the tiles of a fully allocated map in random order meets all
+    /// four coalescing cases of `release` (no free neighbour, the left one,
+    /// the right one, both).  After each, both of the run map's indexes agree
+    /// with the bitmap oracle, and a double free or a free reaching past
+    /// either edge of the tile is `NotAllocated` and leaves no trace.
+    #[test]
+    fn release_coalesces_like_the_bitmap_and_rejects_bad_frees(
+        tiles in prop::collection::vec((1u64..48, any::<u64>()), 48..64)
+    ) {
+        let mut order: Vec<(u64, Extent)> = Vec::new();
+        let mut total = 0;
+        for (len, key) in tiles {
+            order.push((key, Extent::new(total, len)));
+            total += len;
+        }
+        order.sort_unstable_by_key(|(key, _)| *key);
+
+        let mut runs = RunIndexMap::new_allocated(total);
+        let mut bitmap = BitmapMap::new_allocated(total);
+        let mut cases_met = [false; 4];
+        for (_, tile) in order {
+            let left = tile.start > 0 && bitmap.is_free(Extent::new(tile.start - 1, 1));
+            let right = tile.end() < total && bitmap.is_free(Extent::new(tile.end(), 1));
+            cases_met[usize::from(left) + 2 * usize::from(right)] = true;
+            runs.release(tile).unwrap();
+            bitmap.release(tile).unwrap();
+
+            let expected = bitmap.free_runs();
+            let mut lens: Vec<u64> = expected.iter().map(|run| run.len).collect();
+            lens.sort_unstable_by(|a, b| b.cmp(a));
+            for bad in [
+                tile,
+                Extent::new(tile.start.saturating_sub(1), tile.len + 1),
+                Extent::new(tile.start, (tile.len + 1).min(total - tile.start)),
+                Extent::new(tile.end() - 1, 1),
+            ] {
+                let not_allocated = AllocError::NotAllocated {
+                    start: bad.start,
+                    len: bad.len,
+                };
+                prop_assert_eq!(runs.release(bad), Err(not_allocated));
+                prop_assert!(bitmap.release(bad).is_err());
+                prop_assert_eq!(runs.free_runs(), expected.clone());
+                prop_assert_eq!(runs.run_lens_desc().collect::<Vec<_>>(), lens.clone());
+                prop_assert_eq!(runs.free_clusters(), bitmap.free_clusters());
+            }
+        }
+        prop_assert_eq!(cases_met, [true; 4]);
+        prop_assert_eq!(runs.free_runs(), vec![Extent::new(0, total)]);
+    }
+
+    /// Counting fragments agrees with building the coalesced list, empty
+    /// extents and accidental adjacency included.
+    #[test]
+    fn fragment_count_matches_the_coalesced_list(
+        extents in prop::collection::vec((0u64..64, 0u64..4), 0..40)
+    ) {
+        let extents: Vec<Extent> = extents
+            .into_iter()
+            .map(|(start, len)| Extent::new(start, len))
+            .collect();
+        prop_assert_eq!(extents.fragment_count(), extents.coalesced().len());
     }
 }
 

@@ -152,10 +152,10 @@ impl Substrate for FsSubstrate {
     }
 
     fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
-        let id = self.volume.lookup(key)?;
+        let record = self.volume.file(self.volume.lookup(key)?)?;
         Ok(ReadPlan {
-            runs: self.volume.read_plan(id)?,
-            payload_bytes: self.volume.file(id)?.size_bytes,
+            runs: record.byte_runs(self.volume.cluster_size()),
+            payload_bytes: record.size_bytes,
             units: 0,
         })
     }

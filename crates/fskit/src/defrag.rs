@@ -186,6 +186,7 @@ impl Defragmenter {
                 report.fragments_after += fragments as u64;
             }
         }
+        volume.debug_verify();
         Ok(report)
     }
 
@@ -255,6 +256,7 @@ impl Defragmenter {
                 break;
             }
         }
+        volume.debug_verify();
         Ok(report)
     }
 }
@@ -506,7 +508,7 @@ mod tests {
             let start = run.start.max(boundary);
             if run.end() > start {
                 let pin = Extent::new(start, run.end() - start);
-                volume.allocator_mut().reserve_exact(pin).unwrap();
+                volume.pin(pin).unwrap();
             }
         }
         assert_eq!(volume.free_space().largest_run_in(boundary, total), None);

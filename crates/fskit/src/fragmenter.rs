@@ -28,8 +28,8 @@ pub struct ShatterReport {
 /// by pinned runs of `pin_clusters` clusters.
 ///
 /// The pinned runs model unmovable data (system files, already-placed
-/// objects); they are allocated directly from the free-space map and never
-/// released.  Only currently free space is affected — live files are not
+/// objects); they are taken directly from the free-space map, join the
+/// volume's reserved set beside the MFT zone, and are never released.  Only currently free space is affected — live files are not
 /// touched — so this can be applied to an empty volume to create a
 /// pathological starting state, or to an aged volume to make matters worse.
 pub fn shatter(
@@ -43,7 +43,7 @@ pub fn shatter(
         ));
     }
     // Work over a snapshot of the free runs; pinning mutates the map.
-    let free_runs: Vec<Extent> = volume.allocator_mut().free_space().free_runs();
+    let free_runs: Vec<Extent> = volume.free_space().free_runs();
     let mut pinned = 0u64;
     let mut holes = 0u64;
     let period = hole_clusters + pin_clusters;
@@ -52,9 +52,7 @@ pub fn shatter(
         // and repeat across the run.
         let mut offset = run.start + hole_clusters;
         while offset + pin_clusters <= run.end() {
-            volume
-                .allocator_mut()
-                .reserve_exact(Extent::new(offset, pin_clusters))?;
+            volume.pin(Extent::new(offset, pin_clusters))?;
             pinned += pin_clusters;
             holes += 1;
             offset += period;

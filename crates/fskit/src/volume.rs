@@ -18,18 +18,33 @@
 //!   allocation would otherwise fail).
 //! * A small **MFT zone** is reserved for metadata so file data never starts
 //!   at cluster zero, mirroring NTFS's banded metadata allocation.
+//! * A **safe write** creates its temporary file *unnamed*, appends to it,
+//!   and commits by swapping the target's id in the name map in place; the
+//!   old record's name moves to the new one.  A replace costs one look-up
+//!   before any data is written (a missing target fails early) and one at
+//!   commit, formats no name, and cannot collide with a user's file.
+//!
+//! The hot path is sized for long aging runs (`EXPERIMENTS.md`, "Host cost of
+//! the NTFS-like volume"): an append borrows its file record once, allocates
+//! into a buffer the volume reuses, and settles the trackers from the counts
+//! it already holds; a checkpoint hands the whole pending queue to the
+//! allocator in one call.  [`Volume::verify`] checks the structural
+//! invariants on the type, and debug builds run it after every checkpoint,
+//! defragmentation step and failed batch.
 //!
 //! The volume also implements the interface extension the paper proposes
 //! (Section 6): [`Volume::write_file_preallocated`] passes the final object
 //! size to the allocator up front, letting experiments quantify how much
 //! fragmentation that change removes.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use lor_alloc::{
     AllocError, AllocRequest, AllocationPolicy, Allocator, BandOccupancy, CountMultiset, Extent,
-    FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport, PlacementConsumer,
-    PlacementPolicy, RunCacheConfig, SelectableAllocator,
+    ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport,
+    PlacementConsumer, PlacementPolicy, RunCacheConfig, SelectableAllocator,
 };
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
@@ -163,18 +178,91 @@ pub struct WriteReceipt {
     pub bytes_written: u64,
 }
 
+/// Cluster ownership below the file table: the allocator, and the queue of
+/// extents deletions freed that the log has not yet committed.  Kept apart
+/// from the file table so an append can hold its file record while it
+/// allocates — and, under allocation pressure, checkpoints.
+#[derive(Debug, Clone)]
+struct Space {
+    allocator: SelectableAllocator,
+    /// Extents freed by deletions that have not yet been checkpointed; they
+    /// are unusable until [`Volume::checkpoint`] runs.
+    pending_free: Vec<Extent>,
+    /// Clusters in `pending_free`, kept beside the queue because the
+    /// maintenance scheduler reads it every tick.
+    pending_clusters: u64,
+    ops_since_checkpoint: u64,
+}
+
+impl Space {
+    /// Queues a deleted file's extents until the next checkpoint.
+    fn defer(&mut self, extents: Vec<Extent>) {
+        self.pending_clusters += extents.total_clusters();
+        self.pending_free.extend(extents);
+    }
+
+    /// The log commit: every queued extent becomes reusable.
+    fn checkpoint(&mut self, stats: &mut VolumeStats) {
+        self.ops_since_checkpoint = 0;
+        if self.pending_free.is_empty() {
+            return;
+        }
+        // The queue only ever receives the extent maps of deleted files,
+        // each exactly once, so none of it can already be free.
+        self.allocator
+            .free(&self.pending_free)
+            .expect("pending extents were allocated and are freed exactly once");
+        self.pending_free.clear();
+        self.pending_clusters = 0;
+        stats.checkpoints += 1;
+    }
+
+    /// Allocates into `out`, retrying once after a forced checkpoint if the
+    /// volume is under allocation pressure (the log flush NTFS would
+    /// perform).  On failure `out` is as it was.
+    fn allocate_into(
+        &mut self,
+        request: &AllocRequest,
+        out: &mut Vec<Extent>,
+        stats: &mut VolumeStats,
+    ) -> Result<(), FsError> {
+        match self.allocator.allocate_into(request, out) {
+            Err(AllocError::OutOfSpace { .. }) if !self.pending_free.is_empty() => {
+                stats.forced_checkpoints += 1;
+                self.checkpoint(stats);
+                Ok(self.allocator.allocate_into(request, out)?)
+            }
+            other => Ok(other?),
+        }
+    }
+}
+
+/// One in-flight replacement of a [`Volume::safe_write_batch`].
+struct Staged {
+    temp_id: FileId,
+    size: u64,
+    written: u64,
+    runs: Vec<ByteRun>,
+}
+
 /// An NTFS-like volume.
 #[derive(Debug, Clone)]
 pub struct Volume {
     config: VolumeConfig,
-    allocator: SelectableAllocator,
+    space: Space,
     files: BTreeMap<FileId, FileRecord>,
-    names: BTreeMap<String, FileId>,
+    /// Name → id of every named file.  Hashed with a fixed state: nothing
+    /// observable iterates it (listings walk `files`, in id order), so runs
+    /// stay deterministic, and names come from the simulation's own
+    /// workloads, never from an adversary.
+    names: HashMap<String, FileId, BuildHasherDefault<DefaultHasher>>,
     next_id: u64,
-    /// Extents freed by deletions that have not yet been checkpointed; they
-    /// are unusable until [`Volume::checkpoint`] runs.
-    pending_free: Vec<Extent>,
-    ops_since_checkpoint: u64,
+    /// Unnamed temporaries of safe writes in flight (zero between
+    /// operations).
+    in_flight: u64,
+    /// Clusters no file owns and no free run covers: the MFT zone plus
+    /// whatever [`Volume::pin`] took.
+    reserved_clusters: u64,
     stats: VolumeStats,
     /// Incremental per-file fragment-count accounting: updated at every
     /// layout mutation so [`Volume::fragmentation`] is O(1) in the file
@@ -184,36 +272,41 @@ pub struct Volume {
     /// watermark (largest live allocation) is an O(1) max query instead of a
     /// full scan per defragmented file.
     alloc_tracker: CountMultiset,
+    /// The extents of the append or trim in progress, reused across calls.
+    scratch: Vec<Extent>,
 }
 
 impl Volume {
     /// Formats a new volume.
     pub fn format(config: VolumeConfig) -> Result<Self, FsError> {
         config.validate()?;
-        let mut allocator = SelectableAllocator::with_placement(
+        let allocator = SelectableAllocator::with_placement(
             config.allocation_policy,
             config.total_clusters(),
             config.run_cache,
             config.placement,
         );
         let mft = config.mft_clusters();
-        if mft > 0 {
-            allocator
-                .reserve_exact(Extent::new(0, mft))
-                .map_err(FsError::from)?;
-        }
-        Ok(Volume {
+        let mut volume = Volume {
             config,
-            allocator,
+            space: Space {
+                allocator,
+                pending_free: Vec::new(),
+                pending_clusters: 0,
+                ops_since_checkpoint: 0,
+            },
             files: BTreeMap::new(),
-            names: BTreeMap::new(),
+            names: HashMap::default(),
             next_id: 1,
-            pending_free: Vec::new(),
-            ops_since_checkpoint: 0,
+            in_flight: 0,
+            reserved_clusters: 0,
             stats: VolumeStats::default(),
             frag_tracker: FragmentationTracker::new(),
             alloc_tracker: CountMultiset::new(),
-        })
+            scratch: Vec::new(),
+        };
+        volume.pin(Extent::new(0, mft))?;
+        Ok(volume)
     }
 
     /// The volume configuration.
@@ -229,12 +322,13 @@ impl Volume {
     /// Bytes currently free for file data.  Space pending checkpoint counts as
     /// free capacity (it exists) even though it is not yet reusable.
     pub fn free_bytes(&self) -> u64 {
-        (self.allocator.free_clusters() + self.pending_clusters()) * self.config.cluster_size
+        (self.space.allocator.free_clusters() + self.space.pending_clusters)
+            * self.config.cluster_size
     }
 
     /// Clusters held in the pending-free queue.
     pub fn pending_clusters(&self) -> u64 {
-        self.pending_free.iter().map(|e| e.len).sum()
+        self.space.pending_clusters
     }
 
     /// Accumulated statistics.
@@ -270,19 +364,31 @@ impl Volume {
         if name.is_empty() {
             return Err(FsError::InvalidName(name.to_string()));
         }
-        if self.names.contains_key(name) {
+        let Entry::Vacant(slot) = self.names.entry(name.to_string()) else {
             return Err(FsError::NameExists(name.to_string()));
-        }
+        };
+        slot.insert(FileId(self.next_id));
+        Ok(self.new_record(name))
+    }
+
+    /// Adds an empty record under the next id.  It counts as an object with
+    /// zero fragments and zero allocated clusters.
+    fn new_record(&mut self, name: &str) -> FileId {
         let id = FileId(self.next_id);
         self.next_id += 1;
         self.files.insert(id, FileRecord::new(id, name));
-        self.names.insert(name.to_string(), id);
         self.stats.files_created += 1;
-        // An empty file counts as an object with zero fragments and zero
-        // allocated clusters.
         self.frag_tracker.record_insert(0);
         self.alloc_tracker.insert(0);
-        Ok(id)
+        id
+    }
+
+    /// Creates the temporary file of a safe write.  It carries no name — it
+    /// inherits its target's at commit — so it can collide with no file and
+    /// the name map is not touched.
+    fn stage(&mut self) -> FileId {
+        self.in_flight += 1;
+        self.new_record("")
     }
 
     /// Appends `bytes` bytes to a file, allocating clusters as needed.
@@ -291,72 +397,72 @@ impl Volume {
     /// one write request hitting the filesystem, which must allocate without
     /// knowing how much more data will follow.
     pub fn append(&mut self, id: FileId, bytes: u64) -> Result<Vec<ByteRun>, FsError> {
-        if bytes == 0 {
-            return Ok(Vec::new());
-        }
-        let (needed, hint, write_offset) = {
-            let record = self.files.get(&id).ok_or(FsError::NoSuchFile(id.0))?;
-            let allocated = record.allocated_clusters();
-            let allocated_bytes = allocated * self.config.cluster_size;
-            let new_size = record.size_bytes + bytes;
-            let needed_bytes = new_size.saturating_sub(allocated_bytes);
-            let needed = needed_bytes.div_ceil(self.config.cluster_size);
-            (needed, record.extension_hint(), record.size_bytes)
-        };
+        let mut runs = Vec::new();
+        self.append_into(id, bytes, &mut runs)?;
+        Ok(runs)
+    }
 
-        let mut new_extents = Vec::new();
+    /// [`Volume::append`], pushing the byte runs written onto `runs`.
+    fn append_into(
+        &mut self,
+        id: FileId,
+        bytes: u64,
+        runs: &mut Vec<ByteRun>,
+    ) -> Result<(), FsError> {
+        if bytes == 0 {
+            return Ok(());
+        }
+        let cluster_size = self.config.cluster_size;
+        let cap = self.config.preallocation_cap_clusters;
+        let record = self.files.get_mut(&id).ok_or(FsError::NoSuchFile(id.0))?;
+        let old_fragments = record.fragment_count() as u64;
+        let allocated = record.allocated_clusters();
+        let write_offset = record.size_bytes;
+        let new_size = write_offset + bytes;
+        let needed = new_size
+            .saturating_sub(allocated * cluster_size)
+            .div_ceil(cluster_size);
+
+        let new_extents = &mut self.scratch;
+        new_extents.clear();
         if needed > 0 {
             // Speculative preallocation for sequentially growing files: double
             // the allocation (bounded) so that one writer's file stays in a
             // few large extents even when other writes are in flight.  The
             // excess is trimmed when the file is closed.  If the volume cannot
             // satisfy the speculative request, fall back to the exact need.
-            let allocated = self
-                .files
-                .get(&id)
-                .expect("checked above")
-                .allocated_clusters();
-            let speculative = if self.config.preallocation_cap_clusters > 0 {
-                needed.max(allocated.min(self.config.preallocation_cap_clusters))
+            let speculative = if cap > 0 {
+                needed.max(allocated.min(cap))
             } else {
                 needed
             };
             let mut request = AllocRequest::best_effort(speculative);
-            if let Some(hint) = hint {
-                request = request.with_hint(hint);
-            }
-            new_extents = match self.allocate_with_pressure(&request) {
-                Ok(extents) => extents,
+            request.hint = record.extension_hint();
+            let stats = &mut self.stats;
+            match self.space.allocate_into(&request, new_extents, stats) {
                 Err(_) if speculative > needed => {
-                    let mut fallback = AllocRequest::best_effort(needed);
-                    if let Some(hint) = hint {
-                        fallback = fallback.with_hint(hint);
-                    }
-                    self.allocate_with_pressure(&fallback)?
+                    request.clusters = needed;
+                    self.space.allocate_into(&request, new_extents, stats)?;
                 }
-                Err(err) => return Err(err),
-            };
+                outcome => outcome?,
+            }
             self.stats.allocation_events += 1;
         }
 
-        self.with_layout(id, |record| {
-            record.push_extents(&new_extents);
-            record.size_bytes += bytes;
-        })?;
+        record.push_extents(new_extents);
+        record.size_bytes = new_size;
+        self.frag_tracker
+            .record_replace(old_fragments, record.fragment_count() as u64);
+        self.alloc_tracker
+            .replace(allocated, allocated + new_extents.total_clusters());
         self.stats.appends += 1;
         self.stats.bytes_written += bytes;
 
-        // Report the byte runs this append physically wrote: the region from
-        // the old end-of-file to the new end-of-file, walked over the extent
-        // map.  (Recomputing from the updated record keeps partially-filled
-        // final clusters correct.)
-        let record = self.files.get(&id).expect("checked above");
-        Ok(Self::runs_for_range(
-            record,
-            self.config.cluster_size,
-            write_offset,
-            bytes,
-        ))
+        // The byte runs this append physically wrote: the region from the old
+        // end-of-file to the new one, walked over the updated extent map so
+        // partially-filled final clusters come out right.
+        Self::runs_for_range(record, cluster_size, write_offset, bytes, runs);
+        Ok(())
     }
 
     /// Creates a file and writes `size_bytes` of data in `write_request_size`
@@ -384,7 +490,10 @@ impl Volume {
         let id = self.create(name)?;
         let clusters = size_bytes.div_ceil(self.config.cluster_size);
         if clusters > 0 {
-            let extents = self.allocate_with_pressure(&AllocRequest::best_effort(clusters))?;
+            let mut extents = Vec::new();
+            let request = AllocRequest::best_effort(clusters);
+            self.space
+                .allocate_into(&request, &mut extents, &mut self.stats)?;
             self.stats.allocation_events += 1;
             self.with_layout(id, |record| record.push_extents(&extents))?;
         }
@@ -412,11 +521,13 @@ impl Volume {
         size_bytes: u64,
     ) -> Result<WriteReceipt, FsError> {
         let id = self.create(name)?;
-        let clusters = size_bytes.div_ceil(self.config.cluster_size);
+        let cluster_size = self.config.cluster_size;
+        let clusters = size_bytes.div_ceil(cluster_size);
+        let mut runs = Vec::new();
         if clusters > 0 {
             let watermark = self.foreground_watermark();
             let request = AllocRequest::best_effort(clusters);
-            let extents = match self.allocator.allocate_as(
+            let extents = match self.space.allocator.allocate_as(
                 &request,
                 PlacementConsumer::Maintenance {
                     foreground_watermark: watermark,
@@ -432,11 +543,10 @@ impl Volume {
             self.with_layout(id, |record| {
                 record.push_extents(&extents);
                 record.size_bytes = size_bytes;
+                Self::runs_for_range(record, cluster_size, 0, size_bytes, &mut runs);
             })?;
         }
         self.stats.bytes_written += size_bytes;
-        let record = self.files.get(&id).expect("just created");
-        let runs = Self::runs_for_range(record, self.config.cluster_size, 0, size_bytes);
         self.bump_op();
         Ok(WriteReceipt {
             file_id: id,
@@ -458,7 +568,7 @@ impl Volume {
         let mut written = 0;
         while written < size_bytes {
             let this = chunk.min(size_bytes - written);
-            runs.extend(self.append(id, this)?);
+            self.append_into(id, this, &mut runs)?;
             written += this;
         }
         self.trim_excess(id)?;
@@ -472,46 +582,64 @@ impl Volume {
     /// Releases clusters allocated beyond the file's logical size (undoing
     /// speculative preallocation when the file is closed).
     fn trim_excess(&mut self, id: FileId) -> Result<(), FsError> {
-        let cluster_size = self.config.cluster_size;
-        let mut to_release: Vec<Extent> = Vec::new();
-        self.with_layout(id, |record| {
-            let needed = record.size_bytes.div_ceil(cluster_size);
-            let mut excess = record.allocated_clusters().saturating_sub(needed);
-            while excess > 0 {
-                let last = record
-                    .extents
-                    .last_mut()
-                    .expect("excess implies extents exist");
-                if last.len <= excess {
-                    excess -= last.len;
-                    to_release.push(*last);
-                    record.extents.pop();
-                } else {
-                    last.len -= excess;
-                    to_release.push(Extent::new(last.end(), excess));
-                    excess = 0;
-                }
-            }
-        })?;
-        for extent in to_release {
-            // Preallocated clusters never held committed data, so they return
-            // to the free pool immediately rather than via the pending queue.
-            self.allocator.free(&[extent]).map_err(FsError::from)?;
+        let record = self.files.get_mut(&id).ok_or(FsError::NoSuchFile(id.0))?;
+        let needed = record.size_bytes.div_ceil(self.config.cluster_size);
+        let allocated = record.allocated_clusters();
+        if allocated <= needed {
+            return Ok(());
         }
-        Ok(())
+        let old_fragments = record.fragment_count() as u64;
+        let released = &mut self.scratch;
+        released.clear();
+        let mut excess = allocated - needed;
+        while excess > 0 {
+            // `excess` never exceeds what the remaining extents hold, so the
+            // map cannot run dry first.
+            let last = record
+                .extents
+                .last_mut()
+                .expect("excess clusters lie in the extent map");
+            if last.len <= excess {
+                excess -= last.len;
+                released.push(*last);
+                record.extents.pop();
+            } else {
+                last.len -= excess;
+                released.push(Extent::new(last.end(), excess));
+                excess = 0;
+            }
+        }
+        self.frag_tracker
+            .record_replace(old_fragments, record.fragment_count() as u64);
+        self.alloc_tracker.replace(allocated, needed);
+        // Preallocated clusters never held committed data, so they return to
+        // the free pool immediately rather than via the pending queue.
+        Ok(self.space.allocator.free(released)?)
     }
 
     /// Deletes a file.  Its space goes onto the pending-free queue and becomes
     /// reusable at the next checkpoint.
     pub fn delete(&mut self, id: FileId) -> Result<(), FsError> {
         let record = self.files.remove(&id).ok_or(FsError::NoSuchFile(id.0))?;
-        self.untrack(&record);
-        self.names.remove(&record.name);
-        self.stats.files_deleted += 1;
-        self.stats.bytes_deleted += record.size_bytes;
-        self.pending_free.extend(record.extents);
+        if record.name.is_empty() {
+            self.in_flight -= 1;
+        } else {
+            self.names.remove(&record.name);
+        }
+        self.retire(record);
         self.bump_op();
         Ok(())
+    }
+
+    /// Accounts for a record just removed from the file table and queues its
+    /// clusters for the next checkpoint.
+    fn retire(&mut self, record: FileRecord) {
+        self.frag_tracker
+            .record_remove(record.fragment_count() as u64);
+        self.alloc_tracker.remove(record.allocated_clusters());
+        self.stats.files_deleted += 1;
+        self.stats.bytes_deleted += record.size_bytes;
+        self.space.defer(record.extents);
     }
 
     /// Deletes a file by name.
@@ -530,39 +658,46 @@ impl Volume {
         size_bytes: u64,
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
-        let old_id = self.lookup(name)?;
-        let temp_name = format!("~tmp.{}.{}", self.next_id, name);
-        let temp_id = self.create(&temp_name)?;
-        let receipt = match self.fill(temp_id, size_bytes, write_request_size) {
-            Ok(receipt) => receipt,
+        self.lookup(name)?;
+        let temp_id = self.stage();
+        match self.fill(temp_id, size_bytes, write_request_size) {
+            Ok(receipt) => {
+                self.commit_replace(name, temp_id);
+                Ok(receipt)
+            }
             Err(err) => {
                 // Clean up the partially written temporary file.
                 let _ = self.delete(temp_id);
-                return Err(err);
+                Err(err)
             }
-        };
+        }
+    }
 
-        // ReplaceFile(): the old file is deleted and the temporary file takes
-        // over its name.  Both copies coexisted until this point, which is
-        // what makes safe writes churn free space.
-        let old = self.files.remove(&old_id).expect("old file exists");
-        self.untrack(&old);
-        self.names.remove(&old.name);
-        self.stats.files_deleted += 1;
-        self.stats.bytes_deleted += old.size_bytes;
-        self.pending_free.extend(old.extents);
-
-        self.names.remove(&temp_name);
-        let record = self.files.get_mut(&temp_id).expect("temp file exists");
-        record.name = name.to_string();
-        self.names.insert(name.to_string(), temp_id);
-
+    /// ReplaceFile(): the file holding `name` is deleted and the temporary
+    /// takes over its name.  Both copies coexisted until this point, which is
+    /// what makes safe writes churn free space.
+    fn commit_replace(&mut self, name: &str, temp_id: FileId) {
+        // The caller resolved `name` before staging and no file can have
+        // been deleted since; the name map points only at live records
+        // (`Volume::verify`); a temporary dies only on the abort path.
+        let slot = self
+            .names
+            .get_mut(name)
+            .expect("replace target was resolved at staging");
+        let old_id = std::mem::replace(slot, temp_id);
+        let mut old = self
+            .files
+            .remove(&old_id)
+            .expect("name map points at a live record");
+        let temp = self
+            .files
+            .get_mut(&temp_id)
+            .expect("staged temporary lives until commit");
+        temp.name = std::mem::take(&mut old.name);
+        self.in_flight -= 1;
+        self.retire(old);
         self.stats.safe_writes += 1;
         self.bump_op();
-        Ok(WriteReceipt {
-            file_id: temp_id,
-            ..receipt
-        })
     }
 
     /// Atomically replaces several objects whose writes are in flight at the
@@ -579,99 +714,68 @@ impl Volume {
         items: &[(&str, u64)],
         write_request_size: u64,
     ) -> Result<Vec<WriteReceipt>, FsError> {
-        let chunk = write_request_size.max(1);
-        // Validate and create every temporary file first.  Any failure before
-        // the commit loop must delete the temporaries already created, or
-        // their names and clusters would be stranded forever.
-        let mut staged: Vec<(FileId, FileId, u64, Vec<ByteRun>, u64)> =
-            Vec::with_capacity(items.len());
-        for (name, size) in items {
-            let staging = self.lookup(name).and_then(|old_id| {
-                let temp_name = format!("~tmp.{}.{}", self.next_id, name);
-                Ok((old_id, self.create(&temp_name)?))
-            });
-            match staging {
-                Ok((old_id, temp_id)) => staged.push((old_id, temp_id, *size, Vec::new(), 0)),
-                Err(err) => {
-                    self.abort_batch(&staged);
-                    return Err(err);
-                }
+        let mut staged = Vec::with_capacity(items.len());
+        if let Err(err) = self.write_staged(items, write_request_size.max(1), &mut staged) {
+            // Delete the temporaries created so far, or their clusters would
+            // be stranded forever.  The targets were never touched.
+            for temp in &staged {
+                let _ = self.delete(temp.temp_id);
             }
+            self.debug_verify();
+            return Err(err);
         }
-
-        // Round-robin the write requests across the in-flight temporaries.
-        let mut pending = true;
-        while pending {
-            pending = false;
-            let mut failure = None;
-            for (_, temp_id, size, runs, written) in staged.iter_mut() {
-                if *written < *size {
-                    let this = chunk.min(*size - *written);
-                    match self.append(*temp_id, this) {
-                        Ok(new_runs) => runs.extend(new_runs),
-                        Err(err) => {
-                            failure = Some(err);
-                            break;
-                        }
-                    }
-                    *written += this;
-                    if *written < *size {
-                        pending = true;
-                    }
-                }
-            }
-            if let Some(err) = failure {
-                self.abort_batch(&staged);
-                return Err(err);
-            }
-        }
-
-        // Close every temporary file (trimming preallocation), then commit
-        // each replacement (ReplaceFile per object).
-        for (_, temp_id, _, _, _) in &staged {
-            if let Err(err) = self.trim_excess(*temp_id) {
-                self.abort_batch(&staged);
-                return Err(err);
-            }
-        }
+        // Commit each replacement (ReplaceFile per object).  Each replaces
+        // whatever holds the name *now*: when one batch names the same target
+        // twice, that is the previous item's just-committed temporary, so the
+        // batch degenerates to sequential replacement (last writer wins) —
+        // the same semantics `update_batch` has.
         let mut receipts = Vec::with_capacity(staged.len());
-        for ((name, _), (_, temp_id, size, runs, _)) in items.iter().zip(staged) {
-            // Replace whatever holds the name *now*: when one batch names the
-            // same target twice, that is the previous item's just-committed
-            // temporary, so the batch degenerates to sequential replacement
-            // (last writer wins) — the same semantics `update_batch` has.
-            let old_id = self.names[*name];
-            let old = self.files.remove(&old_id).expect("old file exists");
-            self.untrack(&old);
-            self.names.remove(&old.name);
-            self.stats.files_deleted += 1;
-            self.stats.bytes_deleted += old.size_bytes;
-            self.pending_free.extend(old.extents);
-
-            let temp_name = self.files.get(&temp_id).expect("temp exists").name.clone();
-            self.names.remove(&temp_name);
-            let record = self.files.get_mut(&temp_id).expect("temp file exists");
-            record.name = name.to_string();
-            self.names.insert(name.to_string(), temp_id);
-
-            self.stats.safe_writes += 1;
-            self.bump_op();
+        for ((name, _), temp) in items.iter().zip(staged) {
+            self.commit_replace(name, temp.temp_id);
             receipts.push(WriteReceipt {
-                file_id: temp_id,
-                runs,
-                bytes_written: size,
+                file_id: temp.temp_id,
+                runs: temp.runs,
+                bytes_written: temp.size,
             });
         }
         Ok(receipts)
     }
 
-    /// Deletes the temporary files of a failed [`Volume::safe_write_batch`],
-    /// releasing their names and (via the pending queue) their clusters.  The
-    /// target objects themselves were never touched.
-    fn abort_batch(&mut self, staged: &[(FileId, FileId, u64, Vec<ByteRun>, u64)]) {
-        for (_, temp_id, _, _, _) in staged {
-            let _ = self.delete(*temp_id);
+    /// Everything of a batch before its commits: validates every target and
+    /// creates its temporary, round-robins the write requests across the
+    /// in-flight temporaries, then closes them (trimming preallocation).
+    /// `staged` holds the temporaries created, also when this fails.
+    fn write_staged(
+        &mut self,
+        items: &[(&str, u64)],
+        chunk: u64,
+        staged: &mut Vec<Staged>,
+    ) -> Result<(), FsError> {
+        for (name, size) in items {
+            self.lookup(name)?;
+            staged.push(Staged {
+                temp_id: self.stage(),
+                size: *size,
+                written: 0,
+                runs: Vec::new(),
+            });
         }
+        let mut pending = true;
+        while pending {
+            pending = false;
+            for temp in staged.iter_mut() {
+                if temp.written < temp.size {
+                    let this = chunk.min(temp.size - temp.written);
+                    self.append_into(temp.temp_id, this, &mut temp.runs)?;
+                    temp.written += this;
+                    pending |= temp.written < temp.size;
+                }
+            }
+        }
+        for temp in staged.iter() {
+            self.trim_excess(temp.temp_id)?;
+        }
+        Ok(())
     }
 
     /// The byte runs a full sequential read of the file touches.
@@ -681,18 +785,8 @@ impl Volume {
 
     /// Makes all pending-deleted space reusable (models the NTFS log commit).
     pub fn checkpoint(&mut self) {
-        if self.pending_free.is_empty() {
-            self.ops_since_checkpoint = 0;
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending_free);
-        for extent in pending {
-            self.allocator
-                .free(&[extent])
-                .expect("pending extents were allocated and are freed exactly once");
-        }
-        self.ops_since_checkpoint = 0;
-        self.stats.checkpoints += 1;
+        self.space.checkpoint(&mut self.stats);
+        self.debug_verify();
     }
 
     /// Per-object fragment counts (the paper's headline metric).
@@ -712,7 +806,7 @@ impl Volume {
 
     /// Free-space shape report.
     pub fn free_space_report(&self) -> FreeSpaceReport {
-        FreeSpaceReport::from_free_space(self.allocator.free_space())
+        FreeSpaceReport::from_free_space(self.free_space())
     }
 
     /// Occupancy of the placement bands over the volume's clusters — the
@@ -720,7 +814,7 @@ impl Volume {
     /// band?".  Under [`PlacementPolicy::Unrestricted`] the whole volume is
     /// the foreground band.
     pub fn band_occupancy(&self) -> BandOccupancy {
-        let map = self.allocator.free_space();
+        let map = self.free_space();
         let total = map.total_clusters();
         let boundary = self.config.placement.boundary_cluster(total);
         BandOccupancy::from_runs(total, boundary, &map.free_runs())
@@ -730,7 +824,7 @@ impl Volume {
     /// instrumentation (the proptests measure the foreground band's largest
     /// free run across defragmentation steps).
     pub fn free_space(&self) -> &lor_alloc::RunIndexMap {
-        self.allocator.free_space()
+        self.space.allocator.free_space()
     }
 
     /// The placement policy in effect.
@@ -747,10 +841,120 @@ impl Volume {
         self.alloc_tracker.max().unwrap_or(0)
     }
 
-    /// Direct (reserve-exact) access to the allocator for test fixtures such
-    /// as the pathological fragmenter.
+    /// Checks the volume's structural invariants, naming the first one
+    /// violated:
+    ///
+    /// * every cluster has exactly one owner — a file, the pending-free
+    ///   queue, a free run, or the reserved set (MFT zone and pins) — and
+    ///   the pending counter equals the queue's sum;
+    /// * the fragmentation and allocation trackers answer what a rescan of
+    ///   every file would;
+    /// * the name map and the named records are the same set, and the only
+    ///   unnamed records are the temporaries of a safe write in flight.
+    ///
+    /// O(extents · log extents); debug builds run it after every checkpoint,
+    /// defragmentation step or pass, and failed batch.
+    pub fn verify(&self) -> Result<(), String> {
+        let queued = self.space.pending_free.total_clusters();
+        if queued != self.space.pending_clusters {
+            return Err(format!(
+                "pending counter {} but the queue holds {queued} clusters",
+                self.space.pending_clusters
+            ));
+        }
+        let live: u64 = self.files.values().map(|f| f.allocated_clusters()).sum();
+        let free = self.space.allocator.free_clusters();
+        let total = self.config.total_clusters();
+        if live + free + queued + self.reserved_clusters != total {
+            return Err(format!(
+                "{live} live + {free} free + {queued} pending + {} reserved clusters != {total}",
+                self.reserved_clusters
+            ));
+        }
+        // The sum matches, so one owner each means no two claims overlap.
+        let mut claims: Vec<(Extent, &str)> = Vec::new();
+        for record in self.files.values() {
+            claims.extend(record.extents.iter().map(|e| (*e, "a file")));
+        }
+        claims.extend(self.space.pending_free.iter().map(|e| (*e, "the queue")));
+        let free_runs = self.space.allocator.free_runs();
+        claims.extend(free_runs.iter().map(|e| (*e, "a free run")));
+        claims.retain(|(extent, _)| !extent.is_empty());
+        claims.sort_unstable_by_key(|(extent, _)| extent.start);
+        if let Some(w) = claims.windows(2).find(|w| w[0].0.end() > w[1].0.start) {
+            return Err(format!(
+                "{:?} of {} overlaps {:?} of {}",
+                w[0].0, w[0].1, w[1].0, w[1].1
+            ));
+        }
+
+        if self.fragmentation() != self.fragmentation_rescan() {
+            return Err(format!(
+                "fragmentation tracker {:?} != rescan {:?}",
+                self.fragmentation(),
+                self.fragmentation_rescan()
+            ));
+        }
+        let mut allocations = CountMultiset::new();
+        for record in self.files.values() {
+            allocations.insert(record.allocated_clusters());
+        }
+        if allocations != self.alloc_tracker {
+            return Err("allocation tracker differs from a rescan of the files".to_string());
+        }
+
+        // Walking `files` (id order) and comparing counts covers the name
+        // map without iterating it: every named record resolves to itself,
+        // and the map holds no entry besides those.
+        let mut unnamed = 0;
+        for record in self.files.values() {
+            if record.name.is_empty() {
+                unnamed += 1;
+            } else if self.names.get(&record.name) != Some(&record.id) {
+                return Err(format!(
+                    "{} is named {:?} but the name map says {:?}",
+                    record.id,
+                    record.name,
+                    self.names.get(&record.name)
+                ));
+            }
+        }
+        if self.names.len() + unnamed != self.files.len() {
+            return Err(format!(
+                "{} names for {} named records",
+                self.names.len(),
+                self.files.len() - unnamed
+            ));
+        }
+        if unnamed as u64 != self.in_flight {
+            return Err(format!(
+                "{unnamed} unnamed records but {} safe writes in flight",
+                self.in_flight
+            ));
+        }
+        Ok(())
+    }
+
+    /// Runs [`Volume::verify`] in debug builds, after the steps that move the
+    /// most state around.
+    pub(crate) fn debug_verify(&self) {
+        #[cfg(debug_assertions)]
+        if let Err(violation) = self.verify() {
+            panic!("volume invariant violated: {violation}");
+        }
+    }
+
+    /// Marks `extent` allocated to no file, for good: the MFT zone, and the
+    /// unmovable runs of the pathological fragmenter.
+    pub(crate) fn pin(&mut self, extent: Extent) -> Result<(), FsError> {
+        self.space.allocator.reserve_exact(extent)?;
+        self.reserved_clusters += extent.len;
+        Ok(())
+    }
+
+    /// Direct access to the allocator, for the defragmenter's relocations.
     pub(crate) fn allocator_mut(&mut self) -> &mut SelectableAllocator {
-        &mut self.allocator
+        &mut self.space.allocator
     }
 
     /// Mutable access to a file record, bypassing the incremental
@@ -775,8 +979,9 @@ impl Volume {
     }
 
     /// Runs `mutate` over a file record and reconciles the fragmentation and
-    /// allocation trackers with the record's before/after layout.  Every
-    /// extent-map mutation of a live file must go through here.
+    /// allocation trackers with the record's before/after layout.  Extent-map
+    /// mutations of a live file outside the append and trim paths (which
+    /// reconcile from the counts they already hold) go through here.
     fn with_layout<R>(
         &mut self,
         id: FileId,
@@ -794,53 +999,33 @@ impl Volume {
         Ok(result)
     }
 
-    /// Removes a just-deleted file from the incremental trackers.
-    fn untrack(&mut self, record: &FileRecord) {
-        self.frag_tracker
-            .record_remove(record.fragment_count() as u64);
-        self.alloc_tracker.remove(record.allocated_clusters());
-    }
-
     /// Cluster size shortcut.
     pub fn cluster_size(&self) -> u64 {
         self.config.cluster_size
     }
 
-    /// Allocates, retrying once after a forced checkpoint if the volume is
-    /// under allocation pressure (the log flush NTFS would perform).
-    fn allocate_with_pressure(&mut self, request: &AllocRequest) -> Result<Vec<Extent>, FsError> {
-        match self.allocator.allocate(request) {
-            Ok(extents) => Ok(extents),
-            Err(AllocError::OutOfSpace { .. }) if !self.pending_free.is_empty() => {
-                self.stats.forced_checkpoints += 1;
-                self.checkpoint();
-                self.allocator.allocate(request).map_err(FsError::from)
-            }
-            Err(err) => Err(FsError::from(err)),
-        }
-    }
-
     /// Counts a completed mutating operation and checkpoints when due.
     fn bump_op(&mut self) {
-        self.ops_since_checkpoint += 1;
+        self.space.ops_since_checkpoint += 1;
         if self.config.checkpoint_interval_ops > 0
-            && self.ops_since_checkpoint >= self.config.checkpoint_interval_ops
+            && self.space.ops_since_checkpoint >= self.config.checkpoint_interval_ops
         {
             self.checkpoint();
         }
     }
 
-    /// Byte runs for the logical range `[offset, offset + len)` of a file.
+    /// Pushes the byte runs of the logical range `[offset, offset + len)` of
+    /// a file onto `runs`.
     fn runs_for_range(
         record: &FileRecord,
         cluster_size: u64,
         offset: u64,
         len: u64,
-    ) -> Vec<ByteRun> {
+        runs: &mut Vec<ByteRun>,
+    ) {
         if len == 0 {
-            return Vec::new();
+            return;
         }
-        let mut runs = Vec::new();
         let mut logical = 0u64; // logical byte position of the current extent's start
         let end = (offset + len).min(record.size_bytes);
         for extent in &record.extents {
@@ -857,14 +1042,12 @@ impl Volume {
                 break;
             }
         }
-        runs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lor_alloc::ExtentListExt;
 
     const MB: u64 = 1 << 20;
 
@@ -1151,6 +1334,149 @@ mod tests {
     }
 
     #[test]
+    fn a_file_named_like_a_temporary_does_not_block_the_replace() {
+        // Temporaries used to be created as `~tmp.<next id>.<name>`; a user
+        // file of that very name made the replace fail with `NameExists`.
+        type Replace = fn(&mut Volume) -> Result<(), FsError>;
+        let entry_points: [Replace; 2] = [
+            |volume| volume.safe_write("a", 2 * MB, 64 * 1024).map(drop),
+            |volume| {
+                volume
+                    .safe_write_batch(&[("a", 2 * MB)], 64 * 1024)
+                    .map(drop)
+            },
+        ];
+        for replace in entry_points {
+            let mut volume = small_volume();
+            volume.write_file("a", MB, 64 * 1024).unwrap();
+            volume.write_file("~tmp.3.a", MB, 64 * 1024).unwrap();
+            replace(&mut volume).unwrap();
+            let replaced = volume.file(volume.lookup("a").unwrap()).unwrap();
+            assert_eq!(replaced.size_bytes, 2 * MB);
+            assert_eq!(replaced.name, "a");
+            let bystander = volume.lookup("~tmp.3.a").unwrap();
+            let bytes: u64 = volume
+                .read_plan(bystander)
+                .unwrap()
+                .iter()
+                .map(|r| r.len)
+                .sum();
+            assert_eq!(bytes, MB);
+            assert_eq!(volume.file_count(), 2);
+            assert_eq!(volume.verify(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_batch_that_runs_out_of_space_mid_round_changes_nothing_visible() {
+        // The paper's safe write exists so that a failed replace leaves the
+        // old object intact.  Three 4 MB targets with 10 MB to spare, 6 MB
+        // of it a deleted filler the log has not committed: the temporaries
+        // get through most of their write requests (a forced checkpoint on
+        // the way frees the filler) before the volume runs dry.
+        let mut config = VolumeConfig::new(22 * MB);
+        config.mft_zone_fraction = 0.0;
+        config.checkpoint_interval_ops = 0;
+        let mut volume = Volume::format(config).unwrap();
+        let names = ["x", "y", "z"];
+        for name in names {
+            volume.write_file(name, 4 * MB, 64 * 1024).unwrap();
+        }
+        volume.write_file("filler", 6 * MB, 64 * 1024).unwrap();
+        volume.delete_by_name("filler").unwrap();
+        assert!(volume.pending_clusters() > 0);
+
+        let targets = |volume: &Volume| -> Vec<(FileId, Vec<ByteRun>)> {
+            let plan = |name| {
+                let id = volume.lookup(name).unwrap();
+                (id, volume.read_plan(id).unwrap())
+            };
+            names.into_iter().map(plan).collect()
+        };
+        let before = targets(&volume);
+        let stats_before = *volume.stats();
+        let free_before = volume.free_bytes();
+
+        let items: Vec<(&str, u64)> = names.iter().map(|name| (*name, 4 * MB)).collect();
+        let err = volume.safe_write_batch(&items, 64 * 1024).unwrap_err();
+        assert!(matches!(err, FsError::Alloc(_)), "{err:?}");
+
+        let stats = volume.stats();
+        assert!(
+            stats.appends > stats_before.appends + 3,
+            "the batch must fail mid-round, not at its first request"
+        );
+        assert_eq!(
+            stats.forced_checkpoints,
+            stats_before.forced_checkpoints + 1
+        );
+        assert_eq!(stats.safe_writes, stats_before.safe_writes);
+        assert_eq!(
+            targets(&volume),
+            before,
+            "every target keeps its id and its layout"
+        );
+        assert_eq!(volume.file_count(), 3);
+        assert_eq!(volume.free_bytes(), free_before, "free + pending clusters");
+        assert_eq!(volume.verify(), Ok(()));
+
+        // The space is really there: after the log commits, one replace fits.
+        volume.checkpoint();
+        volume.safe_write("x", 4 * MB, 64 * 1024).unwrap();
+    }
+
+    #[test]
+    fn verify_names_the_violated_invariant() {
+        let mut volume = small_volume();
+        volume.write_file("a", MB, 64 * 1024).unwrap();
+        volume.write_file("b", MB, 64 * 1024).unwrap();
+        volume.delete_by_name("b").unwrap();
+        assert_eq!(volume.verify(), Ok(()));
+        let id = volume.lookup("a").unwrap();
+
+        // A counter that drifted from its queue.
+        let mut drifted = volume.clone();
+        drifted.space.pending_clusters += 1;
+        assert!(drifted.verify().unwrap_err().contains("pending counter"));
+
+        // A live cluster handed to the free pool: the sum is off.
+        let mut leaked = volume.clone();
+        let first = leaked.file(id).unwrap().extents[0];
+        leaked
+            .allocator_mut()
+            .free(&[Extent::new(first.start, 1)])
+            .unwrap();
+        assert!(leaked.verify().unwrap_err().contains("!="));
+
+        // The same cluster claimed by a file and by the queue, with the sum
+        // kept right by shortening the file's claim elsewhere.
+        let mut shared = volume.clone();
+        let stolen = shared.space.pending_free[0].start;
+        shared.file_mut(id).unwrap().extents[0].len -= 1;
+        shared
+            .file_mut(id)
+            .unwrap()
+            .extents
+            .push(Extent::new(stolen, 1));
+        assert!(shared.verify().unwrap_err().contains("overlaps"));
+
+        // A layout edited behind the trackers' back.
+        let mut untracked = volume.clone();
+        let extents = &mut untracked.file_mut(id).unwrap().extents;
+        let tail = extents[0].split_at(1).unwrap();
+        *extents = vec![tail.1, tail.0];
+        assert!(untracked.verify().unwrap_err().contains("tracker"));
+
+        // A name pointing at the wrong record, and a record nobody names.
+        let mut misnamed = volume.clone();
+        misnamed.names.insert("a".to_string(), FileId(99));
+        assert!(misnamed.verify().unwrap_err().contains("name map"));
+        let mut orphaned = volume.clone();
+        orphaned.file_mut(id).unwrap().name.clear();
+        assert!(orphaned.verify().unwrap_err().contains("names for"));
+    }
+
+    #[test]
     fn preallocated_writes_are_contiguous_even_on_a_fragmented_volume() {
         let mut config = VolumeConfig::new(64 * MB);
         config.mft_zone_fraction = 0.0;
@@ -1219,7 +1545,8 @@ mod tests {
         record.push_extents(&[Extent::new(100, 2), Extent::new(300, 2)]);
         record.size_bytes = 4 * 4096;
         // A range spanning the extent boundary.
-        let runs = Volume::runs_for_range(&record, 4096, 4096, 8192);
+        let mut runs = Vec::new();
+        Volume::runs_for_range(&record, 4096, 4096, 8192, &mut runs);
         assert_eq!(
             runs,
             vec![
@@ -1227,7 +1554,9 @@ mod tests {
                 ByteRun::new(300 * 4096, 4096)
             ]
         );
-        assert!(Volume::runs_for_range(&record, 4096, 0, 0).is_empty());
+        // An empty range pushes nothing and leaves earlier entries alone.
+        Volume::runs_for_range(&record, 4096, 0, 0, &mut runs);
+        assert_eq!(runs.len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the filesystem simulator: random operation sequences
 //! must preserve the volume's structural invariants.
 
-use lor_alloc::{Extent, ExtentListExt};
+use lor_alloc::{Extent, FreeSpace};
 use lor_fskit::{DefragCursor, Defragmenter, FileId, Volume, VolumeConfig};
 use proptest::prelude::*;
 
@@ -16,6 +16,9 @@ enum FsOp {
     /// Safe-write (replace) the live object at this modular index with a new
     /// size.
     Replace { index: usize, size: u64 },
+    /// Safe-write the live objects at these modular indices (duplicates
+    /// allowed) in one interleaved batch.
+    ReplaceBatch { indices: Vec<usize>, size: u64 },
     /// Delete the live object at this modular index.
     Delete { index: usize },
     /// Run a manual checkpoint.
@@ -29,19 +32,20 @@ fn arb_op() -> impl Strategy<Value = FsOp> {
         4 => (1u64..2 * MB, prop_oneof![Just(16 * 1024u64), Just(64 * 1024), Just(256 * 1024)])
             .prop_map(|(size, chunk)| FsOp::Put { size, chunk }),
         3 => (0usize..64, 1u64..2 * MB).prop_map(|(index, size)| FsOp::Replace { index, size }),
+        2 => (prop::collection::vec(0usize..64, 1..5), 1u64..2 * MB)
+            .prop_map(|(indices, size)| FsOp::ReplaceBatch { indices, size }),
         2 => (0usize..64).prop_map(|index| FsOp::Delete { index }),
         1 => Just(FsOp::Checkpoint),
         1 => (0usize..64).prop_map(|index| FsOp::Defrag { index }),
     ]
 }
 
-/// Checks every structural invariant of the volume against a shadow model of
-/// the live objects (name -> size).
+/// Checks the volume against a shadow model of the live objects
+/// (name -> size), and its own structural invariants.
 fn check_invariants(volume: &Volume, live: &[(String, u64)]) -> Result<(), TestCaseError> {
     // Every live object is present with the right size, and nothing else is.
     prop_assert_eq!(volume.file_count(), live.len());
     let cluster = volume.cluster_size();
-    let mut all_extents: Vec<Extent> = Vec::new();
     for (name, size) in live {
         let id = volume.lookup(name).expect("live object must resolve");
         let record = volume.file(id).expect("live object must have a record");
@@ -51,22 +55,50 @@ fn check_invariants(volume: &Volume, live: &[(String, u64)]) -> Result<(), TestC
         // The read plan covers every logical byte exactly once.
         let plan = volume.read_plan(id).unwrap();
         prop_assert_eq!(plan.iter().map(|r| r.len).sum::<u64>(), *size);
-        all_extents.extend(record.extents.iter().copied());
     }
-    // No two live files share a cluster.
-    prop_assert!(all_extents.is_disjoint(), "live files must not overlap");
-    // Accounting: allocated clusters = live clusters + pending clusters + MFT.
-    let live_clusters: u64 = all_extents.total_clusters();
-    let report = volume.free_space_report();
-    let allocated = report.total_clusters - report.free_clusters;
-    prop_assert_eq!(
-        allocated,
-        live_clusters + volume.pending_clusters() + volume.config().mft_clusters()
-    );
-    // The incremental fragmentation accounting answers exactly what a full
-    // rescan of every live file would.
-    prop_assert_eq!(volume.fragmentation(), volume.fragmentation_rescan());
+    // One owner per cluster, trackers equal to a rescan, names equal to the
+    // named records.
+    prop_assert_eq!(volume.verify(), Ok(()));
     Ok(())
+}
+
+/// Applies one operation of a script to `volume`, keeping the list of live
+/// names in step (for the tests that need no more of a model than that).
+fn apply(volume: &mut Volume, live: &mut Vec<String>, counter: &mut u64, op: &FsOp) {
+    match op {
+        FsOp::Put { size, chunk } => {
+            let name = format!("obj-{counter}");
+            *counter += 1;
+            match volume.write_file(&name, *size, *chunk) {
+                Ok(_) => live.push(name),
+                Err(_) => {
+                    if let Ok(id) = volume.lookup(&name) {
+                        volume.delete(id).unwrap();
+                    }
+                }
+            }
+        }
+        FsOp::Replace { index, size } if !live.is_empty() => {
+            let _ = volume.safe_write(&live[index % live.len()], *size, 64 * 1024);
+        }
+        FsOp::ReplaceBatch { indices, size } if !live.is_empty() => {
+            let items: Vec<(&str, u64)> = indices
+                .iter()
+                .map(|index| (live[index % live.len()].as_str(), *size))
+                .collect();
+            let _ = volume.safe_write_batch(&items, 64 * 1024);
+        }
+        FsOp::Delete { index } if !live.is_empty() => {
+            let name = live.swap_remove(index % live.len());
+            volume.delete_by_name(&name).unwrap();
+        }
+        FsOp::Defrag { index } if !live.is_empty() => {
+            let id = volume.lookup(&live[index % live.len()]).unwrap();
+            let _ = Defragmenter::new().defragment_file(volume, id);
+        }
+        FsOp::Checkpoint => volume.checkpoint(),
+        _ => {}
+    }
 }
 
 proptest! {
@@ -114,6 +146,20 @@ proptest! {
                         Err(_) => {
                             // The original object must survive a failed safe write.
                             prop_assert!(volume.lookup(&name).is_ok());
+                        }
+                    }
+                }
+                FsOp::ReplaceBatch { indices, size } => {
+                    if live.is_empty() { continue; }
+                    let slots: Vec<usize> = indices.iter().map(|i| i % live.len()).collect();
+                    let items: Vec<(&str, u64)> =
+                        slots.iter().map(|&slot| (live[slot].0.as_str(), size)).collect();
+                    // All or nothing: a failed batch (checked below against
+                    // the unchanged model) replaces none of its targets.
+                    if let Ok(receipts) = volume.safe_write_batch(&items, 64 * 1024) {
+                        prop_assert_eq!(receipts.len(), slots.len());
+                        for slot in slots {
+                            live[slot].1 = size;
                         }
                     }
                 }
@@ -196,37 +242,8 @@ proptest! {
         let mut volume = Volume::format(config).unwrap();
         let mut live: Vec<String> = Vec::new();
         let mut counter = 0u64;
-        for op in ops {
-            match op {
-                FsOp::Put { size, chunk } => {
-                    let name = format!("obj-{counter}");
-                    counter += 1;
-                    match volume.write_file(&name, size, chunk) {
-                        Ok(_) => live.push(name),
-                        Err(_) => {
-                            if let Ok(id) = volume.lookup(&name) {
-                                volume.delete(id).unwrap();
-                            }
-                        }
-                    }
-                }
-                FsOp::Replace { index, size } => {
-                    if live.is_empty() { continue; }
-                    let name = live[index % live.len()].clone();
-                    let _ = volume.safe_write(&name, size, 64 * 1024);
-                }
-                FsOp::Delete { index } => {
-                    if live.is_empty() { continue; }
-                    let name = live.swap_remove(index % live.len());
-                    volume.delete_by_name(&name).unwrap();
-                }
-                FsOp::Checkpoint => volume.checkpoint(),
-                FsOp::Defrag { index } => {
-                    if live.is_empty() { continue; }
-                    let id = volume.lookup(&live[index % live.len()]).unwrap();
-                    let _ = Defragmenter::new().defragment_file(&mut volume, id);
-                }
-            }
+        for op in &ops {
+            apply(&mut volume, &mut live, &mut counter, op);
         }
 
         let mut whole = volume.clone();
@@ -266,6 +283,33 @@ proptest! {
             whole.fragmentation().total_fragments,
             stepped.fragmentation().total_fragments
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Two volumes fed the same script end in the same files, in the same
+    /// order, over the same free runs: the name map is hashed, and nothing
+    /// observable may depend on how.
+    #[test]
+    fn equal_scripts_build_equal_volumes(ops in prop::collection::vec(arb_op(), 1..80)) {
+        let mut config = VolumeConfig::new(VOLUME_BYTES);
+        config.checkpoint_interval_ops = 4;
+        let mut volumes = [
+            Volume::format(config.clone()).unwrap(),
+            Volume::format(config).unwrap(),
+        ];
+        for volume in &mut volumes {
+            let (mut live, mut counter) = (Vec::new(), 0);
+            for op in &ops {
+                apply(volume, &mut live, &mut counter, op);
+            }
+        }
+        let [first, second] = &volumes;
+        prop_assert!(first.iter_files().eq(second.iter_files()));
+        prop_assert_eq!(first.free_space().free_runs(), second.free_space().free_runs());
+        prop_assert_eq!(first.stats(), second.stats());
     }
 }
 
