@@ -24,7 +24,7 @@ use crate::extent::Extent;
 /// Interface shared by free-space structures.
 ///
 /// A free-space map knows which clusters are free; it does not choose where to
-/// allocate — that is the policy's job (see [`crate::policy`]).
+/// allocate — that is the policy's job (see [`crate::FitPolicy`]).
 pub trait FreeSpace {
     /// Total clusters managed by the map.
     fn total_clusters(&self) -> u64;

@@ -19,7 +19,7 @@
 use lor_core::lor_disksim::SimDuration;
 use lor_core::{
     age_store, calibrate_mixed_load, measure_mixed_load_calibrated, run_aging_experiment, AgePoint,
-    AgingResult, AllocationPolicy, AnatomyReport, Completion, ExperimentConfig, Figure,
+    AgingResult, AllocationPolicy, AnatomyReport, Arrivals, Completion, ExperimentConfig, Figure,
     FleetParallelism, LatencySummary, MaintenanceConfig, MixedLoadPoint, MixedOpenLoop, ObjectKey,
     OpenLoop, PlacementPolicy, Series, SizeDistribution, StoreError, StoreKind, StoreServer, Table,
     TestbedConfig, WorkloadGenerator, WorkloadOp,
@@ -762,13 +762,13 @@ fn load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
         let mut points = Vec::with_capacity(LOAD_SWEEP_UTILISATIONS.len());
         for utilisation in LOAD_SWEEP_UTILISATIONS {
             server.reset_queue_stats();
-            let completions = server.run_open_loop(
-                reads.clone(),
-                OpenLoop {
-                    ops_per_sec: utilisation * capacity_ops_per_sec,
-                    seed: base.seed,
-                },
-            )?;
+            let load = OpenLoop {
+                ops_per_sec: utilisation * capacity_ops_per_sec,
+                seed: base.seed,
+            };
+            let schedule = load.schedule(server.now(), reads.clone())?;
+            let mut completions = Vec::with_capacity(schedule.len());
+            server.run(Arrivals::Open(schedule), |c| completions.push(c))?;
             let summary = LatencySummary::of(&completions);
             points.push((utilisation, summary, server.queue_stats().mean_depth()));
         }
@@ -1131,7 +1131,7 @@ const ANATOMY_QUANTILE: f64 = 0.99;
 /// overwrite round into an [`AnatomyReport`] over its latency tail.
 ///
 /// Age 0 is skipped (the bulk load is a different, serial workload), matching
-/// [`latency_percentile_figures`].  Returns `(storage_age, report)` pairs.
+/// the latency-percentiles family.  Returns `(storage_age, report)` pairs.
 /// (It needs each round's completions, which [`age_store`] does not keep, so
 /// it drives the rounds itself.)
 pub fn anatomy_vs_age(
@@ -1302,13 +1302,12 @@ fn zipf_churn_round(
         write_ops_per_sec: 80.0,
         seed,
     };
+    let schedule = load.schedule(SimDuration::ZERO, reads, writes)?;
     match rebalance {
         // Load-concurrent rebalancing: budgeted slices interleave with the
         // foreground drainage inside the round itself.
-        Some((budget_bytes, slices)) => {
-            fleet.run_mixed_open_loop_with_rebalance(reads, writes, load, budget_bytes, slices)
-        }
-        None => fleet.run_mixed_open_loop(reads, writes, load),
+        Some((budget_bytes, slices)) => fleet.run_with_rebalance(schedule, budget_bytes, slices),
+        None => fleet.run(schedule),
     }
 }
 

@@ -7,7 +7,7 @@
 //! carrying its request) just to read four percentiles.  This histogram
 //! replaces that: latencies are recorded as they complete into
 //! HDR-histogram-style buckets — each power-of-two range is split into
-//! [`SUB_BUCKETS`] linear sub-buckets — so memory is a fixed ~58 KB
+//! 128 linear sub-buckets — so memory is a fixed ~58 KB
 //! regardless of how many operations an interval covers, and a checkpoint
 //! summary is one O(buckets) walk.
 //!

@@ -21,9 +21,10 @@
 //!   incremental defragmentation run as budgeted background tasks whose I/O
 //!   time is charged to the foreground clock (enable via
 //!   [`ExperimentConfig::with_maintenance`]).
-//! * [`server`] — the request/completion scheduler ([`StoreServer`]):
-//!   multi-client closed-loop and open-loop Poisson arrival processes queue
-//!   [`StoreRequest`]s against one simulated spindle, producing
+//! * [`server`] — the request/completion scheduler ([`StoreServer`]): one
+//!   event loop ([`StoreServer::run`]) queues the [`StoreRequest`]s of a
+//!   closed-loop client pool or an open-loop schedule ([`Arrivals`])
+//!   against one simulated spindle, producing
 //!   [`Completion`] events with queue delay and latency, latency percentiles
 //!   ([`LatencySummary`]) and queue depth; server-driven maintenance runs as
 //!   low-priority disk time that only delays the foreground requests it
@@ -93,8 +94,8 @@ pub use hist::LatencyHistogram;
 pub use log_store::{LogObjectStore, LogStoreConfig, LogSubstrate};
 pub use report::{Figure, Series, Table};
 pub use server::{
-    ClientId, Completion, LatencySummary, MixedOpenLoop, OpenLoop, QueueStats, StoreRequest,
-    StoreServer,
+    Arrivals, ClientId, Completion, LatencySummary, MixedOpenLoop, OpenLoop, QueueStats,
+    StoreRequest, StoreServer,
 };
 pub use store::{CostModel, ObjectStore, OpReceipt, Store, StoreKind};
 pub use substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};

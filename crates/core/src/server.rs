@@ -12,22 +12,29 @@
 //! needed).  Latency percentiles ([`LatencySummary`]) and queue depth
 //! ([`QueueStats`]) fall out of the completion stream.
 //!
-//! Three arrival processes are provided:
+//! Every run is one call, [`StoreServer::run`], over an [`Arrivals`] value:
 //!
-//! * **closed-loop** ([`StoreServer::run_closed_loop`]): N clients, each
-//!   issuing its next request one think time after its previous completion —
-//!   the web-application model.  With one client and zero think time this
+//! * **closed-loop** ([`Arrivals::Closed`]): N clients, each issuing its
+//!   next request one think time after its previous completion — the
+//!   web-application model.  With one client and zero think time this
 //!   degenerates to exactly the old serial harness: every request starts the
 //!   instant the previous one finishes, so receipts and the elapsed clock
 //!   reproduce the serial path bit-for-bit (a property test asserts this).
-//! * **open-loop Poisson** ([`StoreServer::run_open_loop`]): requests arrive
-//!   at a target offered load regardless of completions, the classical
-//!   queueing-theory setup; latency grows without bound as the offered load
-//!   approaches the spindle's capacity.
-//! * **mixed open-loop** ([`StoreServer::run_mixed_open_loop`]): two
-//!   independent Poisson classes — reads and safe writes — merged into one
-//!   deterministic interleave ([`MixedOpenLoop`]), so fragmentation growth
-//!   interacts with the latency hockey stick *during* the measurement.
+//! * **open-loop** ([`Arrivals::Open`]): a schedule fixed up front, sorted
+//!   by arrival time, independent of completions.  [`OpenLoop::schedule`]
+//!   draws one as a Poisson process at a target offered load — the
+//!   classical queueing-theory setup, where latency grows without bound as
+//!   the offered load approaches the spindle's capacity;
+//!   [`MixedOpenLoop::schedule`] merges two independent Poisson classes —
+//!   reads and safe writes — into one deterministic interleave, so
+//!   fragmentation growth interacts with the latency hockey stick *during*
+//!   the measurement; a sharding layer partitions one aggregate schedule and
+//!   hands each shard its sub-stream.
+//!
+//! The two differ only in *when requests arrive*; admission, batching,
+//! maintenance and accounting are one event loop, so replaying a closed
+//! run's arrivals as an open schedule reproduces it bit for bit (a property
+//! test asserts that too).
 //!
 //! Safe writes that are queued together when the spindle frees up are
 //! dispatched as **one batch** through [`ObjectStore::safe_write_batch`], so
@@ -125,10 +132,10 @@ impl LatencySummary {
     /// Summarises a completion stream.
     pub fn of(completions: &[Completion]) -> Self {
         let mut nanos: Vec<u64> = completions.iter().map(|c| c.latency().as_nanos()).collect();
-        if nanos.is_empty() {
-            return LatencySummary::default();
-        }
         nanos.sort_unstable();
+        let Some(&max) = nanos.last() else {
+            return LatencySummary::default();
+        };
         let total: u64 = nanos.iter().sum();
         LatencySummary {
             count: nanos.len() as u64,
@@ -136,7 +143,7 @@ impl LatencySummary {
             p50_ms: percentile(&nanos, 0.50),
             p95_ms: percentile(&nanos, 0.95),
             p99_ms: percentile(&nanos, 0.99),
-            max_ms: *nanos.last().expect("non-empty") as f64 / 1e6,
+            max_ms: max as f64 / 1e6,
         }
     }
 }
@@ -200,6 +207,27 @@ impl OpenLoop {
             ));
         }
         Ok(poisson_arrivals(self.ops_per_sec, self.seed, start, n))
+    }
+
+    /// Builds the arrival schedule of `ops` starting at `start`: one request
+    /// per operation at the process's successive arrival instants, client
+    /// ids numbering the stream in arrival order.
+    pub fn schedule(
+        &self,
+        start: SimDuration,
+        ops: Vec<WorkloadOp>,
+    ) -> Result<Vec<StoreRequest>, StoreError> {
+        let arrivals = self.arrivals(start, ops.len())?;
+        Ok(arrivals
+            .into_iter()
+            .zip(ops)
+            .enumerate()
+            .map(|(index, (arrival, op))| StoreRequest {
+                client: ClientId(index as u32),
+                op,
+                arrival,
+            })
+            .collect())
     }
 }
 
@@ -310,17 +338,13 @@ impl MixedOpenLoop {
         let mut merged = Vec::with_capacity(reads.len() + writes.len());
         let (mut r, mut w) = (reads.into_iter().peekable(), writes.into_iter().peekable());
         loop {
-            let take_read = match (r.peek(), w.peek()) {
-                (Some((ra, _)), Some((wa, _))) => ra <= wa,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
+            let next = match (r.peek(), w.peek()) {
+                (Some((ra, _)), Some((wa, _))) if ra <= wa => r.next(),
+                (Some(_), None) => r.next(),
+                (_, Some(_)) => w.next(),
+                (None, None) => None,
             };
-            let (arrival, op) = if take_read {
-                r.next().expect("peeked")
-            } else {
-                w.next().expect("peeked")
-            };
+            let Some((arrival, op)) = next else { break };
             merged.push(StoreRequest {
                 client: ClientId(merged.len() as u32),
                 op,
@@ -328,6 +352,144 @@ impl MixedOpenLoop {
             });
         }
         Ok(merged)
+    }
+}
+
+/// When the requests of one [`StoreServer::run`] arrive.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Arrivals {
+    /// `clients` simulated clients (0 behaves as 1) pull operations from the
+    /// shared `ops` queue in order, each issuing its next request
+    /// `think_time` after its previous completion.
+    ///
+    /// With one client and zero think time this is exactly the serial
+    /// harness; with several clients and zero think time, safe writes form
+    /// batches of up to `clients` operations whose write requests interleave
+    /// on disk (the `concurrency` semantics of the aging harness).
+    Closed {
+        /// The operations, in the order clients pick them up.
+        ops: Vec<WorkloadOp>,
+        /// Number of concurrent clients.
+        clients: usize,
+        /// Pause between a client's completion and its next request.
+        think_time: SimDuration,
+    },
+    /// A schedule fixed up front, sorted by arrival time — built by
+    /// [`OpenLoop::schedule`], [`MixedOpenLoop::schedule`], or a sharding
+    /// layer that partitions one aggregate schedule across shards (each
+    /// sub-stream inherits the aggregate's ordering).  The schedule only
+    /// fixes *when requests arrive*, not how they are served.
+    Open(Vec<StoreRequest>),
+}
+
+impl Arrivals {
+    /// Number of requests the process offers.
+    pub fn len(&self) -> usize {
+        match self {
+            Arrivals::Closed { ops, .. } => ops.len(),
+            Arrivals::Open(schedule) => schedule.len(),
+        }
+    }
+
+    /// Whether the process offers no request at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The arrival process behind one run, as the event loop sees it: when the
+/// next request arrives, hand it over, and hear about completions.
+enum Source {
+    Closed {
+        work: std::vec::IntoIter<WorkloadOp>,
+        /// (ready-at, tiebreak sequence, client): min-heap of idle clients.
+        ready: BinaryHeap<Reverse<(SimDuration, u64, u32)>>,
+        seq: u64,
+        think_time: SimDuration,
+    },
+    Open(std::vec::IntoIter<StoreRequest>),
+}
+
+impl Source {
+    /// Validates `arrivals` and arms it at server time `now`.
+    fn new(arrivals: Arrivals, now: SimDuration) -> Result<Self, StoreError> {
+        match arrivals {
+            Arrivals::Closed {
+                ops,
+                clients,
+                think_time,
+            } => {
+                let clients = clients.max(1) as u32;
+                Ok(Source::Closed {
+                    work: ops.into_iter(),
+                    ready: (0..clients)
+                        .map(|client| Reverse((now, u64::from(client), client)))
+                        .collect(),
+                    seq: u64::from(clients),
+                    think_time,
+                })
+            }
+            Arrivals::Open(schedule) => {
+                if schedule
+                    .windows(2)
+                    .any(|pair| pair[0].arrival > pair[1].arrival)
+                {
+                    return Err(StoreError::BadConfig(
+                        "an open arrival schedule must be sorted by arrival time".into(),
+                    ));
+                }
+                Ok(Source::Open(schedule.into_iter()))
+            }
+        }
+    }
+
+    /// The instant the next request arrives; `None` once none ever will
+    /// (idle closed-loop clients stop arriving when the work runs out).
+    fn next_arrival(&self) -> Option<SimDuration> {
+        match self {
+            Source::Closed { work, ready, .. } if !work.as_slice().is_empty() => {
+                ready.peek().map(|&Reverse((at, _, _))| at)
+            }
+            Source::Closed { .. } => None,
+            Source::Open(stream) => stream.as_slice().first().map(|request| request.arrival),
+        }
+    }
+
+    /// Hands over the next request if it arrives at or before `by`.
+    fn pop_by(&mut self, by: SimDuration) -> Option<StoreRequest> {
+        if self.next_arrival()? > by {
+            return None;
+        }
+        match self {
+            Source::Closed { work, ready, .. } => {
+                let op = work.next()?;
+                let Reverse((arrival, _, client)) = ready.pop()?;
+                Some(StoreRequest {
+                    client: ClientId(client),
+                    op,
+                    arrival,
+                })
+            }
+            Source::Open(stream) => stream.next(),
+        }
+    }
+
+    /// A request finished: its closed-loop client thinks, then comes back.
+    fn completed(&mut self, completion: &Completion) {
+        if let Source::Closed {
+            ready,
+            seq,
+            think_time,
+            ..
+        } = self
+        {
+            ready.push(Reverse((
+                completion.finish + *think_time,
+                *seq,
+                completion.request.client.0,
+            )));
+            *seq += 1;
+        }
     }
 }
 
@@ -436,115 +598,69 @@ impl<'a> StoreServer<'a> {
         self.busy_until.max(self.bg_busy_until)
     }
 
-    /// Runs a closed-loop schedule: `clients` simulated clients pull
-    /// operations from the shared `ops` queue in arrival order, each issuing
-    /// its next request `think_time` after its previous completion.
+    /// Runs one arrival process to completion, handing every completion to
+    /// `sink` in dispatch order — the server's only event loop.
     ///
-    /// With `clients == 1` and zero think time this is exactly the serial
-    /// harness; with several clients and zero think time, safe writes form
-    /// batches of up to `clients` operations whose write requests interleave
-    /// on disk (the old `concurrency` semantics of the aging harness).
+    /// The spindle serves the head of one FIFO queue; whatever arrives
+    /// while it is busy queues behind the head, safe writes that wait
+    /// together leave as one batch, and an empty queue is an idle gap the
+    /// gap-filling maintenance policies may use.  An unsorted
+    /// [`Arrivals::Open`] schedule is refused (`BadConfig`) before anything
+    /// is served.
+    pub fn run(
+        &mut self,
+        arrivals: Arrivals,
+        mut sink: impl FnMut(Completion),
+    ) -> Result<(), StoreError> {
+        let mut source = Source::new(arrivals, self.now)?;
+        let mut waiting: VecDeque<StoreRequest> = VecDeque::new();
+        loop {
+            let head_arrival = match waiting.front() {
+                Some(head) => head.arrival,
+                None => {
+                    // Nobody is waiting: the next event is the earliest
+                    // arrival, and the gap until then is spindle idle time —
+                    // the idle-detect policy's window.
+                    let Some(next) = source.next_arrival() else {
+                        return Ok(());
+                    };
+                    self.fill_idle_gap(next);
+                    next
+                }
+            };
+            // Everything that arrives while the spindle is still busy queues
+            // behind the head request.
+            let start = self.free_at().max(head_arrival);
+            while let Some(request) = source.pop_by(start) {
+                waiting.push_back(request);
+            }
+            for completion in self.dispatch(&mut waiting, start)? {
+                source.completed(&completion);
+                sink(completion);
+            }
+        }
+    }
+
+    /// [`StoreServer::run`] over [`Arrivals::Closed`], collecting the
+    /// completions.
     pub fn run_closed_loop(
         &mut self,
         ops: Vec<WorkloadOp>,
         clients: usize,
         think_time: SimDuration,
     ) -> Result<Vec<Completion>, StoreError> {
-        let clients = clients.max(1);
-        let mut work: VecDeque<WorkloadOp> = ops.into();
-        let mut completions = Vec::with_capacity(work.len());
-        // (ready-at, tiebreak sequence, client): min-heap of idle clients.
-        let mut ready: BinaryHeap<Reverse<(SimDuration, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for client in 0..clients {
-            ready.push(Reverse((self.now, seq, client as u32)));
-            seq += 1;
-        }
-        let mut waiting: VecDeque<StoreRequest> = VecDeque::new();
-
-        loop {
-            if waiting.is_empty() {
-                if work.is_empty() {
-                    break;
-                }
-                // Everyone is thinking: the next event is the earliest
-                // client waking up.  The gap until then is spindle idle
-                // time — the idle-detect policy's window.
-                let Some(Reverse((arrival, _, client))) = ready.pop() else {
-                    break;
-                };
-                self.fill_idle_gap(arrival);
-                waiting.push_back(StoreRequest {
-                    client: ClientId(client),
-                    op: work.pop_front().expect("checked non-empty"),
-                    arrival,
-                });
-            }
-            // Everything that arrives while the spindle is still busy queues
-            // behind the head request.
-            let dispatch_at = self.free_at().max(waiting[0].arrival);
-            while let Some(&Reverse((arrival, _, _))) = ready.peek() {
-                if arrival > dispatch_at || work.is_empty() {
-                    break;
-                }
-                let Reverse((arrival, _, client)) = ready.pop().expect("peeked");
-                waiting.push_back(StoreRequest {
-                    client: ClientId(client),
-                    op: work.pop_front().expect("checked non-empty"),
-                    arrival,
-                });
-            }
-            let done = self.dispatch(&mut waiting)?;
-            for completion in done {
-                ready.push(Reverse((
-                    completion.finish + think_time,
-                    seq,
-                    completion.request.client.0,
-                )));
-                seq += 1;
-                completions.push(completion);
-            }
-        }
+        let mut completions = Vec::with_capacity(ops.len());
+        let arrivals = Arrivals::Closed {
+            ops,
+            clients,
+            think_time,
+        };
+        self.run(arrivals, |completion| completions.push(completion))?;
         Ok(completions)
     }
 
-    /// Runs an open-loop schedule: the operations arrive as a Poisson
-    /// process at `load.ops_per_sec`, independent of completions.
-    pub fn run_open_loop(
-        &mut self,
-        ops: Vec<WorkloadOp>,
-        load: OpenLoop,
-    ) -> Result<Vec<Completion>, StoreError> {
-        let stream: VecDeque<StoreRequest> = load
-            .arrivals(self.now, ops.len())?
-            .into_iter()
-            .zip(ops)
-            .enumerate()
-            .map(|(index, (arrival, op))| StoreRequest {
-                client: ClientId(index as u32),
-                op,
-                arrival,
-            })
-            .collect();
-        self.run_stream(stream)
-    }
-
-    /// Runs a mixed open-loop schedule: reads and safe writes arrive as two
-    /// independent Poisson processes ([`MixedOpenLoop`]) and contend for the
-    /// spindle in one merged FIFO queue, so the write class fragments the
-    /// store *while* the read class measures it.
-    pub fn run_mixed_open_loop(
-        &mut self,
-        reads: Vec<WorkloadOp>,
-        writes: Vec<WorkloadOp>,
-        load: MixedOpenLoop,
-    ) -> Result<Vec<Completion>, StoreError> {
-        let stream = load.schedule(self.now, reads, writes)?;
-        self.run_stream(stream.into())
-    }
-
-    /// Like [`StoreServer::run_mixed_open_loop`], but streams every
-    /// completion into `sink` instead of returning them all: the
+    /// [`StoreServer::run`] over `load`'s [`MixedOpenLoop::schedule`] from
+    /// the server's current instant.  Streaming into `sink` lets the
     /// measurement sweeps fold completions into fixed-size histograms as
     /// they finish, so a long mixed run does not retain a completion per
     /// offered operation.
@@ -555,88 +671,21 @@ impl<'a> StoreServer<'a> {
         load: MixedOpenLoop,
         sink: &mut dyn FnMut(Completion),
     ) -> Result<(), StoreError> {
-        let stream = load.schedule(self.now, reads, writes)?;
-        self.run_stream_with(stream.into(), sink)
+        let schedule = load.schedule(self.now, reads, writes)?;
+        self.run(Arrivals::Open(schedule), sink)
     }
 
-    /// Runs an externally built arrival schedule, sorted by arrival time —
-    /// the entry point a sharding layer uses: it generates **one** aggregate
-    /// arrival process, partitions the requests across shards, and feeds
-    /// each shard's sub-stream (which inherits the aggregate's ordering)
-    /// through that shard's own server.  Safe writes queued together still
-    /// batch, maintenance still interleaves — the schedule only fixes *when
-    /// requests arrive*, not how they are served.
-    pub fn run_schedule(
-        &mut self,
-        schedule: Vec<StoreRequest>,
-    ) -> Result<Vec<Completion>, StoreError> {
-        if schedule
-            .windows(2)
-            .any(|pair| pair[0].arrival > pair[1].arrival)
-        {
-            return Err(StoreError::BadConfig(
-                "run_schedule requires requests sorted by arrival time".into(),
-            ));
-        }
-        self.run_stream(schedule.into())
-    }
-
-    /// Drains a pre-scheduled arrival stream (sorted by arrival time)
-    /// against the spindle — the shared event loop behind both open-loop
-    /// flavours.
-    fn run_stream(
-        &mut self,
-        stream: VecDeque<StoreRequest>,
-    ) -> Result<Vec<Completion>, StoreError> {
-        let mut completions = Vec::with_capacity(stream.len());
-        self.run_stream_with(stream, &mut |completion| completions.push(completion))?;
-        Ok(completions)
-    }
-
-    /// The sink-based core of [`StoreServer::run_stream`].
-    fn run_stream_with(
-        &mut self,
-        mut stream: VecDeque<StoreRequest>,
-        sink: &mut dyn FnMut(Completion),
-    ) -> Result<(), StoreError> {
-        debug_assert!(
-            stream
-                .iter()
-                .zip(stream.iter().skip(1))
-                .all(|(a, b)| a.arrival <= b.arrival),
-            "arrival streams must be sorted"
-        );
-        let mut waiting: VecDeque<StoreRequest> = VecDeque::new();
-        while !(stream.is_empty() && waiting.is_empty()) {
-            if waiting.is_empty() {
-                let next_arrival = stream.front().expect("stream non-empty").arrival;
-                self.fill_idle_gap(next_arrival);
-                waiting.push_back(stream.pop_front().expect("checked non-empty"));
-            }
-            let dispatch_at = self.free_at().max(waiting[0].arrival);
-            while stream
-                .front()
-                .is_some_and(|request| request.arrival <= dispatch_at)
-            {
-                waiting.push_back(stream.pop_front().expect("checked non-empty"));
-            }
-            let done = self.dispatch(&mut waiting)?;
-            for completion in done {
-                sink(completion);
-            }
-        }
-        Ok(())
-    }
-
-    /// Serves the head of the waiting queue (batching queued safe writes)
-    /// and returns the completions of this dispatch, so callers can re-arm
-    /// closed-loop clients.
+    /// Serves the head of the waiting queue from instant `start` (batching
+    /// queued safe writes) and returns the completions of this dispatch.
     fn dispatch(
         &mut self,
         waiting: &mut VecDeque<StoreRequest>,
+        start: SimDuration,
     ) -> Result<Vec<Completion>, StoreError> {
-        let start = self.free_at().max(waiting[0].arrival);
         self.queue.observe(waiting.len());
+        let Some(head) = waiting.front() else {
+            return Ok(Vec::new());
+        };
         // Pre-dispatch spindle state: who was holding the spindle while this
         // dispatch waited splits the queue delay between other foreground
         // work and background-maintenance interference.
@@ -646,58 +695,47 @@ impl<'a> StoreServer<'a> {
         // server timeline.
         self.obs.set_now(start.as_nanos());
 
-        // Safe writes that are waiting together leave as one batch: their
-        // write requests interleave on disk exactly as a web server's
-        // parallel uploads do.  Everything else is served one at a time.
-        let is_safe_write =
-            |request: &StoreRequest| matches!(request.op, WorkloadOp::SafeWrite { .. });
-        let batch_len = if is_safe_write(&waiting[0]) {
-            waiting
-                .iter()
-                .take_while(|request| is_safe_write(request) && request.arrival <= start)
-                .count()
-                .max(1)
-        } else {
-            1
-        };
-        let requests: Vec<StoreRequest> = waiting.drain(..batch_len).collect();
-
         let clock_before = self.store.elapsed();
         // Keys travel the queueing layer as interned `ObjectKey`s; the
         // string form the `ObjectStore` trait speaks is materialised only
         // here, at the dispatch boundary (into a stack buffer for the
         // single-op path).
-        let receipts: Vec<OpReceipt> = if is_safe_write(&requests[0]) {
-            let items: Vec<(String, u64)> = requests
-                .iter()
-                .map(|request| match request.op {
-                    WorkloadOp::SafeWrite { key, size } => (key.to_string(), size),
-                    _ => unreachable!("batch contains only safe writes"),
-                })
-                .collect();
-            self.store.safe_write_batch(&items)?
-        } else {
-            let mut buf = crate::workload::ObjectKey::buf();
-            let receipt = match requests[0].op {
-                WorkloadOp::Put { key, size } => self.store.put(key.write_into(&mut buf), size)?,
-                WorkloadOp::Get { key } => self.store.get(key.write_into(&mut buf))?,
-                WorkloadOp::Delete { key } => self.store.delete(key.write_into(&mut buf))?,
-                WorkloadOp::SafeWrite { .. } => unreachable!("safe writes are batched"),
-            };
-            vec![receipt]
+        let mut buf = crate::workload::ObjectKey::buf();
+        let receipts: Vec<OpReceipt> = match head.op {
+            // Safe writes that are waiting together leave as one batch:
+            // their write requests interleave on disk exactly as a web
+            // server's parallel uploads do.
+            WorkloadOp::SafeWrite { .. } => {
+                let items: Vec<(String, u64)> = waiting
+                    .iter()
+                    .map_while(|request| match request.op {
+                        WorkloadOp::SafeWrite { key, size } if request.arrival <= start => {
+                            Some((key.to_string(), size))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                self.store.safe_write_batch(&items)?
+            }
+            // Everything else is served one at a time.
+            WorkloadOp::Put { key, size } => {
+                vec![self.store.put(key.write_into(&mut buf), size)?]
+            }
+            WorkloadOp::Get { key } => vec![self.store.get(key.write_into(&mut buf))?],
+            WorkloadOp::Delete { key } => vec![self.store.delete(key.write_into(&mut buf))?],
         };
         // The store-clock delta covers the receipts plus anything the store
         // charged on top (a store-attached maintenance drive); the spindle
         // is ours until all of it is done.
         let service = self.store.elapsed().saturating_sub(clock_before);
 
-        let mutating = requests
-            .iter()
-            .filter(|request| !matches!(request.op, WorkloadOp::Get { .. }))
-            .count() as u64;
+        // One receipt per request served, in queue order.
+        let served = receipts.len().min(waiting.len());
+        let mut mutating = 0;
         let mut finish = start;
-        let mut done = Vec::with_capacity(requests.len());
-        for (request, receipt) in requests.into_iter().zip(receipts) {
+        let mut done = Vec::with_capacity(served);
+        for (request, receipt) in waiting.drain(..served).zip(receipts) {
+            mutating += u64::from(!matches!(request.op, WorkloadOp::Get { .. }));
             finish += receipt.total_time();
             // Of this request's wait, the stretch where only a maintenance
             // slice was holding the spindle: the overlap of its waiting
@@ -953,6 +991,14 @@ mod tests {
             .collect()
     }
 
+    fn run_open(server: &mut StoreServer<'_>, schedule: Vec<StoreRequest>) -> Vec<Completion> {
+        let mut completions = Vec::new();
+        server
+            .run(Arrivals::Open(schedule), |c| completions.push(c))
+            .unwrap();
+        completions
+    }
+
     #[test]
     fn single_client_zero_think_reproduces_the_serial_clock() {
         let mut serial = FsObjectStore::new(256 * MB).unwrap();
@@ -1039,15 +1085,12 @@ mod tests {
             server
                 .run_closed_loop(puts(16, MB), 1, SimDuration::ZERO)
                 .unwrap();
-            let completions = server
-                .run_open_loop(
-                    gets(16),
-                    OpenLoop {
-                        ops_per_sec,
-                        seed: 7,
-                    },
-                )
-                .unwrap();
+            let load = OpenLoop {
+                ops_per_sec,
+                seed: 7,
+            };
+            let schedule = load.schedule(server.now(), gets(16)).unwrap();
+            let completions = run_open(&mut server, schedule);
             results.push(LatencySummary::of(&completions));
         }
         assert!(
@@ -1072,17 +1115,13 @@ mod tests {
                 size: MB,
             })
             .collect();
-        let completions = server
-            .run_mixed_open_loop(
-                gets(16),
-                writes,
-                MixedOpenLoop {
-                    read_ops_per_sec: 20.0,
-                    write_ops_per_sec: 20.0,
-                    seed: 11,
-                },
-            )
-            .unwrap();
+        let load = MixedOpenLoop {
+            read_ops_per_sec: 20.0,
+            write_ops_per_sec: 20.0,
+            seed: 11,
+        };
+        let schedule = load.schedule(server.now(), gets(16), writes).unwrap();
+        let completions = run_open(&mut server, schedule);
         assert_eq!(completions.len(), 32);
         // Completions preserve the merged arrival order.
         for pair in completions.windows(2) {
@@ -1119,17 +1158,13 @@ mod tests {
                 size: MB,
             })
             .collect();
-        let completions = server
-            .run_mixed_open_loop(
-                gets(2),
-                writes,
-                MixedOpenLoop {
-                    read_ops_per_sec: 1.0,
-                    write_ops_per_sec: 10_000.0,
-                    seed: 3,
-                },
-            )
-            .unwrap();
+        let load = MixedOpenLoop {
+            read_ops_per_sec: 1.0,
+            write_ops_per_sec: 10_000.0,
+            seed: 3,
+        };
+        let schedule = load.schedule(server.now(), gets(2), writes).unwrap();
+        let completions = run_open(&mut server, schedule);
         let write_starts: Vec<SimDuration> = completions
             .iter()
             .filter(|c| matches!(c.request.op, WorkloadOp::SafeWrite { .. }))
@@ -1213,19 +1248,104 @@ mod tests {
 
     #[test]
     fn open_loop_rejects_bad_rates() {
+        for rate in [0.0, -3.0, f64::NAN] {
+            let load = OpenLoop {
+                ops_per_sec: rate,
+                seed: 1,
+            };
+            assert!(load.schedule(SimDuration::ZERO, vec![]).is_err());
+        }
+    }
+
+    #[test]
+    fn unsorted_open_schedule_is_refused_before_anything_runs() {
         let mut store = FsObjectStore::new(64 * MB).unwrap();
         let mut server = StoreServer::new(&mut store);
-        for rate in [0.0, -3.0, f64::NAN] {
-            assert!(server
-                .run_open_loop(
-                    vec![],
-                    OpenLoop {
-                        ops_per_sec: rate,
-                        seed: 1
-                    }
-                )
-                .is_err());
+        server
+            .run_closed_loop(puts(4, MB), 1, SimDuration::ZERO)
+            .unwrap();
+        let (now, queue) = (server.now(), server.queue_stats());
+        let (elapsed, objects) = (server.store().elapsed(), server.store().object_count());
+
+        let mut schedule = OpenLoop {
+            ops_per_sec: 10.0,
+            seed: 5,
         }
+        .schedule(now, puts(8, MB).split_off(4))
+        .unwrap();
+        schedule.swap(1, 2);
+        let mut served = 0;
+        let outcome = server.run(Arrivals::Open(schedule), |_| served += 1);
+        assert!(matches!(outcome, Err(StoreError::BadConfig(_))));
+        assert_eq!(served, 0);
+        assert_eq!((server.now(), server.queue_stats()), (now, queue));
+        assert_eq!(server.store().elapsed(), elapsed);
+        assert_eq!(server.store().object_count(), objects);
+    }
+
+    #[test]
+    fn empty_arrivals_serve_nothing_and_fill_no_idle_gap() {
+        let mut config = crate::fs_store::FsStoreConfig::new(256 * MB);
+        config.maintenance = Some(MaintenanceConfig::idle_detect(5.0));
+        let mut store = FsObjectStore::with_config(config).unwrap();
+        let mut server = StoreServer::new(&mut store);
+        // Interleaved safe writes leave the idle-detect drive work to do.
+        server
+            .run_closed_loop(puts(8, MB), 1, SimDuration::ZERO)
+            .unwrap();
+        let writes: Vec<WorkloadOp> = (0..8)
+            .map(|i| WorkloadOp::SafeWrite {
+                key: ObjectKey(i as u64),
+                size: MB,
+            })
+            .collect();
+        server
+            .run_closed_loop(writes, 4, SimDuration::ZERO)
+            .unwrap();
+        let before = (
+            server.now(),
+            server.queue_stats(),
+            server.store().maintenance_stats(),
+        );
+        for arrivals in [
+            Arrivals::Open(Vec::new()),
+            Arrivals::Closed {
+                ops: Vec::new(),
+                clients: 3,
+                think_time: SimDuration::from_millis(50),
+            },
+        ] {
+            server
+                .run(arrivals, |_| panic!("nothing was offered"))
+                .unwrap();
+        }
+        let after = (
+            server.now(),
+            server.queue_stats(),
+            server.store().maintenance_stats(),
+        );
+        assert_eq!(before, after);
+        // The same gap in front of a real arrival is used.
+        let late = StoreRequest {
+            client: ClientId(0),
+            op: WorkloadOp::Get { key: ObjectKey(0) },
+            arrival: server.now() + SimDuration::from_millis(50),
+        };
+        run_open(&mut server, vec![late]);
+        assert_ne!(server.store().maintenance_stats(), before.2);
+    }
+
+    #[test]
+    fn zero_clients_behave_as_one() {
+        let run = |clients: usize| {
+            let mut store = FsObjectStore::new(64 * MB).unwrap();
+            let mut server = StoreServer::new(&mut store);
+            let completions = server
+                .run_closed_loop(puts(6, MB), clients, SimDuration::from_millis(1))
+                .unwrap();
+            (completions, server.now(), server.queue_stats())
+        };
+        assert_eq!(run(0), run(1));
     }
 
     #[test]

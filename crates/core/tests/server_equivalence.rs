@@ -2,21 +2,36 @@
 //! single-client, zero-think-time request schedule reproduces the *exact*
 //! receipts and elapsed clock of the old serial call path on all three stores,
 //! and a multi-client zero-think-time schedule reproduces the old harness's
-//! chunked `safe_write_batch` concurrency semantics.
+//! chunked `safe_write_batch` concurrency semantics.  And the unification
+//! contract: closed and open arrivals share one event loop, so a closed-loop
+//! run replayed as the open schedule of its own arrivals is the same run.
 
 use lor_core::lor_disksim::SimDuration;
 use lor_core::{
-    ExperimentConfig, ObjectKey, ObjectStore, OpReceipt, SizeDistribution, StoreKind, StoreServer,
-    WorkloadOp,
+    Arrivals, ExperimentConfig, MaintenanceConfig, ObjectKey, ObjectStore, OpReceipt,
+    SizeDistribution, StoreKind, StoreRequest, StoreServer, WorkloadOp,
 };
 use proptest::prelude::*;
 
 const MB: u64 = 1 << 20;
 
 fn build(kind: StoreKind) -> Box<dyn ObjectStore> {
+    build_with(kind, None)
+}
+
+fn build_with(kind: StoreKind, maintenance: Option<MaintenanceConfig>) -> Box<dyn ObjectStore> {
     let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(MB));
     config.volume_bytes = 128 * MB;
+    config.maintenance = maintenance;
     config.build_store(kind).expect("store builds")
+}
+
+/// The valid operations of a raw `(kind, key, size)` list, in order.
+fn concretize_all(raw: &[(u8, u8, u32)]) -> Vec<WorkloadOp> {
+    let mut live = Vec::new();
+    raw.iter()
+        .filter_map(|&(op, key, size)| concretize(&mut live, op, key, size))
+        .collect()
 }
 
 /// Interprets an abstract `(kind, key, size)` triple as a *valid* operation
@@ -89,11 +104,7 @@ proptest! {
         raw in prop::collection::vec((0u8..4, 0u8..8, 1u32..48), 1..40)
     ) {
         for kind in StoreKind::ALL {
-            let mut live = Vec::new();
-            let ops: Vec<WorkloadOp> = raw
-                .iter()
-                .filter_map(|&(op, key, size)| concretize(&mut live, op, key, size))
-                .collect();
+            let ops = concretize_all(&raw);
             prop_assume!(!ops.is_empty());
 
             let mut serial_store = build(kind);
@@ -120,6 +131,54 @@ proptest! {
                 prop_assert_eq!(completion.queue_delay(), SimDuration::ZERO);
                 prop_assert_eq!(completion.latency(), completion.receipt.total_time());
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Closed ≡ open replay: the `(arrival, client, op)` of a closed-loop
+    /// run's completions, offered again as an open schedule to a twin store,
+    /// reproduce every start, finish, maintenance delay and receipt, the
+    /// queue statistics and both clocks — with and without idle gaps for the
+    /// server-driven maintenance drive to fill (a 20 ms think time opens
+    /// gaps wider than the 5 ms the policy asks for).
+    #[test]
+    fn closed_loop_replays_as_an_open_schedule_of_its_own_arrivals(
+        raw in prop::collection::vec((0u8..4, 0u8..8, 1u32..48), 1..40),
+        clients in 1usize..=8,
+        think in 0usize..3,
+        idle_detect in any::<bool>(),
+    ) {
+        let ops = concretize_all(&raw);
+        let maintenance = idle_detect.then(|| MaintenanceConfig::idle_detect(5.0));
+        let think_time = SimDuration::from_millis([0, 2, 20][think]);
+        for kind in StoreKind::ALL {
+            let mut closed_store = build_with(kind, maintenance);
+            let mut closed = StoreServer::new(closed_store.as_mut());
+            let recorded = closed
+                .run_closed_loop(ops.clone(), clients, think_time)
+                .expect("closed loop runs");
+            prop_assert_eq!(recorded.len(), ops.len());
+
+            let schedule: Vec<StoreRequest> = recorded.iter().map(|c| c.request.clone()).collect();
+            let mut open_store = build_with(kind, maintenance);
+            let mut open = StoreServer::new(open_store.as_mut());
+            let mut replayed = Vec::with_capacity(schedule.len());
+            open.run(Arrivals::Open(schedule), |c| replayed.push(c))
+                .expect("replay runs");
+
+            prop_assert_eq!(&replayed, &recorded, "{:?}: completions diverge", kind);
+            prop_assert_eq!(open.queue_stats(), closed.queue_stats(), "{:?}", kind);
+            prop_assert_eq!(open.now(), closed.now(), "{:?}", kind);
+            prop_assert_eq!(open.store().elapsed(), closed.store().elapsed(), "{:?}", kind);
+            prop_assert_eq!(
+                open.store().maintenance_stats(),
+                closed.store().maintenance_stats(),
+                "{:?}",
+                kind
+            );
         }
     }
 }

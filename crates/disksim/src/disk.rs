@@ -33,16 +33,6 @@ impl ServiceTime {
     pub fn total(&self) -> SimDuration {
         self.seek + self.rotation + self.transfer + self.overhead
     }
-
-    /// Component-wise sum of two breakdowns.
-    pub fn combined(&self, other: &ServiceTime) -> ServiceTime {
-        ServiceTime {
-            seek: self.seek + other.seek,
-            rotation: self.rotation + other.rotation,
-            transfer: self.transfer + other.transfer,
-            overhead: self.overhead + other.overhead,
-        }
-    }
 }
 
 /// Deterministic single-spindle disk model.
@@ -184,18 +174,6 @@ impl Disk {
             self.trace_cursor = start + dur;
         }
         service
-    }
-
-    /// Services every request in order and returns the summed breakdown.
-    pub fn service_all<'a>(
-        &mut self,
-        requests: impl IntoIterator<Item = &'a IoRequest>,
-    ) -> ServiceTime {
-        let mut total = ServiceTime::default();
-        for request in requests {
-            total = total.combined(&self.service(request));
-        }
-        total
     }
 
     /// Core cost computation shared by [`Disk::estimate`] and
@@ -409,16 +387,5 @@ mod tests {
         assert_eq!(disk.head_position(), before_head);
         assert_eq!(disk.elapsed(), before_elapsed);
         assert_eq!(disk.stats().total_requests(), 0);
-    }
-
-    #[test]
-    fn service_all_sums_components() {
-        let mut disk = small_disk();
-        let requests = vec![
-            IoRequest::read(0, 4096),
-            IoRequest::write(1024 * 1024, 4096),
-        ];
-        let total = disk.service_all(&requests);
-        assert_eq!(total.total(), disk.elapsed());
     }
 }

@@ -46,13 +46,11 @@
 mod config;
 mod disk;
 mod request;
-mod scheduler;
 mod stats;
 mod time;
 
 pub use config::{ConfigError, DiskConfig, OverheadProfile, SeekProfile, ZoneSpec};
 pub use disk::{Disk, ServiceTime};
 pub use request::{AccessKind, ByteRun, IoRequest};
-pub use scheduler::{schedule, service_batch, SchedulingPolicy};
 pub use stats::{DirectionStats, DiskStats};
 pub use time::{throughput_bytes_per_sec, throughput_mb_per_sec, SimClock, SimDuration};

@@ -1,8 +1,6 @@
 //! Property tests for the disk service-time model.
 
-use lor_disksim::{
-    schedule, AccessKind, ByteRun, Disk, DiskConfig, IoRequest, SchedulingPolicy, SimDuration,
-};
+use lor_disksim::{AccessKind, ByteRun, Disk, DiskConfig, IoRequest, SimDuration};
 use proptest::prelude::*;
 
 const TEST_CAPACITY: u64 = 4_000_000_000;
@@ -98,24 +96,6 @@ proptest! {
         let fewer = disk.estimate(&build(fragments));
         let more = disk.estimate(&build(fragments + 1));
         prop_assert!(more.total() >= fewer.total());
-    }
-
-    /// Every scheduling policy emits a permutation of the input batch.
-    #[test]
-    fn scheduling_is_a_permutation(
-        requests in prop::collection::vec(arb_request(), 0..24),
-        head in 0u64..TEST_CAPACITY,
-        policy in prop_oneof![
-            Just(SchedulingPolicy::Fifo),
-            Just(SchedulingPolicy::CLook),
-            Just(SchedulingPolicy::ShortestSeekFirst)
-        ],
-    ) {
-        let order = schedule(policy, head, &requests);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        let expected: Vec<usize> = (0..requests.len()).collect();
-        prop_assert_eq!(sorted, expected);
     }
 
     /// Statistics account for every byte the workload asked to move.

@@ -19,16 +19,13 @@
 //!   each reporting the background I/O it performed as a [`MaintIo`] (bytes
 //!   moved plus mechanical time, costed by the target with its own disk
 //!   model).
-//! * [`MaintenanceTask`] — a recurring task over a target.  The built-in
-//!   queue is checkpoint flush → ghost cleanup → incremental defragmentation
-//!   ([`CheckpointTask`], [`GhostCleanupTask`], [`IncrementalDefragTask`]);
-//!   custom tasks can be queued via
-//!   [`MaintenanceScheduler::with_tasks`].
 //! * [`MaintenanceScheduler`] — the discrete-event driver.  It owns its own
 //!   simulated clock ([`lor_disksim::SimClock`]), advances it with every
 //!   foreground operation, and on each *tick* (every
 //!   [`MaintenanceConfig::tick_every_ops`] foreground operations) grants the
-//!   task queue a background I/O budget chosen by the
+//!   task queue — checkpoint flush → ghost cleanup → incremental
+//!   defragmentation ([`TaskKind`]), the first two on the config's tick
+//!   cadences — a background I/O budget chosen by the
 //!   [`MaintenancePolicy`]:
 //!
 //!   * [`MaintenancePolicy::Idle`] — never grant I/O; maintenance debt
@@ -118,7 +115,4 @@ mod task;
 pub use config::{MaintenanceConfig, MaintenancePolicy};
 pub use estimator::{FragObservation, FragRateEstimator, GhostBacklogClock};
 pub use scheduler::{MaintenanceScheduler, MaintenanceStats, TaskStats};
-pub use task::{
-    CheckpointTask, GhostCleanupTask, IncrementalDefragTask, MaintIo, MaintSubstrate, MaintTarget,
-    MaintenanceTask, TaskKind,
-};
+pub use task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};

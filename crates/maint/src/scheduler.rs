@@ -6,10 +6,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{MaintenanceConfig, MaintenancePolicy};
 use crate::estimator::{FragObservation, FragRateEstimator, GhostBacklogClock};
-use crate::task::{
-    CheckpointTask, GhostCleanupTask, IncrementalDefragTask, MaintIo, MaintSubstrate, MaintTarget,
-    MaintenanceTask, TaskKind,
-};
+use crate::task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};
+
+/// The task queue, in the order each tick runs it: checkpoint flush, then
+/// ghost cleanup, then incremental defragmentation (cleanup before
+/// defragmentation matters — reclaimed space is what gives the defragmenter
+/// contiguous runs to move objects into).
+const QUEUE: [TaskKind; 3] = [
+    TaskKind::Checkpoint,
+    TaskKind::GhostCleanup,
+    TaskKind::Defrag,
+];
 
 /// Per-task accounting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,7 +80,6 @@ impl MaintenanceStats {
 pub struct MaintenanceScheduler {
     config: MaintenanceConfig,
     clock: SimClock,
-    tasks: Vec<Box<dyn MaintenanceTask>>,
     ops_since_tick: u64,
     tick: u64,
     stats: MaintenanceStats,
@@ -95,10 +101,6 @@ impl std::fmt::Debug for MaintenanceScheduler {
         f.debug_struct("MaintenanceScheduler")
             .field("config", &self.config)
             .field("clock", &self.clock)
-            .field(
-                "tasks",
-                &self.tasks.iter().map(|t| t.kind()).collect::<Vec<_>>(),
-            )
             .field("ops_since_tick", &self.ops_since_tick)
             .field("tick", &self.tick)
             .field("stats", &self.stats)
@@ -107,31 +109,13 @@ impl std::fmt::Debug for MaintenanceScheduler {
 }
 
 impl MaintenanceScheduler {
-    /// Creates a scheduler with the built-in task queue: checkpoint flush,
-    /// then ghost cleanup, then incremental defragmentation (cleanup before
-    /// defragmentation matters — reclaimed space is what gives the
-    /// defragmenter contiguous runs to move objects into).
+    /// Creates a scheduler over the task queue: checkpoint flush, ghost
+    /// cleanup, incremental defragmentation, in that order each tick.
     pub fn new(config: MaintenanceConfig) -> Self {
-        let tasks: Vec<Box<dyn MaintenanceTask>> = vec![
-            Box::new(CheckpointTask {
-                every_ticks: config.checkpoint_every_ticks,
-            }),
-            Box::new(GhostCleanupTask {
-                every_ticks: config.ghost_cleanup_every_ticks,
-            }),
-            Box::new(IncrementalDefragTask),
-        ];
-        Self::with_tasks(config, tasks)
-    }
-
-    /// Creates a scheduler with an explicit task queue (run in order each
-    /// tick).
-    pub fn with_tasks(config: MaintenanceConfig, tasks: Vec<Box<dyn MaintenanceTask>>) -> Self {
         MaintenanceScheduler {
             estimator: config.frag_rate_estimator(),
             config,
             clock: SimClock::new(),
-            tasks,
             ops_since_tick: 0,
             tick: 0,
             stats: MaintenanceStats::default(),
@@ -182,10 +166,9 @@ impl MaintenanceScheduler {
         self.run_tick(target)
     }
 
-    /// Runs one tick immediately (also used internally by
-    /// [`MaintenanceScheduler::on_foreground_op`]).  Returns the background
-    /// time consumed.
-    pub fn run_tick(&mut self, target: &mut dyn MaintTarget) -> SimDuration {
+    /// Runs one tick: asks the policy for a budget and spends it on the
+    /// queue.  Returns the background time consumed.
+    fn run_tick(&mut self, target: &mut dyn MaintTarget) -> SimDuration {
         self.tick += 1;
         self.stats.ticks += 1;
 
@@ -251,6 +234,11 @@ impl MaintenanceScheduler {
     }
 
     /// Spends `budget_bytes` on the task queue in order and accounts the I/O.
+    ///
+    /// Checkpoint and ghost cleanup run on their configured tick cadences
+    /// (cleanup only while there is something to reclaim and release is
+    /// allowed); defragmentation runs every time, on whatever budget the
+    /// earlier entries left over.
     fn run_queue(&mut self, target: &mut dyn MaintTarget, mut budget_bytes: u64) -> MaintIo {
         let mut total = MaintIo::NONE;
         let ghost_allowed = self.ghost_release_allowed(target);
@@ -262,26 +250,27 @@ impl MaintenanceScheduler {
                 .gauge("maint.credit_units", at, self.estimator.credit_units());
             self.obs.counter("maint.ticks", at, self.stats.ticks as f64);
         }
-        // The queue is detached while running so task bookkeeping can borrow
-        // the stats mutably.
-        let mut tasks = std::mem::take(&mut self.tasks);
-        for task in &mut tasks {
+        let on_cadence = |every_ticks: u64| self.tick.is_multiple_of(every_ticks.max(1));
+        let checkpoint_due = on_cadence(self.config.checkpoint_every_ticks);
+        let cleanup_due = ghost_allowed && on_cadence(self.config.ghost_cleanup_every_ticks);
+        for kind in QUEUE {
             if budget_bytes == 0 {
                 break;
             }
-            if task.kind() == TaskKind::GhostCleanup && !ghost_allowed {
-                continue;
-            }
-            if !task.due(self.tick, target) {
-                continue;
-            }
             let budget_before = budget_bytes;
-            let io = task.run(target, budget_bytes);
+            let io = match kind {
+                TaskKind::Checkpoint if checkpoint_due => target.checkpoint(),
+                TaskKind::GhostCleanup if cleanup_due && target.reclaimable_bytes() > 0 => {
+                    target.ghost_cleanup(budget_bytes)
+                }
+                TaskKind::Defrag => target.defragment_step(budget_bytes),
+                TaskKind::Checkpoint | TaskKind::GhostCleanup => continue,
+            };
             if io.is_none() {
                 continue;
             }
             budget_bytes = budget_bytes.saturating_sub(io.bytes);
-            let entry = self.stats.task_mut(task.kind());
+            let entry = self.stats.task_mut(kind);
             entry.runs += 1;
             entry.io_bytes += io.bytes;
             entry.busy += io.time;
@@ -294,7 +283,7 @@ impl MaintenanceScheduler {
                 let start = (self.clock.now() + total.time).as_nanos();
                 self.obs.span(
                     Track::Maintenance,
-                    task.kind().name(),
+                    kind.name(),
                     start,
                     io.time.as_nanos(),
                     &[
@@ -307,7 +296,6 @@ impl MaintenanceScheduler {
             }
             total = total.combined(&io);
         }
-        self.tasks = tasks;
         // Re-observe the backlog after the queue ran: a drain that empties
         // the backlog on this very tick must re-arm the deferral clock now,
         // not when some later slice happens to observe zero — otherwise the
@@ -321,7 +309,6 @@ impl MaintenanceScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::MaintIo;
 
     /// A target whose fragmentation grows by 0.1 per foreground op and whose
     /// maintenance actions have simple deterministic effects.
@@ -444,6 +431,31 @@ mod tests {
         );
         // Earlier queue entries consume budget before defrag sees it.
         assert!(store.last_defrag_budget < 16 * 64 * 1024);
+
+        // Other cadences: checkpoints land on ticks 3 and 6 only; cleanup,
+        // due every tick, still waits for something to reclaim; defrag
+        // never skips a tick.
+        let mut config = MaintenanceConfig::fixed_budget(16);
+        config.checkpoint_every_ticks = 3;
+        config.ghost_cleanup_every_ticks = 1;
+        let mut scheduler = MaintenanceScheduler::new(config);
+        let mut store = FakeStore::new();
+        let mut checkpoint_ticks = Vec::new();
+        for tick in 1..=6u64 {
+            store.ghost_bytes = if tick % 2 == 0 { 4096 } else { 0 };
+            let before = store.checkpoints;
+            scheduler.run_budgeted_slice(&mut store, 1 << 20, SimDuration::from_millis(tick));
+            if store.checkpoints > before {
+                checkpoint_ticks.push(tick);
+            }
+        }
+        assert_eq!(checkpoint_ticks, [3, 6]);
+        assert_eq!(store.cleanups, 3);
+        assert_eq!(store.defrag_steps, 6);
+        assert_eq!(
+            QUEUE.map(|kind| kind.name()),
+            ["checkpoint", "ghost-cleanup", "defrag"]
+        );
     }
 
     #[test]
@@ -599,39 +611,5 @@ mod tests {
             .run_budgeted_slice(&mut store, 0, SimDuration::from_millis(6))
             .is_none());
         assert_eq!(scheduler.stats().ticks, 2);
-    }
-
-    #[test]
-    fn custom_task_queues_are_respected() {
-        struct CountingTask {
-            kind: TaskKind,
-            runs: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        }
-        impl MaintenanceTask for CountingTask {
-            fn kind(&self) -> TaskKind {
-                self.kind
-            }
-            fn due(&self, _tick: u64, _target: &dyn MaintTarget) -> bool {
-                true
-            }
-            fn run(&mut self, _target: &mut dyn MaintTarget, budget: u64) -> MaintIo {
-                self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                MaintIo::new(budget, SimDuration::from_micros(10))
-            }
-        }
-        let runs = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut scheduler = MaintenanceScheduler::with_tasks(
-            MaintenanceConfig::fixed_budget(1),
-            vec![Box::new(CountingTask {
-                kind: TaskKind::Defrag,
-                runs: runs.clone(),
-            })],
-        );
-        let mut store = FakeStore::new();
-        drive(&mut scheduler, &mut store, 16);
-        assert_eq!(runs.load(std::sync::atomic::Ordering::Relaxed), 2);
-        assert_eq!(scheduler.stats().task(TaskKind::Defrag).runs, 2);
-        assert_eq!(scheduler.stats().task(TaskKind::Checkpoint).runs, 0);
-        assert!(format!("{scheduler:?}").contains("Defrag"));
     }
 }

@@ -1,5 +1,4 @@
-//! The maintenance-task trait, the target abstraction, and the built-in
-//! recurring tasks.
+//! The target abstraction, the background-I/O record and the task kinds.
 
 use lor_alloc::PlacementPolicy;
 use lor_disksim::SimDuration;
@@ -129,8 +128,8 @@ pub trait MaintTarget {
     fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo;
 }
 
-/// Which built-in maintenance duty a task performs (used to attribute
-/// statistics).
+/// The maintenance duties of the scheduler's queue, in queue order (used to
+/// attribute statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TaskKind {
     /// Log flush / checkpoint, releasing deferred frees.
@@ -152,115 +151,9 @@ impl TaskKind {
     }
 }
 
-/// A recurring background task owned by the scheduler's queue.
-///
-/// Tasks are consulted every tick (in queue order) once the policy has
-/// granted the tick a budget; a task runs only if it reports itself due.
-///
-/// `Send` so a store owning a scheduler can move between worker threads
-/// (the sharded fleet's parallel drain); the scheduler itself is still
-/// driven by one thread at a time.
-pub trait MaintenanceTask: Send {
-    /// Which duty this task performs.
-    fn kind(&self) -> TaskKind;
-
-    /// `true` if the task wants to run at this tick (cadence satisfied and
-    /// work available).
-    fn due(&self, tick: u64, target: &dyn MaintTarget) -> bool;
-
-    /// Performs the task against the target, transferring at most about
-    /// `budget_bytes` of background I/O, and reports what it did.
-    fn run(&mut self, target: &mut dyn MaintTarget, budget_bytes: u64) -> MaintIo;
-}
-
-/// Checkpoint flush on a fixed tick cadence.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckpointTask {
-    /// Ticks between runs.
-    pub every_ticks: u64,
-}
-
-impl MaintenanceTask for CheckpointTask {
-    fn kind(&self) -> TaskKind {
-        TaskKind::Checkpoint
-    }
-
-    fn due(&self, tick: u64, _target: &dyn MaintTarget) -> bool {
-        tick.is_multiple_of(self.every_ticks.max(1))
-    }
-
-    fn run(&mut self, target: &mut dyn MaintTarget, _budget_bytes: u64) -> MaintIo {
-        target.checkpoint()
-    }
-}
-
-/// Ghost cleanup on a fixed tick cadence, skipped while there is nothing to
-/// reclaim.
-#[derive(Debug, Clone, Copy)]
-pub struct GhostCleanupTask {
-    /// Ticks between runs.
-    pub every_ticks: u64,
-}
-
-impl MaintenanceTask for GhostCleanupTask {
-    fn kind(&self) -> TaskKind {
-        TaskKind::GhostCleanup
-    }
-
-    fn due(&self, tick: u64, target: &dyn MaintTarget) -> bool {
-        tick.is_multiple_of(self.every_ticks.max(1)) && target.reclaimable_bytes() > 0
-    }
-
-    fn run(&mut self, target: &mut dyn MaintTarget, budget_bytes: u64) -> MaintIo {
-        target.ghost_cleanup(budget_bytes)
-    }
-}
-
-/// Incremental defragmentation: runs every tick the policy grants budget,
-/// spending whatever budget the earlier queue entries left over.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IncrementalDefragTask;
-
-impl MaintenanceTask for IncrementalDefragTask {
-    fn kind(&self) -> TaskKind {
-        TaskKind::Defrag
-    }
-
-    fn due(&self, _tick: u64, _target: &dyn MaintTarget) -> bool {
-        true
-    }
-
-    fn run(&mut self, target: &mut dyn MaintTarget, budget_bytes: u64) -> MaintIo {
-        target.defragment_step(budget_bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    pub(crate) struct NullTarget;
-
-    impl MaintTarget for NullTarget {
-        fn reclaimable_bytes(&self) -> u64 {
-            0
-        }
-        fn fragments_per_object(&self) -> f64 {
-            1.0
-        }
-        fn excess_fragments(&self) -> u64 {
-            0
-        }
-        fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
-            MaintIo::NONE
-        }
-        fn checkpoint(&mut self) -> MaintIo {
-            MaintIo::NONE
-        }
-        fn defragment_step(&mut self, _budget_bytes: u64) -> MaintIo {
-            MaintIo::NONE
-        }
-    }
 
     #[test]
     fn maint_io_combines_and_detects_no_work() {
@@ -271,46 +164,5 @@ mod tests {
         assert_eq!(c.time, SimDuration::from_millis(3));
         assert!(MaintIo::NONE.is_none());
         assert!(!a.is_none());
-    }
-
-    #[test]
-    fn cadence_tasks_fire_on_their_ticks() {
-        let checkpoint = CheckpointTask { every_ticks: 3 };
-        assert!(checkpoint.due(3, &NullTarget));
-        assert!(checkpoint.due(6, &NullTarget));
-        assert!(!checkpoint.due(4, &NullTarget));
-
-        // Ghost cleanup additionally requires reclaimable work.
-        let cleanup = GhostCleanupTask { every_ticks: 1 };
-        assert!(!cleanup.due(1, &NullTarget));
-
-        struct Dirty;
-        impl MaintTarget for Dirty {
-            fn reclaimable_bytes(&self) -> u64 {
-                4096
-            }
-            fn fragments_per_object(&self) -> f64 {
-                1.0
-            }
-            fn excess_fragments(&self) -> u64 {
-                0
-            }
-            fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
-                MaintIo::NONE
-            }
-            fn checkpoint(&mut self) -> MaintIo {
-                MaintIo::NONE
-            }
-            fn defragment_step(&mut self, _budget_bytes: u64) -> MaintIo {
-                MaintIo::NONE
-            }
-        }
-        assert!(cleanup.due(1, &Dirty));
-        assert!(!cleanup.due(1, &NullTarget));
-
-        assert!(IncrementalDefragTask.due(7, &NullTarget));
-        assert_eq!(TaskKind::Defrag.name(), "defrag");
-        assert_eq!(TaskKind::Checkpoint.name(), "checkpoint");
-        assert_eq!(TaskKind::GhostCleanup.name(), "ghost-cleanup");
     }
 }

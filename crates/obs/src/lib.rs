@@ -14,7 +14,7 @@
 //!   — no allocation, no formatting, no clock reads.  Simulations with a
 //!   null handle must be bit-identical to uninstrumented ones (a property
 //!   the workspace pins with proptests).
-//! * [`Obs::trace(capacity)`] attaches a [`TraceRecorder`]: a bounded
+//! * [`Obs::trace`]`(capacity)` attaches a [`TraceRecorder`]: a bounded
 //!   ring buffer of [`SpanRecord`]s and [`MetricSample`]s.  When the ring
 //!   is full the oldest record is dropped and counted, so a trace of an
 //!   arbitrarily long run costs bounded memory.

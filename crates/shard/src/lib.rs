@@ -21,10 +21,10 @@
 //!   fragments/object sits well above the fleet mean (snapshot published
 //!   via [`Router::set_fragmentation`]), steering new writes away from the
 //!   shards the rebalancer is draining.
-//! * **Aggregate load splitting** — workloads are generated *once* at the
-//!   aggregate offered rate ([`ShardedStore::run_open_loop`],
-//!   [`ShardedStore::run_mixed_open_loop`]) and partitioned across shards,
-//!   which makes a fleet of one bit-identical to a bare
+//! * **Aggregate load splitting** — a schedule is built *once* at the
+//!   aggregate offered rate ([`lor_core::OpenLoop::schedule`],
+//!   [`lor_core::MixedOpenLoop::schedule`]) and partitioned across shards
+//!   by [`ShardedStore::run`], which makes a fleet of one bit-identical to a bare
 //!   [`lor_core::StoreServer`] (the degenerate-equivalence e2e test) and
 //!   keeps the offered pattern independent of the shard count.
 //! * **Parallel execution** — because the shards are independent (own
@@ -38,7 +38,7 @@
 //!   all three substrates; `LOR_FLEET_PARALLELISM` overrides the config at
 //!   runtime (CI forces the serial reference drain through it).
 //! * **Load-concurrent rebalancing** —
-//!   [`ShardedStore::run_mixed_open_loop_with_rebalance`] interleaves
+//!   [`ShardedStore::run_with_rebalance`] interleaves
 //!   budgeted rebalance slices *inside* a measurement interval (the
 //!   schedule is cut into arrival-time windows, one slice after each), so
 //!   migration I/O competes with the foreground on the same spindles

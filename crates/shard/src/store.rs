@@ -25,9 +25,8 @@ use std::sync::Mutex;
 
 use lor_alloc::{FragmentationSummary, PlacementPolicy};
 use lor_core::{
-    ClientId, Completion, ExperimentConfig, FleetParallelism, MixedOpenLoop, ObjectKey,
-    ObjectStore, OpenLoop, QueueStats, StoreError, StoreKind, StoreRequest, StoreServer,
-    WorkloadOp,
+    Arrivals, ClientId, Completion, ExperimentConfig, FleetParallelism, ObjectKey, ObjectStore,
+    OpenLoop, QueueStats, StoreError, StoreKind, StoreRequest, StoreServer, WorkloadOp,
 };
 use lor_disksim::SimDuration;
 use lor_maint::{MaintIo, MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
@@ -77,16 +76,6 @@ const DIRECTORY_MSG: &str = "shard directory lock poisoned";
 /// applies its own (caller-chosen) bound.
 const PER_SHARD_TRACE_CAPACITY: usize = 4096;
 
-/// How a drained sub-stream drives its shard's server.
-#[derive(Clone, Copy)]
-enum DrainMode {
-    /// `StoreServer::run_schedule` over the partitioned arrival stream.
-    Schedule,
-    /// `StoreServer::run_closed_loop` with one zero-think client — the
-    /// bulk-load path, bit-identical to a bare serial harness.
-    BulkLoad,
-}
-
 /// What draining one shard's sub-stream produced.
 struct ShardRun {
     completions: Vec<Completion>,
@@ -105,29 +94,24 @@ struct ShardRun {
 /// interval holding a stale handle.
 fn drain_shard(
     store: &mut Box<dyn ObjectStore>,
-    stream: Vec<StoreRequest>,
+    arrivals: Arrivals,
     collect_spans: bool,
-    mode: DrainMode,
 ) -> Result<ShardRun, StoreError> {
     let local = collect_spans.then(|| Obs::trace(PER_SHARD_TRACE_CAPACITY));
+    let mut completions = Vec::with_capacity(arrivals.len());
     let outcome = {
         let mut server = StoreServer::new(store.as_mut());
         if let Some((obs, _)) = &local {
             server.set_obs(obs.clone(), SimDuration::ZERO);
         }
-        let run = match mode {
-            DrainMode::Schedule => server.run_schedule(stream),
-            DrainMode::BulkLoad => {
-                let ops: Vec<WorkloadOp> = stream.into_iter().map(|request| request.op).collect();
-                server.run_closed_loop(ops, 1, SimDuration::ZERO)
-            }
-        };
-        run.map(|completions| (completions, server.queue_stats(), server.now()))
+        server
+            .run(arrivals, |completion| completions.push(completion))
+            .map(|()| (server.queue_stats(), server.now()))
     };
     if local.is_some() {
         store.set_obs(Obs::null());
     }
-    let (completions, queue, end) = outcome?;
+    let (queue, end) = outcome?;
     let (spans, metrics) = match &local {
         Some((_, trace)) => trace.drain(),
         None => (Vec::new(), Vec::new()),
@@ -152,14 +136,14 @@ fn drain_shard(
 /// deterministic, every mode produces bit-identical results.
 fn drain_streams(
     shards: &mut [Box<dyn ObjectStore>],
-    streams: Vec<Vec<StoreRequest>>,
+    streams: Vec<Arrivals>,
     parallelism: FleetParallelism,
     collect_spans: bool,
-    mode: DrainMode,
 ) -> Vec<Option<Result<ShardRun, StoreError>>> {
+    type Job<'a> = (usize, &'a mut Box<dyn ObjectStore>, Arrivals);
     let mut slots: Vec<Option<Result<ShardRun, StoreError>>> =
         (0..shards.len()).map(|_| None).collect();
-    let jobs: Vec<(usize, &mut Box<dyn ObjectStore>, Vec<StoreRequest>)> = shards
+    let jobs: Vec<Job<'_>> = shards
         .iter_mut()
         .zip(streams)
         .enumerate()
@@ -169,12 +153,11 @@ fn drain_streams(
     let workers = parallelism.workers(jobs.len());
     if workers <= 1 || jobs.len() <= 1 {
         for (index, store, stream) in jobs {
-            slots[index] = Some(drain_shard(store, stream, collect_spans, mode));
+            slots[index] = Some(drain_shard(store, stream, collect_spans));
         }
         return slots;
     }
 
-    type Job<'a> = (usize, &'a mut Box<dyn ObjectStore>, Vec<StoreRequest>);
     type ResultSlot = Mutex<Option<(usize, Result<ShardRun, StoreError>)>>;
     let queue: Vec<Mutex<Option<Job<'_>>>> =
         jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
@@ -192,7 +175,7 @@ fn drain_streams(
                     .expect("shard job lock poisoned")
                     .take()
                     .expect("each shard job is claimed exactly once");
-                let outcome = drain_shard(store, stream, collect_spans, mode);
+                let outcome = drain_shard(store, stream, collect_spans);
                 *results[slot].lock().expect("shard result lock poisoned") = Some((index, outcome));
             });
         }
@@ -438,17 +421,18 @@ impl ShardedStore {
         }
     }
 
-    /// Splits an aggregate arrival schedule into per-shard sub-streams,
-    /// preserving arrival order within each.
-    fn partition(
+    /// Splits an aggregate stream (requests, or bare operations) into
+    /// per-shard sub-streams, preserving its order within each.
+    fn partition<T>(
         &mut self,
-        schedule: Vec<StoreRequest>,
-    ) -> Result<Vec<Vec<StoreRequest>>, StoreError> {
+        stream: Vec<T>,
+        op_of: impl Fn(&T) -> &WorkloadOp,
+    ) -> Result<Vec<Vec<T>>, StoreError> {
         let mut directory = self.directory.lock().expect(DIRECTORY_MSG);
-        let mut streams: Vec<Vec<StoreRequest>> = vec![Vec::new(); self.shards.len()];
-        for request in schedule {
-            let shard = Self::route_request(&self.router, &mut directory, &request.op)?;
-            streams[shard as usize].push(request);
+        let mut streams: Vec<Vec<T>> = self.shards.iter().map(|_| Vec::new()).collect();
+        for item in stream {
+            let shard = Self::route_request(&self.router, &mut directory, op_of(&item))?;
+            streams[shard as usize].push(item);
         }
         Ok(streams)
     }
@@ -471,15 +455,15 @@ impl ShardedStore {
     /// Splices one shard's interval recording into the fleet trace:
     /// spans land on that shard's track, shifted from the server-local
     /// timeline onto the fleet timeline.
-    fn splice(&self, shard: usize, spans: Vec<SpanRecord>, metrics: Vec<MetricSample>) {
+    fn splice(&self, shard: usize, run: &mut ShardRun) {
         let offset = self.trace_offset.as_nanos();
         let track = Track::Shard(shard.min(u8::MAX as usize) as u8);
-        for mut span in spans {
+        for mut span in run.spans.drain(..) {
             span.track = track;
             span.start_ns = span.start_ns.saturating_add(offset);
             self.obs.record_span(span);
         }
-        for mut sample in metrics {
+        for mut sample in run.metrics.drain(..) {
             sample.at_ns = sample.at_ns.saturating_add(offset);
             self.obs.record_metric(sample);
         }
@@ -490,24 +474,17 @@ impl ShardedStore {
     /// bare serial harness would; with worker threads the shards load
     /// concurrently, producing a bit-identical layout.
     pub fn load(&mut self, ops: Vec<WorkloadOp>) -> Result<usize, StoreError> {
-        let schedule: Vec<StoreRequest> = ops
+        let applied = ops.len();
+        let streams: Vec<Arrivals> = self
+            .partition(ops, |op| op)?
             .into_iter()
-            .enumerate()
-            .map(|(index, op)| StoreRequest {
-                client: ClientId(index as u32),
-                op,
-                arrival: SimDuration::ZERO,
+            .map(|ops| Arrivals::Closed {
+                ops,
+                clients: 1,
+                think_time: SimDuration::ZERO,
             })
             .collect();
-        let streams = self.partition(schedule)?;
-        let applied: usize = streams.iter().map(Vec::len).sum();
-        let runs = drain_streams(
-            &mut self.shards,
-            streams,
-            self.parallelism,
-            false,
-            DrainMode::BulkLoad,
-        );
+        let runs = drain_streams(&mut self.shards, streams, self.parallelism, false);
         for slot in runs.into_iter().flatten() {
             slot?;
         }
@@ -515,60 +492,79 @@ impl ShardedStore {
         Ok(applied)
     }
 
-    /// Runs an aggregate arrival schedule (sorted by arrival time) across
-    /// the fleet: the schedule is partitioned by the router/directory and
-    /// each shard's sub-stream runs against that shard's own
-    /// [`StoreServer`].  Completions are returned merged back into
-    /// aggregate arrival order.
-    pub fn run_schedule(
+    /// Drains one measurement interval's per-shard sub-streams and closes
+    /// the interval: each shard's queue stats are kept, its recording is
+    /// spliced into the fleet trace and handed — with the fleet recorder
+    /// and the interval's trace offset — to `each` (idle shards are
+    /// skipped), then the gauges are probed, the trace timeline advances
+    /// past the slowest shard and a frag-aware router is refreshed.
+    fn drain_interval(
         &mut self,
-        schedule: Vec<StoreRequest>,
-    ) -> Result<Vec<Completion>, StoreError> {
-        let total = schedule.len();
-        let streams = self.partition(schedule)?;
-        let counts: Vec<usize> = streams.iter().map(Vec::len).collect();
+        streams: Vec<Vec<StoreRequest>>,
+        mut each: impl FnMut(&Obs, SimDuration, usize, ShardRun),
+    ) -> Result<(), StoreError> {
         let runs = drain_streams(
             &mut self.shards,
-            streams,
+            streams.into_iter().map(Arrivals::Open).collect(),
             self.parallelism,
             self.obs.enabled(),
-            DrainMode::Schedule,
         );
-        let mut merged: Vec<Completion> = Vec::with_capacity(total);
         let mut interval_end = SimDuration::ZERO;
         for (shard, slot) in runs.into_iter().enumerate() {
             self.last_queue[shard] = QueueStats::default();
             let Some(outcome) = slot else { continue };
-            let run = outcome?;
+            let mut run = outcome?;
             self.last_queue[shard] = run.queue;
             interval_end = interval_end.max(run.end);
             if self.obs.enabled() {
-                self.splice(shard, run.spans, run.metrics);
-                self.obs.span(
+                self.splice(shard, &mut run);
+            }
+            each(&self.obs, self.trace_offset, shard, run);
+        }
+        self.probe(self.trace_offset + interval_end);
+        self.trace_offset += interval_end;
+        self.refresh_router_penalties();
+        Ok(())
+    }
+
+    /// Runs an aggregate arrival schedule (sorted by arrival time) across
+    /// the fleet: the schedule is partitioned by the router/directory and
+    /// each shard's sub-stream runs as [`Arrivals::Open`] against that
+    /// shard's own [`StoreServer`].  Completions are returned merged back
+    /// into aggregate arrival order.
+    ///
+    /// Build the schedule **once**, at the aggregate offered load and from
+    /// time zero — [`OpenLoop::schedule`] or
+    /// [`lor_core::MixedOpenLoop::schedule`] — so the per-shard streams are
+    /// deterministic for a fixed seed and the offered pattern does not
+    /// depend on the shard count.
+    pub fn run(&mut self, schedule: Vec<StoreRequest>) -> Result<Vec<Completion>, StoreError> {
+        let mut merged: Vec<Completion> = Vec::with_capacity(schedule.len());
+        let streams = self.partition(schedule, |request| &request.op)?;
+        self.drain_interval(streams, |obs, offset, shard, run| {
+            if obs.enabled() {
+                obs.span(
                     Track::Shard(shard.min(u8::MAX as usize) as u8),
                     "interval",
-                    self.trace_offset.as_nanos(),
+                    offset.as_nanos(),
                     run.end.as_nanos(),
                     &[
-                        ("requests", (counts[shard] as u64).into()),
+                        ("requests", (run.completions.len() as u64).into()),
                         ("max_queue_depth", run.queue.max_depth.into()),
                     ],
                 );
             }
             merged.extend(run.completions);
-        }
+        })?;
         // Aggregate arrival order: client ids number the aggregate stream,
         // so (arrival, client) restores exactly the order the scheduler
         // offered.  For one shard this is the stream's own dispatch order.
         merged.sort_by_key(|completion| (completion.request.arrival, completion.request.client.0));
-        self.probe(self.trace_offset + interval_end);
-        self.trace_offset += interval_end;
-        self.refresh_router_penalties();
         Ok(merged)
     }
 
-    /// Runs an aggregate schedule with rebalancing interleaved *inside*
-    /// the measurement interval: the schedule is cut into `slices` equal
+    /// [`ShardedStore::run`] with rebalancing interleaved *inside* the
+    /// measurement interval: the schedule is cut into `slices` equal
     /// arrival-time windows, each window is drained across the fleet
     /// (in parallel under `FleetParallelism::Threads`), and one budgeted
     /// [`ShardedStore::run_rebalance_slice`] runs between windows — so
@@ -578,20 +574,16 @@ impl ShardedStore {
     /// directory; queue backlog does not carry across window boundaries
     /// (each window re-opens its shard queues, as separate measurement
     /// intervals do).
-    pub fn run_schedule_with_rebalance(
+    pub fn run_with_rebalance(
         &mut self,
         schedule: Vec<StoreRequest>,
         budget_bytes: u64,
         slices: u32,
     ) -> Result<Vec<Completion>, StoreError> {
         let slices = slices.max(1);
-        if schedule.is_empty() {
+        let Some(horizon) = schedule.last().map(|request| request.arrival) else {
             return Ok(Vec::new());
-        }
-        let horizon = schedule
-            .last()
-            .map(|request| request.arrival)
-            .unwrap_or(SimDuration::ZERO);
+        };
         let window_ns = (horizon.as_nanos() / slices as u64).max(1);
         let mut windows: Vec<Vec<StoreRequest>> = vec![Vec::new(); slices as usize];
         for request in schedule {
@@ -610,7 +602,7 @@ impl ShardedStore {
                 for request in &mut window {
                     request.arrival = request.arrival.saturating_sub(base);
                 }
-                let completions = self.run_schedule(window)?;
+                let completions = self.run(window)?;
                 merged.extend(completions.into_iter().map(|mut completion| {
                     completion.request.arrival += base;
                     completion.start += base;
@@ -622,59 +614,6 @@ impl ShardedStore {
             self.run_rebalance_slice(budget_bytes, now);
         }
         Ok(merged)
-    }
-
-    /// Runs an open-loop Poisson process at the **aggregate** offered load:
-    /// one arrival stream is drawn (identically to
-    /// [`StoreServer::run_open_loop`]) and split across the fleet, so the
-    /// per-shard streams are deterministic for a fixed seed and the offered
-    /// pattern does not depend on the shard count.
-    pub fn run_open_loop(
-        &mut self,
-        ops: Vec<WorkloadOp>,
-        load: OpenLoop,
-    ) -> Result<Vec<Completion>, StoreError> {
-        let schedule: Vec<StoreRequest> = load
-            .arrivals(SimDuration::ZERO, ops.len())?
-            .into_iter()
-            .zip(ops)
-            .enumerate()
-            .map(|(index, (arrival, op))| StoreRequest {
-                client: ClientId(index as u32),
-                op,
-                arrival,
-            })
-            .collect();
-        self.run_schedule(schedule)
-    }
-
-    /// Runs a mixed open-loop (reads + safe writes) at the aggregate rates,
-    /// split across the fleet — see [`ShardedStore::run_open_loop`].
-    pub fn run_mixed_open_loop(
-        &mut self,
-        reads: Vec<WorkloadOp>,
-        writes: Vec<WorkloadOp>,
-        load: MixedOpenLoop,
-    ) -> Result<Vec<Completion>, StoreError> {
-        let schedule = load.schedule(SimDuration::ZERO, reads, writes)?;
-        self.run_schedule(schedule)
-    }
-
-    /// Mixed open-loop variant of
-    /// [`ShardedStore::run_schedule_with_rebalance`]: the aggregate
-    /// read/write arrival process is drawn exactly as
-    /// [`ShardedStore::run_mixed_open_loop`] does, then drained with
-    /// budgeted rebalancing interleaved between arrival-time windows.
-    pub fn run_mixed_open_loop_with_rebalance(
-        &mut self,
-        reads: Vec<WorkloadOp>,
-        writes: Vec<WorkloadOp>,
-        load: MixedOpenLoop,
-        budget_bytes: u64,
-        slices: u32,
-    ) -> Result<Vec<Completion>, StoreError> {
-        let schedule = load.schedule(SimDuration::ZERO, reads, writes)?;
-        self.run_schedule_with_rebalance(schedule, budget_bytes, slices)
     }
 
     /// Runs fan-out reads: each group of keys is one multi-object request
@@ -712,30 +651,14 @@ impl ShardedStore {
                 parts: Vec::new(),
             })
             .collect();
-        let runs = drain_streams(
-            &mut self.shards,
-            streams,
-            self.parallelism,
-            self.obs.enabled(),
-            DrainMode::Schedule,
-        );
-        let mut interval_end = SimDuration::ZERO;
-        for (shard, slot) in runs.into_iter().enumerate() {
-            self.last_queue[shard] = QueueStats::default();
-            let Some(outcome) = slot else { continue };
-            let run = outcome?;
-            self.last_queue[shard] = run.queue;
-            interval_end = interval_end.max(run.end);
-            if self.obs.enabled() {
-                self.splice(shard, run.spans, run.metrics);
-            }
+        self.drain_interval(streams, |obs, offset, shard, run| {
             for completion in run.completions {
                 let group = completion.request.client.0 as usize;
-                if self.obs.enabled() {
-                    self.obs.span(
+                if obs.enabled() {
+                    obs.span(
                         Track::Shard(shard.min(u8::MAX as usize) as u8),
                         "fanout-get",
-                        (self.trace_offset + completion.start).as_nanos(),
+                        (offset + completion.start).as_nanos(),
                         completion
                             .finish
                             .saturating_sub(completion.start)
@@ -751,10 +674,7 @@ impl ShardedStore {
                     completion,
                 });
             }
-        }
-        self.probe(self.trace_offset + interval_end);
-        self.trace_offset += interval_end;
-        self.refresh_router_penalties();
+        })?;
         Ok(grouped)
     }
 

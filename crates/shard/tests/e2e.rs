@@ -14,8 +14,9 @@
 //!   writes never touch any shard's foreground band.
 
 use lor_core::{
-    ExperimentConfig, FleetParallelism, MixedOpenLoop, ObjectKey, OpenLoop, PlacementPolicy,
-    SizeDistribution, StoreError, StoreKind, StoreServer, WorkloadGenerator, WorkloadOp,
+    Arrivals, ExperimentConfig, FleetParallelism, MixedOpenLoop, ObjectKey, OpenLoop,
+    PlacementPolicy, SizeDistribution, StoreError, StoreKind, StoreRequest, StoreServer,
+    WorkloadGenerator, WorkloadOp,
 };
 use lor_disksim::SimDuration;
 use lor_maint::{MaintenanceConfig, MaintenancePolicy};
@@ -28,9 +29,20 @@ fn small_config(object_size: u64, volume: u64) -> ExperimentConfig {
     config
 }
 
+/// The aggregate mixed schedule a fleet interval runs: drawn once, from
+/// time zero.
+fn mixed(
+    load: MixedOpenLoop,
+    reads: Vec<WorkloadOp>,
+    writes: Vec<WorkloadOp>,
+) -> Vec<StoreRequest> {
+    load.schedule(SimDuration::ZERO, reads, writes)
+        .expect("schedule")
+}
+
 #[test]
 fn a_single_shard_fleet_is_bit_identical_to_a_bare_server() {
-    for kind in [StoreKind::Filesystem, StoreKind::Database] {
+    for kind in StoreKind::ALL {
         let config = small_config(512 << 10, 128 << 20);
         let mut generator = WorkloadGenerator::new(config.workload());
         let ops = generator.bulk_load();
@@ -54,9 +66,12 @@ fn a_single_shard_fleet_is_bit_identical_to_a_bare_server() {
         }
         let bare_completions = {
             let mut server = StoreServer::new(bare.as_mut());
+            let schedule = mixed(load, reads.clone(), writes.clone());
+            let mut completions = Vec::new();
             server
-                .run_mixed_open_loop(reads.clone(), writes.clone(), load)
-                .expect("bare mixed run")
+                .run(Arrivals::Open(schedule), |c| completions.push(c))
+                .expect("bare mixed run");
+            completions
         };
 
         let mut fleet = ShardedStore::new(
@@ -68,7 +83,7 @@ fn a_single_shard_fleet_is_bit_identical_to_a_bare_server() {
         .expect("fleet");
         fleet.load(ops).expect("fleet bulk load");
         let fleet_completions = fleet
-            .run_mixed_open_loop(reads, writes, load)
+            .run(mixed(load, reads, writes))
             .expect("fleet mixed run");
 
         assert_eq!(
@@ -179,17 +194,12 @@ fn rebalancing_reduces_skew_without_touching_foreground_bands() {
                 _ => true,
             })
             .collect();
-        fleet
-            .run_mixed_open_loop(
-                reads,
-                writes,
-                MixedOpenLoop {
-                    read_ops_per_sec: 20.0,
-                    write_ops_per_sec: 80.0,
-                    seed: 3,
-                },
-            )
-            .expect("aging run");
+        let load = MixedOpenLoop {
+            read_ops_per_sec: 20.0,
+            write_ops_per_sec: 80.0,
+            seed: 3,
+        };
+        fleet.run(mixed(load, reads, writes)).expect("aging run");
     }
 
     let worst_shard_fpo = |fleet: &ShardedStore| {
@@ -289,17 +299,12 @@ fn fleet_scenario(
     fleet.load(generator.bulk_load()).expect("bulk load");
     let reads = generator.read_sample(96);
     let writes = generator.safe_write_sample(48);
-    let completions = fleet
-        .run_mixed_open_loop(
-            reads,
-            writes,
-            MixedOpenLoop {
-                read_ops_per_sec: 40.0,
-                write_ops_per_sec: 20.0,
-                seed: 9,
-            },
-        )
-        .expect("mixed run");
+    let load = MixedOpenLoop {
+        read_ops_per_sec: 40.0,
+        write_ops_per_sec: 20.0,
+        seed: 9,
+    };
+    let completions = fleet.run(mixed(load, reads, writes)).expect("mixed run");
     let keys: Vec<ObjectKey> = generator.live_keys().to_vec();
     let groups: Vec<Vec<ObjectKey>> = (0..48)
         .map(|group| {
@@ -424,8 +429,7 @@ fn concurrent_rebalancing_reduces_skew_while_load_is_in_flight() {
     idle.load(generator.bulk_load()).expect("bulk load");
     for _ in 0..4 {
         let (reads, writes) = churn(&mut generator);
-        idle.run_mixed_open_loop(reads, writes, load)
-            .expect("churn");
+        idle.run(mixed(load, reads, writes)).expect("churn");
     }
     let idle_skew = idle.fragmentation_skew();
     assert!(
@@ -451,7 +455,7 @@ fn concurrent_rebalancing_reduces_skew_while_load_is_in_flight() {
             let (reads, writes) = churn(&mut generator);
             completions.extend(
                 fleet
-                    .run_mixed_open_loop_with_rebalance(reads, writes, load, 16 << 20, 8)
+                    .run_with_rebalance(mixed(load, reads, writes), 16 << 20, 8)
                     .expect("concurrent churn"),
             );
         }
@@ -497,17 +501,15 @@ fn unknown_key_reads_and_deletes_are_a_typed_miss() {
     // would depend on the (unknowable) object size, so the miss is typed
     // instead of guessed.
     let ghost = ObjectKey(u64::MAX - 7);
+    let load = OpenLoop {
+        ops_per_sec: 10.0,
+        seed: 1,
+    };
     for op in [
         WorkloadOp::Get { key: ghost },
         WorkloadOp::Delete { key: ghost },
     ] {
-        let result = fleet.run_open_loop(
-            vec![op],
-            OpenLoop {
-                ops_per_sec: 10.0,
-                seed: 1,
-            },
-        );
+        let result = fleet.run(load.schedule(SimDuration::ZERO, vec![op]).unwrap());
         assert!(
             matches!(result, Err(StoreError::NoSuchObject(ref key)) if key == &ghost.to_string()),
             "unknown-key {op:?} must surface as a typed miss, got {result:?}"
@@ -516,14 +518,9 @@ fn unknown_key_reads_and_deletes_are_a_typed_miss() {
 
     // Known keys still route through the directory and succeed.
     let known = generator.live_keys()[0];
+    let known_read = vec![WorkloadOp::Get { key: known }];
     let completions = fleet
-        .run_open_loop(
-            vec![WorkloadOp::Get { key: known }],
-            OpenLoop {
-                ops_per_sec: 10.0,
-                seed: 1,
-            },
-        )
+        .run(load.schedule(SimDuration::ZERO, known_read).unwrap())
         .expect("known-key read");
     assert_eq!(completions.len(), 1);
 }

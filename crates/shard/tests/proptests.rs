@@ -129,17 +129,15 @@ fn fleet_outcome(
     fleet.load(generator.bulk_load()).expect("bulk load");
     let reads = generator.read_sample(48);
     let writes = generator.safe_write_sample(24);
-    let completions = fleet
-        .run_mixed_open_loop(
-            reads,
-            writes,
-            MixedOpenLoop {
-                read_ops_per_sec: 40.0,
-                write_ops_per_sec: 20.0,
-                seed,
-            },
-        )
-        .expect("mixed run");
+    let load = MixedOpenLoop {
+        read_ops_per_sec: 40.0,
+        write_ops_per_sec: 20.0,
+        seed,
+    };
+    let schedule = load
+        .schedule(lor_disksim::SimDuration::ZERO, reads, writes)
+        .expect("schedule");
+    let completions = fleet.run(schedule).expect("mixed run");
     fleet
         .enable_rebalancing(MaintenanceConfig::new(MaintenancePolicy::FixedBudget {
             io_per_tick: 64,

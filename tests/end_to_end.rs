@@ -4,7 +4,7 @@
 use lorepo::core::lor_disksim::SimDuration;
 use lorepo::core::{
     analyze_store, compare_systems, measure_mixed_load, run_aging_experiment, AllocationPolicy,
-    ExperimentConfig, FitPolicy, LatencySummary, OpenLoop, PlacementPolicy, Series,
+    Arrivals, ExperimentConfig, FitPolicy, LatencySummary, OpenLoop, PlacementPolicy, Series,
     SizeDistribution, StoreKind, StoreServer, WorkloadOp,
 };
 
@@ -347,14 +347,14 @@ fn open_loop_tail_latency_grows_with_offered_load() {
                 .unwrap();
             let capacity = 1e3 / LatencySummary::of(&serial).mean_ms.max(1e-6);
             server.reset_queue_stats();
-            let completions = server
-                .run_open_loop(
-                    reads,
-                    OpenLoop {
-                        ops_per_sec: utilisation * capacity,
-                        seed: 1234,
-                    },
-                )
+            let load = OpenLoop {
+                ops_per_sec: utilisation * capacity,
+                seed: 1234,
+            };
+            let schedule = load.schedule(server.now(), reads).unwrap();
+            let mut completions = Vec::with_capacity(schedule.len());
+            server
+                .run(Arrivals::Open(schedule), |c| completions.push(c))
                 .unwrap();
             let summary = LatencySummary::of(&completions);
             p99_curve.push(summary.p99_ms);
