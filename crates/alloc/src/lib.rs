@@ -62,6 +62,6 @@ pub use placement::{PlacementConsumer, PlacementPolicy};
 pub use policy::{
     AllocRequest, AllocationPolicy, Allocator, Contiguity, FitPicker, FitPolicy, PolicyAllocator,
 };
-pub use runcache::{RunCacheAllocator, RunCacheConfig};
+pub use runcache::RunCacheAllocator;
 pub use select::SelectableAllocator;
 pub use tracker::{CountMultiset, FragmentationTracker};

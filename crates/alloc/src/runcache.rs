@@ -33,53 +33,23 @@ use crate::extent::Extent;
 use crate::freespace::{FreeSpace, RunIndexMap};
 use crate::policy::{AllocRequest, Allocator, Contiguity};
 
-/// Tuning knobs for the run-cache policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RunCacheConfig {
-    /// Fraction of the volume (measured from cluster 0) considered the
-    /// "outer band" that new allocations prefer.  NTFS favours outer tracks
-    /// both because they are faster and because metadata bands live there.
-    pub outer_band_fraction: f64,
-    /// When satisfying a request from the outer band, require the chosen run
-    /// to be at least this many times larger than the request.  A factor above
-    /// 1 models NTFS's preference for leaving room for the file to keep
-    /// growing (the allocator does not know the final file size).
-    pub outer_band_slack: f64,
-}
-
-impl Default for RunCacheConfig {
-    fn default() -> Self {
-        RunCacheConfig {
-            outer_band_fraction: 0.35,
-            outer_band_slack: 1.0,
-        }
-    }
-}
+/// Fraction of the volume (measured from cluster 0) considered the "outer
+/// band" that new allocations prefer.  NTFS favours outer tracks both because
+/// they are faster and because metadata bands live there.
+const OUTER_BAND_FRACTION: f64 = 0.35;
 
 /// NTFS-like allocator (see module docs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunCacheAllocator {
-    config: RunCacheConfig,
     map: RunIndexMap,
 }
 
 impl RunCacheAllocator {
     /// Creates an allocator over `total_clusters` fully free clusters.
     pub fn new(total_clusters: u64) -> Self {
-        Self::with_config(total_clusters, RunCacheConfig::default())
-    }
-
-    /// Creates an allocator with explicit tuning.
-    pub fn with_config(total_clusters: u64, config: RunCacheConfig) -> Self {
         RunCacheAllocator {
-            config,
             map: RunIndexMap::new_free(total_clusters),
         }
-    }
-
-    /// The tuning configuration in effect.
-    pub fn config(&self) -> &RunCacheConfig {
-        &self.config
     }
 
     /// Read-only access to the underlying free-space map.
@@ -96,8 +66,7 @@ impl RunCacheAllocator {
 
     /// Last cluster (exclusive) of the outer band.
     fn outer_band_end(&self) -> u64 {
-        let fraction = self.config.outer_band_fraction.clamp(0.0, 1.0);
-        (self.map.total_clusters() as f64 * fraction).round() as u64
+        (self.map.total_clusters() as f64 * OUTER_BAND_FRACTION).round() as u64
     }
 
     /// Step 1: contiguous extension at the hint.
@@ -110,10 +79,9 @@ impl RunCacheAllocator {
     }
 
     /// Step 2: lowest-offset run in the outer band that holds the whole
-    /// request (with slack).
+    /// request.
     fn try_outer_band(&self, len: u64) -> Option<Extent> {
-        let want = ((len as f64) * self.config.outer_band_slack.max(1.0)).ceil() as u64;
-        let run = self.map.first_fit(want.max(len), 0)?;
+        let run = self.map.first_fit(len, 0)?;
         if run.start < self.outer_band_end() {
             Some(Extent::new(run.start, len.min(run.len)))
         } else {
@@ -260,17 +228,15 @@ mod tests {
 
     #[test]
     fn falls_back_to_large_extents_outside_the_outer_band() {
-        let config = RunCacheConfig {
-            outer_band_fraction: 0.1,
-            ..RunCacheConfig::default()
-        };
-        let mut allocator = RunCacheAllocator::with_config(1_000, config);
-        // Fill the outer band (first 100 clusters) completely.
-        allocator.reserve_exact(Extent::new(0, 100)).unwrap();
+        let mut allocator = RunCacheAllocator::new(1_000);
+        // Fill the outer band (first 350 clusters) completely.
+        let outer_band = allocator.outer_band_end();
+        assert_eq!(outer_band, 350);
+        allocator.reserve_exact(Extent::new(0, outer_band)).unwrap();
         let extents = allocator.allocate(&AllocRequest::best_effort(50)).unwrap();
         assert_eq!(extents.len(), 1);
         assert!(
-            extents[0].start >= 100,
+            extents[0].start >= outer_band,
             "must come from beyond the exhausted outer band"
         );
     }

@@ -30,7 +30,7 @@ use crate::extent::Extent;
 use crate::freespace::{FreeSpace, RunIndexMap};
 use crate::placement::{PlacementConsumer, PlacementPolicy};
 use crate::policy::{AllocRequest, AllocationPolicy, Allocator, Contiguity, PolicyAllocator};
-use crate::runcache::{RunCacheAllocator, RunCacheConfig};
+use crate::runcache::RunCacheAllocator;
 
 /// The selected allocation mechanism.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -52,30 +52,21 @@ pub struct SelectableAllocator {
 impl SelectableAllocator {
     /// Creates an allocator over `total_clusters` fully free clusters with
     /// unrestricted placement.
-    ///
-    /// `run_cache` tunes the native policy and is ignored by the fit
-    /// policies.
-    pub fn new(policy: AllocationPolicy, total_clusters: u64, run_cache: RunCacheConfig) -> Self {
-        Self::with_placement(
-            policy,
-            total_clusters,
-            run_cache,
-            PlacementPolicy::Unrestricted,
-        )
+    pub fn new(policy: AllocationPolicy, total_clusters: u64) -> Self {
+        Self::with_placement(policy, total_clusters, PlacementPolicy::Unrestricted)
     }
 
     /// Creates an allocator with an explicit placement policy.
     pub fn with_placement(
         policy: AllocationPolicy,
         total_clusters: u64,
-        run_cache: RunCacheConfig,
         placement: PlacementPolicy,
     ) -> Self {
         let inner =
             match policy {
-                AllocationPolicy::Native => SelectedAllocator::RunCache(
-                    RunCacheAllocator::with_config(total_clusters, run_cache),
-                ),
+                AllocationPolicy::Native => {
+                    SelectedAllocator::RunCache(RunCacheAllocator::new(total_clusters))
+                }
                 AllocationPolicy::Fit(fit) => SelectedAllocator::Fit(
                     PolicyAllocator::with_placement(fit, total_clusters, placement),
                 ),
@@ -264,8 +255,7 @@ mod tests {
 
     #[test]
     fn native_selects_the_run_cache() {
-        let allocator =
-            SelectableAllocator::new(AllocationPolicy::Native, 1000, RunCacheConfig::default());
+        let allocator = SelectableAllocator::new(AllocationPolicy::Native, 1000);
         assert_eq!(allocator.policy(), AllocationPolicy::Native);
         assert_eq!(allocator.placement(), PlacementPolicy::Unrestricted);
         assert!(matches!(allocator.inner, SelectedAllocator::RunCache(_)));
@@ -274,11 +264,7 @@ mod tests {
     #[test]
     fn fit_selects_a_policy_allocator() {
         for fit in FitPolicy::ALL {
-            let allocator = SelectableAllocator::new(
-                AllocationPolicy::Fit(fit),
-                1000,
-                RunCacheConfig::default(),
-            );
+            let allocator = SelectableAllocator::new(AllocationPolicy::Fit(fit), 1000);
             assert_eq!(allocator.policy(), AllocationPolicy::Fit(fit));
         }
     }
@@ -286,7 +272,7 @@ mod tests {
     #[test]
     fn allocator_interface_is_forwarded() {
         for policy in AllocationPolicy::ALL {
-            let mut allocator = SelectableAllocator::new(policy, 1000, RunCacheConfig::default());
+            let mut allocator = SelectableAllocator::new(policy, 1000);
             assert_eq!(allocator.total_clusters(), 1000);
             let extents = allocator.allocate(&AllocRequest::best_effort(100)).unwrap();
             assert_eq!(allocator.free_clusters(), 900, "{}", policy.name());
@@ -299,7 +285,7 @@ mod tests {
     #[test]
     fn allocate_into_appends_and_leaves_no_trace_on_failure() {
         for policy in AllocationPolicy::ALL {
-            let mut allocator = SelectableAllocator::new(policy, 100, RunCacheConfig::default());
+            let mut allocator = SelectableAllocator::new(policy, 100);
             allocator.reserve_exact(Extent::new(20, 40)).unwrap();
             let earlier = Extent::new(7, 3);
             let mut out = vec![earlier];
@@ -328,7 +314,7 @@ mod tests {
     #[test]
     fn reserve_exact_pins_space_under_any_policy() {
         for policy in AllocationPolicy::ALL {
-            let mut allocator = SelectableAllocator::new(policy, 100, RunCacheConfig::default());
+            let mut allocator = SelectableAllocator::new(policy, 100);
             allocator.reserve_exact(Extent::new(10, 5)).unwrap();
             assert_eq!(allocator.free_clusters(), 95);
             assert!(
@@ -341,12 +327,8 @@ mod tests {
     #[test]
     fn banded_maintenance_allocates_from_the_high_band_on_every_policy() {
         for policy in AllocationPolicy::ALL {
-            let mut allocator = SelectableAllocator::with_placement(
-                policy,
-                1000,
-                RunCacheConfig::default(),
-                PlacementPolicy::banded(0.8),
-            );
+            let mut allocator =
+                SelectableAllocator::with_placement(policy, 1000, PlacementPolicy::banded(0.8));
             let extents = allocator
                 .allocate_as(&AllocRequest::contiguous(50), maintenance(0))
                 .unwrap();
@@ -371,12 +353,8 @@ mod tests {
     #[test]
     fn banded_maintenance_refuses_when_its_band_is_exhausted() {
         for policy in AllocationPolicy::ALL {
-            let mut allocator = SelectableAllocator::with_placement(
-                policy,
-                1000,
-                RunCacheConfig::default(),
-                PlacementPolicy::banded(0.8),
-            );
+            let mut allocator =
+                SelectableAllocator::with_placement(policy, 1000, PlacementPolicy::banded(0.8));
             // Fill the maintenance band completely.
             allocator.reserve_exact(Extent::new(800, 200)).unwrap();
             let err = allocator
@@ -400,12 +378,8 @@ mod tests {
     #[test]
     fn reserve_maintenance_stays_within_the_watermark() {
         for policy in AllocationPolicy::ALL {
-            let mut allocator = SelectableAllocator::with_placement(
-                policy,
-                1000,
-                RunCacheConfig::default(),
-                PlacementPolicy::Reserve,
-            );
+            let mut allocator =
+                SelectableAllocator::with_placement(policy, 1000, PlacementPolicy::Reserve);
             // Free runs: [0..40), [60..100), and the big tail [101..1000).
             allocator.reserve_exact(Extent::new(40, 20)).unwrap();
             allocator.reserve_exact(Extent::new(100, 1)).unwrap();
@@ -429,7 +403,6 @@ mod tests {
         let mut allocator = SelectableAllocator::with_placement(
             AllocationPolicy::Native,
             1000,
-            RunCacheConfig::default(),
             PlacementPolicy::banded(0.9),
         );
         // The maintenance band holds only 60 free clusters.

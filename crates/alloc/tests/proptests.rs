@@ -6,8 +6,9 @@
 //! exact accounting, full restoration after freeing everything).
 
 use lor_alloc::{
-    AllocError, AllocRequest, Allocator, BitmapMap, Extent, ExtentListExt, FitPolicy,
-    FragmentationSummary, FreeSpace, PolicyAllocator, RunCacheAllocator, RunIndexMap,
+    AllocError, AllocRequest, AllocationPolicy, Allocator, BitmapMap, Extent, ExtentListExt,
+    FitPolicy, FragmentationSummary, FreeSpace, PlacementPolicy, PolicyAllocator,
+    RunCacheAllocator, RunIndexMap, SelectableAllocator,
 };
 use proptest::prelude::*;
 
@@ -241,6 +242,22 @@ proptest! {
     #[test]
     fn run_cache_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
         run_script(RunCacheAllocator::new(VOLUME), ops)?;
+    }
+
+    /// The type `Volume` embeds, under every allocation policy and every
+    /// placement — the banded fit policies' foreground spill included.
+    #[test]
+    fn selectable_allocator_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
+        for policy in AllocationPolicy::ALL {
+            for placement in [
+                PlacementPolicy::Unrestricted,
+                PlacementPolicy::banded(0.9),
+                PlacementPolicy::Reserve,
+            ] {
+                let allocator = SelectableAllocator::with_placement(policy, VOLUME, placement);
+                run_script(allocator, ops.clone())?;
+            }
+        }
     }
 
     /// The fragmentation summary is scale-invariant in the obvious ways.

@@ -4,14 +4,15 @@
 //! Usage:
 //!
 //! ```text
-//! trace [--scale full|report|bench|test|smoke] [--kind db|fs]
+//! trace [--scale full|report|bench|test|smoke] [--kind fs|db|log]
 //!       [--out <file>] [--validate] [--capacity <spans>]
 //! ```
 //!
 //! The run is the latency-anatomy workload: three closed-loop clients with
-//! think time over an aged store, with the placement-aware gap-filling
-//! maintenance policy enabled so all four tracks (server, background
-//! slices, disk, maintenance scheduler) carry events.  `--validate` feeds
+//! think time over an aged store of any of the three substrates, with the
+//! placement-aware gap-filling maintenance policy enabled so the server,
+//! background-slice, disk and maintenance-scheduler tracks all carry events
+//! (the log adds its cleaner track).  `--validate` feeds
 //! the exported document back through `lor_obs::validate_chrome_trace`
 //! (real JSON syntax pass, per-track monotonicity, span nesting) and fails
 //! the process on any violation — this is the CI smoke gate for the
@@ -31,6 +32,21 @@ struct Options {
     out: Option<PathBuf>,
     validate: bool,
     capacity: usize,
+}
+
+/// The `--kind` name of a substrate.  The match is exhaustive, so a new
+/// substrate does not compile until it is named here, and the usage and
+/// error texts list whatever [`StoreKind::ALL`] holds.
+fn kind_name(kind: StoreKind) -> &'static str {
+    match kind {
+        StoreKind::Filesystem => "fs",
+        StoreKind::Database => "db",
+        StoreKind::LogStructured => "log",
+    }
+}
+
+fn kind_names() -> String {
+    StoreKind::ALL.map(kind_name).join("|")
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -53,11 +69,13 @@ fn parse_args() -> Result<Options, String> {
                 options.scale_name = value;
             }
             "--kind" => {
-                options.kind = match args.next().ok_or("--kind needs a value")?.as_str() {
-                    "db" | "database" => StoreKind::Database,
-                    "fs" | "filesystem" => StoreKind::Filesystem,
-                    other => return Err(format!("unknown kind {other:?} (use db|fs)")),
-                };
+                let value = args.next().ok_or("--kind needs a value")?;
+                options.kind = StoreKind::ALL
+                    .into_iter()
+                    .find(|kind| {
+                        value == kind_name(*kind) || value.eq_ignore_ascii_case(kind.label())
+                    })
+                    .ok_or_else(|| format!("unknown kind {value:?} (use {})", kind_names()))?;
             }
             "--out" => {
                 options.out = Some(PathBuf::from(args.next().ok_or("--out needs a file")?));
@@ -72,8 +90,9 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: trace [--scale full|report|bench|test|smoke] [--kind db|fs] \
-                     [--out <file>] [--validate] [--capacity <spans>]"
+                    "usage: trace [--scale full|report|bench|test|smoke] [--kind {}] \
+                     [--out <file>] [--validate] [--capacity <spans>]",
+                    kind_names()
                 );
                 std::process::exit(0);
             }

@@ -1432,23 +1432,15 @@ fn shard_sweep_figures(
         // maintenance band — migration may be refused, never spilled.
         let (mut fleet, mut generator) =
             loaded_fleet(scale, kind, shards, 1 << 20, PlacementPolicy::banded(0.7))?;
-        let concurrent = if mode == RebalanceMode::Concurrent {
-            fleet.enable_rebalancing(MaintenanceConfig::fixed_budget(64))?;
-            Some((16u64 << 20, 4u32))
-        } else {
-            None
-        };
+        let concurrent = (mode == RebalanceMode::Concurrent).then_some((16u64 << 20, 4u32));
         let mut last_round = Vec::new();
         for round in 1..=churn_rounds {
             last_round =
                 zipf_churn_round(&mut fleet, &mut generator, u64::from(round), concurrent)?;
         }
         if mode == RebalanceMode::Phased {
-            fleet.enable_rebalancing(MaintenanceConfig::fixed_budget(64))?;
-            let mut now = fleet.elapsed();
             for _ in 0..32 {
-                let io = fleet.run_rebalance_slice(16 << 20, now);
-                now += SimDuration::from_millis(250);
+                let io = fleet.run_rebalance_slice(16 << 20);
                 if io.is_none() {
                     break;
                 }

@@ -111,15 +111,6 @@ pub enum FleetParallelism {
 }
 
 impl FleetParallelism {
-    /// One worker per available core — the right default for benches and
-    /// figure sweeps, where only wall-clock time depends on the choice.
-    pub fn auto() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(1);
-        FleetParallelism::Threads(cores)
-    }
-
     /// Applies the `LOR_FLEET_PARALLELISM` environment override
     /// (`serial` or a worker count), letting CI pin either mode without
     /// touching the configs baked into tests and benches.
@@ -243,13 +234,6 @@ impl ExperimentConfig {
     /// Overrides the placement policy applied by both substrates.
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Overrides the number of closed-loop clients and their think time.
-    pub fn with_clients(mut self, clients: usize, think_time_ms: f64) -> Self {
-        self.concurrency = clients;
-        self.think_time_ms = think_time_ms;
         self
     }
 
@@ -927,10 +911,7 @@ mod tests {
         }
 
         // An invalid maintenance config is rejected up front.
-        let mut bad = mini_config().with_maintenance(MaintenanceConfig::fixed_budget(1));
-        if let Some(maintenance) = bad.maintenance.as_mut() {
-            maintenance.tick_every_ops = 0;
-        }
+        let bad = mini_config().with_maintenance(MaintenanceConfig::threshold(0.5));
         assert!(run_aging_experiment(StoreKind::Filesystem, &bad, &[0], false).is_err());
     }
 

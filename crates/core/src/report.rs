@@ -49,19 +49,6 @@ impl Series {
         }
     }
 
-    /// Builds the foreground-latency series of an aging run (the maintenance
-    /// scenarios' latency axis).
-    pub fn foreground_latency_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: result.kind.label().to_string(),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, p.foreground_latency_ms))
-                .collect(),
-        }
-    }
-
     /// Builds the median client-observed latency series of an aging run.
     pub fn latency_p50_vs_age(result: &AgingResult) -> Self {
         Series {

@@ -54,7 +54,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use lor_disksim::SimDuration;
-use lor_maint::{FragObservation, FragRateEstimator, MaintenanceConfig, MaintenancePolicy};
+use lor_maint::{
+    FragObservation, FragRateEstimator, MaintenanceConfig, MaintenancePolicy, BURST_IO_PER_TICK,
+    FRAG_WINDOW_TICKS, IO_UNIT_BYTES, TICK_EVERY_OPS,
+};
 use lor_obs::{Obs, Track};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -534,17 +537,13 @@ impl<'a> StoreServer<'a> {
     /// [`MaintenanceConfig`], the server takes over the maintenance drive.
     pub fn new(store: &'a mut dyn ObjectStore) -> Self {
         let maintenance = store.maintenance_config().filter(|c| c.server_driven);
-        let estimator = maintenance
-            .as_ref()
-            .map(|config| config.frag_rate_estimator())
-            .unwrap_or_else(|| FragRateEstimator::new(2));
         StoreServer {
             store,
             now: SimDuration::ZERO,
             busy_until: SimDuration::ZERO,
             bg_busy_until: SimDuration::ZERO,
             maintenance,
-            estimator,
+            estimator: FragRateEstimator::new(FRAG_WINDOW_TICKS),
             ops_since_tick: 0,
             queue: QueueStats::default(),
             obs: Obs::null(),
@@ -882,9 +881,8 @@ impl<'a> StoreServer<'a> {
             return;
         };
         self.ops_since_tick += mutating_ops;
-        let tick_every = config.tick_every_ops.max(1);
-        while self.ops_since_tick >= tick_every {
-            self.ops_since_tick -= tick_every;
+        while self.ops_since_tick >= TICK_EVERY_OPS {
+            self.ops_since_tick -= TICK_EVERY_OPS;
             let budget_bytes = config.tick_budget_bytes(&mut self.estimator, || {
                 let summary = self.store.fragmentation();
                 FragObservation {
@@ -923,11 +921,11 @@ impl<'a> StoreServer<'a> {
             _ => return,
         };
         let min_idle = SimDuration::from_millis_f64(min_idle_ms);
-        let unit = config.io_unit_bytes.max(1);
-        let max_budget = config.burst_io_per_tick.max(1).saturating_mul(unit);
+        let unit = IO_UNIT_BYTES;
+        let max_budget = BURST_IO_PER_TICK * unit;
         // Probe with a few units; once a slice reveals the bytes-per-time
         // rate, aim each following slice at the remaining gap.
-        let mut budget_bytes = unit.saturating_mul(4).min(max_budget);
+        let mut budget_bytes = 4 * unit;
         loop {
             let idle_from = self.free_at();
             let gap = next_arrival.saturating_sub(idle_from);

@@ -197,12 +197,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Total live bytes after bulk load (expected value for random
-    /// distributions).
-    pub fn expected_live_bytes(&self) -> u64 {
-        self.sizes.mean() * self.object_count
-    }
-
     /// The number of objects that fit a store of `capacity_bytes` at
     /// `occupancy` (e.g. 0.5 for the paper's 50%-full volumes).
     pub fn objects_for_occupancy(

@@ -1,7 +1,7 @@
 //! The observability layer's transparency contract: attaching a
 //! `TraceRecorder` to a run must not change the simulation by one
 //! nanosecond.  An identical request schedule executed with the default
-//! `NullRecorder` and with a live trace must produce bit-identical
+//! null `Obs` and with a live trace must produce bit-identical
 //! receipts, the same final simulated clock, the same fragmentation
 //! summary and the same per-completion attribution — on all three substrates,
 //! with server-driven maintenance enabled so every instrumented path

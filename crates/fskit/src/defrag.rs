@@ -85,18 +85,12 @@ impl DefragCursor {
 /// `Defragmenter` is deliberately stateless; all state lives in the volume so
 /// a pass can be interrupted and resumed, as the Windows utility allows.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Defragmenter {
-    /// Only move a file if the move makes it fully contiguous.  When `false`,
-    /// a move that merely reduces the fragment count is accepted.
-    pub require_full_contiguity: bool,
-}
+pub struct Defragmenter;
 
 impl Defragmenter {
-    /// Creates a defragmenter with default settings.
+    /// Creates a defragmenter.
     pub fn new() -> Self {
-        Defragmenter {
-            require_full_contiguity: true,
-        }
+        Defragmenter
     }
 
     /// Attempts to make a single file contiguous by copying it into a fresh
@@ -110,13 +104,9 @@ impl Defragmenter {
     /// allocation.  Either way, defragmentation can only *grow* the
     /// contiguous space foreground writes see.
     pub fn defragment_file(&self, volume: &mut Volume, id: FileId) -> Result<bool, FsError> {
-        let (old_extents, clusters, size_bytes) = {
+        let (old_extents, clusters) = {
             let record = volume.file(id)?;
-            (
-                record.extents.clone(),
-                record.allocated_clusters(),
-                record.size_bytes,
-            )
+            (record.extents.clone(), record.allocated_clusters())
         };
         if clusters == 0 || old_extents.len() <= 1 {
             return Ok(false);
@@ -134,10 +124,8 @@ impl Defragmenter {
         let consumer = PlacementConsumer::Maintenance {
             foreground_watermark: volume.foreground_watermark(),
         };
-        let new_extents = match volume.allocator_mut().allocate_as(&request, consumer) {
-            Ok(extents) => extents,
-            Err(_) if self.require_full_contiguity => return Ok(false),
-            Err(_) => return Ok(false),
+        let Ok(new_extents) = volume.allocator_mut().allocate_as(&request, consumer) else {
+            return Ok(false);
         };
         debug_assert_eq!(new_extents.len(), 1);
 
@@ -147,7 +135,6 @@ impl Defragmenter {
         // its own transaction and the space it frees is reusable at once.
         volume.replace_extents(id, new_extents)?;
         volume.allocator_mut().free(&old_extents)?;
-        let _ = size_bytes;
         Ok(true)
     }
 

@@ -44,13 +44,24 @@ use std::hash::BuildHasherDefault;
 use lor_alloc::{
     AllocError, AllocRequest, AllocationPolicy, Allocator, BandOccupancy, CountMultiset, Extent,
     ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport,
-    PlacementConsumer, PlacementPolicy, RunCacheConfig, SelectableAllocator,
+    PlacementConsumer, PlacementPolicy, SelectableAllocator,
 };
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
 
 use crate::error::FsError;
 use crate::file::{FileId, FileRecord};
+
+/// Cap, in clusters, of the speculative preallocation performed for
+/// sequentially growing files.
+///
+/// When sequential appends are detected, NTFS aggressively allocates
+/// contiguous space ahead of the data; the excess is released when the file
+/// is closed.  The model doubles the file's allocation on each append that
+/// needs space, up to this cap, which is what keeps a file written by one
+/// stream in a handful of extents even when other writes are in flight
+/// concurrently.
+const PREALLOCATION_CAP_CLUSTERS: u64 = 2048;
 
 /// Configuration of a simulated NTFS-like volume.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,8 +80,6 @@ pub struct VolumeConfig {
     /// checkpoint or an external scheduler (the `lor-maint` background
     /// maintenance subsystem) calls [`Volume::checkpoint`] explicitly.
     pub checkpoint_interval_ops: u64,
-    /// Tuning of the run-cache allocation policy.
-    pub run_cache: RunCacheConfig,
     /// How the volume places file data.  [`AllocationPolicy::Native`] is the
     /// NTFS-style run cache; the fit policies exist for the cross-substrate
     /// ablation benches.
@@ -81,16 +90,6 @@ pub struct VolumeConfig {
     /// online defragmenter so background relocation stops consuming the
     /// contiguous runs foreground writes need.
     pub placement: PlacementPolicy,
-    /// Cap, in clusters, of the speculative preallocation performed for
-    /// sequentially growing files (0 disables preallocation).
-    ///
-    /// When sequential appends are detected, NTFS aggressively allocates
-    /// contiguous space ahead of the data; the excess is released when the
-    /// file is closed.  The model doubles the file's allocation on each
-    /// append that needs space, up to this cap, which is what keeps a file
-    /// written by one stream in a handful of extents even when other writes
-    /// are in flight concurrently.
-    pub preallocation_cap_clusters: u64,
 }
 
 impl VolumeConfig {
@@ -103,17 +102,9 @@ impl VolumeConfig {
             cluster_size: 4096,
             mft_zone_fraction: 0.05,
             checkpoint_interval_ops: 16,
-            run_cache: RunCacheConfig::default(),
             allocation_policy: AllocationPolicy::Native,
             placement: PlacementPolicy::Unrestricted,
-            preallocation_cap_clusters: 2048,
         }
-    }
-
-    /// Overrides the cluster size.
-    pub fn with_cluster_size(mut self, cluster_size: u64) -> Self {
-        self.cluster_size = cluster_size;
-        self
     }
 
     /// Total clusters on the volume.
@@ -283,7 +274,6 @@ impl Volume {
         let allocator = SelectableAllocator::with_placement(
             config.allocation_policy,
             config.total_clusters(),
-            config.run_cache,
             config.placement,
         );
         let mft = config.mft_clusters();
@@ -413,7 +403,6 @@ impl Volume {
             return Ok(());
         }
         let cluster_size = self.config.cluster_size;
-        let cap = self.config.preallocation_cap_clusters;
         let record = self.files.get_mut(&id).ok_or(FsError::NoSuchFile(id.0))?;
         let old_fragments = record.fragment_count() as u64;
         let allocated = record.allocated_clusters();
@@ -431,11 +420,7 @@ impl Volume {
             // few large extents even when other writes are in flight.  The
             // excess is trimmed when the file is closed.  If the volume cannot
             // satisfy the speculative request, fall back to the exact need.
-            let speculative = if cap > 0 {
-                needed.max(allocated.min(cap))
-            } else {
-                needed
-            };
+            let speculative = needed.max(allocated.min(PREALLOCATION_CAP_CLUSTERS));
             let mut request = AllocRequest::best_effort(speculative);
             request.hint = record.extension_hint();
             let stats = &mut self.stats;

@@ -4,6 +4,28 @@ use serde::{Deserialize, Serialize};
 
 use crate::estimator::{FragObservation, FragRateEstimator};
 
+/// Foreground operations per scheduler tick.
+pub const TICK_EVERY_OPS: u64 = 8;
+/// Size of one background I/O unit in bytes — the granularity budgets are
+/// expressed in (the paper's 64 KB write-request size).
+pub const IO_UNIT_BYTES: u64 = 64 * 1024;
+/// Ticks between checkpoint-flush runs.
+pub const CHECKPOINT_EVERY_TICKS: u64 = 2;
+/// Ticks between ghost-cleanup runs.  Batched, not eager: eager cleanup
+/// feeds the engine's lowest-first reuse and *accelerates* interleaving (see
+/// EXPERIMENTS.md).
+pub const GHOST_CLEANUP_EVERY_TICKS: u64 = 8;
+/// Background I/O units per tick granted while a
+/// [`MaintenancePolicy::Threshold`] policy is engaged, the slice size the
+/// idle-detect and substrate-aware policies spend per idle-gap slice, and
+/// half the per-tick cap on [`MaintenancePolicy::Adaptive`]'s
+/// rate-proportional budget.
+pub const BURST_IO_PER_TICK: u64 = 512;
+/// Window (in scheduler ticks) over which the
+/// [`MaintenancePolicy::Adaptive`] policy's fragmentation-rate estimator
+/// smooths its derivative.
+pub const FRAG_WINDOW_TICKS: u64 = 4;
+
 /// How the scheduler trades background maintenance against foreground
 /// latency.
 ///
@@ -18,20 +40,18 @@ pub enum MaintenancePolicy {
     /// the paper's deferred-maintenance baseline.  Foreground latency is
     /// minimal.
     Idle,
-    /// Spend a fixed number of I/O units
-    /// ([`MaintenanceConfig::io_unit_bytes`] bytes each) of background I/O
-    /// per tick, shared by the task queue in order.  Larger budgets keep
-    /// fragmentation lower at the cost of higher foreground latency; `0`
-    /// behaves like [`MaintenancePolicy::Idle`].
+    /// Spend a fixed number of I/O units ([`IO_UNIT_BYTES`] bytes each) of
+    /// background I/O per tick, shared by the task queue in order.  Larger
+    /// budgets keep fragmentation lower at the cost of higher foreground
+    /// latency; `0` behaves like [`MaintenancePolicy::Idle`].
     FixedBudget {
         /// Background I/O units granted per tick.
         io_per_tick: u64,
     },
     /// Schedule background work only while the store's mean fragments per
-    /// object exceeds this threshold, then burst
-    /// ([`MaintenanceConfig::burst_io_per_tick`] units per tick) until the
-    /// store drops back under it.  Foreground latency is paid only when
-    /// fragmentation actually warrants repair.
+    /// object exceeds this threshold, then burst ([`BURST_IO_PER_TICK`]
+    /// units per tick) until the store drops back under it.  Foreground
+    /// latency is paid only when fragmentation actually warrants repair.
     Threshold {
         /// Fragments-per-object level above which maintenance engages.
         frag_per_object: f64,
@@ -60,7 +80,7 @@ pub enum MaintenancePolicy {
     /// [`crate::FragRateEstimator`] from per-tick store observations), not
     /// the fragmentation *level*.  Credit accrues at `gain × rate` I/O
     /// units per tick (anti-windup capped) and is spent in chunks of up to
-    /// twice [`MaintenanceConfig::burst_io_per_tick`].
+    /// twice [`BURST_IO_PER_TICK`].
     ///
     /// The excess fragment count — not fragments/object, not the raw total
     /// — is the right observable: its per-tick derivative is the workload's
@@ -151,32 +171,13 @@ impl MaintenancePolicy {
     }
 }
 
-/// Configuration of the background maintenance scheduler.
+/// Configuration of the background maintenance scheduler: which policy
+/// budgets the queue, and who drives it.  The cadences and sizes are the
+/// constants of this module.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MaintenanceConfig {
     /// The latency-vs-throughput policy in effect.
     pub policy: MaintenancePolicy,
-    /// Foreground operations per scheduler tick.  Smaller values interleave
-    /// maintenance more finely with the workload.
-    pub tick_every_ops: u64,
-    /// Size of one background I/O unit in bytes (the granularity budgets are
-    /// expressed in; matches the paper's 64 KB write-request size by
-    /// default).
-    pub io_unit_bytes: u64,
-    /// Ticks between checkpoint-flush runs.
-    pub checkpoint_every_ticks: u64,
-    /// Ticks between ghost-cleanup runs.
-    pub ghost_cleanup_every_ticks: u64,
-    /// Background I/O units per tick granted while a
-    /// [`MaintenancePolicy::Threshold`] policy is engaged, the slice size
-    /// the idle-detect and substrate-aware policies spend per idle-gap
-    /// slice, and the per-tick cap on [`MaintenancePolicy::Adaptive`]'s
-    /// rate-proportional budget.
-    pub burst_io_per_tick: u64,
-    /// Window (in scheduler ticks) over which the
-    /// [`MaintenancePolicy::Adaptive`] policy's fragmentation-rate estimator
-    /// smooths its derivative.
-    pub frag_window_ticks: u64,
     /// Who drives the scheduler.  `false` (the default) is the store-attached
     /// serial drive: the store ticks the scheduler after every mutating
     /// operation and charges all background time to its own foreground clock
@@ -188,20 +189,10 @@ pub struct MaintenanceConfig {
 }
 
 impl MaintenanceConfig {
-    /// A configuration with the given policy and default cadences: a tick
-    /// every 8 foreground operations, 64 KB I/O units, a checkpoint every
-    /// other tick, batched ghost cleanup every 8 ticks (eager cleanup feeds
-    /// the engine's lowest-first reuse and *accelerates* interleaving — see
-    /// EXPERIMENTS.md), and 512-unit threshold bursts.
+    /// A store-driven configuration with the given policy.
     pub fn new(policy: MaintenancePolicy) -> Self {
         MaintenanceConfig {
             policy,
-            tick_every_ops: 8,
-            io_unit_bytes: 64 * 1024,
-            checkpoint_every_ticks: 2,
-            ghost_cleanup_every_ticks: 8,
-            burst_io_per_tick: 512,
-            frag_window_ticks: 4,
             server_driven: false,
         }
     }
@@ -275,11 +266,11 @@ impl MaintenanceConfig {
             | MaintenancePolicy::IdleDetect { .. }
             | MaintenancePolicy::SubstrateAware { .. } => 0,
             MaintenancePolicy::FixedBudget { io_per_tick } => {
-                io_per_tick.saturating_mul(self.io_unit_bytes)
+                io_per_tick.saturating_mul(IO_UNIT_BYTES)
             }
             MaintenancePolicy::Threshold { frag_per_object } => {
                 if observe().per_object > frag_per_object {
-                    self.burst_io_per_tick.saturating_mul(self.io_unit_bytes)
+                    BURST_IO_PER_TICK * IO_UNIT_BYTES
                 } else {
                     0
                 }
@@ -292,37 +283,22 @@ impl MaintenanceConfig {
                 // anti-windup cap) would keep the policy paying long after
                 // the store stabilised — either failure mode falls off the
                 // fixed-budget frontier.
-                let burst = self.burst_io_per_tick.max(1);
+                let burst = BURST_IO_PER_TICK;
                 estimator.accrue_credit(gain * estimator.rate_per_tick(), 2.0 * burst as f64);
-                let chunk = (burst as f64 / 8.0).max(1.0);
+                let chunk = burst as f64 / 8.0;
                 // A tick may spend the whole bank (up to the anti-windup
                 // cap): while fragmentation grows fast a high gain repairs
                 // as hard as the largest fixed budget, and the moment the
                 // rate drops the spending follows it down.
                 estimator
-                    .take_credit(chunk, burst.saturating_mul(2))
-                    .saturating_mul(self.io_unit_bytes)
+                    .take_credit(chunk, 2 * burst)
+                    .saturating_mul(IO_UNIT_BYTES)
             }
         }
     }
 
-    /// A fresh fragmentation-rate estimator sized to this configuration's
-    /// window, for a drive that owns the per-tick observation loop.
-    pub fn frag_rate_estimator(&self) -> FragRateEstimator {
-        FragRateEstimator::new(self.frag_window_ticks)
-    }
-
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.tick_every_ops == 0 {
-            return Err("maintenance tick interval must be at least one operation");
-        }
-        if self.io_unit_bytes == 0 {
-            return Err("maintenance I/O unit must be non-zero");
-        }
-        if self.checkpoint_every_ticks == 0 || self.ghost_cleanup_every_ticks == 0 {
-            return Err("task cadences must be at least one tick");
-        }
         if let MaintenancePolicy::Threshold { frag_per_object } = self.policy {
             if !frag_per_object.is_finite() || frag_per_object < 1.0 {
                 return Err("fragmentation threshold must be finite and at least 1");
@@ -414,18 +390,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_nonsense() {
-        let mut config = MaintenanceConfig::idle();
-        config.tick_every_ops = 0;
-        assert!(config.validate().is_err());
-
-        let mut config = MaintenanceConfig::idle();
-        config.io_unit_bytes = 0;
-        assert!(config.validate().is_err());
-
-        let mut config = MaintenanceConfig::idle();
-        config.checkpoint_every_ticks = 0;
-        assert!(config.validate().is_err());
-
         assert!(MaintenanceConfig::threshold(0.5).validate().is_err());
         assert!(MaintenanceConfig::threshold(f64::NAN).validate().is_err());
         assert!(MaintenanceConfig::threshold(1.5).validate().is_ok());
@@ -498,7 +462,7 @@ mod tests {
     #[test]
     fn adaptive_budget_follows_the_estimated_rate() {
         let config = MaintenanceConfig::adaptive(2.0);
-        let mut estimator = config.frag_rate_estimator();
+        let mut estimator = FragRateEstimator::new(FRAG_WINDOW_TICKS);
         // First observation: no derivative yet, so no budget.
         assert_eq!(
             config.tick_budget_bytes(&mut estimator, || observed(1.0)),
@@ -507,10 +471,10 @@ mod tests {
         // Total fragments grow by 50/tick: credit = 2 × 50 = 100 units,
         // above the spending chunk (burst/8 = 64), so it is spent at once.
         let budget = config.tick_budget_bytes(&mut estimator, || observed(1.5));
-        assert_eq!(budget, 100 * config.io_unit_bytes);
+        assert_eq!(budget, 100 * IO_UNIT_BYTES);
         // A frag-stable store degenerates to idle: eventually zero budget.
         let mut last = budget;
-        for _ in 0..config.frag_window_ticks + 1 {
+        for _ in 0..FRAG_WINDOW_TICKS + 1 {
             last = config.tick_budget_bytes(&mut estimator, || observed(1.5));
         }
         assert_eq!(last, 0, "stable fragmentation must spend nothing");
@@ -523,7 +487,7 @@ mod tests {
             MaintenanceConfig::substrate_aware(5.0, 800.0),
             MaintenanceConfig::idle(),
         ] {
-            let mut estimator = config.frag_rate_estimator();
+            let mut estimator = FragRateEstimator::new(FRAG_WINDOW_TICKS);
             assert_eq!(
                 config.tick_budget_bytes(&mut estimator, || panic!("must not be measured")),
                 0

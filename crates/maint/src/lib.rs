@@ -21,12 +21,11 @@
 //!   model).
 //! * [`MaintenanceScheduler`] — the discrete-event driver.  It owns its own
 //!   simulated clock ([`lor_disksim::SimClock`]), advances it with every
-//!   foreground operation, and on each *tick* (every
-//!   [`MaintenanceConfig::tick_every_ops`] foreground operations) grants the
-//!   task queue — checkpoint flush → ghost cleanup → incremental
-//!   defragmentation ([`TaskKind`]), the first two on the config's tick
-//!   cadences — a background I/O budget chosen by the
-//!   [`MaintenancePolicy`]:
+//!   foreground operation, and on each *tick* (every [`TICK_EVERY_OPS`]
+//!   foreground operations) grants the task queue — checkpoint flush → ghost
+//!   cleanup → incremental defragmentation ([`TaskKind`]), the first two
+//!   every [`CHECKPOINT_EVERY_TICKS`] / [`GHOST_CLEANUP_EVERY_TICKS`] ticks
+//!   — a background I/O budget chosen by the [`MaintenancePolicy`]:
 //!
 //!   * [`MaintenancePolicy::Idle`] — never grant I/O; maintenance debt
 //!     accrues until foreground allocation pressure forces it inside the
@@ -112,7 +111,10 @@ mod estimator;
 mod scheduler;
 mod task;
 
-pub use config::{MaintenanceConfig, MaintenancePolicy};
+pub use config::{
+    MaintenanceConfig, MaintenancePolicy, BURST_IO_PER_TICK, CHECKPOINT_EVERY_TICKS,
+    FRAG_WINDOW_TICKS, GHOST_CLEANUP_EVERY_TICKS, IO_UNIT_BYTES, TICK_EVERY_OPS,
+};
 pub use estimator::{FragObservation, FragRateEstimator, GhostBacklogClock};
 pub use scheduler::{MaintenanceScheduler, MaintenanceStats, TaskStats};
 pub use task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};

@@ -4,7 +4,10 @@ use lor_disksim::{SimClock, SimDuration};
 use lor_obs::{Obs, Track};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{MaintenanceConfig, MaintenancePolicy};
+use crate::config::{
+    MaintenanceConfig, MaintenancePolicy, CHECKPOINT_EVERY_TICKS, FRAG_WINDOW_TICKS,
+    GHOST_CLEANUP_EVERY_TICKS, TICK_EVERY_OPS,
+};
 use crate::estimator::{FragObservation, FragRateEstimator, GhostBacklogClock};
 use crate::task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};
 
@@ -71,7 +74,7 @@ impl MaintenanceStats {
 ///
 /// The scheduler observes every foreground operation (advancing its own
 /// simulated clock by the operation's duration), and every
-/// [`MaintenanceConfig::tick_every_ops`] operations it takes a *tick*: the
+/// [`TICK_EVERY_OPS`] operations it takes a *tick*: the
 /// [`crate::MaintenancePolicy`] converts the store's state into a background I/O
 /// budget, and the task queue spends that budget in order.  All background
 /// time is returned to the caller as foreground interference — the simulated
@@ -113,7 +116,7 @@ impl MaintenanceScheduler {
     /// cleanup, incremental defragmentation, in that order each tick.
     pub fn new(config: MaintenanceConfig) -> Self {
         MaintenanceScheduler {
-            estimator: config.frag_rate_estimator(),
+            estimator: FragRateEstimator::new(FRAG_WINDOW_TICKS),
             config,
             clock: SimClock::new(),
             ops_since_tick: 0,
@@ -159,7 +162,7 @@ impl MaintenanceScheduler {
         self.clock.advance(op_time);
         self.stats.foreground_ops += 1;
         self.ops_since_tick += 1;
-        if self.ops_since_tick < self.config.tick_every_ops.max(1) {
+        if self.ops_since_tick < TICK_EVERY_OPS {
             return SimDuration::ZERO;
         }
         self.ops_since_tick = 0;
@@ -235,7 +238,7 @@ impl MaintenanceScheduler {
 
     /// Spends `budget_bytes` on the task queue in order and accounts the I/O.
     ///
-    /// Checkpoint and ghost cleanup run on their configured tick cadences
+    /// Checkpoint and ghost cleanup run on their tick cadences
     /// (cleanup only while there is something to reclaim and release is
     /// allowed); defragmentation runs every time, on whatever budget the
     /// earlier entries left over.
@@ -250,9 +253,8 @@ impl MaintenanceScheduler {
                 .gauge("maint.credit_units", at, self.estimator.credit_units());
             self.obs.counter("maint.ticks", at, self.stats.ticks as f64);
         }
-        let on_cadence = |every_ticks: u64| self.tick.is_multiple_of(every_ticks.max(1));
-        let checkpoint_due = on_cadence(self.config.checkpoint_every_ticks);
-        let cleanup_due = ghost_allowed && on_cadence(self.config.ghost_cleanup_every_ticks);
+        let checkpoint_due = self.tick.is_multiple_of(CHECKPOINT_EVERY_TICKS);
+        let cleanup_due = ghost_allowed && self.tick.is_multiple_of(GHOST_CLEANUP_EVERY_TICKS);
         for kind in QUEUE {
             if budget_bytes == 0 {
                 break;
@@ -376,6 +378,22 @@ mod tests {
         }
     }
 
+    /// Runs one budgeted slice on which every queue entry is on cadence:
+    /// zero-budget slices (which tick the cadence, catch the clock up to
+    /// `now` and do nothing else) step the tick counter to the next multiple
+    /// of the ghost-cleanup cadence — itself a multiple of the checkpoint
+    /// cadence — first.
+    fn due_slice(
+        scheduler: &mut MaintenanceScheduler,
+        store: &mut FakeStore,
+        now: SimDuration,
+    ) -> MaintIo {
+        while !(scheduler.stats().ticks + 1).is_multiple_of(GHOST_CLEANUP_EVERY_TICKS) {
+            scheduler.run_budgeted_slice(store, 0, now);
+        }
+        scheduler.run_budgeted_slice(store, 1 << 20, now)
+    }
+
     fn drive(scheduler: &mut MaintenanceScheduler, store: &mut FakeStore, ops: u64) -> SimDuration {
         let mut interference = SimDuration::ZERO;
         for _ in 0..ops {
@@ -432,26 +450,23 @@ mod tests {
         // Earlier queue entries consume budget before defrag sees it.
         assert!(store.last_defrag_budget < 16 * 64 * 1024);
 
-        // Other cadences: checkpoints land on ticks 3 and 6 only; cleanup,
-        // due every tick, still waits for something to reclaim; defrag
-        // never skips a tick.
-        let mut config = MaintenanceConfig::fixed_budget(16);
-        config.checkpoint_every_ticks = 3;
-        config.ghost_cleanup_every_ticks = 1;
-        let mut scheduler = MaintenanceScheduler::new(config);
+        // The same cadences under an external drive: checkpoints land on
+        // the even slices only; cleanup, due on slices 8 and 16, still waits
+        // for something to reclaim; defrag never skips a slice.
+        let mut scheduler = MaintenanceScheduler::new(MaintenanceConfig::fixed_budget(16));
         let mut store = FakeStore::new();
         let mut checkpoint_ticks = Vec::new();
-        for tick in 1..=6u64 {
-            store.ghost_bytes = if tick % 2 == 0 { 4096 } else { 0 };
+        for tick in 1..=16u64 {
+            store.ghost_bytes = if tick > 8 { 4096 } else { 0 };
             let before = store.checkpoints;
             scheduler.run_budgeted_slice(&mut store, 1 << 20, SimDuration::from_millis(tick));
             if store.checkpoints > before {
                 checkpoint_ticks.push(tick);
             }
         }
-        assert_eq!(checkpoint_ticks, [3, 6]);
-        assert_eq!(store.cleanups, 3);
-        assert_eq!(store.defrag_steps, 6);
+        assert_eq!(checkpoint_ticks, [2, 4, 6, 8, 10, 12, 14, 16]);
+        assert_eq!(store.cleanups, 1);
+        assert_eq!(store.defrag_steps, 16);
         assert_eq!(
             QUEUE.map(|kind| kind.name()),
             ["checkpoint", "ghost-cleanup", "defrag"]
@@ -498,7 +513,7 @@ mod tests {
         // the growth, the budget decays to zero and the policy is idle.
         store.frags = 1.0;
         let mut quiet = SimDuration::ZERO;
-        for _ in 0..scheduler.config().frag_window_ticks + 1 {
+        for _ in 0..FRAG_WINDOW_TICKS + 1 {
             for _ in 0..8 {
                 quiet = scheduler.on_foreground_op(SimDuration::from_millis(5), &mut store);
             }
@@ -515,9 +530,7 @@ mod tests {
         let ms = SimDuration::from_millis;
         // The deferral is simulated time, not ticks: a 30 ms hold releases
         // after 30 ms of workload clock however many slices ran meanwhile.
-        let mut config = MaintenanceConfig::substrate_aware(5.0, 30.0);
-        config.ghost_cleanup_every_ticks = 1;
-        config.checkpoint_every_ticks = 1;
+        let config = MaintenanceConfig::substrate_aware(5.0, 30.0);
 
         // Eager-reuse substrate: the backlog is held until it is 30 ms old.
         let mut store = FakeStore::new();
@@ -525,7 +538,7 @@ mod tests {
         store.ghost_bytes = 64 * 1024;
         let mut scheduler = MaintenanceScheduler::new(config);
         for (slice, now) in [ms(10), ms(20), ms(30)].into_iter().enumerate() {
-            scheduler.run_budgeted_slice(&mut store, 1 << 20, now);
+            due_slice(&mut scheduler, &mut store, now);
             assert_eq!(
                 store.cleanups, 0,
                 "slice {slice}: ghost release must be deferred while young"
@@ -536,7 +549,7 @@ mod tests {
             );
         }
         // First observed at 10 ms; at 45 ms the backlog is 35 ms old.
-        scheduler.run_budgeted_slice(&mut store, 1 << 20, ms(45));
+        due_slice(&mut scheduler, &mut store, ms(45));
         assert_eq!(store.cleanups, 1, "aged backlog drains in bulk");
         assert_eq!(store.reclaimable_bytes(), 0);
         // The drain completed on that slice, so the clock re-arms
@@ -544,20 +557,20 @@ mod tests {
         // again, even though no intervening slice observed the empty state.
         store.ghost_bytes = 64 * 1024;
         for now in [ms(50), ms(60), ms(75)] {
-            scheduler.run_budgeted_slice(&mut store, 1 << 20, now);
+            due_slice(&mut scheduler, &mut store, now);
             assert_eq!(
                 store.cleanups, 1,
                 "re-armed hold at {now}: the new backlog must be deferred"
             );
         }
-        scheduler.run_budgeted_slice(&mut store, 1 << 20, ms(85));
+        due_slice(&mut scheduler, &mut store, ms(85));
         assert_eq!(store.cleanups, 2, "the re-aged backlog drains again");
 
         // Deferred-reuse substrate: no hold, cleanup runs immediately.
         let mut store = FakeStore::new();
         store.ghost_bytes = 64 * 1024;
         let mut scheduler = MaintenanceScheduler::new(config);
-        scheduler.run_budgeted_slice(&mut store, 1 << 20, ms(1));
+        due_slice(&mut scheduler, &mut store, ms(1));
         assert_eq!(store.cleanups, 1, "deferred-reuse substrates never hold");
     }
 
@@ -566,8 +579,7 @@ mod tests {
         // Scale-invariance: densely and sparsely sliced drives release the
         // backlog at the same simulated instant.
         let ms = SimDuration::from_millis;
-        let mut config = MaintenanceConfig::substrate_aware(5.0, 100.0);
-        config.ghost_cleanup_every_ticks = 1;
+        let config = MaintenanceConfig::substrate_aware(5.0, 100.0);
         let mut release_instants = Vec::new();
         for step_ms in [5u64, 50] {
             let mut store = FakeStore::new();
@@ -577,7 +589,7 @@ mod tests {
             let mut now = SimDuration::ZERO;
             while store.cleanups == 0 {
                 now += ms(step_ms);
-                scheduler.run_budgeted_slice(&mut store, 1 << 20, now);
+                due_slice(&mut scheduler, &mut store, now);
                 assert!(now < ms(1000), "the hold must release eventually");
             }
             release_instants.push(now.as_millis_f64());

@@ -6,7 +6,7 @@
 use lor_disksim::SimDuration;
 use lor_maint::{
     FragObservation, FragRateEstimator, MaintIo, MaintTarget, MaintenanceConfig,
-    MaintenanceScheduler,
+    MaintenanceScheduler, BURST_IO_PER_TICK, FRAG_WINDOW_TICKS, IO_UNIT_BYTES,
 };
 
 /// A fragmentation observation of a synthetic 100-object store.
@@ -76,12 +76,12 @@ proptest! {
         // The same invariant through the policy's budget mapping: feeding
         // the whole sequence tick-by-tick never panics and every budget is
         // a finite, representable byte count.
-        let mut estimator = config.frag_rate_estimator();
+        let mut estimator = FragRateEstimator::new(FRAG_WINDOW_TICKS);
         for &raw in &observations {
             let frags = 1.0 + f64::from(raw) / 1000.0;
             let budget = config.tick_budget_bytes(&mut estimator, || observed(frags));
             // One tick may spend the whole anti-windup bank (2 × burst).
-            prop_assert!(budget <= 2 * config.burst_io_per_tick * config.io_unit_bytes);
+            prop_assert!(budget <= 2 * BURST_IO_PER_TICK * IO_UNIT_BYTES);
         }
     }
 
@@ -146,7 +146,7 @@ proptest! {
         growth_ticks in 2u64..10,
     ) {
         let config = MaintenanceConfig::adaptive(1024.0);
-        let mut estimator = config.frag_rate_estimator();
+        let mut estimator = FragRateEstimator::new(FRAG_WINDOW_TICKS);
         let step = f64::from(growth_per_tick) / 1000.0;
         let mut frags = 1.0;
         let mut engaged = false;
@@ -174,7 +174,7 @@ proptest! {
             }
         }
         prop_assert!(drained, "plateaued stores must drain their repair debt");
-        for _ in 0..config.frag_window_ticks {
+        for _ in 0..FRAG_WINDOW_TICKS {
             prop_assert_eq!(
                 config.tick_budget_bytes(&mut estimator, || observed(current)),
                 0,

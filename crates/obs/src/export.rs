@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{ArgValue, MetricKind, MetricSample, Recorder, SpanRecord};
+use crate::{ArgValue, MetricKind, MetricSample, SpanRecord};
 
 /// Bounded ring buffer of spans and metric samples.
 #[derive(Debug, Default)]
@@ -36,6 +36,26 @@ impl TraceRecorder {
             capacity: capacity.max(1),
             ..TraceRecorder::default()
         }
+    }
+
+    /// Stores a span, evicting (and counting) the oldest one when the ring
+    /// is full.  Recording never observes or influences simulated time.
+    pub fn record_span(&mut self, span: SpanRecord) {
+        if self.spans.len() == self.capacity {
+            self.spans.pop_front();
+            self.dropped_spans += 1;
+        }
+        self.spans.push_back(span);
+    }
+
+    /// Stores a metric sample, evicting (and counting) the oldest one when
+    /// the ring is full.
+    pub fn record_metric(&mut self, sample: MetricSample) {
+        if self.metrics.len() == self.capacity {
+            self.metrics.pop_front();
+            self.dropped_metrics += 1;
+        }
+        self.metrics.push_back(sample);
     }
 
     /// Retained spans, oldest first.
@@ -122,24 +142,6 @@ impl TraceRecorder {
         out.push_str(&metric_section(&self.metrics));
         out.push_str("  ]\n}\n");
         out
-    }
-}
-
-impl Recorder for TraceRecorder {
-    fn record_span(&mut self, span: SpanRecord) {
-        if self.spans.len() == self.capacity {
-            self.spans.pop_front();
-            self.dropped_spans += 1;
-        }
-        self.spans.push_back(span);
-    }
-
-    fn record_metric(&mut self, sample: MetricSample) {
-        if self.metrics.len() == self.capacity {
-            self.metrics.pop_front();
-            self.dropped_metrics += 1;
-        }
-        self.metrics.push_back(sample);
     }
 }
 

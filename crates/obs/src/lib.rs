@@ -189,31 +189,13 @@ pub struct MetricSample {
     pub kind: MetricKind,
 }
 
-/// Sink for spans and metric samples.  Implementations must not observe
-/// or influence simulated time: they only store what they are handed.
-pub trait Recorder {
-    fn record_span(&mut self, span: SpanRecord);
-    fn record_metric(&mut self, sample: MetricSample);
-}
-
-/// The inert recorder.  [`Obs::null()`] never constructs one (it holds
-/// no recorder at all); this type exists for code that wants an explicit
-/// do-nothing `Recorder` value.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record_span(&mut self, _span: SpanRecord) {}
-    fn record_metric(&mut self, _sample: MetricSample) {}
-}
-
 /// Shared state behind an [`Obs`] handle.  `now_ns` is a timeline hint:
 /// the store server publishes its simulated `now` here so that layers
 /// without their own global clock (the disk model's per-request trace
 /// cursor) can align their spans with the server timeline.
-struct Shared<R: ?Sized + Recorder> {
+struct Shared {
     now_ns: AtomicU64,
-    recorder: Mutex<R>,
+    recorder: Mutex<TraceRecorder>,
 }
 
 /// Cheap, clonable handle threaded through every instrumented layer.
@@ -221,16 +203,9 @@ struct Shared<R: ?Sized + Recorder> {
 /// A disabled handle (`Obs::null()`, also `Default`) stores `None` and
 /// every method returns immediately; an enabled handle shares one
 /// recorder across all clones.
+#[derive(Clone)]
 pub struct Obs {
-    inner: Option<Arc<Shared<dyn Recorder + Send>>>,
-}
-
-impl Clone for Obs {
-    fn clone(&self) -> Self {
-        Obs {
-            inner: self.inner.clone(),
-        }
-    }
+    inner: Option<Arc<Shared>>,
 }
 
 impl Default for Obs {
@@ -259,12 +234,12 @@ impl Obs {
     /// samples).  Returns the handle to thread through the stack and a
     /// [`TraceHandle`] for reading the recording back out.
     pub fn trace(capacity: usize) -> (Obs, TraceHandle) {
-        let shared: Arc<Shared<TraceRecorder>> = Arc::new(Shared {
+        let shared = Arc::new(Shared {
             now_ns: AtomicU64::new(0),
             recorder: Mutex::new(TraceRecorder::new(capacity)),
         });
         let obs = Obs {
-            inner: Some(shared.clone() as Arc<Shared<dyn Recorder + Send>>),
+            inner: Some(shared.clone()),
         };
         (obs, TraceHandle { shared })
     }
@@ -362,7 +337,7 @@ impl Obs {
 
 /// Read side of a tracing session created by [`Obs::trace`].
 pub struct TraceHandle {
-    shared: Arc<Shared<TraceRecorder>>,
+    shared: Arc<Shared>,
 }
 
 impl TraceHandle {

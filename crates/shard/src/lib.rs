@@ -47,12 +47,13 @@
 //!   [`FanoutCompletion`]) — a multi-object read issues its sub-reads at one
 //!   instant and completes when the slowest shard does; per-shard parts are
 //!   kept so tail amplification can be attributed to the straggler.
-//! * **Rebalancing** ([`RebalanceState`]) — object migration between shards
-//!   as a fleet-level maintenance duty, driven by a
-//!   [`lor_maint::MaintenanceScheduler`] under the ordinary budget/idle
-//!   policies.  Destination writes go through the allocator's *maintenance*
-//!   placement consumer, so migration can be refused — but never allowed to
-//!   crowd a destination shard's foreground band.
+//! * **Rebalancing** ([`ShardedStore::run_rebalance_slice`],
+//!   [`RebalanceState`]) — budgeted object migration from the
+//!   most-fragmented shard to the least, the one fleet-level background
+//!   duty (checkpoint, cleanup and defragmentation stay with each shard's
+//!   own maintenance drive).  Destination writes go through the allocator's
+//!   *maintenance* placement consumer, so migration can be refused — but
+//!   never allowed to crowd a destination shard's foreground band.
 //!
 //! Per-shard fragmentation, queue depth, and band occupancy are emitted as
 //! gauges (and per-interval spans on [`lor_obs::Track::Shard`] tracks) when

@@ -1,9 +1,9 @@
-//! Cross-shard rebalancing as a maintenance target.
+//! Cross-shard rebalancing: budgeted migration between shards.
 //!
-//! Rebalancing is just another maintenance duty: the fleet's
-//! [`lor_maint::MaintenanceScheduler`] drives a [`RebalanceTarget`] under
-//! the same budget/idle policies the per-shard schedulers use, and its
-//! "defragmentation step" migrates the most-fragmented objects from the
+//! Checkpointing, ghost cleanup and defragmentation are per-shard duties
+//! (each shard's own maintenance drive owns them); the one fleet-level duty
+//! is [`Rebalancer::migrate_step`], which the fleet calls directly with a
+//! byte budget and which migrates the most-fragmented objects from the
 //! worst shard to the best one.  The destination write goes through
 //! [`lor_core::ObjectStore::migrate_in`] — the allocator's *maintenance*
 //! consumer — so migration traffic can only land in space the placement
@@ -13,9 +13,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use lor_alloc::{FragmentationSummary, PlacementPolicy};
 use lor_core::{ObjectKey, ObjectStore};
-use lor_maint::{MaintIo, MaintTarget};
+use lor_maint::MaintIo;
 
 /// Only rebalance while the worst shard's fragments-per-object exceeds the
 /// *fleet mean* by at least this much; below the gap, migration would just
@@ -31,26 +30,19 @@ const MIN_FPO_GAP: f64 = 0.05;
 pub struct RebalanceState {
     /// Objects migrated between shards.
     pub objects_moved: u64,
-    /// Payload bytes of migrated objects.
-    pub bytes_moved: u64,
     /// Migrations refused because the destination's maintenance band could
     /// not hold the object — the placement guarantee firing.
     pub refusals: u64,
 }
 
-/// A borrowed view of the fleet that the maintenance scheduler can drive.
-///
-/// Checkpoint and ghost cleanup are per-shard duties (each shard's own
-/// scheduler owns them), so here they are no-ops; the only fleet-level duty
-/// is the migration step.
-pub(crate) struct RebalanceTarget<'a> {
+/// A borrowed view of the fleet for the duration of one rebalancing slice.
+pub(crate) struct Rebalancer<'a> {
     pub shards: &'a mut [Box<dyn ObjectStore>],
     pub directory: &'a mut HashMap<ObjectKey, u32>,
-    pub placement: PlacementPolicy,
     pub state: &'a mut RebalanceState,
 }
 
-impl RebalanceTarget<'_> {
+impl Rebalancer<'_> {
     /// `(worst, best)` shard indices by fragments-per-object — skipping
     /// sources with nothing movable (`dry`) and destinations that already
     /// refused an object (`full`) — or `None` when no pair with a
@@ -108,46 +100,13 @@ impl RebalanceTarget<'_> {
         keys.sort_by(|a, b| b.0.cmp(&a.0).then(a.1 .0.cmp(&b.1 .0)));
         keys.into_iter().map(|(_, key)| key).collect()
     }
-}
 
-impl MaintTarget for RebalanceTarget<'_> {
-    fn placement(&self) -> PlacementPolicy {
-        self.placement
-    }
-
-    fn reclaimable_bytes(&self) -> u64 {
-        // Ghost backlogs belong to the per-shard schedulers; the fleet-level
-        // drive reports none so its ghost-cleanup task is always skipped.
-        0
-    }
-
-    fn fragments_per_object(&self) -> f64 {
-        let summaries: Vec<FragmentationSummary> = self
-            .shards
-            .iter()
-            .map(|shard| shard.fragmentation())
-            .collect();
-        FragmentationSummary::merged(summaries.iter()).fragments_per_object
-    }
-
-    fn excess_fragments(&self) -> u64 {
-        let summaries: Vec<FragmentationSummary> = self
-            .shards
-            .iter()
-            .map(|shard| shard.fragmentation())
-            .collect();
-        FragmentationSummary::merged(summaries.iter()).excess_fragments()
-    }
-
-    fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
-        MaintIo::NONE
-    }
-
-    fn checkpoint(&mut self) -> MaintIo {
-        MaintIo::NONE
-    }
-
-    fn defragment_step(&mut self, budget_bytes: u64) -> MaintIo {
+    /// Migrates objects until about `budget_bytes` of background I/O has
+    /// been transferred or no sufficiently skewed pair of shards remains
+    /// (a zero budget does nothing).  Returns the I/O performed; its time
+    /// has already been charged to the source and destination shards'
+    /// clocks.
+    pub fn migrate_step(&mut self, budget_bytes: u64) -> MaintIo {
         let mut io = MaintIo::NONE;
         // Re-pick the worst/best pair after every move so migration keeps
         // chasing the *current* skew instead of draining one source into one
@@ -194,7 +153,6 @@ impl MaintTarget for RebalanceTarget<'_> {
             };
             self.directory.insert(key, dest);
             self.state.objects_moved += 1;
-            self.state.bytes_moved += size;
             io = io.combined(&MaintIo::new(
                 read.transferred_bytes + write.transferred_bytes,
                 read.total_time() + write.total_time() + delete.total_time(),
@@ -207,6 +165,7 @@ impl MaintTarget for RebalanceTarget<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lor_alloc::PlacementPolicy;
     use lor_core::{ExperimentConfig, SizeDistribution, StoreKind};
 
     fn fleet(shards: u32) -> Vec<Box<dyn ObjectStore>> {
@@ -230,14 +189,13 @@ mod tests {
             directory.insert(key, shard);
         }
         let mut state = RebalanceState::default();
-        let mut target = RebalanceTarget {
+        let mut target = Rebalancer {
             shards: &mut shards,
             directory: &mut directory,
-            placement: PlacementPolicy::Unrestricted,
             state: &mut state,
         };
         // Both shards are clean (1 fragment per object): nothing to move.
-        let io = target.defragment_step(64 << 20);
+        let io = target.migrate_step(64 << 20);
         assert!(io.is_none());
         assert_eq!(state.objects_moved, 0);
     }
@@ -269,13 +227,12 @@ mod tests {
         );
 
         let mut state = RebalanceState::default();
-        let mut target = RebalanceTarget {
+        let mut target = Rebalancer {
             shards: &mut shards,
             directory: &mut directory,
-            placement: PlacementPolicy::Unrestricted,
             state: &mut state,
         };
-        let io = target.defragment_step(16 << 20);
+        let io = target.migrate_step(16 << 20);
         assert!(!io.is_none());
         assert!(io.bytes > 0 && io.time > lor_disksim::SimDuration::ZERO);
         assert!(state.objects_moved >= 1);
@@ -322,15 +279,14 @@ mod tests {
             .foreground_used;
 
         let mut state = RebalanceState::default();
-        let mut target = RebalanceTarget {
+        let mut target = Rebalancer {
             shards: &mut shards,
             directory: &mut directory,
-            placement: config.placement,
             state: &mut state,
         };
         // A 95% boundary leaves ~3 MB of maintenance band: a 4 MB object
         // cannot fit, so the very first migration must be refused.
-        let io = target.defragment_step(64 << 20);
+        let io = target.migrate_step(64 << 20);
         assert!(io.is_none());
         assert_eq!(state.refusals, 1);
         assert_eq!(state.objects_moved, 0);

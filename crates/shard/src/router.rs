@@ -141,11 +141,6 @@ impl Router {
         self.policy
     }
 
-    /// Number of shards routed over.
-    pub fn shard_count(&self) -> u32 {
-        self.shards
-    }
-
     /// The shard a new object of `size_bytes` keyed by `key` lands on.
     pub fn route(&self, key: ObjectKey, size_bytes: u64) -> u32 {
         match self.policy {

@@ -23,17 +23,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use lor_alloc::{FragmentationSummary, PlacementPolicy};
+use lor_alloc::FragmentationSummary;
 use lor_core::{
     Arrivals, ClientId, Completion, ExperimentConfig, FleetParallelism, ObjectKey, ObjectStore,
     OpenLoop, QueueStats, StoreError, StoreKind, StoreRequest, StoreServer, WorkloadOp,
 };
 use lor_disksim::SimDuration;
-use lor_maint::{MaintIo, MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
+use lor_maint::MaintIo;
 use lor_obs::{MetricSample, Obs, SpanRecord, Track};
 
 use crate::fanout::{FanoutCompletion, FanoutPart};
-use crate::rebalance::{RebalanceState, RebalanceTarget};
+use crate::rebalance::{RebalanceState, Rebalancer};
 use crate::router::{Router, RouterPolicy};
 
 /// Per-shard gauge names must be `&'static str` (the metrics registry is
@@ -205,11 +205,7 @@ pub struct ShardedStore {
     /// How sub-streams are drained: serially or on worker threads.
     /// Simulated results are bit-identical either way.
     parallelism: FleetParallelism,
-    /// Placement policy the per-shard substrates were built with (reported
-    /// by the rebalance target so the fleet scheduler knows the variant).
-    placement: PlacementPolicy,
-    /// Cross-shard rebalancing drive, if enabled.
-    rebalance: Option<MaintenanceScheduler>,
+    /// What cross-shard rebalancing has done so far.
     rebalance_state: RebalanceState,
     /// Queue stats of each shard's most recent run.
     last_queue: Vec<QueueStats>,
@@ -243,26 +239,11 @@ impl ShardedStore {
             router: Router::new(policy, shards),
             directory: Mutex::new(HashMap::new()),
             parallelism: config.fleet_parallelism.resolved(),
-            placement: config.placement,
-            rebalance: None,
             rebalance_state: RebalanceState::default(),
             last_queue: vec![QueueStats::default(); shards as usize],
             obs: Obs::null(),
             trace_offset: SimDuration::ZERO,
         })
-    }
-
-    /// Enables cross-shard rebalancing as a fleet-level maintenance drive:
-    /// `run_rebalance_slice` feeds the given budget/idle policy through a
-    /// [`MaintenanceScheduler`] whose defragmentation step migrates objects
-    /// between shards (destination writes placed as the maintenance
-    /// consumer, so migration cannot crowd any shard's foreground band).
-    pub fn enable_rebalancing(&mut self, config: MaintenanceConfig) -> Result<(), StoreError> {
-        config
-            .validate()
-            .map_err(|message| StoreError::BadConfig(message.into()))?;
-        self.rebalance = Some(MaintenanceScheduler::new(config));
-        Ok(())
     }
 
     /// Attaches an observability handle.  The fleet emits one span per shard
@@ -285,33 +266,14 @@ impl ShardedStore {
         self.parallelism
     }
 
-    /// Number of shards in the fleet.
-    pub fn shard_count(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
     /// Read-only access to one shard's store.
     pub fn shard(&self, index: usize) -> &dyn ObjectStore {
         self.shards[index].as_ref()
     }
 
-    /// Mutable access to one shard's store (fixtures, measurement resets).
-    pub fn shard_mut(&mut self, index: usize) -> &mut dyn ObjectStore {
-        self.shards[index].as_mut()
-    }
-
     /// The routing table in effect.
     pub fn router(&self) -> &Router {
         &self.router
-    }
-
-    /// The shard currently holding `key`, if any.
-    pub fn locate(&self, key: ObjectKey) -> Option<u32> {
-        self.directory
-            .lock()
-            .expect(DIRECTORY_MSG)
-            .get(&key)
-            .copied()
     }
 
     /// Queue statistics of each shard's most recent run.
@@ -610,8 +572,7 @@ impl ShardedStore {
                     completion
                 }));
             }
-            let now = self.trace_offset;
-            self.run_rebalance_slice(budget_bytes, now);
+            self.run_rebalance_slice(budget_bytes);
         }
         Ok(merged)
     }
@@ -678,44 +639,32 @@ impl ShardedStore {
         Ok(grouped)
     }
 
-    /// Runs one budgeted rebalancing slice at fleet time `now` (requires
-    /// [`ShardedStore::enable_rebalancing`]).  Returns the background I/O
-    /// the migration performed; its time has already been charged to the
-    /// source and destination shards' clocks.
-    pub fn run_rebalance_slice(&mut self, budget_bytes: u64, now: SimDuration) -> MaintIo {
-        let Some(scheduler) = self.rebalance.as_mut() else {
-            return MaintIo::NONE;
-        };
+    /// Runs one budgeted rebalancing slice: migrates the most-fragmented
+    /// objects off the worst shard until about `budget_bytes` have been
+    /// transferred (destination writes are placed as the maintenance
+    /// consumer, so migration cannot crowd any shard's foreground band).
+    /// Returns the background I/O the migration performed; its time has
+    /// already been charged to the source and destination shards' clocks.
+    pub fn run_rebalance_slice(&mut self, budget_bytes: u64) -> MaintIo {
         let io = {
             // Hold the directory for the whole slice: every migration's
             // copy-then-retarget publishes atomically with respect to
             // foreground partitioning.
             let mut directory = self.directory.lock().expect(DIRECTORY_MSG);
-            let mut target = RebalanceTarget {
+            Rebalancer {
                 shards: &mut self.shards,
                 directory: &mut directory,
-                placement: self.placement,
                 state: &mut self.rebalance_state,
-            };
-            scheduler.run_budgeted_slice(&mut target, budget_bytes, now)
+            }
+            .migrate_step(budget_bytes)
         };
         self.refresh_router_penalties();
         io
     }
 
-    /// Statistics of the rebalancing drive, if enabled.
-    pub fn rebalance_stats(&self) -> Option<&MaintenanceStats> {
-        self.rebalance.as_ref().map(|scheduler| scheduler.stats())
-    }
-
     /// Objects migrated between shards so far.
     pub fn objects_migrated(&self) -> u64 {
         self.rebalance_state.objects_moved
-    }
-
-    /// Bytes of object payload migrated between shards so far.
-    pub fn bytes_migrated(&self) -> u64 {
-        self.rebalance_state.bytes_moved
     }
 
     /// Migrations refused because the destination's maintenance band could
@@ -761,7 +710,66 @@ impl std::fmt::Debug for ShardedStore {
                 &self.directory.lock().expect(DIRECTORY_MSG).len(),
             )
             .field("parallelism", &self.parallelism)
-            .field("rebalancing", &self.rebalance.is_some())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lor_core::SizeDistribution;
+
+    /// One slice on a two-shard fleet whose shard 0 was fragmented by an
+    /// interleaved batch rewrite: what it migrates and the I/O it reports
+    /// are pinned to the values recorded before the fleet called the
+    /// migration step directly.
+    #[test]
+    fn rebalance_slice_migrates_off_the_fragmented_shard() {
+        const SIZE: u64 = 4 << 20;
+        let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(SIZE));
+        config.volume_bytes = 512 << 20;
+        let policy = RouterPolicy::ConsistentHash { vnodes: 8 };
+        let mut fleet =
+            ShardedStore::new(StoreKind::Filesystem, &config, 2, policy).expect("fleet");
+        let keys: Vec<ObjectKey> = (0..12).map(ObjectKey).collect();
+        let puts = keys.iter().map(|&key| WorkloadOp::Put { key, size: SIZE });
+        fleet.load(puts.collect()).expect("bulk load");
+        // Every shard-0 object is rewritten in one batch (all requests are
+        // waiting at time zero), which interleaves their appends; shard 1
+        // stays contiguous.
+        let rewrite: Vec<StoreRequest> = keys
+            .iter()
+            .filter(|&&key| fleet.router().route(key, SIZE) == 0)
+            .enumerate()
+            .map(|(client, &key)| StoreRequest {
+                client: ClientId(client as u32),
+                op: WorkloadOp::SafeWrite { key, size: SIZE },
+                arrival: SimDuration::ZERO,
+            })
+            .collect();
+        fleet.run(rewrite).expect("batch rewrite");
+        let fpo: Vec<f64> = fleet
+            .per_shard_fragmentation()
+            .iter()
+            .map(|summary| summary.fragments_per_object)
+            .collect();
+        assert!(
+            fpo[0] > fpo[1] + 1.0,
+            "fixture must skew the fleet: {fpo:?}"
+        );
+
+        let io = fleet.run_rebalance_slice(16 << 20);
+        assert_eq!(
+            (
+                fleet.objects_migrated(),
+                fleet.migration_refusals(),
+                io.bytes
+            ),
+            (2, 0, 16 << 20)
+        );
+        assert_eq!(io.time, SimDuration::from_nanos(535_794_239));
+        // A zero budget moves nothing.
+        assert!(fleet.run_rebalance_slice(0).is_none());
+        assert_eq!(fleet.objects_migrated(), 2);
     }
 }

@@ -19,7 +19,6 @@ use lor_core::{
     WorkloadGenerator, WorkloadOp,
 };
 use lor_disksim::SimDuration;
-use lor_maint::{MaintenanceConfig, MaintenancePolicy};
 use lor_obs::Obs;
 use lor_shard::{fanout_p99_ms, RouterPolicy, ShardedStore};
 
@@ -225,15 +224,8 @@ fn rebalancing_reduces_skew_without_touching_foreground_bands() {
         })
         .collect();
 
-    fleet
-        .enable_rebalancing(MaintenanceConfig::new(MaintenancePolicy::FixedBudget {
-            io_per_tick: 64,
-        }))
-        .expect("enable rebalancing");
-    let mut now = fleet.elapsed();
     for _ in 0..24 {
-        let io = fleet.run_rebalance_slice(16 << 20, now);
-        now += SimDuration::from_millis(250);
+        let io = fleet.run_rebalance_slice(16 << 20);
         if io.is_none() {
             break;
         }
@@ -322,15 +314,8 @@ fn fleet_scenario(
             },
         )
         .expect("fan-out run");
-    fleet
-        .enable_rebalancing(MaintenanceConfig::new(MaintenancePolicy::FixedBudget {
-            io_per_tick: 64,
-        }))
-        .expect("enable rebalancing");
-    let mut now = fleet.elapsed();
     for _ in 0..8 {
-        fleet.run_rebalance_slice(8 << 20, now);
-        now += SimDuration::from_millis(250);
+        fleet.run_rebalance_slice(8 << 20);
     }
     let frag: Vec<f64> = fleet
         .per_shard_fragmentation()
@@ -445,11 +430,6 @@ fn concurrent_rebalancing_reduces_skew_while_load_is_in_flight() {
         let (config, mut fleet) = make_fleet(parallelism);
         let mut generator = WorkloadGenerator::new(config.workload());
         fleet.load(generator.bulk_load()).expect("bulk load");
-        fleet
-            .enable_rebalancing(MaintenanceConfig::new(MaintenancePolicy::FixedBudget {
-                io_per_tick: 64,
-            }))
-            .expect("enable rebalancing");
         let mut completions = Vec::new();
         for _ in 0..4 {
             let (reads, writes) = churn(&mut generator);

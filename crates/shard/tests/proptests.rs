@@ -14,7 +14,6 @@ use lor_core::{
     ExperimentConfig, FleetParallelism, MixedOpenLoop, ObjectKey, SizeDistribution, StoreKind,
     WorkloadGenerator,
 };
-use lor_maint::{MaintenanceConfig, MaintenancePolicy};
 use lor_shard::{Router, RouterPolicy, ShardedStore};
 use proptest::prelude::*;
 
@@ -138,15 +137,8 @@ fn fleet_outcome(
         .schedule(lor_disksim::SimDuration::ZERO, reads, writes)
         .expect("schedule");
     let completions = fleet.run(schedule).expect("mixed run");
-    fleet
-        .enable_rebalancing(MaintenanceConfig::new(MaintenancePolicy::FixedBudget {
-            io_per_tick: 64,
-        }))
-        .expect("enable rebalancing");
-    let mut now = fleet.elapsed();
     for _ in 0..2 {
-        fleet.run_rebalance_slice(4 << 20, now);
-        now += lor_disksim::SimDuration::from_millis(250);
+        fleet.run_rebalance_slice(4 << 20);
     }
     let frag: Vec<f64> = fleet
         .per_shard_fragmentation()
