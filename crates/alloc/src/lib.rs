@@ -9,17 +9,18 @@
 //! * Free-space structures: the run-indexed [`RunIndexMap`] (memory is
 //!   proportional to fragmentation, not volume size) and the exhaustive
 //!   [`BitmapMap`] oracle used in tests.
-//! * Allocation policies, kept separate from the mechanism as the malloc
-//!   survey the paper cites recommends: the classic fits
-//!   ([`FitPolicy`] / [`PolicyAllocator`]) and the NTFS-style
-//!   [`RunCacheAllocator`].
+//! * One cluster allocator, [`SelectableAllocator`]: a free-space map and
+//!   the one loop that carves runs off it until a request is met (or rolls
+//!   back).  Policy is kept separate from that mechanism, as the malloc
+//!   survey the paper cites recommends — it only answers *which run next*:
+//!   the NTFS-style run cache (extension, outer band, largest run) or one of
+//!   the classic fits ([`FitPolicy`], applied through [`FitPicker`], which
+//!   `lor-blobkit` also uses at extent and page granularity).
 //! * The substrate-independent policy knobs — [`AllocationPolicy`] (which
 //!   free run a request is carved from) and [`PlacementPolicy`] (which
 //!   *region* of the space each consumer may draw from, separating
-//!   foreground writes from maintenance relocation) — and the
-//!   policy-selected allocator ([`SelectableAllocator`]) through which both
-//!   the filesystem and database substrates expose those knobs to
-//!   experiments.
+//!   foreground writes from maintenance relocation) — through which both the
+//!   filesystem and database substrates expose those choices to experiments.
 //! * Fragmentation metrics: [`FragmentationSummary`] (fragments per object,
 //!   the paper's y-axis) and [`FreeSpaceReport`] (free-run histogram,
 //!   external fragmentation).
@@ -27,16 +28,23 @@
 //! ## Example
 //!
 //! ```
-//! use lor_alloc::{AllocRequest, Allocator, ExtentListExt, RunCacheAllocator};
+//! use lor_alloc::{
+//!     AllocRequest, AllocationPolicy, Extent, ExtentListExt, PlacementConsumer,
+//!     SelectableAllocator,
+//! };
 //!
-//! let mut allocator = RunCacheAllocator::new(10_000);
+//! // `Native` is the NTFS-style run cache; `Fit(..)` swaps the pick, nothing else.
+//! let mut allocator = SelectableAllocator::new(AllocationPolicy::Native, 10_000);
 //!
 //! // Appending in write-request-sized chunks with an extension hint keeps a
 //! // file contiguous — exactly what NTFS does for detected sequential appends.
-//! let mut file = allocator.allocate(&AllocRequest::best_effort(16)).unwrap();
-//! for _ in 0..3 {
-//!     let hint = file.last().unwrap().end();
-//!     file.extend(allocator.allocate(&AllocRequest::best_effort(16).with_hint(hint)).unwrap());
+//! let mut file: Vec<Extent> = Vec::new();
+//! for _ in 0..4 {
+//!     let mut request = AllocRequest::best_effort(16);
+//!     request.hint = file.last().map(|last| last.end());
+//!     allocator
+//!         .allocate_into(&request, PlacementConsumer::Foreground, &mut file)
+//!         .unwrap();
 //! }
 //! assert_eq!(file.fragment_count(), 1);
 //! ```
@@ -59,9 +67,6 @@ pub use extent::{Extent, ExtentListExt};
 pub use freespace::{BitmapMap, FreeSpace, RunIndexMap};
 pub use metrics::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 pub use placement::{PlacementConsumer, PlacementPolicy};
-pub use policy::{
-    AllocRequest, AllocationPolicy, Allocator, Contiguity, FitPicker, FitPolicy, PolicyAllocator,
-};
-pub use runcache::RunCacheAllocator;
+pub use policy::{AllocRequest, AllocationPolicy, Contiguity, FitPicker, FitPolicy};
 pub use select::SelectableAllocator;
 pub use tracker::{CountMultiset, FragmentationTracker};

@@ -5,11 +5,11 @@
 //! structure) from the *policy* (which free run a request is carved from).
 //! The classic policies — first fit, best fit, worst fit, next fit — are
 //! provided here; the NTFS-style run cache lives in its own module
-//! ([`crate::runcache`]).
+//! ([`crate::runcache`]).  Both are pick strategies of the one cluster
+//! allocator, [`crate::SelectableAllocator`], which owns the carve loop.
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::AllocError;
 use crate::extent::Extent;
 use crate::freespace::{FreeSpace, RunIndexMap};
 use crate::placement::{PlacementConsumer, PlacementPolicy};
@@ -64,26 +64,6 @@ impl AllocRequest {
     }
 }
 
-/// Interface implemented by every allocator in this crate.
-pub trait Allocator {
-    /// Allocates space for `request`, returning the extents in the order they
-    /// should be filled with data.
-    fn allocate(&mut self, request: &AllocRequest) -> Result<Vec<Extent>, AllocError>;
-    /// Returns previously allocated extents to the free pool.
-    fn free(&mut self, extents: &[Extent]) -> Result<(), AllocError>;
-    /// Total clusters managed.
-    fn total_clusters(&self) -> u64;
-    /// Clusters currently free.
-    fn free_clusters(&self) -> u64;
-    /// Current free runs (ascending offset, coalesced).
-    fn free_runs(&self) -> Vec<Extent>;
-
-    /// Clusters currently allocated.
-    fn allocated_clusters(&self) -> u64 {
-        self.total_clusters() - self.free_clusters()
-    }
-}
-
 /// The classic fit policies over a free-run index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FitPolicy {
@@ -121,10 +101,11 @@ impl FitPolicy {
     /// on behalf of `consumer`, under `placement`.
     ///
     /// This is the single shared policy implementation both substrates draw
-    /// from: [`PolicyAllocator`] applies it at cluster granularity for the
-    /// filesystem, and `lor-blobkit`'s GAM/allocation-unit layer applies it at
-    /// extent and page granularity.  `cursor` is the roving pointer consulted
-    /// (and only meaningful) for [`FitPolicy::NextFit`]; pass `0` otherwise.
+    /// from: [`crate::SelectableAllocator`] applies it at cluster granularity
+    /// for the filesystem, and `lor-blobkit`'s GAM/allocation-unit layer
+    /// applies it at extent and page granularity.  `cursor` is the roving
+    /// pointer consulted (and only meaningful) for [`FitPolicy::NextFit`];
+    /// pass `0` otherwise.
     ///
     /// Placement semantics (see [`PlacementPolicy`]):
     ///
@@ -247,10 +228,11 @@ impl AllocationPolicy {
 /// needs, bundled so every consumer of [`FitPolicy::pick_placed`] shares one
 /// picking-and-advancing implementation.
 ///
-/// [`PolicyAllocator`] uses it at cluster granularity; `lor-blobkit`'s GAM
-/// and allocation units use it at extent and page granularity.  Keeping the
-/// cursor rule (advance to the end of the taken run) in one place means a
-/// future policy only has to be wired into [`FitPolicy::pick_placed`] once.
+/// [`crate::SelectableAllocator`] uses it at cluster granularity;
+/// `lor-blobkit`'s GAM and allocation units use it at extent and page
+/// granularity.  Keeping the cursor rule (advance to the end of the taken
+/// run) in one place means a future policy only has to be wired into
+/// [`FitPolicy::pick_placed`] once.
 /// The picker also carries the substrate's [`PlacementPolicy`], so every
 /// pick states *who* it is for and the placement constraint cannot be
 /// forgotten at a call site.
@@ -345,200 +327,29 @@ impl FitPicker {
     }
 }
 
-/// An allocator that applies one of the classic [`FitPolicy`] choices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolicyAllocator {
-    map: RunIndexMap,
-    picker: FitPicker,
-}
-
-impl PolicyAllocator {
-    /// Creates an allocator over `total_clusters` fully free clusters, with
-    /// unrestricted placement.
-    pub fn new(policy: FitPolicy, total_clusters: u64) -> Self {
-        Self::with_placement(policy, total_clusters, PlacementPolicy::Unrestricted)
-    }
-
-    /// Creates an allocator with an explicit placement policy.
-    pub fn with_placement(
-        policy: FitPolicy,
-        total_clusters: u64,
-        placement: PlacementPolicy,
-    ) -> Self {
-        PolicyAllocator {
-            map: RunIndexMap::new_free(total_clusters),
-            picker: FitPicker::with_placement(AllocationPolicy::Fit(policy), policy, placement),
-        }
-    }
-
-    /// The policy this allocator applies.
-    pub fn policy(&self) -> FitPolicy {
-        self.picker.fit()
-    }
-
-    /// The placement policy this allocator applies.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.picker.placement()
-    }
-
-    /// Read-only access to the underlying free-space map.
-    pub fn free_space(&self) -> &RunIndexMap {
-        &self.map
-    }
-
-    /// Marks a specific extent allocated, bypassing policy.  Used by the
-    /// filesystem simulator to reserve metadata bands (the MFT zone) and by
-    /// the pathological-fragmentation injector when this allocator stands in
-    /// for the native run cache.
-    pub fn reserve_exact(&mut self, extent: Extent) -> Result<(), AllocError> {
-        self.map.reserve(extent)
-    }
-
-    /// Picks the run the policy wants for a request of `len` clusters on
-    /// behalf of `consumer`.
-    fn pick(&self, len: u64, consumer: PlacementConsumer) -> Option<Extent> {
-        self.picker.pick_as(&self.map, len, consumer)
-    }
-
-    /// The fallback run a best-effort request fragments into when no run
-    /// satisfies the whole remainder: the largest run the consumer is
-    /// allowed to touch.  The foreground spills to the global largest run
-    /// (availability over placement); maintenance stays inside its
-    /// constraint and refuses.
-    fn largest_for(&self, consumer: PlacementConsumer) -> Option<Extent> {
-        let placement = self.picker.placement();
-        let eligible = placement.largest_eligible(&self.map, consumer, 1);
-        if eligible.is_none() && placement.spills(consumer) {
-            self.map.largest()
-        } else {
-            eligible
-        }
-    }
-
-    /// `true` if a contiguity-required request of `clusters` can be placed
-    /// for `consumer` (spill-over included for consumers that may spill).
-    fn can_place_contiguous(&self, clusters: u64, consumer: PlacementConsumer) -> bool {
-        if self.picker.placement().spills(consumer) {
-            // Spill-over means any run on the volume is ultimately eligible.
-            self.map.best_fit(clusters).is_some()
-        } else {
-            self.pick(clusters, consumer).is_some()
-        }
-    }
-
-    /// Attempts to honour a placement hint by extending from exactly that
-    /// cluster.  Returns the usable prefix if the hint location is free.
-    fn try_hint(&self, hint: u64, len: u64) -> Option<Extent> {
-        let run = self.map.run_at(hint)?;
-        if run.start != hint {
-            // Extension only makes sense when the free run starts exactly at
-            // the hint; otherwise data would not be physically contiguous
-            // with its predecessor.
-            return None;
-        }
-        Some(Extent::new(hint, run.len.min(len)))
-    }
-}
-
-impl Allocator for PolicyAllocator {
-    fn allocate(&mut self, request: &AllocRequest) -> Result<Vec<Extent>, AllocError> {
-        self.allocate_as(request, PlacementConsumer::Foreground)
-    }
-
-    fn free(&mut self, extents: &[Extent]) -> Result<(), AllocError> {
-        for extent in extents {
-            self.map.release(*extent)?;
-        }
-        Ok(())
-    }
-
-    fn total_clusters(&self) -> u64 {
-        self.map.total_clusters()
-    }
-
-    fn free_clusters(&self) -> u64 {
-        self.map.free_clusters()
-    }
-
-    fn free_runs(&self) -> Vec<Extent> {
-        self.map.free_runs()
-    }
-}
-
-impl PolicyAllocator {
-    /// The real allocation routine (see [`Allocator::allocate`]),
-    /// parameterised by the consumer the space is for.  Foreground requests
-    /// behave exactly as before under unrestricted placement; maintenance
-    /// requests are confined by the placement policy and fail with
-    /// [`AllocError::OutOfSpace`] / [`AllocError::NoContiguousRun`] rather
-    /// than violate it.
-    pub fn allocate_as(
-        &mut self,
-        request: &AllocRequest,
-        consumer: PlacementConsumer,
-    ) -> Result<Vec<Extent>, AllocError> {
-        if request.clusters == 0 {
-            return Err(AllocError::EmptyRequest);
-        }
-        if request.clusters > self.map.free_clusters() {
-            return Err(AllocError::OutOfSpace {
-                requested: request.clusters,
-                available: self.map.free_clusters(),
-            });
-        }
-        if request.contiguity == Contiguity::Required
-            && !self.can_place_contiguous(request.clusters, consumer)
-        {
-            return Err(AllocError::NoContiguousRun {
-                requested: request.clusters,
-                largest_run: self.map.largest_free_run(),
-            });
-        }
-
-        let mut out: Vec<Extent> = Vec::new();
-        let mut remaining = request.clusters;
-        while remaining > 0 {
-            let candidate = if out.is_empty() {
-                request
-                    .hint
-                    .and_then(|hint| self.try_hint(hint, remaining))
-                    .or_else(|| self.pick(remaining, consumer))
-                    .or_else(|| self.largest_for(consumer))
-            } else {
-                self.pick(remaining, consumer)
-                    .or_else(|| self.largest_for(consumer))
-            };
-            let Some(run) = candidate.filter(|run| !run.is_empty()) else {
-                for extent in &out {
-                    self.map
-                        .release(*extent)
-                        .expect("rollback of freshly reserved extent");
-                }
-                return Err(AllocError::OutOfSpace {
-                    requested: request.clusters,
-                    available: self.map.free_clusters(),
-                });
-            };
-            let take = Extent::new(run.start, run.len.min(remaining));
-            self.map.reserve(take)?;
-            self.picker.advance(take);
-            remaining -= take.len;
-            out.push(take);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::extent::ExtentListExt;
+    //! The fit policies as strategies of the one allocator.
 
-    fn checkerboard(allocator: &mut PolicyAllocator) -> Vec<Vec<Extent>> {
+    use super::*;
+    use crate::error::AllocError;
+    use crate::extent::ExtentListExt;
+    use crate::placement::PlacementConsumer::Foreground;
+    use crate::select::SelectableAllocator;
+
+    fn fit(policy: FitPolicy, total_clusters: u64) -> SelectableAllocator {
+        SelectableAllocator::new(AllocationPolicy::Fit(policy), total_clusters)
+    }
+
+    fn checkerboard(allocator: &mut SelectableAllocator) -> Vec<Vec<Extent>> {
         // Allocate 10 x 10-cluster objects, then free every other one to
         // produce a checkerboard of 10-cluster holes.
         let objects: Vec<Vec<Extent>> = (0..10)
-            .map(|_| allocator.allocate(&AllocRequest::best_effort(10)).unwrap())
+            .map(|_| {
+                allocator
+                    .allocate_as(&AllocRequest::best_effort(10), Foreground)
+                    .unwrap()
+            })
             .collect();
         for object in objects.iter().step_by(2) {
             allocator.free(object).unwrap();
@@ -548,9 +359,9 @@ mod tests {
 
     #[test]
     fn zero_cluster_requests_are_rejected() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::FirstFit, 100);
+        let mut allocator = fit(FitPolicy::FirstFit, 100);
         assert_eq!(
-            allocator.allocate(&AllocRequest::best_effort(0)),
+            allocator.allocate_as(&AllocRequest::best_effort(0), Foreground),
             Err(AllocError::EmptyRequest)
         );
     }
@@ -558,73 +369,105 @@ mod tests {
     #[test]
     fn allocation_reduces_free_space_and_free_restores_it() {
         for policy in FitPolicy::ALL {
-            let mut allocator = PolicyAllocator::new(policy, 1000);
-            let extents = allocator.allocate(&AllocRequest::best_effort(123)).unwrap();
+            let mut allocator = fit(policy, 1000);
+            let extents = allocator
+                .allocate_as(&AllocRequest::best_effort(123), Foreground)
+                .unwrap();
             assert_eq!(extents.total_clusters(), 123);
-            assert_eq!(allocator.free_clusters(), 877, "{}", policy.name());
+            assert_eq!(
+                allocator.free_space().free_clusters(),
+                877,
+                "{}",
+                policy.name()
+            );
             allocator.free(&extents).unwrap();
-            assert_eq!(allocator.free_clusters(), 1000);
-            assert_eq!(allocator.free_runs(), vec![Extent::new(0, 1000)]);
+            assert_eq!(allocator.free_space().free_clusters(), 1000);
+            assert_eq!(
+                allocator.free_space().free_runs(),
+                vec![Extent::new(0, 1000)]
+            );
         }
     }
 
     #[test]
     fn first_fit_fills_the_first_hole() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::FirstFit, 100);
+        let mut allocator = fit(FitPolicy::FirstFit, 100);
         checkerboard(&mut allocator);
-        let extents = allocator.allocate(&AllocRequest::best_effort(4)).unwrap();
+        let extents = allocator
+            .allocate_as(&AllocRequest::best_effort(4), Foreground)
+            .unwrap();
         assert_eq!(extents[0].start, 0);
     }
 
     #[test]
     fn best_fit_prefers_the_snuggest_hole() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::BestFit, 100);
+        let mut allocator = fit(FitPolicy::BestFit, 100);
         // Holes of 10 (at 0) after a checkerboard, but first make a 4-cluster
         // hole somewhere specific: allocate everything, then free [50, 54) and
         // [0, 10).
-        let all = allocator.allocate(&AllocRequest::best_effort(100)).unwrap();
+        let all = allocator
+            .allocate_as(&AllocRequest::best_effort(100), Foreground)
+            .unwrap();
         assert_eq!(all, vec![Extent::new(0, 100)]);
         allocator.free(&[Extent::new(0, 10)]).unwrap();
         allocator.free(&[Extent::new(50, 4)]).unwrap();
-        let extents = allocator.allocate(&AllocRequest::best_effort(4)).unwrap();
+        let extents = allocator
+            .allocate_as(&AllocRequest::best_effort(4), Foreground)
+            .unwrap();
         assert_eq!(extents, vec![Extent::new(50, 4)]);
     }
 
     #[test]
     fn worst_fit_takes_the_largest_hole() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::WorstFit, 100);
-        let all = allocator.allocate(&AllocRequest::best_effort(100)).unwrap();
+        let mut allocator = fit(FitPolicy::WorstFit, 100);
+        let all = allocator
+            .allocate_as(&AllocRequest::best_effort(100), Foreground)
+            .unwrap();
         allocator.free(&[Extent::new(0, 10)]).unwrap();
         allocator.free(&[Extent::new(40, 30)]).unwrap();
         let _ = all;
-        let extents = allocator.allocate(&AllocRequest::best_effort(5)).unwrap();
+        let extents = allocator
+            .allocate_as(&AllocRequest::best_effort(5), Foreground)
+            .unwrap();
         assert_eq!(extents, vec![Extent::new(40, 5)]);
     }
 
     #[test]
     fn next_fit_advances_a_cursor() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::NextFit, 100);
-        let a = allocator.allocate(&AllocRequest::best_effort(10)).unwrap();
-        let b = allocator.allocate(&AllocRequest::best_effort(10)).unwrap();
+        let mut allocator = fit(FitPolicy::NextFit, 100);
+        let a = allocator
+            .allocate_as(&AllocRequest::best_effort(10), Foreground)
+            .unwrap();
+        let b = allocator
+            .allocate_as(&AllocRequest::best_effort(10), Foreground)
+            .unwrap();
         assert_eq!(a, vec![Extent::new(0, 10)]);
         assert_eq!(b, vec![Extent::new(10, 10)]);
         // Free the first hole; next-fit should keep moving forward rather than
         // reusing it immediately.
         allocator.free(&a).unwrap();
-        let c = allocator.allocate(&AllocRequest::best_effort(10)).unwrap();
+        let c = allocator
+            .allocate_as(&AllocRequest::best_effort(10), Foreground)
+            .unwrap();
         assert_eq!(c, vec![Extent::new(20, 10)]);
         // ...but wraps around once the tail is exhausted.
-        let _d = allocator.allocate(&AllocRequest::best_effort(70)).unwrap();
-        let e = allocator.allocate(&AllocRequest::best_effort(10)).unwrap();
+        let _d = allocator
+            .allocate_as(&AllocRequest::best_effort(70), Foreground)
+            .unwrap();
+        let e = allocator
+            .allocate_as(&AllocRequest::best_effort(10), Foreground)
+            .unwrap();
         assert_eq!(e, vec![Extent::new(0, 10)]);
     }
 
     #[test]
     fn best_effort_requests_fragment_when_no_run_fits() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::FirstFit, 100);
+        let mut allocator = fit(FitPolicy::FirstFit, 100);
         checkerboard(&mut allocator);
         // 5 holes of 10 clusters each; ask for 25 clusters.
-        let extents = allocator.allocate(&AllocRequest::best_effort(25)).unwrap();
+        let extents = allocator
+            .allocate_as(&AllocRequest::best_effort(25), Foreground)
+            .unwrap();
         assert_eq!(extents.total_clusters(), 25);
         assert_eq!(extents.fragment_count(), 3);
         assert!(extents.is_disjoint());
@@ -632,10 +475,10 @@ mod tests {
 
     #[test]
     fn contiguous_requests_fail_rather_than_fragment() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::BestFit, 100);
+        let mut allocator = fit(FitPolicy::BestFit, 100);
         checkerboard(&mut allocator);
         let err = allocator
-            .allocate(&AllocRequest::contiguous(25))
+            .allocate_as(&AllocRequest::contiguous(25), Foreground)
             .unwrap_err();
         assert_eq!(
             err,
@@ -645,15 +488,17 @@ mod tests {
             }
         );
         // Free space is untouched by the failed attempt.
-        assert_eq!(allocator.free_clusters(), 50);
+        assert_eq!(allocator.free_space().free_clusters(), 50);
     }
 
     #[test]
     fn out_of_space_reports_availability() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::FirstFit, 50);
-        allocator.allocate(&AllocRequest::best_effort(40)).unwrap();
+        let mut allocator = fit(FitPolicy::FirstFit, 50);
+        allocator
+            .allocate_as(&AllocRequest::best_effort(40), Foreground)
+            .unwrap();
         assert_eq!(
-            allocator.allocate(&AllocRequest::best_effort(20)),
+            allocator.allocate_as(&AllocRequest::best_effort(20), Foreground),
             Err(AllocError::OutOfSpace {
                 requested: 20,
                 available: 10
@@ -664,11 +509,13 @@ mod tests {
     #[test]
     fn hints_extend_previous_allocations_when_possible() {
         for policy in FitPolicy::ALL {
-            let mut allocator = PolicyAllocator::new(policy, 200);
-            let first = allocator.allocate(&AllocRequest::best_effort(16)).unwrap();
+            let mut allocator = fit(policy, 200);
+            let first = allocator
+                .allocate_as(&AllocRequest::best_effort(16), Foreground)
+                .unwrap();
             let end = first.last().unwrap().end();
             let second = allocator
-                .allocate(&AllocRequest::best_effort(16).with_hint(end))
+                .allocate_as(&AllocRequest::best_effort(16).with_hint(end), Foreground)
                 .unwrap();
             assert_eq!(second[0].start, end, "{}", policy.name());
             // Together they form a single physical fragment.
@@ -679,13 +526,20 @@ mod tests {
 
     #[test]
     fn hint_is_ignored_when_the_location_is_taken() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::FirstFit, 200);
-        let a = allocator.allocate(&AllocRequest::best_effort(16)).unwrap();
-        let _b = allocator.allocate(&AllocRequest::best_effort(16)).unwrap();
+        let mut allocator = fit(FitPolicy::FirstFit, 200);
+        let a = allocator
+            .allocate_as(&AllocRequest::best_effort(16), Foreground)
+            .unwrap();
+        let _b = allocator
+            .allocate_as(&AllocRequest::best_effort(16), Foreground)
+            .unwrap();
         // The cluster right after `a` now belongs to `b`; a hinted request
         // falls back to the policy instead of failing.
         let c = allocator
-            .allocate(&AllocRequest::best_effort(16).with_hint(a.last().unwrap().end()))
+            .allocate_as(
+                &AllocRequest::best_effort(16).with_hint(a.last().unwrap().end()),
+                Foreground,
+            )
             .unwrap();
         assert_eq!(c.total_clusters(), 16);
         assert_ne!(c[0].start, a.last().unwrap().end());
@@ -693,8 +547,10 @@ mod tests {
 
     #[test]
     fn double_free_is_rejected() {
-        let mut allocator = PolicyAllocator::new(FitPolicy::FirstFit, 100);
-        let extents = allocator.allocate(&AllocRequest::best_effort(10)).unwrap();
+        let mut allocator = fit(FitPolicy::FirstFit, 100);
+        let extents = allocator
+            .allocate_as(&AllocRequest::best_effort(10), Foreground)
+            .unwrap();
         allocator.free(&extents).unwrap();
         assert!(allocator.free(&extents).is_err());
     }

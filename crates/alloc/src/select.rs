@@ -1,27 +1,24 @@
-//! Policy-selected allocator: one concrete type a substrate can embed while
-//! letting experiments choose the allocation *and placement* policies at
-//! configuration time.
+//! The cluster allocator: one free-space map, one placement policy, one carve
+//! loop — and a *pick strategy* chosen at construction time.
 //!
-//! The filesystem volume historically hard-wired the NTFS-style
-//! [`RunCacheAllocator`]; the [`AllocationPolicy`] knob threaded down from
-//! `lor-core` needs the volume to be able to run any of the classic fit
-//! policies instead, without turning the volume into a generic type or paying
-//! for dynamic dispatch on the hot allocation path.  [`SelectableAllocator`]
-//! is that closed sum: the run cache for [`AllocationPolicy::Native`], a
-//! [`PolicyAllocator`] for [`AllocationPolicy::Fit`].
+//! The paper (Section 2) describes NTFS allocation as a pick order over one
+//! run cache, and the malloc survey it cites asks that policy be kept apart
+//! from mechanism.  [`SelectableAllocator`] is the mechanism: it validates a
+//! request, carves free runs until the request is met, and rolls back if it
+//! cannot be.  The policy is only the answer to *which run next*:
 //!
-//! Since the placement refactor the allocator also carries the substrate's
-//! [`PlacementPolicy`] and exposes [`SelectableAllocator::allocate_as`]:
-//! foreground requests flow through the selected policy as before, while
-//! maintenance relocations are placed under the placement constraint — into
-//! the maintenance band, or only into runs within the foreground watermark —
-//! so background compaction stops consuming the contiguous space the
-//! foreground allocator needs.  For the native run cache the maintenance path
-//! carves placement-eligible runs directly off the shared free-space map
-//! (largest allowed run first, the layout a relocation wants) and pins them
-//! with the same reserve primitive the MFT zone uses, keeping the cache's
-//! bookkeeping coherent without teaching NTFS's foreground pipeline about
-//! bands it never had.
+//! * [`AllocationPolicy::Native`] — the NTFS run cache ([`crate::runcache`]):
+//!   extension at the hint, then the outer band, then the largest run.
+//! * [`AllocationPolicy::Fit`] — a [`FitPicker`]: extension at the hint, then
+//!   the fit's pick, then the largest run the consumer may touch.
+//!
+//! The [`PlacementPolicy`] is enforced here, once, for both strategies: a
+//! consumer the placement *restricts* (maintenance under a banded or reserve
+//! placement) never takes a hint and never spills — it is placed inside its
+//! constraint or refused — so background relocation cannot consume the
+//! contiguous space the foreground needs.  Everyone else may use the whole
+//! space (the foreground of a banded fit policy prefers its band and spills
+//! when it is exhausted; the run cache keeps NTFS's own outer-band banding).
 
 use serde::{Deserialize, Serialize};
 
@@ -29,24 +26,25 @@ use crate::error::AllocError;
 use crate::extent::Extent;
 use crate::freespace::{FreeSpace, RunIndexMap};
 use crate::placement::{PlacementConsumer, PlacementPolicy};
-use crate::policy::{AllocRequest, AllocationPolicy, Allocator, Contiguity, PolicyAllocator};
-use crate::runcache::RunCacheAllocator;
+use crate::policy::{AllocRequest, AllocationPolicy, Contiguity, FitPicker};
+use crate::runcache;
 
-/// The selected allocation mechanism.
+/// Which run a request is carved from next.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum SelectedAllocator {
+enum Strategy {
     /// The NTFS-style run cache ([`AllocationPolicy::Native`] for volumes).
-    RunCache(RunCacheAllocator),
-    /// One of the classic fit policies.
-    Fit(PolicyAllocator),
+    RunCache,
+    /// One of the classic fit policies, with its next-fit cursor.
+    Fit(FitPicker),
 }
 
-/// An allocator whose allocation and placement policies are chosen at
-/// construction time.
+/// The cluster allocator; its allocation and placement policies are chosen
+/// at construction time (see module docs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SelectableAllocator {
-    inner: SelectedAllocator,
+    map: RunIndexMap,
     placement: PlacementPolicy,
+    strategy: Strategy,
 }
 
 impl SelectableAllocator {
@@ -62,23 +60,24 @@ impl SelectableAllocator {
         total_clusters: u64,
         placement: PlacementPolicy,
     ) -> Self {
-        let inner =
-            match policy {
-                AllocationPolicy::Native => {
-                    SelectedAllocator::RunCache(RunCacheAllocator::new(total_clusters))
-                }
-                AllocationPolicy::Fit(fit) => SelectedAllocator::Fit(
-                    PolicyAllocator::with_placement(fit, total_clusters, placement),
-                ),
-            };
-        SelectableAllocator { inner, placement }
+        let strategy = match policy {
+            AllocationPolicy::Native => Strategy::RunCache,
+            AllocationPolicy::Fit(fit) => {
+                Strategy::Fit(FitPicker::with_placement(policy, fit, placement))
+            }
+        };
+        SelectableAllocator {
+            map: RunIndexMap::new_free(total_clusters),
+            placement,
+            strategy,
+        }
     }
 
     /// The policy this allocator was built with.
     pub fn policy(&self) -> AllocationPolicy {
-        match &self.inner {
-            SelectedAllocator::RunCache(_) => AllocationPolicy::Native,
-            SelectedAllocator::Fit(inner) => AllocationPolicy::Fit(inner.policy()),
+        match &self.strategy {
+            Strategy::RunCache => AllocationPolicy::Native,
+            Strategy::Fit(picker) => picker.policy(),
         }
     }
 
@@ -90,154 +89,146 @@ impl SelectableAllocator {
     /// Marks a specific extent allocated, bypassing policy (metadata bands,
     /// pathological-fragmentation injection).
     pub fn reserve_exact(&mut self, extent: Extent) -> Result<(), AllocError> {
-        match &mut self.inner {
-            SelectedAllocator::RunCache(inner) => inner.reserve_exact(extent),
-            SelectedAllocator::Fit(inner) => inner.reserve_exact(extent),
-        }
+        self.map.reserve(extent)
     }
 
-    /// Read-only access to the underlying free-space map.
+    /// Read-only access to the free-space map — every question about what is
+    /// free (`free_clusters`, `free_runs`, band queries) is asked of it.
     pub fn free_space(&self) -> &RunIndexMap {
-        match &self.inner {
-            SelectedAllocator::RunCache(inner) => inner.free_space(),
-            SelectedAllocator::Fit(inner) => inner.free_space(),
-        }
+        &self.map
     }
 
-    /// Allocates space for `request` on behalf of `consumer`, under the
-    /// allocator's placement policy.
-    ///
-    /// Foreground requests are the ordinary [`Allocator::allocate`] path
-    /// (under [`PlacementPolicy::Banded`] the fit policies prefer the
-    /// foreground band and spill over when it is exhausted; the native run
-    /// cache keeps its own NTFS banding).  Maintenance requests are confined
-    /// by the placement policy and fail rather than violate it.
+    /// Returns previously allocated extents to the free pool.
+    pub fn free(&mut self, extents: &[Extent]) -> Result<(), AllocError> {
+        for extent in extents {
+            self.map.release(*extent)?;
+        }
+        Ok(())
+    }
+
+    /// [`SelectableAllocator::allocate_into`] with a fresh vector.
     pub fn allocate_as(
         &mut self,
         request: &AllocRequest,
         consumer: PlacementConsumer,
     ) -> Result<Vec<Extent>, AllocError> {
-        match &mut self.inner {
-            SelectedAllocator::Fit(inner) => inner.allocate_as(request, consumer),
-            SelectedAllocator::RunCache(inner) => match consumer {
-                // Unrestricted maintenance keeps the native pipeline, so the
-                // default placement reproduces the pre-placement layouts
-                // bit-identically (the oracle tests pin this).
-                PlacementConsumer::Foreground => inner.allocate(request),
-                PlacementConsumer::Maintenance { .. } if self.placement.is_unrestricted() => {
-                    inner.allocate(request)
-                }
-                PlacementConsumer::Maintenance { .. } => {
-                    Self::allocate_maintenance_runcache(inner, request, self.placement, consumer)
-                }
-            },
-        }
+        let mut out = Vec::new();
+        self.allocate_into(request, consumer, &mut out)?;
+        Ok(out)
     }
 
-    /// Foreground allocation appended to `out` — what a substrate's append
-    /// path calls once per write request with a buffer it reuses.  On
-    /// failure the map and `out` (entries the caller pushed earlier
-    /// included) are exactly as they were.
+    /// Allocates space for `request` on behalf of `consumer`, appending the
+    /// extents to `out` in the order they should be filled with data — a
+    /// substrate's append path calls it once per write request with a buffer
+    /// it reuses.
+    ///
+    /// A consumer the placement restricts is confined to its constraint and
+    /// fails with [`AllocError::OutOfSpace`] / [`AllocError::NoContiguousRun`]
+    /// rather than violate it.  On failure every cluster reserved so far is
+    /// released and `out` is truncated back to the length it had on entry, so
+    /// entries the caller pushed earlier survive untouched.
     pub fn allocate_into(
         &mut self,
         request: &AllocRequest,
+        consumer: PlacementConsumer,
         out: &mut Vec<Extent>,
     ) -> Result<(), AllocError> {
-        match &mut self.inner {
-            SelectedAllocator::RunCache(inner) => inner.allocate_into(request, out),
-            SelectedAllocator::Fit(inner) => {
-                out.extend(inner.allocate(request)?);
-                Ok(())
-            }
-        }
-    }
-
-    /// Maintenance allocation for the native run cache: carve the allowed
-    /// runs directly off the free-space map (largest first) and pin them
-    /// with [`RunCacheAllocator::reserve_exact`], which keeps the cache
-    /// coherent.  Refuses (no spill-over) when the placement-eligible runs
-    /// cannot satisfy the request.
-    fn allocate_maintenance_runcache(
-        inner: &mut RunCacheAllocator,
-        request: &AllocRequest,
-        placement: PlacementPolicy,
-        consumer: PlacementConsumer,
-    ) -> Result<Vec<Extent>, AllocError> {
         if request.clusters == 0 {
             return Err(AllocError::EmptyRequest);
         }
-        if request.clusters > inner.free_clusters() {
+        if request.clusters > self.map.free_clusters() {
             return Err(AllocError::OutOfSpace {
                 requested: request.clusters,
-                available: inner.free_clusters(),
+                available: self.map.free_clusters(),
             });
         }
+        // A consumer the placement confines: maintenance under a banded or
+        // reserve placement.
+        let restricted = consumer.is_maintenance() && !self.placement.is_unrestricted();
         if request.contiguity == Contiguity::Required {
-            let candidate = placement.largest_eligible(inner.free_space(), consumer, 1);
-            if candidate.is_none_or(|run| run.len < request.clusters) {
+            let fits = if restricted {
+                self.largest_eligible(consumer)
+                    .is_some_and(|run| run.len >= request.clusters)
+            } else {
+                self.map.best_fit(request.clusters).is_some()
+            };
+            if !fits {
                 return Err(AllocError::NoContiguousRun {
                     requested: request.clusters,
-                    largest_run: inner.free_space().largest_free_run(),
+                    largest_run: self.map.largest_free_run(),
                 });
             }
         }
 
-        let mut out: Vec<Extent> = Vec::new();
+        let base = out.len();
         let mut remaining = request.clusters;
         while remaining > 0 {
-            let candidate = placement
-                .largest_eligible(inner.free_space(), consumer, 1)
-                .filter(|run| !run.is_empty());
-            let Some(run) = candidate else {
-                for extent in &out {
-                    inner
-                        .free(std::slice::from_ref(extent))
+            let first_carve = out.len() == base;
+            let candidate = self.next_run(first_carve, remaining, request, consumer, restricted);
+            let Some(run) = candidate.filter(|run| !run.is_empty()) else {
+                for extent in out.drain(base..) {
+                    // Invariant: every extent past `base` was reserved by
+                    // this call, a few lines down.
+                    self.map
+                        .release(extent)
                         .expect("rollback of freshly reserved extent");
                 }
                 return Err(AllocError::OutOfSpace {
                     requested: request.clusters,
-                    available: inner.free_clusters(),
+                    available: self.map.free_clusters(),
                 });
             };
             let take = Extent::new(run.start, run.len.min(remaining));
-            inner.reserve_exact(take)?;
+            self.map.reserve(take)?;
+            if let Strategy::Fit(picker) = &mut self.strategy {
+                picker.advance(take);
+            }
             remaining -= take.len;
             out.push(take);
         }
-        Ok(out)
-    }
-}
-
-impl Allocator for SelectableAllocator {
-    fn allocate(&mut self, request: &AllocRequest) -> Result<Vec<Extent>, AllocError> {
-        self.allocate_as(request, PlacementConsumer::Foreground)
+        Ok(())
     }
 
-    fn free(&mut self, extents: &[Extent]) -> Result<(), AllocError> {
-        match &mut self.inner {
-            SelectedAllocator::RunCache(inner) => inner.free(extents),
-            SelectedAllocator::Fit(inner) => inner.free(extents),
+    /// The largest run the placement itself lets `consumer` touch.
+    fn largest_eligible(&self, consumer: PlacementConsumer) -> Option<Extent> {
+        self.placement.largest_eligible(&self.map, consumer, 1)
+    }
+
+    /// The free run the next piece of `request`, still missing `remaining`
+    /// clusters, is carved from (the loop clips it to `remaining`).
+    ///
+    /// An unrestricted consumer extends at the hint when a free run starts
+    /// exactly there (anywhere else the data would not continue its
+    /// predecessor) and, for a request that must stay in one piece, holds all
+    /// of it; then the strategy is asked, and a fit that finds no run for the
+    /// whole remainder fragments into the largest run of its band or, failing
+    /// that, of the volume.  A restricted consumer gets the strategy's pick
+    /// inside its constraint or the largest run it is allowed — never the
+    /// hint, never a spill.
+    fn next_run(
+        &self,
+        first_carve: bool,
+        remaining: u64,
+        request: &AllocRequest,
+        consumer: PlacementConsumer,
+        restricted: bool,
+    ) -> Option<Extent> {
+        if first_carve && !restricted {
+            let extension = request
+                .hint
+                .and_then(|hint| self.map.run_at(hint).filter(|run| run.start == hint))
+                .filter(|run| request.contiguity == Contiguity::BestEffort || run.len >= remaining);
+            if extension.is_some() {
+                return extension;
+            }
         }
-    }
-
-    fn total_clusters(&self) -> u64 {
-        match &self.inner {
-            SelectedAllocator::RunCache(inner) => inner.total_clusters(),
-            SelectedAllocator::Fit(inner) => inner.total_clusters(),
-        }
-    }
-
-    fn free_clusters(&self) -> u64 {
-        match &self.inner {
-            SelectedAllocator::RunCache(inner) => inner.free_clusters(),
-            SelectedAllocator::Fit(inner) => inner.free_clusters(),
-        }
-    }
-
-    fn free_runs(&self) -> Vec<Extent> {
-        match &self.inner {
-            SelectedAllocator::RunCache(inner) => inner.free_runs(),
-            SelectedAllocator::Fit(inner) => inner.free_runs(),
+        match &self.strategy {
+            Strategy::RunCache if restricted => self.largest_eligible(consumer),
+            Strategy::RunCache => runcache::pick(&self.map, first_carve, remaining),
+            Strategy::Fit(picker) => picker
+                .pick_as(&self.map, remaining, consumer)
+                .or_else(|| self.largest_eligible(consumer))
+                .or_else(|| if restricted { None } else { self.map.largest() }),
         }
     }
 }
@@ -246,6 +237,7 @@ impl Allocator for SelectableAllocator {
 mod tests {
     use super::*;
     use crate::policy::FitPolicy;
+    use PlacementConsumer::Foreground;
 
     fn maintenance(watermark: u64) -> PlacementConsumer {
         PlacementConsumer::Maintenance {
@@ -258,27 +250,37 @@ mod tests {
         let allocator = SelectableAllocator::new(AllocationPolicy::Native, 1000);
         assert_eq!(allocator.policy(), AllocationPolicy::Native);
         assert_eq!(allocator.placement(), PlacementPolicy::Unrestricted);
-        assert!(matches!(allocator.inner, SelectedAllocator::RunCache(_)));
+        assert!(matches!(allocator.strategy, Strategy::RunCache));
     }
 
     #[test]
-    fn fit_selects_a_policy_allocator() {
+    fn fit_selects_a_fit_picker() {
         for fit in FitPolicy::ALL {
             let allocator = SelectableAllocator::new(AllocationPolicy::Fit(fit), 1000);
             assert_eq!(allocator.policy(), AllocationPolicy::Fit(fit));
+            assert!(matches!(&allocator.strategy, Strategy::Fit(picker) if picker.fit() == fit));
         }
     }
 
     #[test]
-    fn allocator_interface_is_forwarded() {
+    fn allocate_and_free_round_trip_under_every_policy() {
         for policy in AllocationPolicy::ALL {
             let mut allocator = SelectableAllocator::new(policy, 1000);
-            assert_eq!(allocator.total_clusters(), 1000);
-            let extents = allocator.allocate(&AllocRequest::best_effort(100)).unwrap();
-            assert_eq!(allocator.free_clusters(), 900, "{}", policy.name());
-            assert_eq!(allocator.free_space().free_clusters(), 900);
+            assert_eq!(allocator.free_space().total_clusters(), 1000);
+            let extents = allocator
+                .allocate_as(&AllocRequest::best_effort(100), Foreground)
+                .unwrap();
+            assert_eq!(
+                allocator.free_space().free_clusters(),
+                900,
+                "{}",
+                policy.name()
+            );
             allocator.free(&extents).unwrap();
-            assert_eq!(allocator.free_runs(), vec![Extent::new(0, 1000)]);
+            assert_eq!(
+                allocator.free_space().free_runs(),
+                vec![Extent::new(0, 1000)]
+            );
         }
     }
 
@@ -292,22 +294,27 @@ mod tests {
 
             // 61 > 60 free clusters: refused, with the map and the caller's
             // earlier entry exactly as they were.
-            let runs_before = allocator.free_runs();
+            let runs_before = allocator.free_space().free_runs();
             let err = allocator
-                .allocate_into(&AllocRequest::best_effort(61), &mut out)
+                .allocate_into(&AllocRequest::best_effort(61), Foreground, &mut out)
                 .unwrap_err();
             assert!(matches!(err, AllocError::OutOfSpace { .. }), "{err:?}");
             assert_eq!(out, vec![earlier], "{}", policy.name());
-            assert_eq!(allocator.free_runs(), runs_before, "{}", policy.name());
+            assert_eq!(
+                allocator.free_space().free_runs(),
+                runs_before,
+                "{}",
+                policy.name()
+            );
 
             // All 60 fit only in two pieces; they land after the earlier entry.
             allocator
-                .allocate_into(&AllocRequest::best_effort(60), &mut out)
+                .allocate_into(&AllocRequest::best_effort(60), Foreground, &mut out)
                 .unwrap();
             assert_eq!(out[0], earlier);
             assert_eq!(out.len(), 3, "{}", policy.name());
             assert_eq!(out[1].len + out[2].len, 60);
-            assert_eq!(allocator.free_clusters(), 0);
+            assert_eq!(allocator.free_space().free_clusters(), 0);
         }
     }
 
@@ -316,7 +323,7 @@ mod tests {
         for policy in AllocationPolicy::ALL {
             let mut allocator = SelectableAllocator::new(policy, 100);
             allocator.reserve_exact(Extent::new(10, 5)).unwrap();
-            assert_eq!(allocator.free_clusters(), 95);
+            assert_eq!(allocator.free_space().free_clusters(), 95);
             assert!(
                 allocator.reserve_exact(Extent::new(10, 5)).is_err(),
                 "double pin"
@@ -340,7 +347,9 @@ mod tests {
                 extents[0]
             );
             // Foreground allocations still come from the low band.
-            let foreground = allocator.allocate(&AllocRequest::best_effort(50)).unwrap();
+            let foreground = allocator
+                .allocate_as(&AllocRequest::best_effort(50), Foreground)
+                .unwrap();
             assert!(
                 foreground[0].start < 800,
                 "{}: foreground run {:?} should stay in its band",
@@ -371,7 +380,9 @@ mod tests {
                 allocator.free_space().largest_run_in(0, 800).unwrap().len,
                 800
             );
-            assert!(allocator.allocate(&AllocRequest::best_effort(10)).is_ok());
+            assert!(allocator
+                .allocate_as(&AllocRequest::best_effort(10), Foreground)
+                .is_ok());
         }
     }
 
@@ -407,15 +418,61 @@ mod tests {
         );
         // The maintenance band holds only 60 free clusters.
         allocator.reserve_exact(Extent::new(900, 40)).unwrap();
-        let runs_before = allocator.free_runs();
+        let runs_before = allocator.free_space().free_runs();
         let err = allocator
             .allocate_as(&AllocRequest::best_effort(100), maintenance(0))
             .unwrap_err();
         assert!(matches!(err, AllocError::OutOfSpace { .. }));
         assert_eq!(
-            allocator.free_runs(),
+            allocator.free_space().free_runs(),
             runs_before,
             "a refused maintenance allocation must leave no trace"
         );
+    }
+
+    /// A restricted consumer never takes the extension hint: the request is
+    /// placed inside the constraint or refused, under every strategy.
+    #[test]
+    fn hinted_maintenance_is_placed_inside_the_constraint_or_refused() {
+        for policy in AllocationPolicy::ALL {
+            // Banded: the hint starts the free run [100, 1000), whose first
+            // 800 clusters are foreground band.
+            let mut allocator =
+                SelectableAllocator::with_placement(policy, 1000, PlacementPolicy::banded(0.9));
+            allocator.reserve_exact(Extent::new(0, 100)).unwrap();
+            let hinted = AllocRequest::best_effort(20).with_hint(100);
+            let extents = allocator.allocate_as(&hinted, maintenance(0)).unwrap();
+            assert!(
+                extents.iter().all(|e| e.start >= 900),
+                "{}: {extents:?} must lie in the maintenance band",
+                policy.name()
+            );
+            // With the maintenance band full the request is refused.
+            allocator.reserve_exact(Extent::new(920, 80)).unwrap();
+            let runs_before = allocator.free_space().free_runs();
+            let err = allocator.allocate_as(&hinted, maintenance(0)).unwrap_err();
+            assert!(matches!(err, AllocError::OutOfSpace { .. }), "{err:?}");
+            assert_eq!(allocator.free_space().free_runs(), runs_before);
+
+            // Reserve: the hint starts the 899-cluster tail, far above the
+            // 50-cluster watermark; [0..40) and [60..100) are allowed.
+            let mut allocator =
+                SelectableAllocator::with_placement(policy, 1000, PlacementPolicy::Reserve);
+            allocator.reserve_exact(Extent::new(40, 20)).unwrap();
+            allocator.reserve_exact(Extent::new(100, 1)).unwrap();
+            let hinted = AllocRequest::best_effort(60).with_hint(101);
+            let extents = allocator.allocate_as(&hinted, maintenance(50)).unwrap();
+            assert_eq!(
+                extents,
+                vec![Extent::new(60, 40), Extent::new(0, 20)],
+                "{}",
+                policy.name()
+            );
+            // The 20 allowed clusters left cannot hold 60 more.
+            let runs_before = allocator.free_space().free_runs();
+            let err = allocator.allocate_as(&hinted, maintenance(50)).unwrap_err();
+            assert!(matches!(err, AllocError::OutOfSpace { .. }), "{err:?}");
+            assert_eq!(allocator.free_space().free_runs(), runs_before);
+        }
     }
 }

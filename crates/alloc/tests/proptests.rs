@@ -1,14 +1,16 @@
 //! Property tests for the allocation substrate.
 //!
 //! The central technique is cross-validation: the run-indexed free-space map
-//! is driven in lock-step with the exhaustive bitmap oracle, and every
-//! allocator is checked against a handful of global invariants (no overlap,
-//! exact accounting, full restoration after freeing everything).
+//! is driven in lock-step with the exhaustive bitmap oracle, and the
+//! allocator is checked under every policy and placement against a handful of
+//! global invariants (no overlap, exact accounting, failures that leave no
+//! trace, placement constraints kept, full restoration after freeing
+//! everything).
 
 use lor_alloc::{
-    AllocError, AllocRequest, AllocationPolicy, Allocator, BitmapMap, Extent, ExtentListExt,
-    FitPolicy, FragmentationSummary, FreeSpace, PlacementPolicy, PolicyAllocator,
-    RunCacheAllocator, RunIndexMap, SelectableAllocator,
+    AllocError, AllocRequest, AllocationPolicy, BitmapMap, Extent, ExtentListExt, FitPolicy,
+    FragmentationSummary, FreeSpace, PlacementConsumer, PlacementPolicy, RunIndexMap,
+    SelectableAllocator,
 };
 use proptest::prelude::*;
 
@@ -141,56 +143,113 @@ proptest! {
 /// fail (the volume is small) and plenty of churn happens.
 #[derive(Debug, Clone)]
 enum AllocOp {
-    /// Allocate this many clusters (best effort), with or without a hint at
-    /// the end of the most recently allocated object.
-    Allocate { clusters: u64, hinted: bool },
+    /// Allocate this many clusters — best effort or as one run, with or
+    /// without a hint at the end of the most recently allocated object, for
+    /// the foreground or for maintenance under the given watermark.
+    Allocate {
+        clusters: u64,
+        hinted: bool,
+        contiguous: bool,
+        maintenance: Option<u64>,
+    },
     /// Free the live object at this (modular) index.
     Free(usize),
 }
 
 fn arb_alloc_op() -> impl Strategy<Value = AllocOp> {
+    let allocate = (
+        1u64..512,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        0u64..600,
+    );
     prop_oneof![
-        (1u64..512, any::<bool>())
-            .prop_map(|(clusters, hinted)| AllocOp::Allocate { clusters, hinted }),
+        allocate.prop_map(|(clusters, hinted, contiguous, maintenance, watermark)| {
+            AllocOp::Allocate {
+                clusters,
+                hinted,
+                contiguous,
+                maintenance: maintenance.then_some(watermark),
+            }
+        }),
         (0usize..64).prop_map(AllocOp::Free),
     ]
 }
 
-/// Runs a script against any allocator and checks global invariants.
-fn run_script<A: Allocator>(mut allocator: A, ops: Vec<AllocOp>) -> Result<(), TestCaseError> {
-    let total = allocator.total_clusters();
+/// Runs a script against the allocator and checks global invariants: exact
+/// accounting, no cluster handed out twice, a failed request leaving no trace
+/// in the map or in the caller's buffer, and maintenance extents inside the
+/// placement constraint.
+fn run_script(mut allocator: SelectableAllocator, ops: Vec<AllocOp>) -> Result<(), TestCaseError> {
+    let total = allocator.free_space().total_clusters();
+    let placement = allocator.placement();
+    let earlier = Extent::new(total, 7); // the caller's own entry in `out`
     let mut live: Vec<Vec<Extent>> = Vec::new();
     for op in ops {
         match op {
-            AllocOp::Allocate { clusters, hinted } => {
-                let mut request = AllocRequest::best_effort(clusters);
+            AllocOp::Allocate {
+                clusters,
+                hinted,
+                contiguous,
+                maintenance,
+            } => {
+                let mut request = if contiguous {
+                    AllocRequest::contiguous(clusters)
+                } else {
+                    AllocRequest::best_effort(clusters)
+                };
                 if hinted {
-                    if let Some(end) = live.last().and_then(|o| o.last()).map(|e| e.end()) {
-                        request = request.with_hint(end);
-                    }
+                    request.hint = live.last().and_then(|o| o.last()).map(|e| e.end());
                 }
-                match allocator.allocate(&request) {
-                    Ok(extents) => {
-                        prop_assert_eq!(extents.total_clusters(), clusters);
-                        prop_assert!(extents.is_disjoint());
-                        prop_assert!(extents.iter().all(|e| e.end() <= total), "within bounds");
-                        // No overlap with any live object.
-                        for object in &live {
-                            for a in object {
-                                for b in &extents {
-                                    prop_assert!(
-                                        !a.overlaps(b),
-                                        "allocator handed out {b:?} twice"
-                                    );
-                                }
-                            }
+                let consumer = match maintenance {
+                    Some(foreground_watermark) => PlacementConsumer::Maintenance {
+                        foreground_watermark,
+                    },
+                    None => PlacementConsumer::Foreground,
+                };
+                let runs_before = allocator.free_space().free_runs();
+                let mut out = vec![earlier];
+                if allocator
+                    .allocate_into(&request, consumer, &mut out)
+                    .is_err()
+                {
+                    // Failure is allowed (the volume is small, maintenance
+                    // may be refused); it must leave no trace.
+                    prop_assert_eq!(out, vec![earlier]);
+                    prop_assert_eq!(allocator.free_space().free_runs(), runs_before);
+                    continue;
+                }
+                prop_assert_eq!(out[0], earlier);
+                let extents = out.split_off(1);
+                prop_assert_eq!(extents.total_clusters(), clusters);
+                prop_assert!(extents.is_disjoint());
+                prop_assert!(extents.iter().all(|e| e.end() <= total), "within bounds");
+                prop_assert!(!contiguous || extents.len() == 1, "one run when required");
+                for object in &live {
+                    for a in object {
+                        for b in &extents {
+                            prop_assert!(!a.overlaps(b), "allocator handed out {b:?} twice");
                         }
-                        live.push(extents);
-                    }
-                    Err(_) => {
-                        // Failure is allowed (volume is small); it must not leak space.
                     }
                 }
+                let band = placement.primary_band(total, consumer);
+                if let Some((lo, _)) = band.filter(|_| consumer.is_maintenance()) {
+                    prop_assert!(
+                        extents.iter().all(|e| e.start >= lo),
+                        "maintenance extents {extents:?} below the band boundary {lo}"
+                    );
+                }
+                if let Some(cap) = placement.run_cap(consumer) {
+                    for e in &extents {
+                        let run = runs_before.iter().find(|run| run.contains(e.start));
+                        prop_assert!(
+                            run.is_some_and(|run| run.len <= cap),
+                            "{e:?} carved from {run:?}, longer than the watermark {cap}"
+                        );
+                    }
+                }
+                live.push(extents);
             }
             AllocOp::Free(index) => {
                 if !live.is_empty() {
@@ -203,7 +262,7 @@ fn run_script<A: Allocator>(mut allocator: A, ops: Vec<AllocOp>) -> Result<(), T
         }
         let live_clusters: u64 = live.iter().map(|o| o.total_clusters()).sum();
         prop_assert_eq!(
-            allocator.allocated_clusters(),
+            allocator.free_space().allocated_clusters(),
             live_clusters,
             "exact accounting"
         );
@@ -212,8 +271,12 @@ fn run_script<A: Allocator>(mut allocator: A, ops: Vec<AllocOp>) -> Result<(), T
     for object in live.drain(..) {
         allocator.free(&object).expect("free at teardown");
     }
-    prop_assert_eq!(allocator.free_clusters(), total);
+    prop_assert_eq!(allocator.free_space().free_clusters(), total);
     Ok(())
+}
+
+fn unplaced(policy: AllocationPolicy) -> SelectableAllocator {
+    SelectableAllocator::new(policy, VOLUME)
 }
 
 proptest! {
@@ -221,31 +284,32 @@ proptest! {
 
     #[test]
     fn first_fit_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
-        run_script(PolicyAllocator::new(FitPolicy::FirstFit, VOLUME), ops)?;
+        run_script(unplaced(AllocationPolicy::Fit(FitPolicy::FirstFit)), ops)?;
     }
 
     #[test]
     fn best_fit_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
-        run_script(PolicyAllocator::new(FitPolicy::BestFit, VOLUME), ops)?;
+        run_script(unplaced(AllocationPolicy::Fit(FitPolicy::BestFit)), ops)?;
     }
 
     #[test]
     fn worst_fit_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
-        run_script(PolicyAllocator::new(FitPolicy::WorstFit, VOLUME), ops)?;
+        run_script(unplaced(AllocationPolicy::Fit(FitPolicy::WorstFit)), ops)?;
     }
 
     #[test]
     fn next_fit_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
-        run_script(PolicyAllocator::new(FitPolicy::NextFit, VOLUME), ops)?;
+        run_script(unplaced(AllocationPolicy::Fit(FitPolicy::NextFit)), ops)?;
     }
 
     #[test]
     fn run_cache_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
-        run_script(RunCacheAllocator::new(VOLUME), ops)?;
+        run_script(unplaced(AllocationPolicy::Native), ops)?;
     }
 
     /// The type `Volume` embeds, under every allocation policy and every
-    /// placement — the banded fit policies' foreground spill included.
+    /// placement — the banded fit policies' foreground spill and the
+    /// restricted maintenance consumer included.
     #[test]
     fn selectable_allocator_invariants(ops in prop::collection::vec(arb_alloc_op(), 1..120)) {
         for policy in AllocationPolicy::ALL {

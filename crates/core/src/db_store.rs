@@ -1,6 +1,6 @@
 //! The database-backed object store (one out-of-row BLOB per object).
 
-use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport, PlacementPolicy};
+use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_blobkit::{Database, DbWriteReceipt, EngineConfig};
 use lor_disksim::{DiskConfig, SimDuration};
 use lor_maint::{MaintSubstrate, MaintenanceConfig};
@@ -181,10 +181,6 @@ impl Substrate for Database {
 
     fn band_occupancy(&self) -> BandOccupancy {
         Database::band_occupancy(self)
-    }
-
-    fn placement(&self) -> PlacementPolicy {
-        self.config().placement
     }
 
     fn reclaimable_bytes(&self) -> u64 {

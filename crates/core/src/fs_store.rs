@@ -1,6 +1,6 @@
 //! The filesystem-backed object store (one file per object, safe writes).
 
-use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport, PlacementPolicy};
+use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_disksim::{DiskConfig, SimDuration};
 use lor_fskit::{
     DefragCursor, DefragReport, Defragmenter, FileId, Volume, VolumeConfig, WriteReceipt,
@@ -216,10 +216,6 @@ impl Substrate for FsSubstrate {
 
     fn band_occupancy(&self) -> BandOccupancy {
         self.volume.band_occupancy()
-    }
-
-    fn placement(&self) -> PlacementPolicy {
-        self.volume.placement()
     }
 
     fn reclaimable_bytes(&self) -> u64 {

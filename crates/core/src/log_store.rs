@@ -14,9 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use lor_alloc::{
-    BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, PlacementPolicy,
-};
+use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport};
 use lor_disksim::{ByteRun, DiskConfig, SimDuration};
 use lor_logstore::{CleanReport, LogConfig, LogError, SegmentLog};
 use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
@@ -270,10 +268,6 @@ impl Substrate for LogSubstrate {
         let total = map.total_clusters();
         let boundary = self.log.config().placement.boundary_cluster(total);
         BandOccupancy::from_runs(total, boundary, &map.free_runs())
-    }
-
-    fn placement(&self) -> PlacementPolicy {
-        self.log.config().placement
     }
 
     fn reclaimable_bytes(&self) -> u64 {

@@ -81,10 +81,6 @@ impl<S: Substrate> MaintTarget for Drive<'_, S> {
         S::REUSE
     }
 
-    fn placement(&self) -> lor_alloc::PlacementPolicy {
-        self.substrate.placement()
-    }
-
     fn reclaimable_bytes(&self) -> u64 {
         self.substrate.reclaimable_bytes()
     }

@@ -7,7 +7,7 @@
 //! clock or the disk model; it reports runs and counts and the store costs
 //! them, so the three systems are measured by literally the same code.
 
-use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport, PlacementPolicy};
+use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_disksim::{ByteRun, SimDuration};
 use lor_maint::{MaintIo, MaintSubstrate};
 use lor_obs::Obs;
@@ -168,8 +168,6 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// Occupancy of the placement bands.
     fn band_occupancy(&self) -> BandOccupancy;
 
-    /// The placement policy maintenance honours.
-    fn placement(&self) -> PlacementPolicy;
     /// Bytes a cleanup pass could make reusable.
     fn reclaimable_bytes(&self) -> u64;
 

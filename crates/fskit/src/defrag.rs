@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use lor_alloc::{AllocRequest, Allocator, Contiguity, PlacementConsumer};
+use lor_alloc::{AllocRequest, Contiguity, PlacementConsumer};
 use serde::{Deserialize, Serialize};
 
 use crate::error::FsError;
@@ -556,8 +556,6 @@ mod tests {
     /// `allocate` of one contiguous run per candidate, most fragmented first.
     #[test]
     fn unrestricted_defrag_is_bit_identical_to_the_legacy_pass() {
-        use lor_alloc::{AllocRequest, Allocator, Contiguity};
-
         let (mut new_path, _) = fragmented_volume();
         let (mut legacy, _) = fragmented_volume();
 
@@ -584,7 +582,10 @@ mod tests {
                 hint: None,
                 contiguity: Contiguity::Required,
             };
-            let Ok(new_extents) = legacy.allocator_mut().allocate(&request) else {
+            let Ok(new_extents) = legacy
+                .allocator_mut()
+                .allocate_as(&request, PlacementConsumer::Foreground)
+            else {
                 continue;
             };
             legacy.file_mut(id).unwrap().extents = new_extents;

@@ -10,7 +10,7 @@
 //!   to extend** the file's last extent (the extension hint).
 //! * Allocation is satisfied from a **run-based cache** of free extents that
 //!   prefers the outer band and large runs, and fragments the file only as a
-//!   last resort ([`lor_alloc::RunCacheAllocator`]).
+//!   last resort (the native pick order of [`lor_alloc::SelectableAllocator`]).
 //! * Space freed by deletion **cannot be reused until the transactional log
 //!   commits**; the volume keeps a pending-free queue that is drained by
 //!   [`Volume::checkpoint`] (called automatically every
@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
 
 use lor_alloc::{
-    AllocError, AllocRequest, AllocationPolicy, Allocator, BandOccupancy, CountMultiset, Extent,
+    AllocError, AllocRequest, AllocationPolicy, BandOccupancy, CountMultiset, Extent,
     ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport,
     PlacementConsumer, PlacementPolicy, SelectableAllocator,
 };
@@ -217,11 +217,12 @@ impl Space {
         out: &mut Vec<Extent>,
         stats: &mut VolumeStats,
     ) -> Result<(), FsError> {
-        match self.allocator.allocate_into(request, out) {
+        let foreground = PlacementConsumer::Foreground;
+        match self.allocator.allocate_into(request, foreground, out) {
             Err(AllocError::OutOfSpace { .. }) if !self.pending_free.is_empty() => {
                 stats.forced_checkpoints += 1;
                 self.checkpoint(stats);
-                Ok(self.allocator.allocate_into(request, out)?)
+                Ok(self.allocator.allocate_into(request, foreground, out)?)
             }
             other => Ok(other?),
         }
@@ -312,7 +313,7 @@ impl Volume {
     /// Bytes currently free for file data.  Space pending checkpoint counts as
     /// free capacity (it exists) even though it is not yet reusable.
     pub fn free_bytes(&self) -> u64 {
-        (self.space.allocator.free_clusters() + self.space.pending_clusters)
+        (self.space.allocator.free_space().free_clusters() + self.space.pending_clusters)
             * self.config.cluster_size
     }
 
@@ -812,11 +813,6 @@ impl Volume {
         self.space.allocator.free_space()
     }
 
-    /// The placement policy in effect.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.config.placement
-    }
-
     /// The largest contiguous allocation (in clusters) a single foreground
     /// operation could still need: the allocation of the largest live file,
     /// since a safe write stages a complete replacement copy of its target.
@@ -848,7 +844,7 @@ impl Volume {
             ));
         }
         let live: u64 = self.files.values().map(|f| f.allocated_clusters()).sum();
-        let free = self.space.allocator.free_clusters();
+        let free = self.space.allocator.free_space().free_clusters();
         let total = self.config.total_clusters();
         if live + free + queued + self.reserved_clusters != total {
             return Err(format!(
@@ -862,7 +858,7 @@ impl Volume {
             claims.extend(record.extents.iter().map(|e| (*e, "a file")));
         }
         claims.extend(self.space.pending_free.iter().map(|e| (*e, "the queue")));
-        let free_runs = self.space.allocator.free_runs();
+        let free_runs = self.space.allocator.free_space().free_runs();
         claims.extend(free_runs.iter().map(|e| (*e, "a free run")));
         claims.retain(|(extent, _)| !extent.is_empty());
         claims.sort_unstable_by_key(|(extent, _)| extent.start);
@@ -1127,9 +1123,8 @@ mod tests {
         config.placement = PlacementPolicy::banded(0.7);
         let mut volume = Volume::format(config).unwrap();
 
-        let boundary = volume
-            .placement()
-            .boundary_cluster(volume.config().total_clusters());
+        let config = volume.config();
+        let boundary = config.placement.boundary_cluster(config.total_clusters());
         let receipt = volume.ingest_as_maintenance("migrant", 2 * MB).unwrap();
         assert_eq!(receipt.bytes_written, 2 * MB);
         assert_eq!(receipt.runs.iter().map(|r| r.len).sum::<u64>(), 2 * MB);

@@ -13,12 +13,12 @@
 //!
 //! * [`MaintTarget`] — what a substrate must expose to be maintained:
 //!   reclaimable (ghost / pending-free) bytes, fragments per object, its
-//!   reuse behaviour ([`MaintTarget::substrate`]) and placement constraint
-//!   ([`MaintTarget::placement`] — which region of free space its
-//!   defragmenter may relocate into), and the three maintenance actions,
-//!   each reporting the background I/O it performed as a [`MaintIo`] (bytes
-//!   moved plus mechanical time, costed by the target with its own disk
-//!   model).
+//!   reuse behaviour ([`MaintTarget::substrate`]), and the three
+//!   maintenance actions, each reporting the background I/O it performed as
+//!   a [`MaintIo`] (bytes moved plus mechanical time, costed by the target
+//!   with its own disk model).  Where a defragmenter may relocate data (the
+//!   placement constraint) is the substrate's own configuration; no
+//!   scheduler asks.
 //! * [`MaintenanceScheduler`] — the discrete-event driver.  It owns its own
 //!   simulated clock ([`lor_disksim::SimClock`]), advances it with every
 //!   foreground operation, and on each *tick* (every [`TICK_EVERY_OPS`]

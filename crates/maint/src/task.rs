@@ -1,6 +1,5 @@
 //! The target abstraction, the background-I/O record and the task kinds.
 
-use lor_alloc::PlacementPolicy;
 use lor_disksim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -79,17 +78,6 @@ pub trait MaintTarget {
     /// policy can hold their ghost backlog.
     fn substrate(&self) -> MaintSubstrate {
         MaintSubstrate::DeferredReuse
-    }
-
-    /// The placement policy this substrate's maintenance actions honour —
-    /// which region of free space [`MaintTarget::defragment_step`] may
-    /// relocate data into (see [`lor_alloc::PlacementPolicy`]).  Defaults to
-    /// [`PlacementPolicy::Unrestricted`] (the pre-placement behaviour);
-    /// substrates configured with banded or reserve placement report it here
-    /// so a scheduler driving several substrates can tell which variant each
-    /// one runs.
-    fn placement(&self) -> PlacementPolicy {
-        PlacementPolicy::Unrestricted
     }
 
     /// Bytes of space that a cleanup pass could make reusable (ghost pages

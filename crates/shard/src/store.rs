@@ -20,8 +20,7 @@
 //! results (pinned by proptests and e2e tests on all three substrates).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use lor_alloc::FragmentationSummary;
 use lor_core::{
@@ -66,10 +65,6 @@ const GAUGE_FRAG: [&str; 16] = shard_gauge_names!("frag.per_object");
 const GAUGE_QUEUE: [&str; 16] = shard_gauge_names!("queue.mean_depth");
 const GAUGE_BAND_FG: [&str; 16] = shard_gauge_names!("band.foreground_used");
 const GAUGE_BAND_MAINT: [&str; 16] = shard_gauge_names!("band.maintenance_used");
-
-/// The directory lock only poisons if a worker panicked mid-run, at which
-/// point the simulation is already lost.
-const DIRECTORY_MSG: &str = "shard directory lock poisoned";
 
 /// Per-shard recorder ring size used while draining one interval.  Each
 /// shard's spans are spliced into the fleet recorder afterwards, which
@@ -129,11 +124,11 @@ fn drain_shard(
 ///
 /// Returns one slot per shard (`None` for empty streams), always in shard
 /// order.  The parallel path steals whole shard queues: workers claim the
-/// next undrained shard from a shared counter, so `Threads(n)` with `n`
-/// below the shard count keeps every worker busy while preserving the
-/// one-thread-per-shard-at-a-time invariant each store requires.  Because
-/// partitioning, per-shard clocks, and the post-run merge are all
-/// deterministic, every mode produces bit-identical results.
+/// next undrained shard, in shard order, from one shared iterator, so
+/// `Threads(n)` with `n` below the shard count keeps every worker busy while
+/// preserving the one-thread-per-shard-at-a-time invariant each store
+/// requires.  Because partitioning, per-shard clocks, and the post-run merge
+/// are all deterministic, every mode produces bit-identical results.
 fn drain_streams(
     shards: &mut [Box<dyn ObjectStore>],
     streams: Vec<Arrivals>,
@@ -158,35 +153,36 @@ fn drain_streams(
         return slots;
     }
 
-    type ResultSlot = Mutex<Option<(usize, Result<ShardRun, StoreError>)>>;
-    let queue: Vec<Mutex<Option<Job<'_>>>> =
-        jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-    let results: Vec<ResultSlot> = (0..queue.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let queue = Mutex::new(jobs.into_iter());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                if slot >= queue.len() {
-                    break;
-                }
-                let (index, store, stream) = queue[slot]
-                    .lock()
-                    .expect("shard job lock poisoned")
-                    .take()
-                    .expect("each shard job is claimed exactly once");
-                let outcome = drain_shard(store, stream, collect_spans);
-                *results[slot].lock().expect("shard result lock poisoned") = Some((index, outcome));
-            });
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The lock is held for this `next()` alone, which
+                        // cannot panic, so even a poisoned lock guards a
+                        // sound iterator.
+                        let job = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((index, store, stream)) = job else {
+                            break done;
+                        };
+                        done.push((index, drain_shard(store, stream, collect_spans)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            // Invariant: a worker only fails by panicking inside a store;
+            // that panic is the caller's, re-raised unchanged.
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (index, outcome) in done {
+                slots[index] = Some(outcome);
+            }
         }
     });
-    for cell in results {
-        let (index, outcome) = cell
-            .into_inner()
-            .expect("shard result lock poisoned")
-            .expect("every claimed job stores a result");
-        slots[index] = Some(outcome);
-    }
     slots
 }
 
@@ -196,12 +192,12 @@ pub struct ShardedStore {
     router: Router,
     /// Where every live object actually is.  The router decides where *new*
     /// objects land; rebalancing may move them afterwards, and reads and
-    /// deletes always follow the directory.  The mutex serializes the two
-    /// writers that may interleave within one measurement interval —
-    /// foreground partitioning and cross-shard migration — so a rebalance
-    /// slice can never observe (or publish) a half-applied move while
-    /// worker threads are in flight.
-    directory: Mutex<HashMap<ObjectKey, u32>>,
+    /// deletes always follow the directory.  Its two writers — foreground
+    /// partitioning and cross-shard migration — both run on the
+    /// coordinating thread through `&mut self`, before or after a drain;
+    /// worker threads only ever see their own shard's store, so a rebalance
+    /// slice can never observe (or publish) a half-applied move.
+    directory: HashMap<ObjectKey, u32>,
     /// How sub-streams are drained: serially or on worker threads.
     /// Simulated results are bit-identical either way.
     parallelism: FleetParallelism,
@@ -237,7 +233,7 @@ impl ShardedStore {
         Ok(ShardedStore {
             shards: stores,
             router: Router::new(policy, shards),
-            directory: Mutex::new(HashMap::new()),
+            directory: HashMap::new(),
             parallelism: config.fleet_parallelism.resolved(),
             rebalance_state: RebalanceState::default(),
             last_queue: vec![QueueStats::default(); shards as usize],
@@ -390,10 +386,9 @@ impl ShardedStore {
         stream: Vec<T>,
         op_of: impl Fn(&T) -> &WorkloadOp,
     ) -> Result<Vec<Vec<T>>, StoreError> {
-        let mut directory = self.directory.lock().expect(DIRECTORY_MSG);
         let mut streams: Vec<Vec<T>> = self.shards.iter().map(|_| Vec::new()).collect();
         for item in stream {
-            let shard = Self::route_request(&self.router, &mut directory, op_of(&item))?;
+            let shard = Self::route_request(&self.router, &mut self.directory, op_of(&item))?;
             streams[shard as usize].push(item);
         }
         Ok(streams)
@@ -532,8 +527,8 @@ impl ShardedStore {
     /// [`ShardedStore::run_rebalance_slice`] runs between windows — so
     /// migration I/O lands on source and destination shard clocks while
     /// foreground load is in flight, not in a quiet phase afterwards.
-    /// Migrations and foreground routing serialize through the guarded
-    /// directory; queue backlog does not carry across window boundaries
+    /// Migrations and foreground routing alternate on the coordinating
+    /// thread; queue backlog does not carry across window boundaries
     /// (each window re-opens its shard queues, as separate measurement
     /// intervals do).
     pub fn run_with_rebalance(
@@ -588,18 +583,15 @@ impl ShardedStore {
     ) -> Result<Vec<FanoutCompletion>, StoreError> {
         let arrivals = load.arrivals(SimDuration::ZERO, groups.len())?;
         let mut streams: Vec<Vec<StoreRequest>> = vec![Vec::new(); self.shards.len()];
-        {
-            let mut directory = self.directory.lock().expect(DIRECTORY_MSG);
-            for (group, (keys, &at)) in groups.into_iter().zip(&arrivals).enumerate() {
-                for key in keys {
-                    let op = WorkloadOp::Get { key };
-                    let shard = Self::route_request(&self.router, &mut directory, &op)?;
-                    streams[shard as usize].push(StoreRequest {
-                        client: ClientId(group as u32),
-                        op,
-                        arrival: at,
-                    });
-                }
+        for (group, (keys, &at)) in groups.into_iter().zip(&arrivals).enumerate() {
+            for key in keys {
+                let op = WorkloadOp::Get { key };
+                let shard = Self::route_request(&self.router, &mut self.directory, &op)?;
+                streams[shard as usize].push(StoreRequest {
+                    client: ClientId(group as u32),
+                    op,
+                    arrival: at,
+                });
             }
         }
 
@@ -646,18 +638,12 @@ impl ShardedStore {
     /// Returns the background I/O the migration performed; its time has
     /// already been charged to the source and destination shards' clocks.
     pub fn run_rebalance_slice(&mut self, budget_bytes: u64) -> MaintIo {
-        let io = {
-            // Hold the directory for the whole slice: every migration's
-            // copy-then-retarget publishes atomically with respect to
-            // foreground partitioning.
-            let mut directory = self.directory.lock().expect(DIRECTORY_MSG);
-            Rebalancer {
-                shards: &mut self.shards,
-                directory: &mut directory,
-                state: &mut self.rebalance_state,
-            }
-            .migrate_step(budget_bytes)
-        };
+        let io = Rebalancer {
+            shards: &mut self.shards,
+            directory: &mut self.directory,
+            state: &mut self.rebalance_state,
+        }
+        .migrate_step(budget_bytes);
         self.refresh_router_penalties();
         io
     }
@@ -705,10 +691,7 @@ impl std::fmt::Debug for ShardedStore {
         f.debug_struct("ShardedStore")
             .field("shards", &self.shards.len())
             .field("router", &self.router.policy())
-            .field(
-                "objects",
-                &self.directory.lock().expect(DIRECTORY_MSG).len(),
-            )
+            .field("objects", &self.directory.len())
             .field("parallelism", &self.parallelism)
             .finish()
     }
