@@ -2,19 +2,56 @@
 //!
 //! Two implementations of the same [`FreeSpace`] interface are provided:
 //!
-//! * [`RunIndexMap`] — the production structure: free runs indexed both by
-//!   start offset (for coalescing and first-fit scans) and by length (for
-//!   best-fit / largest-run queries).  Memory is proportional to the number of
-//!   free runs, i.e. to fragmentation, not to volume size, so 400 GB volumes
-//!   are cheap to model.  Every substrate frees through its `release`, which
-//!   probes the offset index once each way and grows an adjacent predecessor
-//!   in place — an aged volume holds tens of thousands of runs between
-//!   checkpoints and releases a few per replaced object.
+//! * [`RunIndexMap`] — the production structure, described below.  Memory is
+//!   proportional to the number of free runs, i.e. to fragmentation, not to
+//!   volume size, so 400 GB volumes are cheap to model.
 //! * [`BitmapMap`] — a straightforward cluster bitmap used for small volumes
 //!   and, above all, as an oracle in property tests that cross-validate the
 //!   run-indexed structure.
+//!
+//! ## `RunIndexMap`: one offset-ordered run list with a max-size summary
+//!
+//! Every substrate allocates and frees through this map, and an aged store
+//! asks it a dozen questions per replaced object, so its shape is the host
+//! cost of the allocation layer.  There is **one** ordered structure:
+//!
+//! * the free runs, ascending by start, in contiguous **blocks** of at most
+//!   `BLOCK_CAP` (64) runs — a full block splits in half on the next insert
+//!   (a B-tree leaf's "insert sorted, split when full"), and neighbouring
+//!   blocks merge when they hold at most half a block between them, so
+//!   however the runs come and go **any two neighbouring blocks hold more
+//!   than `BLOCK_CAP / 2` runs** and the list has fewer than `4 × runs /
+//!   BLOCK_CAP + 2` blocks;
+//! * an array of each block's first offset, so a position is two binary
+//!   searches (blocks, then runs in the block);
+//! * a **tournament tree** over each block's largest `(len, start)` — the
+//!   only size summary.
+//!
+//! A position query (`run_at`, `reserve`, `release`, `first_fit` from a
+//! cursor) never touches the summary's interior.  The three edits an ordered
+//! *set* can only express as remove-and-reinsert — carving a prefix, carving
+//! a suffix, growing into a freed neighbour — change a run's key but not its
+//! place, so each is one located write, plus a walk up the summary only when
+//! the block's maximum moved.  `largest()` is the summary's root; `first_fit`
+//! scans the rest of one block and lets the summary name the next block that
+//! holds a run long enough; `run_lens_desc` walks the summary best-first and
+//! pays per run yielded.  `best_fit` and `largest_run_at_most` are scans,
+//! which only the best-fit and `Reserve`-placement ablations pay.
+//!
+//! Which block holds which run depends on the order of past operations;
+//! every query's answer — tie-breaks included — depends on the free set
+//! alone.  The two-B-tree map this replaced survives as the test-only
+//! reference model in `tests/reference/`, compared query by query in
+//! `tests/differential.rs`; [`RunIndexMap::verify`] recomputes everything
+//! the structure caches.
+//!
+//! `BLOCK_CAP` was chosen by measurement (EXPERIMENTS.md, "Host cost of the
+//! free-space index"): 32 cost 7–9 % of `ops_per_s` on the workloads whose
+//! maps hold tens of thousands of runs, 128 read the same as 64.  Blocks
+//! grow on demand rather than reserving their capacity up front, since most
+//! maps hold far fewer than 64 runs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -52,29 +89,73 @@ pub trait FreeSpace {
     }
 }
 
-/// Free runs indexed by offset and by size.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Most runs one block holds; a full block splits in half on the next
+/// insert.  The module docs say what the neighbouring sizes measured.
+const BLOCK_CAP: usize = 64;
+
+/// Neighbouring blocks holding at most this many runs between them merge.
+/// Half a block, so a fresh merge is as far from the next split as a fresh
+/// split is from the next merge.
+const MERGE_AT: usize = BLOCK_CAP / 2;
+
+/// A run as the size summary orders it: `(len, start)`.
+type SizeKey = (u64, u64);
+
+/// The summary entry of a block that does not exist (every run is longer).
+const NO_RUN: SizeKey = (0, 0);
+
+fn size_key(run: Extent) -> SizeKey {
+    (run.len, run.start)
+}
+
+fn run_of((len, start): SizeKey) -> Option<Extent> {
+    (len > 0).then(|| Extent::new(start, len))
+}
+
+fn block_max(block: &[Extent]) -> SizeKey {
+    block.iter().copied().map(size_key).max().unwrap_or(NO_RUN)
+}
+
+/// Where a run sits: `(block, index in the block)`.
+type Position = (usize, usize);
+
+/// Free runs in one offset-ordered blocked list, with a max-size summary
+/// (see the module docs).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunIndexMap {
     total: u64,
     free: u64,
-    /// start -> len of every free run; runs never touch (always coalesced).
-    by_offset: BTreeMap<u64, u64>,
-    /// (len, start) of every free run, for size-ordered queries.
-    by_size: BTreeSet<(u64, u64)>,
+    /// Number of free runs (Σ block lengths).
+    runs: usize,
+    /// Every free run, ascending by start across and within the blocks;
+    /// runs never touch (always coalesced).  Blocks are non-empty, hold at
+    /// most [`BLOCK_CAP`] runs, and any two neighbours more than
+    /// [`MERGE_AT`] between them.
+    blocks: Vec<Vec<Extent>>,
+    /// `firsts[b]` is the start of `blocks[b][0]`.
+    firsts: Vec<u64>,
+    /// Tournament tree over the blocks' largest `(len, start)`: `2 × leaves`
+    /// entries (`leaves` the block count rounded up to a power of two, at
+    /// least one), the root at 1, the children of `n` at `2n` and `2n + 1`,
+    /// block `b` at `leaves + b`, [`NO_RUN`] where there is no block.
+    summary: Vec<SizeKey>,
+}
+
+impl Default for RunIndexMap {
+    /// A map over no clusters at all (the summary is never empty, so this
+    /// cannot be derived).
+    fn default() -> Self {
+        Self::new_allocated(0)
+    }
 }
 
 impl RunIndexMap {
     /// Creates a map in which every cluster is free.
     pub fn new_free(total_clusters: u64) -> Self {
-        let mut map = RunIndexMap {
-            total: total_clusters,
-            free: total_clusters,
-            by_offset: BTreeMap::new(),
-            by_size: BTreeSet::new(),
-        };
+        let mut map = Self::new_allocated(total_clusters);
         if total_clusters > 0 {
-            map.by_offset.insert(0, total_clusters);
-            map.by_size.insert((total_clusters, 0));
+            map.insert_run((0, 0), Extent::new(0, total_clusters));
+            map.free = total_clusters;
         }
         map
     }
@@ -84,32 +165,76 @@ impl RunIndexMap {
         RunIndexMap {
             total: total_clusters,
             free: 0,
-            by_offset: BTreeMap::new(),
-            by_size: BTreeSet::new(),
+            runs: 0,
+            blocks: Vec::new(),
+            firsts: Vec::new(),
+            summary: vec![NO_RUN; 2],
         }
     }
 
     /// Number of free runs currently tracked.
     pub fn run_count(&self) -> usize {
-        self.by_offset.len()
+        self.runs
     }
 
     /// The smallest free run of at least `len` clusters; ties broken by the
-    /// lowest start offset.
+    /// lowest start offset.  A scan of every block that holds a run long
+    /// enough — only the best-fit ablation asks.
     pub fn best_fit(&self, len: u64) -> Option<Extent> {
-        self.by_size
-            .range((len, 0)..)
-            .next()
-            .map(|&(run_len, start)| Extent::new(start, run_len))
+        let mut best: Option<Extent> = None;
+        for (block, max) in self.blocks.iter().zip(self.leaves()) {
+            if max.0 < len {
+                continue;
+            }
+            for &run in block.iter().filter(|run| run.len >= len) {
+                if run.len == len {
+                    // Ascending by start: nothing later can be snugger.
+                    return Some(run);
+                }
+                if best.is_none_or(|best| size_key(run) < size_key(best)) {
+                    best = Some(run);
+                }
+            }
+        }
+        best
     }
 
     /// The lowest-offset free run of at least `len` clusters whose start is at
     /// or after `from`.
     pub fn first_fit(&self, len: u64, from: u64) -> Option<Extent> {
-        self.by_offset
-            .range(from..)
-            .find(|(_, &run_len)| run_len >= len)
-            .map(|(&start, &run_len)| Extent::new(start, run_len))
+        self.first_fit_starting_in(len, from, u64::MAX)
+    }
+
+    /// The lowest-offset free run of at least `len` clusters whose start lies
+    /// in `[from, to)`.  The run is not clipped: it may extend past `to`.
+    ///
+    /// The rest of `from`'s block is scanned; after it the summary names the
+    /// next block holding a run long enough, so the walk costs O(log n +
+    /// block) however few runs fit, and never looks at a block at or past
+    /// `to`.
+    pub fn first_fit_starting_in(&self, len: u64, from: u64, to: u64) -> Option<Extent> {
+        // Every run holds a cluster; asking for one keeps the summary's
+        // `NO_RUN` entries from matching.
+        let len = len.max(1);
+        let fits = |run: &&Extent| run.len >= len;
+        let (b, i) = self.lower_bound(from);
+        let in_first = self
+            .blocks
+            .get(b)
+            .filter(|_| self.summary[self.leaf(b)].0 >= len)
+            .and_then(|block| block[i..].iter().find(fits));
+        let run = match in_first {
+            Some(run) => run,
+            None => {
+                let next = self.next_block_fitting(len, b + 1)?;
+                if self.firsts[next] >= to {
+                    return None;
+                }
+                // The summary says this block holds such a run.
+                self.blocks[next].iter().find(fits)?
+            }
+        };
+        (run.start < to).then_some(*run)
     }
 
     /// Lengths of every free run, largest first.
@@ -119,42 +244,45 @@ impl RunIndexMap {
     /// of runs a largest-first allocator would consume for `n` clusters is
     /// exactly the shortest prefix of this sequence summing to at least `n` —
     /// computable without touching the map.
+    ///
+    /// A best-first walk of the size summary: each length yielded costs
+    /// O(log n + block), so a planner that stops after `k` runs pays for `k`,
+    /// not for the map.
     pub fn run_lens_desc(&self) -> impl Iterator<Item = u64> + '_ {
-        self.by_size.iter().rev().map(|&(len, _)| len)
+        let mut frontier = BinaryHeap::new();
+        if self.summary[1] != NO_RUN {
+            frontier.push((self.summary[1], 1));
+        }
+        RunLensDesc {
+            map: self,
+            frontier,
+        }
     }
 
     /// The largest free run; ties broken by the highest start offset (which is
-    /// irrelevant to callers — they only need *a* largest run).
+    /// irrelevant to callers — they only need *a* largest run).  O(1): the
+    /// root of the summary.
     pub fn largest(&self) -> Option<Extent> {
-        self.by_size
-            .iter()
-            .next_back()
-            .map(|&(run_len, start)| Extent::new(start, run_len))
+        run_of(self.summary[1])
     }
 
     /// The highest-offset free run.  Used for allocations that grow from the
     /// back of the space (e.g. metadata pages kept away from object data).
     pub fn last_run(&self) -> Option<Extent> {
-        self.by_offset
-            .iter()
-            .next_back()
-            .map(|(&start, &len)| Extent::new(start, len))
+        self.blocks.last().and_then(|block| block.last()).copied()
     }
 
     /// The free run containing or starting at `cluster`, if `cluster` is free.
     pub fn run_at(&self, cluster: u64) -> Option<Extent> {
-        self.by_offset
-            .range(..=cluster)
-            .next_back()
-            .map(|(&start, &len)| Extent::new(start, len))
+        self.predecessor(cluster)
+            .map(|at| self.run(at))
             .filter(|run| run.contains(cluster))
     }
 
     /// Free runs whose start lies in `[from, to)`, ascending by offset.
     pub fn runs_in(&self, from: u64, to: u64) -> Vec<Extent> {
-        self.by_offset
-            .range(from..to)
-            .map(|(&start, &len)| Extent::new(start, len))
+        self.runs_from(self.lower_bound(from))
+            .take_while(|run| run.start < to)
             .collect()
     }
 
@@ -165,18 +293,10 @@ impl RunIndexMap {
     /// consumer can take the in-band part of a straddling run without
     /// touching the part that belongs to the other band.
     fn clipped_runs(&self, lo: u64, hi: u64) -> impl Iterator<Item = Extent> + '_ {
-        let head = self
-            .by_offset
-            .range(..lo)
-            .next_back()
-            .map(|(&start, &len)| Extent::new(start, len))
-            .filter(|run| run.end() > lo);
-        head.into_iter()
-            .chain(
-                self.by_offset
-                    .range(lo..hi)
-                    .map(|(&start, &len)| Extent::new(start, len)),
-            )
+        // The run before `lo` may reach into the band; one that does not is
+        // clipped to nothing.
+        self.runs_from(self.predecessor(lo).unwrap_or((0, 0)))
+            .take_while(move |run| run.start < hi)
             .filter_map(move |run| {
                 let start = run.start.max(lo);
                 let end = run.end().min(hi);
@@ -195,41 +315,193 @@ impl RunIndexMap {
     pub fn best_fit_in(&self, len: u64, lo: u64, hi: u64) -> Option<Extent> {
         self.clipped_runs(lo, hi)
             .filter(|run| run.len >= len)
-            .min_by_key(|run| (run.len, run.start))
+            .min_by_key(|&run| size_key(run))
     }
 
     /// The largest free run inside the band `[lo, hi)` (runs clipped to the
     /// band); ties broken by the highest start offset, matching
     /// [`RunIndexMap::largest`].
     pub fn largest_run_in(&self, lo: u64, hi: u64) -> Option<Extent> {
-        self.clipped_runs(lo, hi)
-            .max_by_key(|run| (run.len, run.start))
+        self.clipped_runs(lo, hi).max_by_key(|&run| size_key(run))
     }
 
     /// The largest free run of at most `max_len` clusters — the query behind
     /// the `Reserve` placement variant, under which maintenance must leave
     /// every run longer than the foreground watermark untouched.  Runs are
     /// *not* clipped: a long run is reserved in its entirety, not nibbled
-    /// down to the cap.
+    /// down to the cap.  Ties broken by the highest start offset.  A scan of
+    /// every run unless the largest one is already within the cap.
     pub fn largest_run_at_most(&self, max_len: u64) -> Option<Extent> {
-        self.by_size
-            .range(..=(max_len, u64::MAX))
-            .next_back()
-            .map(|&(run_len, start)| Extent::new(start, run_len))
+        if self.summary[1].0 <= max_len {
+            return self.largest();
+        }
+        self.runs_from((0, 0))
+            .filter(|run| run.len <= max_len)
+            .max_by_key(|&run| size_key(run))
     }
 
-    /// Internal: remove a run from both indexes.
-    fn remove_run(&mut self, start: u64, len: u64) {
-        self.by_offset.remove(&start);
-        self.by_size.remove(&(len, start));
+    /// Frees `extent` and returns the free run it is now part of — the
+    /// extent grown by whichever neighbours it touched (an empty extent
+    /// frees nothing and comes back as it is).  Fails, changing nothing, if
+    /// any part of the extent is already free or out of bounds.
+    ///
+    /// [`FreeSpace::release`] is this call with the run dropped; a caller
+    /// that acts on the coalesced run (an extent handed back once it is
+    /// wholly free) saves the look-up.
+    pub fn release_coalesced(&mut self, extent: Extent) -> Result<Extent, AllocError> {
+        if extent.is_empty() {
+            return Ok(extent);
+        }
+        self.check_bounds(extent)?;
+        // One search, every check before any mutation: the last free run
+        // starting at or before the extent must not reach into it, and the
+        // run after that one must not begin inside it.
+        let before = self.predecessor(extent.start);
+        let after = before.map_or((0, 0), |at| self.successor(at));
+        let after = self.blocks.get(after.0).map(|_| after);
+        if before.is_some_and(|at| self.run(at).end() > extent.start)
+            || after.is_some_and(|at| self.run(at).start < extent.end())
+        {
+            return Err(AllocError::NotAllocated {
+                start: extent.start,
+                len: extent.len,
+            });
+        }
+        let grown = before.filter(|&at| self.run(at).end() == extent.start);
+        let absorbed = after.filter(|&at| self.run(at).start == extent.end());
+        self.free += extent.len;
+        Ok(match (grown, absorbed) {
+            (Some(at), absorbed) => {
+                let run = self.run(at);
+                let tail = absorbed.map_or(0, |next| self.run(next).len);
+                let merged = Extent::new(run.start, run.len + extent.len + tail);
+                self.replace_run(at, merged);
+                // Last, since emptying a block renumbers the ones after it.
+                if let Some(next) = absorbed {
+                    self.remove_run(next);
+                }
+                merged
+            }
+            (None, Some(at)) => {
+                let merged = Extent::new(extent.start, extent.len + self.run(at).len);
+                self.replace_run(at, merged);
+                merged
+            }
+            (None, None) => {
+                self.insert_run(before.map_or((0, 0), |(b, i)| (b, i + 1)), extent);
+                extent
+            }
+        })
     }
 
-    /// Internal: insert a run into both indexes (caller guarantees no overlap
-    /// and no adjacency with existing runs).
-    fn insert_run(&mut self, start: u64, len: u64) {
-        debug_assert!(len > 0);
-        self.by_offset.insert(start, len);
-        self.by_size.insert((len, start));
+    /// Reserves up to `max_len` clusters starting exactly at `cluster` — as
+    /// many as the free run there still holds from `cluster` on — and returns
+    /// what was taken; `None`, changing nothing, when `cluster` is not free
+    /// or `max_len` is 0.  One search where [`RunIndexMap::run_at`] followed
+    /// by [`FreeSpace::reserve`] is two.
+    pub fn take_at(&mut self, cluster: u64, max_len: u64) -> Option<Extent> {
+        let at = self.predecessor(cluster)?;
+        let run = self.run(at);
+        if !run.contains(cluster) || max_len == 0 {
+            return None;
+        }
+        let taken = Extent::new(cluster, (run.end() - cluster).min(max_len));
+        self.carve(at, taken);
+        Some(taken)
+    }
+
+    /// Checks the structure against a recomputation of everything it
+    /// caches, returning the first violated invariant: the block list's
+    /// shape (non-empty blocks within the cap, neighbours above the merge
+    /// threshold), the runs (ascending, non-empty, never touching, inside
+    /// the space), the first-offset array, every summary node, and the two
+    /// counters.
+    pub fn verify(&self) -> Result<(), String> {
+        if self.firsts.len() != self.blocks.len() {
+            return Err(format!(
+                "free map: {} first offsets for {} blocks",
+                self.firsts.len(),
+                self.blocks.len()
+            ));
+        }
+        let mut free = 0;
+        let mut runs = 0;
+        let mut previous: Option<Extent> = None;
+        for (b, block) in self.blocks.iter().enumerate() {
+            if block.is_empty() || block.len() > BLOCK_CAP {
+                return Err(format!(
+                    "free map: block {b} holds {} runs, outside 1..={BLOCK_CAP}",
+                    block.len()
+                ));
+            }
+            if let Some(lower) = b.checked_sub(1) {
+                let pair = self.blocks[lower].len() + block.len();
+                if pair <= MERGE_AT {
+                    return Err(format!(
+                        "free map: blocks {lower} and {b} hold {pair} runs between them, \
+                         at most {MERGE_AT} must have merged"
+                    ));
+                }
+            }
+            if self.firsts[b] != block[0].start {
+                return Err(format!(
+                    "free map: first offset {} recorded for block {b}, which starts at {}",
+                    self.firsts[b], block[0].start
+                ));
+            }
+            for &run in block {
+                if run.is_empty() || run.end() > self.total {
+                    return Err(format!(
+                        "free map: run {run:?} empty or outside the {} clusters",
+                        self.total
+                    ));
+                }
+                if let Some(previous) = previous.filter(|p| p.end() >= run.start) {
+                    return Err(format!(
+                        "free map: run {run:?} not after and apart from its predecessor {previous:?}"
+                    ));
+                }
+                previous = Some(run);
+                free += run.len;
+            }
+            runs += block.len();
+        }
+        if free != self.free {
+            return Err(format!(
+                "free map: free counter {} but the runs hold {free} clusters",
+                self.free
+            ));
+        }
+        if runs != self.runs {
+            return Err(format!(
+                "free map: run counter {} but the blocks hold {runs} runs",
+                self.runs
+            ));
+        }
+        let leaves = self.blocks.len().next_power_of_two();
+        if self.summary.len() != 2 * leaves {
+            return Err(format!(
+                "free map: summary of {} entries over {} blocks",
+                self.summary.len(),
+                self.blocks.len()
+            ));
+        }
+        for node in (1..2 * leaves).rev() {
+            let expected = if node >= leaves {
+                self.blocks
+                    .get(node - leaves)
+                    .map_or(NO_RUN, |b| block_max(b))
+            } else {
+                self.summary[2 * node].max(self.summary[2 * node + 1])
+            };
+            if self.summary[node] != expected {
+                return Err(format!(
+                    "free map: summary node {node} holds {:?}, recomputed {expected:?}",
+                    self.summary[node]
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn check_bounds(&self, extent: Extent) -> Result<(), AllocError> {
@@ -241,6 +513,273 @@ impl RunIndexMap {
             })
         } else {
             Ok(())
+        }
+    }
+
+    fn run(&self, (b, i): Position) -> Extent {
+        self.blocks[b][i]
+    }
+
+    /// The last run starting at or before `cluster`.
+    fn predecessor(&self, cluster: u64) -> Option<Position> {
+        let b = self.firsts.partition_point(|&first| first <= cluster);
+        let b = b.checked_sub(1)?;
+        // The block's first run starts at or before `cluster`.
+        let i = self.blocks[b].partition_point(|run| run.start <= cluster);
+        Some((b, i - 1))
+    }
+
+    /// Where the first run starting at or after `cluster` sits or, if it is
+    /// the first run of the next block (or there is none), one past the end
+    /// of the block before — a position [`RunIndexMap::runs_from`] walks on
+    /// from either way.
+    fn lower_bound(&self, cluster: u64) -> Position {
+        let b = self.firsts.partition_point(|&first| first <= cluster);
+        match b.checked_sub(1) {
+            None => (0, 0),
+            Some(b) => (b, self.blocks[b].partition_point(|run| run.start < cluster)),
+        }
+    }
+
+    /// The position after `at`: the next run, or one past the last block.
+    fn successor(&self, (b, i): Position) -> Position {
+        if i + 1 < self.blocks[b].len() {
+            (b, i + 1)
+        } else {
+            (b + 1, 0)
+        }
+    }
+
+    /// Every run from position `from` on, ascending.
+    fn runs_from(&self, (b, i): Position) -> impl Iterator<Item = Extent> + '_ {
+        let (head, tail): (&[Extent], &[Vec<Extent>]) = match self.blocks.get(b) {
+            Some(block) => (&block[i..], &self.blocks[b + 1..]),
+            None => (&[], &[]),
+        };
+        head.iter().chain(tail.iter().flatten()).copied()
+    }
+
+    /// Index of block `b`'s entry in the summary.
+    fn leaf(&self, b: usize) -> usize {
+        self.summary.len() / 2 + b
+    }
+
+    /// The blocks' summary entries, in block order.
+    fn leaves(&self) -> &[SizeKey] {
+        &self.summary[self.leaf(0)..self.leaf(self.blocks.len())]
+    }
+
+    /// The first block at or after `from` holding a run of at least `len`
+    /// (≥ 1) clusters: up from `from`'s leaf to the first subtree on the
+    /// right whose maximum is long enough, then down to its leftmost leaf
+    /// that is.
+    fn next_block_fitting(&self, len: u64, from: usize) -> Option<usize> {
+        if from >= self.blocks.len() {
+            return None;
+        }
+        let leaves = self.leaf(0);
+        let mut node = leaves + from;
+        while self.summary[node].0 < len {
+            // Leave every subtree that ends here, then step right.
+            while node & 1 == 1 {
+                if node == 1 {
+                    return None;
+                }
+                node >>= 1;
+            }
+            node += 1;
+        }
+        while node < leaves {
+            node *= 2;
+            if self.summary[node].0 < len {
+                node += 1;
+            }
+        }
+        Some(node - leaves)
+    }
+
+    /// Records that a run of block `b` changed its summary key from `old` to
+    /// `new` ([`NO_RUN`] for a run that did not exist before / is gone now),
+    /// the block itself already edited.  The block is rescanned only when
+    /// the run that was its maximum shrank or left.
+    fn rekey(&mut self, b: usize, old: SizeKey, new: SizeKey) {
+        let mut node = self.leaf(b);
+        let max = self.summary[node];
+        let key = if new >= max {
+            new
+        } else if old == max {
+            block_max(&self.blocks[b])
+        } else {
+            return;
+        };
+        self.summary[node] = key;
+        while node > 1 {
+            node >>= 1;
+            let top = self.summary[2 * node].max(self.summary[2 * node + 1]);
+            if self.summary[node] == top {
+                break;
+            }
+            self.summary[node] = top;
+        }
+    }
+
+    /// Rebuilds the summary after the block list changed shape: the
+    /// `removed` blocks from `b` on gave way to blocks with the maxima
+    /// `inserted` (`blocks` already edited).  O(blocks), which a split or a
+    /// merge — a shift of `blocks` and `firsts` — costs anyway; in place, so
+    /// a map that keeps crossing a block boundary (the segment log's holds
+    /// zero to two runs) allocates nothing for it.
+    fn splice_leaves(&mut self, b: usize, removed: usize, inserted: &[SizeKey]) {
+        let count = self.blocks.len();
+        let leaves = count.next_power_of_two();
+        // Cut down to the old leaf level, edit it, pad it to the new width
+        // and put the levels above it back in front.
+        self.summary.drain(..self.summary.len() / 2);
+        self.summary.truncate(count + removed - inserted.len());
+        self.summary
+            .splice(b..b + removed, inserted.iter().copied());
+        self.summary.resize(leaves, NO_RUN);
+        self.summary
+            .splice(0..0, std::iter::repeat_n(NO_RUN, leaves));
+        for node in (1..leaves).rev() {
+            self.summary[node] = self.summary[2 * node].max(self.summary[2 * node + 1]);
+        }
+    }
+
+    /// Overwrites the run at `at` with one that keeps its place in the
+    /// offset order — a carved prefix or suffix, a run grown into a freed
+    /// neighbour: the key changes, the position does not.
+    fn replace_run(&mut self, (b, i): Position, run: Extent) {
+        let old = size_key(std::mem::replace(&mut self.blocks[b][i], run));
+        if i == 0 {
+            self.firsts[b] = run.start;
+        }
+        self.rekey(b, old, size_key(run));
+    }
+
+    /// Inserts `run` at index `i` (at most the block's length) of block `b`
+    /// — `(0, 0)` when there is no block yet — splitting the block first if
+    /// it is full.  The caller guarantees the run belongs there and touches
+    /// no neighbour.
+    fn insert_run(&mut self, (mut b, mut i): Position, run: Extent) {
+        self.runs += 1;
+        if self.blocks.is_empty() {
+            self.blocks.push(vec![run]);
+            self.firsts.push(run.start);
+            self.splice_leaves(0, 0, &[size_key(run)]);
+            return;
+        }
+        if self.blocks[b].len() == BLOCK_CAP {
+            let upper = self.blocks[b].split_off(BLOCK_CAP / 2);
+            let maxima = [block_max(&self.blocks[b]), block_max(&upper)];
+            self.firsts.insert(b + 1, upper[0].start);
+            self.blocks.insert(b + 1, upper);
+            self.splice_leaves(b, 1, &maxima);
+            if i > BLOCK_CAP / 2 {
+                (b, i) = (b + 1, i - BLOCK_CAP / 2);
+            }
+        }
+        self.blocks[b].insert(i, run);
+        if i == 0 {
+            self.firsts[b] = run.start;
+        }
+        self.rekey(b, NO_RUN, size_key(run));
+    }
+
+    /// Removes the run at `at`, dropping its block if that empties it and
+    /// merging the block into a neighbour if that leaves the pair within
+    /// [`MERGE_AT`] — without which an adversarial free pattern (fill every
+    /// block, then empty each down to one run) would leave a block per run.
+    fn remove_run(&mut self, (b, i): Position) {
+        let run = self.blocks[b].remove(i);
+        self.runs -= 1;
+        if self.blocks[b].is_empty() {
+            self.blocks.remove(b);
+            self.firsts.remove(b);
+            self.splice_leaves(b, 1, &[]);
+            return;
+        }
+        if i == 0 {
+            self.firsts[b] = self.blocks[b][0].start;
+        }
+        self.rekey(b, size_key(run), NO_RUN);
+        // Left first, so `lower` is where the block now is for the right.
+        let mut lower = b;
+        if b > 0 && self.merge_if_underfull(b - 1) {
+            lower = b - 1;
+        }
+        self.merge_if_underfull(lower);
+    }
+
+    /// Merges block `lower + 1` into `lower` if both exist and hold at most
+    /// [`MERGE_AT`] runs between them.
+    fn merge_if_underfull(&mut self, lower: usize) -> bool {
+        let mergeable = self
+            .blocks
+            .get(lower + 1)
+            .is_some_and(|upper| self.blocks[lower].len() + upper.len() <= MERGE_AT);
+        if mergeable {
+            let max = self.summary[self.leaf(lower)].max(self.summary[self.leaf(lower + 1)]);
+            let upper = self.blocks.remove(lower + 1);
+            self.firsts.remove(lower + 1);
+            self.blocks[lower].extend(upper);
+            self.splice_leaves(lower, 2, &[max]);
+        }
+        mergeable
+    }
+
+    /// Takes the non-empty `extent` out of the free run at `at`, which
+    /// contains all of it.
+    fn carve(&mut self, at: Position, extent: Extent) {
+        let run = self.run(at);
+        let head = Extent::new(run.start, extent.start - run.start);
+        let tail = Extent::new(extent.end(), run.end() - extent.end());
+        self.free -= extent.len;
+        match (head.is_empty(), tail.is_empty()) {
+            (true, true) => self.remove_run(at),
+            (false, true) => self.replace_run(at, head),
+            (true, false) => self.replace_run(at, tail),
+            (false, false) => {
+                self.replace_run(at, head);
+                self.insert_run((at.0, at.1 + 1), tail);
+            }
+        }
+    }
+}
+
+/// [`RunIndexMap::run_lens_desc`]: summary nodes not yet expanded, keyed by
+/// the largest run not yet yielded below them.
+struct RunLensDesc<'a> {
+    map: &'a RunIndexMap,
+    /// `(key, summary node)`; a leaf's key is the next run of its block.
+    frontier: BinaryHeap<(SizeKey, usize)>,
+}
+
+impl Iterator for RunLensDesc<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let leaves = self.map.leaf(0);
+        loop {
+            let (key, node) = self.frontier.pop()?;
+            if node < leaves {
+                let children = [2 * node, 2 * node + 1];
+                self.frontier.extend(
+                    children
+                        .into_iter()
+                        .map(|child| (self.map.summary[child], child))
+                        .filter(|&(max, _)| max != NO_RUN),
+                );
+                continue;
+            }
+            // `key` is a run of this block: queue the block's next one down.
+            let below = self.map.blocks[node - leaves]
+                .iter()
+                .map(|&run| size_key(run))
+                .filter(|&other| other < key)
+                .max();
+            self.frontier.extend(below.map(|next| (next, node)));
+            return Some(key.0);
         }
     }
 }
@@ -255,55 +794,7 @@ impl FreeSpace for RunIndexMap {
     }
 
     fn release(&mut self, extent: Extent) -> Result<(), AllocError> {
-        if extent.is_empty() {
-            return Ok(());
-        }
-        self.check_bounds(extent)?;
-        let not_allocated = AllocError::NotAllocated {
-            start: extent.start,
-            len: extent.len,
-        };
-        // One probe each way, every check before any mutation: the first
-        // free run at or after `start` must not begin inside the extent and
-        // the last one at or before `start` must not reach into it.  (A run
-        // beginning exactly at `start` is caught by the forward probe.)
-        let next = self
-            .by_offset
-            .range(extent.start..)
-            .next()
-            .map(|(&start, &len)| Extent::new(start, len));
-        if next.is_some_and(|run| run.start < extent.end()) {
-            return Err(not_allocated);
-        }
-        let absorbed = next.filter(|run| run.start == extent.end());
-        let grown = extent.len + absorbed.map_or(0, |run| run.len);
-
-        // An adjacent predecessor grows in place in the offset index; only
-        // its size-index entry is re-keyed.
-        let mut merged = None;
-        if let Some((&prev_start, prev_len)) = self.by_offset.range_mut(..=extent.start).next_back()
-        {
-            let prev_end = prev_start + *prev_len;
-            if prev_end > extent.start {
-                return Err(not_allocated);
-            }
-            if prev_end == extent.start {
-                merged = Some((prev_start, *prev_len));
-                *prev_len += grown;
-            }
-        }
-        if let Some(run) = absorbed {
-            self.remove_run(run.start, run.len);
-        }
-        match merged {
-            Some((start, old_len)) => {
-                self.by_size.remove(&(old_len, start));
-                self.by_size.insert((old_len + grown, start));
-            }
-            None => self.insert_run(extent.start, grown),
-        }
-        self.free += extent.len;
-        Ok(())
+        self.release_coalesced(extent).map(drop)
     }
 
     fn reserve(&mut self, extent: Extent) -> Result<(), AllocError> {
@@ -311,22 +802,14 @@ impl FreeSpace for RunIndexMap {
             return Ok(());
         }
         self.check_bounds(extent)?;
-        let run = self
-            .run_at(extent.start)
-            .filter(|run| run.end() >= extent.end())
+        let at = self
+            .predecessor(extent.start)
+            .filter(|&at| self.run(at).end() >= extent.end())
             .ok_or(AllocError::NotAllocated {
                 start: extent.start,
                 len: extent.len,
             })?;
-
-        self.remove_run(run.start, run.len);
-        if run.start < extent.start {
-            self.insert_run(run.start, extent.start - run.start);
-        }
-        if extent.end() < run.end() {
-            self.insert_run(extent.end(), run.end() - extent.end());
-        }
-        self.free -= extent.len;
+        self.carve(at, extent);
         Ok(())
     }
 
@@ -338,24 +821,16 @@ impl FreeSpace for RunIndexMap {
             return false;
         }
         self.run_at(extent.start)
-            .map(|run| run.end() >= extent.end())
-            .unwrap_or(false)
+            .is_some_and(|run| run.end() >= extent.end())
     }
 
     fn free_runs(&self) -> Vec<Extent> {
-        self.by_offset
-            .iter()
-            .map(|(&start, &len)| Extent::new(start, len))
-            .collect()
+        self.runs_from((0, 0)).collect()
     }
 
-    /// O(1) via the size index — the trait default materializes every run.
+    /// O(1) via the size summary — the trait default materializes every run.
     fn largest_free_run(&self) -> u64 {
-        self.by_size
-            .iter()
-            .next_back()
-            .map(|&(len, _)| len)
-            .unwrap_or(0)
+        self.summary[1].0
     }
 }
 
@@ -630,6 +1105,256 @@ mod tests {
         assert_eq!(map.largest_run_at_most(69), Some(Extent::new(10, 10)));
         assert_eq!(map.largest_run_at_most(10), Some(Extent::new(10, 10)));
         assert_eq!(map.largest_run_at_most(9), None);
+    }
+
+    /// `runs` two-cluster free runs a cluster apart, freed in ascending order.
+    fn comb(runs: u64) -> RunIndexMap {
+        let mut map = RunIndexMap::new_allocated(3 * runs);
+        for k in 0..runs {
+            map.release(Extent::new(3 * k, 2)).unwrap();
+        }
+        map.verify().unwrap();
+        map
+    }
+
+    #[test]
+    fn the_default_map_is_a_valid_empty_map() {
+        let mut map = RunIndexMap::default();
+        assert_eq!(map.verify(), Ok(()));
+        assert_eq!(map.total_clusters(), 0);
+        assert_eq!(map.free_clusters(), 0);
+        assert_eq!(map.run_count(), 0);
+        assert_eq!(map.largest(), None);
+        assert_eq!(map.largest_free_run(), 0);
+        assert_eq!(map.last_run(), None);
+        assert_eq!(map.best_fit(0), None);
+        assert_eq!(map.first_fit(0, 0), None);
+        assert_eq!(map.first_fit_starting_in(1, 0, 10), None);
+        assert_eq!(map.run_at(0), None);
+        assert_eq!(map.runs_in(0, u64::MAX), vec![]);
+        assert_eq!(map.first_fit_in(0, 0, 10), None);
+        assert_eq!(map.best_fit_in(0, 0, 10), None);
+        assert_eq!(map.largest_run_in(0, 10), None);
+        assert_eq!(map.largest_run_at_most(u64::MAX), None);
+        assert_eq!(map.run_lens_desc().next(), None);
+        assert_eq!(map.free_runs(), vec![]);
+        assert!(map.is_free(Extent::new(0, 0)));
+        assert!(!map.is_free(Extent::new(0, 1)));
+        assert_eq!(map.take_at(0, 1), None);
+        assert_eq!(
+            map.release_coalesced(Extent::new(0, 0)),
+            Ok(Extent::new(0, 0))
+        );
+        assert!(matches!(
+            map.release(Extent::new(0, 1)),
+            Err(AllocError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            map.reserve(Extent::new(0, 1)),
+            Err(AllocError::OutOfBounds { .. })
+        ));
+        assert_eq!(map.verify(), Ok(()));
+    }
+
+    #[test]
+    fn release_coalesced_returns_the_run_around_the_extent() {
+        let mut map = RunIndexMap::new_allocated(100);
+        assert_eq!(
+            map.release_coalesced(Extent::new(10, 5)),
+            Ok(Extent::new(10, 5))
+        );
+        assert_eq!(
+            map.release_coalesced(Extent::new(20, 5)),
+            Ok(Extent::new(20, 5))
+        );
+        assert_eq!(
+            map.release_coalesced(Extent::new(15, 2)),
+            Ok(Extent::new(10, 7))
+        );
+        assert_eq!(
+            map.release_coalesced(Extent::new(18, 2)),
+            Ok(Extent::new(18, 7))
+        );
+        assert_eq!(
+            map.release_coalesced(Extent::new(17, 1)),
+            Ok(Extent::new(10, 15))
+        );
+        assert_eq!(map.free_runs(), vec![Extent::new(10, 15)]);
+        assert!(map.release_coalesced(Extent::new(24, 2)).is_err());
+        assert_eq!(map.verify(), Ok(()));
+    }
+
+    #[test]
+    fn take_at_takes_what_the_run_holds_from_the_cluster_on() {
+        let mut map = RunIndexMap::new_allocated(100);
+        map.release(Extent::new(10, 10)).unwrap();
+        assert_eq!(map.take_at(9, 4), None);
+        assert_eq!(map.take_at(20, 4), None);
+        assert_eq!(map.take_at(12, 0), None);
+        assert_eq!(map.take_at(12, 3), Some(Extent::new(12, 3)));
+        assert_eq!(map.take_at(15, 99), Some(Extent::new(15, 5)));
+        assert_eq!(map.take_at(10, 2), Some(Extent::new(10, 2)));
+        assert_eq!(map.free_clusters(), 0);
+        assert_eq!(map.verify(), Ok(()));
+    }
+
+    #[test]
+    fn a_full_block_splits_and_the_summary_follows() {
+        let mut map = comb(10 * BLOCK_CAP as u64);
+        assert!(map.blocks.len() >= 10);
+        // Make one run in the middle the largest by freeing the gap after it.
+        map.release(Extent::new(3 * 300 + 2, 1)).unwrap();
+        assert_eq!(map.largest(), Some(Extent::new(900, 5)));
+        assert_eq!(map.first_fit(5, 0), Some(Extent::new(900, 5)));
+        assert_eq!(map.first_fit(5, 901), None);
+        assert_eq!(map.first_fit(2, 901), Some(Extent::new(906, 2)));
+        assert_eq!(map.first_fit_starting_in(5, 0, 900), None);
+        assert_eq!(map.run_lens_desc().take(3).collect::<Vec<_>>(), [5, 2, 2]);
+        // Carve its prefix: the largest is now a three-cluster run, and the
+        // highest-offset one of the two-cluster runs loses the tie to it.
+        map.reserve(Extent::new(900, 2)).unwrap();
+        assert_eq!(map.largest(), Some(Extent::new(902, 3)));
+        map.reserve(Extent::new(902, 1)).unwrap();
+        assert_eq!(map.largest(), Some(Extent::new(3 * 639, 2)));
+        assert_eq!(map.verify(), Ok(()));
+    }
+
+    /// Fill every block, then empty each down to one run: without merging,
+    /// the list would keep a block per run.
+    #[test]
+    fn blocks_emptied_down_to_one_run_each_merge() {
+        let runs = 40 * BLOCK_CAP as u64;
+        let mut map = comb(runs);
+        let blocks_when_full = map.blocks.len();
+        for k in (0..runs).filter(|k| k % 32 != 0) {
+            map.reserve(Extent::new(3 * k, 2)).unwrap();
+        }
+        assert_eq!(map.run_count() as u64, runs / 32);
+        assert_eq!(map.verify(), Ok(()));
+        assert!(blocks_when_full >= 40);
+        assert!(
+            map.blocks.len() < 4 * map.run_count() / BLOCK_CAP + 2,
+            "{} blocks for {} runs",
+            map.blocks.len(),
+            map.run_count()
+        );
+        // And down to nothing: the last block goes too.
+        for run in map.free_runs() {
+            map.reserve(run).unwrap();
+        }
+        assert!(map.blocks.is_empty());
+        assert_eq!(map.largest(), None);
+        assert_eq!(map.verify(), Ok(()));
+    }
+
+    /// A rejected `release` or `reserve` changes nothing — not the runs, not
+    /// the first-offset array, not a summary node — wherever it lands
+    /// relative to a block boundary.
+    #[test]
+    fn rejected_operations_at_block_boundaries_leave_no_trace() {
+        let mut map = comb(5 * BLOCK_CAP as u64);
+        let total = map.total_clusters();
+        let before = format!("{map:?}");
+        let (runs_before, largest_before) = (map.free_runs(), map.largest());
+        assert!(map.blocks.len() >= 5);
+        for b in 0..map.blocks.len() - 1 {
+            let last = *map.blocks[b].last().unwrap();
+            let first = map.blocks[b + 1][0];
+            let bad_frees = [
+                last,
+                first,
+                Extent::new(last.end() - 1, 2),
+                // Reaching into the first run of the next block.
+                Extent::new(last.end(), first.start - last.end() + 1),
+                Extent::new(first.start - 1, 2),
+                Extent::new(last.start, first.end() - last.start),
+            ];
+            for bad in bad_frees {
+                assert_eq!(
+                    map.release_coalesced(bad),
+                    Err(AllocError::NotAllocated {
+                        start: bad.start,
+                        len: bad.len
+                    })
+                );
+                assert_eq!(format!("{map:?}"), before, "after freeing {bad:?}");
+            }
+            let bad_takes = [
+                Extent::new(last.start, last.len + 1),
+                Extent::new(last.end(), 1),
+                Extent::new(first.start - 1, 2),
+                Extent::new(first.start, first.len + 1),
+                Extent::new(last.start, first.end() - last.start),
+            ];
+            for bad in bad_takes {
+                assert!(matches!(
+                    map.reserve(bad),
+                    Err(AllocError::NotAllocated { .. })
+                ));
+                assert_eq!(format!("{map:?}"), before, "after reserving {bad:?}");
+            }
+            assert_eq!(map.take_at(last.end(), 1), None);
+        }
+        let past_the_end = Extent::new(total - 1, 2);
+        assert!(matches!(
+            map.release(past_the_end),
+            Err(AllocError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            map.reserve(past_the_end),
+            Err(AllocError::OutOfBounds { .. })
+        ));
+        assert_eq!(format!("{map:?}"), before);
+        assert_eq!(map.verify(), Ok(()));
+        assert_eq!(map.free_runs(), runs_before);
+        assert_eq!(map.largest(), largest_before);
+    }
+
+    #[test]
+    fn verify_names_the_violated_invariant() {
+        let map = comb(3 * BLOCK_CAP as u64);
+        assert_eq!(map.verify(), Ok(()));
+
+        // Counters that drifted from the runs.
+        let mut drifted = map.clone();
+        drifted.free += 1;
+        assert!(drifted.verify().unwrap_err().contains("free counter"));
+        let mut drifted = map.clone();
+        drifted.runs -= 1;
+        assert!(drifted.verify().unwrap_err().contains("run counter"));
+
+        // Runs that touch, overlap or fall out of order; an empty one.
+        let mut touching = map.clone();
+        touching.blocks[0][1].start -= 1;
+        assert!(touching.verify().unwrap_err().contains("apart from"));
+        let mut unordered = map.clone();
+        unordered.blocks[1].swap(2, 3);
+        assert!(unordered.verify().unwrap_err().contains("apart from"));
+        let mut hollow = map.clone();
+        hollow.blocks[1][4].len = 0;
+        assert!(hollow.verify().unwrap_err().contains("empty or outside"));
+
+        // A block list out of shape.
+        let mut gaping = map.clone();
+        gaping.blocks[1].clear();
+        assert!(gaping.verify().unwrap_err().contains("outside 1..=64"));
+        let mut sparse = map.clone();
+        let moved = sparse.blocks[0].split_off(1);
+        sparse.blocks[1].splice(0..0, moved);
+        sparse.blocks[1].truncate(MERGE_AT - 1);
+        assert!(sparse.verify().unwrap_err().contains("must have merged"));
+
+        // A first offset or a summary node nobody updated.
+        let mut stale = map.clone();
+        stale.firsts[1] += 1;
+        assert!(stale.verify().unwrap_err().contains("first offset"));
+        let mut stale = map.clone();
+        let leaf = stale.leaf(1);
+        stale.summary[leaf].0 += 1;
+        assert!(stale.verify().unwrap_err().contains("summary node"));
+        let mut stale = map.clone();
+        stale.summary[1] = NO_RUN;
+        assert!(stale.verify().unwrap_err().contains("summary node 1 "));
     }
 
     #[test]

@@ -44,8 +44,7 @@ fn outer_band_end(total_clusters: u64) -> u64 {
 /// biggest piece on offer — and the carve loop clips it to `len`.
 pub(crate) fn pick(map: &RunIndexMap, first_carve: bool, len: u64) -> Option<Extent> {
     let outer = if first_carve {
-        map.first_fit(len, 0)
-            .filter(|run| run.start < outer_band_end(map.total_clusters()))
+        map.first_fit_starting_in(len, 0, outer_band_end(map.total_clusters()))
     } else {
         None
     };
@@ -112,6 +111,35 @@ mod tests {
             extents[0].start >= outer_band,
             "must come from beyond the exhausted outer band"
         );
+    }
+
+    /// The outer-band step stops at the band end: a fitting run past it is
+    /// no outer-band pick, so the request goes to the largest run instead of
+    /// the lowest fitting one.
+    #[test]
+    fn a_fitting_run_past_the_outer_band_is_not_an_outer_band_pick() {
+        let mut map = RunIndexMap::new_allocated(1_000);
+        assert_eq!(outer_band_end(1_000), 350);
+        for run in [
+            Extent::new(10, 10),
+            Extent::new(349, 20),
+            Extent::new(400, 50),
+            Extent::new(600, 100),
+        ] {
+            map.release(run).unwrap();
+        }
+        // Inside the band the lowest fitting run wins, even one that starts
+        // on the band's last cluster and extends past it.
+        assert_eq!(pick(&map, true, 8), Some(Extent::new(10, 10)));
+        assert_eq!(pick(&map, true, 15), Some(Extent::new(349, 20)));
+        // [400, 450) is the lowest run holding 30 clusters, but it starts
+        // past the band.
+        assert_eq!(map.first_fit(30, 0), Some(Extent::new(400, 50)));
+        assert_eq!(pick(&map, true, 30), Some(Extent::new(600, 100)));
+        // The only fitting run lies past the band.
+        assert_eq!(pick(&map, true, 60), Some(Extent::new(600, 100)));
+        // Later pieces never try the band.
+        assert_eq!(pick(&map, false, 8), Some(Extent::new(600, 100)));
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl SelectableAllocator {
                 self.largest_eligible(consumer)
                     .is_some_and(|run| run.len >= request.clusters)
             } else {
-                self.map.best_fit(request.clusters).is_some()
+                self.map.largest_free_run() >= request.clusters
             };
             if !fits {
                 return Err(AllocError::NoContiguousRun {
@@ -428,6 +428,45 @@ mod tests {
             runs_before,
             "a refused maintenance allocation must leave no trace"
         );
+    }
+
+    /// A refused request that carved its way through whole blocks of the
+    /// free map — emptying and merging them, its rollback splitting them
+    /// again — leaves the map answering exactly as before.
+    #[test]
+    fn rollback_across_block_splits_restores_the_map() {
+        const RUNS: u64 = 600;
+        for policy in AllocationPolicy::ALL {
+            // Two-cluster free runs a cluster apart; maintenance may use the
+            // upper half.
+            let mut allocator =
+                SelectableAllocator::with_placement(policy, 3 * RUNS, PlacementPolicy::banded(0.5));
+            for k in 0..RUNS {
+                allocator.reserve_exact(Extent::new(3 * k + 2, 1)).unwrap();
+            }
+            let map = allocator.free_space();
+            let before = (
+                map.free_runs(),
+                map.largest(),
+                map.run_lens_desc().collect::<Vec<_>>(),
+            );
+            // More than the band's 300 runs hold, less than the volume's.
+            let earlier = Extent::new(2, 1);
+            let mut out = vec![earlier];
+            let err = allocator
+                .allocate_into(&AllocRequest::best_effort(700), maintenance(0), &mut out)
+                .unwrap_err();
+            assert!(matches!(err, AllocError::OutOfSpace { .. }), "{err:?}");
+            assert_eq!(out, vec![earlier], "{}", policy.name());
+            let map = allocator.free_space();
+            assert_eq!(map.verify(), Ok(()), "{}", policy.name());
+            let after = (
+                map.free_runs(),
+                map.largest(),
+                map.run_lens_desc().collect::<Vec<_>>(),
+            );
+            assert_eq!(after, before, "{}", policy.name());
+        }
     }
 
     /// A restricted consumer never takes the extension hint: the request is

@@ -76,8 +76,8 @@ proptest! {
 
     /// Freeing the tiles of a fully allocated map in random order meets all
     /// four coalescing cases of `release` (no free neighbour, the left one,
-    /// the right one, both).  After each, both of the run map's indexes agree
-    /// with the bitmap oracle, and a double free or a free reaching past
+    /// the right one, both).  After each, the run map's offset order and its
+    /// size summary agree with the bitmap oracle, and a double free or a free reaching past
     /// either edge of the tile is `NotAllocated` and leaves no trace.
     #[test]
     fn release_coalesces_like_the_bitmap_and_rejects_bad_frees(

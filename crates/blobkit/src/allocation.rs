@@ -608,8 +608,8 @@ impl AllocationUnit {
     /// exactly the state `n` single-page takes of consecutive pages, each
     /// adopting its own extent, would.
     fn take_run_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> Option<Extent> {
-        let run = match self.map.run_at(page.0) {
-            Some(run) => run,
+        let taken = match self.map.take_at(page.0, max_len) {
+            Some(taken) => taken,
             None => {
                 let extent = page.extent();
                 if self.extents.contains(extent.0) {
@@ -622,12 +622,10 @@ impl AllocationUnit {
                 debug_assert!(assigned, "extents of a free GAM run are assignable");
                 self.adopt_run(adopted);
                 self.map
-                    .run_at(page.0)
+                    .take_at(page.0, max_len)
                     .expect("pages of a just-adopted extent are free")
             }
         };
-        let taken = Extent::new(page.0, (run.end() - page.0).min(max_len));
-        self.reserve_free(taken);
         self.picker.advance(taken);
         Some(taken)
     }
@@ -657,17 +655,13 @@ impl AllocationUnit {
             self.extents.contains_all(extents_touched(run)),
             "run {run:?} freed outside the unit's extents"
         );
-        self.map
-            .release(run)
-            .unwrap_or_else(|_| panic!("run {run:?} freed twice"));
-
         // No assigned extent was wholly free before this release (`verify`),
         // so the extents it emptied are exactly the whole extents inside the
         // coalesced free run now surrounding `run` — one aligned span.
         let around = self
             .map
-            .run_at(run.start)
-            .expect("a just-released page is free");
+            .release_coalesced(run)
+            .unwrap_or_else(|_| panic!("run {run:?} freed twice"));
         let first_empty = around.start.div_ceil(PAGES_PER_EXTENT);
         let end_empty = around.end() / PAGES_PER_EXTENT;
         if end_empty > first_empty {
@@ -707,7 +701,8 @@ impl AllocationUnit {
     }
 
     /// Checks the unit's structural invariants against the GAM it is used
-    /// with: the extent count matches the bitmap; every free page of the
+    /// with: the extent count matches the bitmap; the page map's own
+    /// structure holds ([`RunIndexMap::verify`]); every free page of the
     /// unit map lies inside an assigned extent; no assigned extent is wholly
     /// free (it would belong to the GAM) or unassigned in the GAM.
     pub fn verify(&self, gam: &Gam) -> Result<(), String> {
@@ -719,15 +714,10 @@ impl AllocationUnit {
                 self.extents.count
             ));
         }
-        let free_runs = self.map.free_runs();
-        let free_pages: u64 = free_runs.iter().map(|run| run.len).sum();
-        if free_pages != self.map.free_clusters() {
-            return Err(format!(
-                "{kind:?} unit: free counter {} but the runs hold {free_pages} pages",
-                self.map.free_clusters()
-            ));
-        }
-        for run in free_runs {
+        self.map
+            .verify()
+            .map_err(|why| format!("{kind:?} unit: {why}"))?;
+        for run in self.map.free_runs() {
             let first = PageId(run.start).extent().0;
             let last = PageId(run.end() - 1).extent().0;
             if !self

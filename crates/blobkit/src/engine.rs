@@ -33,9 +33,9 @@
 //! number of runs), so nothing on the foreground path scans a page list.
 //! Work per replaced object is therefore proportional to its *fragments*
 //! (about 13 on a well-aged store) rather than its pages (33 for a 256 KB
-//! object, 130 for 1 MB), and what remains is the free maps' own double
-//! index (`lor-alloc`'s `RunIndexMap`: one offset-ordered and one
-//! size-ordered entry per free run, both updated on every take and free).
+//! object, 130 for 1 MB), each take and each free being one located write in
+//! the free maps (`lor-alloc`'s `RunIndexMap`: one offset-ordered run list
+//! with a max-size summary).
 //!
 //! All of this is host-time engineering: layouts, statistics and free maps
 //! are bit-identical to the page-at-a-time procedure, which survives as the
@@ -1032,7 +1032,8 @@ impl Database {
     ///   ghost backlog are pairwise disjoint, allocated in the LOB unit's
     ///   map, and inside the data file;
     /// * **the extent bitmaps agree with the maps**
-    ///   ([`AllocationUnit::verify`]);
+    ///   ([`AllocationUnit::verify`]), and the three free maps with a
+    ///   recomputation of what they cache (`RunIndexMap::verify`);
     /// * **the incremental indexes agree with a rescan** — the fragment
     ///   tracker, the page-count multiset behind the foreground watermark,
     ///   the compactor's candidate index, the key map and the row count.
@@ -1042,6 +1043,10 @@ impl Database {
     pub fn verify(&self) -> Result<(), String> {
         self.lob_unit.verify(&self.gam)?;
         self.row_unit.verify(&self.gam)?;
+        self.gam
+            .free_space()
+            .verify()
+            .map_err(|why| format!("GAM: {why}"))?;
 
         // Page accounting.
         let lob_extents = self.lob_unit.extent_count();

@@ -828,6 +828,8 @@ impl Volume {
     /// * every cluster has exactly one owner — a file, the pending-free
     ///   queue, a free run, or the reserved set (MFT zone and pins) — and
     ///   the pending counter equals the queue's sum;
+    /// * the free-space map's own structure holds
+    ///   ([`lor_alloc::RunIndexMap::verify`]);
     /// * the fragmentation and allocation trackers answer what a rescan of
     ///   every file would;
     /// * the name map and the named records are the same set, and the only
@@ -852,6 +854,7 @@ impl Volume {
                 self.reserved_clusters
             ));
         }
+        self.space.allocator.free_space().verify()?;
         // The sum matches, so one owner each means no two claims overlap.
         let mut claims: Vec<(Extent, &str)> = Vec::new();
         for record in self.files.values() {
