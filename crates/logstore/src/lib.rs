@@ -21,6 +21,17 @@
 //! *foreground* head instead — survivors interleave with incoming writes,
 //! which is precisely how an uncleaned log accretes fragmentation with age.
 //!
+//! Finding that victim is what an aged log does most — every append that
+//! meets a dry free pool asks for one — so the log keeps a **summary** over
+//! fixed blocks of segments (per block, the least `live` and the oldest
+//! `youngest_seq` among its cleanable segments) and scores only the blocks
+//! whose bound could hold the winner.  The summary is exact, the victim is
+//! the full scan's victim for every input, and the worst case is the scan
+//! plus one bound per block; the argument is in `log.rs`'s module docs, the
+//! check in [`SegmentLog::verify`], which recomputes every invariant the log
+//! caches and which debug builds run after every vacate, rewrite and failed
+//! append.
+//!
 //! The crate is deliberately substrate-only: it does no I/O costing and knows
 //! nothing about disks or clocks.  `lor-core` wraps a [`SegmentLog`] into an
 //! `ObjectStore` and charges the simulated drive for every append, read span,
@@ -30,4 +41,4 @@ mod config;
 mod log;
 
 pub use config::{CleanerSelector, LogConfig, DEFAULT_SEGMENT_BYTES, MIN_SEGMENT_BYTES};
-pub use log::{AppendOutcome, CleanReport, LogError, SegmentLog, SegmentStats};
+pub use log::{AppendOutcome, CleanReport, LogError, SegmentLog, SegmentStats, Selection};

@@ -2,9 +2,46 @@
 //! cleaner.  All offsets handed out are absolute device byte offsets (the
 //! metadata slice at the front of the volume is skipped), so a wrapping store
 //! can feed them straight into a disk model.
+//!
+//! # How the cleaner finds its victim
+//!
+//! A *candidate* is a sealed segment (`written == segment_bytes`, so not an
+//! open head and not free) with at least one dead byte.  The victim is the
+//! candidate with the highest [`CleanerSelector`] score, ties to the lowest
+//! index.  An aged log calls for one on every append that finds the free
+//! pool dry, so scoring every segment each time was most of the log's host
+//! cost (EXPERIMENTS.md, "Host cost of the segment log").
+//!
+//! Instead the log keeps, per block of `SUMMARY_BLOCK` segments, the minimum
+//! `live` and the minimum `youngest_seq` among the block's candidates.  Both
+//! selectors are monotone non-increasing in each of the two, and every
+//! floating-point step of the score (integer → float, `+`, `·`, `/` on
+//! non-negative operands) rounds monotonically, so the score *expression*
+//! evaluated at a block's two minima is ≥ the score of every member **as a
+//! float** — an upper bound that needs no error term.  A selection evaluates
+//! that bound once per block, scores the members of the best-bounded block,
+//! and then of every other block whose bound is `≥` the best score so far
+//! (`≥`, not `>`: a tie may hide a lower index).  A block it skips holds
+//! nothing that could win or tie, so the victim is the full scan's victim for
+//! every input.
+//!
+//! The summary is kept **exact**, not conservative, and cheaply so because a
+//! sealed segment's `live` only falls and its `youngest_seq` never changes:
+//! a segment that becomes a candidate (a head seals with dead bytes, or a
+//! fully-live sealed segment loses its first byte) or a candidate that loses
+//! bytes can only lower its block's minima — one O(1) `min` fold — and the
+//! only way out of candidacy is being freed as a victim, which recomputes
+//! that one block.  [`SegmentLog::verify`] recomputes every block.
+//!
+//! Cost of a selection over `n` segments in blocks of `B`: `n/B` bounds plus
+//! the blocks scored.  On the aged single-size benchmark log every selection
+//! scores exactly one block (at most 145 + 64 evaluations against 9,238);
+//! the worst case — every bound tied with the best score — is `n + n/B`,
+//! 1.6 % over the scan it replaced.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
 
 use lor_alloc::{
     Extent, FragmentationSummary, FragmentationTracker, FreeSpace, PlacementConsumer, RunIndexMap,
@@ -94,6 +131,73 @@ pub struct SegmentStats {
     pub utilization_deciles: [u64; 10],
 }
 
+/// One victim selection: the segment chosen and the work choosing it took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Selection {
+    /// The winning segment; `None` when no candidate qualifies.
+    pub victim: Option<u64>,
+    /// Evaluations of the selector's score expression the selection made —
+    /// block bounds and segment scores alike.  Tests pin it so that a
+    /// regression to scoring every segment fails a test, not a benchmark.
+    pub evaluations: u64,
+}
+
+/// Segments per block of the cleaner's summary.  A selection on the aged
+/// 9,238-segment benchmark log costs `n/B + B` evaluations; measured there,
+/// 32 to 256 read the same and 16 a few per cent behind (EXPERIMENTS.md,
+/// "Host cost of the segment log").
+const SUMMARY_BLOCK: usize = 64;
+
+/// Room each segment's resident list is formatted with.  Lists that start
+/// empty and grow with the log cost the benchmark 16 % of its peak RSS for
+/// 1.2 MB of ids — their first, smallest allocations interleave with the
+/// extent vectors of the objects being written; any of 8, 16 or 32 up front
+/// reads at or under the ordered-set form (EXPERIMENTS.md, "Host cost of the
+/// segment log").
+const RESIDENTS_AT_FORMAT: usize = 8;
+
+/// The minima over one block's candidates; what makes them an upper bound on
+/// the block's scores, and exact, is argued in the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockSummary {
+    min_live: u64,
+    min_youngest_seq: u64,
+}
+
+impl BlockSummary {
+    /// A block without candidates: `min_live` is over any segment size.
+    const EMPTY: Self = BlockSummary {
+        min_live: u64::MAX,
+        min_youngest_seq: u64::MAX,
+    };
+
+    fn fold(&mut self, candidate: &Segment) {
+        self.min_live = self.min_live.min(candidate.live);
+        self.min_youngest_seq = self.min_youngest_seq.min(candidate.youngest_seq);
+    }
+}
+
+/// The selector's score of a candidate with `live` bytes whose last append
+/// was at `youngest_seq` — the one expression behind both a segment's score
+/// and a block's bound.
+fn victim_score(
+    selector: CleanerSelector,
+    segment_bytes: u64,
+    now_seq: u64,
+    live: u64,
+    youngest_seq: u64,
+) -> f64 {
+    let free_bytes = segment_bytes - live;
+    match selector {
+        CleanerSelector::CostBenefit => {
+            let age = (now_seq - youngest_seq + 1) as f64;
+            let utilization = live as f64 / segment_bytes as f64;
+            free_bytes as f64 * age / (1.0 + utilization)
+        }
+        CleanerSelector::Greedy => free_bytes as f64,
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Segment {
     /// Bytes appended so far (the head offset while open; the full segment
@@ -124,9 +228,13 @@ pub struct SegmentLog {
     free: RunIndexMap,
     free_count: u64,
     segments: Vec<Segment>,
+    /// One entry per `SUMMARY_BLOCK` segments, always equal to its
+    /// recomputation (`block_summary`).
+    summary: Vec<BlockSummary>,
     /// Object ids with at least one live extent in each segment — the
-    /// cleaner's reverse index.
-    residents: Vec<BTreeSet<u64>>,
+    /// cleaner's reverse index.  Each list strictly ascending: a victim's
+    /// survivors are moved in that order, and the order decides the layout.
+    residents: Vec<Vec<u64>>,
     objects: BTreeMap<u64, ObjectRecord>,
     tracker: FragmentationTracker,
     /// Open foreground append head.
@@ -181,7 +289,10 @@ impl SegmentLog {
             free: RunIndexMap::new_free(data),
             free_count: data,
             segments: vec![Segment::default(); data as usize],
-            residents: vec![BTreeSet::new(); data as usize],
+            summary: vec![BlockSummary::EMPTY; (data as usize).div_ceil(SUMMARY_BLOCK)],
+            residents: (0..data)
+                .map(|_| Vec::with_capacity(RESIDENTS_AT_FORMAT))
+                .collect(),
             objects: BTreeMap::new(),
             tracker: FragmentationTracker::new(),
             fg_head: None,
@@ -289,10 +400,8 @@ impl SegmentLog {
         let total = self.segment_count();
         let occupied = total - self.free_count;
         let mut deciles = [0u64; 10];
-        for (idx, segment) in self.segments.iter().enumerate() {
-            if self.free.run_at(idx as u64).is_some() {
-                continue;
-            }
+        // Unwritten is free ([`SegmentLog::verify`] holds the two equal).
+        for segment in self.segments.iter().filter(|segment| segment.written > 0) {
             let utilization = segment.live as f64 / segment_bytes as f64;
             let bucket = ((utilization * 10.0) as usize).min(9);
             deciles[bucket] += 1;
@@ -311,6 +420,172 @@ impl SegmentLog {
         }
     }
 
+    /// Checks the log's structural invariants, naming the first one violated:
+    ///
+    /// * the two heads are distinct, open (`0 < written < segment_bytes`) and
+    ///   every other occupied segment is sealed;
+    /// * per segment `live ≤ written ≤ segment_bytes`, and `live` is the sum
+    ///   of the live extents' bytes inside it;
+    /// * the segment totals add up to `live_bytes` and `dead_bytes`;
+    /// * the free map holds exactly the unwritten segments, `free_segments`
+    ///   counts them, and the map's own structure holds
+    ///   ([`lor_alloc::RunIndexMap::verify`]);
+    /// * `residents[s]` is exactly the objects with an extent in `s`;
+    /// * every object's extents add up to its size, and the fragmentation
+    ///   tracker answers what a recount of every object would;
+    /// * every block of the cleaner's summary equals its recomputation.
+    ///
+    /// O(extents + segments); debug builds run it after every emergency
+    /// vacate, cleaner rewrite and failed append.
+    pub fn verify(&self) -> Result<(), String> {
+        let segment_bytes = self.config.segment_bytes;
+        if self.fg_head.is_some() && self.fg_head == self.maint_head {
+            return Err(format!("both heads are segment {:?}", self.fg_head));
+        }
+        for (name, head) in [
+            ("foreground", self.fg_head),
+            ("maintenance", self.maint_head),
+        ] {
+            let Some(idx) = head else { continue };
+            let written = self.segments[idx as usize].written;
+            if written == 0 || written >= segment_bytes {
+                return Err(format!(
+                    "{name} head {idx} is not open: {written} of {segment_bytes} bytes written"
+                ));
+            }
+        }
+
+        let mut live = vec![0u64; self.segments.len()];
+        let mut resident_objects = vec![0usize; self.segments.len()];
+        let mut recount = FragmentationTracker::new();
+        let data_end = self.base_offset + self.data_capacity_bytes();
+        let mut covered = Vec::new();
+        for (id, record) in &self.objects {
+            let total: u64 = record.extents.iter().map(|extent| extent.len).sum();
+            if total != record.size {
+                return Err(format!(
+                    "object {id} is {} bytes but its extents hold {total}",
+                    record.size
+                ));
+            }
+            recount.record_insert(fragment_count(&record.extents));
+            for extent in &record.extents {
+                if extent.start < self.base_offset || extent.end() > data_end {
+                    return Err(format!("object {id} has {extent:?} outside the data area"));
+                }
+                for (idx, part) in self.parts(*extent) {
+                    live[idx] += part;
+                    covered.push(idx);
+                }
+            }
+            covered.sort_unstable();
+            covered.dedup();
+            for idx in covered.drain(..) {
+                if self.residents[idx].binary_search(id).is_err() {
+                    return Err(format!(
+                        "object {id} has bytes in segment {idx} but is not resident there"
+                    ));
+                }
+                resident_objects[idx] += 1;
+            }
+        }
+
+        let mut in_free_map = vec![false; self.segments.len()];
+        for run in self.free.free_runs() {
+            in_free_map[run.start as usize..run.end() as usize].fill(true);
+        }
+        let (mut live_sum, mut dead_sum, mut unwritten) = (0, 0, 0);
+        for (idx, segment) in self.segments.iter().enumerate() {
+            if segment.live > segment.written || segment.written > segment_bytes {
+                return Err(format!(
+                    "segment {idx}: live {} <= written {} <= {segment_bytes} does not hold",
+                    segment.live, segment.written
+                ));
+            }
+            if segment.live != live[idx] {
+                return Err(format!(
+                    "segment {idx} counts {} live bytes but live extents cover {}",
+                    segment.live, live[idx]
+                ));
+            }
+            if !self.residents[idx].windows(2).all(|pair| pair[0] < pair[1]) {
+                return Err(format!(
+                    "segment {idx}'s residents are not strictly ascending"
+                ));
+            }
+            // Every object was found in the lists above, so equal counts mean
+            // the lists hold nothing else.
+            if self.residents[idx].len() != resident_objects[idx] {
+                return Err(format!(
+                    "segment {idx} lists {} residents but {} objects have extents there",
+                    self.residents[idx].len(),
+                    resident_objects[idx]
+                ));
+            }
+            let is_head = [self.fg_head, self.maint_head].contains(&Some(idx as u64));
+            if segment.written > 0 && segment.written < segment_bytes && !is_head {
+                return Err(format!(
+                    "segment {idx} is open ({} bytes written) but is no head",
+                    segment.written
+                ));
+            }
+            if in_free_map[idx] != (segment.written == 0) {
+                return Err(format!(
+                    "segment {idx} has {} bytes written but the free map disagrees",
+                    segment.written
+                ));
+            }
+            live_sum += segment.live;
+            dead_sum += segment.written - segment.live;
+            unwritten += u64::from(segment.written == 0);
+        }
+        if live_sum != self.live_bytes {
+            return Err(format!(
+                "segments hold {live_sum} live bytes but live_bytes is {}",
+                self.live_bytes
+            ));
+        }
+        if dead_sum != self.dead_bytes {
+            return Err(format!(
+                "segments hold {dead_sum} dead bytes but dead_bytes is {}",
+                self.dead_bytes
+            ));
+        }
+        if unwritten != self.free_count || self.free.free_clusters() != self.free_count {
+            return Err(format!(
+                "free_segments is {} but {unwritten} segments are unwritten and the map holds {}",
+                self.free_count,
+                self.free.free_clusters()
+            ));
+        }
+        self.free.verify()?;
+        if self.tracker.summary() != recount.summary() {
+            return Err(format!(
+                "fragmentation tracker {:?} != recount {:?}",
+                self.tracker.summary(),
+                recount.summary()
+            ));
+        }
+        for (block, kept) in self.summary.iter().enumerate() {
+            let recomputed = self.block_summary(block);
+            if *kept != recomputed {
+                return Err(format!(
+                    "summary of block {block} is {kept:?} but its candidates give {recomputed:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs [`SegmentLog::verify`] in debug builds, after the steps that move
+    /// the most state around.
+    fn debug_verify(&self) {
+        #[cfg(debug_assertions)]
+        if let Err(violation) = self.verify() {
+            panic!("segment log invariant violated: {violation}");
+        }
+    }
+
     /// Inserts a new object of `size` bytes at the foreground head.
     pub fn insert(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
         if self.objects.contains_key(&id) {
@@ -319,7 +594,7 @@ impl SegmentLog {
         let emergency = self.ensure_space_for(size)?;
         let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
         let fragments = fragment_count(&extents);
-        self.add_residents(id, &extents);
+        self.replace_residents(id, &[], &extents);
         self.tracker.record_insert(fragments);
         self.objects.insert(
             id,
@@ -346,7 +621,7 @@ impl SegmentLog {
         }
         let extents = self.append_bytes(size, Self::maintenance_consumer())?;
         let fragments = fragment_count(&extents);
-        self.add_residents(id, &extents);
+        self.replace_residents(id, &[], &extents);
         self.tracker.record_insert(fragments);
         self.objects.insert(
             id,
@@ -372,19 +647,12 @@ impl SegmentLog {
         let emergency = self.ensure_space_for(size)?;
         let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
         let fragments = fragment_count(&extents);
-        let old = self.objects.get(&id).cloned().expect("checked above");
-        self.deaden(&old.extents);
-        self.remove_residents(id, &old.extents, &extents);
-        self.add_residents(id, &extents);
-        self.tracker
-            .record_replace(fragment_count(&old.extents), fragments);
-        self.objects.insert(
-            id,
-            ObjectRecord {
-                size,
-                extents: extents.clone(),
-            },
-        );
+        let record = self.record_mut(id);
+        record.size = size;
+        let old = mem::replace(&mut record.extents, extents.clone());
+        self.deaden(&old);
+        self.replace_residents(id, &old, &extents);
+        self.tracker.record_replace(fragment_count(&old), fragments);
         Ok(AppendOutcome {
             extents,
             fragments,
@@ -396,7 +664,7 @@ impl SegmentLog {
     pub fn remove(&mut self, id: u64) -> Result<u64, LogError> {
         let record = self.objects.remove(&id).ok_or(LogError::NoSuchObject(id))?;
         self.deaden(&record.extents);
-        self.remove_residents(id, &record.extents, &[]);
+        self.replace_residents(id, &record.extents, &[]);
         self.tracker.record_remove(fragment_count(&record.extents));
         Ok(record.size)
     }
@@ -409,15 +677,13 @@ impl SegmentLog {
     /// segments are reclaimed for free and do not count against the budget.
     pub fn clean_step(&mut self, copy_budget: u64) -> Result<CleanReport, LogError> {
         let mut report = CleanReport::default();
-        while let Some(victim) = self.select_victim(self.config.selector, None) {
-            let survivor_bytes: u64 = self.residents[victim as usize]
-                .iter()
-                .map(|id| self.objects[id].size)
-                .sum();
+        while let Some(victim) = self.next_victim(None).victim {
+            let survivors = self.residents[victim as usize].clone();
+            let survivor_bytes: u64 = survivors.iter().map(|id| self.objects[id].size).sum();
             if report.bytes_copied > 0 && report.bytes_copied + survivor_bytes > copy_budget {
                 break;
             }
-            match self.rewrite_segment(victim) {
+            match self.rewrite_segment(victim, survivors, survivor_bytes) {
                 Ok(cleaned) => report.absorb(cleaned),
                 // Placement refused the cleaner a destination: maintenance
                 // never spills, so the pass ends here.
@@ -498,13 +764,17 @@ impl SegmentLog {
             if available >= size + self.config.segment_bytes {
                 break;
             }
-            let Some(victim) = self
-                .select_victim(self.config.selector, Some(available))
-                .filter(|_| self.dead_bytes > 0)
-            else {
+            // Without dead bytes a vacate frees nothing it does not refill.
+            let victim = if self.dead_bytes > 0 {
+                self.next_victim(Some(available)).victim
+            } else {
+                None
+            };
+            let Some(victim) = victim else {
                 if available >= size {
                     break;
                 }
+                self.debug_verify();
                 return Err(LogError::OutOfSpace);
             };
             report.absorb(self.vacate_segment(victim)?);
@@ -513,73 +783,139 @@ impl SegmentLog {
         Ok(report)
     }
 
-    /// The best victim under `selector` among sealed, partially-dead
-    /// segments (`max_live` caps the survivors the emergency path can
-    /// afford to copy).  Deterministic: ties keep the lowest index.
-    fn select_victim(&self, selector: CleanerSelector, max_live: Option<u64>) -> Option<u64> {
-        let segment_bytes = self.config.segment_bytes;
-        let mut best: Option<(f64, u64)> = None;
-        for (idx, segment) in self.segments.iter().enumerate() {
-            let idx = idx as u64;
-            if Some(idx) == self.fg_head || Some(idx) == self.maint_head {
-                continue;
-            }
-            if segment.written == 0 {
-                continue; // free
-            }
-            let free_bytes = segment_bytes - segment.live;
-            if free_bytes == 0 {
-                continue; // fully live: nothing to gain
-            }
-            if max_live.is_some_and(|cap| segment.live > cap) {
-                continue;
-            }
-            let score = match selector {
-                CleanerSelector::CostBenefit => {
-                    let age = (self.seq - segment.youngest_seq + 1) as f64;
-                    let utilization = segment.live as f64 / segment_bytes as f64;
-                    free_bytes as f64 * age / (1.0 + utilization)
-                }
-                CleanerSelector::Greedy => free_bytes as f64,
-            };
-            if best.is_none_or(|(best_score, _)| score > best_score) {
-                best = Some((score, idx));
-            }
-        }
-        best.map(|(_, idx)| idx)
+    /// The victim the cleaner would take next under the configured selector
+    /// (`max_live` caps the survivors the emergency path can afford to copy),
+    /// with the work the selection took.
+    pub fn next_victim(&self, max_live: Option<u64>) -> Selection {
+        self.select_victim(self.config.selector, max_live)
     }
 
-    /// Background cleaning of one victim: every survivor is rewritten *in
+    /// The best victim under `selector` among the candidates with at most
+    /// `max_live` live bytes.  Deterministic: ties keep the lowest index.
+    /// Block bounds first, then only the blocks that could hold the winner
+    /// (module docs).
+    fn select_victim(&self, selector: CleanerSelector, max_live: Option<u64>) -> Selection {
+        let segment_bytes = self.config.segment_bytes;
+        let affordable = |live: u64| max_live.is_none_or(|cap| live <= cap);
+        let score = |live, youngest_seq| {
+            victim_score(selector, segment_bytes, self.seq, live, youngest_seq)
+        };
+        let mut evaluations = 0;
+
+        let bounds: Vec<Option<f64>> = self
+            .summary
+            .iter()
+            .map(|block| {
+                (block.min_live < segment_bytes && affordable(block.min_live)).then(|| {
+                    evaluations += 1;
+                    score(block.min_live, block.min_youngest_seq)
+                })
+            })
+            .collect();
+        let mut first: Option<(f64, usize)> = None;
+        for (block, bound) in bounds.iter().enumerate() {
+            if let Some(bound) = *bound {
+                if first.is_none_or(|(best, _)| bound > best) {
+                    first = Some((bound, block));
+                }
+            }
+        }
+
+        let mut best: Option<(f64, usize)> = None;
+        let mut score_block = |block: usize, best: &mut Option<(f64, usize)>| {
+            for (idx, segment) in (block * SUMMARY_BLOCK..).zip(self.block_members(block)) {
+                if !self.is_candidate(segment) || !affordable(segment.live) {
+                    continue;
+                }
+                evaluations += 1;
+                let value = score(segment.live, segment.youngest_seq);
+                // Blocks are not visited in index order, so the tie-break
+                // cannot lean on it.
+                let better = best.is_none_or(|(best_value, best_idx)| {
+                    value > best_value || (value == best_value && idx < best_idx)
+                });
+                if better {
+                    *best = Some((value, idx));
+                }
+            }
+        };
+        if let Some((_, first)) = first {
+            score_block(first, &mut best);
+            for (block, bound) in bounds.iter().enumerate() {
+                let could_win = bound
+                    .is_some_and(|bound| best.is_none_or(|(best_score, _)| bound >= best_score));
+                if could_win && block != first {
+                    score_block(block, &mut best);
+                }
+            }
+        }
+        Selection {
+            victim: best.map(|(_, idx)| idx as u64),
+            evaluations,
+        }
+    }
+
+    /// `true` for a sealed segment with dead bytes — what the cleaner may
+    /// pick.  (An open head is short of `segment_bytes`; a free segment has
+    /// nothing written.)
+    fn is_candidate(&self, segment: &Segment) -> bool {
+        segment.written == self.config.segment_bytes && segment.live < segment.written
+    }
+
+    /// The segments of summary block `block` (the last may be short).
+    fn block_members(&self, block: usize) -> &[Segment] {
+        let start = block * SUMMARY_BLOCK;
+        &self.segments[start..(start + SUMMARY_BLOCK).min(self.segments.len())]
+    }
+
+    /// The summary entry `block` must hold: the minima over its candidates.
+    fn block_summary(&self, block: usize) -> BlockSummary {
+        let mut summary = BlockSummary::EMPTY;
+        for segment in self.block_members(block) {
+            if self.is_candidate(segment) {
+                summary.fold(segment);
+            }
+        }
+        summary
+    }
+
+    /// The record of a live object.  Every caller has either checked `id`
+    /// against `objects` itself or read it from `residents`, whose entries
+    /// [`SegmentLog::verify`] holds to live objects.
+    fn record_mut(&mut self, id: u64) -> &mut ObjectRecord {
+        self.objects.get_mut(&id).expect("id is a live object")
+    }
+
+    /// Background cleaning of one victim: every survivor (`survivors`, its
+    /// residents in ascending order, `need` bytes in all) is rewritten *in
     /// full* through the maintenance head (healing its fragmentation), then
-    /// the victim returns to the free pool.
-    fn rewrite_segment(&mut self, victim: u64) -> Result<CleanReport, LogError> {
-        let ids: Vec<u64> = self.residents[victim as usize].iter().copied().collect();
-        let need: u64 = ids.iter().map(|id| self.objects[id].size).sum();
+    /// the victim returns to the free pool.  Refused whole — nothing moved —
+    /// when placement leaves the cleaner less than `need`.
+    fn rewrite_segment(
+        &mut self,
+        victim: u64,
+        survivors: Vec<u64>,
+        need: u64,
+    ) -> Result<CleanReport, LogError> {
         if need > self.maintenance_available() {
             return Err(LogError::OutOfSpace);
         }
         let mut report = CleanReport::default();
-        for id in ids {
-            let record = self.objects.get(&id).cloned().expect("resident is live");
-            let extents = self.append_bytes(record.size, Self::maintenance_consumer())?;
-            let fragments = fragment_count(&extents);
-            self.deaden(&record.extents);
-            self.remove_residents(id, &record.extents, &extents);
-            self.add_residents(id, &extents);
+        for id in survivors {
+            let size = self.objects[&id].size;
+            let extents = self.append_bytes(size, Self::maintenance_consumer())?;
+            let old = mem::take(&mut self.record_mut(id).extents);
+            self.deaden(&old);
+            self.replace_residents(id, &old, &extents);
             self.tracker
-                .record_replace(fragment_count(&record.extents), fragments);
-            report.bytes_copied += record.size;
+                .record_replace(fragment_count(&old), fragment_count(&extents));
+            report.bytes_copied += size;
             report.objects_moved += 1;
-            self.objects.insert(
-                id,
-                ObjectRecord {
-                    size: record.size,
-                    extents,
-                },
-            );
+            self.record_mut(id).extents = extents;
         }
         self.release_victim(victim);
         report.segments_freed += 1;
+        self.debug_verify();
         Ok(report)
     }
 
@@ -588,54 +924,53 @@ impl SegmentLog {
     /// writes — this is where an uncleaned log's fragmentation comes from);
     /// extents elsewhere stay put.
     fn vacate_segment(&mut self, victim: u64) -> Result<CleanReport, LogError> {
-        let ids: Vec<u64> = self.residents[victim as usize].iter().copied().collect();
+        let ids = self.residents[victim as usize].clone();
         let span = self.segment_span(victim);
         let mut report = CleanReport::default();
         for id in ids {
-            let record = self.objects.get(&id).cloned().expect("resident is live");
-            let inside_need: u64 = record
+            let inside_need: u64 = self.objects[&id]
                 .extents
                 .iter()
                 .map(|extent| Self::overlap_len(extent, &span))
                 .sum();
             let fresh = self.append_bytes(inside_need, PlacementConsumer::Foreground)?;
-            let mut queue: VecDeque<Extent> = fresh.into_iter().collect();
+            let record = self.record_mut(id);
+            // The fresh extents stand in, byte for byte and in order, for the
+            // pieces inside the victim; `append_bytes` returned exactly
+            // `inside_need` bytes, so the supply cannot run out.
+            let mut supply = fresh.iter().copied();
+            let mut head = Extent::new(0, 0);
             let mut rebuilt: Vec<Extent> = Vec::with_capacity(record.extents.len());
             for extent in &record.extents {
                 for piece in Self::split_by_span(extent, &span) {
-                    if span.contains(piece.start) {
-                        self.deaden(&[piece]);
-                        let mut want = piece.len;
-                        while want > 0 {
-                            let head = queue.pop_front().expect("fresh extents cover the need");
-                            let (taken, rest) = head.take(want);
-                            want -= taken.len;
-                            if !rest.is_empty() {
-                                queue.push_front(rest);
-                            }
-                            push_coalesced(&mut rebuilt, taken);
-                        }
-                    } else {
+                    if !span.contains(piece.start) {
                         push_coalesced(&mut rebuilt, piece);
+                        continue;
+                    }
+                    let mut want = piece.len;
+                    while want > 0 {
+                        if head.is_empty() {
+                            head = supply.next().expect("fresh extents cover the need");
+                        }
+                        let (taken, rest) = head.take(want);
+                        want -= taken.len;
+                        head = rest;
+                        push_coalesced(&mut rebuilt, taken);
                     }
                 }
             }
-            self.tracker
-                .record_replace(fragment_count(&record.extents), fragment_count(&rebuilt));
-            self.remove_residents(id, &record.extents, &rebuilt);
-            self.add_residents(id, &rebuilt);
+            let fragments = (fragment_count(&record.extents), fragment_count(&rebuilt));
+            record.extents = rebuilt;
+            self.tracker.record_replace(fragments.0, fragments.1);
+            // Every piece inside the victim died; the rest did not move.
+            self.deaden_part(victim as usize, inside_need);
+            self.replace_residents(id, &[span], &fresh);
             report.bytes_copied += inside_need;
             report.objects_moved += u64::from(inside_need > 0);
-            self.objects.insert(
-                id,
-                ObjectRecord {
-                    size: record.size,
-                    extents: rebuilt,
-                },
-            );
         }
         self.release_victim(victim);
         report.segments_freed += 1;
+        self.debug_verify();
         Ok(report)
     }
 
@@ -653,6 +988,7 @@ impl SegmentLog {
             self.foreground_available()
         };
         if remaining > available {
+            self.debug_verify();
             return Err(LogError::OutOfSpace);
         }
         let segment_bytes = self.config.segment_bytes;
@@ -670,6 +1006,10 @@ impl SegmentLog {
             self.live_bytes += take;
             remaining -= take;
             if sealed {
+                if segment.live < segment_bytes {
+                    // Sealed with bytes already dead: a candidate from now on.
+                    self.summary[idx as usize / SUMMARY_BLOCK].fold(segment);
+                }
                 if consumer.is_maintenance() {
                     self.maint_head = None;
                 } else {
@@ -742,21 +1082,24 @@ impl SegmentLog {
 
     /// Marks extents dead, crediting their segments.
     fn deaden(&mut self, extents: &[Extent]) {
-        let segment_bytes = self.config.segment_bytes;
         for extent in extents {
-            let mut cursor = extent.start;
-            let end = extent.end();
-            while cursor < end {
-                let idx = (cursor - self.base_offset) / segment_bytes;
-                let seg_end = self.base_offset + (idx + 1) * segment_bytes;
-                let part = seg_end.min(end) - cursor;
-                let segment = &mut self.segments[idx as usize];
-                debug_assert!(segment.live >= part);
-                segment.live -= part;
-                self.live_bytes -= part;
-                self.dead_bytes += part;
-                cursor += part;
+            for (idx, part) in self.parts(*extent) {
+                self.deaden_part(idx, part);
             }
+        }
+    }
+
+    /// Marks `part` (> 0) live bytes of segment `idx` dead.
+    fn deaden_part(&mut self, idx: usize, part: u64) {
+        let segment = &mut self.segments[idx];
+        debug_assert!(segment.live >= part);
+        segment.live -= part;
+        self.live_bytes -= part;
+        self.dead_bytes += part;
+        if segment.written == self.config.segment_bytes {
+            // A sealed segment with a dead byte is a candidate, new or old;
+            // either way its `live` just fell, so a fold keeps the block exact.
+            self.summary[idx / SUMMARY_BLOCK].fold(segment);
         }
     }
 
@@ -767,43 +1110,54 @@ impl SegmentLog {
         debug_assert!(self.residents[victim as usize].is_empty());
         self.dead_bytes -= segment.written;
         *segment = Segment::default();
+        // The one way out of candidacy, and the one place a block's minima
+        // can rise.
+        let block = victim as usize / SUMMARY_BLOCK;
+        self.summary[block] = self.block_summary(block);
+        // Victims are occupied segments, which `ensure_head` reserved when it
+        // opened them (`verify`: the free map holds exactly the unwritten).
         self.free
             .release(Extent::new(victim, 1))
             .expect("victim segment was reserved");
         self.free_count += 1;
     }
 
-    /// Registers `id` as resident in every segment its extents touch.
-    fn add_residents(&mut self, id: u64, extents: &[Extent]) {
-        for segment in self.segments_covered(extents) {
-            self.residents[segment as usize].insert(id);
+    /// Moves `id`'s residency from the segments `old` touches to the segments
+    /// `new` touches.  Walks the two lists; builds nothing.
+    fn replace_residents(&mut self, id: u64, old: &[Extent], new: &[Extent]) {
+        for extent in old {
+            for (idx, _) in self.parts(*extent) {
+                let span = self.segment_span(idx as u64);
+                if !new.iter().any(|kept| kept.overlaps(&span)) {
+                    if let Ok(at) = self.residents[idx].binary_search(&id) {
+                        self.residents[idx].remove(at);
+                    }
+                }
+            }
         }
-    }
-
-    /// Drops `id` from segments covered by `old` that no extent in `keep`
-    /// still touches.
-    fn remove_residents(&mut self, id: u64, old: &[Extent], keep: &[Extent]) {
-        let kept: BTreeSet<u64> = self.segments_covered(keep).into_iter().collect();
-        for segment in self.segments_covered(old) {
-            if !kept.contains(&segment) {
-                self.residents[segment as usize].remove(&id);
+        for extent in new {
+            for (idx, _) in self.parts(*extent) {
+                if let Err(at) = self.residents[idx].binary_search(&id) {
+                    self.residents[idx].insert(at, id);
+                }
             }
         }
     }
 
-    /// The distinct segments an extent list touches, ascending.
-    fn segments_covered(&self, extents: &[Extent]) -> Vec<u64> {
-        let segment_bytes = self.config.segment_bytes;
-        let mut covered = BTreeSet::new();
-        for extent in extents {
-            if extent.is_empty() {
-                continue;
+    /// The segments `extent` touches with the bytes it has in each, in
+    /// address order.  Borrows nothing, so callers may mutate while walking.
+    fn parts(&self, extent: Extent) -> impl Iterator<Item = (usize, u64)> {
+        let (base, segment_bytes) = (self.base_offset, self.config.segment_bytes);
+        let (mut cursor, end) = (extent.start, extent.end());
+        std::iter::from_fn(move || {
+            if cursor >= end {
+                return None;
             }
-            let first = (extent.start - self.base_offset) / segment_bytes;
-            let last = (extent.end() - 1 - self.base_offset) / segment_bytes;
-            covered.extend(first..=last);
-        }
-        covered.into_iter().collect()
+            let idx = (cursor - base) / segment_bytes;
+            let part = (base + (idx + 1) * segment_bytes).min(end) - cursor;
+            cursor += part;
+            Some((idx as usize, part))
+        })
     }
 
     /// The device byte span of a segment.
@@ -952,8 +1306,8 @@ mod tests {
         log.insert(3, MB / 4).unwrap();
         log.insert(4, 3 * MB / 4).unwrap();
         log.remove(4).unwrap();
-        let cost_benefit = log.select_victim(CleanerSelector::CostBenefit, None);
-        let greedy = log.select_victim(CleanerSelector::Greedy, None);
+        let cost_benefit = log.select_victim(CleanerSelector::CostBenefit, None).victim;
+        let greedy = log.select_victim(CleanerSelector::Greedy, None).victim;
         assert_eq!(greedy, Some(6), "greedy takes the most-dead segment");
         assert_eq!(
             cost_benefit,
@@ -1067,5 +1421,300 @@ mod tests {
         for id in a.ids() {
             assert_eq!(a.extents_of(id).unwrap(), b.extents_of(id).unwrap());
         }
+    }
+
+    const KB: u64 = 1024;
+
+    /// A log of `blocks` summary blocks of `KB`-sized segments.
+    fn blocks_of_kb_segments(blocks: usize, selector: CleanerSelector) -> SegmentLog {
+        let data = (blocks * SUMMARY_BLOCK) as u64;
+        // `new` sets 1/32 of the volume aside; ask for that much more.
+        let mut config = LogConfig::new((data + data / 31 + 1) * KB);
+        config.segment_bytes = KB;
+        config.selector = selector;
+        let log = SegmentLog::new(config).unwrap();
+        assert!(log.summary.len() >= blocks);
+        log
+    }
+
+    #[test]
+    fn verify_names_the_violated_invariant() {
+        let mut log = log_with(18 * MB, MB);
+        for id in 0..20 {
+            log.insert(id, MB / 2).unwrap();
+        }
+        for id in 0..20 {
+            log.update((id * 7) % 20, 3 * MB / 4).unwrap();
+        }
+        log.remove(3).unwrap();
+        log.insert(20, MB / 4).unwrap();
+        assert!(log.emergency_totals().segments_freed > 0);
+        assert_eq!(log.verify(), Ok(()));
+        let breaks = |edit: &dyn Fn(&mut SegmentLog), names: &str| {
+            let mut broken = log.clone();
+            edit(&mut broken);
+            let violation = broken.verify().unwrap_err();
+            assert!(violation.contains(names), "{violation:?} lacks {names:?}");
+        };
+        let head = log.fg_head.expect("the last append left its head open");
+        let sealed = (0..log.segments.len())
+            .find(|idx| log.is_candidate(&log.segments[*idx]) && log.segments[*idx].live > 0)
+            .expect("a sealed segment with survivors");
+        let resident = *log.residents[sealed].first().unwrap();
+
+        breaks(&|log| log.maint_head = log.fg_head, "both heads");
+        breaks(&|log| log.fg_head = Some(sealed as u64), "is not open");
+        breaks(&|log| log.fg_head = None, "is no head");
+        breaks(&|log| log.live_bytes += 1, "live_bytes is");
+        breaks(&|log| log.dead_bytes += 1, "dead_bytes is");
+        breaks(&|log| log.free_count += 1, "free_segments is");
+        breaks(&|log| log.segments[sealed].live -= 1, "live extents cover");
+        breaks(
+            &|log| log.free.release(Extent::new(head, 1)).unwrap(),
+            "the free map disagrees",
+        );
+        breaks(
+            &|log| {
+                log.residents[sealed].retain(|id| *id != resident);
+            },
+            "is not resident there",
+        );
+        breaks(
+            &|log| {
+                log.residents[sealed].push(u64::MAX);
+            },
+            "residents but",
+        );
+        breaks(
+            &|log| log.residents[sealed].insert(0, u64::MAX),
+            "ascending",
+        );
+        breaks(&|log| log.record_mut(resident).size += 1, "extents hold");
+        breaks(&|log| log.tracker.record_insert(3), "fragmentation tracker");
+        breaks(
+            &|log| log.summary[sealed / SUMMARY_BLOCK].min_live -= 1,
+            "summary of block",
+        );
+        breaks(
+            &|log| log.summary.last_mut().unwrap().min_youngest_seq = 0,
+            "summary of block",
+        );
+    }
+
+    /// The benchmark's aging loop in miniature: one object size, every object
+    /// overwritten once per round in a fresh random order, the free pool dry
+    /// from the third round on.  Every selection the updates could trigger
+    /// scores one block, not the log.
+    #[test]
+    fn an_aged_single_size_log_scores_one_block_per_selection() {
+        let mut log = blocks_of_kb_segments(12, CleanerSelector::CostBenefit);
+        let segments = log.segment_count();
+        let objects = segments * 8 * 4 / 10;
+        for id in 0..objects {
+            log.insert(id, KB / 8).unwrap();
+        }
+        let budget = log.summary.len() as u64 + SUMMARY_BLOCK as u64;
+        let mut order: Vec<u64> = (0..objects).collect();
+        let mut state = 42u64;
+        let mut selections = 0;
+        for round in 0..5 {
+            for i in (1..order.len()).rev() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            for id in &order {
+                if log.free_segments() < 2 {
+                    let pick = log.next_victim(Some(log.foreground_available()));
+                    assert!(pick.victim.is_some());
+                    assert!(
+                        pick.evaluations <= budget,
+                        "round {round}: {} evaluations on {segments} segments",
+                        pick.evaluations
+                    );
+                    selections += 1;
+                }
+                log.update(*id, KB / 8).unwrap();
+            }
+        }
+        assert!(
+            selections > 500,
+            "only {selections} selections under pressure"
+        );
+        assert!(log.emergency_totals().segments_freed > 500);
+        assert_eq!(log.verify(), Ok(()));
+    }
+
+    /// The stated worst case: every candidate has the same score, so every
+    /// block's bound ties with the best score and every block is scored —
+    /// `n + n/B` evaluations, and the lowest index still wins.
+    #[test]
+    fn an_all_tied_log_costs_one_scan_plus_the_bounds() {
+        let mut log = blocks_of_kb_segments(12, CleanerSelector::Greedy);
+        let segments = log.segment_count();
+        // Two halves per segment, then the first half of each removed.
+        for id in 0..2 * (segments - 1) {
+            log.insert(id, KB / 2).unwrap();
+        }
+        for id in (0..2 * (segments - 1)).step_by(2) {
+            log.remove(id).unwrap();
+        }
+        let candidates = segments - 1;
+        let pick = log.next_victim(None);
+        assert_eq!(pick.victim, Some(0));
+        assert!(pick.evaluations >= candidates, "every tied block is scored");
+        assert!(pick.evaluations <= candidates + log.summary.len() as u64);
+        // A cap below every candidate's survivors rules all of them out
+        // without scoring one.
+        assert_eq!(
+            log.next_victim(Some(KB / 2 - 1)),
+            Selection {
+                victim: None,
+                evaluations: 0
+            }
+        );
+    }
+
+    /// A tie between blocks where the higher block has the looser (larger)
+    /// bound and is scored first: the lower block's bound *equals* the best
+    /// score, and skipping it on `>` would keep the higher index.
+    #[test]
+    fn a_tie_with_a_lower_block_is_not_skipped() {
+        let mut log = blocks_of_kb_segments(3, CleanerSelector::CostBenefit);
+        let border = SUMMARY_BLOCK as u64;
+        // One whole-segment object per segment up to two short of the border,
+        // four in the hole the tie will fill, then two halves: an old,
+        // half-dead segment in the higher block.
+        for id in 0..border + 2 {
+            log.insert(id, KB).unwrap();
+        }
+        log.insert(1_000, KB / 2).unwrap();
+        log.insert(1_001, KB / 2).unwrap();
+        log.insert(1_002, KB).unwrap();
+        for id in border - 2..border + 2 {
+            log.remove(id).unwrap();
+        }
+        assert_eq!(log.clean_step(1).unwrap().segments_freed, 4);
+        log.remove(1_000).unwrap();
+        // One append over the four freed segments, two on each side of the
+        // border, dead at once: same `live`, same `youngest_seq`.
+        let tied = log.insert(2_000, 4 * KB).unwrap();
+        assert_eq!(
+            tied.extents,
+            [Extent::new(log.base_offset + (border - 2) * KB, 4 * KB)]
+        );
+        log.remove(2_000).unwrap();
+        // Age the log until the young dead segments outscore the old
+        // half-dead one.
+        for id in 3_000..3_400 {
+            log.insert(id, 1).unwrap();
+        }
+        let [lower, higher] = [log.summary[0], log.summary[1]];
+        assert_eq!(lower.min_live, 0);
+        assert_eq!(higher.min_live, 0);
+        assert!(higher.min_youngest_seq < lower.min_youngest_seq);
+        assert_eq!(log.next_victim(None).victim, Some(border - 2));
+    }
+
+    #[test]
+    fn a_failed_update_leaves_the_old_version_intact() {
+        let mut log = log_with(18 * MB, MB);
+        for id in 0..10 {
+            log.insert(id, MB).unwrap();
+        }
+        for id in 0..3 {
+            log.update(id, MB).unwrap();
+        }
+        let free_before = log.free_segments();
+        let before: Vec<_> = log
+            .ids()
+            .map(|id| (log.size_of(id), log.extents_of(id).unwrap().to_vec()))
+            .collect();
+        let fragmentation = log.fragmentation();
+        // Vacating the three dead segments is not enough for this one.
+        assert_eq!(
+            log.update(5, log.data_capacity_bytes() - 9 * MB),
+            Err(LogError::OutOfSpace)
+        );
+        assert_eq!(log.free_segments(), free_before + 3, "the vacates ran");
+        assert_eq!(log.dead_bytes(), 0);
+        let after: Vec<_> = log
+            .ids()
+            .map(|id| (log.size_of(id), log.extents_of(id).unwrap().to_vec()))
+            .collect();
+        assert_eq!(after, before);
+        assert_eq!(log.fragmentation(), fragmentation);
+        assert_eq!(log.live_bytes(), 10 * MB);
+        assert_eq!(log.verify(), Ok(()));
+        // And the log is not wedged: what fits still goes in.
+        log.update(5, 2 * MB).unwrap();
+        assert_eq!(log.verify(), Ok(()));
+    }
+
+    #[test]
+    fn a_rewrite_refused_by_placement_leaves_the_victim_untouched() {
+        let mut config = LogConfig::new(34 * MB);
+        config.segment_bytes = MB;
+        config.placement = PlacementPolicy::banded(0.5);
+        let mut log = SegmentLog::new(config).unwrap();
+        let segments = log.segment_count();
+        // Fill every segment, the cleaner's band included (the foreground
+        // spills), with two halves each.
+        for id in 0..2 * segments {
+            log.insert(id, MB / 2).unwrap();
+        }
+        assert_eq!(log.free_segments(), 0);
+        // Segment 0 half dead; segments 1 and 2, in the foreground's band,
+        // fully dead.
+        for id in [0, 2, 3, 4, 5] {
+            log.remove(id).unwrap();
+        }
+        let survivor = log.extents_of(1).unwrap().to_vec();
+        let report = log.clean_step(u64::MAX).unwrap();
+        // The dead pair came back for free; the survivor had nowhere to go
+        // that placement allows, though two segments are free.
+        assert_eq!(report.segments_freed, 2);
+        assert_eq!(report.bytes_copied, 0);
+        assert_eq!(log.free_segments(), 2);
+        assert_eq!(log.maintenance_available(), 0);
+        assert_eq!(log.extents_of(1).unwrap(), survivor);
+        assert_eq!(log.residents[0], [1]);
+        assert_eq!(log.next_victim(None).victim, Some(0));
+        assert_eq!(log.dead_bytes(), MB / 2);
+        assert_eq!(log.verify(), Ok(()));
+    }
+
+    #[test]
+    fn a_cleaner_without_a_victim_does_and_scores_nothing() {
+        let nothing = Selection {
+            victim: None,
+            evaluations: 0,
+        };
+        // No dead byte anywhere.
+        let mut log = log_with(18 * MB, MB);
+        for id in 0..8 {
+            log.insert(id, MB / 2).unwrap();
+        }
+        assert_eq!(log.dead_bytes(), 0);
+        assert_eq!(log.next_victim(None), nothing);
+        assert!(log.clean_step(u64::MAX).unwrap().is_empty());
+        // Dead bytes, but every candidate holds more survivors than the
+        // emergency path could copy: the append fails clean.
+        for id in 8..2 * log.segment_count() {
+            log.insert(id, MB / 2).unwrap();
+        }
+        for id in (0..2 * log.segment_count()).step_by(8) {
+            log.remove(id).unwrap();
+        }
+        assert!(log.dead_bytes() > 0);
+        assert_eq!(log.foreground_available(), 0);
+        assert_eq!(log.next_victim(Some(0)), nothing);
+        let emergency = log.emergency_totals();
+        assert_eq!(log.insert(9_999, MB / 4), Err(LogError::OutOfSpace));
+        assert_eq!(log.emergency_totals(), emergency);
+        assert_eq!(log.verify(), Ok(()));
+        // The background cleaner, which may copy, still finds its victim.
+        assert!(log.next_victim(None).victim.is_some());
     }
 }
