@@ -4,8 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! figures [--scale full|report|bench|test|smoke] [--json <dir>] [--only fig1,fig2,...]
-//!         [--concurrent-rebalance]
+//! figures [--scale full|report|test|smoke] [--json <dir>] [--only fig1,fig2,...]
 //! ```
 //!
 //! The default scale is `report` (one tenth of the paper's volume sizes; see
@@ -22,7 +21,6 @@ struct Options {
     scale_name: String,
     json_dir: Option<PathBuf>,
     only: Option<BTreeSet<String>>,
-    concurrent_rebalance: bool,
 }
 
 impl Options {
@@ -44,14 +42,13 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         scale_name: "report".to_string(),
         json_dir: None,
         only: None,
-        concurrent_rebalance: false,
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
                 options.scale = Scale::by_name(&value).ok_or_else(|| {
-                    format!("unknown scale {value:?} (use full|report|bench|test|smoke)")
+                    format!("unknown scale {value:?} (use full|report|test|smoke)")
                 })?;
                 options.scale_name = value;
             }
@@ -59,9 +56,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 options.json_dir = Some(PathBuf::from(
                     args.next().ok_or("--json needs a directory")?,
                 ));
-            }
-            "--concurrent-rebalance" => {
-                options.concurrent_rebalance = true;
             }
             "--only" => {
                 let value = args.next().ok_or("--only needs a comma-separated list")?;
@@ -78,8 +72,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--scale full|report|bench|test|smoke] [--json <dir>] \
-                     [--only {}] [--concurrent-rebalance]",
+                    "usage: figures [--scale full|report|test|smoke] [--json <dir>] \
+                     [--only {}]",
                     family_names().join(",")
                 );
                 std::process::exit(0);
@@ -115,8 +109,7 @@ fn run() -> Result<(), String> {
         println!("{}", table1().to_text());
     }
     for family in FAMILIES.iter().filter(|f| options.wants(f.only)) {
-        let figures = (family.run)(&options.scale, options.concurrent_rebalance)
-            .map_err(|e| e.to_string())?;
+        let figures = (family.run)(&options.scale).map_err(|e| e.to_string())?;
         emit(&options, family.json, &figures)?;
     }
     Ok(())

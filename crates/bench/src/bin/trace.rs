@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! trace [--scale full|report|bench|test|smoke] [--kind fs|db|log]
+//! trace [--scale full|report|test|smoke] [--kind fs|db|log]
 //!       [--out <file>] [--validate] [--capacity <spans>]
 //! ```
 //!
@@ -64,7 +64,7 @@ fn parse_args() -> Result<Options, String> {
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
                 options.scale = Scale::by_name(&value).ok_or_else(|| {
-                    format!("unknown scale {value:?} (use full|report|bench|test|smoke)")
+                    format!("unknown scale {value:?} (use full|report|test|smoke)")
                 })?;
                 options.scale_name = value;
             }
@@ -90,7 +90,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: trace [--scale full|report|bench|test|smoke] [--kind {}] \
+                    "usage: trace [--scale full|report|test|smoke] [--kind {}] \
                      [--out <file>] [--validate] [--capacity <spans>]",
                     kind_names()
                 );

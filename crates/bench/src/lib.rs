@@ -73,18 +73,6 @@ impl Scale {
         }
     }
 
-    /// Bench scale: small volumes and shorter aging so one aging run
-    /// completes in tens of milliseconds (the `perf` binary's default).
-    pub fn bench() -> Self {
-        Scale {
-            volume_factor: 0.004,
-            object_factor: 0.25,
-            max_age: 4,
-            read_sample: Some(32),
-            max_fleet: 16,
-        }
-    }
-
     /// Tiny scale for integration tests.
     pub fn test() -> Self {
         Scale {
@@ -110,12 +98,11 @@ impl Scale {
     }
 
     /// The scale the binaries' `--scale` option names
-    /// (`full|report|bench|test|smoke`).
+    /// (`full|report|test|smoke`).
     pub fn by_name(name: &str) -> Option<Scale> {
         match name {
             "full" => Some(Scale::full()),
             "report" => Some(Scale::report()),
-            "bench" => Some(Scale::bench()),
             "test" => Some(Scale::test()),
             "smoke" => Some(Scale::smoke()),
             _ => None,
@@ -259,6 +246,11 @@ fn aged(result: &AgingResult) -> &AgePoint {
     result.points.last().expect("a sweep measures an age")
 }
 
+/// The fragments-per-object series of an aging run, labelled by substrate.
+fn fragments_vs_age(result: &AgingResult) -> Series {
+    Series::vs_age(result, "", |point| Some(point.fragments_per_object))
+}
+
 /// `series` under the legend label the family plots it with (the `Series`
 /// constructors label by substrate).
 fn labelled(mut series: Series, label: impl Into<String>) -> Series {
@@ -298,7 +290,7 @@ fn fragmentation_panels<V>(
                 "Storage Age",
                 "Fragments/object",
                 runs.iter()
-                    .map(|(_, v, result)| labelled(Series::fragments_vs_age(result), label(v))),
+                    .map(|(_, v, result)| labelled(fragments_vs_age(result), label(v))),
             )
         })
         .collect()
@@ -389,9 +381,7 @@ fn fragmentation_figure(
         &scale.age_points(),
         false,
     )?;
-    let series = runs
-        .iter()
-        .map(|(_, _, result)| Series::fragments_vs_age(result));
+    let series = runs.iter().map(|(_, _, result)| fragments_vs_age(result));
     Ok(vec![figure(
         id,
         title,
@@ -413,7 +403,7 @@ fn figure4(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     )?;
     let series = runs
         .iter()
-        .map(|(_, _, result)| Series::write_throughput_vs_age(result));
+        .map(|(_, _, result)| Series::vs_age(result, "", |p| Some(p.write_throughput_mb_s)));
     Ok(vec![figure(
         "Figure 4",
         "512 KB Write Throughput Over Time",
@@ -510,7 +500,7 @@ fn figure6(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
             .iter()
             .map(|(_, (occupancy, (_, volume_label)), result)| {
                 labelled(
-                    Series::fragments_vs_age(result),
+                    fragments_vs_age(result),
                     format!("{:.1}% full - {volume_label}", occupancy * 100.0),
                 )
             }),
@@ -712,9 +702,9 @@ fn latency_percentile_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> 
                 "Storage Age",
                 "Latency (ms)",
                 [
-                    Series::latency_p50_vs_age(result),
-                    Series::latency_p95_vs_age(result),
-                    Series::latency_p99_vs_age(result),
+                    Series::vs_age(result, " p50", |p| Some(p.latency_p50_ms)),
+                    Series::vs_age(result, " p95", |p| Some(p.latency_p95_ms)),
+                    Series::vs_age(result, " p99", |p| Some(p.latency_p99_ms)),
                 ],
             )
         })
@@ -725,7 +715,7 @@ fn latency_percentile_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> 
         "Storage Age",
         "Waiting requests",
         runs.iter()
-            .map(|(_, _, result)| Series::queue_depth_vs_age(result)),
+            .map(|(_, _, result)| Series::vs_age(result, "", |p| Some(p.queue_depth_mean))),
     ));
     Ok(figures)
 }
@@ -992,33 +982,35 @@ fn idle_detect_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     )?;
     Ok(by_kind(&PAPER_KINDS, &runs)
         .flat_map(|(kind, runs)| {
-            let panel =
-                |id: &str, title: &str, y_label: &str, series: fn(&AgingResult) -> Series| {
-                    figure(
-                        format!("Idle-detect {id} ({})", kind.label().to_lowercase()),
-                        format!(
-                            "{} {title} vs age per policy (3 clients, 400 ms think time)",
-                            kind.label()
-                        ),
-                        "Storage Age",
-                        y_label,
-                        runs.iter().map(|(_, maintenance, result)| {
-                            labelled(series(result), maintenance.policy.label())
-                        }),
-                    )
-                };
+            let panel = |id: &str, title: &str, y_label: &str, pick: fn(&AgePoint) -> f64| {
+                figure(
+                    format!("Idle-detect {id} ({})", kind.label().to_lowercase()),
+                    format!(
+                        "{} {title} vs age per policy (3 clients, 400 ms think time)",
+                        kind.label()
+                    ),
+                    "Storage Age",
+                    y_label,
+                    runs.iter().map(|(_, maintenance, result)| {
+                        labelled(
+                            Series::vs_age(result, "", |p| Some(pick(p))),
+                            maintenance.policy.label(),
+                        )
+                    }),
+                )
+            };
             [
                 panel(
                     "fragmentation",
                     "fragments/object",
                     "Fragments/object",
-                    Series::fragments_vs_age,
+                    |point| point.fragments_per_object,
                 ),
                 panel(
                     "p99 latency",
                     "p99 safe-write latency",
                     "p99 latency (ms)",
-                    Series::latency_p99_vs_age,
+                    |point| point.latency_p99_ms,
                 ),
             ]
         })
@@ -1095,7 +1087,7 @@ fn placement_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> 
                 .iter()
                 .filter(|(_, (maintenance, _), _)| maintenance.policy.name() == "substrate-aware")
                 .map(|(_, (_, placement), result)| {
-                    labelled(Series::fragments_vs_age(result), placement.label())
+                    labelled(fragments_vs_age(result), placement.label())
                 });
             [
                 figure(
@@ -1357,8 +1349,8 @@ impl RebalanceMode {
 /// 3. **Rebalance frontier** (one figure per substrate) — the worst
 ///    shard's fragments/object vs fleet size ([`Scale::fleet_sizes`], up to
 ///    64 shards at report scale), with the rebalancing drive off, phased
-///    (after the churn), and — when `concurrent_rebalance` is set —
-///    interleaved with the live load.  Rebalancing migrates fragmented
+///    (after the churn), and interleaved with the live load.  Rebalancing
+///    migrates fragmented
 ///    objects off the worst shard through destination *maintenance* bands
 ///    (never foreground), pulling the worst shard back towards the fleet
 ///    mean.
@@ -1366,10 +1358,7 @@ impl RebalanceMode {
 ///    client-observed p99 of the final churn round vs fleet size.
 ///    Concurrent rebalancing charges migration I/O to the same spindles the
 ///    foreground is using; this panel shows what that costs the tail.
-fn shard_sweep_figures(
-    scale: &Scale,
-    concurrent_rebalance: bool,
-) -> Result<Vec<Figure>, StoreError> {
+fn shard_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     let churn_rounds = scale.max_age.clamp(2, 4);
     let fleet_sizes = scale.fleet_sizes();
 
@@ -1422,10 +1411,11 @@ fn shard_sweep_figures(
     // Panels 3-5: the rebalance frontier, per substrate, plus the
     // foreground-p99 price of each drive mode.  The modes are listed in
     // label order, the order the recorded series appear in.
-    let mut modes = vec![RebalanceMode::Off, RebalanceMode::Phased];
-    if concurrent_rebalance {
-        modes.insert(0, RebalanceMode::Concurrent);
-    }
+    let modes = [
+        RebalanceMode::Concurrent,
+        RebalanceMode::Off,
+        RebalanceMode::Phased,
+    ];
     let frontier_jobs = cross(&PAPER_KINDS, &cross(&modes, &fleet_sizes));
     let frontier = parallel_map(frontier_jobs, |(kind, (mode, shards))| {
         // Banded placement so destination writes are confined to the
@@ -1511,8 +1501,7 @@ fn shard_sweep_figures(
 
 /// One figure family: what `figures --only` calls it, the file stem its
 /// `figures --json` output is written under, and the function regenerating
-/// it at a scale (the flag adds the shard sweep's load-concurrent
-/// rebalancing series; the other families ignore it).
+/// it at a scale.
 pub struct Family {
     /// The `--only` name.
     pub only: &'static str,
@@ -1522,8 +1511,8 @@ pub struct Family {
     pub run: FamilyFn,
 }
 
-/// `(scale, concurrent_rebalance) -> figures`.
-type FamilyFn = fn(&Scale, bool) -> Result<Vec<Figure>, StoreError>;
+/// `scale -> figures`.
+type FamilyFn = fn(&Scale) -> Result<Vec<Figure>, StoreError>;
 
 impl Family {
     const fn new(only: &'static str, json: &'static str, run: FamilyFn) -> Self {
@@ -1534,42 +1523,56 @@ impl Family {
 /// Every figure family, in the order `figures` prints them — the one list
 /// behind its run order, `--only` validation and `--help`.
 pub const FAMILIES: &[Family] = &[
-    Family::new("fig1", "figure1", |s, _| figure1(s)),
-    Family::new("fig2", "figure2", |s, _| figure2(s)),
-    Family::new("fig3", "figure3", |s, _| figure3(s)),
-    Family::new("fig4", "figure4", |s, _| figure4(s)),
-    Family::new("fig5", "figure5", |s, _| figure5(s)),
-    Family::new("fig6", "figure6", |s, _| figure6(s)),
-    Family::new("write-size", "write_request_size", |s, _| {
-        write_request_size_sweep(s)
-    }),
-    Family::new("maintenance", "maintenance", |s, _| maintenance_ablation(s)),
-    Family::new("policy-ablation", "policy_ablation", |s, _| {
-        policy_ablation_figures(s)
-    }),
-    Family::new("maintenance-policies", "maintenance_policies", |s, _| {
-        maintenance_policy_figures(s)
-    }),
-    Family::new("maintenance-latency", "maintenance_latency", |s, _| {
-        maintenance_latency_figures(s)
-    }),
-    Family::new("latency-percentiles", "latency_percentiles", |s, _| {
-        latency_percentile_figures(s)
-    }),
-    Family::new("load-sweep", "load_sweep", |s, _| load_sweep_figures(s)),
-    Family::new("idle-detect", "idle_detect", |s, _| idle_detect_figures(s)),
-    Family::new("mixed-load-sweep", "mixed_load_sweep", |s, _| {
-        mixed_load_sweep_figures(s)
-    }),
-    Family::new("adaptive-frontier", "adaptive_frontier", |s, _| {
-        adaptive_frontier_figures(s)
-    }),
-    Family::new("placement-frontier", "placement_frontier", |s, _| {
-        placement_frontier_figures(s)
-    }),
-    Family::new("latency-anatomy", "latency_anatomy", |s, _| {
-        latency_anatomy_figures(s)
-    }),
+    Family::new("fig1", "figure1", figure1),
+    Family::new("fig2", "figure2", figure2),
+    Family::new("fig3", "figure3", figure3),
+    Family::new("fig4", "figure4", figure4),
+    Family::new("fig5", "figure5", figure5),
+    Family::new("fig6", "figure6", figure6),
+    Family::new("write-size", "write_request_size", write_request_size_sweep),
+    Family::new("maintenance", "maintenance", maintenance_ablation),
+    Family::new(
+        "policy-ablation",
+        "policy_ablation",
+        policy_ablation_figures,
+    ),
+    Family::new(
+        "maintenance-policies",
+        "maintenance_policies",
+        maintenance_policy_figures,
+    ),
+    Family::new(
+        "maintenance-latency",
+        "maintenance_latency",
+        maintenance_latency_figures,
+    ),
+    Family::new(
+        "latency-percentiles",
+        "latency_percentiles",
+        latency_percentile_figures,
+    ),
+    Family::new("load-sweep", "load_sweep", load_sweep_figures),
+    Family::new("idle-detect", "idle_detect", idle_detect_figures),
+    Family::new(
+        "mixed-load-sweep",
+        "mixed_load_sweep",
+        mixed_load_sweep_figures,
+    ),
+    Family::new(
+        "adaptive-frontier",
+        "adaptive_frontier",
+        adaptive_frontier_figures,
+    ),
+    Family::new(
+        "placement-frontier",
+        "placement_frontier",
+        placement_frontier_figures,
+    ),
+    Family::new(
+        "latency-anatomy",
+        "latency_anatomy",
+        latency_anatomy_figures,
+    ),
     Family::new("shard-sweep", "shard_sweep", shard_sweep_figures),
 ];
 
@@ -1585,7 +1588,7 @@ mod tests {
         assert_eq!(full.age_points().len(), 11);
         let report = Scale::report();
         assert_eq!(report.volume(PAPER_VOLUME), 4_000_000_000);
-        assert!(Scale::bench().volume(PAPER_VOLUME) < report.volume(PAPER_VOLUME));
+        assert!(Scale::test().volume(PAPER_VOLUME) < report.volume(PAPER_VOLUME));
         assert!(Scale::test().object(256 << 10) >= 64 << 10);
         // The scaling story needs the big fleets at report scale, while the
         // CI-sized scales stay small.
@@ -1930,7 +1933,10 @@ mod tests {
     #[test]
     fn shard_sweep_covers_widths_fleet_sizes_and_rebalance_modes() {
         let scale = Scale::smoke();
-        let figures = shard_sweep_figures(&scale, true).unwrap();
+        // Through `FAMILIES`, the way `figures` runs it: the sweep has no
+        // mode switch, so off / phased / concurrent are always all there.
+        let family = FAMILIES.iter().find(|f| f.only == "shard-sweep").unwrap();
+        let figures = (family.run)(&scale).unwrap();
         assert_eq!(
             figures.len(),
             5,
@@ -1999,7 +2005,7 @@ mod tests {
             }
             assert!(
                 concurrent.points.iter().all(|(_, fpo)| *fpo >= 1.0),
-                "{kind}: concurrent-rebalance fpo must stay physical"
+                "{kind}: fpo under concurrent rebalancing must stay physical"
             );
         }
 
@@ -2017,17 +2023,5 @@ mod tests {
                 series.label
             );
         }
-
-        // The smoke sweep only visits the two-mode frontier in CI fashion:
-        // without the flag, the concurrent series (and its p99 series) are
-        // absent but everything else is unchanged.
-        let without = shard_sweep_figures(&scale, false).unwrap();
-        assert_eq!(without.len(), 5);
-        assert!(without[2..4].iter().all(|figure| figure.series.len() == 2
-            && figure
-                .series
-                .iter()
-                .all(|s| s.label != "rebalance concurrent")));
-        assert_eq!(without[4].series.len(), 4);
     }
 }

@@ -100,8 +100,8 @@ impl TestbedConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetParallelism {
     /// Drain shards one after another on the calling thread.  The
-    /// reference path: CI pins it for the perf baseline and forces it on
-    /// the shard e2e suite via `LOR_FLEET_PARALLELISM=serial`.
+    /// reference path every threaded drain must equal bit for bit: CI
+    /// forces it on the shard suite via `LOR_FLEET_PARALLELISM=serial`.
     Serial,
     /// Drain shards on `n` worker threads (`n >= 1`).  When `n` is below
     /// the shard count the workers steal whole shard queues from a
@@ -130,14 +130,6 @@ impl FleetParallelism {
         match self {
             FleetParallelism::Serial => 1,
             FleetParallelism::Threads(n) => (n as usize).max(1).min(shards.max(1)),
-        }
-    }
-
-    /// Human-readable form for logs and figure labels.
-    pub fn label(self) -> String {
-        match self {
-            FleetParallelism::Serial => "serial".into(),
-            FleetParallelism::Threads(n) => format!("threads({n})"),
         }
     }
 }
@@ -900,7 +892,7 @@ mod tests {
         use lor_maint::MaintenanceConfig;
 
         let config = mini_config().with_maintenance(MaintenanceConfig::fixed_budget(16));
-        for kind in [StoreKind::Filesystem, StoreKind::Database] {
+        for kind in StoreKind::ALL {
             let result = run_aging_experiment(kind, &config, &[0, 3], false).unwrap();
             let aged = result.points.last().unwrap();
             assert!(
@@ -920,7 +912,7 @@ mod tests {
         use lor_maint::MaintenanceConfig;
 
         let config = mini_config().with_maintenance(MaintenanceConfig::fixed_budget(16));
-        for kind in [StoreKind::Filesystem, StoreKind::Database] {
+        for kind in StoreKind::ALL {
             let result = run_aging_experiment(kind, &config, &[0, 2, 4], false).unwrap();
             let aged = result.points.last().unwrap();
             assert!(aged.background_time_s > 0.0);

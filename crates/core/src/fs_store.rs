@@ -261,6 +261,7 @@ impl Substrate for FsSubstrate {
 mod tests {
     use super::*;
     use crate::store::ObjectStore;
+    use lor_maint::MaintenancePolicy;
 
     const MB: u64 = 1 << 20;
 
@@ -314,19 +315,16 @@ mod tests {
 
     #[test]
     fn substrate_aware_requires_the_server_drive() {
+        // A gap-filling policy cannot be configured without the server
+        // drive: put together from the bare policy, never asked for it, the
+        // config still answers `server_driven`, the store builds, and the
+        // server reads the config off the store.
         let mut config = FsStoreConfig::new(64 * MB);
-        let mut maintenance = MaintenanceConfig::substrate_aware(5.0, 2000.0);
-        maintenance.server_driven = false;
-        config.maintenance = Some(maintenance);
-        assert!(matches!(
-            FsObjectStore::with_config(config),
-            Err(StoreError::BadConfig(_))
-        ));
-        // With the server drive (the constructor's default) it builds, and
-        // the server reads the config off the store.
-        let mut config = FsStoreConfig::new(64 * MB);
-        config.maintenance = Some(MaintenanceConfig::substrate_aware(5.0, 2000.0));
+        config.maintenance = Some(MaintenanceConfig::new(MaintenancePolicy::SubstrateAware {
+            min_idle_ms: 5.0,
+            defer_ghost_ms: 2000.0,
+        }));
         let store = FsObjectStore::with_config(config).unwrap();
-        assert!(store.maintenance_config().unwrap().server_driven);
+        assert!(store.maintenance_config().unwrap().server_driven());
     }
 }

@@ -4,7 +4,7 @@
 use lor_obs::{json_f64, json_string};
 use serde::{Deserialize, Serialize};
 
-use crate::experiment::AgingResult;
+use crate::experiment::{AgePoint, AgingResult};
 
 /// One labelled series of (x, y) points — e.g. "Database" in Figure 2.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,124 +24,22 @@ impl Series {
         }
     }
 
-    /// Builds the fragments-per-object series of an aging run (Figures 2, 3,
-    /// 5 and 6).
-    pub fn fragments_vs_age(result: &AgingResult) -> Self {
+    /// Builds one column of an aging run as a series over storage age:
+    /// `pick` names the [`AgePoint`] value to plot (a checkpoint where it is
+    /// `None` — read throughput when reads were not measured — is skipped),
+    /// and the label is the substrate's followed by `label_suffix`
+    /// (`" p99"`, or `""` for a figure with one series per substrate).
+    pub fn vs_age(
+        result: &AgingResult,
+        label_suffix: &str,
+        pick: impl Fn(&AgePoint) -> Option<f64>,
+    ) -> Self {
         Series {
-            label: result.kind.label().to_string(),
+            label: format!("{}{label_suffix}", result.kind.label()),
             points: result
                 .points
                 .iter()
-                .map(|p| (p.storage_age, p.fragments_per_object))
-                .collect(),
-        }
-    }
-
-    /// Builds the write-throughput series of an aging run (Figure 4).
-    pub fn write_throughput_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: result.kind.label().to_string(),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, p.write_throughput_mb_s))
-                .collect(),
-        }
-    }
-
-    /// Builds the median client-observed latency series of an aging run.
-    pub fn latency_p50_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: format!("{} p50", result.kind.label()),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, p.latency_p50_ms))
-                .collect(),
-        }
-    }
-
-    /// Builds the 95th-percentile client-observed latency series of an aging
-    /// run.
-    pub fn latency_p95_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: format!("{} p95", result.kind.label()),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, p.latency_p95_ms))
-                .collect(),
-        }
-    }
-
-    /// Builds the tail-latency (p99) series of an aging run — the axis the
-    /// multi-client load scenarios plot.
-    pub fn latency_p99_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: format!("{} p99", result.kind.label()),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, p.latency_p99_ms))
-                .collect(),
-        }
-    }
-
-    /// Builds the total cumulative background-maintenance-time series of an
-    /// aging run.
-    pub fn background_time_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: result.kind.label().to_string(),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, p.background_time_s))
-                .collect(),
-        }
-    }
-
-    /// Builds the per-task-kind background-maintenance-time series of an
-    /// aging run: one series per kind (checkpoint, ghost cleanup,
-    /// defragmentation), in that order.  The three series sum pointwise to
-    /// [`Series::background_time_vs_age`].
-    pub fn background_by_kind_vs_age(result: &AgingResult) -> Vec<Series> {
-        let label = result.kind.label();
-        let column = |name: &str, pick: fn(&crate::experiment::AgePoint) -> f64| Series {
-            label: format!("{label} {name}"),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, pick(p)))
-                .collect(),
-        };
-        vec![
-            column("checkpoint", |p| p.background_checkpoint_s),
-            column("ghost-cleanup", |p| p.background_ghost_s),
-            column("defrag", |p| p.background_defrag_s),
-        ]
-    }
-
-    /// Builds the mean-queue-depth series of an aging run.
-    pub fn queue_depth_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: result.kind.label().to_string(),
-            points: result
-                .points
-                .iter()
-                .map(|p| (p.storage_age, p.queue_depth_mean))
-                .collect(),
-        }
-    }
-
-    /// Builds the read-throughput series of an aging run (Figure 1), skipping
-    /// checkpoints where reads were not measured.
-    pub fn read_throughput_vs_age(result: &AgingResult) -> Self {
-        Series {
-            label: result.kind.label().to_string(),
-            points: result
-                .points
-                .iter()
-                .filter_map(|p| p.read_throughput_mb_s.map(|r| (p.storage_age, r)))
+                .filter_map(|p| pick(p).map(|y| (p.storage_age, y)))
                 .collect(),
         }
     }
@@ -358,7 +256,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{AgePoint, ExperimentConfig};
+    use crate::experiment::ExperimentConfig;
     use crate::store::StoreKind;
     use crate::workload::SizeDistribution;
 
@@ -408,47 +306,20 @@ mod tests {
     #[test]
     fn series_builders_extract_the_right_columns() {
         let result = fake_result();
-        let fragments = Series::fragments_vs_age(&result);
+        let fragments = Series::vs_age(&result, "", |p| Some(p.fragments_per_object));
         assert_eq!(fragments.label, "Database");
         assert_eq!(fragments.points, vec![(0.0, 1.0), (2.0, 2.5)]);
 
-        let writes = Series::write_throughput_vs_age(&result);
-        assert_eq!(writes.points, vec![(0.0, 17.7), (2.0, 9.0)]);
-
-        let reads = Series::read_throughput_vs_age(&result);
+        let reads = Series::vs_age(&result, "", |p| p.read_throughput_mb_s);
         assert_eq!(
             reads.points,
             vec![(0.0, 8.0)],
             "unmeasured checkpoints are skipped"
         );
 
-        let p50 = Series::latency_p50_vs_age(&result);
-        assert_eq!(p50.label, "Database p50");
-        assert_eq!(p50.points, vec![(0.0, 11.0), (2.0, 17.0)]);
-        let p95 = Series::latency_p95_vs_age(&result);
-        assert_eq!(p95.points, vec![(0.0, 18.0), (2.0, 40.0)]);
-        let p99 = Series::latency_p99_vs_age(&result);
+        let p99 = Series::vs_age(&result, " p99", |p| Some(p.latency_p99_ms));
         assert_eq!(p99.label, "Database p99");
         assert_eq!(p99.points, vec![(0.0, 25.0), (2.0, 55.0)]);
-        let depth = Series::queue_depth_vs_age(&result);
-        assert_eq!(depth.points, vec![(0.0, 1.0), (2.0, 3.5)]);
-
-        let background = Series::background_time_vs_age(&result);
-        assert_eq!(background.points, vec![(0.0, 0.0), (2.0, 0.5)]);
-        let by_kind = Series::background_by_kind_vs_age(&result);
-        assert_eq!(by_kind.len(), 3);
-        assert_eq!(by_kind[0].label, "Database checkpoint");
-        assert_eq!(by_kind[1].label, "Database ghost-cleanup");
-        assert_eq!(by_kind[2].label, "Database defrag");
-        assert_eq!(by_kind[0].points, vec![(0.0, 0.0), (2.0, 0.3)]);
-        assert_eq!(by_kind[1].points, vec![(0.0, 0.0), (2.0, 0.15)]);
-        assert_eq!(by_kind[2].points, vec![(0.0, 0.0), (2.0, 0.05)]);
-        // The per-kind series sum pointwise to the total.
-        for (index, &(x, total)) in background.points.iter().enumerate() {
-            let parts: f64 = by_kind.iter().map(|s| s.points[index].1).sum();
-            assert_eq!(by_kind[0].points[index].0, x);
-            assert!((parts - total).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -536,7 +536,7 @@ impl<'a> StoreServer<'a> {
     /// Wraps a store.  If the store was built with a server-driven
     /// [`MaintenanceConfig`], the server takes over the maintenance drive.
     pub fn new(store: &'a mut dyn ObjectStore) -> Self {
-        let maintenance = store.maintenance_config().filter(|c| c.server_driven);
+        let maintenance = store.maintenance_config().filter(|c| c.server_driven());
         StoreServer {
             store,
             now: SimDuration::ZERO,
@@ -890,10 +890,19 @@ impl<'a> StoreServer<'a> {
                     excess: summary.excess_fragments(),
                 }
             });
+            let slice_at = self.free_at();
+            if self.obs.enabled() && matches!(config.policy, MaintenancePolicy::Adaptive { .. }) {
+                // This drive's estimator banked the credit, so this drive
+                // samples it (the store's scheduler never sees it).
+                self.obs.gauge(
+                    "maint.credit_units",
+                    slice_at.as_nanos(),
+                    self.estimator.credit_units(),
+                );
+            }
             if budget_bytes == 0 {
                 continue;
             }
-            let slice_at = self.free_at();
             let io = self.store.maintenance_slice(budget_bytes, slice_at);
             if io.is_none() {
                 continue;
@@ -1331,6 +1340,43 @@ mod tests {
         };
         run_open(&mut server, vec![late]);
         assert_ne!(server.store().maintenance_stats(), before.2);
+    }
+
+    #[test]
+    fn a_server_driven_adaptive_trace_samples_the_credit_it_banked() {
+        use crate::fs_store::FsStoreConfig;
+
+        let mut config = FsStoreConfig::new(128 * MB);
+        config.maintenance = Some(MaintenanceConfig::adaptive(64.0).with_server_drive());
+        let mut store = FsObjectStore::with_config(config).unwrap();
+        let mut server = StoreServer::new(&mut store);
+        let (obs, trace) = Obs::trace(1 << 16);
+        server.set_obs(obs, SimDuration::ZERO);
+        server
+            .run_closed_loop(puts(24, MB), 1, SimDuration::ZERO)
+            .unwrap();
+        // Four clients' safe writes interleave and fragment the volume, so
+        // the server's estimator sees a rate and banks credit.
+        for round in 0..4 {
+            let writes = (0..24)
+                .map(|i| WorkloadOp::SafeWrite {
+                    key: ObjectKey((i * 7 + round) % 24),
+                    size: MB,
+                })
+                .collect();
+            server
+                .run_closed_loop(writes, 4, SimDuration::ZERO)
+                .unwrap();
+        }
+        let stats = server.store().maintenance_stats().unwrap();
+        assert!(stats.background_bytes > 0, "the adaptive budget engaged");
+        let credit = trace.metric_series("maint.credit_units");
+        // One sample per server tick, spending or not.
+        assert_eq!(credit.len() as u64, (24 + 4 * 24) / TICK_EVERY_OPS);
+        assert!(
+            credit.iter().any(|&(_, units)| units > 0.0),
+            "the gauge must read the estimator that banked the credit: {credit:?}"
+        );
     }
 
     #[test]

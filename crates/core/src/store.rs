@@ -218,7 +218,7 @@ pub trait ObjectStore: Send {
 
     /// The maintenance configuration the store was built with, if any.  The
     /// request scheduler reads this to decide whether it owns the
-    /// maintenance drive (`server_driven` configs).
+    /// maintenance drive ([`lor_maint::MaintenanceConfig::server_driven`]).
     fn maintenance_config(&self) -> Option<lor_maint::MaintenanceConfig> {
         None
     }
@@ -393,9 +393,9 @@ impl<S: Substrate> Store<S> {
     /// maintenance work.
     fn after_mutating_op(&mut self, receipt: OpReceipt) -> OpReceipt {
         if let Some(scheduler) = self.scheduler.as_mut() {
-            // Under `server_driven` the request scheduler owns the drive: it
-            // calls `maintenance_slice` and models the overlap itself.
-            if !scheduler.config().server_driven {
+            // Under the server drive the request scheduler owns the drive:
+            // it calls `maintenance_slice` and models the overlap itself.
+            if !scheduler.server_driven() {
                 let mut drive = Drive::new(
                     &mut self.substrate,
                     self.disk.config(),

@@ -65,9 +65,9 @@ pub enum MaintenancePolicy {
     /// fragmentation of [`MaintenancePolicy::FixedBudget`] at a fraction of
     /// the tail latency.
     ///
-    /// This policy requires the queueing-aware request scheduler
-    /// (`lor_core`'s `StoreServer`): the serial store-attached drive has no
-    /// notion of idleness and treats it like [`MaintenancePolicy::Idle`].
+    /// Only the queueing-aware request scheduler (`lor_core`'s
+    /// `StoreServer`) can observe idleness, so this policy implies its drive
+    /// ([`MaintenanceConfig::server_driven`]).
     IdleDetect {
         /// Minimum idle gap (simulated milliseconds) before maintenance may
         /// start.
@@ -178,14 +178,10 @@ impl MaintenancePolicy {
 pub struct MaintenanceConfig {
     /// The latency-vs-throughput policy in effect.
     pub policy: MaintenancePolicy,
-    /// Who drives the scheduler.  `false` (the default) is the store-attached
-    /// serial drive: the store ticks the scheduler after every mutating
-    /// operation and charges all background time to its own foreground clock
-    /// ("all background time stalls the foreground").  `true` hands the drive
-    /// to the queueing-aware request scheduler (`lor_core`'s `StoreServer`):
-    /// background work becomes low-priority disk time that only delays the
-    /// foreground operations it actually overlaps.
-    pub server_driven: bool,
+    /// Set by [`MaintenanceConfig::with_server_drive`]; read through
+    /// [`MaintenanceConfig::server_driven`], which also answers for the
+    /// policies that imply the server drive.
+    server_driven: bool,
 }
 
 impl MaintenanceConfig {
@@ -213,10 +209,9 @@ impl MaintenanceConfig {
     }
 
     /// Maintenance runs only in observed idle gaps of at least `min_idle_ms`
-    /// simulated milliseconds (server-driven by construction, since only the
-    /// request scheduler can observe idleness).
+    /// simulated milliseconds.
     pub fn idle_detect(min_idle_ms: f64) -> Self {
-        MaintenanceConfig::new(MaintenancePolicy::IdleDetect { min_idle_ms }).with_server_drive()
+        MaintenanceConfig::new(MaintenancePolicy::IdleDetect { min_idle_ms })
     }
 
     /// Rate-adaptive budgeting: `gain` background I/O units per tick per
@@ -227,14 +222,12 @@ impl MaintenanceConfig {
     }
 
     /// Substrate-aware idle-gap filling with ghost release deferred by
-    /// `defer_ghost_ms` of simulated time (server-driven by construction,
-    /// like [`MaintenanceConfig::idle_detect`]).
+    /// `defer_ghost_ms` of simulated time.
     pub fn substrate_aware(min_idle_ms: f64, defer_ghost_ms: f64) -> Self {
         MaintenanceConfig::new(MaintenancePolicy::SubstrateAware {
             min_idle_ms,
             defer_ghost_ms,
         })
-        .with_server_drive()
     }
 
     /// Hands the scheduler drive to the queueing-aware request scheduler
@@ -242,6 +235,24 @@ impl MaintenanceConfig {
     pub fn with_server_drive(mut self) -> Self {
         self.server_driven = true;
         self
+    }
+
+    /// Who drives the scheduler.  `false` is the store-attached serial
+    /// drive: the store ticks the scheduler after every mutating operation
+    /// and charges all background time to its own foreground clock ("all
+    /// background time stalls the foreground").  `true` hands the drive to
+    /// the queueing-aware request scheduler (`lor_core`'s `StoreServer`):
+    /// background work becomes low-priority disk time that only delays the
+    /// foreground operations it actually overlaps.  The gap-filling policies
+    /// ([`MaintenancePolicy::IdleDetect`], [`MaintenancePolicy::SubstrateAware`])
+    /// are server-driven whatever was asked, since only the request
+    /// scheduler can observe an idle gap.
+    pub fn server_driven(&self) -> bool {
+        self.server_driven
+            || matches!(
+                self.policy,
+                MaintenancePolicy::IdleDetect { .. } | MaintenancePolicy::SubstrateAware { .. }
+            )
     }
 
     /// The background byte budget one tick grants under this configuration's
@@ -311,9 +322,6 @@ impl MaintenanceConfig {
             if !min_idle_ms.is_finite() || min_idle_ms <= 0.0 {
                 return Err("idle-detect gap must be finite and positive");
             }
-            if !self.server_driven {
-                return Err("idle-detect requires the server-driven scheduler drive");
-            }
         }
         if let MaintenancePolicy::Adaptive { gain } = self.policy {
             if !gain.is_finite() || gain <= 0.0 {
@@ -332,9 +340,6 @@ impl MaintenanceConfig {
             // exactly the eager-cleanup pathology the policy exists to break.
             if !defer_ghost_ms.is_finite() || defer_ghost_ms <= 0.0 {
                 return Err("substrate-aware ghost deferral must be finite and positive");
-            }
-            if !self.server_driven {
-                return Err("substrate-aware requires the server-driven scheduler drive");
             }
         }
         Ok(())
@@ -384,8 +389,8 @@ mod tests {
         };
         assert_eq!(aware.name(), "substrate-aware");
         assert!(aware.label().contains("defer 1200 ms"));
-        assert!(MaintenanceConfig::substrate_aware(5.0, 1200.0).server_driven);
-        assert!(!MaintenanceConfig::adaptive(256.0).server_driven);
+        assert!(MaintenanceConfig::substrate_aware(5.0, 1200.0).server_driven());
+        assert!(!MaintenanceConfig::adaptive(256.0).server_driven());
     }
 
     #[test]
@@ -400,10 +405,6 @@ mod tests {
         // A zero gap would fill every inter-request instant with maintenance.
         assert!(MaintenanceConfig::idle_detect(0.0).validate().is_err());
         assert!(MaintenanceConfig::idle_detect(5.0).validate().is_ok());
-        // Idle detection is meaningless without the request scheduler.
-        let mut config = MaintenanceConfig::idle_detect(5.0);
-        config.server_driven = false;
-        assert!(config.validate().is_err());
     }
 
     #[test]
@@ -445,10 +446,6 @@ mod tests {
         assert!(MaintenanceConfig::substrate_aware(5.0, 800.0)
             .validate()
             .is_ok());
-        // Gap filling is meaningless without the request scheduler.
-        let mut config = MaintenanceConfig::substrate_aware(5.0, 800.0);
-        config.server_driven = false;
-        assert!(config.validate().is_err());
     }
 
     /// A fragmentation observation of a synthetic 100-object store.
@@ -498,14 +495,16 @@ mod tests {
     #[test]
     fn idle_detect_is_server_driven_and_labelled() {
         let config = MaintenanceConfig::idle_detect(2.5);
-        assert!(config.server_driven);
+        assert!(config.server_driven());
         assert_eq!(config.policy.name(), "idle-detect");
         assert!(config.policy.label().contains("2.5"));
-        assert!(!MaintenanceConfig::idle().server_driven);
-        assert!(
-            MaintenanceConfig::fixed_budget(4)
-                .with_server_drive()
-                .server_driven
-        );
+        assert!(!MaintenanceConfig::idle().server_driven());
+        assert!(MaintenanceConfig::fixed_budget(4)
+            .with_server_drive()
+            .server_driven());
+        // The drive follows the policy, however the config was put together.
+        let mut config = MaintenanceConfig::fixed_budget(4);
+        config.policy = MaintenancePolicy::IdleDetect { min_idle_ms: 2.5 };
+        assert!(config.server_driven());
     }
 }

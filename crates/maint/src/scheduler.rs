@@ -82,12 +82,14 @@ impl MaintenanceStats {
 /// maintenance I/O is in flight waits for it.
 pub struct MaintenanceScheduler {
     config: MaintenanceConfig,
+    /// [`MaintenanceConfig::server_driven`], resolved once at construction.
+    server_driven: bool,
     clock: SimClock,
     ops_since_tick: u64,
-    tick: u64,
     stats: MaintenanceStats,
     /// Fragmentation-rate estimator feeding the `Adaptive` policy's budget
-    /// (observes once per tick; unused by the other policies).
+    /// under the store-attached drive (observes once per tick; unused by the
+    /// other policies and by the server drive, which keeps its own).
     estimator: FragRateEstimator,
     /// Backlog-age hysteresis for the `SubstrateAware` policy's deferred
     /// ghost release on eager-reuse substrates.
@@ -105,7 +107,6 @@ impl std::fmt::Debug for MaintenanceScheduler {
             .field("config", &self.config)
             .field("clock", &self.clock)
             .field("ops_since_tick", &self.ops_since_tick)
-            .field("tick", &self.tick)
             .field("stats", &self.stats)
             .finish()
     }
@@ -117,19 +118,20 @@ impl MaintenanceScheduler {
     pub fn new(config: MaintenanceConfig) -> Self {
         MaintenanceScheduler {
             estimator: FragRateEstimator::new(FRAG_WINDOW_TICKS),
+            server_driven: config.server_driven(),
             config,
             clock: SimClock::new(),
             ops_since_tick: 0,
-            tick: 0,
             stats: MaintenanceStats::default(),
             ghost_clock: GhostBacklogClock::new(),
             obs: Obs::null(),
         }
     }
 
-    /// Attaches an observability handle.  Each tick emits budget/credit
-    /// gauges and each task run emits a span; tracing never changes what
-    /// the queue does.
+    /// Attaches an observability handle.  Each queue run emits a budget
+    /// gauge, each `Adaptive` tick of the store-attached drive a credit
+    /// gauge, and each task run a span; tracing never changes what the queue
+    /// does.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -137,6 +139,13 @@ impl MaintenanceScheduler {
     /// The configuration in effect.
     pub fn config(&self) -> &MaintenanceConfig {
         &self.config
+    }
+
+    /// Whether the request scheduler owns the drive (it then calls
+    /// [`MaintenanceScheduler::run_budgeted_slice`]; the store-attached drive
+    /// calls [`MaintenanceScheduler::on_foreground_op`]).
+    pub fn server_driven(&self) -> bool {
+        self.server_driven
     }
 
     /// Accumulated statistics.
@@ -172,7 +181,6 @@ impl MaintenanceScheduler {
     /// Runs one tick: asks the policy for a budget and spends it on the
     /// queue.  Returns the background time consumed.
     fn run_tick(&mut self, target: &mut dyn MaintTarget) -> SimDuration {
-        self.tick += 1;
         self.stats.ticks += 1;
 
         // The policy-to-budget mapping is shared with the request
@@ -187,6 +195,13 @@ impl MaintenanceScheduler {
                 per_object: target.fragments_per_object(),
                 excess: target.excess_fragments(),
             });
+        if self.obs.enabled() && matches!(self.config.policy, MaintenancePolicy::Adaptive { .. }) {
+            // Every tick, spending or not, from the estimator that banked
+            // the credit (the server drive samples its own).
+            let at = self.clock.now().as_nanos();
+            self.obs
+                .gauge("maint.credit_units", at, self.estimator.credit_units());
+        }
         if budget_bytes == 0 {
             return SimDuration::ZERO;
         }
@@ -208,7 +223,6 @@ impl MaintenanceScheduler {
         budget_bytes: u64,
         now: SimDuration,
     ) -> MaintIo {
-        self.tick += 1;
         self.stats.ticks += 1;
         self.clock.advance(now.saturating_sub(self.clock.now()));
         if budget_bytes == 0 {
@@ -249,12 +263,11 @@ impl MaintenanceScheduler {
             let at = self.clock.now().as_nanos();
             self.obs
                 .gauge("maint.budget_bytes", at, budget_bytes as f64);
-            self.obs
-                .gauge("maint.credit_units", at, self.estimator.credit_units());
             self.obs.counter("maint.ticks", at, self.stats.ticks as f64);
         }
-        let checkpoint_due = self.tick.is_multiple_of(CHECKPOINT_EVERY_TICKS);
-        let cleanup_due = ghost_allowed && self.tick.is_multiple_of(GHOST_CLEANUP_EVERY_TICKS);
+        let checkpoint_due = self.stats.ticks.is_multiple_of(CHECKPOINT_EVERY_TICKS);
+        let cleanup_due =
+            ghost_allowed && self.stats.ticks.is_multiple_of(GHOST_CLEANUP_EVERY_TICKS);
         for kind in QUEUE {
             if budget_bytes == 0 {
                 break;

@@ -7,8 +7,7 @@
 //! overlaps an open span on its track must be fully contained in it).
 //!
 //! The event extraction is deliberately line-based — the exporter emits
-//! one event per line — in the same spirit as the `perf` binary's
-//! baseline scanner: this crate owns both the writer and the reader, so
+//! one event per line: this crate owns both the writer and the reader, so
 //! a full JSON data model would be dead weight.  The *syntax* check, by
 //! contrast, is a real recursive-descent pass over the whole document,
 //! because "loads in Perfetto" is the property we actually promise.
