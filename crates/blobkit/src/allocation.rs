@@ -46,6 +46,14 @@
 //! free set alone), which `tests/differential.rs` pins against a
 //! page-at-a-time reference model.
 //!
+//! The streaming allocator ([`AllocationUnit::allocate_pages`]) asks the
+//! page map only questions that can have an answer.  A take that came up
+//! short of what was asked ended because the free run did, so the page after
+//! it is not free in the unit map: continuing the run there can only mean
+//! growing into an unassigned extent, which is one test of the IAM bitmap —
+//! not a search of the map that cannot hit (on an aged store nearly half of
+//! all probes were of that kind).
+//!
 //! Where a run must be *chosen* (a fresh extent from the GAM, the start of a
 //! new page run inside the unit) the choice is delegated to the shared
 //! [`FitPolicy`] implementation, selected through [`AllocationPolicy`]: the
@@ -390,8 +398,13 @@ impl AllocationUnit {
         let mut next: Option<PageId> = None;
         while remaining > 0 {
             let taken = next
-                // 1. Try to continue the current run.
-                .and_then(|page| self.take_run_at(gam, page, remaining))
+                // 1. Try to continue the current run.  The take before came
+                //    up short of what was asked, so the free run it drew
+                //    from ended at `next`: that page is not free in the unit
+                //    map, and probing the map for it would be a search that
+                //    cannot hit.  What is left is an unassigned extent to
+                //    grow into.
+                .and_then(|page| self.adopt_and_take_at(gam, page, remaining))
                 // 2. Start a new run.  Free pages inside already-assigned
                 //    extents are consumed before any fresh extent is
                 //    assigned (the engine does not waste partially used
@@ -608,24 +621,37 @@ impl AllocationUnit {
     /// exactly the state `n` single-page takes of consecutive pages, each
     /// adopting its own extent, would.
     fn take_run_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> Option<Extent> {
-        let taken = match self.map.take_at(page.0, max_len) {
-            Some(taken) => taken,
-            None => {
-                let extent = page.extent();
-                if self.extents.contains(extent.0) {
-                    return None;
-                }
-                let unassigned = gam.free_space().run_at(extent.0)?;
-                let wanted = (page.slot_in_extent() + max_len).div_ceil(PAGES_PER_EXTENT);
-                let adopted = Extent::new(extent.0, wanted.min(unassigned.end() - extent.0));
-                let assigned = gam.assign_run(adopted);
-                debug_assert!(assigned, "extents of a free GAM run are assignable");
-                self.adopt_run(adopted);
-                self.map
-                    .take_at(page.0, max_len)
-                    .expect("pages of a just-adopted extent are free")
+        match self.map.take_at(page.0, max_len) {
+            Some(taken) => {
+                self.picker.advance(taken);
+                Some(taken)
             }
-        };
+            None => self.adopt_and_take_at(gam, page, max_len),
+        }
+    }
+
+    /// [`AllocationUnit::take_run_at`] for a `page` known not to be free in
+    /// the unit map: the take succeeds only by adopting the page's extent,
+    /// so an extent the unit already owns (one bit) settles it.
+    fn adopt_and_take_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> Option<Extent> {
+        debug_assert!(
+            !self.map.is_free(Extent::new(page.0, 1)),
+            "{page} is free in the unit map"
+        );
+        let extent = page.extent();
+        if self.extents.contains(extent.0) {
+            return None;
+        }
+        let unassigned = gam.free_space().run_at(extent.0)?;
+        let wanted = (page.slot_in_extent() + max_len).div_ceil(PAGES_PER_EXTENT);
+        let adopted = Extent::new(extent.0, wanted.min(unassigned.end() - extent.0));
+        let assigned = gam.assign_run(adopted);
+        debug_assert!(assigned, "extents of a free GAM run are assignable");
+        self.adopt_run(adopted);
+        let taken = self
+            .map
+            .take_at(page.0, max_len)
+            .expect("pages of a just-adopted extent are free");
         self.picker.advance(taken);
         Some(taken)
     }

@@ -40,6 +40,13 @@ pub struct BlobRecord {
     pub size_bytes: u64,
     /// Leaf pages in logical order, as maximal physical runs.
     layout: PageRuns,
+    /// The fragment count the engine's compaction-candidate index holds
+    /// this record under (0 or 1: it holds no entry).  Behind the layout's
+    /// own count while the record is `stale`.
+    pub(crate) indexed: u64,
+    /// `true` while the record's id sits on the engine's stale list, waiting
+    /// for a compactor to bring `indexed` up to date.
+    pub(crate) stale: bool,
 }
 
 impl BlobRecord {
@@ -50,6 +57,8 @@ impl BlobRecord {
             key: key.into(),
             size_bytes,
             layout: PageRuns::new(),
+            indexed: 0,
+            stale: false,
         };
         record.replace_layout(layout);
         record

@@ -25,10 +25,10 @@
 //! Below its key-value API the engine moves **page runs**, never single
 //! pages.  A version streams in as write-request-sized allocations that
 //! append runs to its [`PageRuns`] layout; committing it swaps the layout
-//! into the record and pushes the old layout's runs onto the ghost backlog
-//! (a max-heap of runs by start page); a cleanup pass pops runs off the
-//! backlog and hands each to [`AllocationUnit::free_run`]; a failed batch
-//! hands its in-flight layouts straight back the same way.  Fragment counts,
+//! into the record and appends the old layout's runs to the ghost backlog; a
+//! cleanup pass takes runs off the backlog and hands each to
+//! [`AllocationUnit::free_run`]; a failed batch hands its in-flight layouts
+//! straight back the same way.  Fragment counts,
 //! receipts and read plans are read off the runs (`fragment_count` is the
 //! number of runs), so nothing on the foreground path scans a page list.
 //! Work per replaced object is therefore proportional to its *fragments*
@@ -37,14 +37,52 @@
 //! the free maps (`lor-alloc`'s `RunIndexMap`: one offset-ordered run list
 //! with a max-size summary).
 //!
+//! ## The update path touches each index once, and only those it needs
+//!
+//! A replacement looks its key up in a hashed map (nothing observable
+//! iterates the keys; the rebuild, which copies in key order, sorts them on
+//! demand), probes the record map once, and updates the two O(1) trackers.
+//! Two structures exist for readers the foreground never is, and are paid
+//! for by those readers:
+//!
+//! * the **compaction-candidate index** is read by
+//!   [`Database::compact_step`] alone, so a write only flags its record
+//!   `stale` and notes the id on a list — once, however many versions
+//!   follow — and the compactor re-indexes the noted records before it reads
+//!   (`Database::flush_stale_candidates`).  The work is at most the eager
+//!   version's on every schedule and zero on a store that never compacts;
+//! * the **ghost backlog's order** is read by a *budgeted* cleanup pass
+//!   alone (it releases the highest pages first), so ghosting appends to an
+//!   unordered list and only a budgeted pass moves that list into the heap
+//!   it pops from.  (A flat list re-sorted per budgeted pass is cheaper
+//!   still on a store that never runs one and halves the throughput of one
+//!   that holds a long backlog across many — EXPERIMENTS.md, "Host cost of
+//!   the BLOB update path".)
+//!
+//! An item of a batch leaves the round-robin rotation when its version is
+//! complete.
+//!
 //! All of this is host-time engineering: layouts, statistics and free maps
 //! are bit-identical to the page-at-a-time procedure, which survives as the
 //! test-only reference model in `tests/reference/` and is compared
 //! operation by operation in `tests/differential.rs`.  Structural invariants
 //! are checkable on the type itself ([`Database::verify`]); debug builds
 //! check them after every maintenance step.
+//!
+//! ## Panics
+//!
+//! The engine returns [`DbError`] for everything a caller can cause (unknown
+//! or duplicate key, out of space, bad configuration).  What is left are
+//! lookups of a record by an id the engine itself stored — four `expect`s
+//! and two index expressions, in `get`, `commit_replacement`, `delete`,
+//! `rebuild_into_new_filegroup` and `compact_step` — each commented with the
+//! [`Database::verify`] clause that makes it unreachable (the key map and
+//! the flushed candidate index name live records only), and `debug_verify`,
+//! which panics in debug builds naming the clause a step broke.
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use lor_alloc::{
     AllocationPolicy, BandOccupancy, CountMultiset, Extent, FragmentationTracker, FreeSpace,
@@ -200,25 +238,33 @@ pub struct CompactReport {
 
 /// The ghost backlog: pages of deleted or replaced versions that exist but
 /// are not reusable until a cleanup pass frees them, kept as a set of
-/// disjoint page runs in a max-heap ordered by start page.
+/// disjoint page runs.
 ///
 /// A version is ghosted and later freed as the handful of runs it is laid
-/// out in, so the backlog costs one heap operation per *run*, not per page.
-/// The heap's top is the run holding the highest pages — what a budgeted
-/// tail-first pass releases; a full pass needs no order at all (freeing a
-/// set of pages ends in the same state whatever the order) and just drains
-/// the heap.  A page can never be ghosted twice before cleanup frees it, so
-/// runs never overlap ([`Database::verify`] checks).  Runs that happen to
-/// touch are not merged: the free map coalesces them on release anyway.
+/// out in, so the backlog costs one append per *run*, not per page.  Only a
+/// budgeted tail-first pass reads an order — it releases the runs holding
+/// the highest pages — so runs are ordered only for one: ghosting appends to
+/// the unordered `fresh` list, and [`GhostBacklog::pop_highest`] first moves
+/// that list into the max-heap by start page that it then pops.  A full
+/// pass needs no order at all (freeing a set of pages ends in the same
+/// state whatever the order) and drains both.  The heap is what makes a
+/// budgeted pass over a long-held backlog cheap: re-sorting one flat list
+/// per pass halves `serve_db`'s throughput (EXPERIMENTS.md).  A page can
+/// never be ghosted twice before cleanup frees it, so runs never overlap
+/// ([`Database::verify`] checks).  Runs that happen to touch are not
+/// merged: the free map coalesces them on release anyway.
 #[derive(Debug, Clone, Default)]
 struct GhostBacklog {
-    runs: BinaryHeap<Extent>,
+    /// Runs a budgeted pass has already ordered, highest start on top.
+    heap: BinaryHeap<Extent>,
+    /// Runs ghosted since the last budgeted pass, in no order.
+    fresh: Vec<Extent>,
     pages: u64,
 }
 
 impl GhostBacklog {
     fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.pages == 0
     }
 
     fn page_count(&self) -> u64 {
@@ -227,29 +273,47 @@ impl GhostBacklog {
 
     /// Adds every run of a dead version's layout.
     fn extend(&mut self, layout: &PageRuns) {
-        self.runs.extend(layout.runs());
+        self.fresh.extend_from_slice(layout.runs());
         self.pages += layout.page_count();
     }
 
     /// Removes and returns the highest `max_pages` pages of the highest run
     /// (the whole run when it is no longer than that).
     fn pop_highest(&mut self, max_pages: u64) -> Option<Extent> {
-        let run = self.runs.pop()?;
+        self.heap.extend(self.fresh.drain(..));
+        let run = self.heap.pop()?;
         let popped = if run.len <= max_pages {
             run
         } else {
-            self.runs.push(Extent::new(run.start, run.len - max_pages));
+            self.heap.push(Extent::new(run.start, run.len - max_pages));
             Extent::new(run.end() - max_pages, max_pages)
         };
         self.pages -= popped.len;
         Some(popped)
     }
 
+    /// Empties the backlog, yielding its runs in no particular order and
+    /// keeping both buffers for the next version ghosted.
+    fn drain(&mut self) -> impl Iterator<Item = Extent> + '_ {
+        self.pages = 0;
+        self.heap.drain().chain(self.fresh.drain(..))
+    }
+
     /// The backlog's runs, in no particular order.
     fn runs(&self) -> impl Iterator<Item = Extent> + '_ {
-        self.runs.iter().copied()
+        self.heap.iter().chain(&self.fresh).copied()
     }
 }
+
+/// The compactor's candidate index: `(fragment count, id)` of every blob it
+/// has been told has more than one fragment, ordered so that iterating in
+/// reverse yields fragment count descending, id ascending.
+type CandidateIndex = BTreeSet<(u64, std::cmp::Reverse<BlobId>)>;
+
+/// Ids of deleted records the stale list may carry beyond twice the object
+/// count before [`Database::delete`] purges them, so a small store does not
+/// purge on every delete.
+const STALE_SLACK: usize = 64;
 
 /// The BLOB storage engine.
 #[derive(Debug, Clone)]
@@ -259,7 +323,12 @@ pub struct Database {
     lob_unit: AllocationUnit,
     row_unit: AllocationUnit,
     blobs: BTreeMap<BlobId, BlobRecord>,
-    keys: BTreeMap<String, BlobId>,
+    /// Key → id of every live object.  Hashed with a fixed state: nothing
+    /// observable iterates it (listings walk `blobs`, in id order; the
+    /// rebuild, which copies in key order, sorts on demand), so runs stay
+    /// deterministic, and keys come from the simulation's own workloads,
+    /// never from an adversary.
+    keys: HashMap<String, BlobId, BuildHasherDefault<DefaultHasher>>,
     next_id: u64,
     /// Pages of deleted/replaced BLOB versions awaiting ghost cleanup.
     ghosts: GhostBacklog,
@@ -280,12 +349,21 @@ pub struct Database {
     /// live allocation) is an O(1) max query instead of a full scan per
     /// compaction step.
     page_tracker: CountMultiset,
-    /// Every blob with more than one fragment, ordered so that iterating in
-    /// reverse yields fragment count descending, id ascending — the exact
-    /// order the compactor's old sort-the-world scan produced.  Maintained at
-    /// the same sites as `frag_tracker`, so [`Database::compact_step`] pays
-    /// O(candidates) instead of re-walking every page of every blob per tick.
-    compact_candidates: BTreeSet<(u64, std::cmp::Reverse<BlobId>)>,
+    /// Every blob with more than one fragment *as of the last flush*: the
+    /// entry `(record.indexed, id)` of every record with `indexed > 1`.
+    /// Reverse iteration is the exact order the compactor's old
+    /// sort-the-world scan produced, so [`Database::compact_step`] pays
+    /// O(candidates) instead of re-walking every page of every blob per
+    /// tick.  Only a compactor reads it, so only a compactor pays to keep it
+    /// current: inserts and updates mark the record `stale` and note its id
+    /// on `stale_ids`; [`Database::flush_stale_candidates`] re-indexes the
+    /// noted records before the set is read.
+    compact_candidates: CandidateIndex,
+    /// The id of every `stale` record, once each, plus ids deleted since
+    /// they were noted (a flush skips those; [`Database::delete`] purges
+    /// them before they outnumber the live objects two to one).  Without
+    /// deletes the list is never longer than the object count.
+    stale_ids: Vec<BlobId>,
 }
 
 impl Database {
@@ -312,7 +390,7 @@ impl Database {
                 config.placement,
             ),
             blobs: BTreeMap::new(),
-            keys: BTreeMap::new(),
+            keys: HashMap::default(),
             next_id: 1,
             ghosts: GhostBacklog::default(),
             in_flight_pages: 0,
@@ -322,6 +400,7 @@ impl Database {
             frag_tracker: FragmentationTracker::new(),
             page_tracker: CountMultiset::new(),
             compact_candidates: BTreeSet::new(),
+            stale_ids: Vec::new(),
             config,
         })
     }
@@ -367,6 +446,7 @@ impl Database {
             .keys
             .get(key)
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
+        // `verify`: as in `commit_replacement`.
         Ok(&self.blobs[id])
     }
 
@@ -432,10 +512,10 @@ impl Database {
         self.in_flight_pages -= layout.page_count();
         self.frag_tracker.record_insert(fragments);
         self.page_tracker.insert(layout.page_count());
-        self.reindex_candidate(id, 0, fragments);
         self.keys.insert(key.to_string(), id);
-        self.blobs
-            .insert(id, BlobRecord::new(id, key, size_bytes, layout));
+        let mut record = BlobRecord::new(id, key, size_bytes, layout);
+        Self::mark_stale(&mut record, &mut self.stale_ids);
+        self.blobs.insert(id, record);
         self.insert_metadata_row()?;
         self.stats.inserts += 1;
         self.stats.bytes_written += size_bytes;
@@ -485,38 +565,40 @@ impl Database {
             );
         }
 
-        // Interleave page allocation across the batch.
+        // Interleave page allocation across the batch: one write request's
+        // worth per item per round, in batch order, an item leaving the
+        // rotation when its version is complete.
         let mut layouts: Vec<PageRuns> = vec![PageRuns::new(); items.len()];
         let targets: Vec<u64> = items
             .iter()
             .map(|(_, size)| self.config.pages_for(*size))
             .collect();
-        let mut pending = true;
-        while pending {
-            pending = false;
-            for (layout, &target) in layouts.iter_mut().zip(&targets) {
-                let have = layout.page_count();
-                if have < target {
-                    let want = chunk_pages.min(target - have);
-                    if let Err(err) = self.allocate_lob_pages(want, layout) {
-                        // Abort the whole batch: pages already allocated
-                        // for earlier items belong to no record yet, so
-                        // they must go straight back to the free pool or
-                        // the data file would leak them permanently.
-                        for layout in &layouts {
-                            self.lob_unit.free_runs(&mut self.gam, layout.runs());
-                        }
-                        let rolled_back: u64 = layouts.iter().map(PageRuns::page_count).sum();
-                        self.stats.pages_allocated -= rolled_back;
-                        self.in_flight_pages -= rolled_back;
-                        self.debug_verify();
-                        return Err(err);
+        let mut pending: Vec<usize> = (0..items.len()).filter(|&item| targets[item] > 0).collect();
+        while !pending.is_empty() {
+            let mut still_pending = 0;
+            for slot in 0..pending.len() {
+                let item = pending[slot];
+                let want = chunk_pages.min(targets[item] - layouts[item].page_count());
+                if let Err(err) = self.allocate_lob_pages(want, &mut layouts[item]) {
+                    // Abort the whole batch: pages already allocated for
+                    // earlier items belong to no record yet, so they must go
+                    // straight back to the free pool or the data file would
+                    // leak them permanently.
+                    for layout in &layouts {
+                        self.lob_unit.free_runs(&mut self.gam, layout.runs());
                     }
-                    if layout.page_count() < target {
-                        pending = true;
-                    }
+                    let rolled_back: u64 = layouts.iter().map(PageRuns::page_count).sum();
+                    self.stats.pages_allocated -= rolled_back;
+                    self.in_flight_pages -= rolled_back;
+                    self.debug_verify();
+                    return Err(err);
+                }
+                if layouts[item].page_count() < targets[item] {
+                    pending[still_pending] = item;
+                    still_pending += 1;
                 }
             }
+            pending.truncate(still_pending);
         }
 
         // Commit: swap layouts, ghost old versions.
@@ -540,18 +622,19 @@ impl Database {
         let new_fragments = layout.fragment_count() as u64;
         let new_pages = layout.page_count();
         self.in_flight_pages -= new_pages;
+        // `verify`: every id in the key map names a record ("does not map
+        // back" / "keys, rows, blobs"), and ids are never reused.
         let record = self
             .blobs
             .get_mut(&id)
             .expect("key map and blob map are consistent");
         let old_layout = record.replace_layout(layout);
         let old_size = std::mem::replace(&mut record.size_bytes, size_bytes);
-        let old_fragments = old_layout.fragment_count() as u64;
+        Self::mark_stale(record, &mut self.stale_ids);
         self.frag_tracker
-            .record_replace(old_fragments, new_fragments);
+            .record_replace(old_layout.fragment_count() as u64, new_fragments);
         self.page_tracker
             .replace(old_layout.page_count(), new_pages);
-        self.reindex_candidate(id, old_fragments, new_fragments);
         self.ghosts.extend(&old_layout);
         self.stats.updates += 1;
         self.stats.bytes_written += size_bytes;
@@ -567,14 +650,20 @@ impl Database {
             .keys
             .remove(key)
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
-        let record = self
+        // `verify`: as in `commit_replacement`.
+        let mut record = self
             .blobs
             .remove(&id)
             .expect("key map and blob map are consistent");
-        let fragments = record.fragment_count() as u64;
-        self.frag_tracker.record_remove(fragments);
+        self.frag_tracker
+            .record_remove(record.fragment_count() as u64);
         self.page_tracker.remove(record.page_count());
-        self.reindex_candidate(id, fragments, 0);
+        // The entry goes now; if the record was stale its id stays on the
+        // list, naming nothing, until a flush or the purge below drops it.
+        Self::index_under(&mut self.compact_candidates, &mut record, 0);
+        if self.stale_ids.len() > 2 * self.blobs.len() + STALE_SLACK {
+            self.stale_ids.retain(|id| self.blobs.contains_key(id));
+        }
         self.ghosts.extend(record.layout());
         self.row_count -= 1;
         self.stats.deletes += 1;
@@ -633,7 +722,7 @@ impl Database {
                 left -= run.len;
             }
         } else {
-            for run in std::mem::take(&mut self.ghosts).runs() {
+            for run in self.ghosts.drain() {
                 self.lob_unit.free_run(&mut self.gam, run);
             }
         }
@@ -657,18 +746,45 @@ impl Database {
         self.frag_tracker.summary()
     }
 
-    /// Keeps the compactor's candidate index in sync with a blob's fragment
-    /// count.  Pass `old_fragments == 0` for a brand-new blob and
-    /// `new_fragments == 0` for a removed one; only blobs with more than one
-    /// fragment are candidates.
-    fn reindex_candidate(&mut self, id: BlobId, old_fragments: u64, new_fragments: u64) {
-        if old_fragments > 1 {
-            self.compact_candidates
-                .remove(&(old_fragments, std::cmp::Reverse(id)));
+    /// Notes that `record`'s layout changed under the candidate index: the
+    /// foreground half of the deferred index, one flag test and at most one
+    /// push however often the record is replaced between two flushes.
+    fn mark_stale(record: &mut BlobRecord, stale_ids: &mut Vec<BlobId>) {
+        if !record.stale {
+            record.stale = true;
+            stale_ids.push(record.id);
         }
-        if new_fragments > 1 {
-            self.compact_candidates
-                .insert((new_fragments, std::cmp::Reverse(id)));
+    }
+
+    /// Moves `record`'s entry in the candidate index to where a blob of
+    /// `fragments` fragments belongs (nowhere, unless it has more than one).
+    fn index_under(candidates: &mut CandidateIndex, record: &mut BlobRecord, fragments: u64) {
+        if record.indexed == fragments {
+            return;
+        }
+        if record.indexed > 1 {
+            candidates.remove(&(record.indexed, std::cmp::Reverse(record.id)));
+        }
+        if fragments > 1 {
+            candidates.insert((fragments, std::cmp::Reverse(record.id)));
+        }
+        record.indexed = fragments;
+    }
+
+    /// Brings the candidate index up to date: re-indexes every record noted
+    /// on the stale list under its current fragment count (at most one
+    /// remove and one insert each, however many versions it went through)
+    /// and empties the list, keeping its buffer.  Everything that reads
+    /// `compact_candidates` calls this first.
+    fn flush_stale_candidates(&mut self) {
+        for id in self.stale_ids.drain(..) {
+            // Deleted since it was noted: `delete` took its entry along.
+            let Some(record) = self.blobs.get_mut(&id) else {
+                continue;
+            };
+            record.stale = false;
+            let fragments = record.fragment_count() as u64;
+            Self::index_under(&mut self.compact_candidates, record, fragments);
         }
     }
 
@@ -739,10 +855,18 @@ impl Database {
             new_row.allocate_pages_high(&mut new_gam, row_pages_needed)?;
         }
 
+        self.flush_stale_candidates();
         let mut copied = 0u64;
-        // Copy in key order (a clustered-index scan of the old table).
-        let ordered: Vec<BlobId> = self.keys.values().copied().collect();
-        for id in ordered {
+        // Copy in key order (a clustered-index scan of the old table): the
+        // one reader of that order, so the one place that pays for it.
+        let mut ordered: Vec<(&str, BlobId)> = self
+            .keys
+            .iter()
+            .map(|(key, &id)| (key.as_str(), id))
+            .collect();
+        ordered.sort_unstable();
+        for (_, id) in ordered {
+            // `verify`: as in `commit_replacement`.
             let record = self
                 .blobs
                 .get_mut(&id)
@@ -754,7 +878,7 @@ impl Database {
             copied += record.size_bytes;
             self.frag_tracker
                 .record_replace(old_fragments, new_fragments);
-            self.reindex_candidate(id, old_fragments, new_fragments);
+            Self::index_under(&mut self.compact_candidates, record, new_fragments);
         }
 
         self.gam = new_gam;
@@ -790,10 +914,11 @@ impl Database {
     /// transaction.  At least one candidate is examined per call even when
     /// `page_budget` is smaller than the blob, so compaction never starves.
     pub fn compact_step(&mut self, page_budget: u64) -> CompactReport {
-        // The candidate index is kept sorted incrementally; iterating it in
-        // reverse yields fragment count descending / id ascending, the exact
-        // order the old sort-every-blob scan produced, in O(candidates)
-        // instead of O(objects × pages) per tick.
+        self.flush_stale_candidates();
+        // The flushed candidate index is sorted; iterating it in reverse
+        // yields fragment count descending / id ascending, the exact order
+        // the old sort-every-blob scan produced, in O(candidates) instead of
+        // O(objects × pages) per tick.
         let candidates: Vec<(BlobId, usize)> = self
             .compact_candidates
             .iter()
@@ -822,6 +947,8 @@ impl Database {
             report.blobs_examined += 1;
             report.fragments_before += fragments as u64;
             let (need, size_bytes) = {
+                // `verify`: the flushed index holds entries of live records
+                // only ("candidate index"), and this loop deletes none.
                 let record = &self.blobs[&id];
                 (record.page_count(), record.size_bytes)
             };
@@ -853,6 +980,7 @@ impl Database {
                 report.fragments_after += fragments as u64;
                 continue;
             }
+            // `verify`: as above.
             let record = self
                 .blobs
                 .get_mut(&id)
@@ -860,7 +988,7 @@ impl Database {
             let old_layout = record.replace_layout(new_layout);
             self.frag_tracker
                 .record_replace(fragments as u64, new_fragments as u64);
-            self.reindex_candidate(id, fragments as u64, new_fragments as u64);
+            Self::index_under(&mut self.compact_candidates, record, new_fragments as u64);
             self.lob_unit.free_runs(&mut self.gam, old_layout.runs());
             profile = None;
             self.stats.pages_allocated += need;
@@ -901,9 +1029,10 @@ impl Database {
                 (Some(_), Some(_)) => gam_runs.next(),
                 (Some(_), None) => unit.next(),
                 (None, Some(_)) => gam_runs.next(),
-                (None, None) => break,
+                (None, None) => None,
             };
-            sum += next.expect("peeked iterator yields");
+            let Some(len) = next else { break };
+            sum += len;
             prefix.push(sum);
         }
         prefix
@@ -1036,7 +1165,14 @@ impl Database {
     ///   recomputation of what they cache (`RunIndexMap::verify`);
     /// * **the incremental indexes agree with a rescan** — the fragment
     ///   tracker, the page-count multiset behind the foreground watermark,
-    ///   the compactor's candidate index, the key map and the row count.
+    ///   the key map and the row count;
+    /// * **the deferred candidate index is what its records say** — the set
+    ///   is exactly `{(indexed, id) : indexed > 1}`, a record that is not
+    ///   `stale` is indexed under its true fragment count, and a record is
+    ///   `stale` exactly when its id is on the stale list, once;
+    /// * **the ghost backlog adds up** — its ordered heap and its fresh list
+    ///   together hold the pages it counts (and, being owned runs, are
+    ///   disjoint).
     ///
     /// O(extents + runs · log runs); debug builds run it after every ghost
     /// cleanup, compaction step, rebuild and failed batch.
@@ -1086,11 +1222,13 @@ impl Database {
             ));
         }
 
-        // No page has two owners.
+        // No page has two owners.  The backlog's ordered heap and its fresh
+        // list are disjoint because every owned run is (checked below).
         let backlog: Vec<Extent> = self.ghosts.runs().collect();
         if backlog.iter().map(|run| run.len).sum::<u64>() != ghost_pages {
             return Err(format!(
-                "ghost backlog counts {ghost_pages} pages but its runs hold a different number"
+                "ghost backlog counts {ghost_pages} pages but its heap and fresh list \
+                 hold a different number"
             ));
         }
         let mut owned: Vec<Extent> = backlog;
@@ -1135,11 +1273,23 @@ impl Database {
             ));
         }
         let mut page_counts = CountMultiset::new();
-        let mut candidates = BTreeSet::new();
+        let mut candidates = CandidateIndex::new();
+        let mut stale = BTreeSet::new();
         for record in self.blobs.values() {
             page_counts.insert(record.page_count());
-            if record.fragment_count() > 1 {
-                candidates.insert((record.fragment_count() as u64, std::cmp::Reverse(record.id)));
+            if record.indexed > 1 {
+                candidates.insert((record.indexed, std::cmp::Reverse(record.id)));
+            }
+            if record.stale {
+                stale.insert(record.id);
+            } else if record.indexed != record.fragment_count() as u64 {
+                return Err(format!(
+                    "{}: not stale, yet the candidate index holds it under {} fragments \
+                     and it has {}",
+                    record.id,
+                    record.indexed,
+                    record.fragment_count()
+                ));
             }
             if self.keys.get(&record.key) != Some(&record.id) {
                 return Err(format!(
@@ -1152,7 +1302,24 @@ impl Database {
             return Err("page-count multiset differs from a rescan".to_string());
         }
         if candidates != self.compact_candidates {
-            return Err("compaction candidate index differs from a rescan".to_string());
+            return Err(
+                "compaction candidate index differs from the entries its records name".to_string(),
+            );
+        }
+        // The stale list names every stale record exactly once; whatever
+        // else is on it names no record at all (deleted since it was noted).
+        let mut listed = BTreeSet::new();
+        for id in &self.stale_ids {
+            if self.blobs.contains_key(id) && !listed.insert(*id) {
+                return Err(format!("{id} is on the stale list twice"));
+            }
+        }
+        if listed != stale {
+            return Err(format!(
+                "stale list names {} live records but {} records are flagged stale",
+                listed.len(),
+                stale.len()
+            ));
         }
         if self.keys.len() != self.blobs.len() || self.row_count != self.blobs.len() as u64 {
             return Err(format!(
@@ -1167,6 +1334,10 @@ impl Database {
 
     /// Runs [`Database::verify`] in debug builds, after the steps that move
     /// the most state around.
+    ///
+    /// # Panics
+    /// In debug builds, with the violated clause, if the engine corrupted
+    /// its own state: the tripwire that keeps the `expect`s above honest.
     fn debug_verify(&self) {
         #[cfg(debug_assertions)]
         if let Err(violation) = self.verify() {
@@ -1860,14 +2031,140 @@ mod tests {
         stale.frag_tracker.record_insert(1);
         let violation = stale.verify().unwrap_err();
         assert!(violation.contains("fragment tracker"), "{violation}");
+        // The candidate index is deferred: until a flush it holds nothing of
+        // the aged store and `verify` accepts that.
+        assert!(db.compact_candidates.is_empty());
         let mut stale = db.clone();
+        stale.flush_stale_candidates();
+        assert_eq!(stale.verify(), Ok(()));
+        assert!(stale.stale_ids.is_empty() && !stale.compact_candidates.is_empty());
         stale.compact_candidates.clear();
         let violation = stale.verify().unwrap_err();
         assert!(violation.contains("candidate index"), "{violation}");
+
+        // The deferred index's own state.  A record flagged stale that the
+        // list does not name would never be re-indexed ...
+        let fragmented = db
+            .iter_blobs()
+            .find(|blob| blob.fragment_count() > 1)
+            .map(|blob| blob.id)
+            .expect("fixture must be aged");
+        let mut unlisted = db.clone();
+        unlisted.stale_ids.retain(|&id| id != fragmented);
+        let violation = unlisted.verify().unwrap_err();
+        assert!(violation.contains("stale list names"), "{violation}");
+        // ... one named twice would be, twice ...
+        let mut twice = db.clone();
+        twice.stale_ids.push(fragmented);
+        let violation = twice.verify().unwrap_err();
+        assert!(violation.contains("stale list twice"), "{violation}");
+        // ... and one that lost its flag keeps an index entry that is wrong.
+        let mut unflagged = db.clone();
+        unflagged.blobs.get_mut(&fragmented).unwrap().stale = false;
+        let violation = unflagged.verify().unwrap_err();
+        assert!(violation.contains("not stale"), "{violation}");
+
+        // A ghost run the backlog does not count, in its heap or fresh.
+        let spare = Extent::new(db.config().total_pages() - 1, 1);
+        let mut uncounted = db.clone();
+        uncounted.ghosts.fresh.push(spare);
+        let violation = uncounted.verify().unwrap_err();
+        assert!(violation.contains("heap and fresh list"), "{violation}");
+        let mut uncounted = db.clone();
+        uncounted.ghosts.heap.push(spare);
+        let violation = uncounted.verify().unwrap_err();
+        assert!(violation.contains("heap and fresh list"), "{violation}");
+
         let mut stale = db;
         stale.page_tracker.insert(7);
         let violation = stale.verify().unwrap_err();
         assert!(violation.contains("page-count multiset"), "{violation}");
+    }
+
+    #[test]
+    fn a_store_that_never_compacts_keeps_the_stale_list_within_its_object_count() {
+        let mut db = Database::create(EngineConfig::new(64 * MB)).unwrap();
+        let count = 24;
+        for i in 0..count {
+            db.insert(&format!("obj-{i}"), MB).unwrap();
+        }
+        // Many versions of every object, singly and in batches naming a key
+        // twice: each id is noted once, the first time.
+        for round in 0..12 {
+            for i in (0..count).step_by(3) {
+                let names: Vec<String> = [i, i + 1, i + 2, i]
+                    .iter()
+                    .map(|i| format!("obj-{}", (i * 7 + round) % count))
+                    .collect();
+                let items: Vec<(&str, u64)> = names.iter().map(|n| (n.as_str(), MB)).collect();
+                db.update_batch(&items, 64 * 1024).unwrap();
+                db.update(&names[1], MB).unwrap();
+                assert!(db.stale_ids.len() <= db.object_count());
+            }
+        }
+        assert_eq!(db.stale_ids.len(), count);
+        assert!(db.fragmentation().fragments_per_object > 1.2);
+        assert!(
+            db.compact_candidates.is_empty(),
+            "nobody asked for the candidate index, so nobody paid for it"
+        );
+        assert_eq!(db.verify(), Ok(()));
+
+        // Churn: ids of deleted records stay on the list only until they
+        // would outnumber the live ones two to one.
+        for i in 0..2_000 {
+            let key = format!("churn-{i}");
+            db.insert(&key, 64 * 1024).unwrap();
+            db.delete(&key).unwrap();
+            assert!(db.stale_ids.len() <= 2 * db.object_count() + STALE_SLACK + 1);
+        }
+        assert_eq!(db.verify(), Ok(()));
+
+        // The first compactor to ask gets the index a rescan would build.
+        db.flush_stale_candidates();
+        assert!(db.stale_ids.is_empty());
+        let rescan: CandidateIndex = db
+            .iter_blobs()
+            .filter(|blob| blob.fragment_count() > 1)
+            .map(|blob| (blob.fragment_count() as u64, std::cmp::Reverse(blob.id)))
+            .collect();
+        assert!(!rescan.is_empty());
+        assert_eq!(db.compact_candidates, rescan);
+        assert_eq!(db.verify(), Ok(()));
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_no_record_stale_that_did_not_commit() {
+        let mut config = EngineConfig::new(16 * MB);
+        config.ghost_cleanup_interval_ops = 0;
+        let mut db = Database::create(config).unwrap();
+        db.insert("a", 5 * MB).unwrap();
+        db.insert("b", 5 * MB).unwrap();
+        db.insert("c", MB).unwrap();
+        db.compact_step(0);
+        assert!(db.stale_ids.is_empty());
+
+        // `c` commits on its own; the batch after it dies mid-allocation.
+        db.update("c", MB).unwrap();
+        let err = db
+            .update_batch(&[("a", 5 * MB), ("b", 5 * MB), ("c", MB)], 64 * 1024)
+            .unwrap_err();
+        assert!(matches!(err, DbError::OutOfSpace { .. }));
+        let c = db.get("c").unwrap().id;
+        assert_eq!(db.stale_ids, [c], "only the committed write is noted");
+        for blob in db.iter_blobs() {
+            assert_eq!(blob.stale, blob.id == c, "{}", blob.key);
+        }
+        assert_eq!(db.verify(), Ok(()));
+
+        // The next batch commits, noting nothing twice.
+        let receipts = db
+            .update_batch(&[("c", MB), ("c", 2 * MB)], 64 * 1024)
+            .unwrap();
+        assert_eq!(receipts.len(), 2);
+        assert_eq!(db.stale_ids, [c]);
+        assert_eq!(db.get("c").unwrap().size_bytes, 2 * MB);
+        assert_eq!(db.verify(), Ok(()));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! This is what the engine stored before it went run-native, reduced to the
 //! plainest procedure that defines its behaviour — no run batching, no
-//! incremental indexes, no candidate cache.  `differential.rs` drives it in
-//! lock-step with the real [`lor_blobkit::Database`] and demands identical
-//! layouts, receipts, statistics and free maps after every operation, which
-//! is what "host-time change only" means.
+//! incremental indexes, no candidate cache, an ordered key map.
+//! `differential.rs` drives it in lock-step with the real
+//! [`lor_blobkit::Database`] and demands identical layouts, receipts,
+//! statistics and free maps after every operation, which is what "host-time
+//! change only" means.
 //!
 //! It shares the [`Gam`] type with the engine (through the single-extent
 //! calls only) and the `lor-alloc` mechanism both sit on.
@@ -501,6 +502,35 @@ impl RefDatabase {
         self.ops_since_cleanup = 0;
         self.stats.ghost_cleanups += 1;
         take
+    }
+
+    /// Copies every object, in key order, into a fresh filegroup — the one
+    /// place the engine's behaviour depends on the order of its keys, which
+    /// the ordered key map here supplies for free.
+    pub fn rebuild_into_new_filegroup(&mut self) -> Result<u64, DbError> {
+        let mut gam = Gam::with_placement(
+            self.config.total_extents(),
+            self.config.allocation_policy,
+            self.config.placement,
+        );
+        let mut lob_unit = RefUnit::new(&self.config);
+        let mut row_unit = RefUnit::new(&self.config);
+        let row_pages = self.row_count.div_ceil(self.config.rows_per_page);
+        if row_pages > 0 {
+            row_unit.allocate_pages_high(&mut gam, row_pages)?;
+        }
+        let mut copied = 0;
+        for id in self.keys.values() {
+            let blob = self.blobs.get_mut(id).unwrap();
+            blob.pages = lob_unit.allocate_pages(&mut gam, blob.pages.len() as u64)?;
+            copied += blob.size_bytes;
+        }
+        self.gam = gam;
+        self.lob_unit = lob_unit;
+        self.row_unit = row_unit;
+        self.ghost_pages.clear();
+        self.stats.row_pages = row_pages;
+        Ok(copied)
     }
 
     fn watermark_pages(&self) -> u64 {

@@ -356,7 +356,7 @@ impl<S: Substrate> Store<S> {
             }
         }
         self.charge(disk_time, host_time);
-        let request_fragments = || request.coalesced().fragment_count() as u64;
+        let request_fragments = || request.merged_segments().count() as u64;
         let fragments = match written.fragments {
             WrittenFragments::Counted(fragments) => fragments,
             WrittenFragments::OfRequest => request_fragments(),
@@ -423,7 +423,7 @@ impl<S: Substrate> ObjectStore for Store<S> {
         let plan = self.substrate.read_plan(key)?;
         let request = IoRequest::read_runs(plan.runs);
         let transferred = request.total_bytes();
-        let fragments = request.coalesced().fragment_count() as u64;
+        let fragments = request.merged_segments().count() as u64;
         let disk_time = self.disk.service(&request);
         let host_time = S::read_host_time(&self.cost, plan.units, plan.payload_bytes);
         self.charge(disk_time, host_time);

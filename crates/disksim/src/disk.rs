@@ -180,30 +180,18 @@ impl Disk {
     /// [`Disk::service`].
     ///
     /// Returns `(service, new_head_position, sequential_hit, segment_count)`.
+    /// The segments charged are the request's *merged* ones
+    /// ([`IoRequest::merged_segments`]), so costing a request copies nothing.
     fn compute(&self, request: &IoRequest) -> (ServiceTime, Option<u64>, bool, u64) {
-        let coalesced = request.coalesced();
-        if coalesced.segments.is_empty() {
-            // A zero-byte request still costs the command overhead; this
-            // models metadata-only operations issued through the same path.
-            let service = ServiceTime {
-                overhead: self.config.overhead.per_request,
-                ..ServiceTime::default()
-            };
-            return (service, None, false, 0);
-        }
-
         let mut service = ServiceTime {
             overhead: self.config.overhead.per_request,
-            ..Default::default()
+            ..ServiceTime::default()
         };
-        let extra_segments = (coalesced.segments.len() as u64).saturating_sub(1);
-        service.overhead += self.config.overhead.per_extra_segment * extra_segments;
-
         let mut head = self.head;
         let mut sequential_hit = false;
-        for (index, segment) in coalesced.segments.iter().enumerate() {
-            let is_first = index == 0;
-            let continues_stream = is_first
+        let mut segments = 0u64;
+        for segment in request.merged_segments() {
+            let continues_stream = segments == 0
                 && self.config.sequential_detection
                 && matches!(self.last_transfer, Some((end, kind)) if end == segment.offset && kind == request.kind);
             if continues_stream {
@@ -219,11 +207,16 @@ impl Disk {
                 // away, so charge a full revolution to come back around.
                 service.rotation += self.config.rotation_time();
             }
-            service.transfer += self.transfer_time(segment);
+            service.transfer += self.transfer_time(&segment);
             head = segment.end();
+            segments += 1;
         }
-
-        let segments = coalesced.segments.len() as u64;
+        if segments == 0 {
+            // A zero-byte request still costs the command overhead; this
+            // models metadata-only operations issued through the same path.
+            return (service, None, false, 0);
+        }
+        service.overhead += self.config.overhead.per_extra_segment * (segments - 1);
         (service, Some(head), sequential_hit, segments)
     }
 

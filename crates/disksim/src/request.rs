@@ -121,6 +121,25 @@ impl IoRequest {
         self.segments.iter().filter(|s| !s.is_empty()).count()
     }
 
+    /// The segments the disk sees — what [`IoRequest::coalesced`] lists:
+    /// empty runs dropped, a run that begins where its predecessor ends
+    /// folded into it — formed on the fly, so costing or counting them
+    /// copies nothing.
+    pub fn merged_segments(&self) -> impl Iterator<Item = ByteRun> + '_ {
+        let mut runs = self
+            .segments
+            .iter()
+            .filter(|run| !run.is_empty())
+            .peekable();
+        std::iter::from_fn(move || {
+            let mut segment = *runs.next()?;
+            while let Some(run) = runs.next_if(|run| segment.is_followed_by(run)) {
+                segment.len += run.len;
+            }
+            Some(segment)
+        })
+    }
+
     /// `true` if the request transfers no bytes.
     pub fn is_empty(&self) -> bool {
         self.total_bytes() == 0
@@ -191,6 +210,7 @@ mod tests {
         );
         assert_eq!(merged.total_bytes(), req.total_bytes());
         assert_eq!(merged.kind, AccessKind::Write);
+        assert_eq!(req.merged_segments().collect::<Vec<_>>(), merged.segments);
     }
 
     #[test]
