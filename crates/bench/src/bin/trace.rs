@@ -16,7 +16,9 @@
 //! the exported document back through `lor_obs::validate_chrome_trace`
 //! (real JSON syntax pass, per-track monotonicity, span nesting) and fails
 //! the process on any violation — this is the CI smoke gate for the
-//! export format.
+//! export format.  A ring too small for the run (`--capacity`) drops its
+//! oldest records: the document counts them (`droppedSpans`,
+//! `droppedMetricSamples`) and a `warning:` line on stderr says so.
 
 use std::path::PathBuf;
 
@@ -140,12 +142,19 @@ fn run() -> Result<(), String> {
 
     let json = handle.to_chrome_json();
     eprintln!(
-        "captured {} spans and {} metric samples ({} spans, {} samples dropped by the ring)",
+        "captured {} spans and {} metric samples",
         handle.span_count(),
-        handle.metric_count(),
-        handle.dropped_spans(),
-        handle.dropped_metrics()
+        handle.metric_count()
     );
+    let (dropped_spans, dropped_metrics) = (handle.dropped_spans(), handle.dropped_metrics());
+    if dropped_spans > 0 || dropped_metrics > 0 {
+        // The document says so too (`droppedSpans`, `droppedMetricSamples`).
+        eprintln!(
+            "warning: the ring dropped the oldest {dropped_spans} spans and {dropped_metrics} \
+             metric samples; the trace is incomplete (--capacity is {})",
+            options.capacity
+        );
+    }
 
     if options.validate {
         let check = validate_chrome_trace(&json)?;

@@ -11,8 +11,19 @@
 //! happens inside the substrate and its copy I/O is charged to the foreground
 //! operation that forced it — exactly like the filesystem's emergency
 //! checkpoints, but far more expensive, which is the log's trade-off.
+//!
+//! The log knows objects by `u64` id; the key → id index lives here and is a
+//! hash map with a fixed state, as the volume's and the BLOB engine's name
+//! maps are: every operation is a point look-up (one probe — a put refuses a
+//! taken key and claims its slot through the same entry), nothing an
+//! operation does walks the index, and `keys()`, the one reader of an order,
+//! sorts on demand.  As an ordered map of strings it cost an aged run 13 %
+//! of its host time in `memcmp` and as much again in the descents around
+//! it (EXPERIMENTS.md, "Host cost of the key path").
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport};
 use lor_disksim::{ByteRun, DiskConfig, SimDuration};
@@ -90,8 +101,10 @@ impl LogObjectStore {
 pub struct LogSubstrate {
     log: SegmentLog,
     /// Key-to-record index (memory-resident, like the blob index the paper's
-    /// repositories keep in their metadata tier).
-    names: BTreeMap<String, u64>,
+    /// repositories keep in their metadata tier).  Hashed with a fixed
+    /// state (module docs): runs stay deterministic, and keys come from the
+    /// simulation's own workloads, never from an adversary.
+    names: HashMap<String, u64, BuildHasherDefault<DefaultHasher>>,
     next_id: u64,
 }
 
@@ -147,7 +160,7 @@ impl Substrate for LogSubstrate {
         // its own, only the allocation-pressure emergency path.
         Ok(LogSubstrate {
             log: SegmentLog::new(config)?,
-            names: BTreeMap::new(),
+            names: HashMap::default(),
             next_id: 1,
         })
     }
@@ -159,23 +172,30 @@ impl Substrate for LogSubstrate {
         size: u64,
         request: u64,
     ) -> Result<Written, StoreError> {
-        let new_object = op != WriteOp::Replace;
-        if new_object && self.names.contains_key(key) {
-            return Err(StoreError::ObjectExists(key.to_string()));
-        }
         let appended = match op {
             // Append-then-deaden *is* the log's safe write: the old version
             // stays readable until the new one is fully on disk, no temp
             // file needed.
             WriteOp::Replace => self.log.update(self.lookup(key)?, size),
-            WriteOp::Put => self.log.insert(self.next_id, size),
-            WriteOp::MigrateIn => self.log.insert_as_maintenance(self.next_id, size),
+            WriteOp::Put | WriteOp::MigrateIn => {
+                // One probe refuses a taken key and holds the slot the id
+                // lands in once the append has succeeded.
+                let Entry::Vacant(slot) = self.names.entry(key.to_string()) else {
+                    return Err(StoreError::ObjectExists(key.to_string()));
+                };
+                let id = self.next_id;
+                let appended = if op == WriteOp::Put {
+                    self.log.insert(id, size)
+                } else {
+                    self.log.insert_as_maintenance(id, size)
+                };
+                appended.inspect(|_| {
+                    slot.insert(id);
+                    self.next_id += 1;
+                })
+            }
         };
         let outcome = appended.map_err(|e| log_err(e, key))?;
-        if new_object {
-            self.names.insert(key.to_string(), self.next_id);
-            self.next_id += 1;
-        }
         Ok(Written {
             runs: byte_runs(&outcome.extents),
             payload_bytes: size,
@@ -241,7 +261,10 @@ impl Substrate for LogSubstrate {
     }
 
     fn keys(&self) -> Vec<String> {
-        self.names.keys().cloned().collect()
+        // Only analysis and tests ask, never an operation.
+        let mut keys: Vec<String> = self.names.keys().cloned().collect();
+        keys.sort_unstable();
+        keys
     }
 
     fn live_bytes(&self) -> u64 {
@@ -352,6 +375,32 @@ mod tests {
         assert!(copied > 0, "survivors of half-dead segments must move");
         assert_eq!(store.log().dead_bytes(), 0, "a full clean reclaims all");
         assert!(store.elapsed() > before, "cleaning costs foreground time");
+    }
+
+    /// The name index is hashed; `keys()` still lists ascending, whatever
+    /// order the keys arrived in and whatever came and went in between.
+    #[test]
+    fn keys_list_ascending_whatever_the_insertion_order() {
+        let name = |i: u32| format!("k{i:03}");
+        let mut store = LogObjectStore::new(256 * MB).unwrap();
+        for i in (0..40).rev() {
+            store.put(&name(i), 64 * 1024).unwrap();
+        }
+        // 37 is coprime to 100: a fixed shuffle of 40..140.
+        for i in (0..100).map(|i| 40 + i * 37 % 100) {
+            store.put(&name(i), 64 * 1024).unwrap();
+        }
+        for i in (0..140).step_by(3) {
+            store.delete(&name(i)).unwrap();
+        }
+        for i in (0..140).step_by(6).rev() {
+            store.put(&name(i), 64 * 1024).unwrap();
+        }
+        let expected: Vec<String> = (0..140)
+            .filter(|i| i % 3 != 0 || i % 6 == 0)
+            .map(name)
+            .collect();
+        assert_eq!(store.keys(), expected);
     }
 
     #[test]

@@ -39,7 +39,12 @@
 //! Safe writes that are queued together when the spindle frees up are
 //! dispatched as **one batch** through [`ObjectStore::safe_write_batch`], so
 //! their write requests genuinely interleave on disk — batching is decided
-//! here, in one place, for both substrates.
+//! here, in one place, for every substrate.  Requests carry interned
+//! [`ObjectKey`](crate::ObjectKey)s; the strings the trait speaks are written
+//! at dispatch, into a stack buffer for a single operation and into the
+//! server's one batch buffer for a batch, whose `String`s are rewritten in
+//! place — a steady-state dispatch allocates no key
+//! (`tests/alloc_budget.rs` pins the heap calls per safe write).
 //!
 //! The server is also where background maintenance becomes queueing-aware.
 //! When the store carries a server-driven [`lor_maint::MaintenanceConfig`],
@@ -530,6 +535,10 @@ pub struct StoreServer<'a> {
     probe_every: SimDuration,
     /// Next instant the probe fires.
     next_probe: SimDuration,
+    /// Key strings of the safe-write batch being dispatched.  Kept between
+    /// dispatches and rewritten in place, so a steady-state batch allocates
+    /// no key; only the prefix a dispatch filled is handed to the store.
+    batch: Vec<(String, u64)>,
 }
 
 impl<'a> StoreServer<'a> {
@@ -550,6 +559,7 @@ impl<'a> StoreServer<'a> {
             bg_slice_seq: 0,
             probe_every: SimDuration::ZERO,
             next_probe: SimDuration::ZERO,
+            batch: Vec::new(),
         }
     }
 
@@ -697,24 +707,35 @@ impl<'a> StoreServer<'a> {
         let clock_before = self.store.elapsed();
         // Keys travel the queueing layer as interned `ObjectKey`s; the
         // string form the `ObjectStore` trait speaks is materialised only
-        // here, at the dispatch boundary (into a stack buffer for the
-        // single-op path).
+        // here, at the dispatch boundary: into a stack buffer, and from
+        // there into the batch's reused strings.
         let mut buf = crate::workload::ObjectKey::buf();
         let receipts: Vec<OpReceipt> = match head.op {
             // Safe writes that are waiting together leave as one batch:
             // their write requests interleave on disk exactly as a web
             // server's parallel uploads do.
             WorkloadOp::SafeWrite { .. } => {
-                let items: Vec<(String, u64)> = waiting
-                    .iter()
-                    .map_while(|request| match request.op {
-                        WorkloadOp::SafeWrite { key, size } if request.arrival <= start => {
-                            Some((key.to_string(), size))
+                let mut used = 0;
+                for request in waiting.iter() {
+                    let WorkloadOp::SafeWrite { key, size } = request.op else {
+                        break;
+                    };
+                    if request.arrival > start {
+                        break;
+                    }
+                    let key = key.write_into(&mut buf);
+                    match self.batch.get_mut(used) {
+                        Some((name, bytes)) => {
+                            name.clear();
+                            name.push_str(key);
+                            *bytes = size;
                         }
-                        _ => None,
-                    })
-                    .collect();
-                self.store.safe_write_batch(&items)?
+                        None => self.batch.push((key.to_string(), size)),
+                    }
+                    used += 1;
+                }
+                // Items past `used` are left over from a longer batch.
+                self.store.safe_write_batch(&self.batch[..used])?
             }
             // Everything else is served one at a time.
             WorkloadOp::Put { key, size } => {
@@ -1081,6 +1102,60 @@ mod tests {
         assert_eq!(starts[0], starts[3]);
         assert!(starts[4] > starts[3]);
         assert_eq!(starts[4], starts[7]);
+    }
+
+    /// The batch's key strings are reused between dispatches; only the
+    /// prefix a dispatch filled may reach the store.
+    #[test]
+    fn a_reused_batch_buffer_never_hands_stale_items_to_the_store() {
+        let safe_writes = |keys: &[u64], size: u64| -> Vec<WorkloadOp> {
+            keys.iter()
+                .map(|&k| WorkloadOp::SafeWrite {
+                    key: ObjectKey(k),
+                    size,
+                })
+                .collect()
+        };
+        let mut store = FsObjectStore::new(256 * MB).unwrap();
+        let mut server = StoreServer::new(&mut store);
+        server
+            .run_closed_loop(puts(6, MB), 1, SimDuration::ZERO)
+            .unwrap();
+
+        // A batch of four that fails whole, leaving its items in the buffer.
+        let failed =
+            server.run_closed_loop(safe_writes(&[0, 1, 2, 99], 2 * MB), 4, SimDuration::ZERO);
+        assert!(matches!(failed, Err(StoreError::NoSuchObject(key)) if key == "object-00000099"));
+        for key in 0..6 {
+            assert_eq!(server.store().size_of(&ObjectKey(key).to_string()), Ok(MB));
+        }
+
+        // The buffer still serves a good batch of the same length ...
+        let done = server
+            .run_closed_loop(safe_writes(&[0, 1, 2, 3], 3 * MB), 4, SimDuration::ZERO)
+            .unwrap();
+        assert_eq!(done.len(), 4);
+        assert_eq!(done[0].start, done[3].start, "one batch");
+
+        // ... and then a shorter one.  Its tail still names objects 2 and 3,
+        // which are gone: handing it over would fail the batch.
+        for key in [2, 3] {
+            server
+                .store_mut()
+                .delete(&ObjectKey(key).to_string())
+                .unwrap();
+        }
+        let done = server
+            .run_closed_loop(safe_writes(&[4, 5], 4 * MB), 4, SimDuration::ZERO)
+            .unwrap();
+        assert_eq!(done.len(), 2);
+        assert_eq!(done[0].start, done[1].start, "one batch");
+        let sizes: Vec<u64> = [0, 1, 4, 5]
+            .iter()
+            .map(|&key| server.store().size_of(&ObjectKey(key).to_string()).unwrap())
+            .collect();
+        assert_eq!(sizes, [3 * MB, 3 * MB, 4 * MB, 4 * MB]);
+        assert_eq!(server.store().object_count(), 4);
     }
 
     #[test]

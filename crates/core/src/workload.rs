@@ -113,19 +113,26 @@ impl ObjectKey {
 
     /// Formats the canonical string form into a stack buffer, avoiding the
     /// per-operation heap allocation `to_string` would cost on the hot
-    /// dispatch path.
+    /// dispatch path.  The digits are written by hand, right to left and
+    /// zero-padded to eight, so no operation enters `core::fmt`.
     pub fn write_into(self, buf: &mut ObjectKeyBuf) -> &str {
-        use std::io::Write;
-        let mut cursor = std::io::Cursor::new(&mut buf[..]);
-        write!(cursor, "object-{:08}", self.0).expect("27 bytes fit any u64 key");
-        let len = cursor.position() as usize;
-        std::str::from_utf8(&buf[..len]).expect("the key form is pure ASCII")
+        const PREFIX: &[u8] = b"object-";
+        let mut start = buf.len();
+        let mut rest = self.0;
+        while rest > 0 || start > buf.len() - 8 {
+            start -= 1;
+            buf[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        start -= PREFIX.len();
+        buf[start..start + PREFIX.len()].copy_from_slice(PREFIX);
+        std::str::from_utf8(&buf[start..]).expect("the key form is pure ASCII")
     }
 }
 
 impl std::fmt::Display for ObjectKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "object-{:08}", self.0)
+        f.write_str(self.write_into(&mut ObjectKey::buf()))
     }
 }
 
@@ -908,7 +915,31 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-12);
     }
 
+    /// `write_into` and `to_string` against the formatter they replaced.
+    fn assert_key_forms(n: u64) {
+        let mut buf = ObjectKey::buf();
+        let expected = format!("object-{n:08}");
+        assert!(expected.len() <= buf.len());
+        assert_eq!(ObjectKey(n).write_into(&mut buf), expected);
+        assert_eq!(ObjectKey(n).to_string(), expected);
+    }
+
+    #[test]
+    fn hand_written_key_digits_match_the_formatter_at_the_edges() {
+        // Zero, the last padded value, the first unpadded one, the longest.
+        for n in [0, 99_999_999, 100_000_000, u64::MAX] {
+            assert_key_forms(n);
+        }
+    }
+
     proptest! {
+        /// Every digit count, not only the twenty a uniform `u64` nearly
+        /// always has.
+        #[test]
+        fn hand_written_key_digits_match_the_formatter(n in any::<u64>(), shift in 0u32..64) {
+            assert_key_forms(n >> shift);
+        }
+
         /// Empirical rank frequencies converge on the analytic pmf for the
         /// uniform, moderate and strong skews the sweeps use.
         #[test]

@@ -126,6 +126,9 @@ proptest! {
                 "{:?}: elapsed clock diverges",
                 kind
             );
+            // Two identical runs list the same keys in the same order, on
+            // the substrates whose name index is hashed too.
+            prop_assert_eq!(server.store().keys(), serial_store.keys(), "{:?}: keys", kind);
             // Serial schedules never queue: latency is pure service time.
             for completion in &completions {
                 prop_assert_eq!(completion.queue_delay(), SimDuration::ZERO);

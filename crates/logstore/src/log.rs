@@ -38,9 +38,21 @@
 //! scores exactly one block (at most 145 + 64 evaluations against 9,238);
 //! the worst case — every bound tied with the best score — is `n + n/B`,
 //! 1.6 % over the scan it replaced.
+//!
+//! # The object table
+//!
+//! Objects are found by the caller's `u64` id in a hash table with a fixed
+//! state — ids are the caller's to choose, so sparse and unbounded, and no
+//! `Vec` can index them.  Every use on an operation's path is a point
+//! look-up; the cleaner takes its order from the per-segment resident lists
+//! (ascending, and that order decides the layout), never from the table, so
+//! the table's own order reaches no simulated result.  [`SegmentLog::ids`]
+//! sorts on demand and [`SegmentLog::verify`] needs no order.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::mem;
 
 use lor_alloc::{
@@ -235,7 +247,9 @@ pub struct SegmentLog {
     /// cleaner's reverse index.  Each list strictly ascending: a victim's
     /// survivors are moved in that order, and the order decides the layout.
     residents: Vec<Vec<u64>>,
-    objects: BTreeMap<u64, ObjectRecord>,
+    /// Every live object by id, hashed with a fixed state; no simulated
+    /// result reads its order (module docs, "The object table").
+    objects: HashMap<u64, ObjectRecord, BuildHasherDefault<DefaultHasher>>,
     tracker: FragmentationTracker,
     /// Open foreground append head.
     fg_head: Option<u64>,
@@ -293,7 +307,7 @@ impl SegmentLog {
             residents: (0..data)
                 .map(|_| Vec::with_capacity(RESIDENTS_AT_FORMAT))
                 .collect(),
-            objects: BTreeMap::new(),
+            objects: HashMap::default(),
             tracker: FragmentationTracker::new(),
             fg_head: None,
             maint_head: None,
@@ -352,9 +366,12 @@ impl SegmentLog {
         self.objects.contains_key(&id)
     }
 
-    /// Live object ids, ascending.
+    /// Live object ids, ascending (sorted on demand: the object table is
+    /// hashed, and only tests and reports ask).
     pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.objects.keys().copied()
+        let mut ids: Vec<u64> = self.objects.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Size of a live object.

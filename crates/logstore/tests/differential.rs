@@ -32,6 +32,12 @@
 //! *looser* bound, which greedy's bounds never are (a block's least `live` is
 //! one member's score exactly) — hence the spans script, and the directed
 //! `a_tie_with_a_lower_block_is_not_skipped` in `src/log.rs`.
+//!
+//! Since PR 23 the log's object table is hashed and the reference's is still
+//! the ordered map, so `ids()` ≡ `ids()` in every full comparison is what
+//! holds the sort-on-demand; one script draws its ids from both ends of
+//! `u64`.  Mutation-checked: `ids()` returned unsorted fails all three
+//! tier-1 tests at their first full comparison.
 
 mod reference;
 
@@ -82,7 +88,9 @@ struct Pair {
     sizes: Sizes,
     /// Live ids, in no particular order.
     ids: Vec<u64>,
+    /// Fresh ids issued so far, plus one; `id_of` turns the count into the id.
     next_id: u64,
+    id_of: fn(u64) -> u64,
     ops: u64,
     /// Whole-log comparison and `verify()` every this many operations.
     full_every: u64,
@@ -109,10 +117,25 @@ impl Pair {
             sizes,
             ids: Vec::new(),
             next_id: 1,
+            id_of: |n| n,
             ops: 0,
             full_every,
             capped_differs: 0,
         }
+    }
+
+    /// Ids from both ends of `u64` towards the middle — `0`, `u64::MAX`,
+    /// `1`, `u64::MAX - 1`, … — so the top half arrives descending and no
+    /// dense structure could index them.
+    fn with_sparse_ids(mut self) -> Self {
+        self.id_of = |n| {
+            if n % 2 == 1 {
+                n / 2
+            } else {
+                u64::MAX - (n / 2 - 1)
+            }
+        };
+        self
     }
 
     fn size(&mut self) -> u64 {
@@ -140,7 +163,7 @@ impl Pair {
         let roll = self.rng.below(100);
         let grow = fill < 80 || (fill < 92 && roll < 8);
         if grow || self.ids.is_empty() {
-            let (id, size) = (self.next_id, self.size());
+            let (id, size) = ((self.id_of)(self.next_id), self.size());
             let (got, expected) = if roll % 8 == 7 {
                 (
                     self.log.insert_as_maintenance(id, size),
@@ -177,7 +200,7 @@ impl Pair {
             // Ids that are not there, or already are.
             let (_, id) = self.some_id().expect("ids is not empty");
             assert_eq!(self.log.insert(id, KB), self.model.insert(id, KB));
-            let absent = self.next_id + 5;
+            let absent = (self.id_of)(self.next_id + 5);
             assert_eq!(self.log.update(absent, KB), self.model.update(absent, KB));
             assert_eq!(self.log.remove(absent), self.model.remove(absent));
         } else {
@@ -300,8 +323,32 @@ fn tied_scores_break_to_the_lowest_index() {
     }
 }
 
+/// Ids the caller picks: sparse, extreme, half of them inserted descending.
+/// The object table is hashed, so `ids()` sorts on demand; the reference's
+/// ordered map says what ascending is.
+#[test]
+fn sparse_and_extreme_ids_list_ascending() {
+    let greedy = CleanerSelector::Greedy;
+    let pair = Pair::new(
+        800,
+        greedy,
+        PlacementPolicy::Unrestricted,
+        Sizes::Mixed,
+        5,
+        32,
+    )
+    .with_sparse_ids()
+    .run(2_000);
+    let ids: Vec<u64> = pair.log.ids().collect();
+    assert!(ids.windows(2).all(|pair| pair[0] < pair[1]));
+    let top_half = ids.iter().filter(|&&id| id > u64::MAX / 2).count();
+    assert!(top_half > 100 && ids.len() - top_half > 100);
+    assert!(pair.log.emergency_totals().segments_freed > 0);
+}
+
 /// The long one (CI runs it with `--ignored`, in release): 63 blocks, both
-/// selectors × three placements with mixed sizes, and the two tying scripts.
+/// selectors × three placements with mixed sizes, the two tying scripts and
+/// a sparse-id script.
 #[test]
 #[ignore = "long: run with --release -- --ignored"]
 fn long_scripts_match_the_linear_scan_reference() {
@@ -323,5 +370,15 @@ fn long_scripts_match_the_linear_scan_reference() {
             )
             .run(20_000);
         }
+        Pair::new(
+            4_000,
+            selector,
+            PlacementPolicy::Unrestricted,
+            Sizes::Mixed,
+            11,
+            512,
+        )
+        .with_sparse_ids()
+        .run(20_000);
     }
 }
