@@ -24,6 +24,9 @@
 //! * Fragmentation metrics: [`FragmentationSummary`] (fragments per object,
 //!   the paper's y-axis) and [`FreeSpaceReport`] (free-run histogram,
 //!   external fragmentation).
+//! * [`IdTable`]: the record table of both substrates — a slab of records
+//!   found through a windowed direct index by their ascending, never-reused
+//!   ids, iterated in id order.
 //!
 //! ## Example
 //!
@@ -55,6 +58,7 @@
 mod error;
 mod extent;
 mod freespace;
+mod idtable;
 mod metrics;
 mod placement;
 mod policy;
@@ -65,6 +69,7 @@ mod tracker;
 pub use error::AllocError;
 pub use extent::{Extent, ExtentListExt};
 pub use freespace::{BitmapMap, FreeSpace, RunIndexMap};
+pub use idtable::IdTable;
 pub use metrics::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 pub use placement::{PlacementConsumer, PlacementPolicy};
 pub use policy::{AllocRequest, AllocationPolicy, Contiguity, FitPicker, FitPolicy};

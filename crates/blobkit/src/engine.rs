@@ -41,7 +41,10 @@
 //!
 //! A replacement looks its key up in a hashed map (nothing observable
 //! iterates the keys; the rebuild, which copies in key order, sorts them on
-//! demand), probes the record map once, and updates the two O(1) trackers.
+//! demand), finds its record with two array reads — the record table is a
+//! [`lor_alloc::IdTable`], a slab behind a direct index by id, and listings
+//! still walk it in id order (EXPERIMENTS.md, "Host cost of the record
+//! tables") — and updates the two O(1) trackers.
 //! Two structures exist for readers the foreground never is, and are paid
 //! for by those readers:
 //!
@@ -73,20 +76,22 @@
 //!
 //! The engine returns [`DbError`] for everything a caller can cause (unknown
 //! or duplicate key, out of space, bad configuration).  What is left are
-//! lookups of a record by an id the engine itself stored — four `expect`s
-//! and two index expressions, in `get`, `commit_replacement`, `delete`,
-//! `rebuild_into_new_filegroup` and `compact_step` — each commented with the
-//! [`Database::verify`] clause that makes it unreachable (the key map and
-//! the flushed candidate index name live records only), and `debug_verify`,
-//! which panics in debug builds naming the clause a step broke.
+//! lookups of a record by an id the engine itself stored — six `expect`s,
+//! in `get`, `commit_replacement`, `delete`, `rebuild_into_new_filegroup`
+//! and `compact_step` (two) — each commented with the [`Database::verify`]
+//! clause that makes it unreachable (the key map and the flushed candidate
+//! index name live records only, and the record table files each under its
+//! own id); [`lor_alloc::IdTable::insert`], which panics on an id that does
+//! not ascend and is only ever handed `next_id`; and `debug_verify`, which
+//! panics in debug builds naming the clause a step broke.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
 
 use lor_alloc::{
     AllocationPolicy, BandOccupancy, CountMultiset, Extent, FragmentationTracker, FreeSpace,
-    FreeSpaceReport, PlacementPolicy,
+    FreeSpaceReport, IdTable, PlacementPolicy,
 };
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
@@ -322,7 +327,9 @@ pub struct Database {
     gam: Gam,
     lob_unit: AllocationUnit,
     row_unit: AllocationUnit,
-    blobs: BTreeMap<BlobId, BlobRecord>,
+    /// Every live record, filed under its id: ids come from `next_id`, so
+    /// they ascend and are never reused, which is all [`IdTable`] asks.
+    blobs: IdTable<BlobRecord>,
     /// Key → id of every live object.  Hashed with a fixed state: nothing
     /// observable iterates it (listings walk `blobs`, in id order; the
     /// rebuild, which copies in key order, sorts on demand), so runs stay
@@ -389,7 +396,7 @@ impl Database {
                 config.allocation_policy,
                 config.placement,
             ),
-            blobs: BTreeMap::new(),
+            blobs: IdTable::new(),
             keys: HashMap::default(),
             next_id: 1,
             ghosts: GhostBacklog::default(),
@@ -447,12 +454,15 @@ impl Database {
             .get(key)
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
         // `verify`: as in `commit_replacement`.
-        Ok(&self.blobs[id])
+        Ok(self
+            .blobs
+            .get(id.0)
+            .expect("key map and blob map are consistent"))
     }
 
     /// Looks up a record by id.
     pub fn get_by_id(&self, id: BlobId) -> Option<&BlobRecord> {
-        self.blobs.get(&id)
+        self.blobs.get(id.0)
     }
 
     /// Iterates over live records in id order.
@@ -515,7 +525,7 @@ impl Database {
         self.keys.insert(key.to_string(), id);
         let mut record = BlobRecord::new(id, key, size_bytes, layout);
         Self::mark_stale(&mut record, &mut self.stale_ids);
-        self.blobs.insert(id, record);
+        self.blobs.insert(id.0, record);
         self.insert_metadata_row()?;
         self.stats.inserts += 1;
         self.stats.bytes_written += size_bytes;
@@ -623,10 +633,11 @@ impl Database {
         let new_pages = layout.page_count();
         self.in_flight_pages -= new_pages;
         // `verify`: every id in the key map names a record ("does not map
-        // back" / "keys, rows, blobs"), and ids are never reused.
+        // back" / "keys, rows, blobs") filed under that id ("blob table"),
+        // and ids are never reused.
         let record = self
             .blobs
-            .get_mut(&id)
+            .get_mut(id.0)
             .expect("key map and blob map are consistent");
         let old_layout = record.replace_layout(layout);
         let old_size = std::mem::replace(&mut record.size_bytes, size_bytes);
@@ -653,7 +664,7 @@ impl Database {
         // `verify`: as in `commit_replacement`.
         let mut record = self
             .blobs
-            .remove(&id)
+            .remove(id.0)
             .expect("key map and blob map are consistent");
         self.frag_tracker
             .record_remove(record.fragment_count() as u64);
@@ -662,7 +673,7 @@ impl Database {
         // list, naming nothing, until a flush or the purge below drops it.
         Self::index_under(&mut self.compact_candidates, &mut record, 0);
         if self.stale_ids.len() > 2 * self.blobs.len() + STALE_SLACK {
-            self.stale_ids.retain(|id| self.blobs.contains_key(id));
+            self.stale_ids.retain(|id| self.blobs.contains(id.0));
         }
         self.ghosts.extend(record.layout());
         self.row_count -= 1;
@@ -779,7 +790,7 @@ impl Database {
     fn flush_stale_candidates(&mut self) {
         for id in self.stale_ids.drain(..) {
             // Deleted since it was noted: `delete` took its entry along.
-            let Some(record) = self.blobs.get_mut(&id) else {
+            let Some(record) = self.blobs.get_mut(id.0) else {
                 continue;
             };
             record.stale = false;
@@ -869,7 +880,7 @@ impl Database {
             // `verify`: as in `commit_replacement`.
             let record = self
                 .blobs
-                .get_mut(&id)
+                .get_mut(id.0)
                 .expect("key map and blob map are consistent");
             let mut layout = PageRuns::new();
             new_lob.allocate_pages(&mut new_gam, record.page_count(), &mut layout)?;
@@ -949,7 +960,7 @@ impl Database {
             let (need, size_bytes) = {
                 // `verify`: the flushed index holds entries of live records
                 // only ("candidate index"), and this loop deletes none.
-                let record = &self.blobs[&id];
+                let record = self.blobs.get(id.0).expect("candidate ids are live blobs");
                 (record.page_count(), record.size_bytes)
             };
             if planned {
@@ -983,7 +994,7 @@ impl Database {
             // `verify`: as above.
             let record = self
                 .blobs
-                .get_mut(&id)
+                .get_mut(id.0)
                 .expect("candidate ids are live blobs");
             let old_layout = record.replace_layout(new_layout);
             self.frag_tracker
@@ -1163,6 +1174,8 @@ impl Database {
     /// * **the extent bitmaps agree with the maps**
     ///   ([`AllocationUnit::verify`]), and the three free maps with a
     ///   recomputation of what they cache (`RunIndexMap::verify`);
+    /// * **the record table holds together** ([`IdTable::verify`]) and every
+    ///   record is filed under the id it carries;
     /// * **the incremental indexes agree with a rescan** — the fragment
     ///   tracker, the page-count multiset behind the foreground watermark,
     ///   the key map and the row count;
@@ -1264,6 +1277,13 @@ impl Database {
             }
         }
 
+        self.blobs
+            .verify()
+            .map_err(|why| format!("blob table: {why}"))?;
+        if let Some((id, record)) = self.blobs.iter().find(|(id, record)| record.id.0 != *id) {
+            return Err(format!("blob table: {} is filed under id {id}", record.id));
+        }
+
         // Incremental indexes against a rescan.
         if self.fragmentation() != self.fragmentation_rescan() {
             return Err(format!(
@@ -1310,7 +1330,7 @@ impl Database {
         // else is on it names no record at all (deleted since it was noted).
         let mut listed = BTreeSet::new();
         for id in &self.stale_ids {
-            if self.blobs.contains_key(id) && !listed.insert(*id) {
+            if self.blobs.contains(id.0) && !listed.insert(*id) {
                 return Err(format!("{id} is on the stale list twice"));
             }
         }
@@ -1924,7 +1944,7 @@ mod tests {
                 if pages_moved >= 32 {
                     break;
                 }
-                let need = legacy.blobs[&id].page_count();
+                let need = legacy.blobs.get(id.0).unwrap().page_count();
                 let Some(new_layout) = legacy.lob_unit.allocate_largest_runs(&mut legacy.gam, need)
                 else {
                     continue;
@@ -1935,7 +1955,7 @@ mod tests {
                     }
                     continue;
                 }
-                let record = legacy.blobs.get_mut(&id).unwrap();
+                let record = legacy.blobs.get_mut(id.0).unwrap();
                 let old_layout = record.replace_layout(new_layout);
                 for page in old_layout.pages() {
                     legacy.lob_unit.free_page(&mut legacy.gam, page);
@@ -2060,9 +2080,17 @@ mod tests {
         assert!(violation.contains("stale list twice"), "{violation}");
         // ... and one that lost its flag keeps an index entry that is wrong.
         let mut unflagged = db.clone();
-        unflagged.blobs.get_mut(&fragmented).unwrap().stale = false;
+        unflagged.blobs.get_mut(fragmented.0).unwrap().stale = false;
         let violation = unflagged.verify().unwrap_err();
         assert!(violation.contains("not stale"), "{violation}");
+
+        // A record filed under an id it does not carry.  (The table's own
+        // clauses are broken one by one in `lor_alloc`'s `idtable` tests;
+        // its fields are out of reach from here.)
+        let mut misfiled = db.clone();
+        misfiled.blobs.get_mut(fragmented.0).unwrap().id = BlobId(u64::MAX);
+        let violation = misfiled.verify().unwrap_err();
+        assert!(violation.contains("is filed under id"), "{violation}");
 
         // A ghost run the backlog does not count, in its heap or fresh.
         let spare = Extent::new(db.config().total_pages() - 1, 1);

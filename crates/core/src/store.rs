@@ -784,6 +784,49 @@ pub(crate) mod tests {
         );
     }
 
+    /// A put that runs out of space leaves nothing behind — the same nothing
+    /// on every substrate: the key is not contained, the count is unchanged,
+    /// the free space is back once the substrate's log commits, and a retry
+    /// of a size that fits succeeds (the volume used to keep the truncated
+    /// file, so the retry failed with `ObjectExists` there and only there).
+    #[test]
+    fn a_failed_put_leaves_nothing_behind_on_any_substrate() {
+        use crate::{DbObjectStore, FsObjectStore, LogObjectStore};
+        const MB: u64 = 1 << 20;
+
+        fn check<S: Substrate>(mut store: Store<S>) {
+            let kind = S::KIND;
+            store.put("a", 10 * MB).unwrap();
+            let free_units = |store: &Store<S>| store.substrate.free_space_report().free_clusters;
+            let free_before = free_units(&store);
+
+            let err = store.put("b", 10 * MB).unwrap_err();
+            assert!(matches!(err, StoreError::OutOfSpace(_)), "{kind}: {err:?}");
+            assert!(!store.contains("b"), "{kind}");
+            assert!(matches!(
+                store.size_of("b"),
+                Err(StoreError::NoSuchObject(_))
+            ));
+            assert_eq!(store.object_count(), 1, "{kind}");
+            assert_eq!(store.keys(), ["a"], "{kind}");
+            assert_eq!(store.live_bytes(), 10 * MB, "{kind}");
+            store.substrate.checkpoint();
+            assert_eq!(free_units(&store), free_before, "{kind}");
+
+            store.put("b", 4 * MB).unwrap();
+            assert_eq!(store.size_of("b").unwrap(), 4 * MB, "{kind}");
+            assert_eq!(store.object_count(), 2, "{kind}");
+        }
+
+        for kind in StoreKind::ALL {
+            match kind {
+                StoreKind::Filesystem => check(FsObjectStore::new(16 * MB).unwrap()),
+                StoreKind::Database => check(DbObjectStore::new(16 * MB).unwrap()),
+                StoreKind::LogStructured => check(LogObjectStore::new(16 * MB).unwrap()),
+            }
+        }
+    }
+
     #[test]
     fn receipt_totals_combine_disk_and_host_time() {
         let receipt = OpReceipt {

@@ -28,22 +28,48 @@
 //! the NTFS-like volume"): an append borrows its file record once, allocates
 //! into a buffer the volume reuses, and settles the trackers from the counts
 //! it already holds; a checkpoint hands the whole pending queue to the
-//! allocator in one call.  [`Volume::verify`] checks the structural
-//! invariants on the type, and debug builds run it after every checkpoint,
-//! defragmentation step and failed batch.
+//! allocator in one call.  The file table is a [`lor_alloc::IdTable`]: a
+//! safe write files one record under a fresh id and retires an old one on
+//! every replace, which on that table is a push and a slot handed back —
+//! look-up, insert and removal by [`FileId`] are array reads, and listings
+//! still come out in id order (`EXPERIMENTS.md`, "Host cost of the record
+//! tables").  [`Volume::verify`] checks the structural invariants on the
+//! type, and debug builds run it after every checkpoint, defragmentation
+//! step, failed put and failed batch.
+//!
+//! A write that runs out of space leaves nothing behind: a failed
+//! [`Volume::write_file`], [`Volume::write_file_preallocated`],
+//! [`Volume::ingest_as_maintenance`], [`Volume::safe_write`] or
+//! [`Volume::safe_write_batch`] deletes the file it was writing (its
+//! clusters join the pending queue) and releases or never takes the name.
 //!
 //! The volume also implements the interface extension the paper proposes
 //! (Section 6): [`Volume::write_file_preallocated`] passes the final object
 //! size to the allocator up front, letting experiments quantify how much
 //! fragmentation that change removes.
+//!
+//! ## Panics
+//!
+//! The volume returns [`FsError`] for everything a caller can cause (unknown
+//! id or name, duplicate or empty name, out of space, bad configuration).
+//! Five `expect`s are left outside the tests, each commented with the
+//! [`Volume::verify`] clause that makes it unreachable: the checkpoint's free
+//! of the pending queue (one owner per cluster), `trim_excess` popping an
+//! extent map that holds the excess it computed from that map, and the three
+//! in `commit_replace` (the target's name was resolved at staging; the name
+//! map points at live records; a staged temporary lives until its commit).
+//! [`lor_alloc::IdTable::insert`] panics on an id that does not ascend, which
+//! `next_id` — the only source of ids — cannot produce.  `debug_verify`
+//! panics in debug builds naming the clause a step broke: the tripwire that
+//! keeps those comments honest.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 use lor_alloc::{
     AllocError, AllocRequest, AllocationPolicy, BandOccupancy, CountMultiset, Extent,
-    ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport,
+    ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport, IdTable,
     PlacementConsumer, PlacementPolicy, SelectableAllocator,
 };
 use lor_disksim::ByteRun;
@@ -198,8 +224,9 @@ impl Space {
         if self.pending_free.is_empty() {
             return;
         }
-        // The queue only ever receives the extent maps of deleted files,
-        // each exactly once, so none of it can already be free.
+        // `verify` ("one owner per cluster"): the queue only ever receives
+        // the extent maps of retired records, each exactly once, so none of
+        // it overlaps a free run.
         self.allocator
             .free(&self.pending_free)
             .expect("pending extents were allocated and are freed exactly once");
@@ -242,7 +269,9 @@ struct Staged {
 pub struct Volume {
     config: VolumeConfig,
     space: Space,
-    files: BTreeMap<FileId, FileRecord>,
+    /// Every live record, filed under its id: ids come from `next_id`, so
+    /// they ascend and are never reused, which is all [`IdTable`] asks.
+    files: IdTable<FileRecord>,
     /// Name → id of every named file.  Hashed with a fixed state: nothing
     /// observable iterates it (listings walk `files`, in id order), so runs
     /// stay deterministic, and names come from the simulation's own
@@ -286,7 +315,7 @@ impl Volume {
                 pending_clusters: 0,
                 ops_since_checkpoint: 0,
             },
-            files: BTreeMap::new(),
+            files: IdTable::new(),
             names: HashMap::default(),
             next_id: 1,
             in_flight: 0,
@@ -334,7 +363,7 @@ impl Volume {
 
     /// Looks a file up by id.
     pub fn file(&self, id: FileId) -> Result<&FileRecord, FsError> {
-        self.files.get(&id).ok_or(FsError::NoSuchFile(id.0))
+        self.files.get(id.0).ok_or(FsError::NoSuchFile(id.0))
     }
 
     /// Looks a file id up by name.
@@ -367,7 +396,7 @@ impl Volume {
     fn new_record(&mut self, name: &str) -> FileId {
         let id = FileId(self.next_id);
         self.next_id += 1;
-        self.files.insert(id, FileRecord::new(id, name));
+        self.files.insert(id.0, FileRecord::new(id, name));
         self.stats.files_created += 1;
         self.frag_tracker.record_insert(0);
         self.alloc_tracker.insert(0);
@@ -404,7 +433,7 @@ impl Volume {
             return Ok(());
         }
         let cluster_size = self.config.cluster_size;
-        let record = self.files.get_mut(&id).ok_or(FsError::NoSuchFile(id.0))?;
+        let record = self.files.get_mut(id.0).ok_or(FsError::NoSuchFile(id.0))?;
         let old_fragments = record.fragment_count() as u64;
         let allocated = record.allocated_clusters();
         let write_offset = record.size_bytes;
@@ -460,9 +489,8 @@ impl Volume {
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
         let id = self.create(name)?;
-        let receipt = self.fill(id, size_bytes, write_request_size)?;
-        self.bump_op();
-        Ok(receipt)
+        let outcome = self.fill(id, size_bytes, write_request_size);
+        self.close_put(id, outcome)
     }
 
     /// Creates a file whose final size is declared up front, allocating all of
@@ -474,6 +502,18 @@ impl Volume {
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
         let id = self.create(name)?;
+        let outcome = self.fill_preallocated(id, size_bytes, write_request_size);
+        self.close_put(id, outcome)
+    }
+
+    /// Allocates all of `size_bytes` for the empty file `id` in one request,
+    /// then writes it.
+    fn fill_preallocated(
+        &mut self,
+        id: FileId,
+        size_bytes: u64,
+        write_request_size: u64,
+    ) -> Result<WriteReceipt, FsError> {
         let clusters = size_bytes.div_ceil(self.config.cluster_size);
         if clusters > 0 {
             let mut extents = Vec::new();
@@ -485,9 +525,26 @@ impl Volume {
         }
         // Data is still written in write-request-sized chunks, but no further
         // allocation happens.
-        let receipt = self.fill(id, size_bytes, write_request_size)?;
-        self.bump_op();
-        Ok(receipt)
+        self.fill(id, size_bytes, write_request_size)
+    }
+
+    /// Ends the put (or migration in) that created `id`: counts the
+    /// operation, or — when the write ran out of space — deletes the partly
+    /// written file, so a failed put leaves no name behind and its clusters
+    /// go to the pending queue.
+    fn close_put(
+        &mut self,
+        id: FileId,
+        outcome: Result<WriteReceipt, FsError>,
+    ) -> Result<WriteReceipt, FsError> {
+        match outcome {
+            Ok(_) => self.bump_op(),
+            Err(_) => {
+                let _ = self.delete(id);
+                self.debug_verify();
+            }
+        }
+        outcome
     }
 
     /// Creates a file for an object migrating in from another shard, placing
@@ -507,24 +564,26 @@ impl Volume {
         size_bytes: u64,
     ) -> Result<WriteReceipt, FsError> {
         let id = self.create(name)?;
+        let outcome = self.place_as_maintenance(id, size_bytes);
+        self.close_put(id, outcome)
+    }
+
+    /// Allocates all of `size_bytes` for the empty file `id` in one request
+    /// as the maintenance consumer, and writes it.
+    fn place_as_maintenance(
+        &mut self,
+        id: FileId,
+        size_bytes: u64,
+    ) -> Result<WriteReceipt, FsError> {
         let cluster_size = self.config.cluster_size;
         let clusters = size_bytes.div_ceil(cluster_size);
         let mut runs = Vec::new();
         if clusters > 0 {
-            let watermark = self.foreground_watermark();
-            let request = AllocRequest::best_effort(clusters);
-            let extents = match self.space.allocator.allocate_as(
-                &request,
-                PlacementConsumer::Maintenance {
-                    foreground_watermark: watermark,
-                },
-            ) {
-                Ok(extents) => extents,
-                Err(err) => {
-                    let _ = self.delete(id);
-                    return Err(FsError::from(err));
-                }
+            let consumer = PlacementConsumer::Maintenance {
+                foreground_watermark: self.foreground_watermark(),
             };
+            let request = AllocRequest::best_effort(clusters);
+            let extents = self.space.allocator.allocate_as(&request, consumer)?;
             self.stats.allocation_events += 1;
             self.with_layout(id, |record| {
                 record.push_extents(&extents);
@@ -533,7 +592,6 @@ impl Volume {
             })?;
         }
         self.stats.bytes_written += size_bytes;
-        self.bump_op();
         Ok(WriteReceipt {
             file_id: id,
             runs,
@@ -568,7 +626,7 @@ impl Volume {
     /// Releases clusters allocated beyond the file's logical size (undoing
     /// speculative preallocation when the file is closed).
     fn trim_excess(&mut self, id: FileId) -> Result<(), FsError> {
-        let record = self.files.get_mut(&id).ok_or(FsError::NoSuchFile(id.0))?;
+        let record = self.files.get_mut(id.0).ok_or(FsError::NoSuchFile(id.0))?;
         let needed = record.size_bytes.div_ceil(self.config.cluster_size);
         let allocated = record.allocated_clusters();
         if allocated <= needed {
@@ -579,8 +637,8 @@ impl Volume {
         released.clear();
         let mut excess = allocated - needed;
         while excess > 0 {
-            // `excess` never exceeds what the remaining extents hold, so the
-            // map cannot run dry first.
+            // `excess` is `allocated - needed`, and `allocated` is the sum of
+            // the extents still in the map, so the map cannot run dry first.
             let last = record
                 .extents
                 .last_mut()
@@ -606,7 +664,7 @@ impl Volume {
     /// Deletes a file.  Its space goes onto the pending-free queue and becomes
     /// reusable at the next checkpoint.
     pub fn delete(&mut self, id: FileId) -> Result<(), FsError> {
-        let record = self.files.remove(&id).ok_or(FsError::NoSuchFile(id.0))?;
+        let record = self.files.remove(id.0).ok_or(FsError::NoSuchFile(id.0))?;
         if record.name.is_empty() {
             self.in_flight -= 1;
         } else {
@@ -663,21 +721,24 @@ impl Volume {
     /// takes over its name.  Both copies coexisted until this point, which is
     /// what makes safe writes churn free space.
     fn commit_replace(&mut self, name: &str, temp_id: FileId) {
-        // The caller resolved `name` before staging and no file can have
-        // been deleted since; the name map points only at live records
-        // (`Volume::verify`); a temporary dies only on the abort path.
+        // The caller resolved `name` before staging, and nothing between
+        // staging and here releases a name.
         let slot = self
             .names
             .get_mut(name)
             .expect("replace target was resolved at staging");
         let old_id = std::mem::replace(slot, temp_id);
+        // `verify` ("name map"): every name resolves to the live record
+        // that carries it, filed under its own id.
         let mut old = self
             .files
-            .remove(&old_id)
+            .remove(old_id.0)
             .expect("name map points at a live record");
+        // `verify` ("unnamed records"): the temporaries in flight are live,
+        // and one dies only on the abort paths, which never reach a commit.
         let temp = self
             .files
-            .get_mut(&temp_id)
+            .get_mut(temp_id.0)
             .expect("staged temporary lives until commit");
         temp.name = std::mem::take(&mut old.name);
         self.in_flight -= 1;
@@ -832,12 +893,17 @@ impl Volume {
     ///   ([`lor_alloc::RunIndexMap::verify`]);
     /// * the fragmentation and allocation trackers answer what a rescan of
     ///   every file would;
+    /// * the file table's own structure holds ([`IdTable::verify`]) and every
+    ///   record is filed under the id it carries;
     /// * the name map and the named records are the same set, and the only
     ///   unnamed records are the temporaries of a safe write in flight.
     ///
     /// O(extents · log extents); debug builds run it after every checkpoint,
-    /// defragmentation step or pass, and failed batch.
+    /// defragmentation step or pass, failed put and failed batch.
     pub fn verify(&self) -> Result<(), String> {
+        self.files
+            .verify()
+            .map_err(|why| format!("file table: {why}"))?;
         let queued = self.space.pending_free.total_clusters();
         if queued != self.space.pending_clusters {
             return Err(format!(
@@ -891,7 +957,10 @@ impl Volume {
         // map without iterating it: every named record resolves to itself,
         // and the map holds no entry besides those.
         let mut unnamed = 0;
-        for record in self.files.values() {
+        for (id, record) in self.files.iter() {
+            if record.id.0 != id {
+                return Err(format!("file table: {} is filed under id {id}", record.id));
+            }
             if record.name.is_empty() {
                 unnamed += 1;
             } else if self.names.get(&record.name) != Some(&record.id) {
@@ -948,7 +1017,7 @@ impl Volume {
     /// step.
     #[cfg(test)]
     pub(crate) fn file_mut(&mut self, id: FileId) -> Result<&mut FileRecord, FsError> {
-        self.files.get_mut(&id).ok_or(FsError::NoSuchFile(id.0))
+        self.files.get_mut(id.0).ok_or(FsError::NoSuchFile(id.0))
     }
 
     /// Replaces a file's extent map with a relocated copy of the same data
@@ -971,7 +1040,7 @@ impl Volume {
         id: FileId,
         mutate: impl FnOnce(&mut FileRecord) -> R,
     ) -> Result<R, FsError> {
-        let record = self.files.get_mut(&id).ok_or(FsError::NoSuchFile(id.0))?;
+        let record = self.files.get_mut(id.0).ok_or(FsError::NoSuchFile(id.0))?;
         let old_fragments = record.fragment_count() as u64;
         let old_clusters = record.allocated_clusters();
         let result = mutate(record);
@@ -1457,6 +1526,48 @@ mod tests {
         let mut orphaned = volume.clone();
         orphaned.file_mut(id).unwrap().name.clear();
         assert!(orphaned.verify().unwrap_err().contains("names for"));
+
+        // A record filed under an id it does not carry.  (The table's own
+        // clauses are broken one by one in `lor_alloc`'s `idtable` tests;
+        // its fields are out of reach from here.)
+        let mut misfiled = volume.clone();
+        misfiled.file_mut(id).unwrap().id = FileId(99);
+        assert!(misfiled.verify().unwrap_err().contains("is filed under id"));
+    }
+
+    #[test]
+    fn a_put_that_runs_out_of_space_leaves_nothing_behind() {
+        type Put = fn(&mut Volume, &str, u64) -> Result<WriteReceipt, FsError>;
+        let puts: [Put; 2] = [
+            |volume, name, size| volume.write_file(name, size, 64 * 1024),
+            |volume, name, size| volume.write_file_preallocated(name, size, 64 * 1024),
+        ];
+        for put in puts {
+            let mut config = VolumeConfig::new(16 * MB);
+            config.mft_zone_fraction = 0.0;
+            config.checkpoint_interval_ops = 0;
+            let mut volume = Volume::format(config).unwrap();
+            put(&mut volume, "a", 10 * MB).unwrap();
+            let free_before = volume.free_bytes();
+            let stats_before = *volume.stats();
+
+            let err = put(&mut volume, "b", 10 * MB).unwrap_err();
+            assert!(matches!(err, FsError::Alloc(_)), "{err:?}");
+            assert!(matches!(volume.lookup("b"), Err(FsError::NoSuchName(_))));
+            assert_eq!(volume.file_count(), 1);
+            assert_eq!(volume.free_bytes(), free_before, "free + pending clusters");
+            let stats = volume.stats();
+            assert_eq!(stats.files_created, stats_before.files_created + 1);
+            assert_eq!(stats.files_deleted, stats_before.files_deleted + 1);
+            assert_eq!(volume.verify(), Ok(()));
+
+            // The name and the space are free again: a put that fits succeeds
+            // (forcing the checkpoint that commits the rolled-back clusters).
+            put(&mut volume, "b", 6 * MB).unwrap();
+            assert_eq!(volume.file_count(), 2);
+            assert_eq!(volume.free_bytes(), 0);
+            assert_eq!(volume.verify(), Ok(()));
+        }
     }
 
     #[test]
