@@ -31,6 +31,14 @@ pub enum AllocError {
         /// Length of the offending range.
         len: u64,
     },
+    /// A run of a batch release starts below the run before it (a batch
+    /// must be ascending by start).
+    UnsortedBatch {
+        /// Start of the offending run.
+        start: u64,
+        /// Length of the offending run.
+        len: u64,
+    },
     /// An extent lies outside the volume.
     OutOfBounds {
         /// Start of the offending range.
@@ -65,6 +73,11 @@ impl fmt::Display for AllocError {
             AllocError::NotAllocated { start, len } => {
                 write!(f, "free of unallocated range [{start}, {})", start + len)
             }
+            AllocError::UnsortedBatch { start, len } => write!(
+                f,
+                "batch run [{start}, {}) starts below the run before it",
+                start + len
+            ),
             AllocError::OutOfBounds { start, len, total } => {
                 write!(
                     f,
@@ -103,10 +116,12 @@ mod tests {
                 total: 100,
             }
             .to_string(),
+            AllocError::UnsortedBatch { start: 7, len: 1 }.to_string(),
         ];
         assert!(messages[1].contains("requested 10"));
         assert!(messages[2].contains("largest free run is 4"));
         assert!(messages[3].contains("[3, 5)"));
         assert!(messages[4].contains("100-cluster"));
+        assert!(messages[5].contains("[7, 8) starts below"));
     }
 }

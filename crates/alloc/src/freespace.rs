@@ -38,6 +38,18 @@
 //! pays per run yielded.  `best_fit` and `largest_run_at_most` are scans,
 //! which only the best-fit and `Reserve`-placement ablations pay.
 //!
+//! Many frees at once — a BLOB engine's full ghost-cleanup pass hands back
+//! thousands of runs — are one **batched release**
+//! ([`RunIndexMap::release_batch`]) rather than one located release each:
+//! the sorted batch is checked in one forward walk and merged with the run
+//! list in one streaming pass, blocks it does not reach are moved into the
+//! new list untouched, blocks it does reach are rebuilt in their own
+//! buffers, and `firsts` and the summary are rebuilt once.  For `k` runs the
+//! cost is O(k + touched blocks × `BLOCK_CAP` + blocks), never O(runs).  The
+//! release can also withdraw the whole aligned spans of every coalesced run
+//! it grew, which is how an allocation unit cuts out the extents a batch
+//! empties without a second pass.
+//!
 //! Which block holds which run depends on the order of past operations;
 //! every query's answer — tie-breaks included — depends on the free set
 //! alone.  The two-B-tree map this replaced survives as the test-only
@@ -251,6 +263,11 @@ impl RunIndexMap {
     pub fn run_lens_desc(&self) -> impl Iterator<Item = u64> + '_ {
         let mut frontier = BinaryHeap::new();
         if self.summary[1] != NO_RUN {
+            // The first length yielded leaves a sibling per level of the
+            // summary and the leaf on the frontier; room for twice that lets
+            // a planner's first lengths go by without the heap regrowing.
+            let depth = self.leaf(0).trailing_zeros() as usize;
+            frontier.reserve(2 * (depth + 1));
             frontier.push((self.summary[1], 1));
         }
         RunLensDesc {
@@ -394,6 +411,113 @@ impl RunIndexMap {
         })
     }
 
+    /// Frees every run of `batch` in one pass: the runs ascending by start,
+    /// disjoint, possibly touching (empty ones are skipped).  The map ends
+    /// exactly as releasing them one at a time would leave it, since the map
+    /// is a function of the free set alone.
+    ///
+    /// With `withdraw = Some((granule, cut))`, every whole `granule`-aligned
+    /// span of a coalesced run that absorbed a released run is taken back out
+    /// of the map and handed to `cut`, ascending — the spans a caller that
+    /// hands whole granules back elsewhere would otherwise reserve one
+    /// [`RunIndexMap::release_coalesced`] at a time.
+    ///
+    /// One streaming merge of the map's runs with the batch: a block no
+    /// batch run reaches is moved into the new list as it is; a block one
+    /// reaches is rebuilt in its own buffer from a copy of its runs on the
+    /// stack, overflowing into a further block only past `BLOCK_CAP` (as an
+    /// insert splits a full block), and neighbours left holding half a block
+    /// or less between them merge; `firsts` and the summary are rebuilt
+    /// once.  Blocks are not repacked: freeing the buffers repacking empties
+    /// scatters holes through the allocator's heap, which cost more peak RSS
+    /// than the slack they held.  For `k` batch runs the cost is O(k +
+    /// touched blocks × `BLOCK_CAP` + blocks) — never O(runs in the map).
+    ///
+    /// Fails, changing nothing, on the first run that is out of bounds,
+    /// overlaps a free run or the batch run before it
+    /// ([`AllocError::NotAllocated`]), or starts below the run before it
+    /// ([`AllocError::UnsortedBatch`]) — for a sorted batch, exactly the
+    /// error the one-at-a-time releases would stop at.
+    pub fn release_batch<I>(
+        &mut self,
+        batch: I,
+        withdraw: Option<(u64, &mut dyn FnMut(Extent))>,
+    ) -> Result<(), AllocError>
+    where
+        I: IntoIterator<Item = Extent>,
+        I::IntoIter: Clone,
+    {
+        let batch = batch.into_iter().filter(|run| !run.is_empty());
+        let released = self.check_batch(batch.clone())?;
+        if released == 0 {
+            return Ok(());
+        }
+
+        let old_leaves = self.leaf(0);
+        let mut merge = BatchMerge {
+            blocks: Vec::with_capacity(self.blocks.len() + 1),
+            maxima: Vec::with_capacity(self.blocks.len() + 1),
+            filling: Vec::new(),
+            spare: Vec::new(),
+            open: None,
+            absorbed: false,
+            withdraw,
+            withdrawn: 0,
+        };
+        let mut batch = batch.peekable();
+        let mut merging = [Extent::new(0, 0); BLOCK_CAP];
+        for (b, mut block) in std::mem::take(&mut self.blocks).into_iter().enumerate() {
+            // Batch runs below the next block's first run merge into this
+            // one's; so does an open run that this block's first run extends.
+            let end = self.firsts.get(b + 1).copied().unwrap_or(u64::MAX);
+            let reached = merge.open.is_some_and(|open| open.end() == block[0].start)
+                || batch.peek().is_some_and(|run| run.start < end);
+            if !reached {
+                merge.push_block(block, self.summary[old_leaves + b]);
+                continue;
+            }
+            let runs = &mut merging[..block.len()];
+            runs.copy_from_slice(&block);
+            block.clear();
+            merge.filling = block;
+            for &run in runs.iter() {
+                while let Some(freed) = batch.next_if(|freed| freed.start < run.start) {
+                    merge.push(freed, true);
+                }
+                merge.push(run, false);
+            }
+            while let Some(freed) = batch.next_if(|freed| freed.start < end) {
+                merge.push(freed, true);
+            }
+            // The open run stays open only for the next block's first run.
+            if merge.open.is_some_and(|open| open.end() != end) {
+                merge.close();
+            }
+            merge.finish_block();
+        }
+        for freed in batch {
+            merge.push(freed, true);
+        }
+        merge.close();
+        merge.finish_block();
+
+        self.free = self.free + released - merge.withdrawn;
+        self.blocks = merge.blocks;
+        self.runs = self.blocks.iter().map(Vec::len).sum();
+        self.firsts.clear();
+        self.firsts
+            .extend(self.blocks.iter().map(|block| block[0].start));
+        let leaves = self.blocks.len().next_power_of_two();
+        self.summary.clear();
+        self.summary.resize(leaves, NO_RUN);
+        self.summary.extend_from_slice(&merge.maxima);
+        self.summary.resize(2 * leaves, NO_RUN);
+        for node in (1..leaves).rev() {
+            self.summary[node] = self.summary[2 * node].max(self.summary[2 * node + 1]);
+        }
+        Ok(())
+    }
+
     /// Reserves up to `max_len` clusters starting exactly at `cluster` — as
     /// many as the free run there still holds from `cluster` on — and returns
     /// what was taken; `None`, changing nothing, when `cluster` is not free
@@ -518,6 +642,55 @@ impl RunIndexMap {
 
     fn run(&self, (b, i): Position) -> Extent {
         self.blocks[b][i]
+    }
+
+    /// Checks a batch for [`RunIndexMap::release_batch`] — each run inside
+    /// the space, at or past the end of the one before it, and clear of
+    /// every free run — and returns the clusters it frees.  One walk: the
+    /// first free run that ends past a batch run's start is the only one that
+    /// can overlap it, and it only moves forward, a block at a time through
+    /// `firsts` and a run at a time inside a block.
+    fn check_batch(&self, batch: impl Iterator<Item = Extent>) -> Result<u64, AllocError> {
+        let mut released = 0;
+        let mut previous: Option<Extent> = None;
+        let (mut b, mut i) = (0, 0);
+        for run in batch {
+            self.check_bounds(run)?;
+            let (start, len) = (run.start, run.len);
+            if let Some(previous) = previous {
+                if run.start < previous.start {
+                    return Err(AllocError::UnsortedBatch { start, len });
+                }
+                if run.start < previous.end() {
+                    return Err(AllocError::NotAllocated { start, len });
+                }
+            }
+            // Every run of a block ends before the next block's first run.
+            while self
+                .firsts
+                .get(b + 1)
+                .is_some_and(|&first| first <= run.start)
+            {
+                (b, i) = (b + 1, 0);
+            }
+            let next = match self.blocks.get(b) {
+                Some(block) => {
+                    while block.get(i).is_some_and(|free| free.end() <= run.start) {
+                        i += 1;
+                    }
+                    block
+                        .get(i)
+                        .or_else(|| self.blocks.get(b + 1).map(|next| &next[0]))
+                }
+                None => None,
+            };
+            if next.is_some_and(|free| free.start < run.end()) {
+                return Err(AllocError::NotAllocated { start, len });
+            }
+            released += run.len;
+            previous = Some(run);
+        }
+        Ok(released)
     }
 
     /// The last run starting at or before `cluster`.
@@ -743,6 +916,124 @@ impl RunIndexMap {
                 self.replace_run(at, head);
                 self.insert_run((at.0, at.1 + 1), tail);
             }
+        }
+    }
+}
+
+/// The new block list [`RunIndexMap::release_batch`] streams runs into.
+struct BatchMerge<'a> {
+    /// The blocks so far, each with its largest `(len, start)`.
+    blocks: Vec<Vec<Extent>>,
+    maxima: Vec<SizeKey>,
+    /// The block being rebuilt, and a buffer emptied by a merge of two
+    /// blocks, for a block that overflows.
+    filling: Vec<Extent>,
+    spare: Vec<Extent>,
+    /// The last run, which the next one may still extend, and whether a
+    /// released run went into it.
+    open: Option<Extent>,
+    absorbed: bool,
+    withdraw: Option<(u64, &'a mut dyn FnMut(Extent))>,
+    /// Clusters of the spans handed to `withdraw`.
+    withdrawn: u64,
+}
+
+impl BatchMerge<'_> {
+    /// Appends the next run in offset order, coalescing it with the open
+    /// run when the two touch.
+    fn push(&mut self, run: Extent, released: bool) {
+        match &mut self.open {
+            Some(open) if open.end() == run.start => {
+                open.len += run.len;
+                self.absorbed |= released;
+            }
+            _ => {
+                self.close();
+                self.open = Some(run);
+                self.absorbed = released;
+            }
+        }
+    }
+
+    /// Emits the open run, minus its whole aligned span when it absorbed a
+    /// released run and the caller withdraws spans.
+    fn close(&mut self) {
+        let Some(run) = self.open.take() else {
+            return;
+        };
+        let span = match &self.withdraw {
+            // A run shorter than a granule holds no whole one: most freed
+            // runs, spared two divisions each.
+            Some((granule, _)) if self.absorbed && run.len >= *granule => {
+                let start = run.start.div_ceil(*granule) * granule;
+                let end = run.end() / granule * granule;
+                (start < end).then(|| Extent::new(start, end - start))
+            }
+            _ => None,
+        };
+        let Some(span) = span else {
+            self.emit(run);
+            return;
+        };
+        self.emit(Extent::new(run.start, span.start - run.start));
+        if let Some((_, cut)) = &mut self.withdraw {
+            cut(span);
+        }
+        self.withdrawn += span.len;
+        self.emit(Extent::new(span.end(), run.end() - span.end()));
+    }
+
+    fn emit(&mut self, run: Extent) {
+        if run.is_empty() {
+            return;
+        }
+        if self.filling.len() == BLOCK_CAP {
+            self.finish_block();
+        }
+        if self.filling.capacity() == 0 {
+            // A block past a full one (or the first of an empty map): room
+            // for a whole block at once, not a doubling per few runs.
+            self.filling = std::mem::take(&mut self.spare);
+            self.filling.reserve(BLOCK_CAP);
+        }
+        self.filling.push(run);
+    }
+
+    /// Appends the block being rebuilt, unless nothing was left in it.
+    fn finish_block(&mut self) {
+        let block = std::mem::take(&mut self.filling);
+        if block.is_empty() {
+            self.recycle(block);
+        } else {
+            let max = block_max(&block);
+            self.push_block(block, max);
+        }
+    }
+
+    /// Appends a whole block, merging it into the last one when the two hold
+    /// at most [`MERGE_AT`] runs between them — so any two neighbours hold
+    /// more: when a block is appended its pair is above the threshold, and
+    /// only the last block ever grows.
+    fn push_block(&mut self, block: Vec<Extent>, max: SizeKey) {
+        match self.blocks.last_mut() {
+            Some(last) if last.len() + block.len() <= MERGE_AT => {
+                last.extend_from_slice(&block);
+                let last_max = self.maxima.last_mut().expect("one maximum per block");
+                *last_max = max.max(*last_max);
+                self.recycle(block);
+            }
+            _ => {
+                self.blocks.push(block);
+                self.maxima.push(max);
+            }
+        }
+    }
+
+    /// Keeps the larger of an emptied block's buffer and the spare one.
+    fn recycle(&mut self, mut block: Vec<Extent>) {
+        if block.capacity() > self.spare.capacity() {
+            block.clear();
+            self.spare = block;
         }
     }
 }
@@ -1308,6 +1599,175 @@ mod tests {
         assert_eq!(map.verify(), Ok(()));
         assert_eq!(map.free_runs(), runs_before);
         assert_eq!(map.largest(), largest_before);
+    }
+
+    /// `runs` four-cluster free runs ten clusters apart: six-cluster gaps.
+    fn wide_comb(runs: u64) -> RunIndexMap {
+        let mut map = RunIndexMap::new_allocated(10 * runs + 10);
+        for k in 0..runs {
+            map.release(Extent::new(10 * k + 5, 4)).unwrap();
+        }
+        map
+    }
+
+    /// What `release_batch` must leave: one `release_coalesced` per run,
+    /// then, with a granule, the whole aligned span of every coalesced run
+    /// a released run went into cut out again.
+    fn one_by_one(
+        map: &RunIndexMap,
+        batch: &[Extent],
+        granule: Option<u64>,
+    ) -> (RunIndexMap, Vec<Extent>) {
+        let mut map = map.clone();
+        for &run in batch {
+            map.release_coalesced(run).unwrap();
+        }
+        let mut grown: Vec<Extent> = batch
+            .iter()
+            .filter_map(|run| map.run_at(run.start))
+            .collect();
+        grown.dedup();
+        let mut spans = Vec::new();
+        for run in grown {
+            let Some(granule) = granule else { break };
+            let (start, end) = (
+                run.start.div_ceil(granule) * granule,
+                run.end() / granule * granule,
+            );
+            if start < end {
+                let span = Extent::new(start, end - start);
+                map.reserve(span).unwrap();
+                spans.push(span);
+            }
+        }
+        (map, spans)
+    }
+
+    fn assert_batch_matches(map: &RunIndexMap, batch: &[Extent], granule: Option<u64>) {
+        let (expected, expected_spans) = one_by_one(map, batch, granule);
+        let mut map = map.clone();
+        let mut spans = Vec::new();
+        let mut cut = |span| spans.push(span);
+        let withdraw = granule.map(|granule| (granule, &mut cut as &mut dyn FnMut(Extent)));
+        map.release_batch(batch.iter().copied(), withdraw).unwrap();
+        assert_eq!(map.verify(), Ok(()), "{batch:?}");
+        assert_eq!(map.free_runs(), expected.free_runs(), "{batch:?}");
+        assert_eq!(map.free_clusters(), expected.free_clusters());
+        assert_eq!(map.run_count(), expected.run_count());
+        assert_eq!(map.largest(), expected.largest());
+        assert_eq!(
+            spans, expected_spans,
+            "{batch:?} in granules of {granule:?}"
+        );
+    }
+
+    #[test]
+    fn a_batch_release_leaves_what_one_release_per_run_leaves() {
+        let map = wide_comb(20 * BLOCK_CAP as u64);
+        let gap = |k: u64| 10 * k + 9; // six clusters, from 10k + 9 to 10k + 15
+        let batches: Vec<Vec<Extent>> = vec![
+            vec![],
+            vec![Extent::new(gap(300), 1)],
+            // Touching the run below, the run above, neither; a whole gap.
+            (0..40)
+                .map(|k| match k % 4 {
+                    0 => Extent::new(gap(k), 2),
+                    1 => Extent::new(gap(k) + 4, 2),
+                    2 => Extent::new(gap(k) + 2, 1),
+                    _ => Extent::new(gap(k), 6),
+                })
+                .collect(),
+            // Touching each other, in and out of empty runs.
+            vec![
+                Extent::new(gap(7) + 1, 1),
+                Extent::new(gap(7) + 2, 0),
+                Extent::new(gap(7) + 2, 2),
+                Extent::new(gap(8), 6),
+                Extent::new(gap(9), 6),
+            ],
+            // Every gap of a stretch of blocks, every third gap of all.
+            (100..100 + 3 * BLOCK_CAP as u64)
+                .map(|k| Extent::new(gap(k), 6))
+                .collect(),
+            (0..20 * BLOCK_CAP as u64)
+                .step_by(3)
+                .map(|k| Extent::new(gap(k) + 1, 3))
+                .collect(),
+            // Below the first run and past the last.
+            vec![
+                Extent::new(0, 5),
+                Extent::new(10 * 20 * BLOCK_CAP as u64 + 9, 1),
+            ],
+        ];
+        for batch in &batches {
+            for granule in [None, Some(1), Some(8), Some(10)] {
+                assert_batch_matches(&map, batch, granule);
+            }
+        }
+        // Into a map with no free run at all, and into a full one's gaps.
+        let empty = RunIndexMap::new_allocated(1_000);
+        let spread: Vec<Extent> = (0..150).map(|k| Extent::new(6 * k + 1, 4)).collect();
+        for granule in [None, Some(8)] {
+            assert_batch_matches(&empty, &spread, granule);
+            assert_batch_matches(&empty, &[Extent::new(0, 1_000)], granule);
+        }
+    }
+
+    /// Blocks the batch does not reach are moved into the new list, not
+    /// copied, and a block it reaches is rebuilt in its own buffer: no
+    /// buffer changes hands unless a block overflows or two merge.
+    #[test]
+    fn a_batch_release_keeps_every_block_in_its_own_buffer() {
+        let mut map = wide_comb(20 * BLOCK_CAP as u64);
+        let buffers: Vec<*const Extent> = map.blocks.iter().map(|block| block.as_ptr()).collect();
+        let batch = [
+            Extent::new(10 * 600 + 9, 6),
+            Extent::new(10 * 601 + 10, 2),
+            Extent::new(10 * 900 + 9, 1),
+        ];
+        map.release_batch(batch, None).unwrap();
+        assert_eq!(map.verify(), Ok(()));
+        let now: Vec<*const Extent> = map.blocks.iter().map(|block| block.as_ptr()).collect();
+        assert_eq!(now, buffers);
+    }
+
+    /// A rejected batch changes nothing, not even the blocks' layout; the
+    /// error names the first offending run.
+    #[test]
+    fn a_rejected_batch_leaves_no_trace() {
+        let mut map = wide_comb(5 * BLOCK_CAP as u64);
+        let before = format!("{map:?}");
+        let good = Extent::new(19, 2);
+        let cases = [
+            (
+                vec![good, Extent::new(28, 3)],
+                AllocError::NotAllocated { start: 28, len: 3 },
+            ),
+            (
+                vec![good, Extent::new(20, 2)],
+                AllocError::NotAllocated { start: 20, len: 2 },
+            ),
+            (
+                vec![Extent::new(29, 1), good],
+                AllocError::UnsortedBatch { start: 19, len: 2 },
+            ),
+            (
+                vec![good, Extent::new(map.total_clusters() - 1, 2)],
+                AllocError::OutOfBounds {
+                    start: map.total_clusters() - 1,
+                    len: 2,
+                    total: map.total_clusters(),
+                },
+            ),
+        ];
+        for (batch, error) in cases {
+            let mut cut = |_| panic!("nothing is withdrawn from a rejected batch");
+            assert_eq!(
+                map.release_batch(batch.iter().copied(), Some((8, &mut cut))),
+                Err(error)
+            );
+            assert_eq!(format!("{map:?}"), before, "after {batch:?}");
+        }
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! `reserve` / `release` / `release_coalesced` / `take_at` calls — blind ones
 //! (mostly rejected: double frees, frees reaching into a neighbour, out of
 //! bounds) and aimed ones (a whole run, a prefix, a suffix, a middle, the gap
-//! between two runs) — and after every operation every `Result` and every
-//! query is compared, tie-breaks included, and a rejected operation must
-//! leave the production map exactly as it was.
+//! between two runs) — and of `release_batch` calls, which the reference
+//! answers by releasing the same runs one at a time (and, given a granule,
+//! reserving the whole aligned span of every coalesced run a released run
+//! went into); after every operation every `Result` and every query is
+//! compared, tie-breaks included, and a rejected operation must leave the
+//! production map exactly as it was.
 //!
 //! **Mutation-checked** (PR 19, each against `tier1_sized…`; the first three
 //! fail within ten operations): flipping the size order's tie-break to
@@ -20,11 +23,15 @@
 //! `replace_run` fails `run_at` on the first release that grows a block's
 //! first run downwards; and, past the first block, keeping the old maximum
 //! for the lower half of a split block fails `run_lens_desc` at the first
-//! split (operation 128).
+//! split (operation 128).  Against the batched release (PR 25, each
+//! against both scripts): a coalesced run that forgets it took in a released
+//! run once the next run extends it, the aligned span rounded outwards, and a
+//! block the batch does not reach copied instead of moved (the last caught
+//! by the unit test that compares block buffers) — each fails.
 
 mod reference;
 
-use lor_alloc::{Extent, FreeSpace, RunIndexMap};
+use lor_alloc::{AllocError, Extent, FreeSpace, RunIndexMap};
 use reference::ReferenceMap;
 
 /// SplitMix64: a seeded stream, the same on every host.
@@ -66,6 +73,9 @@ struct Pair {
     total: u64,
     ops: u64,
     peak_runs: usize,
+    /// Batched releases accepted, and the most runs one of them held.
+    batches: u64,
+    widest_batch: usize,
 }
 
 impl Pair {
@@ -77,6 +87,8 @@ impl Pair {
             total,
             ops: 0,
             peak_runs: 0,
+            batches: 0,
+            widest_batch: 0,
         }
     }
 
@@ -138,6 +150,7 @@ impl Pair {
                     self.reserve(extent)
                 }
             }
+            (true, 7) if self.rng.below(4) == 0 => self.release_batch(cadence),
             // Aimed frees: around and between existing runs.
             (true, _) => match self.some_run() {
                 None => self.release(Extent::new(self.total / 2, 1)),
@@ -216,6 +229,124 @@ impl Pair {
         };
         let expected = self.model.release(extent);
         assert_eq!(got, expected, "op {}: release {extent:?}", self.ops);
+        got.is_ok()
+    }
+
+    /// A batch walking up the space from a random cluster: in each gap it
+    /// meets, a run touching the free run below, the one above, neither, or
+    /// filling the gap, sometimes touching the batch run before it; now and
+    /// then one that is rejected (reaching into a free run or into the batch
+    /// run before it, out of order, out of bounds).
+    fn batch(&mut self) -> Vec<Extent> {
+        let runs = match self.rng.below(32) {
+            0..=7 => 1,
+            8 => 64 + self.rng.below(512),
+            _ => 1 + self.rng.below(8),
+        };
+        let mut at = self.cluster();
+        let mut batch = Vec::new();
+        for _ in 0..runs {
+            // The gap at or after `at`: where the free run there ends.
+            let start = self.model.run_at(at).map_or(at, |run| run.end());
+            if start >= self.total {
+                break;
+            }
+            let end = self
+                .model
+                .first_fit(1, start)
+                .map_or(self.total, |run| run.start);
+            let gap = end - start;
+            let len = 1 + self.rng.below(gap.min(4));
+            // Mostly runs that leave part of the gap allocated, so batches
+            // add runs as single frees do instead of only joining them.
+            let run = match self.rng.below(16) {
+                0 => Extent::new(start, gap),
+                1..=4 => Extent::new(start, len),
+                5..=8 => Extent::new(end - len, len),
+                9..=12 if gap >= 3 => Extent::new(start + 1, 1 + self.rng.below(gap.min(6) - 2)),
+                _ => Extent::new(start + self.rng.below(gap), 0),
+            };
+            batch.push(run);
+            // Touching the run just added, in the next gap or further up.
+            at = run.end() + self.rng.below(4) * self.rng.below(self.total / 2_000);
+        }
+        if self.rng.below(8) == 0 && !batch.is_empty() {
+            let k = self.rng.below(batch.len() as u64) as usize;
+            let bad = batch[k];
+            match self.rng.below(4) {
+                0 => batch[k].len += self.rng.below(6) + 1,
+                1 => batch.insert(k + 1, Extent::new(bad.start + bad.len / 2, 1)),
+                2 => batch.push(Extent::new(bad.start.saturating_sub(1), 1)),
+                _ => batch.push(Extent::new(self.total - 1, 2)),
+            }
+        }
+        batch
+    }
+
+    fn release_batch(&mut self, cadence: &Cadence) -> bool {
+        let batch = self.batch();
+        let before = self
+            .ops
+            .is_multiple_of(cadence.snapshot)
+            .then(|| format!("{:?}", self.map));
+        let granule = [None, Some(1), Some(8), Some(13)][self.rng.below(4) as usize];
+
+        // The reference: the same runs released one at a time; at the first
+        // failure (an unsorted run is one the batch must refuse) the ones
+        // already released are reserved again.
+        let mut expected = Ok(());
+        let mut released: Vec<Extent> = Vec::new();
+        for &run in batch.iter().filter(|run| !run.is_empty()) {
+            let unsorted = run.end() <= self.total
+                && released.last().is_some_and(|last| run.start < last.start);
+            let result = if unsorted {
+                Err(AllocError::UnsortedBatch {
+                    start: run.start,
+                    len: run.len,
+                })
+            } else {
+                self.model.release(run).map(drop)
+            };
+            if let Err(error) = result {
+                expected = Err(error);
+                for &run in released.iter().rev() {
+                    self.model.reserve(run).expect("just released");
+                }
+                break;
+            }
+            released.push(run);
+        }
+        let mut expected_spans = Vec::new();
+        if let (Ok(()), Some(granule)) = (expected, granule) {
+            let mut grown: Vec<Extent> = released
+                .iter()
+                .filter_map(|run| self.model.run_at(run.start))
+                .collect();
+            grown.dedup();
+            for run in grown {
+                let start = run.start.div_ceil(granule) * granule;
+                let end = run.end() / granule * granule;
+                if start < end {
+                    let span = Extent::new(start, end - start);
+                    self.model.reserve(span).expect("inside a free run");
+                    expected_spans.push(span);
+                }
+            }
+        }
+
+        let mut spans = Vec::new();
+        let mut cut = |span| spans.push(span);
+        let withdraw = granule.map(|granule| (granule, &mut cut as &mut dyn FnMut(Extent)));
+        let got = self.map.release_batch(batch.iter().copied(), withdraw);
+        assert_eq!(got, expected, "op {}: release_batch {batch:?}", self.ops);
+        assert_eq!(spans, expected_spans, "op {}: withdrawn", self.ops);
+        if got.is_ok() {
+            self.batches += 1;
+            self.widest_batch = self.widest_batch.max(batch.len());
+        } else if let Some(before) = before {
+            // Down to the blocks' layout.
+            assert_eq!(format!("{:?}", self.map), before, "op {}", self.ops);
+        }
         got.is_ok()
     }
 
@@ -355,6 +486,7 @@ fn tier1_sized_script_matches_the_two_btree_reference() {
     let mut pair = Pair::new(8_000, 42);
     pair.phase(4_000, 88, &every_op);
     assert!(pair.peak_runs > 10 * 64, "{} runs", pair.peak_runs);
+    assert!(pair.batches >= 100, "{} batches", pair.batches);
     pair.phase(1_500, 15, &every_op);
     pair.phase(1_000, 70, &every_op);
     pair.phase(500, 50, &every_op);
@@ -362,7 +494,8 @@ fn tier1_sized_script_matches_the_two_btree_reference() {
 
 /// The long one (CI runs it with `--ignored`, in release): past 30,000 runs,
 /// down to a handful — block after block merged or emptied — and up again,
-/// the summary re-laid at every power of two on the way.
+/// the summary re-laid at every power of two on the way, with thousands of
+/// batched releases among the frees.
 #[test]
 #[ignore = "long: run with --release -- --ignored"]
 fn long_script_to_30k_runs_matches_the_two_btree_reference() {
@@ -374,10 +507,14 @@ fn long_script_to_30k_runs_matches_the_two_btree_reference() {
     let mut pair = Pair::new(600_000, 7);
     pair.phase(100_000, 90, &cadence);
     assert!(pair.peak_runs >= 30_000, "{} runs", pair.peak_runs);
-    pair.phase(90_000, 8, &cadence);
+    pair.phase(120_000, 8, &cadence);
     assert!(pair.map.run_count() < 2_000, "{}", pair.map.run_count());
     pair.phase(40_000, 75, &cadence);
     pair.phase(20_000, 50, &cadence);
     pair.ops = 0;
     pair.compare(&cadence);
+    // Batched releases went through every stage, some spanning hundreds of
+    // runs.
+    assert!(pair.batches >= 2_000, "{} batches", pair.batches);
+    assert!(pair.widest_batch >= 256, "{} runs", pair.widest_batch);
 }

@@ -46,6 +46,16 @@
 //! free set alone), which `tests/differential.rs` pins against a
 //! page-at-a-time reference model.
 //!
+//! A whole backlog of freed runs — the engine's full ghost-cleanup pass — is
+//! one **batched release** ([`AllocationUnit::free_sorted_runs`]): the
+//! sorted runs go into the page map in one merge
+//! ([`RunIndexMap::release_batch`]) that cuts out the whole extents of every
+//! coalesced run it grew as it goes, and those extents go to the GAM in
+//! sorted batches through the same method ([`Gam::release_runs`]).  The end
+//! state is the one a
+//! [`AllocationUnit::free_run`] per run leaves, in any order
+//! (`tests/proptests.rs` compares the two).
+//!
 //! The streaming allocator ([`AllocationUnit::allocate_pages`]) asks the
 //! page map only questions that can have an answer.  A take that came up
 //! short of what was asked ended because the free run did, so the page after
@@ -80,6 +90,13 @@ use crate::page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};
 /// The fit the database's native policy applies: SQL Server reuses the lowest
 /// free page / extent first.
 const NATIVE_FIT: FitPolicy = FitPolicy::FirstFit;
+
+/// Most emptied extent spans [`AllocationUnit::free_sorted_runs`] holds
+/// before handing them to the GAM.  A full ghost pass on an aged store
+/// empties up to 15,000 spans; collecting them all in one buffer (up to
+/// 256 KB) read ≈ 0.2 MB more peak RSS on `serve_db` than this one of 4 KB
+/// (EXPERIMENTS.md, "Host cost of the maintenance slice").
+const EMPTIED_BATCH: usize = 256;
 
 /// The pages of a run of extents.
 pub(crate) const fn pages_of(extents: Extent) -> Extent {
@@ -215,6 +232,17 @@ impl Gam {
         self.map
             .release(extents)
             .unwrap_or_else(|_| panic!("extents {extents:?} released twice"));
+    }
+
+    /// Returns runs of consecutive extents — ascending, disjoint — to the
+    /// free pool in one merge ([`RunIndexMap::release_batch`]).
+    ///
+    /// # Panics
+    /// As [`Gam::release_run`], naming the first offending run.
+    pub(crate) fn release_runs(&mut self, runs: &[Extent]) {
+        self.map
+            .release_batch(runs.iter().copied(), None)
+            .unwrap_or_else(|err| panic!("extents released twice or outside the data file: {err}"));
     }
 
     /// `true` if the extent is currently unassigned.
@@ -703,6 +731,48 @@ impl AllocationUnit {
         for &run in runs {
             self.free_run(gam, run);
         }
+    }
+
+    /// Frees a batch of page runs — ascending by start, disjoint, possibly
+    /// touching — as one merge into the page map, which cuts out every
+    /// extent the batch empties as it goes; the emptied extents go to the
+    /// GAM in sorted batches of at most `EMPTIED_BATCH` (256) spans through
+    /// the same merge ([`RunIndexMap::release_batch`]), handed over while
+    /// the unit's merge runs.
+    ///
+    /// The end state is identical to one [`AllocationUnit::free_run`] per
+    /// run, in any order: both free maps are canonical, and the extents
+    /// emptied are the whole extents of the coalesced runs that took in a
+    /// freed page — the same set however the pages came back.
+    ///
+    /// # Panics
+    /// As [`AllocationUnit::free_run`], for any run of the batch.
+    pub fn free_sorted_runs<I>(&mut self, gam: &mut Gam, runs: I)
+    where
+        I: IntoIterator<Item = Extent>,
+        I::IntoIter: Clone,
+    {
+        let runs = runs.into_iter();
+        for run in runs.clone().filter(|run| !run.is_empty()) {
+            assert!(
+                self.extents.contains_all(extents_touched(run)),
+                "run {run:?} freed outside the unit's extents"
+            );
+        }
+        let mut emptied = Vec::with_capacity(EMPTIED_BATCH);
+        let mut cut = |pages: Extent| {
+            let extents = Extent::new(pages.start / PAGES_PER_EXTENT, pages.len / PAGES_PER_EXTENT);
+            self.extents.remove_run(extents);
+            emptied.push(extents);
+            if emptied.len() == EMPTIED_BATCH {
+                gam.release_runs(&emptied);
+                emptied.clear();
+            }
+        };
+        self.map
+            .release_batch(runs, Some((PAGES_PER_EXTENT, &mut cut)))
+            .unwrap_or_else(|err| panic!("runs freed twice: {err}"));
+        gam.release_runs(&emptied);
     }
 
     /// The extents currently assigned to this unit, ascending.

@@ -26,9 +26,9 @@
 //! pages.  A version streams in as write-request-sized allocations that
 //! append runs to its [`PageRuns`] layout; committing it swaps the layout
 //! into the record and appends the old layout's runs to the ghost backlog; a
-//! cleanup pass takes runs off the backlog and hands each to
-//! [`AllocationUnit::free_run`]; a failed batch hands its in-flight layouts
-//! straight back the same way.  Fragment counts,
+//! budgeted cleanup pass takes runs off the backlog and hands each to
+//! [`AllocationUnit::free_run`], and a failed batch and a compaction step
+//! hand their layouts back the same way.  Fragment counts,
 //! receipts and read plans are read off the runs (`fragment_count` is the
 //! number of runs), so nothing on the foreground path scans a page list.
 //! Work per replaced object is therefore proportional to its *fragments*
@@ -64,6 +64,26 @@
 //!
 //! An item of a batch leaves the round-robin rotation when its version is
 //! complete.
+//!
+//! ## Maintenance pays per unit of work too
+//!
+//! The two duties that give space back are priced by what they do, not by
+//! the size of the structures they read:
+//!
+//! * a **full ghost pass** (`ghost_cleanup`, or a budget that covers the
+//!   backlog) sorts the backlog in its own two buffers and frees it as one
+//!   batch ([`AllocationUnit::free_sorted_runs`]): one streaming merge into
+//!   the unit's page map that cuts out the extents it empties, which go to
+//!   the GAM in sorted batches through the same merge — O(k log k) for the
+//!   `k` runs plus the blocks of the maps the batch reaches, where one
+//!   located release per run paid a search and a block edit each.  A
+//!   budgeted pass still pops the highest runs one at a time;
+//! * a **compaction step** walks the candidate index in place and examines
+//!   each candidate once, in the index's order as the step found it: a
+//!   committed move re-files its blob *below* the walk, which re-opens
+//!   strictly below the entry it was on and passes over what this step
+//!   re-filed.  It copies nothing up front — a budgeted step examines a few
+//!   dozen of several hundred candidates.
 //!
 //! All of this is host-time engineering: layouts, statistics and free maps
 //! are bit-identical to the page-at-a-time procedure, which survives as the
@@ -225,11 +245,15 @@ pub struct DbWriteReceipt {
 /// Outcome of one incremental compaction step ([`Database::compact_step`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompactReport {
-    /// Blobs whose layout was examined.
+    /// Blobs whose layout was examined: candidates of the step, each once.
     pub blobs_examined: u64,
-    /// Blobs rewritten into a single contiguous run.
+    /// Blobs rewritten into fewer fragments — the largest free runs
+    /// maintenance may use, largest first, often more than one.
     pub blobs_moved: u64,
-    /// Blobs skipped because no contiguous run large enough existed.
+    /// Blobs examined but left where they were: planned as unimprovable
+    /// from the free-run profile, refused by the placement policy (no
+    /// eligible space), or allocated and rolled back because the new layout
+    /// had no fewer fragments.
     pub blobs_skipped: u64,
     /// LOB pages written while moving blobs.
     pub pages_moved: u64,
@@ -246,18 +270,19 @@ pub struct CompactReport {
 /// disjoint page runs.
 ///
 /// A version is ghosted and later freed as the handful of runs it is laid
-/// out in, so the backlog costs one append per *run*, not per page.  Only a
-/// budgeted tail-first pass reads an order — it releases the runs holding
-/// the highest pages — so runs are ordered only for one: ghosting appends to
-/// the unordered `fresh` list, and [`GhostBacklog::pop_highest`] first moves
-/// that list into the max-heap by start page that it then pops.  A full
-/// pass needs no order at all (freeing a set of pages ends in the same
-/// state whatever the order) and drains both.  The heap is what makes a
-/// budgeted pass over a long-held backlog cheap: re-sorting one flat list
-/// per pass halves `serve_db`'s throughput (EXPERIMENTS.md).  A page can
-/// never be ghosted twice before cleanup frees it, so runs never overlap
-/// ([`Database::verify`] checks).  Runs that happen to touch are not
-/// merged: the free map coalesces them on release anyway.
+/// out in, so the backlog costs one append per *run*, not per page.  A
+/// budgeted tail-first pass releases the runs holding the highest pages:
+/// ghosting appends to the unordered `fresh` list, and
+/// [`GhostBacklog::pop_highest`] first moves that list into the max-heap by
+/// start page that it then pops.  The heap is what makes a budgeted pass
+/// over a long-held backlog cheap: re-sorting one flat list per pass halves
+/// `serve_db`'s throughput (EXPERIMENTS.md).  A full pass frees everything,
+/// ascending, as one batch ([`GhostBacklog::release_all`]): the heap's
+/// buffer and the fresh list are each sorted in place and read as one
+/// merged sequence.  A page can never be ghosted twice before cleanup frees
+/// it, so runs never overlap ([`Database::verify`] checks).  Runs that
+/// happen to touch are not merged here: the free map coalesces them on
+/// release anyway.
 #[derive(Debug, Clone, Default)]
 struct GhostBacklog {
     /// Runs a budgeted pass has already ordered, highest start on top.
@@ -297,11 +322,23 @@ impl GhostBacklog {
         Some(popped)
     }
 
-    /// Empties the backlog, yielding its runs in no particular order and
-    /// keeping both buffers for the next version ghosted.
-    fn drain(&mut self) -> impl Iterator<Item = Extent> + '_ {
+    /// Empties the backlog, handing `free` every run ascending by start: the
+    /// heap's and the fresh list's runs are each sorted in their own buffer
+    /// and merged as two sequences, never concatenated, and both buffers are
+    /// kept for the next version ghosted.
+    fn release_all(&mut self, free: impl FnOnce(Ascending<'_>)) {
+        // The runs are disjoint, so their starts alone order them.
+        let mut ordered = std::mem::take(&mut self.heap).into_vec();
+        ordered.sort_unstable_by_key(|run| run.start);
+        self.fresh.sort_unstable_by_key(|run| run.start);
+        free(Ascending {
+            ordered: &ordered,
+            fresh: &self.fresh,
+        });
+        ordered.clear();
+        self.heap = BinaryHeap::from(ordered);
+        self.fresh.clear();
         self.pages = 0;
-        self.heap.drain().chain(self.fresh.drain(..))
     }
 
     /// The backlog's runs, in no particular order.
@@ -310,10 +347,35 @@ impl GhostBacklog {
     }
 }
 
+/// Two ascending lists of disjoint runs, read as one ascending sequence.
+#[derive(Clone)]
+struct Ascending<'a> {
+    ordered: &'a [Extent],
+    fresh: &'a [Extent],
+}
+
+impl Iterator for Ascending<'_> {
+    type Item = Extent;
+
+    fn next(&mut self) -> Option<Extent> {
+        let side = match (self.ordered.first(), self.fresh.first()) {
+            (Some(ordered), Some(fresh)) if fresh.start < ordered.start => &mut self.fresh,
+            (Some(_), _) => &mut self.ordered,
+            (None, _) => &mut self.fresh,
+        };
+        let (&run, rest) = side.split_first()?;
+        *side = rest;
+        Some(run)
+    }
+}
+
 /// The compactor's candidate index: `(fragment count, id)` of every blob it
 /// has been told has more than one fragment, ordered so that iterating in
 /// reverse yields fragment count descending, id ascending.
-type CandidateIndex = BTreeSet<(u64, std::cmp::Reverse<BlobId>)>;
+type CandidateIndex = BTreeSet<Candidate>;
+
+/// An entry of the [`CandidateIndex`].
+type Candidate = (u64, std::cmp::Reverse<BlobId>);
 
 /// Ids of deleted records the stale list may carry beyond twice the object
 /// count before [`Database::delete`] purges them, so a small store does not
@@ -359,9 +421,11 @@ pub struct Database {
     /// Every blob with more than one fragment *as of the last flush*: the
     /// entry `(record.indexed, id)` of every record with `indexed > 1`.
     /// Reverse iteration is the exact order the compactor's old
-    /// sort-the-world scan produced, so [`Database::compact_step`] pays
-    /// O(candidates) instead of re-walking every page of every blob per
-    /// tick.  Only a compactor reads it, so only a compactor pays to keep it
+    /// sort-the-world scan produced, so [`Database::compact_step`] walks it
+    /// in place and pays per candidate it examines (a few dozen per budgeted
+    /// step) plus a re-opened range per move, instead of re-walking every
+    /// page of every blob per tick.  Only a compactor reads it, so only a
+    /// compactor pays to keep it
     /// current: inserts and updates mark the record `stale` and note its id
     /// on `stale_ids`; [`Database::flush_stale_candidates`] re-indexes the
     /// noted records before the set is read.
@@ -733,9 +797,9 @@ impl Database {
                 left -= run.len;
             }
         } else {
-            for run in self.ghosts.drain() {
-                self.lob_unit.free_run(&mut self.gam, run);
-            }
+            // Full pass: the whole backlog, ascending, in one merge per map.
+            self.ghosts
+                .release_all(|runs| self.lob_unit.free_sorted_runs(&mut self.gam, runs));
         }
         self.ops_since_cleanup = 0;
         self.stats.ghost_cleanups += 1;
@@ -902,8 +966,14 @@ impl Database {
     }
 
     /// Runs one bounded increment of online compaction: rewrites the most
-    /// fragmented blobs into fresh contiguous runs, stopping once about
+    /// fragmented blobs into fewer fragments, stopping once about
     /// `page_budget` LOB pages have been moved (0 means unlimited).
+    ///
+    /// The candidates are the blobs with more than one fragment, examined
+    /// most fragmented first (ties by ascending id), each at most once per
+    /// step: the walk is in the order of the candidate index as the step
+    /// found it, even though a committed move re-files its blob under its
+    /// new count.
     ///
     /// This is the incremental middle ground between doing nothing and the
     /// offline [`Database::rebuild_into_new_filegroup`]: a background
@@ -926,16 +996,6 @@ impl Database {
     /// `page_budget` is smaller than the blob, so compaction never starves.
     pub fn compact_step(&mut self, page_budget: u64) -> CompactReport {
         self.flush_stale_candidates();
-        // The flushed candidate index is sorted; iterating it in reverse
-        // yields fragment count descending / id ascending, the exact order
-        // the old sort-every-blob scan produced, in O(candidates) instead of
-        // O(objects × pages) per tick.
-        let candidates: Vec<(BlobId, usize)> = self
-            .compact_candidates
-            .iter()
-            .rev()
-            .map(|&(fragments, std::cmp::Reverse(id))| (id, fragments as usize))
-            .collect();
         let watermark_pages = self.foreground_watermark_pages();
 
         // Under the unrestricted placement the relocation allocator is
@@ -950,13 +1010,29 @@ impl Database {
         let planned = self.config.placement.is_unrestricted();
         let mut profile: Option<Vec<u64>> = None;
 
+        // The flushed candidate index, walked in place in reverse: fragment
+        // count descending, id ascending, the order the sort-every-blob scan
+        // produced.  A committed move re-files its blob under fewer
+        // fragments, i.e. *below* the walk's position, so the walk re-opens
+        // strictly below the entry it was on and passes over the entries
+        // this step re-filed: every blob is examined at most once, in the
+        // order of the index as the step found it.
+        let mut walk = self.compact_candidates.range(..).rev();
+        let mut refiled: BinaryHeap<Candidate> = BinaryHeap::new();
         let mut report = CompactReport::default();
-        for (id, fragments) in candidates {
+        while let Some(&entry) = walk.next() {
+            let (fragments, std::cmp::Reverse(id)) = entry;
+            // Re-filed entries lie below the walk, so the highest one left is
+            // the next the walk can meet.
+            if refiled.peek() == Some(&entry) {
+                refiled.pop();
+                continue;
+            }
             if page_budget > 0 && report.pages_moved >= page_budget {
                 break;
             }
             report.blobs_examined += 1;
-            report.fragments_before += fragments as u64;
+            report.fragments_before += fragments;
             let (need, size_bytes) = {
                 // `verify`: the flushed index holds entries of live records
                 // only ("candidate index"), and this loop deletes none.
@@ -969,9 +1045,9 @@ impl Database {
                 let profile = profile.get_or_insert_with(|| {
                     Self::free_run_profile(&self.lob_unit, &self.gam, watermark_pages.max(1))
                 });
-                if Self::planned_fragments(profile, need) >= fragments as u64 {
+                if Self::planned_fragments(profile, need) >= fragments {
                     report.blobs_skipped += 1;
-                    report.fragments_after += fragments as u64;
+                    report.fragments_after += fragments;
                     continue;
                 }
             }
@@ -980,15 +1056,15 @@ impl Database {
                     .allocate_maintenance_runs(&mut self.gam, need, watermark_pages)
             else {
                 report.blobs_skipped += 1;
-                report.fragments_after += fragments as u64;
+                report.fragments_after += fragments;
                 continue;
             };
-            let new_fragments = new_layout.fragment_count();
+            let new_fragments = new_layout.fragment_count() as u64;
             if new_fragments >= fragments {
                 // Not an improvement: roll the speculative allocation back.
                 self.lob_unit.free_runs(&mut self.gam, new_layout.runs());
                 report.blobs_skipped += 1;
-                report.fragments_after += fragments as u64;
+                report.fragments_after += fragments;
                 continue;
             }
             // `verify`: as above.
@@ -997,16 +1073,19 @@ impl Database {
                 .get_mut(id.0)
                 .expect("candidate ids are live blobs");
             let old_layout = record.replace_layout(new_layout);
-            self.frag_tracker
-                .record_replace(fragments as u64, new_fragments as u64);
-            Self::index_under(&mut self.compact_candidates, record, new_fragments as u64);
+            self.frag_tracker.record_replace(fragments, new_fragments);
+            Self::index_under(&mut self.compact_candidates, record, new_fragments);
+            if new_fragments > 1 {
+                refiled.push((new_fragments, std::cmp::Reverse(id)));
+            }
+            walk = self.compact_candidates.range(..entry).rev();
             self.lob_unit.free_runs(&mut self.gam, old_layout.runs());
             profile = None;
             self.stats.pages_allocated += need;
             report.blobs_moved += 1;
             report.pages_moved += need;
             report.bytes_copied += size_bytes;
-            report.fragments_after += new_fragments as u64;
+            report.fragments_after += new_fragments;
         }
         self.debug_verify();
         report
@@ -1990,6 +2069,75 @@ mod tests {
         let report = db.compact_step(0);
         assert_eq!(report.blobs_examined, 0);
         assert_eq!(report.pages_moved, 0);
+    }
+
+    /// The walk examines exactly the candidates the index held when the step
+    /// began, each once, in its order — also when a move re-files a blob
+    /// that stays fragmented below the walk, and when a commit follows
+    /// candidates the walk had already passed over.
+    #[test]
+    fn a_compact_step_examines_each_candidate_once_in_index_order() {
+        // Mixed sizes in a file three quarters full: moves land in several
+        // runs, and some candidates cannot be improved.
+        let mut config = EngineConfig::new(12 * MB);
+        config.ghost_cleanup_interval_ops = 0;
+        let mut db = Database::create(config).unwrap();
+        let size = |i: u64| MB / 2 + (i % 3) * MB / 4;
+        let count = 12;
+        for i in 0..count {
+            db.insert(&format!("obj-{i}"), size(i)).unwrap();
+        }
+        for round in 0..8 {
+            for i in 0..count {
+                let key = format!("obj-{}", (i * 7 + round) % count);
+                db.update(&key, size(i + round)).unwrap();
+            }
+            db.ghost_cleanup();
+        }
+        db.flush_stale_candidates();
+        // The index as the step finds it, in walk order, with each layout.
+        let snapshot: Vec<(u64, BlobId, PageRuns)> = db
+            .compact_candidates
+            .iter()
+            .rev()
+            .map(|&(fragments, std::cmp::Reverse(id))| {
+                (fragments, id, db.get_by_id(id).unwrap().layout().clone())
+            })
+            .collect();
+
+        let report = db.compact_step(0);
+        let moved: Vec<bool> = snapshot
+            .iter()
+            .map(|(_, id, layout)| db.get_by_id(*id).unwrap().layout() != layout)
+            .collect();
+        assert_eq!(report.blobs_examined, snapshot.len() as u64);
+        assert_eq!(
+            report.fragments_before,
+            snapshot
+                .iter()
+                .map(|(fragments, ..)| fragments)
+                .sum::<u64>()
+        );
+        let moves = moved.iter().filter(|&&yes| yes).count() as u64;
+        assert_eq!(report.blobs_moved, moves);
+        assert_eq!(report.blobs_skipped, report.blobs_examined - moves);
+        // What would expose a walk that meets a re-filed blob again or
+        // re-opens from the top: a moved blob still fragmented, and a commit
+        // after a candidate the walk passed over.
+        assert!(
+            snapshot
+                .iter()
+                .zip(&moved)
+                .any(|((_, id, _), &yes)| yes && db.get_by_id(*id).unwrap().fragment_count() > 1),
+            "fixture: some moved blob must stay fragmented"
+        );
+        let passed_over = moved.iter().position(|&yes| !yes);
+        let last_move = moved.iter().rposition(|&yes| yes);
+        assert!(
+            matches!((passed_over, last_move), (Some(p), Some(m)) if p < m),
+            "fixture: a commit must follow a candidate the walk passed over"
+        );
+        assert_eq!(db.verify(), Ok(()));
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! record is indexed under, inverting the extent-bit test that replaced the
 //! continuation probe in `allocate_pages`, leaving the `fresh` list out of a
 //! budgeted ghost pass, and copying in hash-map order instead of key order
-//! in the rebuild — each fails both.
+//! in the rebuild — each fails both.  Against the in-place walk of
+//! `compact_step` (PR 25): letting the walk examine a blob it re-filed this
+//! step, and re-opening the walk at the top of the index after a commit
+//! instead of below the entry it was on — each fails both, and the engine's
+//! `a_compact_step_examines_each_candidate_once_in_index_order`.
 
 mod reference;
 
