@@ -1080,7 +1080,7 @@ fn placement_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> 
                         (point.fragments_per_object, point.latency_p99_ms)
                     })
                     .collect();
-                points.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
+                points.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
                 Series::new(runs[0].1 .0.policy.name(), points)
             });
             let fragmentation = runs

@@ -524,11 +524,6 @@ impl Database {
             .expect("key map and blob map are consistent"))
     }
 
-    /// Looks up a record by id.
-    pub fn get_by_id(&self, id: BlobId) -> Option<&BlobRecord> {
-        self.blobs.get(id.0)
-    }
-
     /// Iterates over live records in id order.
     pub fn iter_blobs(&self) -> impl Iterator<Item = &BlobRecord> {
         self.blobs.values()
@@ -1492,7 +1487,7 @@ mod tests {
         assert_eq!(record.size_bytes, MB);
         assert_eq!(record.id, receipt.blob_id);
         assert_eq!(db.object_count(), 1);
-        assert!(db.get_by_id(receipt.blob_id).is_some());
+        assert!(db.blobs.get(receipt.blob_id.0).is_some());
 
         let plan = db.read_plan("obj-1").unwrap();
         let transferred: u64 = plan.iter().map(|r| r.len).sum();
@@ -2101,14 +2096,14 @@ mod tests {
             .iter()
             .rev()
             .map(|&(fragments, std::cmp::Reverse(id))| {
-                (fragments, id, db.get_by_id(id).unwrap().layout().clone())
+                (fragments, id, db.blobs.get(id.0).unwrap().layout().clone())
             })
             .collect();
 
         let report = db.compact_step(0);
         let moved: Vec<bool> = snapshot
             .iter()
-            .map(|(_, id, layout)| db.get_by_id(*id).unwrap().layout() != layout)
+            .map(|(_, id, layout)| db.blobs.get(id.0).unwrap().layout() != layout)
             .collect();
         assert_eq!(report.blobs_examined, snapshot.len() as u64);
         assert_eq!(
@@ -2128,7 +2123,7 @@ mod tests {
             snapshot
                 .iter()
                 .zip(&moved)
-                .any(|((_, id, _), &yes)| yes && db.get_by_id(*id).unwrap().fragment_count() > 1),
+                .any(|((_, id, _), &yes)| yes && db.blobs.get(id.0).unwrap().fragment_count() > 1),
             "fixture: some moved blob must stay fragmented"
         );
         let passed_over = moved.iter().position(|&yes| !yes);

@@ -416,11 +416,7 @@ impl AgingResult {
         self.points
             .iter()
             .filter(|p| p.storage_age <= age + 1e-9)
-            .max_by(|a, b| {
-                a.storage_age
-                    .partial_cmp(&b.storage_age)
-                    .expect("ages are finite")
-            })
+            .max_by(|a, b| a.storage_age.total_cmp(&b.storage_age))
     }
 }
 
@@ -586,17 +582,6 @@ fn measure_read_pass(
     Ok(throughput)
 }
 
-/// Measures read throughput with a randomized full-object read pass over (a
-/// sample of) the live objects.
-pub fn measure_read_throughput(
-    store: &mut dyn ObjectStore,
-    generator: &mut WorkloadGenerator,
-    sample: Option<usize>,
-) -> Result<f64, StoreError> {
-    let mut server = StoreServer::new(store);
-    measure_read_pass(&mut server, generator, sample)
-}
-
 /// Builds a store for `config`, bulk-loads it and ages it `age_rounds` whole
 /// overwrite rounds through the request scheduler, returning the aged store
 /// together with the generator (positioned past the aging phase, so
@@ -604,8 +589,8 @@ pub fn measure_read_throughput(
 ///
 /// This is the shared fixture behind the open-loop measurement scenarios:
 /// building and aging twice with the same config yields bit-identical
-/// stores, which is what lets [`measure_mixed_load`] calibrate capacity on a
-/// twin store without perturbing the one it measures.
+/// stores, which is what lets [`calibrate_mixed_load`] calibrate capacity on
+/// a twin store without perturbing the one it measures.
 pub fn age_store(
     kind: StoreKind,
     config: &ExperimentConfig,
@@ -769,22 +754,6 @@ pub fn measure_mixed_load_calibrated(
         fragments_before,
         fragments_after,
     })
-}
-
-/// Calibrates and measures one [`MixedLoadPoint`] in one call — the
-/// single-point convenience over [`calibrate_mixed_load`] +
-/// [`measure_mixed_load_calibrated`] (sweeps should calibrate once per mix
-/// instead).
-pub fn measure_mixed_load(
-    kind: StoreKind,
-    config: &ExperimentConfig,
-    age_rounds: u32,
-    write_fraction: f64,
-    utilisation: f64,
-    ops: usize,
-) -> Result<MixedLoadPoint, StoreError> {
-    let calibration = calibrate_mixed_load(kind, config, age_rounds, write_fraction, ops)?;
-    measure_mixed_load_calibrated(kind, config, age_rounds, &calibration, utilisation)
 }
 
 /// Runs both systems through the same aging experiment — the comparison every
@@ -953,7 +922,18 @@ mod tests {
     #[test]
     fn mixed_load_points_report_both_classes_and_frag_growth() {
         let config = mini_config();
-        let point = measure_mixed_load(StoreKind::Filesystem, &config, 1, 0.5, 0.8, 32).unwrap();
+        let measure = |write_fraction, utilisation, ops| {
+            let calibration =
+                calibrate_mixed_load(StoreKind::Filesystem, &config, 1, write_fraction, ops)?;
+            measure_mixed_load_calibrated(
+                StoreKind::Filesystem,
+                &config,
+                1,
+                &calibration,
+                utilisation,
+            )
+        };
+        let point = measure(0.5, 0.8, 32).unwrap();
         assert_eq!(point.write_fraction, 0.5);
         assert_eq!(point.utilisation, 0.8);
         assert!(point.offered_ops_per_sec > 0.0);
@@ -974,15 +954,15 @@ mod tests {
         assert!(point.queue_depth_mean >= 1.0);
 
         // A pure-read point performs no writes and cannot move fragmentation.
-        let pure = measure_mixed_load(StoreKind::Filesystem, &config, 1, 0.0, 0.5, 16).unwrap();
+        let pure = measure(0.0, 0.5, 16).unwrap();
         assert_eq!(pure.writes.count, 0);
         assert_eq!(pure.reads.count, 16);
         assert_eq!(pure.fragments_before, pure.fragments_after);
 
         // Invalid parameters are rejected up front.
-        assert!(measure_mixed_load(StoreKind::Filesystem, &config, 1, 1.5, 0.5, 16).is_err());
-        assert!(measure_mixed_load(StoreKind::Filesystem, &config, 1, 0.5, 0.0, 16).is_err());
-        assert!(measure_mixed_load(StoreKind::Filesystem, &config, 1, 0.5, 0.5, 0).is_err());
+        assert!(measure(1.5, 0.5, 16).is_err());
+        assert!(measure(0.5, 0.0, 16).is_err());
+        assert!(measure(0.5, 0.5, 0).is_err());
     }
 
     #[test]

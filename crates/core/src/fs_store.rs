@@ -250,10 +250,14 @@ impl Substrate for FsSubstrate {
         )?))
     }
 
+    /// One unlimited step on a fresh cursor: the whole pass, leaving the
+    /// incremental pass's position alone.
     fn full_pass(&mut self) -> Result<Moved, StoreError> {
-        Ok(moved(
-            Defragmenter::new().defragment_volume(&mut self.volume, 0)?,
-        ))
+        Ok(moved(Defragmenter::new().defragment_step(
+            &mut self.volume,
+            &mut DefragCursor::new(),
+            0,
+        )?))
     }
 }
 
@@ -275,6 +279,42 @@ mod tests {
         }
         // A clean store has nothing to defragment.
         assert_eq!(store.maintenance().unwrap(), 0);
+    }
+
+    #[test]
+    fn full_pass_moves_every_fragmented_file_of_a_fixed_fixture() {
+        let mut config = VolumeConfig::new(64 * MB);
+        config.mft_zone_fraction = 0.0;
+        config.checkpoint_interval_ops = 1;
+        let mut substrate = FsSubstrate::create(config, false).unwrap();
+        let request = 64 * 1024;
+        for i in 0..256 {
+            substrate
+                .write(WriteOp::Put, &format!("pad{i}"), 128 * 1024, request)
+                .unwrap();
+        }
+        for i in (0..256).step_by(2) {
+            substrate.remove(&format!("pad{i}")).unwrap();
+        }
+        substrate.checkpoint();
+        // Four 2 MB files scattered over the 128 KB holes.
+        for i in 0..4 {
+            substrate
+                .write(WriteOp::Put, &format!("victim{i}"), 2 * MB, request)
+                .unwrap();
+        }
+        let before = substrate.fragmentation().total_fragments;
+        assert_eq!(
+            substrate.full_pass().unwrap(),
+            Moved {
+                bytes_copied: 8 * MB,
+                repositionings: 8,
+                table_units: None,
+            }
+        );
+        assert!(substrate.fragmentation().total_fragments < before);
+        // A second pass finds nothing left to move.
+        assert_eq!(substrate.full_pass().unwrap(), Moved::default());
     }
 
     #[test]

@@ -83,10 +83,9 @@ pub use anatomy::{AnatomyReport, LatencyAnatomy};
 pub use db_store::{DbObjectStore, DbStoreConfig};
 pub use error::StoreError;
 pub use experiment::{
-    age_store, calibrate_mixed_load, compare_systems, measure_mixed_load,
-    measure_mixed_load_calibrated, measure_read_throughput, run_aging_experiment, AgePoint,
-    AgingResult, ExperimentConfig, FleetParallelism, MixedCalibration, MixedLoadPoint,
-    TestbedConfig,
+    age_store, calibrate_mixed_load, compare_systems, measure_mixed_load_calibrated,
+    run_aging_experiment, AgePoint, AgingResult, ExperimentConfig, FleetParallelism,
+    MixedCalibration, MixedLoadPoint, TestbedConfig,
 };
 pub use fragmentation::{analyze_store, FragmentationReport};
 pub use fs_store::{FsObjectStore, FsStoreConfig, FsSubstrate};

@@ -49,10 +49,7 @@ impl Series {
     /// so the rendered curve is the trade-off boundary a policy family
     /// sweeps out (the adaptive-frontier scenario's axes).
     pub fn frontier(label: impl Into<String>, mut points: Vec<(f64, f64)>) -> Self {
-        points.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("frontier coordinates are finite")
-        });
+        points.sort_by(|a, b| a.0.total_cmp(&b.0));
         Series {
             label: label.into(),
             points,
@@ -75,7 +72,7 @@ impl Series {
         self.points
             .iter()
             .filter(|(px, _)| *px <= x + 1e-9)
-            .max_by(|a, b| a.0.partial_cmp(&b.0).expect("x values are finite"))
+            .max_by(|a, b| a.0.total_cmp(&b.0))
             .map(|(_, y)| *y)
     }
 }
@@ -344,6 +341,20 @@ mod tests {
         assert_eq!(series.value_at(3.0), Some(3.0));
         assert_eq!(series.value_at(10.0), Some(5.0));
         assert_eq!(Series::new("empty", vec![]).value_at(1.0), None);
+    }
+
+    #[test]
+    fn a_nan_coordinate_sorts_last_instead_of_panicking() {
+        let frontier = Series::frontier("f", vec![(f64::NAN, 1.0), (2.0, 3.0), (1.0, 4.0)]);
+        assert_eq!(frontier.points[..2], [(1.0, 4.0), (2.0, 3.0)]);
+        assert!(frontier.points[2].0.is_nan());
+        assert_eq!(frontier.value_at(5.0), Some(3.0));
+        assert_eq!(frontier.value_at(f64::NAN), None);
+
+        let mut result = fake_result();
+        result.points[1].storage_age = f64::NAN;
+        assert_eq!(result.at_age(3.0).map(|p| p.storage_age), Some(0.0));
+        assert!(result.at_age(f64::NAN).is_none());
     }
 
     #[test]

@@ -298,11 +298,6 @@ impl MixedOpenLoop {
         }
     }
 
-    /// The combined offered load of both classes.
-    pub fn total_ops_per_sec(&self) -> f64 {
-        self.read_ops_per_sec + self.write_ops_per_sec
-    }
-
     fn validate_rate(rate: f64, class: &str, ops: usize) -> Result<(), StoreError> {
         if ops > 0 && (!rate.is_finite() || rate <= 0.0) {
             return Err(StoreError::BadConfig(format!(
@@ -1322,7 +1317,6 @@ mod tests {
         let load = MixedOpenLoop::from_total(100.0, 0.25, 7);
         assert!((load.read_ops_per_sec - 75.0).abs() < 1e-9);
         assert!((load.write_ops_per_sec - 25.0).abs() < 1e-9);
-        assert!((load.total_ops_per_sec() - 100.0).abs() < 1e-9);
         let clamped = MixedOpenLoop::from_total(100.0, 1.5, 7);
         assert_eq!(clamped.read_ops_per_sec, 0.0);
         assert!((clamped.write_ops_per_sec - 100.0).abs() < 1e-9);

@@ -8,8 +8,6 @@
 //! bytes currently live (Section 4.4), which for this workload is simply
 //! "safe writes per object".
 
-use std::collections::BTreeMap;
-
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -222,14 +220,9 @@ pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     rng: StdRng,
     next_key: u64,
+    /// Live keys in creation order — also the Zipf samplers' rank table:
+    /// rank `k` is `live[k - 1]`, since nothing removes or reorders a key.
     live: Vec<ObjectKey>,
-    /// Stable rank-to-key table for the Zipf samplers: rank `k` is pinned to
-    /// `zipf_ranks[k - 1]` for the run's lifetime, independent of the order
-    /// of `live` (which `churn_round`'s swap-removes shuffle freely).  A rank
-    /// is re-seated only when its key dies.
-    zipf_ranks: Vec<ObjectKey>,
-    /// Rank index of each live key, for re-seating on death.
-    zipf_rank_of: BTreeMap<ObjectKey, usize>,
     /// Cached distribution, rebuilt only when `(population, theta)` changes —
     /// the O(n) harmonic loop must not run once per sampled batch.
     zipf_cache: Option<ZipfDistribution>,
@@ -244,8 +237,6 @@ impl WorkloadGenerator {
             rng,
             next_key: 0,
             live: Vec::new(),
-            zipf_ranks: Vec::new(),
-            zipf_rank_of: BTreeMap::new(),
             zipf_cache: None,
         }
     }
@@ -267,8 +258,6 @@ impl WorkloadGenerator {
                 let key = ObjectKey(self.next_key);
                 self.next_key += 1;
                 self.live.push(key);
-                self.zipf_rank_of.insert(key, self.zipf_ranks.len());
-                self.zipf_ranks.push(key);
                 WorkloadOp::Put {
                     key,
                     size: self.spec.sizes.sample(&mut self.rng),
@@ -342,32 +331,6 @@ impl WorkloadGenerator {
                 size: self.spec.sizes.sample(&mut self.rng),
             })
             .collect()
-    }
-
-    /// A churn phase mixing deletes of existing objects with puts of new ones
-    /// (constant live-object count), used by the extension benches.
-    pub fn churn_round(&mut self) -> Vec<WorkloadOp> {
-        let mut ops = Vec::with_capacity(self.live.len() * 2);
-        let count = self.live.len();
-        for _ in 0..count {
-            let victim = self.rng.gen_range(0..self.live.len());
-            let old_key = self.live.swap_remove(victim);
-            ops.push(WorkloadOp::Delete { key: old_key });
-            let key = ObjectKey(self.next_key);
-            self.next_key += 1;
-            self.live.push(key);
-            // The dead key's popularity rank passes to its replacement; every
-            // surviving key keeps the rank it had.
-            if let Some(rank) = self.zipf_rank_of.remove(&old_key) {
-                self.zipf_ranks[rank] = key;
-                self.zipf_rank_of.insert(key, rank);
-            }
-            ops.push(WorkloadOp::Put {
-                key,
-                size: self.spec.sizes.sample(&mut self.rng),
-            });
-        }
-        ops
     }
 }
 
@@ -480,14 +443,14 @@ impl WorkloadGenerator {
         self.refresh_zipf_cache(theta);
         let Self {
             zipf_cache,
-            zipf_ranks,
+            live,
             rng,
             ..
         } = self;
         let zipf = zipf_cache.as_ref().expect("refreshed above");
         (0..count)
             .map(|_| WorkloadOp::Get {
-                key: zipf_ranks[zipf.sample(rng) - 1],
+                key: live[zipf.sample(rng) - 1],
             })
             .collect()
     }
@@ -504,28 +467,21 @@ impl WorkloadGenerator {
         let Self {
             spec,
             zipf_cache,
-            zipf_ranks,
+            live,
             rng,
             ..
         } = self;
         let zipf = zipf_cache.as_ref().expect("refreshed above");
         (0..count)
             .map(|_| WorkloadOp::SafeWrite {
-                key: zipf_ranks[zipf.sample(rng) - 1],
+                key: live[zipf.sample(rng) - 1],
                 size: spec.sizes.sample(rng),
             })
             .collect()
     }
 
-    /// The Zipf samplers' stable rank-to-key binding (rank `k` is element
-    /// `k - 1`; rank 1 is the hottest).  Exposed so tests and skew analyses
-    /// can see exactly which objects are hot.
-    pub fn zipf_rank_keys(&self) -> &[ObjectKey] {
-        &self.zipf_ranks
-    }
-
     fn refresh_zipf_cache(&mut self, theta: f64) {
-        let n = self.zipf_ranks.len();
+        let n = self.live.len();
         if self
             .zipf_cache
             .as_ref()
@@ -662,7 +618,6 @@ mod tests {
         assert_eq!(a.bulk_load(), b.bulk_load());
         assert_eq!(a.overwrite_round(), b.overwrite_round());
         assert_eq!(a.read_all(), b.read_all());
-        assert_eq!(a.churn_round(), b.churn_round());
     }
 
     #[test]
@@ -801,15 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_round_keeps_the_population_size() {
-        let mut generator = WorkloadGenerator::new(WorkloadSpec::constant(4096, 20));
-        generator.bulk_load();
-        let ops = generator.churn_round();
-        assert_eq!(ops.len(), 40);
-        assert_eq!(generator.live_keys().len(), 20);
-    }
-
-    #[test]
     fn objects_for_occupancy_matches_the_papers_setups() {
         // 40 GB volume, 50% full, 10 MB objects -> ~2000 objects.
         let objects = WorkloadSpec::objects_for_occupancy(40_000_000_000, 10 << 20, 0.5);
@@ -846,47 +792,30 @@ mod tests {
     }
 
     #[test]
-    fn churn_does_not_migrate_the_zipf_hot_set() {
+    fn zipf_rank_k_draws_the_kth_live_key() {
         let spec = WorkloadSpec::constant(4096, 48).with_seed(7);
-        let mut generator = WorkloadGenerator::new(spec);
+        let mut generator = WorkloadGenerator::new(spec.clone());
         generator.bulk_load();
-        let before: Vec<ObjectKey> = generator.zipf_rank_keys().to_vec();
-        assert_eq!(before, generator.live_keys().to_vec());
-
-        let ops = generator.churn_round();
-        let deleted: std::collections::HashSet<ObjectKey> = ops
-            .iter()
-            .filter_map(|op| match op {
-                WorkloadOp::Delete { key } => Some(*key),
-                _ => None,
-            })
-            .collect();
-        // The churn's swap-removes reorder `live`, but ranks are pinned to
-        // keys: every survivor keeps exactly the rank it had, and a dead
-        // key's rank passes to a live replacement instead of silently
-        // sliding onto whichever key the swap-remove moved into its slot.
-        let after = generator.zipf_rank_keys();
-        assert_eq!(after.len(), before.len());
-        let mut reseated = 0;
-        for (old, new) in before.iter().zip(after) {
-            if deleted.contains(old) {
-                reseated += 1;
-                assert!(generator.live_keys().contains(new));
-            } else {
-                assert_eq!(old, new, "a surviving key must keep its rank");
-            }
+        // Replay the samplers' rank draws on a twin RNG: the generator's own
+        // RNG has drawn one size per bulk-loaded object, so the twin does too.
+        let mut twin = StdRng::seed_from_u64(spec.seed);
+        for _ in 0..spec.object_count {
+            spec.sizes.sample(&mut twin);
         }
-        assert!(reseated > 0, "a full churn round must kill some hot keys");
-        // The table never references a dead key.
-        for key in after {
-            assert!(generator.live_keys().contains(key));
-        }
-        // Sampling draws from the pinned table, so every op hits a live key.
+        let zipf = ZipfDistribution::new(48, 1.0);
+        let live = generator.live_keys().to_vec();
         for op in generator.zipf_read_sample(64, 1.0) {
             let WorkloadOp::Get { key } = op else {
                 panic!("zipf read sample must contain only gets");
             };
-            assert!(generator.live_keys().contains(&key));
+            assert_eq!(key, live[zipf.sample(&mut twin) - 1]);
+        }
+        for op in generator.zipf_safe_write_sample(64, 1.0) {
+            let WorkloadOp::SafeWrite { key, size } = op else {
+                panic!("zipf write sample must contain only safe writes");
+            };
+            assert_eq!(key, live[zipf.sample(&mut twin) - 1]);
+            assert_eq!(size, spec.sizes.sample(&mut twin));
         }
     }
 

@@ -63,11 +63,6 @@ impl SeekProfile {
         SimDuration::from_secs_f64(secs)
     }
 
-    /// Full-stroke seek time (from the first to the last cylinder).
-    pub fn full_stroke(&self) -> SimDuration {
-        self.seek_time(self.cylinders.saturating_sub(1))
-    }
-
     /// A profile approximating a 2005-era 7200 rpm desktop/nearline drive:
     /// ~0.8 ms track-to-track, ~8.5 ms average seek, ~18 ms full stroke.
     pub fn desktop_7200rpm_2005() -> Self {
@@ -187,26 +182,12 @@ impl DiskConfig {
         SimDuration::from_secs_f64(30.0 / self.rpm as f64)
     }
 
-    /// The transfer rate (bytes/second) at a given byte offset.
+    /// The transfer rate (bytes/second) at a given byte offset: the rate of
+    /// [`DiskConfig::zone_index_at`]'s zone, or 50 MB/s with no zone table.
     pub fn transfer_rate_at(&self, offset: u64) -> f64 {
-        let fraction = if self.capacity_bytes == 0 {
-            0.0
-        } else {
-            (offset.min(self.capacity_bytes) as f64) / self.capacity_bytes as f64
-        };
-        let mut rate = self
-            .zones
-            .first()
-            .map(|z| z.transfer_rate)
-            .unwrap_or(50.0e6);
-        for zone in &self.zones {
-            if fraction >= zone.start_fraction {
-                rate = zone.transfer_rate;
-            } else {
-                break;
-            }
-        }
-        rate
+        self.zones
+            .get(self.zone_index_at(offset))
+            .map_or(50.0e6, |zone| zone.transfer_rate)
     }
 
     /// Index of the zone containing a byte offset.
@@ -393,7 +374,7 @@ mod tests {
         assert!(single > 0.5 && single < 1.5, "track-to-track {single} ms");
         let average = seek.seek_time(seek.cylinders / 3).as_millis_f64();
         assert!(average > 6.0 && average < 11.0, "average seek {average} ms");
-        let full = seek.full_stroke().as_millis_f64();
+        let full = seek.seek_time(seek.cylinders - 1).as_millis_f64();
         assert!(full > 15.0 && full < 22.0, "full stroke {full} ms");
         // Monotonic in distance.
         let mut prev = SimDuration::ZERO;

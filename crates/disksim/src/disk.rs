@@ -122,12 +122,6 @@ impl Disk {
         self.clock.reset();
     }
 
-    /// Moves the head back to byte offset zero without charging any time.
-    pub fn park(&mut self) {
-        self.head = 0;
-        self.last_transfer = None;
-    }
-
     /// Computes the service time of `request` without mutating any state.
     pub fn estimate(&self, request: &IoRequest) -> ServiceTime {
         self.compute(request).0
@@ -274,9 +268,8 @@ mod tests {
         let sequential: SimDuration = (0..64)
             .map(|i| disk.service(&IoRequest::read(i * chunk, chunk)).total())
             .sum();
-        disk.park();
-        disk.reset_measurements();
-        // Scattered: same chunks, spread across the disk.
+        // Scattered: same chunks, spread across a fresh disk.
+        let mut disk = small_disk();
         let span = disk.config().capacity_bytes / 64;
         let scattered: SimDuration = (0..64)
             .map(|i| disk.service(&IoRequest::read(i * span, chunk)).total())

@@ -30,15 +30,6 @@ impl DirectionStats {
         self.seek_time + self.rotation_time + self.transfer_time + self.overhead_time
     }
 
-    /// Average segments per request; `0.0` when no requests were serviced.
-    pub fn segments_per_request(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.segments as f64 / self.requests as f64
-        }
-    }
-
     /// Achieved throughput in bytes per second.
     pub fn throughput_bytes_per_sec(&self) -> f64 {
         crate::time::throughput_bytes_per_sec(self.bytes, self.total_time())
@@ -120,10 +111,8 @@ mod tests {
             reads.transfer_time = SimDuration::from_secs(1);
         }
         assert_eq!(stats.total_bytes(), 2_000_000);
-        assert_eq!(stats.reads.segments_per_request(), 3.0);
         assert!((stats.reads.throughput_bytes_per_sec() - 2_000_000.0).abs() < 1e-6);
         stats.reset();
         assert_eq!(stats, DiskStats::default());
-        assert_eq!(stats.reads.segments_per_request(), 0.0);
     }
 }

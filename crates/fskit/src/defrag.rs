@@ -7,15 +7,13 @@
 //! sides: the fragments removed and the bytes that had to be copied to remove
 //! them.
 //!
-//! Two driving modes are offered:
-//!
-//! * [`Defragmenter::defragment_volume`] — the offline whole-volume pass;
-//! * [`Defragmenter::defragment_step`] — the same pass carved into bounded
-//!   increments via a [`DefragCursor`], so a background maintenance scheduler
-//!   (`lor-maint`) can interleave a few pages of defragmentation with the
-//!   foreground workload each tick.  Driving steps to completion visits the
-//!   same files in the same order as one unlimited volume pass and therefore
-//!   converges to the identical layout.
+//! A pass is driven through [`Defragmenter::defragment_step`]: bounded
+//! increments resumed from a [`DefragCursor`], so a background maintenance
+//! scheduler (`lor-maint`) can interleave a few pages of defragmentation
+//! with the foreground workload each tick.  A whole-volume pass is one step
+//! with an unlimited budget on a fresh cursor; driving budgeted steps to
+//! completion visits the same files in the same order and therefore
+//! converges to the identical layout.
 
 use std::collections::VecDeque;
 
@@ -45,12 +43,12 @@ pub struct DefragReport {
 
 /// Resumable position inside one incremental defragmentation pass.
 ///
-/// The cursor snapshots the candidate order (most fragmented file first, the
-/// order [`Defragmenter::defragment_volume`] uses) the first time
-/// [`Defragmenter::defragment_step`] is called, then remembers how far the
-/// pass has progressed across steps.  Once [`DefragCursor::is_done`] reports
-/// `true` the pass is complete; [`DefragCursor::reset`] starts a fresh pass
-/// (with a fresh candidate snapshot) on the next step.
+/// The cursor snapshots the candidate order (most fragmented file first)
+/// the first time [`Defragmenter::defragment_step`] is called, then
+/// remembers how far the pass has progressed across steps.  Once
+/// [`DefragCursor::is_done`] reports `true` the pass is complete;
+/// [`DefragCursor::reset`] starts a fresh pass (with a fresh candidate
+/// snapshot) on the next step.
 #[derive(Debug, Clone, Default)]
 pub struct DefragCursor {
     /// Remaining candidates of the current pass; `None` before the pass has
@@ -138,53 +136,13 @@ impl Defragmenter {
         Ok(true)
     }
 
-    /// Defragments every file on the volume, most fragmented first, stopping
-    /// once `copy_budget_bytes` of data has been moved (0 means unlimited).
-    pub fn defragment_volume(
-        &self,
-        volume: &mut Volume,
-        copy_budget_bytes: u64,
-    ) -> Result<DefragReport, FsError> {
-        let mut candidates: Vec<(FileId, usize, u64)> = volume
-            .iter_files()
-            .map(|record| (record.id, record.fragment_count(), record.size_bytes))
-            .collect();
-        candidates.sort_by_key(|(_, fragments, _)| std::cmp::Reverse(*fragments));
-
-        let mut report = DefragReport::default();
-        for (id, fragments, size_bytes) in candidates {
-            report.files_examined += 1;
-            report.fragments_before += fragments as u64;
-            if fragments <= 1 {
-                report.fragments_after += fragments as u64;
-                continue;
-            }
-            if copy_budget_bytes > 0 && report.bytes_copied + size_bytes > copy_budget_bytes {
-                report.files_skipped += 1;
-                report.fragments_after += fragments as u64;
-                continue;
-            }
-            if self.defragment_file(volume, id)? {
-                report.files_moved += 1;
-                report.bytes_copied += size_bytes;
-                report.fragments_after += volume.file(id)?.fragment_count() as u64;
-            } else {
-                report.files_skipped += 1;
-                report.fragments_after += fragments as u64;
-            }
-        }
-        volume.debug_verify();
-        Ok(report)
-    }
-
     /// Runs one bounded increment of a volume pass: examines candidates in
     /// the pass order recorded in `cursor` (most fragmented first) and moves
     /// files until about `copy_budget_bytes` of data has been copied (0 means
     /// unlimited — the whole remaining pass runs in this step).
     ///
-    /// Unlike [`Defragmenter::defragment_volume`]'s budget — which *skips*
-    /// files it cannot afford — an exhausted step budget merely *defers* the
-    /// candidate to the next step, so driving steps until
+    /// An exhausted step budget never *skips* a candidate it cannot afford:
+    /// it *defers* it to the next step, so driving steps until
     /// [`DefragCursor::is_done`] performs the complete pass.  A candidate
     /// larger than the whole step budget is still moved (the budget is a soft
     /// target, never a starvation point).  Files deleted since the pass began
@@ -286,6 +244,17 @@ mod tests {
         (volume, victims)
     }
 
+    /// A whole-volume pass: one step with an unlimited budget on a fresh
+    /// cursor.
+    fn whole_pass(volume: &mut Volume) -> DefragReport {
+        let mut cursor = DefragCursor::new();
+        let report = Defragmenter::new()
+            .defragment_step(volume, &mut cursor, 0)
+            .unwrap();
+        assert!(cursor.is_done(), "an unlimited step finishes its pass");
+        report
+    }
+
     #[test]
     fn defragment_file_makes_it_contiguous() {
         let (mut volume, victims) = fragmented_volume();
@@ -314,9 +283,7 @@ mod tests {
     fn volume_pass_reduces_total_fragments() {
         let (mut volume, _) = fragmented_volume();
         let before = volume.fragmentation();
-        let report = Defragmenter::new()
-            .defragment_volume(&mut volume, 0)
-            .unwrap();
+        let report = whole_pass(&mut volume);
         let after = volume.fragmentation();
         assert!(report.files_moved > 0);
         assert!(report.fragments_after < report.fragments_before);
@@ -328,13 +295,16 @@ mod tests {
     #[test]
     fn copy_budget_limits_work_performed() {
         let (mut volume, _) = fragmented_volume();
+        let mut cursor = DefragCursor::new();
         let report = Defragmenter::new()
-            .defragment_volume(&mut volume, MB)
+            .defragment_step(&mut volume, &mut cursor, 3 * MB)
             .unwrap();
-        // Each victim is 2 MB, so a 1 MB budget cannot move any of them.
-        assert_eq!(report.files_moved, 0);
-        assert!(report.bytes_copied <= MB);
-        assert!(report.files_skipped > 0);
+        // Each victim is 2 MB: the first fits a 3 MB budget, the second
+        // would overrun it and waits for the next step.
+        assert_eq!(report.files_moved, 1);
+        assert_eq!(report.bytes_copied, 2 * MB);
+        assert_eq!(report.files_skipped, 0);
+        assert!(!cursor.is_done());
     }
 
     #[test]
@@ -343,7 +313,7 @@ mod tests {
         let (mut stepped, _) = fragmented_volume();
         let defragmenter = Defragmenter::new();
 
-        let full = defragmenter.defragment_volume(&mut whole, 0).unwrap();
+        let full = whole_pass(&mut whole);
 
         let mut cursor = DefragCursor::new();
         let mut steps = 0;
@@ -456,9 +426,7 @@ mod tests {
             .largest_run_in(0, boundary)
             .map_or(0, |run| run.len);
 
-        let report = Defragmenter::new()
-            .defragment_volume(&mut volume, 0)
-            .unwrap();
+        let report = whole_pass(&mut volume);
         assert!(report.files_moved > 0);
         for id in victims {
             let record = volume.file(id).unwrap();
@@ -505,9 +473,7 @@ mod tests {
         // The pass terminates, moves nothing (no deadlock, no spill into the
         // foreground band), and leaves every layout and foreground run
         // untouched.
-        let report = Defragmenter::new()
-            .defragment_volume(&mut volume, 0)
-            .unwrap();
+        let report = whole_pass(&mut volume);
         assert_eq!(report.files_moved, 0);
         assert!(report.files_skipped > 0, "fragmented files are deferred");
         let after: Vec<_> = volume.iter_files().map(|f| f.extents.clone()).collect();
@@ -531,9 +497,7 @@ mod tests {
             "fixture must have a run above the watermark for the test to bite"
         );
 
-        let report = Defragmenter::new()
-            .defragment_volume(&mut volume, 0)
-            .unwrap();
+        whole_pass(&mut volume);
         // Every run above the watermark is still (at least) free: maintenance
         // may not consume it, and frees can only enlarge it.
         for run in big_runs {
@@ -543,10 +507,7 @@ mod tests {
             );
         }
         // A 100%-eligible-space-exhausted pass still terminates cleanly.
-        let _ = report;
-        let again = Defragmenter::new()
-            .defragment_volume(&mut volume, 0)
-            .unwrap();
+        let again = whole_pass(&mut volume);
         assert!(again.files_examined as usize == volume.file_count());
     }
 
@@ -559,9 +520,7 @@ mod tests {
         let (mut new_path, _) = fragmented_volume();
         let (mut legacy, _) = fragmented_volume();
 
-        let report = Defragmenter::new()
-            .defragment_volume(&mut new_path, 0)
-            .unwrap();
+        let report = whole_pass(&mut new_path);
         assert!(report.files_moved > 0, "fixture must exercise real moves");
 
         let mut candidates: Vec<(FileId, usize)> = legacy

@@ -14,8 +14,7 @@
 //!   commits ([`Volume::checkpoint`]);
 //! * safe writes (temporary file + atomic replace), the update protocol the
 //!   paper's workload uses;
-//! * an online per-file [`Defragmenter`] and a pathological-fragmentation
-//!   injector ([`shatter`]) for the §5.3 control experiment;
+//! * an online per-file [`Defragmenter`], driven in bounded steps;
 //! * the paper's proposed interface extension — declaring an object's final
 //!   size at creation ([`Volume::write_file_preallocated`]).
 //!
@@ -41,11 +40,9 @@
 mod defrag;
 mod error;
 mod file;
-mod fragmenter;
 mod volume;
 
 pub use defrag::{DefragCursor, DefragReport, Defragmenter};
 pub use error::FsError;
 pub use file::{FileId, FileRecord};
-pub use fragmenter::{shatter, ShatterReport};
 pub use volume::{Volume, VolumeConfig, VolumeStats, WriteReceipt};

@@ -997,8 +997,7 @@ impl Volume {
         }
     }
 
-    /// Marks `extent` allocated to no file, for good: the MFT zone, and the
-    /// unmovable runs of the pathological fragmenter.
+    /// Marks `extent` allocated to no file, for good: the MFT zone.
     pub(crate) fn pin(&mut self, extent: Extent) -> Result<(), FsError> {
         self.space.allocator.reserve_exact(extent)?;
         self.reserved_clusters += extent.len;

@@ -221,8 +221,8 @@ proptest! {
 
     /// Defragmenter invariants on randomly aged volumes: driving
     /// `defragment_step` to completion (any per-step budget) produces exactly
-    /// the layout of one unlimited `defragment_volume` pass, and no step ever
-    /// increases the volume's total fragment count.
+    /// the layout of one unlimited step on a fresh cursor — the whole-volume
+    /// pass — and no step ever increases the volume's total fragment count.
     #[test]
     fn incremental_defrag_matches_the_volume_pass_on_aged_volumes(
         ops in prop::collection::vec(arb_op(), 10..80),
@@ -243,7 +243,11 @@ proptest! {
         let mut stepped = volume;
         let defragmenter = Defragmenter::new();
 
-        let full_report = defragmenter.defragment_volume(&mut whole, 0).unwrap();
+        let mut whole_cursor = DefragCursor::new();
+        let full_report = defragmenter
+            .defragment_step(&mut whole, &mut whole_cursor, 0)
+            .unwrap();
+        prop_assert!(whole_cursor.is_done(), "an unlimited step finishes its pass");
 
         let mut cursor = DefragCursor::new();
         let mut previous = stepped.fragmentation().total_fragments;

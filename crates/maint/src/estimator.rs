@@ -178,13 +178,6 @@ impl GhostBacklogClock {
         }
         false
     }
-
-    /// Simulated age of the current backlog (zero when empty).
-    pub fn backlog_age(&self, now: SimDuration) -> SimDuration {
-        self.since
-            .map(|since| now.saturating_sub(since))
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -264,13 +257,11 @@ mod tests {
     fn ghost_backlog_clock_defers_then_drains() {
         let ms = SimDuration::from_millis;
         let mut clock = GhostBacklogClock::new();
-        // No backlog: release trivially allowed, age 0.
+        // No backlog: release trivially allowed.
         assert!(clock.release_allowed(ms(1), 0, ms(4)));
-        assert_eq!(clock.backlog_age(ms(1)), SimDuration::ZERO);
         // Backlog appears at 2 ms: held until it is 4 ms old.
         assert!(!clock.release_allowed(ms(2), 4096, ms(4)));
         assert!(!clock.release_allowed(ms(4), 4096, ms(4)));
-        assert_eq!(clock.backlog_age(ms(5)), ms(3));
         assert!(
             clock.release_allowed(ms(6), 4096, ms(4)),
             "aged past the threshold"

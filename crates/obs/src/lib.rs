@@ -156,13 +156,6 @@ pub struct SpanRecord {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-impl SpanRecord {
-    /// Exclusive end of the span in simulated nanoseconds.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns.saturating_add(self.dur_ns)
-    }
-}
-
 /// Whether a metric sample is a monotone counter or an instantaneous
 /// gauge.  Only presentation differs; both are `(at_ns, value)` points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,7 +415,7 @@ mod tests {
         trace.with(|r| {
             let span = &r.spans()[0];
             assert_eq!(span.name, "read");
-            assert_eq!(span.end_ns(), 150);
+            assert_eq!((span.start_ns, span.dur_ns), (100, 50));
             assert_eq!(span.args[1], ("kind", ArgValue::Str("read")));
         });
     }

@@ -12,15 +12,9 @@
 //!
 //! * **Routing** ([`Router`], [`RouterPolicy`]) — where new objects land.
 //!   Consistent hashing (vnode ring) keeps reshards cheap (adding one shard
-//!   to an `n`-shard fleet moves ~`1/(n+1)` of the keys — property-tested);
-//!   the size-aware variant spreads large objects by an independent hash so
-//!   a hot large-object prefix cannot pile onto one spindle.  Routing is
-//!   pure arithmetic over the key — bit-identical across runs — so sharded
-//!   arrival streams stay seed-stable.
-//!   The frag-aware variant walks the ring past shards whose
-//!   fragments/object sits well above the fleet mean (snapshot published
-//!   via [`Router::set_fragmentation`]), steering new writes away from the
-//!   shards the rebalancer is draining.
+//!   to an `n`-shard fleet moves ~`1/(n+1)` of the keys — property-tested).
+//!   Routing is pure arithmetic over the key — bit-identical across runs —
+//!   so sharded arrival streams stay seed-stable.
 //! * **Aggregate load splitting** — a schedule is built *once* at the
 //!   aggregate offered rate ([`lor_core::OpenLoop::schedule`],
 //!   [`lor_core::MixedOpenLoop::schedule`]) and partitioned across shards

@@ -348,12 +348,12 @@ impl ShardedStore {
     /// shard, deletes release it, reads and safe writes follow the object.
     ///
     /// A `Get`/`Delete` of a key the directory has never seen is a typed
-    /// miss (`StoreError::NoSuchObject`): re-deriving a shard from the
-    /// router would need the object's size, which a read cannot know, so
-    /// under `RouterPolicy::SizeAware` the `size: 0` guess could disagree
-    /// with the salted arm the object would actually have been written
-    /// to.  Every shard would report the same miss — the fleet just says
-    /// so up front without burning a request slot.
+    /// miss (`StoreError::NoSuchObject`) because the directory, not the
+    /// router, says where an object lives: rebalancing moves objects off
+    /// their routed shard, so the router's answer is only where a *new*
+    /// object lands.  A key the directory lacks is on no shard, and every
+    /// shard would report the same miss — the fleet just says so up front
+    /// without burning a request slot.
     fn route_request(
         router: &Router,
         directory: &mut HashMap<ObjectKey, u32>,
@@ -394,21 +394,6 @@ impl ShardedStore {
         Ok(streams)
     }
 
-    /// Pushes the latest per-shard fragmentation gauges into a frag-aware
-    /// router so subsequent placements steer around hot, fragmented
-    /// shards.  A no-op for the other policies.
-    fn refresh_router_penalties(&mut self) {
-        if !self.router.policy().is_frag_aware() {
-            return;
-        }
-        let fpo: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|shard| shard.fragmentation().fragments_per_object)
-            .collect();
-        self.router.set_fragmentation(&fpo);
-    }
-
     /// Splices one shard's interval recording into the fleet trace:
     /// spans land on that shard's track, shifted from the server-local
     /// timeline onto the fleet timeline.
@@ -445,7 +430,6 @@ impl ShardedStore {
         for slot in runs.into_iter().flatten() {
             slot?;
         }
-        self.refresh_router_penalties();
         Ok(applied)
     }
 
@@ -453,8 +437,8 @@ impl ShardedStore {
     /// the interval: each shard's queue stats are kept, its recording is
     /// spliced into the fleet trace and handed — with the fleet recorder
     /// and the interval's trace offset — to `each` (idle shards are
-    /// skipped), then the gauges are probed, the trace timeline advances
-    /// past the slowest shard and a frag-aware router is refreshed.
+    /// skipped), then the gauges are probed and the trace timeline advances
+    /// past the slowest shard.
     fn drain_interval(
         &mut self,
         streams: Vec<Vec<StoreRequest>>,
@@ -480,7 +464,6 @@ impl ShardedStore {
         }
         self.probe(self.trace_offset + interval_end);
         self.trace_offset += interval_end;
-        self.refresh_router_penalties();
         Ok(())
     }
 
@@ -638,14 +621,12 @@ impl ShardedStore {
     /// Returns the background I/O the migration performed; its time has
     /// already been charged to the source and destination shards' clocks.
     pub fn run_rebalance_slice(&mut self, budget_bytes: u64) -> MaintIo {
-        let io = Rebalancer {
+        Rebalancer {
             shards: &mut self.shards,
             directory: &mut self.directory,
             state: &mut self.rebalance_state,
         }
-        .migrate_step(budget_bytes);
-        self.refresh_router_penalties();
-        io
+        .migrate_step(budget_bytes)
     }
 
     /// Objects migrated between shards so far.

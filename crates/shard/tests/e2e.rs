@@ -468,18 +468,15 @@ fn unknown_key_reads_and_deletes_are_a_typed_miss() {
         StoreKind::Filesystem,
         &config,
         4,
-        RouterPolicy::SizeAware {
-            threshold: 256 << 10,
-            vnodes: 16,
-        },
+        RouterPolicy::ConsistentHash { vnodes: 16 },
     )
     .expect("fleet");
     let mut generator = WorkloadGenerator::new(config.workload());
     fleet.load(generator.bulk_load()).expect("bulk load");
 
-    // A key the fleet has never seen: under SizeAware routing its shard
-    // would depend on the (unknowable) object size, so the miss is typed
-    // instead of guessed.
+    // A key the fleet has never seen: the directory, not the router, says
+    // where an object lives, so a key it lacks is a typed miss rather than
+    // a request sent to the shard the router would pick for a new object.
     let ghost = ObjectKey(u64::MAX - 7);
     let load = OpenLoop {
         ops_per_sec: 10.0,

@@ -3,9 +3,9 @@
 
 use lorepo::core::lor_disksim::SimDuration;
 use lorepo::core::{
-    analyze_store, compare_systems, measure_mixed_load, run_aging_experiment, AllocationPolicy,
-    Arrivals, ExperimentConfig, FitPolicy, LatencySummary, OpenLoop, PlacementPolicy, Series,
-    SizeDistribution, StoreKind, StoreServer, WorkloadOp,
+    analyze_store, calibrate_mixed_load, compare_systems, measure_mixed_load_calibrated,
+    run_aging_experiment, AllocationPolicy, Arrivals, ExperimentConfig, FitPolicy, LatencySummary,
+    OpenLoop, PlacementPolicy, Series, SizeDistribution, StoreKind, StoreServer, WorkloadOp,
 };
 
 const MB: u64 = 1 << 20;
@@ -466,9 +466,11 @@ fn mixed_sweep_hockey_stick_shifts_with_write_fraction() {
         let mut p99 = std::collections::BTreeMap::new();
         let mut growth = std::collections::BTreeMap::new();
         for write_fraction in [0.0, 0.5] {
+            let calibration = calibrate_mixed_load(kind, &config, 2, write_fraction, 48).unwrap();
             for utilisation in [low, high] {
                 let point =
-                    measure_mixed_load(kind, &config, 2, write_fraction, utilisation, 48).unwrap();
+                    measure_mixed_load_calibrated(kind, &config, 2, &calibration, utilisation)
+                        .unwrap();
                 let key = (
                     (write_fraction * 100.0) as u32,
                     (utilisation * 100.0) as u32,
