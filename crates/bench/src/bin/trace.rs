@@ -8,7 +8,8 @@
 //!       [--out <file>] [--validate] [--capacity <spans>]
 //! ```
 //!
-//! The run is the latency-anatomy workload: three closed-loop clients with
+//! The run is the latency-anatomy workload
+//! ([`lor_bench::traced_anatomy_config`]): three closed-loop clients with
 //! think time over an aged store of any of the three substrates, with the
 //! placement-aware gap-filling maintenance policy enabled so the server,
 //! background-slice, disk and maintenance-scheduler tracks all carry events
@@ -22,10 +23,10 @@
 
 use std::path::PathBuf;
 
-use lor_bench::{paper_config, Scale};
+use lor_bench::{traced_anatomy_config, Scale};
 use lor_core::lor_disksim::SimDuration;
 use lor_core::lor_obs::{validate_chrome_trace, Obs};
-use lor_core::{MaintenanceConfig, PlacementPolicy, StoreKind, StoreServer, WorkloadGenerator};
+use lor_core::{StoreKind, StoreServer, WorkloadGenerator};
 
 struct Options {
     scale: Scale,
@@ -108,12 +109,7 @@ fn run() -> Result<(), String> {
     let options = parse_args()?;
     let scale = &options.scale;
 
-    let mut config = paper_config(scale, 2 << 20);
-    config.concurrency = 3;
-    config.think_time_ms = 400.0;
-    let config = config
-        .with_placement(PlacementPolicy::banded(0.9))
-        .with_maintenance(MaintenanceConfig::substrate_aware(5.0, 2000.0));
+    let config = traced_anatomy_config(scale);
 
     eprintln!(
         "tracing a {} aging run at scale '{}' (volume {} MB, storage age {})",

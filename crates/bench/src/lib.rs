@@ -1156,8 +1156,8 @@ pub fn anatomy_vs_age(
 /// The (label, placement, maintenance) variants the anatomy scenario
 /// compares: no maintenance at all vs the placement-aware gap-filling
 /// policy the placement-frontier scenario recommends.
-fn anatomy_variants() -> Vec<(&'static str, PlacementPolicy, MaintenanceConfig)> {
-    vec![
+fn anatomy_variants() -> [(&'static str, PlacementPolicy, MaintenanceConfig); 2] {
+    [
         (
             "idle",
             PlacementPolicy::Unrestricted,
@@ -1171,6 +1171,15 @@ fn anatomy_variants() -> Vec<(&'static str, PlacementPolicy, MaintenanceConfig)>
             MaintenanceConfig::substrate_aware(5.0, SUBSTRATE_AWARE_DEFER_MS),
         ),
     ]
+}
+
+/// The run the `trace` binary records: the latency-anatomy workload under
+/// its "substrate-aware + banded" variant, so all four tracks carry events.
+pub fn traced_anatomy_config(scale: &Scale) -> ExperimentConfig {
+    let [_, (_, placement, maintenance)] = anatomy_variants();
+    think_time_config(scale)
+        .with_placement(placement)
+        .with_maintenance(maintenance)
 }
 
 /// Latency-anatomy scenario: the **anatomy of a p99** — where the time of

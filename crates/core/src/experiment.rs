@@ -100,8 +100,7 @@ impl TestbedConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetParallelism {
     /// Drain shards one after another on the calling thread.  The
-    /// reference path every threaded drain must equal bit for bit: CI
-    /// forces it on the shard suite via `LOR_FLEET_PARALLELISM=serial`.
+    /// reference path every threaded drain must equal bit for bit.
     Serial,
     /// Drain shards on `n` worker threads (`n >= 1`).  When `n` is below
     /// the shard count the workers steal whole shard queues from a
@@ -111,20 +110,6 @@ pub enum FleetParallelism {
 }
 
 impl FleetParallelism {
-    /// Applies the `LOR_FLEET_PARALLELISM` environment override
-    /// (`serial` or a worker count), letting CI pin either mode without
-    /// touching the configs baked into tests and benches.
-    pub fn resolved(self) -> Self {
-        match std::env::var("LOR_FLEET_PARALLELISM") {
-            Ok(value) if value.eq_ignore_ascii_case("serial") => FleetParallelism::Serial,
-            Ok(value) => match value.parse::<u32>() {
-                Ok(n) if n >= 1 => FleetParallelism::Threads(n),
-                _ => self,
-            },
-            Err(_) => self,
-        }
-    }
-
     /// Number of worker threads a fleet of `shards` shards would use.
     pub fn workers(self, shards: usize) -> usize {
         match self {

@@ -52,8 +52,9 @@
 //!
 //! The volume returns [`FsError`] for everything a caller can cause (unknown
 //! id or name, duplicate or empty name, out of space, bad configuration).
-//! Five `expect`s are left outside the tests, each commented with the
-//! [`Volume::verify`] clause that makes it unreachable: the checkpoint's free
+//! Six `expect`s are left outside the tests.  `safe_write` takes the one
+//! receipt of its batch of one; the other five are each commented with the
+//! [`Volume::verify`] clause that makes them unreachable: the checkpoint's free
 //! of the pending queue (one owner per cluster), `trim_excess` popping an
 //! extent map that holds the excess it computed from that map, and the three
 //! in `commit_replace` (the target's name was resolved at staging; the name
@@ -695,26 +696,17 @@ impl Volume {
     /// Atomically replaces the contents of `name` with `size_bytes` of new
     /// data, using the safe-write protocol the paper describes: write a
     /// temporary file, force it to disk, then swap it in and delete the old
-    /// file.
+    /// file.  A [`Volume::safe_write_batch`] of one item.
     pub fn safe_write(
         &mut self,
         name: &str,
         size_bytes: u64,
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
-        self.lookup(name)?;
-        let temp_id = self.stage();
-        match self.fill(temp_id, size_bytes, write_request_size) {
-            Ok(receipt) => {
-                self.commit_replace(name, temp_id);
-                Ok(receipt)
-            }
-            Err(err) => {
-                // Clean up the partially written temporary file.
-                let _ = self.delete(temp_id);
-                Err(err)
-            }
-        }
+        let mut receipts = self.safe_write_batch(&[(name, size_bytes)], write_request_size)?;
+        Ok(receipts
+            .pop()
+            .expect("a batch returns one receipt per item"))
     }
 
     /// ReplaceFile(): the file holding `name` is deleted and the temporary

@@ -29,8 +29,7 @@
 //!   partitioning precedes the threads, each shard advances its own clock,
 //!   and completions merge deterministically by `(arrival, client)` after
 //!   the join.  A proptest pins serial ≡ parallel ≡ repeated-parallel for
-//!   all three substrates; `LOR_FLEET_PARALLELISM` overrides the config at
-//!   runtime (CI forces the serial reference drain through it).
+//!   all three substrates.
 //! * **Load-concurrent rebalancing** —
 //!   [`ShardedStore::run_with_rebalance`] interleaves
 //!   budgeted rebalance slices *inside* a measurement interval (the

@@ -234,7 +234,7 @@ impl ShardedStore {
             shards: stores,
             router: Router::new(policy, shards),
             directory: HashMap::new(),
-            parallelism: config.fleet_parallelism.resolved(),
+            parallelism: config.fleet_parallelism,
             rebalance_state: RebalanceState::default(),
             last_queue: vec![QueueStats::default(); shards as usize],
             obs: Obs::null(),
@@ -251,8 +251,8 @@ impl ShardedStore {
     }
 
     /// Overrides how the fleet drains its shards (the config's
-    /// `fleet_parallelism`, as resolved against the environment, applies
-    /// by default).  Simulated results are bit-identical in every mode.
+    /// `fleet_parallelism` applies by default).  Simulated results are
+    /// bit-identical in every mode.
     pub fn set_parallelism(&mut self, parallelism: FleetParallelism) {
         self.parallelism = parallelism;
     }
