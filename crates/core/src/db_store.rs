@@ -7,7 +7,9 @@ use lor_maint::{MaintSubstrate, MaintenanceConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::store::{CostModel, Store, StoreKind};
+use crate::store::{
+    Store, StoreKind, DB_CLIENT_CHUNK_BYTES, DB_LOOKUP_TIME, DB_PER_CHUNK_TIME, DB_PER_PAGE_TIME,
+};
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a database-backed store.
@@ -20,8 +22,6 @@ pub struct DbStoreConfig {
     /// Size of the client write requests used to stream object data in (the
     /// paper's experiments use 64 KB).
     pub write_request_size: u64,
-    /// Host-side cost model.
-    pub cost: CostModel,
     /// Background maintenance scheduler, if any.  When set, the engine's own
     /// interval-driven ghost cleanup is disabled and the `lor-maint`
     /// scheduler owns cleanup, checkpointing and incremental compaction
@@ -37,7 +37,6 @@ impl DbStoreConfig {
             engine: EngineConfig::new(capacity_bytes),
             disk: DiskConfig::seagate_400gb_2005().scaled(capacity_bytes),
             write_request_size: 64 * 1024,
-            cost: CostModel::default(),
             maintenance: None,
         }
     }
@@ -53,7 +52,6 @@ impl DbObjectStore {
             config.engine,
             config.disk,
             config.write_request_size,
-            config.cost,
             config.maintenance,
         )
     }
@@ -135,20 +133,18 @@ impl Substrate for Database {
 
     /// Same shape as the read path; bulk-logged mode means there is no
     /// second log copy of the data.
-    fn write_host_time(cost: &CostModel, pages: u64, payload_bytes: u64) -> SimDuration {
-        Self::read_host_time(cost, pages, payload_bytes)
+    fn write_host_time(pages: u64, payload_bytes: u64) -> SimDuration {
+        Self::read_host_time(pages, payload_bytes)
     }
 
     /// The lookup, per-page processing, and one round trip per client chunk.
-    fn read_host_time(cost: &CostModel, pages: u64, payload_bytes: u64) -> SimDuration {
-        let chunks = payload_bytes
-            .div_ceil(cost.db_client_chunk_bytes.max(1))
-            .max(1);
-        cost.db_lookup_time + cost.db_per_page_time * pages + cost.db_per_chunk_time * chunks
+    fn read_host_time(pages: u64, payload_bytes: u64) -> SimDuration {
+        let chunks = payload_bytes.div_ceil(DB_CLIENT_CHUNK_BYTES).max(1);
+        DB_LOOKUP_TIME + DB_PER_PAGE_TIME * pages + DB_PER_CHUNK_TIME * chunks
     }
 
-    fn remove_host_time(cost: &CostModel) -> SimDuration {
-        cost.db_lookup_time
+    fn remove_host_time() -> SimDuration {
+        DB_LOOKUP_TIME
     }
 
     fn size_of(&self, key: &str) -> Result<u64, StoreError> {

@@ -35,7 +35,7 @@ use crate::fs_store::{FsStoreConfig, FsSubstrate};
 use crate::hist::LatencyHistogram;
 use crate::log_store::{LogStoreConfig, LogSubstrate};
 use crate::server::{Completion, LatencySummary, MixedOpenLoop, StoreServer};
-use crate::store::{CostModel, ObjectStore, Store, StoreKind};
+use crate::store::{ObjectStore, Store, StoreKind};
 use crate::substrate::Substrate;
 use crate::workload::{
     ObjectKey, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp, WorkloadSpec,
@@ -49,29 +49,24 @@ pub struct TestbedConfig {
 }
 
 impl TestbedConfig {
-    /// The default simulated testbed (the substitution for Table 1).
+    /// The simulated testbed (the substitution for Table 1), read from the
+    /// disk model's constants.
     pub fn simulated() -> Self {
-        let disk = lor_disksim::DiskConfig::seagate_400gb_2005();
+        let disk = DiskConfig::seagate_400gb_2005();
         TestbedConfig {
             rows: vec![
                 (
                     "CPU / host".into(),
                     "simulated host; fixed per-operation CPU costs (CostModel)".into(),
                 ),
-                ("Disk".into(), disk.model.clone()),
-                ("Spindle speed".into(), format!("{} rpm", disk.rpm)),
+                ("Disk".into(), disk.model().into()),
+                ("Spindle speed".into(), format!("{} rpm", disk.rpm())),
                 (
                     "Media transfer rate".into(),
                     format!(
                         "{:.0}-{:.0} MB/s (outer to inner zone)",
-                        disk.zones
-                            .first()
-                            .map(|z| z.transfer_rate / 1e6)
-                            .unwrap_or(0.0),
-                        disk.zones
-                            .last()
-                            .map(|z| z.transfer_rate / 1e6)
-                            .unwrap_or(0.0)
+                        disk.transfer_rate_at(0) / 1e6,
+                        disk.transfer_rate_at(disk.capacity_bytes()) / 1e6,
                     ),
                 ),
                 (
@@ -131,8 +126,6 @@ pub struct ExperimentConfig {
     pub object_size: SizeDistribution,
     /// Write-request (append chunk) size in bytes.
     pub write_request_size: u64,
-    /// Host cost model shared by both stores.
-    pub cost: CostModel,
     /// RNG seed for the workload generator.
     pub seed: u64,
     /// Maximum number of objects to read when measuring read throughput
@@ -184,7 +177,6 @@ impl ExperimentConfig {
             occupancy: 0.5,
             object_size,
             write_request_size: 64 * 1024,
-            cost: CostModel::default(),
             seed: 42,
             read_sample: Some(400),
             concurrency: 4,
@@ -287,7 +279,6 @@ impl ExperimentConfig {
             engine,
             disk,
             self.write_request_size,
-            self.cost,
             self.maintenance,
         )?))
     }
@@ -768,7 +759,6 @@ mod tests {
             occupancy: 0.5,
             object_size: SizeDistribution::Constant(MB),
             write_request_size: 64 * 1024,
-            cost: CostModel::default(),
             seed: 7,
             read_sample: Some(16),
             concurrency: 4,

@@ -9,7 +9,10 @@ use lor_maint::{MaintSubstrate, MaintenanceConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::store::{CostModel, Store, StoreKind};
+use crate::store::{
+    Store, StoreKind, FS_CREATE_METADATA_IOS, FS_OPEN_METADATA_IOS, FS_PER_WRITE_REQUEST_TIME,
+    METADATA_IO_TIME,
+};
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a filesystem-backed store.
@@ -22,8 +25,6 @@ pub struct FsStoreConfig {
     /// Size of the write requests used to append object data (the paper's
     /// experiments use 64 KB).
     pub write_request_size: u64,
-    /// Host-side cost model.
-    pub cost: CostModel,
     /// Background maintenance scheduler, if any.  When set, the volume's own
     /// interval-driven checkpoint is disabled and the `lor-maint` scheduler
     /// owns checkpointing and incremental defragmentation (allocation-pressure
@@ -39,7 +40,6 @@ impl FsStoreConfig {
             volume: VolumeConfig::new(capacity_bytes),
             disk: DiskConfig::seagate_400gb_2005().scaled(capacity_bytes),
             write_request_size: 64 * 1024,
-            cost: CostModel::default(),
             maintenance: None,
         }
     }
@@ -55,7 +55,6 @@ impl FsObjectStore {
             config.volume,
             config.disk,
             config.write_request_size,
-            config.cost,
             config.maintenance,
         )
     }
@@ -171,18 +170,18 @@ impl Substrate for FsSubstrate {
 
     /// Opening and creating the file (its metadata I/Os), plus a system call
     /// per write request.
-    fn write_host_time(cost: &CostModel, write_requests: u64, _payload: u64) -> SimDuration {
-        cost.metadata_io_time * u64::from(cost.fs_open_metadata_ios + cost.fs_create_metadata_ios)
-            + cost.fs_per_write_request_time * write_requests
+    fn write_host_time(write_requests: u64, _payload: u64) -> SimDuration {
+        METADATA_IO_TIME * (FS_OPEN_METADATA_IOS + FS_CREATE_METADATA_IOS)
+            + FS_PER_WRITE_REQUEST_TIME * write_requests
     }
 
     /// Opening the file.
-    fn read_host_time(cost: &CostModel, _units: u64, _payload: u64) -> SimDuration {
-        cost.metadata_io_time * u64::from(cost.fs_open_metadata_ios)
+    fn read_host_time(_units: u64, _payload: u64) -> SimDuration {
+        METADATA_IO_TIME * FS_OPEN_METADATA_IOS
     }
 
-    fn remove_host_time(cost: &CostModel) -> SimDuration {
-        cost.metadata_io_time
+    fn remove_host_time() -> SimDuration {
+        METADATA_IO_TIME
     }
 
     fn size_of(&self, key: &str) -> Result<u64, StoreError> {

@@ -9,9 +9,10 @@
 //!   [`Substrate`]: [`FsObjectStore`] (one file per object on the NTFS-like
 //!   volume), [`DbObjectStore`] (one out-of-row BLOB per object in the
 //!   SQL-Server-like engine) and [`LogObjectStore`] (versioned records in an
-//!   append-only segment log) are the same store — same clock, same disk
-//!   charging against a simulated disk plus a host [`CostModel`], same
-//!   maintenance drive — over three engines.
+//!   append-only segment log) are the same store — same clock, same
+//!   charging against the simulated disk plus a fixed host cost model (the
+//!   one host of the paper's Table 1, as constants), same maintenance drive
+//!   — over three engines.
 //! * [`workload`] — the paper's synthetic workloads (constant and uniform
 //!   object sizes, whole-object safe writes, randomized reads) and
 //!   **storage age** accounting ([`StorageAgeTracker`]).
@@ -96,7 +97,7 @@ pub use server::{
     Arrivals, ClientId, Completion, LatencySummary, MixedOpenLoop, OpenLoop, QueueStats,
     StoreRequest, StoreServer,
 };
-pub use store::{CostModel, ObjectStore, OpReceipt, Store, StoreKind};
+pub use store::{ObjectStore, OpReceipt, Store, StoreKind};
 pub use substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 pub use workload::{
     ObjectKey, ObjectKeyBuf, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp,

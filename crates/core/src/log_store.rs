@@ -33,7 +33,7 @@ use lor_obs::{ArgValue, Obs, Track};
 use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
-use crate::store::{CostModel, Store, StoreKind};
+use crate::store::{Store, StoreKind, DB_LOOKUP_TIME, FS_PER_WRITE_REQUEST_TIME, METADATA_IO_TIME};
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a log-structured store.
@@ -46,8 +46,6 @@ pub struct LogStoreConfig {
     /// Size of the write requests used to append object data (the paper's
     /// experiments use 64 KB).
     pub write_request_size: u64,
-    /// Host-side cost model.
-    pub cost: CostModel,
     /// Background maintenance scheduler, if any.  When set, the `lor-maint`
     /// scheduler drives the segment cleaner as its defragmentation task
     /// (allocation-pressure emergency cleaning remains in the substrate).
@@ -62,7 +60,6 @@ impl LogStoreConfig {
             log: LogConfig::new(capacity_bytes),
             disk: DiskConfig::seagate_400gb_2005().scaled(capacity_bytes),
             write_request_size: 64 * 1024,
-            cost: CostModel::default(),
             maintenance: None,
         }
     }
@@ -78,7 +75,6 @@ impl LogObjectStore {
             config.log,
             config.disk,
             config.write_request_size,
-            config.cost,
             config.maintenance,
         )
     }
@@ -237,18 +233,18 @@ impl Substrate for LogSubstrate {
     }
 
     /// The index update plus per-request submission cost.
-    fn write_host_time(cost: &CostModel, write_requests: u64, _payload: u64) -> SimDuration {
-        cost.db_lookup_time + cost.fs_per_write_request_time * write_requests
+    fn write_host_time(write_requests: u64, _payload: u64) -> SimDuration {
+        DB_LOOKUP_TIME + FS_PER_WRITE_REQUEST_TIME * write_requests
     }
 
     /// One lookup, no metadata I/O: the log's index is memory-resident
     /// (rebuilt at mount and pinned).
-    fn read_host_time(cost: &CostModel, _units: u64, _payload: u64) -> SimDuration {
-        cost.db_lookup_time
+    fn read_host_time(_units: u64, _payload: u64) -> SimDuration {
+        DB_LOOKUP_TIME
     }
 
-    fn remove_host_time(cost: &CostModel) -> SimDuration {
-        cost.metadata_io_time
+    fn remove_host_time() -> SimDuration {
+        METADATA_IO_TIME
     }
 
     fn size_of(&self, key: &str) -> Result<u64, StoreError> {

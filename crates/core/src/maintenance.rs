@@ -15,7 +15,7 @@
 use lor_disksim::DiskConfig;
 use lor_maint::{MaintIo, MaintSubstrate, MaintTarget};
 
-use crate::store::CostModel;
+use crate::store::METADATA_IO_TIME;
 use crate::substrate::{Moved, Substrate};
 
 /// Bytes charged per metadata I/O when costing maintenance passes (one small
@@ -33,9 +33,9 @@ const DEFRAG_BACKOFF_TICKS: u64 = 15;
 
 /// Cost of a metadata sweep updating the allocation state of `units` pages,
 /// clusters or segments (a bare log force when `units` is zero).
-fn metadata_sweep_io(cost: &CostModel, units: u64) -> MaintIo {
+fn metadata_sweep_io(units: u64) -> MaintIo {
     let ios = 1 + units / UNITS_PER_METADATA_IO;
-    MaintIo::new(ios * METADATA_IO_BYTES, cost.metadata_io_time * ios)
+    MaintIo::new(ios * METADATA_IO_BYTES, METADATA_IO_TIME * ios)
 }
 
 /// Cost of the background copy behind `moved`: every byte is read once and
@@ -52,7 +52,6 @@ pub(crate) fn copy_io(disk: &DiskConfig, moved: &Moved) -> MaintIo {
 pub(crate) struct Drive<'a, S> {
     substrate: &'a mut S,
     disk: &'a DiskConfig,
-    cost: &'a CostModel,
     /// Remaining ticks of the post-convergence defragmentation back-off.
     defrag_backoff: &'a mut u64,
     /// What this drive's defragmentation steps moved.
@@ -60,16 +59,10 @@ pub(crate) struct Drive<'a, S> {
 }
 
 impl<'a, S> Drive<'a, S> {
-    pub fn new(
-        substrate: &'a mut S,
-        disk: &'a DiskConfig,
-        cost: &'a CostModel,
-        defrag_backoff: &'a mut u64,
-    ) -> Self {
+    pub fn new(substrate: &'a mut S, disk: &'a DiskConfig, defrag_backoff: &'a mut u64) -> Self {
         Drive {
             substrate,
             disk,
-            cost,
             defrag_backoff,
             moved: Moved::default(),
         }
@@ -101,13 +94,13 @@ impl<S: Substrate> MaintTarget for Drive<'_, S> {
         let visits = self
             .disk
             .background_copy_time(visit_bytes, 1 + units / UNITS_PER_METADATA_IO);
-        let sweep = metadata_sweep_io(self.cost, units);
+        let sweep = metadata_sweep_io(units);
         MaintIo::new(visit_bytes + sweep.bytes, visits + sweep.time)
     }
 
     fn checkpoint(&mut self) -> MaintIo {
         match self.substrate.checkpoint() {
-            Some(units) => metadata_sweep_io(self.cost, units),
+            Some(units) => metadata_sweep_io(units),
             None => MaintIo::NONE,
         }
     }
@@ -129,7 +122,7 @@ impl<S: Substrate> MaintTarget for Drive<'_, S> {
         self.moved.absorb(moved);
         let io = copy_io(self.disk, &moved);
         match moved.table_units {
-            Some(units) => io.combined(&metadata_sweep_io(self.cost, units)),
+            Some(units) => io.combined(&metadata_sweep_io(units)),
             None => io,
         }
     }
@@ -156,8 +149,8 @@ mod tests {
         let mut volume = FsSubstrate::create(VolumeConfig::new(64 * MB), true).unwrap();
         volume.write(WriteOp::Put, "a", MB, WRITE_REQUEST).unwrap();
         volume.remove("a").unwrap();
-        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
-        let mut target = Drive::new(&mut volume, &disk, &cost, &mut backoff);
+        let (disk, mut backoff) = (disk(), 0);
+        let mut target = Drive::new(&mut volume, &disk, &mut backoff);
         assert!(target.reclaimable_bytes() >= MB);
         let io = target.checkpoint();
         assert!(!io.is_none());
@@ -167,13 +160,13 @@ mod tests {
 
     #[test]
     fn substrate_declarations_match_each_engines_reuse_behaviour() {
-        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
+        let (disk, mut backoff) = (disk(), 0);
         let mut volume = FsSubstrate::create(VolumeConfig::new(64 * MB), false).unwrap();
-        let fs = Drive::new(&mut volume, &disk, &cost, &mut backoff);
+        let fs = Drive::new(&mut volume, &disk, &mut backoff);
         assert_eq!(fs.substrate(), MaintSubstrate::DeferredReuse);
 
         let mut db = Database::create(lor_blobkit::EngineConfig::new(64 * MB)).unwrap();
-        let db_target = Drive::new(&mut db, &disk, &cost, &mut backoff);
+        let db_target = Drive::new(&mut db, &disk, &mut backoff);
         assert_eq!(db_target.substrate(), MaintSubstrate::EagerReuse);
     }
 
@@ -190,8 +183,8 @@ mod tests {
                     .unwrap();
             }
         }
-        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
-        let mut target = Drive::new(&mut db, &disk, &cost, &mut backoff);
+        let (disk, mut backoff) = (disk(), 0);
+        let mut target = Drive::new(&mut db, &disk, &mut backoff);
         assert!(target.reclaimable_bytes() > 0);
         // A one-I/O budget reclaims at most its metadata page's worth of
         // ghosts; repeated budgeted passes drain the rest.
@@ -248,8 +241,8 @@ mod tests {
         for id in (0..16).step_by(2) {
             log.remove(&format!("o{id}")).unwrap();
         }
-        let (disk, cost, mut backoff) = (disk(), CostModel::default(), 0);
-        let mut target = Drive::new(&mut log, &disk, &cost, &mut backoff);
+        let (disk, mut backoff) = (disk(), 0);
+        let mut target = Drive::new(&mut log, &disk, &mut backoff);
         assert_eq!(target.substrate(), MaintSubstrate::LogStructured);
         assert!(target.reclaimable_bytes() > 0);
         assert!(

@@ -6,9 +6,9 @@
 //! implementation, generic over the [`Substrate`] underneath
 //! ([`crate::FsObjectStore`], [`crate::DbObjectStore`] and
 //! [`crate::LogObjectStore`] are aliases): it charges every operation to a
-//! simulated disk plus a host-side [`CostModel`], so that throughput can be
-//! measured exactly the way the paper measures it: bytes moved divided by the
-//! time the storage system needed.
+//! simulated disk plus the host-side cost model below, so that throughput can
+//! be measured exactly the way the paper measures it: bytes moved divided by
+//! the time the storage system needed.
 
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_disksim::{ByteRun, Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
@@ -81,55 +81,38 @@ impl OpReceipt {
     }
 }
 
-/// Host-side cost model: everything that is not the disk mechanism.
-///
-/// Defaults are calibrated so that a clean store reproduces the orderings of
-/// the paper's Figure 1 and Figure 4 (database faster below ~1 MB and during
-/// bulk load; filesystem faster for 10 MB objects), on top of the
-/// [`lor_disksim`] mechanical model.  The constants are deliberately exposed
-/// so ablation benches can explore them; the formulas over them are each
-/// substrate's [`Substrate::write_host_time`] / [`Substrate::read_host_time`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Metadata I/Os (directory + MFT-style record fetches) charged per file
-    /// open.  Each costs [`CostModel::metadata_io_time`].
-    pub fs_open_metadata_ios: u32,
-    /// Cost of one metadata I/O (an uncached small random read).
-    pub metadata_io_time: SimDuration,
-    /// Extra metadata I/Os charged when a file is created or replaced
-    /// (directory update, MFT record allocation, log force).
-    pub fs_create_metadata_ios: u32,
-    /// Host CPU cost of a database lookup (the metadata table and the BLOB
-    /// root are assumed cached, per the paper's out-of-row setup).
-    pub db_lookup_time: SimDuration,
-    /// Per-page processing cost on the database path (buffer pool, record
-    /// assembly, network marshalling) — the "client interfaces are not
-    /// designed for large objects" folklore made concrete.
-    pub db_per_page_time: SimDuration,
-    /// The database client streams objects in chunks of at most this many
-    /// bytes; each chunk costs [`CostModel::db_per_chunk_time`].
-    pub db_client_chunk_bytes: u64,
-    /// Per-chunk request/response overhead on the database path.
-    pub db_per_chunk_time: SimDuration,
-    /// Per-write-request host cost on the filesystem path (system call and
-    /// cache management per append).
-    pub fs_per_write_request_time: SimDuration,
-}
+// The host-side cost model: everything that is not the disk mechanism, one
+// simulated host as in the paper's Table 1.  Calibrated so that a clean store
+// reproduces the orderings of the paper's Figure 1 and Figure 4 (database
+// faster below ~1 MB and during bulk load; filesystem faster for 10 MB
+// objects), on top of the `lor_disksim` mechanical model.  The formulas over
+// these constants are each substrate's `Substrate::write_host_time` /
+// `read_host_time` / `remove_host_time`; changing one moves every recorded
+// result.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            fs_open_metadata_ios: 2,
-            metadata_io_time: SimDuration::from_millis_f64(12.0),
-            fs_create_metadata_ios: 1,
-            db_lookup_time: SimDuration::from_millis_f64(1.0),
-            db_per_page_time: SimDuration::from_micros(50),
-            db_client_chunk_bytes: 256 * 1024,
-            db_per_chunk_time: SimDuration::from_millis_f64(1.0),
-            fs_per_write_request_time: SimDuration::from_micros(100),
-        }
-    }
-}
+/// Metadata I/Os (directory + MFT-style record fetches) charged per file
+/// open.  Each costs [`METADATA_IO_TIME`].
+pub(crate) const FS_OPEN_METADATA_IOS: u64 = 2;
+/// Cost of one metadata I/O (an uncached small random read).
+pub(crate) const METADATA_IO_TIME: SimDuration = SimDuration::from_millis(12);
+/// Extra metadata I/Os charged when a file is created or replaced (directory
+/// update, MFT record allocation, log force).
+pub(crate) const FS_CREATE_METADATA_IOS: u64 = 1;
+/// Host CPU cost of a database lookup (the metadata table and the BLOB root
+/// are assumed cached, per the paper's out-of-row setup).
+pub(crate) const DB_LOOKUP_TIME: SimDuration = SimDuration::from_millis(1);
+/// Per-page processing cost on the database path (buffer pool, record
+/// assembly, network marshalling) — the "client interfaces are not designed
+/// for large objects" folklore made concrete.
+pub(crate) const DB_PER_PAGE_TIME: SimDuration = SimDuration::from_micros(50);
+/// The database client streams objects in chunks of at most this many bytes;
+/// each chunk costs [`DB_PER_CHUNK_TIME`].
+pub(crate) const DB_CLIENT_CHUNK_BYTES: u64 = 256 * 1024;
+/// Per-chunk request/response overhead on the database path.
+pub(crate) const DB_PER_CHUNK_TIME: SimDuration = SimDuration::from_millis(1);
+/// Per-write-request host cost on the filesystem path (system call and cache
+/// management per append).
+pub(crate) const FS_PER_WRITE_REQUEST_TIME: SimDuration = SimDuration::from_micros(100);
 
 /// A large-object repository with get/put semantics.
 ///
@@ -279,13 +262,12 @@ pub trait ObjectStore: Send {
 }
 
 /// The one object store: a [`Substrate`] plus everything the substrates
-/// share — the measurement clock, the simulated disk, the host cost model,
-/// the optional background scheduler and the tracing handle.
+/// share — the measurement clock, the simulated disk, the optional
+/// background scheduler and the tracing handle.
 #[derive(Debug)]
 pub struct Store<S: Substrate> {
     substrate: S,
     disk: Disk,
-    cost: CostModel,
     clock: SimClock,
     write_request_size: u64,
     scheduler: Option<MaintenanceScheduler>,
@@ -301,7 +283,6 @@ impl<S: Substrate> Store<S> {
         engine: S::Config,
         disk: DiskConfig,
         write_request_size: u64,
-        cost: CostModel,
         maintenance: Option<MaintenanceConfig>,
     ) -> Result<Self, StoreError> {
         if write_request_size == 0 {
@@ -317,7 +298,6 @@ impl<S: Substrate> Store<S> {
         Ok(Store {
             substrate: S::create(engine, maintenance.is_some())?,
             disk: Disk::new(disk),
-            cost,
             clock: SimClock::new(),
             write_request_size,
             scheduler: maintenance.map(MaintenanceScheduler::new),
@@ -346,7 +326,7 @@ impl<S: Substrate> Store<S> {
         let request = IoRequest::write_runs(std::mem::take(&mut written.runs));
         let mut transferred = request.total_bytes();
         let disk_time = self.disk.service(&request);
-        let mut host_time = S::write_host_time(&self.cost, written.units, written.payload_bytes);
+        let mut host_time = S::write_host_time(written.units, written.payload_bytes);
         if !written.forced_copy.is_empty() {
             let io = copy_io(self.disk.config(), &written.forced_copy);
             transferred += io.bytes;
@@ -399,7 +379,6 @@ impl<S: Substrate> Store<S> {
                 let mut drive = Drive::new(
                     &mut self.substrate,
                     self.disk.config(),
-                    &self.cost,
                     &mut self.defrag_backoff,
                 );
                 let interference = scheduler.on_foreground_op(receipt.total_time(), &mut drive);
@@ -425,7 +404,7 @@ impl<S: Substrate> ObjectStore for Store<S> {
         let transferred = request.total_bytes();
         let fragments = request.merged_segments().count() as u64;
         let disk_time = self.disk.service(&request);
-        let host_time = S::read_host_time(&self.cost, plan.units, plan.payload_bytes);
+        let host_time = S::read_host_time(plan.units, plan.payload_bytes);
         self.charge(disk_time, host_time);
         Ok(OpReceipt {
             payload_bytes: plan.payload_bytes,
@@ -460,7 +439,7 @@ impl<S: Substrate> ObjectStore for Store<S> {
 
     fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
         self.substrate.remove(key)?;
-        let host_time = S::remove_host_time(&self.cost);
+        let host_time = S::remove_host_time();
         self.charge(ServiceTime::default(), host_time);
         Ok(self.after_mutating_op(OpReceipt {
             host_time,
@@ -539,7 +518,6 @@ impl<S: Substrate> ObjectStore for Store<S> {
         let mut drive = Drive::new(
             &mut self.substrate,
             self.disk.config(),
-            &self.cost,
             &mut self.defrag_backoff,
         );
         let io = scheduler.run_budgeted_slice(&mut drive, budget_bytes, now);
@@ -762,9 +740,9 @@ pub(crate) mod tests {
     use crate::fs_store::FsSubstrate;
     use lor_blobkit::Database;
 
-    /// `S`'s read host time under the default cost model.
+    /// `S`'s read host time.
     fn read_host<S: Substrate>(units: u64, payload_bytes: u64) -> SimDuration {
-        S::read_host_time(&CostModel::default(), units, payload_bytes)
+        S::read_host_time(units, payload_bytes)
     }
 
     /// The least host time any read of `_store` is charged.
@@ -857,11 +835,10 @@ pub(crate) mod tests {
 
     #[test]
     fn chunk_counts_round_up() {
-        let model = CostModel::default();
-        let just_over = read_host::<Database>(1, model.db_client_chunk_bytes + 1);
-        let exactly_one = read_host::<Database>(1, model.db_client_chunk_bytes);
+        let just_over = read_host::<Database>(1, DB_CLIENT_CHUNK_BYTES + 1);
+        let exactly_one = read_host::<Database>(1, DB_CLIENT_CHUNK_BYTES);
         assert!(just_over > exactly_one);
         // Zero-byte objects still cost one chunk and the lookup.
-        assert!(read_host::<Database>(0, 0) >= model.db_lookup_time);
+        assert!(read_host::<Database>(0, 0) >= DB_LOOKUP_TIME);
     }
 }

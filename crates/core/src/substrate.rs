@@ -13,7 +13,7 @@ use lor_maint::{MaintIo, MaintSubstrate};
 use lor_obs::Obs;
 
 use crate::error::StoreError;
-use crate::store::{CostModel, StoreKind};
+use crate::store::StoreKind;
 
 /// Which write-path operation [`Substrate::write`] performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,11 +145,11 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     }
 
     /// Host time of a write of `payload_bytes` in `units`.
-    fn write_host_time(cost: &CostModel, units: u64, payload_bytes: u64) -> SimDuration;
+    fn write_host_time(units: u64, payload_bytes: u64) -> SimDuration;
     /// Host time of a read of `payload_bytes` in `units`.
-    fn read_host_time(cost: &CostModel, units: u64, payload_bytes: u64) -> SimDuration;
+    fn read_host_time(units: u64, payload_bytes: u64) -> SimDuration;
     /// Host time of a delete.
-    fn remove_host_time(cost: &CostModel) -> SimDuration;
+    fn remove_host_time() -> SimDuration;
 
     /// Logical size of an object.
     fn size_of(&self, key: &str) -> Result<u64, StoreError>;

@@ -25,13 +25,6 @@ pub enum SizeDistribution {
         /// Largest possible object size.
         max: u64,
     },
-    /// Sizes follow a (truncated) exponential distribution with the given
-    /// mean, clamped to `[mean / 16, 16 * mean]`.  Not used by the paper's
-    /// figures but provided for the workload-sensitivity extensions.
-    Exponential {
-        /// Mean object size.
-        mean: u64,
-    },
 }
 
 impl SizeDistribution {
@@ -49,7 +42,6 @@ impl SizeDistribution {
         match *self {
             SizeDistribution::Constant(size) => size,
             SizeDistribution::Uniform { min, max } => (min + max) / 2,
-            SizeDistribution::Exponential { mean } => mean,
         }
     }
 
@@ -64,12 +56,6 @@ impl SizeDistribution {
                     Uniform::new_inclusive(min, max).sample(rng)
                 }
             }
-            SizeDistribution::Exponential { mean } => {
-                let mean = mean.max(1) as f64;
-                let u: f64 = rng.gen_range(1e-12..1.0);
-                let value = -mean * u.ln();
-                value.clamp(mean / 16.0, mean * 16.0).round() as u64
-            }
         }
     }
 
@@ -79,7 +65,6 @@ impl SizeDistribution {
         match self {
             SizeDistribution::Constant(_) => "Constant",
             SizeDistribution::Uniform { .. } => "Uniform",
-            SizeDistribution::Exponential { .. } => "Exponential",
         }
     }
 }
@@ -592,22 +577,6 @@ mod tests {
             (mean - expected).abs() / expected < 0.02,
             "sample mean {mean} vs {expected}"
         );
-    }
-
-    #[test]
-    fn exponential_distribution_is_clamped_and_roughly_centred() {
-        let dist = SizeDistribution::Exponential { mean: 1 << 20 };
-        assert_eq!(dist.label(), "Exponential");
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut total = 0u64;
-        let n = 5_000;
-        for _ in 0..n {
-            let sample = dist.sample(&mut rng);
-            assert!(((1 << 20) / 16..=(1 << 20) * 16).contains(&sample));
-            total += sample;
-        }
-        let mean = total as f64 / n as f64;
-        assert!(mean > 0.7 * (1 << 20) as f64 && mean < 1.3 * (1 << 20) as f64);
     }
 
     #[test]

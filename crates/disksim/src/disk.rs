@@ -11,7 +11,7 @@ use lor_obs::{Obs, Track};
 use serde::{Deserialize, Serialize};
 
 use crate::config::DiskConfig;
-use crate::request::{AccessKind, ByteRun, IoRequest};
+use crate::request::{AccessKind, IoRequest};
 use crate::stats::DiskStats;
 use crate::time::{SimClock, SimDuration};
 
@@ -64,13 +64,8 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates a disk from a validated configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails [`DiskConfig::validate`]; building a
-    /// simulator on an invalid disk is a programming error.
+    /// Creates a disk, head at offset 0.
     pub fn new(config: DiskConfig) -> Self {
-        config.validate().expect("disk configuration must be valid");
         Disk {
             config,
             head: 0,
@@ -177,23 +172,19 @@ impl Disk {
     /// The segments charged are the request's *merged* ones
     /// ([`IoRequest::merged_segments`]), so costing a request copies nothing.
     fn compute(&self, request: &IoRequest) -> (ServiceTime, Option<u64>, bool, u64) {
-        let mut service = ServiceTime {
-            overhead: self.config.overhead.per_request,
-            ..ServiceTime::default()
-        };
+        let mut service = ServiceTime::default();
         let mut head = self.head;
         let mut sequential_hit = false;
         let mut segments = 0u64;
         for segment in request.merged_segments() {
             let continues_stream = segments == 0
-                && self.config.sequential_detection
                 && matches!(self.last_transfer, Some((end, kind)) if end == segment.offset && kind == request.kind);
             if continues_stream {
                 // The head is already positioned at the start of this run and
                 // the platter is rotating underneath it: pure media transfer.
                 sequential_hit = true;
             } else if head != segment.offset {
-                service.seek += self.seek_between(head, segment.offset);
+                service.seek += self.config.seek_between(head, segment.offset);
                 service.rotation += self.config.average_rotational_latency();
             } else {
                 // Same byte offset but not a detected continuation (e.g. a
@@ -201,60 +192,22 @@ impl Disk {
                 // away, so charge a full revolution to come back around.
                 service.rotation += self.config.rotation_time();
             }
-            service.transfer += self.transfer_time(&segment);
+            service.transfer += self.config.transfer_time(&segment);
             head = segment.end();
             segments += 1;
         }
-        if segments == 0 {
-            // A zero-byte request still costs the command overhead; this
-            // models metadata-only operations issued through the same path.
-            return (service, None, false, 0);
-        }
-        service.overhead += self.config.overhead.per_extra_segment * (segments - 1);
-        (service, Some(head), sequential_hit, segments)
-    }
-
-    /// Seek time between two byte offsets.
-    fn seek_between(&self, from: u64, to: u64) -> SimDuration {
-        let from_cyl = self.config.cylinder_of(from);
-        let to_cyl = self.config.cylinder_of(to);
-        let distance = from_cyl.abs_diff(to_cyl);
-        self.config.seek.seek_time(distance)
-    }
-
-    /// Media transfer time for one contiguous run, integrating across zone
-    /// boundaries the run may straddle.
-    fn transfer_time(&self, run: &ByteRun) -> SimDuration {
-        if run.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let mut remaining = run.len;
-        let mut offset = run.offset;
-        let mut total = SimDuration::ZERO;
-        while remaining > 0 {
-            let zone_index = self.config.zone_index_at(offset);
-            let rate = self.config.zones[zone_index].transfer_rate;
-            // Bytes until the next zone boundary (or the end of the disk).
-            let zone_end = self
-                .config
-                .zones
-                .get(zone_index + 1)
-                .map(|z| (z.start_fraction * self.config.capacity_bytes as f64) as u64)
-                .unwrap_or(u64::MAX);
-            let available = zone_end.saturating_sub(offset).max(1);
-            let chunk = remaining.min(available);
-            total += SimDuration::from_secs_f64(chunk as f64 / rate);
-            remaining -= chunk;
-            offset += chunk;
-        }
-        total
+        // A zero-byte request still costs the command overhead; this models
+        // metadata-only operations issued through the same path.
+        service.overhead = self.config.request_overhead(segments);
+        let new_head = (segments > 0).then_some(head);
+        (service, new_head, sequential_hit, segments)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DiskConfig;
+    use crate::request::ByteRun;
 
     fn small_disk() -> Disk {
         Disk::new(DiskConfig::seagate_400gb_2005().scaled(4 * 1000 * 1000 * 1000))
@@ -270,7 +223,7 @@ mod tests {
             .sum();
         // Scattered: same chunks, spread across a fresh disk.
         let mut disk = small_disk();
-        let span = disk.config().capacity_bytes / 64;
+        let span = disk.config().capacity_bytes() / 64;
         let scattered: SimDuration = (0..64)
             .map(|i| disk.service(&IoRequest::read(i * span, chunk)).total())
             .sum();
@@ -284,7 +237,7 @@ mod tests {
     fn fragmented_request_costs_more_than_contiguous() {
         let disk = small_disk();
         let contiguous = disk.estimate(&IoRequest::read(0, 1024 * 1024));
-        let capacity = disk.config().capacity_bytes;
+        let capacity = disk.config().capacity_bytes();
         let fragmented = disk.estimate(&IoRequest::read_runs([
             ByteRun::new(0, 256 * 1024),
             ByteRun::new(capacity / 2, 256 * 1024),
@@ -330,7 +283,7 @@ mod tests {
     fn outer_zone_transfers_faster_than_inner_zone() {
         let disk = small_disk();
         let len = 8 * 1024 * 1024u64;
-        let capacity = disk.config().capacity_bytes;
+        let capacity = disk.config().capacity_bytes();
         let outer = disk.estimate(&IoRequest::read(0, len));
         let inner = disk.estimate(&IoRequest::read(capacity - len, len));
         assert!(inner.transfer > outer.transfer);
@@ -341,7 +294,7 @@ mod tests {
         let mut disk = small_disk();
         let a = disk.service(&IoRequest::write(0, 1024 * 1024));
         let b = disk.service(&IoRequest::read(
-            disk.config().capacity_bytes / 2,
+            disk.config().capacity_bytes() / 2,
             1024 * 1024,
         ));
         assert_eq!(disk.elapsed(), a.total() + b.total());
@@ -359,7 +312,7 @@ mod tests {
         let service = disk.service(&IoRequest::read_runs([]));
         assert_eq!(service.seek, SimDuration::ZERO);
         assert_eq!(service.transfer, SimDuration::ZERO);
-        assert_eq!(service.overhead, disk.config().overhead.per_request);
+        assert_eq!(service.overhead, disk.config().request_overhead(0));
         // The head must not move.
         assert_eq!(disk.head_position(), 0);
     }
@@ -373,5 +326,21 @@ mod tests {
         assert_eq!(disk.head_position(), before_head);
         assert_eq!(disk.elapsed(), before_elapsed);
         assert_eq!(disk.stats().total_requests(), 0);
+    }
+
+    /// Nothing validates a capacity any more: `scaled` clamps it to one byte,
+    /// and a disk that small still serves requests, past its end included.
+    #[test]
+    fn a_disk_scaled_to_zero_bytes_still_serves_requests() {
+        let mut disk = Disk::new(DiskConfig::seagate_400gb_2005().scaled(0));
+        assert_eq!(disk.config().capacity_bytes(), 1);
+        let read = disk.service(&IoRequest::read(0, 64 * 1024));
+        let write = disk.service(&IoRequest::write(1 << 20, 64 * 1024));
+        for service in [read, write] {
+            assert!(service.transfer > SimDuration::ZERO);
+            assert!(service.total() > SimDuration::ZERO);
+        }
+        assert_eq!(disk.stats().total_requests(), 2);
+        assert_eq!(disk.elapsed(), read.total() + write.total());
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! This crate is the hardware substrate of the CIDR 2007 *Fragmentation in
 //! Large Object Repositories* reproduction.  The paper measured NTFS and SQL
-//! Server on 2005-era 400 GB 7200 rpm SATA drives; here the drive is replaced
-//! by a parameterised model that charges, per I/O request:
+//! Server on one 2005-era 400 GB 7200 rpm SATA drive (Table 1); here the drive
+//! is replaced by a model of that one drive — its geometry, zone table, seek
+//! curve and overheads are constants, and a [`DiskConfig`] chooses only how
+//! much of it to use — that charges, per I/O request:
 //!
 //! * a **seek** whose duration follows a piecewise (√distance, then linear)
 //!   curve over model cylinders,
@@ -49,7 +51,7 @@ mod request;
 mod stats;
 mod time;
 
-pub use config::{ConfigError, DiskConfig, OverheadProfile, SeekProfile, ZoneSpec};
+pub use config::DiskConfig;
 pub use disk::{Disk, ServiceTime};
 pub use request::{AccessKind, ByteRun, IoRequest};
 pub use stats::{DirectionStats, DiskStats};

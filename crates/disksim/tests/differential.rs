@@ -75,7 +75,7 @@ fn run_differential(
     config: DiskConfig,
     requests: &[(AccessKind, Vec<(Placement, u64)>)],
 ) -> Result<(), TestCaseError> {
-    let mut disk = Disk::new(config.clone());
+    let mut disk = Disk::new(config);
     let mut model = RefDisk::new(config);
     for (kind, runs) in requests {
         let request = materialize(disk.head_position(), *kind, runs);
@@ -103,15 +103,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Merging adjacent runs inside `Disk::compute`'s loop is costing the
-    /// coalesced copy, bit for bit, with sequential detection on and off.
+    /// coalesced copy, bit for bit.
     #[test]
     fn in_loop_merge_matches_the_coalesced_copy(
         requests in prop::collection::vec(arb_request(), 1..24),
-        sequential_detection in prop_oneof![Just(true), Just(false)],
     ) {
-        let mut config = DiskConfig::seagate_400gb_2005().scaled(CAPACITY);
-        config.sequential_detection = sequential_detection;
-        run_differential(config, &requests)?;
+        run_differential(DiskConfig::seagate_400gb_2005().scaled(CAPACITY), &requests)?;
     }
 }
 
@@ -120,7 +117,7 @@ fn the_cases_the_merge_must_get_right_all_occur() {
     // The generator is only as good as what it reaches: one fixed script
     // with each case spelled out, checked against the reference too.
     let config = DiskConfig::seagate_400gb_2005().scaled(CAPACITY);
-    let mut disk = Disk::new(config.clone());
+    let mut disk = Disk::new(config);
     let mut model = RefDisk::new(config);
     let mb = 1u64 << 20;
     let requests = [

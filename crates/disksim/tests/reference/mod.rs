@@ -1,16 +1,16 @@
 //! Test-only reference model of the disk: the service-time computation as
 //! it stood before `Disk::compute` merged adjacent runs inside its own loop
 //! — the request is first cloned through [`IoRequest::coalesced`], then the
-//! merged copy is costed segment by segment.
+//! merged copy is costed segment by segment.  The per-segment mechanics
+//! (seek curve, zone-integrated transfer, overheads) are the drive's own
+//! [`DiskConfig`] methods; what is modelled here is the loop around them.
 //!
 //! `differential.rs` drives it in lock-step with the real
 //! [`lor_disksim::Disk`] and demands the same [`ServiceTime`], head
 //! position and statistics after every request, which is what "host-time
 //! change only" means for the disk model.
 
-use lor_disksim::{
-    AccessKind, ByteRun, DiskConfig, DiskStats, IoRequest, ServiceTime, SimDuration,
-};
+use lor_disksim::{AccessKind, DiskConfig, DiskStats, IoRequest, ServiceTime, SimDuration};
 
 /// The disk, costing a coalesced copy of each request.
 #[derive(Debug, Clone)]
@@ -24,7 +24,6 @@ pub struct RefDisk {
 
 impl RefDisk {
     pub fn new(config: DiskConfig) -> Self {
-        config.validate().expect("disk configuration must be valid");
         RefDisk {
             config,
             head: 0,
@@ -73,69 +72,32 @@ impl RefDisk {
 
     fn compute(&self, request: &IoRequest) -> (ServiceTime, Option<u64>, bool, u64) {
         let coalesced = request.coalesced();
-        if coalesced.segments.is_empty() {
-            let service = ServiceTime {
-                overhead: self.config.overhead.per_request,
-                ..ServiceTime::default()
-            };
+        let segments = coalesced.segments.len() as u64;
+        let mut service = ServiceTime {
+            overhead: self.config.request_overhead(segments),
+            ..ServiceTime::default()
+        };
+        if segments == 0 {
             return (service, None, false, 0);
         }
-
-        let mut service = ServiceTime {
-            overhead: self.config.overhead.per_request,
-            ..Default::default()
-        };
-        let extra_segments = (coalesced.segments.len() as u64).saturating_sub(1);
-        service.overhead += self.config.overhead.per_extra_segment * extra_segments;
 
         let mut head = self.head;
         let mut sequential_hit = false;
         for (index, segment) in coalesced.segments.iter().enumerate() {
             let is_first = index == 0;
             let continues_stream = is_first
-                && self.config.sequential_detection
                 && matches!(self.last_transfer, Some((end, kind)) if end == segment.offset && kind == request.kind);
             if continues_stream {
                 sequential_hit = true;
             } else if head != segment.offset {
-                service.seek += self.seek_between(head, segment.offset);
+                service.seek += self.config.seek_between(head, segment.offset);
                 service.rotation += self.config.average_rotational_latency();
             } else {
                 service.rotation += self.config.rotation_time();
             }
-            service.transfer += self.transfer_time(segment);
+            service.transfer += self.config.transfer_time(segment);
             head = segment.end();
         }
-
-        let segments = coalesced.segments.len() as u64;
         (service, Some(head), sequential_hit, segments)
-    }
-
-    fn seek_between(&self, from: u64, to: u64) -> SimDuration {
-        let from_cyl = self.config.cylinder_of(from);
-        let to_cyl = self.config.cylinder_of(to);
-        self.config.seek.seek_time(from_cyl.abs_diff(to_cyl))
-    }
-
-    fn transfer_time(&self, run: &ByteRun) -> SimDuration {
-        let mut remaining = run.len;
-        let mut offset = run.offset;
-        let mut total = SimDuration::ZERO;
-        while remaining > 0 {
-            let zone_index = self.config.zone_index_at(offset);
-            let rate = self.config.zones[zone_index].transfer_rate;
-            let zone_end = self
-                .config
-                .zones
-                .get(zone_index + 1)
-                .map(|z| (z.start_fraction * self.config.capacity_bytes as f64) as u64)
-                .unwrap_or(u64::MAX);
-            let available = zone_end.saturating_sub(offset).max(1);
-            let chunk = remaining.min(available);
-            total += SimDuration::from_secs_f64(chunk as f64 / rate);
-            remaining -= chunk;
-            offset += chunk;
-        }
-        total
     }
 }

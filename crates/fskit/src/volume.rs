@@ -90,13 +90,14 @@ use crate::file::{FileId, FileRecord};
 /// concurrently.
 const PREALLOCATION_CAP_CLUSTERS: u64 = 2048;
 
+/// Cluster size in bytes (the NTFS default, and the paper's volume's).
+const CLUSTER_SIZE: u64 = 4096;
+
 /// Configuration of a simulated NTFS-like volume.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VolumeConfig {
     /// Usable capacity in bytes.
     pub capacity_bytes: u64,
-    /// Cluster size in bytes (NTFS default: 4 KB).
-    pub cluster_size: u64,
     /// Fraction of the volume reserved for the MFT zone (metadata band).
     pub mft_zone_fraction: f64,
     /// Number of mutating operations (writes, deletes, safe writes) between
@@ -126,7 +127,6 @@ impl VolumeConfig {
     pub fn new(capacity_bytes: u64) -> Self {
         VolumeConfig {
             capacity_bytes,
-            cluster_size: 4096,
             mft_zone_fraction: 0.05,
             checkpoint_interval_ops: 16,
             allocation_policy: AllocationPolicy::Native,
@@ -136,7 +136,7 @@ impl VolumeConfig {
 
     /// Total clusters on the volume.
     pub fn total_clusters(&self) -> u64 {
-        self.capacity_bytes / self.cluster_size
+        self.capacity_bytes / CLUSTER_SIZE
     }
 
     /// Clusters reserved for the MFT zone.
@@ -145,9 +145,6 @@ impl VolumeConfig {
     }
 
     fn validate(&self) -> Result<(), FsError> {
-        if self.cluster_size == 0 {
-            return Err(FsError::BadConfig("cluster size must be non-zero"));
-        }
         if self.total_clusters() == 0 {
             return Err(FsError::BadConfig("capacity must be at least one cluster"));
         }
@@ -337,14 +334,14 @@ impl Volume {
 
     /// Capacity available to file data (total minus the MFT zone), in bytes.
     pub fn data_capacity_bytes(&self) -> u64 {
-        (self.config.total_clusters() - self.config.mft_clusters()) * self.config.cluster_size
+        (self.config.total_clusters() - self.config.mft_clusters()) * CLUSTER_SIZE
     }
 
     /// Bytes currently free for file data.  Space pending checkpoint counts as
     /// free capacity (it exists) even though it is not yet reusable.
     pub fn free_bytes(&self) -> u64 {
         (self.space.allocator.free_space().free_clusters() + self.space.pending_clusters)
-            * self.config.cluster_size
+            * CLUSTER_SIZE
     }
 
     /// Clusters held in the pending-free queue.
@@ -433,15 +430,14 @@ impl Volume {
         if bytes == 0 {
             return Ok(());
         }
-        let cluster_size = self.config.cluster_size;
         let record = self.files.get_mut(id.0).ok_or(FsError::NoSuchFile(id.0))?;
         let old_fragments = record.fragment_count() as u64;
         let allocated = record.allocated_clusters();
         let write_offset = record.size_bytes;
         let new_size = write_offset + bytes;
         let needed = new_size
-            .saturating_sub(allocated * cluster_size)
-            .div_ceil(cluster_size);
+            .saturating_sub(allocated * CLUSTER_SIZE)
+            .div_ceil(CLUSTER_SIZE);
 
         let new_extents = &mut self.scratch;
         new_extents.clear();
@@ -477,7 +473,7 @@ impl Volume {
         // The byte runs this append physically wrote: the region from the old
         // end-of-file to the new one, walked over the updated extent map so
         // partially-filled final clusters come out right.
-        Self::runs_for_range(record, cluster_size, write_offset, bytes, runs);
+        Self::runs_for_range(record, write_offset, bytes, runs);
         Ok(())
     }
 
@@ -515,7 +511,7 @@ impl Volume {
         size_bytes: u64,
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
-        let clusters = size_bytes.div_ceil(self.config.cluster_size);
+        let clusters = size_bytes.div_ceil(CLUSTER_SIZE);
         if clusters > 0 {
             let mut extents = Vec::new();
             let request = AllocRequest::best_effort(clusters);
@@ -576,8 +572,7 @@ impl Volume {
         id: FileId,
         size_bytes: u64,
     ) -> Result<WriteReceipt, FsError> {
-        let cluster_size = self.config.cluster_size;
-        let clusters = size_bytes.div_ceil(cluster_size);
+        let clusters = size_bytes.div_ceil(CLUSTER_SIZE);
         let mut runs = Vec::new();
         if clusters > 0 {
             let consumer = PlacementConsumer::Maintenance {
@@ -589,7 +584,7 @@ impl Volume {
             self.with_layout(id, |record| {
                 record.push_extents(&extents);
                 record.size_bytes = size_bytes;
-                Self::runs_for_range(record, cluster_size, 0, size_bytes, &mut runs);
+                Self::runs_for_range(record, 0, size_bytes, &mut runs);
             })?;
         }
         self.stats.bytes_written += size_bytes;
@@ -628,7 +623,7 @@ impl Volume {
     /// speculative preallocation when the file is closed).
     fn trim_excess(&mut self, id: FileId) -> Result<(), FsError> {
         let record = self.files.get_mut(id.0).ok_or(FsError::NoSuchFile(id.0))?;
-        let needed = record.size_bytes.div_ceil(self.config.cluster_size);
+        let needed = record.size_bytes.div_ceil(CLUSTER_SIZE);
         let allocated = record.allocated_clusters();
         if allocated <= needed {
             return Ok(());
@@ -819,7 +814,7 @@ impl Volume {
 
     /// The byte runs a full sequential read of the file touches.
     pub fn read_plan(&self, id: FileId) -> Result<Vec<ByteRun>, FsError> {
-        Ok(self.file(id)?.byte_runs(self.config.cluster_size))
+        Ok(self.file(id)?.byte_runs(CLUSTER_SIZE))
     }
 
     /// Makes all pending-deleted space reusable (models the NTFS log commit).
@@ -1043,9 +1038,9 @@ impl Volume {
         Ok(result)
     }
 
-    /// Cluster size shortcut.
+    /// Cluster size in bytes: 4 KB on every volume.
     pub fn cluster_size(&self) -> u64 {
-        self.config.cluster_size
+        CLUSTER_SIZE
     }
 
     /// Counts a completed mutating operation and checkpoints when due.
@@ -1060,25 +1055,19 @@ impl Volume {
 
     /// Pushes the byte runs of the logical range `[offset, offset + len)` of
     /// a file onto `runs`.
-    fn runs_for_range(
-        record: &FileRecord,
-        cluster_size: u64,
-        offset: u64,
-        len: u64,
-        runs: &mut Vec<ByteRun>,
-    ) {
+    fn runs_for_range(record: &FileRecord, offset: u64, len: u64, runs: &mut Vec<ByteRun>) {
         if len == 0 {
             return;
         }
         let mut logical = 0u64; // logical byte position of the current extent's start
         let end = (offset + len).min(record.size_bytes);
         for extent in &record.extents {
-            let extent_bytes = extent.len * cluster_size;
+            let extent_bytes = extent.len * CLUSTER_SIZE;
             let extent_logical_end = logical + extent_bytes;
             if extent_logical_end > offset && logical < end {
                 let from = offset.max(logical);
                 let to = end.min(extent_logical_end);
-                let physical = extent.start * cluster_size + (from - logical);
+                let physical = extent.start * CLUSTER_SIZE + (from - logical);
                 runs.push(ByteRun::new(physical, to - from));
             }
             logical = extent_logical_end;
@@ -1113,12 +1102,8 @@ mod tests {
 
     #[test]
     fn bad_configs_are_rejected() {
-        assert!(Volume::format(VolumeConfig {
-            cluster_size: 0,
-            ..VolumeConfig::new(MB)
-        })
-        .is_err());
         assert!(Volume::format(VolumeConfig::new(0)).is_err());
+        assert!(Volume::format(VolumeConfig::new(CLUSTER_SIZE - 1)).is_err());
         assert!(Volume::format(VolumeConfig {
             mft_zone_fraction: 0.9,
             ..VolumeConfig::new(MB)
@@ -1631,7 +1616,7 @@ mod tests {
         record.size_bytes = 4 * 4096;
         // A range spanning the extent boundary.
         let mut runs = Vec::new();
-        Volume::runs_for_range(&record, 4096, 4096, 8192, &mut runs);
+        Volume::runs_for_range(&record, 4096, 8192, &mut runs);
         assert_eq!(
             runs,
             vec![
@@ -1640,7 +1625,7 @@ mod tests {
             ]
         );
         // An empty range pushes nothing and leaves earlier entries alone.
-        Volume::runs_for_range(&record, 4096, 0, 0, &mut runs);
+        Volume::runs_for_range(&record, 0, 0, &mut runs);
         assert_eq!(runs.len(), 2);
     }
 

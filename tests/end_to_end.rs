@@ -3,7 +3,7 @@
 
 use lorepo::core::lor_disksim::SimDuration;
 use lorepo::core::{
-    analyze_store, calibrate_mixed_load, compare_systems, measure_mixed_load_calibrated,
+    age_store, analyze_store, calibrate_mixed_load, compare_systems, measure_mixed_load_calibrated,
     run_aging_experiment, AllocationPolicy, Arrivals, ExperimentConfig, FitPolicy, LatencySummary,
     OpenLoop, PlacementPolicy, Series, SizeDistribution, StoreKind, StoreServer, WorkloadOp,
 };
@@ -244,28 +244,7 @@ fn allocation_policy_knob_drives_both_stores() {
 fn marker_tool_agrees_with_extent_walk_on_aged_stores() {
     let config = mini(MB, 96 * MB);
     for kind in StoreKind::ALL {
-        let mut store = config.build_store(kind).unwrap();
-        let mut generator = lorepo::core::WorkloadGenerator::new(config.workload());
-        for op in generator.bulk_load() {
-            if let lorepo::core::WorkloadOp::Put { key, size } = op {
-                store.put(&key.to_string(), size).unwrap();
-            }
-        }
-        for _ in 0..3 {
-            let round: Vec<(String, u64)> = generator
-                .overwrite_round()
-                .into_iter()
-                .filter_map(|op| match op {
-                    lorepo::core::WorkloadOp::SafeWrite { key, size } => {
-                        Some((key.to_string(), size))
-                    }
-                    _ => None,
-                })
-                .collect();
-            for batch in round.chunks(4) {
-                store.safe_write_batch(batch).unwrap();
-            }
-        }
+        let (store, _) = age_store(kind, &config, 3).unwrap();
         let report = analyze_store(store.as_ref()).unwrap();
         let direct = store.fragmentation();
         assert_eq!(report.summary.objects, direct.objects);
@@ -284,28 +263,7 @@ fn marker_tool_agrees_with_extent_walk_on_aged_stores() {
 fn maintenance_restores_contiguity() {
     let config = mini(MB, 96 * MB);
     for kind in FRAGMENTING_KINDS {
-        let mut store = config.build_store(kind).unwrap();
-        let mut generator = lorepo::core::WorkloadGenerator::new(config.workload());
-        for op in generator.bulk_load() {
-            if let lorepo::core::WorkloadOp::Put { key, size } = op {
-                store.put(&key.to_string(), size).unwrap();
-            }
-        }
-        for _ in 0..4 {
-            let round: Vec<(String, u64)> = generator
-                .overwrite_round()
-                .into_iter()
-                .filter_map(|op| match op {
-                    lorepo::core::WorkloadOp::SafeWrite { key, size } => {
-                        Some((key.to_string(), size))
-                    }
-                    _ => None,
-                })
-                .collect();
-            for batch in round.chunks(4) {
-                store.safe_write_batch(batch).unwrap();
-            }
-        }
+        let (mut store, _) = age_store(kind, &config, 4).unwrap();
         let before = store.fragmentation().fragments_per_object;
         let copied = store.maintenance().unwrap();
         let after = store.fragmentation().fragments_per_object;
