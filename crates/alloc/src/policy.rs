@@ -249,13 +249,8 @@ pub struct FitPicker {
 }
 
 impl FitPicker {
-    /// Creates an unrestricted-placement picker for `policy`, with `native`
-    /// naming the fit the substrate's native mechanism corresponds to.
-    pub fn new(policy: AllocationPolicy, native: FitPolicy) -> Self {
-        Self::with_placement(policy, native, PlacementPolicy::Unrestricted)
-    }
-
-    /// Creates a picker with an explicit placement policy.
+    /// Creates a picker for `policy` under `placement`, with `native` naming
+    /// the fit the substrate's native mechanism corresponds to.
     pub fn with_placement(
         policy: AllocationPolicy,
         native: FitPolicy,

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! figures [--scale full|report|test|smoke] [--json <dir>] [--only fig1,fig2,...]
+//! figures [--scale full|report|smoke] [--json <dir>] [--only fig1,fig2,...]
 //! ```
 //!
 //! The default scale is `report` (one tenth of the paper's volume sizes; see
@@ -47,9 +47,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         match arg.as_str() {
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
-                options.scale = Scale::by_name(&value).ok_or_else(|| {
-                    format!("unknown scale {value:?} (use full|report|test|smoke)")
-                })?;
+                options.scale = Scale::by_name(&value)
+                    .ok_or_else(|| format!("unknown scale {value:?} (use full|report|smoke)"))?;
                 options.scale_name = value;
             }
             "--json" => {
@@ -72,7 +71,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--scale full|report|test|smoke] [--json <dir>] \
+                    "usage: figures [--scale full|report|smoke] [--json <dir>] \
                      [--only {}]",
                     family_names().join(",")
                 );

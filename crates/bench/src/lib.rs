@@ -7,11 +7,11 @@
 //! (`aging_sweep`) and is listed once, in [`FAMILIES`].  The families are
 //! parameterised by a [`Scale`] so the same code serves two purposes:
 //!
-//! * the `figures` binary runs them at report scale and prints the series
-//!   recorded in `EXPERIMENTS.md` (and at smoke scale in CI, diffed against
-//!   `golden/figures_smoke.txt`);
-//! * the unit tests below run them at a tiny scale and assert the
-//!   qualitative shapes the paper reports.
+//! * the `figures` binary prints them; CI diffs its output at smoke, report
+//!   and paper scale against `golden/`, and `tests/paper_claims.rs` checks
+//!   the paper's claims on the report- and paper-scale goldens;
+//! * the unit tests below run them at smoke scale and check each family's
+//!   shape: its figures, series and points.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,8 +36,8 @@ use lor_shard::{fanout_p99_ms, RouterPolicy, ShardedStore};
 pub struct Scale {
     /// Multiplier applied to volume capacities.
     pub volume_factor: f64,
-    /// Multiplier applied to object sizes (1.0 in the paper; smaller values
-    /// are used only by the CI-sized integration tests).
+    /// Multiplier applied to object sizes (1.0 in the paper; smaller only at
+    /// smoke scale).
     pub object_factor: f64,
     /// Maximum storage age to simulate for the long-aging figures.
     pub max_age: u32,
@@ -45,7 +45,7 @@ pub struct Scale {
     pub read_sample: Option<usize>,
     /// Largest fleet the shard sweep grows to (the sweep doubles from 2 up
     /// to this size).  Report and full scale reach the 64-shard fleets the
-    /// scaling story is about; the CI-sized scales stop much earlier.
+    /// scaling story is about; smoke scale stops much earlier.
     pub max_fleet: u32,
 }
 
@@ -73,17 +73,6 @@ impl Scale {
         }
     }
 
-    /// Tiny scale for integration tests.
-    pub fn test() -> Self {
-        Scale {
-            volume_factor: 0.002,
-            object_factor: 0.25,
-            max_age: 4,
-            read_sample: Some(16),
-            max_fleet: 8,
-        }
-    }
-
     /// Smoke scale for CI: the smallest runs that still exercise every
     /// scenario code path, so `figures --scale smoke` keeps the binaries from
     /// silently rotting without slowing the pipeline down.
@@ -98,12 +87,11 @@ impl Scale {
     }
 
     /// The scale the binaries' `--scale` option names
-    /// (`full|report|test|smoke`).
+    /// (`full|report|smoke`).
     pub fn by_name(name: &str) -> Option<Scale> {
         match name {
             "full" => Some(Scale::full()),
             "report" => Some(Scale::report()),
-            "test" => Some(Scale::test()),
             "smoke" => Some(Scale::smoke()),
             _ => None,
         }
@@ -478,7 +466,7 @@ fn figure6(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
             // A safe write needs a free object's worth of space per
             // in-flight copy.  At the paper's scales the 2.5% free pool
             // holds hundreds of objects and this cap never binds; at the
-            // miniature CI scales it lowers the occupancy just enough
+            // miniature smoke scale it lowers the occupancy just enough
             // that the experiment still fits.
             let objects = (volume_bytes as f64 * 0.95) / base.object_size.mean() as f64;
             let ceiling = 1.0 - (base.concurrency as f64 + 1.0) / objects.max(1.0);
@@ -534,9 +522,10 @@ fn write_request_size_sweep(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     )])
 }
 
-/// Ablation: the paper's proposed interface change (declaring object size at
-/// creation) and each system's recommended defragmentation, measured on the
-/// Figure 2 workload.
+/// Ablation: one full pass of each system's own maintenance
+/// (`ObjectStore::maintenance` — the volume's defragmenter, the database's
+/// table rebuild) on a store of 2 MB objects aged to storage age 4 (2 at
+/// smoke scale): fragments/object before and after the pass.
 fn maintenance_ablation(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     let config = paper_config(scale, 2 << 20);
     let series = parallel_map(PAPER_KINDS.to_vec(), |kind| {
@@ -1597,14 +1586,13 @@ mod tests {
         assert_eq!(full.age_points().len(), 11);
         let report = Scale::report();
         assert_eq!(report.volume(PAPER_VOLUME), 4_000_000_000);
-        assert!(Scale::test().volume(PAPER_VOLUME) < report.volume(PAPER_VOLUME));
-        assert!(Scale::test().object(256 << 10) >= 64 << 10);
+        assert!(Scale::smoke().volume(PAPER_VOLUME) < report.volume(PAPER_VOLUME));
+        assert!(Scale::smoke().object(256 << 10) >= 64 << 10);
         // The scaling story needs the big fleets at report scale, while the
-        // CI-sized scales stay small.
+        // smoke scale stays small.
         assert_eq!(report.fleet_sizes(), vec![2, 4, 8, 16, 32, 64]);
         assert_eq!(Scale::full().fleet_sizes(), vec![2, 4, 8, 16, 32, 64]);
         assert_eq!(Scale::smoke().fleet_sizes(), vec![2, 4]);
-        assert_eq!(Scale::test().fleet_sizes(), vec![2, 4, 8]);
         assert_eq!(Scale::by_name("report"), Some(report));
         assert_eq!(Scale::by_name("smoke"), Some(Scale::smoke()));
         assert_eq!(Scale::by_name("bogus"), None);
@@ -1648,7 +1636,7 @@ mod tests {
 
     #[test]
     fn figure3_at_test_scale_has_both_series_and_all_ages() {
-        let scale = Scale::test();
+        let scale = Scale::smoke();
         let figure = &figure3(&scale).unwrap()[0];
         assert_eq!(figure.series.len(), 3, "database, filesystem, log");
         for series in &figure.series {
@@ -1914,28 +1902,6 @@ mod tests {
         assert!(
             points.iter().any(|(_, r)| r.mean.maintenance_ms > 0.0),
             "server-driven maintenance never delayed a tail completion"
-        );
-    }
-
-    #[test]
-    fn figure4_reports_bulk_load_advantage_for_the_database() {
-        let scale = Scale::test();
-        let figure = &figure4(&scale).unwrap()[0];
-        let database = figure
-            .series
-            .iter()
-            .find(|s| s.label == "Database")
-            .unwrap();
-        let filesystem = figure
-            .series
-            .iter()
-            .find(|s| s.label == "Filesystem")
-            .unwrap();
-        let db_bulk = database.value_at(0.0).unwrap();
-        let fs_bulk = filesystem.value_at(0.0).unwrap();
-        assert!(
-            db_bulk > fs_bulk,
-            "database bulk-load write throughput ({db_bulk:.1}) should exceed the filesystem's ({fs_bulk:.1})"
         );
     }
 

@@ -35,7 +35,7 @@ use crate::fs_store::{FsStoreConfig, FsSubstrate};
 use crate::hist::LatencyHistogram;
 use crate::log_store::{LogStoreConfig, LogSubstrate};
 use crate::server::{Completion, LatencySummary, MixedOpenLoop, StoreServer};
-use crate::store::{ObjectStore, Store, StoreKind};
+use crate::store::{host_costs, ObjectStore, Store, StoreKind};
 use crate::substrate::Substrate;
 use crate::workload::{
     ObjectKey, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp, WorkloadSpec,
@@ -55,10 +55,7 @@ impl TestbedConfig {
         let disk = DiskConfig::seagate_400gb_2005();
         TestbedConfig {
             rows: vec![
-                (
-                    "CPU / host".into(),
-                    "simulated host; fixed per-operation CPU costs (CostModel)".into(),
-                ),
+                ("CPU / host".into(), host_costs()),
                 ("Disk".into(), disk.model().into()),
                 ("Spindle speed".into(), format!("{} rpm", disk.rpm())),
                 (
@@ -209,16 +206,6 @@ impl ExperimentConfig {
     /// Attaches a background maintenance scheduler to both substrates.
     pub fn with_maintenance(mut self, maintenance: MaintenanceConfig) -> Self {
         self.maintenance = Some(maintenance);
-        self
-    }
-
-    /// Scales the volume down by `factor` (e.g. `0.01` for CI-sized runs),
-    /// keeping occupancy, object size and write-request size unchanged so the
-    /// behaviour stays comparable (the paper's own observation in Section 5.4
-    /// is that large volumes behave alike at the same occupancy).
-    pub fn scaled(mut self, factor: f64) -> Self {
-        let factor = factor.clamp(1e-6, 1.0);
-        self.volume_bytes = ((self.volume_bytes as f64) * factor) as u64;
         self
     }
 
@@ -732,19 +719,6 @@ pub fn measure_mixed_load_calibrated(
     })
 }
 
-/// Runs both systems through the same aging experiment — the comparison every
-/// figure in the paper makes.
-pub fn compare_systems(
-    config: &ExperimentConfig,
-    measure_ages: &[u32],
-    measure_reads: bool,
-) -> Result<(AgingResult, AgingResult), StoreError> {
-    let database = run_aging_experiment(StoreKind::Database, config, measure_ages, measure_reads)?;
-    let filesystem =
-        run_aging_experiment(StoreKind::Filesystem, config, measure_ages, measure_reads)?;
-    Ok((database, filesystem))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -808,8 +782,6 @@ mod tests {
             ..mini_config()
         };
         assert!(fuller.object_count() > config.object_count());
-        let scaled = config.clone().scaled(0.5);
-        assert!(scaled.object_count() < config.object_count());
     }
 
     #[test]
@@ -876,19 +848,14 @@ mod tests {
     }
 
     #[test]
-    fn aging_increases_database_fragmentation_more_than_filesystem() {
+    fn aging_grows_database_fragmentation_and_counts_storage_age() {
         let config = mini_config();
-        let (db, fs) = compare_systems(&config, &[0, 4], false).unwrap();
+        let db = run_aging_experiment(StoreKind::Database, &config, &[0, 4], false).unwrap();
         let db_aged = db.at_age(4.0).unwrap().fragments_per_object;
-        let fs_aged = fs.at_age(4.0).unwrap().fragments_per_object;
         let db_clean = db.at_age(0.0).unwrap().fragments_per_object;
         assert!(
             db_aged > db_clean,
             "database fragmentation must grow with age"
-        );
-        assert!(
-            db_aged >= fs_aged,
-            "database should fragment at least as much as the filesystem ({db_aged} vs {fs_aged})"
         );
         // Storage age accounting matches the number of overwrite rounds.
         assert!((db.points[1].storage_age - 4.0).abs() < 1e-9);

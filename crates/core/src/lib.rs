@@ -31,10 +31,9 @@
 //!   low-priority disk time that only delays the foreground requests it
 //!   actually overlaps (including the idle-gap `IdleDetect` policy).
 //! * [`experiment`] — the bulk-load / age / measure loop behind every figure
-//!   ([`run_aging_experiment`], [`compare_systems`]), built on the request
-//!   scheduler (one client and zero think time is exactly the old serial
-//!   harness), plus the simulated testbed description standing in for
-//!   Table 1.
+//!   ([`run_aging_experiment`]), built on the request scheduler (one client
+//!   and zero think time is exactly the old serial harness), plus the
+//!   simulated testbed description standing in for Table 1.
 //! * [`report`] — serialisable figure/table types with plain-text rendering.
 //! * [`anatomy`] — latency attribution over a traced run: each recorded
 //!   completion's latency decomposed into named components (maintenance
@@ -46,9 +45,7 @@
 //! ## Example: a miniature Figure 3
 //!
 //! ```
-//! use lor_core::{
-//!     compare_systems, ExperimentConfig, SizeDistribution,
-//! };
+//! use lor_core::{run_aging_experiment, ExperimentConfig, SizeDistribution, StoreKind};
 //!
 //! // A CI-sized version of the paper's setup: 64 MB volume, 50% full,
 //! // 256 KB objects, 64 KB write requests.
@@ -56,9 +53,10 @@
 //! config.volume_bytes = 64 << 20;
 //! config.read_sample = Some(8);
 //!
-//! let (database, filesystem) = compare_systems(&config, &[0, 2], false).unwrap();
-//! assert_eq!(database.points.len(), 2);
-//! assert_eq!(filesystem.points.len(), 2);
+//! for kind in [StoreKind::Database, StoreKind::Filesystem] {
+//!     let run = run_aging_experiment(kind, &config, &[0, 2], false).unwrap();
+//!     assert_eq!(run.points.len(), 2);
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -84,9 +82,9 @@ pub use anatomy::{AnatomyReport, LatencyAnatomy};
 pub use db_store::{DbObjectStore, DbStoreConfig};
 pub use error::StoreError;
 pub use experiment::{
-    age_store, calibrate_mixed_load, compare_systems, measure_mixed_load_calibrated,
-    run_aging_experiment, AgePoint, AgingResult, ExperimentConfig, FleetParallelism,
-    MixedCalibration, MixedLoadPoint, TestbedConfig,
+    age_store, calibrate_mixed_load, measure_mixed_load_calibrated, run_aging_experiment, AgePoint,
+    AgingResult, ExperimentConfig, FleetParallelism, MixedCalibration, MixedLoadPoint,
+    TestbedConfig,
 };
 pub use fragmentation::{analyze_store, FragmentationReport};
 pub use fs_store::{FsObjectStore, FsStoreConfig, FsSubstrate};

@@ -66,15 +66,6 @@ impl Series {
             .iter()
             .any(|&(px, py)| px < x * (1.0 - tolerance) && py < y * (1.0 - tolerance))
     }
-
-    /// The y value at the largest x not exceeding `x`, if any.
-    pub fn value_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|(px, _)| *px <= x + 1e-9)
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .map(|(_, y)| *y)
-    }
 }
 
 /// A figure: a title, axis labels, and one or more series.
@@ -335,21 +326,10 @@ mod tests {
     }
 
     #[test]
-    fn value_at_picks_the_latest_point_not_after_x() {
-        let series = Series::new("s", vec![(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]);
-        assert_eq!(series.value_at(0.0), Some(1.0));
-        assert_eq!(series.value_at(3.0), Some(3.0));
-        assert_eq!(series.value_at(10.0), Some(5.0));
-        assert_eq!(Series::new("empty", vec![]).value_at(1.0), None);
-    }
-
-    #[test]
     fn a_nan_coordinate_sorts_last_instead_of_panicking() {
         let frontier = Series::frontier("f", vec![(f64::NAN, 1.0), (2.0, 3.0), (1.0, 4.0)]);
         assert_eq!(frontier.points[..2], [(1.0, 4.0), (2.0, 3.0)]);
         assert!(frontier.points[2].0.is_nan());
-        assert_eq!(frontier.value_at(5.0), Some(3.0));
-        assert_eq!(frontier.value_at(f64::NAN), None);
 
         let mut result = fake_result();
         result.points[1].storage_age = f64::NAN;

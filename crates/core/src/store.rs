@@ -114,6 +114,17 @@ pub(crate) const DB_PER_CHUNK_TIME: SimDuration = SimDuration::from_millis(1);
 /// management per append).
 pub(crate) const FS_PER_WRITE_REQUEST_TIME: SimDuration = SimDuration::from_micros(100);
 
+/// The constants above as Table 1's host row.
+pub(crate) fn host_costs() -> String {
+    format!(
+        "simulated host; fixed per-operation costs: filesystem {FS_OPEN_METADATA_IOS} metadata \
+         I/Os of {METADATA_IO_TIME} per open (+{FS_CREATE_METADATA_IOS} per create), \
+         {FS_PER_WRITE_REQUEST_TIME} per write request; database {DB_LOOKUP_TIME} per lookup, \
+         {DB_PER_PAGE_TIME} per page, {DB_PER_CHUNK_TIME} per {} KB client chunk",
+        DB_CLIENT_CHUNK_BYTES >> 10
+    )
+}
+
 /// A large-object repository with get/put semantics.
 ///
 /// All mutating operations are charged to the store's internal clock; the

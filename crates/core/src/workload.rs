@@ -172,21 +172,6 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// A spec holding `object_count` objects of constant `size`.
-    pub fn constant(size: u64, object_count: u64) -> Self {
-        WorkloadSpec {
-            sizes: SizeDistribution::Constant(size),
-            object_count,
-            seed: 42,
-        }
-    }
-
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The number of objects that fit a store of `capacity_bytes` at
     /// `occupancy` (e.g. 0.5 for the paper's 50%-full volumes).
     pub fn objects_for_occupancy(
@@ -224,11 +209,6 @@ impl WorkloadGenerator {
             live: Vec::new(),
             zipf_cache: None,
         }
-    }
-
-    /// The spec this generator was built from.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
     }
 
     /// Keys of the objects currently live, in creation order.
@@ -361,16 +341,6 @@ impl ZipfDistribution {
             theta,
             cumulative,
         }
-    }
-
-    /// Population size.
-    pub fn population(&self) -> usize {
-        self.n
-    }
-
-    /// Skew exponent.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// `true` if this distribution is the one `ZipfDistribution::new(n,
@@ -508,12 +478,6 @@ impl StorageAgeTracker {
         self.live_bytes = self.live_bytes - old_size + new_size;
     }
 
-    /// Records a deletion of an object of `size` bytes.
-    pub fn record_delete(&mut self, size: u64) {
-        self.dead_bytes += size;
-        self.live_bytes -= size;
-    }
-
     /// The current storage age; zero when nothing is live.
     pub fn storage_age(&self) -> f64 {
         if self.live_bytes == 0 {
@@ -529,6 +493,15 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    /// A spec of `object_count` 4 KB objects drawn with `seed`.
+    fn four_kb_objects(object_count: u64, seed: u64) -> WorkloadSpec {
+        WorkloadSpec {
+            sizes: SizeDistribution::Constant(4096),
+            object_count,
+            seed,
+        }
+    }
 
     #[test]
     fn object_keys_format_to_the_legacy_string_form() {
@@ -581,7 +554,7 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic_for_a_seed() {
-        let spec = WorkloadSpec::constant(1 << 20, 16).with_seed(99);
+        let spec = four_kb_objects(16, 99);
         let mut a = WorkloadGenerator::new(spec.clone());
         let mut b = WorkloadGenerator::new(spec);
         assert_eq!(a.bulk_load(), b.bulk_load());
@@ -591,7 +564,7 @@ mod tests {
 
     #[test]
     fn bulk_load_creates_distinct_keys() {
-        let mut generator = WorkloadGenerator::new(WorkloadSpec::constant(4096, 100));
+        let mut generator = WorkloadGenerator::new(four_kb_objects(100, 42));
         let ops = generator.bulk_load();
         assert_eq!(ops.len(), 100);
         let keys: std::collections::HashSet<_> = ops
@@ -607,7 +580,7 @@ mod tests {
 
     #[test]
     fn overwrite_round_touches_every_object_once() {
-        let mut generator = WorkloadGenerator::new(WorkloadSpec::constant(4096, 50));
+        let mut generator = WorkloadGenerator::new(four_kb_objects(50, 42));
         generator.bulk_load();
         let ops = generator.overwrite_round();
         assert_eq!(ops.len(), 50);
@@ -623,7 +596,7 @@ mod tests {
 
     #[test]
     fn sampled_ops_cover_only_live_keys_and_are_deterministic() {
-        let spec = WorkloadSpec::constant(4096, 30).with_seed(5);
+        let spec = four_kb_objects(30, 5);
         let mut a = WorkloadGenerator::new(spec.clone());
         let mut b = WorkloadGenerator::new(spec);
         a.bulk_load();
@@ -647,7 +620,7 @@ mod tests {
             assert_eq!(*size, 4096);
         }
         // An empty population yields empty samples instead of panicking.
-        let mut empty = WorkloadGenerator::new(WorkloadSpec::constant(4096, 0));
+        let mut empty = WorkloadGenerator::new(four_kb_objects(0, 42));
         assert!(empty.read_sample(4).is_empty());
         assert!(empty.safe_write_sample(4).is_empty());
     }
@@ -655,8 +628,6 @@ mod tests {
     #[test]
     fn zipf_distribution_is_skewed_deterministic_and_bounded() {
         let zipf = ZipfDistribution::new(100, 1.2);
-        assert_eq!(zipf.population(), 100);
-        assert!((zipf.theta() - 1.2).abs() < 1e-12);
         let mut a = StdRng::seed_from_u64(11);
         let mut b = StdRng::seed_from_u64(11);
         let mut counts = [0usize; 100];
@@ -689,7 +660,7 @@ mod tests {
 
     #[test]
     fn zipf_samples_cover_only_live_keys_and_are_deterministic() {
-        let spec = WorkloadSpec::constant(4096, 40).with_seed(13);
+        let spec = four_kb_objects(40, 13);
         let mut a = WorkloadGenerator::new(spec.clone());
         let mut b = WorkloadGenerator::new(spec);
         a.bulk_load();
@@ -719,7 +690,7 @@ mod tests {
             assert!(a.live_keys().contains(key));
             assert_eq!(*size, 4096);
         }
-        let mut empty = WorkloadGenerator::new(WorkloadSpec::constant(4096, 0));
+        let mut empty = WorkloadGenerator::new(four_kb_objects(0, 42));
         assert!(empty.zipf_read_sample(4, 1.0).is_empty());
         assert!(empty.zipf_safe_write_sample(4, 1.0).is_empty());
     }
@@ -750,9 +721,6 @@ mod tests {
             }
         }
         assert!((tracker.storage_age() - 2.0).abs() < 1e-12);
-        // Deleting objects adds dead bytes and removes live bytes.
-        tracker.record_delete(size);
-        assert!(tracker.storage_age() > 2.0);
     }
 
     #[test]
@@ -762,7 +730,7 @@ mod tests {
 
     #[test]
     fn zipf_rank_k_draws_the_kth_live_key() {
-        let spec = WorkloadSpec::constant(4096, 48).with_seed(7);
+        let spec = four_kb_objects(48, 7);
         let mut generator = WorkloadGenerator::new(spec.clone());
         generator.bulk_load();
         // Replay the samplers' rank draws on a twin RNG: the generator's own

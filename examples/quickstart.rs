@@ -8,8 +8,8 @@
 //! ```
 
 use lorepo::core::{
-    compare_systems, DbObjectStore, ExperimentConfig, FsObjectStore, ObjectStore, SizeDistribution,
-    StoreKind,
+    run_aging_experiment, DbObjectStore, ExperimentConfig, FsObjectStore, ObjectStore,
+    SizeDistribution, StoreKind,
 };
 
 fn main() {
@@ -41,7 +41,8 @@ fn main() {
     let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(512 * 1024));
     config.volume_bytes = 128 * MB;
     config.read_sample = Some(32);
-    let (database, filesystem) = compare_systems(&config, &[0, 2, 4], true).expect("experiment");
+    let [database, filesystem] = [StoreKind::Database, StoreKind::Filesystem]
+        .map(|kind| run_aging_experiment(kind, &config, &[0, 2, 4], true).expect("experiment"));
 
     println!("\nstorage age -> read throughput (simulated MB/s) and fragments/object");
     for (db_point, fs_point) in database.points.iter().zip(&filesystem.points) {
