@@ -55,17 +55,6 @@ impl Series {
             points,
         }
     }
-
-    /// `true` if no point in this series strictly dominates `(x, y)` — i.e.
-    /// is better (smaller) in both coordinates by more than the relative
-    /// `tolerance`.  This is the "on or inside the frontier" acceptance test
-    /// of the adaptive-frontier scenario.
-    pub fn on_or_inside_frontier(&self, x: f64, y: f64, tolerance: f64) -> bool {
-        !self
-            .points
-            .iter()
-            .any(|&(px, py)| px < x * (1.0 - tolerance) && py < y * (1.0 - tolerance))
-    }
 }
 
 /// A figure: a title, axis labels, and one or more series.
@@ -158,7 +147,9 @@ impl Figure {
     }
 
     /// Renders the figure as an aligned plain-text table: one row per x value,
-    /// one column per series.
+    /// one column per series.  A series with several points at one x (a
+    /// frontier whose budgets all land on the same fragmentation) takes that
+    /// many rows there, its n-th point in the n-th, so no point is dropped.
     pub fn to_text(&self) -> String {
         use std::collections::BTreeMap;
         use std::fmt::Write as _;
@@ -168,15 +159,18 @@ impl Figure {
         let _ = writeln!(out, "  ({} vs {})", self.y_label, self.x_label);
 
         // Collect every x value across series (keyed by a stable string to
-        // avoid float-ordering pitfalls).
-        let mut rows: BTreeMap<String, Vec<Option<f64>>> = BTreeMap::new();
+        // avoid float-ordering pitfalls), then by occurrence within a series.
+        let mut rows: BTreeMap<(String, usize), Vec<Option<f64>>> = BTreeMap::new();
         for (index, series) in self.series.iter().enumerate() {
+            let mut seen: BTreeMap<String, usize> = BTreeMap::new();
             for (x, y) in &series.points {
-                let key = format!("{x:>12.3}");
+                let x = format!("{x:>12.3}");
+                let occurrence = seen.entry(x.clone()).or_default();
                 let row = rows
-                    .entry(key)
+                    .entry((x, *occurrence))
                     .or_insert_with(|| vec![None; self.series.len()]);
                 row[index] = Some(*y);
+                *occurrence += 1;
             }
         }
 
@@ -185,7 +179,7 @@ impl Figure {
             let _ = write!(out, "  {:>16}", series.label);
         }
         let _ = writeln!(out);
-        for (x, values) in rows {
+        for ((x, _), values) in rows {
             let _ = write!(out, "  {x:>12}");
             for value in values {
                 match value {
@@ -311,18 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn frontier_series_sort_and_test_domination() {
-        let frontier =
-            Series::frontier("fixed-budget", vec![(5.0, 10.0), (1.0, 40.0), (3.0, 20.0)]);
-        assert_eq!(frontier.points, vec![(1.0, 40.0), (3.0, 20.0), (5.0, 10.0)]);
-        // A point matching a frontier point is on the frontier.
-        assert!(frontier.on_or_inside_frontier(3.0, 20.0, 0.02));
-        // Inside: strictly better than the frontier in one coordinate.
-        assert!(frontier.on_or_inside_frontier(2.0, 25.0, 0.02));
-        // Outside: (3.0, 20.0) beats it in both coordinates.
-        assert!(!frontier.on_or_inside_frontier(4.0, 30.0, 0.02));
-        // The tolerance forgives near-ties.
-        assert!(frontier.on_or_inside_frontier(3.02, 20.1, 0.02));
+    fn frontier_series_sort_by_fragmentation() {
+        let frontier = Series::frontier(
+            "fixed-budget",
+            vec![(5.0, 10.0), (1.0, 40.0), (3.0, 20.0), (1.0, 30.0)],
+        );
+        let sorted = [(1.0, 40.0), (1.0, 30.0), (3.0, 20.0), (5.0, 10.0)];
+        assert_eq!(frontier.points, sorted, "ties keep their order");
     }
 
     #[test]
@@ -363,6 +352,25 @@ mod tests {
             .with_series(Series::new("b", vec![(1.0, 2.0)]));
         let text = figure.to_text();
         assert!(text.contains('-'), "missing cells are rendered as '-'");
+    }
+
+    #[test]
+    fn figure_text_keeps_every_point_at_a_repeated_x() {
+        let figure = Figure::new("F", "t", "x", "y")
+            .with_series(Series::new("a", vec![(1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]))
+            .with_series(Series::new("b", vec![(1.0, 5.0), (2.0, 8.0)]));
+        let text = figure.to_text();
+        let rows = text.lines().skip(3);
+        let rows: Vec<Vec<&str>> = rows.map(|row| row.split_whitespace().collect()).collect();
+        assert_eq!(
+            rows,
+            [
+                ["1.000", "5.000", "5.000"],
+                ["1.000", "6.000", "-"],
+                ["1.000", "7.000", "-"],
+                ["2.000", "-", "8.000"],
+            ]
+        );
     }
 
     #[test]

@@ -114,13 +114,19 @@ pub(crate) const DB_PER_CHUNK_TIME: SimDuration = SimDuration::from_millis(1);
 /// management per append).
 pub(crate) const FS_PER_WRITE_REQUEST_TIME: SimDuration = SimDuration::from_micros(100);
 
-/// The constants above as Table 1's host row.
+/// The constants above as Table 1's host row, every duration in plain
+/// milliseconds ("0.1 ms", not `SimDuration`'s "100.000µs").
 pub(crate) fn host_costs() -> String {
+    let ms = |time: SimDuration| time.as_millis_f64();
     format!(
         "simulated host; fixed per-operation costs: filesystem {FS_OPEN_METADATA_IOS} metadata \
-         I/Os of {METADATA_IO_TIME} per open (+{FS_CREATE_METADATA_IOS} per create), \
-         {FS_PER_WRITE_REQUEST_TIME} per write request; database {DB_LOOKUP_TIME} per lookup, \
-         {DB_PER_PAGE_TIME} per page, {DB_PER_CHUNK_TIME} per {} KB client chunk",
+         I/Os of {} ms per open (+{FS_CREATE_METADATA_IOS} per create), {} ms per write \
+         request; database {} ms per lookup, {} ms per page, {} ms per {} KB client chunk",
+        ms(METADATA_IO_TIME),
+        ms(FS_PER_WRITE_REQUEST_TIME),
+        ms(DB_LOOKUP_TIME),
+        ms(DB_PER_PAGE_TIME),
+        ms(DB_PER_CHUNK_TIME),
         DB_CLIENT_CHUNK_BYTES >> 10
     )
 }

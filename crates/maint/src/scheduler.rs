@@ -493,8 +493,10 @@ mod tests {
         // 8 ops push frags to 1.8: below threshold, first tick does nothing.
         drive(&mut scheduler, &mut store, 8);
         assert_eq!(store.defrag_steps, 0);
-        // 8 more push frags to 2.6: the next tick bursts and repairs.
-        drive(&mut scheduler, &mut store, 8);
+        // 8 more push frags to 2.6: the next tick bursts and repairs, and
+        // the serial drive charges the burst to the foreground.
+        let burst = drive(&mut scheduler, &mut store, 8);
+        assert!(burst > SimDuration::ZERO, "a burst interferes");
         assert_eq!(store.defrag_steps, 1);
         assert!(store.frags <= 2.0);
         // Back under the threshold: quiescent again.
