@@ -39,6 +39,21 @@
 //! the worst case — every bound tied with the best score — is `n + n/B`,
 //! 1.6 % over the scan it replaced.
 //!
+//! # Why a cleaning pass ends
+//!
+//! A pass rewrites each survivor *in full*, so a survivor straddling the
+//! victim also dies in the segment it straddled into — often the pass's own
+//! output, and the cleaner then chases itself round the log.  So a pass,
+//! which lasts from a [`SegmentLog::clean_step`] to the next insert, update
+//! or remove, never selects a segment opened after it began: each segment is
+//! a victim at most once per pass, [`SegmentLog::clean_all`] ends within
+//! [`SegmentLog::segment_count`] victims, and a second one frees nothing.
+//! (Stamping a segment's *last* append instead also excludes the cleaner
+//! head a pass inherits, and moved the log's adaptive frontier.)  Stopping
+//! once a round frees nothing net was rejected: it bounds no pass by the
+//! segment count, as a victim whose straddlers nearly fill a segment still
+//! frees a few bytes.
+//!
 //! # The object table
 //!
 //! Objects are found by the caller's `u64` id in a hash table with a fixed
@@ -220,6 +235,9 @@ struct Segment {
     /// Sequence number of the most recent append into this segment — the
     /// cleaner's age reference.
     youngest_seq: u64,
+    /// Sequence number of the append that opened it: a cleaning pass never
+    /// selects a segment it opened.
+    opened_seq: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -257,6 +275,9 @@ pub struct SegmentLog {
     maint_head: Option<u64>,
     /// Logical clock: bumped once per append operation.
     seq: u64,
+    /// `seq` when the cleaning pass under way began; `None` outside a pass
+    /// (module docs, "Why a cleaning pass ends").
+    pass_start: Option<u64>,
     live_bytes: u64,
     dead_bytes: u64,
     cleaned: CleanReport,
@@ -312,6 +333,7 @@ impl SegmentLog {
             fg_head: None,
             maint_head: None,
             seq: 0,
+            pass_start: None,
             live_bytes: 0,
             dead_bytes: 0,
             cleaned: CleanReport::default(),
@@ -605,6 +627,7 @@ impl SegmentLog {
 
     /// Inserts a new object of `size` bytes at the foreground head.
     pub fn insert(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
+        self.pass_start = None;
         if self.objects.contains_key(&id) {
             return Err(LogError::ObjectExists(id));
         }
@@ -633,6 +656,7 @@ impl SegmentLog {
     /// emergency cleaning: if the placement policy refuses the cleaner's band
     /// the space, the caller gets [`LogError::OutOfSpace`].
     pub fn insert_as_maintenance(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
+        self.pass_start = None;
         if self.objects.contains_key(&id) {
             return Err(LogError::ObjectExists(id));
         }
@@ -658,6 +682,7 @@ impl SegmentLog {
     /// copy stays live until the new one is fully on disk, so the transient
     /// footprint is both versions — the log's safe write).
     pub fn update(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
+        self.pass_start = None;
         if !self.objects.contains_key(&id) {
             return Err(LogError::NoSuchObject(id));
         }
@@ -679,6 +704,7 @@ impl SegmentLog {
 
     /// Deadens and forgets a live object; its bytes wait for the cleaner.
     pub fn remove(&mut self, id: u64) -> Result<u64, LogError> {
+        self.pass_start = None;
         let record = self.objects.remove(&id).ok_or(LogError::NoSuchObject(id))?;
         self.deaden(&record.extents);
         self.replace_residents(id, &record.extents, &[]);
@@ -692,7 +718,9 @@ impl SegmentLog {
     /// live bytes have moved or nothing is worth cleaning.  The first victim
     /// always completes once started (progress guarantee); fully-dead
     /// segments are reclaimed for free and do not count against the budget.
+    /// Begins a cleaning pass unless one is under way (module docs).
     pub fn clean_step(&mut self, copy_budget: u64) -> Result<CleanReport, LogError> {
+        self.pass_start.get_or_insert(self.seq);
         let mut report = CleanReport::default();
         while let Some(victim) = self.next_victim(None).victim {
             let survivors = self.residents[victim as usize].clone();
@@ -715,7 +743,8 @@ impl SegmentLog {
         Ok(report)
     }
 
-    /// Cleans until nothing is worth cleaning (the full-rebuild analogue of
+    /// Cleans until nothing is worth cleaning, within
+    /// [`SegmentLog::segment_count`] victims (the full-rebuild analogue of
     /// the filesystem's offline defragmentation).
     pub fn clean_all(&mut self) -> Result<CleanReport, LogError> {
         self.clean_step(u64::MAX)
@@ -802,18 +831,23 @@ impl SegmentLog {
 
     /// The victim the cleaner would take next under the configured selector
     /// (`max_live` caps the survivors the emergency path can afford to copy),
-    /// with the work the selection took.
+    /// with the work the selection took.  While a cleaning pass is under
+    /// way, the segments it opened are not candidates.
     pub fn next_victim(&self, max_live: Option<u64>) -> Selection {
         self.select_victim(self.config.selector, max_live)
     }
 
     /// The best victim under `selector` among the candidates with at most
-    /// `max_live` live bytes.  Deterministic: ties keep the lowest index.
+    /// `max_live` live bytes that the pass under way, if any, did not open.
+    /// Deterministic: ties keep the lowest index.
     /// Block bounds first, then only the blocks that could hold the winner
     /// (module docs).
     fn select_victim(&self, selector: CleanerSelector, max_live: Option<u64>) -> Selection {
         let segment_bytes = self.config.segment_bytes;
         let affordable = |live: u64| max_live.is_none_or(|cap| live <= cap);
+        let eligible = |segment: &Segment| {
+            affordable(segment.live) && self.pass_start.is_none_or(|at| segment.opened_seq <= at)
+        };
         let score = |live, youngest_seq| {
             victim_score(selector, segment_bytes, self.seq, live, youngest_seq)
         };
@@ -841,7 +875,7 @@ impl SegmentLog {
         let mut best: Option<(f64, usize)> = None;
         let mut score_block = |block: usize, best: &mut Option<(f64, usize)>| {
             for (idx, segment) in (block * SUMMARY_BLOCK..).zip(self.block_members(block)) {
-                if !self.is_candidate(segment) || !affordable(segment.live) {
+                if !self.is_candidate(segment) || !eligible(segment) {
                     continue;
                 }
                 evaluations += 1;
@@ -1062,6 +1096,7 @@ impl SegmentLog {
             written: 0,
             live: 0,
             youngest_seq: self.seq,
+            opened_seq: self.seq,
         };
         if consumer.is_maintenance() {
             self.maint_head = Some(idx);

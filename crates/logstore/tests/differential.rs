@@ -7,7 +7,9 @@
 //! calls on logs of more than ten summary blocks, kept 80–92 % live so the
 //! free pool runs dry and appends vacate victims through the foreground head;
 //! sizes run from a sliver of a segment to four segments, so victims hold
-//! survivors that straddle them and vacates copy live bytes.  After every
+//! survivors that straddle them and vacates copy live bytes; cleaning
+//! budgets run from one byte to unbounded (`clean_all`) on every size mix.
+//! After every
 //! operation the two `Result`s must be equal (extents, fragment counts and
 //! emergency reports included), the byte counters and the free-segment runs
 //! must agree — a different victim anywhere inside the operation frees a
@@ -182,13 +184,11 @@ impl Pair {
             assert_eq!(self.log.remove(id), self.model.remove(id), "op {op}");
             self.ids.swap_remove(at);
         } else if roll < 16 {
-            // Unbounded only where no object straddles two segments: with
-            // straddlers `clean_all` can chase its own output round the log
-            // for ever (ROADMAP, found by this script), here as in the
-            // reference.
-            let budget = match (self.rng.below(32), self.sizes) {
-                (0, Sizes::Single(_)) => u64::MAX,
-                (0..=7, _) => 1,
+            // Unbounded on every size mix: `clean_all` ends once no victim
+            // is left that the pass did not open itself, straddlers or not.
+            let budget = match self.rng.below(32) {
+                0 => u64::MAX,
+                1..=7 => 1,
                 _ => self.rng.below(8 * SEGMENT),
             };
             assert_eq!(
@@ -357,7 +357,9 @@ fn long_scripts_match_the_linear_scan_reference() {
             let seed = 7 + case as u64;
             let pair = Pair::new(4_000, selector, placement, Sizes::Mixed, seed, 512).run(40_000);
             assert!(pair.log.emergency_totals().bytes_copied > 0);
-            assert!(pair.capped_differs > 1_000);
+            // 990 to 6,649 across the six: an unbounded pass on mixed sizes
+            // leaves the least for the cap to decide.
+            assert!(pair.capped_differs > 500);
         }
         for sizes in [Sizes::Single(SEGMENT / 2), Sizes::Spans] {
             Pair::new(

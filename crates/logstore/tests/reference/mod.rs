@@ -6,8 +6,10 @@
 //!
 //! Kept verbatim apart from its imports (the public result types are the
 //! production crate's, so outcomes compare with `==`), the accessors no test
-//! calls, and `next_victim`, the window `differential.rs` compares selections
-//! through.
+//! calls, `next_victim`, the window `differential.rs` compares selections
+//! through, and the cleaning-pass stamp both logs gained together
+//! (`pass_start` and `opened_seq`: a pass never selects a segment it
+//! opened, so `clean_all` ends on logs whose objects straddle segments).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -28,6 +30,9 @@ struct Segment {
     /// Sequence number of the most recent append into this segment — the
     /// cleaner's age reference.
     youngest_seq: u64,
+    /// Sequence number of the append that opened it: a cleaning pass never
+    /// selects a segment it opened.
+    opened_seq: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -59,6 +64,8 @@ pub struct ReferenceLog {
     maint_head: Option<u64>,
     /// Logical clock: bumped once per append operation.
     seq: u64,
+    /// `seq` when the cleaning pass under way began; `None` outside a pass.
+    pass_start: Option<u64>,
     live_bytes: u64,
     dead_bytes: u64,
     cleaned: CleanReport,
@@ -111,6 +118,7 @@ impl ReferenceLog {
             fg_head: None,
             maint_head: None,
             seq: 0,
+            pass_start: None,
             live_bytes: 0,
             dead_bytes: 0,
             cleaned: CleanReport::default(),
@@ -217,6 +225,7 @@ impl ReferenceLog {
 
     /// Inserts a new object of `size` bytes at the foreground head.
     pub fn insert(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
+        self.pass_start = None;
         if self.objects.contains_key(&id) {
             return Err(LogError::ObjectExists(id));
         }
@@ -245,6 +254,7 @@ impl ReferenceLog {
     /// emergency cleaning: if the placement policy refuses the cleaner's band
     /// the space, the caller gets [`LogError::OutOfSpace`].
     pub fn insert_as_maintenance(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
+        self.pass_start = None;
         if self.objects.contains_key(&id) {
             return Err(LogError::ObjectExists(id));
         }
@@ -270,6 +280,7 @@ impl ReferenceLog {
     /// copy stays live until the new one is fully on disk, so the transient
     /// footprint is both versions — the log's safe write).
     pub fn update(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
+        self.pass_start = None;
         if !self.objects.contains_key(&id) {
             return Err(LogError::NoSuchObject(id));
         }
@@ -298,6 +309,7 @@ impl ReferenceLog {
 
     /// Deadens and forgets a live object; its bytes wait for the cleaner.
     pub fn remove(&mut self, id: u64) -> Result<u64, LogError> {
+        self.pass_start = None;
         let record = self.objects.remove(&id).ok_or(LogError::NoSuchObject(id))?;
         self.deaden(&record.extents);
         self.remove_residents(id, &record.extents, &[]);
@@ -311,7 +323,10 @@ impl ReferenceLog {
     /// live bytes have moved or nothing is worth cleaning.  The first victim
     /// always completes once started (progress guarantee); fully-dead
     /// segments are reclaimed for free and do not count against the budget.
+    /// A pass lasts until the next insert, update or remove and never
+    /// selects a segment it opened.
     pub fn clean_step(&mut self, copy_budget: u64) -> Result<CleanReport, LogError> {
+        self.pass_start.get_or_insert(self.seq);
         let mut report = CleanReport::default();
         while let Some(victim) = self.select_victim(self.config.selector, None) {
             let survivor_bytes: u64 = self.residents[victim as usize]
@@ -437,6 +452,9 @@ impl ReferenceLog {
             }
             if max_live.is_some_and(|cap| segment.live > cap) {
                 continue;
+            }
+            if self.pass_start.is_some_and(|at| segment.opened_seq > at) {
+                continue; // opened by the cleaning pass under way
             }
             let score = match selector {
                 CleanerSelector::CostBenefit => {
@@ -609,6 +627,7 @@ impl ReferenceLog {
             written: 0,
             live: 0,
             youngest_seq: self.seq,
+            opened_seq: self.seq,
         };
         if consumer.is_maintenance() {
             self.maint_head = Some(idx);

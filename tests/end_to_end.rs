@@ -1,29 +1,17 @@
-//! Cross-crate integration tests on miniature configurations: the
-//! allocation-policy knob, the marker tool, the full maintenance pass, the
-//! segment cleaner and its determinism baseline, one pin no figure carries,
-//! and the one paper claim no
-//! figure carries.  The claims of Figures 1–6 and of the scenario families
-//! (maintenance, queueing, idle-detect, mixed load, adaptive and placement
-//! frontiers) are predicates over the report- and paper-scale goldens, in
-//! `crates/bench/tests/paper_claims.rs`.
+//! Cross-crate integration tests on miniature configurations: the marker
+//! tool, the segment cleaner and its determinism baseline, one pin no figure
+//! carries, and the one paper claim no figure carries.  The claims of
+//! Figures 1–6 and of every scenario family (the allocation-policy and
+//! maintenance ablations among them) are predicates over the report- and
+//! paper-scale goldens, in `crates/bench/tests/paper_claims.rs`.
 
 use lorepo::core::lor_disksim::SimDuration;
 use lorepo::core::{
-    age_store, analyze_store, run_aging_experiment, AllocationPolicy, ExperimentConfig, FitPolicy,
-    LatencySummary, SizeDistribution, StoreKind, StoreServer, WorkloadOp,
+    age_store, analyze_store, run_aging_experiment, ExperimentConfig, LatencySummary,
+    SizeDistribution, StoreKind, StoreServer, WorkloadOp,
 };
 
 const MB: u64 = 1 << 20;
-
-/// The substrates for the tests whose premise is that safe-write aging
-/// fragments the layout.  The segment log is left out of those, and only
-/// those: under their [`mini`] configurations (1–2 MB objects, half-full
-/// volume) it appends every object whole into free segments and stays at
-/// exactly 1.0 fragments/object at every age, so an allocation policy or a
-/// maintenance pass has nothing to change and each of these tests fails on
-/// its "fragmentation must grow" premise, not on its claim.
-/// Every other substrate loop in this file runs [`StoreKind::ALL`].
-const FRAGMENTING_KINDS: [StoreKind; 2] = [StoreKind::Filesystem, StoreKind::Database];
 
 fn mini(object_size: u64, volume: u64) -> ExperimentConfig {
     let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(object_size));
@@ -48,66 +36,6 @@ fn large_objects_favour_the_filesystem_even_when_clean() {
     );
 }
 
-/// The allocation-policy knob threads from `ExperimentConfig` through both
-/// stores into their substrates: every policy drives both systems through a
-/// full aging run, and for the database the `Native` policy is by definition
-/// the lowest-first fit, so `Native` and `Fit(FirstFit)` produce identical
-/// trajectories.
-#[test]
-fn allocation_policy_knob_drives_both_stores() {
-    let mut config = mini(MB, 64 * MB);
-    config.read_sample = None;
-    let ages = [0u32, 2];
-
-    for kind in FRAGMENTING_KINDS {
-        let mut aged = Vec::new();
-        for policy in AllocationPolicy::ALL {
-            let run = run_aging_experiment(
-                kind,
-                &config.clone().with_allocation_policy(policy),
-                &ages,
-                false,
-            )
-            .unwrap();
-            assert_eq!(run.points.len(), 2, "{kind:?}/{}", policy.name());
-            assert_eq!(run.points[0].objects, config.object_count());
-            assert!(
-                run.points[1].fragments_per_object >= 1.0,
-                "{kind:?}/{}: live objects have at least one fragment",
-                policy.name()
-            );
-            aged.push(run.points[1].fragments_per_object);
-        }
-        // The knob must actually reach the substrate: across the policy
-        // sweep at least two policies age differently.
-        assert!(
-            aged.iter().any(|f| (f - aged[0]).abs() > 1e-9),
-            "{kind:?}: every policy aged identically ({aged:?})"
-        );
-    }
-
-    let native = run_aging_experiment(
-        StoreKind::Database,
-        &config
-            .clone()
-            .with_allocation_policy(AllocationPolicy::Native),
-        &ages,
-        false,
-    )
-    .unwrap();
-    let first_fit = run_aging_experiment(
-        StoreKind::Database,
-        &config.with_allocation_policy(AllocationPolicy::Fit(FitPolicy::FirstFit)),
-        &ages,
-        false,
-    )
-    .unwrap();
-    assert_eq!(
-        native.points, first_fit.points,
-        "the database's native policy is lowest-first, i.e. first fit"
-    );
-}
-
 /// The marker-based fragmentation tool agrees with the stores' own extent
 /// walks on an aged store of either kind.
 #[test]
@@ -123,28 +51,6 @@ fn marker_tool_agrees_with_extent_walk_on_aged_stores() {
             "{kind:?}: marker tool ({}) vs extent walk ({})",
             report.marker_fragments_per_object,
             direct.fragments_per_object
-        );
-    }
-}
-
-/// Maintenance (the online defragmenter / table rebuild) restores both
-/// systems close to a contiguous layout, at a measurable copy cost.
-#[test]
-fn maintenance_restores_contiguity() {
-    let config = mini(MB, 96 * MB);
-    for kind in FRAGMENTING_KINDS {
-        let (mut store, _) = age_store(kind, &config, 4).unwrap();
-        let before = store.fragmentation().fragments_per_object;
-        let copied = store.maintenance().unwrap();
-        let after = store.fragmentation().fragments_per_object;
-        assert!(copied > 0, "{kind:?}: an aged store has something to copy");
-        assert!(
-            after <= before,
-            "{kind:?}: maintenance must not increase fragmentation ({before:.2} -> {after:.2})"
-        );
-        assert!(
-            after < 2.0,
-            "{kind:?}: maintenance should restore near-contiguity, got {after:.2}"
         );
     }
 }
