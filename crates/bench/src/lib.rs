@@ -9,7 +9,8 @@
 //!
 //! * the `figures` binary prints them; CI diffs its output at smoke, report
 //!   and paper scale against `golden/`, and `tests/paper_claims.rs` checks
-//!   the paper's claims on the report- and paper-scale goldens;
+//!   the paper's claims, and every scenario family's down to the log
+//!   cleaner's, on the report- and paper-scale goldens;
 //! * the unit tests below run them at smoke scale and check each family's
 //!   shape: its figures, series and points.
 
@@ -17,12 +18,13 @@
 #![warn(rust_2018_idioms)]
 
 use lor_core::lor_disksim::SimDuration;
+use lor_core::lor_logstore::CleanerSelector;
 use lor_core::{
     age_store, calibrate_mixed_load, measure_mixed_load_calibrated, run_aging_experiment, AgePoint,
     AgingResult, AllocationPolicy, AnatomyReport, Arrivals, Completion, ExperimentConfig, Figure,
-    FleetParallelism, LatencySummary, MaintenanceConfig, MixedLoadPoint, MixedOpenLoop, ObjectKey,
-    OpenLoop, PlacementPolicy, Series, SizeDistribution, StoreError, StoreKind, StoreServer, Table,
-    TestbedConfig, WorkloadGenerator, WorkloadOp,
+    FleetParallelism, LatencySummary, LogObjectStore, LogStoreConfig, MaintenanceConfig,
+    MixedLoadPoint, MixedOpenLoop, ObjectKey, OpenLoop, PlacementPolicy, Series, SizeDistribution,
+    StoreError, StoreKind, StoreServer, Table, TestbedConfig, WorkloadGenerator, WorkloadOp,
 };
 use lor_shard::{fanout_p99_ms, RouterPolicy, ShardedStore};
 
@@ -928,6 +930,117 @@ fn adaptive_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
         .collect())
 }
 
+/// The background cleaning budgets (64 KB I/Os per tick) the cleaner
+/// frontier sweeps.  Budget 0 is the idle log: it runs no cleaner and is
+/// bit-identical to a log with no maintenance at all.
+const CLEANER_BUDGETS: [u64; 4] = [0, 16, 64, 256];
+
+/// The skewed-rewrite rounds every cleaner-frontier log ages through.
+const CLEANER_ROUNDS: usize = 16;
+
+/// One cleaner-frontier log, aged: bulk load by one client, then
+/// [`CLEANER_ROUNDS`] rounds of Zipf(1.0) safe writes to half the
+/// population each, on two closed-loop clients with no think time.  Returns
+/// fragments/object after the bulk load and after every round, and the p99
+/// latency of the last round.
+fn cleaner_run(
+    config: &ExperimentConfig,
+    selector: CleanerSelector,
+    budget: u64,
+) -> Result<(Vec<f64>, f64), StoreError> {
+    let mut log_config = LogStoreConfig::new(config.volume_bytes);
+    log_config.log.selector = selector;
+    log_config.maintenance = Some(MaintenanceConfig::fixed_budget(budget));
+    let mut store = LogObjectStore::with_config(log_config)?;
+    let mut generator = WorkloadGenerator::new(config.workload());
+    let mut server = StoreServer::new(&mut store);
+    server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)?;
+    let rewrites = generator.live_keys().len() / 2;
+    let fragments = |server: &StoreServer<'_>| server.store().fragmentation().fragments_per_object;
+    let mut aging = vec![fragments(&server)];
+    let mut p99_ms = 0.0;
+    for _ in 0..CLEANER_ROUNDS {
+        let round = generator.zipf_safe_write_sample(rewrites, 1.0);
+        let completions = server.run_closed_loop(round, 2, SimDuration::ZERO)?;
+        p99_ms = LatencySummary::of(&completions).p99_ms;
+        aging.push(fragments(&server));
+    }
+    Ok((aging, p99_ms))
+}
+
+/// Cleaner-frontier scenario: the log's two victim selectors
+/// ([`CleanerSelector::ALL`]) under each background budget of
+/// [`CLEANER_BUDGETS`], on uniform 1 MB objects at the paper's volume and
+/// 50 % occupancy.  Three figures, one series per selector: fragments/object
+/// vs round with no cleaning, and the final fragments/object and last-round
+/// p99 vs budget.
+///
+/// `paper_claims` asserts on the report golden that an uncleaned log
+/// fragments further with every round once its free half is used up, that
+/// every budget ends below the idle log while budget 256 costs the tail,
+/// and that greedy ends less fragmented than the default cost-benefit
+/// selector at every budget (EXPERIMENTS.md, "Cleaner frontier
+/// (`cleaner-frontier`)").
+fn cleaner_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
+    let config = ExperimentConfig {
+        object_size: SizeDistribution::uniform_around(scale.object(1 << 20)),
+        ..paper_config(scale, 1 << 20)
+    };
+    let runs = parallel_map(
+        cross(&CleanerSelector::ALL, &CLEANER_BUDGETS),
+        |(selector, budget)| cleaner_run(&config, selector, budget),
+    )?;
+    // Selector-major: one run of budgets per selector.
+    let per_selector = || {
+        CleanerSelector::ALL
+            .iter()
+            .zip(runs.chunks(CLEANER_BUDGETS.len()))
+    };
+    let vs_budget = |pick: fn(&(Vec<f64>, f64)) -> f64| {
+        per_selector().map(move |(selector, runs)| {
+            let points = CLEANER_BUDGETS.iter().zip(runs);
+            Series::new(
+                selector.name(),
+                points
+                    .map(|(&budget, run)| (budget as f64, pick(run)))
+                    .collect(),
+            )
+        })
+    };
+    let budget_axis = "Background budget (64 KB I/Os per tick)";
+    let workload = format!(
+        "uniform 1 MB objects, {CLEANER_ROUNDS} rounds of Zipf(1.0) safe writes \
+         to half the population"
+    );
+    Ok(vec![
+        figure(
+            "Cleaner aging (log)",
+            format!("Log fragments/object vs round with no background cleaning ({workload})"),
+            "Round",
+            "Fragments/object",
+            per_selector().map(|(selector, runs)| {
+                let idle = &runs[0].0;
+                let points = idle.iter().enumerate().map(|(round, &f)| (round as f64, f));
+                Series::new(selector.name(), points.collect())
+            }),
+        ),
+        figure(
+            "Cleaner frontier (log)",
+            format!("Log fragments/object after the last round vs cleaning budget ({workload})"),
+            budget_axis,
+            "Fragments/object",
+            vs_budget(|(aging, _)| *aging.last().expect("the bulk load is measured")),
+        ),
+        figure(
+            "Cleaner p99 (log)",
+            format!("Log safe-write p99 in the last round vs cleaning budget ({workload})"),
+            budget_axis,
+            "p99 latency (ms)",
+            vs_budget(|&(_, p99_ms)| p99_ms),
+        ),
+    ])
+}
+
 /// The ghost-release deferral (simulated milliseconds) the substrate-aware
 /// scenarios hold the DB backlog for.  With 3 clients at 400 ms think time a
 /// client cycle is ~0.5 s, so a 2 s hold batches several clients' worth of
@@ -1521,6 +1634,11 @@ pub const FAMILIES: &[Family] = &[
         "adaptive-frontier",
         "adaptive_frontier",
         adaptive_frontier_figures,
+    ),
+    Family::new(
+        "cleaner-frontier",
+        "cleaner_frontier",
+        cleaner_frontier_figures,
     ),
     Family::new(
         "placement-frontier",

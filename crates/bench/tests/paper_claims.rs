@@ -8,9 +8,10 @@
 //! and 40 GB, and on the 4 GB one the database shows §5.4's small-pool
 //! caveat.  Report scale's 40 GB series equal the paper's point for point.
 //! The scenario families (maintenance, queueing, idle-detect, mixed load,
-//! adaptive and placement frontiers, latency anatomy, shard sweep) are only
-//! in the report golden, so their claims hold at report scale and are
-//! stated there; at smaller volumes several do not.  A missing figure,
+//! adaptive, cleaner and placement frontiers, latency anatomy, shard sweep)
+//! are only in the report golden, so their claims hold at report scale and
+//! are stated there; at smaller volumes several do not (the cleaner
+//! frontier's selector order flips on the smoke golden).  A missing figure,
 //! series or point fails the claim; nothing passes vacuously.
 //!
 //! Every figure of both goldens is read by at least one claim:
@@ -36,7 +37,13 @@
 //! `rebalance phased` point at 16 shards raised above `rebalance off`'s
 //! (`rebalancing_never_leaves_the_worst_shard_worse`); one `maintenance`
 //! cell of "Latency anatomy (filesystem, substrate-aware + banded)" set to 0
-//! (`maintenance_reaches_the_filesystem_tail_directly_and_the_database_tail_as_queueing`).
+//! (`maintenance_reaches_the_filesystem_tail_directly_and_the_database_tail_as_queueing`);
+//! the `cost-benefit` and `greedy` columns of "Cleaner frontier (log)"
+//! swapped (`greedy_cleaning_fragments_less_than_cost_benefit`); the
+//! cost-benefit point at round 10 of "Cleaner aging (log)" lowered below
+//! round 9's (`an_uncleaned_log_fragments_with_every_round`); greedy's
+//! budget-256 point of "Cleaner p99 (log)" set below its budget-0 point
+//! (`cleaning_holds_the_log_below_idle_and_a_lavish_budget_costs_the_tail`).
 //! A fake figure block appended to the report golden fails only
 //! `every_figure_is_read_by_a_claim`, which names it.
 //! The one claim no figure carries, 8 MB objects, is
@@ -200,6 +207,12 @@ const LOADS: [f64; 5] = [0.2, 0.4, 0.6, 0.8, 0.95];
 /// The fleet sizes of the report golden's shard sweep.
 const FLEETS: [f64; 6] = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
+/// The background budgets of the report golden's cleaner frontier.
+const CLEANER_BUDGETS: [f64; 4] = [0.0, 16.0, 64.0, 256.0];
+
+/// The log's victim selectors, in the cleaner figures' series order.
+const SELECTORS: [&str; 2] = ["cost-benefit", "greedy"];
+
 /// The idle-detect policy's label in the idle-detect figures.
 const IDLE_DETECT: &str = "idle-detect(5.0 ms)";
 
@@ -246,7 +259,7 @@ fn every_figure_is_read_by_a_claim() {
         );
     }
     assert_eq!(goldens.paper.figures.len(), 11, "Figures 1.1 to 6.3");
-    assert_eq!(goldens.report.figures.len(), 45, "every family");
+    assert_eq!(goldens.report.figures.len(), 48, "every family");
 }
 
 /// The claims, one function each.
@@ -659,6 +672,60 @@ mod claim {
         report.check(id, !beaten, values);
     }
 
+    /// Cleaner aging (report scale, uniform 1 MB objects on the 4 GB log,
+    /// Zipf(1.0) safe writes to half the population per round, no background
+    /// cleaning): the bulk-loaded log is contiguous, the free half of the
+    /// volume absorbs the first two rounds, and from round 2 on every round
+    /// ends more fragmented than the one before, under either selector —
+    /// the allocation-pressure vacates scatter the survivors they move.
+    pub fn an_uncleaned_log_fragments_with_every_round(goldens: &Goldens) {
+        let report = &goldens.report;
+        let id = "Cleaner aging (log)";
+        let rounds: Vec<f64> = (0..=16).map(f64::from).collect();
+        for selector in SELECTORS {
+            let fragments = report.ys_at(id, selector, &rounds);
+            let holds = fragments[0] == 1.0 && strictly_rises(&fragments[2..]);
+            report.check(id, holds, format!("{selector}: {fragments:?}"));
+        }
+    }
+
+    /// Cleaner frontier and p99 (report scale, the cleaner-aging workload
+    /// under each background budget): every budget above 0 ends the last
+    /// round less fragmented than the idle log, on both selectors, and the
+    /// lavish budget 256 pays for it with a last-round p99 above the idle
+    /// log's.  At the scarce budgets the idle log's own emergency copying
+    /// sits in its foreground too, so no p99 cost is claimed there.
+    pub fn cleaning_holds_the_log_below_idle_and_a_lavish_budget_costs_the_tail(goldens: &Goldens) {
+        let report = &goldens.report;
+        for selector in SELECTORS {
+            let id = "Cleaner frontier (log)";
+            let fragments = report.ys_at(id, selector, &CLEANER_BUDGETS);
+            let holds = fragments[1..].iter().all(|&f| f < fragments[0]);
+            let values = format!("{selector} at budgets 0, 16, 64, 256: {fragments:?}");
+            report.check(id, holds, values);
+
+            let id = "Cleaner p99 (log)";
+            let [idle, lavish] = [0.0, 256.0].map(|budget| report.at(id, selector, budget));
+            let values = format!("{selector}: p99 {lavish} ms at budget 256, {idle} ms idle");
+            report.check(id, lavish > idle, values);
+        }
+    }
+
+    /// Cleaner frontier (report scale): greedy victim selection ends the
+    /// last round less fragmented than cost-benefit at every budget, the
+    /// idle log's emergency cleaning included — Rosenblum's selector does
+    /// not win this workload.
+    pub fn greedy_cleaning_fragments_less_than_cost_benefit(goldens: &Goldens) {
+        let report = &goldens.report;
+        let id = "Cleaner frontier (log)";
+        let [cost_benefit, greedy] =
+            SELECTORS.map(|selector| report.ys_at(id, selector, &CLEANER_BUDGETS));
+        let holds = greedy.iter().zip(&cost_benefit).all(|(g, c)| g < c);
+        let values =
+            format!("at budgets 0, 16, 64, 256: greedy {greedy:?}, cost-benefit {cost_benefit:?}");
+        report.check(id, holds, values);
+    }
+
     /// Placement frontier (report scale, the idle-detect workload, each
     /// gap-filling policy under five placements).  On the database,
     /// `substrate-aware` with the compactor confined to its band
@@ -818,6 +885,9 @@ claims![
     idle_detect_buys_fixed_budget_fragmentation_at_lower_tail_latency,
     mixed_sweep_hockey_stick_shifts_with_write_fraction,
     adaptive_lands_on_or_near_the_fixed_budget_frontier,
+    an_uncleaned_log_fragments_with_every_round,
+    cleaning_holds_the_log_below_idle_and_a_lavish_budget_costs_the_tail,
+    greedy_cleaning_fragments_less_than_cost_benefit,
     placement_aware_substrate_aware_wins_the_db_gap_filling_frontier,
     maintenance_reaches_the_filesystem_tail_directly_and_the_database_tail_as_queueing,
     fan_out_tail_grows_with_width_and_shrinks_with_fleet_size,

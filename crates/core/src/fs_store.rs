@@ -283,7 +283,6 @@ mod tests {
     #[test]
     fn full_pass_moves_every_fragmented_file_of_a_fixed_fixture() {
         let mut config = VolumeConfig::new(64 * MB);
-        config.mft_zone_fraction = 0.0;
         config.checkpoint_interval_ops = 1;
         let mut substrate = FsSubstrate::create(config, false).unwrap();
         let request = 64 * 1024;

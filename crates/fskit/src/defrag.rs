@@ -217,7 +217,6 @@ mod tests {
     /// fragment badly.
     fn fragmented_volume() -> (Volume, Vec<FileId>) {
         let mut config = VolumeConfig::new(64 * MB);
-        config.mft_zone_fraction = 0.0;
         config.checkpoint_interval_ops = 1;
         let mut volume = Volume::format(config).unwrap();
         let pads: Vec<FileId> = (0..256)
@@ -389,7 +388,6 @@ mod tests {
     /// Builds the [`fragmented_volume`] fixture under an explicit placement.
     fn fragmented_volume_placed(placement: PlacementPolicy) -> (Volume, Vec<FileId>) {
         let mut config = VolumeConfig::new(64 * MB);
-        config.mft_zone_fraction = 0.0;
         config.checkpoint_interval_ops = 1;
         config.placement = placement;
         let mut volume = Volume::format(config).unwrap();

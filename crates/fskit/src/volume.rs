@@ -93,13 +93,15 @@ const PREALLOCATION_CAP_CLUSTERS: u64 = 2048;
 /// Cluster size in bytes (the NTFS default, and the paper's volume's).
 const CLUSTER_SIZE: u64 = 4096;
 
+/// Fraction of the volume reserved for the MFT zone (metadata band) at the
+/// start of the volume.
+const MFT_ZONE_FRACTION: f64 = 0.05;
+
 /// Configuration of a simulated NTFS-like volume.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VolumeConfig {
     /// Usable capacity in bytes.
     pub capacity_bytes: u64,
-    /// Fraction of the volume reserved for the MFT zone (metadata band).
-    pub mft_zone_fraction: f64,
     /// Number of mutating operations (writes, deletes, safe writes) between
     /// automatic checkpoints that make deleted space reusable.
     ///
@@ -127,7 +129,6 @@ impl VolumeConfig {
     pub fn new(capacity_bytes: u64) -> Self {
         VolumeConfig {
             capacity_bytes,
-            mft_zone_fraction: 0.05,
             checkpoint_interval_ops: 16,
             allocation_policy: AllocationPolicy::Native,
             placement: PlacementPolicy::Unrestricted,
@@ -139,17 +140,14 @@ impl VolumeConfig {
         self.capacity_bytes / CLUSTER_SIZE
     }
 
-    /// Clusters reserved for the MFT zone.
+    /// Clusters reserved for the MFT zone: 5 % of the volume, at its start.
     pub fn mft_clusters(&self) -> u64 {
-        (self.total_clusters() as f64 * self.mft_zone_fraction.clamp(0.0, 0.5)).round() as u64
+        (self.total_clusters() as f64 * MFT_ZONE_FRACTION).round() as u64
     }
 
     fn validate(&self) -> Result<(), FsError> {
         if self.total_clusters() == 0 {
             return Err(FsError::BadConfig("capacity must be at least one cluster"));
-        }
-        if !(0.0..=0.5).contains(&self.mft_zone_fraction) {
-            return Err(FsError::BadConfig("MFT zone fraction must lie in [0, 0.5]"));
         }
         self.placement.validate().map_err(FsError::BadConfig)?;
         Ok(())
@@ -1105,7 +1103,7 @@ mod tests {
         assert!(Volume::format(VolumeConfig::new(0)).is_err());
         assert!(Volume::format(VolumeConfig::new(CLUSTER_SIZE - 1)).is_err());
         assert!(Volume::format(VolumeConfig {
-            mft_zone_fraction: 0.9,
+            placement: PlacementPolicy::banded(1.5),
             ..VolumeConfig::new(MB)
         })
         .is_err());
@@ -1211,7 +1209,6 @@ mod tests {
     fn deleted_space_is_not_reusable_until_checkpoint() {
         let mut config = VolumeConfig::new(16 * MB);
         config.checkpoint_interval_ops = 1_000_000; // effectively manual
-        config.mft_zone_fraction = 0.0;
         let mut volume = Volume::format(config).unwrap();
 
         // Fill most of the volume.
@@ -1256,9 +1253,7 @@ mod tests {
 
     #[test]
     fn batched_safe_writes_interleave_and_fragment() {
-        let mut config = VolumeConfig::new(128 * MB);
-        config.mft_zone_fraction = 0.0;
-        let mut volume = Volume::format(config).unwrap();
+        let mut volume = Volume::format(VolumeConfig::new(128 * MB)).unwrap();
         for i in 0..16 {
             volume
                 .write_file(&format!("obj-{i}"), 2 * MB, 64 * 1024)
@@ -1343,9 +1338,7 @@ mod tests {
 
         // Allocation failure mid-round-robin: both replacements in flight
         // need more space than the volume has.
-        let mut config = VolumeConfig::new(16 * MB);
-        config.mft_zone_fraction = 0.0;
-        let mut volume = Volume::format(config).unwrap();
+        let mut volume = Volume::format(VolumeConfig::new(16 * MB)).unwrap();
         volume.write_file("x", 6 * MB, 64 * 1024).unwrap();
         volume.write_file("y", 6 * MB, 64 * 1024).unwrap();
         let err = volume
@@ -1398,12 +1391,12 @@ mod tests {
     #[test]
     fn a_batch_that_runs_out_of_space_mid_round_changes_nothing_visible() {
         // The paper's safe write exists so that a failed replace leaves the
-        // old object intact.  Three 4 MB targets with 10 MB to spare, 6 MB
-        // of it a deleted filler the log has not committed: the temporaries
+        // old object intact.  Three 4 MB targets on 20.9 MB of data clusters
+        // (22 MB less the MFT zone), with 8.9 MB to spare, 6 MB of it a
+        // deleted filler the log has not committed: the temporaries
         // get through most of their write requests (a forced checkpoint on
         // the way frees the filler) before the volume runs dry.
         let mut config = VolumeConfig::new(22 * MB);
-        config.mft_zone_fraction = 0.0;
         config.checkpoint_interval_ops = 0;
         let mut volume = Volume::format(config).unwrap();
         let names = ["x", "y", "z"];
@@ -1520,7 +1513,6 @@ mod tests {
         ];
         for put in puts {
             let mut config = VolumeConfig::new(16 * MB);
-            config.mft_zone_fraction = 0.0;
             config.checkpoint_interval_ops = 0;
             let mut volume = Volume::format(config).unwrap();
             put(&mut volume, "a", 10 * MB).unwrap();
@@ -1537,9 +1529,10 @@ mod tests {
             assert_eq!(stats.files_deleted, stats_before.files_deleted + 1);
             assert_eq!(volume.verify(), Ok(()));
 
-            // The name and the space are free again: a put that fits succeeds
-            // (forcing the checkpoint that commits the rolled-back clusters).
-            put(&mut volume, "b", 6 * MB).unwrap();
+            // The name and the space are free again: a put of all that is
+            // left succeeds (forcing the checkpoint that commits the
+            // rolled-back clusters).
+            put(&mut volume, "b", free_before).unwrap();
             assert_eq!(volume.file_count(), 2);
             assert_eq!(volume.free_bytes(), 0);
             assert_eq!(volume.verify(), Ok(()));
@@ -1549,7 +1542,6 @@ mod tests {
     #[test]
     fn preallocated_writes_are_contiguous_even_on_a_fragmented_volume() {
         let mut config = VolumeConfig::new(64 * MB);
-        config.mft_zone_fraction = 0.0;
         config.checkpoint_interval_ops = 1;
         let mut volume = Volume::format(config).unwrap();
 

@@ -28,6 +28,9 @@ pub enum CleanerSelector {
 }
 
 impl CleanerSelector {
+    /// Both selectors, for sweeps and differential tests.
+    pub const ALL: [CleanerSelector; 2] = [CleanerSelector::CostBenefit, CleanerSelector::Greedy];
+
     /// Short, stable name used in reports and figure legends.
     pub fn name(&self) -> &'static str {
         match self {

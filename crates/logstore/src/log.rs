@@ -1388,6 +1388,10 @@ mod tests {
             log.emergency_totals().segments_freed > 0,
             "churn past the free pool must trigger emergency cleaning"
         );
+        assert!(
+            log.cleaner_totals().is_empty(),
+            "emergency vacates are not cleaner work: only `clean_step` and `clean_all` copy for it"
+        );
         assert_eq!(log.object_count(), 10);
         assert_eq!(log.live_bytes(), 10 * MB);
         // Accounting stayed consistent: dead + live never exceeds capacity.

@@ -273,8 +273,6 @@ fn placements() -> [PlacementPolicy; 3] {
     ]
 }
 
-const SELECTORS: [CleanerSelector; 2] = [CleanerSelector::CostBenefit, CleanerSelector::Greedy];
-
 /// Both selectors × three placements on 13 blocks, mixed sizes: a few
 /// thousand operations each, everything compared after every thirty-second.
 #[test]
@@ -282,7 +280,7 @@ fn tier1_sized_scripts_match_the_linear_scan_reference() {
     let mut emergency_copied = 0;
     let mut cleaner_copied = 0;
     let mut capped_differs = 0;
-    for (case, selector) in SELECTORS.into_iter().enumerate() {
+    for (case, selector) in CleanerSelector::ALL.into_iter().enumerate() {
         for placement in placements() {
             let seed = 42 + case as u64;
             let pair = Pair::new(800, selector, placement, Sizes::Mixed, seed, 32).run(2_000);
@@ -316,7 +314,7 @@ fn tied_scores_break_to_the_lowest_index() {
     let pair = Pair::new(800, CleanerSelector::Greedy, unrestricted, sizes, 9, 32).run(5_000);
     let freed = pair.log.emergency_totals().segments_freed;
     assert!(freed > 100, "{freed} emergency vacates");
-    for selector in SELECTORS {
+    for selector in CleanerSelector::ALL {
         let pair = Pair::new(800, selector, unrestricted, Sizes::Spans, 0, 32).run(1_500);
         let freed = pair.log.emergency_totals().segments_freed;
         assert!(freed > 100, "{selector:?}: {freed} emergency vacates");
@@ -352,7 +350,7 @@ fn sparse_and_extreme_ids_list_ascending() {
 #[test]
 #[ignore = "long: run with --release -- --ignored"]
 fn long_scripts_match_the_linear_scan_reference() {
-    for (case, selector) in SELECTORS.into_iter().enumerate() {
+    for (case, selector) in CleanerSelector::ALL.into_iter().enumerate() {
         for placement in placements() {
             let seed = 7 + case as u64;
             let pair = Pair::new(4_000, selector, placement, Sizes::Mixed, seed, 512).run(40_000);

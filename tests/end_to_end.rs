@@ -1,14 +1,12 @@
 //! Cross-crate integration tests on miniature configurations: the marker
-//! tool, the segment cleaner and its determinism baseline, one pin no figure
-//! carries, and the one paper claim no figure carries.  The claims of
-//! Figures 1–6 and of every scenario family (the allocation-policy and
-//! maintenance ablations among them) are predicates over the report- and
+//! tool, the log's determinism baseline, one pin no figure carries, and the
+//! one paper claim no figure carries.  The claims of Figures 1–6 and of every
+//! scenario family (the allocation-policy and maintenance ablations and the
+//! log cleaner's frontier among them) are predicates over the report- and
 //! paper-scale goldens, in `crates/bench/tests/paper_claims.rs`.
 
-use lorepo::core::lor_disksim::SimDuration;
 use lorepo::core::{
-    age_store, analyze_store, run_aging_experiment, ExperimentConfig, LatencySummary,
-    SizeDistribution, StoreKind, StoreServer, WorkloadOp,
+    age_store, analyze_store, run_aging_experiment, ExperimentConfig, SizeDistribution, StoreKind,
 };
 
 const MB: u64 = 1 << 20;
@@ -136,164 +134,4 @@ fn log_structured_aging_is_bit_identical_across_runs() {
             "layout of {key} must be bit-identical"
         );
     }
-}
-
-/// The segment cleaner's acceptance scenario, idle half: with no background
-/// cleaning, an aged log degrades monotonically under a skewed rewrite
-/// workload — mean segment utilization falls (cold survivors strand dead
-/// bytes in sealed segments) and fragments/object rises (allocation-pressure
-/// vacates scatter the survivors' extents instead of rewriting objects
-/// whole).  Uniform full-population overwrites would hide both effects:
-/// they leave victims fully dead, reclaimed for free.
-#[test]
-fn uncleaned_log_utilization_and_fragmentation_degrade_with_age() {
-    use lorepo::core::ObjectStore;
-
-    let mut base = mini(MB, 96 * MB);
-    base.object_size = SizeDistribution::uniform_around(MB);
-    let mut store = lorepo::core::LogObjectStore::new(96 * MB).unwrap();
-    let mut generator = lorepo::core::WorkloadGenerator::new(base.workload());
-    for op in generator.bulk_load() {
-        if let WorkloadOp::Put { key, size } = op {
-            store.put(&key.to_string(), size).unwrap();
-        }
-    }
-    let mut utilization = vec![store.log().segment_stats().mean_utilization];
-    let mut frags = vec![store.fragmentation().fragments_per_object];
-    for _ in 0..16 {
-        for op in generator.zipf_safe_write_sample(8, 1.0) {
-            if let WorkloadOp::SafeWrite { key, size } = op {
-                store.safe_write(&key.to_string(), size).unwrap();
-            }
-        }
-        utilization.push(store.log().segment_stats().mean_utilization);
-        frags.push(store.fragmentation().fragments_per_object);
-    }
-    assert!(
-        utilization.windows(2).all(|w| w[1] <= w[0] * 1.05),
-        "utilization must fall monotonically: {utilization:?}"
-    );
-    assert!(
-        *utilization.last().unwrap() < utilization[0] * 0.9,
-        "utilization must actually degrade: {utilization:?}"
-    );
-    assert!(
-        frags.windows(2).all(|w| w[1] >= w[0] * 0.95),
-        "fragmentation must rise monotonically: {frags:?}"
-    );
-    assert!(
-        *frags.last().unwrap() > frags[0] + 0.2,
-        "fragmentation must actually grow: {frags:?}"
-    );
-}
-
-/// The segment cleaner's acceptance scenario, active half: driving the
-/// cleaner as budgeted maintenance holds steady-state fragments/object
-/// strictly below the idle log's, bought with real background copying that
-/// shows up as a measurably higher foreground p99.
-#[test]
-fn log_cleaner_trades_foreground_tail_latency_for_fragmentation() {
-    use lorepo::core::{
-        LogObjectStore, LogStoreConfig, MaintenanceConfig, ObjectStore, WorkloadGenerator,
-    };
-
-    let mut base = mini(MB, 96 * MB);
-    base.object_size = SizeDistribution::uniform_around(MB);
-    let run = |maintenance: Option<MaintenanceConfig>| {
-        let mut config = LogStoreConfig::new(96 * MB);
-        config.maintenance = maintenance;
-        let mut store = LogObjectStore::with_config(config).unwrap();
-        let mut generator = WorkloadGenerator::new(base.workload());
-        let mut server = StoreServer::new(&mut store);
-        server
-            .run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)
-            .unwrap();
-        let mut p99_ms = 0.0;
-        for _ in 0..8 {
-            let round = generator.zipf_safe_write_sample(48, 1.0);
-            let completions = server.run_closed_loop(round, 2, SimDuration::ZERO).unwrap();
-            p99_ms = LatencySummary::of(&completions).p99_ms;
-        }
-        drop(server);
-        let frags = store.fragmentation().fragments_per_object;
-        let copied = store.log().cleaner_totals().bytes_copied;
-        (frags, p99_ms, copied)
-    };
-
-    let (idle_frags, idle_p99, idle_copied) = run(None);
-    let (cleaned_frags, cleaned_p99, cleaned_copied) =
-        run(Some(MaintenanceConfig::fixed_budget(64)));
-
-    assert_eq!(idle_copied, 0, "without a scheduler the cleaner never runs");
-    assert!(
-        cleaned_copied > 0,
-        "the budgeted cleaner must have copied something"
-    );
-    assert!(
-        cleaned_frags < idle_frags,
-        "cleaning must lower steady-state fragmentation \
-         ({cleaned_frags:.3} vs idle {idle_frags:.3})"
-    );
-    assert!(
-        cleaned_p99 > idle_p99 * 1.02,
-        "cleaning must cost foreground tail latency \
-         (p99 {cleaned_p99:.3} ms vs idle {idle_p99:.3} ms)"
-    );
-}
-
-/// Rosenblum's cost-benefit victim selection beats greedy at equal cleaning
-/// budget under a skewed rewrite workload: age makes cold, moderately-dead
-/// segments worth compacting, so long-lived objects end up less fragmented
-/// than under lowest-utilization-first selection.  The margin only exists
-/// while the budget is scarce — a lavish budget cleans everything under
-/// either selector — so the budget here is deliberately tight.
-#[test]
-fn cost_benefit_cleaning_beats_greedy_at_equal_budget() {
-    use lorepo::core::lor_logstore::CleanerSelector;
-    use lorepo::core::{
-        LogObjectStore, LogStoreConfig, MaintenanceConfig, ObjectStore, WorkloadGenerator,
-    };
-
-    let build = |selector: CleanerSelector| {
-        let mut config = LogStoreConfig::new(96 * MB);
-        config.log.selector = selector;
-        config.maintenance = Some(MaintenanceConfig::fixed_budget(16));
-        LogObjectStore::with_config(config).unwrap()
-    };
-    let mut cost_benefit = build(CleanerSelector::CostBenefit);
-    let mut greedy = build(CleanerSelector::Greedy);
-
-    let mut base = mini(MB, 96 * MB);
-    base.object_size = SizeDistribution::uniform_around(MB);
-    let mut generator = WorkloadGenerator::new(base.workload());
-    let load = generator.bulk_load();
-    for store in [&mut cost_benefit, &mut greedy] {
-        for op in &load {
-            if let WorkloadOp::Put { key, size } = op {
-                store.put(&key.to_string(), *size).unwrap();
-            }
-        }
-    }
-    // Zipf-skewed rewrites: the hot ranks churn constantly while cold
-    // objects rot in place — exactly the population where victim age
-    // matters.  Both stores replay the identical op stream, so the cleaning
-    // budget spent per foreground op is equal by construction.
-    for _ in 0..16 {
-        let round = generator.zipf_safe_write_sample(24, 1.0);
-        for store in [&mut cost_benefit, &mut greedy] {
-            for op in &round {
-                if let WorkloadOp::SafeWrite { key, size } = op {
-                    store.safe_write(&key.to_string(), *size).unwrap();
-                }
-            }
-        }
-    }
-
-    let cb_frags = cost_benefit.fragmentation().fragments_per_object;
-    let greedy_frags = greedy.fragmentation().fragments_per_object;
-    assert!(
-        cb_frags < greedy_frags,
-        "cost-benefit must beat greedy on fragments/object at equal budget \
-         ({cb_frags:.3} vs {greedy_frags:.3})"
-    );
 }
