@@ -187,15 +187,6 @@ impl FreeSpaceReport {
             run_length_histogram: histogram,
         }
     }
-
-    /// Fraction of the volume that is free.
-    pub fn free_fraction(&self) -> f64 {
-        if self.total_clusters == 0 {
-            0.0
-        } else {
-            self.free_clusters as f64 / self.total_clusters as f64
-        }
-    }
 }
 
 /// Occupancy of the two placement bands — the observability gauge behind
@@ -313,7 +304,6 @@ mod tests {
         assert_eq!(report.free_clusters, 800);
         assert_eq!(report.free_runs, 3);
         assert_eq!(report.largest_run, 600);
-        assert!((report.free_fraction() - 0.8).abs() < 1e-9);
         assert!(report.external_fragmentation > 0.0 && report.external_fragmentation < 1.0);
     }
 

@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use lor_bench::{table1, Scale, FAMILIES};
+use lor_bench::{render_figures, Scale, FAMILIES};
 use lor_core::Figure;
 
 struct Options {
@@ -32,7 +32,7 @@ impl Options {
 /// Every name `--only` accepts, in the order the run prints them.
 fn family_names() -> Vec<&'static str> {
     std::iter::once("table1")
-        .chain(FAMILIES.iter().map(|family| family.only))
+        .chain(FAMILIES.iter().map(|family| family.name))
         .collect()
 }
 
@@ -83,20 +83,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     Ok(options)
 }
 
-fn emit(options: &Options, name: &str, figures: &[Figure]) -> Result<(), String> {
-    for figure in figures {
-        println!("{}", figure.to_text());
-    }
-    if let Some(dir) = &options.json_dir {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let path = dir.join(format!("{name}.json"));
-        let json = Figure::list_to_json(figures);
-        std::fs::write(&path, json).map_err(|e| e.to_string())?;
-        eprintln!("wrote {}", path.display());
-    }
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let options = parse_args(std::env::args().skip(1))?;
     eprintln!(
@@ -104,12 +90,21 @@ fn run() -> Result<(), String> {
         options.scale_name, options.scale.volume_factor, options.scale.max_age
     );
 
-    if options.wants("table1") {
-        println!("{}", table1().to_text());
-    }
-    for family in FAMILIES.iter().filter(|f| options.wants(f.only)) {
-        let figures = (family.run)(&options.scale).map_err(|e| e.to_string())?;
-        emit(&options, family.json, &figures)?;
+    let mut json = Vec::new();
+    let text = render_figures(
+        &options.scale,
+        |name| options.wants(name),
+        |family, figures| json.push((family.name, Figure::list_to_json(figures))),
+    )
+    .map_err(|e| e.to_string())?;
+    print!("{text}");
+    if let Some(dir) = &options.json_dir {
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+        for (name, json) in json {
+            let path = dir.join(format!("{name}.json"));
+            std::fs::write(&path, json).map_err(|e| e.to_string())?;
+            eprintln!("wrote {}", path.display());
+        }
     }
     Ok(())
 }
@@ -134,8 +129,6 @@ mod tests {
         let names = family_names();
         let unique: BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate --only name");
-        let files: BTreeSet<&str> = FAMILIES.iter().map(|family| family.json).collect();
-        assert_eq!(files.len(), FAMILIES.len(), "duplicate --json file stem");
 
         let all = parse(&["--only", &names.join(",")]).unwrap();
         assert!(names.iter().all(|name| all.wants(name)));

@@ -5,14 +5,20 @@
 //! overwrite rounds, measure at a storage age — swept over one variable, so
 //! every figure family here is a declaration over one sweep runner
 //! (`aging_sweep`) and is listed once, in [`FAMILIES`].  The families are
-//! parameterised by a [`Scale`] so the same code serves two purposes:
+//! parameterised by a [`Scale`], and [`render_figures`] renders what the
+//! `figures` binary prints at any of them:
 //!
-//! * the `figures` binary prints them; CI diffs its output at smoke, report
-//!   and paper scale against `golden/`, and `tests/paper_claims.rs` checks
-//!   the paper's claims, and every scenario family's down to the log
-//!   cleaner's, on the report- and paper-scale goldens;
-//! * the unit tests below run them at smoke scale and check each family's
-//!   shape: its figures, series and points.
+//! * `tests/smoke_golden.rs` renders every family at smoke scale in process
+//!   and requires the text to equal `golden/figures_smoke.txt` byte for
+//!   byte, so `cargo test` pins every simulated result the smoke run
+//!   reaches;
+//! * CI diffs `figures`' output at report and paper scale against
+//!   `golden/`, and `tests/paper_claims.rs` checks the paper's claims, and
+//!   every scenario family's down to the log cleaner's, on those two
+//!   goldens;
+//! * the unit tests below check what no golden carries: the scales'
+//!   parameters, the sweep runner's order and errors, and the latency
+//!   anatomy's attribution on the raw reports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -1571,14 +1577,12 @@ fn shard_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     Ok(figures)
 }
 
-/// One figure family: what `figures --only` calls it, the file stem its
-/// `figures --json` output is written under, and the function regenerating
-/// it at a scale.
+/// One figure family: its name, which `figures --only` takes and
+/// `figures --json` writes `<name>.json` under, and the function
+/// regenerating it at a scale.
 pub struct Family {
-    /// The `--only` name.
-    pub only: &'static str,
-    /// The `--json` file stem.
-    pub json: &'static str,
+    /// The family's name.
+    pub name: &'static str,
     /// Regenerates the family's figures.
     pub run: FamilyFn,
 }
@@ -1587,71 +1591,60 @@ pub struct Family {
 type FamilyFn = fn(&Scale) -> Result<Vec<Figure>, StoreError>;
 
 impl Family {
-    const fn new(only: &'static str, json: &'static str, run: FamilyFn) -> Self {
-        Family { only, json, run }
+    const fn new(name: &'static str, run: FamilyFn) -> Self {
+        Family { name, run }
     }
 }
 
 /// Every figure family, in the order `figures` prints them — the one list
 /// behind its run order, `--only` validation and `--help`.
 pub const FAMILIES: &[Family] = &[
-    Family::new("fig1", "figure1", figure1),
-    Family::new("fig2", "figure2", figure2),
-    Family::new("fig3", "figure3", figure3),
-    Family::new("fig4", "figure4", figure4),
-    Family::new("fig5", "figure5", figure5),
-    Family::new("fig6", "figure6", figure6),
-    Family::new("write-size", "write_request_size", write_request_size_sweep),
-    Family::new("maintenance", "maintenance", maintenance_ablation),
-    Family::new(
-        "policy-ablation",
-        "policy_ablation",
-        policy_ablation_figures,
-    ),
-    Family::new(
-        "maintenance-policies",
-        "maintenance_policies",
-        maintenance_policy_figures,
-    ),
-    Family::new(
-        "maintenance-latency",
-        "maintenance_latency",
-        maintenance_latency_figures,
-    ),
-    Family::new(
-        "latency-percentiles",
-        "latency_percentiles",
-        latency_percentile_figures,
-    ),
-    Family::new("load-sweep", "load_sweep", load_sweep_figures),
-    Family::new("idle-detect", "idle_detect", idle_detect_figures),
-    Family::new(
-        "mixed-load-sweep",
-        "mixed_load_sweep",
-        mixed_load_sweep_figures,
-    ),
-    Family::new(
-        "adaptive-frontier",
-        "adaptive_frontier",
-        adaptive_frontier_figures,
-    ),
-    Family::new(
-        "cleaner-frontier",
-        "cleaner_frontier",
-        cleaner_frontier_figures,
-    ),
-    Family::new(
-        "placement-frontier",
-        "placement_frontier",
-        placement_frontier_figures,
-    ),
-    Family::new(
-        "latency-anatomy",
-        "latency_anatomy",
-        latency_anatomy_figures,
-    ),
-    Family::new("shard-sweep", "shard_sweep", shard_sweep_figures),
+    Family::new("fig1", figure1),
+    Family::new("fig2", figure2),
+    Family::new("fig3", figure3),
+    Family::new("fig4", figure4),
+    Family::new("fig5", figure5),
+    Family::new("fig6", figure6),
+    Family::new("write-size", write_request_size_sweep),
+    Family::new("maintenance", maintenance_ablation),
+    Family::new("policy-ablation", policy_ablation_figures),
+    Family::new("maintenance-policies", maintenance_policy_figures),
+    Family::new("maintenance-latency", maintenance_latency_figures),
+    Family::new("latency-percentiles", latency_percentile_figures),
+    Family::new("load-sweep", load_sweep_figures),
+    Family::new("idle-detect", idle_detect_figures),
+    Family::new("mixed-load-sweep", mixed_load_sweep_figures),
+    Family::new("adaptive-frontier", adaptive_frontier_figures),
+    Family::new("cleaner-frontier", cleaner_frontier_figures),
+    Family::new("placement-frontier", placement_frontier_figures),
+    Family::new("latency-anatomy", latency_anatomy_figures),
+    Family::new("shard-sweep", shard_sweep_figures),
 ];
+
+/// Exactly what `figures` prints at `scale`: Table 1 if `wants("table1")`,
+/// then `to_text()` of each figure of every family `wants` names, each
+/// followed by a newline.  `each` is handed every family's figures as they
+/// are made (`figures --json` writes them out).
+pub fn render_figures(
+    scale: &Scale,
+    wants: impl Fn(&str) -> bool,
+    mut each: impl FnMut(&Family, &[Figure]),
+) -> Result<String, StoreError> {
+    let mut out = String::new();
+    if wants("table1") {
+        out.push_str(&table1().to_text());
+        out.push('\n');
+    }
+    for family in FAMILIES.iter().filter(|family| wants(family.name)) {
+        let figures = (family.run)(scale)?;
+        for figure in &figures {
+            out.push_str(&figure.to_text());
+            out.push('\n');
+        }
+        each(family, &figures);
+    }
+    Ok(out)
+}
 
 #[cfg(test)]
 mod tests {
@@ -1704,218 +1697,12 @@ mod tests {
     }
 
     #[test]
-    fn table1_lists_the_simulated_testbed() {
-        let table = table1();
-        let text = table.to_text();
-        assert!(text.contains("Table 1"));
-        assert!(text.contains("7200 rpm"));
-        assert!(text.contains("lor-fskit"));
-        assert!(text.contains("lor-blobkit"));
-    }
-
-    #[test]
-    fn figure3_at_test_scale_has_both_series_and_all_ages() {
-        let scale = Scale::smoke();
-        let figure = &figure3(&scale).unwrap()[0];
-        assert_eq!(figure.series.len(), 3, "database, filesystem, log");
-        for series in &figure.series {
-            assert_eq!(series.points.len(), scale.age_points().len());
-            // Fragments never drop below 1 for live objects.
-            assert!(series.points.iter().all(|(_, y)| *y >= 1.0));
-        }
-    }
-
-    #[test]
-    fn policy_ablation_covers_every_policy_for_both_systems() {
-        let scale = Scale::smoke();
-        let figures = policy_ablation_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 2);
-        for figure in &figures {
-            assert_eq!(figure.series.len(), AllocationPolicy::ALL.len());
-            let labels: Vec<&str> = figure.series.iter().map(|s| s.label.as_str()).collect();
-            for policy in AllocationPolicy::ALL {
-                assert!(labels.contains(&policy.name()), "missing {}", policy.name());
-            }
-            for series in &figure.series {
-                assert_eq!(series.points.len(), scale.age_points().len());
-            }
-        }
-    }
-
-    #[test]
-    fn maintenance_figures_have_the_expected_shape() {
-        let scale = Scale::smoke();
-        let policy_figures = maintenance_policy_figures(&scale).unwrap();
-        assert_eq!(policy_figures.len(), 2);
-        for figure in &policy_figures {
-            assert_eq!(figure.series.len(), 3, "idle, fixed-budget, threshold");
-            assert!(figure.series.iter().any(|s| s.label == "idle"));
-        }
-
-        let latency_figures = maintenance_latency_figures(&scale).unwrap();
-        assert_eq!(latency_figures.len(), 2);
-        for figure in &latency_figures {
-            assert_eq!(figure.series.len(), 2, "one series per system");
-            for series in &figure.series {
-                assert_eq!(series.points.len(), 4, "one point per budget");
-                assert!(series.points.iter().all(|(_, y)| *y > 0.0));
-            }
-        }
-    }
-
-    #[test]
-    fn latency_percentile_figures_separate_the_tail() {
-        let scale = Scale::smoke();
-        let figures = latency_percentile_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 2, "one figure per system");
-        for figure in &figures {
-            assert_eq!(figure.series.len(), 3, "p50, p95, p99");
-            let p50 = &figure.series[0];
-            let p99 = &figure.series[2];
-            assert!(p50.label.contains("p50") && p99.label.contains("p99"));
-            for ((_, p50_ms), (_, p99_ms)) in p50.points.iter().zip(&p99.points) {
-                assert!(
-                    p99_ms >= p50_ms,
-                    "{}: p99 ({p99_ms}) below p50 ({p50_ms})",
-                    figure.id
-                );
-            }
-            // With 8 clients the aged tail must be measurably wider than the
-            // median.  (In a *saturated* closed loop every client's cycle
-            // converges towards the batch time, so the split here comes from
-            // service-time variance; the open-loop load sweep is where the
-            // tail blows up properly.)
-            let aged_p50 = p50.points.last().unwrap().1;
-            let aged_p99 = p99.points.last().unwrap().1;
-            assert!(
-                aged_p99 > aged_p50 * 1.02,
-                "{}: aged p99 ({aged_p99:.2} ms) should measurably clear p50 ({aged_p50:.2} ms)",
-                figure.id
-            );
-        }
-    }
-
-    #[test]
-    fn load_sweep_latency_grows_with_offered_load() {
-        let scale = Scale::smoke();
-        let figures = load_sweep_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 2, "latency and queue depth");
-        let latency = &figures[0];
-        assert_eq!(latency.series.len(), 6, "p50 and p99 per system");
-        for label in ["Database p99", "Filesystem p99", "Log p99"] {
-            let series = latency.series.iter().find(|s| s.label == label).unwrap();
-            assert_eq!(series.points.len(), LOAD_SWEEP_UTILISATIONS.len());
-            let first = series.points.first().unwrap().1;
-            let last = series.points.last().unwrap().1;
-            assert!(
-                last >= first,
-                "{label}: p99 must not improve as offered load rises ({first:.2} -> {last:.2})"
-            );
-        }
-    }
-
-    #[test]
-    fn idle_detect_figures_cover_every_policy() {
-        let scale = Scale::smoke();
-        let figures = idle_detect_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 4, "frags + p99 per system");
-        for figure in &figures {
-            assert_eq!(figure.series.len(), idle_detect_policies().len());
-            let labels: Vec<&str> = figure.series.iter().map(|s| s.label.as_str()).collect();
-            assert!(labels.iter().any(|l| l.starts_with("idle-detect")));
-            assert!(labels.iter().any(|l| l.starts_with("fixed-budget")));
-            assert!(labels.iter().any(|l| l.starts_with("substrate-aware")));
-        }
-    }
-
-    #[test]
-    fn mixed_load_sweep_covers_every_write_fraction() {
-        let scale = Scale::smoke();
-        let figures = mixed_load_sweep_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 4, "p99 + frag growth per system");
-        for figure in &figures {
-            assert_eq!(figure.series.len(), MIXED_SWEEP_WRITE_FRACTIONS.len());
-            for series in &figure.series {
-                assert_eq!(series.points.len(), LOAD_SWEEP_UTILISATIONS.len());
-            }
-        }
-        // The pure-read mix cannot grow fragmentation during the sweep.
-        for growth_figure in [&figures[1], &figures[3]] {
-            let pure = growth_figure
-                .series
-                .iter()
-                .find(|s| s.label == "0% writes")
-                .expect("pure-read series present");
-            assert!(
-                pure.points.iter().all(|(_, grown)| grown.abs() < 1e-9),
-                "{}: a read-only sweep must not move the layout",
-                growth_figure.id
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_frontier_has_a_frontier_and_adaptive_points_per_system() {
-        let scale = Scale::smoke();
-        let figures = adaptive_frontier_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 3, "one frontier figure per system");
-        for figure in &figures {
-            assert_eq!(figure.series.len(), 1 + FRONTIER_GAINS.len());
-            let frontier = &figure.series[0];
-            assert_eq!(frontier.label, "fixed-budget frontier");
-            assert_eq!(frontier.points.len(), FRONTIER_BUDGETS.len());
-            // Frontier points arrive sorted by fragmentation.
-            assert!(frontier
-                .points
-                .windows(2)
-                .all(|pair| pair[0].0 <= pair[1].0));
-            for series in &figure.series[1..] {
-                assert!(series.label.starts_with("adaptive(gain"));
-                assert_eq!(series.points.len(), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn placement_frontier_covers_every_placement_for_both_policies() {
-        let scale = Scale::smoke();
-        let figures = placement_frontier_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 4, "frontier + frags-vs-age per system");
-        for (index, figure) in figures.iter().enumerate() {
-            if index % 2 == 0 {
-                // Frontier figures: one series per gap-filling policy, one
-                // point per placement, sorted by fragmentation.
-                assert_eq!(figure.series.len(), placement_frontier_policies().len());
-                for series in &figure.series {
-                    assert_eq!(series.points.len(), placement_variants().len());
-                    assert!(series.points.windows(2).all(|pair| pair[0].0 <= pair[1].0));
-                }
-                let labels: Vec<&str> = figure.series.iter().map(|s| s.label.as_str()).collect();
-                assert!(labels.contains(&"idle-detect"));
-                assert!(labels.contains(&"substrate-aware"));
-            } else {
-                // Fragments-vs-age figures: one series per placement.
-                assert_eq!(figure.series.len(), placement_variants().len());
-                let labels: Vec<String> = figure.series.iter().map(|s| s.label.clone()).collect();
-                for placement in placement_variants() {
-                    assert!(
-                        labels.contains(&placement.label()),
-                        "missing {}",
-                        placement.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn latency_anatomy_attributes_the_tail_to_named_components() {
         let scale = Scale::smoke();
 
-        // The acceptance claim, checked on the raw reports: every tail
+        // Checked on the raw reports, which no golden carries: every tail
         // completion is ≥ 95% explained by named components (the exact
-        // integer timeline makes it ~100% in practice), and maintenance
-        // interference shows up under the gap-filling policy.
+        // integer timeline makes it ~100% in practice).
         for kind in [StoreKind::Database, StoreKind::Filesystem] {
             for (label, placement, maintenance) in anatomy_variants() {
                 let config = think_time_config(&scale)
@@ -1936,35 +1723,11 @@ mod tests {
             }
         }
 
-        let figures = latency_anatomy_figures(&scale).unwrap();
-        assert_eq!(figures.len(), 4, "one figure per system x policy");
-        for figure in &figures {
-            assert_eq!(
-                figure.series.len(),
-                6,
-                "total + five components: {}",
-                figure.id
-            );
-            assert_eq!(figure.series[0].label, "total");
-            // The decomposition is exact: the five component series sum
-            // pointwise to the total series.
-            for (index, &(age, total)) in figure.series[0].points.iter().enumerate() {
-                let parts: f64 = figure.series[1..]
-                    .iter()
-                    .map(|series| series.points[index].1)
-                    .sum();
-                assert!(
-                    (parts - total).abs() <= total.max(1.0) * 0.05,
-                    "{} age {age}: components sum to {parts:.3}, total {total:.3}",
-                    figure.id
-                );
-            }
-        }
         // A saturated foreground with an aggressive server-driven budget
         // *must* show maintenance interference in the tail: with zero think
         // time every background slice lands in front of a queued request.
         // (The gap-filling variants dodge the tail by design, which is the
-        // point of the comparison figures above.)
+        // point of the latency-anatomy figures.)
         let mut config = paper_config(&scale, 2 << 20);
         config.concurrency = 3;
         let config =
@@ -1974,71 +1737,5 @@ mod tests {
             points.iter().any(|(_, r)| r.mean.maintenance_ms > 0.0),
             "server-driven maintenance never delayed a tail completion"
         );
-    }
-
-    #[test]
-    fn shard_sweep_covers_widths_fleet_sizes_and_rebalance_modes() {
-        let scale = Scale::smoke();
-        // Through `FAMILIES`, the way `figures` runs it: the sweep has no
-        // mode switch, so off / phased / concurrent are always all there.
-        let family = FAMILIES.iter().find(|f| f.only == "shard-sweep").unwrap();
-        let figures = (family.run)(&scale).unwrap();
-        assert_eq!(figures.len(), 3, "fan-out and two frontier figures");
-        let fleet_sizes = scale.fleet_sizes();
-
-        let fanout = &figures[0];
-        assert_eq!(
-            fanout.series.len(),
-            2 * fleet_sizes.len(),
-            "one fan-out series per substrate and fleet size"
-        );
-        for series in &fanout.series {
-            assert_eq!(series.points.len(), SHARD_SWEEP_WIDTHS.len());
-            assert!(series.points.iter().all(|(_, p99)| *p99 > 0.0));
-            // The widest read never beats the narrowest: reads complete at
-            // the slowest shard.
-            let first = series.points.first().unwrap().1;
-            let last = series.points.last().unwrap().1;
-            assert!(
-                last >= first,
-                "{}: p99 at width {} ({last:.2} ms) below width {} ({first:.2} ms)",
-                series.label,
-                SHARD_SWEEP_WIDTHS.last().unwrap(),
-                SHARD_SWEEP_WIDTHS[0]
-            );
-        }
-
-        for (figure, kind) in figures[1..].iter().zip(["database", "filesystem"]) {
-            assert!(figure.title.to_lowercase().contains(kind));
-            assert_eq!(
-                figure.series.len(),
-                3,
-                "rebalance off, phased, and concurrent"
-            );
-            let by_label = |label: &str| {
-                figure
-                    .series
-                    .iter()
-                    .find(|s| s.label == label)
-                    .unwrap_or_else(|| panic!("missing series {label}"))
-            };
-            let off = by_label("rebalance off");
-            let phased = by_label("rebalance phased");
-            let concurrent = by_label("rebalance concurrent");
-            assert_eq!(off.points.len(), fleet_sizes.len());
-            assert_eq!(phased.points.len(), fleet_sizes.len());
-            assert_eq!(concurrent.points.len(), fleet_sizes.len());
-            for ((shards, off_fpo), (_, phased_fpo)) in off.points.iter().zip(&phased.points) {
-                assert!(
-                    phased_fpo <= off_fpo,
-                    "{kind}, {shards} shards: rebalancing left the worst shard \
-                     worse off ({off_fpo:.3} -> {phased_fpo:.3})"
-                );
-            }
-            assert!(
-                concurrent.points.iter().all(|(_, fpo)| *fpo >= 1.0),
-                "{kind}: fpo under concurrent rebalancing must stay physical"
-            );
-        }
     }
 }

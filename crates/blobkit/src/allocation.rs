@@ -167,15 +167,6 @@ impl Gam {
         &self.map
     }
 
-    /// Assigns the policy-chosen free extent (for the native policy: the
-    /// lowest-numbered one, i.e. first fit at extent granularity).
-    pub fn assign_next(&mut self) -> Option<ExtentId> {
-        let extent = self.peek_next()?;
-        let taken = self.assign_specific(extent);
-        debug_assert!(taken, "peeked extent must be assignable");
-        Some(extent)
-    }
-
     /// Assigns a specific extent if it is free.  Used to continue an object's
     /// layout into the physically next extent.
     pub fn assign_specific(&mut self, extent: ExtentId) -> bool {
@@ -193,7 +184,9 @@ impl Gam {
         taken
     }
 
-    /// The extent [`Gam::assign_next`] would assign, without assigning it.
+    /// The free extent the policy picks next (for the native policy: the
+    /// lowest-numbered one, i.e. first fit at extent granularity), without
+    /// assigning it.
     pub fn peek_next(&self) -> Option<ExtentId> {
         self.picker
             .pick(&self.map, 1)
@@ -858,15 +851,22 @@ mod tests {
         layout.pages().collect()
     }
 
+    /// Assigns the extent the policy picks next.
+    fn assign_next(gam: &mut Gam) -> Option<ExtentId> {
+        let extent = gam.peek_next()?;
+        assert!(gam.assign_specific(extent), "a picked extent is free");
+        Some(extent)
+    }
+
     #[test]
     fn gam_assigns_lowest_first() {
         let mut gam = Gam::new(10);
         assert_eq!(gam.free_extent_count(), 10);
-        assert_eq!(gam.assign_next(), Some(ExtentId(0)));
-        assert_eq!(gam.assign_next(), Some(ExtentId(1)));
+        assert_eq!(assign_next(&mut gam), Some(ExtentId(0)));
+        assert_eq!(assign_next(&mut gam), Some(ExtentId(1)));
         gam.release(ExtentId(0));
         assert_eq!(
-            gam.assign_next(),
+            assign_next(&mut gam),
             Some(ExtentId(0)),
             "freed extents are reused before the file grows"
         );
@@ -906,9 +906,9 @@ mod tests {
             "the largest hole starts at extent 5"
         );
         let mut next_fit = fragmented_gam(AllocationPolicy::Fit(FitPolicy::NextFit));
-        assert_eq!(next_fit.assign_next(), Some(ExtentId(2)));
+        assert_eq!(assign_next(&mut next_fit), Some(ExtentId(2)));
         assert_eq!(
-            next_fit.assign_next(),
+            assign_next(&mut next_fit),
             Some(ExtentId(5)),
             "the cursor moved past extent 2"
         );

@@ -113,13 +113,22 @@ impl BlobRecord {
 mod tests {
     use super::*;
 
+    /// A layout of `runs`, appended in order.
+    fn layout(runs: &[Extent]) -> PageRuns {
+        let mut layout = PageRuns::new();
+        for &run in runs {
+            layout.push(run);
+        }
+        layout
+    }
+
     #[test]
     fn fragment_and_page_counts() {
         let record = BlobRecord::new(
             BlobId(1),
             "k",
             100,
-            PageRuns::from_pages([10, 11, 20, 21, 22].map(PageId)),
+            layout(&[Extent::new(10, 2), Extent::new(20, 3)]),
         );
         assert_eq!(record.runs(), [Extent::new(10, 2), Extent::new(20, 3)]);
         assert_eq!(record.pages().count(), 5);
@@ -134,7 +143,7 @@ mod tests {
             BlobId(1),
             "k",
             10_000,
-            PageRuns::from_pages([2, 3, 9].map(PageId)),
+            layout(&[Extent::new(2, 2), Extent::new(9, 1)]),
         );
         let runs = record.byte_runs(8192, 1_000_000);
         assert_eq!(

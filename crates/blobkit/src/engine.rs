@@ -499,13 +499,6 @@ impl Database {
         self.config.total_pages() * self.config.lob_payload_per_page
     }
 
-    /// Payload bytes currently free for BLOBs, counting ghost pages as free
-    /// capacity (they exist, they are just not reusable yet).
-    pub fn free_bytes(&self) -> u64 {
-        (self.lob_unit.available_pages(&self.gam) + self.ghosts.page_count())
-            * self.config.lob_payload_per_page
-    }
-
     /// `true` if an object is stored under `key`.
     pub fn contains_key(&self, key: &str) -> bool {
         self.keys.contains_key(key)
@@ -1615,7 +1608,10 @@ mod tests {
         let mut db = Database::create(config).unwrap();
         db.insert("a", 5 * MB).unwrap();
         db.insert("b", 5 * MB).unwrap();
-        let free_before = db.free_bytes();
+        // Ghost pages count as free: they exist, they are just not reusable yet.
+        let free_pages =
+            |db: &Database| db.lob_unit.available_pages(&db.gam) + db.ghost_page_count();
+        let free_before = free_pages(&db);
         let pages_before = db.stats().pages_allocated;
 
         // Replacing both concurrently needs old + new versions simultaneously
@@ -1625,7 +1621,7 @@ mod tests {
             .update_batch(&[("a", 5 * MB), ("b", 5 * MB)], 64 * 1024)
             .unwrap_err();
         assert!(matches!(err, DbError::OutOfSpace { .. }));
-        assert_eq!(db.free_bytes(), free_before, "no pages may leak");
+        assert_eq!(free_pages(&db), free_before, "no pages may leak");
         assert_eq!(db.stats().pages_allocated, pages_before);
         assert_eq!(
             db.get("a").unwrap().size_bytes,
@@ -2180,9 +2176,9 @@ mod tests {
 
         // A live page ghosted as well: it has two owners.
         let mut ghosted = db.clone();
-        ghosted
-            .ghosts
-            .extend(&PageRuns::from_pages([PageId(live.start)]));
+        let mut page = PageRuns::new();
+        page.push(Extent::new(live.start, 1));
+        ghosted.ghosts.extend(&page);
         let violation = ghosted.verify().unwrap_err();
         assert!(
             violation.contains("LOB pages") || violation.contains("two owners"),

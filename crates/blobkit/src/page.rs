@@ -99,15 +99,6 @@ impl PageRuns {
         Self::default()
     }
 
-    /// The layout of `pages` taken in logical order.
-    pub fn from_pages(pages: impl IntoIterator<Item = PageId>) -> Self {
-        let mut layout = PageRuns::new();
-        for page in pages {
-            layout.push(Extent::new(page.0, 1));
-        }
-        layout
-    }
-
     /// Appends a run of pages at the logical end of the layout.
     pub fn push(&mut self, run: Extent) {
         if run.is_empty() {
@@ -188,8 +179,17 @@ mod tests {
         assert!(!PageId(5).is_followed_by(PageId(5)));
     }
 
+    /// The layout of `pages` taken in logical order, one page at a time.
+    fn layout_of(pages: &[u64]) -> PageRuns {
+        let mut layout = PageRuns::new();
+        for &page in pages {
+            layout.push(Extent::new(page, 1));
+        }
+        layout
+    }
+
     fn fragments_of(pages: &[u64]) -> usize {
-        PageRuns::from_pages(pages.iter().copied().map(PageId)).fragment_count()
+        layout_of(pages).fragment_count()
     }
 
     #[test]
@@ -205,14 +205,14 @@ mod tests {
 
     #[test]
     fn run_grouping() {
-        let pages = [3, 4, 10, 11, 12, 2].map(PageId);
-        let layout = PageRuns::from_pages(pages);
+        let pages = [3, 4, 10, 11, 12, 2];
+        let layout = layout_of(&pages);
         assert_eq!(
             layout.runs(),
             [Extent::new(3, 2), Extent::new(10, 3), Extent::new(2, 1)]
         );
         assert_eq!(layout.page_count(), 6);
-        assert_eq!(layout.pages().collect::<Vec<_>>(), pages);
+        assert_eq!(layout.pages().collect::<Vec<_>>(), pages.map(PageId));
         assert!(PageRuns::new().is_empty());
     }
 

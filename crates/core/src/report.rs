@@ -89,18 +89,12 @@ impl Figure {
         }
     }
 
-    /// Adds a series.
-    pub fn with_series(mut self, series: Series) -> Self {
-        self.series.push(series);
-        self
-    }
-
     /// Renders the figure as JSON.
     ///
     /// Hand-rolled (rather than via a serde backend) so that figure data can
     /// be exported even in offline builds where only the serde stub is
     /// available; the schema matches what `#[derive(Serialize)]` would emit.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{");
         let _ = write!(
@@ -328,14 +322,18 @@ mod tests {
 
     #[test]
     fn figure_text_rendering_includes_all_series() {
-        let figure = Figure::new(
-            "Figure 2",
-            "Large object fragmentation",
-            "Storage Age",
-            "Fragments/object",
-        )
-        .with_series(Series::new("Database", vec![(0.0, 1.0), (1.0, 4.0)]))
-        .with_series(Series::new("Filesystem", vec![(0.0, 1.0), (1.0, 2.0)]));
+        let figure = Figure {
+            series: vec![
+                Series::new("Database", vec![(0.0, 1.0), (1.0, 4.0)]),
+                Series::new("Filesystem", vec![(0.0, 1.0), (1.0, 2.0)]),
+            ],
+            ..Figure::new(
+                "Figure 2",
+                "Large object fragmentation",
+                "Storage Age",
+                "Fragments/object",
+            )
+        };
         let text = figure.to_text();
         assert!(text.contains("Figure 2"));
         assert!(text.contains("Database"));
@@ -347,18 +345,26 @@ mod tests {
 
     #[test]
     fn figure_text_handles_missing_points() {
-        let figure = Figure::new("F", "t", "x", "y")
-            .with_series(Series::new("a", vec![(0.0, 1.0)]))
-            .with_series(Series::new("b", vec![(1.0, 2.0)]));
+        let figure = Figure {
+            series: vec![
+                Series::new("a", vec![(0.0, 1.0)]),
+                Series::new("b", vec![(1.0, 2.0)]),
+            ],
+            ..Figure::new("F", "t", "x", "y")
+        };
         let text = figure.to_text();
         assert!(text.contains('-'), "missing cells are rendered as '-'");
     }
 
     #[test]
     fn figure_text_keeps_every_point_at_a_repeated_x() {
-        let figure = Figure::new("F", "t", "x", "y")
-            .with_series(Series::new("a", vec![(1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]))
-            .with_series(Series::new("b", vec![(1.0, 5.0), (2.0, 8.0)]));
+        let figure = Figure {
+            series: vec![
+                Series::new("a", vec![(1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]),
+                Series::new("b", vec![(1.0, 5.0), (2.0, 8.0)]),
+            ],
+            ..Figure::new("F", "t", "x", "y")
+        };
         let text = figure.to_text();
         let rows = text.lines().skip(3);
         let rows: Vec<Vec<&str>> = rows.map(|row| row.split_whitespace().collect()).collect();
@@ -391,8 +397,10 @@ mod tests {
 
     #[test]
     fn reports_serialize_to_json() {
-        let figure = Figure::new("Figure \"3\"", "t", "x", "y")
-            .with_series(Series::new("Database", vec![(0.0, 1.0), (2.0, 2.5)]));
+        let figure = Figure {
+            series: vec![Series::new("Database", vec![(0.0, 1.0), (2.0, 2.5)])],
+            ..Figure::new("Figure \"3\"", "t", "x", "y")
+        };
         let json = figure.to_json();
         assert_eq!(
             json,

@@ -335,13 +335,6 @@ impl Volume {
         (self.config.total_clusters() - self.config.mft_clusters()) * CLUSTER_SIZE
     }
 
-    /// Bytes currently free for file data.  Space pending checkpoint counts as
-    /// free capacity (it exists) even though it is not yet reusable.
-    pub fn free_bytes(&self) -> u64 {
-        (self.space.allocator.free_space().free_clusters() + self.space.pending_clusters)
-            * CLUSTER_SIZE
-    }
-
     /// Clusters held in the pending-free queue.
     pub fn pending_clusters(&self) -> u64 {
         self.space.pending_clusters
@@ -1086,6 +1079,11 @@ mod tests {
         Volume::format(VolumeConfig::new(256 * MB)).unwrap()
     }
 
+    /// Bytes free for file data, space pending checkpoint included.
+    fn free_bytes(volume: &Volume) -> u64 {
+        (volume.free_space().free_clusters() + volume.pending_clusters()) * CLUSTER_SIZE
+    }
+
     #[test]
     fn format_reserves_the_mft_zone() {
         let volume = small_volume();
@@ -1327,14 +1325,14 @@ mod tests {
         // item's temporary was already created.
         let mut volume = small_volume();
         volume.write_file("a", MB, 64 * 1024).unwrap();
-        let free_before = volume.free_bytes();
+        let free_before = free_bytes(&volume);
         let err = volume
             .safe_write_batch(&[("a", MB), ("missing", MB)], 64 * 1024)
             .unwrap_err();
         assert!(matches!(err, FsError::NoSuchName(_)));
         assert_eq!(volume.file_count(), 1, "only the original object remains");
         assert!(volume.iter_files().all(|f| !f.name.starts_with("~tmp.")));
-        assert_eq!(volume.free_bytes(), free_before, "no clusters may leak");
+        assert_eq!(free_bytes(&volume), free_before, "no clusters may leak");
 
         // Allocation failure mid-round-robin: both replacements in flight
         // need more space than the volume has.
@@ -1416,7 +1414,7 @@ mod tests {
         };
         let before = targets(&volume);
         let stats_before = *volume.stats();
-        let free_before = volume.free_bytes();
+        let free_before = free_bytes(&volume);
 
         let items: Vec<(&str, u64)> = names.iter().map(|name| (*name, 4 * MB)).collect();
         let err = volume.safe_write_batch(&items, 64 * 1024).unwrap_err();
@@ -1438,7 +1436,7 @@ mod tests {
             "every target keeps its id and its layout"
         );
         assert_eq!(volume.file_count(), 3);
-        assert_eq!(volume.free_bytes(), free_before, "free + pending clusters");
+        assert_eq!(free_bytes(&volume), free_before, "free + pending clusters");
         assert_eq!(volume.verify(), Ok(()));
 
         // The space is really there: after the log commits, one replace fits.
@@ -1516,14 +1514,14 @@ mod tests {
             config.checkpoint_interval_ops = 0;
             let mut volume = Volume::format(config).unwrap();
             put(&mut volume, "a", 10 * MB).unwrap();
-            let free_before = volume.free_bytes();
+            let free_before = free_bytes(&volume);
             let stats_before = *volume.stats();
 
             let err = put(&mut volume, "b", 10 * MB).unwrap_err();
             assert!(matches!(err, FsError::Alloc(_)), "{err:?}");
             assert!(matches!(volume.lookup("b"), Err(FsError::NoSuchName(_))));
             assert_eq!(volume.file_count(), 1);
-            assert_eq!(volume.free_bytes(), free_before, "free + pending clusters");
+            assert_eq!(free_bytes(&volume), free_before, "free + pending clusters");
             let stats = volume.stats();
             assert_eq!(stats.files_created, stats_before.files_created + 1);
             assert_eq!(stats.files_deleted, stats_before.files_deleted + 1);
@@ -1534,7 +1532,7 @@ mod tests {
             // rolled-back clusters).
             put(&mut volume, "b", free_before).unwrap();
             assert_eq!(volume.file_count(), 2);
-            assert_eq!(volume.free_bytes(), 0);
+            assert_eq!(free_bytes(&volume), 0);
             assert_eq!(volume.verify(), Ok(()));
         }
     }

@@ -71,7 +71,8 @@ use std::hash::BuildHasherDefault;
 use std::mem;
 
 use lor_alloc::{
-    Extent, FragmentationSummary, FragmentationTracker, FreeSpace, PlacementConsumer, RunIndexMap,
+    Extent, ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace,
+    PlacementConsumer, RunIndexMap,
 };
 
 use crate::config::{CleanerSelector, LogConfig};
@@ -284,23 +285,6 @@ pub struct SegmentLog {
     emergency: CleanReport,
 }
 
-/// Coalesced fragment count of an extent list in object byte order: adjacent
-/// pieces that are also physically contiguous read as one fragment.
-fn fragment_count(extents: &[Extent]) -> u64 {
-    let mut count = 0;
-    let mut prev_end = None;
-    for extent in extents {
-        if extent.is_empty() {
-            continue;
-        }
-        if prev_end != Some(extent.start) {
-            count += 1;
-        }
-        prev_end = Some(extent.end());
-    }
-    count
-}
-
 /// Pushes `piece` onto `extents`, merging with the last when contiguous.
 fn push_coalesced(extents: &mut Vec<Extent>, piece: Extent) {
     if piece.is_empty() {
@@ -360,11 +344,6 @@ impl SegmentLog {
     /// Bytes the data segments can hold.
     pub fn data_capacity_bytes(&self) -> u64 {
         self.segment_count() * self.config.segment_bytes
-    }
-
-    /// Segments currently in the free pool.
-    pub fn free_segments(&self) -> u64 {
-        self.free_count
     }
 
     /// Total live payload bytes.
@@ -507,7 +486,7 @@ impl SegmentLog {
                     record.size
                 ));
             }
-            recount.record_insert(fragment_count(&record.extents));
+            recount.record_insert(record.extents.fragment_count() as u64);
             for extent in &record.extents {
                 if extent.start < self.base_offset || extent.end() > data_end {
                     return Err(format!("object {id} has {extent:?} outside the data area"));
@@ -633,7 +612,7 @@ impl SegmentLog {
         }
         let emergency = self.ensure_space_for(size)?;
         let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
-        let fragments = fragment_count(&extents);
+        let fragments = extents.fragment_count() as u64;
         self.replace_residents(id, &[], &extents);
         self.tracker.record_insert(fragments);
         self.objects.insert(
@@ -661,7 +640,7 @@ impl SegmentLog {
             return Err(LogError::ObjectExists(id));
         }
         let extents = self.append_bytes(size, Self::maintenance_consumer())?;
-        let fragments = fragment_count(&extents);
+        let fragments = extents.fragment_count() as u64;
         self.replace_residents(id, &[], &extents);
         self.tracker.record_insert(fragments);
         self.objects.insert(
@@ -688,13 +667,14 @@ impl SegmentLog {
         }
         let emergency = self.ensure_space_for(size)?;
         let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
-        let fragments = fragment_count(&extents);
+        let fragments = extents.fragment_count() as u64;
         let record = self.record_mut(id);
         record.size = size;
         let old = mem::replace(&mut record.extents, extents.clone());
         self.deaden(&old);
         self.replace_residents(id, &old, &extents);
-        self.tracker.record_replace(fragment_count(&old), fragments);
+        self.tracker
+            .record_replace(old.fragment_count() as u64, fragments);
         Ok(AppendOutcome {
             extents,
             fragments,
@@ -708,7 +688,8 @@ impl SegmentLog {
         let record = self.objects.remove(&id).ok_or(LogError::NoSuchObject(id))?;
         self.deaden(&record.extents);
         self.replace_residents(id, &record.extents, &[]);
-        self.tracker.record_remove(fragment_count(&record.extents));
+        self.tracker
+            .record_remove(record.extents.fragment_count() as u64);
         Ok(record.size)
     }
 
@@ -959,7 +940,7 @@ impl SegmentLog {
             self.deaden(&old);
             self.replace_residents(id, &old, &extents);
             self.tracker
-                .record_replace(fragment_count(&old), fragment_count(&extents));
+                .record_replace(old.fragment_count() as u64, extents.fragment_count() as u64);
             report.bytes_copied += size;
             report.objects_moved += 1;
             self.record_mut(id).extents = extents;
@@ -1010,7 +991,10 @@ impl SegmentLog {
                     }
                 }
             }
-            let fragments = (fragment_count(&record.extents), fragment_count(&rebuilt));
+            let fragments = (
+                record.extents.fragment_count() as u64,
+                rebuilt.fragment_count() as u64,
+            );
             record.extents = rebuilt;
             self.tracker.record_replace(fragments.0, fragments.1);
             // Every piece inside the victim died; the rest did not move.
@@ -1313,11 +1297,11 @@ mod tests {
         }
         assert_eq!(log.live_bytes(), 0);
         assert_eq!(log.dead_bytes(), 4 * MB);
-        let free_before = log.free_segments();
+        let free_before = log.free_count;
         let report = log.clean_all().unwrap();
         assert_eq!(report.bytes_copied, 0, "fully dead segments copy nothing");
         assert!(report.segments_freed >= 3);
-        assert!(log.free_segments() > free_before);
+        assert!(log.free_count > free_before);
         assert_eq!(log.dead_bytes(), 0);
     }
 
@@ -1339,7 +1323,7 @@ mod tests {
         assert_eq!(log.dead_bytes(), 0);
         // Survivors were rewritten in full, contiguously.
         for id in (1..16).step_by(2) {
-            assert_eq!(fragment_count(log.extents_of(id).unwrap()), 1);
+            assert_eq!(log.extents_of(id).unwrap().fragment_count(), 1);
         }
         assert_eq!(log.cleaner_totals().bytes_copied, report.bytes_copied);
     }
@@ -1581,7 +1565,7 @@ mod tests {
                 order.swap(i, (state >> 33) as usize % (i + 1));
             }
             for id in &order {
-                if log.free_segments() < 2 {
+                if log.free_count < 2 {
                     let pick = log.next_victim(Some(log.foreground_available()));
                     assert!(pick.victim.is_some());
                     assert!(
@@ -1682,7 +1666,7 @@ mod tests {
         for id in 0..3 {
             log.update(id, MB).unwrap();
         }
-        let free_before = log.free_segments();
+        let free_before = log.free_count;
         let before: Vec<_> = log
             .ids()
             .map(|id| (log.size_of(id), log.extents_of(id).unwrap().to_vec()))
@@ -1693,7 +1677,7 @@ mod tests {
             log.update(5, log.data_capacity_bytes() - 9 * MB),
             Err(LogError::OutOfSpace)
         );
-        assert_eq!(log.free_segments(), free_before + 3, "the vacates ran");
+        assert_eq!(log.free_count, free_before + 3, "the vacates ran");
         assert_eq!(log.dead_bytes(), 0);
         let after: Vec<_> = log
             .ids()
@@ -1720,7 +1704,7 @@ mod tests {
         for id in 0..2 * segments {
             log.insert(id, MB / 2).unwrap();
         }
-        assert_eq!(log.free_segments(), 0);
+        assert_eq!(log.free_count, 0);
         // Segment 0 half dead; segments 1 and 2, in the foreground's band,
         // fully dead.
         for id in [0, 2, 3, 4, 5] {
@@ -1732,7 +1716,7 @@ mod tests {
         // that placement allows, though two segments are free.
         assert_eq!(report.segments_freed, 2);
         assert_eq!(report.bytes_copied, 0);
-        assert_eq!(log.free_segments(), 2);
+        assert_eq!(log.free_count, 2);
         assert_eq!(log.maintenance_available(), 0);
         assert_eq!(log.extents_of(1).unwrap(), survivor);
         assert_eq!(log.residents[0], [1]);

@@ -252,7 +252,6 @@ impl Pair {
         assert_eq!(log.cleaner_totals(), model.cleaner_totals(), "op {op}");
         assert_eq!(log.emergency_totals(), model.emergency_totals(), "op {op}");
         assert_eq!(log.segment_stats(), model.segment_stats(), "op {op}");
-        assert_eq!(log.free_segments(), model.free_segments(), "op {op}");
     }
 
     fn run(mut self, ops: u64) -> Self {

@@ -71,10 +71,10 @@ proptest! {
         );
         prop_assert_eq!(log.verify(), Ok(()));
 
-        let free = log.free_segments();
+        let free = log.segment_stats().free_segments;
         let second = log.clean_all().unwrap();
         prop_assert!(second.is_empty(), "the second clean_all did {:?}", second);
-        prop_assert_eq!(log.free_segments(), free);
+        prop_assert_eq!(log.segment_stats().free_segments, free);
         prop_assert_eq!(log.verify(), Ok(()));
     }
 }

@@ -132,11 +132,6 @@ impl ReferenceLog {
         self.segments.len() as u64
     }
 
-    /// Segments currently in the free pool.
-    pub fn free_segments(&self) -> u64 {
-        self.free_count
-    }
-
     /// Total live payload bytes.
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
