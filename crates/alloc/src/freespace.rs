@@ -23,7 +23,9 @@
 //!   than `BLOCK_CAP / 2` runs** and the list has fewer than `4 × runs /
 //!   BLOCK_CAP + 2` blocks;
 //! * an array of each block's first offset, so a position is two binary
-//!   searches (blocks, then runs in the block);
+//!   searches (blocks, then runs in the block) — or none, for a position in
+//!   the first run or the gap after it, which is where first fit's pick and
+//!   the take that follows it land;
 //! * a **tournament tree** over each block's largest `(len, start)` — the
 //!   only size summary.
 //!
@@ -694,10 +696,24 @@ impl RunIndexMap {
     }
 
     /// The last run starting at or before `cluster`.
+    ///
+    /// The first run is answered before any search: first fit's pick is that
+    /// run, and the take right after the pick asks for it again.
     fn predecessor(&self, cluster: u64) -> Option<Position> {
-        let b = self.firsts.partition_point(|&first| first <= cluster);
-        let b = b.checked_sub(1)?;
-        // The block's first run starts at or before `cluster`.
+        let first = self.blocks.first()?;
+        if cluster < first[0].start {
+            return None;
+        }
+        let second = first
+            .get(1)
+            .map(|run| run.start)
+            .or_else(|| self.firsts.get(1).copied());
+        if second.is_none_or(|second| cluster < second) {
+            return Some((0, 0));
+        }
+        // Block 0 starts at or before `cluster`, and so does the found
+        // block's first run.
+        let b = self.firsts.partition_point(|&first| first <= cluster) - 1;
         let i = self.blocks[b].partition_point(|run| run.start <= cluster);
         Some((b, i - 1))
     }
@@ -1487,6 +1503,38 @@ mod tests {
         assert_eq!(map.take_at(10, 2), Some(Extent::new(10, 2)));
         assert_eq!(map.free_clusters(), 0);
         assert_eq!(map.verify(), Ok(()));
+    }
+
+    /// The first run is found without a search up to the next run's start,
+    /// which is in block 0 or — the first run alone in its block — block 1.
+    #[test]
+    fn positions_around_the_first_run_hand_over_to_the_search_at_the_next_run() {
+        let check = |map: &RunIndexMap| {
+            let runs = map.free_runs();
+            let (first, second) = (runs[0], runs[1]);
+            assert_eq!(map.run_at(first.start), Some(first));
+            assert_eq!(map.run_at(first.end() - 1), Some(first));
+            assert_eq!(map.run_at(first.end()), None, "the gap after it");
+            assert_eq!(map.run_at(second.start), Some(second));
+            assert_eq!(map.run_at(second.end()), None);
+            assert_eq!(map.run_at(runs[2].start), Some(runs[2]));
+            let mut taken = map.clone();
+            assert_eq!(
+                taken.take_at(second.start, 1),
+                Some(Extent::new(second.start, 1))
+            );
+            assert_eq!(taken.verify(), Ok(()));
+        };
+        // A full block splits into 32 + 33 runs on the 65th insert.
+        let mut map = comb(BLOCK_CAP as u64 + 1);
+        let lens = |map: &RunIndexMap| map.blocks.iter().map(Vec::len).collect::<Vec<_>>();
+        assert_eq!(lens(&map), [32, 33]);
+        check(&map);
+        for k in 1..32 {
+            map.reserve(Extent::new(3 * k, 2)).unwrap();
+        }
+        assert_eq!(lens(&map), [1, 33]);
+        check(&map);
     }
 
     #[test]

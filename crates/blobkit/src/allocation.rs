@@ -26,7 +26,7 @@
 //!
 //! * the [`Gam`] is a [`RunIndexMap`] at extent granularity (free =
 //!   unassigned); extents are assigned and released a run at a time
-//!   ([`Gam::assign_run`], [`Gam::release_run`]);
+//!   ([`Gam::take_at`], [`Gam::release_run`]);
 //! * an [`AllocationUnit`] holds a [`RunIndexMap`] at page granularity in
 //!   which exactly the data-free pages *inside the unit's assigned extents*
 //!   are free, plus its IAM chain as a dense bitmap over the file's extents
@@ -36,14 +36,25 @@
 //! * allocations return [`PageRuns`] — the object's layout as maximal page
 //!   runs — and frees take runs back ([`AllocationUnit::free_run`]).
 //!
-//! Two transitions cross the levels, each in one step.  A **fresh-tail
-//! adoption** — an object streaming past the unit's last extent into
-//! unassigned territory — assigns as many consecutive GAM extents as the
-//! request needs in one GAM reservation and one page-map release.  An
+//! Two transitions cross the levels, each in one step.  An **adoption** —
+//! an object streaming past the unit's last extent into unassigned
+//! territory, or a compaction relocating into a free GAM run — is one take
+//! from the GAM's map at the extent in hand ([`Gam::take_at`]: as many
+//! consecutive extents as the request needs, up to where the GAM's free run
+//! ends) and one routine on the unit side (which the metadata unit's
+//! highest-extent assignment shares).  That routine sets the extents' IAM
+//! bits, hands the caller the pages it takes at once without their ever
+//! entering the page map, and releases only the rest into it: one or two
+//! located operations per adoption.  Every adoption starts at an extent's
+//! first page (a GAM pick, or the page after a run that reached its
+//! extent's end), so there is never a head of the extent to release.  A
+//! streaming adoption that the GAM's free run cut short continues into the
+//! free pages that follow it when the next extent is the unit's own — the
+//! run those pages would have formed with the adopted ones in the map.  An
 //! **emptying release** hands every extent a freed run emptied back to the
-//! GAM as one aligned span.  Both leave exactly the state the one-extent-at-
-//! a-time procedure would (the free maps are canonical: a function of the
-//! free set alone), which `tests/differential.rs` pins against a
+//! GAM as one aligned span.  Both leave exactly the state the one-extent-
+//! at-a-time procedure would (the free maps are canonical: a function of
+//! the free set alone), which `tests/differential.rs` pins against a
 //! page-at-a-time reference model.
 //!
 //! A whole backlog of freed runs — the engine's full ghost-cleanup pass — is
@@ -167,21 +178,21 @@ impl Gam {
         &self.map
     }
 
-    /// Assigns a specific extent if it is free.  Used to continue an object's
-    /// layout into the physically next extent.
+    /// Assigns a specific extent if it is free.
     pub fn assign_specific(&mut self, extent: ExtentId) -> bool {
-        self.assign_run(Extent::new(extent.0, 1))
+        self.take_at(extent, 1).is_some()
     }
 
-    /// Assigns a run of consecutive extents if every one of them is free
-    /// (all or nothing), leaving the policy's cursor where assigning them
-    /// one by one, ascending, would.
-    pub fn assign_run(&mut self, extents: Extent) -> bool {
-        let taken = !extents.is_empty() && self.map.reserve(extents).is_ok();
-        if taken {
-            self.picker.advance(extents);
-        }
-        taken
+    /// Assigns up to `max_extents` consecutive extents starting exactly at
+    /// `extent` — as many as the free run there still holds from `extent`
+    /// on — and returns the run assigned, leaving the policy's cursor where
+    /// assigning them one by one, ascending, would; `None`, assigning
+    /// nothing, when `extent` is not free or `max_extents` is 0.  One search
+    /// of the map ([`RunIndexMap::take_at`]).
+    pub fn take_at(&mut self, extent: ExtentId, max_extents: u64) -> Option<Extent> {
+        let taken = self.map.take_at(extent.0, max_extents)?;
+        self.picker.advance(taken);
+        Some(taken)
     }
 
     /// The free extent the policy picks next (for the native policy: the
@@ -199,8 +210,9 @@ impl Gam {
     pub fn assign_highest(&mut self) -> Option<ExtentId> {
         let run = self.map.last_run()?;
         let extent = ExtentId(run.end() - 1);
-        let taken = self.map.reserve(Extent::new(extent.0, 1)).is_ok();
-        debug_assert!(taken, "the last run's final extent must be reservable");
+        self.map
+            .reserve(Extent::new(extent.0, 1))
+            .expect("the last free run's final extent is reservable");
         Some(extent)
     }
 
@@ -437,11 +449,12 @@ impl AllocationUnit {
                 //    extents left at object boundaries are soaked up by
                 //    later allocations, which therefore start away from the
                 //    extents that hold their bulk.
-                .or_else(|| {
-                    let start = self
-                        .pick_page()
-                        .or_else(|| gam.peek_next().map(ExtentId::first_page))?;
-                    self.take_run_at(gam, start, remaining)
+                .or_else(|| match self.pick_page() {
+                    Some(page) => self.take_free_at(page, remaining),
+                    None => {
+                        let extent = gam.peek_next()?;
+                        self.adopt_and_take_at(gam, extent.first_page(), remaining)
+                    }
                 })
                 // `remaining <= available_pages()`, so the unit map or the
                 // GAM holds a free run (their free counters match their runs
@@ -479,7 +492,7 @@ impl AllocationUnit {
             let extent = gam
                 .assign_highest()
                 .expect("free space counted by available_pages() is assignable");
-            self.adopt_run(Extent::new(extent.0, 1));
+            self.adopt(Extent::new(extent.0, 1), 0);
         }
         Ok(layout)
     }
@@ -552,18 +565,17 @@ impl AllocationUnit {
             let gam_pages = gam_run.map_or(0, |run| run.len * PAGES_PER_EXTENT);
             let taken = match (unit_run, gam_run) {
                 (Some(run), _) if run.len >= gam_pages => {
-                    Extent::new(run.start, run.len.min(remaining))
+                    let taken = Extent::new(run.start, run.len.min(remaining));
+                    self.reserve_free(taken);
+                    taken
                 }
                 (_, Some(run)) => {
-                    let extents = remaining.div_ceil(PAGES_PER_EXTENT).min(run.len);
-                    let adopted = Extent::new(run.start, extents);
-                    let assigned = gam.assign_run(adopted);
-                    debug_assert!(assigned, "extents of a free GAM run are assignable");
-                    self.adopt_run(adopted);
-                    Extent::new(
-                        pages_of(adopted).start,
-                        pages_of(adopted).len.min(remaining),
-                    )
+                    // A band clips a run's start, never its end, so the take
+                    // ends where `run` does at the latest.
+                    let adopted = gam
+                        .take_at(ExtentId(run.start), remaining.div_ceil(PAGES_PER_EXTENT))
+                        .expect("the first extent of a free GAM run is assignable");
+                    self.adopt(adopted, remaining)
                 }
                 (_, None) => {
                     // The placement-eligible runs are exhausted (under the
@@ -575,7 +587,6 @@ impl AllocationUnit {
                     return None;
                 }
             };
-            self.reserve_free(taken);
             self.picker.advance(taken);
             layout.push(taken);
         }
@@ -620,40 +631,47 @@ impl AllocationUnit {
             .expect("a run the map just reported free is reservable");
     }
 
-    /// Registers freshly assigned extents with the unit, marking their pages
-    /// free for data.
-    fn adopt_run(&mut self, extents: Extent) {
+    /// Registers extents just assigned in the GAM with the unit and takes
+    /// the first `take` of their pages; the pages it does not take go into
+    /// the unit map as free.  Returns the run taken.
+    ///
+    /// The taken pages never pass through the page map, so adopting costs at
+    /// most one located release — none when the caller takes every page.
+    fn adopt(&mut self, extents: Extent, take: u64) -> Extent {
         self.extents.insert_run(extents);
-        // Unit-map free pages lie only inside the unit's own extents
-        // (`verify`), and these were unassigned until now.
-        self.map
-            .release(pages_of(extents))
-            .expect("pages of an unassigned extent are not free in the unit map");
+        let pages = pages_of(extents);
+        let taken = Extent::new(pages.start, pages.len.min(take));
+        let rest = Extent::new(taken.end(), pages.len - taken.len);
+        if !rest.is_empty() {
+            // Unit-map free pages lie only inside the unit's own extents
+            // (`verify`), and these were unassigned until now.
+            self.map
+                .release(rest)
+                .expect("pages of an unassigned extent are not free in the unit map");
+        }
+        taken
     }
 
     /// Takes up to `max_len` contiguous free pages starting exactly at
-    /// `page`.  When the page's extent is still unassigned, first adopts it
+    /// `page`, which the unit map holds free (a position the picker just
+    /// named).
+    fn take_free_at(&mut self, page: PageId, max_len: u64) -> Option<Extent> {
+        let taken = self.map.take_at(page.0, max_len)?;
+        self.picker.advance(taken);
+        Some(taken)
+    }
+
+    /// Takes up to `max_len` contiguous pages starting exactly at `page`, a
+    /// page known not to be free in the unit map, by adopting its extent
     /// from the GAM together with as many of the unassigned extents
-    /// physically following it as `max_len` pages need — one GAM reservation
-    /// and one page-map release however long the fresh tail is.  Returns the
-    /// run taken, or `None` when the position is neither free nor adoptable.
+    /// physically following it as `max_len` pages need — one GAM take
+    /// however long the fresh tail is.  Returns the run taken, or `None`
+    /// when the page's extent is the unit's own (one bit settles it) or is
+    /// assigned elsewhere.
     ///
     /// Taking `n` pages this way leaves the unit, GAM and both pickers in
     /// exactly the state `n` single-page takes of consecutive pages, each
     /// adopting its own extent, would.
-    fn take_run_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> Option<Extent> {
-        match self.map.take_at(page.0, max_len) {
-            Some(taken) => {
-                self.picker.advance(taken);
-                Some(taken)
-            }
-            None => self.adopt_and_take_at(gam, page, max_len),
-        }
-    }
-
-    /// [`AllocationUnit::take_run_at`] for a `page` known not to be free in
-    /// the unit map: the take succeeds only by adopting the page's extent,
-    /// so an extent the unit already owns (one bit) settles it.
     fn adopt_and_take_at(&mut self, gam: &mut Gam, page: PageId, max_len: u64) -> Option<Extent> {
         debug_assert!(
             !self.map.is_free(Extent::new(page.0, 1)),
@@ -663,16 +681,20 @@ impl AllocationUnit {
         if self.extents.contains(extent.0) {
             return None;
         }
-        let unassigned = gam.free_space().run_at(extent.0)?;
-        let wanted = (page.slot_in_extent() + max_len).div_ceil(PAGES_PER_EXTENT);
-        let adopted = Extent::new(extent.0, wanted.min(unassigned.end() - extent.0));
-        let assigned = gam.assign_run(adopted);
-        debug_assert!(assigned, "extents of a free GAM run are assignable");
-        self.adopt_run(adopted);
-        let taken = self
-            .map
-            .take_at(page.0, max_len)
-            .expect("pages of a just-adopted extent are free");
+        // A GAM pick is an extent's first page, and a run that ended inside
+        // an extent ended in one the unit owns.
+        assert_eq!(page.slot_in_extent(), 0, "{page} adopted mid-extent");
+        let adopted = gam.take_at(extent, max_len.div_ceil(PAGES_PER_EXTENT))?;
+        let mut taken = self.adopt(adopted, max_len);
+        // Short of `max_len` only where the GAM's free run ended, at an
+        // assigned extent.  If that extent is the unit's, its free head
+        // pages continue the run, as they would have coalesced with the
+        // adopted pages had those gone through the map.
+        if taken.len < max_len && self.extents.contains(taken.end() / PAGES_PER_EXTENT) {
+            if let Some(more) = self.map.take_at(taken.end(), max_len - taken.len) {
+                taken.len += more.len;
+            }
+        }
         self.picker.advance(taken);
         Some(taken)
     }
@@ -923,19 +945,23 @@ mod tests {
     }
 
     #[test]
-    fn gam_runs_assign_all_or_nothing_and_move_the_cursor_to_their_end() {
+    fn gam_takes_what_the_free_run_holds_and_moves_the_cursor_to_its_end() {
         let mut gam = Gam::with_policy(10, AllocationPolicy::Fit(FitPolicy::NextFit));
         assert!(gam.assign_specific(ExtentId(4)));
-        assert!(!gam.assign_run(Extent::new(2, 3)), "extent 4 is taken");
+        assert_eq!(gam.take_at(ExtentId(4), 3), None, "extent 4 is taken");
+        assert_eq!(gam.take_at(ExtentId(10), 1), None, "past the data file");
+        assert_eq!(gam.take_at(ExtentId(2), 0), None, "nothing asked");
         assert_eq!(gam.free_extent_count(), 9, "nothing was assigned");
-        assert!(!gam.assign_run(Extent::new(8, 3)), "past the data file");
-        assert!(
-            !gam.assign_run(Extent::new(2, 0)),
-            "an empty run assigns nothing"
+        assert_eq!(
+            gam.take_at(ExtentId(2), 5),
+            Some(Extent::new(2, 2)),
+            "the free run ends at extent 4"
         );
-        assert!(gam.assign_run(Extent::new(0, 3)));
-        assert_eq!(gam.peek_next(), Some(ExtentId(3)), "next fit resumes at 3");
-        gam.release_run(Extent::new(0, 3));
+        assert_eq!(gam.peek_next(), Some(ExtentId(5)), "next fit resumes at 5");
+        assert_eq!(gam.take_at(ExtentId(0), 1), Some(Extent::new(0, 1)));
+        assert_eq!(gam.peek_next(), Some(ExtentId(1)), "next fit resumes at 1");
+        gam.release_run(Extent::new(0, 1));
+        gam.release_run(Extent::new(2, 2));
         assert_eq!(gam.free_extent_count(), 9);
     }
 
@@ -1036,6 +1062,35 @@ mod tests {
         assert_eq!(more.runs(), [Extent::new(28, 28)]);
         assert_eq!(unit.extent_count(), 6);
         assert_eq!(unit.free_page_count(), 0);
+    }
+
+    #[test]
+    fn an_adoption_the_gam_cuts_short_continues_into_the_free_pages_after_it() {
+        // Best fit, so the free pages after the adopted extent are not where
+        // a new run would start: the snuggest hole is elsewhere.
+        let policy = AllocationPolicy::Fit(FitPolicy::BestFit);
+        let mut gam = Gam::with_policy(10, policy);
+        let mut unit =
+            AllocationUnit::with_policy(PageKind::LobData, 10 * PAGES_PER_EXTENT, policy);
+        allocate(&mut unit, &mut gam, 32).unwrap();
+        // Extent 1 goes back to the GAM, a one-extent free run; page 7,
+        // extent 2's first two pages and page 30 stay free in the unit.
+        unit.free_run(&mut gam, Extent::new(7, 9));
+        unit.free_run(&mut gam, Extent::new(16, 2));
+        unit.free_page(&mut gam, PageId(30));
+        assert_eq!(
+            gam.free_space().free_runs(),
+            [Extent::new(1, 1), Extent::new(4, 6)]
+        );
+        assert_eq!(
+            unit.free_space().free_runs(),
+            [Extent::new(7, 1), Extent::new(16, 2), Extent::new(30, 1)]
+        );
+        // Page 7, then extent 1 adopted, then on into pages 16 and 17.
+        let layout = allocate(&mut unit, &mut gam, 11).unwrap();
+        assert_eq!(layout.runs(), [Extent::new(7, 11)]);
+        assert_eq!(unit.free_space().free_runs(), [Extent::new(30, 1)]);
+        assert_eq!(unit.verify(&gam), Ok(()));
     }
 
     #[test]

@@ -15,6 +15,21 @@
 //! step, and re-opening the walk at the top of the index after a commit
 //! instead of below the entry it was on — each fails both, and the engine's
 //! `a_compact_step_examines_each_candidate_once_in_index_order`.
+//!
+//! Against the one-take GAM adoption: not releasing the adopted pages the
+//! caller does not take fails every test in this file, the long script
+//! included, and 29 allocation and engine unit tests, in debug and release
+//! builds alike.  Not continuing a GAM-cut adoption into the unit's free
+//! pages after it fails
+//! `an_adoption_the_gam_cuts_short_continues_into_the_free_pages_after_it`
+//! in both builds, and nine engine unit tests in debug through
+//! `adopt_and_take_at`'s `debug_assert!`; the long script passes in release,
+//! since under first fit the next pick is those same pages.  A first-run
+//! shortcut in `RunIndexMap`'s position search that also answers its
+//! successor's start fails the alloc crate's differential and a dozen of
+//! its unit tests.  The long script counts the batches and compaction steps
+//! that adopted from the GAM, so a change that stops reaching either fails
+//! it.
 
 mod reference;
 
@@ -105,6 +120,12 @@ struct Reached {
     partial_passes: u64,
     /// Compaction steps that moved at least one blob.
     moving_steps: u64,
+    /// Batches during which the GAM's free extent count fell: streaming
+    /// allocations that adopted fresh extents.
+    adopting_batches: u64,
+    /// Compaction steps that left the unit owning an extent the GAM held
+    /// free before the step: relocations that adopted from the GAM.
+    adopting_steps: u64,
     /// Deletes of a blob replaced since the last compaction step or rebuild
     /// (its id is still on the engine's stale list).
     stale_deletes: u64,
@@ -159,7 +180,9 @@ fn run_differential(config: EngineConfig, ops: &[Op]) -> Result<Reached, TestCas
                     .iter()
                     .map(|&(index, size)| (live[index % live.len()].as_str(), size))
                     .collect();
+                let gam_free = db.gam().free_extent_count();
                 let got = db.update_batch(&batch, *chunk);
+                reached.adopting_batches += u64::from(db.gam().free_extent_count() < gam_free);
                 let keys: std::collections::BTreeSet<&str> =
                     batch.iter().map(|(key, _)| *key).collect();
                 match &got {
@@ -187,8 +210,14 @@ fn run_differential(config: EngineConfig, ops: &[Op]) -> Result<Reached, TestCas
                 reached.partial_passes += u64::from(db.ghost_page_count() > 0);
             }
             Op::Compact { page_budget } => {
+                let gam_free = db.gam().free_space().free_runs();
                 let report = db.compact_step(*page_budget);
                 reached.moving_steps += u64::from(report.blobs_moved > 0);
+                reached.adopting_steps += u64::from(
+                    db.lob_unit()
+                        .extents()
+                        .any(|extent| gam_free.iter().any(|run| run.contains(extent.0))),
+                );
                 written.clear();
                 prop_assert_eq!(report, model.compact_step(*page_budget));
             }
@@ -347,6 +376,8 @@ fn long_script_matches_the_page_at_a_time_reference() {
         assert!(reached.failed_batches >= 50, "{reached:?}");
         assert!(reached.partial_passes >= 2_000, "{reached:?}");
         assert!(reached.moving_steps >= 2_000, "{reached:?}");
+        assert!(reached.adopting_batches >= 1_000, "{reached:?}");
+        assert!(reached.adopting_steps >= 1_000, "{reached:?}");
         assert!(reached.stale_deletes >= 500, "{reached:?}");
         assert!(reached.peak_objects >= 50, "{reached:?}");
     }
