@@ -36,9 +36,23 @@
 //! place, so each is one located write, plus a walk up the summary only when
 //! the block's maximum moved.  `largest()` is the summary's root; `first_fit`
 //! scans the rest of one block and lets the summary name the next block that
-//! holds a run long enough; `run_lens_desc` walks the summary best-first and
-//! pays per run yielded.  `best_fit` and `largest_run_at_most` are scans,
-//! which only the best-fit and `Reserve`-placement ablations pay.
+//! holds a run long enough; `run_lens_desc` yields the root as its first
+//! length and walks the summary best-first only when asked for a second,
+//! paying per run yielded from then on — a compaction planner whose profile
+//! one run of either map covers never builds the walk's heap.
+//! `best_fit` and `largest_run_at_most` are scans, which only the best-fit
+//! and `Reserve`-placement ablations pay.
+//!
+//! A single-run release ([`RunIndexMap::release_coalesced`]; the trait's
+//! `release` is the same call) is one located edit too.  The one search
+//! that checks the freed extent finds the runs it touches; the coalesced run
+//! is computed from them, and what stays free of it is written over those
+//! runs in place.  Given a granule, the release also withdraws the
+//! coalesced run's whole granule-aligned span and returns it, writing only
+//! the head and tail pieces either side of it — how an allocation unit
+//! hands the extents a free empties back to the GAM without a second search
+//! to cut them out (the single-run twin of the batched release's withdraw,
+//! below).
 //!
 //! Many frees at once — a BLOB engine's full ghost-cleanup pass hands back
 //! thousands of runs — are one **batched release**
@@ -124,6 +138,18 @@ fn size_key(run: Extent) -> SizeKey {
 
 fn run_of((len, start): SizeKey) -> Option<Extent> {
     (len > 0).then(|| Extent::new(start, len))
+}
+
+/// The whole `granule`-aligned span of `run`, if it holds one.
+fn aligned_span(run: Extent, granule: u64) -> Option<Extent> {
+    // A run shorter than a granule holds no whole one: most freed runs,
+    // spared two divisions each.
+    if run.len < granule {
+        return None;
+    }
+    let start = run.start.div_ceil(granule) * granule;
+    let end = run.end() / granule * granule;
+    (start < end).then(|| Extent::new(start, end - start))
 }
 
 fn block_max(block: &[Extent]) -> SizeKey {
@@ -259,22 +285,15 @@ impl RunIndexMap {
     /// exactly the shortest prefix of this sequence summing to at least `n` —
     /// computable without touching the map.
     ///
-    /// A best-first walk of the size summary: each length yielded costs
-    /// O(log n + block), so a planner that stops after `k` runs pays for `k`,
-    /// not for the map.
+    /// The first length is the summary's root, O(1); only a second one
+    /// starts a best-first walk of the summary, each further length costing
+    /// O(log n + block), so a planner that stops after `k` runs pays for
+    /// `k`, not for the map — and one that stops after the first, nothing.
     pub fn run_lens_desc(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut frontier = BinaryHeap::new();
-        if self.summary[1] != NO_RUN {
-            // The first length yielded leaves a sibling per level of the
-            // summary and the leaf on the frontier; room for twice that lets
-            // a planner's first lengths go by without the heap regrowing.
-            let depth = self.leaf(0).trailing_zeros() as usize;
-            frontier.reserve(2 * (depth + 1));
-            frontier.push((self.summary[1], 1));
-        }
         RunLensDesc {
             map: self,
-            frontier,
+            root_yielded: false,
+            frontier: None,
         }
     }
 
@@ -359,17 +378,27 @@ impl RunIndexMap {
             .max_by_key(|&run| size_key(run))
     }
 
-    /// Frees `extent` and returns the free run it is now part of — the
-    /// extent grown by whichever neighbours it touched (an empty extent
-    /// frees nothing and comes back as it is).  Fails, changing nothing, if
-    /// any part of the extent is already free or out of bounds.
+    /// Frees `extent`, coalescing it with whichever neighbours it touches.
+    /// Given a (non-zero) `granule`, the whole `granule`-aligned span of the
+    /// coalesced run is withdrawn again and returned — how a caller that
+    /// hands whole granules back elsewhere (an allocation unit returning the
+    /// extents a free emptied) learns what to hand back.  `None` when no
+    /// granule was given, when the coalesced run holds no whole granule, and
+    /// for an empty extent, which frees nothing.  Fails, changing nothing,
+    /// if any part of the extent is already free or out of bounds.
     ///
-    /// [`FreeSpace::release`] is this call with the run dropped; a caller
-    /// that acts on the coalesced run (an extent handed back once it is
-    /// wholly free) saves the look-up.
-    pub fn release_coalesced(&mut self, extent: Extent) -> Result<Extent, AllocError> {
+    /// One located edit: the search that checks the extent also finds the
+    /// runs it coalesces with, and the pieces of the coalesced run either
+    /// side of the span are written over those runs in place — never a
+    /// release followed by a second search to cut the span out.
+    /// [`FreeSpace::release`] is this call without a granule.
+    pub fn release_coalesced(
+        &mut self,
+        extent: Extent,
+        granule: Option<u64>,
+    ) -> Result<Option<Extent>, AllocError> {
         if extent.is_empty() {
-            return Ok(extent);
+            return Ok(None);
         }
         self.check_bounds(extent)?;
         // One search, every check before any mutation: the last free run
@@ -388,29 +417,46 @@ impl RunIndexMap {
         }
         let grown = before.filter(|&at| self.run(at).end() == extent.start);
         let absorbed = after.filter(|&at| self.run(at).start == extent.end());
-        self.free += extent.len;
-        Ok(match (grown, absorbed) {
-            (Some(at), absorbed) => {
-                let run = self.run(at);
-                let tail = absorbed.map_or(0, |next| self.run(next).len);
-                let merged = Extent::new(run.start, run.len + extent.len + tail);
-                self.replace_run(at, merged);
-                // Last, since emptying a block renumbers the ones after it.
-                if let Some(next) = absorbed {
-                    self.remove_run(next);
+        let start = grown.map_or(extent.start, |at| self.run(at).start);
+        let end = absorbed.map_or(extent.end(), |at| self.run(at).end());
+        let coalesced = Extent::new(start, end - start);
+        let span = granule.and_then(|granule| aligned_span(coalesced, granule));
+        // What stays free: the coalesced run's head and tail around the span
+        // (either may be empty), or the whole run.
+        let (head, tail) = match span {
+            Some(span) => (
+                Extent::new(start, span.start - start),
+                Extent::new(span.end(), end - span.end()),
+            ),
+            None => (coalesced, Extent::new(end, 0)),
+        };
+        self.free = self.free + extent.len - span.map_or(0, |span| span.len);
+        // The pieces go over the runs they coalesced, in offset order.
+        match (grown, absorbed) {
+            (Some(low), Some(high)) => match (head.is_empty(), tail.is_empty()) {
+                (false, false) => {
+                    self.replace_run(low, head);
+                    self.replace_run(high, tail);
                 }
-                merged
-            }
-            (None, Some(at)) => {
-                let merged = Extent::new(extent.start, extent.len + self.run(at).len);
-                self.replace_run(at, merged);
-                merged
-            }
+                (true, true) => {
+                    let low = self.remove_run(high).expect("the grown run precedes it");
+                    self.remove_run(low);
+                }
+                (false, true) | (true, false) => {
+                    self.replace_run(low, if head.is_empty() { tail } else { head });
+                    self.remove_run(high);
+                }
+            },
+            (Some(at), None) | (None, Some(at)) => self.rewrite(at, head, tail),
             (None, None) => {
-                self.insert_run(before.map_or((0, 0), |(b, i)| (b, i + 1)), extent);
-                extent
+                let mut at = before.map_or((0, 0), |(b, i)| (b, i + 1));
+                for run in [head, tail].into_iter().filter(|run| !run.is_empty()) {
+                    let (b, i) = self.insert_run(at, run);
+                    at = (b, i + 1);
+                }
             }
-        })
+        }
+        Ok(span)
     }
 
     /// Frees every run of `batch` in one pass: the runs ascending by start,
@@ -420,9 +466,9 @@ impl RunIndexMap {
     ///
     /// With `withdraw = Some((granule, cut))`, every whole `granule`-aligned
     /// span of a coalesced run that absorbed a released run is taken back out
-    /// of the map and handed to `cut`, ascending — the spans a caller that
-    /// hands whole granules back elsewhere would otherwise reserve one
-    /// [`RunIndexMap::release_coalesced`] at a time.
+    /// of the map and handed to `cut`, ascending — the spans one
+    /// [`RunIndexMap::release_coalesced`] per run with the same granule would
+    /// return.
     ///
     /// One streaming merge of the map's runs with the batch: a block no
     /// batch run reaches is moved into the new list as it is; a block one
@@ -848,15 +894,15 @@ impl RunIndexMap {
 
     /// Inserts `run` at index `i` (at most the block's length) of block `b`
     /// — `(0, 0)` when there is no block yet — splitting the block first if
-    /// it is full.  The caller guarantees the run belongs there and touches
-    /// no neighbour.
-    fn insert_run(&mut self, (mut b, mut i): Position, run: Extent) {
+    /// it is full, and returns where the run went.  The caller guarantees
+    /// the run belongs there and touches no neighbour.
+    fn insert_run(&mut self, (mut b, mut i): Position, run: Extent) -> Position {
         self.runs += 1;
         if self.blocks.is_empty() {
             self.blocks.push(vec![run]);
             self.firsts.push(run.start);
             self.splice_leaves(0, 0, &[size_key(run)]);
-            return;
+            return (0, 0);
         }
         if self.blocks[b].len() == BLOCK_CAP {
             let upper = self.blocks[b].split_off(BLOCK_CAP / 2);
@@ -873,20 +919,28 @@ impl RunIndexMap {
             self.firsts[b] = run.start;
         }
         self.rekey(b, NO_RUN, size_key(run));
+        (b, i)
     }
 
     /// Removes the run at `at`, dropping its block if that empties it and
     /// merging the block into a neighbour if that leaves the pair within
     /// [`MERGE_AT`] — without which an adversarial free pattern (fill every
     /// block, then empty each down to one run) would leave a block per run.
-    fn remove_run(&mut self, (b, i): Position) {
+    /// Returns where the run before it now is, if there is one.
+    fn remove_run(&mut self, (b, i): Position) -> Option<Position> {
         let run = self.blocks[b].remove(i);
         self.runs -= 1;
+        let mut previous = match i.checked_sub(1) {
+            Some(i) => Some((b, i)),
+            None => b
+                .checked_sub(1)
+                .map(|lower| (lower, self.blocks[lower].len() - 1)),
+        };
         if self.blocks[b].is_empty() {
             self.blocks.remove(b);
             self.firsts.remove(b);
             self.splice_leaves(b, 1, &[]);
-            return;
+            return previous;
         }
         if i == 0 {
             self.firsts[b] = self.blocks[b][0].start;
@@ -894,10 +948,22 @@ impl RunIndexMap {
         self.rekey(b, size_key(run), NO_RUN);
         // Left first, so `lower` is where the block now is for the right.
         let mut lower = b;
-        if b > 0 && self.merge_if_underfull(b - 1) {
-            lower = b - 1;
+        if let Some(left) = b.checked_sub(1) {
+            let offset = self.blocks[left].len();
+            if self.merge_if_underfull(left) {
+                lower = left;
+                // The block's runs now follow the left one's.
+                previous = previous.map(|(pb, pi)| {
+                    if pb == b {
+                        (left, offset + pi)
+                    } else {
+                        (pb, pi)
+                    }
+                });
+            }
         }
         self.merge_if_underfull(lower);
+        previous
     }
 
     /// Merges block `lower + 1` into `lower` if both exist and hold at most
@@ -924,8 +990,16 @@ impl RunIndexMap {
         let head = Extent::new(run.start, extent.start - run.start);
         let tail = Extent::new(extent.end(), run.end() - extent.end());
         self.free -= extent.len;
+        self.rewrite(at, head, tail);
+    }
+
+    /// Writes `head` and `tail` — ascending, either possibly empty — over
+    /// the run at `at`, which held their place in the offset order.
+    fn rewrite(&mut self, at: Position, head: Extent, tail: Extent) {
         match (head.is_empty(), tail.is_empty()) {
-            (true, true) => self.remove_run(at),
+            (true, true) => {
+                self.remove_run(at);
+            }
             (false, true) => self.replace_run(at, head),
             (true, false) => self.replace_run(at, tail),
             (false, false) => {
@@ -978,13 +1052,7 @@ impl BatchMerge<'_> {
             return;
         };
         let span = match &self.withdraw {
-            // A run shorter than a granule holds no whole one: most freed
-            // runs, spared two divisions each.
-            Some((granule, _)) if self.absorbed && run.len >= *granule => {
-                let start = run.start.div_ceil(*granule) * granule;
-                let end = run.end() / granule * granule;
-                (start < end).then(|| Extent::new(start, end - start))
-            }
+            Some((granule, _)) if self.absorbed => aligned_span(run, *granule),
             _ => None,
         };
         let Some(span) = span else {
@@ -1054,40 +1122,70 @@ impl BatchMerge<'_> {
     }
 }
 
-/// [`RunIndexMap::run_lens_desc`]: summary nodes not yet expanded, keyed by
-/// the largest run not yet yielded below them.
+/// [`RunIndexMap::run_lens_desc`]: the summary's root, then the summary
+/// nodes not yet expanded, keyed by the largest run not yet yielded below
+/// them.
 struct RunLensDesc<'a> {
     map: &'a RunIndexMap,
+    root_yielded: bool,
     /// `(key, summary node)`; a leaf's key is the next run of its block.
-    frontier: BinaryHeap<(SizeKey, usize)>,
+    /// Built when the second length is asked for.
+    frontier: Option<BinaryHeap<(SizeKey, usize)>>,
+}
+
+/// Pops the largest run below `frontier`, which its successors in the walk
+/// replace there: the children of each summary node it expands, and the
+/// next run down of the run's block.
+fn descend(map: &RunIndexMap, frontier: &mut BinaryHeap<(SizeKey, usize)>) -> Option<SizeKey> {
+    let leaves = map.leaf(0);
+    loop {
+        let (key, node) = frontier.pop()?;
+        if node < leaves {
+            let children = [2 * node, 2 * node + 1];
+            frontier.extend(
+                children
+                    .into_iter()
+                    .map(|child| (map.summary[child], child))
+                    .filter(|&(max, _)| max != NO_RUN),
+            );
+            continue;
+        }
+        // `key` is a run of this block: queue the block's next one down.
+        let below = map.blocks[node - leaves]
+            .iter()
+            .map(|&run| size_key(run))
+            .filter(|&other| other < key)
+            .max();
+        frontier.extend(below.map(|next| (next, node)));
+        return Some(key);
+    }
 }
 
 impl Iterator for RunLensDesc<'_> {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        let leaves = self.map.leaf(0);
-        loop {
-            let (key, node) = self.frontier.pop()?;
-            if node < leaves {
-                let children = [2 * node, 2 * node + 1];
-                self.frontier.extend(
-                    children
-                        .into_iter()
-                        .map(|child| (self.map.summary[child], child))
-                        .filter(|&(max, _)| max != NO_RUN),
-                );
-                continue;
-            }
-            // `key` is a run of this block: queue the block's next one down.
-            let below = self.map.blocks[node - leaves]
-                .iter()
-                .map(|&run| size_key(run))
-                .filter(|&other| other < key)
-                .max();
-            self.frontier.extend(below.map(|next| (next, node)));
-            return Some(key.0);
+        let map = self.map;
+        let root = map.summary[1];
+        if root == NO_RUN {
+            return None;
         }
+        if !self.root_yielded {
+            self.root_yielded = true;
+            return Some(root.0);
+        }
+        let frontier = self.frontier.get_or_insert_with(|| {
+            // The first run found leaves a sibling per level of the summary
+            // and the leaf on the frontier; room for twice that lets a
+            // planner's next lengths go by without the heap regrowing.
+            let depth = map.leaf(0).trailing_zeros() as usize;
+            let mut frontier = BinaryHeap::with_capacity(2 * (depth + 1));
+            frontier.push((root, 1));
+            // The walk finds the root's run first: yielded already.
+            descend(map, &mut frontier);
+            frontier
+        });
+        descend(map, frontier).map(|(len, _)| len)
     }
 }
 
@@ -1101,7 +1199,7 @@ impl FreeSpace for RunIndexMap {
     }
 
     fn release(&mut self, extent: Extent) -> Result<(), AllocError> {
-        self.release_coalesced(extent).map(drop)
+        self.release_coalesced(extent, None).map(drop)
     }
 
     fn reserve(&mut self, extent: Extent) -> Result<(), AllocError> {
@@ -1448,10 +1546,7 @@ mod tests {
         assert!(map.is_free(Extent::new(0, 0)));
         assert!(!map.is_free(Extent::new(0, 1)));
         assert_eq!(map.take_at(0, 1), None);
-        assert_eq!(
-            map.release_coalesced(Extent::new(0, 0)),
-            Ok(Extent::new(0, 0))
-        );
+        assert_eq!(map.release_coalesced(Extent::new(0, 0), Some(8)), Ok(None));
         assert!(matches!(
             map.release(Extent::new(0, 1)),
             Err(AllocError::OutOfBounds { .. })
@@ -1464,30 +1559,81 @@ mod tests {
     }
 
     #[test]
-    fn release_coalesced_returns_the_run_around_the_extent() {
+    fn release_coalesced_withdraws_the_aligned_span_of_the_run_around_the_extent() {
         let mut map = RunIndexMap::new_allocated(100);
-        assert_eq!(
-            map.release_coalesced(Extent::new(10, 5)),
-            Ok(Extent::new(10, 5))
-        );
-        assert_eq!(
-            map.release_coalesced(Extent::new(20, 5)),
-            Ok(Extent::new(20, 5))
-        );
-        assert_eq!(
-            map.release_coalesced(Extent::new(15, 2)),
-            Ok(Extent::new(10, 7))
-        );
-        assert_eq!(
-            map.release_coalesced(Extent::new(18, 2)),
-            Ok(Extent::new(18, 7))
-        );
-        assert_eq!(
-            map.release_coalesced(Extent::new(17, 1)),
-            Ok(Extent::new(10, 15))
-        );
+        // No granule: the extent joins whichever neighbours it touches.
+        for (freed, around) in [
+            (Extent::new(10, 5), Extent::new(10, 5)),
+            (Extent::new(20, 5), Extent::new(20, 5)),
+            (Extent::new(15, 2), Extent::new(10, 7)),
+            (Extent::new(18, 2), Extent::new(18, 7)),
+            (Extent::new(17, 1), Extent::new(10, 15)),
+        ] {
+            assert_eq!(map.release_coalesced(freed, None), Ok(None));
+            assert_eq!(map.run_at(freed.start), Some(around));
+        }
         assert_eq!(map.free_runs(), vec![Extent::new(10, 15)]);
-        assert!(map.release_coalesced(Extent::new(24, 2)).is_err());
+        assert!(map.release_coalesced(Extent::new(24, 2), Some(5)).is_err());
+        // In granules of 8: what is left of [10, 25) around [16, 24).
+        assert_eq!(
+            map.release_coalesced(Extent::new(25, 1), Some(8)),
+            Ok(Some(Extent::new(16, 8)))
+        );
+        assert_eq!(map.free_runs(), [Extent::new(10, 6), Extent::new(24, 2)]);
+        assert_eq!(map.free_clusters(), 8);
+        // A run holding no whole granule stays; an aligned one goes whole.
+        assert_eq!(map.release_coalesced(Extent::new(30, 5), Some(8)), Ok(None));
+        assert_eq!(
+            map.release_coalesced(Extent::new(26, 4), Some(5)),
+            Ok(Some(Extent::new(25, 10)))
+        );
+        assert_eq!(map.free_runs(), [Extent::new(10, 6), Extent::new(24, 1)]);
+        assert_eq!(
+            map.release_coalesced(Extent::new(0, 10), Some(2)),
+            Ok(Some(Extent::new(0, 16)))
+        );
+        assert_eq!(map.free_runs(), [Extent::new(24, 1)]);
+        assert_eq!(map.free_clusters(), 1);
+        assert_eq!(map.verify(), Ok(()));
+    }
+
+    /// A release with a granule that joins the last run of one block to the
+    /// first of the next: the tail left over the first one is that block's
+    /// new first offset, and when both runs go, removing the upper one may
+    /// merge its block into the one below — the lower run is found where
+    /// the merge moved it.
+    #[test]
+    fn withdrawing_across_and_inside_blocks_keeps_the_block_list_whole() {
+        let lens = |map: &RunIndexMap| map.blocks.iter().map(Vec::len).collect::<Vec<_>>();
+        // Four-cluster runs at 10k + 5: blocks of 32 and 33 runs.
+        let mut map = wide_comb(BLOCK_CAP as u64 + 1);
+        assert_eq!(map.firsts[1], 325);
+        // [315, 319) + [319, 325) + [325, 329) around [316, 328).
+        assert_eq!(
+            map.release_coalesced(Extent::new(319, 6), Some(4)),
+            Ok(Some(Extent::new(316, 12)))
+        );
+        assert_eq!(lens(&map), [32, 33]);
+        assert_eq!(map.firsts[1], 328);
+        assert_eq!(map.run_at(328), Some(Extent::new(328, 1)));
+        assert_eq!(map.run_at(315), Some(Extent::new(315, 1)));
+        assert_eq!(map.verify(), Ok(()));
+
+        // Two-cluster runs at 3k, down to blocks of 1 and 32 runs.
+        let mut map = comb(BLOCK_CAP as u64 + 1);
+        for k in (1..32).chain([64]) {
+            map.reserve(Extent::new(3 * k, 2)).unwrap();
+        }
+        assert_eq!(lens(&map), [1, 32]);
+        let mut expected = map.free_runs();
+        expected.retain(|run| run.start != 105 && run.start != 108);
+        // [105, 107) + 107 + [108, 110): five clusters, aligned on 5.
+        assert_eq!(
+            map.release_coalesced(Extent::new(107, 1), Some(5)),
+            Ok(Some(Extent::new(105, 5)))
+        );
+        assert_eq!(lens(&map), [31]);
+        assert_eq!(map.free_runs(), expected);
         assert_eq!(map.verify(), Ok(()));
     }
 
@@ -1549,6 +1695,30 @@ mod tests {
         assert_eq!(map.first_fit(2, 901), Some(Extent::new(906, 2)));
         assert_eq!(map.first_fit_starting_in(5, 0, 900), None);
         assert_eq!(map.run_lens_desc().take(3).collect::<Vec<_>>(), [5, 2, 2]);
+        // The first length is the root; the walk that yields the rest must
+        // not yield it again, nor lose a second run of its length in another
+        // block.
+        let mut tie = map.clone();
+        tie.release(Extent::new(3 * 500 + 2, 1)).unwrap();
+        let block_of =
+            |map: &RunIndexMap, start| map.firsts.partition_point(|&first| first <= start);
+        assert_ne!(block_of(&tie, 900), block_of(&tie, 1500));
+        let mut lens = tie.run_lens_desc();
+        assert_eq!(lens.next(), Some(5));
+        assert_eq!(lens.next(), Some(5));
+        assert_eq!(lens.next(), Some(2));
+        let all: Vec<u64> = tie.run_lens_desc().collect();
+        assert_eq!(all.len(), tie.run_count());
+        assert_eq!(all.iter().filter(|&&len| len == 5).count(), 2);
+        let one = RunIndexMap::new_free(10);
+        assert_eq!(one.run_lens_desc().collect::<Vec<_>>(), [10]);
+        let mut lens = one.run_lens_desc();
+        assert_eq!(
+            (lens.next(), lens.next(), lens.next()),
+            (Some(10), None, None)
+        );
+        let none = RunIndexMap::new_allocated(10);
+        assert_eq!(none.run_lens_desc().collect::<Vec<_>>(), []);
         // Carve its prefix: the largest is now a three-cluster run, and the
         // highest-offset one of the two-cluster runs loses the tie to it.
         map.reserve(Extent::new(900, 2)).unwrap();
@@ -1608,9 +1778,12 @@ mod tests {
                 Extent::new(first.start - 1, 2),
                 Extent::new(last.start, first.end() - last.start),
             ];
-            for bad in bad_frees {
+            for (bad, granule) in bad_frees
+                .into_iter()
+                .zip([None, Some(2)].into_iter().cycle())
+            {
                 assert_eq!(
-                    map.release_coalesced(bad),
+                    map.release_coalesced(bad, granule),
                     Err(AllocError::NotAllocated {
                         start: bad.start,
                         len: bad.len
@@ -1658,9 +1831,9 @@ mod tests {
         map
     }
 
-    /// What `release_batch` must leave: one `release_coalesced` per run,
-    /// then, with a granule, the whole aligned span of every coalesced run
-    /// a released run went into cut out again.
+    /// What `release_batch` must leave: one release per run, then, with a
+    /// granule, the whole aligned span of every coalesced run a released run
+    /// went into cut out again.
     fn one_by_one(
         map: &RunIndexMap,
         batch: &[Extent],
@@ -1668,7 +1841,7 @@ mod tests {
     ) -> (RunIndexMap, Vec<Extent>) {
         let mut map = map.clone();
         for &run in batch {
-            map.release_coalesced(run).unwrap();
+            map.release(run).unwrap();
         }
         let mut grown: Vec<Extent> = batch
             .iter()

@@ -42,6 +42,25 @@
 //! the map shrinks) and fails two unit tests, among them the one built for
 //! that shape,
 //! `positions_around_the_first_run_hand_over_to_the_search_at_the_next_run`.
+//!
+//! Half the single releases pass a granule (`release_coalesced`'s in-place
+//! withdraw; the reference releases, then reserves the aligned span of the
+//! coalesced run), and the long script must reach each of the 16 shapes of
+//! the edit at least 50 times (the rarest, an isolated extent keeping a head
+//! and a tail, about 100).  Against that edit: rounding the span outwards
+//! fails `tier1_sized…` at its first such release and three unit tests;
+//! keeping the absorbed run when the tail is empty fails `tier1_sized…` at
+//! operation 106 (`run_count`) and five unit tests; leaving `firsts` alone
+//! when the tail replaces a block's first run passes `tier1_sized…` (the
+//! shape needs the two runs either side of a block boundary), fails the
+//! long script at operation 94,896 (`verify`: a stale first offset) and
+//! fails the unit test built for it,
+//! `withdrawing_across_and_inside_blocks_keeps_the_block_list_whole`, as
+//! does not following the lower run through the block merge that removing
+//! the upper one can cause (long script: operation 63,808).  Yielding the
+//! summary's root again from the walk after `run_lens_desc` yielded it
+//! lazily fails `tier1_sized…` at operation 1 and
+//! `a_full_block_splits_and_the_summary_follows`.
 
 mod reference;
 
@@ -90,6 +109,10 @@ struct Pair {
     /// Batched releases accepted, and the most runs one of them held.
     batches: u64,
     widest_batch: usize,
+    /// Accepted releases with a granule, by the shape of the edit: the bits
+    /// (high to low) say whether the extent grew a run below it, absorbed
+    /// the run above it, and left no head and no tail around the span.
+    shapes: [u64; 16],
 }
 
 impl Pair {
@@ -103,6 +126,7 @@ impl Pair {
             peak_runs: 0,
             batches: 0,
             widest_batch: 0,
+            shapes: [0; 16],
         }
     }
 
@@ -260,21 +284,58 @@ impl Pair {
         self.peak_runs = self.peak_runs.max(self.map.run_count());
     }
 
+    /// A release through `FreeSpace::release` half the time, through
+    /// `release_coalesced` with a granule the other half; the reference
+    /// releases, then reserves the aligned span of the coalesced run.
     fn release(&mut self, extent: Extent) -> bool {
-        // Both entry points, half the time each.
-        let got = if self.rng.below(2) == 0 {
-            self.map.release_coalesced(extent)
-        } else {
-            self.map.release(extent).map(|()| {
-                if extent.is_empty() {
-                    extent
-                } else {
-                    self.map.run_at(extent.start).expect("just freed")
-                }
-            })
+        // Small granules, so every shape of the in-place edit comes up: a
+        // granule of 1 withdraws the whole run, the others leave a head, a
+        // tail, both or neither.
+        let granule = [None, None, None, None, Some(1), Some(2), Some(3), Some(8)]
+            [self.rng.below(8) as usize];
+        let got = match granule {
+            None => self.map.release(extent).map(|()| None),
+            Some(granule) => self.map.release_coalesced(extent, Some(granule)),
         };
-        let expected = self.model.release(extent);
-        assert_eq!(got, expected, "op {}: release {extent:?}", self.ops);
+        let expected = self.model.release(extent).map(|coalesced| {
+            let span = granule.and_then(|granule| aligned_span(coalesced, granule));
+            if let Some(span) = span {
+                self.model.reserve(span).expect("inside the run just freed");
+            }
+            (coalesced, span)
+        });
+        assert_eq!(
+            got,
+            expected.map(|(_, span)| span),
+            "op {}: release {extent:?} in granules of {granule:?}",
+            self.ops
+        );
+        let Some((run, span)) = expected.ok().filter(|_| !extent.is_empty()) else {
+            return got.is_ok();
+        };
+        if granule.is_none() {
+            let op = self.ops;
+            assert_eq!(
+                self.map.run_at(extent.start),
+                Some(run),
+                "op {op}: coalesced"
+            );
+        } else {
+            let (head, tail) = match span {
+                Some(span) => (span.start - run.start, run.end() - span.end()),
+                None => (run.len, 0),
+            };
+            let shape = [
+                run.start < extent.start,
+                run.end() > extent.end(),
+                head == 0,
+                tail == 0,
+            ];
+            let index = shape
+                .iter()
+                .fold(0, |index, &bit| 2 * index + usize::from(bit));
+            self.shapes[index] += 1;
+        }
         got.is_ok()
     }
 
@@ -369,14 +430,12 @@ impl Pair {
                 .filter_map(|run| self.model.run_at(run.start))
                 .collect();
             grown.dedup();
-            for run in grown {
-                let start = run.start.div_ceil(granule) * granule;
-                let end = run.end() / granule * granule;
-                if start < end {
-                    let span = Extent::new(start, end - start);
-                    self.model.reserve(span).expect("inside a free run");
-                    expected_spans.push(span);
-                }
+            for span in grown
+                .into_iter()
+                .filter_map(|run| aligned_span(run, granule))
+            {
+                self.model.reserve(span).expect("inside a free run");
+                expected_spans.push(span);
             }
         }
 
@@ -510,6 +569,13 @@ impl Pair {
     }
 }
 
+/// The whole `granule`-aligned span of `run`, if it holds one.
+fn aligned_span(run: Extent, granule: u64) -> Option<Extent> {
+    let start = run.start.div_ceil(granule) * granule;
+    let end = run.end() / granule * granule;
+    (start < end).then(|| Extent::new(start, end - start))
+}
+
 /// `map` answers exactly as `before` did — summary included.
 fn assert_same_map(map: &RunIndexMap, before: &RunIndexMap, op: u64) {
     map.verify().unwrap_or_else(|why| panic!("op {op}: {why}"));
@@ -567,4 +633,8 @@ fn long_script_to_30k_runs_matches_the_two_btree_reference() {
     // runs.
     assert!(pair.batches >= 2_000, "{} batches", pair.batches);
     assert!(pair.widest_batch >= 256, "{} runs", pair.widest_batch);
+    // Single releases with a granule took every shape of the edit, the
+    // rarest (an isolated extent keeping a head and a tail) about a hundred
+    // times.
+    assert!(pair.shapes.iter().all(|&n| n >= 50), "{:?}", pair.shapes);
 }

@@ -52,10 +52,16 @@
 //! free pages that follow it when the next extent is the unit's own — the
 //! run those pages would have formed with the adopted ones in the map.  An
 //! **emptying release** hands every extent a freed run emptied back to the
-//! GAM as one aligned span.  Both leave exactly the state the one-extent-
-//! at-a-time procedure would (the free maps are canonical: a function of
-//! the free set alone), which `tests/differential.rs` pins against a
-//! page-at-a-time reference model.
+//! GAM as one aligned span, found by the page map's release itself: the
+//! release takes [`PAGES_PER_EXTENT`] as its granule, writes only the pieces
+//! of the coalesced run outside the whole extents it covers, and returns
+//! those extents' pages ([`RunIndexMap::release_coalesced`]): one located
+//! edit of the page map per free, plus one IAM update and one GAM release
+//! when extents emptied — never a second search of the page map to cut them
+//! out.  Both transitions leave exactly the state the one-extent-at-a-time
+//! procedure would (the free maps are canonical: a function of the free set
+//! alone), which `tests/differential.rs` pins against a page-at-a-time
+//! reference model.
 //!
 //! A whole backlog of freed runs — the engine's full ghost-cleanup pass — is
 //! one **batched release** ([`AllocationUnit::free_sorted_runs`]): the
@@ -115,6 +121,11 @@ pub(crate) const fn pages_of(extents: Extent) -> Extent {
         extents.start * PAGES_PER_EXTENT,
         extents.len * PAGES_PER_EXTENT,
     )
+}
+
+/// The extents of a run of whole, aligned extents' pages.
+const fn extents_of(pages: Extent) -> Extent {
+    Extent::new(pages.start / PAGES_PER_EXTENT, pages.len / PAGES_PER_EXTENT)
 }
 
 /// The extents a non-empty run of pages touches.
@@ -699,19 +710,12 @@ impl AllocationUnit {
         Some(taken)
     }
 
-    /// Frees one page, returning its extent to the GAM if the extent is now
-    /// completely empty.
-    pub fn free_page(&mut self, gam: &mut Gam, page: PageId) {
-        self.free_run(gam, Extent::new(page.0, 1));
-    }
-
-    /// Frees a contiguous run of pages in one free-map release, returning
-    /// the extents the run empties to the GAM as one span.
+    /// Frees a contiguous run of pages, returning the extents the run
+    /// empties to the GAM as one span.
     ///
-    /// The end state is identical to freeing the run's pages one
-    /// [`AllocationUnit::free_page`] at a time, in any order: both free maps
-    /// are canonical, and an extent goes back exactly when its last page is
-    /// freed.
+    /// The end state is identical to freeing the run's pages one at a time,
+    /// in any order: both free maps are canonical, and an extent goes back
+    /// exactly when its last page is freed.
     ///
     /// # Panics
     /// Panics if any page of the run lies outside the unit's extents or is
@@ -726,16 +730,14 @@ impl AllocationUnit {
         );
         // No assigned extent was wholly free before this release (`verify`),
         // so the extents it emptied are exactly the whole extents inside the
-        // coalesced free run now surrounding `run` — one aligned span.
-        let around = self
+        // coalesced free run now surrounding `run` — one aligned span, which
+        // the release withdraws from the page map as it writes the run.
+        let emptied = self
             .map
-            .release_coalesced(run)
-            .unwrap_or_else(|_| panic!("run {run:?} freed twice"));
-        let first_empty = around.start.div_ceil(PAGES_PER_EXTENT);
-        let end_empty = around.end() / PAGES_PER_EXTENT;
-        if end_empty > first_empty {
-            let emptied = Extent::new(first_empty, end_empty - first_empty);
-            self.reserve_free(pages_of(emptied));
+            .release_coalesced(run, Some(PAGES_PER_EXTENT))
+            .unwrap_or_else(|_| panic!("run {run:?} freed twice"))
+            .map(extents_of);
+        if let Some(emptied) = emptied {
             self.extents.remove_run(emptied);
             gam.release_run(emptied);
         }
@@ -776,7 +778,7 @@ impl AllocationUnit {
         }
         let mut emptied = Vec::with_capacity(EMPTIED_BATCH);
         let mut cut = |pages: Extent| {
-            let extents = Extent::new(pages.start / PAGES_PER_EXTENT, pages.len / PAGES_PER_EXTENT);
+            let extents = extents_of(pages);
             self.extents.remove_run(extents);
             emptied.push(extents);
             if emptied.len() == EMPTIED_BATCH {
@@ -997,7 +999,7 @@ mod tests {
         let _b = allocate(&mut unit, &mut gam, 16).unwrap();
         // Delete `a`: its two extents return to the GAM.
         for page in a.pages() {
-            unit.free_page(&mut gam, page);
+            unit.free_run(&mut gam, Extent::new(page.0, 1));
         }
         // A new 8-page object lands in the freed low extent, not at the tail.
         let c = allocate(&mut unit, &mut gam, 8).unwrap();
@@ -1012,7 +1014,7 @@ mod tests {
         // Free every other 4-page group of `a`, leaving 4-page holes.
         for chunk in a.chunks(8).map(|c| &c[..4]) {
             for page in chunk {
-                unit.free_page(&mut gam, *page);
+                unit.free_run(&mut gam, Extent::new(page.0, 1));
             }
         }
         // A 16-page object must span at least four of those holes.
@@ -1034,7 +1036,7 @@ mod tests {
         assert_eq!(unit.extent_count(), 1);
         let before = gam.free_extent_count();
         for page in layout.pages() {
-            unit.free_page(&mut gam, page);
+            unit.free_run(&mut gam, Extent::new(page.0, 1));
         }
         assert_eq!(unit.extent_count(), 0);
         assert_eq!(unit.used_pages(), 0);
@@ -1077,7 +1079,7 @@ mod tests {
         // extent 2's first two pages and page 30 stay free in the unit.
         unit.free_run(&mut gam, Extent::new(7, 9));
         unit.free_run(&mut gam, Extent::new(16, 2));
-        unit.free_page(&mut gam, PageId(30));
+        unit.free_run(&mut gam, Extent::new(30, 1));
         assert_eq!(
             gam.free_space().free_runs(),
             [Extent::new(1, 1), Extent::new(4, 6)]
@@ -1129,7 +1131,7 @@ mod tests {
         let mut unit = AllocationUnit::new(PageKind::LobData, 4 * PAGES_PER_EXTENT);
         allocate(&mut unit, &mut gam, 8).unwrap();
         unit.free_run(&mut gam, Extent::new(0, 8));
-        unit.free_page(&mut gam, PageId(3));
+        unit.free_run(&mut gam, Extent::new(3, 1));
     }
 
     #[test]
@@ -1137,7 +1139,7 @@ mod tests {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
         let first = allocate(&mut unit, &mut gam, 8).unwrap().runs()[0];
-        unit.free_page(&mut gam, PageId(first.start));
+        unit.free_run(&mut gam, Extent::new(first.start, 1));
         assert_eq!(unit.extent_count(), 1);
         assert_eq!(unit.free_page_count(), 1);
         // The freed page is reused before any new extent is assigned.
@@ -1171,8 +1173,8 @@ mod tests {
         let mut gam = Gam::new(2);
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
         let first = allocate(&mut unit, &mut gam, 4).unwrap().runs()[0].start;
-        unit.free_page(&mut gam, PageId(first));
-        unit.free_page(&mut gam, PageId(first));
+        unit.free_run(&mut gam, Extent::new(first, 1));
+        unit.free_run(&mut gam, Extent::new(first, 1));
     }
 
     #[test]
@@ -1194,9 +1196,9 @@ mod tests {
         );
         let a = pages(&allocate(&mut unit, &mut gam, 32).unwrap());
         // Carve two holes: a 1-page hole at page 5 and a 3-page hole at 16..19.
-        unit.free_page(&mut gam, a[5]);
+        unit.free_run(&mut gam, Extent::new(a[5].0, 1));
         for page in &a[16..19] {
-            unit.free_page(&mut gam, *page);
+            unit.free_run(&mut gam, Extent::new(page.0, 1));
         }
         // A 1-page object goes to the snuggest hole (page 5), not the lowest
         // eligible position of first fit.
@@ -1211,7 +1213,7 @@ mod tests {
         let a = pages(&allocate(&mut unit, &mut gam, 16).unwrap());
         // Free a 6-page hole inside the unit's extents.
         for page in &a[4..10] {
-            unit.free_page(&mut gam, *page);
+            unit.free_run(&mut gam, Extent::new(page.0, 1));
         }
         // The GAM's unassigned tail (98 extents) dwarfs the 6-page hole, so a
         // 4-page request lands contiguously in fresh extents...
@@ -1324,9 +1326,9 @@ mod tests {
             AllocationUnit::with_placement(PageKind::LobData, TEST_PAGES, policy, placement);
         let all = allocate(&mut unit, &mut gam, 800).unwrap();
         assert_eq!(all.runs(), [Extent::new(0, 800)]);
-        unit.free_page(&mut gam, PageId(480));
-        unit.free_page(&mut gam, PageId(100));
-        unit.free_page(&mut gam, PageId(101));
+        unit.free_run(&mut gam, Extent::new(480, 1));
+        unit.free_run(&mut gam, Extent::new(100, 1));
+        unit.free_run(&mut gam, Extent::new(101, 1));
         let pick = allocate(&mut unit, &mut gam, 1).unwrap();
         assert_eq!(
             pages(&pick),
@@ -1382,8 +1384,8 @@ mod tests {
         let seed_b = allocate(&mut unit_b, &mut gam_b, 30).unwrap();
         assert_eq!(seed_a, seed_b);
         for page in seed_a.pages().skip(4).step_by(3) {
-            unit_a.free_page(&mut gam_a, page);
-            unit_b.free_page(&mut gam_b, page);
+            unit_a.free_run(&mut gam_a, Extent::new(page.0, 1));
+            unit_b.free_run(&mut gam_b, Extent::new(page.0, 1));
         }
         let via_maintenance = unit_a.allocate_maintenance_runs(&mut gam_a, 12, 7);
         let via_largest = unit_b.allocate_largest_runs(&mut gam_b, 12);

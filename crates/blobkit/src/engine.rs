@@ -2021,14 +2021,18 @@ mod tests {
                 };
                 if new_layout.fragment_count() >= fragments {
                     for page in new_layout.pages() {
-                        legacy.lob_unit.free_page(&mut legacy.gam, page);
+                        legacy
+                            .lob_unit
+                            .free_run(&mut legacy.gam, Extent::new(page.0, 1));
                     }
                     continue;
                 }
                 let record = legacy.blobs.get_mut(id.0).unwrap();
                 let old_layout = record.replace_layout(new_layout);
                 for page in old_layout.pages() {
-                    legacy.lob_unit.free_page(&mut legacy.gam, page);
+                    legacy
+                        .lob_unit
+                        .free_run(&mut legacy.gam, Extent::new(page.0, 1));
                 }
                 moved += 1;
                 pages_moved += need;

@@ -241,7 +241,7 @@ fn check_against_oracle(
                 unit.free_runs(gam, ghosts.runs());
             } else {
                 for page in ghosts.pages() {
-                    unit.free_page(gam, page);
+                    unit.free_run(gam, Extent::new(page.0, 1));
                 }
             }
             for &run in ghosts.runs() {
