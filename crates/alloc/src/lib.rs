@@ -27,6 +27,10 @@
 //! * [`IdTable`]: the record table of both substrates — a slab of records
 //!   found through a windowed direct index by their ascending, never-reused
 //!   ids, iterated in id order.
+//! * [`Name`]: the object name both record types and all three substrates'
+//!   name maps hold.  A name of up to [`Name::INLINE`] bytes (every
+//!   workload key) lives in the table entry itself — the map's bucket, the
+//!   record's slab slot — and only a longer one in a heap block of its own.
 //!
 //! ## Example
 //!
@@ -60,6 +64,7 @@ mod extent;
 mod freespace;
 mod idtable;
 mod metrics;
+mod name;
 mod placement;
 mod policy;
 mod runcache;
@@ -71,6 +76,7 @@ pub use extent::{Extent, ExtentListExt};
 pub use freespace::{BitmapMap, FreeSpace, RunIndexMap};
 pub use idtable::IdTable;
 pub use metrics::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
+pub use name::Name;
 pub use placement::{PlacementConsumer, PlacementPolicy};
 pub use policy::{AllocRequest, AllocationPolicy, Contiguity, FitPicker, FitPolicy};
 pub use select::SelectableAllocator;

@@ -12,7 +12,7 @@
 //! the number of runs, a read or write receipt is one byte run per page run,
 //! ghosting or freeing a version hands the runs over as they are.
 
-use lor_alloc::Extent;
+use lor_alloc::{Extent, Name};
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
 
@@ -34,8 +34,10 @@ impl std::fmt::Display for BlobId {
 pub struct BlobRecord {
     /// Stable identifier.
     pub id: BlobId,
-    /// Application key (the metadata table's clustered-index key).
-    pub key: String,
+    /// Application key (the metadata table's clustered-index key).  Its
+    /// bytes live in the record itself unless it is longer than
+    /// [`Name::INLINE`].
+    pub key: Name,
     /// Logical size in bytes.
     pub size_bytes: u64,
     /// Leaf pages in logical order, as maximal physical runs.
@@ -51,7 +53,7 @@ pub struct BlobRecord {
 
 impl BlobRecord {
     /// Creates a record for a freshly inserted object.
-    pub fn new(id: BlobId, key: impl Into<String>, size_bytes: u64, layout: PageRuns) -> Self {
+    pub fn new(id: BlobId, key: impl Into<Name>, size_bytes: u64, layout: PageRuns) -> Self {
         let mut record = BlobRecord {
             id,
             key: key.into(),

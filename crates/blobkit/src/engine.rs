@@ -111,7 +111,7 @@ use std::hash::BuildHasherDefault;
 
 use lor_alloc::{
     AllocationPolicy, BandOccupancy, CountMultiset, Extent, FragmentationTracker, FreeSpace,
-    FreeSpaceReport, IdTable, PlacementPolicy,
+    FreeSpaceReport, IdTable, Name, PlacementPolicy,
 };
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
@@ -396,8 +396,10 @@ pub struct Database {
     /// observable iterates it (listings walk `blobs`, in id order; the
     /// rebuild, which copies in key order, sorts on demand), so runs stay
     /// deterministic, and keys come from the simulation's own workloads,
-    /// never from an adversary.
-    keys: HashMap<String, BlobId, BuildHasherDefault<DefaultHasher>>,
+    /// never from an adversary.  A key's bytes live in its bucket (a
+    /// [`Name`] of up to [`Name::INLINE`] bytes; a longer one on the heap),
+    /// and the map is searched with `key.as_bytes()`.
+    keys: HashMap<Name, BlobId, BuildHasherDefault<DefaultHasher>>,
     next_id: u64,
     /// Pages of deleted/replaced BLOB versions awaiting ghost cleanup.
     ghosts: GhostBacklog,
@@ -501,14 +503,14 @@ impl Database {
 
     /// `true` if an object is stored under `key`.
     pub fn contains_key(&self, key: &str) -> bool {
-        self.keys.contains_key(key)
+        self.keys.contains_key(key.as_bytes())
     }
 
     /// Looks up a record by key.
     pub fn get(&self, key: &str) -> Result<&BlobRecord, DbError> {
         let id = self
             .keys
-            .get(key)
+            .get(key.as_bytes())
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
         // `verify`: as in `commit_replacement`.
         Ok(self
@@ -524,7 +526,7 @@ impl Database {
 
     /// Inserts a new object of `size_bytes` under `key`.
     pub fn insert(&mut self, key: &str, size_bytes: u64) -> Result<DbWriteReceipt, DbError> {
-        if self.keys.contains_key(key) {
+        if self.keys.contains_key(key.as_bytes()) {
             return Err(DbError::KeyExists(key.to_string()));
         }
         let mut layout = PageRuns::new();
@@ -544,7 +546,7 @@ impl Database {
         key: &str,
         size_bytes: u64,
     ) -> Result<DbWriteReceipt, DbError> {
-        if self.keys.contains_key(key) {
+        if self.keys.contains_key(key.as_bytes()) {
             return Err(DbError::KeyExists(key.to_string()));
         }
         let need = self.config.pages_for(size_bytes);
@@ -574,7 +576,8 @@ impl Database {
         self.in_flight_pages -= layout.page_count();
         self.frag_tracker.record_insert(fragments);
         self.page_tracker.insert(layout.page_count());
-        self.keys.insert(key.to_string(), id);
+        let key = Name::new(key);
+        self.keys.insert(key.clone(), id);
         let mut record = BlobRecord::new(id, key, size_bytes, layout);
         Self::mark_stale(&mut record, &mut self.stale_ids);
         self.blobs.insert(id.0, record);
@@ -592,7 +595,7 @@ impl Database {
     pub fn update(&mut self, key: &str, size_bytes: u64) -> Result<DbWriteReceipt, DbError> {
         let id = *self
             .keys
-            .get(key)
+            .get(key.as_bytes())
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
         let mut layout = PageRuns::new();
         self.allocate_lob_pages(self.config.pages_for(size_bytes), &mut layout)?;
@@ -622,7 +625,7 @@ impl Database {
             ids.push(
                 *self
                     .keys
-                    .get(*key)
+                    .get(key.as_bytes())
                     .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?,
             );
         }
@@ -711,7 +714,7 @@ impl Database {
     pub fn delete(&mut self, key: &str) -> Result<(), DbError> {
         let id = self
             .keys
-            .remove(key)
+            .remove(key.as_bytes())
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
         // `verify`: as in `commit_replacement`.
         let mut record = self
@@ -922,10 +925,11 @@ impl Database {
         let mut copied = 0u64;
         // Copy in key order (a clustered-index scan of the old table): the
         // one reader of that order, so the one place that pays for it.
-        let mut ordered: Vec<(&str, BlobId)> = self
+        // The same order as the keys' strings: byte order is `str` order.
+        let mut ordered: Vec<(&[u8], BlobId)> = self
             .keys
             .iter()
-            .map(|(key, &id)| (key.as_str(), id))
+            .map(|(key, &id)| (key.as_bytes(), id))
             .collect();
         ordered.sort_unstable();
         for (_, id) in ordered {
@@ -1378,7 +1382,7 @@ impl Database {
                     record.fragment_count()
                 ));
             }
-            if self.keys.get(&record.key) != Some(&record.id) {
+            if self.keys.get(record.key.as_bytes()) != Some(&record.id) {
                 return Err(format!(
                     "{}: key {:?} does not map back",
                     record.id, record.key
@@ -2324,7 +2328,7 @@ mod tests {
         let c = db.get("c").unwrap().id;
         assert_eq!(db.stale_ids, [c], "only the committed write is noted");
         for blob in db.iter_blobs() {
-            assert_eq!(blob.stale, blob.id == c, "{}", blob.key);
+            assert_eq!(blob.stale, blob.id == c, "{}", blob.key.as_str());
         }
         assert_eq!(db.verify(), Ok(()));
 

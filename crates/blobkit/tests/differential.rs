@@ -101,7 +101,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 fn assert_same_state(db: &Database, model: &RefDatabase) -> Result<(), TestCaseError> {
     let layouts: Vec<(String, Vec<PageId>)> = db
         .iter_blobs()
-        .map(|blob| (blob.key.clone(), blob.pages().collect()))
+        .map(|blob| (blob.key.as_str().to_string(), blob.pages().collect()))
         .collect();
     prop_assert_eq!(layouts, model.layouts());
     prop_assert_eq!(db.stats(), model.stats());
@@ -451,12 +451,12 @@ fn out_of_space_mid_batch_restores_both_free_maps_and_keeps_old_versions() {
     assert_eq!(*db.stats(), stats_before);
     assert_eq!(db.iter_blobs().cloned().collect::<Vec<_>>(), layouts_before);
     for record in &layouts_before {
-        let plan = db.read_plan(&record.key).unwrap();
+        let plan = db.read_plan(record.key.as_str()).unwrap();
         assert_eq!(
             plan.iter().map(|run| run.len).sum::<u64>(),
             record.page_count() * db.config().page_size,
             "{} must still read back in full",
-            record.key
+            record.key.as_str()
         );
     }
     assert_eq!(db.verify(), Ok(()));

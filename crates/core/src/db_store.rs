@@ -156,7 +156,9 @@ impl Substrate for Database {
     }
 
     fn keys(&self) -> Vec<String> {
-        self.iter_blobs().map(|b| b.key.clone()).collect()
+        self.iter_blobs()
+            .map(|b| b.key.as_str().to_owned())
+            .collect()
     }
 
     fn live_bytes(&self) -> u64 {

@@ -194,7 +194,10 @@ impl Substrate for FsSubstrate {
     }
 
     fn keys(&self) -> Vec<String> {
-        self.volume.iter_files().map(|f| f.name.clone()).collect()
+        self.volume
+            .iter_files()
+            .map(|f| f.name.as_str().to_owned())
+            .collect()
     }
 
     fn live_bytes(&self) -> u64 {

@@ -19,13 +19,15 @@
 //! operation does walks the index, and `keys()`, the one reader of an order,
 //! sorts on demand.  As an ordered map of strings it cost an aged run 13 %
 //! of its host time in `memcmp` and as much again in the descents around
-//! it (EXPERIMENTS.md, "Host cost of the key path").
+//! it (EXPERIMENTS.md, "Host cost of the key path").  Its keys are
+//! [`Name`]s, whose bytes live in the bucket itself, so a probe reads no
+//! second cache line and a put allocates no key.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport};
+use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, Name};
 use lor_disksim::{ByteRun, DiskConfig, SimDuration};
 use lor_logstore::{CleanReport, LogConfig, LogError, SegmentLog};
 use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
@@ -99,15 +101,18 @@ pub struct LogSubstrate {
     /// Key-to-record index (memory-resident, like the blob index the paper's
     /// repositories keep in their metadata tier).  Hashed with a fixed
     /// state (module docs): runs stay deterministic, and keys come from the
-    /// simulation's own workloads, never from an adversary.
-    names: HashMap<String, u64, BuildHasherDefault<DefaultHasher>>,
+    /// simulation's own workloads, never from an adversary.  A key's bytes
+    /// live in its bucket (a [`Name`] of up to [`Name::INLINE`] bytes; a
+    /// longer one on the heap), and the map is searched with
+    /// `key.as_bytes()`.
+    names: HashMap<Name, u64, BuildHasherDefault<DefaultHasher>>,
     next_id: u64,
 }
 
 impl LogSubstrate {
     fn lookup(&self, key: &str) -> Result<u64, StoreError> {
         self.names
-            .get(key)
+            .get(key.as_bytes())
             .copied()
             .ok_or_else(|| StoreError::NoSuchObject(key.to_string()))
     }
@@ -176,7 +181,7 @@ impl Substrate for LogSubstrate {
             WriteOp::Put | WriteOp::MigrateIn => {
                 // One probe refuses a taken key and holds the slot the id
                 // lands in once the append has succeeded.
-                let Entry::Vacant(slot) = self.names.entry(key.to_string()) else {
+                let Entry::Vacant(slot) = self.names.entry(Name::new(key)) else {
                     return Err(StoreError::ObjectExists(key.to_string()));
                 };
                 let id = self.next_id;
@@ -228,7 +233,7 @@ impl Substrate for LogSubstrate {
     fn remove(&mut self, key: &str) -> Result<(), StoreError> {
         let id = self.lookup(key)?;
         self.log.remove(id).map_err(|e| log_err(e, key))?;
-        self.names.remove(key);
+        self.names.remove(key.as_bytes());
         Ok(())
     }
 
@@ -258,7 +263,11 @@ impl Substrate for LogSubstrate {
 
     fn keys(&self) -> Vec<String> {
         // Only analysis and tests ask, never an operation.
-        let mut keys: Vec<String> = self.names.keys().cloned().collect();
+        let mut keys: Vec<String> = self
+            .names
+            .keys()
+            .map(|key| key.as_str().to_owned())
+            .collect();
         keys.sort_unstable();
         keys
     }

@@ -822,6 +822,67 @@ pub(crate) mod tests {
         }
     }
 
+    /// A name too long to live in its table entry ([`lor_alloc::Name`]
+    /// keeps up to `Name::INLINE` bytes inline) takes the heap path that no
+    /// workload and no golden reaches.  On every substrate it goes through
+    /// put, get, safe write, a batch, `keys()` and delete, the substrate's
+    /// structures verify after every step, and a miss still names it in full.
+    #[test]
+    fn a_name_too_long_to_inline_round_trips_on_every_substrate() {
+        use crate::{DbObjectStore, FsObjectStore, LogObjectStore};
+        use lor_alloc::Name;
+        const MB: u64 = 1 << 20;
+        const LONG: &str = "photos/été/€uro-rätt-ñandú-01.jpg";
+
+        fn check<S: Substrate>(mut store: Store<S>, verify: fn(&Store<S>) -> Result<(), String>) {
+            let kind = S::KIND;
+            let verified = |store: &Store<S>, step: &str| {
+                if let Err(violation) = verify(store) {
+                    panic!("{kind}, after {step}: {violation}");
+                }
+            };
+            store.put("a", MB).unwrap();
+            store.put(LONG, 2 * MB).unwrap();
+            verified(&store, "put");
+            assert_eq!(store.get(LONG).unwrap().payload_bytes, 2 * MB, "{kind}");
+            verified(&store, "get");
+            store.safe_write(LONG, 3 * MB).unwrap();
+            assert_eq!(store.size_of(LONG).unwrap(), 3 * MB, "{kind}");
+            verified(&store, "safe write");
+            let batch = [(LONG.to_string(), MB), ("a".to_string(), 2 * MB)];
+            store.safe_write_batch(&batch).unwrap();
+            assert_eq!(store.size_of(LONG).unwrap(), MB, "{kind}");
+            verified(&store, "safe write batch");
+            let mut keys = store.keys();
+            keys.sort_unstable();
+            assert_eq!(keys, ["a", LONG], "{kind}");
+            store.delete(LONG).unwrap();
+            verified(&store, "delete");
+            assert!(!store.contains(LONG), "{kind}");
+            assert_eq!(store.keys(), ["a"], "{kind}");
+            assert!(
+                matches!(store.get(LONG), Err(StoreError::NoSuchObject(name)) if name == LONG),
+                "{kind}"
+            );
+        }
+
+        assert_eq!(LONG.len(), 40);
+        assert!(!Name::new(LONG).is_inline());
+        for kind in StoreKind::ALL {
+            match kind {
+                StoreKind::Filesystem => check(FsObjectStore::new(64 * MB).unwrap(), |store| {
+                    store.volume().verify()
+                }),
+                StoreKind::Database => check(DbObjectStore::new(64 * MB).unwrap(), |store| {
+                    store.database().verify()
+                }),
+                StoreKind::LogStructured => check(LogObjectStore::new(64 * MB).unwrap(), |store| {
+                    store.log().verify()
+                }),
+            }
+        }
+    }
+
     #[test]
     fn receipt_totals_combine_disk_and_host_time() {
         let receipt = OpReceipt {

@@ -1,6 +1,6 @@
 //! File records: the extent map and logical size of each file.
 
-use lor_alloc::{Extent, ExtentListExt};
+use lor_alloc::{Extent, ExtentListExt, Name};
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
 
@@ -20,8 +20,10 @@ impl std::fmt::Display for FileId {
 pub struct FileRecord {
     /// Stable identifier.
     pub id: FileId,
-    /// Name within the volume's single flat directory.
-    pub name: String,
+    /// Name within the volume's single flat directory; empty for the
+    /// temporary of a safe write in flight.  Its bytes live in the record
+    /// itself unless it is longer than [`Name::INLINE`].
+    pub name: Name,
     /// Logical size in bytes.
     pub size_bytes: u64,
     /// Extent map in logical order (cluster units).
@@ -30,7 +32,7 @@ pub struct FileRecord {
 
 impl FileRecord {
     /// Creates an empty file record.
-    pub fn new(id: FileId, name: impl Into<String>) -> Self {
+    pub fn new(id: FileId, name: impl Into<Name>) -> Self {
         FileRecord {
             id,
             name: name.into(),

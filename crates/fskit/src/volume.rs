@@ -71,7 +71,7 @@ use std::hash::BuildHasherDefault;
 use lor_alloc::{
     AllocError, AllocRequest, AllocationPolicy, BandOccupancy, CountMultiset, Extent,
     ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport, IdTable,
-    PlacementConsumer, PlacementPolicy, SelectableAllocator,
+    Name, PlacementConsumer, PlacementPolicy, SelectableAllocator,
 };
 use lor_disksim::ByteRun;
 use serde::{Deserialize, Serialize};
@@ -271,8 +271,10 @@ pub struct Volume {
     /// Name → id of every named file.  Hashed with a fixed state: nothing
     /// observable iterates it (listings walk `files`, in id order), so runs
     /// stay deterministic, and names come from the simulation's own
-    /// workloads, never from an adversary.
-    names: HashMap<String, FileId, BuildHasherDefault<DefaultHasher>>,
+    /// workloads, never from an adversary.  A key's bytes live in its
+    /// bucket (a [`Name`] of up to [`Name::INLINE`] bytes; a longer one on
+    /// the heap), and the map is searched with `name.as_bytes()`.
+    names: HashMap<Name, FileId, BuildHasherDefault<DefaultHasher>>,
     next_id: u64,
     /// Unnamed temporaries of safe writes in flight (zero between
     /// operations).
@@ -358,7 +360,7 @@ impl Volume {
     /// Looks a file id up by name.
     pub fn lookup(&self, name: &str) -> Result<FileId, FsError> {
         self.names
-            .get(name)
+            .get(name.as_bytes())
             .copied()
             .ok_or_else(|| FsError::NoSuchName(name.to_string()))
     }
@@ -373,16 +375,17 @@ impl Volume {
         if name.is_empty() {
             return Err(FsError::InvalidName(name.to_string()));
         }
-        let Entry::Vacant(slot) = self.names.entry(name.to_string()) else {
+        let Entry::Vacant(slot) = self.names.entry(Name::new(name)) else {
             return Err(FsError::NameExists(name.to_string()));
         };
+        let name = slot.key().clone();
         slot.insert(FileId(self.next_id));
         Ok(self.new_record(name))
     }
 
     /// Adds an empty record under the next id.  It counts as an object with
     /// zero fragments and zero allocated clusters.
-    fn new_record(&mut self, name: &str) -> FileId {
+    fn new_record(&mut self, name: Name) -> FileId {
         let id = FileId(self.next_id);
         self.next_id += 1;
         self.files.insert(id.0, FileRecord::new(id, name));
@@ -397,7 +400,7 @@ impl Volume {
     /// the name map is not touched.
     fn stage(&mut self) -> FileId {
         self.in_flight += 1;
-        self.new_record("")
+        self.new_record(Name::default())
     }
 
     /// Appends `bytes` bytes to a file, allocating clusters as needed.
@@ -655,7 +658,7 @@ impl Volume {
         if record.name.is_empty() {
             self.in_flight -= 1;
         } else {
-            self.names.remove(&record.name);
+            self.names.remove(record.name.as_bytes());
         }
         self.retire(record);
         self.bump_op();
@@ -703,7 +706,7 @@ impl Volume {
         // staging and here releases a name.
         let slot = self
             .names
-            .get_mut(name)
+            .get_mut(name.as_bytes())
             .expect("replace target was resolved at staging");
         let old_id = std::mem::replace(slot, temp_id);
         // `verify` ("name map"): every name resolves to the live record
@@ -941,12 +944,12 @@ impl Volume {
             }
             if record.name.is_empty() {
                 unnamed += 1;
-            } else if self.names.get(&record.name) != Some(&record.id) {
+            } else if self.names.get(record.name.as_bytes()) != Some(&record.id) {
                 return Err(format!(
                     "{} is named {:?} but the name map says {:?}",
                     record.id,
                     record.name,
-                    self.names.get(&record.name)
+                    self.names.get(record.name.as_bytes())
                 ));
             }
         }
@@ -1246,7 +1249,9 @@ mod tests {
         assert_eq!(volume.file_count(), 1);
         assert_eq!(volume.stats().safe_writes, 1);
         // No temporary file lingers.
-        assert!(volume.iter_files().all(|f| !f.name.starts_with("~tmp.")));
+        assert!(volume
+            .iter_files()
+            .all(|f| !f.name.as_str().starts_with("~tmp.")));
     }
 
     #[test]
@@ -1315,7 +1320,9 @@ mod tests {
         let id = volume.lookup("a").unwrap();
         assert_eq!(volume.file(id).unwrap().size_bytes, 3 * MB);
         assert_eq!(id, receipts[1].file_id);
-        assert!(volume.iter_files().all(|f| !f.name.starts_with("~tmp.")));
+        assert!(volume
+            .iter_files()
+            .all(|f| !f.name.as_str().starts_with("~tmp.")));
         assert_eq!(volume.stats().safe_writes, 2);
     }
 
@@ -1331,7 +1338,9 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, FsError::NoSuchName(_)));
         assert_eq!(volume.file_count(), 1, "only the original object remains");
-        assert!(volume.iter_files().all(|f| !f.name.starts_with("~tmp.")));
+        assert!(volume
+            .iter_files()
+            .all(|f| !f.name.as_str().starts_with("~tmp.")));
         assert_eq!(free_bytes(&volume), free_before, "no clusters may leak");
 
         // Allocation failure mid-round-robin: both replacements in flight
@@ -1344,7 +1353,9 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, FsError::Alloc(_)));
         assert_eq!(volume.file_count(), 2, "originals intact");
-        assert!(volume.iter_files().all(|f| !f.name.starts_with("~tmp.")));
+        assert!(volume
+            .iter_files()
+            .all(|f| !f.name.as_str().starts_with("~tmp.")));
         for name in ["x", "y"] {
             let id = volume.lookup(name).unwrap();
             let bytes: u64 = volume.read_plan(id).unwrap().iter().map(|r| r.len).sum();
@@ -1372,7 +1383,7 @@ mod tests {
             replace(&mut volume).unwrap();
             let replaced = volume.file(volume.lookup("a").unwrap()).unwrap();
             assert_eq!(replaced.size_bytes, 2 * MB);
-            assert_eq!(replaced.name, "a");
+            assert_eq!(replaced.name.as_str(), "a");
             let bystander = volume.lookup("~tmp.3.a").unwrap();
             let bytes: u64 = volume
                 .read_plan(bystander)
@@ -1488,10 +1499,10 @@ mod tests {
 
         // A name pointing at the wrong record, and a record nobody names.
         let mut misnamed = volume.clone();
-        misnamed.names.insert("a".to_string(), FileId(99));
+        misnamed.names.insert(Name::new("a"), FileId(99));
         assert!(misnamed.verify().unwrap_err().contains("name map"));
         let mut orphaned = volume.clone();
-        orphaned.file_mut(id).unwrap().name.clear();
+        orphaned.file_mut(id).unwrap().name = Name::default();
         assert!(orphaned.verify().unwrap_err().contains("names for"));
 
         // A record filed under an id it does not carry.  (The table's own
