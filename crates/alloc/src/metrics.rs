@@ -35,10 +35,7 @@ pub struct FragmentationSummary {
 impl FragmentationSummary {
     /// Fragments above the contiguous minimum: the total fragment count
     /// minus the object count (every live object needs at least one
-    /// fragment).  This is the observable the rate-adaptive maintenance
-    /// policy differentiates — its per-tick derivative is the workload's
-    /// per-op damage, independent of population size, and it stays flat
-    /// during bulk load.
+    /// fragment).
     pub fn excess_fragments(&self) -> u64 {
         self.total_fragments.saturating_sub(self.objects as u64)
     }

@@ -1,8 +1,8 @@
 //! Incremental fragmentation accounting.
 //!
-//! The maintenance scheduler observes `fragments_per_object()` and
-//! `excess_fragments()` on every tick.  Answering those by walking every
-//! live object makes maintenance cost O(ops × objects) — the superlinear
+//! A threshold maintenance policy observes the store's fragments per
+//! object on every tick.  Answering that by walking every live object makes
+//! maintenance cost O(ops × objects) — the superlinear
 //! wall that kept experiments at report scale.  [`FragmentationTracker`]
 //! removes it: each substrate updates the tracker when an object's layout
 //! changes (insert, update, delete, compact, defrag) and observation
@@ -159,13 +159,6 @@ impl FragmentationTracker {
         self.counts.total()
     }
 
-    /// Fragments above the contiguous minimum — matches
-    /// [`FragmentationSummary::excess_fragments`] without building the
-    /// summary.
-    pub fn excess_fragments(&self) -> u64 {
-        self.counts.total().saturating_sub(self.counts.len())
-    }
-
     /// A new object entered the population with `fragments` fragments.
     pub fn record_insert(&mut self, fragments: u64) {
         self.counts.insert(fragments);
@@ -320,7 +313,6 @@ mod tests {
                 }
                 let oracle = FragmentationSummary::from_counts(&live);
                 assert_bit_identical(&tracker.summary(), &oracle);
-                prop_assert_eq!(tracker.excess_fragments(), oracle.excess_fragments());
             }
         }
     }

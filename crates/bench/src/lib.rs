@@ -865,77 +865,6 @@ fn mixed_load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
         .collect())
 }
 
-/// The fixed background budgets whose (fragmentation, latency) points trace
-/// the frontier the adaptive policy is judged against (0 is the idle
-/// baseline).
-const FRONTIER_BUDGETS: [u64; 4] = [0, 64, 256, 1024];
-
-/// The adaptive gains plotted against the frontier (I/O units per total
-/// fragment grown per tick — scale-invariant, because the total-fragment
-/// derivative is per-op damage regardless of population size).  The small
-/// gain is deliberately under-provisioned; the large one saturates the
-/// policy's burst cap while fragmentation grows.
-const FRONTIER_GAINS: [f64; 2] = [16.0, 64.0];
-
-/// Adaptive-frontier scenario: the latency/fragmentation frontier traced by
-/// the `FixedBudget` sweep, with the rate-adaptive policy's operating points
-/// plotted against it (one figure per system; serial store-attached drive,
-/// so all background time is charged to foreground latency).
-///
-/// `Adaptive { gain }` spends background I/O in proportion to the *observed
-/// fragmentation rate*: while the store degrades it bursts like a large
-/// fixed budget, and once the layout stabilises the estimator's window
-/// drains and the budget decays to zero — so it buys fixed-budget
-/// fragmentation without paying fixed-budget latency on the stable tail.
-/// `paper_claims` asserts at report scale that no fixed budget beats either
-/// gain on the filesystem, that both gains equal budget 0 on the log, which
-/// never fragments, and that on the database `adaptive(gain 64)` is within
-/// 3 % of the frontier (`fixed-budget(1024)` beats it by 2.3 % in latency).
-fn adaptive_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
-    let base = paper_config(scale, 2 << 20);
-    let final_age = scale.max_age.clamp(1, 4);
-    let policies: Vec<MaintenanceConfig> = FRONTIER_BUDGETS
-        .map(MaintenanceConfig::fixed_budget)
-        .into_iter()
-        .chain(FRONTIER_GAINS.map(MaintenanceConfig::adaptive))
-        .collect();
-    let runs = aging_sweep(
-        &ALL_KINDS,
-        &policies,
-        |&maintenance| base.clone().with_maintenance(maintenance),
-        &[final_age],
-        false,
-    )?;
-
-    let coords = |result: &AgingResult| {
-        let point = aged(result);
-        (point.fragments_per_object, point.foreground_latency_ms)
-    };
-    Ok(by_kind(&ALL_KINDS, &runs)
-        .map(|(kind, runs)| {
-            let (fixed, adaptive) = runs.split_at(FRONTIER_BUDGETS.len());
-            let frontier = Series::frontier(
-                "fixed-budget frontier",
-                fixed.iter().map(|(_, _, result)| coords(result)).collect(),
-            );
-            let operating_points = adaptive.iter().map(|(_, maintenance, result)| {
-                Series::new(maintenance.policy.label(), vec![coords(result)])
-            });
-            figure(
-                format!("Adaptive frontier ({})", kind.label().to_lowercase()),
-                format!(
-                    "{} foreground latency vs fragments/object: fixed-budget frontier \
-                     and adaptive operating points (storage age {final_age})",
-                    kind.label()
-                ),
-                "Fragments/object",
-                "Foreground latency (ms)",
-                std::iter::once(frontier).chain(operating_points),
-            )
-        })
-        .collect())
-}
-
 /// The background cleaning budgets (64 KB I/Os per tick) the cleaner
 /// frontier sweeps.  Budget 0 is the idle log: it runs no cleaner and is
 /// bit-identical to a log with no maintenance at all.
@@ -1614,7 +1543,6 @@ pub const FAMILIES: &[Family] = &[
     Family::new("load-sweep", load_sweep_figures),
     Family::new("idle-detect", idle_detect_figures),
     Family::new("mixed-load-sweep", mixed_load_sweep_figures),
-    Family::new("adaptive-frontier", adaptive_frontier_figures),
     Family::new("cleaner-frontier", cleaner_frontier_figures),
     Family::new("placement-frontier", placement_frontier_figures),
     Family::new("latency-anatomy", latency_anatomy_figures),

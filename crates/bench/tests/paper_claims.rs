@@ -8,7 +8,7 @@
 //! and 40 GB, and on the 4 GB one the database shows §5.4's small-pool
 //! caveat.  Report scale's 40 GB series equal the paper's point for point.
 //! The scenario families (maintenance, queueing, idle-detect, mixed load,
-//! adaptive, cleaner and placement frontiers, latency anatomy, shard sweep)
+//! cleaner and placement frontiers, latency anatomy, shard sweep)
 //! are only in the report golden, so their claims hold at report scale and
 //! are stated there; at smaller volumes several do not (the cleaner
 //! frontier's selector order flips on the smoke golden).  A missing figure,
@@ -45,7 +45,8 @@
 //! budget-256 point of "Cleaner p99 (log)" set below its budget-0 point
 //! (`cleaning_holds_the_log_below_idle_and_a_lavish_budget_costs_the_tail`).
 //! A fake figure block appended to the report golden fails only
-//! `every_figure_is_read_by_a_claim`, which names it.
+//! `every_figure_is_read_by_a_claim`, which names it; so does the database
+//! block of the deleted rate-adaptive frontier family, pasted back into it.
 //! The one claim no figure carries, 8 MB objects, is
 //! `large_objects_favour_the_filesystem_even_when_clean` in the root crate's
 //! `tests/end_to_end.rs`.
@@ -259,7 +260,7 @@ fn every_figure_is_read_by_a_claim() {
         );
     }
     assert_eq!(goldens.paper.figures.len(), 11, "Figures 1.1 to 6.3");
-    assert_eq!(goldens.report.figures.len(), 48, "every family");
+    assert_eq!(goldens.report.figures.len(), 45, "every family");
 }
 
 /// The claims, one function each.
@@ -631,47 +632,6 @@ mod claim {
         }
     }
 
-    /// Adaptive frontier (report scale, 2 MB objects, storage age 4, serial
-    /// drive), each adaptive gain against the four fixed budgets: on the
-    /// filesystem no fixed budget beats either gain on both fragments/object
-    /// and latency.  The log never fragments, so both gains spend nothing
-    /// and equal budget 0, the frontier's cheapest point.  On the database
-    /// `adaptive(gain 64)` is within 3 % of the frontier:
-    /// `fixed-budget(1024)` beats it on both axes, by 2.3 % in latency.
-    pub fn adaptive_lands_on_or_near_the_fixed_budget_frontier(goldens: &Goldens) {
-        let report = &goldens.report;
-        let gains = ["adaptive(gain 16)", "adaptive(gain 64)"];
-        // The adaptive point, and whether a fixed budget beats it on both
-        // axes by more than `tolerance`.
-        let judge = |id: &str, gain: &str, tolerance: f64| {
-            let frontier = report.points(id, "fixed-budget frontier");
-            let &[(x, y)] = report.points(id, gain) else {
-                panic!("{id}: {gain:?} is one operating point");
-            };
-            let beaten = frontier
-                .iter()
-                .any(|&(fx, fy)| fx < x * (1.0 - tolerance) && fy < y * (1.0 - tolerance));
-            let values = format!("{gain} at ({x}, {y} ms), fixed budgets at {frontier:?}");
-            ((x, y), beaten, values)
-        };
-
-        let id = "Adaptive frontier (filesystem)";
-        for gain in gains {
-            let (_, beaten, values) = judge(id, gain, 0.0);
-            report.check(id, !beaten, values);
-        }
-        let id = "Adaptive frontier (log)";
-        let frontier = report.points(id, "fixed-budget frontier");
-        let cheapest = frontier.iter().copied().min_by(|a, b| a.1.total_cmp(&b.1));
-        for gain in gains {
-            let (point, _, values) = judge(id, gain, 0.0);
-            report.check(id, frontier.len() == 4 && Some(point) == cheapest, values);
-        }
-        let id = "Adaptive frontier (database)";
-        let (_, beaten, values) = judge(id, "adaptive(gain 64)", 0.03);
-        report.check(id, !beaten, values);
-    }
-
     /// Cleaner aging (report scale, uniform 1 MB objects on the 4 GB log,
     /// Zipf(1.0) safe writes to half the population per round, no background
     /// cleaning): the bulk-loaded log is contiguous, the free half of the
@@ -884,7 +844,6 @@ claims![
     open_loop_tail_latency_grows_with_offered_load,
     idle_detect_buys_fixed_budget_fragmentation_at_lower_tail_latency,
     mixed_sweep_hockey_stick_shifts_with_write_fraction,
-    adaptive_lands_on_or_near_the_fixed_budget_frontier,
     an_uncleaned_log_fragments_with_every_round,
     cleaning_holds_the_log_below_idle_and_a_lavish_budget_costs_the_tail,
     greedy_cleaning_fragments_less_than_cost_benefit,

@@ -319,42 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_maintenance_engages_only_while_the_volume_degrades() {
-        let mut config = FsStoreConfig::new(128 * MB);
-        config.maintenance = Some(MaintenanceConfig::adaptive(64.0));
-        let mut store = FsObjectStore::with_config(config).unwrap();
-
-        // Bulk load is contiguous: excess fragments stay at zero, so the
-        // rate estimator must not trigger any background work.
-        for i in 0..24 {
-            store.put(&format!("o{i}"), MB).unwrap();
-        }
-        let stats = store.maintenance_stats().unwrap();
-        assert_eq!(
-            stats.background_bytes, 0,
-            "a contiguous bulk load must not trigger adaptive work"
-        );
-
-        // Aging rounds of 4-way interleaved batches fragment the volume
-        // (serial rewrites would stay contiguous under the run cache); the
-        // rate estimator engages.
-        for round in 0..4 {
-            let keys: Vec<(String, u64)> = (0..24)
-                .map(|i| (format!("o{}", (i * 7 + round) % 24), MB))
-                .collect();
-            for batch in keys.chunks(4) {
-                store.safe_write_batch(batch).unwrap();
-            }
-        }
-        let stats = store.maintenance_stats().unwrap();
-        assert!(
-            stats.background_bytes > 0,
-            "fragmentation growth must engage the adaptive budget"
-        );
-        assert!(stats.background_time > SimDuration::ZERO);
-    }
-
-    #[test]
     fn substrate_aware_requires_the_server_drive() {
         // A gap-filling policy cannot be configured without the server
         // drive: put together from the bare policy, never asked for it, the

@@ -109,9 +109,7 @@ pub use lor_alloc::{AllocationPolicy, FitPolicy, PlacementConsumer, PlacementPol
 
 // The maintenance knob threaded from `ExperimentConfig` into the substrates,
 // re-exported for the same reason.
-pub use lor_maint::{
-    FragRateEstimator, MaintSubstrate, MaintenanceConfig, MaintenancePolicy, MaintenanceStats,
-};
+pub use lor_maint::{MaintSubstrate, MaintenanceConfig, MaintenancePolicy, MaintenanceStats};
 
 // Re-export the substrate crates so downstream users (examples, benches) can
 // reach them through one dependency.

@@ -82,10 +82,6 @@ impl<S: Substrate> MaintTarget for Drive<'_, S> {
         self.substrate.fragmentation().fragments_per_object
     }
 
-    fn excess_fragments(&self) -> u64 {
-        self.substrate.fragmentation().excess_fragments()
-    }
-
     fn ghost_cleanup(&mut self, budget_bytes: u64) -> MaintIo {
         let Some((units, unit_bytes)) = self.substrate.ghost_cleanup(budget_bytes) else {
             return MaintIo::NONE;

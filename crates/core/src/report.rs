@@ -43,18 +43,6 @@ impl Series {
                 .collect(),
         }
     }
-
-    /// Builds a latency/fragmentation **frontier** series: points are
-    /// `(fragments_per_object, latency_ms)` pairs sorted by fragmentation,
-    /// so the rendered curve is the trade-off boundary a policy family
-    /// sweeps out (the adaptive-frontier scenario's axes).
-    pub fn frontier(label: impl Into<String>, mut points: Vec<(f64, f64)>) -> Self {
-        points.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Series {
-            label: label.into(),
-            points,
-        }
-    }
 }
 
 /// A figure: a title, axis labels, and one or more series.
@@ -299,21 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn frontier_series_sort_by_fragmentation() {
-        let frontier = Series::frontier(
-            "fixed-budget",
-            vec![(5.0, 10.0), (1.0, 40.0), (3.0, 20.0), (1.0, 30.0)],
-        );
-        let sorted = [(1.0, 40.0), (1.0, 30.0), (3.0, 20.0), (5.0, 10.0)];
-        assert_eq!(frontier.points, sorted, "ties keep their order");
-    }
-
-    #[test]
     fn a_nan_coordinate_sorts_last_instead_of_panicking() {
-        let frontier = Series::frontier("f", vec![(f64::NAN, 1.0), (2.0, 3.0), (1.0, 4.0)]);
-        assert_eq!(frontier.points[..2], [(1.0, 4.0), (2.0, 3.0)]);
-        assert!(frontier.points[2].0.is_nan());
-
         let mut result = fake_result();
         result.points[1].storage_age = f64::NAN;
         assert_eq!(result.at_age(3.0).map(|p| p.storage_age), Some(0.0));

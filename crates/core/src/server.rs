@@ -60,8 +60,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use lor_disksim::SimDuration;
 use lor_maint::{
-    FragObservation, FragRateEstimator, MaintenanceConfig, MaintenancePolicy, BURST_IO_PER_TICK,
-    FRAG_WINDOW_TICKS, IO_UNIT_BYTES, TICK_EVERY_OPS,
+    MaintenanceConfig, MaintenancePolicy, BURST_IO_PER_TICK, IO_UNIT_BYTES, TICK_EVERY_OPS,
 };
 use lor_obs::{Obs, Track};
 use rand::rngs::StdRng;
@@ -515,9 +514,6 @@ pub struct StoreServer<'a> {
     bg_busy_until: SimDuration,
     /// Server-driven maintenance, read from the store at construction.
     maintenance: Option<MaintenanceConfig>,
-    /// Fragmentation-rate estimator feeding the `Adaptive` policy's budget
-    /// under the server drive (idle otherwise).
-    estimator: FragRateEstimator,
     ops_since_tick: u64,
     queue: QueueStats,
     /// Observability handle; disabled ([`Obs::null`]) unless attached via
@@ -547,7 +543,6 @@ impl<'a> StoreServer<'a> {
             busy_until: SimDuration::ZERO,
             bg_busy_until: SimDuration::ZERO,
             maintenance,
-            estimator: FragRateEstimator::new(FRAG_WINDOW_TICKS),
             ops_since_tick: 0,
             queue: QueueStats::default(),
             obs: Obs::null(),
@@ -899,26 +894,12 @@ impl<'a> StoreServer<'a> {
         self.ops_since_tick += mutating_ops;
         while self.ops_since_tick >= TICK_EVERY_OPS {
             self.ops_since_tick -= TICK_EVERY_OPS;
-            let budget_bytes = config.tick_budget_bytes(&mut self.estimator, || {
-                let summary = self.store.fragmentation();
-                FragObservation {
-                    per_object: summary.fragments_per_object,
-                    excess: summary.excess_fragments(),
-                }
-            });
-            let slice_at = self.free_at();
-            if self.obs.enabled() && matches!(config.policy, MaintenancePolicy::Adaptive { .. }) {
-                // This drive's estimator banked the credit, so this drive
-                // samples it (the store's scheduler never sees it).
-                self.obs.gauge(
-                    "maint.credit_units",
-                    slice_at.as_nanos(),
-                    self.estimator.credit_units(),
-                );
-            }
+            let budget_bytes =
+                config.tick_budget_bytes(|| self.store.fragmentation().fragments_per_object);
             if budget_bytes == 0 {
                 continue;
             }
+            let slice_at = self.free_at();
             let io = self.store.maintenance_slice(budget_bytes, slice_at);
             if io.is_none() {
                 continue;
@@ -1409,43 +1390,6 @@ mod tests {
         };
         run_open(&mut server, vec![late]);
         assert_ne!(server.store().maintenance_stats(), before.2);
-    }
-
-    #[test]
-    fn a_server_driven_adaptive_trace_samples_the_credit_it_banked() {
-        use crate::fs_store::FsStoreConfig;
-
-        let mut config = FsStoreConfig::new(128 * MB);
-        config.maintenance = Some(MaintenanceConfig::adaptive(64.0).with_server_drive());
-        let mut store = FsObjectStore::with_config(config).unwrap();
-        let mut server = StoreServer::new(&mut store);
-        let (obs, trace) = Obs::trace(1 << 16);
-        server.set_obs(obs, SimDuration::ZERO);
-        server
-            .run_closed_loop(puts(24, MB), 1, SimDuration::ZERO)
-            .unwrap();
-        // Four clients' safe writes interleave and fragment the volume, so
-        // the server's estimator sees a rate and banks credit.
-        for round in 0..4 {
-            let writes = (0..24)
-                .map(|i| WorkloadOp::SafeWrite {
-                    key: ObjectKey((i * 7 + round) % 24),
-                    size: MB,
-                })
-                .collect();
-            server
-                .run_closed_loop(writes, 4, SimDuration::ZERO)
-                .unwrap();
-        }
-        let stats = server.store().maintenance_stats().unwrap();
-        assert!(stats.background_bytes > 0, "the adaptive budget engaged");
-        let credit = trace.metric_series("maint.credit_units");
-        // One sample per server tick, spending or not.
-        assert_eq!(credit.len() as u64, (24 + 4 * 24) / TICK_EVERY_OPS);
-        assert!(
-            credit.iter().any(|&(_, units)| units > 0.0),
-            "the gauge must read the estimator that banked the credit: {credit:?}"
-        );
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! a victim at most once per pass, [`SegmentLog::clean_all`] ends within
 //! [`SegmentLog::segment_count`] victims, and a second one frees nothing.
 //! (Stamping a segment's *last* append instead also excludes the cleaner
-//! head a pass inherits, and moved the log's adaptive frontier.)  Stopping
+//! head a pass inherits, and moved the log's maintenance figures.)  Stopping
 //! once a round frees nothing net was rejected: it bounds no pass by the
 //! segment count, as a victim whose straddlers nearly fill a segment still
 //! frees a few bytes.

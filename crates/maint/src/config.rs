@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::estimator::{FragObservation, FragRateEstimator};
-
 /// Foreground operations per scheduler tick.
 pub const TICK_EVERY_OPS: u64 = 8;
 /// Size of one background I/O unit in bytes — the granularity budgets are
@@ -16,15 +14,9 @@ pub const CHECKPOINT_EVERY_TICKS: u64 = 2;
 /// EXPERIMENTS.md).
 pub const GHOST_CLEANUP_EVERY_TICKS: u64 = 8;
 /// Background I/O units per tick granted while a
-/// [`MaintenancePolicy::Threshold`] policy is engaged, the slice size the
-/// idle-detect and substrate-aware policies spend per idle-gap slice, and
-/// half the per-tick cap on [`MaintenancePolicy::Adaptive`]'s
-/// rate-proportional budget.
+/// [`MaintenancePolicy::Threshold`] policy is engaged, and the slice size
+/// the idle-detect and substrate-aware policies spend per idle-gap slice.
 pub const BURST_IO_PER_TICK: u64 = 512;
-/// Window (in scheduler ticks) over which the
-/// [`MaintenancePolicy::Adaptive`] policy's fragmentation-rate estimator
-/// smooths its derivative.
-pub const FRAG_WINDOW_TICKS: u64 = 4;
 
 /// How the scheduler trades background maintenance against foreground
 /// latency.
@@ -73,34 +65,6 @@ pub enum MaintenancePolicy {
         /// start.
         min_idle_ms: f64,
     },
-    /// Rate-adaptive budgeting: the per-tick background budget is
-    /// proportional to the observed fragmentation *rate* (a windowed
-    /// derivative of the store's **excess** fragment count — fragments
-    /// above the contiguous minimum — estimated by
-    /// [`crate::FragRateEstimator`] from per-tick store observations), not
-    /// the fragmentation *level*.  Credit accrues at `gain × rate` I/O
-    /// units per tick (anti-windup capped) and is spent in chunks of up to
-    /// twice [`BURST_IO_PER_TICK`].
-    ///
-    /// The excess fragment count — not fragments/object, not the raw total
-    /// — is the right observable: its per-tick derivative is the workload's
-    /// per-op damage, independent of how many objects the store holds (a
-    /// gain tuned at one volume size transfers to another), and it stays
-    /// flat during bulk load, where the raw total grows by one perfectly
-    /// contiguous fragment per created object and would trigger phantom
-    /// repair.
-    ///
-    /// Because the estimator clamps at zero and reads exactly zero on a
-    /// frag-stable store, `Adaptive` spends nothing while nothing fragments
-    /// (degenerating to [`MaintenancePolicy::Idle`]) and ramps up only while
-    /// the workload is actively degrading the layout — which is what puts it
-    /// on or inside the fixed-budget latency/fragmentation frontier.
-    Adaptive {
-        /// Proportionality constant: background I/O units granted per unit
-        /// of fragmentation rate (total fragments per tick).  Must be
-        /// positive and finite.
-        gain: f64,
-    },
     /// Substrate-aware idle-gap filling: like
     /// [`MaintenancePolicy::IdleDetect`], maintenance runs only inside
     /// observed idle gaps of at least `min_idle_ms` — but ghost release on
@@ -119,9 +83,9 @@ pub enum MaintenancePolicy {
     /// The deferral used to be counted in scheduler ticks, whose rate scales
     /// with the request rate under the gap-filling drive — the same
     /// configuration held the backlog for wildly different simulated spans
-    /// at different loads.  A threshold in simulated time is scale-invariant
-    /// the way the adaptive gain is: the backlog ages with the workload's
-    /// clock, not with how often the scheduler happens to tick.
+    /// at different loads.  A threshold in simulated time is scale-invariant:
+    /// the backlog ages with the workload's clock, not with how often the
+    /// scheduler happens to tick.
     SubstrateAware {
         /// Minimum idle gap (simulated milliseconds) before maintenance may
         /// start.  Must be positive and finite.
@@ -141,7 +105,6 @@ impl MaintenancePolicy {
             MaintenancePolicy::FixedBudget { .. } => "fixed-budget",
             MaintenancePolicy::Threshold { .. } => "threshold",
             MaintenancePolicy::IdleDetect { .. } => "idle-detect",
-            MaintenancePolicy::Adaptive { .. } => "adaptive",
             MaintenancePolicy::SubstrateAware { .. } => "substrate-aware",
         }
     }
@@ -160,7 +123,6 @@ impl MaintenancePolicy {
             MaintenancePolicy::IdleDetect { min_idle_ms } => {
                 format!("idle-detect({min_idle_ms:.1} ms)")
             }
-            MaintenancePolicy::Adaptive { gain } => format!("adaptive(gain {gain:.0})"),
             MaintenancePolicy::SubstrateAware {
                 min_idle_ms,
                 defer_ghost_ms,
@@ -214,13 +176,6 @@ impl MaintenanceConfig {
         MaintenanceConfig::new(MaintenancePolicy::IdleDetect { min_idle_ms })
     }
 
-    /// Rate-adaptive budgeting: `gain` background I/O units per tick per
-    /// unit of observed fragmentation rate (see
-    /// [`MaintenancePolicy::Adaptive`]).
-    pub fn adaptive(gain: f64) -> Self {
-        MaintenanceConfig::new(MaintenancePolicy::Adaptive { gain })
-    }
-
     /// Substrate-aware idle-gap filling with ghost release deferred by
     /// `defer_ghost_ms` of simulated time.
     pub fn substrate_aware(min_idle_ms: f64, defer_ghost_ms: f64) -> Self {
@@ -259,19 +214,13 @@ impl MaintenanceConfig {
     /// policy — the single definition both drives (the serial store-attached
     /// scheduler and the request scheduler) use, so the two cannot drift.
     ///
-    /// `observe` is a closure because measuring fragmentation is an
-    /// O(objects) walk; it is only invoked for the policies that need it
-    /// ([`MaintenancePolicy::Threshold`] and [`MaintenancePolicy::Adaptive`],
-    /// which additionally feeds the observation into the caller's
-    /// `estimator`).  [`MaintenancePolicy::Idle`],
+    /// `fragments_per_object` is a closure because measuring fragmentation
+    /// may be an O(objects) walk; only [`MaintenancePolicy::Threshold`]
+    /// invokes it.  [`MaintenancePolicy::Idle`],
     /// [`MaintenancePolicy::IdleDetect`] and
     /// [`MaintenancePolicy::SubstrateAware`] grant no per-tick budget (the
     /// latter two spend their budgets in observed idle gaps instead).
-    pub fn tick_budget_bytes(
-        &self,
-        estimator: &mut FragRateEstimator,
-        observe: impl FnOnce() -> FragObservation,
-    ) -> u64 {
+    pub fn tick_budget_bytes(&self, fragments_per_object: impl FnOnce() -> f64) -> u64 {
         match self.policy {
             MaintenancePolicy::Idle
             | MaintenancePolicy::IdleDetect { .. }
@@ -280,30 +229,11 @@ impl MaintenanceConfig {
                 io_per_tick.saturating_mul(IO_UNIT_BYTES)
             }
             MaintenancePolicy::Threshold { frag_per_object } => {
-                if observe().per_object > frag_per_object {
+                if fragments_per_object() > frag_per_object {
                     BURST_IO_PER_TICK * IO_UNIT_BYTES
                 } else {
                     0
                 }
-            }
-            MaintenancePolicy::Adaptive { gain } => {
-                estimator.observe(observe().excess as f64);
-                // Integrate rate-proportional credit, spend it in chunks:
-                // dribbling one unit per tick would pay full positioning
-                // overhead per slice, and banking unbounded debt (no
-                // anti-windup cap) would keep the policy paying long after
-                // the store stabilised — either failure mode falls off the
-                // fixed-budget frontier.
-                let burst = BURST_IO_PER_TICK;
-                estimator.accrue_credit(gain * estimator.rate_per_tick(), 2.0 * burst as f64);
-                let chunk = burst as f64 / 8.0;
-                // A tick may spend the whole bank (up to the anti-windup
-                // cap): while fragmentation grows fast a high gain repairs
-                // as hard as the largest fixed budget, and the moment the
-                // rate drops the spending follows it down.
-                estimator
-                    .take_credit(chunk, 2 * burst)
-                    .saturating_mul(IO_UNIT_BYTES)
             }
         }
     }
@@ -321,11 +251,6 @@ impl MaintenanceConfig {
             // — the policy would degenerate to an unbounded eager drive.
             if !min_idle_ms.is_finite() || min_idle_ms <= 0.0 {
                 return Err("idle-detect gap must be finite and positive");
-            }
-        }
-        if let MaintenancePolicy::Adaptive { gain } = self.policy {
-            if !gain.is_finite() || gain <= 0.0 {
-                return Err("adaptive gain must be finite and positive");
             }
         }
         if let MaintenancePolicy::SubstrateAware {
@@ -375,14 +300,6 @@ mod tests {
         }
         .label()
         .contains("1.25"));
-        assert_eq!(
-            MaintenancePolicy::Adaptive { gain: 256.0 }.name(),
-            "adaptive"
-        );
-        assert_eq!(
-            MaintenancePolicy::Adaptive { gain: 256.0 }.label(),
-            "adaptive(gain 256)"
-        );
         let aware = MaintenancePolicy::SubstrateAware {
             min_idle_ms: 5.0,
             defer_ghost_ms: 1200.0,
@@ -390,7 +307,7 @@ mod tests {
         assert_eq!(aware.name(), "substrate-aware");
         assert!(aware.label().contains("defer 1200 ms"));
         assert!(MaintenanceConfig::substrate_aware(5.0, 1200.0).server_driven());
-        assert!(!MaintenanceConfig::adaptive(256.0).server_driven());
+        assert!(!MaintenanceConfig::threshold(1.5).server_driven());
     }
 
     #[test]
@@ -405,17 +322,6 @@ mod tests {
         // A zero gap would fill every inter-request instant with maintenance.
         assert!(MaintenanceConfig::idle_detect(0.0).validate().is_err());
         assert!(MaintenanceConfig::idle_detect(5.0).validate().is_ok());
-    }
-
-    #[test]
-    fn validation_rejects_bad_adaptive_gains() {
-        assert!(MaintenanceConfig::adaptive(0.0).validate().is_err());
-        assert!(MaintenanceConfig::adaptive(-4.0).validate().is_err());
-        assert!(MaintenanceConfig::adaptive(f64::NAN).validate().is_err());
-        assert!(MaintenanceConfig::adaptive(f64::INFINITY)
-            .validate()
-            .is_err());
-        assert!(MaintenanceConfig::adaptive(256.0).validate().is_ok());
     }
 
     #[test]
@@ -448,35 +354,6 @@ mod tests {
             .is_ok());
     }
 
-    /// A fragmentation observation of a synthetic 100-object store.
-    fn observed(per_object: f64) -> FragObservation {
-        FragObservation {
-            per_object,
-            excess: ((per_object - 1.0).max(0.0) * 100.0) as u64,
-        }
-    }
-
-    #[test]
-    fn adaptive_budget_follows_the_estimated_rate() {
-        let config = MaintenanceConfig::adaptive(2.0);
-        let mut estimator = FragRateEstimator::new(FRAG_WINDOW_TICKS);
-        // First observation: no derivative yet, so no budget.
-        assert_eq!(
-            config.tick_budget_bytes(&mut estimator, || observed(1.0)),
-            0
-        );
-        // Total fragments grow by 50/tick: credit = 2 × 50 = 100 units,
-        // above the spending chunk (burst/8 = 64), so it is spent at once.
-        let budget = config.tick_budget_bytes(&mut estimator, || observed(1.5));
-        assert_eq!(budget, 100 * IO_UNIT_BYTES);
-        // A frag-stable store degenerates to idle: eventually zero budget.
-        let mut last = budget;
-        for _ in 0..FRAG_WINDOW_TICKS + 1 {
-            last = config.tick_budget_bytes(&mut estimator, || observed(1.5));
-        }
-        assert_eq!(last, 0, "stable fragmentation must spend nothing");
-    }
-
     #[test]
     fn gap_filling_policies_grant_no_per_tick_budget() {
         for config in [
@@ -484,9 +361,8 @@ mod tests {
             MaintenanceConfig::substrate_aware(5.0, 800.0),
             MaintenanceConfig::idle(),
         ] {
-            let mut estimator = FragRateEstimator::new(FRAG_WINDOW_TICKS);
             assert_eq!(
-                config.tick_budget_bytes(&mut estimator, || panic!("must not be measured")),
+                config.tick_budget_bytes(|| panic!("must not be measured")),
                 0
             );
         }

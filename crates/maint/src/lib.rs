@@ -34,10 +34,6 @@
 //!     tick, shared by the queue in order.
 //!   * [`MaintenancePolicy::Threshold`] — no I/O while fragments/object is
 //!     at or below the threshold; bursts once it is exceeded.
-//!   * [`MaintenancePolicy::Adaptive`] — the budget is proportional to the
-//!     observed fragmentation *rate* (a windowed derivative of the excess
-//!     fragment count from [`FragRateEstimator`]), so a frag-stable store
-//!     spends nothing and an actively degrading one ramps up automatically.
 //!   * [`MaintenancePolicy::IdleDetect`] /
 //!     [`MaintenancePolicy::SubstrateAware`] — gap-filling policies for the
 //!     queueing-aware request-scheduler drive; the substrate-aware variant
@@ -70,9 +66,6 @@
 //!     }
 //!     fn fragments_per_object(&self) -> f64 {
 //!         self.frags
-//!     }
-//!     fn excess_fragments(&self) -> u64 {
-//!         ((self.frags - 1.0) * 100.0) as u64
 //!     }
 //!     fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
 //!         self.ghost_bytes = 0;
@@ -113,8 +106,8 @@ mod task;
 
 pub use config::{
     MaintenanceConfig, MaintenancePolicy, BURST_IO_PER_TICK, CHECKPOINT_EVERY_TICKS,
-    FRAG_WINDOW_TICKS, GHOST_CLEANUP_EVERY_TICKS, IO_UNIT_BYTES, TICK_EVERY_OPS,
+    GHOST_CLEANUP_EVERY_TICKS, IO_UNIT_BYTES, TICK_EVERY_OPS,
 };
-pub use estimator::{FragObservation, FragRateEstimator, GhostBacklogClock};
+pub use estimator::GhostBacklogClock;
 pub use scheduler::{MaintenanceScheduler, MaintenanceStats, TaskStats};
 pub use task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};

@@ -5,10 +5,10 @@ use lor_obs::{Obs, Track};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{
-    MaintenanceConfig, MaintenancePolicy, CHECKPOINT_EVERY_TICKS, FRAG_WINDOW_TICKS,
-    GHOST_CLEANUP_EVERY_TICKS, TICK_EVERY_OPS,
+    MaintenanceConfig, MaintenancePolicy, CHECKPOINT_EVERY_TICKS, GHOST_CLEANUP_EVERY_TICKS,
+    TICK_EVERY_OPS,
 };
-use crate::estimator::{FragObservation, FragRateEstimator, GhostBacklogClock};
+use crate::estimator::GhostBacklogClock;
 use crate::task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};
 
 /// The task queue, in the order each tick runs it: checkpoint flush, then
@@ -87,10 +87,6 @@ pub struct MaintenanceScheduler {
     clock: SimClock,
     ops_since_tick: u64,
     stats: MaintenanceStats,
-    /// Fragmentation-rate estimator feeding the `Adaptive` policy's budget
-    /// under the store-attached drive (observes once per tick; unused by the
-    /// other policies and by the server drive, which keeps its own).
-    estimator: FragRateEstimator,
     /// Backlog-age hysteresis for the `SubstrateAware` policy's deferred
     /// ghost release on eager-reuse substrates.
     ghost_clock: GhostBacklogClock,
@@ -117,7 +113,6 @@ impl MaintenanceScheduler {
     /// cleanup, incremental defragmentation, in that order each tick.
     pub fn new(config: MaintenanceConfig) -> Self {
         MaintenanceScheduler {
-            estimator: FragRateEstimator::new(FRAG_WINDOW_TICKS),
             server_driven: config.server_driven(),
             config,
             clock: SimClock::new(),
@@ -129,8 +124,7 @@ impl MaintenanceScheduler {
     }
 
     /// Attaches an observability handle.  Each queue run emits a budget
-    /// gauge, each `Adaptive` tick of the store-attached drive a credit
-    /// gauge, and each task run a span; tracing never changes what the queue
+    /// gauge and each task run a span; tracing never changes what the queue
     /// does.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
@@ -191,17 +185,7 @@ impl MaintenanceScheduler {
         // them via `run_budgeted_slice`).
         let budget_bytes = self
             .config
-            .tick_budget_bytes(&mut self.estimator, || FragObservation {
-                per_object: target.fragments_per_object(),
-                excess: target.excess_fragments(),
-            });
-        if self.obs.enabled() && matches!(self.config.policy, MaintenancePolicy::Adaptive { .. }) {
-            // Every tick, spending or not, from the estimator that banked
-            // the credit (the server drive samples its own).
-            let at = self.clock.now().as_nanos();
-            self.obs
-                .gauge("maint.credit_units", at, self.estimator.credit_units());
-        }
+            .tick_budget_bytes(|| target.fragments_per_object());
         if budget_bytes == 0 {
             return SimDuration::ZERO;
         }
@@ -366,10 +350,6 @@ mod tests {
         fn fragments_per_object(&self) -> f64 {
             self.frags
         }
-        fn excess_fragments(&self) -> u64 {
-            // A synthetic 100-object store: the excess tracks the mean.
-            ((self.frags - 1.0).max(0.0) * 100.0) as u64
-        }
         fn ghost_cleanup(&mut self, _budget_bytes: u64) -> MaintIo {
             self.cleanups += 1;
             let bytes = 4096;
@@ -511,33 +491,6 @@ mod tests {
         let interference = drive(&mut scheduler, &mut store, 64);
         assert_eq!(interference, SimDuration::ZERO);
         assert_eq!(store.cleanups + store.checkpoints + store.defrag_steps, 0);
-    }
-
-    #[test]
-    fn adaptive_policy_spends_only_while_fragmentation_grows() {
-        let mut store = FakeStore::new();
-        // 0.1 frags/op ≈ 0.8 frags/tick of growth; gain 100 buys ~80 units.
-        let mut scheduler = MaintenanceScheduler::new(MaintenanceConfig::adaptive(100.0));
-        let growing = drive(&mut scheduler, &mut store, 64);
-        assert!(
-            growing > SimDuration::ZERO,
-            "a fragmenting store must trigger adaptive work"
-        );
-        assert!(store.defrag_steps > 0);
-        // Pin the store frag-stable: after the estimator's window slides past
-        // the growth, the budget decays to zero and the policy is idle.
-        store.frags = 1.0;
-        let mut quiet = SimDuration::ZERO;
-        for _ in 0..FRAG_WINDOW_TICKS + 1 {
-            for _ in 0..8 {
-                quiet = scheduler.on_foreground_op(SimDuration::from_millis(5), &mut store);
-            }
-        }
-        assert_eq!(
-            quiet,
-            SimDuration::ZERO,
-            "a frag-stable store must degenerate to idle"
-        );
     }
 
     #[test]

@@ -88,15 +88,6 @@ pub trait MaintTarget {
     /// consulted by threshold policies.
     fn fragments_per_object(&self) -> f64;
 
-    /// Current count of **excess** fragments across all live objects —
-    /// total fragments minus the live object count, i.e. fragments above
-    /// the contiguous minimum.  Consulted by the rate-adaptive policy: its
-    /// per-tick derivative is the workload's per-op *damage*, independent
-    /// of population size, and — unlike the raw total — it does not grow
-    /// during bulk load, where every created object adds one (perfectly
-    /// contiguous) fragment (see [`crate::MaintenancePolicy::Adaptive`]).
-    fn excess_fragments(&self) -> u64;
-
     /// Reclaims ghost space (the database's asynchronous ghost cleanup; a
     /// no-op for substrates whose reclamation happens at checkpoint),
     /// transferring at most about `budget_bytes` of background I/O — a large
