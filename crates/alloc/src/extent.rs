@@ -4,10 +4,8 @@
 //! Cluster size is a property of the volume built on top of the allocator;
 //! within this crate all lengths and offsets are in clusters.
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous run of clusters `[start, start + len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Extent {
     /// First cluster of the run.
     pub start: u64,

@@ -81,8 +81,6 @@
 
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AllocError;
 use crate::extent::Extent;
 
@@ -161,7 +159,7 @@ type Position = (usize, usize);
 
 /// Free runs in one offset-ordered blocked list, with a max-size summary
 /// (see the module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunIndexMap {
     total: u64,
     free: u64,
@@ -1240,7 +1238,7 @@ impl FreeSpace for RunIndexMap {
 }
 
 /// Cluster bitmap: simple, exhaustive, O(volume) memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BitmapMap {
     /// `true` means the cluster is free.
     bits: Vec<bool>,

@@ -8,13 +8,11 @@
 //! * **Free-space fragmentation** — how chopped-up the remaining free space
 //!   is, which predicts how badly *future* allocations will fragment.
 
-use serde::{Deserialize, Serialize};
-
 use crate::extent::{Extent, ExtentListExt};
 use crate::freespace::FreeSpace;
 
 /// Summary statistics over the fragment counts of a population of objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragmentationSummary {
     /// Number of objects measured.
     pub objects: usize,
@@ -124,7 +122,7 @@ impl FragmentationSummary {
 }
 
 /// A histogram of free-run lengths plus headline free-space numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreeSpaceReport {
     /// Total clusters on the volume.
     pub total_clusters: u64,
@@ -194,7 +192,7 @@ impl FreeSpaceReport {
 /// [`crate::PlacementPolicy::boundary_cluster`].  Under an unrestricted
 /// policy the boundary equals the volume size and the maintenance band is
 /// empty (occupancy reported as zero).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandOccupancy {
     /// First cluster of the maintenance band.
     pub boundary_cluster: u64,

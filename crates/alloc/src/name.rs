@@ -15,8 +15,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// An immutable UTF-8 name: up to [`Name::INLINE`] bytes stored in the
 /// value itself, a longer one in a boxed slice.
 ///
@@ -25,10 +23,10 @@ use serde::{Deserialize, Serialize};
 /// `Borrow<[u8]>`, so a `HashMap<Name, _>` is searched with
 /// `key.as_bytes()` and builds nothing on a look-up.  Byte order is `str`
 /// order, so sorting by [`Name::as_bytes`] sorts as the strings would.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct Name(Repr);
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Repr {
     /// The first `len` bytes of `bytes` are the name.
     Inline { len: u8, bytes: [u8; Name::INLINE] },

@@ -31,13 +31,11 @@
 //!   reported per request by the substrate).  The big runs stay reserved for
 //!   the allocator; maintenance makes do with the mid-sized ones.
 
-use serde::{Deserialize, Serialize};
-
 use crate::extent::Extent;
 use crate::freespace::{FreeSpace, RunIndexMap};
 
 /// Who is asking for free space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementConsumer {
     /// The foreground write path: inserts, appends, safe writes.
     Foreground,
@@ -60,7 +58,7 @@ impl PlacementConsumer {
 }
 
 /// Which region of free space each consumer may draw from (see module docs).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub enum PlacementPolicy {
     /// No constraint: both consumers see the whole space (the
     /// pre-placement behaviour, bit-identical).

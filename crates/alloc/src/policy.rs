@@ -8,14 +8,12 @@
 //! ([`crate::runcache`]).  Both are pick strategies of the one cluster
 //! allocator, [`crate::SelectableAllocator`], which owns the carve loop.
 
-use serde::{Deserialize, Serialize};
-
 use crate::extent::Extent;
 use crate::freespace::{FreeSpace, RunIndexMap};
 use crate::placement::{PlacementConsumer, PlacementPolicy};
 
 /// How hard an allocation must try to be contiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Contiguity {
     /// The allocation must be one extent; fail otherwise.
     Required,
@@ -25,7 +23,7 @@ pub enum Contiguity {
 }
 
 /// A request for space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocRequest {
     /// Number of clusters needed.
     pub clusters: u64,
@@ -65,7 +63,7 @@ impl AllocRequest {
 }
 
 /// The classic fit policies over a free-run index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FitPolicy {
     /// Lowest-offset run that fits.
     FirstFit,
@@ -187,7 +185,7 @@ impl FitPolicy {
 /// from the paper: the NTFS-style run cache for the filesystem volume, and
 /// SQL Server's lowest-first page reuse (first fit over the page space) for
 /// the database engine.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {
     /// The substrate's paper-faithful native policy.
     #[default]
@@ -236,7 +234,7 @@ impl AllocationPolicy {
 /// The picker also carries the substrate's [`PlacementPolicy`], so every
 /// pick states *who* it is for and the placement constraint cannot be
 /// forgotten at a call site.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FitPicker {
     policy: AllocationPolicy,
     fit: FitPolicy,

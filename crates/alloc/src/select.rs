@@ -20,8 +20,6 @@
 //! space (the foreground of a banded fit policy prefers its band and spills
 //! when it is exhausted; the run cache keeps NTFS's own outer-band banding).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AllocError;
 use crate::extent::Extent;
 use crate::freespace::{FreeSpace, RunIndexMap};
@@ -30,7 +28,7 @@ use crate::policy::{AllocRequest, AllocationPolicy, Contiguity, FitPicker};
 use crate::runcache;
 
 /// Which run a request is carved from next.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Strategy {
     /// The NTFS-style run cache ([`AllocationPolicy::Native`] for volumes).
     RunCache,
@@ -40,7 +38,7 @@ enum Strategy {
 
 /// The cluster allocator; its allocation and placement policies are chosen
 /// at construction time (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelectableAllocator {
     map: RunIndexMap,
     placement: PlacementPolicy,

@@ -1244,7 +1244,7 @@ pub fn traced_anatomy_config(scale: &Scale) -> ExperimentConfig {
 /// under 1 % directly and far more indirectly, as queueing above `idle`'s —
 /// the trade the maintenance policy makes, itemised, and asserted on the
 /// report golden by `paper_claims`'
-/// `maintenance_reaches_the_tail_directly_on_the_filesystem_and_as_queueing_on_the_database`.
+/// `maintenance_reaches_the_filesystem_tail_directly_and_the_database_tail_as_queueing`.
 fn latency_anatomy_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
     let base = think_time_config(scale);
     let ages: Vec<u32> = (1..=scale.max_age).collect();

@@ -99,7 +99,6 @@ use lor_alloc::{
     AllocationPolicy, Extent, FitPicker, FitPolicy, FreeSpace, PlacementConsumer, PlacementPolicy,
     RunIndexMap,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::error::DbError;
 use crate::page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};
@@ -136,7 +135,7 @@ const fn extents_touched(pages: Extent) -> Extent {
 }
 
 /// The Global Allocation Map: which extents of the data file are unassigned.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gam {
     /// Extent-granular free-space map; free means unassigned.
     map: RunIndexMap,
@@ -269,7 +268,7 @@ impl Gam {
 
 /// Which extents of the data file belong to one allocation unit: a dense
 /// bitmap (one bit per extent) plus the population count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ExtentBitmap {
     words: Vec<u64>,
     count: u64,
@@ -327,7 +326,7 @@ impl ExtentBitmap {
 /// The unit and the [`Gam`] it is used with must describe the same data
 /// file (`total_pages` = the GAM's extents × [`PAGES_PER_EXTENT`], plus at
 /// most a partial trailing extent nobody can assign).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AllocationUnit {
     kind: PageKind,
     /// Extents assigned to this unit (the IAM chain).

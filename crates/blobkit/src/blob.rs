@@ -14,13 +14,12 @@
 
 use lor_alloc::{Extent, Name};
 use lor_disksim::ByteRun;
-use serde::{Deserialize, Serialize};
 
 use crate::page::{PageId, PageRuns};
 
 /// Identifier of a stored BLOB.  Never reused within the lifetime of an
 /// engine instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlobId(pub u64);
 
 impl std::fmt::Display for BlobId {
@@ -30,7 +29,7 @@ impl std::fmt::Display for BlobId {
 }
 
 /// One stored object: its key, logical size, and leaf page layout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlobRecord {
     /// Stable identifier.
     pub id: BlobId,

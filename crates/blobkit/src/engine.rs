@@ -114,7 +114,6 @@ use lor_alloc::{
     FreeSpaceReport, IdTable, Name, PlacementPolicy,
 };
 use lor_disksim::ByteRun;
-use serde::{Deserialize, Serialize};
 
 use crate::allocation::{pages_of, AllocationUnit, Gam};
 use crate::blob::{BlobId, BlobRecord};
@@ -122,7 +121,7 @@ use crate::error::DbError;
 use crate::page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};
 
 /// Engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Size of the (pre-created, physically contiguous) data file in bytes.
     pub data_file_bytes: u64,
@@ -207,7 +206,7 @@ impl EngineConfig {
 }
 
 /// Counters describing everything the engine has been asked to do.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Objects inserted.
     pub inserts: u64,
@@ -230,7 +229,7 @@ pub struct EngineStats {
 }
 
 /// What a write-path operation did, so callers can charge the disk model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbWriteReceipt {
     /// The stored object's identifier.
     pub blob_id: BlobId,
@@ -243,7 +242,7 @@ pub struct DbWriteReceipt {
 }
 
 /// Outcome of one incremental compaction step ([`Database::compact_step`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CompactReport {
     /// Blobs whose layout was examined: candidates of the step, each once.
     pub blobs_examined: u64,

@@ -11,13 +11,12 @@
 
 use lor_alloc::Extent;
 use lor_disksim::ByteRun;
-use serde::{Deserialize, Serialize};
 
 /// Pages per extent (SQL Server: 8).
 pub const PAGES_PER_EXTENT: u64 = 8;
 
 /// Identifier of a page within the data file (zero-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
 impl PageId {
@@ -44,7 +43,7 @@ impl std::fmt::Display for PageId {
 }
 
 /// Identifier of an extent (group of [`PAGES_PER_EXTENT`] pages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExtentId(pub u64);
 
 impl ExtentId {
@@ -67,7 +66,7 @@ impl std::fmt::Display for ExtentId {
 
 /// What a page is used for.  Only the distinctions the experiments need are
 /// modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// Out-of-row BLOB data (SQL Server `LOB_DATA`).
     LobData,
@@ -85,7 +84,7 @@ pub enum PageKind {
 /// the object's fragment count, and each run is one disk transfer.  Only
 /// forward adjacency merges — a run that physically precedes its logical
 /// predecessor is a seek, hence a fragment of its own.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageRuns {
     /// Non-empty runs in page units; no run starts where the previous ends.
     runs: Vec<Extent>,

@@ -2,10 +2,9 @@
 //!
 //! The build environment for this repository has no access to a crate
 //! registry, so the real `serde` cannot be vendored.  Nothing in the
-//! workspace actually serialises data through serde (the `figures` binary
-//! writes JSON by hand), so the derives can safely expand to nothing: the
-//! `#[derive(Serialize, Deserialize)]` annotations across the workspace
-//! remain in place, ready for the real serde when a registry is available.
+//! workspace derives or calls serde (the JSON it writes is hand-rolled in
+//! `lor_obs::json`), so the derives expand to nothing; the stub stays only
+//! while the `lor-*` manifests still list `serde`.
 
 use proc_macro::TokenStream;
 

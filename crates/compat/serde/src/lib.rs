@@ -1,11 +1,9 @@
 //! Offline stub of `serde`.
 //!
-//! This workspace derives `Serialize`/`Deserialize` on its public types so
-//! that downstream users can serialise experiment results, but nothing inside
-//! the workspace calls serde at runtime.  The build environment has no crate
-//! registry access, so this stub provides the two trait names and re-exports
-//! the no-op derive macros from the sibling `serde_derive` stub.  Swapping in
-//! the real serde later requires only a `Cargo.toml` change.
+//! No source file of the workspace uses serde (its JSON is hand-rolled in
+//! `lor_obs::json`); the stub stays while the `lor-*` manifests still list
+//! it.  It provides the two trait names and re-exports the no-op derive
+//! macros from the sibling `serde_derive` stub.
 
 #![warn(missing_docs)]
 

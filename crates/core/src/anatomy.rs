@@ -27,13 +27,11 @@
 //! anatomy scenario is ≥ 95% on every top-percentile completion; the
 //! scheduler's exact integer timeline makes it 100% in practice).
 
-use serde::{Deserialize, Serialize};
-
 use crate::server::Completion;
 
 /// One completion's latency, decomposed into named components
 /// (milliseconds).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct LatencyAnatomy {
     /// Client-observed latency (queue delay included).
     pub total_ms: f64,
@@ -125,7 +123,7 @@ impl LatencyAnatomy {
 
 /// The anatomy of a run's latency tail: the per-component decomposition
 /// aggregated over the completions at or above a latency percentile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnatomyReport {
     /// The percentile defining the tail (e.g. `0.99`).
     pub quantile: f64,

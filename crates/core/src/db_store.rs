@@ -4,7 +4,6 @@ use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_blobkit::{Database, DbWriteReceipt, EngineConfig};
 use lor_disksim::{DiskConfig, SimDuration};
 use lor_maint::{MaintSubstrate, MaintenanceConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
 use crate::store::{
@@ -13,7 +12,7 @@ use crate::store::{
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a database-backed store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbStoreConfig {
     /// The storage engine and its data file.
     pub engine: EngineConfig,

@@ -27,7 +27,6 @@ use lor_alloc::{AllocationPolicy, PlacementPolicy};
 use lor_blobkit::Database;
 use lor_disksim::{throughput_mb_per_sec, DiskConfig, SimDuration};
 use lor_maint::MaintenanceConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::db_store::DbStoreConfig;
 use crate::error::StoreError;
@@ -42,7 +41,7 @@ use crate::workload::{
 };
 
 /// The simulated testbed, standing in for the paper's Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestbedConfig {
     /// Human-readable description of the simulated hardware and software.
     pub rows: Vec<(String, String)>,
@@ -89,7 +88,7 @@ impl TestbedConfig {
 /// knob therefore only chooses how much *wall-clock* parallelism the
 /// fleet uses — results are bit-identical across all settings (a
 /// property `lor-shard` pins with proptests and e2e tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetParallelism {
     /// Drain shards one after another on the calling thread.  The
     /// reference path every threaded drain must equal bit for bit.
@@ -112,7 +111,7 @@ impl FleetParallelism {
 }
 
 /// Parameters shared by every experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Volume / data-file capacity in bytes.
     pub volume_bytes: u64,
@@ -317,7 +316,7 @@ impl ExperimentConfig {
 }
 
 /// One measurement checkpoint of an aging run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgePoint {
     /// Storage age at the checkpoint (0 = immediately after bulk load).
     pub storage_age: f64,
@@ -363,7 +362,7 @@ pub struct AgePoint {
 }
 
 /// The result of ageing one store through a sequence of checkpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgingResult {
     /// Which store was measured.
     pub kind: StoreKind,
@@ -580,7 +579,7 @@ pub fn age_store(
 /// a Poisson read class and a Poisson safe-write class contend for the
 /// spindle of an aged store, so the write class grows fragmentation *during*
 /// the measurement while the read class traverses the decaying layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedLoadPoint {
     /// Fraction of the offered operations that are safe writes.
     pub write_fraction: f64,

@@ -13,7 +13,6 @@
 
 use lor_alloc::FragmentationSummary;
 use lor_disksim::ByteRun;
-use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
 use crate::store::ObjectStore;
@@ -23,7 +22,7 @@ pub const MARKER_INTERVAL: u64 = 1024;
 
 /// One marker: a logical offset within an object and the physical byte
 /// address it landed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {
     /// Logical offset of the marker within the object.
     pub logical_offset: u64,
@@ -92,7 +91,7 @@ pub fn fragments_from_layout(layout: &[ByteRun]) -> u64 {
 }
 
 /// A per-store fragmentation report produced by the analyzer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragmentationReport {
     /// Summary over all live objects (fragments counted from layouts).
     pub summary: FragmentationSummary,

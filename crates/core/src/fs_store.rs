@@ -6,7 +6,6 @@ use lor_fskit::{
     DefragCursor, DefragReport, Defragmenter, FileId, Volume, VolumeConfig, WriteReceipt,
 };
 use lor_maint::{MaintSubstrate, MaintenanceConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
 use crate::store::{
@@ -16,7 +15,7 @@ use crate::store::{
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a filesystem-backed store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FsStoreConfig {
     /// The simulated volume.
     pub volume: VolumeConfig,

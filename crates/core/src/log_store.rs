@@ -32,14 +32,13 @@ use lor_disksim::{ByteRun, DiskConfig, SimDuration};
 use lor_logstore::{CleanReport, LogConfig, LogError, SegmentLog};
 use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
 use lor_obs::{ArgValue, Obs, Track};
-use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
 use crate::store::{Store, StoreKind, DB_LOOKUP_TIME, FS_PER_WRITE_REQUEST_TIME, METADATA_IO_TIME};
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
 /// Configuration of a log-structured store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogStoreConfig {
     /// The simulated segment log.
     pub log: LogConfig,

@@ -1,13 +1,12 @@
 //! Report types: the series and tables the paper's figures plot, in a
-//! machine-readable (serde) and a plain-text form.
+//! machine-readable (JSON) and a plain-text form.
 
 use lor_obs::{json_f64, json_string};
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::{AgePoint, AgingResult};
 
 /// One labelled series of (x, y) points — e.g. "Database" in Figure 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub label: String,
@@ -46,7 +45,7 @@ impl Series {
 }
 
 /// A figure: a title, axis labels, and one or more series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Figure identifier ("Figure 2"), matching the paper.
     pub id: String,
@@ -77,55 +76,37 @@ impl Figure {
         }
     }
 
-    /// Renders the figure as JSON.
-    ///
-    /// Hand-rolled (rather than via a serde backend) so that figure data can
-    /// be exported even in offline builds where only the serde stub is
-    /// available; the schema matches what `#[derive(Serialize)]` would emit.
+    /// Renders the figure as JSON: an object with the four text fields and
+    /// a `series` array of `{"label", "points": [[x, y], ...]}` objects (a
+    /// non-finite coordinate becomes `null`), written with the escaper and
+    /// number form of [`lor_obs::json`].
     fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"id\":{},\"title\":{},\"x_label\":{},\"y_label\":{},\"series\":[",
+        let series: Vec<String> = self
+            .series
+            .iter()
+            .map(|series| {
+                let points: Vec<String> = (series.points.iter())
+                    .map(|&(x, y)| format!("[{},{}]", json_f64(x), json_f64(y)))
+                    .collect();
+                let label = json_string(&series.label);
+                format!("{{\"label\":{label},\"points\":[{}]}}", points.join(","))
+            })
+            .collect();
+        format!(
+            "{{\"id\":{},\"title\":{},\"x_label\":{},\"y_label\":{},\"series\":[{}]}}",
             json_string(&self.id),
             json_string(&self.title),
             json_string(&self.x_label),
-            json_string(&self.y_label)
-        );
-        for (index, series) in self.series.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"label\":{},\"points\":[",
-                json_string(&series.label)
-            );
-            for (pindex, (x, y)) in series.points.iter().enumerate() {
-                if pindex > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", json_f64(*x), json_f64(*y));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            json_string(&self.y_label),
+            series.join(",")
+        )
     }
 
     /// Renders a list of figures as a JSON array (the `figures --json`
     /// output format).
     pub fn list_to_json(figures: &[Figure]) -> String {
-        let mut out = String::from("[");
-        for (index, figure) in figures.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&figure.to_json());
-        }
-        out.push(']');
-        out
+        let figures: Vec<String> = figures.iter().map(Figure::to_json).collect();
+        format!("[{}]", figures.join(","))
     }
 
     /// Renders the figure as an aligned plain-text table: one row per x value,
@@ -180,7 +161,7 @@ impl Figure {
 }
 
 /// A simple two-column table (used for the Table 1 substitute).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table identifier ("Table 1").
     pub id: String,
@@ -384,5 +365,19 @@ mod tests {
         let list = Figure::list_to_json(std::slice::from_ref(&figure));
         assert!(list.starts_with('[') && list.ends_with(']'));
         assert!(list.contains("\"Database\""));
+    }
+
+    #[test]
+    fn figure_json_parses_with_the_shared_parser() {
+        let label = "say \"hi\" \\ to\na\u{7}bell";
+        let figure = Figure {
+            series: vec![Series::new(label, vec![(0.0, f64::NAN), (1.0, 2.0)])],
+            ..Figure::new("Figure 9", label, "x", "y")
+        };
+        let list = Figure::list_to_json(&[figure, Figure::new("Figure 10", "", "", "")]);
+        lor_obs::json::check_syntax(&list).unwrap();
+        let series = r#""label":"say \"hi\" \\ to\na\u0007bell","points":[[0,null],[1,2]]"#;
+        assert!(list.contains(series), "{list}");
+        lor_obs::json::check_syntax(&Figure::list_to_json(&[])).unwrap();
     }
 }

@@ -65,14 +65,13 @@ use lor_maint::{
 use lor_obs::{Obs, Track};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
 use crate::store::{ObjectStore, OpReceipt};
 use crate::workload::WorkloadOp;
 
 /// Identifier of one simulated client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(pub u32);
 
 /// One operation submitted to the store server.
@@ -119,7 +118,7 @@ impl Completion {
 
 /// Latency percentiles over a set of completions (client-observed latency,
 /// i.e. queue delay included).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Completions summarised.
     pub count: u64,
@@ -165,7 +164,7 @@ fn percentile(sorted_nanos: &[u64], quantile: f64) -> f64 {
 
 /// Queue-depth accounting: one sample per dispatch (how many requests were
 /// waiting when the spindle freed up).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
     /// Dispatches sampled.
     pub samples: u64,
@@ -193,7 +192,7 @@ impl QueueStats {
 }
 
 /// An open-loop Poisson arrival process at a target offered load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoop {
     /// Target arrival rate in operations per simulated second.
     pub ops_per_sec: f64,
@@ -272,7 +271,7 @@ fn poisson_arrivals(rate: f64, seed: u64, start: SimDuration, n: usize) -> Vec<S
 /// writes breaks the batch (they were never concurrently in flight), while
 /// writes that queue back-to-back behind a slow read coalesce exactly as a
 /// web server's parallel uploads would.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixedOpenLoop {
     /// Target arrival rate of the read class, operations per simulated
     /// second.  Must be positive and finite when any reads are offered.

@@ -14,14 +14,13 @@ use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_disksim::{ByteRun, Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
 use lor_maint::{MaintIo, MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
 use lor_obs::Obs;
-use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
 use crate::maintenance::{copy_io, Drive};
 use crate::substrate::{Substrate, WriteOp, Written, WrittenFragments};
 
 /// Which storage system backs a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreKind {
     /// One file per object on the NTFS-like volume ("Filesystem" in the
     /// paper's figures).
@@ -59,7 +58,7 @@ impl std::fmt::Display for StoreKind {
 }
 
 /// What one store operation cost.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OpReceipt {
     /// Application payload bytes moved (object bytes, not pages/clusters).
     pub payload_bytes: u64,

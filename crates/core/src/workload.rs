@@ -11,10 +11,9 @@
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How object sizes are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeDistribution {
     /// Every object has exactly this size.
     Constant(u64),
@@ -79,9 +78,7 @@ impl SizeDistribution {
 /// materialised only at the [`ObjectStore`](crate::ObjectStore) call
 /// boundary via [`ObjectKey::write_into`], which formats into a stack buffer
 /// instead of the heap.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ObjectKey(pub u64);
 
 /// Stack buffer large enough for any [`ObjectKey`] string form
@@ -120,7 +117,7 @@ impl std::fmt::Display for ObjectKey {
 }
 
 /// One operation of the synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadOp {
     /// Store a new object.
     Put {
@@ -161,7 +158,7 @@ impl WorkloadOp {
 }
 
 /// Parameters of the synthetic workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Object-size distribution.
     pub sizes: SizeDistribution,
@@ -453,7 +450,7 @@ impl WorkloadGenerator {
 /// volume (and have since been deleted or replaced) to the bytes currently
 /// live.  For the paper's pure safe-write workload it equals "safe writes per
 /// object".
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct StorageAgeTracker {
     /// Bytes belonging to object versions that no longer exist.
     pub dead_bytes: u64,

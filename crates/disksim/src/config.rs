@@ -10,8 +10,6 @@
 //! tests and CI-scale runs stay fast.  Changing any constant here moves every
 //! recorded result.
 
-use serde::{Deserialize, Serialize};
-
 use crate::request::ByteRun;
 use crate::time::SimDuration;
 
@@ -82,7 +80,7 @@ fn zone_rate(index: usize) -> f64 {
 }
 
 /// The simulated disk: the testbed drive, or a slice of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskConfig {
     /// Usable capacity in bytes, at least one.
     capacity_bytes: u64,

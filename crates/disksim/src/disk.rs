@@ -8,7 +8,6 @@
 //! the paper.
 
 use lor_obs::{Obs, Track};
-use serde::{Deserialize, Serialize};
 
 use crate::config::DiskConfig;
 use crate::request::{AccessKind, IoRequest};
@@ -16,7 +15,7 @@ use crate::stats::DiskStats;
 use crate::time::{SimClock, SimDuration};
 
 /// Breakdown of the time needed to service one request.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceTime {
     /// Head movement time.
     pub seek: SimDuration,

@@ -6,14 +6,12 @@
 //! and the disk model charges one mechanical positioning delay per
 //! discontiguity.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a request reads or writes the media.
 ///
 /// The mechanical cost model is symmetric; the distinction exists so that
 /// statistics can be reported separately and so future extensions (e.g. write
 /// caching) have a place to hook in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data is read from the platters.
     Read,
@@ -32,7 +30,7 @@ impl AccessKind {
 }
 
 /// A physically contiguous run of bytes on the disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ByteRun {
     /// Byte offset of the first byte of the run.
     pub offset: u64,
@@ -64,7 +62,7 @@ impl ByteRun {
 
 /// One I/O operation: an access kind plus the physical runs it touches, in
 /// the order the host will transfer them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoRequest {
     /// Read or write.
     pub kind: AccessKind,

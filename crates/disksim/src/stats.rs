@@ -1,12 +1,10 @@
 //! Running statistics collected by the disk model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::request::AccessKind;
 use crate::time::SimDuration;
 
 /// Counters for one access direction (reads or writes).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DirectionStats {
     /// Number of requests serviced.
     pub requests: u64,
@@ -37,7 +35,7 @@ impl DirectionStats {
 }
 
 /// Aggregate statistics for a [`crate::Disk`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DiskStats {
     /// Statistics for read requests.
     pub reads: DirectionStats,

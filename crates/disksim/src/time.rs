@@ -9,17 +9,13 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of simulated time with nanosecond resolution.
 ///
 /// `SimDuration` behaves like a small, copyable numeric type: it supports
 /// addition, subtraction, scaling by integers and summation.  It never
 /// silently overflows — all arithmetic saturates, which is adequate because a
 /// saturated duration (≈ 584 years) is far beyond any meaningful simulation.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration {
     nanos: u64,
 }
@@ -194,7 +190,7 @@ impl fmt::Display for SimDuration {
 /// The clock is a thin wrapper over [`SimDuration`]; it exists to make the
 /// intent of "current simulated time" explicit in APIs that both read and
 /// advance time.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SimClock {
     now: SimDuration,
 }

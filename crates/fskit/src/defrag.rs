@@ -18,14 +18,13 @@
 use std::collections::VecDeque;
 
 use lor_alloc::{AllocRequest, Contiguity, PlacementConsumer};
-use serde::{Deserialize, Serialize};
 
 use crate::error::FsError;
 use crate::file::FileId;
 use crate::volume::Volume;
 
 /// Outcome of a defragmentation pass.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DefragReport {
     /// Files examined.
     pub files_examined: u64,

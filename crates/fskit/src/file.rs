@@ -2,11 +2,10 @@
 
 use lor_alloc::{Extent, ExtentListExt, Name};
 use lor_disksim::ByteRun;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a file on a [`crate::Volume`].  Analogous to an MFT record
 /// number: never reused within the lifetime of a volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
 impl std::fmt::Display for FileId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for FileId {
 }
 
 /// Metadata and extent map of one file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileRecord {
     /// Stable identifier.
     pub id: FileId,

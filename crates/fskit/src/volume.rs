@@ -74,7 +74,6 @@ use lor_alloc::{
     Name, PlacementConsumer, PlacementPolicy, SelectableAllocator,
 };
 use lor_disksim::ByteRun;
-use serde::{Deserialize, Serialize};
 
 use crate::error::FsError;
 use crate::file::{FileId, FileRecord};
@@ -98,7 +97,7 @@ const CLUSTER_SIZE: u64 = 4096;
 const MFT_ZONE_FRACTION: f64 = 0.05;
 
 /// Configuration of a simulated NTFS-like volume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VolumeConfig {
     /// Usable capacity in bytes.
     pub capacity_bytes: u64,
@@ -155,7 +154,7 @@ impl VolumeConfig {
 }
 
 /// Counters describing everything a volume has been asked to do.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct VolumeStats {
     /// Files created (including temporary safe-write files).
     pub files_created: u64,
@@ -180,7 +179,7 @@ pub struct VolumeStats {
 }
 
 /// What a write-path operation did, so callers can charge the disk model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteReceipt {
     /// The file that now holds the data.
     pub file_id: FileId,

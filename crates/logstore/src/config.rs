@@ -1,7 +1,6 @@
 //! Segment-log geometry and cleaner-selection configuration.
 
 use lor_alloc::PlacementPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Default segment size: 4 MiB, a few dozen write requests — large enough
 /// that appends stream, small enough that utilization varies per segment.
@@ -15,7 +14,7 @@ pub const MIN_SEGMENT_BYTES: u64 = 64 * 1024;
 const MIN_SEGMENTS: u64 = 16;
 
 /// How the cleaner picks its next victim segment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CleanerSelector {
     /// Rosenblum-style cost-benefit: maximize `free · age / (1 + utilization)`.
     /// Age makes cold, moderately-dead segments eventually worth cleaning, so
@@ -41,7 +40,7 @@ impl CleanerSelector {
 }
 
 /// Geometry and policy of a [`crate::SegmentLog`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogConfig {
     /// Raw volume size in bytes.  A small slice (1/32, at least one segment)
     /// is reserved up front for the log's index and segment-usage table; the

@@ -1,7 +1,5 @@
 //! Maintenance policies and scheduler configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Foreground operations per scheduler tick.
 pub const TICK_EVERY_OPS: u64 = 8;
 /// Size of one background I/O unit in bytes — the granularity budgets are
@@ -24,7 +22,7 @@ pub const BURST_IO_PER_TICK: u64 = 512;
 /// The policy is consulted once per tick and yields the background I/O budget
 /// the task queue may spend during that tick (see
 /// [`crate::MaintenanceScheduler`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MaintenancePolicy {
     /// Never schedule background work.  Ghosts and pending-free space pile up
     /// until foreground allocation pressure forces the substrate's own
@@ -136,7 +134,7 @@ impl MaintenancePolicy {
 /// Configuration of the background maintenance scheduler: which policy
 /// budgets the queue, and who drives it.  The cadences and sizes are the
 /// constants of this module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceConfig {
     /// The latency-vs-throughput policy in effect.
     pub policy: MaintenancePolicy,

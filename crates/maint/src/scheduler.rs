@@ -2,7 +2,6 @@
 
 use lor_disksim::{SimClock, SimDuration};
 use lor_obs::{Obs, Track};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{
     MaintenanceConfig, MaintenancePolicy, CHECKPOINT_EVERY_TICKS, GHOST_CLEANUP_EVERY_TICKS,
@@ -22,7 +21,7 @@ const QUEUE: [TaskKind; 3] = [
 ];
 
 /// Per-task accounting.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TaskStats {
     /// Times the task ran and performed work.
     pub runs: u64,
@@ -33,7 +32,7 @@ pub struct TaskStats {
 }
 
 /// Everything the scheduler has done so far.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Foreground operations observed.
     pub foreground_ops: u64,

@@ -1,14 +1,13 @@
 //! The target abstraction, the background-I/O record and the task kinds.
 
 use lor_disksim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Background I/O performed by one maintenance action.
 ///
 /// The *target* produces these, because only the target knows its disk
 /// geometry: the scheduler itself never guesses mechanical costs, it only
 /// budgets bytes and accumulates time.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MaintIo {
     /// Bytes physically transferred by the action (reads plus writes).
     pub bytes: u64,
@@ -45,7 +44,7 @@ impl MaintIo {
 /// How a substrate reacts to having its reclaimed space released eagerly —
 /// the distinction the [`crate::MaintenancePolicy::SubstrateAware`] policy
 /// keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaintSubstrate {
     /// Deferred-reuse substrates (the NTFS-like volume): freed space is
     /// quarantined until a checkpoint anyway, so eager release is harmless
@@ -109,7 +108,7 @@ pub trait MaintTarget {
 
 /// The maintenance duties of the scheduler's queue, in queue order (used to
 /// attribute statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Log flush / checkpoint, releasing deferred frees.
     Checkpoint,

@@ -16,7 +16,8 @@
 
 use std::collections::VecDeque;
 
-use crate::{ArgValue, MetricKind, MetricSample, SpanRecord};
+use crate::json::{json_f64, json_string};
+use crate::{ArgValue, MetricSample, SpanRecord};
 
 /// Bounded ring buffer of spans and metric samples.
 #[derive(Debug, Default)]
@@ -112,36 +113,18 @@ impl TraceRecorder {
         let mut metrics: Vec<&MetricSample> = self.metrics.iter().collect();
         metrics.sort_by_key(|a| a.at_ns);
 
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"displayTimeUnit\": \"ms\",\n");
-        out.push_str(&format!(
-            "  \"droppedSpans\": {},\n  \"droppedMetricSamples\": {},\n",
-            self.dropped_spans, self.dropped_metrics
-        ));
-        out.push_str("  \"traceEvents\": [\n");
-        let mut first = true;
-        for span in &spans {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("    ");
-            out.push_str(&span_event(span));
-        }
-        for sample in &metrics {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("    ");
-            out.push_str(&counter_event(sample));
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"metrics\": [\n");
-        out.push_str(&metric_section(&self.metrics));
-        out.push_str("  ]\n}\n");
-        out
+        let events: Vec<String> = (spans.iter().map(|span| span_event(span)))
+            .chain(metrics.iter().map(|sample| counter_event(sample)))
+            .map(|event| format!("    {event}"))
+            .collect();
+        format!(
+            "{{\n  \"displayTimeUnit\": \"ms\",\n  \"droppedSpans\": {},\n  \"droppedMetricSamples\": {},\n  \
+             \"traceEvents\": [\n{}\n  ],\n  \"metrics\": [\n{}  ]\n}}\n",
+            self.dropped_spans,
+            self.dropped_metrics,
+            events.join(",\n"),
+            metric_section(&self.metrics)
+        )
     }
 }
 
@@ -149,36 +132,6 @@ impl TraceRecorder {
 /// exact decimal form, so round-tripping through text is lossless.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// Escapes a string as a JSON string literal — the one escaper every
-/// hand-rolled JSON writer in the workspace shares.
-pub fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders a number as a JSON value (`null` when it is not finite, which
-/// JSON cannot express).
-pub fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn json_arg(value: &ArgValue) -> String {
@@ -216,31 +169,26 @@ fn counter_event(sample: &MetricSample) -> String {
 }
 
 fn metric_section(metrics: &VecDeque<MetricSample>) -> String {
-    // Group by name, preserving first-seen order.
-    let mut names: Vec<&'static str> = Vec::new();
+    // One series per name, in first-seen order, of its first sample's kind.
+    let mut firsts: Vec<&MetricSample> = Vec::new();
     for sample in metrics {
-        if !names.contains(&sample.name) {
-            names.push(sample.name);
+        if !firsts.iter().any(|first| first.name == sample.name) {
+            firsts.push(sample);
         }
     }
     let mut out = String::new();
-    for (i, name) in names.iter().enumerate() {
-        let kind = metrics
-            .iter()
-            .find(|s| s.name == *name)
-            .map(|s| s.kind)
-            .unwrap_or(MetricKind::Gauge);
+    for (i, first) in firsts.iter().enumerate() {
         let samples: Vec<String> = metrics
             .iter()
-            .filter(|s| s.name == *name)
+            .filter(|s| s.name == first.name)
             .map(|s| format!("[{}, {}]", us(s.at_ns), json_f64(s.value)))
             .collect();
         out.push_str(&format!(
             "    {{\"name\": {}, \"kind\": {}, \"unit_ts\": \"us\", \"samples\": [{}]}}{}\n",
-            json_string(name),
-            json_string(kind.name()),
+            json_string(first.name),
+            json_string(first.kind.name()),
             samples.join(", "),
-            if i + 1 == names.len() { "" } else { "," }
+            if i + 1 == firsts.len() { "" } else { "," }
         ));
     }
     out
@@ -249,7 +197,7 @@ fn metric_section(metrics: &VecDeque<MetricSample>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Track;
+    use crate::{MetricKind, Track};
 
     fn span(start_ns: u64, dur_ns: u64) -> SpanRecord {
         SpanRecord {

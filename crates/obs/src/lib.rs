@@ -23,7 +23,8 @@
 //! `chrome://tracing`) via [`TraceRecorder::to_chrome_json`], with a
 //! `metrics` time-series section alongside the `traceEvents` array.
 //! [`validate_chrome_trace`] checks an exported document the way CI does:
-//! it parses, per-track timestamps are monotone, and spans nest.
+//! it parses, per-track timestamps are monotone, and spans nest.  All the
+//! JSON the workspace writes or reads back goes through the [`json`] module.
 //!
 //! `Obs` clones share one recorder through `Arc`, so a handle may cross
 //! thread boundaries: `lor-shard`'s parallel fleet drains each shard's
@@ -35,9 +36,11 @@
 //! hot path because every worker records into its own recorder.
 
 mod export;
+pub mod json;
 mod validate;
 
-pub use export::{json_f64, json_string, TraceRecorder};
+pub use export::TraceRecorder;
+pub use json::{json_f64, json_string};
 pub use validate::{validate_chrome_trace, TraceCheck};
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -9,8 +9,9 @@
 //! The event extraction is deliberately line-based — the exporter emits
 //! one event per line: this crate owns both the writer and the reader, so
 //! a full JSON data model would be dead weight.  The *syntax* check, by
-//! contrast, is a real recursive-descent pass over the whole document,
-//! because "loads in Perfetto" is the property we actually promise.
+//! contrast, is a real recursive-descent pass over the whole document
+//! ([`crate::json::check_syntax`]), because "loads in Perfetto" is the
+//! property we actually promise.
 
 use std::collections::HashMap;
 
@@ -30,7 +31,7 @@ pub struct TraceCheck {
 /// Validates an exported Chrome trace document.  Returns counts on
 /// success and a diagnostic naming the first offending event on failure.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
-    check_json_syntax(json)?;
+    crate::json::check_syntax(json)?;
 
     let mut per_tid: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
     let mut span_events = 0usize;
@@ -129,187 +130,14 @@ fn extract_string<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 /// integers (e.g. `tid`) parse with a zero fraction.
 fn extract_ts_ns(line: &str, key: &str) -> Option<u64> {
     let pattern = format!("\"{key}\": ");
-    let start = line.find(&pattern)? + pattern.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    let (whole, frac) = match digits.split_once('.') {
-        Some((w, f)) => (w, f),
-        None => (digits.as_str(), ""),
-    };
-    let mut ns: u64 = whole.parse::<u64>().ok()?.checked_mul(1000)?;
-    if !frac.is_empty() {
-        if frac.len() != 3 {
-            return None;
-        }
-        ns = ns.checked_add(frac.parse::<u64>().ok()?)?;
+    let rest = &line[line.find(&pattern)? + pattern.len()..];
+    let end = rest.find(|c: char| !c.is_ascii_digit() && c != '.');
+    let number = &rest[..end.unwrap_or(rest.len())];
+    let (whole, frac) = number.split_once('.').unwrap_or((number, "000"));
+    if frac.len() != 3 {
+        return None;
     }
-    Some(ns)
-}
-
-/// Minimal recursive-descent JSON syntax check (no data model).
-fn check_json_syntax(text: &str) -> Result<(), String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    parser.value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!(
-            "trailing content at byte {} of {}",
-            parser.pos,
-            parser.bytes.len()
-        ));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("JSON syntax error at byte {}: {}", self.pos, msg)
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", byte as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<(), String> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value(depth + 1)?;
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value(depth + 1)?;
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        while let Some(&byte) = self.bytes.get(self.pos) {
-            self.pos += 1;
-            match byte {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    // Escape: consume the escaped byte (good enough for a
-                    // syntax check; \uXXXX hex digits are plain bytes).
-                    if self.bytes.get(self.pos).is_none() {
-                        return Err(self.err("unterminated escape"));
-                    }
-                    self.pos += 1;
-                }
-                _ => {}
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut seen_digit = false;
-        while let Some(&byte) = self.bytes.get(self.pos) {
-            match byte {
-                b'0'..=b'9' => {
-                    seen_digit = true;
-                    self.pos += 1;
-                }
-                b'.' | b'e' | b'E' | b'+' | b'-' => self.pos += 1,
-                _ => break,
-            }
-        }
-        if seen_digit {
-            Ok(())
-        } else {
-            self.pos = start;
-            Err(self.err("malformed number"))
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {word}")))
-        }
-    }
+    (whole.parse::<u64>().ok()?.checked_mul(1000)?).checked_add(frac.parse().ok()?)
 }
 
 #[cfg(test)]
@@ -371,10 +199,10 @@ mod tests {
 
     #[test]
     fn rejects_broken_json() {
-        assert!(check_json_syntax("{\"a\": [1, 2}").is_err());
-        assert!(check_json_syntax("{\"a\": 1} trailing").is_err());
-        assert!(check_json_syntax("{\"a\": \"unterminated}").is_err());
-        check_json_syntax("{\"a\": [1, 2.5, -3e4], \"b\": {\"c\": null}}").unwrap();
+        assert!(validate_chrome_trace("{\"a\": [1, 2}").is_err());
+        assert!(validate_chrome_trace("{\"a\": 1} trailing").is_err());
+        assert!(validate_chrome_trace("{\"a\": \"unterminated}").is_err());
+        validate_chrome_trace("{\"a\": [1, 2.5, -3e4], \"b\": {\"c\": null}}").unwrap();
     }
 
     #[test]

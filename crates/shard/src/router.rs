@@ -7,14 +7,13 @@
 //! the sharded arrival streams rely on for seed stability.
 
 use lor_core::ObjectKey;
-use serde::{Deserialize, Serialize};
 
 /// Salt folded into ring-position hashing so key hashes and vnode positions
 /// come from unrelated points of the splitmix sequence.
 const VNODE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// How new objects are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
     /// Classic consistent hashing: each shard owns `vnodes` pseudo-random
     /// points on a 64-bit ring and a key belongs to the first point at or

@@ -1,5 +1,6 @@
 //! Every section of EXPERIMENTS.md that another document cites by its quoted
-//! title must exist.
+//! title must exist, and every long snake_case name a source file cites in
+//! backticks must still be defined somewhere.
 //!
 //! The scanned documents are README.md, ROADMAP.md, CHANGES.md, the verify
 //! skill's SKILL.md and every `.rs` file outside `crates/compat`.  A citation
@@ -9,6 +10,13 @@
 //! markers dropped before matching, so a title may wrap.  A title matches a
 //! heading when it is a case-insensitive prefix of it; a trailing `…` says
 //! "prefix" explicitly.
+//!
+//! The name check reads README.md, the CI workflow and the same `.rs` files
+//! (not the ledgers, EXPERIMENTS.md, CHANGES.md and ROADMAP.md, which cite
+//! deleted names on purpose).  A backticked snake_case name of four or more
+//! words, bare, called (`name()`) or ending a path, must be a `fn` (as every
+//! `claims![…]` entry is), a field, `const` or `static`, or a string literal
+//! (a metric's name) in some `.rs` file.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -167,4 +175,62 @@ fn the_citation_forms_and_the_prefix_rule() {
     assert!(!resolves("not a heading", &headings));
     assert!(!resolves("Host cost of the record tables", &headings));
     assert!(!resolves("…", &headings));
+}
+
+/// The long snake_case names `text` cites in backticks, with any `()` and
+/// leading path dropped.  Every stretch between two backticks is a
+/// candidate (one that holds a bare name is a citation), so an unpaired
+/// backtick cannot hide one.
+fn cited_names(text: &str) -> impl Iterator<Item = &str> {
+    text.split('`').filter_map(|piece| {
+        let path = piece.strip_suffix("()").unwrap_or(piece);
+        let name = path.rsplit("::").next().unwrap_or(path);
+        let words: Vec<&str> = name.split('_').collect();
+        let lower =
+            |w: &&str| !w.is_empty() && w.bytes().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9'));
+        let is_path = path
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"_:".contains(&b));
+        (is_path
+            && words.len() >= 4
+            && words.iter().all(lower)
+            && !name.starts_with(char::is_numeric))
+        .then_some(name)
+    })
+}
+
+#[test]
+fn every_cited_long_name_is_defined() {
+    let root = root();
+    let mut files = Vec::new();
+    rust_files(&root, &mut files);
+    let code: String = files
+        .iter()
+        .filter_map(|path| fs::read_to_string(path).ok())
+        .collect();
+    let defined = |name: &str| {
+        ["fn {}(", "fn {}<", " {}: ", "\"{}\""]
+            .iter()
+            .any(|form| code.contains(&form.replace("{}", name)))
+    };
+    files.extend(["README.md", ".github/workflows/ci.yml"].map(|name| root.join(name)));
+    let (mut checked, mut stale) = (0, Vec::new());
+    for path in &files {
+        let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        for name in cited_names(&text) {
+            checked += 1;
+            if !defined(name) {
+                stale.push(format!(
+                    "{}: `{name}`",
+                    path.strip_prefix(&root).unwrap().display()
+                ));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "backticked names nothing defines:\n  {}",
+        stale.join("\n  ")
+    );
+    assert!(checked > 0, "no long backticked name was found at all");
 }
