@@ -985,7 +985,11 @@ fn cleaner_frontier_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
 /// this hold leaves `substrate-aware` bit-identical to `idle-detect`; only
 /// combined with a placement band does it win the frontier.  A longer hold
 /// differs (the root crate's `substrate_aware_pins_the_db_eager_cleanup_pathology`
-/// pins an 8 s hold at a 128 MB fixture, which no figure carries).
+/// pins an 8 s hold at a 128 MB fixture, which no figure carries).  The
+/// policy stays because the benchmark's `serve_db` workload runs this hold
+/// and can tell it from `idle-detect`: swapping in `idle_detect(5.0)` moves
+/// its after-run fragments/object 1.080 → 1.133 and its p99 1656.8 →
+/// 1388.3 ms.
 const SUBSTRATE_AWARE_DEFER_MS: f64 = 2000.0;
 
 /// The maintenance policies the idle-detect scenario compares, all under the

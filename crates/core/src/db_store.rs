@@ -3,7 +3,7 @@
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_blobkit::{Database, DbWriteReceipt, EngineConfig};
 use lor_disksim::{DiskConfig, SimDuration};
-use lor_maint::{MaintSubstrate, MaintenanceConfig};
+use lor_maint::MaintenanceConfig;
 
 use crate::error::StoreError;
 use crate::store::{
@@ -62,7 +62,7 @@ impl DbObjectStore {
 
     /// The underlying engine (read-only).
     pub fn database(&self) -> &Database {
-        self.substrate()
+        &self.substrate
     }
 }
 
@@ -81,10 +81,6 @@ impl Substrate for Database {
     type Config = EngineConfig;
     const KIND: StoreKind = StoreKind::Database;
     const DISK_LABEL: &'static str = "db-store";
-    // The engine's lowest-first page reuse recycles released ghost space
-    // immediately — the eager-cleanup pathology the `SubstrateAware` policy's
-    // deferred release exists to break.
-    const REUSE: MaintSubstrate = MaintSubstrate::EagerReuse;
 
     fn create(mut config: EngineConfig, scheduled: bool) -> Result<Self, StoreError> {
         if scheduled {

@@ -747,6 +747,14 @@ mod tests {
         let mut config = mini_config();
         config.write_request_size = 0;
         assert!(run_aging_experiment(StoreKind::Database, &config, &[0], false).is_err());
+        // A mean past the volume is refused, even where `min + max` overflows.
+        let mut config = mini_config();
+        config.object_size = SizeDistribution::Uniform {
+            min: u64::MAX - 1,
+            max: u64::MAX,
+        };
+        let outcome = run_aging_experiment(StoreKind::Filesystem, &config, &[0], false);
+        assert!(matches!(outcome, Err(StoreError::BadConfig(_))));
     }
 
     #[test]

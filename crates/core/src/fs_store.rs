@@ -5,7 +5,7 @@ use lor_disksim::{DiskConfig, SimDuration};
 use lor_fskit::{
     DefragCursor, DefragReport, Defragmenter, FileId, Volume, VolumeConfig, WriteReceipt,
 };
-use lor_maint::{MaintSubstrate, MaintenanceConfig};
+use lor_maint::MaintenanceConfig;
 
 use crate::error::StoreError;
 use crate::store::{
@@ -66,14 +66,14 @@ impl FsObjectStore {
     /// The underlying volume (read-only), for fragmentation reports and test
     /// fixtures.
     pub fn volume(&self) -> &Volume {
-        &self.substrate().volume
+        &self.substrate.volume
     }
 }
 
 /// The NTFS-like volume as a [`Substrate`].
 #[derive(Debug)]
 pub struct FsSubstrate {
-    volume: Volume,
+    pub(crate) volume: Volume,
     /// Resumable position of the incremental defragmentation pass.
     cursor: DefragCursor,
 }
@@ -108,9 +108,6 @@ impl Substrate for FsSubstrate {
     type Config = VolumeConfig;
     const KIND: StoreKind = StoreKind::Filesystem;
     const DISK_LABEL: &'static str = "fs-store";
-    // Freed clusters are quarantined in the pending-free queue until a
-    // checkpoint, so eager release has no reuse pathology to trigger.
-    const REUSE: MaintSubstrate = MaintSubstrate::DeferredReuse;
 
     fn create(mut config: VolumeConfig, scheduled: bool) -> Result<Self, StoreError> {
         if scheduled {
@@ -219,11 +216,7 @@ impl Substrate for FsSubstrate {
         self.volume.band_occupancy()
     }
 
-    fn reclaimable_bytes(&self) -> u64 {
-        self.volume.pending_clusters() * self.volume.cluster_size()
-    }
-
-    // No `ghost_cleanup`: deferred frees are released by the log commit
+    // No ghost backlog: deferred frees are released by the log commit
     // below; NTFS has no separate ghost mechanism.
 
     fn checkpoint(&mut self) -> Option<u64> {

@@ -30,7 +30,7 @@ use std::hash::BuildHasherDefault;
 use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, Name};
 use lor_disksim::{ByteRun, DiskConfig, SimDuration};
 use lor_logstore::{CleanReport, LogConfig, LogError, SegmentLog};
-use lor_maint::{MaintIo, MaintSubstrate, MaintenanceConfig};
+use lor_maint::{MaintIo, MaintenanceConfig};
 use lor_obs::{ArgValue, Obs, Track};
 
 use crate::error::StoreError;
@@ -88,7 +88,7 @@ impl LogObjectStore {
     /// The underlying segment log (read-only), for segment statistics and
     /// test fixtures.
     pub fn log(&self) -> &SegmentLog {
-        &self.substrate().log
+        &self.substrate.log
     }
 }
 
@@ -96,7 +96,7 @@ impl LogObjectStore {
 /// does not keep.
 #[derive(Debug)]
 pub struct LogSubstrate {
-    log: SegmentLog,
+    pub(crate) log: SegmentLog,
     /// Key-to-record index (memory-resident, like the blob index the paper's
     /// repositories keep in their metadata tier).  Hashed with a fixed
     /// state (module docs): runs stay deterministic, and keys come from the
@@ -151,9 +151,6 @@ impl Substrate for LogSubstrate {
     type Config = LogConfig;
     const KIND: StoreKind = StoreKind::LogStructured;
     const DISK_LABEL: &'static str = "log-store";
-    // Dead bytes never come back on their own: the cleaner frees whole
-    // segments or nothing.
-    const REUSE: MaintSubstrate = MaintSubstrate::LogStructured;
 
     fn create(config: LogConfig, _scheduled: bool) -> Result<Self, StoreError> {
         // Nothing to switch off: the log has no interval-driven cleaning of
@@ -297,12 +294,8 @@ impl Substrate for LogSubstrate {
         BandOccupancy::from_runs(total, boundary, &map.free_runs())
     }
 
-    fn reclaimable_bytes(&self) -> u64 {
-        self.log.dead_bytes()
-    }
-
-    // No `ghost_cleanup`: cleaning is the only reclamation — there is no
-    // ghost backlog that could be released short of running the cleaner.
+    // No ghost backlog: cleaning is the only reclamation — dead bytes cannot
+    // be released short of running the cleaner.
 
     fn checkpoint(&mut self) -> Option<u64> {
         // Force the segment-usage table / index log tail, like the

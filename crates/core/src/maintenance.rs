@@ -13,7 +13,7 @@
 //! | defragmentation | `Defragmenter::defragment_step`     | `Database::compact_step`              | `SegmentLog::clean_step`             |
 
 use lor_disksim::DiskConfig;
-use lor_maint::{MaintIo, MaintSubstrate, MaintTarget};
+use lor_maint::{MaintIo, MaintTarget};
 
 use crate::store::METADATA_IO_TIME;
 use crate::substrate::{Moved, Substrate};
@@ -70,10 +70,6 @@ impl<'a, S> Drive<'a, S> {
 }
 
 impl<S: Substrate> MaintTarget for Drive<'_, S> {
-    fn substrate(&self) -> MaintSubstrate {
-        S::REUSE
-    }
-
     fn reclaimable_bytes(&self) -> u64 {
         self.substrate.reclaimable_bytes()
     }
@@ -147,23 +143,15 @@ mod tests {
         volume.remove("a").unwrap();
         let (disk, mut backoff) = (disk(), 0);
         let mut target = Drive::new(&mut volume, &disk, &mut backoff);
-        assert!(target.reclaimable_bytes() >= MB);
+        let pending = |target: &Drive<'_, FsSubstrate>| {
+            target.substrate.volume.pending_clusters() * target.substrate.volume.cluster_size()
+        };
+        assert!(pending(&target) >= MB);
+        assert_eq!(target.reclaimable_bytes(), 0, "no ghost backlog");
         let io = target.checkpoint();
         assert!(!io.is_none());
-        assert_eq!(target.reclaimable_bytes(), 0);
+        assert_eq!(pending(&target), 0);
         assert!(target.checkpoint().is_none(), "nothing left to drain");
-    }
-
-    #[test]
-    fn substrate_declarations_match_each_engines_reuse_behaviour() {
-        let (disk, mut backoff) = (disk(), 0);
-        let mut volume = FsSubstrate::create(VolumeConfig::new(64 * MB), false).unwrap();
-        let fs = Drive::new(&mut volume, &disk, &mut backoff);
-        assert_eq!(fs.substrate(), MaintSubstrate::DeferredReuse);
-
-        let mut db = Database::create(lor_blobkit::EngineConfig::new(64 * MB)).unwrap();
-        let db_target = Drive::new(&mut db, &disk, &mut backoff);
-        assert_eq!(db_target.substrate(), MaintSubstrate::EagerReuse);
     }
 
     #[test]
@@ -239,8 +227,9 @@ mod tests {
         }
         let (disk, mut backoff) = (disk(), 0);
         let mut target = Drive::new(&mut log, &disk, &mut backoff);
-        assert_eq!(target.substrate(), MaintSubstrate::LogStructured);
-        assert!(target.reclaimable_bytes() > 0);
+        let dead = |target: &Drive<'_, LogSubstrate>| target.substrate.log.dead_bytes();
+        assert!(dead(&target) > 0);
+        assert_eq!(target.reclaimable_bytes(), 0, "no ghost backlog");
         assert!(
             target.ghost_cleanup(1 << 20).is_none(),
             "cleaning is the only reclamation"
@@ -249,12 +238,12 @@ mod tests {
         let step = target.defragment_step(4 * MB);
         assert!(!step.is_none());
         assert!(step.bytes > 0);
-        while target.reclaimable_bytes() > 0 {
+        while dead(&target) > 0 {
             if target.defragment_step(4 * MB).is_none() {
                 break;
             }
         }
-        assert_eq!(target.reclaimable_bytes(), 0);
+        assert_eq!(dead(&target), 0);
         // A converged log backs the task off instead of re-scoring segments.
         assert!(target.defragment_step(4 * MB).is_none());
         assert!(*target.defrag_backoff > 0);

@@ -420,7 +420,9 @@ impl Source {
                 clients,
                 think_time,
             } => {
-                let clients = clients.max(1) as u32;
+                // A client beyond the op count would never receive an op;
+                // capping first keeps the cast from wrapping to zero.
+                let clients = clients.clamp(1, ops.len().max(1)) as u32;
                 Ok(Source::Closed {
                     work: ops.into_iter(),
                     ready: (0..clients)
@@ -1402,6 +1404,17 @@ mod tests {
             (completions, server.now(), server.queue_stats())
         };
         assert_eq!(run(0), run(1));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_client_count_past_u32_serves_every_op() {
+        let mut store = FsObjectStore::new(64 * MB).unwrap();
+        let mut server = StoreServer::new(&mut store);
+        let completions = server
+            .run_closed_loop(puts(3, MB), 1 << 32, SimDuration::ZERO)
+            .unwrap();
+        assert_eq!(completions.len(), 3);
     }
 
     #[test]

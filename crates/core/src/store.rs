@@ -282,7 +282,7 @@ pub trait ObjectStore: Send {
 /// background scheduler and the tracing handle.
 #[derive(Debug)]
 pub struct Store<S: Substrate> {
-    substrate: S,
+    pub(crate) substrate: S,
     disk: Disk,
     clock: SimClock,
     write_request_size: u64,
@@ -320,10 +320,6 @@ impl<S: Substrate> Store<S> {
             defrag_backoff: 0,
             obs: None,
         })
-    }
-
-    pub(crate) fn substrate(&self) -> &S {
-        &self.substrate
     }
 
     /// The underlying disk model (read-only).

@@ -9,7 +9,7 @@
 
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_disksim::{ByteRun, SimDuration};
-use lor_maint::{MaintIo, MaintSubstrate};
+use lor_maint::MaintIo;
 use lor_obs::Obs;
 
 use crate::error::StoreError;
@@ -105,8 +105,6 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     const KIND: StoreKind;
     /// Name of the store's disk in traces.
     const DISK_LABEL: &'static str;
-    /// How the engine reacts to eager space release.
-    const REUSE: MaintSubstrate;
 
     /// Builds the engine.  When `scheduled`, a `lor-maint` scheduler owns
     /// the background duties, so the engine's own interval-driven cleanup or
@@ -168,8 +166,11 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// Occupancy of the placement bands.
     fn band_occupancy(&self) -> BandOccupancy;
 
-    /// Bytes a cleanup pass could make reusable.
-    fn reclaimable_bytes(&self) -> u64;
+    /// Bytes of ghost space [`Substrate::ghost_cleanup`] could make
+    /// reusable; 0 for an engine with no ghost mechanism.
+    fn reclaimable_bytes(&self) -> u64 {
+        0
+    }
 
     /// Releases ghost space within about `budget_bytes` of visits (a
     /// read-modify-write each), returning `(units reclaimed, bytes per

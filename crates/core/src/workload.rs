@@ -40,7 +40,7 @@ impl SizeDistribution {
     pub fn mean(&self) -> u64 {
         match *self {
             SizeDistribution::Constant(size) => size,
-            SizeDistribution::Uniform { min, max } => (min + max) / 2,
+            SizeDistribution::Uniform { min, max } => min.midpoint(max),
         }
     }
 

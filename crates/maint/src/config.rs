@@ -65,12 +65,14 @@ pub enum MaintenancePolicy {
     },
     /// Substrate-aware idle-gap filling: like
     /// [`MaintenancePolicy::IdleDetect`], maintenance runs only inside
-    /// observed idle gaps of at least `min_idle_ms` — but ghost release on
-    /// substrates with an eager-cleanup pathology (the database's
-    /// lowest-first reuse; see [`crate::MaintSubstrate`]) is *deferred* until
-    /// the backlog has aged `defer_ghost_ms` of **simulated time**, then
-    /// drained in bulk.  Compaction and checkpointing still run in every
-    /// gap on both substrates.
+    /// observed idle gaps of at least `min_idle_ms` — but ghost release is
+    /// *deferred* until the ghost backlog
+    /// ([`crate::MaintTarget::reclaimable_bytes`]) has aged `defer_ghost_ms`
+    /// of **simulated time**, then drained in bulk.  Only the database has a
+    /// ghost backlog, and its lowest-first page reuse is what eager release
+    /// feeds; on the volume and the log, which report none, the policy runs
+    /// exactly as `IdleDetect`.  Compaction and checkpointing still run in
+    /// every gap.
     ///
     /// This kills the recorded idle-detect pathology: gap-filling kept the
     /// filesystem perfectly contiguous but reclaimed the database's ghost
@@ -89,8 +91,7 @@ pub enum MaintenancePolicy {
         /// start.  Must be positive and finite.
         min_idle_ms: f64,
         /// Simulated milliseconds a non-empty ghost backlog must age before
-        /// it may be released on deferring substrates.  Must be positive
-        /// and finite.
+        /// it may be released.  Must be positive and finite.
         defer_ghost_ms: f64,
     },
 }

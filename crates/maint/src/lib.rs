@@ -12,8 +12,8 @@
 //! The pieces:
 //!
 //! * [`MaintTarget`] — what a substrate must expose to be maintained:
-//!   reclaimable (ghost / pending-free) bytes, fragments per object, its
-//!   reuse behaviour ([`MaintTarget::substrate`]), and the three
+//!   its ghost backlog ([`MaintTarget::reclaimable_bytes`], 0 where the
+//!   substrate has no ghost mechanism), fragments per object, and the three
 //!   maintenance actions, each reporting the background I/O it performed as
 //!   a [`MaintIo`] (bytes moved plus mechanical time, costed by the target
 //!   with its own disk model).  Where a defragmenter may relocate data (the
@@ -37,9 +37,9 @@
 //!   * [`MaintenancePolicy::IdleDetect`] /
 //!     [`MaintenancePolicy::SubstrateAware`] — gap-filling policies for the
 //!     queueing-aware request-scheduler drive; the substrate-aware variant
-//!     additionally defers ghost release on eager-reuse substrates
-//!     ([`MaintSubstrate::EagerReuse`]) until the backlog has aged, killing
-//!     the eager-cleanup pathology.
+//!     additionally defers ghost release until the ghost backlog has aged,
+//!     killing the eager-cleanup pathology of the database's lowest-first
+//!     page reuse (only the database has a ghost backlog to hold).
 //!
 //!   Because the simulated disk is a single spindle, every byte of granted
 //!   background I/O is returned to the caller as *foreground interference*
@@ -100,7 +100,6 @@
 #![warn(rust_2018_idioms)]
 
 mod config;
-mod estimator;
 mod scheduler;
 mod task;
 
@@ -108,6 +107,5 @@ pub use config::{
     MaintenanceConfig, MaintenancePolicy, BURST_IO_PER_TICK, CHECKPOINT_EVERY_TICKS,
     GHOST_CLEANUP_EVERY_TICKS, IO_UNIT_BYTES, TICK_EVERY_OPS,
 };
-pub use estimator::GhostBacklogClock;
 pub use scheduler::{MaintenanceScheduler, MaintenanceStats, TaskStats};
-pub use task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};
+pub use task::{MaintIo, MaintTarget, TaskKind};

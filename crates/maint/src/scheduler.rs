@@ -7,8 +7,7 @@ use crate::config::{
     MaintenanceConfig, MaintenancePolicy, CHECKPOINT_EVERY_TICKS, GHOST_CLEANUP_EVERY_TICKS,
     TICK_EVERY_OPS,
 };
-use crate::estimator::GhostBacklogClock;
-use crate::task::{MaintIo, MaintSubstrate, MaintTarget, TaskKind};
+use crate::task::{MaintIo, MaintTarget, TaskKind};
 
 /// The task queue, in the order each tick runs it: checkpoint flush, then
 /// ghost cleanup, then incremental defragmentation (cleanup before
@@ -19,6 +18,49 @@ const QUEUE: [TaskKind; 3] = [
     TaskKind::GhostCleanup,
     TaskKind::Defrag,
 ];
+
+/// Tracks how long the store's ghost backlog has been outstanding, for the
+/// `SubstrateAware` policy's deferred release.
+///
+/// The database's eager-cleanup pathology (recorded in EXPERIMENTS.md) is
+/// that releasing ghost pages *as they appear* feeds the engine's
+/// lowest-first reuse and interleaves objects.  The fix is hysteresis: hold
+/// the backlog until it has aged `defer` of **simulated time**, then drain it
+/// in bulk and re-arm.  While draining, release stays allowed until the
+/// backlog is empty, so a bulk drop is not cut off halfway.  The age is
+/// simulated time, not ticks (see [`MaintenancePolicy::SubstrateAware`]).
+#[derive(Debug, Default, Clone, Copy)]
+struct BacklogClock {
+    /// Simulated instant at which the current backlog was first observed.
+    since: Option<SimDuration>,
+    /// A drain is in progress: keep releasing until the backlog empties.
+    draining: bool,
+}
+
+impl BacklogClock {
+    /// Observes the backlog at simulated instant `now` and decides whether
+    /// ghost release is allowed: `backlog_bytes == 0` resets the clock
+    /// (nothing to release); otherwise release unlocks once the backlog is
+    /// `defer` old and stays unlocked until it drains.
+    fn release_allowed(
+        &mut self,
+        now: SimDuration,
+        backlog_bytes: u64,
+        defer: SimDuration,
+    ) -> bool {
+        if backlog_bytes == 0 {
+            self.since = None;
+            self.draining = false;
+            return true;
+        }
+        let since = *self.since.get_or_insert(now);
+        if self.draining || now.saturating_sub(since) >= defer {
+            self.draining = true;
+            return true;
+        }
+        false
+    }
+}
 
 /// Per-task accounting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +129,8 @@ pub struct MaintenanceScheduler {
     ops_since_tick: u64,
     stats: MaintenanceStats,
     /// Backlog-age hysteresis for the `SubstrateAware` policy's deferred
-    /// ghost release on eager-reuse substrates.
-    ghost_clock: GhostBacklogClock,
+    /// ghost release.
+    ghost_clock: BacklogClock,
     /// Observability handle (inert by default).  Per-task spans go on the
     /// maintenance track, stamped with this scheduler's own clock — which
     /// [`MaintenanceScheduler::run_budgeted_slice`] keeps aligned with the
@@ -117,7 +159,7 @@ impl MaintenanceScheduler {
             clock: SimClock::new(),
             ops_since_tick: 0,
             stats: MaintenanceStats::default(),
-            ghost_clock: GhostBacklogClock::new(),
+            ghost_clock: BacklogClock::default(),
             obs: Obs::null(),
         }
     }
@@ -215,17 +257,14 @@ impl MaintenanceScheduler {
     }
 
     /// Whether ghost release is allowed at this instant.  Always true except
-    /// under [`MaintenancePolicy::SubstrateAware`] on an eager-reuse
-    /// substrate, where a non-empty backlog is held until it has aged
-    /// `defer_ghost_ms` of simulated time and is then drained in bulk — the
-    /// hysteresis that kills the recorded eager-cleanup pathology.
+    /// under [`MaintenancePolicy::SubstrateAware`], where a non-empty ghost
+    /// backlog is held until it has aged `defer_ghost_ms` of simulated time
+    /// and is then drained in bulk — the hysteresis that kills the recorded
+    /// eager-cleanup pathology.
     fn ghost_release_allowed(&mut self, target: &dyn MaintTarget) -> bool {
         let MaintenancePolicy::SubstrateAware { defer_ghost_ms, .. } = self.config.policy else {
             return true;
         };
-        if target.substrate() != MaintSubstrate::EagerReuse {
-            return true;
-        }
         self.ghost_clock.release_allowed(
             self.clock.now(),
             target.reclaimable_bytes(),
@@ -317,7 +356,6 @@ mod tests {
         checkpoints: u64,
         defrag_steps: u64,
         last_defrag_budget: u64,
-        substrate: MaintSubstrate,
     }
 
     impl FakeStore {
@@ -329,7 +367,6 @@ mod tests {
                 checkpoints: 0,
                 defrag_steps: 0,
                 last_defrag_budget: 0,
-                substrate: MaintSubstrate::DeferredReuse,
             }
         }
 
@@ -340,9 +377,6 @@ mod tests {
     }
 
     impl MaintTarget for FakeStore {
-        fn substrate(&self) -> MaintSubstrate {
-            self.substrate
-        }
         fn reclaimable_bytes(&self) -> u64 {
             self.ghost_bytes
         }
@@ -493,15 +527,34 @@ mod tests {
     }
 
     #[test]
+    fn ghost_backlog_clock_defers_then_drains() {
+        let ms = SimDuration::from_millis;
+        let mut clock = BacklogClock::default();
+        // No backlog: release trivially allowed.
+        assert!(clock.release_allowed(ms(1), 0, ms(4)));
+        // Backlog appears at 2 ms: held until it is 4 ms old.
+        assert!(!clock.release_allowed(ms(2), 4096, ms(4)));
+        assert!(!clock.release_allowed(ms(4), 4096, ms(4)));
+        assert!(
+            clock.release_allowed(ms(6), 4096, ms(4)),
+            "aged past the threshold"
+        );
+        // Draining: stays allowed even though the age test alone would hold.
+        assert!(clock.release_allowed(ms(7), 1024, ms(100)));
+        // Backlog empties: clock re-arms.
+        assert!(clock.release_allowed(ms(8), 0, ms(4)));
+        assert!(!clock.release_allowed(ms(9), 4096, ms(4)), "re-armed hold");
+    }
+
+    #[test]
     fn substrate_aware_defers_ghost_release_on_eager_reuse_substrates() {
         let ms = SimDuration::from_millis;
         // The deferral is simulated time, not ticks: a 30 ms hold releases
         // after 30 ms of workload clock however many slices ran meanwhile.
         let config = MaintenanceConfig::substrate_aware(5.0, 30.0);
 
-        // Eager-reuse substrate: the backlog is held until it is 30 ms old.
+        // A ghost backlog is held until it is 30 ms old.
         let mut store = FakeStore::new();
-        store.substrate = MaintSubstrate::EagerReuse;
         store.ghost_bytes = 64 * 1024;
         let mut scheduler = MaintenanceScheduler::new(config);
         for (slice, now) in [ms(10), ms(20), ms(30)].into_iter().enumerate() {
@@ -533,12 +586,13 @@ mod tests {
         due_slice(&mut scheduler, &mut store, ms(85));
         assert_eq!(store.cleanups, 2, "the re-aged backlog drains again");
 
-        // Deferred-reuse substrate: no hold, cleanup runs immediately.
+        // No ghost backlog (the volume, the log): nothing is held, the
+        // first gap checkpoints, and cleanup is never asked for.
         let mut store = FakeStore::new();
-        store.ghost_bytes = 64 * 1024;
         let mut scheduler = MaintenanceScheduler::new(config);
         due_slice(&mut scheduler, &mut store, ms(1));
-        assert_eq!(store.cleanups, 1, "deferred-reuse substrates never hold");
+        assert_eq!(store.checkpoints, 1, "the first gap checkpoints");
+        assert_eq!(store.cleanups, 0, "no backlog, no cleanup");
     }
 
     #[test]
@@ -550,7 +604,6 @@ mod tests {
         let mut release_instants = Vec::new();
         for step_ms in [5u64, 50] {
             let mut store = FakeStore::new();
-            store.substrate = MaintSubstrate::EagerReuse;
             store.ghost_bytes = 64 * 1024;
             let mut scheduler = MaintenanceScheduler::new(config);
             let mut now = SimDuration::ZERO;

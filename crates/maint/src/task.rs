@@ -41,28 +41,6 @@ impl MaintIo {
     }
 }
 
-/// How a substrate reacts to having its reclaimed space released eagerly —
-/// the distinction the [`crate::MaintenancePolicy::SubstrateAware`] policy
-/// keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MaintSubstrate {
-    /// Deferred-reuse substrates (the NTFS-like volume): freed space is
-    /// quarantined until a checkpoint anyway, so eager release is harmless
-    /// and gap-filling maintenance may run everything.
-    DeferredReuse,
-    /// Eager-reuse substrates (the SQL-Server-like engine's lowest-first
-    /// page reuse): releasing ghost space the moment it appears feeds the
-    /// allocator low-offset holes and *accelerates* interleaving — the
-    /// recorded eager-cleanup pathology.  Ghost release should be deferred
-    /// and batched.
-    EagerReuse,
-    /// Append-only log substrates: there is no ghost backlog to release at
-    /// all — dead bytes come back one whole segment at a time through the
-    /// cleaner, so **cleaning is the only reclamation** and
-    /// [`MaintTarget::ghost_cleanup`] is always a no-op.
-    LogStructured,
-}
-
 /// What a storage substrate must expose to be maintained by the scheduler.
 ///
 /// `lor-core` implements this once, generically, for its `Store` over any of
@@ -70,17 +48,11 @@ pub enum MaintSubstrate {
 /// the segment log): the substrate reports what each duty moved through its
 /// native mechanism and the store costs that I/O with its own disk model.
 pub trait MaintTarget {
-    /// How this substrate reacts to eager space release.  Defaults to
-    /// [`MaintSubstrate::DeferredReuse`] (no pathology, nothing to defer);
-    /// substrates whose allocator immediately recycles freed space should
-    /// override this so the [`crate::MaintenancePolicy::SubstrateAware`]
-    /// policy can hold their ghost backlog.
-    fn substrate(&self) -> MaintSubstrate {
-        MaintSubstrate::DeferredReuse
-    }
-
-    /// Bytes of space that a cleanup pass could make reusable (ghost pages
-    /// for the database, pending-free clusters for the filesystem).
+    /// The ghost backlog: bytes of freed space that
+    /// [`MaintTarget::ghost_cleanup`] could make reusable (the database's
+    /// ghost pages), 0 for a target with no ghost mechanism.  Cleanup runs
+    /// only while it is non-zero, and it is the backlog that
+    /// [`crate::MaintenancePolicy::SubstrateAware`] holds.
     fn reclaimable_bytes(&self) -> u64;
 
     /// Current mean fragments per live object (the paper's headline metric),

@@ -17,7 +17,15 @@
 //! words, bare, called (`name()`) or ending a path, must be a `fn` (as every
 //! `claims![…]` entry is), a field, `const` or `static`, or a string literal
 //! (a metric's name) in some `.rs` file.
+//!
+//! The same files' type-qualified citations are checked too (a backticked
+//! path whose member follows a CamelCase type, or an enum and its struct
+//! variant): a type the workspace defines must define the member itself,
+//! as a variant, field, `fn`, `const` or `type` (a trait's provided method
+//! is cited through the trait); any other type must be one of the
+//! [`STD_TYPES`].  Members are read off the layout `cargo fmt` leaves.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -199,38 +207,167 @@ fn cited_names(text: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-#[test]
-fn every_cited_long_name_is_defined() {
+/// Checks every citation `cite` finds in README.md, the CI workflow and
+/// each `.rs` file outside `crates/compat`, read against `index` of those
+/// `.rs` sources, and fails naming each one `cite` reports undefined.
+fn check_citations<I>(
+    index: impl FnOnce(&[String]) -> I,
+    cite: impl Fn(&str, &I) -> Vec<(String, bool)>,
+) {
     let root = root();
     let mut files = Vec::new();
     rust_files(&root, &mut files);
-    let code: String = files
-        .iter()
-        .filter_map(|path| fs::read_to_string(path).ok())
-        .collect();
-    let defined = |name: &str| {
-        ["fn {}(", "fn {}<", " {}: ", "\"{}\""]
-            .iter()
-            .any(|form| code.contains(&form.replace("{}", name)))
+    let read = |path: &PathBuf| {
+        fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
     };
+    let index = index(&files.iter().map(read).collect::<Vec<_>>());
     files.extend(["README.md", ".github/workflows/ci.yml"].map(|name| root.join(name)));
-    let (mut checked, mut stale) = (0, Vec::new());
+    let (mut found, mut stale) = (0, Vec::new());
     for path in &files {
-        let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for name in cited_names(&text) {
-            checked += 1;
-            if !defined(name) {
-                stale.push(format!(
-                    "{}: `{name}`",
-                    path.strip_prefix(&root).unwrap().display()
-                ));
+        for (citation, defined) in cite(&read(path), &index) {
+            found += 1;
+            if !defined {
+                let shown = path.strip_prefix(&root).unwrap().display();
+                stale.push(format!("{shown}: `{citation}`"));
             }
         }
     }
+    assert!(found > 0, "no citation was found at all");
     assert!(
         stale.is_empty(),
-        "backticked names nothing defines:\n  {}",
+        "citations nothing defines:\n  {}",
         stale.join("\n  ")
     );
-    assert!(checked > 0, "no long backticked name was found at all");
+}
+
+#[test]
+fn every_cited_long_name_is_defined() {
+    check_citations(
+        |sources| sources.concat(),
+        |text, code| {
+            let forms = ["fn {}(", "fn {}<", " {}: ", "\"{}\""];
+            let defined = |name: &str| forms.iter().any(|f| code.contains(&f.replace("{}", name)));
+            cited_names(text)
+                .map(|name| (name.to_string(), defined(name)))
+                .collect()
+        },
+    );
+}
+
+/// Types the documents cite members of that the standard library defines.
+const STD_TYPES: &[&str] = &["Instant", "Option"];
+
+/// The members each type in `sources` defines, read off the layout `cargo
+/// fmt` leaves: a line opening an `enum`, `struct`, `union`, `trait` or
+/// `impl` block at indent `k` files every name that starts a line at
+/// `k + 4` (a variant, field, `fn`, `const` or `type`; in an enum also
+/// `k + 8`, a struct variant's field) until the `}` at `k`.  An
+/// `impl Trait for Type` block files under `Type`.
+fn members(sources: &[String]) -> BTreeMap<String, BTreeSet<String>> {
+    let mut types: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for source in sources {
+        let lines: Vec<&str> = source.lines().collect();
+        for (at, line) in lines.iter().enumerate() {
+            let text = unqualified(line.trim_start());
+            let (kind, header) = text.split_once([' ', '<']).unwrap_or_default();
+            let header = match kind {
+                _ if !text.ends_with('{') => continue,
+                "impl" if text.starts_with("impl<") => {
+                    header.split_once("> ").map_or("", |(_, h)| h)
+                }
+                "enum" | "struct" | "union" | "trait" | "impl" => header,
+                _ => continue,
+            };
+            let ty = header.rsplit_once(" for ").map_or(header, |(_, ty)| ty);
+            let set = types.entry(ty[..ty.find(['<', ' ', '{', '(', ':']).unwrap_or(0)].into());
+            let set = set.or_default();
+            let indent = line.len() - line.trim_start().len();
+            let close = format!("{}}}", " ".repeat(indent));
+            let body = lines[at + 1..]
+                .iter()
+                .take_while(|l| !l.starts_with(&close));
+            for line in body {
+                let depth = (line.len() - line.trim_start().len()).saturating_sub(indent);
+                let text = unqualified(line.trim_start());
+                let end = text.find(|c: char| !(c.is_alphanumeric() || c == '_'));
+                let (name, follows) = text.split_at(end.unwrap_or(text.len()));
+                let item =
+                    follows.is_empty() || follows.starts_with(['(', '<', ':', ',', ' ', ';']);
+                if (depth == 4 || (depth == 8 && kind == "enum")) && !name.is_empty() && item {
+                    set.insert(name.to_string());
+                }
+            }
+        }
+    }
+    types
+}
+
+/// `text` without its leading visibility and item keywords.
+fn unqualified(mut text: &str) -> &str {
+    let keywords = ["pub", "const", "unsafe", "async", "fn", "type", "static"];
+    let keyword = |(word, _): &(&str, &str)| keywords.contains(word) || word.starts_with("pub(");
+    while let Some((_, rest)) = text.split_once(' ').filter(keyword) {
+        text = rest;
+    }
+    text
+}
+
+/// The type-qualified citations of `text`: each backticked path, bare or
+/// followed by an argument list `(…)` or a field list ` {…}`, whose member
+/// follows CamelCase segments, given as those segments (innermost first:
+/// an enum's struct variant comes before the enum) and the member.
+fn qualified_citations(text: &str) -> impl Iterator<Item = (Vec<&str>, &str)> {
+    text.split('`').filter_map(|piece| {
+        let end = piece.find(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'));
+        let (path, rest) = piece.split_at(end.unwrap_or(piece.len()));
+        let (types, member) = path.rsplit_once("::")?;
+        let camel = |s: &&str| {
+            s.starts_with(char::is_uppercase) && s.contains(char::is_lowercase) && *s != "Self"
+        };
+        let types: Vec<&str> = types.rsplit("::").take_while(camel).collect();
+        let tail = rest.is_empty()
+            || !rest.contains('\n')
+                && [("(", ")"), (" {", "}")]
+                    .iter()
+                    .any(|(open, close)| rest.starts_with(open) && rest.ends_with(close));
+        let named = member.starts_with(|c: char| c.is_alphabetic() || c == '_');
+        (tail && named && !member.contains(':') && !types.is_empty()).then_some((types, member))
+    })
+}
+
+#[test]
+fn members_and_qualified_citations_follow_the_formatted_layout() {
+    let types = members(&[concat!(
+        "pub enum Kind {\n    Alpha,\n    Beta {\n        x: u8,\n    },\n}\n",
+        "struct Unit;\n    stray: u8,\n",
+        "impl<T: Into<u64>> Shape for Rec<T> {\n    pub(crate) const fn area() {\n        f();\n    }\n}\n",
+    )
+    .to_string()]);
+    let expected = r#"{"Kind": {"Alpha", "Beta", "x"}, "Rec": {"area"}}"#;
+    assert_eq!(format!("{types:?}"), expected);
+    let text =
+        "'Kind::Beta::x', 'a::Rec::area()', 'Kind::Beta { x }', 'Self::A', 'FOO::b', 'Kind::A)'";
+    let text = text.replace('\'', "`");
+    let cited: Vec<_> = qualified_citations(&text).collect();
+    let expected = r#"[(["Beta", "Kind"], "x"), (["Rec"], "area"), (["Kind"], "Beta")]"#;
+    assert_eq!(format!("{cited:?}"), expected);
+}
+
+#[test]
+fn every_cited_member_is_defined_on_its_type() {
+    check_citations(members, |text, types| {
+        let cite = |(segments, member): (Vec<&str>, &str)| {
+            // The innermost segment naming a workspace type owns the member
+            // (a struct variant's field is its enum's).
+            let ty = *segments
+                .iter()
+                .find(|ty| types.contains_key(**ty))
+                .unwrap_or(&segments[0]);
+            let defined = types
+                .get(ty)
+                .map_or(STD_TYPES.contains(&ty), |m| m.contains(member));
+            (format!("{ty}::{member}"), defined)
+        };
+        qualified_citations(text).map(cite).collect()
+    });
 }
