@@ -33,8 +33,9 @@
 //!   (one bit each — 38 KB for a 20 GB file), so "is this extent mine?" is a
 //!   bit test on the allocation and free paths rather than a probe of an
 //!   ordered set with one node per extent;
-//! * allocations return [`PageRuns`] — the object's layout as maximal page
-//!   runs — and frees take runs back ([`AllocationUnit::free_run`]).
+//! * allocations append to the caller's [`PageRuns`] — the object's layout
+//!   as maximal page runs, built in a buffer the engine reuses — and frees
+//!   take runs back ([`AllocationUnit::free_run`]).
 //!
 //! Two transitions cross the levels, each in one step.  An **adoption** —
 //! an object streaming past the unit's last extent into unassigned
@@ -479,22 +480,29 @@ impl AllocationUnit {
         Ok(())
     }
 
-    /// Allocates `count` pages from the high end of the file: free pages in
-    /// assigned extents highest-first, then the highest unassigned extents.
+    /// Allocates `count` pages from the high end of the file — free pages in
+    /// assigned extents highest-first, then the highest unassigned extents —
+    /// appending them to `layout`; on error nothing is allocated or appended.
     ///
     /// Used for the metadata table's clustered-index pages so that the small,
     /// cached metadata structures never interrupt the BLOB data laid out from
     /// the front of the file.
-    pub fn allocate_pages_high(&mut self, gam: &mut Gam, count: u64) -> Result<PageRuns, DbError> {
+    pub fn allocate_pages_high(
+        &mut self,
+        gam: &mut Gam,
+        count: u64,
+        layout: &mut PageRuns,
+    ) -> Result<(), DbError> {
         if count > self.available_pages(gam) {
             return Err(self.out_of_space(gam, count));
         }
-        let mut layout = PageRuns::new();
-        while layout.page_count() < count {
+        let mut remaining = count;
+        while remaining > 0 {
             if let Some(run) = self.map.last_run() {
                 let page = Extent::new(run.end() - 1, 1);
                 self.reserve_free(page);
                 layout.push(page);
+                remaining -= 1;
                 continue;
             }
             // `count <= available_pages()` and the unit map is empty, so the
@@ -504,22 +512,31 @@ impl AllocationUnit {
                 .expect("free space counted by available_pages() is assignable");
             self.adopt(Extent::new(extent.0, 1), 0);
         }
-        Ok(layout)
+        Ok(())
     }
 
     /// Allocates `count` pages greedily from the largest free runs (the
     /// unit's own free space and unassigned GAM extent runs, whichever is
-    /// larger), minimizing the number of physical runs in the result.
+    /// larger), minimizing the number of physical runs in the result, as the
+    /// whole of the empty `layout`.
     ///
     /// This is the engine compaction's best-effort mode: when no single run
     /// can hold a whole blob, the largest-first allocation still yields far
     /// fewer runs than the native lowest-first reuse, so an incremental
     /// compactor keeps making progress instead of stalling until cleanup
-    /// happens to coalesce a big run.  Returns `None` — leaving all state
-    /// untouched — only when the unit plus GAM cannot supply `count` pages
-    /// at all.
-    pub fn allocate_largest_runs(&mut self, gam: &mut Gam, count: u64) -> Option<PageRuns> {
-        self.allocate_eligible_runs(gam, count, PlacementPolicy::Unrestricted, 0)
+    /// happens to coalesce a big run.  Fails — leaving all state untouched
+    /// and `layout` empty — only when the unit plus GAM cannot supply
+    /// `count` pages at all.
+    ///
+    /// # Panics
+    /// If `layout` is not empty: a relocation builds a whole layout.
+    pub fn allocate_largest_runs(
+        &mut self,
+        gam: &mut Gam,
+        count: u64,
+        layout: &mut PageRuns,
+    ) -> Result<(), DbError> {
+        self.allocate_eligible_runs(gam, count, PlacementPolicy::Unrestricted, 0, layout)
     }
 
     /// Allocates `count` pages for a **maintenance relocation** (the
@@ -537,16 +554,22 @@ impl AllocationUnit {
     ///   `foreground_watermark_pages` (for GAM runs, in page terms), leaving
     ///   every larger run reserved for foreground writes.
     ///
-    /// Returns `None` — rolling back any partial progress — when the
-    /// placement-eligible runs cannot supply `count` pages.
+    /// The pages fill the empty `layout`.  Fails with
+    /// [`DbError::OutOfSpace`] — rolling back any partial progress and
+    /// leaving `layout` empty — when the placement-eligible runs cannot
+    /// supply `count` pages.
+    ///
+    /// # Panics
+    /// If `layout` is not empty: a relocation builds a whole layout.
     pub fn allocate_maintenance_runs(
         &mut self,
         gam: &mut Gam,
         count: u64,
         foreground_watermark_pages: u64,
-    ) -> Option<PageRuns> {
+        layout: &mut PageRuns,
+    ) -> Result<(), DbError> {
         let placement = self.picker.placement();
-        self.allocate_eligible_runs(gam, count, placement, foreground_watermark_pages)
+        self.allocate_eligible_runs(gam, count, placement, foreground_watermark_pages, layout)
     }
 
     /// The largest-first greedy loop behind both maintenance allocators:
@@ -558,14 +581,15 @@ impl AllocationUnit {
         count: u64,
         placement: PlacementPolicy,
         foreground_watermark_pages: u64,
-    ) -> Option<PageRuns> {
+        layout: &mut PageRuns,
+    ) -> Result<(), DbError> {
+        assert!(layout.is_empty(), "a relocation builds a whole layout");
         if count > self.available_pages(gam) {
-            return None;
+            return Err(self.out_of_space(gam, count));
         }
         let consumer = PlacementConsumer::Maintenance {
             foreground_watermark: foreground_watermark_pages,
         };
-        let mut layout = PageRuns::new();
         while layout.page_count() < count {
             let remaining = count - layout.page_count();
             // The band boundary is aligned to whole extents so the page and
@@ -594,13 +618,14 @@ impl AllocationUnit {
                     // placement, undoing any partial progress (frees restore
                     // both maps exactly — they are canonical).
                     self.free_runs(gam, layout.runs());
-                    return None;
+                    layout.clear();
+                    return Err(self.out_of_space(gam, count));
                 }
             };
             self.picker.advance(taken);
             layout.push(taken);
         }
-        Some(layout)
+        Ok(())
     }
 
     /// The largest placement-eligible free run of unassigned GAM extents for
@@ -868,6 +893,35 @@ mod tests {
         let mut layout = PageRuns::new();
         unit.allocate_pages(gam, count, &mut layout)?;
         Ok(layout)
+    }
+
+    /// One relocation as a layout of its own: `None` when it is refused,
+    /// which must leave the buffer empty.
+    fn relocate(allocate: impl FnOnce(&mut PageRuns) -> Result<(), DbError>) -> Option<PageRuns> {
+        let mut layout = PageRuns::new();
+        match allocate(&mut layout) {
+            Ok(()) => Some(layout),
+            Err(_) => {
+                assert!(
+                    layout.is_empty(),
+                    "a refused relocation leaves its buffer empty"
+                );
+                None
+            }
+        }
+    }
+
+    fn largest(unit: &mut AllocationUnit, gam: &mut Gam, count: u64) -> Option<PageRuns> {
+        relocate(|layout| unit.allocate_largest_runs(gam, count, layout))
+    }
+
+    fn maintenance(
+        unit: &mut AllocationUnit,
+        gam: &mut Gam,
+        count: u64,
+        watermark: u64,
+    ) -> Option<PageRuns> {
+        relocate(|layout| unit.allocate_maintenance_runs(gam, count, watermark, layout))
     }
 
     fn pages(layout: &PageRuns) -> Vec<PageId> {
@@ -1216,16 +1270,16 @@ mod tests {
         }
         // The GAM's unassigned tail (98 extents) dwarfs the 6-page hole, so a
         // 4-page request lands contiguously in fresh extents...
-        let from_gam = unit.allocate_largest_runs(&mut gam, 4).unwrap();
+        let from_gam = largest(&mut unit, &mut gam, 4).unwrap();
         assert_eq!(
             from_gam.runs(),
             [Extent::new(ExtentId(2).first_page().0, 4)]
         );
         // ...and a 20-page one is a single run of consecutive fresh extents.
-        let bigger = unit.allocate_largest_runs(&mut gam, 20).unwrap();
+        let bigger = largest(&mut unit, &mut gam, 20).unwrap();
         assert_eq!(bigger.fragment_count(), 1);
         assert_eq!(bigger.page_count(), 20);
-        assert!(unit.allocate_largest_runs(&mut gam, 0).unwrap().is_empty());
+        assert!(largest(&mut unit, &mut gam, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1238,14 +1292,14 @@ mod tests {
         unit.free_run(&mut gam, Extent::new(pages[8].0, 2));
         // No single 5-page run exists anywhere; the largest-first fallback
         // uses exactly the two runs, biggest first.
-        let scattered = unit.allocate_largest_runs(&mut gam, 5).unwrap();
+        let scattered = largest(&mut unit, &mut gam, 5).unwrap();
         assert_eq!(
             scattered.runs(),
             [Extent::new(pages[2].0, 3), Extent::new(pages[8].0, 2)],
             "the 3-page run is taken first"
         );
         // More than the free pool refuses cleanly.
-        assert!(unit.allocate_largest_runs(&mut gam, 1).is_none());
+        assert!(largest(&mut unit, &mut gam, 1).is_none());
     }
 
     fn banded_pair(total_extents: u64, boundary: f64) -> (Gam, AllocationUnit) {
@@ -1269,7 +1323,7 @@ mod tests {
         let foreground = allocate(&mut unit, &mut gam, 16).unwrap();
         assert_eq!(foreground.runs(), [Extent::new(0, 16)]);
         // ...while maintenance relocations land beyond the boundary.
-        let moved = unit.allocate_maintenance_runs(&mut gam, 16, 0).unwrap();
+        let moved = maintenance(&mut unit, &mut gam, 16, 0).unwrap();
         assert!(
             moved.runs().iter().all(|run| run.start >= boundary_page),
             "maintenance pages {moved:?} must sit at or above page {boundary_page}"
@@ -1288,14 +1342,14 @@ mod tests {
         let free_before = gam.free_extent_count();
         let used_before = unit.used_pages();
         // Plenty of low-band space exists, but maintenance may not touch it.
-        assert_eq!(unit.allocate_maintenance_runs(&mut gam, 8, 0), None);
+        assert_eq!(maintenance(&mut unit, &mut gam, 8, 0), None);
         assert_eq!(gam.free_extent_count(), free_before, "no partial progress");
         assert_eq!(unit.used_pages(), used_before);
         // A band with *some* space still refuses (and rolls back) when the
         // request exceeds it.
         gam.release(ExtentId(60));
         assert_eq!(
-            unit.allocate_maintenance_runs(&mut gam, 2 * PAGES_PER_EXTENT, 0),
+            maintenance(&mut unit, &mut gam, 2 * PAGES_PER_EXTENT, 0),
             None,
             "one free high extent cannot hold two extents' worth"
         );
@@ -1303,9 +1357,7 @@ mod tests {
         assert_eq!(unit.used_pages(), used_before);
         assert_eq!(unit.extent_count(), 0, "adopted extents were returned");
         // The partial band still serves requests it can hold.
-        let fits = unit
-            .allocate_maintenance_runs(&mut gam, PAGES_PER_EXTENT, 0)
-            .unwrap();
+        let fits = maintenance(&mut unit, &mut gam, PAGES_PER_EXTENT, 0).unwrap();
         assert_eq!(fits.pages().next(), Some(ExtentId(60).first_page()));
     }
 
@@ -1336,7 +1388,7 @@ mod tests {
         );
         // The maintenance side agrees: its candidate is exactly the hole at
         // the aligned boundary.
-        let moved = unit.allocate_maintenance_runs(&mut gam, 1, 0).unwrap();
+        let moved = maintenance(&mut unit, &mut gam, 1, 0).unwrap();
         assert_eq!(pages(&moved), vec![PageId(480)]);
     }
 
@@ -1353,7 +1405,7 @@ mod tests {
         // The whole file is one 100-extent run; watermark 4 extents' worth
         // of pages means no GAM run is eligible at all.
         assert_eq!(
-            unit.allocate_maintenance_runs(&mut gam, 8, 4 * PAGES_PER_EXTENT),
+            maintenance(&mut unit, &mut gam, 8, 4 * PAGES_PER_EXTENT),
             None,
             "a 100-extent run exceeds the watermark and must be refused"
         );
@@ -1362,13 +1414,11 @@ mod tests {
         for extent in (0..10).chain(13..100) {
             assert!(gam.assign_specific(ExtentId(extent)));
         }
-        let pages = unit
-            .allocate_maintenance_runs(&mut gam, 8, 4 * PAGES_PER_EXTENT)
-            .unwrap();
+        let pages = maintenance(&mut unit, &mut gam, 8, 4 * PAGES_PER_EXTENT).unwrap();
         assert_eq!(pages.pages().next(), Some(ExtentId(10).first_page()));
         // A watermark below one extent admits no GAM run.
         assert_eq!(
-            unit.allocate_maintenance_runs(&mut gam, 8, PAGES_PER_EXTENT - 1),
+            maintenance(&mut unit, &mut gam, 8, PAGES_PER_EXTENT - 1),
             None
         );
     }
@@ -1386,8 +1436,8 @@ mod tests {
             unit_a.free_run(&mut gam_a, Extent::new(page.0, 1));
             unit_b.free_run(&mut gam_b, Extent::new(page.0, 1));
         }
-        let via_maintenance = unit_a.allocate_maintenance_runs(&mut gam_a, 12, 7);
-        let via_largest = unit_b.allocate_largest_runs(&mut gam_b, 12);
+        let via_maintenance = maintenance(&mut unit_a, &mut gam_a, 12, 7);
+        let via_largest = largest(&mut unit_b, &mut gam_b, 12);
         assert_eq!(via_maintenance, via_largest);
         assert_eq!(gam_a.free_extent_count(), gam_b.free_extent_count());
     }
@@ -1396,7 +1446,8 @@ mod tests {
     fn allocate_pages_high_takes_the_tail_of_the_file() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::RowData, 10 * PAGES_PER_EXTENT);
-        let pages = unit.allocate_pages_high(&mut gam, 3).unwrap();
+        let mut pages = PageRuns::new();
+        unit.allocate_pages_high(&mut gam, 3, &mut pages).unwrap();
         let last = 10 * PAGES_PER_EXTENT - 1;
         assert_eq!(
             pages.pages().collect::<Vec<_>>(),

@@ -53,23 +53,21 @@ pub struct BlobRecord {
 impl BlobRecord {
     /// Creates a record for a freshly inserted object.
     pub fn new(id: BlobId, key: impl Into<Name>, size_bytes: u64, layout: PageRuns) -> Self {
-        let mut record = BlobRecord {
+        BlobRecord {
             id,
             key: key.into(),
             size_bytes,
-            layout: PageRuns::new(),
+            layout,
             indexed: 0,
             stale: false,
-        };
-        record.replace_layout(layout);
-        record
+        }
     }
 
-    /// Installs a new version's layout, returning the one it replaces.  A
-    /// stored layout never grows, so the spare capacity appends left behind
-    /// is given back here rather than held for the life of the version.
-    pub(crate) fn replace_layout(&mut self, mut layout: PageRuns) -> PageRuns {
-        layout.shrink_to_fit();
+    /// Installs a new version's layout, returning the one it replaces.  The
+    /// engine builds a version in a reused buffer and installs an exact-size
+    /// copy of it, so a stored layout holds no spare capacity for the life
+    /// of the version.
+    pub(crate) fn replace_layout(&mut self, layout: PageRuns) -> PageRuns {
         std::mem::replace(&mut self.layout, layout)
     }
 

@@ -24,8 +24,10 @@
 //!
 //! Below its key-value API the engine moves **page runs**, never single
 //! pages.  A version streams in as write-request-sized allocations that
-//! append runs to its [`PageRuns`] layout; committing it swaps the layout
-//! into the record and appends the old layout's runs to the ghost backlog; a
+//! append runs to a [`PageRuns`] buffer the engine reuses; committing it
+//! swaps an exact-size copy of the buffer into the record (no `realloc` per
+//! appended run, no spare capacity held by a record) and appends the old
+//! layout's runs to the ghost backlog; a
 //! budgeted cleanup pass takes runs off the backlog and hands each to
 //! [`AllocationUnit::free_run`], and a failed batch and a compaction step
 //! hand their layouts back the same way.  Fragment counts,
@@ -407,6 +409,14 @@ pub struct Database {
     /// exists so [`Database::verify`]'s page accounting also balances when a
     /// cleanup runs in the middle of a batch.
     in_flight_pages: u64,
+    /// The buffers new versions are built in, one per slot of the largest
+    /// batch so far (slot 0 serves every single-version path).  A version
+    /// streams into its buffer and commits an exact-size copy of it
+    /// ([`PageRuns::take_exact`]), so the buffer's capacity is reused and a
+    /// record holds none to spare.  Empty between operations, on every path
+    /// ([`Database::verify`] checks); lent out by `lend_scratch` while an
+    /// operation runs.
+    scratch: Vec<PageRuns>,
     ops_since_cleanup: u64,
     /// Metadata rows currently live (one per object).
     row_count: u64,
@@ -466,6 +476,7 @@ impl Database {
             next_id: 1,
             ghosts: GhostBacklog::default(),
             in_flight_pages: 0,
+            scratch: Vec::new(),
             ops_since_cleanup: 0,
             row_count: 0,
             stats: EngineStats::default(),
@@ -528,9 +539,11 @@ impl Database {
         if self.keys.contains_key(key.as_bytes()) {
             return Err(DbError::KeyExists(key.to_string()));
         }
-        let mut layout = PageRuns::new();
-        self.allocate_lob_pages(self.config.pages_for(size_bytes), &mut layout)?;
-        self.commit_insert(key, size_bytes, layout)
+        let pages = self.config.pages_for(size_bytes);
+        self.with_version_buffer(|db, layout| {
+            db.allocate_lob_pages(pages, layout)?;
+            db.commit_insert(key, size_bytes, layout)
+        })
     }
 
     /// Inserts an object migrating in from another shard, allocating its
@@ -550,34 +563,32 @@ impl Database {
         }
         let need = self.config.pages_for(size_bytes);
         let watermark_pages = self.foreground_watermark_pages();
-        let layout = self
-            .lob_unit
-            .allocate_maintenance_runs(&mut self.gam, need, watermark_pages)
-            .ok_or_else(|| DbError::OutOfSpace {
-                requested_pages: need,
-                free_pages: self.lob_unit.available_pages(&self.gam),
-            })?;
-        self.note_allocated(need);
-        self.commit_insert(key, size_bytes, layout)
+        self.with_version_buffer(|db, layout| {
+            db.lob_unit
+                .allocate_maintenance_runs(&mut db.gam, need, watermark_pages, layout)?;
+            db.note_allocated(need);
+            db.commit_insert(key, size_bytes, layout)
+        })
     }
 
-    /// Stores a freshly allocated (in-flight) layout as a new object.
+    /// Stores a freshly allocated (in-flight) layout as a new object, as an
+    /// exact-size copy that leaves `layout` empty.
     fn commit_insert(
         &mut self,
         key: &str,
         size_bytes: u64,
-        layout: PageRuns,
+        layout: &mut PageRuns,
     ) -> Result<DbWriteReceipt, DbError> {
         let id = BlobId(self.next_id);
         self.next_id += 1;
-        let receipt = Self::receipt_for(&self.config, id, &layout, size_bytes);
+        let receipt = Self::receipt_for(&self.config, id, layout, size_bytes);
         let fragments = layout.fragment_count() as u64;
         self.in_flight_pages -= layout.page_count();
         self.frag_tracker.record_insert(fragments);
         self.page_tracker.insert(layout.page_count());
         let key = Name::new(key);
         self.keys.insert(key.clone(), id);
-        let mut record = BlobRecord::new(id, key, size_bytes, layout);
+        let mut record = BlobRecord::new(id, key, size_bytes, layout.take_exact());
         Self::mark_stale(&mut record, &mut self.stale_ids);
         self.blobs.insert(id.0, record);
         self.insert_metadata_row()?;
@@ -596,9 +607,11 @@ impl Database {
             .keys
             .get(key.as_bytes())
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
-        let mut layout = PageRuns::new();
-        self.allocate_lob_pages(self.config.pages_for(size_bytes), &mut layout)?;
-        Ok(self.commit_replacement(id, size_bytes, layout))
+        let pages = self.config.pages_for(size_bytes);
+        self.with_version_buffer(|db, layout| {
+            db.allocate_lob_pages(pages, layout)?;
+            Ok(db.commit_replacement(id, size_bytes, layout))
+        })
     }
 
     /// Replaces several objects whose writes are in flight at the same time,
@@ -632,7 +645,8 @@ impl Database {
         // Interleave page allocation across the batch: one write request's
         // worth per item per round, in batch order, an item leaving the
         // rotation when its version is complete.
-        let mut layouts: Vec<PageRuns> = vec![PageRuns::new(); items.len()];
+        let mut scratch = self.lend_scratch(items.len());
+        let layouts = &mut scratch[..items.len()];
         let targets: Vec<u64> = items
             .iter()
             .map(|(_, size)| self.config.pages_for(*size))
@@ -647,13 +661,16 @@ impl Database {
                     // Abort the whole batch: pages already allocated for
                     // earlier items belong to no record yet, so they must go
                     // straight back to the free pool or the data file would
-                    // leak them permanently.
-                    for layout in &layouts {
+                    // leak them permanently.  Every buffer goes back empty.
+                    let mut rolled_back = 0;
+                    for layout in layouts.iter_mut() {
                         self.lob_unit.free_runs(&mut self.gam, layout.runs());
+                        rolled_back += layout.page_count();
+                        layout.clear();
                     }
-                    let rolled_back: u64 = layouts.iter().map(PageRuns::page_count).sum();
                     self.stats.pages_allocated -= rolled_back;
                     self.in_flight_pages -= rolled_back;
+                    self.scratch = scratch;
                     self.debug_verify();
                     return Err(err);
                 }
@@ -666,23 +683,26 @@ impl Database {
         }
 
         // Commit: swap layouts, ghost old versions.
-        Ok(items
+        let receipts = items
             .iter()
             .zip(ids)
-            .zip(layouts)
+            .zip(layouts.iter_mut())
             .map(|(((_, size), id), layout)| self.commit_replacement(id, *size, layout))
-            .collect())
+            .collect();
+        self.scratch = scratch;
+        Ok(receipts)
     }
 
     /// Makes a freshly allocated (in-flight) layout the object's current
-    /// version and ghosts the version it replaces.
+    /// version, as an exact-size copy that leaves `layout` empty, and ghosts
+    /// the version it replaces.
     fn commit_replacement(
         &mut self,
         id: BlobId,
         size_bytes: u64,
-        layout: PageRuns,
+        layout: &mut PageRuns,
     ) -> DbWriteReceipt {
-        let receipt = Self::receipt_for(&self.config, id, &layout, size_bytes);
+        let receipt = Self::receipt_for(&self.config, id, layout, size_bytes);
         let new_fragments = layout.fragment_count() as u64;
         let new_pages = layout.page_count();
         self.in_flight_pages -= new_pages;
@@ -693,7 +713,7 @@ impl Database {
             .blobs
             .get_mut(id.0)
             .expect("key map and blob map are consistent");
-        let old_layout = record.replace_layout(layout);
+        let old_layout = record.replace_layout(layout.take_exact());
         let old_size = std::mem::replace(&mut record.size_bytes, size_bytes);
         Self::mark_stale(record, &mut self.stale_ids);
         self.frag_tracker
@@ -917,35 +937,38 @@ impl Database {
         // Row pages for the clustered index of the copied table.
         let row_pages_needed = self.row_count.div_ceil(self.config.rows_per_page);
         if row_pages_needed > 0 {
-            new_row.allocate_pages_high(&mut new_gam, row_pages_needed)?;
+            new_row.allocate_pages_high(&mut new_gam, row_pages_needed, &mut PageRuns::new())?;
         }
 
         self.flush_stale_candidates();
-        let mut copied = 0u64;
-        // Copy in key order (a clustered-index scan of the old table): the
-        // one reader of that order, so the one place that pays for it.
-        // The same order as the keys' strings: byte order is `str` order.
-        let mut ordered: Vec<(&[u8], BlobId)> = self
-            .keys
-            .iter()
-            .map(|(key, &id)| (key.as_bytes(), id))
-            .collect();
-        ordered.sort_unstable();
-        for (_, id) in ordered {
-            // `verify`: as in `commit_replacement`.
-            let record = self
-                .blobs
-                .get_mut(id.0)
-                .expect("key map and blob map are consistent");
-            let mut layout = PageRuns::new();
-            new_lob.allocate_pages(&mut new_gam, record.page_count(), &mut layout)?;
-            let new_fragments = layout.fragment_count() as u64;
-            let old_fragments = record.replace_layout(layout).fragment_count() as u64;
-            copied += record.size_bytes;
-            self.frag_tracker
-                .record_replace(old_fragments, new_fragments);
-            Self::index_under(&mut self.compact_candidates, record, new_fragments);
-        }
+        let copied = self.with_version_buffer(|db, layout| {
+            let mut copied = 0u64;
+            // Copy in key order (a clustered-index scan of the old table):
+            // the one reader of that order, so the one place that pays for
+            // it.  The same order as the keys' strings: byte order is `str`
+            // order.
+            let mut ordered: Vec<(&[u8], BlobId)> = db
+                .keys
+                .iter()
+                .map(|(key, &id)| (key.as_bytes(), id))
+                .collect();
+            ordered.sort_unstable();
+            for (_, id) in ordered {
+                // `verify`: as in `commit_replacement`.
+                let record = db
+                    .blobs
+                    .get_mut(id.0)
+                    .expect("key map and blob map are consistent");
+                new_lob.allocate_pages(&mut new_gam, record.page_count(), layout)?;
+                let new_fragments = layout.fragment_count() as u64;
+                let old_layout = record.replace_layout(layout.take_exact());
+                copied += record.size_bytes;
+                db.frag_tracker
+                    .record_replace(old_layout.fragment_count() as u64, new_fragments);
+                Self::index_under(&mut db.compact_candidates, record, new_fragments);
+            }
+            Ok(copied)
+        })?;
 
         self.gam = new_gam;
         self.lob_unit = new_lob;
@@ -1000,6 +1023,9 @@ impl Database {
         // and is rebuilt lazily after a committed move.
         let planned = self.config.placement.is_unrestricted();
         let mut profile: Option<Vec<u64>> = None;
+        // Each relocation is built in the first version buffer.
+        let mut scratch = self.lend_scratch(1);
+        let layout = &mut scratch[0];
 
         // The flushed candidate index, walked in place in reverse: fragment
         // count descending, id ascending, the order the sort-every-blob scan
@@ -1042,18 +1068,21 @@ impl Database {
                     continue;
                 }
             }
-            let Some(new_layout) =
-                self.lob_unit
-                    .allocate_maintenance_runs(&mut self.gam, need, watermark_pages)
-            else {
+            if self
+                .lob_unit
+                .allocate_maintenance_runs(&mut self.gam, need, watermark_pages, layout)
+                .is_err()
+            {
+                // Refused: nothing was allocated and the buffer is empty.
                 report.blobs_skipped += 1;
                 report.fragments_after += fragments;
                 continue;
-            };
-            let new_fragments = new_layout.fragment_count() as u64;
+            }
+            let new_fragments = layout.fragment_count() as u64;
             if new_fragments >= fragments {
                 // Not an improvement: roll the speculative allocation back.
-                self.lob_unit.free_runs(&mut self.gam, new_layout.runs());
+                self.lob_unit.free_runs(&mut self.gam, layout.runs());
+                layout.clear();
                 report.blobs_skipped += 1;
                 report.fragments_after += fragments;
                 continue;
@@ -1063,7 +1092,7 @@ impl Database {
                 .blobs
                 .get_mut(id.0)
                 .expect("candidate ids are live blobs");
-            let old_layout = record.replace_layout(new_layout);
+            let old_layout = record.replace_layout(layout.take_exact());
             self.frag_tracker.record_replace(fragments, new_fragments);
             Self::index_under(&mut self.compact_candidates, record, new_fragments);
             if new_fragments > 1 {
@@ -1078,6 +1107,7 @@ impl Database {
             report.bytes_copied += size_bytes;
             report.fragments_after += new_fragments;
         }
+        self.scratch = scratch;
         self.debug_verify();
         report
     }
@@ -1161,6 +1191,34 @@ impl Database {
         &self.lob_unit
     }
 
+    /// Lends out the version buffers, at least `slots` of them, each empty
+    /// with its capacity kept.  The caller hands them back (`self.scratch =
+    /// ...`) empty — every version committed with [`PageRuns::take_exact`],
+    /// every aborted one cleared — on every path out of the operation.
+    fn lend_scratch(&mut self, slots: usize) -> Vec<PageRuns> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        if scratch.len() < slots {
+            scratch.resize_with(slots, PageRuns::new);
+        }
+        for layout in &mut scratch[..slots] {
+            layout.clear();
+        }
+        scratch
+    }
+
+    /// Runs `build` on the first version buffer and hands the buffers back,
+    /// whether `build` commits its version or fails before it allocated
+    /// anything.
+    fn with_version_buffer<T>(
+        &mut self,
+        build: impl FnOnce(&mut Self, &mut PageRuns) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        let mut scratch = self.lend_scratch(1);
+        let built = build(self, &mut scratch[0]);
+        self.scratch = scratch;
+        built
+    }
+
     /// Allocates `pages` LOB pages for a version streaming in, appending
     /// them to `layout`, forcing a ghost cleanup first if the free pool is
     /// exhausted but ghosts exist (allocation pressure).
@@ -1187,7 +1245,8 @@ impl Database {
         self.row_count += 1;
         let needed = self.row_count.div_ceil(self.config.rows_per_page);
         while self.stats.row_pages < needed {
-            self.row_unit.allocate_pages_high(&mut self.gam, 1)?;
+            self.row_unit
+                .allocate_pages_high(&mut self.gam, 1, &mut PageRuns::new())?;
             self.stats.row_pages += 1;
         }
         Ok(())
@@ -1255,7 +1314,9 @@ impl Database {
     ///   `stale` exactly when its id is on the stale list, once;
     /// * **the ghost backlog adds up** — its ordered heap and its fresh list
     ///   together hold the pages it counts (and, being owned runs, are
-    ///   disjoint).
+    ///   disjoint);
+    /// * **the version buffers are empty** — between operations none holds a
+    ///   version being built, as none holds an in-flight page.
     ///
     /// O(extents + runs · log runs); debug builds run it after every ghost
     /// cleanup, compaction step, rebuild and failed batch.
@@ -1417,6 +1478,17 @@ impl Database {
                 self.keys.len(),
                 self.row_count,
                 self.blobs.len()
+            ));
+        }
+        if let Some((slot, layout)) = self
+            .scratch
+            .iter()
+            .enumerate()
+            .find(|(_, layout)| !layout.is_empty())
+        {
+            return Err(format!(
+                "version buffer {slot} holds {} pages between operations",
+                layout.page_count()
             ));
         }
         Ok(())
@@ -1637,6 +1709,60 @@ mod tests {
         // The rolled-back space is genuinely reusable.
         db.update("a", 4 * MB).unwrap();
         assert_eq!(db.get("a").unwrap().size_bytes, 4 * MB);
+    }
+
+    /// A batch that runs out of space hands every version buffer back
+    /// empty, and the next batch on the same engine builds its versions
+    /// from nothing left over.
+    ///
+    /// Mutation-checked: without the `clear` of the abort path in
+    /// `update_batch`, the debug build panics at the failed batch itself
+    /// ("version buffer 0 holds 131 pages between operations": `c`'s
+    /// complete version, from the abort's own `debug_verify`), and the
+    /// release build fails the `scratch` assertion below — and, with that
+    /// assertion taken out, the `verify()` after it with the same message.
+    #[test]
+    fn a_failed_batch_hands_its_version_buffers_back_empty() {
+        let mut config = EngineConfig::new(16 * MB);
+        config.ghost_cleanup_interval_ops = 0;
+        let mut db = Database::create(config).unwrap();
+        for (key, size) in [("a", 5 * MB), ("b", 5 * MB), ("c", MB), ("d", 100 * 1024)] {
+            db.insert(key, size).unwrap();
+        }
+        let versions = |db: &Database| -> Vec<(u64, Vec<Extent>)> {
+            db.iter_blobs()
+                .map(|blob| (blob.size_bytes, blob.runs().to_vec()))
+                .collect()
+        };
+        let before = versions(&db);
+
+        // `c` completes its version in the first rounds; `a` and `b` run
+        // out of space part-way through theirs.
+        let err = db
+            .update_batch(&[("c", MB), ("a", 5 * MB), ("b", 5 * MB)], 64 * 1024)
+            .unwrap_err();
+        assert!(matches!(err, DbError::OutOfSpace { .. }));
+        assert_eq!(versions(&db), before, "every old version is intact");
+        assert!(
+            db.scratch.iter().all(PageRuns::is_empty),
+            "no run is left over from the aborted batch"
+        );
+        assert_eq!(db.verify(), Ok(()));
+
+        let items = [("c", 2 * MB), ("d", 300 * 1024), ("c", MB / 2)];
+        let receipts = db.update_batch(&items, 64 * 1024).unwrap();
+        for ((_, size), receipt) in items.iter().zip(&receipts) {
+            assert_eq!(receipt.pages_written, db.config.pages_for(*size));
+        }
+        for key in ["c", "d"] {
+            let blob = db.get(key).unwrap();
+            assert_eq!(blob.page_count(), db.config.pages_for(blob.size_bytes));
+        }
+        assert!(
+            db.iter_blobs().all(|blob| blob.layout().is_exact()),
+            "a committed layout holds no spare capacity"
+        );
+        assert_eq!(db.verify(), Ok(()));
     }
 
     #[test]
@@ -2018,10 +2144,14 @@ mod tests {
                     break;
                 }
                 let need = legacy.blobs.get(id.0).unwrap().page_count();
-                let Some(new_layout) = legacy.lob_unit.allocate_largest_runs(&mut legacy.gam, need)
-                else {
+                let mut new_layout = PageRuns::new();
+                if legacy
+                    .lob_unit
+                    .allocate_largest_runs(&mut legacy.gam, need, &mut new_layout)
+                    .is_err()
+                {
                     continue;
-                };
+                }
                 if new_layout.fragment_count() >= fragments {
                     for page in new_layout.pages() {
                         legacy

@@ -110,10 +110,26 @@ impl PageRuns {
         }
     }
 
-    /// Gives back the spare capacity appends left behind; a committed layout
-    /// never grows again.
-    pub fn shrink_to_fit(&mut self) {
-        self.runs.shrink_to_fit();
+    /// Empties the layout, keeping its capacity for the next one.
+    pub(crate) fn clear(&mut self) {
+        self.runs.clear();
+        self.pages = 0;
+    }
+
+    /// An exact-size copy of the layout, leaving this one empty with its
+    /// capacity kept: how a version built in a reused buffer is committed
+    /// (a `Vec` clone allocates exactly its length, so the copy holds no
+    /// spare capacity).
+    pub(crate) fn take_exact(&mut self) -> PageRuns {
+        let exact = self.clone();
+        self.clear();
+        exact
+    }
+
+    /// `true` if the run list holds no spare capacity.
+    #[cfg(test)]
+    pub(crate) fn is_exact(&self) -> bool {
+        self.runs.capacity() == self.runs.len()
     }
 
     /// The runs in logical order.

@@ -278,6 +278,15 @@ impl ExperimentConfig {
                 "mean object size must be non-zero".into(),
             ));
         }
+        // The simulated disk is scaled to the volume, so only this check
+        // keeps it inside the drive it models (Table 1).
+        let disk_bytes = DiskConfig::seagate_400gb_2005().capacity_bytes();
+        if self.volume_bytes > disk_bytes {
+            return Err(StoreError::BadConfig(format!(
+                "volume of {} bytes is larger than the {disk_bytes}-byte disk",
+                self.volume_bytes
+            )));
+        }
         if self.object_size.mean() > self.volume_bytes {
             return Err(StoreError::BadConfig(
                 "objects larger than the volume".into(),
@@ -755,6 +764,26 @@ mod tests {
         };
         let outcome = run_aging_experiment(StoreKind::Filesystem, &config, &[0], false);
         assert!(matches!(outcome, Err(StoreError::BadConfig(_))));
+    }
+
+    #[test]
+    fn a_volume_larger_than_the_disk_is_refused() {
+        // Accepted once, this aborted the filesystem build on a 4 GiB
+        // allocation.
+        let mut config = mini_config();
+        config.volume_bytes = u64::MAX;
+        config.object_size = SizeDistribution::Constant(u64::MAX / 4);
+        assert!(matches!(config.validate(), Err(StoreError::BadConfig(_))));
+        for kind in StoreKind::ALL {
+            let outcome = run_aging_experiment(kind, &config, &[0], false);
+            assert!(matches!(outcome, Err(StoreError::BadConfig(_))), "{kind}");
+        }
+        // The whole disk is still a volume.
+        config.volume_bytes = DiskConfig::seagate_400gb_2005().capacity_bytes();
+        config.object_size = SizeDistribution::Constant(256 * 1024);
+        assert_eq!(config.validate(), Ok(()));
+        config.volume_bytes += 1;
+        assert!(config.validate().is_err());
     }
 
     #[test]
