@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use lor_bench::{traced_anatomy_config, Scale};
 use lor_core::lor_disksim::SimDuration;
 use lor_core::lor_obs::{validate_chrome_trace, Obs};
-use lor_core::{StoreKind, StoreServer, WorkloadGenerator};
+use lor_core::{bulk_load, overwrite_round, StoreKind, StoreServer, WorkloadGenerator};
 
 struct Options {
     scale: Scale,
@@ -119,20 +119,15 @@ fn run() -> Result<(), String> {
     );
 
     let (obs, handle) = Obs::trace(options.capacity);
-    let think_time = SimDuration::from_millis_f64(config.think_time_ms);
     let mut store = config
         .build_store(options.kind)
         .map_err(|e| e.to_string())?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(store.as_mut());
     server.set_obs(obs, SimDuration::from_millis(100));
-    server
-        .run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)
-        .map_err(|e| e.to_string())?;
+    bulk_load(&mut server, &mut generator).map_err(|e| e.to_string())?;
     for _ in 0..scale.max_age {
-        server
-            .run_closed_loop(generator.overwrite_round(), config.concurrency, think_time)
-            .map_err(|e| e.to_string())?;
+        overwrite_round(&mut server, &mut generator, &config).map_err(|e| e.to_string())?;
     }
 
     let json = handle.to_chrome_json();

@@ -26,11 +26,12 @@
 use lor_core::lor_disksim::SimDuration;
 use lor_core::lor_logstore::CleanerSelector;
 use lor_core::{
-    age_store, calibrate_mixed_load, measure_mixed_load_calibrated, run_aging_experiment, AgePoint,
-    AgingResult, AllocationPolicy, AnatomyReport, Arrivals, Completion, ExperimentConfig, Figure,
-    FleetParallelism, LatencySummary, LogObjectStore, LogStoreConfig, MaintenanceConfig,
-    MixedLoadPoint, MixedOpenLoop, ObjectKey, OpenLoop, PlacementPolicy, Series, SizeDistribution,
-    StoreError, StoreKind, StoreServer, Table, TestbedConfig, WorkloadGenerator, WorkloadOp,
+    age_store, bulk_load, calibrate_mixed_load, measure_mixed_load_calibrated, overwrite_round,
+    run_aging_experiment, AgePoint, AgingResult, AllocationPolicy, AnatomyReport, Arrivals,
+    Completion, ExperimentConfig, Figure, FleetParallelism, LatencySummary, LogObjectStore,
+    LogStoreConfig, MaintenanceConfig, MixedLoadPoint, MixedOpenLoop, ObjectKey, OpenLoop,
+    PlacementPolicy, Series, SizeDistribution, StoreError, StoreKind, StoreServer, Table,
+    TestbedConfig, WorkloadGenerator, WorkloadOp,
 };
 use lor_shard::{fanout_p99_ms, RouterPolicy, ShardedStore};
 
@@ -883,13 +884,13 @@ fn cleaner_run(
     selector: CleanerSelector,
     budget: u64,
 ) -> Result<(Vec<f64>, f64), StoreError> {
-    let mut log_config = LogStoreConfig::new(config.volume_bytes);
-    log_config.log.selector = selector;
-    log_config.maintenance = Some(MaintenanceConfig::fixed_budget(budget));
-    let mut store = LogObjectStore::with_config(log_config)?;
+    let LogStoreConfig { mut log, disk } = LogStoreConfig::new(config.volume_bytes);
+    log.selector = selector;
+    let maintenance = Some(MaintenanceConfig::fixed_budget(budget));
+    let mut store = LogObjectStore::build(log, disk, config.write_request_size, maintenance)?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(&mut store);
-    server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)?;
+    bulk_load(&mut server, &mut generator)?;
     let rewrites = generator.live_keys().len() / 2;
     let fragments = |server: &StoreServer<'_>| server.store().fragmentation().fragments_per_object;
     let mut aging = vec![fragments(&server)];
@@ -1178,19 +1179,14 @@ pub fn anatomy_vs_age(
     config: &ExperimentConfig,
     ages: &[u32],
 ) -> Result<Vec<(f64, AnatomyReport)>, StoreError> {
-    let think_time = SimDuration::from_millis_f64(config.think_time_ms);
     let mut store = config.build_store(kind)?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(store.as_mut());
-    server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)?;
+    bulk_load(&mut server, &mut generator)?;
     let max_age = ages.iter().copied().max().unwrap_or(0);
     let mut out = Vec::new();
     for age in 1..=max_age {
-        let completions = server.run_closed_loop(
-            generator.overwrite_round(),
-            config.concurrency.max(1),
-            think_time,
-        )?;
+        let completions = overwrite_round(&mut server, &mut generator, config)?;
         if ages.contains(&age) {
             let report = AnatomyReport::over_tail(&completions, ANATOMY_QUANTILE)
                 .expect("an overwrite round always completes requests");

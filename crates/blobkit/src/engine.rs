@@ -120,7 +120,7 @@ use lor_disksim::ByteRun;
 use crate::allocation::{pages_of, AllocationUnit, Gam};
 use crate::blob::{BlobId, BlobRecord};
 use crate::error::DbError;
-use crate::page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};
+use crate::page::{PageKind, PageRuns, PAGES_PER_EXTENT};
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -1275,21 +1275,6 @@ impl Database {
         }
     }
 
-    /// Convenience used by tests and the ablation benches: the extent ids of
-    /// an object's pages, deduplicated and in logical order.
-    pub fn extents_of(&self, key: &str) -> Result<Vec<ExtentId>, DbError> {
-        let mut extents: Vec<ExtentId> = Vec::new();
-        for run in self.get(key)?.runs() {
-            let (first, last) = (PageId(run.start).extent(), PageId(run.end() - 1).extent());
-            for extent in (first.0..=last.0).map(ExtentId) {
-                if extents.last() != Some(&extent) {
-                    extents.push(extent);
-                }
-            }
-        }
-        Ok(extents)
-    }
-
     /// Checks every structural invariant of the engine against a full
     /// rescan, naming the first one that does not hold:
     ///
@@ -2282,18 +2267,6 @@ mod tests {
         assert_eq!(db.stats().forced_cleanups, 0);
         db.ghost_cleanup();
         assert_eq!(db.ghost_page_count(), 0);
-    }
-
-    #[test]
-    fn extents_of_reports_logical_extent_order() {
-        let mut db = small_db();
-        db.insert("a", 256 * 1024).unwrap();
-        let extents = db.extents_of("a").unwrap();
-        assert!(!extents.is_empty());
-        // A clean insert uses consecutive extents.
-        for window in extents.windows(2) {
-            assert_eq!(window[1].0, window[0].0 + 1);
-        }
     }
 
     #[test]

@@ -3,40 +3,30 @@
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_blobkit::{Database, DbWriteReceipt, EngineConfig};
 use lor_disksim::{DiskConfig, SimDuration};
-use lor_maint::MaintenanceConfig;
 
 use crate::error::StoreError;
 use crate::store::{
     Store, StoreKind, DB_CLIENT_CHUNK_BYTES, DB_LOOKUP_TIME, DB_PER_CHUNK_TIME, DB_PER_PAGE_TIME,
+    PAPER_WRITE_REQUEST_SIZE,
 };
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
-/// Configuration of a database-backed store.
+/// Configuration of a database-backed store: the engine and its disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DbStoreConfig {
     /// The storage engine and its data file.
     pub engine: EngineConfig,
     /// The simulated disk the data file lives on.
     pub disk: DiskConfig,
-    /// Size of the client write requests used to stream object data in (the
-    /// paper's experiments use 64 KB).
-    pub write_request_size: u64,
-    /// Background maintenance scheduler, if any.  When set, the engine's own
-    /// interval-driven ghost cleanup is disabled and the `lor-maint`
-    /// scheduler owns cleanup, checkpointing and incremental compaction
-    /// (allocation-pressure emergency cleanups remain in the substrate).
-    pub maintenance: Option<MaintenanceConfig>,
 }
 
 impl DbStoreConfig {
-    /// A store with a data file of `capacity_bytes`, using the paper's
-    /// defaults.
+    /// A data file of `capacity_bytes` on a scaled slice of the 400 GB
+    /// reference disk.
     pub fn new(capacity_bytes: u64) -> Self {
         DbStoreConfig {
             engine: EngineConfig::new(capacity_bytes),
             disk: DiskConfig::seagate_400gb_2005().scaled(capacity_bytes),
-            write_request_size: 64 * 1024,
-            maintenance: None,
         }
     }
 }
@@ -45,19 +35,12 @@ impl DbStoreConfig {
 pub type DbObjectStore = Store<Database>;
 
 impl DbObjectStore {
-    /// Creates a store from an explicit configuration.
-    pub fn with_config(config: DbStoreConfig) -> Result<Self, StoreError> {
-        Store::build(
-            config.engine,
-            config.disk,
-            config.write_request_size,
-            config.maintenance,
-        )
-    }
-
-    /// Creates a store with a data file of `capacity_bytes` and defaults.
+    /// A store with a data file of `capacity_bytes`, the paper's 64 KB
+    /// client write requests and no maintenance scheduler (the engine
+    /// cleans its ghosts on its own interval).
     pub fn new(capacity_bytes: u64) -> Result<Self, StoreError> {
-        Self::with_config(DbStoreConfig::new(capacity_bytes))
+        let DbStoreConfig { engine, disk } = DbStoreConfig::new(capacity_bytes);
+        Store::build(engine, disk, PAPER_WRITE_REQUEST_SIZE, None)
     }
 
     /// The underlying engine (read-only).
@@ -230,10 +213,18 @@ impl Substrate for Database {
 mod tests {
     use super::*;
     use crate::store::ObjectStore;
+    use lor_maint::MaintenanceConfig;
 
     const MB: u64 = 1 << 20;
 
-    crate::store::adapter_suite!(DbObjectStore, DbStoreConfig, StoreKind::Database);
+    crate::store::adapter_suite!(DbObjectStore, StoreKind::Database);
+
+    /// A store with a data file of `capacity_bytes` and the maintenance
+    /// scheduler `maintenance` attached.
+    fn maintained(capacity_bytes: u64, maintenance: MaintenanceConfig) -> DbObjectStore {
+        let DbStoreConfig { engine, disk } = DbStoreConfig::new(capacity_bytes);
+        Store::build(engine, disk, PAPER_WRITE_REQUEST_SIZE, Some(maintenance)).unwrap()
+    }
 
     #[test]
     fn substrate_aware_slices_defer_ghost_release_but_still_compact() {
@@ -243,9 +234,7 @@ mod tests {
         // checkpoint while the ghost backlog is young, and the backlog is
         // only released once it has aged past the configured hold of
         // simulated time.
-        let mut config = DbStoreConfig::new(256 * MB);
-        config.maintenance = Some(MaintenanceConfig::substrate_aware(5.0, 60_000.0));
-        let mut store = DbObjectStore::with_config(config).unwrap();
+        let mut store = maintained(256 * MB, MaintenanceConfig::substrate_aware(5.0, 60_000.0));
         for i in 0..16 {
             store.put(&format!("o{i}"), MB).unwrap();
         }
@@ -287,9 +276,7 @@ mod tests {
 
     #[test]
     fn maintenance_scheduler_cleans_ghosts_and_charges_the_clock() {
-        let mut config = DbStoreConfig::new(128 * MB);
-        config.maintenance = Some(MaintenanceConfig::fixed_budget(16));
-        let mut store = DbObjectStore::with_config(config).unwrap();
+        let mut store = maintained(128 * MB, MaintenanceConfig::fixed_budget(16));
         assert!(store.maintenance_stats().is_some());
         assert_eq!(
             store.database().config().ghost_cleanup_interval_ops,

@@ -12,7 +12,9 @@
 //!
 //! [`run_aging_experiment`] is that loop; the figure-specific sweeps in
 //! `lor-bench` are thin wrappers that vary object size, size distribution,
-//! volume size and occupancy.
+//! volume size and occupancy.  Its first two steps are the paper's aging
+//! protocol, written once: [`bulk_load`] and [`overwrite_round`], which
+//! [`age_store`], the latency-anatomy sweep and the `trace` binary run too.
 //!
 //! Since the request/completion redesign the loop is implemented on the
 //! [`StoreServer`] scheduler: bulk load and read passes are single-client
@@ -34,10 +36,10 @@ use crate::fs_store::{FsStoreConfig, FsSubstrate};
 use crate::hist::LatencyHistogram;
 use crate::log_store::{LogStoreConfig, LogSubstrate};
 use crate::server::{Completion, LatencySummary, MixedOpenLoop, StoreServer};
-use crate::store::{host_costs, ObjectStore, Store, StoreKind};
+use crate::store::{host_costs, ObjectStore, Store, StoreKind, PAPER_WRITE_REQUEST_SIZE};
 use crate::substrate::Substrate;
 use crate::workload::{
-    ObjectKey, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp, WorkloadSpec,
+    SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp, WorkloadSpec,
 };
 
 /// The simulated testbed, standing in for the paper's Table 1.
@@ -120,7 +122,12 @@ pub struct ExperimentConfig {
     pub occupancy: f64,
     /// Object-size distribution.
     pub object_size: SizeDistribution,
-    /// Write-request (append chunk) size in bytes.
+    /// Write-request (append chunk) size in bytes: how each substrate
+    /// splits an object's data into appends (the paper's abstract: "changing
+    /// the size of write requests affects fragmentation").  The one home of
+    /// this knob; every store [`ExperimentConfig::build_store`] builds
+    /// writes in requests of this size.  The paper's 64 KB is
+    /// [`PAPER_WRITE_REQUEST_SIZE`].
     pub write_request_size: u64,
     /// RNG seed for the workload generator.
     pub seed: u64,
@@ -172,7 +179,7 @@ impl ExperimentConfig {
             volume_bytes: 40_000_000_000,
             occupancy: 0.5,
             object_size,
-            write_request_size: 64 * 1024,
+            write_request_size: PAPER_WRITE_REQUEST_SIZE,
             seed: 42,
             read_sample: Some(400),
             concurrency: 4,
@@ -414,37 +421,30 @@ pub fn run_aging_experiment(
     ages.sort_unstable();
     ages.dedup();
 
-    let think_time = SimDuration::from_millis_f64(config.think_time_ms);
     let mut server = StoreServer::new(store.as_mut());
 
-    // Bulk load: a single client with zero think time — the degenerate
-    // request schedule that reproduces the serial harness exactly.
     server.store_mut().reset_measurements();
     server.reset_queue_stats();
     let mut bulk_bytes = 0u64;
-    let mut bulk_ops = 0u64;
-    let completions = server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)?;
+    let completions = bulk_load(&mut server, &mut generator)?;
     for completion in &completions {
         if let WorkloadOp::Put { size, .. } = completion.request.op {
             tracker.record_put(size);
             bulk_bytes += size;
-            bulk_ops += 1;
         }
     }
     let mut interval_throughput = throughput_mb_per_sec(bulk_bytes, server.store().elapsed());
     let mut interval_latency = server
         .store()
         .elapsed()
-        .checked_div_int(bulk_ops.max(1))
+        .checked_div_int(completions.len().max(1) as u64)
         .as_millis_f64();
     let mut interval_summary = LatencySummary::of(&completions);
     let mut interval_queue = server.queue_stats();
 
     let mut current_age = 0u32;
     for &target in &ages {
-        // Age up to the target (no-op for target 0): `concurrency`
-        // closed-loop clients pull the round's safe writes from a shared
-        // queue, so writes queued together interleave on disk as one batch.
+        // Age up to the target (no-op for target 0).
         if target > current_age {
             server.store_mut().reset_measurements();
             server.reset_queue_stats();
@@ -454,34 +454,19 @@ pub fn run_aging_experiment(
             // — the harness no longer retains an interval's completions just
             // to sort them at checkpoint time.
             let mut interval_hist = LatencyHistogram::new();
-            let mut key_buf = ObjectKey::buf();
             while current_age < target {
-                let round: Vec<(ObjectKey, u64)> = generator
-                    .overwrite_round()
-                    .into_iter()
-                    .filter_map(|op| match op {
-                        WorkloadOp::SafeWrite { key, size } => Some((key, size)),
-                        _ => None,
-                    })
-                    .collect();
-                let old_sizes: Vec<u64> = round
-                    .iter()
-                    .map(|(key, _)| server.store().size_of(key.write_into(&mut key_buf)))
-                    .collect::<Result<_, _>>()?;
-                let round_ops: Vec<WorkloadOp> = round
-                    .iter()
-                    .map(|&(key, size)| WorkloadOp::SafeWrite { key, size })
-                    .collect();
-                let completions =
-                    server.run_closed_loop(round_ops, config.concurrency.max(1), think_time)?;
-                for completion in &completions {
+                let mut round_bytes = 0u64;
+                for completion in overwrite_round(&mut server, &mut generator, config)? {
                     interval_hist.record(completion.latency().as_nanos());
+                    if let WorkloadOp::SafeWrite { size, .. } = completion.request.op {
+                        round_bytes += size;
+                        ops += 1;
+                    }
                 }
-                for (&(_, size), old) in round.iter().zip(old_sizes) {
-                    tracker.record_safe_write(old, size);
-                    written += size;
-                    ops += 1;
-                }
+                // A round rewrites every live object once, so it kills
+                // exactly the bytes that were live before it.
+                tracker.record_safe_write(tracker.live_bytes, round_bytes);
+                written += round_bytes;
                 current_age += 1;
             }
             interval_throughput = throughput_mb_per_sec(written, server.store().elapsed());
@@ -553,6 +538,34 @@ fn measure_read_pass(
     Ok(throughput)
 }
 
+/// The aging protocol's first phase (Section 4.4): every object of the
+/// workload put once, by a single client with no think time — the
+/// degenerate request schedule that reproduces the serial harness exactly.
+pub fn bulk_load(
+    server: &mut StoreServer<'_>,
+    generator: &mut WorkloadGenerator,
+) -> Result<Vec<Completion>, StoreError> {
+    server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)
+}
+
+/// One whole overwrite round of the aging protocol: every live object
+/// safe-written once, in the generator's random order, by
+/// [`ExperimentConfig::concurrency`] closed-loop clients with
+/// [`ExperimentConfig::think_time_ms`] of think time.  Safe writes queued
+/// together dispatch as one interleaved batch.  Each round advances the
+/// storage age by one.
+pub fn overwrite_round(
+    server: &mut StoreServer<'_>,
+    generator: &mut WorkloadGenerator,
+    config: &ExperimentConfig,
+) -> Result<Vec<Completion>, StoreError> {
+    server.run_closed_loop(
+        generator.overwrite_round(),
+        config.concurrency,
+        SimDuration::from_millis_f64(config.think_time_ms),
+    )
+}
+
 /// Builds a store for `config`, bulk-loads it and ages it `age_rounds` whole
 /// overwrite rounds through the request scheduler, returning the aged store
 /// together with the generator (positioned past the aging phase, so
@@ -570,15 +583,10 @@ pub fn age_store(
     config.validate()?;
     let mut store = config.build_store(kind)?;
     let mut generator = WorkloadGenerator::new(config.workload());
-    let think_time = SimDuration::from_millis_f64(config.think_time_ms);
     let mut server = StoreServer::new(store.as_mut());
-    server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)?;
+    bulk_load(&mut server, &mut generator)?;
     for _ in 0..age_rounds {
-        server.run_closed_loop(
-            generator.overwrite_round(),
-            config.concurrency.max(1),
-            think_time,
-        )?;
+        overwrite_round(&mut server, &mut generator, config)?;
     }
     store.reset_measurements();
     Ok((store, generator))

@@ -5,41 +5,30 @@ use lor_disksim::{DiskConfig, SimDuration};
 use lor_fskit::{
     DefragCursor, DefragReport, Defragmenter, FileId, Volume, VolumeConfig, WriteReceipt,
 };
-use lor_maint::MaintenanceConfig;
 
 use crate::error::StoreError;
 use crate::store::{
     Store, StoreKind, FS_CREATE_METADATA_IOS, FS_OPEN_METADATA_IOS, FS_PER_WRITE_REQUEST_TIME,
-    METADATA_IO_TIME,
+    METADATA_IO_TIME, PAPER_WRITE_REQUEST_SIZE,
 };
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
-/// Configuration of a filesystem-backed store.
+/// Configuration of a filesystem-backed store: the volume and its disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsStoreConfig {
     /// The simulated volume.
     pub volume: VolumeConfig,
     /// The simulated disk the volume lives on.
     pub disk: DiskConfig,
-    /// Size of the write requests used to append object data (the paper's
-    /// experiments use 64 KB).
-    pub write_request_size: u64,
-    /// Background maintenance scheduler, if any.  When set, the volume's own
-    /// interval-driven checkpoint is disabled and the `lor-maint` scheduler
-    /// owns checkpointing and incremental defragmentation (allocation-pressure
-    /// emergency checkpoints remain in the substrate).
-    pub maintenance: Option<MaintenanceConfig>,
 }
 
 impl FsStoreConfig {
-    /// A store on a volume of `capacity_bytes`, using the paper's defaults
-    /// (64 KB write requests, a scaled slice of the 400 GB reference disk).
+    /// A volume of `capacity_bytes` on a scaled slice of the 400 GB
+    /// reference disk.
     pub fn new(capacity_bytes: u64) -> Self {
         FsStoreConfig {
             volume: VolumeConfig::new(capacity_bytes),
             disk: DiskConfig::seagate_400gb_2005().scaled(capacity_bytes),
-            write_request_size: 64 * 1024,
-            maintenance: None,
         }
     }
 }
@@ -48,19 +37,12 @@ impl FsStoreConfig {
 pub type FsObjectStore = Store<FsSubstrate>;
 
 impl FsObjectStore {
-    /// Creates a store from an explicit configuration.
-    pub fn with_config(config: FsStoreConfig) -> Result<Self, StoreError> {
-        Store::build(
-            config.volume,
-            config.disk,
-            config.write_request_size,
-            config.maintenance,
-        )
-    }
-
-    /// Creates a store on a volume of `capacity_bytes` with default settings.
+    /// A store on a volume of `capacity_bytes` with the paper's 64 KB write
+    /// requests and no maintenance scheduler (the volume checkpoints on its
+    /// own interval).
     pub fn new(capacity_bytes: u64) -> Result<Self, StoreError> {
-        Self::with_config(FsStoreConfig::new(capacity_bytes))
+        let FsStoreConfig { volume, disk } = FsStoreConfig::new(capacity_bytes);
+        Store::build(volume, disk, PAPER_WRITE_REQUEST_SIZE, None)
     }
 
     /// The underlying volume (read-only), for fragmentation reports and test
@@ -259,11 +241,11 @@ impl Substrate for FsSubstrate {
 mod tests {
     use super::*;
     use crate::store::ObjectStore;
-    use lor_maint::MaintenancePolicy;
+    use lor_maint::{MaintenanceConfig, MaintenancePolicy};
 
     const MB: u64 = 1 << 20;
 
-    crate::store::adapter_suite!(FsObjectStore, FsStoreConfig, StoreKind::Filesystem);
+    crate::store::adapter_suite!(FsObjectStore, StoreKind::Filesystem);
 
     #[test]
     fn maintenance_reports_copied_bytes() {
@@ -316,12 +298,13 @@ mod tests {
         // drive: put together from the bare policy, never asked for it, the
         // config still answers `server_driven`, the store builds, and the
         // server reads the config off the store.
-        let mut config = FsStoreConfig::new(64 * MB);
-        config.maintenance = Some(MaintenanceConfig::new(MaintenancePolicy::SubstrateAware {
+        let FsStoreConfig { volume, disk } = FsStoreConfig::new(64 * MB);
+        let bare = MaintenanceConfig::new(MaintenancePolicy::SubstrateAware {
             min_idle_ms: 5.0,
             defer_ghost_ms: 2000.0,
-        }));
-        let store = FsObjectStore::with_config(config).unwrap();
+        });
+        let store =
+            FsObjectStore::build(volume, disk, PAPER_WRITE_REQUEST_SIZE, Some(bare)).unwrap();
         assert!(store.maintenance_config().unwrap().server_driven());
     }
 }

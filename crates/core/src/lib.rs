@@ -12,7 +12,11 @@
 //!   append-only segment log) are the same store — same clock, same
 //!   charging against the simulated disk plus a fixed host cost model (the
 //!   one host of the paper's Table 1, as constants), same maintenance drive
-//!   — over three engines.
+//!   — over three engines.  One constructor builds them all,
+//!   [`Store::build`] (engine, disk, write request size, maintenance);
+//!   `FsObjectStore::new(capacity)` and its two siblings call it with the
+//!   paper's defaults ([`PAPER_WRITE_REQUEST_SIZE`], no scheduler), and
+//!   [`ExperimentConfig::build_store`] with the experiment's knobs.
 //! * [`workload`] — the paper's synthetic workloads (constant and uniform
 //!   object sizes, whole-object safe writes, randomized reads) and
 //!   **storage age** accounting ([`StorageAgeTracker`]).
@@ -33,7 +37,11 @@
 //! * [`experiment`] — the bulk-load / age / measure loop behind every figure
 //!   ([`run_aging_experiment`]), built on the request scheduler (one client
 //!   and zero think time is exactly the old serial harness), plus the
-//!   simulated testbed description standing in for Table 1.
+//!   simulated testbed description standing in for Table 1.  The aging
+//!   protocol itself is two functions, [`bulk_load`] (one client) and
+//!   [`overwrite_round`] (`concurrency` clients with think time), which
+//!   the harness, `lor-bench`'s latency-anatomy sweep and its `trace`
+//!   binary all call.
 //! * [`report`] — serialisable figure/table types with plain-text rendering.
 //! * [`anatomy`] — latency attribution over a traced run: each recorded
 //!   completion's latency decomposed into named components (maintenance
@@ -82,9 +90,9 @@ pub use anatomy::{AnatomyReport, LatencyAnatomy};
 pub use db_store::{DbObjectStore, DbStoreConfig};
 pub use error::StoreError;
 pub use experiment::{
-    age_store, calibrate_mixed_load, measure_mixed_load_calibrated, run_aging_experiment, AgePoint,
-    AgingResult, ExperimentConfig, FleetParallelism, MixedCalibration, MixedLoadPoint,
-    TestbedConfig,
+    age_store, bulk_load, calibrate_mixed_load, measure_mixed_load_calibrated, overwrite_round,
+    run_aging_experiment, AgePoint, AgingResult, ExperimentConfig, FleetParallelism,
+    MixedCalibration, MixedLoadPoint, TestbedConfig,
 };
 pub use fragmentation::{analyze_store, FragmentationReport};
 pub use fs_store::{FsObjectStore, FsStoreConfig, FsSubstrate};
@@ -95,7 +103,7 @@ pub use server::{
     Arrivals, ClientId, Completion, LatencySummary, MixedOpenLoop, OpenLoop, QueueStats,
     StoreRequest, StoreServer,
 };
-pub use store::{ObjectStore, OpReceipt, Store, StoreKind};
+pub use store::{ObjectStore, OpReceipt, Store, StoreKind, PAPER_WRITE_REQUEST_SIZE};
 pub use substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 pub use workload::{
     ObjectKey, ObjectKeyBuf, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp,

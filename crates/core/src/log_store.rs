@@ -30,38 +30,32 @@ use std::hash::BuildHasherDefault;
 use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, Name};
 use lor_disksim::{ByteRun, DiskConfig, SimDuration};
 use lor_logstore::{CleanReport, LogConfig, LogError, SegmentLog};
-use lor_maint::{MaintIo, MaintenanceConfig};
+use lor_maint::MaintIo;
 use lor_obs::{ArgValue, Obs, Track};
 
 use crate::error::StoreError;
-use crate::store::{Store, StoreKind, DB_LOOKUP_TIME, FS_PER_WRITE_REQUEST_TIME, METADATA_IO_TIME};
+use crate::store::{
+    Store, StoreKind, DB_LOOKUP_TIME, FS_PER_WRITE_REQUEST_TIME, METADATA_IO_TIME,
+    PAPER_WRITE_REQUEST_SIZE,
+};
 use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
 
-/// Configuration of a log-structured store.
+/// Configuration of a log-structured store: the log and its disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogStoreConfig {
     /// The simulated segment log.
     pub log: LogConfig,
     /// The simulated disk the log lives on.
     pub disk: DiskConfig,
-    /// Size of the write requests used to append object data (the paper's
-    /// experiments use 64 KB).
-    pub write_request_size: u64,
-    /// Background maintenance scheduler, if any.  When set, the `lor-maint`
-    /// scheduler drives the segment cleaner as its defragmentation task
-    /// (allocation-pressure emergency cleaning remains in the substrate).
-    pub maintenance: Option<MaintenanceConfig>,
 }
 
 impl LogStoreConfig {
-    /// A store on a log of `capacity_bytes`, using the paper's defaults
-    /// (64 KB write requests, a scaled slice of the 400 GB reference disk).
+    /// A log of `capacity_bytes` on a scaled slice of the 400 GB reference
+    /// disk.
     pub fn new(capacity_bytes: u64) -> Self {
         LogStoreConfig {
             log: LogConfig::new(capacity_bytes),
             disk: DiskConfig::seagate_400gb_2005().scaled(capacity_bytes),
-            write_request_size: 64 * 1024,
-            maintenance: None,
         }
     }
 }
@@ -70,19 +64,12 @@ impl LogStoreConfig {
 pub type LogObjectStore = Store<LogSubstrate>;
 
 impl LogObjectStore {
-    /// Creates a store from an explicit configuration.
-    pub fn with_config(config: LogStoreConfig) -> Result<Self, StoreError> {
-        Store::build(
-            config.log,
-            config.disk,
-            config.write_request_size,
-            config.maintenance,
-        )
-    }
-
-    /// Creates a store on a log of `capacity_bytes` with default settings.
+    /// A store on a log of `capacity_bytes` with the paper's 64 KB write
+    /// requests and no maintenance scheduler (only emergency cleaning
+    /// reclaims space).
     pub fn new(capacity_bytes: u64) -> Result<Self, StoreError> {
-        Self::with_config(LogStoreConfig::new(capacity_bytes))
+        let LogStoreConfig { log, disk } = LogStoreConfig::new(capacity_bytes);
+        Store::build(log, disk, PAPER_WRITE_REQUEST_SIZE, None)
     }
 
     /// The underlying segment log (read-only), for segment statistics and
@@ -350,7 +337,7 @@ mod tests {
 
     const MB: u64 = 1 << 20;
 
-    crate::store::adapter_suite!(LogObjectStore, LogStoreConfig, StoreKind::LogStructured);
+    crate::store::adapter_suite!(LogObjectStore, StoreKind::LogStructured);
 
     #[test]
     fn maintenance_cleans_dead_segments() {

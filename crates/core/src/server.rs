@@ -1343,9 +1343,11 @@ mod tests {
 
     #[test]
     fn empty_arrivals_serve_nothing_and_fill_no_idle_gap() {
-        let mut config = crate::fs_store::FsStoreConfig::new(256 * MB);
-        config.maintenance = Some(MaintenanceConfig::idle_detect(5.0));
-        let mut store = FsObjectStore::with_config(config).unwrap();
+        let crate::FsStoreConfig { volume, disk } = crate::FsStoreConfig::new(256 * MB);
+        let idle_detect = Some(MaintenanceConfig::idle_detect(5.0));
+        let mut store =
+            FsObjectStore::build(volume, disk, crate::PAPER_WRITE_REQUEST_SIZE, idle_detect)
+                .unwrap();
         let mut server = StoreServer::new(&mut store);
         // Interleaved safe writes leave the idle-detect drive work to do.
         server

@@ -277,6 +277,12 @@ pub trait ObjectStore: Send {
     }
 }
 
+/// The size of the write requests the paper's experiments append object
+/// data in (64 KB): the write request of every store
+/// [`FsObjectStore::new`](crate::FsObjectStore::new) and its two siblings
+/// build, and of [`crate::ExperimentConfig::paper_default`].
+pub const PAPER_WRITE_REQUEST_SIZE: u64 = 64 * 1024;
+
 /// The one object store: a [`Substrate`] plus everything the substrates
 /// share — the measurement clock, the simulated disk, the optional
 /// background scheduler and the tracing handle.
@@ -293,9 +299,15 @@ pub struct Store<S: Substrate> {
 }
 
 impl<S: Substrate> Store<S> {
-    /// Builds a store over a fresh engine.  With a maintenance config the
-    /// `lor-maint` scheduler owns the engine's background duties.
-    pub(crate) fn build(
+    /// Builds a store over a fresh engine on a disk of its own, appending
+    /// object data in requests of `write_request_size` bytes.  With a
+    /// maintenance config the `lor-maint` scheduler owns the engine's
+    /// background duties.  The one general constructor: the `new` of
+    /// [`crate::FsObjectStore`], [`crate::DbObjectStore`] and
+    /// [`crate::LogObjectStore`] and [`crate::ExperimentConfig::build_store`]
+    /// all call it.  A zero write request or an invalid maintenance config
+    /// is [`StoreError::BadConfig`].
+    pub fn build(
         engine: S::Config,
         disk: DiskConfig,
         write_request_size: u64,
@@ -559,11 +571,11 @@ impl<S: Substrate> ObjectStore for Store<S> {
 
 /// The adapter tests every substrate must pass, written once and
 /// instantiated inside each store module's `tests` (so a failure names its
-/// substrate): `adapter_suite!(FsObjectStore, FsStoreConfig, StoreKind::Filesystem)`.
+/// substrate): `adapter_suite!(FsObjectStore, StoreKind::Filesystem)`.
 /// Expects that module's `use super::*`, `ObjectStore` and `MB` in scope.
 #[cfg(test)]
 macro_rules! adapter_suite {
-    ($Store:ident, $Config:ident, $kind:expr) => {
+    ($Store:ident, $kind:expr) => {
         #[test]
         fn put_get_safe_write_delete_cycle() {
             let mut store = $Store::new(256 * MB).unwrap();
@@ -656,11 +668,12 @@ macro_rules! adapter_suite {
                 tiny.put("big", 64 * MB),
                 Err(StoreError::OutOfSpace(_))
             ));
+            let zero_request = $crate::ExperimentConfig {
+                write_request_size: 0,
+                ..$crate::store::tests::paper_config(MB)
+            };
             assert!(matches!(
-                $Store::with_config($Config {
-                    write_request_size: 0,
-                    ..$Config::new(MB)
-                }),
+                zero_request.build_store($kind),
                 Err(StoreError::BadConfig(_))
             ));
         }
@@ -697,10 +710,11 @@ macro_rules! adapter_suite {
 
         #[test]
         fn maintenance_scheduler_runs_and_charges_the_foreground_clock() {
-            use lor_maint::MaintenancePolicy;
-            let mut config = $Config::new(128 * MB);
-            config.maintenance = Some(MaintenanceConfig::fixed_budget(16));
-            let mut store = $Store::with_config(config).unwrap();
+            use lor_maint::{MaintenanceConfig, MaintenancePolicy};
+            let mut store = $crate::store::tests::paper_config(128 * MB)
+                .with_maintenance(MaintenanceConfig::fixed_budget(16))
+                .build_store($kind)
+                .unwrap();
             assert!(store.maintenance_stats().is_some());
 
             for i in 0..16 {
@@ -732,12 +746,13 @@ macro_rules! adapter_suite {
             assert!(store.elapsed() > stats.background_time);
 
             // An invalid maintenance config is rejected.
-            let mut bad = $Config::new(64 * MB);
-            bad.maintenance = Some(MaintenanceConfig::new(MaintenancePolicy::Threshold {
-                frag_per_object: 0.0,
-            }));
+            let bad = $crate::store::tests::paper_config(64 * MB).with_maintenance(
+                MaintenanceConfig::new(MaintenancePolicy::Threshold {
+                    frag_per_object: 0.0,
+                }),
+            );
             assert!(matches!(
-                $Store::with_config(bad),
+                bad.build_store($kind),
                 Err(StoreError::BadConfig(_))
             ));
         }
@@ -750,7 +765,17 @@ pub(crate) use adapter_suite;
 pub(crate) mod tests {
     use super::*;
     use crate::fs_store::FsSubstrate;
+    use crate::{ExperimentConfig, SizeDistribution};
     use lor_blobkit::Database;
+
+    /// The paper's setup on a volume of `volume_bytes`: what the adapter
+    /// suite hands [`crate::ExperimentConfig::build_store`].
+    pub(crate) fn paper_config(volume_bytes: u64) -> ExperimentConfig {
+        ExperimentConfig {
+            volume_bytes,
+            ..ExperimentConfig::paper_default(SizeDistribution::Constant(1 << 20))
+        }
+    }
 
     /// `S`'s read host time.
     fn read_host<S: Substrate>(units: u64, payload_bytes: u64) -> SimDuration {
@@ -772,6 +797,60 @@ pub(crate) mod tests {
             StoreKind::ALL.map(|kind| kind.label()),
             ["Filesystem", "Database", "Log"]
         );
+    }
+
+    /// The two ways to build a store at the paper's defaults build the same
+    /// store: on every substrate, the store alias's `new(capacity)` and
+    /// `build_store` from the paper's config at `volume_bytes = capacity`
+    /// return equal receipts, clocks, write requests and fragmentation for
+    /// one put / safe-write / get / delete script.  This pins the one 64 KB
+    /// default, [`PAPER_WRITE_REQUEST_SIZE`], behind both.
+    #[test]
+    fn new_and_build_store_build_the_same_store_on_every_substrate() {
+        use crate::{DbObjectStore, FsObjectStore, LogObjectStore};
+        const MB: u64 = 1 << 20;
+        const CAPACITY: u64 = 64 * MB;
+
+        type Outcome = (Vec<OpReceipt>, SimDuration, u64, FragmentationSummary);
+        fn script(store: &mut dyn ObjectStore) -> Outcome {
+            let key = |i: u64| format!("o{i}");
+            let mut receipts = Vec::new();
+            // Sizes off the 64 KB grid, so the request size shows in the
+            // host time and the layout.
+            for i in 0..8 {
+                receipts.push(store.put(&key(i), (i + 1) * MB / 2 + 1000).unwrap());
+            }
+            for i in (0..8).step_by(3) {
+                receipts.push(store.safe_write(&key(i), 3 * MB / 2 + 77).unwrap());
+            }
+            let batch: Vec<(String, u64)> =
+                (1..8).step_by(2).map(|i| (key(i), 2 * MB + 5)).collect();
+            receipts.extend(store.safe_write_batch(&batch).unwrap());
+            for i in 0..8 {
+                receipts.push(store.get(&key(i)).unwrap());
+            }
+            receipts.push(store.delete(&key(2)).unwrap());
+            receipts.push(store.put(&key(8), 3 * MB).unwrap());
+            (
+                receipts,
+                store.elapsed(),
+                store.write_request_size(),
+                store.fragmentation(),
+            )
+        }
+
+        for kind in StoreKind::ALL {
+            let mut by_new: Box<dyn ObjectStore> = match kind {
+                StoreKind::Filesystem => Box::new(FsObjectStore::new(CAPACITY).unwrap()),
+                StoreKind::Database => Box::new(DbObjectStore::new(CAPACITY).unwrap()),
+                StoreKind::LogStructured => Box::new(LogObjectStore::new(CAPACITY).unwrap()),
+            };
+            let mut by_config = paper_config(CAPACITY).build_store(kind).unwrap();
+            let outcome = script(by_new.as_mut());
+            assert_eq!(outcome, script(by_config.as_mut()), "{kind}");
+            assert_eq!(outcome.2, PAPER_WRITE_REQUEST_SIZE, "{kind}");
+            assert!(outcome.3.total_fragments > 0, "{kind}");
+        }
     }
 
     /// A put that runs out of space leaves nothing behind — the same nothing
