@@ -109,6 +109,7 @@ fn run() -> Result<(), String> {
     let scale = &options.scale;
 
     let config = traced_anatomy_config(scale);
+    config.validate().map_err(|e| e.to_string())?;
 
     eprintln!(
         "tracing a {} aging run at scale '{}' (volume {} MB, storage age {})",

@@ -1179,6 +1179,7 @@ pub fn anatomy_vs_age(
     config: &ExperimentConfig,
     ages: &[u32],
 ) -> Result<Vec<(f64, AnatomyReport)>, StoreError> {
+    config.validate()?;
     let mut store = config.build_store(kind)?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(store.as_mut());
@@ -1622,6 +1623,58 @@ mod tests {
         // error: no panic, no partial results.
         let error = aging_sweep(&PAPER_KINDS, &[0.5, 1.5], with_occupancy, &[1], false);
         assert!(matches!(error, Err(StoreError::BadConfig(_))), "{error:?}");
+    }
+
+    #[test]
+    fn anatomy_and_aging_refuse_the_configs_validate_refuses() {
+        let base = ExperimentConfig {
+            volume_bytes: 32 << 20,
+            ..ExperimentConfig::paper_default(SizeDistribution::Constant(256 << 10))
+        };
+        let bad = [
+            (
+                "think time NaN",
+                ExperimentConfig {
+                    think_time_ms: f64::NAN,
+                    ..base.clone()
+                },
+            ),
+            (
+                "think time -5 ms",
+                ExperimentConfig {
+                    think_time_ms: -5.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "0 clients",
+                ExperimentConfig {
+                    concurrency: 0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "occupancy 3.0",
+                ExperimentConfig {
+                    occupancy: 3.0,
+                    ..base.clone()
+                },
+            ),
+        ];
+        for kind in ALL_KINDS {
+            for (what, config) in &bad {
+                let anatomy = anatomy_vs_age(kind, config, &[1]);
+                assert!(
+                    matches!(anatomy, Err(StoreError::BadConfig(_))),
+                    "{kind} anatomy, {what}: {anatomy:?}"
+                );
+                let aging = run_aging_experiment(kind, config, &[1], false);
+                assert!(
+                    matches!(aging, Err(StoreError::BadConfig(_))),
+                    "{kind} aging, {what}: {aging:?}"
+                );
+            }
+        }
     }
 
     #[test]

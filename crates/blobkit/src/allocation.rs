@@ -768,8 +768,8 @@ impl AllocationUnit {
     }
 
     /// Frees every run of a layout (see [`AllocationUnit::free_run`]).
-    pub fn free_runs(&mut self, gam: &mut Gam, runs: &[Extent]) {
-        for &run in runs {
+    pub fn free_runs(&mut self, gam: &mut Gam, runs: impl IntoIterator<Item = Extent>) {
+        for run in runs {
             self.free_run(gam, run);
         }
     }
@@ -1038,7 +1038,11 @@ mod tests {
         // partially used extent.
         let b = allocate(&mut unit, &mut gam, 20).unwrap();
         assert_eq!(b.fragment_count(), 1);
-        assert!(a.runs()[0].is_followed_by(&b.runs()[0]));
+        assert!(a
+            .runs()
+            .next()
+            .unwrap()
+            .is_followed_by(&b.runs().next().unwrap()));
         assert_eq!(unit.used_pages(), 40);
         // 40 pages span extents 0..=4.
         assert_eq!(unit.extent_count(), 5);
@@ -1056,7 +1060,7 @@ mod tests {
         }
         // A new 8-page object lands in the freed low extent, not at the tail.
         let c = allocate(&mut unit, &mut gam, 8).unwrap();
-        assert_eq!(c.runs(), [Extent::new(0, 8)]);
+        assert_eq!(c.runs().collect::<Vec<_>>(), [Extent::new(0, 8)]);
     }
 
     #[test]
@@ -1078,7 +1082,7 @@ mod tests {
             b.fragment_count()
         );
         // And it fills the lowest holes first.
-        assert_eq!(b.runs()[0], Extent::new(0, 4));
+        assert_eq!(b.runs().next().unwrap(), Extent::new(0, 4));
     }
 
     #[test]
@@ -1104,7 +1108,10 @@ mod tests {
         // object continues in the next policy-chosen extent.
         assert!(gam.assign_specific(ExtentId(2)));
         let layout = allocate(&mut unit, &mut gam, 20).unwrap();
-        assert_eq!(layout.runs(), [Extent::new(0, 16), Extent::new(24, 4)]);
+        assert_eq!(
+            layout.runs().collect::<Vec<_>>(),
+            [Extent::new(0, 16), Extent::new(24, 4)]
+        );
         assert_eq!(
             unit.extents().collect::<Vec<_>>(),
             [ExtentId(0), ExtentId(1), ExtentId(3)]
@@ -1114,7 +1121,7 @@ mod tests {
         assert_eq!(unit.verify(&gam), Ok(()));
         // Exactly as many extents as the pages need, never one more.
         let more = allocate(&mut unit, &mut gam, 4 + 3 * PAGES_PER_EXTENT).unwrap();
-        assert_eq!(more.runs(), [Extent::new(28, 28)]);
+        assert_eq!(more.runs().collect::<Vec<_>>(), [Extent::new(28, 28)]);
         assert_eq!(unit.extent_count(), 6);
         assert_eq!(unit.free_page_count(), 0);
     }
@@ -1143,7 +1150,7 @@ mod tests {
         );
         // Page 7, then extent 1 adopted, then on into pages 16 and 17.
         let layout = allocate(&mut unit, &mut gam, 11).unwrap();
-        assert_eq!(layout.runs(), [Extent::new(7, 11)]);
+        assert_eq!(layout.runs().collect::<Vec<_>>(), [Extent::new(7, 11)]);
         assert_eq!(unit.free_space().free_runs(), [Extent::new(30, 1)]);
         assert_eq!(unit.verify(&gam), Ok(()));
     }
@@ -1191,13 +1198,20 @@ mod tests {
     fn partially_freed_extents_stay_with_the_unit() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::LobData, 10 * PAGES_PER_EXTENT);
-        let first = allocate(&mut unit, &mut gam, 8).unwrap().runs()[0];
+        let first = allocate(&mut unit, &mut gam, 8)
+            .unwrap()
+            .runs()
+            .next()
+            .unwrap();
         unit.free_run(&mut gam, Extent::new(first.start, 1));
         assert_eq!(unit.extent_count(), 1);
         assert_eq!(unit.free_page_count(), 1);
         // The freed page is reused before any new extent is assigned.
         let next = allocate(&mut unit, &mut gam, 1).unwrap();
-        assert_eq!(next.runs(), [Extent::new(first.start, 1)]);
+        assert_eq!(
+            next.runs().collect::<Vec<_>>(),
+            [Extent::new(first.start, 1)]
+        );
     }
 
     #[test]
@@ -1225,7 +1239,12 @@ mod tests {
     fn double_free_panics() {
         let mut gam = Gam::new(2);
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
-        let first = allocate(&mut unit, &mut gam, 4).unwrap().runs()[0].start;
+        let first = allocate(&mut unit, &mut gam, 4)
+            .unwrap()
+            .runs()
+            .next()
+            .unwrap()
+            .start;
         unit.free_run(&mut gam, Extent::new(first, 1));
         unit.free_run(&mut gam, Extent::new(first, 1));
     }
@@ -1272,7 +1291,7 @@ mod tests {
         // 4-page request lands contiguously in fresh extents...
         let from_gam = largest(&mut unit, &mut gam, 4).unwrap();
         assert_eq!(
-            from_gam.runs(),
+            from_gam.runs().collect::<Vec<_>>(),
             [Extent::new(ExtentId(2).first_page().0, 4)]
         );
         // ...and a 20-page one is a single run of consecutive fresh extents.
@@ -1294,7 +1313,7 @@ mod tests {
         // uses exactly the two runs, biggest first.
         let scattered = largest(&mut unit, &mut gam, 5).unwrap();
         assert_eq!(
-            scattered.runs(),
+            scattered.runs().collect::<Vec<_>>(),
             [Extent::new(pages[2].0, 3), Extent::new(pages[8].0, 2)],
             "the 3-page run is taken first"
         );
@@ -1321,11 +1340,11 @@ mod tests {
         let boundary_page = 60 * PAGES_PER_EXTENT;
         // Foreground allocations fill from the front as before...
         let foreground = allocate(&mut unit, &mut gam, 16).unwrap();
-        assert_eq!(foreground.runs(), [Extent::new(0, 16)]);
+        assert_eq!(foreground.runs().collect::<Vec<_>>(), [Extent::new(0, 16)]);
         // ...while maintenance relocations land beyond the boundary.
         let moved = maintenance(&mut unit, &mut gam, 16, 0).unwrap();
         assert!(
-            moved.runs().iter().all(|run| run.start >= boundary_page),
+            moved.runs().all(|run| run.start >= boundary_page),
             "maintenance pages {moved:?} must sit at or above page {boundary_page}"
         );
         assert_eq!(moved.fragment_count(), 1);
@@ -1376,7 +1395,7 @@ mod tests {
         let mut unit =
             AllocationUnit::with_placement(PageKind::LobData, TEST_PAGES, policy, placement);
         let all = allocate(&mut unit, &mut gam, 800).unwrap();
-        assert_eq!(all.runs(), [Extent::new(0, 800)]);
+        assert_eq!(all.runs().collect::<Vec<_>>(), [Extent::new(0, 800)]);
         unit.free_run(&mut gam, Extent::new(480, 1));
         unit.free_run(&mut gam, Extent::new(100, 1));
         unit.free_run(&mut gam, Extent::new(101, 1));

@@ -11,6 +11,14 @@
 //! engine asks of a layout is a question about runs: the fragment count is
 //! the number of runs, a read or write receipt is one byte run per page run,
 //! ghosting or freeing a version hands the runs over as they are.
+//!
+//! A run is stored in 8 bytes, a 32-bit page number and a 32-bit length,
+//! not as a 16-byte [`Extent`]: the layouts are the one structure whose size
+//! grows with fragmentation itself (an aged store holds about 20 runs per
+//! object), so halving a run halves it.  32 bits suffice because the engine
+//! refuses a data file of more than 2³² − 1 pages (`EngineConfig`'s
+//! validation), 88 times the paper's 400 GB disk; [`PageRuns`] has the
+//! details.
 
 use lor_alloc::{Extent, Name};
 use lor_disksim::ByteRun;
@@ -77,8 +85,8 @@ impl BlobRecord {
         &self.layout
     }
 
-    /// The page runs of [`BlobRecord::layout`].
-    pub fn runs(&self) -> &[Extent] {
+    /// The page runs of [`BlobRecord::layout`], in logical order.
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = Extent> + Clone + '_ {
         self.layout.runs()
     }
 
@@ -129,7 +137,10 @@ mod tests {
             100,
             layout(&[Extent::new(10, 2), Extent::new(20, 3)]),
         );
-        assert_eq!(record.runs(), [Extent::new(10, 2), Extent::new(20, 3)]);
+        assert_eq!(
+            record.runs().collect::<Vec<_>>(),
+            [Extent::new(10, 2), Extent::new(20, 3)]
+        );
         assert_eq!(record.pages().count(), 5);
         assert_eq!(record.page_count(), 5);
         assert_eq!(record.fragment_count(), 2);

@@ -120,12 +120,15 @@ use lor_disksim::ByteRun;
 use crate::allocation::{pages_of, AllocationUnit, Gam};
 use crate::blob::{BlobId, BlobRecord};
 use crate::error::DbError;
-use crate::page::{PageKind, PageRuns, PAGES_PER_EXTENT};
+use crate::page::{PackedRun, PageKind, PageRuns, MAX_PAGES, PAGES_PER_EXTENT};
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Size of the (pre-created, physically contiguous) data file in bytes.
+    /// It may hold at most 2³² − 1 whole pages: a layout stores a page
+    /// number in 32 bits ([`PageRuns`]), so [`Database::create`] refuses a
+    /// larger file.
     pub data_file_bytes: u64,
     /// Page size in bytes (SQL Server: 8192).
     pub page_size: u64,
@@ -202,6 +205,12 @@ impl EngineConfig {
                 "data file must hold at least one extent",
             ));
         }
+        // A layout stores a run as two 32-bit numbers (`PageRuns`).
+        if self.total_pages() > MAX_PAGES {
+            return Err(DbError::BadConfig(
+                "data file must hold at most 2^32 - 1 pages",
+            ));
+        }
         self.placement.validate().map_err(DbError::BadConfig)?;
         Ok(())
     }
@@ -271,8 +280,14 @@ pub struct CompactReport {
 /// disjoint page runs.
 ///
 /// A version is ghosted and later freed as the handful of runs it is laid
-/// out in, so the backlog costs one append per *run*, not per page.  A
-/// budgeted tail-first pass releases the runs holding the highest pages:
+/// out in, so the backlog costs one append per *run*, not per page.  Each
+/// run is kept as the one word its layout stored it in ([`PackedRun`]:
+/// start in the high 32 bits, length in the low 32), 8 bytes where an
+/// [`Extent`] takes 16.  The runs are disjoint, so their starts differ and
+/// the words order exactly as the starts do: the heap and both sorts below
+/// compare words and hand out the runs the start order would.
+///
+/// A budgeted tail-first pass releases the runs holding the highest pages:
 /// ghosting appends to the unordered `fresh` list, and
 /// [`GhostBacklog::pop_highest`] first moves that list into the max-heap by
 /// start page that it then pops.  The heap is what makes a budgeted pass
@@ -287,9 +302,9 @@ pub struct CompactReport {
 #[derive(Debug, Clone, Default)]
 struct GhostBacklog {
     /// Runs a budgeted pass has already ordered, highest start on top.
-    heap: BinaryHeap<Extent>,
+    heap: BinaryHeap<PackedRun>,
     /// Runs ghosted since the last budgeted pass, in no order.
-    fresh: Vec<Extent>,
+    fresh: Vec<PackedRun>,
     pages: u64,
 }
 
@@ -304,7 +319,7 @@ impl GhostBacklog {
 
     /// Adds every run of a dead version's layout.
     fn extend(&mut self, layout: &PageRuns) {
-        self.fresh.extend_from_slice(layout.runs());
+        self.fresh.extend_from_slice(layout.packed());
         self.pages += layout.page_count();
     }
 
@@ -312,11 +327,12 @@ impl GhostBacklog {
     /// (the whole run when it is no longer than that).
     fn pop_highest(&mut self, max_pages: u64) -> Option<Extent> {
         self.heap.extend(self.fresh.drain(..));
-        let run = self.heap.pop()?;
+        let run = self.heap.pop()?.extent();
         let popped = if run.len <= max_pages {
             run
         } else {
-            self.heap.push(Extent::new(run.start, run.len - max_pages));
+            self.heap
+                .push(PackedRun::new(Extent::new(run.start, run.len - max_pages)));
             Extent::new(run.end() - max_pages, max_pages)
         };
         self.pages -= popped.len;
@@ -328,10 +344,10 @@ impl GhostBacklog {
     /// and merged as two sequences, never concatenated, and both buffers are
     /// kept for the next version ghosted.
     fn release_all(&mut self, free: impl FnOnce(Ascending<'_>)) {
-        // The runs are disjoint, so their starts alone order them.
+        // The runs are disjoint, so their words order them by start.
         let mut ordered = std::mem::take(&mut self.heap).into_vec();
-        ordered.sort_unstable_by_key(|run| run.start);
-        self.fresh.sort_unstable_by_key(|run| run.start);
+        ordered.sort_unstable();
+        self.fresh.sort_unstable();
         free(Ascending {
             ordered: &ordered,
             fresh: &self.fresh,
@@ -344,15 +360,15 @@ impl GhostBacklog {
 
     /// The backlog's runs, in no particular order.
     fn runs(&self) -> impl Iterator<Item = Extent> + '_ {
-        self.heap.iter().chain(&self.fresh).copied()
+        self.heap.iter().chain(&self.fresh).map(|run| run.extent())
     }
 }
 
 /// Two ascending lists of disjoint runs, read as one ascending sequence.
 #[derive(Clone)]
 struct Ascending<'a> {
-    ordered: &'a [Extent],
-    fresh: &'a [Extent],
+    ordered: &'a [PackedRun],
+    fresh: &'a [PackedRun],
 }
 
 impl Iterator for Ascending<'_> {
@@ -360,13 +376,13 @@ impl Iterator for Ascending<'_> {
 
     fn next(&mut self) -> Option<Extent> {
         let side = match (self.ordered.first(), self.fresh.first()) {
-            (Some(ordered), Some(fresh)) if fresh.start < ordered.start => &mut self.fresh,
+            (Some(ordered), Some(fresh)) if fresh < ordered => &mut self.fresh,
             (Some(_), _) => &mut self.ordered,
             (None, _) => &mut self.fresh,
         };
         let (&run, rest) = side.split_first()?;
         *side = rest;
-        Some(run)
+        Some(run.extent())
     }
 }
 
@@ -1362,7 +1378,7 @@ impl Database {
         }
         let mut owned: Vec<Extent> = backlog;
         for record in self.blobs.values() {
-            if record.runs().iter().map(|run| run.len).sum::<u64>() != record.page_count() {
+            if record.runs().map(|run| run.len).sum::<u64>() != record.page_count() {
                 return Err(format!("{}: cached page count is stale", record.id));
             }
             if record.page_count() != self.config.pages_for(record.size_bytes) {
@@ -1373,7 +1389,7 @@ impl Database {
                     record.size_bytes
                 ));
             }
-            owned.extend_from_slice(record.runs());
+            owned.extend(record.runs());
         }
         owned.sort_unstable_by_key(|run| run.start);
         if let Some(pair) = owned.windows(2).find(|pair| pair[0].overlaps(&pair[1])) {
@@ -1527,6 +1543,133 @@ mod tests {
         })
         .is_err());
         assert!(Database::create(EngineConfig::new(1000)).is_err());
+    }
+
+    #[test]
+    fn a_data_file_past_the_32_bit_page_bound_is_refused() {
+        // Validation runs before anything is built, so this allocates
+        // nothing for the 32 TiB file.
+        let too_large = EngineConfig::new((MAX_PAGES + 1) * 8192);
+        assert_eq!(too_large.total_pages(), 1 << 32);
+        assert_eq!(
+            Database::create(too_large).unwrap_err(),
+            DbError::BadConfig("data file must hold at most 2^32 - 1 pages")
+        );
+        // A partial last page does not count: the largest file accepted.
+        let largest = EngineConfig::new((MAX_PAGES + 1) * 8192 - 1);
+        assert_eq!(largest.total_pages(), MAX_PAGES);
+        assert_eq!(largest.validate(), Ok(()));
+    }
+
+    /// The ghost backlog as it kept its runs before they were packed: one
+    /// 16-byte [`Extent`] each, heap and sorts keyed on the extent.
+    #[derive(Default)]
+    struct ExtentBacklog {
+        heap: BinaryHeap<Extent>,
+        fresh: Vec<Extent>,
+    }
+
+    impl ExtentBacklog {
+        fn pop_highest(&mut self, max_pages: u64) -> Option<Extent> {
+            self.heap.extend(self.fresh.drain(..));
+            let run = self.heap.pop()?;
+            if run.len <= max_pages {
+                return Some(run);
+            }
+            self.heap.push(Extent::new(run.start, run.len - max_pages));
+            Some(Extent::new(run.end() - max_pages, max_pages))
+        }
+
+        fn release_all(&mut self) -> Vec<Extent> {
+            let mut ordered = std::mem::take(&mut self.heap).into_vec();
+            ordered.sort_unstable_by_key(|run| run.start);
+            self.fresh.sort_unstable_by_key(|run| run.start);
+            let mut merged = Vec::new();
+            let (mut a, mut b) = (ordered.as_slice(), self.fresh.as_slice());
+            while let Some(side) = match (a.first(), b.first()) {
+                (Some(x), Some(y)) if y.start < x.start => Some(&mut b),
+                (Some(_), _) => Some(&mut a),
+                (None, Some(_)) => Some(&mut b),
+                (None, None) => None,
+            } {
+                merged.push(side[0]);
+                *side = &side[1..];
+            }
+            self.fresh.clear();
+            merged
+        }
+    }
+
+    #[test]
+    fn the_packed_ghost_backlog_hands_out_what_the_extent_backlog_did() {
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            // Disjoint runs spread over the whole 32-bit page range, the
+            // last one ending at the bound.  A run handed out returns to the
+            // pool, so the backlog never holds two that overlap.
+            let slot = MAX_PAGES / 512;
+            let mut pool: Vec<Extent> = (0..512)
+                .map(|i| {
+                    let len = 1 + next(64);
+                    let start = if i == 511 {
+                        MAX_PAGES - len
+                    } else {
+                        i * slot + next(slot - 64)
+                    };
+                    Extent::new(start, len)
+                })
+                .collect();
+            let (mut packed, mut reference) = (GhostBacklog::default(), ExtentBacklog::default());
+            let mut handed_out = 0;
+            for _ in 0..4_000 {
+                match next(8) {
+                    0..=3 if !pool.is_empty() => {
+                        let mut layout = PageRuns::new();
+                        for _ in 0..1 + next(6).min(pool.len() as u64 - 1) {
+                            let run = pool.swap_remove(next(pool.len() as u64) as usize);
+                            layout.push(run);
+                        }
+                        packed.extend(&layout);
+                        reference.fresh.extend(layout.runs());
+                    }
+                    0..=6 => {
+                        let max_pages = 1 + next(48);
+                        let run = packed.pop_highest(max_pages);
+                        assert_eq!(run, reference.pop_highest(max_pages), "seed {seed}");
+                        pool.extend(run);
+                        handed_out += 1;
+                    }
+                    _ => {
+                        let mut released = Vec::new();
+                        packed.release_all(|runs| released.extend(runs));
+                        assert_eq!(released, reference.release_all(), "seed {seed}");
+                        assert!(packed.is_empty());
+                        pool.extend(released);
+                    }
+                }
+                let mut held: Vec<Extent> = packed.runs().collect();
+                let mut expected: Vec<Extent> = reference
+                    .heap
+                    .iter()
+                    .chain(&reference.fresh)
+                    .copied()
+                    .collect();
+                held.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(held, expected, "seed {seed}");
+                assert_eq!(
+                    packed.page_count(),
+                    held.iter().map(|run| run.len).sum::<u64>()
+                );
+            }
+            assert!(handed_out > 1_000, "seed {seed}: {handed_out} pops");
+        }
     }
 
     #[test]
@@ -1716,7 +1859,7 @@ mod tests {
         }
         let versions = |db: &Database| -> Vec<(u64, Vec<Extent>)> {
             db.iter_blobs()
-                .map(|blob| (blob.size_bytes, blob.runs().to_vec()))
+                .map(|blob| (blob.size_bytes, blob.runs().collect()))
                 .collect()
         };
         let before = versions(&db);
@@ -2045,7 +2188,7 @@ mod tests {
         // At least one moved blob physically sits in the maintenance band.
         assert!(
             db.iter_blobs()
-                .any(|blob| blob.runs().iter().all(|run| run.start >= boundary_page)),
+                .any(|blob| blob.runs().all(|run| run.start >= boundary_page)),
             "no blob ended up in the maintenance band"
         );
     }
@@ -2274,7 +2417,7 @@ mod tests {
         let mut db = aged_db();
         db.update("obj-3", MB).unwrap();
         assert_eq!(db.verify(), Ok(()));
-        let live = db.get("obj-0").unwrap().runs()[0];
+        let live = db.get("obj-0").unwrap().runs().next().unwrap();
 
         // A live page handed to the free pool: the accounting is off by one.
         let mut freed = db.clone();
@@ -2344,11 +2487,11 @@ mod tests {
         // A ghost run the backlog does not count, in its heap or fresh.
         let spare = Extent::new(db.config().total_pages() - 1, 1);
         let mut uncounted = db.clone();
-        uncounted.ghosts.fresh.push(spare);
+        uncounted.ghosts.fresh.push(PackedRun::new(spare));
         let violation = uncounted.verify().unwrap_err();
         assert!(violation.contains("heap and fresh list"), "{violation}");
         let mut uncounted = db.clone();
-        uncounted.ghosts.heap.push(spare);
+        uncounted.ghosts.heap.push(PackedRun::new(spare));
         let violation = uncounted.verify().unwrap_err();
         assert!(violation.contains("heap and fresh list"), "{violation}");
 

@@ -229,7 +229,7 @@ fn check_against_oracle(
     let allocate = |unit: &mut AllocationUnit, gam: &mut Gam, oracle: &mut BitmapMap, pages| {
         let mut layout = PageRuns::new();
         unit.allocate_pages(gam, pages, &mut layout).ok()?;
-        for &run in layout.runs() {
+        for run in layout.runs() {
             oracle.reserve(run).expect("oracle agrees the run was free");
         }
         Some(layout)
@@ -244,7 +244,7 @@ fn check_against_oracle(
                     unit.free_run(gam, Extent::new(page.0, 1));
                 }
             }
-            for &run in ghosts.runs() {
+            for run in ghosts.runs() {
                 oracle.release(run).expect("oracle agrees the run was used");
             }
         };
@@ -595,7 +595,7 @@ proptest! {
         let mut backlog: Vec<lor_alloc::Extent> = Vec::new();
         let mut cuts = cuts.into_iter();
         for (layout, _) in live.iter().zip(&ghosted).filter(|(_, &ghost)| ghost) {
-            for &run in layout.runs() {
+            for run in layout.runs() {
                 // Cut at `cut` pages in, when that is inside the run.
                 match cuts.next().filter(|&cut| cut > 0 && cut < run.len) {
                     Some(cut) => {
@@ -618,7 +618,10 @@ fn a_batched_free_returns_extents_only_its_runs_together_empty() {
     use lor_alloc::{Extent, FreeSpace};
 
     let (mut unit, mut gam, live) = fragmented_unit(&[(4 * PAGES_PER_EXTENT, false)]);
-    assert_eq!(live[0].runs(), [Extent::new(0, 4 * PAGES_PER_EXTENT)]);
+    assert_eq!(
+        live[0].runs().collect::<Vec<_>>(),
+        [Extent::new(0, 4 * PAGES_PER_EXTENT)]
+    );
     // Extent 1 keeps two pages freed earlier, the second its last page.
     unit.free_run(&mut gam, Extent::new(PAGES_PER_EXTENT + 3, 1));
     unit.free_run(&mut gam, Extent::new(2 * PAGES_PER_EXTENT - 1, 1));

@@ -276,7 +276,14 @@ impl ExperimentConfig {
         )?))
     }
 
-    fn validate(&self) -> Result<(), StoreError> {
+    /// Checks that the configuration describes a run the harness can age:
+    /// occupancy in `[0, 1]`, a volume inside the modelled disk, non-zero
+    /// object and write-request sizes, at least one client, finite
+    /// non-negative think time, valid placement and maintenance.  Every
+    /// entry point that builds and ages a store from a configuration calls
+    /// it first ([`run_aging_experiment`], `lor_bench::anatomy_vs_age`, the
+    /// `trace` binary); [`ExperimentConfig::build_store`] alone does not.
+    pub fn validate(&self) -> Result<(), StoreError> {
         if !(0.0..=1.0).contains(&self.occupancy) {
             return Err(StoreError::BadConfig("occupancy must lie in [0, 1]".into()));
         }
