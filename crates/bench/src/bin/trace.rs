@@ -126,9 +126,9 @@ fn run() -> Result<(), String> {
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(store.as_mut());
     server.set_obs(obs, SimDuration::from_millis(100));
-    bulk_load(&mut server, &mut generator).map_err(|e| e.to_string())?;
+    bulk_load(&mut server, &mut generator, |_| ()).map_err(|e| e.to_string())?;
     for _ in 0..scale.max_age {
-        overwrite_round(&mut server, &mut generator, &config).map_err(|e| e.to_string())?;
+        overwrite_round(&mut server, &mut generator, &config, |_| ()).map_err(|e| e.to_string())?;
     }
 
     let json = handle.to_chrome_json();

@@ -27,10 +27,10 @@ use lor_core::lor_disksim::SimDuration;
 use lor_core::lor_logstore::CleanerSelector;
 use lor_core::{
     age_store, bulk_load, calibrate_mixed_load, measure_mixed_load_calibrated, overwrite_round,
-    run_aging_experiment, AgePoint, AgingResult, AllocationPolicy, AnatomyReport, Arrivals,
-    Completion, ExperimentConfig, Figure, FleetParallelism, LatencySummary, LogObjectStore,
-    LogStoreConfig, MaintenanceConfig, MixedLoadPoint, MixedOpenLoop, ObjectKey, OpenLoop,
-    PlacementPolicy, Series, SizeDistribution, StoreError, StoreKind, StoreServer, Table,
+    run_aging_experiment, serial_capacity, AgePoint, AgingResult, AllocationPolicy, AnatomyReport,
+    Arrivals, Completion, ExperimentConfig, Figure, FleetParallelism, LatencySummary,
+    LogObjectStore, LogStoreConfig, MaintenanceConfig, MixedLoadPoint, MixedOpenLoop, ObjectKey,
+    OpenLoop, PlacementPolicy, Series, SizeDistribution, StoreError, StoreKind, StoreServer, Table,
     TestbedConfig, WorkloadGenerator, WorkloadOp,
 };
 use lor_shard::{fanout_p99_ms, RouterPolicy, ShardedStore};
@@ -743,9 +743,7 @@ fn load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
         let reads: Vec<WorkloadOp> = generator.read_all().into_iter().take(limit).collect();
         let mut server = StoreServer::new(store.as_mut());
         // Calibrate capacity with a serial pass (reads are side-effect free).
-        let serial = server.run_closed_loop(reads.clone(), 1, SimDuration::ZERO)?;
-        let mean_ms = LatencySummary::of(&serial).mean_ms.max(1e-6);
-        let capacity_ops_per_sec = 1e3 / mean_ms;
+        let capacity_ops_per_sec = serial_capacity(&mut server, reads.clone())?;
         let mut points = Vec::with_capacity(LOAD_SWEEP_UTILISATIONS.len());
         for utilisation in LOAD_SWEEP_UTILISATIONS {
             server.reset_queue_stats();
@@ -754,9 +752,11 @@ fn load_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
                 seed: base.seed,
             };
             let schedule = load.schedule(server.now(), reads.clone())?;
-            let mut completions = Vec::with_capacity(schedule.len());
-            server.run(Arrivals::Open(schedule), |c| completions.push(c))?;
-            let summary = LatencySummary::of(&completions);
+            let mut latencies = Vec::with_capacity(schedule.len());
+            server.run(Arrivals::Open(schedule), |c| {
+                latencies.push(c.latency().as_nanos());
+            })?;
+            let summary = LatencySummary::of_nanos(latencies);
             points.push((utilisation, summary, server.queue_stats().mean_depth()));
         }
         Ok((kind, points))
@@ -890,15 +890,20 @@ fn cleaner_run(
     let mut store = LogObjectStore::build(log, disk, config.write_request_size, maintenance)?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(&mut store);
-    bulk_load(&mut server, &mut generator)?;
+    bulk_load(&mut server, &mut generator, |_| ())?;
     let rewrites = generator.live_keys().len() / 2;
     let fragments = |server: &StoreServer<'_>| server.store().fragmentation().fragments_per_object;
     let mut aging = vec![fragments(&server)];
     let mut p99_ms = 0.0;
     for _ in 0..CLEANER_ROUNDS {
-        let round = generator.zipf_safe_write_sample(rewrites, 1.0);
-        let completions = server.run_closed_loop(round, 2, SimDuration::ZERO)?;
-        p99_ms = LatencySummary::of(&completions).p99_ms;
+        let arrivals = Arrivals::Closed {
+            ops: generator.zipf_safe_write_sample(rewrites, 1.0),
+            clients: 2,
+            think_time: SimDuration::ZERO,
+        };
+        let mut latencies = Vec::with_capacity(rewrites);
+        server.run(arrivals, |c| latencies.push(c.latency().as_nanos()))?;
+        p99_ms = LatencySummary::of_nanos(latencies).p99_ms;
         aging.push(fragments(&server));
     }
     Ok((aging, p99_ms))
@@ -1172,8 +1177,9 @@ const ANATOMY_QUANTILE: f64 = 0.99;
 ///
 /// Age 0 is skipped (the bulk load is a different, serial workload), matching
 /// the latency-percentiles family.  Returns `(storage_age, report)` pairs.
-/// (It needs each round's completions, which [`age_store`] does not keep, so
-/// it drives the rounds itself.)
+/// (It needs the completions of the rounds it reports, which [`age_store`]
+/// does not keep, so it drives the rounds itself and collects those rounds'
+/// alone.)
 pub fn anatomy_vs_age(
     kind: StoreKind,
     config: &ExperimentConfig,
@@ -1183,12 +1189,18 @@ pub fn anatomy_vs_age(
     let mut store = config.build_store(kind)?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(store.as_mut());
-    bulk_load(&mut server, &mut generator)?;
+    bulk_load(&mut server, &mut generator, |_| ())?;
     let max_age = ages.iter().copied().max().unwrap_or(0);
     let mut out = Vec::new();
     for age in 1..=max_age {
-        let completions = overwrite_round(&mut server, &mut generator, config)?;
-        if ages.contains(&age) {
+        let reported = ages.contains(&age);
+        let mut completions = Vec::new();
+        overwrite_round(&mut server, &mut generator, config, |completion| {
+            if reported {
+                completions.push(completion);
+            }
+        })?;
+        if reported {
             let report = AnatomyReport::over_tail(&completions, ANATOMY_QUANTILE)
                 .expect("an overwrite round always completes requests");
             out.push((age as f64, report));

@@ -15,6 +15,9 @@
 //! volume size and occupancy.  Its first two steps are the paper's aging
 //! protocol, written once: [`bulk_load`] and [`overwrite_round`], which
 //! [`age_store`], the latency-anatomy sweep and the `trace` binary run too.
+//! Both hand each completion to a sink, as [`StoreServer::run`] does, and
+//! keep none: every caller folds what it reads (a histogram, a byte count,
+//! a latency list) as the completions arrive.
 //!
 //! Since the request/completion redesign the loop is implemented on the
 //! [`StoreServer`] scheduler: bulk load and read passes are single-client
@@ -35,7 +38,7 @@ use crate::error::StoreError;
 use crate::fs_store::{FsStoreConfig, FsSubstrate};
 use crate::hist::LatencyHistogram;
 use crate::log_store::{LogStoreConfig, LogSubstrate};
-use crate::server::{Completion, LatencySummary, MixedOpenLoop, StoreServer};
+use crate::server::{mean_ms, Arrivals, Completion, LatencySummary, MixedOpenLoop, StoreServer};
 use crate::store::{host_costs, ObjectStore, Store, StoreKind, PAPER_WRITE_REQUEST_SIZE};
 use crate::substrate::Substrate;
 use crate::workload::{
@@ -433,20 +436,23 @@ pub fn run_aging_experiment(
     server.store_mut().reset_measurements();
     server.reset_queue_stats();
     let mut bulk_bytes = 0u64;
-    let completions = bulk_load(&mut server, &mut generator)?;
-    for completion in &completions {
+    // The bulk interval's summary is the exact, sort-based one, so the sink
+    // keeps every latency: 8 bytes each, not a whole completion.
+    let mut bulk_latencies = Vec::with_capacity(config.object_count() as usize);
+    bulk_load(&mut server, &mut generator, |completion| {
+        bulk_latencies.push(completion.latency().as_nanos());
         if let WorkloadOp::Put { size, .. } = completion.request.op {
             tracker.record_put(size);
             bulk_bytes += size;
         }
-    }
+    })?;
     let mut interval_throughput = throughput_mb_per_sec(bulk_bytes, server.store().elapsed());
     let mut interval_latency = server
         .store()
         .elapsed()
-        .checked_div_int(completions.len().max(1) as u64)
+        .checked_div_int(bulk_latencies.len().max(1) as u64)
         .as_millis_f64();
-    let mut interval_summary = LatencySummary::of(&completions);
+    let mut interval_summary = LatencySummary::of_nanos(bulk_latencies);
     let mut interval_queue = server.queue_stats();
 
     let mut current_age = 0u32;
@@ -457,19 +463,18 @@ pub fn run_aging_experiment(
             server.reset_queue_stats();
             let mut written = 0u64;
             let mut ops = 0u64;
-            // Latencies stream into a fixed-size histogram as rounds finish
-            // — the harness no longer retains an interval's completions just
-            // to sort them at checkpoint time.
+            // Latencies stream into a fixed-size histogram as the rounds'
+            // completions arrive: no round's completions are kept.
             let mut interval_hist = LatencyHistogram::new();
             while current_age < target {
                 let mut round_bytes = 0u64;
-                for completion in overwrite_round(&mut server, &mut generator, config)? {
+                overwrite_round(&mut server, &mut generator, config, |completion| {
                     interval_hist.record(completion.latency().as_nanos());
                     if let WorkloadOp::SafeWrite { size, .. } = completion.request.op {
                         round_bytes += size;
                         ops += 1;
                     }
-                }
+                })?;
                 // A round rewrites every live object once, so it kills
                 // exactly the bytes that were live before it.
                 tracker.record_safe_write(tracker.live_bytes, round_bytes);
@@ -529,6 +534,7 @@ pub fn run_aging_experiment(
 
 /// A randomized full-object read pass over (a sample of) the live objects,
 /// run on an existing server as a single-client, zero-think-time schedule.
+/// Only the payload bytes are summed; no completion is kept.
 fn measure_read_pass(
     server: &mut StoreServer<'_>,
     generator: &mut WorkloadGenerator,
@@ -538,21 +544,37 @@ fn measure_read_pass(
     let limit = sample.unwrap_or(ops.len()).max(1);
     let ops: Vec<WorkloadOp> = ops.into_iter().take(limit).collect();
     server.store_mut().reset_measurements();
-    let completions = server.run_closed_loop(ops, 1, SimDuration::ZERO)?;
-    let bytes: u64 = completions.iter().map(|c| c.receipt.payload_bytes).sum();
+    let mut bytes = 0u64;
+    server.run(serial(ops), |completion| {
+        bytes += completion.receipt.payload_bytes;
+    })?;
     let throughput = throughput_mb_per_sec(bytes, server.store().elapsed());
     server.store_mut().reset_measurements();
     Ok(throughput)
 }
 
+/// One client with no think time: the degenerate request schedule that
+/// reproduces the serial harness exactly.
+fn serial(ops: Vec<WorkloadOp>) -> Arrivals {
+    Arrivals::Closed {
+        ops,
+        clients: 1,
+        think_time: SimDuration::ZERO,
+    }
+}
+
 /// The aging protocol's first phase (Section 4.4): every object of the
-/// workload put once, by a single client with no think time — the
-/// degenerate request schedule that reproduces the serial harness exactly.
+/// workload put once, by a single client with no think time.
+///
+/// Like [`StoreServer::run`], it hands each completion to `sink` and keeps
+/// none: a caller that needs a statistic folds it in the sink, and one that
+/// needs nothing passes `|_| ()`.
 pub fn bulk_load(
     server: &mut StoreServer<'_>,
     generator: &mut WorkloadGenerator,
-) -> Result<Vec<Completion>, StoreError> {
-    server.run_closed_loop(generator.bulk_load(), 1, SimDuration::ZERO)
+    sink: impl FnMut(Completion),
+) -> Result<(), StoreError> {
+    server.run(serial(generator.bulk_load()), sink)
 }
 
 /// One whole overwrite round of the aging protocol: every live object
@@ -561,16 +583,20 @@ pub fn bulk_load(
 /// [`ExperimentConfig::think_time_ms`] of think time.  Safe writes queued
 /// together dispatch as one interleaved batch.  Each round advances the
 /// storage age by one.
+///
+/// Each completion goes to `sink`, as in [`bulk_load`]; the round keeps none.
 pub fn overwrite_round(
     server: &mut StoreServer<'_>,
     generator: &mut WorkloadGenerator,
     config: &ExperimentConfig,
-) -> Result<Vec<Completion>, StoreError> {
-    server.run_closed_loop(
-        generator.overwrite_round(),
-        config.concurrency,
-        SimDuration::from_millis_f64(config.think_time_ms),
-    )
+    sink: impl FnMut(Completion),
+) -> Result<(), StoreError> {
+    let arrivals = Arrivals::Closed {
+        ops: generator.overwrite_round(),
+        clients: config.concurrency,
+        think_time: SimDuration::from_millis_f64(config.think_time_ms),
+    };
+    server.run(arrivals, sink)
 }
 
 /// Builds a store for `config`, bulk-loads it and ages it `age_rounds` whole
@@ -591,9 +617,9 @@ pub fn age_store(
     let mut store = config.build_store(kind)?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(store.as_mut());
-    bulk_load(&mut server, &mut generator)?;
+    bulk_load(&mut server, &mut generator, |_| ())?;
     for _ in 0..age_rounds {
-        overwrite_round(&mut server, &mut generator, config)?;
+        overwrite_round(&mut server, &mut generator, config, |_| ())?;
     }
     store.reset_measurements();
     Ok((store, generator))
@@ -639,9 +665,13 @@ pub struct MixedCalibration {
 
 /// Calibrates a mixed sweep family: ages a twin store to `age_rounds`,
 /// samples the deterministic mix (`write_fraction` of `ops` are safe
-/// writes), and measures the mix's serial capacity.  The twin is discarded;
-/// the measurement store is built fresh by
+/// writes), and measures the mix's [`serial_capacity`].  The twin is
+/// discarded; the measurement store is built fresh by
 /// [`measure_mixed_load_calibrated`], so calibration cannot perturb it.
+///
+/// Capacity is a mean, so the serial run folds its completions into a sum
+/// and a count: the calibration holds the mix and no completion, whatever
+/// `ops` is.
 pub fn calibrate_mixed_load(
     kind: StoreKind,
     config: &ExperimentConfig,
@@ -667,15 +697,40 @@ pub fn calibrate_mixed_load(
     let writes = generator.safe_write_sample(write_ops);
     let mut serial_mix = reads.clone();
     serial_mix.extend(writes.iter().cloned());
-    let mut server = StoreServer::new(twin.as_mut());
-    let serial = server.run_closed_loop(serial_mix, 1, SimDuration::ZERO)?;
-    let mean_ms = LatencySummary::of(&serial).mean_ms.max(1e-6);
+    let capacity_ops_per_sec = serial_capacity(&mut StoreServer::new(twin.as_mut()), serial_mix)?;
     Ok(MixedCalibration {
         write_fraction,
-        capacity_ops_per_sec: 1e3 / mean_ms,
+        capacity_ops_per_sec,
         reads,
         writes,
     })
+}
+
+/// The serial single-client capacity of the store behind `server` over
+/// `ops`, in operations per simulated second: one client with no think
+/// time runs them, and capacity is the inverse of its mean latency (floored
+/// at 1 ns).
+///
+/// The run folds each completion into a sum and a count and keeps none.
+/// The mean is the expression [`LatencySummary::of`] computes, so the
+/// result equals `1e3 / LatencySummary::of(&completions).mean_ms.max(1e-6)`
+/// over the collected completions, bit for bit.
+pub fn serial_capacity(
+    server: &mut StoreServer<'_>,
+    ops: Vec<WorkloadOp>,
+) -> Result<f64, StoreError> {
+    let (mut total_ns, mut count) = (0u64, 0u64);
+    server.run(serial(ops), |completion| {
+        total_ns += completion.latency().as_nanos();
+        count += 1;
+    })?;
+    // No completion summarises to a zero mean, as in `LatencySummary::of`.
+    let mean = if count == 0 {
+        0.0
+    } else {
+        mean_ms(total_ns, count)
+    };
+    Ok(1e3 / mean.max(1e-6))
 }
 
 /// Measures one [`MixedLoadPoint`] against a fresh aged store: the

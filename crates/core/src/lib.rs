@@ -41,7 +41,7 @@
 //!   protocol itself is two functions, [`bulk_load`] (one client) and
 //!   [`overwrite_round`] (`concurrency` clients with think time), which
 //!   the harness, `lor-bench`'s latency-anatomy sweep and its `trace`
-//!   binary all call.
+//!   binary all call; both hand their completions to a sink and keep none.
 //! * [`report`] — serialisable figure/table types with plain-text rendering.
 //! * [`anatomy`] — latency attribution over a traced run: each recorded
 //!   completion's latency decomposed into named components (maintenance
@@ -91,8 +91,8 @@ pub use db_store::{DbObjectStore, DbStoreConfig};
 pub use error::StoreError;
 pub use experiment::{
     age_store, bulk_load, calibrate_mixed_load, measure_mixed_load_calibrated, overwrite_round,
-    run_aging_experiment, AgePoint, AgingResult, ExperimentConfig, FleetParallelism,
-    MixedCalibration, MixedLoadPoint, TestbedConfig,
+    run_aging_experiment, serial_capacity, AgePoint, AgingResult, ExperimentConfig,
+    FleetParallelism, MixedCalibration, MixedLoadPoint, TestbedConfig,
 };
 pub use fragmentation::{analyze_store, FragmentationReport};
 pub use fs_store::{FsObjectStore, FsStoreConfig, FsSubstrate};

@@ -137,7 +137,13 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarises a completion stream.
     pub fn of(completions: &[Completion]) -> Self {
-        let mut nanos: Vec<u64> = completions.iter().map(|c| c.latency().as_nanos()).collect();
+        Self::of_nanos(completions.iter().map(|c| c.latency().as_nanos()).collect())
+    }
+
+    /// Summarises client-observed latencies in nanoseconds, in any order —
+    /// what a sink keeps of each completion (8 bytes, not a whole
+    /// [`Completion`]) when only the exact summary is read.
+    pub fn of_nanos(mut nanos: Vec<u64>) -> Self {
         nanos.sort_unstable();
         let Some(&max) = nanos.last() else {
             return LatencySummary::default();
@@ -145,13 +151,20 @@ impl LatencySummary {
         let total: u64 = nanos.iter().sum();
         LatencySummary {
             count: nanos.len() as u64,
-            mean_ms: total as f64 / nanos.len() as f64 / 1e6,
+            mean_ms: mean_ms(total, nanos.len() as u64),
             p50_ms: percentile(&nanos, 0.50),
             p95_ms: percentile(&nanos, 0.95),
             p99_ms: percentile(&nanos, 0.99),
             max_ms: max as f64 / 1e6,
         }
     }
+}
+
+/// Mean latency in milliseconds of `count` latencies summing to `total_ns`:
+/// the one expression every summary uses, so a fold that keeps only the sum
+/// and the count reproduces [`LatencySummary::of`]'s mean bit for bit.
+pub(crate) fn mean_ms(total_ns: u64, count: u64) -> f64 {
+    total_ns as f64 / count as f64 / 1e6
 }
 
 /// Nearest-rank percentile of a sorted latency list, in milliseconds.
@@ -643,6 +656,10 @@ impl<'a> StoreServer<'a> {
 
     /// [`StoreServer::run`] over [`Arrivals::Closed`], collecting the
     /// completions.
+    ///
+    /// A completion is 128 bytes, so collect only where every completion is
+    /// read afterwards; a caller that folds them (a sum, a histogram, the
+    /// latencies alone) passes its fold to [`StoreServer::run`] as the sink.
     pub fn run_closed_loop(
         &mut self,
         ops: Vec<WorkloadOp>,

@@ -1,7 +1,9 @@
-//! The heap-call budgets of a bulk load and of a batched safe write, and the
-//! heap bytes an aged store holds, pinned by a test and not only by a
+//! The heap-call budgets of a bulk load and of a batched safe write, the
+//! heap bytes an aged store holds, and the peak heap a mixed-load
+//! calibration adds per operation, pinned by a test and not only by a
 //! benchmark: a counting `#[global_allocator]` (this binary's own, so no
-//! other test sees it) around [`StoreServer::run_closed_loop`].
+//! other test sees it) around [`StoreServer::run_closed_loop`] and
+//! [`calibrate_mixed_load`].
 //!
 //! Release only — debug builds run every substrate's `verify()` inside the
 //! operations, and those allocate:
@@ -12,11 +14,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lor_core::lor_disksim::SimDuration;
-use lor_core::{ExperimentConfig, ObjectKey, SizeDistribution, StoreKind, StoreServer, WorkloadOp};
+use lor_core::{
+    calibrate_mixed_load, ExperimentConfig, ObjectKey, SizeDistribution, StoreKind, StoreServer,
+    WorkloadOp,
+};
 
-/// Counts each thread's `alloc` and `realloc` calls and its live heap bytes
-/// (bytes allocated minus bytes freed), and forwards everything to the
-/// system allocator.
+/// Counts each thread's `alloc` and `realloc` calls, its live heap bytes
+/// (bytes allocated minus bytes freed) and their high-water mark, and
+/// forwards everything to the system allocator.
 struct Counting;
 
 thread_local! {
@@ -28,6 +33,8 @@ thread_local! {
     /// Signed: a block freed on this thread may have been allocated on
     /// another.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE_BYTES` has been since [`peak_heap`] last reset it.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(calls: &'static std::thread::LocalKey<Cell<u64>>) {
@@ -36,7 +43,10 @@ fn count(calls: &'static std::thread::LocalKey<Cell<u64>>) {
 }
 
 fn add_live(bytes: i64) {
-    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + bytes));
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -103,6 +113,16 @@ fn counted<T>(run: impl FnOnce() -> T) -> (T, [u64; 2]) {
     let out = run();
     let after = calls();
     (out, [after[0] - before[0], after[1] - before[1]])
+}
+
+/// The most live heap `run` held on this thread at any instant, above what
+/// was live when it started.
+fn peak_heap<T>(run: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE_BYTES.get();
+    PEAK_BYTES.set(before);
+    let out = run();
+    let peak = u64::try_from(PEAK_BYTES.get() - before).expect("a peak is never below its start");
+    (out, peak)
 }
 
 fn heap_calls(kind: StoreKind) -> HeapCalls {
@@ -251,6 +271,35 @@ fn bulk_loads_stay_inside_their_heap_call_budget() {
             (StoreKind::LogStructured, 666, 794),
         ],
         |calls| calls.puts,
+    );
+}
+
+#[test]
+fn a_mixed_load_calibration_holds_no_completion_per_op() {
+    // The peak heap of a calibration on an aged database, at two mix sizes:
+    // what it grows by per extra operation is what it holds per operation.
+    // Recorded: 57.7 bytes an op, the mix alone (the read and write samples
+    // the calibration returns and the serial copy it runs, 24 bytes an op
+    // each, plus their growth slack).  The serial run folds its completions
+    // into a sum and a count.  At the parent it collected them, and the
+    // peak grew by 185.7 bytes an op: a 128-byte `Completion` and the 8-byte
+    // latency `LatencySummary::of` sorts, with the two samples still live.
+    const SMALL: usize = 4_000;
+    const LARGE: usize = 16_000;
+    let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(256 * KB));
+    config.volume_bytes = 64 * 1024 * KB;
+    let peak = |ops| {
+        let (calibration, bytes) =
+            peak_heap(|| calibrate_mixed_load(StoreKind::Database, &config, 1, 0.3, ops));
+        assert!(calibration.expect("calibrates").capacity_ops_per_sec > 0.0);
+        bytes
+    };
+    let (small, large) = (peak(SMALL), peak(LARGE));
+    let per_op = (large as f64 - small as f64) / (LARGE - SMALL) as f64;
+    assert!(
+        per_op < 100.0,
+        "the calibration's peak heap grows by {per_op:.1} bytes per op \
+         ({small} bytes at {SMALL} ops, {large} at {LARGE}), bound 100"
     );
 }
 

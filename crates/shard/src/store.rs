@@ -71,8 +71,20 @@ const GAUGE_BAND_MAINT: [&str; 16] = shard_gauge_names!("band.maintenance_used")
 /// applies its own (caller-chosen) bound.
 const PER_SHARD_TRACE_CAPACITY: usize = 4096;
 
+/// What a drain keeps of each shard's run besides its queue stats and end.
+#[derive(Debug, Clone, Copy)]
+struct Keep {
+    /// Every completion, in dispatch order.  Only the callers that read
+    /// them ask: [`ShardedStore::load`] folds nothing, and a completion is
+    /// 128 bytes a load would hold per op until every shard is drained.
+    completions: bool,
+    /// The shard's recording, for splicing into the fleet trace.
+    spans: bool,
+}
+
 /// What draining one shard's sub-stream produced.
 struct ShardRun {
+    /// Empty unless the drain asked to [`Keep`] them.
     completions: Vec<Completion>,
     queue: QueueStats,
     end: SimDuration,
@@ -82,25 +94,32 @@ struct ShardRun {
     metrics: Vec<MetricSample>,
 }
 
-/// Drives one shard's sub-stream on the calling thread.  With
-/// `collect_spans`, the shard's server records into a private per-shard
-/// recorder whose contents are returned for splicing; the recorder is
-/// detached again before returning so the store never outlives an
-/// interval holding a stale handle.
+/// Drives one shard's sub-stream on the calling thread, keeping what `keep`
+/// asks for.  Completions are kept only for the callers that read them
+/// ([`ShardedStore::run`], [`ShardedStore::run_with_rebalance`] and
+/// [`ShardedStore::run_fanout_reads`]); otherwise the server's sink drops
+/// each one as it completes.  With `keep.spans`, the shard's server records
+/// into a private per-shard recorder whose contents are returned for
+/// splicing; the recorder is detached again before returning so the store
+/// never outlives an interval holding a stale handle.
 fn drain_shard(
     store: &mut Box<dyn ObjectStore>,
     arrivals: Arrivals,
-    collect_spans: bool,
+    keep: Keep,
 ) -> Result<ShardRun, StoreError> {
-    let local = collect_spans.then(|| Obs::trace(PER_SHARD_TRACE_CAPACITY));
-    let mut completions = Vec::with_capacity(arrivals.len());
+    let local = keep.spans.then(|| Obs::trace(PER_SHARD_TRACE_CAPACITY));
+    let mut completions = Vec::with_capacity(if keep.completions { arrivals.len() } else { 0 });
     let outcome = {
         let mut server = StoreServer::new(store.as_mut());
         if let Some((obs, _)) = &local {
             server.set_obs(obs.clone(), SimDuration::ZERO);
         }
         server
-            .run(arrivals, |completion| completions.push(completion))
+            .run(arrivals, |completion| {
+                if keep.completions {
+                    completions.push(completion);
+                }
+            })
             .map(|()| (server.queue_stats(), server.now()))
     };
     if local.is_some() {
@@ -133,7 +152,7 @@ fn drain_streams(
     shards: &mut [Box<dyn ObjectStore>],
     streams: Vec<Arrivals>,
     parallelism: FleetParallelism,
-    collect_spans: bool,
+    keep: Keep,
 ) -> Vec<Option<Result<ShardRun, StoreError>>> {
     type Job<'a> = (usize, &'a mut Box<dyn ObjectStore>, Arrivals);
     let mut slots: Vec<Option<Result<ShardRun, StoreError>>> =
@@ -148,7 +167,7 @@ fn drain_streams(
     let workers = parallelism.workers(jobs.len());
     if workers <= 1 || jobs.len() <= 1 {
         for (index, store, stream) in jobs {
-            slots[index] = Some(drain_shard(store, stream, collect_spans));
+            slots[index] = Some(drain_shard(store, stream, keep));
         }
         return slots;
     }
@@ -167,7 +186,7 @@ fn drain_streams(
                         let Some((index, store, stream)) = job else {
                             break done;
                         };
-                        done.push((index, drain_shard(store, stream, collect_spans)));
+                        done.push((index, drain_shard(store, stream, keep)));
                     }
                 })
             })
@@ -414,7 +433,10 @@ impl ShardedStore {
     /// Loads `ops` serially (one client, zero think time) across the fleet —
     /// the bulk-load path.  Each shard loads its own partition exactly as a
     /// bare serial harness would; with worker threads the shards load
-    /// concurrently, producing a bit-identical layout.
+    /// concurrently, producing a bit-identical layout.  No completion is
+    /// kept: each shard's server drops them as they complete, so all a load
+    /// holds per operation is the stream and the per-shard sub-streams
+    /// partitioned from it.
     pub fn load(&mut self, ops: Vec<WorkloadOp>) -> Result<usize, StoreError> {
         let applied = ops.len();
         let streams: Vec<Arrivals> = self
@@ -426,7 +448,11 @@ impl ShardedStore {
                 think_time: SimDuration::ZERO,
             })
             .collect();
-        let runs = drain_streams(&mut self.shards, streams, self.parallelism, false);
+        let keep = Keep {
+            completions: false,
+            spans: false,
+        };
+        let runs = drain_streams(&mut self.shards, streams, self.parallelism, keep);
         for slot in runs.into_iter().flatten() {
             slot?;
         }
@@ -448,7 +474,10 @@ impl ShardedStore {
             &mut self.shards,
             streams.into_iter().map(Arrivals::Open).collect(),
             self.parallelism,
-            self.obs.enabled(),
+            Keep {
+                completions: true,
+                spans: self.obs.enabled(),
+            },
         );
         let mut interval_end = SimDuration::ZERO;
         for (shard, slot) in runs.into_iter().enumerate() {
