@@ -5,7 +5,10 @@
 //! cluster space and to measure how fragmented the result is.  This crate
 //! provides that shared substrate:
 //!
-//! * [`Extent`] and helpers over extent lists ([`ExtentListExt`]).
+//! * [`Extent`] and helpers over extent lists ([`ExtentListExt`]), and
+//!   [`RunList`]: the one stored layout of a file and a BLOB — its maximal
+//!   runs in logical order, 8 bytes a run ([`PackedRun`]), whose number is
+//!   the object's fragment count.
 //! * Free-space structures: the run-indexed [`RunIndexMap`] (memory is
 //!   proportional to fragmentation, not volume size) and the exhaustive
 //!   [`BitmapMap`] oracle used in tests.
@@ -36,8 +39,7 @@
 //!
 //! ```
 //! use lor_alloc::{
-//!     AllocRequest, AllocationPolicy, Extent, ExtentListExt, PlacementConsumer,
-//!     SelectableAllocator,
+//!     AllocRequest, AllocationPolicy, Extent, PlacementConsumer, RunList, SelectableAllocator,
 //! };
 //!
 //! // `Native` is the NTFS-style run cache; `Fit(..)` swaps the pick, nothing else.
@@ -45,13 +47,16 @@
 //!
 //! // Appending in write-request-sized chunks with an extension hint keeps a
 //! // file contiguous — exactly what NTFS does for detected sequential appends.
-//! let mut file: Vec<Extent> = Vec::new();
+//! let mut file = RunList::new();
+//! let mut extents: Vec<Extent> = Vec::new();
 //! for _ in 0..4 {
 //!     let mut request = AllocRequest::best_effort(16);
 //!     request.hint = file.last().map(|last| last.end());
+//!     extents.clear();
 //!     allocator
-//!         .allocate_into(&request, PlacementConsumer::Foreground, &mut file)
+//!         .allocate_into(&request, PlacementConsumer::Foreground, &mut extents)
 //!         .unwrap();
+//!     file.extend(extents.iter().copied());
 //! }
 //! assert_eq!(file.fragment_count(), 1);
 //! ```
@@ -72,7 +77,7 @@ mod select;
 mod tracker;
 
 pub use error::AllocError;
-pub use extent::{Extent, ExtentListExt};
+pub use extent::{Extent, ExtentListExt, PackedRun, RunList};
 pub use freespace::{BitmapMap, FreeSpace, RunIndexMap};
 pub use idtable::IdTable;
 pub use metrics::{BandOccupancy, FragmentationSummary, FreeSpaceReport};

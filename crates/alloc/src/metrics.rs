@@ -15,7 +15,7 @@
 //!   from the allocation order (lowest-first reuse of freed holes), not
 //!   from a shortage of contiguous free space.
 
-use crate::extent::{Extent, ExtentListExt};
+use crate::extent::Extent;
 use crate::freespace::FreeSpace;
 
 /// Summary statistics over the fragment counts of a population of objects.
@@ -116,15 +116,6 @@ impl FragmentationSummary {
             median_fragments: weighted_median / objects as f64,
             contiguous_fraction: contiguous / objects as f64,
         }
-    }
-
-    /// Computes the summary directly from object extent lists.
-    pub fn from_layouts<'a>(layouts: impl IntoIterator<Item = &'a [Extent]>) -> Self {
-        let counts: Vec<u64> = layouts
-            .into_iter()
-            .map(|extents| extents.fragment_count() as u64)
-            .collect();
-        Self::from_counts(&counts)
     }
 }
 
@@ -241,16 +232,6 @@ mod tests {
         assert_eq!(summary.max_fragments, 10);
         assert_eq!(summary.median_fragments, 2.0);
         assert!((summary.contiguous_fraction - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_from_layouts() {
-        let a = vec![Extent::new(0, 4), Extent::new(4, 4)]; // contiguous -> 1 fragment
-        let b = vec![Extent::new(100, 4), Extent::new(200, 4)]; // 2 fragments
-        let summary = FragmentationSummary::from_layouts([a.as_slice(), b.as_slice()]);
-        assert_eq!(summary.objects, 2);
-        assert_eq!(summary.total_fragments, 3);
-        assert!((summary.fragments_per_object - 1.5).abs() < 1e-9);
     }
 
     #[test]

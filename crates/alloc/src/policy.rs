@@ -326,7 +326,7 @@ mod tests {
 
     use super::*;
     use crate::error::AllocError;
-    use crate::extent::ExtentListExt;
+    use crate::extent::{ExtentListExt, RunList};
     use crate::placement::PlacementConsumer::Foreground;
     use crate::select::SelectableAllocator;
 
@@ -462,7 +462,14 @@ mod tests {
             .allocate_as(&AllocRequest::best_effort(25), Foreground)
             .unwrap();
         assert_eq!(extents.total_clusters(), 25);
-        assert_eq!(extents.fragment_count(), 3);
+        assert_eq!(
+            extents
+                .iter()
+                .copied()
+                .collect::<RunList>()
+                .fragment_count(),
+            3
+        );
         assert!(extents.is_disjoint());
     }
 
@@ -512,7 +519,7 @@ mod tests {
                 .unwrap();
             assert_eq!(second[0].start, end, "{}", policy.name());
             // Together they form a single physical fragment.
-            let combined: Vec<Extent> = first.iter().chain(second.iter()).copied().collect();
+            let combined: RunList = first.iter().chain(second.iter()).copied().collect();
             assert_eq!(combined.fragment_count(), 1, "{}", policy.name());
         }
     }

@@ -57,7 +57,7 @@ mod tests {
 
     use super::*;
     use crate::error::AllocError;
-    use crate::extent::ExtentListExt;
+    use crate::extent::{ExtentListExt, RunList};
     use crate::placement::PlacementConsumer::Foreground;
     use crate::policy::{AllocRequest, AllocationPolicy};
     use crate::select::SelectableAllocator;
@@ -78,17 +78,19 @@ mod tests {
     #[test]
     fn extension_hint_keeps_appends_contiguous() {
         let mut allocator = run_cache(10_000);
-        let mut file: Vec<Extent> = allocator
+        let mut file: RunList = allocator
             .allocate_as(&AllocRequest::best_effort(16), Foreground)
-            .unwrap();
+            .unwrap()
+            .into_iter()
+            .collect();
         for _ in 0..15 {
             let hint = file.last().unwrap().end();
-            let mut next = allocator
+            let next = allocator
                 .allocate_as(&AllocRequest::best_effort(16).with_hint(hint), Foreground)
                 .unwrap();
-            file.append(&mut next);
+            file.extend(next);
         }
-        assert_eq!(file.total_clusters(), 256);
+        assert_eq!(file.units(), 256);
         assert_eq!(
             file.fragment_count(),
             1,

@@ -9,7 +9,7 @@
 
 use lor_alloc::{
     AllocError, AllocRequest, AllocationPolicy, BitmapMap, Extent, ExtentListExt, FitPolicy,
-    FragmentationSummary, FreeSpace, PlacementConsumer, PlacementPolicy, RunIndexMap,
+    FragmentationSummary, FreeSpace, PlacementConsumer, PlacementPolicy, RunIndexMap, RunList,
     SelectableAllocator,
 };
 use proptest::prelude::*;
@@ -125,17 +125,28 @@ proptest! {
         prop_assert_eq!(runs.free_runs(), vec![Extent::new(0, total)]);
     }
 
-    /// Counting fragments agrees with building the coalesced list, empty
-    /// extents and accidental adjacency included.
+    /// A run list holds the maximal runs a scan of the units in logical
+    /// order finds, empty runs and accidental adjacency included: a
+    /// fragment starts at each unit that does not follow the one before it.
     #[test]
-    fn fragment_count_matches_the_coalesced_list(
+    fn run_list_holds_the_runs_a_unit_scan_finds(
         extents in prop::collection::vec((0u64..64, 0u64..4), 0..40)
     ) {
         let extents: Vec<Extent> = extents
             .into_iter()
             .map(|(start, len)| Extent::new(start, len))
             .collect();
-        prop_assert_eq!(extents.fragment_count(), extents.coalesced().len());
+        let units: Vec<u64> = extents.iter().flat_map(|e| e.start..e.end()).collect();
+        let starts = units
+            .iter()
+            .enumerate()
+            .filter(|&(i, &unit)| i == 0 || units[i - 1] + 1 != unit)
+            .count();
+        let layout: RunList = extents.iter().copied().collect();
+        prop_assert_eq!(layout.fragment_count(), starts);
+        prop_assert_eq!(layout.units(), units.len() as u64);
+        let scanned: Vec<u64> = layout.runs().flat_map(|run| run.start..run.end()).collect();
+        prop_assert_eq!(scanned, units);
     }
 }
 

@@ -33,7 +33,7 @@
 //!   (one bit each — 38 KB for a 20 GB file), so "is this extent mine?" is a
 //!   bit test on the allocation and free paths rather than a probe of an
 //!   ordered set with one node per extent;
-//! * allocations append to the caller's [`PageRuns`] — the object's layout
+//! * allocations append to the caller's [`RunList`] — the object's layout
 //!   as maximal page runs, built in a buffer the engine reuses — and frees
 //!   take runs back ([`AllocationUnit::free_run`]).
 //!
@@ -98,11 +98,11 @@
 
 use lor_alloc::{
     AllocationPolicy, Extent, FitPicker, FitPolicy, FreeSpace, PlacementConsumer, PlacementPolicy,
-    RunIndexMap,
+    RunIndexMap, RunList,
 };
 
 use crate::error::DbError;
-use crate::page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};
+use crate::page::{ExtentId, PageId, PageKind, PAGES_PER_EXTENT};
 
 /// The fit the database's native policy applies: SQL Server reuses the lowest
 /// free page / extent first.
@@ -433,7 +433,7 @@ impl AllocationUnit {
         &mut self,
         gam: &mut Gam,
         count: u64,
-        layout: &mut PageRuns,
+        layout: &mut RunList,
     ) -> Result<(), DbError> {
         if count > self.available_pages(gam) {
             return Err(self.out_of_space(gam, count));
@@ -491,7 +491,7 @@ impl AllocationUnit {
         &mut self,
         gam: &mut Gam,
         count: u64,
-        layout: &mut PageRuns,
+        layout: &mut RunList,
     ) -> Result<(), DbError> {
         if count > self.available_pages(gam) {
             return Err(self.out_of_space(gam, count));
@@ -534,7 +534,7 @@ impl AllocationUnit {
         &mut self,
         gam: &mut Gam,
         count: u64,
-        layout: &mut PageRuns,
+        layout: &mut RunList,
     ) -> Result<(), DbError> {
         self.allocate_eligible_runs(gam, count, PlacementPolicy::Unrestricted, 0, layout)
     }
@@ -566,7 +566,7 @@ impl AllocationUnit {
         gam: &mut Gam,
         count: u64,
         foreground_watermark_pages: u64,
-        layout: &mut PageRuns,
+        layout: &mut RunList,
     ) -> Result<(), DbError> {
         let placement = self.picker.placement();
         self.allocate_eligible_runs(gam, count, placement, foreground_watermark_pages, layout)
@@ -581,7 +581,7 @@ impl AllocationUnit {
         count: u64,
         placement: PlacementPolicy,
         foreground_watermark_pages: u64,
-        layout: &mut PageRuns,
+        layout: &mut RunList,
     ) -> Result<(), DbError> {
         assert!(layout.is_empty(), "a relocation builds a whole layout");
         if count > self.available_pages(gam) {
@@ -590,8 +590,8 @@ impl AllocationUnit {
         let consumer = PlacementConsumer::Maintenance {
             foreground_watermark: foreground_watermark_pages,
         };
-        while layout.page_count() < count {
-            let remaining = count - layout.page_count();
+        while layout.units() < count {
+            let remaining = count - layout.units();
             // The band boundary is aligned to whole extents so the page and
             // extent granularities agree on it.
             let unit_run = placement.largest_eligible(&self.map, consumer, PAGES_PER_EXTENT);
@@ -885,20 +885,21 @@ impl AllocationUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page;
 
     const TEST_PAGES: u64 = 100 * PAGES_PER_EXTENT;
 
     /// One streamed allocation as a layout of its own.
-    fn allocate(unit: &mut AllocationUnit, gam: &mut Gam, count: u64) -> Result<PageRuns, DbError> {
-        let mut layout = PageRuns::new();
+    fn allocate(unit: &mut AllocationUnit, gam: &mut Gam, count: u64) -> Result<RunList, DbError> {
+        let mut layout = RunList::new();
         unit.allocate_pages(gam, count, &mut layout)?;
         Ok(layout)
     }
 
     /// One relocation as a layout of its own: `None` when it is refused,
     /// which must leave the buffer empty.
-    fn relocate(allocate: impl FnOnce(&mut PageRuns) -> Result<(), DbError>) -> Option<PageRuns> {
-        let mut layout = PageRuns::new();
+    fn relocate(allocate: impl FnOnce(&mut RunList) -> Result<(), DbError>) -> Option<RunList> {
+        let mut layout = RunList::new();
         match allocate(&mut layout) {
             Ok(()) => Some(layout),
             Err(_) => {
@@ -911,7 +912,7 @@ mod tests {
         }
     }
 
-    fn largest(unit: &mut AllocationUnit, gam: &mut Gam, count: u64) -> Option<PageRuns> {
+    fn largest(unit: &mut AllocationUnit, gam: &mut Gam, count: u64) -> Option<RunList> {
         relocate(|layout| unit.allocate_largest_runs(gam, count, layout))
     }
 
@@ -920,12 +921,12 @@ mod tests {
         gam: &mut Gam,
         count: u64,
         watermark: u64,
-    ) -> Option<PageRuns> {
+    ) -> Option<RunList> {
         relocate(|layout| unit.allocate_maintenance_runs(gam, count, watermark, layout))
     }
 
-    fn pages(layout: &PageRuns) -> Vec<PageId> {
-        layout.pages().collect()
+    fn pages(layout: &RunList) -> Vec<PageId> {
+        page::pages(layout).collect()
     }
 
     /// Assigns the extent the policy picks next.
@@ -1032,7 +1033,7 @@ mod tests {
         let mut gam = Gam::new(100);
         let mut unit = AllocationUnit::new(PageKind::LobData, TEST_PAGES);
         let a = allocate(&mut unit, &mut gam, 20).unwrap();
-        assert_eq!(a.page_count(), 20);
+        assert_eq!(a.units(), 20);
         assert_eq!(a.fragment_count(), 1);
         // The next object continues right after the previous one, sharing its
         // partially used extent.
@@ -1055,7 +1056,7 @@ mod tests {
         let a = allocate(&mut unit, &mut gam, 16).unwrap();
         let _b = allocate(&mut unit, &mut gam, 16).unwrap();
         // Delete `a`: its two extents return to the GAM.
-        for page in a.pages() {
+        for page in page::pages(&a) {
             unit.free_run(&mut gam, Extent::new(page.0, 1));
         }
         // A new 8-page object lands in the freed low extent, not at the tail.
@@ -1092,7 +1093,7 @@ mod tests {
         let layout = allocate(&mut unit, &mut gam, 8).unwrap();
         assert_eq!(unit.extent_count(), 1);
         let before = gam.free_extent_count();
-        for page in layout.pages() {
+        for page in page::pages(&layout) {
             unit.free_run(&mut gam, Extent::new(page.0, 1));
         }
         assert_eq!(unit.extent_count(), 0);
@@ -1220,7 +1221,7 @@ mod tests {
         let mut unit = AllocationUnit::new(PageKind::LobData, 2 * PAGES_PER_EXTENT);
         assert!(allocate(&mut unit, &mut gam, 17).is_err());
         let layout = allocate(&mut unit, &mut gam, 10).unwrap();
-        assert_eq!(layout.page_count(), 10);
+        assert_eq!(layout.units(), 10);
         let err = allocate(&mut unit, &mut gam, 7).unwrap_err();
         assert!(matches!(
             err,
@@ -1297,7 +1298,7 @@ mod tests {
         // ...and a 20-page one is a single run of consecutive fresh extents.
         let bigger = largest(&mut unit, &mut gam, 20).unwrap();
         assert_eq!(bigger.fragment_count(), 1);
-        assert_eq!(bigger.page_count(), 20);
+        assert_eq!(bigger.units(), 20);
         assert!(largest(&mut unit, &mut gam, 0).unwrap().is_empty());
     }
 
@@ -1377,7 +1378,7 @@ mod tests {
         assert_eq!(unit.extent_count(), 0, "adopted extents were returned");
         // The partial band still serves requests it can hold.
         let fits = maintenance(&mut unit, &mut gam, PAGES_PER_EXTENT, 0).unwrap();
-        assert_eq!(fits.pages().next(), Some(ExtentId(60).first_page()));
+        assert_eq!(page::pages(&fits).next(), Some(ExtentId(60).first_page()));
     }
 
     #[test]
@@ -1434,7 +1435,7 @@ mod tests {
             assert!(gam.assign_specific(ExtentId(extent)));
         }
         let pages = maintenance(&mut unit, &mut gam, 8, 4 * PAGES_PER_EXTENT).unwrap();
-        assert_eq!(pages.pages().next(), Some(ExtentId(10).first_page()));
+        assert_eq!(page::pages(&pages).next(), Some(ExtentId(10).first_page()));
         // A watermark below one extent admits no GAM run.
         assert_eq!(
             maintenance(&mut unit, &mut gam, 8, PAGES_PER_EXTENT - 1),
@@ -1451,7 +1452,7 @@ mod tests {
         let seed_a = allocate(&mut unit_a, &mut gam_a, 30).unwrap();
         let seed_b = allocate(&mut unit_b, &mut gam_b, 30).unwrap();
         assert_eq!(seed_a, seed_b);
-        for page in seed_a.pages().skip(4).step_by(3) {
+        for page in page::pages(&seed_a).skip(4).step_by(3) {
             unit_a.free_run(&mut gam_a, Extent::new(page.0, 1));
             unit_b.free_run(&mut gam_b, Extent::new(page.0, 1));
         }
@@ -1465,11 +1466,11 @@ mod tests {
     fn allocate_pages_high_takes_the_tail_of_the_file() {
         let mut gam = Gam::new(10);
         let mut unit = AllocationUnit::new(PageKind::RowData, 10 * PAGES_PER_EXTENT);
-        let mut pages = PageRuns::new();
+        let mut pages = RunList::new();
         unit.allocate_pages_high(&mut gam, 3, &mut pages).unwrap();
         let last = 10 * PAGES_PER_EXTENT - 1;
         assert_eq!(
-            pages.pages().collect::<Vec<_>>(),
+            page::pages(&pages).collect::<Vec<_>>(),
             vec![PageId(last), PageId(last - 1), PageId(last - 2)]
         );
         assert_eq!(unit.extent_count(), 1);

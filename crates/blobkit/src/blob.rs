@@ -5,25 +5,18 @@
 //! matters is *where the object's bytes sit on disk, in logical order*; the
 //! tree's interior nodes are small and cached.  The engine allocates, frees
 //! and reads in runs of physically consecutive pages, so that is how a
-//! record keeps its layout: as [`PageRuns`], the maximal page runs in
+//! record keeps its layout: as a [`RunList`], the maximal page runs in
 //! logical order, rather than one entry per 8 KB page.  A 1 MB object is 130
 //! pages but — even badly aged — a few dozen runs, and every question the
 //! engine asks of a layout is a question about runs: the fragment count is
 //! the number of runs, a read or write receipt is one byte run per page run,
-//! ghosting or freeing a version hands the runs over as they are.
-//!
-//! A run is stored in 8 bytes, a 32-bit page number and a 32-bit length,
-//! not as a 16-byte [`Extent`]: the layouts are the one structure whose size
-//! grows with fragmentation itself (an aged store holds about 20 runs per
-//! object), so halving a run halves it.  32 bits suffice because the engine
-//! refuses a data file of more than 2³² − 1 pages (`EngineConfig`'s
-//! validation), 88 times the paper's 400 GB disk; [`PageRuns`] has the
-//! details.
+//! ghosting or freeing a version hands the runs over as they are.  A run is
+//! stored in 8 bytes, not as a 16-byte [`Extent`] ([`RunList`]).
 
-use lor_alloc::{Extent, Name};
+use lor_alloc::{Extent, Name, RunList};
 use lor_disksim::ByteRun;
 
-use crate::page::{PageId, PageRuns};
+use crate::page::{self, PageId};
 
 /// Identifier of a stored BLOB.  Never reused within the lifetime of an
 /// engine instance.
@@ -48,7 +41,7 @@ pub struct BlobRecord {
     /// Logical size in bytes.
     pub size_bytes: u64,
     /// Leaf pages in logical order, as maximal physical runs.
-    layout: PageRuns,
+    layout: RunList,
     /// The fragment count the engine's compaction-candidate index holds
     /// this record under (0 or 1: it holds no entry).  Behind the layout's
     /// own count while the record is `stale`.
@@ -60,7 +53,7 @@ pub struct BlobRecord {
 
 impl BlobRecord {
     /// Creates a record for a freshly inserted object.
-    pub fn new(id: BlobId, key: impl Into<Name>, size_bytes: u64, layout: PageRuns) -> Self {
+    pub fn new(id: BlobId, key: impl Into<Name>, size_bytes: u64, layout: RunList) -> Self {
         BlobRecord {
             id,
             key: key.into(),
@@ -75,34 +68,37 @@ impl BlobRecord {
     /// engine builds a version in a reused buffer and installs an exact-size
     /// copy of it, so a stored layout holds no spare capacity for the life
     /// of the version.
-    pub(crate) fn replace_layout(&mut self, layout: PageRuns) -> PageRuns {
+    pub(crate) fn replace_layout(&mut self, layout: RunList) -> RunList {
         std::mem::replace(&mut self.layout, layout)
     }
 
     /// The object's leaf pages as physically contiguous runs, in logical
     /// order.
-    pub fn layout(&self) -> &PageRuns {
+    pub fn layout(&self) -> &RunList {
         &self.layout
     }
 
     /// The page runs of [`BlobRecord::layout`], in logical order.
+    #[inline]
     pub fn runs(&self) -> impl ExactSizeIterator<Item = Extent> + Clone + '_ {
         self.layout.runs()
     }
 
     /// The leaf pages in logical order.
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.layout.pages()
+        page::pages(&self.layout)
     }
 
     /// Number of physically discontiguous page runs (1 = contiguous).
+    #[inline]
     pub fn fragment_count(&self) -> usize {
         self.layout.fragment_count()
     }
 
     /// Number of leaf pages.
+    #[inline]
     pub fn page_count(&self) -> u64 {
-        self.layout.page_count()
+        self.layout.units()
     }
 
     /// The byte runs a sequential scan of the object's leaf pages touches.
@@ -112,7 +108,7 @@ impl BlobRecord {
     /// header/packing overhead — one of the streaming-rate disadvantages the
     /// folklore attributes to databases.
     pub fn byte_runs(&self, page_size: u64, base_offset: u64) -> Vec<ByteRun> {
-        self.layout.byte_runs(page_size, base_offset)
+        page::byte_runs(&self.layout, page_size, base_offset)
     }
 }
 
@@ -121,12 +117,8 @@ mod tests {
     use super::*;
 
     /// A layout of `runs`, appended in order.
-    fn layout(runs: &[Extent]) -> PageRuns {
-        let mut layout = PageRuns::new();
-        for &run in runs {
-            layout.push(run);
-        }
-        layout
+    fn layout(runs: &[Extent]) -> RunList {
+        runs.iter().copied().collect()
     }
 
     #[test]
@@ -172,7 +164,7 @@ mod tests {
 
     #[test]
     fn empty_blob_has_no_runs() {
-        let record = BlobRecord::new(BlobId(1), "k", 0, PageRuns::new());
+        let record = BlobRecord::new(BlobId(1), "k", 0, RunList::new());
         assert_eq!(record.fragment_count(), 0);
         assert!(record.byte_runs(8192, 0).is_empty());
     }

@@ -24,7 +24,7 @@
 //!
 //! Below its key-value API the engine moves **page runs**, never single
 //! pages.  A version streams in as write-request-sized allocations that
-//! append runs to a [`PageRuns`] buffer the engine reuses; committing it
+//! append runs to a [`RunList`] buffer the engine reuses; committing it
 //! swaps an exact-size copy of the buffer into the record (no `realloc` per
 //! appended run, no spare capacity held by a record) and appends the old
 //! layout's runs to the ghost backlog; a
@@ -113,21 +113,21 @@ use std::hash::BuildHasherDefault;
 
 use lor_alloc::{
     AllocationPolicy, BandOccupancy, CountMultiset, Extent, FragmentationTracker, FreeSpace,
-    FreeSpaceReport, IdTable, Name, PlacementPolicy,
+    FreeSpaceReport, IdTable, Name, PackedRun, PlacementPolicy, RunList,
 };
 use lor_disksim::ByteRun;
 
 use crate::allocation::{pages_of, AllocationUnit, Gam};
 use crate::blob::{BlobId, BlobRecord};
 use crate::error::DbError;
-use crate::page::{PackedRun, PageKind, PageRuns, MAX_PAGES, PAGES_PER_EXTENT};
+use crate::page::{self, PageKind, PAGES_PER_EXTENT};
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Size of the (pre-created, physically contiguous) data file in bytes.
     /// It may hold at most 2³² − 1 whole pages: a layout stores a page
-    /// number in 32 bits ([`PageRuns`]), so [`Database::create`] refuses a
+    /// number in 32 bits ([`RunList`]), so [`Database::create`] refuses a
     /// larger file.
     pub data_file_bytes: u64,
     /// Page size in bytes (SQL Server: 8192).
@@ -205,8 +205,8 @@ impl EngineConfig {
                 "data file must hold at least one extent",
             ));
         }
-        // A layout stores a run as two 32-bit numbers (`PageRuns`).
-        if self.total_pages() > MAX_PAGES {
+        // A layout stores a run as two 32-bit numbers (`RunList`).
+        if self.total_pages() > RunList::MAX_UNITS {
             return Err(DbError::BadConfig(
                 "data file must hold at most 2^32 - 1 pages",
             ));
@@ -318,9 +318,9 @@ impl GhostBacklog {
     }
 
     /// Adds every run of a dead version's layout.
-    fn extend(&mut self, layout: &PageRuns) {
+    fn extend(&mut self, layout: &RunList) {
         self.fresh.extend_from_slice(layout.packed());
-        self.pages += layout.page_count();
+        self.pages += layout.units();
     }
 
     /// Removes and returns the highest `max_pages` pages of the highest run
@@ -428,11 +428,11 @@ pub struct Database {
     /// The buffers new versions are built in, one per slot of the largest
     /// batch so far (slot 0 serves every single-version path).  A version
     /// streams into its buffer and commits an exact-size copy of it
-    /// ([`PageRuns::take_exact`]), so the buffer's capacity is reused and a
+    /// ([`RunList::take_exact`]), so the buffer's capacity is reused and a
     /// record holds none to spare.  Empty between operations, on every path
     /// ([`Database::verify`] checks); lent out by `lend_scratch` while an
     /// operation runs.
-    scratch: Vec<PageRuns>,
+    scratch: Vec<RunList>,
     ops_since_cleanup: u64,
     /// Metadata rows currently live (one per object).
     row_count: u64,
@@ -593,15 +593,15 @@ impl Database {
         &mut self,
         key: &str,
         size_bytes: u64,
-        layout: &mut PageRuns,
+        layout: &mut RunList,
     ) -> Result<DbWriteReceipt, DbError> {
         let id = BlobId(self.next_id);
         self.next_id += 1;
         let receipt = Self::receipt_for(&self.config, id, layout, size_bytes);
         let fragments = layout.fragment_count() as u64;
-        self.in_flight_pages -= layout.page_count();
+        self.in_flight_pages -= layout.units();
         self.frag_tracker.record_insert(fragments);
-        self.page_tracker.insert(layout.page_count());
+        self.page_tracker.insert(layout.units());
         let key = Name::new(key);
         self.keys.insert(key.clone(), id);
         let mut record = BlobRecord::new(id, key, size_bytes, layout.take_exact());
@@ -672,7 +672,7 @@ impl Database {
             let mut still_pending = 0;
             for slot in 0..pending.len() {
                 let item = pending[slot];
-                let want = chunk_pages.min(targets[item] - layouts[item].page_count());
+                let want = chunk_pages.min(targets[item] - layouts[item].units());
                 if let Err(err) = self.allocate_lob_pages(want, &mut layouts[item]) {
                     // Abort the whole batch: pages already allocated for
                     // earlier items belong to no record yet, so they must go
@@ -681,7 +681,7 @@ impl Database {
                     let mut rolled_back = 0;
                     for layout in layouts.iter_mut() {
                         self.lob_unit.free_runs(&mut self.gam, layout.runs());
-                        rolled_back += layout.page_count();
+                        rolled_back += layout.units();
                         layout.clear();
                     }
                     self.stats.pages_allocated -= rolled_back;
@@ -690,7 +690,7 @@ impl Database {
                     self.debug_verify();
                     return Err(err);
                 }
-                if layouts[item].page_count() < targets[item] {
+                if layouts[item].units() < targets[item] {
                     pending[still_pending] = item;
                     still_pending += 1;
                 }
@@ -716,11 +716,11 @@ impl Database {
         &mut self,
         id: BlobId,
         size_bytes: u64,
-        layout: &mut PageRuns,
+        layout: &mut RunList,
     ) -> DbWriteReceipt {
         let receipt = Self::receipt_for(&self.config, id, layout, size_bytes);
         let new_fragments = layout.fragment_count() as u64;
-        let new_pages = layout.page_count();
+        let new_pages = layout.units();
         self.in_flight_pages -= new_pages;
         // `verify`: every id in the key map names a record ("does not map
         // back" / "keys, rows, blobs") filed under that id ("blob table"),
@@ -734,8 +734,7 @@ impl Database {
         Self::mark_stale(record, &mut self.stale_ids);
         self.frag_tracker
             .record_replace(old_layout.fragment_count() as u64, new_fragments);
-        self.page_tracker
-            .replace(old_layout.page_count(), new_pages);
+        self.page_tracker.replace(old_layout.units(), new_pages);
         self.ghosts.extend(&old_layout);
         self.stats.updates += 1;
         self.stats.bytes_written += size_bytes;
@@ -953,7 +952,7 @@ impl Database {
         // Row pages for the clustered index of the copied table.
         let row_pages_needed = self.row_count.div_ceil(self.config.rows_per_page);
         if row_pages_needed > 0 {
-            new_row.allocate_pages_high(&mut new_gam, row_pages_needed, &mut PageRuns::new())?;
+            new_row.allocate_pages_high(&mut new_gam, row_pages_needed, &mut RunList::new())?;
         }
 
         self.flush_stale_candidates();
@@ -1209,12 +1208,12 @@ impl Database {
 
     /// Lends out the version buffers, at least `slots` of them, each empty
     /// with its capacity kept.  The caller hands them back (`self.scratch =
-    /// ...`) empty — every version committed with [`PageRuns::take_exact`],
+    /// ...`) empty — every version committed with [`RunList::take_exact`],
     /// every aborted one cleared — on every path out of the operation.
-    fn lend_scratch(&mut self, slots: usize) -> Vec<PageRuns> {
+    fn lend_scratch(&mut self, slots: usize) -> Vec<RunList> {
         let mut scratch = std::mem::take(&mut self.scratch);
         if scratch.len() < slots {
-            scratch.resize_with(slots, PageRuns::new);
+            scratch.resize_with(slots, RunList::new);
         }
         for layout in &mut scratch[..slots] {
             layout.clear();
@@ -1227,7 +1226,7 @@ impl Database {
     /// anything.
     fn with_version_buffer<T>(
         &mut self,
-        build: impl FnOnce(&mut Self, &mut PageRuns) -> Result<T, DbError>,
+        build: impl FnOnce(&mut Self, &mut RunList) -> Result<T, DbError>,
     ) -> Result<T, DbError> {
         let mut scratch = self.lend_scratch(1);
         let built = build(self, &mut scratch[0]);
@@ -1238,7 +1237,7 @@ impl Database {
     /// Allocates `pages` LOB pages for a version streaming in, appending
     /// them to `layout`, forcing a ghost cleanup first if the free pool is
     /// exhausted but ghosts exist (allocation pressure).
-    fn allocate_lob_pages(&mut self, pages: u64, layout: &mut PageRuns) -> Result<(), DbError> {
+    fn allocate_lob_pages(&mut self, pages: u64, layout: &mut RunList) -> Result<(), DbError> {
         if pages > self.lob_unit.available_pages(&self.gam) && !self.ghosts.is_empty() {
             self.stats.forced_cleanups += 1;
             self.ghost_cleanup();
@@ -1262,7 +1261,7 @@ impl Database {
         let needed = self.row_count.div_ceil(self.config.rows_per_page);
         while self.stats.row_pages < needed {
             self.row_unit
-                .allocate_pages_high(&mut self.gam, 1, &mut PageRuns::new())?;
+                .allocate_pages_high(&mut self.gam, 1, &mut RunList::new())?;
             self.stats.row_pages += 1;
         }
         Ok(())
@@ -1271,14 +1270,14 @@ impl Database {
     fn receipt_for(
         config: &EngineConfig,
         id: BlobId,
-        layout: &PageRuns,
+        layout: &RunList,
         size_bytes: u64,
     ) -> DbWriteReceipt {
         DbWriteReceipt {
             blob_id: id,
-            runs: layout.byte_runs(config.page_size, config.base_offset),
+            runs: page::byte_runs(layout, config.page_size, config.base_offset),
             bytes_written: size_bytes,
-            pages_written: layout.page_count(),
+            pages_written: layout.units(),
         }
     }
 
@@ -1489,7 +1488,7 @@ impl Database {
         {
             return Err(format!(
                 "version buffer {slot} holds {} pages between operations",
-                layout.page_count()
+                layout.units()
             ));
         }
         Ok(())
@@ -1513,6 +1512,8 @@ impl Database {
 mod tests {
     use super::*;
     use lor_alloc::FreeSpace;
+
+    const MAX_PAGES: u64 = RunList::MAX_UNITS;
 
     const MB: u64 = 1 << 20;
 
@@ -1630,7 +1631,7 @@ mod tests {
             for _ in 0..4_000 {
                 match next(8) {
                     0..=3 if !pool.is_empty() => {
-                        let mut layout = PageRuns::new();
+                        let mut layout = RunList::new();
                         for _ in 0..1 + next(6).min(pool.len() as u64 - 1) {
                             let run = pool.swap_remove(next(pool.len() as u64) as usize);
                             layout.push(run);
@@ -1765,7 +1766,7 @@ mod tests {
         assert_eq!(record.size_bytes, 3 * MB);
         assert_eq!(record.page_count(), receipt.pages_written);
         assert_ne!(record.layout(), &old_layout);
-        assert_eq!(db.ghost_page_count(), old_layout.page_count());
+        assert_eq!(db.ghost_page_count(), old_layout.units());
         assert_eq!(db.object_count(), 1);
         assert_eq!(db.stats().updates, 1);
     }
@@ -1872,7 +1873,7 @@ mod tests {
         assert!(matches!(err, DbError::OutOfSpace { .. }));
         assert_eq!(versions(&db), before, "every old version is intact");
         assert!(
-            db.scratch.iter().all(PageRuns::is_empty),
+            db.scratch.iter().all(RunList::is_empty),
             "no run is left over from the aborted batch"
         );
         assert_eq!(db.verify(), Ok(()));
@@ -2272,7 +2273,7 @@ mod tests {
                     break;
                 }
                 let need = legacy.blobs.get(id.0).unwrap().page_count();
-                let mut new_layout = PageRuns::new();
+                let mut new_layout = RunList::new();
                 if legacy
                     .lob_unit
                     .allocate_largest_runs(&mut legacy.gam, need, &mut new_layout)
@@ -2281,7 +2282,7 @@ mod tests {
                     continue;
                 }
                 if new_layout.fragment_count() >= fragments {
-                    for page in new_layout.pages() {
+                    for page in page::pages(&new_layout) {
                         legacy
                             .lob_unit
                             .free_run(&mut legacy.gam, Extent::new(page.0, 1));
@@ -2290,7 +2291,7 @@ mod tests {
                 }
                 let record = legacy.blobs.get_mut(id.0).unwrap();
                 let old_layout = record.replace_layout(new_layout);
-                for page in old_layout.pages() {
+                for page in page::pages(&old_layout) {
                     legacy
                         .lob_unit
                         .free_run(&mut legacy.gam, Extent::new(page.0, 1));
@@ -2352,7 +2353,7 @@ mod tests {
         }
         db.flush_stale_candidates();
         // The index as the step finds it, in walk order, with each layout.
-        let snapshot: Vec<(u64, BlobId, PageRuns)> = db
+        let snapshot: Vec<(u64, BlobId, RunList)> = db
             .compact_candidates
             .iter()
             .rev()
@@ -2429,7 +2430,7 @@ mod tests {
 
         // A live page ghosted as well: it has two owners.
         let mut ghosted = db.clone();
-        let mut page = PageRuns::new();
+        let mut page = RunList::new();
         page.push(Extent::new(live.start, 1));
         ghosted.ghosts.extend(&page);
         let violation = ghosted.verify().unwrap_err();

@@ -9,12 +9,13 @@
 //!   management ([`Gam`], [`AllocationUnit`]);
 //! * out-of-row BLOB storage as ordered leaf-page layouts ([`BlobRecord`],
 //!   the Exodus-style design the paper cites), kept as maximal page runs
-//!   ([`PageRuns`]) — the unit every layer below the key-value API moves.
-//!   A run is stored in 8 bytes, a 32-bit page number and a 32-bit length,
-//!   in the layouts and in the ghost backlog alike: these are the
-//!   structures that grow with fragmentation, and [`EngineConfig`] refuses
-//!   a data file of more than 2³² − 1 pages (32 TiB of 8 KB pages, 88 times
-//!   the paper's 400 GB disk), so no run can be truncated;
+//!   (`lor-alloc`'s [`RunList`](lor_alloc::RunList), the layout the
+//!   volume's files keep too) — the unit every layer below the key-value
+//!   API moves.  A run is stored in 8 bytes, a 32-bit page number and a
+//!   32-bit length, in the layouts and in the ghost backlog alike: these
+//!   are the structures that grow with fragmentation, and [`EngineConfig`]
+//!   refuses a data file of more than 2³² − 1 pages (32 TiB of 8 KB pages,
+//!   88 times the paper's 400 GB disk), so no run can be truncated;
 //! * a clustered metadata table whose rows stay small and cached;
 //! * wholesale-replacement updates whose old versions become ghosts, cleaned
 //!   up asynchronously, after which their pages — reused lowest-first —
@@ -52,4 +53,4 @@ pub use allocation::{AllocationUnit, Gam};
 pub use blob::{BlobId, BlobRecord};
 pub use engine::{CompactReport, Database, DbWriteReceipt, EngineConfig, EngineStats};
 pub use error::DbError;
-pub use page::{ExtentId, PageId, PageKind, PageRuns, PAGES_PER_EXTENT};
+pub use page::{ExtentId, PageId, PageKind, PAGES_PER_EXTENT};

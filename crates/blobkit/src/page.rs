@@ -7,20 +7,12 @@
 //! little more disk than the same object stored as a file.
 //!
 //! Pages and extents are the units of *addressing*; the unit the engine
-//! stores and moves is the **run** of consecutive pages ([`PageRuns`]).
-//!
-//! A stored run takes 8 bytes: a 32-bit first page and a 32-bit length,
-//! packed into one word.  The engine holds one per fragment of every live
-//! object and one per run of its ghost backlog, so this is the memory that
-//! grows with fragmentation itself; at the 36,239 objects and 20.44
-//! fragments per object of an aged 20 GB store it is 5.65 MB, against the
-//! 11.30 MB of 16-byte [`Extent`]s.  32 bits are enough because a data file
-//! may hold at most 2³² − 1 pages (the engine's configuration check refuses
-//! more), 32 TiB of 8 KB pages: the paper's 400 GB disk has 48.8 million.
-//! [`PageId`] and [`ExtentId`] stay 64-bit: they name pages, they are not
-//! stored per fragment.
+//! stores and moves is the **run** of consecutive pages, and a layout is a
+//! [`RunList`] of them, 8 bytes a run, as a file's is.  [`PageId`] and
+//! [`ExtentId`] stay 64-bit: they name pages, they are not stored per
+//! fragment.
 
-use lor_alloc::Extent;
+use lor_alloc::RunList;
 use lor_disksim::ByteRun;
 
 /// Pages per extent (SQL Server: 8).
@@ -87,158 +79,29 @@ pub enum PageKind {
     AllocationMap,
 }
 
-/// One page run packed into 8 bytes: its first page in the high 32 bits,
-/// its length in pages in the low 32.
-///
-/// Every page number and run length the engine holds fits, because
-/// [`EngineConfig`](crate::EngineConfig) refuses a data file of more than
-/// [`MAX_PAGES`] pages.  Disjoint runs have distinct starts, so comparing
-/// their words orders them by start, as comparing their extents does.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct PackedRun(u64);
-
-/// Largest number of pages a data file may have: every page number and run
-/// length of a data file this size fits in a `u32`, so a [`PackedRun`]
-/// holds it without truncation.
-pub(crate) const MAX_PAGES: u64 = u32::MAX as u64;
-
-impl PackedRun {
-    /// Packs `run`.
-    ///
-    /// # Panics
-    /// If the run does not end by page [`MAX_PAGES`].
-    pub(crate) fn new(run: Extent) -> Self {
-        assert!(
-            run.start <= MAX_PAGES && run.len <= MAX_PAGES - run.start,
-            "run {run:?} ends past page {MAX_PAGES}"
-        );
-        PackedRun(run.start << 32 | run.len)
-    }
-
-    /// The run as an [`Extent`].
-    pub(crate) fn extent(self) -> Extent {
-        Extent::new(self.0 >> 32, self.0 & u64::from(u32::MAX))
-    }
+/// The pages of `layout` in logical order.
+pub(crate) fn pages(layout: &RunList) -> impl Iterator<Item = PageId> + '_ {
+    layout
+        .runs()
+        .flat_map(|run| (run.start..run.end()).map(PageId))
 }
 
-impl std::fmt::Debug for PackedRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.extent().fmt(f)
-    }
-}
-
-/// A BLOB's physical layout: its pages as contiguous runs, in logical order.
-///
-/// Appending merges a run into its predecessor when it begins exactly where
-/// the predecessor ends, so the list always holds the *maximal* runs a scan
-/// of the object's pages in logical order would find: the number of runs is
-/// the object's fragment count, and each run is one disk transfer.  Only
-/// forward adjacency merges — a run that physically precedes its logical
-/// predecessor is a seek, hence a fragment of its own.
-///
-/// Each run takes 8 bytes (a 32-bit page number and a 32-bit length),
-/// which bounds a layout to the first 2³² − 1 pages of the data file —
-/// 32 TiB of 8 KB pages, 88 times the paper's 400 GB disk.  The engine
-/// refuses a larger data file, so no run it stores can be truncated;
-/// [`PageRuns::push`] panics on a run past the bound.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PageRuns {
-    /// Non-empty runs in page units; no run starts where the previous ends.
-    runs: Vec<PackedRun>,
-    /// Total pages covered (the sum of the run lengths).
-    pages: u64,
-}
-
-impl PageRuns {
-    /// An empty layout.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a run of pages at the logical end of the layout.
-    ///
-    /// # Panics
-    /// If the run ends past page 2³² − 1 (see [`PageRuns`]).
-    pub fn push(&mut self, run: Extent) {
-        if run.is_empty() {
-            return;
-        }
-        let packed = PackedRun::new(run);
-        self.pages += run.len;
-        match self.runs.last_mut() {
-            // The merged run ends where `run` does, inside the bound, so
-            // its length cannot carry into the start bits.
-            Some(last) if last.extent().is_followed_by(&run) => last.0 += run.len,
-            _ => self.runs.push(packed),
-        }
-    }
-
-    /// Empties the layout, keeping its capacity for the next one.
-    pub(crate) fn clear(&mut self) {
-        self.runs.clear();
-        self.pages = 0;
-    }
-
-    /// An exact-size copy of the layout, leaving this one empty with its
-    /// capacity kept: how a version built in a reused buffer is committed
-    /// (a `Vec` clone allocates exactly its length, so the copy holds no
-    /// spare capacity).
-    pub(crate) fn take_exact(&mut self) -> PageRuns {
-        let exact = self.clone();
-        self.clear();
-        exact
-    }
-
-    /// `true` if the run list holds no spare capacity.
-    #[cfg(test)]
-    pub(crate) fn is_exact(&self) -> bool {
-        self.runs.capacity() == self.runs.len()
-    }
-
-    /// The runs in logical order.
-    pub fn runs(&self) -> impl ExactSizeIterator<Item = Extent> + Clone + '_ {
-        self.runs.iter().map(|run| run.extent())
-    }
-
-    /// The runs in logical order, packed as stored.
-    pub(crate) fn packed(&self) -> &[PackedRun] {
-        &self.runs
-    }
-
-    /// Number of pages.
-    pub fn page_count(&self) -> u64 {
-        self.pages
-    }
-
-    /// Number of physically discontiguous runs — the database-side
-    /// equivalent of a file's fragment count (0 = empty, 1 = contiguous).
-    pub fn fragment_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// `true` if the layout covers no pages.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// The pages in logical order.
-    pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.runs()
-            .flat_map(|run| (run.start..run.end()).map(PageId))
-    }
-
-    /// The byte runs a sequential scan of the layout touches: one per page
-    /// run, whole pages, for a data file starting at `base_offset`.
-    pub fn byte_runs(&self, page_size: u64, base_offset: u64) -> Vec<ByteRun> {
-        self.runs()
-            .map(|run| ByteRun::new(base_offset + run.start * page_size, run.len * page_size))
-            .collect()
-    }
+/// The byte runs a sequential scan of `layout` touches: one per page run,
+/// whole pages, for a data file starting at `base_offset`.
+pub(crate) fn byte_runs(layout: &RunList, page_size: u64, base_offset: u64) -> Vec<ByteRun> {
+    layout
+        .runs()
+        .map(|run| ByteRun::new(base_offset + run.start * page_size, run.len * page_size))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use lor_alloc::{Extent, PackedRun};
+
     use super::*;
+
+    const MAX_PAGES: u64 = RunList::MAX_UNITS;
 
     #[test]
     fn page_extent_mapping() {
@@ -261,12 +124,8 @@ mod tests {
     }
 
     /// The layout of `pages` taken in logical order, one page at a time.
-    fn layout_of(pages: &[u64]) -> PageRuns {
-        let mut layout = PageRuns::new();
-        for &page in pages {
-            layout.push(Extent::new(page, 1));
-        }
-        layout
+    fn layout_of(pages: &[u64]) -> RunList {
+        pages.iter().map(|&page| Extent::new(page, 1)).collect()
     }
 
     fn fragments_of(pages: &[u64]) -> usize {
@@ -292,14 +151,14 @@ mod tests {
             layout.runs().collect::<Vec<_>>(),
             [Extent::new(3, 2), Extent::new(10, 3), Extent::new(2, 1)]
         );
-        assert_eq!(layout.page_count(), 6);
-        assert_eq!(layout.pages().collect::<Vec<_>>(), pages.map(PageId));
-        assert!(PageRuns::new().is_empty());
+        assert_eq!(layout.units(), 6);
+        assert_eq!(super::pages(&layout).collect::<Vec<_>>(), pages.map(PageId));
+        assert!(RunList::new().is_empty());
     }
 
     #[test]
     fn appended_runs_merge_only_with_their_logical_predecessor() {
-        let mut layout = PageRuns::new();
+        let mut layout = RunList::new();
         layout.push(Extent::new(8, 4));
         layout.push(Extent::new(12, 0));
         layout.push(Extent::new(12, 2));
@@ -309,9 +168,9 @@ mod tests {
             layout.runs().collect::<Vec<_>>(),
             [Extent::new(8, 6), Extent::new(20, 1), Extent::new(14, 1)]
         );
-        assert_eq!(layout.page_count(), 8);
+        assert_eq!(layout.units(), 8);
         assert_eq!(
-            layout.byte_runs(8192, 100),
+            byte_runs(&layout, 8192, 100),
             vec![
                 ByteRun::new(100 + 8 * 8192, 6 * 8192),
                 ByteRun::new(100 + 20 * 8192, 8192),
@@ -340,9 +199,9 @@ mod tests {
                 Extent::new(last - 1, 1)
             ]
         );
-        assert_eq!(layout.pages().last(), Some(PageId(last - 1)));
+        assert_eq!(pages(&layout).last(), Some(PageId(last - 1)));
         assert_eq!(
-            layout.byte_runs(8192, 0)[1],
+            byte_runs(&layout, 8192, 0)[1],
             ByteRun::new(last * 8192, 8192)
         );
         // A run covering the whole bound packs and unpacks unchanged.
@@ -351,9 +210,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ends past page")]
+    #[should_panic(expected = "ends past unit")]
     fn a_run_past_the_32_bit_edge_is_refused() {
-        PageRuns::new().push(Extent::new(MAX_PAGES, 1));
+        RunList::new().push(Extent::new(MAX_PAGES, 1));
     }
 
     #[test]

@@ -3,14 +3,15 @@
 
 use std::collections::BTreeMap;
 
-use lor_blobkit::{AllocationUnit, Database, EngineConfig, Gam, PageRuns, PAGES_PER_EXTENT};
+use lor_alloc::RunList;
+use lor_blobkit::{AllocationUnit, Database, EngineConfig, Gam, PAGES_PER_EXTENT};
 use lor_core_free_space_oracle::combined_free_runs;
 use proptest::prelude::*;
 
 /// Helpers for cross-validating the engine's run-indexed free-space maps
 /// against the exhaustive bitmap oracle.
 mod lor_core_free_space_oracle {
-    use lor_alloc::{Extent, ExtentListExt, FreeSpace};
+    use lor_alloc::{Extent, FreeSpace, RunList};
     use lor_blobkit::{AllocationUnit, Gam, PAGES_PER_EXTENT};
 
     /// The engine's page-granular free space, merged across its two levels:
@@ -26,7 +27,7 @@ mod lor_core_free_space_oracle {
                 .map(|run| Extent::new(run.start * PAGES_PER_EXTENT, run.len * PAGES_PER_EXTENT)),
         );
         runs.sort_by_key(|run| run.start);
-        runs.coalesced()
+        runs.into_iter().collect::<RunList>().runs().collect()
     }
 }
 
@@ -223,11 +224,11 @@ fn check_against_oracle(
     let mut gam = Gam::with_policy(TOTAL_EXTENTS, policy);
     let mut unit = AllocationUnit::with_policy(lor_blobkit::PageKind::LobData, TOTAL_PAGES, policy);
     let mut oracle = BitmapMap::new_free(TOTAL_PAGES);
-    let mut live: Vec<PageRuns> = Vec::new();
+    let mut live: Vec<RunList> = Vec::new();
 
     // One streamed allocation, mirrored into the oracle run by run.
     let allocate = |unit: &mut AllocationUnit, gam: &mut Gam, oracle: &mut BitmapMap, pages| {
-        let mut layout = PageRuns::new();
+        let mut layout = RunList::new();
         unit.allocate_pages(gam, pages, &mut layout).ok()?;
         for run in layout.runs() {
             oracle.reserve(run).expect("oracle agrees the run was free");
@@ -236,12 +237,12 @@ fn check_against_oracle(
     };
     // Ghost cleanup of one version, alternating between the two free paths.
     let free =
-        |unit: &mut AllocationUnit, gam: &mut Gam, oracle: &mut BitmapMap, ghosts: PageRuns| {
-            if ghosts.page_count().is_multiple_of(2) {
+        |unit: &mut AllocationUnit, gam: &mut Gam, oracle: &mut BitmapMap, ghosts: RunList| {
+            if ghosts.units().is_multiple_of(2) {
                 unit.free_runs(gam, ghosts.runs());
             } else {
-                for page in ghosts.pages() {
-                    unit.free_run(gam, Extent::new(page.0, 1));
+                for page in ghosts.runs().flat_map(|run| run.start..run.end()) {
+                    unit.free_run(gam, Extent::new(page, 1));
                 }
             }
             for run in ghosts.runs() {
@@ -253,7 +254,7 @@ fn check_against_oracle(
         match op {
             SpaceOp::Insert { pages } => {
                 if let Some(allocated) = allocate(&mut unit, &mut gam, &mut oracle, pages) {
-                    prop_assert_eq!(allocated.page_count(), pages);
+                    prop_assert_eq!(allocated.units(), pages);
                     live.push(allocated);
                 }
             }
@@ -510,7 +511,7 @@ proptest! {
 /// one flagged `true` freed again before the next is allocated (so later
 /// objects fill the holes and come out in several runs): the layouts still
 /// live.
-fn fragmented_unit(sizes: &[(u64, bool)]) -> (AllocationUnit, Gam, Vec<PageRuns>) {
+fn fragmented_unit(sizes: &[(u64, bool)]) -> (AllocationUnit, Gam, Vec<RunList>) {
     const TOTAL_EXTENTS: u64 = 64;
     let mut gam = Gam::new(TOTAL_EXTENTS);
     let mut unit = AllocationUnit::new(
@@ -519,7 +520,7 @@ fn fragmented_unit(sizes: &[(u64, bool)]) -> (AllocationUnit, Gam, Vec<PageRuns>
     );
     let mut live = Vec::new();
     for &(pages, early) in sizes {
-        let mut layout = PageRuns::new();
+        let mut layout = RunList::new();
         if unit.allocate_pages(&mut gam, pages, &mut layout).is_err() {
             continue;
         }

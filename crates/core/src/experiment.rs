@@ -239,8 +239,10 @@ impl ExperimentConfig {
         }
     }
 
-    /// Builds a store of the requested kind for this configuration.
+    /// Builds a store of the requested kind for this configuration, after
+    /// [`ExperimentConfig::validate`] accepts it.
     pub fn build_store(&self, kind: StoreKind) -> Result<Box<dyn ObjectStore>, StoreError> {
+        self.validate()?;
         match kind {
             StoreKind::Filesystem => {
                 let mut config = FsStoreConfig::new(self.volume_bytes);
@@ -282,10 +284,11 @@ impl ExperimentConfig {
     /// Checks that the configuration describes a run the harness can age:
     /// occupancy in `[0, 1]`, a volume inside the modelled disk, non-zero
     /// object and write-request sizes, at least one client, finite
-    /// non-negative think time, valid placement and maintenance.  Every
-    /// entry point that builds and ages a store from a configuration calls
-    /// it first ([`run_aging_experiment`], `lor_bench::anatomy_vs_age`, the
-    /// `trace` binary); [`ExperimentConfig::build_store`] alone does not.
+    /// non-negative think time, valid placement and maintenance.
+    /// [`ExperimentConfig::build_store`] calls it first, so no store is
+    /// built from a configuration it refuses; the entry points that age a
+    /// store ([`run_aging_experiment`], `lor_bench::anatomy_vs_age`, the
+    /// `trace` binary) call it too, before they do anything else.
     pub fn validate(&self) -> Result<(), StoreError> {
         if !(0.0..=1.0).contains(&self.occupancy) {
             return Err(StoreError::BadConfig("occupancy must lie in [0, 1]".into()));
@@ -854,6 +857,31 @@ mod tests {
         assert_eq!(config.validate(), Ok(()));
         config.volume_bytes += 1;
         assert!(config.validate().is_err());
+    }
+
+    #[test]
+    fn build_store_refuses_what_validate_refuses() {
+        let refused = [
+            ExperimentConfig {
+                occupancy: 1.5,
+                ..mini_config()
+            },
+            ExperimentConfig {
+                concurrency: 0,
+                ..mini_config()
+            },
+            ExperimentConfig {
+                think_time_ms: f64::NAN,
+                ..mini_config()
+            },
+        ];
+        for config in refused {
+            assert!(config.validate().is_err());
+            for kind in StoreKind::ALL {
+                let built = config.build_store(kind);
+                assert!(matches!(built, Err(StoreError::BadConfig(_))), "{kind}");
+            }
+        }
     }
 
     #[test]

@@ -220,12 +220,7 @@ pub struct OpenLoop {
 impl OpenLoop {
     /// The process's first `n` arrival instants after `start`.
     pub fn arrivals(&self, start: SimDuration, n: usize) -> Result<Vec<SimDuration>, StoreError> {
-        if !self.ops_per_sec.is_finite() || self.ops_per_sec <= 0.0 {
-            return Err(StoreError::BadConfig(
-                "open-loop offered load must be positive and finite".into(),
-            ));
-        }
-        Ok(poisson_arrivals(self.ops_per_sec, self.seed, start, n))
+        Ok(self.arrival_instants(start)?.take(n).collect())
     }
 
     /// Builds the arrival schedule of `ops` starting at `start`: one request
@@ -236,32 +231,44 @@ impl OpenLoop {
         start: SimDuration,
         ops: Vec<WorkloadOp>,
     ) -> Result<Vec<StoreRequest>, StoreError> {
-        let arrivals = self.arrivals(start, ops.len())?;
-        Ok(arrivals
+        let arrivals = self.arrival_instants(start)?;
+        Ok(ops
             .into_iter()
-            .zip(ops)
+            .zip(arrivals)
             .enumerate()
-            .map(|(index, (arrival, op))| StoreRequest {
+            .map(|(index, (op, arrival))| StoreRequest {
                 client: ClientId(index as u32),
                 op,
                 arrival,
             })
             .collect())
     }
+
+    /// The process's arrival instants after `start`, without end.
+    fn arrival_instants(
+        &self,
+        start: SimDuration,
+    ) -> Result<impl Iterator<Item = SimDuration>, StoreError> {
+        if !self.ops_per_sec.is_finite() || self.ops_per_sec <= 0.0 {
+            return Err(StoreError::BadConfig(
+                "open-loop offered load must be positive and finite".into(),
+            ));
+        }
+        Ok(poisson_arrivals(self.ops_per_sec, self.seed, start))
+    }
 }
 
-/// `n` Poisson arrival instants after `start`: unit-exponential gaps drawn
-/// from `seed`, scaled by `1 / rate`.
-fn poisson_arrivals(rate: f64, seed: u64, start: SimDuration, n: usize) -> Vec<SimDuration> {
+/// Poisson arrival instants after `start`, without end: unit-exponential
+/// gaps drawn from `seed`, scaled by `1 / rate`, each drawn when asked for
+/// (zipped after a list of operations, one per operation).
+fn poisson_arrivals(rate: f64, seed: u64, start: SimDuration) -> impl Iterator<Item = SimDuration> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut at = start;
-    (0..n)
-        .map(|_| {
-            let unit: f64 = rng.gen_range(1e-12..1.0);
-            at += SimDuration::from_secs_f64(-unit.ln() / rate);
-            at
-        })
-        .collect()
+    std::iter::repeat_with(move || {
+        let unit: f64 = rng.gen_range(1e-12..1.0);
+        at += SimDuration::from_secs_f64(-unit.ln() / rate);
+        at
+    })
 }
 
 /// A mixed open-loop arrival process: two independent Poisson streams — one
@@ -334,31 +341,31 @@ impl MixedOpenLoop {
         Self::validate_rate(self.read_ops_per_sec, "read", reads.len())?;
         Self::validate_rate(self.write_ops_per_sec, "write", writes.len())?;
 
-        let arrival_stream = |ops: Vec<WorkloadOp>, rate: f64, seed: u64| {
-            poisson_arrivals(rate, seed, start, ops.len())
-                .into_iter()
-                .zip(ops)
-                .collect::<Vec<_>>()
-        };
+        let mut merged = Vec::with_capacity(reads.len() + writes.len());
         // Distinct per-class seeds (splitmix-style offset) keep the two
         // exponential patterns independent while both derive from one knob.
-        let reads = arrival_stream(reads, self.read_ops_per_sec, self.seed);
-        let writes = arrival_stream(
-            writes,
-            self.write_ops_per_sec,
-            self.seed ^ 0x9E37_79B9_7F4A_7C15,
-        );
-
-        let mut merged = Vec::with_capacity(reads.len() + writes.len());
-        let (mut r, mut w) = (reads.into_iter().peekable(), writes.into_iter().peekable());
+        // Each class draws as the merge takes its operations: the schedule
+        // is the only buffer built.
+        let mut r = reads
+            .into_iter()
+            .zip(poisson_arrivals(self.read_ops_per_sec, self.seed, start))
+            .peekable();
+        let mut w = writes
+            .into_iter()
+            .zip(poisson_arrivals(
+                self.write_ops_per_sec,
+                self.seed ^ 0x9E37_79B9_7F4A_7C15,
+                start,
+            ))
+            .peekable();
         loop {
             let next = match (r.peek(), w.peek()) {
-                (Some((ra, _)), Some((wa, _))) if ra <= wa => r.next(),
+                (Some((_, ra)), Some((_, wa))) if ra <= wa => r.next(),
                 (Some(_), None) => r.next(),
                 (_, Some(_)) => w.next(),
                 (None, None) => None,
             };
-            let Some((arrival, op)) = next else { break };
+            let Some((op, arrival)) = next else { break };
             merged.push(StoreRequest {
                 client: ClientId(merged.len() as u32),
                 op,

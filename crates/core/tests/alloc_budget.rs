@@ -1,88 +1,24 @@
-//! The heap-call budgets of a bulk load and of a batched safe write, the
-//! heap bytes an aged store holds, and the peak heap a mixed-load
-//! calibration adds per operation, pinned by a test and not only by a
-//! benchmark: a counting `#[global_allocator]` (this binary's own, so no
-//! other test sees it) around [`StoreServer::run_closed_loop`] and
-//! [`calibrate_mixed_load`].
+//! The heap-call budgets of a bulk load, of a batched safe write, of a get
+//! and of a safe write issued alone, the heap bytes an aged store holds,
+//! and the peak heap a mixed-load calibration adds per operation, pinned by
+//! a test and not only by a benchmark: `lor-obs`'s counting allocator,
+//! installed as this binary's `#[global_allocator]` (so no other test sees
+//! it), around [`StoreServer::run_closed_loop`] and [`calibrate_mixed_load`].
 //!
 //! Release only — debug builds run every substrate's `verify()` inside the
 //! operations, and those allocate:
 //! `cargo test --release -p lor-core --test alloc_budget`.
 #![cfg(not(debug_assertions))]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use lor_core::lor_disksim::SimDuration;
 use lor_core::{
     calibrate_mixed_load, ExperimentConfig, ObjectKey, SizeDistribution, StoreKind, StoreServer,
     WorkloadOp,
 };
-
-/// Counts each thread's `alloc` and `realloc` calls, its live heap bytes
-/// (bytes allocated minus bytes freed) and their high-water mark, and
-/// forwards everything to the system allocator.
-struct Counting;
-
-thread_local! {
-    /// Per thread, so what the test harness allocates on its own threads
-    /// while a test runs is not counted.  Const-initialised: reading them
-    /// allocates nothing.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static REALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Signed: a block freed on this thread may have been allocated on
-    /// another.
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-    /// The most `LIVE_BYTES` has been since [`peak_heap`] last reset it.
-    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-fn count(calls: &'static std::thread::LocalKey<Cell<u64>>) {
-    // A thread being torn down has no counter left; nothing measures it.
-    let _ = calls.try_with(|calls| calls.set(calls.get() + 1));
-}
-
-fn add_live(bytes: i64) {
-    let _ = LIVE_BYTES.try_with(|live| {
-        live.set(live.get() + bytes);
-        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller upholds; the counter touches no memory the
-// allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCS);
-        // SAFETY: the caller's `layout`, passed on as is.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            add_live(layout.size() as i64);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        add_live(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(&REALLOCS);
-        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        if !moved.is_null() {
-            add_live(new_size as i64 - layout.size() as i64);
-        }
-        moved
-    }
-}
+use lor_obs::heap::{counted, live_bytes, peak_heap, CountingAllocator};
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const KB: u64 = 1024;
 const OBJECTS: u64 = 128;
@@ -106,47 +42,46 @@ struct HeapCalls {
     live_bytes: u64,
 }
 
-/// `alloc` and `realloc` calls made by `run` on this thread.
-fn counted<T>(run: impl FnOnce() -> T) -> (T, [u64; 2]) {
-    let calls = || [ALLOCS.get(), REALLOCS.get()];
-    let before = calls();
-    let out = run();
-    let after = calls();
-    (out, [after[0] - before[0], after[1] - before[1]])
-}
-
-/// The most live heap `run` held on this thread at any instant, above what
-/// was live when it started.
-fn peak_heap<T>(run: impl FnOnce() -> T) -> (T, u64) {
-    let before = LIVE_BYTES.get();
-    PEAK_BYTES.set(before);
-    let out = run();
-    let peak = u64::try_from(PEAK_BYTES.get() - before).expect("a peak is never below its start");
-    (out, peak)
-}
-
-fn heap_calls(kind: StoreKind) -> HeapCalls {
-    let live_before = LIVE_BYTES.get();
+/// A store of `kind` on a 64 MiB volume, 256 KB objects.
+fn small_store(kind: StoreKind) -> Box<dyn lor_core::ObjectStore> {
     let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(256 * KB));
     config.volume_bytes = 64 * 1024 * KB;
-    let mut store = config.build_store(kind).expect("store builds");
-    let mut server = StoreServer::new(store.as_mut());
-    let round = |size: u64| -> Vec<WorkloadOp> {
-        (0..OBJECTS)
-            .map(|key| WorkloadOp::SafeWrite {
-                key: ObjectKey(key),
-                size,
-            })
-            .collect()
-    };
-    let puts = (0..OBJECTS)
+    config.build_store(kind).expect("store builds")
+}
+
+/// The bulk load: a put of every object.
+fn puts() -> Vec<WorkloadOp> {
+    (0..OBJECTS)
         .map(|key| WorkloadOp::Put {
             key: ObjectKey(key),
             size: 256 * KB,
         })
-        .collect();
+        .collect()
+}
+
+/// A safe write of every object at `size`.
+fn round(size: u64) -> Vec<WorkloadOp> {
+    (0..OBJECTS)
+        .map(|key| WorkloadOp::SafeWrite {
+            key: ObjectKey(key),
+            size,
+        })
+        .collect()
+}
+
+/// The version size of round `i`: sizes move so that versions do not
+/// simply swap places.
+fn round_size(i: u64) -> u64 {
+    (128 + 64 * (i % 3)) * KB
+}
+
+fn heap_calls(kind: StoreKind) -> HeapCalls {
+    let live_before = live_bytes();
+    let mut store = small_store(kind);
+    let mut server = StoreServer::new(store.as_mut());
+    let ops = puts();
     let (loaded, [allocs, reallocs]) =
-        counted(|| server.run_closed_loop(puts, 1, SimDuration::ZERO));
+        counted(|| server.run_closed_loop(ops, 1, SimDuration::ZERO));
     let puts = allocs + reallocs;
     assert_eq!(loaded.expect("bulk load").len() as u64, OBJECTS);
     server
@@ -156,8 +91,7 @@ fn heap_calls(kind: StoreKind) -> HeapCalls {
     let mut safe_writes = 0;
     let mut safe_write_reallocs = 0;
     for i in 0..ROUNDS {
-        // Sizes move so that versions do not simply swap places.
-        let ops = round((128 + 64 * (i % 3)) * KB);
+        let ops = round(round_size(i));
         let (done, [allocs, reallocs]) =
             counted(|| server.run_closed_loop(ops, CLIENTS, SimDuration::ZERO));
         safe_writes += allocs + reallocs;
@@ -165,7 +99,7 @@ fn heap_calls(kind: StoreKind) -> HeapCalls {
         assert_eq!(done.expect("round runs").len() as u64, OBJECTS);
     }
     drop(server);
-    let live_bytes = u64::try_from(LIVE_BYTES.get() - live_before).expect("the store holds bytes");
+    let live_bytes = u64::try_from(live_bytes() - live_before).expect("the store holds bytes");
     drop(store);
     HeapCalls {
         puts,
@@ -173,6 +107,37 @@ fn heap_calls(kind: StoreKind) -> HeapCalls {
         safe_write_reallocs,
         live_bytes,
     }
+}
+
+/// Heap calls of the operations one client issues alone: `[gets, safe
+/// writes]` over `ROUNDS` read passes and `ROUNDS` rounds of safe writes,
+/// each write a batch of one, on a fresh store after its bulk load and one
+/// warm-up pass and round.
+fn lone_calls(kind: StoreKind) -> [u64; 2] {
+    let mut store = small_store(kind);
+    let mut server = StoreServer::new(store.as_mut());
+    server
+        .run_closed_loop(puts(), 1, SimDuration::ZERO)
+        .expect("bulk load");
+    let mut calls = [0; 2];
+    for i in 0..=ROUNDS {
+        let reads = (0..OBJECTS)
+            .map(|key| WorkloadOp::Get {
+                key: ObjectKey(key),
+            })
+            .collect();
+        let (read, gets) = counted(|| server.run_closed_loop(reads, 1, SimDuration::ZERO));
+        assert_eq!(read.expect("read pass runs").len() as u64, OBJECTS);
+        let ops = round(round_size(i));
+        let (done, writes) = counted(|| server.run_closed_loop(ops, 1, SimDuration::ZERO));
+        assert_eq!(done.expect("round runs").len() as u64, OBJECTS);
+        // Pass and round 0 size the server's buffers and the substrate's.
+        if i > 0 {
+            calls[0] += gets.iter().sum::<u64>();
+            calls[1] += writes.iter().sum::<u64>();
+        }
+    }
+    calls
 }
 
 #[test]
@@ -198,7 +163,7 @@ fn batched_safe_writes_stay_inside_their_heap_call_budget() {
             (StoreKind::Database, 13_780, 16_935),
             (StoreKind::LogStructured, 7_319, 11_927),
         ],
-        |calls| calls.safe_writes,
+        |kind| heap_calls(kind).safe_writes,
     );
 }
 
@@ -220,9 +185,9 @@ fn batched_safe_writes_stay_inside_their_realloc_budget() {
         "safe write",
         ROUNDS * OBJECTS,
         budgets.map(|(kind, budget, _)| (kind, budget)),
-        |calls| calls.safe_write_reallocs,
+        |kind| heap_calls(kind).safe_write_reallocs,
     );
-    check_only_the_database_saved("realloc", budgets);
+    check_saved("realloc", budgets, &[StoreKind::Database]);
 }
 
 #[test]
@@ -233,11 +198,15 @@ fn aged_stores_hold_no_more_heap_than_their_budget() {
     // buffers.  The database's 27,128 against 30,360: a page run in a
     // stored layout or in the ghost backlog's buffers takes 8 bytes, not
     // 16, and the 3,232 bytes saved are 404 runs' worth.  (At `age_db`'s
-    // 36,239 objects and 740,773 runs, the layouts fall 11.30 → 5.65 MB.)  Nothing
-    // on the volume's or the log's path changed, so their rows are first
-    // recordings, equal to their parents.
+    // 36,239 objects and 740,773 runs, the layouts fall 11.30 → 5.65 MB.)
+    // The filesystem's 35,704 against 37,752: a file keeps the same 8-byte
+    // runs (`lor_alloc::RunList`), so each of the 128 files' run buffers,
+    // sized for four runs, falls from 64 bytes to 32, and each of the file
+    // table's 256 slots grows by the 8 bytes of its cached cluster count:
+    // 4,096 bytes saved less 2,048.  The log's row is a first recording,
+    // equal to its parent.
     let budgets = [
-        (StoreKind::Filesystem, 37_752, 37_752),
+        (StoreKind::Filesystem, 35_704, 37_752),
         (StoreKind::Database, 27_128, 30_360),
         (StoreKind::LogStructured, 26_824, 26_824),
     ];
@@ -249,7 +218,11 @@ fn aged_stores_hold_no_more_heap_than_their_budget() {
             bytes as f64 / OBJECTS as f64,
         );
     }
-    check_only_the_database_saved("live-bytes", budgets);
+    check_saved(
+        "live-bytes",
+        budgets,
+        &[StoreKind::Filesystem, StoreKind::Database],
+    );
 }
 
 #[test]
@@ -270,8 +243,46 @@ fn bulk_loads_stay_inside_their_heap_call_budget() {
             (StoreKind::Database, 662, 788),
             (StoreKind::LogStructured, 666, 794),
         ],
-        |calls| calls.puts,
+        |kind| heap_calls(kind).puts,
     );
+}
+
+#[test]
+fn gets_stay_inside_their_heap_call_budget() {
+    // (substrate, calls recorded, calls at the recording PR's parent) for
+    // the `ROUNDS * OBJECTS` = 2,048 gets of one client above.  First
+    // recordings, equal to their parents.
+    let budgets = [
+        (StoreKind::Filesystem, 6_192, 6_192),
+        (StoreKind::Database, 6_192, 6_192),
+        (StoreKind::LogStructured, 6_192, 6_192),
+    ];
+    check_counts(
+        "get",
+        ROUNDS * OBJECTS,
+        budgets.map(|(kind, budget, _)| (kind, budget)),
+        |kind| lone_calls(kind)[0],
+    );
+    check_saved("get", budgets, &[]);
+}
+
+#[test]
+fn lone_safe_writes_stay_inside_their_heap_call_budget() {
+    // (substrate, calls recorded, calls at the recording PR's parent) for
+    // the `ROUNDS * OBJECTS` = 2,048 safe writes of one client above, each
+    // a batch of one.  First recordings, equal to their parents.
+    let budgets = [
+        (StoreKind::Filesystem, 16_433, 16_433),
+        (StoreKind::Database, 26_465, 26_465),
+        (StoreKind::LogStructured, 10_395, 10_395),
+    ];
+    check_counts(
+        "lone safe write",
+        ROUNDS * OBJECTS,
+        budgets.map(|(kind, budget, _)| (kind, budget)),
+        |kind| lone_calls(kind)[1],
+    );
+    check_saved("lone safe write", budgets, &[]);
 }
 
 #[test]
@@ -310,7 +321,7 @@ fn check_budgets(
     what: &str,
     ops: u64,
     budgets: [(StoreKind, u64, u64); 3],
-    count: impl Fn(&HeapCalls) -> u64,
+    count: impl Fn(StoreKind) -> u64,
 ) {
     check_counts(
         what,
@@ -326,14 +337,13 @@ fn check_budgets(
     }
 }
 
-/// Checks each `(substrate, budget, parent)` row of a budget only the
-/// database's engine changed: its row is below its parent's, and the
-/// volume's and the log's rows equal theirs.
-fn check_only_the_database_saved(what: &str, budgets: [(StoreKind, u64, u64); 3]) {
+/// Checks each `(substrate, budget, parent)` row of a budget that only the
+/// substrates in `saved` changed: their rows are below their parents', and
+/// every other row equals its parent's.
+fn check_saved(what: &str, budgets: [(StoreKind, u64, u64); 3], saved: &[StoreKind]) {
     for (kind, budget, parent) in budgets {
-        let saved = kind == StoreKind::Database;
         assert!(
-            if saved {
+            if saved.contains(&kind) {
                 budget < parent
             } else {
                 budget == parent
@@ -348,11 +358,11 @@ fn check_counts(
     what: &str,
     ops: u64,
     budgets: [(StoreKind, u64); 3],
-    count: impl Fn(&HeapCalls) -> u64,
+    count: impl Fn(StoreKind) -> u64,
 ) {
     assert_eq!(budgets.map(|(kind, _)| kind), StoreKind::ALL);
     for (kind, budget) in budgets {
-        let calls = count(&heap_calls(kind));
+        let calls = count(kind);
         let per_op = |calls: u64| calls as f64 / ops as f64;
         assert!(
             calls <= budget,

@@ -101,11 +101,9 @@ impl Defragmenter {
     /// allocation.  Either way, defragmentation can only *grow* the
     /// contiguous space foreground writes see.
     pub fn defragment_file(&self, volume: &mut Volume, id: FileId) -> Result<bool, FsError> {
-        let (old_extents, clusters) = {
-            let record = volume.file(id)?;
-            (record.extents.clone(), record.allocated_clusters())
-        };
-        if clusters == 0 || old_extents.len() <= 1 {
+        let record = volume.file(id)?;
+        let clusters = record.allocated_clusters();
+        if clusters == 0 || record.fragment_count() <= 1 {
             return Ok(false);
         }
 
@@ -127,11 +125,13 @@ impl Defragmenter {
         debug_assert_eq!(new_extents.len(), 1);
 
         // "Copy" the data (the simulator has no contents; the byte count is
-        // what matters for the cost model), then swap the extent maps and
+        // what matters for the cost model), then swap the layouts and
         // release the old clusters immediately — the defragmenter runs with
         // its own transaction and the space it frees is reusable at once.
-        volume.replace_extents(id, new_extents)?;
-        volume.allocator_mut().free(&old_extents)?;
+        let old = volume.replace_layout(id, new_extents.into_iter().collect())?;
+        volume
+            .allocator_mut()
+            .free(&old.runs().collect::<Vec<_>>())?;
         Ok(true)
     }
 
@@ -332,8 +332,8 @@ mod tests {
         assert_eq!(total_copied, full.bytes_copied);
 
         // The incremental pass ends in exactly the layout of the whole pass.
-        let whole_layouts: Vec<_> = whole.iter_files().map(|f| f.extents.clone()).collect();
-        let stepped_layouts: Vec<_> = stepped.iter_files().map(|f| f.extents.clone()).collect();
+        let whole_layouts: Vec<_> = whole.iter_files().map(|f| f.layout().clone()).collect();
+        let stepped_layouts: Vec<_> = stepped.iter_files().map(|f| f.layout().clone()).collect();
         assert_eq!(whole_layouts, stepped_layouts);
     }
 
@@ -427,11 +427,10 @@ mod tests {
         assert!(report.files_moved > 0);
         for id in victims {
             let record = volume.file(id).unwrap();
-            if record.fragment_count() == 1 {
+            if let (1, Some(run)) = (record.fragment_count(), record.layout().last()) {
                 assert!(
-                    record.extents[0].start >= boundary,
-                    "moved file must land in the maintenance band, got {:?}",
-                    record.extents[0]
+                    run.start >= boundary,
+                    "moved file must land in the maintenance band, got {run:?}"
                 );
             }
         }
@@ -465,7 +464,7 @@ mod tests {
         }
         assert_eq!(volume.free_space().largest_run_in(boundary, total), None);
 
-        let before: Vec<_> = volume.iter_files().map(|f| f.extents.clone()).collect();
+        let before: Vec<_> = volume.iter_files().map(|f| f.layout().clone()).collect();
         let foreground_runs = volume.free_space().runs_in(0, boundary);
         // The pass terminates, moves nothing (no deadlock, no spill into the
         // foreground band), and leaves every layout and foreground run
@@ -473,7 +472,7 @@ mod tests {
         let report = whole_pass(&mut volume);
         assert_eq!(report.files_moved, 0);
         assert!(report.files_skipped > 0, "fragmented files are deferred");
-        let after: Vec<_> = volume.iter_files().map(|f| f.extents.clone()).collect();
+        let after: Vec<_> = volume.iter_files().map(|f| f.layout().clone()).collect();
         assert_eq!(before, after);
         assert_eq!(volume.free_space().runs_in(0, boundary), foreground_runs);
     }
@@ -531,7 +530,8 @@ mod tests {
             }
             let (old_extents, clusters) = {
                 let record = legacy.file(id).unwrap();
-                (record.extents.clone(), record.allocated_clusters())
+                let old: Vec<Extent> = record.layout().runs().collect();
+                (old, record.allocated_clusters())
             };
             let request = AllocRequest {
                 clusters,
@@ -544,12 +544,12 @@ mod tests {
             else {
                 continue;
             };
-            legacy.file_mut(id).unwrap().extents = new_extents;
+            legacy.file_mut(id).unwrap().layout = new_extents.into_iter().collect();
             legacy.allocator_mut().free(&old_extents).unwrap();
         }
 
-        let new_layouts: Vec<_> = new_path.iter_files().map(|f| f.extents.clone()).collect();
-        let legacy_layouts: Vec<_> = legacy.iter_files().map(|f| f.extents.clone()).collect();
+        let new_layouts: Vec<_> = new_path.iter_files().map(|f| f.layout().clone()).collect();
+        let legacy_layouts: Vec<_> = legacy.iter_files().map(|f| f.layout().clone()).collect();
         assert_eq!(new_layouts, legacy_layouts);
         assert_eq!(
             new_path.free_space().free_runs(),

@@ -1,6 +1,6 @@
-//! File records: the extent map and logical size of each file.
+//! File records: the layout and logical size of each file.
 
-use lor_alloc::{Extent, ExtentListExt, Name};
+use lor_alloc::{Name, RunList};
 use lor_disksim::ByteRun;
 
 /// Identifier of a file on a [`crate::Volume`].  Analogous to an MFT record
@@ -14,7 +14,7 @@ impl std::fmt::Display for FileId {
     }
 }
 
-/// Metadata and extent map of one file.
+/// Metadata and layout of one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileRecord {
     /// Stable identifier.
@@ -25,8 +25,10 @@ pub struct FileRecord {
     pub name: Name,
     /// Logical size in bytes.
     pub size_bytes: u64,
-    /// Extent map in logical order (cluster units).
-    pub extents: Vec<Extent>,
+    /// The file's clusters as maximal runs in logical order: `lor-alloc`'s
+    /// stored layout, the one a BLOB keeps too, 8 bytes a run.  Changed
+    /// only by the volume, which keeps its trackers in step.
+    pub(crate) layout: RunList,
 }
 
 impl FileRecord {
@@ -36,36 +38,32 @@ impl FileRecord {
             id,
             name: name.into(),
             size_bytes: 0,
-            extents: Vec::new(),
+            layout: RunList::new(),
         }
     }
 
+    /// The file's clusters as maximal physical runs, in logical order.
+    pub fn layout(&self) -> &RunList {
+        &self.layout
+    }
+
     /// Number of clusters currently allocated to the file.
+    #[inline]
     pub fn allocated_clusters(&self) -> u64 {
-        self.extents.total_clusters()
+        self.layout.units()
     }
 
     /// Number of physically discontiguous fragments ("1" means contiguous,
     /// matching the paper's definition: *contiguous objects have 1 fragment*).
+    #[inline]
     pub fn fragment_count(&self) -> usize {
-        self.extents.fragment_count()
-    }
-
-    /// Appends newly allocated extents to the extent map, merging with the
-    /// last extent when physically adjacent.
-    pub fn push_extents(&mut self, new_extents: &[Extent]) {
-        for extent in new_extents.iter().filter(|e| !e.is_empty()) {
-            match self.extents.last_mut() {
-                Some(last) if last.is_followed_by(extent) => last.len += extent.len,
-                _ => self.extents.push(*extent),
-            }
-        }
+        self.layout.fragment_count()
     }
 
     /// The cluster just past the file's last allocated cluster, used as the
     /// extension hint for the next append.  `None` for an empty file.
     pub fn extension_hint(&self) -> Option<u64> {
-        self.extents.last().map(|extent| extent.end())
+        self.layout.last().map(|run| run.end())
     }
 
     /// The byte runs a sequential read of the whole file touches, given the
@@ -73,8 +71,8 @@ impl FileRecord {
     /// size (the tail of the last cluster holds no file data).
     pub fn byte_runs(&self, cluster_size: u64) -> Vec<ByteRun> {
         let mut remaining = self.size_bytes;
-        let mut runs = Vec::with_capacity(self.extents.len());
-        for extent in &self.extents {
+        let mut runs = Vec::with_capacity(self.layout.fragment_count());
+        for extent in self.layout.runs() {
             if remaining == 0 {
                 break;
             }
@@ -89,6 +87,8 @@ impl FileRecord {
 
 #[cfg(test)]
 mod tests {
+    use lor_alloc::Extent;
+
     use super::*;
 
     #[test]
@@ -103,12 +103,17 @@ mod tests {
     }
 
     #[test]
-    fn push_extents_merges_adjacent_runs() {
+    fn appended_extents_merge_into_the_last_run() {
         let mut record = FileRecord::new(FileId(1), "a");
-        record.push_extents(&[Extent::new(10, 4)]);
-        record.push_extents(&[Extent::new(14, 4)]);
-        record.push_extents(&[Extent::new(30, 4), Extent::new(34, 2)]);
-        assert_eq!(record.extents, vec![Extent::new(10, 8), Extent::new(30, 6)]);
+        record.layout.push(Extent::new(10, 4));
+        record.layout.push(Extent::new(14, 4));
+        record
+            .layout
+            .extend([Extent::new(30, 4), Extent::new(34, 2)]);
+        assert_eq!(
+            record.layout().runs().collect::<Vec<_>>(),
+            [Extent::new(10, 8), Extent::new(30, 6)]
+        );
         assert_eq!(record.fragment_count(), 2);
         assert_eq!(record.allocated_clusters(), 14);
         assert_eq!(record.extension_hint(), Some(36));
@@ -117,7 +122,9 @@ mod tests {
     #[test]
     fn byte_runs_clip_to_logical_size() {
         let mut record = FileRecord::new(FileId(1), "a");
-        record.push_extents(&[Extent::new(0, 2), Extent::new(10, 2)]);
+        record
+            .layout
+            .extend([Extent::new(0, 2), Extent::new(10, 2)]);
         record.size_bytes = 3 * 4096 + 100; // last cluster only partially used
         let runs = record.byte_runs(4096);
         assert_eq!(runs, vec![ByteRun::new(0, 8192), ByteRun::new(40960, 4196)]);
@@ -127,7 +134,9 @@ mod tests {
     #[test]
     fn byte_runs_stop_when_size_is_reached() {
         let mut record = FileRecord::new(FileId(1), "a");
-        record.push_extents(&[Extent::new(0, 2), Extent::new(10, 2)]);
+        record
+            .layout
+            .extend([Extent::new(0, 2), Extent::new(10, 2)]);
         record.size_bytes = 4096; // only the first cluster holds data
         let runs = record.byte_runs(4096);
         assert_eq!(runs, vec![ByteRun::new(0, 4096)]);

@@ -33,7 +33,10 @@
 //! every replace, which on that table is a push and a slot handed back —
 //! look-up, insert and removal by [`FileId`] are array reads, and listings
 //! still come out in id order (`EXPERIMENTS.md`, "Host cost of the record
-//! tables").  [`Volume::verify`] checks the structural invariants on the
+//! tables").  A file's layout is a [`RunList`], the type a BLOB's layout is
+//! too: its maximal cluster runs, 8 bytes each, which is why a volume may
+//! hold at most [`RunList::MAX_UNITS`] clusters (16 TiB; [`Volume::format`]
+//! refuses more).  [`Volume::verify`] checks the structural invariants on the
 //! type, and debug builds run it after every checkpoint, defragmentation
 //! step, failed put and failed batch.
 //!
@@ -52,13 +55,15 @@
 //!
 //! The volume returns [`FsError`] for everything a caller can cause (unknown
 //! id or name, duplicate or empty name, out of space, bad configuration).
-//! Six `expect`s are left outside the tests.  `safe_write` takes the one
-//! receipt of its batch of one; the other five are each commented with the
+//! Five `expect`s are left outside the tests.  `safe_write` takes the one
+//! receipt of its batch of one; the other four are each commented with the
 //! [`Volume::verify`] clause that makes them unreachable: the checkpoint's free
-//! of the pending queue (one owner per cluster), `trim_excess` popping an
-//! extent map that holds the excess it computed from that map, and the three
-//! in `commit_replace` (the target's name was resolved at staging; the name
+//! of the pending queue (one owner per cluster), and the three in
+//! `commit_replace` (the target's name was resolved at staging; the name
 //! map points at live records; a staged temporary lives until its commit).
+//! `trim_excess` trims a layout ([`RunList::trim_tail`], which panics on a
+//! trim past the layout's units) by an excess it computed from that
+//! layout's own unit count.
 //! [`lor_alloc::IdTable::insert`] panics on an id that does not ascend, which
 //! `next_id` — the only source of ids — cannot produce.  `debug_verify`
 //! panics in debug builds naming the clause a step broke: the tripwire that
@@ -71,7 +76,7 @@ use std::hash::BuildHasherDefault;
 use lor_alloc::{
     AllocError, AllocRequest, AllocationPolicy, BandOccupancy, CountMultiset, Extent,
     ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport, IdTable,
-    Name, PlacementConsumer, PlacementPolicy, SelectableAllocator,
+    Name, PlacementConsumer, PlacementPolicy, RunList, SelectableAllocator,
 };
 use lor_disksim::ByteRun;
 
@@ -99,7 +104,8 @@ const MFT_ZONE_FRACTION: f64 = 0.05;
 /// Configuration of a simulated NTFS-like volume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VolumeConfig {
-    /// Usable capacity in bytes.
+    /// Usable capacity in bytes: at most 2³² − 1 whole clusters, because a
+    /// layout stores a cluster number in 32 bits ([`RunList`]).
     pub capacity_bytes: u64,
     /// Number of mutating operations (writes, deletes, safe writes) between
     /// automatic checkpoints that make deleted space reusable.
@@ -147,6 +153,12 @@ impl VolumeConfig {
     fn validate(&self) -> Result<(), FsError> {
         if self.total_clusters() == 0 {
             return Err(FsError::BadConfig("capacity must be at least one cluster"));
+        }
+        // A layout stores a run as two 32-bit numbers (`RunList`).
+        if self.total_clusters() > RunList::MAX_UNITS {
+            return Err(FsError::BadConfig(
+                "volume must hold at most 2^32 - 1 clusters",
+            ));
         }
         self.placement.validate().map_err(FsError::BadConfig)?;
         Ok(())
@@ -207,10 +219,10 @@ struct Space {
 }
 
 impl Space {
-    /// Queues a deleted file's extents until the next checkpoint.
-    fn defer(&mut self, extents: Vec<Extent>) {
-        self.pending_clusters += extents.total_clusters();
-        self.pending_free.extend(extents);
+    /// Queues a deleted file's clusters until the next checkpoint.
+    fn defer(&mut self, layout: &RunList) {
+        self.pending_clusters += layout.units();
+        self.pending_free.extend(layout.runs());
     }
 
     /// The log commit: every queued extent becomes reusable.
@@ -454,12 +466,12 @@ impl Volume {
             self.stats.allocation_events += 1;
         }
 
-        record.push_extents(new_extents);
+        record.layout.extend(new_extents.iter().copied());
         record.size_bytes = new_size;
         self.frag_tracker
             .record_replace(old_fragments, record.fragment_count() as u64);
         self.alloc_tracker
-            .replace(allocated, allocated + new_extents.total_clusters());
+            .replace(allocated, record.allocated_clusters());
         self.stats.appends += 1;
         self.stats.bytes_written += bytes;
 
@@ -511,7 +523,7 @@ impl Volume {
             self.space
                 .allocate_into(&request, &mut extents, &mut self.stats)?;
             self.stats.allocation_events += 1;
-            self.with_layout(id, |record| record.push_extents(&extents))?;
+            self.with_layout(id, |record| record.layout.extend(extents))?;
         }
         // Data is still written in write-request-sized chunks, but no further
         // allocation happens.
@@ -575,7 +587,7 @@ impl Volume {
             let extents = self.space.allocator.allocate_as(&request, consumer)?;
             self.stats.allocation_events += 1;
             self.with_layout(id, |record| {
-                record.push_extents(&extents);
+                record.layout.extend(extents);
                 record.size_bytes = size_bytes;
                 Self::runs_for_range(record, 0, size_bytes, &mut runs);
             })?;
@@ -624,24 +636,9 @@ impl Volume {
         let old_fragments = record.fragment_count() as u64;
         let released = &mut self.scratch;
         released.clear();
-        let mut excess = allocated - needed;
-        while excess > 0 {
-            // `excess` is `allocated - needed`, and `allocated` is the sum of
-            // the extents still in the map, so the map cannot run dry first.
-            let last = record
-                .extents
-                .last_mut()
-                .expect("excess clusters lie in the extent map");
-            if last.len <= excess {
-                excess -= last.len;
-                released.push(*last);
-                record.extents.pop();
-            } else {
-                last.len -= excess;
-                released.push(Extent::new(last.end(), excess));
-                excess = 0;
-            }
-        }
+        // `allocated` is the layout's own unit count, so the layout holds
+        // the excess.
+        record.layout.trim_tail(allocated - needed, released);
         self.frag_tracker
             .record_replace(old_fragments, record.fragment_count() as u64);
         self.alloc_tracker.replace(allocated, needed);
@@ -672,7 +669,7 @@ impl Volume {
         self.alloc_tracker.remove(record.allocated_clusters());
         self.stats.files_deleted += 1;
         self.stats.bytes_deleted += record.size_bytes;
-        self.space.defer(record.extents);
+        self.space.defer(&record.layout);
     }
 
     /// Deletes a file by name.
@@ -828,7 +825,12 @@ impl Volume {
     /// Full-scan recompute of [`Volume::fragmentation`] — the oracle the
     /// property tests compare the incremental tracker against.
     pub fn fragmentation_rescan(&self) -> FragmentationSummary {
-        FragmentationSummary::from_layouts(self.files.values().map(|f| f.extents.as_slice()))
+        let counts: Vec<u64> = self
+            .files
+            .values()
+            .map(|record| record.fragment_count() as u64)
+            .collect();
+        FragmentationSummary::from_counts(&counts)
     }
 
     /// Free-space shape report.
@@ -904,7 +906,7 @@ impl Volume {
         // The sum matches, so one owner each means no two claims overlap.
         let mut claims: Vec<(Extent, &str)> = Vec::new();
         for record in self.files.values() {
-            claims.extend(record.extents.iter().map(|e| (*e, "a file")));
+            claims.extend(record.layout.runs().map(|run| (run, "a file")));
         }
         claims.extend(self.space.pending_free.iter().map(|e| (*e, "the queue")));
         let free_runs = self.space.allocator.free_space().free_runs();
@@ -990,29 +992,28 @@ impl Volume {
     }
 
     /// Mutable access to a file record, bypassing the incremental
-    /// fragmentation accounting.  Only the legacy-equivalence test uses this
-    /// — production extent-map mutations go through
-    /// [`Volume::replace_extents`] / `with_layout` so the trackers stay in
-    /// step.
+    /// fragmentation accounting.  Only the tests use this — production
+    /// layout changes go through [`Volume::replace_layout`] / `with_layout`
+    /// so the trackers stay in step.
     #[cfg(test)]
     pub(crate) fn file_mut(&mut self, id: FileId) -> Result<&mut FileRecord, FsError> {
         self.files.get_mut(id.0).ok_or(FsError::NoSuchFile(id.0))
     }
 
-    /// Replaces a file's extent map with a relocated copy of the same data
-    /// (the defragmenter's swap), keeping the incremental accounting in
-    /// step.
-    pub(crate) fn replace_extents(
+    /// Replaces a file's layout with a relocated copy of the same data (the
+    /// defragmenter's swap), keeping the incremental accounting in step, and
+    /// returns the layout it replaced.
+    pub(crate) fn replace_layout(
         &mut self,
         id: FileId,
-        new_extents: Vec<Extent>,
-    ) -> Result<(), FsError> {
-        self.with_layout(id, |record| record.extents = new_extents)
+        layout: RunList,
+    ) -> Result<RunList, FsError> {
+        self.with_layout(id, |record| std::mem::replace(&mut record.layout, layout))
     }
 
     /// Runs `mutate` over a file record and reconciles the fragmentation and
-    /// allocation trackers with the record's before/after layout.  Extent-map
-    /// mutations of a live file outside the append and trim paths (which
+    /// allocation trackers with the record's before/after layout.  Layout
+    /// changes of a live file outside the append and trim paths (which
     /// reconcile from the counts they already hold) go through here.
     fn with_layout<R>(
         &mut self,
@@ -1054,7 +1055,7 @@ impl Volume {
         }
         let mut logical = 0u64; // logical byte position of the current extent's start
         let end = (offset + len).min(record.size_bytes);
-        for extent in &record.extents {
+        for extent in record.layout.runs() {
             let extent_bytes = extent.len * CLUSTER_SIZE;
             let extent_logical_end = logical + extent_bytes;
             if extent_logical_end > offset && logical < end {
@@ -1107,6 +1108,22 @@ mod tests {
             ..VolumeConfig::new(MB)
         })
         .is_err());
+    }
+
+    #[test]
+    fn a_volume_past_the_32_bit_cluster_bound_is_refused() {
+        // Validation runs before anything is built, so this allocates
+        // nothing for the 16 TiB volume.
+        let too_large = VolumeConfig::new((RunList::MAX_UNITS + 1) * CLUSTER_SIZE);
+        assert_eq!(too_large.total_clusters(), 1 << 32);
+        assert_eq!(
+            Volume::format(too_large).unwrap_err(),
+            FsError::BadConfig("volume must hold at most 2^32 - 1 clusters")
+        );
+        // A partial last cluster does not count: the largest volume accepted.
+        let largest = VolumeConfig::new((RunList::MAX_UNITS + 1) * CLUSTER_SIZE - 1);
+        assert_eq!(largest.total_clusters(), RunList::MAX_UNITS);
+        assert_eq!(largest.validate(), Ok(()));
     }
 
     #[test]
@@ -1175,7 +1192,7 @@ mod tests {
         assert_eq!(receipt.bytes_written, 2 * MB);
         assert_eq!(receipt.runs.iter().map(|r| r.len).sum::<u64>(), 2 * MB);
         let record = volume.file(receipt.file_id).unwrap();
-        for extent in &record.extents {
+        for extent in record.layout().runs() {
             assert!(
                 extent.start >= boundary,
                 "migration wrote into the foreground band: extent at {} < boundary {}",
@@ -1470,7 +1487,7 @@ mod tests {
 
         // A live cluster handed to the free pool: the sum is off.
         let mut leaked = volume.clone();
-        let first = leaked.file(id).unwrap().extents[0];
+        let first = leaked.file(id).unwrap().layout().runs().next().unwrap();
         leaked
             .allocator_mut()
             .free(&[Extent::new(first.start, 1)])
@@ -1481,19 +1498,18 @@ mod tests {
         // kept right by shortening the file's claim elsewhere.
         let mut shared = volume.clone();
         let stolen = shared.space.pending_free[0].start;
-        shared.file_mut(id).unwrap().extents[0].len -= 1;
-        shared
-            .file_mut(id)
-            .unwrap()
-            .extents
-            .push(Extent::new(stolen, 1));
+        let layout = &mut shared.file_mut(id).unwrap().layout;
+        let mut runs: Vec<Extent> = layout.runs().collect();
+        runs[0].len -= 1;
+        runs.push(Extent::new(stolen, 1));
+        *layout = runs.into_iter().collect();
         assert!(shared.verify().unwrap_err().contains("overlaps"));
 
         // A layout edited behind the trackers' back.
         let mut untracked = volume.clone();
-        let extents = &mut untracked.file_mut(id).unwrap().extents;
-        let tail = extents[0].split_at(1).unwrap();
-        *extents = vec![tail.1, tail.0];
+        let layout = &mut untracked.file_mut(id).unwrap().layout;
+        let tail = layout.runs().next().unwrap().split_at(1).unwrap();
+        *layout = [tail.1, tail.0].into_iter().collect();
         assert!(untracked.verify().unwrap_err().contains("tracker"));
 
         // A name pointing at the wrong record, and a record nobody names.
@@ -1612,7 +1628,9 @@ mod tests {
     #[test]
     fn runs_for_range_maps_logical_to_physical() {
         let mut record = FileRecord::new(FileId(1), "x");
-        record.push_extents(&[Extent::new(100, 2), Extent::new(300, 2)]);
+        record
+            .layout
+            .extend([Extent::new(100, 2), Extent::new(300, 2)]);
         record.size_bytes = 4 * 4096;
         // A range spanning the extent boundary.
         let mut runs = Vec::new();
@@ -1637,13 +1655,13 @@ mod tests {
         let cluster = volume.cluster_size();
         for run in &receipt.runs {
             let covered = record
-                .extents
-                .iter()
+                .layout()
+                .runs()
                 .any(|e| run.offset >= e.start * cluster && run.end() <= e.end() * cluster);
             assert!(covered, "write run {run:?} outside allocated extents");
         }
         assert_eq!(
-            record.extents.total_clusters(),
+            record.layout().units(),
             (3 * MB + 12345u64).div_ceil(cluster)
         );
     }

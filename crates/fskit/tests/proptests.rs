@@ -1,7 +1,7 @@
 //! Property tests for the filesystem simulator: random operation sequences
 //! must preserve the volume's structural invariants.
 
-use lor_alloc::{Extent, FreeSpace};
+use lor_alloc::{FreeSpace, RunList};
 use lor_fskit::{DefragCursor, Defragmenter, FileId, FsError, Volume, VolumeConfig};
 use proptest::prelude::*;
 
@@ -267,13 +267,13 @@ proptest! {
 
         // Identical work and identical final layout, file by file.
         prop_assert_eq!(stepped_copied, full_report.bytes_copied);
-        let whole_layouts: Vec<(FileId, Vec<Extent>)> = whole
+        let whole_layouts: Vec<(FileId, RunList)> = whole
             .iter_files()
-            .map(|f| (f.id, f.extents.clone()))
+            .map(|f| (f.id, f.layout().clone()))
             .collect();
-        let stepped_layouts: Vec<(FileId, Vec<Extent>)> = stepped
+        let stepped_layouts: Vec<(FileId, RunList)> = stepped
             .iter_files()
-            .map(|f| (f.id, f.extents.clone()))
+            .map(|f| (f.id, f.layout().clone()))
             .collect();
         prop_assert_eq!(whole_layouts, stepped_layouts);
         prop_assert_eq!(

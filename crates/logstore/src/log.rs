@@ -71,8 +71,7 @@ use std::hash::BuildHasherDefault;
 use std::mem;
 
 use lor_alloc::{
-    Extent, ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace,
-    PlacementConsumer, RunIndexMap,
+    Extent, FragmentationSummary, FragmentationTracker, FreeSpace, PlacementConsumer, RunIndexMap,
 };
 
 use crate::config::{CleanerSelector, LogConfig};
@@ -285,15 +284,14 @@ pub struct SegmentLog {
     emergency: CleanReport,
 }
 
-/// Pushes `piece` onto `extents`, merging with the last when contiguous.
+/// Pushes `piece` onto `extents`, merging with the last when contiguous
+/// ([`Extent::absorb`]), so an object's extents are its maximal runs and
+/// their number is its fragment count.
 fn push_coalesced(extents: &mut Vec<Extent>, piece: Extent) {
-    if piece.is_empty() {
+    if piece.is_empty() || extents.last_mut().is_some_and(|last| last.absorb(piece)) {
         return;
     }
-    match extents.last_mut() {
-        Some(last) if last.end() == piece.start => last.len += piece.len,
-        _ => extents.push(piece),
-    }
+    extents.push(piece);
 }
 
 impl SegmentLog {
@@ -449,8 +447,10 @@ impl SegmentLog {
     ///   counts them, and the map's own structure holds
     ///   ([`lor_alloc::RunIndexMap::verify`]);
     /// * `residents[s]` is exactly the objects with an extent in `s`;
-    /// * every object's extents add up to its size, and the fragmentation
-    ///   tracker answers what a recount of every object would;
+    /// * every object's extents add up to its size and are its maximal runs
+    ///   (none empty, none beginning where the one before it ends), so their
+    ///   number is its fragment count, and the fragmentation tracker answers
+    ///   what a recount of every object would;
     /// * every block of the cleaner's summary equals its recomputation.
     ///
     /// O(extents + segments); debug builds run it after every emergency
@@ -486,7 +486,15 @@ impl SegmentLog {
                     record.size
                 ));
             }
-            recount.record_insert(record.extents.fragment_count() as u64);
+            let mut pairs = record.extents.windows(2);
+            let split = pairs.any(|pair| pair[0].is_followed_by(&pair[1]));
+            if split || record.extents.iter().any(Extent::is_empty) {
+                return Err(format!(
+                    "object {id}'s extents {:?} are not its maximal runs",
+                    record.extents
+                ));
+            }
+            recount.record_insert(record.extents.len() as u64);
             for extent in &record.extents {
                 if extent.start < self.base_offset || extent.end() > data_end {
                     return Err(format!("object {id} has {extent:?} outside the data area"));
@@ -612,7 +620,7 @@ impl SegmentLog {
         }
         let emergency = self.ensure_space_for(size)?;
         let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
-        let fragments = extents.fragment_count() as u64;
+        let fragments = extents.len() as u64;
         self.replace_residents(id, &[], &extents);
         self.tracker.record_insert(fragments);
         self.objects.insert(
@@ -640,7 +648,7 @@ impl SegmentLog {
             return Err(LogError::ObjectExists(id));
         }
         let extents = self.append_bytes(size, Self::maintenance_consumer())?;
-        let fragments = extents.fragment_count() as u64;
+        let fragments = extents.len() as u64;
         self.replace_residents(id, &[], &extents);
         self.tracker.record_insert(fragments);
         self.objects.insert(
@@ -667,14 +675,13 @@ impl SegmentLog {
         }
         let emergency = self.ensure_space_for(size)?;
         let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
-        let fragments = extents.fragment_count() as u64;
+        let fragments = extents.len() as u64;
         let record = self.record_mut(id);
         record.size = size;
         let old = mem::replace(&mut record.extents, extents.clone());
         self.deaden(&old);
         self.replace_residents(id, &old, &extents);
-        self.tracker
-            .record_replace(old.fragment_count() as u64, fragments);
+        self.tracker.record_replace(old.len() as u64, fragments);
         Ok(AppendOutcome {
             extents,
             fragments,
@@ -688,8 +695,7 @@ impl SegmentLog {
         let record = self.objects.remove(&id).ok_or(LogError::NoSuchObject(id))?;
         self.deaden(&record.extents);
         self.replace_residents(id, &record.extents, &[]);
-        self.tracker
-            .record_remove(record.extents.fragment_count() as u64);
+        self.tracker.record_remove(record.extents.len() as u64);
         Ok(record.size)
     }
 
@@ -940,7 +946,7 @@ impl SegmentLog {
             self.deaden(&old);
             self.replace_residents(id, &old, &extents);
             self.tracker
-                .record_replace(old.fragment_count() as u64, extents.fragment_count() as u64);
+                .record_replace(old.len() as u64, extents.len() as u64);
             report.bytes_copied += size;
             report.objects_moved += 1;
             self.record_mut(id).extents = extents;
@@ -991,10 +997,7 @@ impl SegmentLog {
                     }
                 }
             }
-            let fragments = (
-                record.extents.fragment_count() as u64,
-                rebuilt.fragment_count() as u64,
-            );
+            let fragments = (record.extents.len() as u64, rebuilt.len() as u64);
             record.extents = rebuilt;
             self.tracker.record_replace(fragments.0, fragments.1);
             // Every piece inside the victim died; the rest did not move.
@@ -1323,7 +1326,7 @@ mod tests {
         assert_eq!(log.dead_bytes(), 0);
         // Survivors were rewritten in full, contiguously.
         for id in (1..16).step_by(2) {
-            assert_eq!(log.extents_of(id).unwrap().fragment_count(), 1);
+            assert_eq!(log.extents_of(id).unwrap().len(), 1);
         }
         assert_eq!(log.cleaner_totals().bytes_copied, report.bytes_copied);
     }
@@ -1530,6 +1533,18 @@ mod tests {
             "ascending",
         );
         breaks(&|log| log.record_mut(resident).size += 1, "extents hold");
+        breaks(
+            &|log| {
+                let extents = &mut log.record_mut(resident).extents;
+                let (head, tail) = extents[0].split_at(1).unwrap();
+                extents.splice(0..1, [head, tail]);
+            },
+            "not its maximal runs",
+        );
+        breaks(
+            &|log| log.record_mut(resident).extents.push(Extent::new(0, 0)),
+            "not its maximal runs",
+        );
         breaks(&|log| log.tracker.record_insert(3), "fragmentation tracker");
         breaks(
             &|log| log.summary[sealed / SUMMARY_BLOCK].min_live -= 1,

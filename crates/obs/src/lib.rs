@@ -25,6 +25,8 @@
 //! [`validate_chrome_trace`] checks an exported document the way CI does:
 //! it parses, per-track timestamps are monotone, and spans nest.  All the
 //! JSON the workspace writes or reads back goes through the [`json`] module.
+//! The [`heap`] module holds the counting global allocator that the
+//! heap-budget tests install; nothing else does.
 //!
 //! `Obs` clones share one recorder through `Arc`, so a handle may cross
 //! thread boundaries: `lor-shard`'s parallel fleet drains each shard's
@@ -36,6 +38,7 @@
 //! hot path because every worker records into its own recorder.
 
 mod export;
+pub mod heap;
 pub mod json;
 mod validate;
 
