@@ -887,7 +887,13 @@ fn cleaner_run(
     let LogStoreConfig { mut log, disk } = LogStoreConfig::new(config.volume_bytes);
     log.selector = selector;
     let maintenance = Some(MaintenanceConfig::fixed_budget(budget));
-    let mut store = LogObjectStore::build(log, disk, config.write_request_size, maintenance)?;
+    let mut store = LogObjectStore::build(
+        log,
+        disk,
+        config.write_request_size,
+        maintenance,
+        config.object_count(),
+    )?;
     let mut generator = WorkloadGenerator::new(config.workload());
     let mut server = StoreServer::new(&mut store);
     bulk_load(&mut server, &mut generator, |_| ())?;

@@ -23,6 +23,18 @@ use crate::page::{self, PageId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlobId(pub u64);
 
+impl From<u64> for BlobId {
+    fn from(number: u64) -> Self {
+        BlobId(number)
+    }
+}
+
+impl From<BlobId> for u64 {
+    fn from(id: BlobId) -> u64 {
+        id.0
+    }
+}
+
 impl std::fmt::Display for BlobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "blob#{}", self.0)

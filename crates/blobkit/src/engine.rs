@@ -504,6 +504,11 @@ impl Database {
         })
     }
 
+    /// Makes room in the key map for `objects` more keys.
+    pub fn reserve(&mut self, objects: usize) {
+        self.keys.reserve(objects);
+    }
+
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -532,17 +537,24 @@ impl Database {
         self.keys.contains_key(key.as_bytes())
     }
 
+    /// The id of the object stored under `key`.
+    pub fn lookup(&self, key: &str) -> Result<BlobId, DbError> {
+        self.keys
+            .get(key.as_bytes())
+            .copied()
+            .ok_or_else(|| DbError::NoSuchKey(key.to_string()))
+    }
+
+    /// The record of the live object `id`, if there is one.
+    pub fn blob(&self, id: BlobId) -> Option<&BlobRecord> {
+        self.blobs.get(id.0)
+    }
+
     /// Looks up a record by key.
     pub fn get(&self, key: &str) -> Result<&BlobRecord, DbError> {
-        let id = self
-            .keys
-            .get(key.as_bytes())
-            .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
+        let id = self.lookup(key)?;
         // `verify`: as in `commit_replacement`.
-        Ok(self
-            .blobs
-            .get(id.0)
-            .expect("key map and blob map are consistent"))
+        Ok(self.blob(id).expect("key map and blob map are consistent"))
     }
 
     /// Iterates over live records in id order.
@@ -615,14 +627,19 @@ impl Database {
     }
 
     /// Replaces the object stored under `key` with a new version of
-    /// `size_bytes` (wholesale replacement, the BLOB analogue of a safe
-    /// write).  The new version is written before the old version's pages are
-    /// ghosted, exactly as a transactional update must.
+    /// `size_bytes`: [`Database::update_by_id`] of the id `key` resolves to.
     pub fn update(&mut self, key: &str, size_bytes: u64) -> Result<DbWriteReceipt, DbError> {
-        let id = *self
-            .keys
-            .get(key.as_bytes())
-            .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
+        let id = self.lookup(key)?;
+        self.update_by_id(id, size_bytes)
+    }
+
+    /// Replaces the object `id` with a new version of `size_bytes`
+    /// (wholesale replacement, the BLOB analogue of a safe write), allocated
+    /// in one request.  The new version is written before the old version's
+    /// pages are ghosted, exactly as a transactional update must; it keeps
+    /// the id.
+    pub fn update_by_id(&mut self, id: BlobId, size_bytes: u64) -> Result<DbWriteReceipt, DbError> {
+        self.blob(id).ok_or(DbError::NoSuchBlob(id.0))?;
         let pages = self.config.pages_for(size_bytes);
         self.with_version_buffer(|db, layout| {
             db.allocate_lob_pages(pages, layout)?;
@@ -631,33 +648,42 @@ impl Database {
     }
 
     /// Replaces several objects whose writes are in flight at the same time,
-    /// as a concurrent web application does.
-    ///
-    /// Page allocation for the new versions proceeds **round-robin in
-    /// write-request-sized chunks**, so concurrent uploads interleave on disk
-    /// just as they do under a real server.  Each object's old version is
-    /// ghosted when its replacement commits; replacements commit in batch
-    /// order, so a key named twice is replaced twice (the first replacement
-    /// is ghosted by the second).  If the data file runs out of space
-    /// mid-batch nothing commits: every page allocated so far goes back and
-    /// every old version stays readable.
+    /// as a concurrent web application does: the keys resolved, then
+    /// [`Database::update_batch_by_id`].  A missing key fails the batch
+    /// before anything is allocated.
     pub fn update_batch(
         &mut self,
         items: &[(&str, u64)],
         write_request_size: u64,
     ) -> Result<Vec<DbWriteReceipt>, DbError> {
-        let chunk_pages = self.config.pages_for(write_request_size.max(1));
-        // Validate all keys first.
-        let mut ids = Vec::with_capacity(items.len());
-        for (key, _) in items {
-            ids.push(
-                *self
-                    .keys
-                    .get(key.as_bytes())
-                    .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?,
-            );
-        }
+        let targets = items
+            .iter()
+            .map(|&(key, size)| Ok((self.lookup(key)?, size)))
+            .collect::<Result<Vec<_>, DbError>>()?;
+        self.update_batch_by_id(&targets, write_request_size)
+    }
 
+    /// Replaces the objects `items` name by id, their writes in flight at
+    /// the same time.
+    ///
+    /// Page allocation for the new versions proceeds **round-robin in
+    /// write-request-sized chunks**, so concurrent uploads interleave on disk
+    /// just as they do under a real server.  Each object's old version is
+    /// ghosted when its replacement commits; replacements commit in batch
+    /// order, so an id named twice is replaced twice (the first replacement
+    /// is ghosted by the second).  Every id must be live
+    /// ([`DbError::NoSuchBlob`] before anything is allocated).  If the data
+    /// file runs out of space mid-batch nothing commits: every page
+    /// allocated so far goes back and every old version stays readable.
+    pub fn update_batch_by_id(
+        &mut self,
+        items: &[(BlobId, u64)],
+        write_request_size: u64,
+    ) -> Result<Vec<DbWriteReceipt>, DbError> {
+        let chunk_pages = self.config.pages_for(write_request_size.max(1));
+        for &(id, _) in items {
+            self.blob(id).ok_or(DbError::NoSuchBlob(id.0))?;
+        }
         // Interleave page allocation across the batch: one write request's
         // worth per item per round, in batch order, an item leaving the
         // rotation when its version is complete.
@@ -701,9 +727,8 @@ impl Database {
         // Commit: swap layouts, ghost old versions.
         let receipts = items
             .iter()
-            .zip(ids)
             .zip(layouts.iter_mut())
-            .map(|(((_, size), id), layout)| self.commit_replacement(id, *size, layout))
+            .map(|(&(id, size), layout)| self.commit_replacement(id, size, layout))
             .collect();
         self.scratch = scratch;
         Ok(receipts)
@@ -743,18 +768,20 @@ impl Database {
         receipt
     }
 
-    /// Deletes the object stored under `key`.  Its pages become ghosts until
-    /// the next cleanup pass.
+    /// Deletes the object stored under `key`: [`Database::delete_by_id`] of
+    /// the id `key` resolves to.
     pub fn delete(&mut self, key: &str) -> Result<(), DbError> {
-        let id = self
-            .keys
-            .remove(key.as_bytes())
-            .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
-        // `verify`: as in `commit_replacement`.
-        let mut record = self
-            .blobs
-            .remove(id.0)
-            .expect("key map and blob map are consistent");
+        let id = self.lookup(key)?;
+        self.delete_by_id(id)
+    }
+
+    /// Deletes the object `id`.  Its pages become ghosts until the next
+    /// cleanup pass.
+    pub fn delete_by_id(&mut self, id: BlobId) -> Result<(), DbError> {
+        let mut record = self.blobs.remove(id.0).ok_or(DbError::NoSuchBlob(id.0))?;
+        // `verify` ("keys, rows, blobs"): every live record's key is in the
+        // key map.
+        self.keys.remove(record.key.as_bytes());
         self.frag_tracker
             .record_remove(record.fragment_count() as u64);
         self.page_tracker.remove(record.page_count());

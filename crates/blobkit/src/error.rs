@@ -9,6 +9,8 @@ pub enum DbError {
     KeyExists(String),
     /// No object with this key exists.
     NoSuchKey(String),
+    /// No live object has this id (deleted, or never stored).
+    NoSuchBlob(u64),
     /// The data file has no free pages left (even after ghost cleanup).
     OutOfSpace {
         /// Pages requested.
@@ -25,6 +27,7 @@ impl fmt::Display for DbError {
         match self {
             DbError::KeyExists(key) => write!(f, "an object with key {key:?} already exists"),
             DbError::NoSuchKey(key) => write!(f, "no object with key {key:?}"),
+            DbError::NoSuchBlob(id) => write!(f, "no object with id {id}"),
             DbError::OutOfSpace {
                 requested_pages,
                 free_pages,

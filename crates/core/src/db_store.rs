@@ -1,7 +1,7 @@
 //! The database-backed object store (one out-of-row BLOB per object).
 
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
-use lor_blobkit::{Database, DbWriteReceipt, EngineConfig};
+use lor_blobkit::{BlobId, Database, DbWriteReceipt, EngineConfig};
 use lor_disksim::{DiskConfig, SimDuration};
 
 use crate::error::StoreError;
@@ -9,7 +9,7 @@ use crate::store::{
     Store, StoreKind, DB_CLIENT_CHUNK_BYTES, DB_LOOKUP_TIME, DB_PER_CHUNK_TIME, DB_PER_PAGE_TIME,
     PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
+use crate::substrate::{Moved, ReadPlan, Substrate, Written, WrittenFragments};
 
 /// Configuration of a database-backed store: the engine and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +40,7 @@ impl DbObjectStore {
     /// cleans its ghosts on its own interval).
     pub fn new(capacity_bytes: u64) -> Result<Self, StoreError> {
         let DbStoreConfig { engine, disk } = DbStoreConfig::new(capacity_bytes);
-        Store::build(engine, disk, PAPER_WRITE_REQUEST_SIZE, None)
+        Store::build(engine, disk, PAPER_WRITE_REQUEST_SIZE, None, 0)
     }
 
     /// The underlying engine (read-only).
@@ -52,6 +52,7 @@ impl DbObjectStore {
 /// What the store must service and cost for one engine write.
 fn written(receipt: DbWriteReceipt) -> Written {
     Written {
+        handle: receipt.blob_id.0,
         runs: receipt.runs,
         payload_bytes: receipt.bytes_written,
         units: receipt.pages_written,
@@ -62,6 +63,7 @@ fn written(receipt: DbWriteReceipt) -> Written {
 
 impl Substrate for Database {
     type Config = EngineConfig;
+    type Handle = BlobId;
     const KIND: StoreKind = StoreKind::Database;
     const DISK_LABEL: &'static str = "db-store";
 
@@ -72,41 +74,56 @@ impl Substrate for Database {
         Ok(Database::create(config)?)
     }
 
-    fn write(
+    fn insert(
         &mut self,
-        op: WriteOp,
         key: &str,
         size: u64,
         _request: u64,
+        migrating: bool,
     ) -> Result<Written, StoreError> {
-        Ok(written(match op {
-            WriteOp::Put => self.insert(key, size),
-            WriteOp::Replace => self.update(key, size),
-            WriteOp::MigrateIn => self.insert_as_maintenance(key, size),
+        Ok(written(if migrating {
+            self.insert_as_maintenance(key, size)
+        } else {
+            Database::insert(self, key, size)
         }?))
+    }
+
+    fn reserve(&mut self, keys: usize) {
+        Database::reserve(self, keys);
+    }
+
+    fn resolve(&self, key: &str) -> Result<BlobId, StoreError> {
+        Ok(self.lookup(key)?)
+    }
+
+    fn is_live(&self, id: BlobId) -> bool {
+        self.blob(id).is_some()
+    }
+
+    fn replace(&mut self, id: BlobId, size: u64, _request: u64) -> Result<Written, StoreError> {
+        Ok(written(self.update_by_id(id, size)?))
     }
 
     fn replace_interleaved(
         &mut self,
-        items: &[(String, u64)],
+        items: &[(BlobId, u64)],
         request: u64,
     ) -> Result<Option<Vec<Written>>, StoreError> {
-        let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
-        let receipts = self.update_batch(&borrowed, request)?;
+        let receipts = self.update_batch_by_id(items, request)?;
         Ok(Some(receipts.into_iter().map(written).collect()))
     }
 
-    fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
-        let record = self.get(key)?;
-        Ok(ReadPlan {
+    fn read_plan(&self, id: BlobId) -> Option<ReadPlan> {
+        let record = self.blob(id)?;
+        Some(ReadPlan {
             runs: record.byte_runs(self.config().page_size, self.config().base_offset),
             payload_bytes: record.size_bytes,
             units: record.page_count(),
         })
     }
 
-    fn remove(&mut self, key: &str) -> Result<(), StoreError> {
-        Ok(self.delete(key)?)
+    fn remove(&mut self, id: BlobId, _key: &str) -> Result<(), StoreError> {
+        Ok(self.delete_by_id(id)?)
     }
 
     /// Same shape as the read path; bulk-logged mode means there is no
@@ -223,7 +240,7 @@ mod tests {
     /// scheduler `maintenance` attached.
     fn maintained(capacity_bytes: u64, maintenance: MaintenanceConfig) -> DbObjectStore {
         let DbStoreConfig { engine, disk } = DbStoreConfig::new(capacity_bytes);
-        Store::build(engine, disk, PAPER_WRITE_REQUEST_SIZE, Some(maintenance)).unwrap()
+        Store::build(engine, disk, PAPER_WRITE_REQUEST_SIZE, Some(maintenance), 0).unwrap()
     }
 
     #[test]

@@ -53,6 +53,7 @@ impl From<DbError> for StoreError {
     fn from(err: DbError) -> Self {
         match err {
             DbError::NoSuchKey(key) => StoreError::NoSuchObject(key),
+            DbError::NoSuchBlob(id) => StoreError::NoSuchObject(format!("blob {id}")),
             DbError::KeyExists(key) => StoreError::ObjectExists(key),
             DbError::OutOfSpace { .. } => StoreError::OutOfSpace(err.to_string()),
             other => StoreError::Database(other.to_string()),

@@ -45,6 +45,19 @@ use crate::workload::{
     SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp, WorkloadSpec,
 };
 
+/// The smallest object [`ExperimentConfig::validate`] accepts: the
+/// database's 8 KB page, the coarsest allocation unit of the three
+/// substrates (the volume's cluster is 4 KB; the log packs bytes).  The
+/// population is sized in payload bytes, and a smaller object is padded to
+/// a whole cluster or page: `Constant(1000)` at 50 % occupancy asks a 64 MiB
+/// volume for 4 to 8 times the space its payload names, and the filesystem
+/// and the database ran out of space in the bulk load while the log did
+/// not.  Refused instead, it fails the same typed way on every substrate.
+/// (Sizing the population in units would have moved the object count, and
+/// so the goldens, of every configuration whose sizes are off the unit
+/// grid.)
+pub const MIN_OBJECT_BYTES: u64 = 8 * 1024;
+
 /// The simulated testbed, standing in for the paper's Table 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestbedConfig {
@@ -278,13 +291,15 @@ impl ExperimentConfig {
             disk,
             self.write_request_size,
             self.maintenance,
+            self.object_count(),
         )?))
     }
 
     /// Checks that the configuration describes a run the harness can age:
-    /// occupancy in `[0, 1]`, a volume inside the modelled disk, non-zero
-    /// object and write-request sizes, at least one client, finite
-    /// non-negative think time, valid placement and maintenance.
+    /// occupancy in `[0, 1]`, a volume inside the modelled disk, no object
+    /// smaller than one allocation unit ([`MIN_OBJECT_BYTES`]), a non-zero
+    /// write-request size, at least one client, finite non-negative think
+    /// time, valid placement and maintenance.
     /// [`ExperimentConfig::build_store`] calls it first, so no store is
     /// built from a configuration it refuses; the entry points that age a
     /// store ([`run_aging_experiment`], `lor_bench::anatomy_vs_age`, the
@@ -297,6 +312,16 @@ impl ExperimentConfig {
             return Err(StoreError::BadConfig(
                 "mean object size must be non-zero".into(),
             ));
+        }
+        let smallest = match self.object_size {
+            SizeDistribution::Constant(size) => size,
+            SizeDistribution::Uniform { min, max } => min.min(max),
+        };
+        if smallest < MIN_OBJECT_BYTES {
+            return Err(StoreError::BadConfig(format!(
+                "objects of {smallest} bytes are smaller than one {MIN_OBJECT_BYTES}-byte \
+                 allocation unit"
+            )));
         }
         // The simulated disk is scaled to the volume, so only this check
         // keeps it inside the drive it models (Table 1).
@@ -857,6 +882,33 @@ mod tests {
         assert_eq!(config.validate(), Ok(()));
         config.volume_bytes += 1;
         assert!(config.validate().is_err());
+    }
+
+    #[test]
+    fn an_object_smaller_than_one_allocation_unit_is_refused_on_every_substrate() {
+        // Accepted once, this ran out of space in the filesystem's and the
+        // database's bulk load and ran on the log.
+        let mut config = mini_config();
+        config.volume_bytes = 64 << 20;
+        config.object_size = SizeDistribution::Constant(1000);
+        assert!(matches!(config.validate(), Err(StoreError::BadConfig(_))));
+        for kind in StoreKind::ALL {
+            let outcome = run_aging_experiment(kind, &config, &[0], false);
+            assert!(matches!(outcome, Err(StoreError::BadConfig(_))), "{kind}");
+        }
+        // A uniform distribution is judged by its smallest object.
+        config.object_size = SizeDistribution::Uniform {
+            min: MIN_OBJECT_BYTES - 1,
+            max: 1 << 20,
+        };
+        assert!(matches!(config.validate(), Err(StoreError::BadConfig(_))));
+        config.object_size = SizeDistribution::uniform_around(2 * MIN_OBJECT_BYTES);
+        assert_eq!(config.validate(), Ok(()));
+        // The unit is the engine's page, and covers the volume's cluster.
+        let page = lor_blobkit::EngineConfig::new(64 << 20).page_size;
+        assert_eq!(MIN_OBJECT_BYTES, page);
+        let volume = crate::FsObjectStore::new(64 << 20).unwrap();
+        assert!(MIN_OBJECT_BYTES >= volume.volume().cluster_size());
     }
 
     #[test]

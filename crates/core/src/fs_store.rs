@@ -11,7 +11,7 @@ use crate::store::{
     Store, StoreKind, FS_CREATE_METADATA_IOS, FS_OPEN_METADATA_IOS, FS_PER_WRITE_REQUEST_TIME,
     METADATA_IO_TIME, PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
+use crate::substrate::{Moved, ReadPlan, Substrate, Written, WrittenFragments};
 
 /// Configuration of a filesystem-backed store: the volume and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +42,7 @@ impl FsObjectStore {
     /// own interval).
     pub fn new(capacity_bytes: u64) -> Result<Self, StoreError> {
         let FsStoreConfig { volume, disk } = FsStoreConfig::new(capacity_bytes);
-        Store::build(volume, disk, PAPER_WRITE_REQUEST_SIZE, None)
+        Store::build(volume, disk, PAPER_WRITE_REQUEST_SIZE, None, 0)
     }
 
     /// The underlying volume (read-only), for fragmentation reports and test
@@ -63,6 +63,7 @@ pub struct FsSubstrate {
 /// What the store must service and cost for one volume write.
 fn written(receipt: WriteReceipt, request: u64) -> Written {
     Written {
+        handle: receipt.file_id.0,
         runs: receipt.runs,
         payload_bytes: receipt.bytes_written,
         units: receipt.bytes_written.div_ceil(request).max(1),
@@ -88,6 +89,7 @@ fn moved(report: DefragReport) -> Moved {
 
 impl Substrate for FsSubstrate {
     type Config = VolumeConfig;
+    type Handle = FileId;
     const KIND: StoreKind = StoreKind::Filesystem;
     const DISK_LABEL: &'static str = "fs-store";
 
@@ -101,44 +103,60 @@ impl Substrate for FsSubstrate {
         })
     }
 
-    fn write(
+    fn insert(
         &mut self,
-        op: WriteOp,
         key: &str,
         size: u64,
         request: u64,
+        migrating: bool,
     ) -> Result<Written, StoreError> {
-        let receipt = match op {
-            WriteOp::Put => self.volume.write_file(key, size, request),
-            WriteOp::Replace => self.volume.safe_write(key, size, request),
-            WriteOp::MigrateIn => self.volume.ingest_as_maintenance(key, size),
+        let receipt = if migrating {
+            self.volume.ingest_as_maintenance(key, size)
+        } else {
+            self.volume.write_file(key, size, request)
         }?;
+        Ok(written(receipt, request))
+    }
+
+    fn reserve(&mut self, keys: usize) {
+        self.volume.reserve(keys);
+    }
+
+    fn resolve(&self, key: &str) -> Result<FileId, StoreError> {
+        Ok(self.volume.lookup(key)?)
+    }
+
+    fn is_live(&self, id: FileId) -> bool {
+        self.volume.file(id).is_ok()
+    }
+
+    fn replace(&mut self, id: FileId, size: u64, request: u64) -> Result<Written, StoreError> {
+        let receipt = self.volume.safe_write_by_id(id, size, request)?;
         Ok(written(receipt, request))
     }
 
     fn replace_interleaved(
         &mut self,
-        items: &[(String, u64)],
+        items: &[(FileId, u64)],
         request: u64,
     ) -> Result<Option<Vec<Written>>, StoreError> {
-        let borrowed: Vec<(&str, u64)> = items.iter().map(|(k, s)| (k.as_str(), *s)).collect();
-        let receipts = self.volume.safe_write_batch(&borrowed, request)?;
+        let receipts = self.volume.safe_write_batch_by_id(items, request)?;
         Ok(Some(
             receipts.into_iter().map(|r| written(r, request)).collect(),
         ))
     }
 
-    fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
-        let record = self.volume.file(self.volume.lookup(key)?)?;
-        Ok(ReadPlan {
+    fn read_plan(&self, id: FileId) -> Option<ReadPlan> {
+        let record = self.volume.file(id).ok()?;
+        Some(ReadPlan {
             runs: record.byte_runs(self.volume.cluster_size()),
             payload_bytes: record.size_bytes,
             units: 0,
         })
     }
 
-    fn remove(&mut self, key: &str) -> Result<(), StoreError> {
-        Ok(self.volume.delete_by_name(key)?)
+    fn remove(&mut self, id: FileId, _key: &str) -> Result<(), StoreError> {
+        Ok(self.volume.delete(id)?)
     }
 
     fn record_fragments(&self, version: u64) -> Option<u64> {
@@ -265,17 +283,20 @@ mod tests {
         let request = 64 * 1024;
         for i in 0..256 {
             substrate
-                .write(WriteOp::Put, &format!("pad{i}"), 128 * 1024, request)
+                .insert(&format!("pad{i}"), 128 * 1024, request, false)
                 .unwrap();
         }
         for i in (0..256).step_by(2) {
-            substrate.remove(&format!("pad{i}")).unwrap();
+            let key = format!("pad{i}");
+            substrate
+                .remove(substrate.resolve(&key).unwrap(), &key)
+                .unwrap();
         }
         substrate.checkpoint();
         // Four 2 MB files scattered over the 128 KB holes.
         for i in 0..4 {
             substrate
-                .write(WriteOp::Put, &format!("victim{i}"), 2 * MB, request)
+                .insert(&format!("victim{i}"), 2 * MB, request, false)
                 .unwrap();
         }
         let before = substrate.fragmentation().total_fragments;
@@ -304,7 +325,7 @@ mod tests {
             defer_ghost_ms: 2000.0,
         });
         let store =
-            FsObjectStore::build(volume, disk, PAPER_WRITE_REQUEST_SIZE, Some(bare)).unwrap();
+            FsObjectStore::build(volume, disk, PAPER_WRITE_REQUEST_SIZE, Some(bare), 0).unwrap();
         assert!(store.maintenance_config().unwrap().server_driven());
     }
 }

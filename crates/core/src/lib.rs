@@ -13,10 +13,12 @@
 //!   charging against the simulated disk plus a fixed host cost model (the
 //!   one host of the paper's Table 1, as constants), same maintenance drive
 //!   — over three engines.  One constructor builds them all,
-//!   [`Store::build`] (engine, disk, write request size, maintenance);
-//!   `FsObjectStore::new(capacity)` and its two siblings call it with the
-//!   paper's defaults ([`PAPER_WRITE_REQUEST_SIZE`], no scheduler), and
-//!   [`ExperimentConfig::build_store`] with the experiment's knobs.
+//!   [`Store::build`] (engine, disk, write request size, maintenance, the
+//!   keys its key table is sized for); `FsObjectStore::new(capacity)` and
+//!   its two siblings call it with the paper's defaults
+//!   ([`PAPER_WRITE_REQUEST_SIZE`], no scheduler, no planned keys), and
+//!   [`ExperimentConfig::build_store`] with the experiment's knobs and
+//!   population.
 //! * [`workload`] — the paper's synthetic workloads (constant and uniform
 //!   object sizes, whole-object safe writes, randomized reads) and
 //!   **storage age** accounting ([`StorageAgeTracker`]).
@@ -73,6 +75,8 @@
 mod db_store;
 mod error;
 mod fs_store;
+#[cfg(test)]
+mod keyed_differential;
 mod log_store;
 mod maintenance;
 mod store;
@@ -92,7 +96,7 @@ pub use error::StoreError;
 pub use experiment::{
     age_store, bulk_load, calibrate_mixed_load, measure_mixed_load_calibrated, overwrite_round,
     run_aging_experiment, serial_capacity, AgePoint, AgingResult, ExperimentConfig,
-    FleetParallelism, MixedCalibration, MixedLoadPoint, TestbedConfig,
+    FleetParallelism, MixedCalibration, MixedLoadPoint, TestbedConfig, MIN_OBJECT_BYTES,
 };
 pub use fragmentation::{analyze_store, FragmentationReport};
 pub use fs_store::{FsObjectStore, FsStoreConfig, FsSubstrate};

@@ -14,10 +14,12 @@
 //!
 //! The log knows objects by `u64` id; the key → id index lives here and is a
 //! hash map with a fixed state, as the volume's and the BLOB engine's name
-//! maps are: every operation is a point look-up (one probe — a put refuses a
-//! taken key and claims its slot through the same entry), nothing an
-//! operation does walks the index, and `keys()`, the one reader of an order,
-//! sorts on demand.  As an ordered map of strings it cost an aged run 13 %
+//! maps are: every name-addressed operation is a point look-up (one probe —
+//! a put refuses a taken key and claims its slot through the same entry),
+//! nothing an operation does walks the index, and `keys()`, the one reader
+//! of an order, sorts on demand.  The store's keyed gets and safe writes do
+//! not probe it at all: they reach the record by id, from the store's key
+//! table.  As an ordered map of strings it cost an aged run 13 %
 //! of its host time in `memcmp` and as much again in the descents around
 //! it (EXPERIMENTS.md, "Host cost of the key path").  Its keys are
 //! [`Name`]s, whose bytes live in the bucket itself, so a probe reads no
@@ -29,7 +31,7 @@ use std::hash::BuildHasherDefault;
 
 use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, Name};
 use lor_disksim::{ByteRun, DiskConfig, SimDuration};
-use lor_logstore::{CleanReport, LogConfig, LogError, SegmentLog};
+use lor_logstore::{AppendOutcome, CleanReport, LogConfig, LogError, SegmentLog};
 use lor_maint::MaintIo;
 use lor_obs::{ArgValue, Obs, Track};
 
@@ -38,7 +40,7 @@ use crate::store::{
     Store, StoreKind, DB_LOOKUP_TIME, FS_PER_WRITE_REQUEST_TIME, METADATA_IO_TIME,
     PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
+use crate::substrate::{Moved, ReadPlan, Substrate, Written, WrittenFragments};
 
 /// Configuration of a log-structured store: the log and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +71,7 @@ impl LogObjectStore {
     /// reclaims space).
     pub fn new(capacity_bytes: u64) -> Result<Self, StoreError> {
         let LogStoreConfig { log, disk } = LogStoreConfig::new(capacity_bytes);
-        Store::build(log, disk, PAPER_WRITE_REQUEST_SIZE, None)
+        Store::build(log, disk, PAPER_WRITE_REQUEST_SIZE, None, 0)
     }
 
     /// The underlying segment log (read-only), for segment statistics and
@@ -96,11 +98,29 @@ pub struct LogSubstrate {
 }
 
 impl LogSubstrate {
-    fn lookup(&self, key: &str) -> Result<u64, StoreError> {
+    /// The key the live record `id` is stored under, for an error message:
+    /// a scan of the index, which maps keys to ids only.
+    fn key_of(&self, id: u64) -> String {
         self.names
-            .get(key.as_bytes())
-            .copied()
-            .ok_or_else(|| StoreError::NoSuchObject(key.to_string()))
+            .iter()
+            .find(|&(_, &named)| named == id)
+            .map_or_else(
+                || format!("log object {id}"),
+                |(key, _)| key.as_str().to_owned(),
+            )
+    }
+
+    /// What the store must service and cost for one append.
+    fn written(id: u64, size: u64, request: u64, outcome: AppendOutcome) -> Written {
+        Written {
+            handle: id,
+            runs: byte_runs(&outcome.extents),
+            payload_bytes: size,
+            units: size.div_ceil(request).max(1),
+            fragments: WrittenFragments::Counted(outcome.fragments),
+            // Any emergency cleaning the append forced is charged to it.
+            forced_copy: moved(outcome.emergency),
+        }
     }
 }
 
@@ -136,6 +156,7 @@ fn log_err(err: LogError, key: &str) -> StoreError {
 
 impl Substrate for LogSubstrate {
     type Config = LogConfig;
+    type Handle = u64;
     const KIND: StoreKind = StoreKind::LogStructured;
     const DISK_LABEL: &'static str = "log-store";
 
@@ -149,50 +170,57 @@ impl Substrate for LogSubstrate {
         })
     }
 
-    fn write(
+    fn insert(
         &mut self,
-        op: WriteOp,
         key: &str,
         size: u64,
         request: u64,
+        migrating: bool,
     ) -> Result<Written, StoreError> {
-        let appended = match op {
-            // Append-then-deaden *is* the log's safe write: the old version
-            // stays readable until the new one is fully on disk, no temp
-            // file needed.
-            WriteOp::Replace => self.log.update(self.lookup(key)?, size),
-            WriteOp::Put | WriteOp::MigrateIn => {
-                // One probe refuses a taken key and holds the slot the id
-                // lands in once the append has succeeded.
-                let Entry::Vacant(slot) = self.names.entry(Name::new(key)) else {
-                    return Err(StoreError::ObjectExists(key.to_string()));
-                };
-                let id = self.next_id;
-                let appended = if op == WriteOp::Put {
-                    self.log.insert(id, size)
-                } else {
-                    self.log.insert_as_maintenance(id, size)
-                };
-                appended.inspect(|_| {
-                    slot.insert(id);
-                    self.next_id += 1;
-                })
-            }
+        // One probe refuses a taken key and holds the slot the id lands in
+        // once the append has succeeded.
+        let Entry::Vacant(slot) = self.names.entry(Name::new(key)) else {
+            return Err(StoreError::ObjectExists(key.to_string()));
+        };
+        let id = self.next_id;
+        let appended = if migrating {
+            self.log.insert_as_maintenance(id, size)
+        } else {
+            self.log.insert(id, size)
         };
         let outcome = appended.map_err(|e| log_err(e, key))?;
-        Ok(Written {
-            runs: byte_runs(&outcome.extents),
-            payload_bytes: size,
-            units: size.div_ceil(request).max(1),
-            fragments: WrittenFragments::Counted(outcome.fragments),
-            // Any emergency cleaning the append forced is charged to it.
-            forced_copy: moved(outcome.emergency),
-        })
+        slot.insert(id);
+        self.next_id += 1;
+        Ok(Self::written(id, size, request, outcome))
+    }
+
+    fn reserve(&mut self, keys: usize) {
+        self.names.reserve(keys);
+    }
+
+    fn resolve(&self, key: &str) -> Result<u64, StoreError> {
+        self.names
+            .get(key.as_bytes())
+            .copied()
+            .ok_or_else(|| StoreError::NoSuchObject(key.to_string()))
+    }
+
+    fn is_live(&self, id: u64) -> bool {
+        self.log.contains(id)
+    }
+
+    fn replace(&mut self, id: u64, size: u64, request: u64) -> Result<Written, StoreError> {
+        // Append-then-deaden *is* the log's safe write: the old version stays
+        // readable until the new one is fully on disk, no temp file needed.
+        match self.log.update(id, size) {
+            Ok(outcome) => Ok(Self::written(id, size, request, outcome)),
+            Err(err) => Err(log_err(err, &self.key_of(id))),
+        }
     }
 
     fn replace_interleaved(
         &mut self,
-        _items: &[(String, u64)],
+        _items: &[(u64, u64)],
         _request: u64,
     ) -> Result<Option<Vec<Written>>, StoreError> {
         // Group commit: a log serializes appends, so concurrent safe writes
@@ -203,18 +231,15 @@ impl Substrate for LogSubstrate {
         Ok(None)
     }
 
-    fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
-        let id = self.lookup(key)?;
-        let extents = self.log.extents_of(id).map_err(|e| log_err(e, key))?;
-        Ok(ReadPlan {
-            runs: byte_runs(extents),
-            payload_bytes: self.log.size_of(id).map_err(|e| log_err(e, key))?,
+    fn read_plan(&self, id: u64) -> Option<ReadPlan> {
+        Some(ReadPlan {
+            runs: byte_runs(self.log.extents_of(id).ok()?),
+            payload_bytes: self.log.size_of(id).ok()?,
             units: 0,
         })
     }
 
-    fn remove(&mut self, key: &str) -> Result<(), StoreError> {
-        let id = self.lookup(key)?;
+    fn remove(&mut self, id: u64, key: &str) -> Result<(), StoreError> {
         self.log.remove(id).map_err(|e| log_err(e, key))?;
         self.names.remove(key.as_bytes());
         Ok(())
@@ -236,7 +261,7 @@ impl Substrate for LogSubstrate {
     }
 
     fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        let id = self.lookup(key)?;
+        let id = self.resolve(key)?;
         self.log.size_of(id).map_err(|e| log_err(e, key))
     }
 

@@ -125,7 +125,6 @@ mod tests {
     use super::*;
     use crate::fs_store::FsSubstrate;
     use crate::log_store::LogSubstrate;
-    use crate::substrate::WriteOp;
     use lor_blobkit::Database;
     use lor_fskit::VolumeConfig;
 
@@ -139,8 +138,8 @@ mod tests {
     #[test]
     fn fs_target_checkpoint_drains_the_pending_queue() {
         let mut volume = FsSubstrate::create(VolumeConfig::new(64 * MB), true).unwrap();
-        volume.write(WriteOp::Put, "a", MB, WRITE_REQUEST).unwrap();
-        volume.remove("a").unwrap();
+        let id = volume.insert("a", MB, WRITE_REQUEST, false).unwrap().handle;
+        volume.remove(id.into(), "a").unwrap();
         let (disk, mut backoff) = (disk(), 0);
         let mut target = Drive::new(&mut volume, &disk, &mut backoff);
         let pending = |target: &Drive<'_, FsSubstrate>| {
@@ -218,12 +217,14 @@ mod tests {
         let mut log = LogSubstrate::create(config, true).unwrap();
         // Two half-MB objects per segment, every other one deleted: every
         // sealed segment is half dead.
-        for id in 0..16 {
-            log.write(WriteOp::Put, &format!("o{id}"), MB / 2, WRITE_REQUEST)
-                .unwrap();
-        }
-        for id in (0..16).step_by(2) {
-            log.remove(&format!("o{id}")).unwrap();
+        let ids: Vec<u64> = (0..16)
+            .map(|i| {
+                let written = log.insert(&format!("o{i}"), MB / 2, WRITE_REQUEST, false);
+                written.unwrap().handle
+            })
+            .collect();
+        for i in (0..16).step_by(2) {
+            log.remove(ids[i], &format!("o{i}")).unwrap();
         }
         let (disk, mut backoff) = (disk(), 0);
         let mut target = Drive::new(&mut log, &disk, &mut backoff);

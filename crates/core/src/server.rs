@@ -37,14 +37,18 @@
 //! test asserts that too).
 //!
 //! Safe writes that are queued together when the spindle frees up are
-//! dispatched as **one batch** through [`ObjectStore::safe_write_batch`], so
-//! their write requests genuinely interleave on disk — batching is decided
-//! here, in one place, for every substrate.  Requests carry interned
-//! [`ObjectKey`](crate::ObjectKey)s; the strings the trait speaks are written
-//! at dispatch, into a stack buffer for a single operation and into the
-//! server's one batch buffer for a batch, whose `String`s are rewritten in
-//! place — a steady-state dispatch allocates no key
-//! (`tests/alloc_budget.rs` pins the heap calls per safe write).
+//! dispatched as **one batch** through
+//! [`ObjectStore::safe_write_batch_keyed`], so their write requests
+//! genuinely interleave on disk — batching is decided here, in one place,
+//! for every substrate.  Requests carry [`ObjectKey`]s,
+//! and the server dispatches only through the trait's keyed methods: no key
+//! string is built here.  [`crate::Store`] reaches the engine by the
+//! object's handle, and a store that only speaks names formats each key
+//! where its default method calls the `&str` method.  The batch, its
+//! receipts and the completions of a dispatch go into buffers the server
+//! allocates when it is built and reuses, so a steady-state dispatch makes
+//! no heap call of its own (`tests/alloc_budget.rs` pins the heap calls per
+//! get and per safe write).
 //!
 //! The server is also where background maintenance becomes queueing-aware.
 //! When the store carries a server-driven [`lor_maint::MaintenanceConfig`],
@@ -68,7 +72,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::StoreError;
 use crate::store::{ObjectStore, OpReceipt};
-use crate::workload::WorkloadOp;
+use crate::workload::{ObjectKey, WorkloadOp};
 
 /// Identifier of one simulated client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -547,11 +551,19 @@ pub struct StoreServer<'a> {
     probe_every: SimDuration,
     /// Next instant the probe fires.
     next_probe: SimDuration,
-    /// Key strings of the safe-write batch being dispatched.  Kept between
-    /// dispatches and rewritten in place, so a steady-state batch allocates
-    /// no key; only the prefix a dispatch filled is handed to the store.
-    batch: Vec<(String, u64)>,
+    /// The safe-write batch being dispatched.
+    batch: Vec<(ObjectKey, u64)>,
+    /// The receipts of the dispatch being served, in queue order.
+    receipts: Vec<OpReceipt>,
+    /// The completions of the dispatch being served, until `run` hands them
+    /// to its sink.
+    done: Vec<Completion>,
 }
+
+/// The capacity the server's dispatch buffers are built with: every batch of
+/// the closed-loop workloads fits, and a buffer allocated up front sits
+/// below the store's growth instead of among it.
+const DISPATCH_BUFFER: usize = 16;
 
 impl<'a> StoreServer<'a> {
     /// Wraps a store.  If the store was built with a server-driven
@@ -570,7 +582,9 @@ impl<'a> StoreServer<'a> {
             bg_slice_seq: 0,
             probe_every: SimDuration::ZERO,
             next_probe: SimDuration::ZERO,
-            batch: Vec::new(),
+            batch: Vec::with_capacity(DISPATCH_BUFFER),
+            receipts: Vec::with_capacity(DISPATCH_BUFFER),
+            done: Vec::with_capacity(DISPATCH_BUFFER),
         }
     }
 
@@ -654,7 +668,8 @@ impl<'a> StoreServer<'a> {
             while let Some(request) = source.pop_by(start) {
                 waiting.push_back(request);
             }
-            for completion in self.dispatch(&mut waiting, start)? {
+            self.dispatch(&mut waiting, start)?;
+            for completion in self.done.drain(..) {
                 source.completed(&completion);
                 sink(completion);
             }
@@ -700,15 +715,16 @@ impl<'a> StoreServer<'a> {
     }
 
     /// Serves the head of the waiting queue from instant `start` (batching
-    /// queued safe writes) and returns the completions of this dispatch.
+    /// queued safe writes), leaving the completions of this dispatch in
+    /// `self.done`.
     fn dispatch(
         &mut self,
         waiting: &mut VecDeque<StoreRequest>,
         start: SimDuration,
-    ) -> Result<Vec<Completion>, StoreError> {
+    ) -> Result<(), StoreError> {
         self.queue.observe(waiting.len());
         let Some(head) = waiting.front() else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         // Pre-dispatch spindle state: who was holding the spindle while this
         // dispatch waited splits the queue delay between other foreground
@@ -720,17 +736,16 @@ impl<'a> StoreServer<'a> {
         self.obs.set_now(start.as_nanos());
 
         let clock_before = self.store.elapsed();
-        // Keys travel the queueing layer as interned `ObjectKey`s; the
-        // string form the `ObjectStore` trait speaks is materialised only
-        // here, at the dispatch boundary: into a stack buffer, and from
-        // there into the batch's reused strings.
-        let mut buf = crate::workload::ObjectKey::buf();
-        let receipts: Vec<OpReceipt> = match head.op {
+        // Keys reach the store as `ObjectKey`s, through the trait's keyed
+        // methods: a store with a key table serves them by handle, and the
+        // default methods write the names the `&str` methods take.
+        self.receipts.clear();
+        match head.op {
             // Safe writes that are waiting together leave as one batch:
             // their write requests interleave on disk exactly as a web
             // server's parallel uploads do.
             WorkloadOp::SafeWrite { .. } => {
-                let mut used = 0;
+                self.batch.clear();
                 for request in waiting.iter() {
                     let WorkloadOp::SafeWrite { key, size } = request.op else {
                         break;
@@ -738,38 +753,35 @@ impl<'a> StoreServer<'a> {
                     if request.arrival > start {
                         break;
                     }
-                    let key = key.write_into(&mut buf);
-                    match self.batch.get_mut(used) {
-                        Some((name, bytes)) => {
-                            name.clear();
-                            name.push_str(key);
-                            *bytes = size;
-                        }
-                        None => self.batch.push((key.to_string(), size)),
-                    }
-                    used += 1;
+                    self.batch.push((key, size));
                 }
-                // Items past `used` are left over from a longer batch.
-                self.store.safe_write_batch(&self.batch[..used])?
+                self.store
+                    .safe_write_batch_keyed(&self.batch, &mut self.receipts)?;
             }
             // Everything else is served one at a time.
             WorkloadOp::Put { key, size } => {
-                vec![self.store.put(key.write_into(&mut buf), size)?]
+                let receipt = self.store.put_keyed(key, size)?;
+                self.receipts.push(receipt);
             }
-            WorkloadOp::Get { key } => vec![self.store.get(key.write_into(&mut buf))?],
-            WorkloadOp::Delete { key } => vec![self.store.delete(key.write_into(&mut buf))?],
-        };
+            WorkloadOp::Get { key } => {
+                let receipt = self.store.get_keyed(key)?;
+                self.receipts.push(receipt);
+            }
+            WorkloadOp::Delete { key } => {
+                let receipt = self.store.delete_keyed(key)?;
+                self.receipts.push(receipt);
+            }
+        }
         // The store-clock delta covers the receipts plus anything the store
         // charged on top (a store-attached maintenance drive); the spindle
         // is ours until all of it is done.
         let service = self.store.elapsed().saturating_sub(clock_before);
 
         // One receipt per request served, in queue order.
-        let served = receipts.len().min(waiting.len());
+        let served = self.receipts.len().min(waiting.len());
         let mut mutating = 0;
         let mut finish = start;
-        let mut done = Vec::with_capacity(served);
-        for (request, receipt) in waiting.drain(..served).zip(receipts) {
+        for (request, &receipt) in waiting.drain(..served).zip(&self.receipts) {
             mutating += u64::from(!matches!(request.op, WorkloadOp::Get { .. }));
             finish += receipt.total_time();
             // Of this request's wait, the stretch where only a maintenance
@@ -779,7 +791,7 @@ impl<'a> StoreServer<'a> {
             let maint_delay = bg_busy
                 .min(start)
                 .saturating_sub(fg_busy.max(request.arrival));
-            done.push(Completion {
+            self.done.push(Completion {
                 request,
                 receipt,
                 start,
@@ -793,7 +805,7 @@ impl<'a> StoreServer<'a> {
         // stalls the dispatch that triggered it: extend the last completion
         // to the full clock delta so the percentile fields agree with
         // `foreground_latency_ms` instead of silently dropping the stall.
-        if let Some(last) = done.last_mut() {
+        if let Some(last) = self.done.last_mut() {
             last.finish = last.finish.max(self.busy_until);
         }
         self.now = self.now.max(self.free_at());
@@ -801,7 +813,7 @@ impl<'a> StoreServer<'a> {
             // The slice that (possibly) delayed this dispatch is the latest
             // scheduled one.
             let delayed_by = self.bg_slice_seq;
-            for completion in &done {
+            for completion in &self.done {
                 self.obs.span(
                     Track::Server,
                     completion.request.op.kind_name(),
@@ -838,7 +850,7 @@ impl<'a> StoreServer<'a> {
         }
         self.after_foreground(mutating);
         self.probe(waiting.len());
-        Ok(done)
+        Ok(())
     }
 
     /// Samples the metrics registry (queue depth, fragmentation, free-space
@@ -1105,8 +1117,8 @@ mod tests {
         assert_eq!(starts[4], starts[7]);
     }
 
-    /// The batch's key strings are reused between dispatches; only the
-    /// prefix a dispatch filled may reach the store.
+    /// The batch buffer is reused between dispatches; only what a dispatch
+    /// filled may reach the store.
     #[test]
     fn a_reused_batch_buffer_never_hands_stale_items_to_the_store() {
         let safe_writes = |keys: &[u64], size: u64| -> Vec<WorkloadOp> {
@@ -1369,9 +1381,14 @@ mod tests {
     fn empty_arrivals_serve_nothing_and_fill_no_idle_gap() {
         let crate::FsStoreConfig { volume, disk } = crate::FsStoreConfig::new(256 * MB);
         let idle_detect = Some(MaintenanceConfig::idle_detect(5.0));
-        let mut store =
-            FsObjectStore::build(volume, disk, crate::PAPER_WRITE_REQUEST_SIZE, idle_detect)
-                .unwrap();
+        let mut store = FsObjectStore::build(
+            volume,
+            disk,
+            crate::PAPER_WRITE_REQUEST_SIZE,
+            idle_detect,
+            0,
+        )
+        .unwrap();
         let mut server = StoreServer::new(&mut store);
         // Interleaved safe writes leave the idle-detect drive work to do.
         server

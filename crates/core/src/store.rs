@@ -10,6 +10,8 @@
 //! be measured exactly the way the paper measures it: bytes moved divided by
 //! the time the storage system needed.
 
+use std::cell::RefCell;
+
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_disksim::{ByteRun, Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
 use lor_maint::{MaintIo, MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
@@ -17,7 +19,8 @@ use lor_obs::Obs;
 
 use crate::error::StoreError;
 use crate::maintenance::{copy_io, Drive};
-use crate::substrate::{Substrate, WriteOp, Written, WrittenFragments};
+use crate::substrate::{ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
+use crate::workload::ObjectKey;
 
 /// Which storage system backs a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,6 +139,16 @@ pub(crate) fn host_costs() -> String {
 /// experiment harness resets the clock around each measurement phase and
 /// computes throughput as payload bytes divided by elapsed clock time.
 ///
+/// An object is addressed by its name, a `&str`, and the name is
+/// authoritative.  The workloads' objects also have a number, an
+/// [`ObjectKey`]: `ObjectKey(n)` is the object named `ObjectKey(n)`'s string
+/// form (`object-00000042`), and the keyed methods (`put_keyed`, `get_keyed`,
+/// `delete_keyed`, `safe_write_batch_keyed`) are that name's methods, with
+/// the same receipts, clock and errors.  Their defaults format the name
+/// and call the `&str` method; [`Store`] overrides them to reach the engine
+/// by the object's handle, without building or hashing the name.  The
+/// request scheduler ([`crate::StoreServer`]) dispatches only through them.
+///
 /// Stores are `Send` so a sharded fleet can drain each shard's
 /// sub-stream on its own worker thread (`lor-shard`'s parallel
 /// execution); each store is still driven by exactly one thread at a
@@ -169,6 +182,53 @@ pub trait ObjectStore: Send {
 
     /// Deletes the object stored under `key`.
     fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError>;
+
+    /// [`ObjectStore::put`] of the object `key` numbers.
+    fn put_keyed(&mut self, key: ObjectKey, size_bytes: u64) -> Result<OpReceipt, StoreError> {
+        self.put(key.write_into(&mut ObjectKey::buf()), size_bytes)
+    }
+
+    /// [`ObjectStore::get`] of the object `key` numbers.
+    fn get_keyed(&mut self, key: ObjectKey) -> Result<OpReceipt, StoreError> {
+        self.get(key.write_into(&mut ObjectKey::buf()))
+    }
+
+    /// [`ObjectStore::delete`] of the object `key` numbers.
+    fn delete_keyed(&mut self, key: ObjectKey) -> Result<OpReceipt, StoreError> {
+        self.delete(key.write_into(&mut ObjectKey::buf()))
+    }
+
+    /// [`ObjectStore::safe_write_batch`] of the objects `items` number,
+    /// pushing one receipt per item onto `receipts`, a buffer the caller
+    /// reuses.  The default writes the names into strings this thread
+    /// keeps from batch to batch and rewrites in place, so a steady-state
+    /// batch builds no `String`.
+    fn safe_write_batch_keyed(
+        &mut self,
+        items: &[(ObjectKey, u64)],
+        receipts: &mut Vec<OpReceipt>,
+    ) -> Result<(), StoreError> {
+        // Taken, not borrowed: a `safe_write_batch` that comes back here
+        // finds an empty buffer and still works.
+        let mut names = BATCH_NAMES.take();
+        let mut buf = ObjectKey::buf();
+        for (index, &(key, size)) in items.iter().enumerate() {
+            let name = key.write_into(&mut buf);
+            match names.get_mut(index) {
+                Some((held, bytes)) => {
+                    held.clear();
+                    held.push_str(name);
+                    *bytes = size;
+                }
+                None => names.push((name.to_owned(), size)),
+            }
+        }
+        // Items past `items.len()` are left over from a longer batch.
+        let written = self.safe_write_batch(&names[..items.len()]);
+        BATCH_NAMES.set(names);
+        receipts.extend(written?);
+        Ok(())
+    }
 
     /// `true` if an object with this key exists.
     fn contains(&self, key: &str) -> bool;
@@ -277,6 +337,12 @@ pub trait ObjectStore: Send {
     }
 }
 
+thread_local! {
+    /// The names [`ObjectStore::safe_write_batch_keyed`]'s default hands
+    /// `safe_write_batch`, kept per thread between batches.
+    static BATCH_NAMES: RefCell<Vec<(String, u64)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The size of the write requests the paper's experiments append object
 /// data in (64 KB): the write request of every store
 /// [`FsObjectStore::new`](crate::FsObjectStore::new) and its two siblings
@@ -285,7 +351,8 @@ pub const PAPER_WRITE_REQUEST_SIZE: u64 = 64 * 1024;
 
 /// The one object store: a [`Substrate`] plus everything the substrates
 /// share — the measurement clock, the simulated disk, the optional
-/// background scheduler and the tracing handle.
+/// background scheduler and the tracing handle — and the key table the
+/// keyed methods reach the substrate's handles through.
 #[derive(Debug)]
 pub struct Store<S: Substrate> {
     pub(crate) substrate: S,
@@ -296,13 +363,34 @@ pub struct Store<S: Substrate> {
     /// Remaining ticks of the post-convergence defragmentation back-off.
     defrag_backoff: u64,
     obs: Option<Obs>,
+    /// Key number → the handle of the object under that key, as noted by
+    /// the last keyed operation that resolved or wrote it (0: none).  An
+    /// entry is a hint, checked live at use: a `&str` mutation bypasses the
+    /// table, and the volume's safe write moves an object to a new handle,
+    /// but no substrate reuses a handle, so a live one still names its key.
+    /// Only a put extends it, to a key below twice the objects held plus
+    /// [`TABLE_SLACK`], so a shard that sees keys from a whole fleet's range
+    /// keeps no table over it.  4 bytes a key.
+    handles: Vec<u32>,
 }
+
+/// A key gets a table entry only while its number is below twice the
+/// objects held plus this: dense workload keys always do, a fleet shard's
+/// keys (one in every few of the fleet's) soon do not.
+const TABLE_SLACK: u64 = 64;
+
+/// Safe-write batches of up to this many items resolve their handles into
+/// a buffer on the stack; a longer one (an open-loop burst) allocates one.
+const STACK_BATCH: usize = 16;
 
 impl<S: Substrate> Store<S> {
     /// Builds a store over a fresh engine on a disk of its own, appending
-    /// object data in requests of `write_request_size` bytes.  With a
-    /// maintenance config the `lor-maint` scheduler owns the engine's
-    /// background duties.  The one general constructor: the `new` of
+    /// object data in requests of `write_request_size` bytes, with its key
+    /// table and its engine's name map sized for `keys` objects numbered
+    /// from 0 (0 where no population is planned: both grow as keys are
+    /// put).  With a maintenance
+    /// config the `lor-maint` scheduler owns the engine's background
+    /// duties.  The one general constructor: the `new` of
     /// [`crate::FsObjectStore`], [`crate::DbObjectStore`] and
     /// [`crate::LogObjectStore`] and [`crate::ExperimentConfig::build_store`]
     /// all call it.  A zero write request or an invalid maintenance config
@@ -312,6 +400,7 @@ impl<S: Substrate> Store<S> {
         disk: DiskConfig,
         write_request_size: u64,
         maintenance: Option<MaintenanceConfig>,
+        keys: u64,
     ) -> Result<Self, StoreError> {
         if write_request_size == 0 {
             return Err(StoreError::BadConfig(
@@ -323,14 +412,24 @@ impl<S: Substrate> Store<S> {
                 .validate()
                 .map_err(|message| StoreError::BadConfig(message.into()))?;
         }
+        // The key table and the engine's name map are sized once, before
+        // the engine allocates anything else: grown by doubling through a
+        // bulk load, among the engine's records, they set the peak RSS
+        // (EXPERIMENTS.md, "Host cost of keyed dispatch").  The table is
+        // only touched as keys are put.
+        let keys = usize::try_from(keys).unwrap_or(0);
+        let handles = Vec::with_capacity(keys);
+        let mut substrate = S::create(engine, maintenance.is_some())?;
+        substrate.reserve(keys);
         Ok(Store {
-            substrate: S::create(engine, maintenance.is_some())?,
+            substrate,
             disk: Disk::new(disk),
             clock: SimClock::new(),
             write_request_size,
             scheduler: maintenance.map(MaintenanceScheduler::new),
             defrag_backoff: 0,
             obs: None,
+            handles,
         })
     }
 
@@ -378,17 +477,168 @@ impl<S: Substrate> Store<S> {
         }
     }
 
-    fn write(&mut self, op: WriteOp, key: &str, size: u64) -> Result<OpReceipt, StoreError> {
+    /// Services and costs a completed write, reporting it to the scheduler
+    /// unless it was a migration: migration *is* maintenance, so it must not
+    /// tick the destination's own maintenance scheduler.  Returns the handle
+    /// of the version written.
+    fn commit(&mut self, op: WriteOp, written: Written) -> (S::Handle, OpReceipt) {
+        let handle = S::Handle::from(written.handle);
+        let receipt = self.write_receipt(written);
+        (
+            handle,
+            match op {
+                WriteOp::MigrateIn => receipt,
+                WriteOp::Put | WriteOp::Replace => self.after_mutating_op(receipt),
+            },
+        )
+    }
+
+    /// Puts (or migrates in) a new object under `key`.
+    fn insert(
+        &mut self,
+        op: WriteOp,
+        key: &str,
+        size: u64,
+    ) -> Result<(S::Handle, OpReceipt), StoreError> {
+        let migrating = op == WriteOp::MigrateIn;
         let written = self
             .substrate
-            .write(op, key, size, self.write_request_size)?;
-        let receipt = self.write_receipt(written);
-        // Migration *is* maintenance, so it must not tick the destination's
-        // own maintenance scheduler.
-        Ok(match op {
-            WriteOp::MigrateIn => receipt,
-            WriteOp::Put | WriteOp::Replace => self.after_mutating_op(receipt),
-        })
+            .insert(key, size, self.write_request_size, migrating)?;
+        Ok(self.commit(op, written))
+    }
+
+    /// Safe-writes every live object of `batch` as one batch whose write
+    /// requests interleave, pushing a receipt per item onto `receipts` and
+    /// leaving in `batch` each item's handle after its write.  An engine that
+    /// serialises concurrent writes replaces them one at a time.
+    fn replace_batch(
+        &mut self,
+        batch: &mut [(S::Handle, u64)],
+        receipts: &mut Vec<OpReceipt>,
+    ) -> Result<(), StoreError> {
+        let request = self.write_request_size;
+        match self.substrate.replace_interleaved(batch, request)? {
+            Some(written) => {
+                for (item, written) in batch.iter_mut().zip(written) {
+                    let (handle, receipt) = self.commit(WriteOp::Replace, written);
+                    item.0 = handle;
+                    receipts.push(receipt);
+                }
+            }
+            None => {
+                for item in batch.iter_mut() {
+                    let written = self.substrate.replace(item.0, item.1, request)?;
+                    let (handle, receipt) = self.commit(WriteOp::Replace, written);
+                    item.0 = handle;
+                    receipts.push(receipt);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `serve` on a batch buffer of `len` blank items, on the stack up
+    /// to [`STACK_BATCH`] items.
+    fn with_batch<R>(
+        &mut self,
+        len: usize,
+        serve: impl FnOnce(&mut Self, &mut [(S::Handle, u64)]) -> R,
+    ) -> R {
+        let blank = (S::Handle::from(0), 0);
+        if len <= STACK_BATCH {
+            serve(self, &mut [blank; STACK_BATCH][..len])
+        } else {
+            serve(self, &mut vec![blank; len])
+        }
+    }
+
+    /// Services and costs a read of `plan`.
+    fn read(&mut self, plan: ReadPlan) -> OpReceipt {
+        let request = IoRequest::read_runs(plan.runs);
+        let transferred = request.total_bytes();
+        let fragments = request.merged_segments().count() as u64;
+        let disk_time = self.disk.service(&request);
+        let host_time = S::read_host_time(plan.units, plan.payload_bytes);
+        self.charge(disk_time, host_time);
+        OpReceipt {
+            payload_bytes: plan.payload_bytes,
+            transferred_bytes: transferred,
+            disk_time,
+            host_time,
+            fragments,
+        }
+    }
+
+    /// Where the bytes of the object under `key` are.
+    fn plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
+        let handle = self.substrate.resolve(key)?;
+        // A handle just resolved is live.
+        Ok(self
+            .substrate
+            .read_plan(handle)
+            .expect("a resolved handle is live"))
+    }
+
+    /// Deletes the live object `handle`, stored under `key`.
+    fn remove(&mut self, handle: S::Handle, key: &str) -> Result<OpReceipt, StoreError> {
+        self.substrate.remove(handle, key)?;
+        let host_time = S::remove_host_time();
+        self.charge(ServiceTime::default(), host_time);
+        Ok(self.after_mutating_op(OpReceipt {
+            host_time,
+            ..OpReceipt::default()
+        }))
+    }
+
+    /// The table's handle for `key`, if it has one (live or not).
+    fn hint(&self, key: ObjectKey) -> Option<S::Handle> {
+        let slot = *self.handles.get(usize::try_from(key.0).ok()?)?;
+        (slot != 0).then(|| S::Handle::from(u64::from(slot)))
+    }
+
+    /// The handle of the object `key` numbers: the table's, while it is
+    /// live, else the name's, which the table then notes.  A key with no
+    /// object fails as its name does.
+    fn handle(&mut self, key: ObjectKey) -> Result<S::Handle, StoreError> {
+        if let Some(handle) = self.hint(key).filter(|&h| self.substrate.is_live(h)) {
+            return Ok(handle);
+        }
+        let handle = self
+            .substrate
+            .resolve(key.write_into(&mut ObjectKey::buf()))?;
+        self.note(key, handle);
+        Ok(handle)
+    }
+
+    /// `true` when the key table holds a live handle for `key`.
+    #[cfg(test)]
+    pub(crate) fn covers(&self, key: ObjectKey) -> bool {
+        self.hint(key).is_some_and(|h| self.substrate.is_live(h))
+    }
+
+    /// Notes `handle` as the object `key` numbers, if the table has an
+    /// entry for the key.  A handle too large for an entry clears it.
+    fn note(&mut self, key: ObjectKey, handle: S::Handle) {
+        let entry = usize::try_from(key.0)
+            .ok()
+            .and_then(|index| self.handles.get_mut(index));
+        if let Some(entry) = entry {
+            *entry = u32::try_from(handle.into()).unwrap_or(0);
+        }
+    }
+
+    /// Notes the handle a put gave `key`, first extending the table to the
+    /// key if it is within reach: below twice the objects held plus
+    /// [`TABLE_SLACK`].  Only a put extends the table, so it follows the
+    /// population, not the keys the store is asked about.
+    fn note_put(&mut self, key: ObjectKey, handle: S::Handle) {
+        let reach = 2 * self.substrate.object_count() as u64 + TABLE_SLACK;
+        if let Ok(index) = usize::try_from(key.0) {
+            if key.0 < reach && index >= self.handles.len() {
+                self.handles.resize(index + 1, 0);
+            }
+        }
+        self.note(key, handle);
     }
 
     /// Reports a completed mutating operation to the background scheduler
@@ -419,60 +669,86 @@ impl<S: Substrate> ObjectStore for Store<S> {
     }
 
     fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        self.write(WriteOp::Put, key, size_bytes)
+        Ok(self.insert(WriteOp::Put, key, size_bytes)?.1)
     }
 
     fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let plan = self.substrate.read_plan(key)?;
-        let request = IoRequest::read_runs(plan.runs);
-        let transferred = request.total_bytes();
-        let fragments = request.merged_segments().count() as u64;
-        let disk_time = self.disk.service(&request);
-        let host_time = S::read_host_time(plan.units, plan.payload_bytes);
-        self.charge(disk_time, host_time);
-        Ok(OpReceipt {
-            payload_bytes: plan.payload_bytes,
-            transferred_bytes: transferred,
-            disk_time,
-            host_time,
-            fragments,
-        })
+        let plan = self.plan(key)?;
+        Ok(self.read(plan))
     }
 
     fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        self.write(WriteOp::Replace, key, size_bytes)
+        let handle = self.substrate.resolve(key)?;
+        let written = self
+            .substrate
+            .replace(handle, size_bytes, self.write_request_size)?;
+        Ok(self.commit(WriteOp::Replace, written).1)
     }
 
     fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
-        let Some(batch) = self
-            .substrate
-            .replace_interleaved(items, self.write_request_size)?
-        else {
-            return items
-                .iter()
-                .map(|(key, size)| self.safe_write(key, *size))
-                .collect();
-        };
-        let mut out = Vec::with_capacity(batch.len());
-        for written in batch {
-            let receipt = self.write_receipt(written);
-            out.push(self.after_mutating_op(receipt));
-        }
-        Ok(out)
+        self.with_batch(items.len(), |store, batch| {
+            for (item, (key, size)) in batch.iter_mut().zip(items) {
+                *item = (store.substrate.resolve(key)?, *size);
+            }
+            let mut receipts = Vec::with_capacity(items.len());
+            store.replace_batch(batch, &mut receipts)?;
+            Ok(receipts)
+        })
     }
 
     fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        self.substrate.remove(key)?;
-        let host_time = S::remove_host_time();
-        self.charge(ServiceTime::default(), host_time);
-        Ok(self.after_mutating_op(OpReceipt {
-            host_time,
-            ..OpReceipt::default()
-        }))
+        let handle = self.substrate.resolve(key)?;
+        self.remove(handle, key)
+    }
+
+    fn put_keyed(&mut self, key: ObjectKey, size_bytes: u64) -> Result<OpReceipt, StoreError> {
+        let (handle, receipt) = self.insert(
+            WriteOp::Put,
+            key.write_into(&mut ObjectKey::buf()),
+            size_bytes,
+        )?;
+        self.note_put(key, handle);
+        Ok(receipt)
+    }
+
+    fn get_keyed(&mut self, key: ObjectKey) -> Result<OpReceipt, StoreError> {
+        let plan = match self.hint(key).and_then(|h| self.substrate.read_plan(h)) {
+            Some(plan) => plan,
+            None => {
+                let handle = self.handle(key)?;
+                // `handle` just resolved it.
+                self.substrate
+                    .read_plan(handle)
+                    .expect("a resolved handle is live")
+            }
+        };
+        Ok(self.read(plan))
+    }
+
+    fn delete_keyed(&mut self, key: ObjectKey) -> Result<OpReceipt, StoreError> {
+        let handle = self.handle(key)?;
+        self.remove(handle, key.write_into(&mut ObjectKey::buf()))
+    }
+
+    fn safe_write_batch_keyed(
+        &mut self,
+        items: &[(ObjectKey, u64)],
+        receipts: &mut Vec<OpReceipt>,
+    ) -> Result<(), StoreError> {
+        self.with_batch(items.len(), |store, batch| {
+            for (item, &(key, size)) in batch.iter_mut().zip(items) {
+                *item = (store.handle(key)?, size);
+            }
+            store.replace_batch(batch, receipts)?;
+            for (&(key, _), &(handle, _)) in items.iter().zip(batch.iter()) {
+                store.note(key, handle);
+            }
+            Ok(())
+        })
     }
 
     fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        self.write(WriteOp::MigrateIn, key, size_bytes)
+        Ok(self.insert(WriteOp::MigrateIn, key, size_bytes)?.1)
     }
 
     fn contains(&self, key: &str) -> bool {
@@ -492,7 +768,7 @@ impl<S: Substrate> ObjectStore for Store<S> {
     }
 
     fn layout_of(&self, key: &str) -> Result<Vec<ByteRun>, StoreError> {
-        Ok(self.substrate.read_plan(key)?.runs)
+        Ok(self.plan(key)?.runs)
     }
 
     fn fragmentation(&self) -> FragmentationSummary {

@@ -15,7 +15,8 @@ use lor_obs::Obs;
 use crate::error::StoreError;
 use crate::store::StoreKind;
 
-/// Which write-path operation [`Substrate::write`] performs.
+/// Which write-path operation a [`crate::Store`] performs: what decides
+/// whether it ticks the store's maintenance scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteOp {
     /// Store a new object.
@@ -43,6 +44,9 @@ pub enum WrittenFragments {
 /// What a write-path operation placed, for the store to service and cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Written {
+    /// The handle of the version written (the substrate's id of the object
+    /// now holding the data).
+    pub handle: u64,
     /// Physical byte runs written, in write order.
     pub runs: Vec<ByteRun>,
     /// Object bytes written.
@@ -98,9 +102,18 @@ impl Moved {
 
 /// One storage engine behind [`crate::Store`].  Used only through generics,
 /// so each store monomorphises to direct calls into its engine.
+///
+/// An object is addressed by name only to create it, to resolve it and to
+/// remove it from the engine's name map; reads and replacements take its
+/// [`Substrate::Handle`], the id the engine files it under.  No engine reuses
+/// a handle, so a handle that is still live still names the object it was
+/// resolved for, and the store may keep handles as hints.
 pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// The engine's own configuration.
     type Config;
+    /// The id the engine files an object under, as a number (`u64::from`)
+    /// and back (`From<u64>`).
+    type Handle: Copy + PartialEq + Send + std::fmt::Debug + From<u64> + Into<u64>;
     /// Which system this is.
     const KIND: StoreKind;
     /// Name of the store's disk in traces.
@@ -111,30 +124,50 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// checkpoint is switched off (allocation-pressure emergency paths stay).
     fn create(config: Self::Config, scheduled: bool) -> Result<Self, StoreError>;
 
-    /// Puts, replaces or migrates in one object in `request`-sized chunks.
-    fn write(
+    /// Makes room in the engine's name map for `keys` more names, so that a
+    /// planned population does not regrow it.
+    fn reserve(&mut self, keys: usize);
+
+    /// Puts one new object under `key` in `request`-sized chunks, through
+    /// the allocator's maintenance consumer when `migrating`.
+    fn insert(
         &mut self,
-        op: WriteOp,
         key: &str,
+        size: u64,
+        request: u64,
+        migrating: bool,
+    ) -> Result<Written, StoreError>;
+
+    /// The handle of the object stored under `key`.
+    fn resolve(&self, key: &str) -> Result<Self::Handle, StoreError>;
+
+    /// `true` while `handle` names a live object.
+    fn is_live(&self, handle: Self::Handle) -> bool;
+
+    /// Safe-writes the live object `handle` alone.
+    fn replace(
+        &mut self,
+        handle: Self::Handle,
         size: u64,
         request: u64,
     ) -> Result<Written, StoreError>;
 
-    /// Replaces several objects whose write requests interleave on disk, one
-    /// [`Written`] per item.  `Ok(None)` when the engine serialises
-    /// concurrent writes (the log's group commit): the store then replaces
-    /// the items one at a time.
+    /// Safe-writes the live objects `items` name, their write requests
+    /// interleaved on disk, one [`Written`] per item.  `Ok(None)` when the
+    /// engine serialises concurrent writes (the log's group commit): the
+    /// store then replaces the items one at a time.
     fn replace_interleaved(
         &mut self,
-        items: &[(String, u64)],
+        items: &[(Self::Handle, u64)],
         request: u64,
     ) -> Result<Option<Vec<Written>>, StoreError>;
 
-    /// Where the object's bytes are.
-    fn read_plan(&self, key: &str) -> Result<ReadPlan, StoreError>;
+    /// Where the bytes of the object `handle` are; `None` when it is not
+    /// live.
+    fn read_plan(&self, handle: Self::Handle) -> Option<ReadPlan>;
 
-    /// Deletes an object.
-    fn remove(&mut self, key: &str) -> Result<(), StoreError>;
+    /// Deletes the live object `handle`, stored under `key`.
+    fn remove(&mut self, handle: Self::Handle, key: &str) -> Result<(), StoreError>;
 
     /// Current fragment count of the version a write tagged
     /// [`WrittenFragments::OfRecord`], if it still exists.

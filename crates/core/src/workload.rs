@@ -70,14 +70,16 @@ impl SizeDistribution {
 
 /// An interned object key: the workload's dense `u64` id.
 ///
-/// The hot request path used to thread heap-allocated `String` keys through
-/// every [`WorkloadOp`], request and completion — one allocation (often
-/// several, with clones) per simulated operation.  Keys are now this `Copy`
-/// newtype end to end; the canonical string form (`object-{:08}`, exactly
-/// what the generator always produced, so layouts stay deterministic) is
-/// materialised only at the [`ObjectStore`](crate::ObjectStore) call
-/// boundary via [`ObjectKey::write_into`], which formats into a stack buffer
-/// instead of the heap.
+/// Keys travel every [`WorkloadOp`], request and completion as this `Copy`
+/// newtype, and reach a store through the
+/// [`ObjectStore`](crate::ObjectStore) trait's keyed methods.  The object's
+/// name is its canonical string form (`object-{:08}`, exactly what the
+/// generator always produced, so layouts stay deterministic), and the name
+/// is what the store files the object under.  [`crate::Store`] builds it
+/// only to create, resolve or remove an object, and otherwise reaches the
+/// object through its key table by the engine's handle; the trait's default
+/// keyed methods build it for every call, with [`ObjectKey::write_into`],
+/// which formats into a stack buffer instead of the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ObjectKey(pub u64);
 
@@ -92,8 +94,7 @@ impl ObjectKey {
     }
 
     /// Formats the canonical string form into a stack buffer, avoiding the
-    /// per-operation heap allocation `to_string` would cost on the hot
-    /// dispatch path.  The digits are written by hand, right to left and
+    /// heap allocation `to_string` would cost on a per-operation path.  The digits are written by hand, right to left and
     /// zero-padded to eight, so no operation enters `core::fmt`.
     pub fn write_into(self, buf: &mut ObjectKeyBuf) -> &str {
         const PREFIX: &[u8] = b"object-";

@@ -8,6 +8,18 @@ use lor_disksim::ByteRun;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
+impl From<u64> for FileId {
+    fn from(number: u64) -> Self {
+        FileId(number)
+    }
+}
+
+impl From<FileId> for u64 {
+    fn from(id: FileId) -> u64 {
+        id.0
+    }
+}
+
 impl std::fmt::Display for FileId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "file#{}", self.0)

@@ -20,9 +20,13 @@
 //!   at cluster zero, mirroring NTFS's banded metadata allocation.
 //! * A **safe write** creates its temporary file *unnamed*, appends to it,
 //!   and commits by swapping the target's id in the name map in place; the
-//!   old record's name moves to the new one.  A replace costs one look-up
-//!   before any data is written (a missing target fails early) and one at
-//!   commit, formats no name, and cannot collide with a user's file.
+//!   old record's name moves to the new one, and the new version has a new
+//!   [`FileId`].  It is addressed by the target's id
+//!   ([`Volume::safe_write_batch_by_id`]); the name-addressed
+//!   [`Volume::safe_write`] and [`Volume::safe_write_batch`] resolve every
+//!   name first and call it, so a missing target fails before any data is
+//!   written.  A replace by id hashes once, at commit, formats no name, and
+//!   cannot collide with a user's file.
 //!
 //! The hot path is sized for long aging runs (`EXPERIMENTS.md`, "Host cost of
 //! the NTFS-like volume"): an append borrows its file record once, allocates
@@ -55,12 +59,13 @@
 //!
 //! The volume returns [`FsError`] for everything a caller can cause (unknown
 //! id or name, duplicate or empty name, out of space, bad configuration).
-//! Five `expect`s are left outside the tests.  `safe_write` takes the one
-//! receipt of its batch of one; the other four are each commented with the
-//! [`Volume::verify`] clause that makes them unreachable: the checkpoint's free
-//! of the pending queue (one owner per cluster), and the three in
-//! `commit_replace` (the target's name was resolved at staging; the name
-//! map points at live records; a staged temporary lives until its commit).
+//! Five `expect`s are left outside the tests.  `safe_write_by_id` takes the
+//! one receipt of its batch of one; the other four are each commented with
+//! the [`Volume::verify`] clause that makes them unreachable: the
+//! checkpoint's free of the pending queue (one owner per cluster), and the
+//! three in `commit_replace` (the target was checked live before staging;
+//! a live record's name is in the name map; a staged temporary lives until
+//! its commit).
 //! `trim_excess` trims a layout ([`RunList::trim_tail`], which panics on a
 //! trim past the layout's units) by an excess it computed from that
 //! layout's own unit count.
@@ -336,6 +341,11 @@ impl Volume {
         };
         volume.pin(Extent::new(0, mft))?;
         Ok(volume)
+    }
+
+    /// Makes room in the name map for `files` more names.
+    pub fn reserve(&mut self, files: usize) {
+        self.names.reserve(files);
     }
 
     /// The volume configuration.
@@ -681,36 +691,49 @@ impl Volume {
     /// Atomically replaces the contents of `name` with `size_bytes` of new
     /// data, using the safe-write protocol the paper describes: write a
     /// temporary file, force it to disk, then swap it in and delete the old
-    /// file.  A [`Volume::safe_write_batch`] of one item.
+    /// file.  [`Volume::safe_write_by_id`] of the file `name` resolves to.
     pub fn safe_write(
         &mut self,
         name: &str,
         size_bytes: u64,
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
-        let mut receipts = self.safe_write_batch(&[(name, size_bytes)], write_request_size)?;
+        let id = self.lookup(name)?;
+        self.safe_write_by_id(id, size_bytes, write_request_size)
+    }
+
+    /// [`Volume::safe_write`] of the file `id`: a
+    /// [`Volume::safe_write_batch_by_id`] of one item.  The new version is a
+    /// new file ([`WriteReceipt::file_id`]); `id` is gone afterwards.
+    pub fn safe_write_by_id(
+        &mut self,
+        id: FileId,
+        size_bytes: u64,
+        write_request_size: u64,
+    ) -> Result<WriteReceipt, FsError> {
+        let mut receipts = self.safe_write_batch_by_id(&[(id, size_bytes)], write_request_size)?;
         Ok(receipts
             .pop()
             .expect("a batch returns one receipt per item"))
     }
 
-    /// ReplaceFile(): the file holding `name` is deleted and the temporary
-    /// takes over its name.  Both copies coexisted until this point, which is
-    /// what makes safe writes churn free space.
-    fn commit_replace(&mut self, name: &str, temp_id: FileId) {
-        // The caller resolved `name` before staging, and nothing between
-        // staging and here releases a name.
-        let slot = self
-            .names
-            .get_mut(name.as_bytes())
-            .expect("replace target was resolved at staging");
-        let old_id = std::mem::replace(slot, temp_id);
-        // `verify` ("name map"): every name resolves to the live record
-        // that carries it, filed under its own id.
+    /// ReplaceFile(): the file `target` is deleted and the temporary takes
+    /// over its name.  Both copies coexisted until this point, which is what
+    /// makes safe writes churn free space.
+    fn commit_replace(&mut self, target: FileId, temp_id: FileId) {
+        // `verify` ("unnamed records"): the batch checked every target live
+        // before staging, and only a commit retires one, re-pointing later
+        // items that name it at the temporary that replaced it.
         let mut old = self
             .files
-            .remove(old_id.0)
-            .expect("name map points at a live record");
+            .remove(target.0)
+            .expect("replace target was checked live at staging");
+        // `verify` ("name map"): every named record is in the name map.
+        let slot = self
+            .names
+            .get_mut(old.name.as_bytes())
+            .expect("a live file's name is in the name map");
+        *slot = temp_id;
         // `verify` ("unnamed records"): the temporaries in flight are live,
         // and one dies only on the abort paths, which never reach a commit.
         let temp = self
@@ -725,19 +748,40 @@ impl Volume {
     }
 
     /// Atomically replaces several objects whose writes are in flight at the
-    /// same time, as a concurrent web application does.
+    /// same time, as a concurrent web application does: the names resolved,
+    /// then [`Volume::safe_write_batch_by_id`].  A missing name fails the
+    /// batch before anything is written.
+    pub fn safe_write_batch(
+        &mut self,
+        items: &[(&str, u64)],
+        write_request_size: u64,
+    ) -> Result<Vec<WriteReceipt>, FsError> {
+        let targets = items
+            .iter()
+            .map(|&(name, size)| Ok((self.lookup(name)?, size)))
+            .collect::<Result<Vec<_>, FsError>>()?;
+        self.safe_write_batch_by_id(&targets, write_request_size)
+    }
+
+    /// Atomically replaces the files `items` name by id, their writes in
+    /// flight at the same time.
     ///
     /// The temporary files are created together and their write requests are
     /// appended **round-robin**, so their allocations interleave on disk
     /// exactly as concurrent uploads interleave under NTFS.  This is the
     /// workload property (paper Section 3.2: "applications that concurrently
     /// process unrelated requests complicate the situation") that makes even
-    /// constant-size objects fragment over time.
-    pub fn safe_write_batch(
+    /// constant-size objects fragment over time.  Every target must be live
+    /// ([`FsError::NoSuchFile`] before anything is written); each new version
+    /// is a new file, named as its target was.
+    pub fn safe_write_batch_by_id(
         &mut self,
-        items: &[(&str, u64)],
+        items: &[(FileId, u64)],
         write_request_size: u64,
     ) -> Result<Vec<WriteReceipt>, FsError> {
+        for &(id, _) in items {
+            self.file(id)?;
+        }
         let mut staged = Vec::with_capacity(items.len());
         if let Err(err) = self.write_staged(items, write_request_size.max(1), &mut staged) {
             // Delete the temporaries created so far, or their clusters would
@@ -753,9 +797,15 @@ impl Volume {
         // twice, that is the previous item's just-committed temporary, so the
         // batch degenerates to sequential replacement (last writer wins) —
         // the same semantics `update_batch` has.
-        let mut receipts = Vec::with_capacity(staged.len());
-        for ((name, _), temp) in items.iter().zip(staged) {
-            self.commit_replace(name, temp.temp_id);
+        let mut receipts: Vec<WriteReceipt> = Vec::with_capacity(staged.len());
+        for (&(target, _), temp) in items.iter().zip(staged) {
+            let holder = items
+                .iter()
+                .zip(&receipts)
+                .rev()
+                .find(|((earlier, _), _)| *earlier == target)
+                .map_or(target, |(_, receipt)| receipt.file_id);
+            self.commit_replace(holder, temp.temp_id);
             receipts.push(WriteReceipt {
                 file_id: temp.temp_id,
                 runs: temp.runs,
@@ -765,21 +815,20 @@ impl Volume {
         Ok(receipts)
     }
 
-    /// Everything of a batch before its commits: validates every target and
-    /// creates its temporary, round-robins the write requests across the
-    /// in-flight temporaries, then closes them (trimming preallocation).
-    /// `staged` holds the temporaries created, also when this fails.
+    /// Everything of a batch before its commits: creates each target's
+    /// temporary, round-robins the write requests across the in-flight
+    /// temporaries, then closes them (trimming preallocation).  `staged`
+    /// holds the temporaries created, also when this fails.
     fn write_staged(
         &mut self,
-        items: &[(&str, u64)],
+        items: &[(FileId, u64)],
         chunk: u64,
         staged: &mut Vec<Staged>,
     ) -> Result<(), FsError> {
-        for (name, size) in items {
-            self.lookup(name)?;
+        for &(_, size) in items {
             staged.push(Staged {
                 temp_id: self.stage(),
-                size: *size,
+                size,
                 written: 0,
                 runs: Vec::new(),
             });
@@ -1344,8 +1393,8 @@ mod tests {
 
     #[test]
     fn failed_batch_safe_write_strands_no_temporaries() {
-        // Staging failure: the second name does not exist, after the first
-        // item's temporary was already created.
+        // A missing target: the second name does not exist, so the batch
+        // fails before it stages any temporary.
         let mut volume = small_volume();
         volume.write_file("a", MB, 64 * 1024).unwrap();
         let free_before = free_bytes(&volume);

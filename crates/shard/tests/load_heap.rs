@@ -1,13 +1,14 @@
-//! The peak heap a fleet's [`ShardedStore::load`] adds per operation, pinned
-//! by a test and not only by the benchmark's `peak_rss_mb`: `lor-obs`'s
-//! counting allocator, installed as this binary's `#[global_allocator]` (so
-//! no other test sees it), around a serial load of safe writes at two
-//! stream lengths.
+//! The peak heap a fleet's [`ShardedStore::load`] adds per operation, and
+//! the heap a bulk-loaded fleet holds, pinned by a test and not only by the
+//! benchmark's `peak_rss_mb`: `lor-obs`'s counting allocator, installed as
+//! this binary's `#[global_allocator]` (so no other test sees it), around a
+//! serial load of safe writes at two stream lengths and around a serial
+//! bulk load.
 
 use lor_core::{
     ExperimentConfig, FleetParallelism, SizeDistribution, StoreKind, WorkloadGenerator, WorkloadOp,
 };
-use lor_obs::heap::{peak_heap, CountingAllocator};
+use lor_obs::heap::{live_bytes, peak_heap, CountingAllocator};
 use lor_shard::{RouterPolicy, ShardedStore};
 
 #[global_allocator]
@@ -49,4 +50,42 @@ fn a_serial_load_holds_no_completion_per_op() {
         "a serial load's peak heap grows by {per_op:.1} bytes per op \
          ({small} bytes at {SMALL} ops, {large} at {LARGE}), bound 80"
     );
+}
+
+#[test]
+fn a_bulk_loaded_fleet_keeps_no_key_table_over_the_whole_key_range() {
+    // The heap a serially bulk-loaded 16-shard database fleet holds: the
+    // shards' records, key maps and free maps, the router's directory, and
+    // each shard's key table.  Recorded: 947,872 bytes for the 3,891
+    // objects, against 906,592 at the parent of keyed dispatch.  The 41,280
+    // between them: 16 key tables, each reserved at build for the 243 keys
+    // a shard's config plans (972 bytes) plus its 24-byte `Vec`, 15,936
+    // bytes; and the shards' key maps, reserved for those 243 keys where the
+    // load grew some of them only to half that many buckets, 25,344.  A
+    // shard's table only reaches keys below twice the objects it holds
+    // (plus 64), which in a fleet stops it among the first few dozen keys.
+    // Every shard sees keys from the whole range, so a table indexed by key
+    // number in each shard would add about 16 × 3,891 × 4 bytes = 249,024
+    // and fail (seen failing at 1,227,808 bytes with the reach check taken
+    // out of `Store::note_put`).
+    const SHARDS: u32 = 16;
+    const BUDGET: i64 = 947_872;
+    let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(64 << 10))
+        .with_fleet_parallelism(FleetParallelism::Serial);
+    config.volume_bytes = u64::from(SHARDS) * (32 << 20);
+    let policy = RouterPolicy::ConsistentHash { vnodes: 16 };
+    let mut generator = WorkloadGenerator::new(config.workload());
+    let bulk = generator.bulk_load();
+    assert_eq!(bulk.len(), 3_891);
+    // Serial, so every shard allocates on this thread, whose live bytes the
+    // counter reports.
+    let before = live_bytes();
+    let mut fleet = ShardedStore::new(StoreKind::Database, &config, SHARDS, policy).expect("fleet");
+    assert_eq!(fleet.load(bulk).expect("bulk load"), 3_891);
+    let held = live_bytes() - before;
+    assert!(
+        held <= BUDGET,
+        "the bulk-loaded fleet holds {held} heap bytes, budget {BUDGET}"
+    );
+    drop(fleet);
 }
