@@ -1,10 +1,11 @@
 //! A record table keyed by ids that only ever ascend.
 //!
-//! The volume's file table and the BLOB engine's record table share one
-//! shape: every record is filed under an id taken from a counter, so ids
-//! ascend and are never reused; records are looked up, edited and removed by
-//! id on every operation; and listings (`iter_files`, `iter_blobs`, the
-//! defragmenter's pass queue, `verify`) read the records **in id order**.
+//! The volume's file table, the BLOB engine's record table and the segment
+//! log's object table share one shape: every record is filed under an id
+//! taken from a counter, so ids ascend and are never reused; records are
+//! looked up, edited and removed by id on every operation; and listings
+//! (`iter_files`, `iter_blobs`, the log's `ids`, the defragmenter's pass
+//! queue, `verify`) read the records **in id order**.
 //! An ordered map pays for that order on every operation — a descent per
 //! look-up, and 64-byte values shifted inside a leaf per insert and removal.
 //! [`IdTable`] pays for it nowhere; its own docs give the layout and the
@@ -105,6 +106,20 @@ impl<T> IdTable<T> {
         self.index.len()
     }
 
+    /// The smallest id [`insert`](IdTable::insert) accepts: one past the
+    /// newest id ever filed (0 for a table that has filed none).
+    pub fn next_id(&self) -> u64 {
+        self.base + self.index.len() as u64
+    }
+
+    /// Makes room for `additional` more records filed under the next
+    /// `additional` ids, so that filing them grows neither buffer.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots
+            .reserve(additional.saturating_sub(self.free.len()));
+        self.index.reserve(additional);
+    }
+
     /// The slab slot of `id`'s record, if it is live.
     fn slot_of(&self, id: u64) -> Option<usize> {
         let offset = usize::try_from(id.checked_sub(self.base)?).ok()?;
@@ -138,7 +153,7 @@ impl<T> IdTable<T> {
     /// Panics if `id` is not past the window — the caller's id counter ran
     /// backwards — or if the slab would outgrow `u32` slots.
     pub fn insert(&mut self, id: u64, value: T) {
-        let next = self.base + self.index.len() as u64;
+        let next = self.next_id();
         assert!(
             id >= next,
             "IdTable::insert: id {id} is not past the newest id filed ({next} is the next free)"
@@ -300,6 +315,7 @@ mod tests {
     #[test]
     fn the_window_follows_the_oldest_live_id() {
         let mut table = IdTable::new();
+        assert_eq!(table.next_id(), 0);
         for id in 1..=6 {
             table.insert(id, ());
         }
@@ -315,8 +331,11 @@ mod tests {
         assert_eq!((table.window_len(), table.len()), (0, 0));
         // Emptied, the table still refuses the ids it has seen.
         assert!(!table.contains(6));
+        assert_eq!(table.next_id(), 7);
+        table.reserve(4);
         table.insert(9, ());
         assert_eq!(table.window_len(), 1, "no entries for the skipped 7, 8");
+        assert_eq!(table.next_id(), 10);
         assert_eq!(table.verify(), Ok(()));
     }
 

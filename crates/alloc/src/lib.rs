@@ -27,7 +27,8 @@
 //! * Fragmentation metrics: [`FragmentationSummary`] (fragments per object,
 //!   the paper's y-axis) and [`FreeSpaceReport`] (free-run histogram,
 //!   external fragmentation).
-//! * [`IdTable`]: the record table of both substrates — a slab of records
+//! * [`IdTable`]: the record table of all three substrates (the volume's
+//!   files, the engine's BLOBs, the log's objects) — a slab of records
 //!   found through a windowed direct index by their ascending, never-reused
 //!   ids, iterated in id order.
 //! * [`Name`]: the object name both record types and all three substrates'

@@ -1443,7 +1443,7 @@ fn shard_sweep_figures(scale: &Scale) -> Result<Vec<Figure>, StoreError> {
             512 << 10,
             PlacementPolicy::Unrestricted,
         )?;
-        let keys: Vec<ObjectKey> = generator.live_keys().to_vec();
+        let keys: Vec<ObjectKey> = generator.live_keys().collect();
         let mut points = Vec::new();
         for width in SHARD_SWEEP_WIDTHS {
             let groups: Vec<Vec<ObjectKey>> = (0..160)

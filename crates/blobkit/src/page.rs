@@ -87,12 +87,19 @@ pub(crate) fn pages(layout: &RunList) -> impl Iterator<Item = PageId> + '_ {
 }
 
 /// The byte runs a sequential scan of `layout` touches: one per page run,
-/// whole pages, for a data file starting at `base_offset`.
+/// whole pages, for a data file starting at `base_offset`.  Every read plan
+/// and write receipt is one, made and dropped per operation; a capacity of
+/// a power of two, at least 16 runs, keeps them to a few heap block sizes
+/// as objects gain fragments (EXPERIMENTS.md,
+/// "Peak RSS and the BLOB engine's run lists").
 pub(crate) fn byte_runs(layout: &RunList, page_size: u64, base_offset: u64) -> Vec<ByteRun> {
-    layout
-        .runs()
-        .map(|run| ByteRun::new(base_offset + run.start * page_size, run.len * page_size))
-        .collect()
+    let mut runs = Vec::with_capacity(layout.fragment_count().next_power_of_two().max(16));
+    runs.extend(
+        layout
+            .runs()
+            .map(|run| ByteRun::new(base_offset + run.start * page_size, run.len * page_size)),
+    );
+    runs
 }
 
 #[cfg(test)]
@@ -177,6 +184,15 @@ mod tests {
                 ByteRun::new(100 + 14 * 8192, 8192)
             ]
         );
+    }
+
+    #[test]
+    fn run_lists_come_in_power_of_two_capacities_of_at_least_16() {
+        let every_other = |runs: u64| layout_of(&(0..runs).map(|i| 2 * i).collect::<Vec<_>>());
+        for (runs, capacity) in [(0, 16), (1, 16), (16, 16), (17, 32), (33, 64)] {
+            let list = byte_runs(&every_other(runs), 8192, 0);
+            assert_eq!((list.len(), list.capacity()), (runs as usize, capacity));
+        }
     }
 
     #[test]

@@ -61,14 +61,15 @@ impl From<DbError> for StoreError {
     }
 }
 
-/// The log knows objects by caller-assigned id only; where the store has the
-/// key at hand it substitutes it (see `log_store.rs`), and an id with no name
-/// (a cleaner failure) is reported as the id.
+/// The log knows objects by id only; where the store has the key at hand it
+/// substitutes it (see `log_store.rs`), and an id with no name (a cleaner
+/// failure, or an insert out of order, which the store never makes) is
+/// reported as the id.
 impl From<LogError> for StoreError {
     fn from(err: LogError) -> Self {
         match err {
             LogError::NoSuchObject(id) => StoreError::NoSuchObject(format!("log object {id}")),
-            LogError::ObjectExists(id) => StoreError::ObjectExists(format!("log object {id}")),
+            LogError::IdOutOfOrder(id) => StoreError::ObjectExists(format!("log object {id}")),
             LogError::OutOfSpace => StoreError::OutOfSpace(err.to_string()),
             LogError::BadConfig(_) => StoreError::BadConfig(err.to_string()),
         }
@@ -112,7 +113,7 @@ mod tests {
             StoreError::NoSuchObject("log object 7".into())
         );
         assert_eq!(
-            StoreError::from(LogError::ObjectExists(7)),
+            StoreError::from(LogError::IdOutOfOrder(7)),
             StoreError::ObjectExists("log object 7".into())
         );
         for err in [

@@ -296,7 +296,8 @@ impl ExperimentConfig {
     }
 
     /// Checks that the configuration describes a run the harness can age:
-    /// occupancy in `[0, 1]`, a volume inside the modelled disk, no object
+    /// occupancy in `[0, 1]`, a volume inside the modelled disk and large
+    /// enough for every substrate to format, no object
     /// smaller than one allocation unit ([`MIN_OBJECT_BYTES`]), a non-zero
     /// write-request size, at least one client, finite non-negative think
     /// time, valid placement and maintenance.
@@ -305,67 +306,50 @@ impl ExperimentConfig {
     /// store ([`run_aging_experiment`], `lor_bench::anatomy_vs_age`, the
     /// `trace` binary) call it too, before they do anything else.
     pub fn validate(&self) -> Result<(), StoreError> {
-        if !(0.0..=1.0).contains(&self.occupancy) {
-            return Err(StoreError::BadConfig("occupancy must lie in [0, 1]".into()));
-        }
-        if self.object_size.mean() == 0 {
-            return Err(StoreError::BadConfig(
-                "mean object size must be non-zero".into(),
-            ));
-        }
         let smallest = match self.object_size {
             SizeDistribution::Constant(size) => size,
             SizeDistribution::Uniform { min, max } => min.min(max),
         };
-        if smallest < MIN_OBJECT_BYTES {
-            return Err(StoreError::BadConfig(format!(
-                "objects of {smallest} bytes are smaller than one {MIN_OBJECT_BYTES}-byte \
-                 allocation unit"
-            )));
-        }
+        let volume = self.volume_bytes;
         // The simulated disk is scaled to the volume, so only this check
         // keeps it inside the drive it models (Table 1).
         let disk_bytes = DiskConfig::seagate_400gb_2005().capacity_bytes();
-        if self.volume_bytes > disk_bytes {
-            return Err(StoreError::BadConfig(format!(
-                "volume of {} bytes is larger than the {disk_bytes}-byte disk",
-                self.volume_bytes
-            )));
-        }
-        if self.object_size.mean() > self.volume_bytes {
-            return Err(StoreError::BadConfig(
-                "objects larger than the volume".into(),
-            ));
-        }
-        if self.write_request_size == 0 {
-            return Err(StoreError::BadConfig(
-                "write request size must be non-zero".into(),
-            ));
-        }
-        if self.concurrency == 0 {
-            return Err(StoreError::BadConfig(
-                "concurrency must be at least 1".into(),
-            ));
-        }
-        if self.fleet_parallelism == FleetParallelism::Threads(0) {
-            return Err(StoreError::BadConfig(
-                "fleet parallelism needs at least one worker thread".into(),
-            ));
-        }
-        if !self.think_time_ms.is_finite() || self.think_time_ms < 0.0 {
-            return Err(StoreError::BadConfig(
-                "think time must be finite and non-negative".into(),
-            ));
-        }
-        self.placement
-            .validate()
-            .map_err(|message| StoreError::BadConfig(message.into()))?;
-        if let Some(maintenance) = &self.maintenance {
-            maintenance
-                .validate()
-                .map_err(|message| StoreError::BadConfig(message.into()))?;
-        }
-        Ok(())
+        let refused = if !(0.0..=1.0).contains(&self.occupancy) {
+            "occupancy must lie in [0, 1]".to_owned()
+        } else if self.object_size.mean() == 0 {
+            "mean object size must be non-zero".to_owned()
+        } else if smallest < MIN_OBJECT_BYTES {
+            format!(
+                "objects of {smallest} bytes are smaller than one {MIN_OBJECT_BYTES}-byte \
+                 allocation unit"
+            )
+        } else if volume > disk_bytes {
+            format!("volume of {volume} bytes is larger than the {disk_bytes}-byte disk")
+        } else if let Err(message) = LogStoreConfig::new(volume).log.validate() {
+            // The log needs the most room to format, four segments of at
+            // least `MIN_SEGMENT_BYTES`; the database's one extent and the
+            // volume's one cluster fit in that.
+            format!("volume of {volume} bytes is too small to format: {message}")
+        } else if self.object_size.mean() > volume {
+            "objects larger than the volume".to_owned()
+        } else if self.write_request_size == 0 {
+            "write request size must be non-zero".to_owned()
+        } else if self.concurrency == 0 {
+            "concurrency must be at least 1".to_owned()
+        } else if self.fleet_parallelism == FleetParallelism::Threads(0) {
+            "fleet parallelism needs at least one worker thread".to_owned()
+        } else if !self.think_time_ms.is_finite() || self.think_time_ms < 0.0 {
+            "think time must be finite and non-negative".to_owned()
+        } else if let Err(message) = self.placement.validate() {
+            message.to_owned()
+        } else if let Some(Err(message)) =
+            self.maintenance.as_ref().map(MaintenanceConfig::validate)
+        {
+            message.to_owned()
+        } else {
+            return Ok(());
+        };
+        Err(StoreError::BadConfig(refused))
     }
 }
 
@@ -882,6 +866,38 @@ mod tests {
         assert_eq!(config.validate(), Ok(()));
         config.volume_bytes += 1;
         assert!(config.validate().is_err());
+    }
+
+    /// A volume some substrate cannot format is refused on all three with
+    /// one `BadConfig`.  Accepted once, `Constant(8 KiB)` at 50 % run to age
+    /// 1 failed three ways: below four `MIN_SEGMENT_BYTES` segments
+    /// (256 KiB) the log was `BadConfig` at build, the database `BadConfig`
+    /// below one 64 KiB extent and `OutOfSpace` above it, and the
+    /// filesystem ran even at 16 KiB.  At 256 KiB every substrate builds.
+    /// Not covered: the database still runs out of space between 256 KiB
+    /// and about 4 MiB at this occupancy, because an 8,192-byte object takes
+    /// two 8,064-byte pages (objects of a few units pad).
+    #[test]
+    fn a_volume_too_small_for_any_substrate_is_refused_on_every_substrate() {
+        let smallest = 4 * lor_logstore::MIN_SEGMENT_BYTES;
+        let mut config = mini_config();
+        config.object_size = SizeDistribution::Constant(8 * 1024);
+        for volume in [16 * 1024, 64 * 1024, 128 * 1024, smallest - 1] {
+            config.volume_bytes = volume;
+            assert!(matches!(config.validate(), Err(StoreError::BadConfig(_))));
+            for kind in StoreKind::ALL {
+                let outcome = run_aging_experiment(kind, &config, &[0, 1], false);
+                assert!(
+                    matches!(outcome, Err(StoreError::BadConfig(_))),
+                    "{kind} on {volume} bytes: {outcome:?}"
+                );
+            }
+        }
+        config.volume_bytes = smallest;
+        assert_eq!(config.validate(), Ok(()));
+        for kind in StoreKind::ALL {
+            assert!(config.build_store(kind).is_ok(), "{kind}");
+        }
     }
 
     #[test]

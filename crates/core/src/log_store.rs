@@ -12,7 +12,8 @@
 //! operation that forced it — exactly like the filesystem's emergency
 //! checkpoints, but far more expensive, which is the log's trade-off.
 //!
-//! The log knows objects by `u64` id; the key → id index lives here and is a
+//! The log knows objects by the `u64` ids it issues ([`SegmentLog::next_id`],
+//! 1, 2, 3, … in put order); the key → id index lives here and is a
 //! hash map with a fixed state, as the volume's and the BLOB engine's name
 //! maps are: every name-addressed operation is a point look-up (one probe —
 //! a put refuses a taken key and claims its slot through the same entry),
@@ -94,7 +95,6 @@ pub struct LogSubstrate {
     /// longer one on the heap), and the map is searched with
     /// `key.as_bytes()`.
     names: HashMap<Name, u64, BuildHasherDefault<DefaultHasher>>,
-    next_id: u64,
 }
 
 impl LogSubstrate {
@@ -145,7 +145,7 @@ fn moved(report: CleanReport) -> Moved {
 /// Maps a substrate error onto the store error for `key`.
 fn log_err(err: LogError, key: &str) -> StoreError {
     match err {
-        LogError::ObjectExists(_) => StoreError::ObjectExists(key.to_string()),
+        LogError::IdOutOfOrder(_) => StoreError::ObjectExists(key.to_string()),
         LogError::NoSuchObject(_) => StoreError::NoSuchObject(key.to_string()),
         LogError::OutOfSpace => StoreError::OutOfSpace(format!(
             "segment log full appending {key:?} (cleaning found no dead bytes)"
@@ -166,7 +166,6 @@ impl Substrate for LogSubstrate {
         Ok(LogSubstrate {
             log: SegmentLog::new(config)?,
             names: HashMap::default(),
-            next_id: 1,
         })
     }
 
@@ -182,7 +181,7 @@ impl Substrate for LogSubstrate {
         let Entry::Vacant(slot) = self.names.entry(Name::new(key)) else {
             return Err(StoreError::ObjectExists(key.to_string()));
         };
-        let id = self.next_id;
+        let id = self.log.next_id();
         let appended = if migrating {
             self.log.insert_as_maintenance(id, size)
         } else {
@@ -190,12 +189,12 @@ impl Substrate for LogSubstrate {
         };
         let outcome = appended.map_err(|e| log_err(e, key))?;
         slot.insert(id);
-        self.next_id += 1;
         Ok(Self::written(id, size, request, outcome))
     }
 
     fn reserve(&mut self, keys: usize) {
         self.names.reserve(keys);
+        self.log.reserve(keys);
     }
 
     fn resolve(&self, key: &str) -> Result<u64, StoreError> {

@@ -187,10 +187,10 @@ impl WorkloadSpec {
 pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     rng: StdRng,
+    /// Keys created so far.  Nothing removes or reorders a key, so the live
+    /// keys are `ObjectKey(0)` to `ObjectKey(next_key - 1)` in creation
+    /// order, and the Zipf samplers' rank `k` is `ObjectKey(k - 1)`.
     next_key: u64,
-    /// Live keys in creation order — also the Zipf samplers' rank table:
-    /// rank `k` is `live[k - 1]`, since nothing removes or reorders a key.
-    live: Vec<ObjectKey>,
     /// Cached distribution, rebuilt only when `(population, theta)` changes —
     /// the O(n) harmonic loop must not run once per sampled batch.
     zipf_cache: Option<ZipfDistribution>,
@@ -204,14 +204,30 @@ impl WorkloadGenerator {
             spec,
             rng,
             next_key: 0,
-            live: Vec::new(),
             zipf_cache: None,
         }
     }
 
     /// Keys of the objects currently live, in creation order.
-    pub fn live_keys(&self) -> &[ObjectKey] {
-        &self.live
+    pub fn live_keys(&self) -> impl ExactSizeIterator<Item = ObjectKey> + Clone {
+        (0..self.live_count()).map(|key| ObjectKey(key as u64))
+    }
+
+    /// Number of live objects, as the `usize` the samplers draw indices in.
+    fn live_count(&self) -> usize {
+        self.next_key as usize
+    }
+
+    /// Every live key once, as `op(key)`, in a random order: Fisher-Yates
+    /// with the generator's own RNG keeps the run deterministic for a given
+    /// seed.  The ops are shuffled where they lie, so a round allocates
+    /// nothing but the `Vec` it returns.
+    fn shuffled(&mut self, op: fn(ObjectKey) -> WorkloadOp) -> Vec<WorkloadOp> {
+        let mut ops: Vec<WorkloadOp> = self.live_keys().map(op).collect();
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, self.rng.gen_range(0..=i));
+        }
+        ops
     }
 
     /// The bulk-load phase: one `Put` per object.
@@ -220,7 +236,6 @@ impl WorkloadGenerator {
             .map(|_| {
                 let key = ObjectKey(self.next_key);
                 self.next_key += 1;
-                self.live.push(key);
                 WorkloadOp::Put {
                     key,
                     size: self.spec.sizes.sample(&mut self.rng),
@@ -232,36 +247,20 @@ impl WorkloadGenerator {
     /// One aging round: every live object is safe-written exactly once, in a
     /// random order.  Running `n` rounds advances the storage age by `n`.
     pub fn overwrite_round(&mut self) -> Vec<WorkloadOp> {
-        let mut order: Vec<usize> = (0..self.live.len()).collect();
-        // Fisher-Yates with the generator's own RNG keeps the run
-        // deterministic for a given seed.
-        for i in (1..order.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
-            order.swap(i, j);
+        let mut ops = self.shuffled(|key| WorkloadOp::SafeWrite { key, size: 0 });
+        // The sizes are drawn after the order, in round order.
+        for op in &mut ops {
+            if let WorkloadOp::SafeWrite { size, .. } = op {
+                *size = self.spec.sizes.sample(&mut self.rng);
+            }
         }
-        order
-            .into_iter()
-            .map(|index| WorkloadOp::SafeWrite {
-                key: self.live[index],
-                size: self.spec.sizes.sample(&mut self.rng),
-            })
-            .collect()
+        ops
     }
 
     /// A read phase: every live object is read exactly once, in a random
     /// order (the paper's randomized read benchmark).
     pub fn read_all(&mut self) -> Vec<WorkloadOp> {
-        let mut order: Vec<usize> = (0..self.live.len()).collect();
-        for i in (1..order.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        order
-            .into_iter()
-            .map(|index| WorkloadOp::Get {
-                key: self.live[index],
-            })
-            .collect()
+        self.shuffled(|key| WorkloadOp::Get { key })
     }
 
     /// A random sample of `count` whole-object reads over the live
@@ -269,12 +268,12 @@ impl WorkloadGenerator {
     /// length is set by the offered rate and measurement duration rather
     /// than the population size.  Deterministic for a given generator state.
     pub fn read_sample(&mut self, count: usize) -> Vec<WorkloadOp> {
-        if self.live.is_empty() {
+        if self.next_key == 0 {
             return Vec::new();
         }
         (0..count)
             .map(|_| WorkloadOp::Get {
-                key: self.live[self.rng.gen_range(0..self.live.len())],
+                key: ObjectKey(self.rng.gen_range(0..self.live_count()) as u64),
             })
             .collect()
     }
@@ -285,12 +284,12 @@ impl WorkloadGenerator {
     /// [`WorkloadGenerator::overwrite_round`] this does not touch every
     /// object once, so it advances storage age in proportion to `count`.
     pub fn safe_write_sample(&mut self, count: usize) -> Vec<WorkloadOp> {
-        if self.live.is_empty() {
+        if self.next_key == 0 {
             return Vec::new();
         }
         (0..count)
             .map(|_| WorkloadOp::SafeWrite {
-                key: self.live[self.rng.gen_range(0..self.live.len())],
+                key: ObjectKey(self.rng.gen_range(0..self.live_count()) as u64),
                 size: self.spec.sizes.sample(&mut self.rng),
             })
             .collect()
@@ -390,20 +389,17 @@ impl WorkloadGenerator {
     /// Deterministic for a given generator state; empty population yields
     /// an empty sample.
     pub fn zipf_read_sample(&mut self, count: usize, theta: f64) -> Vec<WorkloadOp> {
-        if self.live.is_empty() {
+        if self.next_key == 0 {
             return Vec::new();
         }
         self.refresh_zipf_cache(theta);
         let Self {
-            zipf_cache,
-            live,
-            rng,
-            ..
+            zipf_cache, rng, ..
         } = self;
         let zipf = zipf_cache.as_ref().expect("refreshed above");
         (0..count)
             .map(|_| WorkloadOp::Get {
-                key: live[zipf.sample(rng) - 1],
+                key: ObjectKey(zipf.sample(rng) as u64 - 1),
             })
             .collect()
     }
@@ -413,28 +409,27 @@ impl WorkloadGenerator {
     /// [`WorkloadGenerator::zipf_read_sample`], so a mixed Zipfian workload
     /// reads and rewrites the same objects.
     pub fn zipf_safe_write_sample(&mut self, count: usize, theta: f64) -> Vec<WorkloadOp> {
-        if self.live.is_empty() {
+        if self.next_key == 0 {
             return Vec::new();
         }
         self.refresh_zipf_cache(theta);
         let Self {
             spec,
             zipf_cache,
-            live,
             rng,
             ..
         } = self;
         let zipf = zipf_cache.as_ref().expect("refreshed above");
         (0..count)
             .map(|_| WorkloadOp::SafeWrite {
-                key: live[zipf.sample(rng) - 1],
+                key: ObjectKey(zipf.sample(rng) as u64 - 1),
                 size: spec.sizes.sample(rng),
             })
             .collect()
     }
 
     fn refresh_zipf_cache(&mut self, theta: f64) {
-        let n = self.live.len();
+        let n = self.live_count();
         if self
             .zipf_cache
             .as_ref()
@@ -606,7 +601,7 @@ mod tests {
             let WorkloadOp::Get { key } = op else {
                 panic!("read sample must contain only gets");
             };
-            assert!(a.live_keys().contains(key));
+            assert!(a.live_keys().any(|live| live == *key));
         }
         let writes = a.safe_write_sample(50);
         assert_eq!(writes, b.safe_write_sample(50));
@@ -614,7 +609,7 @@ mod tests {
             let WorkloadOp::SafeWrite { key, size } = op else {
                 panic!("write sample must contain only safe writes");
             };
-            assert!(a.live_keys().contains(key));
+            assert!(a.live_keys().any(|live| live == *key));
             assert_eq!(*size, 4096);
         }
         // An empty population yields empty samples instead of panicking.
@@ -671,11 +666,11 @@ mod tests {
             let WorkloadOp::Get { key } = op else {
                 panic!("zipf read sample must contain only gets");
             };
-            assert!(a.live_keys().contains(key));
+            assert!(a.live_keys().any(|live| live == *key));
             *hits.entry(*key).or_insert(0usize) += 1;
         }
         // The hottest key (rank 1 = first created) must clearly lead.
-        let first = a.live_keys()[0];
+        let first = a.live_keys().next().unwrap();
         let hottest = hits.values().max().copied().unwrap();
         assert_eq!(hits.get(&first).copied().unwrap_or(0), hottest);
 
@@ -685,7 +680,7 @@ mod tests {
             let WorkloadOp::SafeWrite { key, size } = op else {
                 panic!("zipf write sample must contain only safe writes");
             };
-            assert!(a.live_keys().contains(key));
+            assert!(a.live_keys().any(|live| live == *key));
             assert_eq!(*size, 4096);
         }
         let mut empty = WorkloadGenerator::new(four_kb_objects(0, 42));
@@ -738,7 +733,7 @@ mod tests {
             spec.sizes.sample(&mut twin);
         }
         let zipf = ZipfDistribution::new(48, 1.0);
-        let live = generator.live_keys().to_vec();
+        let live: Vec<ObjectKey> = generator.live_keys().collect();
         for op in generator.zipf_read_sample(64, 1.0) {
             let WorkloadOp::Get { key } = op else {
                 panic!("zipf read sample must contain only gets");

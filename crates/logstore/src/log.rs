@@ -56,33 +56,31 @@
 //!
 //! # The object table
 //!
-//! Objects are found by the caller's `u64` id in a hash table with a fixed
-//! state — ids are the caller's to choose, so sparse and unbounded, and no
-//! `Vec` can index them.  Every use on an operation's path is a point
-//! look-up; the cleaner takes its order from the per-segment resident lists
-//! (ascending, and that order decides the layout), never from the table, so
-//! the table's own order reaches no simulated result.  [`SegmentLog::ids`]
-//! sorts on demand and [`SegmentLog::verify`] needs no order.
+//! Objects are filed in a [`lor_alloc::IdTable`] under the ids the log
+//! issues, 1, 2, 3, … in insert order: both insert paths take only
+//! [`SegmentLog::next_id`], refuse any other id with
+//! [`LogError::IdOutOfOrder`] before touching anything, and file the record
+//! after the append, so a failed insert consumes no id.  The cleaner takes
+//! its order from the per-segment resident lists (ascending, and that order
+//! decides the layout), never from the table.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
 use std::mem;
 
 use lor_alloc::{
-    Extent, FragmentationSummary, FragmentationTracker, FreeSpace, PlacementConsumer, RunIndexMap,
+    Extent, FragmentationSummary, FragmentationTracker, FreeSpace, IdTable, PlacementConsumer,
+    RunIndexMap,
 };
 
 use crate::config::{CleanerSelector, LogConfig};
 
-/// Errors the log can raise.  Object identity is a caller-assigned `u64`; the
-/// wrapping store owns the name-to-id map, mirroring how the filesystem
-/// substrate owns its directory.
+/// Errors the log can raise.  Objects are known by the `u64` ids the log
+/// issues (module docs, "The object table"); the wrapping store owns the
+/// name-to-id map, mirroring how the filesystem substrate owns its directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogError {
-    /// Insert of an id that is already live.
-    ObjectExists(u64),
+    /// Insert of an id other than [`SegmentLog::next_id`]; nothing changed.
+    IdOutOfOrder(u64),
     /// Update/remove of an id that is not live.
     NoSuchObject(u64),
     /// No eligible free segment (for the foreground: even after emergency
@@ -95,7 +93,7 @@ pub enum LogError {
 impl fmt::Display for LogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LogError::ObjectExists(id) => write!(f, "object {id} already exists"),
+            LogError::IdOutOfOrder(id) => write!(f, "object id {id} is out of order"),
             LogError::NoSuchObject(id) => write!(f, "no such object {id}"),
             LogError::OutOfSpace => write!(f, "log is out of eligible free segments"),
             LogError::BadConfig(message) => write!(f, "bad log config: {message}"),
@@ -265,9 +263,8 @@ pub struct SegmentLog {
     /// cleaner's reverse index.  Each list strictly ascending: a victim's
     /// survivors are moved in that order, and the order decides the layout.
     residents: Vec<Vec<u64>>,
-    /// Every live object by id, hashed with a fixed state; no simulated
-    /// result reads its order (module docs, "The object table").
-    objects: HashMap<u64, ObjectRecord, BuildHasherDefault<DefaultHasher>>,
+    /// Every live object by id (module docs, "The object table").
+    objects: IdTable<ObjectRecord>,
     tracker: FragmentationTracker,
     /// Open foreground append head.
     fg_head: Option<u64>,
@@ -310,7 +307,7 @@ impl SegmentLog {
             residents: (0..data)
                 .map(|_| Vec::with_capacity(RESIDENTS_AT_FORMAT))
                 .collect(),
-            objects: HashMap::default(),
+            objects: IdTable::new(),
             tracker: FragmentationTracker::new(),
             fg_head: None,
             maint_head: None,
@@ -362,21 +359,30 @@ impl SegmentLog {
 
     /// `true` when `id` is live.
     pub fn contains(&self, id: u64) -> bool {
-        self.objects.contains_key(&id)
+        self.objects.contains(id)
     }
 
-    /// Live object ids, ascending (sorted on demand: the object table is
-    /// hashed, and only tests and reports ask).
+    /// The id the next insert must carry: 1 on a fresh log, then one past
+    /// the newest id inserted (module docs, "The object table").
+    pub fn next_id(&self) -> u64 {
+        self.objects.next_id().max(1)
+    }
+
+    /// Makes room in the object table for `objects` more inserts, so that a
+    /// bulk load of the planned population grows none of its buffers.
+    pub fn reserve(&mut self, objects: usize) {
+        self.objects.reserve(objects);
+    }
+
+    /// Live object ids, ascending.
     pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut ids: Vec<u64> = self.objects.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
+        self.objects.iter().map(|(id, _)| id)
     }
 
     /// Size of a live object.
     pub fn size_of(&self, id: u64) -> Result<u64, LogError> {
         self.objects
-            .get(&id)
+            .get(id)
             .map(|record| record.size)
             .ok_or(LogError::NoSuchObject(id))
     }
@@ -384,7 +390,7 @@ impl SegmentLog {
     /// The object's extents in byte order (absolute device offsets).
     pub fn extents_of(&self, id: u64) -> Result<&[Extent], LogError> {
         self.objects
-            .get(&id)
+            .get(id)
             .map(|record| record.extents.as_slice())
             .ok_or(LogError::NoSuchObject(id))
     }
@@ -442,6 +448,8 @@ impl SegmentLog {
     ///   every other occupied segment is sealed;
     /// * per segment `live ≤ written ≤ segment_bytes`, and `live` is the sum
     ///   of the live extents' bytes inside it;
+    /// * the object table's own structure holds
+    ///   ([`lor_alloc::IdTable::verify`]);
     /// * the segment totals add up to `live_bytes` and `dead_bytes`;
     /// * the free map holds exactly the unwritten segments, `free_segments`
     ///   counts them, and the map's own structure holds
@@ -473,12 +481,15 @@ impl SegmentLog {
             }
         }
 
+        self.objects
+            .verify()
+            .map_err(|why| format!("object table: {why}"))?;
         let mut live = vec![0u64; self.segments.len()];
         let mut resident_objects = vec![0usize; self.segments.len()];
         let mut recount = FragmentationTracker::new();
         let data_end = self.base_offset + self.data_capacity_bytes();
         let mut covered = Vec::new();
-        for (id, record) in &self.objects {
+        for (id, record) in self.objects.iter() {
             let total: u64 = record.extents.iter().map(|extent| extent.len).sum();
             if total != record.size {
                 return Err(format!(
@@ -507,7 +518,7 @@ impl SegmentLog {
             covered.sort_unstable();
             covered.dedup();
             for idx in covered.drain(..) {
-                if self.residents[idx].binary_search(id).is_err() {
+                if self.residents[idx].binary_search(&id).is_err() {
                     return Err(format!(
                         "object {id} has bytes in segment {idx} but is not resident there"
                     ));
@@ -612,14 +623,39 @@ impl SegmentLog {
         }
     }
 
-    /// Inserts a new object of `size` bytes at the foreground head.
+    /// Inserts a new object of `size` bytes at the foreground head, under
+    /// `id`, which must be [`SegmentLog::next_id`].
     pub fn insert(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
-        self.pass_start = None;
-        if self.objects.contains_key(&id) {
-            return Err(LogError::ObjectExists(id));
+        self.insert_through(id, size, PlacementConsumer::Foreground)
+    }
+
+    /// [`SegmentLog::insert`] through the *maintenance* head — shard
+    /// migration and other background ingest are placed like cleaner output,
+    /// so the foreground head's locality is undisturbed.  Never triggers
+    /// emergency cleaning: if the placement policy refuses the cleaner's band
+    /// the space, the caller gets [`LogError::OutOfSpace`].
+    pub fn insert_as_maintenance(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
+        self.insert_through(id, size, Self::maintenance_consumer())
+    }
+
+    /// Both inserts (module docs, "The object table"); only the foreground
+    /// may clean under pressure first.
+    fn insert_through(
+        &mut self,
+        id: u64,
+        size: u64,
+        consumer: PlacementConsumer,
+    ) -> Result<AppendOutcome, LogError> {
+        if id != self.next_id() {
+            return Err(LogError::IdOutOfOrder(id));
         }
-        let emergency = self.ensure_space_for(size)?;
-        let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
+        self.pass_start = None;
+        let emergency = if consumer.is_maintenance() {
+            CleanReport::default()
+        } else {
+            self.ensure_space_for(size)?
+        };
+        let extents = self.append_bytes(size, consumer)?;
         let fragments = extents.len() as u64;
         self.replace_residents(id, &[], &extents);
         self.tracker.record_insert(fragments);
@@ -637,40 +673,12 @@ impl SegmentLog {
         })
     }
 
-    /// Inserts a new object through the *maintenance* head — shard
-    /// migration and other background ingest are placed like cleaner output,
-    /// so the foreground head's locality is undisturbed.  Never triggers
-    /// emergency cleaning: if the placement policy refuses the cleaner's band
-    /// the space, the caller gets [`LogError::OutOfSpace`].
-    pub fn insert_as_maintenance(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
-        self.pass_start = None;
-        if self.objects.contains_key(&id) {
-            return Err(LogError::ObjectExists(id));
-        }
-        let extents = self.append_bytes(size, Self::maintenance_consumer())?;
-        let fragments = extents.len() as u64;
-        self.replace_residents(id, &[], &extents);
-        self.tracker.record_insert(fragments);
-        self.objects.insert(
-            id,
-            ObjectRecord {
-                size,
-                extents: extents.clone(),
-            },
-        );
-        Ok(AppendOutcome {
-            extents,
-            fragments,
-            emergency: CleanReport::default(),
-        })
-    }
-
     /// Writes a new version of a live object (append-then-deaden: the old
     /// copy stays live until the new one is fully on disk, so the transient
     /// footprint is both versions — the log's safe write).
     pub fn update(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
         self.pass_start = None;
-        if !self.objects.contains_key(&id) {
+        if !self.objects.contains(id) {
             return Err(LogError::NoSuchObject(id));
         }
         let emergency = self.ensure_space_for(size)?;
@@ -692,7 +700,7 @@ impl SegmentLog {
     /// Deadens and forgets a live object; its bytes wait for the cleaner.
     pub fn remove(&mut self, id: u64) -> Result<u64, LogError> {
         self.pass_start = None;
-        let record = self.objects.remove(&id).ok_or(LogError::NoSuchObject(id))?;
+        let record = self.objects.remove(id).ok_or(LogError::NoSuchObject(id))?;
         self.deaden(&record.extents);
         self.replace_residents(id, &record.extents, &[]);
         self.tracker.record_remove(record.extents.len() as u64);
@@ -711,7 +719,7 @@ impl SegmentLog {
         let mut report = CleanReport::default();
         while let Some(victim) = self.next_victim(None).victim {
             let survivors = self.residents[victim as usize].clone();
-            let survivor_bytes: u64 = survivors.iter().map(|id| self.objects[id].size).sum();
+            let survivor_bytes: u64 = survivors.iter().map(|&id| self.record(id).size).sum();
             if report.bytes_copied > 0 && report.bytes_copied + survivor_bytes > copy_budget {
                 break;
             }
@@ -737,23 +745,20 @@ impl SegmentLog {
         self.clean_step(u64::MAX)
     }
 
-    /// Space the foreground could append right now: the open head's spare
-    /// plus every free segment (the foreground spills across bands).
-    fn foreground_available(&self) -> u64 {
-        let spare = self.fg_head.map_or(0, |idx| {
-            self.config.segment_bytes - self.segments[idx as usize].written
-        });
-        spare + self.free_count * self.config.segment_bytes
-    }
-
-    /// Space the cleaner could append right now under the placement policy.
-    fn maintenance_available(&self) -> u64 {
+    /// Space `consumer` could append right now: its open head's spare plus
+    /// the free segments it may open — every one for the foreground, which
+    /// spills across bands, and for the cleaner those placement allows.
+    fn available(&self, consumer: PlacementConsumer) -> u64 {
         let segment_bytes = self.config.segment_bytes;
-        let consumer = Self::maintenance_consumer();
-        let spare = self
-            .maint_head
-            .map_or(0, |idx| segment_bytes - self.segments[idx as usize].written);
-        let eligible_segments = if let Some(cap) = self.config.placement.run_cap(consumer) {
+        let head = if consumer.is_maintenance() {
+            self.maint_head
+        } else {
+            self.fg_head
+        };
+        let spare = head.map_or(0, |idx| segment_bytes - self.segments[idx as usize].written);
+        let eligible_segments = if !consumer.is_maintenance() {
+            self.free_count
+        } else if let Some(cap) = self.config.placement.run_cap(consumer) {
             self.free
                 .free_runs()
                 .iter()
@@ -793,7 +798,7 @@ impl SegmentLog {
     fn ensure_space_for(&mut self, size: u64) -> Result<CleanReport, LogError> {
         let mut report = CleanReport::default();
         loop {
-            let available = self.foreground_available();
+            let available = self.available(PlacementConsumer::Foreground);
             if available >= size + self.config.segment_bytes {
                 break;
             }
@@ -920,8 +925,13 @@ impl SegmentLog {
     /// The record of a live object.  Every caller has either checked `id`
     /// against `objects` itself or read it from `residents`, whose entries
     /// [`SegmentLog::verify`] holds to live objects.
+    fn record(&self, id: u64) -> &ObjectRecord {
+        self.objects.get(id).expect("id is a live object")
+    }
+
+    /// [`SegmentLog::record`], mutably.
     fn record_mut(&mut self, id: u64) -> &mut ObjectRecord {
-        self.objects.get_mut(&id).expect("id is a live object")
+        self.objects.get_mut(id).expect("id is a live object")
     }
 
     /// Background cleaning of one victim: every survivor (`survivors`, its
@@ -935,12 +945,12 @@ impl SegmentLog {
         survivors: Vec<u64>,
         need: u64,
     ) -> Result<CleanReport, LogError> {
-        if need > self.maintenance_available() {
+        if need > self.available(Self::maintenance_consumer()) {
             return Err(LogError::OutOfSpace);
         }
         let mut report = CleanReport::default();
         for id in survivors {
-            let size = self.objects[&id].size;
+            let size = self.record(id).size;
             let extents = self.append_bytes(size, Self::maintenance_consumer())?;
             let old = mem::take(&mut self.record_mut(id).extents);
             self.deaden(&old);
@@ -966,10 +976,12 @@ impl SegmentLog {
         let span = self.segment_span(victim);
         let mut report = CleanReport::default();
         for id in ids {
-            let inside_need: u64 = self.objects[&id]
+            let inside_need: u64 = self
+                .record(id)
                 .extents
                 .iter()
-                .map(|extent| Self::overlap_len(extent, &span))
+                .flat_map(|extent| self.parts(*extent))
+                .filter_map(|(idx, part)| (idx as u64 == victim).then_some(part))
                 .sum();
             let fresh = self.append_bytes(inside_need, PlacementConsumer::Foreground)?;
             let record = self.record_mut(id);
@@ -1020,12 +1032,7 @@ impl SegmentLog {
         mut remaining: u64,
         consumer: PlacementConsumer,
     ) -> Result<Vec<Extent>, LogError> {
-        let available = if consumer.is_maintenance() {
-            self.maintenance_available()
-        } else {
-            self.foreground_available()
-        };
-        if remaining > available {
+        if remaining > self.available(consumer) {
             self.debug_verify();
             return Err(LogError::OutOfSpace);
         }
@@ -1048,11 +1055,7 @@ impl SegmentLog {
                     // Sealed with bytes already dead: a candidate from now on.
                     self.summary[idx as usize / SUMMARY_BLOCK].fold(segment);
                 }
-                if consumer.is_maintenance() {
-                    self.maint_head = None;
-                } else {
-                    self.fg_head = None;
-                }
+                *self.head_mut(consumer) = None;
             }
             push_coalesced(&mut extents, Extent::new(start, take));
         }
@@ -1062,12 +1065,7 @@ impl SegmentLog {
     /// The consumer's open head, opening a fresh segment when none is open
     /// or the current one is sealed.
     fn ensure_head(&mut self, consumer: PlacementConsumer) -> Result<u64, LogError> {
-        let current = if consumer.is_maintenance() {
-            self.maint_head
-        } else {
-            self.fg_head
-        };
-        if let Some(idx) = current {
+        if let Some(idx) = *self.head_mut(consumer) {
             if self.segments[idx as usize].written < self.config.segment_bytes {
                 return Ok(idx);
             }
@@ -1085,12 +1083,17 @@ impl SegmentLog {
             youngest_seq: self.seq,
             opened_seq: self.seq,
         };
-        if consumer.is_maintenance() {
-            self.maint_head = Some(idx);
-        } else {
-            self.fg_head = Some(idx);
-        }
+        *self.head_mut(consumer) = Some(idx);
         Ok(idx)
+    }
+
+    /// The open head `consumer` appends through.
+    fn head_mut(&mut self, consumer: PlacementConsumer) -> &mut Option<u64> {
+        if consumer.is_maintenance() {
+            &mut self.maint_head
+        } else {
+            &mut self.fg_head
+        }
     }
 
     /// The next free segment `consumer` may open: the foreground walks its
@@ -1207,14 +1210,6 @@ impl SegmentLog {
         )
     }
 
-    /// Bytes of `extent` inside `span`.
-    fn overlap_len(extent: &Extent, span: &Extent) -> u64 {
-        extent
-            .end()
-            .min(span.end())
-            .saturating_sub(extent.start.max(span.start))
-    }
-
     /// Splits an extent at `span`'s boundaries, preserving byte order.
     fn split_by_span(extent: &Extent, span: &Extent) -> Vec<Extent> {
         let mut pieces = Vec::with_capacity(3);
@@ -1292,10 +1287,10 @@ mod tests {
     #[test]
     fn removes_deaden_everything_and_cleaning_reclaims() {
         let mut log = log_with(64 * MB, MB);
-        for id in 0..8 {
+        for id in 1..=8 {
             log.insert(id, MB / 2).unwrap();
         }
-        for id in 0..8 {
+        for id in 1..=8 {
             log.remove(id).unwrap();
         }
         assert_eq!(log.live_bytes(), 0);
@@ -1313,10 +1308,10 @@ mod tests {
         let mut log = log_with(64 * MB, MB);
         // Two half-MB objects per segment; deleting every other object
         // leaves every segment half dead.
-        for id in 0..16 {
+        for id in 1..=16 {
             log.insert(id, MB / 2).unwrap();
         }
-        for id in (0..16).step_by(2) {
+        for id in (1..=16).step_by(2) {
             log.remove(id).unwrap();
         }
         assert_eq!(log.dead_bytes(), 4 * MB);
@@ -1325,7 +1320,7 @@ mod tests {
         assert!(report.bytes_copied > 0, "survivors must be copied");
         assert_eq!(log.dead_bytes(), 0);
         // Survivors were rewritten in full, contiguously.
-        for id in (1..16).step_by(2) {
+        for id in (2..=16).step_by(2) {
             assert_eq!(log.extents_of(id).unwrap().len(), 1);
         }
         assert_eq!(log.cleaner_totals().bytes_copied, report.bytes_copied);
@@ -1338,13 +1333,13 @@ mod tests {
         log.insert(1, MB / 2).unwrap();
         log.insert(2, MB / 2).unwrap();
         log.remove(1).unwrap();
-        for id in 10..30 {
+        for id in 3..23 {
             log.insert(id, MB / 4).unwrap(); // fills segments 1..=5
         }
         // Segment 6: *more* dead but freshly written.
-        log.insert(3, MB / 4).unwrap();
-        log.insert(4, 3 * MB / 4).unwrap();
-        log.remove(4).unwrap();
+        log.insert(23, MB / 4).unwrap();
+        log.insert(24, 3 * MB / 4).unwrap();
+        log.remove(24).unwrap();
         let cost_benefit = log.select_victim(CleanerSelector::CostBenefit, None).victim;
         let greedy = log.select_victim(CleanerSelector::Greedy, None).victim;
         assert_eq!(greedy, Some(6), "greedy takes the most-dead segment");
@@ -1363,12 +1358,12 @@ mod tests {
         let mut log = log_with(18 * MB, MB);
         let data = log.segment_count();
         assert!(data >= 16);
-        for id in 0..10 {
+        for id in 1..=10 {
             log.insert(id, MB).unwrap();
         }
         for round in 0..6 {
             for id in 0..10 {
-                log.update((id + round) % 10, MB).unwrap();
+                log.update((id + round) % 10 + 1, MB).unwrap();
             }
         }
         assert!(
@@ -1383,6 +1378,66 @@ mod tests {
         assert_eq!(log.live_bytes(), 10 * MB);
         // Accounting stayed consistent: dead + live never exceeds capacity.
         assert!(log.dead_bytes() + log.live_bytes() <= log.data_capacity_bytes());
+    }
+
+    /// The id contract (module docs, "The object table").  With 1, 3 and 4
+    /// live and 2 removed, every id but 5 is refused on both insert paths
+    /// — the live newest (a repeat), a live and a removed one below it
+    /// (descending), 0, and ids past a gap up to `u64::MAX` — and each
+    /// refusal leaves the log exactly as it was and whole.  A failed append
+    /// consumes no id: the retry goes in under the same id.  Once every
+    /// object is gone the log still takes only the next id, and the calls
+    /// on an existing object answer `NoSuchObject` for any other.
+    ///
+    /// Mutation-checked: dropping the order check in `insert_through` fails
+    /// at the repeated id (the table's own ascending-id assertion panics);
+    /// filing a placeholder record before the append, and removing it again
+    /// when the append fails, fails inside the failed append in a debug
+    /// build (the log's `verify` finds the placeholder) and in release at
+    /// the second insert under id 5, refused as out of order.
+    #[test]
+    fn ids_out_of_order_are_refused_and_a_failed_insert_consumes_no_id() {
+        let mut log = log_with(8 * MB, MB);
+        assert_eq!(log.next_id(), 1);
+        for id in 1..=4 {
+            log.insert(id, MB / 2).unwrap();
+        }
+        log.remove(2).unwrap();
+        let before = format!("{log:?}");
+        for id in [4, 3, 2, 1, 0, 6, 1 << 40, u64::MAX] {
+            let refused = Err(LogError::IdOutOfOrder(id));
+            assert_eq!(log.insert(id, KB), refused);
+            assert_eq!(log.insert_as_maintenance(id, KB), refused);
+            assert_eq!(format!("{log:?}"), before, "refusing {id} changed the log");
+            assert_eq!(log.verify(), Ok(()));
+        }
+
+        let too_big = log.data_capacity_bytes();
+        assert_eq!(log.insert(5, too_big), Err(LogError::OutOfSpace));
+        assert_eq!(
+            log.insert_as_maintenance(5, too_big),
+            Err(LogError::OutOfSpace)
+        );
+        assert_eq!(log.next_id(), 5);
+        log.insert(5, MB / 2).unwrap();
+        log.insert_as_maintenance(6, MB / 2).unwrap();
+        assert_eq!(log.ids().collect::<Vec<_>>(), [1, 3, 4, 5, 6]);
+
+        for id in [1, 3, 4, 5, 6] {
+            log.remove(id).unwrap();
+        }
+        assert_eq!(log.next_id(), 7);
+        assert_eq!(log.insert(1, KB), Err(LogError::IdOutOfOrder(1)));
+        log.insert(7, KB).unwrap();
+        // The calls that address an existing object take any id too.
+        for id in [0, 6, 8, u64::MAX] {
+            assert!(!log.contains(id));
+            assert_eq!(log.size_of(id), Err(LogError::NoSuchObject(id)));
+            assert_eq!(log.extents_of(id), Err(LogError::NoSuchObject(id)));
+            assert_eq!(log.update(id, KB), Err(LogError::NoSuchObject(id)));
+            assert_eq!(log.remove(id), Err(LogError::NoSuchObject(id)));
+        }
+        assert_eq!(log.verify(), Ok(()));
     }
 
     #[test]
@@ -1422,10 +1477,10 @@ mod tests {
     #[test]
     fn segment_stats_track_utilization() {
         let mut log = log_with(64 * MB, MB);
-        for id in 0..4 {
+        for id in 1..=4 {
             log.insert(id, MB).unwrap();
         }
-        log.remove(0).unwrap();
+        log.remove(1).unwrap();
         let stats = log.segment_stats();
         assert_eq!(stats.total_segments, log.segment_count());
         assert_eq!(
@@ -1444,12 +1499,12 @@ mod tests {
     fn runs_are_deterministic() {
         let build = || {
             let mut log = log_with(32 * MB, MB);
-            for id in 0..12 {
+            for id in 1..=12 {
                 log.insert(id, 3 * MB / 4).unwrap();
             }
             for round in 0u64..4 {
                 for id in 0..12 {
-                    log.update((id * 5 + round) % 12, 3 * MB / 4).unwrap();
+                    log.update((id * 5 + round) % 12 + 1, 3 * MB / 4).unwrap();
                 }
             }
             log.clean_step(4 * MB).unwrap();
@@ -1483,14 +1538,14 @@ mod tests {
     #[test]
     fn verify_names_the_violated_invariant() {
         let mut log = log_with(18 * MB, MB);
-        for id in 0..20 {
+        for id in 1..=20 {
             log.insert(id, MB / 2).unwrap();
         }
         for id in 0..20 {
-            log.update((id * 7) % 20, 3 * MB / 4).unwrap();
+            log.update((id * 7) % 20 + 1, 3 * MB / 4).unwrap();
         }
-        log.remove(3).unwrap();
-        log.insert(20, MB / 4).unwrap();
+        log.remove(4).unwrap();
+        log.insert(21, MB / 4).unwrap();
         assert!(log.emergency_totals().segments_freed > 0);
         assert_eq!(log.verify(), Ok(()));
         let breaks = |edit: &dyn Fn(&mut SegmentLog), names: &str| {
@@ -1565,11 +1620,11 @@ mod tests {
         let mut log = blocks_of_kb_segments(12, CleanerSelector::CostBenefit);
         let segments = log.segment_count();
         let objects = segments * 8 * 4 / 10;
-        for id in 0..objects {
+        for id in 1..=objects {
             log.insert(id, KB / 8).unwrap();
         }
         let budget = log.summary.len() as u64 + SUMMARY_BLOCK as u64;
-        let mut order: Vec<u64> = (0..objects).collect();
+        let mut order: Vec<u64> = (1..=objects).collect();
         let mut state = 42u64;
         let mut selections = 0;
         for round in 0..5 {
@@ -1581,7 +1636,7 @@ mod tests {
             }
             for id in &order {
                 if log.free_count < 2 {
-                    let pick = log.next_victim(Some(log.foreground_available()));
+                    let pick = log.next_victim(Some(log.available(PlacementConsumer::Foreground)));
                     assert!(pick.victim.is_some());
                     assert!(
                         pick.evaluations <= budget,
@@ -1609,10 +1664,10 @@ mod tests {
         let mut log = blocks_of_kb_segments(12, CleanerSelector::Greedy);
         let segments = log.segment_count();
         // Two halves per segment, then the first half of each removed.
-        for id in 0..2 * (segments - 1) {
+        for id in 1..=2 * (segments - 1) {
             log.insert(id, KB / 2).unwrap();
         }
-        for id in (0..2 * (segments - 1)).step_by(2) {
+        for id in (1..=2 * (segments - 1)).step_by(2) {
             log.remove(id).unwrap();
         }
         let candidates = segments - 1;
@@ -1641,28 +1696,29 @@ mod tests {
         // One whole-segment object per segment up to two short of the border,
         // four in the hole the tie will fill, then two halves: an old,
         // half-dead segment in the higher block.
-        for id in 0..border + 2 {
+        for id in 1..=border + 2 {
             log.insert(id, KB).unwrap();
         }
-        log.insert(1_000, KB / 2).unwrap();
-        log.insert(1_001, KB / 2).unwrap();
-        log.insert(1_002, KB).unwrap();
-        for id in border - 2..border + 2 {
+        let half = border + 3;
+        log.insert(half, KB / 2).unwrap();
+        log.insert(half + 1, KB / 2).unwrap();
+        log.insert(half + 2, KB).unwrap();
+        for id in border - 1..=border + 2 {
             log.remove(id).unwrap();
         }
         assert_eq!(log.clean_step(1).unwrap().segments_freed, 4);
-        log.remove(1_000).unwrap();
+        log.remove(half).unwrap();
         // One append over the four freed segments, two on each side of the
         // border, dead at once: same `live`, same `youngest_seq`.
-        let tied = log.insert(2_000, 4 * KB).unwrap();
+        let tied = log.insert(half + 3, 4 * KB).unwrap();
         assert_eq!(
             tied.extents,
             [Extent::new(log.base_offset + (border - 2) * KB, 4 * KB)]
         );
-        log.remove(2_000).unwrap();
+        log.remove(half + 3).unwrap();
         // Age the log until the young dead segments outscore the old
         // half-dead one.
-        for id in 3_000..3_400 {
+        for id in half + 4..half + 404 {
             log.insert(id, 1).unwrap();
         }
         let [lower, higher] = [log.summary[0], log.summary[1]];
@@ -1675,10 +1731,10 @@ mod tests {
     #[test]
     fn a_failed_update_leaves_the_old_version_intact() {
         let mut log = log_with(18 * MB, MB);
-        for id in 0..10 {
+        for id in 1..=10 {
             log.insert(id, MB).unwrap();
         }
-        for id in 0..3 {
+        for id in 1..=3 {
             log.update(id, MB).unwrap();
         }
         let free_before = log.free_count;
@@ -1689,7 +1745,7 @@ mod tests {
         let fragmentation = log.fragmentation();
         // Vacating the three dead segments is not enough for this one.
         assert_eq!(
-            log.update(5, log.data_capacity_bytes() - 9 * MB),
+            log.update(6, log.data_capacity_bytes() - 9 * MB),
             Err(LogError::OutOfSpace)
         );
         assert_eq!(log.free_count, free_before + 3, "the vacates ran");
@@ -1703,7 +1759,7 @@ mod tests {
         assert_eq!(log.live_bytes(), 10 * MB);
         assert_eq!(log.verify(), Ok(()));
         // And the log is not wedged: what fits still goes in.
-        log.update(5, 2 * MB).unwrap();
+        log.update(6, 2 * MB).unwrap();
         assert_eq!(log.verify(), Ok(()));
     }
 
@@ -1716,25 +1772,25 @@ mod tests {
         let segments = log.segment_count();
         // Fill every segment, the cleaner's band included (the foreground
         // spills), with two halves each.
-        for id in 0..2 * segments {
+        for id in 1..=2 * segments {
             log.insert(id, MB / 2).unwrap();
         }
         assert_eq!(log.free_count, 0);
         // Segment 0 half dead; segments 1 and 2, in the foreground's band,
         // fully dead.
-        for id in [0, 2, 3, 4, 5] {
+        for id in [1, 3, 4, 5, 6] {
             log.remove(id).unwrap();
         }
-        let survivor = log.extents_of(1).unwrap().to_vec();
+        let survivor = log.extents_of(2).unwrap().to_vec();
         let report = log.clean_step(u64::MAX).unwrap();
         // The dead pair came back for free; the survivor had nowhere to go
         // that placement allows, though two segments are free.
         assert_eq!(report.segments_freed, 2);
         assert_eq!(report.bytes_copied, 0);
         assert_eq!(log.free_count, 2);
-        assert_eq!(log.maintenance_available(), 0);
-        assert_eq!(log.extents_of(1).unwrap(), survivor);
-        assert_eq!(log.residents[0], [1]);
+        assert_eq!(log.available(SegmentLog::maintenance_consumer()), 0);
+        assert_eq!(log.extents_of(2).unwrap(), survivor);
+        assert_eq!(log.residents[0], [2]);
         assert_eq!(log.next_victim(None).victim, Some(0));
         assert_eq!(log.dead_bytes(), MB / 2);
         assert_eq!(log.verify(), Ok(()));
@@ -1748,7 +1804,7 @@ mod tests {
         };
         // No dead byte anywhere.
         let mut log = log_with(18 * MB, MB);
-        for id in 0..8 {
+        for id in 1..=8 {
             log.insert(id, MB / 2).unwrap();
         }
         assert_eq!(log.dead_bytes(), 0);
@@ -1756,17 +1812,17 @@ mod tests {
         assert!(log.clean_step(u64::MAX).unwrap().is_empty());
         // Dead bytes, but every candidate holds more survivors than the
         // emergency path could copy: the append fails clean.
-        for id in 8..2 * log.segment_count() {
+        for id in 9..=2 * log.segment_count() {
             log.insert(id, MB / 2).unwrap();
         }
-        for id in (0..2 * log.segment_count()).step_by(8) {
+        for id in (1..=2 * log.segment_count()).step_by(8) {
             log.remove(id).unwrap();
         }
         assert!(log.dead_bytes() > 0);
-        assert_eq!(log.foreground_available(), 0);
+        assert_eq!(log.available(PlacementConsumer::Foreground), 0);
         assert_eq!(log.next_victim(Some(0)), nothing);
         let emergency = log.emergency_totals();
-        assert_eq!(log.insert(9_999, MB / 4), Err(LogError::OutOfSpace));
+        assert_eq!(log.insert(log.next_id(), MB / 4), Err(LogError::OutOfSpace));
         assert_eq!(log.emergency_totals(), emergency);
         assert_eq!(log.verify(), Ok(()));
         // The background cleaner, which may copy, still finds its victim.

@@ -23,12 +23,13 @@ fn aged_log(segments: u64, selector: CleanerSelector, banded: bool, script: &[St
     }
     let mut log = SegmentLog::new(config).unwrap();
     let mut ids: Vec<u64> = Vec::new();
-    for (next_id, &(kind, bytes)) in (0u64..).zip(script) {
+    for &(kind, bytes) in script {
         // Keep the log 80 % live or more, so appends vacate victims through
         // the foreground head and leave survivors straddling segments.
         if ids.is_empty() || log.live_bytes() * 10 < log.data_capacity_bytes() * 8 {
-            if log.insert(next_id, bytes).is_ok() {
-                ids.push(next_id);
+            let id = log.next_id();
+            if log.insert(id, bytes).is_ok() {
+                ids.push(id);
             }
             continue;
         }

@@ -10,6 +10,8 @@
 //! through, and the cleaning-pass stamp both logs gained together
 //! (`pass_start` and `opened_seq`: a pass never selects a segment it
 //! opened, so `clean_all` ends on logs whose objects straddle segments).
+//! Its refusal of a live id is an assertion: the differential offers it
+//! only the fresh ids the log's contract accepts.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -221,9 +223,7 @@ impl ReferenceLog {
     /// Inserts a new object of `size` bytes at the foreground head.
     pub fn insert(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
         self.pass_start = None;
-        if self.objects.contains_key(&id) {
-            return Err(LogError::ObjectExists(id));
-        }
+        assert!(!self.objects.contains_key(&id), "a fresh id");
         let emergency = self.ensure_space_for(size)?;
         let extents = self.append_bytes(size, PlacementConsumer::Foreground)?;
         let fragments = fragment_count(&extents);
@@ -250,9 +250,7 @@ impl ReferenceLog {
     /// the space, the caller gets [`LogError::OutOfSpace`].
     pub fn insert_as_maintenance(&mut self, id: u64, size: u64) -> Result<AppendOutcome, LogError> {
         self.pass_start = None;
-        if self.objects.contains_key(&id) {
-            return Err(LogError::ObjectExists(id));
-        }
+        assert!(!self.objects.contains_key(&id), "a fresh id");
         let extents = self.append_bytes(size, Self::maintenance_consumer())?;
         let fragments = fragment_count(&extents);
         self.add_residents(id, &extents);

@@ -114,7 +114,7 @@ fn fanout_p99_amplification_is_monotone_in_width() {
     .expect("fleet");
     let mut generator = WorkloadGenerator::new(config.workload());
     fleet.load(generator.bulk_load()).expect("bulk load");
-    let keys: Vec<ObjectKey> = generator.live_keys().to_vec();
+    let keys: Vec<ObjectKey> = generator.live_keys().collect();
 
     // The offered group rate is fixed; widening the fan-out multiplies the
     // per-shard read rate, pushing the busiest shard deep into queueing.
@@ -297,7 +297,7 @@ fn fleet_scenario(
         seed: 9,
     };
     let completions = fleet.run(mixed(load, reads, writes)).expect("mixed run");
-    let keys: Vec<ObjectKey> = generator.live_keys().to_vec();
+    let keys: Vec<ObjectKey> = generator.live_keys().collect();
     let groups: Vec<Vec<ObjectKey>> = (0..48)
         .map(|group| {
             (0..3)
@@ -494,7 +494,7 @@ fn unknown_key_reads_and_deletes_are_a_typed_miss() {
     }
 
     // Known keys still route through the directory and succeed.
-    let known = generator.live_keys()[0];
+    let known = generator.live_keys().next().unwrap();
     let known_read = vec![WorkloadOp::Get { key: known }];
     let completions = fleet
         .run(load.schedule(SimDuration::ZERO, known_read).unwrap())
