@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
-use lor_disksim::{ByteRun, Disk, DiskConfig, IoRequest, ServiceTime, SimClock, SimDuration};
+use lor_disksim::{AccessKind, ByteRun, Disk, DiskConfig, ServiceTime, SimClock, SimDuration};
 use lor_maint::{MaintIo, MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
 use lor_obs::Obs;
 
@@ -445,10 +445,10 @@ impl<S: Substrate> Store<S> {
     /// Services and costs a completed write.  Copying the write forced
     /// inside the substrate is charged to this operation (its bytes show up
     /// in `transferred_bytes`, making the write amplification visible).
-    fn write_receipt(&mut self, mut written: Written) -> OpReceipt {
-        let request = IoRequest::write_runs(std::mem::take(&mut written.runs));
-        let mut transferred = request.total_bytes();
-        let disk_time = self.disk.service(&request);
+    fn write_receipt(&mut self, written: Written) -> OpReceipt {
+        let served = self.disk.serve(AccessKind::Write, &written.runs);
+        let mut transferred = served.bytes;
+        let disk_time = served.time;
         let mut host_time = S::write_host_time(written.units, written.payload_bytes);
         if !written.forced_copy.is_empty() {
             let io = copy_io(self.disk.config(), &written.forced_copy);
@@ -459,14 +459,13 @@ impl<S: Substrate> Store<S> {
             }
         }
         self.charge(disk_time, host_time);
-        let request_fragments = || request.merged_segments().count() as u64;
         let fragments = match written.fragments {
             WrittenFragments::Counted(fragments) => fragments,
-            WrittenFragments::OfRequest => request_fragments(),
+            WrittenFragments::OfRequest => served.segments,
             WrittenFragments::OfRecord(version) => self
                 .substrate
                 .record_fragments(version)
-                .unwrap_or_else(request_fragments),
+                .unwrap_or(served.segments),
         };
         OpReceipt {
             payload_bytes: written.payload_bytes,
@@ -554,18 +553,15 @@ impl<S: Substrate> Store<S> {
 
     /// Services and costs a read of `plan`.
     fn read(&mut self, plan: ReadPlan) -> OpReceipt {
-        let request = IoRequest::read_runs(plan.runs);
-        let transferred = request.total_bytes();
-        let fragments = request.merged_segments().count() as u64;
-        let disk_time = self.disk.service(&request);
+        let served = self.disk.serve(AccessKind::Read, &plan.runs);
         let host_time = S::read_host_time(plan.units, plan.payload_bytes);
-        self.charge(disk_time, host_time);
+        self.charge(served.time, host_time);
         OpReceipt {
             payload_bytes: plan.payload_bytes,
-            transferred_bytes: transferred,
-            disk_time,
+            transferred_bytes: served.bytes,
+            disk_time: served.time,
             host_time,
-            fragments,
+            fragments: served.segments,
         }
     }
 

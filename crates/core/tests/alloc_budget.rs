@@ -11,6 +11,7 @@
 #![cfg(not(debug_assertions))]
 
 use lor_core::lor_disksim::SimDuration;
+use lor_core::lor_logstore::{LogConfig, SegmentLog};
 use lor_core::{
     calibrate_mixed_load, ExperimentConfig, ObjectKey, SizeDistribution, StoreKind, StoreServer,
     WorkloadOp,
@@ -287,6 +288,79 @@ fn lone_safe_writes_stay_inside_their_heap_call_budget() {
             (StoreKind::LogStructured, 6_299, 10_395),
         ],
         |kind| lone_calls(kind)[1],
+    );
+}
+
+/// Heap calls of `ROUNDS` rounds of updates on a bare segment log kept
+/// 80 % live, every object once a round in a fresh random order, after one
+/// round of warm-up: the free pool runs dry, so appends vacate victims
+/// through the foreground head, as on `age_log`.  Returns `[updates, calls,
+/// vacates, residents moved]`.
+fn vacating_updates() -> [u64; 4] {
+    const SEGMENT: u64 = 4 * 1024 * KB;
+    const SIZE: u64 = 192 * KB;
+    let mut log = SegmentLog::new(LogConfig::new(64 * SEGMENT)).expect("log formats");
+    let objects = log.data_capacity_bytes() * 8 / 10 / SIZE;
+    for id in 1..=objects {
+        log.insert(id, SIZE).expect("fits");
+    }
+    let mut order: Vec<u64> = (1..=objects).collect();
+    let mut state = 42u64;
+    let mut calls = 0;
+    let before = log.emergency_totals();
+    for round in 0..=ROUNDS {
+        for i in (1..order.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let ((), [allocs, reallocs]) = counted(|| {
+            for &id in &order {
+                log.update(id, SIZE)
+                    .expect("an 80 % live log takes an update");
+            }
+        });
+        // Round 0 sizes the log's buffers.
+        if round > 0 {
+            calls += allocs + reallocs;
+        }
+    }
+    let after = log.emergency_totals();
+    [
+        ROUNDS * objects,
+        calls,
+        after.segments_freed - before.segments_freed,
+        after.objects_moved - before.objects_moved,
+    ]
+}
+
+#[test]
+fn emergency_vacates_stay_inside_their_heap_call_budget() {
+    // (calls recorded, calls at the recording PR's parent) for the 16,928
+    // updates above, which make 2,069 vacates moving 27,054 residents.  An
+    // update allocates its version's extents and their copy in its
+    // outcome, and each resident a vacate moves its rebuilt extents: 3.72
+    // calls an update.  At the parent a vacate also cloned the victim's
+    // resident list, and per resident built a vector of the fresh pieces
+    // and one per extent it split, and per selection one of the block
+    // bounds: 7.12 calls an update, 27.8 more a vacate.
+    const BUDGET: u64 = 63_045;
+    const PARENT: u64 = 120_530;
+    let [updates, calls, vacates, moved] = vacating_updates();
+    assert!(
+        vacates > 1_000 && moved > vacates,
+        "{vacates} vacates moving {moved} residents"
+    );
+    assert!(
+        calls <= BUDGET,
+        "{calls} heap calls ({:.2} per update) for {updates} updates, {vacates} vacates \
+         moving {moved} residents, budget {BUDGET}",
+        calls as f64 / updates as f64,
+    );
+    assert!(
+        BUDGET < PARENT,
+        "the vacate budget is not below the parent's"
     );
 }
 

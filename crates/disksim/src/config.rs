@@ -9,9 +9,15 @@
 //! [`DiskConfig::scaled`] a smaller one with identical relative behaviour, so
 //! tests and CI-scale runs stay fast.  Changing any constant here moves every
 //! recorded result.
+//!
+//! The formulas below are the one definition of the model.  [`crate::Disk`]
+//! costs a segment from caches built from them: each zone's first offset
+//! and end per capacity, and two process-wide tables (the seek curve's
+//! square-root regime, and a zone's transfer time for every 4 KiB multiple
+//! up to 256 KiB), each entry made by calling the formula it caches.
 
 use crate::request::ByteRun;
-use crate::time::SimDuration;
+use crate::time::{round_half_up, SimDuration};
 
 /// The drive's name, as Table 1 prints it.
 const MODEL: &str = "simulated Seagate ST3400832AS (400GB, 7200rpm SATA)";
@@ -21,7 +27,7 @@ const CAPACITY_BYTES: u64 = 400 * 1000 * 1000 * 1000;
 const RPM: u32 = 7200;
 
 /// Recording zones, each an equal share of the capacity, outermost first.
-const ZONES: usize = 16;
+pub(crate) const ZONES: usize = 16;
 /// Media transfer rate of the outermost zone, bytes per second; the rates
 /// fall linearly from here to [`INNER_RATE`].
 const OUTER_RATE: f64 = 65.0e6;
@@ -40,7 +46,7 @@ const TRACK_TO_TRACK: f64 = 0.0008;
 /// sqrt(cylinder).
 const SHORT_COEFFICIENT: f64 = 5.5e-5;
 /// Distance (in cylinders) at which the curve turns linear.
-const SHORT_CUTOFF_CYLINDERS: u64 = 12_000;
+pub(crate) const SHORT_CUTOFF_CYLINDERS: u64 = 12_000;
 /// Constant offset of the linear regime, seconds.
 const LONG_BASE: f64 = 0.0045;
 /// Slope of the linear regime, seconds per cylinder.
@@ -56,7 +62,7 @@ const PER_REQUEST: SimDuration = SimDuration::from_micros(200);
 const PER_EXTRA_SEGMENT: SimDuration = SimDuration::from_micros(50);
 
 /// Seek time for a move of `distance` cylinders.
-fn seek_time(distance: u64) -> SimDuration {
+pub(crate) fn seek_time(distance: u64) -> SimDuration {
     if distance == 0 {
         return SimDuration::ZERO;
     }
@@ -77,6 +83,11 @@ fn zone_start(index: usize) -> f64 {
 fn zone_rate(index: usize) -> f64 {
     let t = index as f64 / (ZONES - 1) as f64;
     OUTER_RATE + (INNER_RATE - OUTER_RATE) * t
+}
+
+/// Media transfer time of `bytes` inside zone `index`.
+pub(crate) fn zone_transfer_time(index: usize, bytes: u64) -> SimDuration {
+    SimDuration::from_secs_f64(bytes as f64 / zone_rate(index))
 }
 
 /// The simulated disk: the testbed drive, or a slice of it.
@@ -145,12 +156,29 @@ impl DiskConfig {
         zone_rate(self.zone_index_at(offset))
     }
 
-    /// Index of the zone containing a byte offset.
-    fn zone_index_at(&self, offset: u64) -> usize {
+    /// Index of the zone containing a byte offset.  Monotone in `offset`:
+    /// every step (clamp, division by the capacity, scaling, truncation,
+    /// `min`) is.
+    pub(crate) fn zone_index_at(&self, offset: u64) -> usize {
         let fraction = offset.min(self.capacity_bytes) as f64 / self.capacity_bytes as f64;
         // Scaling by the power-of-two zone count is exact, so this is the
         // last zone whose start fraction is at most `fraction`.
         ((fraction * ZONES as f64) as usize).min(ZONES - 1)
+    }
+
+    /// Where [`DiskConfig::transfer_time`] ends a chunk in zone `zone`: the
+    /// next zone's start fraction of the capacity, truncated, or the end of
+    /// the address space for the last zone.  It need not be the first
+    /// offset [`DiskConfig::zone_index_at`] puts in the next zone: rounding
+    /// can put that a byte to either side (further on a disk too large for
+    /// an `f64` to hold every offset), and the transfer loop then moves a
+    /// one-byte chunk, or costs a byte of the next zone at this one's rate.
+    pub(crate) fn zone_end(&self, zone: usize) -> u64 {
+        if zone + 1 < ZONES {
+            (zone_start(zone + 1) * self.capacity_bytes as f64) as u64
+        } else {
+            u64::MAX
+        }
     }
 
     /// Media transfer time for one contiguous run, integrating across the
@@ -162,13 +190,8 @@ impl DiskConfig {
         while remaining > 0 {
             let zone = self.zone_index_at(offset);
             // Bytes until the next zone boundary (or the end of the disk).
-            let zone_end = if zone + 1 < ZONES {
-                (zone_start(zone + 1) * self.capacity_bytes as f64) as u64
-            } else {
-                u64::MAX
-            };
-            let chunk = remaining.min(zone_end.saturating_sub(offset).max(1));
-            total += SimDuration::from_secs_f64(chunk as f64 / zone_rate(zone));
+            let chunk = remaining.min(self.zone_end(zone).saturating_sub(offset).max(1));
+            total += zone_transfer_time(zone, chunk);
             remaining -= chunk;
             offset += chunk;
         }
@@ -177,7 +200,12 @@ impl DiskConfig {
 
     /// Seek time between two byte offsets.
     pub fn seek_between(&self, from: u64, to: u64) -> SimDuration {
-        seek_time(self.cylinder_of(from).abs_diff(self.cylinder_of(to)))
+        seek_time(self.seek_distance(from, to))
+    }
+
+    /// Model cylinders between two byte offsets.
+    pub(crate) fn seek_distance(&self, from: u64, to: u64) -> u64 {
+        self.cylinder_of(from).abs_diff(self.cylinder_of(to))
     }
 
     /// Estimated time for a background copy of `bytes` that repositions the
@@ -201,7 +229,7 @@ impl DiskConfig {
     /// Converts a byte offset into a model cylinder number for the seek curve.
     fn cylinder_of(&self, offset: u64) -> u64 {
         let fraction = offset.min(self.capacity_bytes) as f64 / self.capacity_bytes as f64;
-        (fraction * (CYLINDERS - 1) as f64).round() as u64
+        round_half_up(fraction * (CYLINDERS - 1) as f64)
     }
 }
 

@@ -10,7 +10,8 @@
 use lor_obs::{Obs, Track};
 
 use crate::config::DiskConfig;
-use crate::request::{AccessKind, IoRequest};
+use crate::memo::{cached_seek_time, cached_transfer_time, Zones};
+use crate::request::{merged, AccessKind, ByteRun, IoRequest};
 use crate::stats::DiskStats;
 use crate::time::{SimClock, SimDuration};
 
@@ -34,20 +35,37 @@ impl ServiceTime {
     }
 }
 
+/// What one request cost and what it moved: [`Disk::serve`]'s answer,
+/// from its one walk over the runs.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Served {
+    /// The service time breakdown.
+    pub time: ServiceTime,
+    /// Bytes transferred ([`IoRequest::total_bytes`]).
+    pub bytes: u64,
+    /// Segments the disk saw: the merged ones
+    /// ([`IoRequest::merged_segments`]).
+    pub segments: u64,
+}
+
 /// Deterministic single-spindle disk model.
 ///
 /// The disk keeps its head position and an internal clock.  Every call to
-/// [`Disk::service`] advances the clock by the computed service time, charges
-/// the statistics counters, and leaves the head at the end of the last
-/// segment transferred.
+/// [`Disk::serve`] (or [`Disk::service`]) advances the clock by the
+/// computed service time, charges the statistics counters, and leaves the
+/// head at the end of the last segment transferred.
 #[derive(Debug, Clone)]
 pub struct Disk {
     config: DiskConfig,
+    /// The capacity's zone boundaries, for costing a transfer without a
+    /// division (`None` past the capacities `memo.rs` interns).  A
+    /// reference to static storage, so a disk is no larger for it.
+    zones: Option<&'static Zones>,
     /// Current head position as a byte offset.
     head: u64,
-    /// End offset and kind of the most recent transfer, used for sequential
-    /// detection.
-    last_transfer: Option<(u64, AccessKind)>,
+    /// Kind of the most recent transfer, which ended at `head`; used for
+    /// sequential detection.
+    last_kind: Option<AccessKind>,
     clock: SimClock,
     stats: DiskStats,
     /// Observability handle (inert by default).
@@ -67,8 +85,9 @@ impl Disk {
     pub fn new(config: DiskConfig) -> Self {
         Disk {
             config,
+            zones: Zones::interned(&config),
             head: 0,
-            last_transfer: None,
+            last_kind: None,
             clock: SimClock::new(),
             stats: DiskStats::default(),
             obs: Obs::null(),
@@ -118,22 +137,30 @@ impl Disk {
 
     /// Computes the service time of `request` without mutating any state.
     pub fn estimate(&self, request: &IoRequest) -> ServiceTime {
-        self.compute(request).0
+        self.compute(request.kind, &request.segments).0.time
     }
 
     /// Services `request`: computes its cost, advances the clock, updates the
     /// statistics and the head position, and returns the cost breakdown.
     pub fn service(&mut self, request: &IoRequest) -> ServiceTime {
-        let (service, new_head, sequential_hit, segments) = self.compute(request);
+        self.serve(request.kind, &request.segments).time
+    }
+
+    /// Services a request of `kind` over `runs` (what [`Disk::service`]
+    /// does for an [`IoRequest`] of them) and returns its cost with the
+    /// bytes and merged segments it moved, all from one walk of the runs.
+    pub fn serve(&mut self, kind: AccessKind, runs: &[ByteRun]) -> Served {
+        let (served, new_head, sequential_hit) = self.compute(kind, runs);
+        let service = served.time;
         if let Some(end) = new_head {
             self.head = end;
-            self.last_transfer = Some((end, request.kind));
+            self.last_kind = Some(kind);
         }
         self.clock.advance(service.total());
-        let direction = self.stats.direction_mut(request.kind);
+        let direction = self.stats.direction_mut(kind);
         direction.requests += 1;
-        direction.segments += segments;
-        direction.bytes += request.total_bytes();
+        direction.segments += served.segments;
+        direction.bytes += served.bytes;
         direction.seek_time += service.seek;
         direction.rotation_time += service.rotation;
         direction.transfer_time += service.transfer;
@@ -146,13 +173,13 @@ impl Disk {
             let dur = service.total().as_nanos();
             self.obs.span(
                 Track::Disk,
-                request.kind.name(),
+                kind.name(),
                 start,
                 dur,
                 &[
                     ("consumer", self.obs_consumer.into()),
-                    ("bytes", request.total_bytes().into()),
-                    ("segments", segments.into()),
+                    ("bytes", served.bytes.into()),
+                    ("segments", served.segments.into()),
                     ("seek_ms", service.seek.as_millis_f64().into()),
                     ("rotation_ms", service.rotation.as_millis_f64().into()),
                     ("transfer_ms", service.transfer.as_millis_f64().into()),
@@ -161,29 +188,31 @@ impl Disk {
             );
             self.trace_cursor = start + dur;
         }
-        service
+        served
     }
 
     /// Core cost computation shared by [`Disk::estimate`] and
-    /// [`Disk::service`].
+    /// [`Disk::serve`]: one walk over the runs.
     ///
-    /// Returns `(service, new_head_position, sequential_hit, segment_count)`.
-    /// The segments charged are the request's *merged* ones
-    /// ([`IoRequest::merged_segments`]), so costing a request copies nothing.
-    fn compute(&self, request: &IoRequest) -> (ServiceTime, Option<u64>, bool, u64) {
+    /// Returns `(served, new_head_position, sequential_hit)`.  The segments
+    /// charged are the *merged* ones ([`IoRequest::merged_segments`]), so
+    /// costing a request copies nothing.  Each is costed with the
+    /// [`DiskConfig`] formulas, through their caches (`memo.rs`).
+    fn compute(&self, kind: AccessKind, runs: &[ByteRun]) -> (Served, Option<u64>, bool) {
         let mut service = ServiceTime::default();
         let mut head = self.head;
         let mut sequential_hit = false;
         let mut segments = 0u64;
-        for segment in request.merged_segments() {
-            let continues_stream = segments == 0
-                && matches!(self.last_transfer, Some((end, kind)) if end == segment.offset && kind == request.kind);
+        let mut bytes = 0u64;
+        for segment in merged(runs) {
+            let continues_stream =
+                segments == 0 && self.last_kind == Some(kind) && self.head == segment.offset;
             if continues_stream {
                 // The head is already positioned at the start of this run and
                 // the platter is rotating underneath it: pure media transfer.
                 sequential_hit = true;
             } else if head != segment.offset {
-                service.seek += self.config.seek_between(head, segment.offset);
+                service.seek += cached_seek_time(self.config.seek_distance(head, segment.offset));
                 service.rotation += self.config.average_rotational_latency();
             } else {
                 // Same byte offset but not a detected continuation (e.g. a
@@ -191,22 +220,46 @@ impl Disk {
                 // away, so charge a full revolution to come back around.
                 service.rotation += self.config.rotation_time();
             }
-            service.transfer += self.config.transfer_time(&segment);
+            service.transfer += self.transfer_time(segment);
             head = segment.end();
             segments += 1;
+            bytes += segment.len;
         }
         // A zero-byte request still costs the command overhead; this models
         // metadata-only operations issued through the same path.
         service.overhead = self.config.request_overhead(segments);
         let new_head = (segments > 0).then_some(head);
-        (service, new_head, sequential_hit, segments)
+        let served = Served {
+            time: service,
+            bytes,
+            segments,
+        };
+        (served, new_head, sequential_hit)
+    }
+
+    /// [`DiskConfig::transfer_time`], step for step, with the zone and its
+    /// end read off [`Zones`] and each chunk's time off the transfer table.
+    fn transfer_time(&self, run: ByteRun) -> SimDuration {
+        let Some(zones) = self.zones else {
+            return self.config.transfer_time(&run);
+        };
+        let mut remaining = run.len;
+        let mut offset = run.offset;
+        let mut total = SimDuration::ZERO;
+        while remaining > 0 {
+            let zone = zones.index_at(offset);
+            let chunk = remaining.min(zones.end(zone).saturating_sub(offset).max(1));
+            total += cached_transfer_time(zone, chunk);
+            remaining -= chunk;
+            offset += chunk;
+        }
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ByteRun;
 
     fn small_disk() -> Disk {
         Disk::new(DiskConfig::seagate_400gb_2005().scaled(4 * 1000 * 1000 * 1000))
@@ -325,6 +378,41 @@ mod tests {
         assert_eq!(disk.head_position(), before_head);
         assert_eq!(disk.elapsed(), before_elapsed);
         assert_eq!(disk.stats().total_requests(), 0);
+    }
+
+    /// A disk is no larger than before it kept zone boundaries: the live
+    /// heap of every store holds one.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_disk_stays_192_bytes() {
+        assert_eq!(std::mem::size_of::<Disk>(), 192);
+    }
+
+    /// Once every interned slot holds another capacity, a disk costs its
+    /// transfers with the formula itself, to the same nanosecond.
+    #[test]
+    fn a_disk_past_the_interned_capacities_costs_the_same() {
+        let full = DiskConfig::seagate_400gb_2005();
+        let capacities = (0..80u64).map(|i| 3_000_000_007 + i * 1_000_003);
+        let disks: Vec<Disk> = capacities.map(|c| Disk::new(full.scaled(c))).collect();
+        let last = disks.last().unwrap();
+        assert!(last.zones.is_none(), "80 capacities fill the slots");
+        for disk in [&disks[0], last] {
+            let config = disk.config();
+            let capacity = config.capacity_bytes();
+            for offset in [
+                0,
+                capacity / 16 - 1,
+                capacity / 2,
+                capacity - 5,
+                capacity + 5,
+            ] {
+                for len in [1, 4096, 65_536, 300_000, capacity / 8] {
+                    let run = ByteRun::new(offset, len);
+                    assert_eq!(disk.transfer_time(run), config.transfer_time(&run));
+                }
+            }
+        }
     }
 
     /// Nothing validates a capacity any more: `scaled` clamps it to one byte,

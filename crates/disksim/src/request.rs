@@ -60,6 +60,19 @@ impl ByteRun {
     }
 }
 
+/// The segments the disk sees of `runs`: [`IoRequest::merged_segments`]
+/// for a request of these runs.
+pub(crate) fn merged(runs: &[ByteRun]) -> impl Iterator<Item = ByteRun> + '_ {
+    let mut runs = runs.iter().filter(|run| !run.is_empty()).peekable();
+    std::iter::from_fn(move || {
+        let mut segment = *runs.next()?;
+        while let Some(run) = runs.next_if(|run| segment.is_followed_by(run)) {
+            segment.len += run.len;
+        }
+        Some(segment)
+    })
+}
+
 /// One I/O operation: an access kind plus the physical runs it touches, in
 /// the order the host will transfer them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,18 +137,7 @@ impl IoRequest {
     /// folded into it — formed on the fly, so costing or counting them
     /// copies nothing.
     pub fn merged_segments(&self) -> impl Iterator<Item = ByteRun> + '_ {
-        let mut runs = self
-            .segments
-            .iter()
-            .filter(|run| !run.is_empty())
-            .peekable();
-        std::iter::from_fn(move || {
-            let mut segment = *runs.next()?;
-            while let Some(run) = runs.next_if(|run| segment.is_followed_by(run)) {
-                segment.len += run.len;
-            }
-            Some(segment)
-        })
+        merged(&self.segments)
     }
 
     /// `true` if the request transfers no bytes.

@@ -63,7 +63,7 @@ impl SimDuration {
             SimDuration { nanos: u64::MAX }
         } else {
             SimDuration {
-                nanos: nanos.round() as u64,
+                nanos: round_half_up(nanos),
             }
         }
     }
@@ -185,6 +185,26 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `x.round() as u64` for a finite `0 ≤ x < 2⁶⁴`, without the out-of-line
+/// call `f64::round` compiles to on a CPU without a rounding instruction:
+/// the whole part by truncation, plus one if the remainder is at least ½.
+///
+/// Exact, by cases.  Let `w = x as u64`, which truncates, so `w = ⌊x⌋`.
+///
+/// * `x < 2⁵²`: `w < 2⁵²` converts back to `f64` exactly.  If `w = 0`, `x −
+///   w` is `x`.  Otherwise `w ≤ x < w + 1 ≤ 2w`, so `x − w` is exact by
+///   Sterbenz's lemma.  Either way the remainder is exactly `x − ⌊x⌋`, and
+///   `f64::round`, which rounds halves away from zero, returns `⌊x⌋ + 1`
+///   for `x ≥ 0` exactly when that remainder is `≥ ½`.
+/// * `x ≥ 2⁵²`: the spacing of `f64`s there is at least 1, so `x` is an
+///   integer, `w = x` converts back exactly, the remainder is 0, and the
+///   result is `x`, as `f64::round` leaves it.
+#[inline]
+pub(crate) fn round_half_up(x: f64) -> u64 {
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
+}
+
 /// A monotonically advancing simulated clock.
 ///
 /// The clock is a thin wrapper over [`SimDuration`]; it exists to make the
@@ -260,6 +280,39 @@ mod tests {
             SimDuration::from_secs_f64(f64::INFINITY).as_nanos(),
             u64::MAX
         );
+    }
+
+    /// The rounding helper against `f64::round` where the two could part:
+    /// zero, subnormals, every tie, a tie ± 1 ulp, and the top of the range
+    /// where `f64`s stop having fractions.  Mutation-checked: rounding ties
+    /// to even fails at 0.5 (every even n + ½), and `>` for `>=` at every
+    /// n + ½.
+    #[test]
+    fn round_half_up_is_f64_round() {
+        let two_52 = (1u64 << 52) as f64;
+        let mut inputs = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            two_52 - 0.5,
+            two_52 - 1.5,
+            two_52,
+            two_52 + 1.0,
+            2.0 * two_52,
+            2.0 * two_52 + 2.0,
+            u64::MAX as f64 / 2.0,
+        ];
+        for n in (0u64..64).chain([1_000_000, (1 << 51) + 7, (1 << 52) - 2]) {
+            let tie = n as f64 + 0.5;
+            inputs.extend([tie, tie.next_down(), tie.next_up(), n as f64]);
+        }
+        for x in inputs {
+            assert_eq!(round_half_up(x), x.round() as u64, "x = {x:e}");
+        }
+        assert_eq!(round_half_up(2.5), 3);
+        assert_eq!(round_half_up(two_52 - 0.5), 1 << 52);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! — the request is first cloned through [`IoRequest::coalesced`], then the
 //! merged copy is costed segment by segment.  The per-segment mechanics
 //! (seek curve, zone-integrated transfer, overheads) are the drive's own
-//! [`DiskConfig`] methods; what is modelled here is the loop around them.
+//! [`DiskConfig`] methods, called here for every segment, where
+//! `Disk` reads their values off caches built from them; what is modelled
+//! here is the loop around them.
 //!
 //! `differential.rs` drives it in lock-step with the real
 //! [`lor_disksim::Disk`] and demands the same [`ServiceTime`], head

@@ -173,6 +173,11 @@ pub struct Selection {
 /// "Host cost of the segment log").
 const SUMMARY_BLOCK: usize = 64;
 
+/// Summary blocks whose bounds a selection keeps on its stack (4 KiB): logs
+/// of up to 16,384 segments, 64 GiB of 4 MiB segments (the benchmark's is
+/// 9,238).  A larger log allocates them per selection.
+const STACK_BOUNDS: usize = 256;
+
 /// Room each segment's resident list is formatted with.  Lists that start
 /// empty and grow with the log cost the benchmark 16 % of its peak RSS for
 /// 1.2 MB of ids — their first, smallest allocations interleave with the
@@ -832,8 +837,8 @@ impl SegmentLog {
     /// The best victim under `selector` among the candidates with at most
     /// `max_live` live bytes that the pass under way, if any, did not open.
     /// Deterministic: ties keep the lowest index.
-    /// Block bounds first, then only the blocks that could hold the winner
-    /// (module docs).
+    /// Block bounds first, on the stack for up to [`STACK_BOUNDS`] blocks,
+    /// then only the blocks that could hold the winner (module docs).
     fn select_victim(&self, selector: CleanerSelector, max_live: Option<u64>) -> Selection {
         let segment_bytes = self.config.segment_bytes;
         let affordable = |live: u64| max_live.is_none_or(|cap| live <= cap);
@@ -845,16 +850,20 @@ impl SegmentLog {
         };
         let mut evaluations = 0;
 
-        let bounds: Vec<Option<f64>> = self
-            .summary
-            .iter()
-            .map(|block| {
-                (block.min_live < segment_bytes && affordable(block.min_live)).then(|| {
-                    evaluations += 1;
-                    score(block.min_live, block.min_youngest_seq)
-                })
-            })
-            .collect();
+        let mut on_stack = [None; STACK_BOUNDS];
+        let mut on_heap = Vec::new();
+        let bounds = if self.summary.len() <= STACK_BOUNDS {
+            &mut on_stack[..self.summary.len()]
+        } else {
+            on_heap.resize(self.summary.len(), None);
+            &mut on_heap[..]
+        };
+        for (bound, block) in bounds.iter_mut().zip(&self.summary) {
+            *bound = (block.min_live < segment_bytes && affordable(block.min_live)).then(|| {
+                evaluations += 1;
+                score(block.min_live, block.min_youngest_seq)
+            });
+        }
         let mut first: Option<(f64, usize)> = None;
         for (block, bound) in bounds.iter().enumerate() {
             if let Some(bound) = *bound {
@@ -970,58 +979,89 @@ impl SegmentLog {
     /// Emergency cleaning of one victim: only the live pieces *inside* the
     /// victim are copied (to the foreground head, interleaving with incoming
     /// writes — this is where an uncleaned log's fragmentation comes from);
-    /// extents elsewhere stay put.
+    /// extents elsewhere stay put.  Refused whole — nothing moved — when the
+    /// foreground cannot take the victim's live bytes; those bytes are
+    /// exactly the pieces moved, so once it can, no append fails.
+    ///
+    /// The victim's resident list is taken, not copied: every resident
+    /// leaves the victim, so the list ends empty and goes back, keeping its
+    /// capacity.
     fn vacate_segment(&mut self, victim: u64) -> Result<CleanReport, LogError> {
-        let ids = self.residents[victim as usize].clone();
-        let span = self.segment_span(victim);
-        let mut report = CleanReport::default();
-        for id in ids {
-            let inside_need: u64 = self
-                .record(id)
-                .extents
-                .iter()
-                .flat_map(|extent| self.parts(*extent))
-                .filter_map(|(idx, part)| (idx as u64 == victim).then_some(part))
-                .sum();
-            let fresh = self.append_bytes(inside_need, PlacementConsumer::Foreground)?;
-            let record = self.record_mut(id);
-            // The fresh extents stand in, byte for byte and in order, for the
-            // pieces inside the victim; `append_bytes` returned exactly
-            // `inside_need` bytes, so the supply cannot run out.
-            let mut supply = fresh.iter().copied();
-            let mut head = Extent::new(0, 0);
-            let mut rebuilt: Vec<Extent> = Vec::with_capacity(record.extents.len());
-            for extent in &record.extents {
-                for piece in Self::split_by_span(extent, &span) {
-                    if !span.contains(piece.start) {
-                        push_coalesced(&mut rebuilt, piece);
-                        continue;
-                    }
-                    let mut want = piece.len;
-                    while want > 0 {
-                        if head.is_empty() {
-                            head = supply.next().expect("fresh extents cover the need");
-                        }
-                        let (taken, rest) = head.take(want);
-                        want -= taken.len;
-                        head = rest;
-                        push_coalesced(&mut rebuilt, taken);
-                    }
-                }
-            }
-            let fragments = (record.extents.len() as u64, rebuilt.len() as u64);
-            record.extents = rebuilt;
-            self.tracker.record_replace(fragments.0, fragments.1);
-            // Every piece inside the victim died; the rest did not move.
-            self.deaden_part(victim as usize, inside_need);
-            self.replace_residents(id, &[span], &fresh);
-            report.bytes_copied += inside_need;
-            report.objects_moved += u64::from(inside_need > 0);
+        if self.segments[victim as usize].live > self.available(PlacementConsumer::Foreground) {
+            return Err(LogError::OutOfSpace);
         }
+        let mut ids = mem::take(&mut self.residents[victim as usize]);
+        let mut report = CleanReport::default();
+        for &id in &ids {
+            let moved = self.vacate_resident(victim, id);
+            report.bytes_copied += moved;
+            report.objects_moved += u64::from(moved > 0);
+        }
+        // The fresh pieces never land in the victim, which is sealed.
+        debug_assert!(self.residents[victim as usize].is_empty());
+        ids.clear();
+        self.residents[victim as usize] = ids;
         self.release_victim(victim);
         report.segments_freed += 1;
         self.debug_verify();
         Ok(report)
+    }
+
+    /// Moves the pieces of resident `id` inside `victim` to the foreground
+    /// head and returns their bytes.
+    fn vacate_resident(&mut self, victim: u64, id: u64) -> u64 {
+        let span = self.segment_span(victim);
+        let inside_need: u64 = self
+            .record(id)
+            .extents
+            .iter()
+            .flat_map(|extent| self.parts(*extent))
+            .filter_map(|(idx, part)| (idx as u64 == victim).then_some(part))
+            .sum();
+        // At most a segment of bytes through one head — its spare, then one
+        // fresh segment — is at most two maximal runs.
+        let mut fresh = [Extent::new(0, 0); 2];
+        let mut pieces = 0;
+        self.append_into(inside_need, PlacementConsumer::Foreground, |piece| {
+            if pieces == 0 || !fresh[pieces - 1].absorb(piece) {
+                fresh[pieces] = piece;
+                pieces += 1;
+            }
+        })
+        .expect("the foreground takes the victim's live bytes, checked by the vacate");
+        let fresh = &fresh[..pieces];
+        let record = self.record_mut(id);
+        // The fresh extents stand in, byte for byte and in order, for the
+        // pieces inside the victim; the append returned exactly
+        // `inside_need` bytes, so the supply cannot run out.
+        let mut supply = fresh.iter().copied();
+        let mut head = Extent::new(0, 0);
+        let mut rebuilt: Vec<Extent> = Vec::with_capacity(record.extents.len());
+        for extent in &record.extents {
+            for piece in Self::split_by_span(*extent, span) {
+                if !span.contains(piece.start) {
+                    push_coalesced(&mut rebuilt, piece);
+                    continue;
+                }
+                let mut want = piece.len;
+                while want > 0 {
+                    if head.is_empty() {
+                        head = supply.next().expect("fresh extents cover the need");
+                    }
+                    let (taken, rest) = head.take(want);
+                    want -= taken.len;
+                    head = rest;
+                    push_coalesced(&mut rebuilt, taken);
+                }
+            }
+        }
+        let fragments = (record.extents.len() as u64, rebuilt.len() as u64);
+        record.extents = rebuilt;
+        self.tracker.record_replace(fragments.0, fragments.1);
+        // Every piece inside the victim died; the rest did not move.
+        self.deaden_part(victim as usize, inside_need);
+        self.replace_residents(id, &[span], fresh);
+        inside_need
     }
 
     /// Appends `remaining` bytes through `consumer`'s head, sealing and
@@ -1029,16 +1069,30 @@ impl SegmentLog {
     /// checked up front, so no bytes land unless all do.
     fn append_bytes(
         &mut self,
-        mut remaining: u64,
+        remaining: u64,
         consumer: PlacementConsumer,
     ) -> Result<Vec<Extent>, LogError> {
+        let mut extents = Vec::new();
+        self.append_into(remaining, consumer, |piece| {
+            push_coalesced(&mut extents, piece)
+        })?;
+        Ok(extents)
+    }
+
+    /// [`SegmentLog::append_bytes`], handing each non-empty piece to `push`
+    /// in byte order, one per segment it lands in (a refusal hands none).
+    fn append_into(
+        &mut self,
+        mut remaining: u64,
+        consumer: PlacementConsumer,
+        mut push: impl FnMut(Extent),
+    ) -> Result<(), LogError> {
         if remaining > self.available(consumer) {
             self.debug_verify();
             return Err(LogError::OutOfSpace);
         }
         let segment_bytes = self.config.segment_bytes;
         self.seq += 1;
-        let mut extents: Vec<Extent> = Vec::new();
         while remaining > 0 {
             let idx = self.ensure_head(consumer)?;
             let segment = &mut self.segments[idx as usize];
@@ -1057,9 +1111,9 @@ impl SegmentLog {
                 }
                 *self.head_mut(consumer) = None;
             }
-            push_coalesced(&mut extents, Extent::new(start, take));
+            push(Extent::new(start, take));
         }
-        Ok(extents)
+        Ok(())
     }
 
     /// The consumer's open head, opening a fresh segment when none is open
@@ -1210,21 +1264,19 @@ impl SegmentLog {
         )
     }
 
-    /// Splits an extent at `span`'s boundaries, preserving byte order.
-    fn split_by_span(extent: &Extent, span: &Extent) -> Vec<Extent> {
-        let mut pieces = Vec::with_capacity(3);
-        let mut cursor = extent.start;
+    /// Splits an extent at `span`'s boundaries into at most three pieces —
+    /// before, inside, after — in byte order, leaving out empty ones.
+    fn split_by_span(extent: Extent, span: Extent) -> impl Iterator<Item = Extent> {
         let end = extent.end();
-        for boundary in [span.start, span.end()] {
-            if boundary > cursor && boundary < end {
-                pieces.push(Extent::new(cursor, boundary - cursor));
-                cursor = boundary;
-            }
-        }
-        if end > cursor {
-            pieces.push(Extent::new(cursor, end - cursor));
-        }
-        pieces
+        let inside = span.start.clamp(extent.start, end);
+        let after = span.end().clamp(inside, end);
+        [
+            Extent::new(extent.start, inside - extent.start),
+            Extent::new(inside, after - inside),
+            Extent::new(after, end - after),
+        ]
+        .into_iter()
+        .filter(|piece| !piece.is_empty())
     }
 }
 
