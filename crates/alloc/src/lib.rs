@@ -35,6 +35,10 @@
 //!   name maps hold.  A name of up to [`Name::INLINE`] bytes (every
 //!   workload key) lives in the table entry itself — the map's bucket, the
 //!   record's slab slot — and only a longer one in a heap block of its own.
+//!   [`NameMap`] is the one name-index type of all three substrates: a
+//!   `HashMap` keyed by [`Name`] with a fixed-state hasher, since nothing
+//!   observable iterates it and no key comes from an adversary
+//!   ([`in_name_order`] sorts its entries for the listings that want them).
 //!
 //! ## Example
 //!
@@ -82,7 +86,7 @@ pub use extent::{Extent, ExtentListExt, PackedRun, RunList};
 pub use freespace::{BitmapMap, FreeSpace, RunIndexMap};
 pub use idtable::IdTable;
 pub use metrics::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
-pub use name::Name;
+pub use name::{in_name_order, Name, NameMap};
 pub use placement::{PlacementConsumer, PlacementPolicy};
 pub use policy::{AllocRequest, AllocationPolicy, Contiguity, FitPicker, FitPolicy};
 pub use select::SelectableAllocator;

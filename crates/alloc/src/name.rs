@@ -10,10 +10,31 @@
 //! in the row and spills long ones to an overflow page.  The workloads'
 //! keys (`object-%08d`, 15 bytes) all fit, so a name costs no heap block
 //! and a probe reads its bytes out of the bucket it landed on.
+//!
+//! The three name indexes are one type, [`NameMap`], hashed with a fixed
+//! state rather than `HashMap`'s per-process random one.  Nothing
+//! observable iterates a name map — listings walk the record tables, in id
+//! order, and the two that want name order sort on demand
+//! ([`in_name_order`]) — so runs stay deterministic either way, and no key
+//! comes from an adversary, so the random state would defend nothing.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// A name index: name → id of every named object, searched with
+/// `name.as_bytes()` (module docs: why its hasher has a fixed state).
+pub type NameMap<Id> = HashMap<Name, Id, BuildHasherDefault<DefaultHasher>>;
+
+/// The entries of `map` in name order, which is `str` order: a sort on
+/// demand for the listings that want it (module docs).
+pub fn in_name_order<Id: Copy>(map: &NameMap<Id>) -> impl Iterator<Item = (&Name, Id)> {
+    let mut entries: Vec<(&Name, Id)> = map.iter().map(|(name, &id)| (name, id)).collect();
+    entries.sort_unstable_by_key(|&(name, _)| name.as_bytes());
+    entries.into_iter()
+}
 
 /// An immutable UTF-8 name: up to [`Name::INLINE`] bytes stored in the
 /// value itself, a longer one in a boxed slice.

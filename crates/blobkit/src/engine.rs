@@ -103,17 +103,17 @@
 //! and `compact_step` (two) — each commented with the [`Database::verify`]
 //! clause that makes it unreachable (the key map and the flushed candidate
 //! index name live records only, and the record table files each under its
-//! own id); [`lor_alloc::IdTable::insert`], which panics on an id that does
-//! not ascend and is only ever handed `next_id`; and `debug_verify`, which
-//! panics in debug builds naming the clause a step broke.
+//! own id); `commit_insert`'s allocation of a metadata-row page it found
+//! free before filing the record; [`lor_alloc::IdTable::insert`], which
+//! panics on an id that does not ascend and is only ever handed the table's
+//! own `next_id`; and `debug_verify`, which panics in debug builds naming
+//! the clause a step broke.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use lor_alloc::{
-    AllocationPolicy, BandOccupancy, CountMultiset, Extent, FragmentationTracker, FreeSpace,
-    FreeSpaceReport, IdTable, Name, PackedRun, PlacementPolicy, RunList,
+    in_name_order, AllocationPolicy, BandOccupancy, CountMultiset, Extent, FragmentationTracker,
+    FreeSpace, FreeSpaceReport, IdTable, Name, NameMap, PackedRun, PlacementPolicy, RunList,
 };
 use lor_disksim::ByteRun;
 
@@ -406,18 +406,11 @@ pub struct Database {
     gam: Gam,
     lob_unit: AllocationUnit,
     row_unit: AllocationUnit,
-    /// Every live record, filed under its id: ids come from `next_id`, so
-    /// they ascend and are never reused, which is all [`IdTable`] asks.
+    /// Every live record, one metadata row each, filed under the table's
+    /// next id (`commit_insert`).
     blobs: IdTable<BlobRecord>,
-    /// Key → id of every live object.  Hashed with a fixed state: nothing
-    /// observable iterates it (listings walk `blobs`, in id order; the
-    /// rebuild, which copies in key order, sorts on demand), so runs stay
-    /// deterministic, and keys come from the simulation's own workloads,
-    /// never from an adversary.  A key's bytes live in its bucket (a
-    /// [`Name`] of up to [`Name::INLINE`] bytes; a longer one on the heap),
-    /// and the map is searched with `key.as_bytes()`.
-    keys: HashMap<Name, BlobId, BuildHasherDefault<DefaultHasher>>,
-    next_id: u64,
+    /// Key → id of every live object.
+    keys: NameMap<BlobId>,
     /// Pages of deleted/replaced BLOB versions awaiting ghost cleanup.
     ghosts: GhostBacklog,
     /// LOB pages allocated for versions that have not committed yet (the
@@ -434,8 +427,6 @@ pub struct Database {
     /// operation runs.
     scratch: Vec<RunList>,
     ops_since_cleanup: u64,
-    /// Metadata rows currently live (one per object).
-    row_count: u64,
     stats: EngineStats,
     /// Incremental per-blob fragment-count accounting: updated at every
     /// layout mutation so [`Database::fragmentation`] is O(1) in the object
@@ -488,13 +479,11 @@ impl Database {
                 config.placement,
             ),
             blobs: IdTable::new(),
-            keys: HashMap::default(),
-            next_id: 1,
+            keys: NameMap::default(),
             ghosts: GhostBacklog::default(),
             in_flight_pages: 0,
             scratch: Vec::new(),
             ops_since_cleanup: 0,
-            row_count: 0,
             stats: EngineStats::default(),
             frag_tracker: FragmentationTracker::new(),
             page_tracker: CountMultiset::new(),
@@ -600,15 +589,32 @@ impl Database {
     }
 
     /// Stores a freshly allocated (in-flight) layout as a new object, as an
-    /// exact-size copy that leaves `layout` empty.
+    /// exact-size copy that leaves `layout` empty, with its metadata row,
+    /// which takes a new clustered-index page when the current ones are
+    /// full.  If no page can take the row, nothing is filed and the
+    /// layout's pages go back, as a failed batch's do.
     fn commit_insert(
         &mut self,
         key: &str,
         size_bytes: u64,
         layout: &mut RunList,
     ) -> Result<DbWriteReceipt, DbError> {
-        let id = BlobId(self.next_id);
-        self.next_id += 1;
+        // At most one page past `row_pages`: every insert adds one row, and
+        // the rebuild leaves exactly the pages its rows need.
+        let rows = self.blobs.len() as u64 + 1;
+        let new_row_page = rows.div_ceil(self.config.rows_per_page) > self.stats.row_pages;
+        if new_row_page && self.row_unit.available_pages(&self.gam) == 0 {
+            self.lob_unit.free_runs(&mut self.gam, layout.runs());
+            self.stats.pages_allocated -= layout.units();
+            self.in_flight_pages -= layout.units();
+            layout.clear();
+            self.debug_verify();
+            return Err(DbError::OutOfSpace {
+                requested_pages: 1,
+                free_pages: 0,
+            });
+        }
+        let id = BlobId(self.blobs.next_id().max(1));
         let receipt = Self::receipt_for(&self.config, id, layout, size_bytes);
         let fragments = layout.fragment_count() as u64;
         self.in_flight_pages -= layout.units();
@@ -619,7 +625,15 @@ impl Database {
         let mut record = BlobRecord::new(id, key, size_bytes, layout.take_exact());
         Self::mark_stale(&mut record, &mut self.stale_ids);
         self.blobs.insert(id.0, record);
-        self.insert_metadata_row()?;
+        // Checked above, and placed only now: taking the page (through a
+        // throwaway run list) before the record's allocations moved
+        // `lorbench`'s `age_db` into its high peak-RSS mode.
+        if new_row_page {
+            self.row_unit
+                .allocate_pages_high(&mut self.gam, 1, &mut RunList::new())
+                .expect("the row page was found free before the record was filed");
+            self.stats.row_pages += 1;
+        }
         self.stats.inserts += 1;
         self.stats.bytes_written += size_bytes;
         self.bump_op();
@@ -748,7 +762,7 @@ impl Database {
         let new_pages = layout.units();
         self.in_flight_pages -= new_pages;
         // `verify`: every id in the key map names a record ("does not map
-        // back" / "keys, rows, blobs") filed under that id ("blob table"),
+        // back" / "keys, blobs") filed under that id ("blob table"),
         // and ids are never reused.
         let record = self
             .blobs
@@ -779,7 +793,7 @@ impl Database {
     /// cleanup pass.
     pub fn delete_by_id(&mut self, id: BlobId) -> Result<(), DbError> {
         let mut record = self.blobs.remove(id.0).ok_or(DbError::NoSuchBlob(id.0))?;
-        // `verify` ("keys, rows, blobs"): every live record's key is in the
+        // `verify` ("keys, blobs"): every live record's key is in the
         // key map.
         self.keys.remove(record.key.as_bytes());
         self.frag_tracker
@@ -792,7 +806,6 @@ impl Database {
             self.stale_ids.retain(|id| self.blobs.contains(id.0));
         }
         self.ghosts.extend(record.layout());
-        self.row_count -= 1;
         self.stats.deletes += 1;
         self.stats.bytes_deleted += record.size_bytes;
         self.bump_op();
@@ -977,7 +990,7 @@ impl Database {
         );
 
         // Row pages for the clustered index of the copied table.
-        let row_pages_needed = self.row_count.div_ceil(self.config.rows_per_page);
+        let row_pages_needed = (self.blobs.len() as u64).div_ceil(self.config.rows_per_page);
         if row_pages_needed > 0 {
             new_row.allocate_pages_high(&mut new_gam, row_pages_needed, &mut RunList::new())?;
         }
@@ -987,15 +1000,8 @@ impl Database {
             let mut copied = 0u64;
             // Copy in key order (a clustered-index scan of the old table):
             // the one reader of that order, so the one place that pays for
-            // it.  The same order as the keys' strings: byte order is `str`
-            // order.
-            let mut ordered: Vec<(&[u8], BlobId)> = db
-                .keys
-                .iter()
-                .map(|(key, &id)| (key.as_bytes(), id))
-                .collect();
-            ordered.sort_unstable();
-            for (_, id) in ordered {
+            // it.
+            for (_, id) in in_name_order(&db.keys) {
                 // `verify`: as in `commit_replacement`.
                 let record = db
                     .blobs
@@ -1281,19 +1287,6 @@ impl Database {
         self.in_flight_pages += pages;
     }
 
-    /// Adds a metadata row, allocating a new clustered-index page when the
-    /// current ones are full.
-    fn insert_metadata_row(&mut self) -> Result<(), DbError> {
-        self.row_count += 1;
-        let needed = self.row_count.div_ceil(self.config.rows_per_page);
-        while self.stats.row_pages < needed {
-            self.row_unit
-                .allocate_pages_high(&mut self.gam, 1, &mut RunList::new())?;
-            self.stats.row_pages += 1;
-        }
-        Ok(())
-    }
-
     fn receipt_for(
         config: &EngineConfig,
         id: BlobId,
@@ -1499,11 +1492,10 @@ impl Database {
                 stale.len()
             ));
         }
-        if self.keys.len() != self.blobs.len() || self.row_count != self.blobs.len() as u64 {
+        if self.keys.len() != self.blobs.len() {
             return Err(format!(
-                "{} keys, {} rows, {} blobs",
+                "{} keys, {} blobs",
                 self.keys.len(),
-                self.row_count,
                 self.blobs.len()
             ));
         }
@@ -2022,6 +2014,56 @@ mod tests {
             3,
             "9 rows at 4 rows/page need 3 pages"
         );
+    }
+
+    /// An insert whose metadata row finds no page fails whole: its pages go
+    /// back and nothing is filed, through either insert path.  Each case
+    /// fills a data file so that the last LOB extent is free and the row
+    /// pages are full, then inserts once more: the LOB pages fit, the row
+    /// page does not.  Deleting one object then makes room for the row, so
+    /// an insert succeeds again.  While the row was placed after the record
+    /// was filed, the failed insert kept the object: 1,025 objects after
+    /// 1,024 inserts in the first case.
+    #[test]
+    fn an_insert_whose_metadata_row_finds_no_page_leaves_nothing_behind() {
+        // (data file KiB, object bytes, objects that fit)
+        let cases = [
+            (8_320, 8_064, 1_024),
+            (16_512, 16_128, 1_024),
+            (16_576, 8_064, 2_048),
+        ];
+        for (file_kib, size, fits) in cases {
+            for maintenance in [false, true] {
+                let case = format!("{file_kib} KiB, {size} B, maintenance {maintenance}");
+                let mut db = Database::create(EngineConfig::new(file_kib * 1024)).unwrap();
+                for i in 0..fits {
+                    db.insert(&format!("k{i}"), size).unwrap();
+                }
+                let free_before = db.lob_unit.available_pages(&db.gam);
+                let pages_before = db.stats().pages_allocated;
+                let insert = |db: &mut Database| {
+                    if maintenance {
+                        db.insert_as_maintenance("last", size)
+                    } else {
+                        db.insert("last", size)
+                    }
+                };
+                let err = insert(&mut db).unwrap_err();
+                assert!(matches!(err, DbError::OutOfSpace { .. }), "{case}: {err:?}");
+                assert!(!db.contains_key("last"), "{case}");
+                assert_eq!(db.object_count(), fits, "{case}");
+                assert_eq!(db.stats().inserts, fits as u64, "{case}");
+                assert_eq!(db.stats().pages_allocated, pages_before, "{case}");
+                assert_eq!(db.lob_unit.available_pages(&db.gam), free_before, "{case}");
+                assert!(db.scratch.iter().all(RunList::is_empty), "{case}");
+                assert_eq!(db.verify(), Ok(()), "{case}");
+
+                db.delete("k0").unwrap();
+                insert(&mut db).unwrap_or_else(|err| panic!("{case}: {err:?}"));
+                assert_eq!(db.object_count(), fits, "{case}");
+                assert_eq!(db.verify(), Ok(()), "{case}");
+            }
+        }
     }
 
     #[test]

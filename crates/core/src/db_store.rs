@@ -243,6 +243,30 @@ mod tests {
         Store::build(engine, disk, PAPER_WRITE_REQUEST_SIZE, Some(maintenance), 0).unwrap()
     }
 
+    /// A put whose metadata row finds no page comes back `OutOfSpace` and
+    /// leaves nothing behind, as `a_failed_put_leaves_nothing_behind_on_any_substrate`
+    /// asks of every substrate: an 8,320 KiB data file holds 1,024 one-page
+    /// objects with its last extent free and its row pages full, so the
+    /// 1,025th put's page fits and its row does not.  While the engine
+    /// filed the object before its row, `contains` was true after the
+    /// error.
+    #[test]
+    fn a_put_whose_metadata_row_finds_no_page_leaves_nothing_behind() {
+        let mut store = DbObjectStore::new(8_320 * 1024).unwrap();
+        for i in 0..1_024 {
+            store.put(&format!("k{i}"), 8_064).unwrap();
+        }
+        let err = store.put("last", 8_064).unwrap_err();
+        assert!(matches!(err, StoreError::OutOfSpace(_)), "{err:?}");
+        assert!(!store.contains("last"));
+        assert_eq!(store.object_count(), 1_024);
+        store.database().verify().unwrap();
+        store.delete("k0").unwrap();
+        store.put("last", 8_064).unwrap();
+        assert_eq!(store.object_count(), 1_024);
+        store.database().verify().unwrap();
+    }
+
     #[test]
     fn substrate_aware_slices_defer_ghost_release_but_still_compact() {
         // A server-driven substrate-aware store: the store itself never

@@ -5,7 +5,9 @@
 //! with and without a store-attached maintenance drive.  Every step's
 //! receipts or typed error and the clock after it must agree on the three
 //! paths, and so must the logical state at the end: keys, sizes, layouts,
-//! fragmentation, live bytes.
+//! fragmentation, live bytes.  The keyed and named stores must then pass
+//! their substrate's structural check (`Volume::verify`,
+//! `Database::verify`, `LogObjectStore::verify`).
 //!
 //! The script reaches what the key table must survive:
 //!
@@ -332,8 +334,13 @@ fn state(store: &dyn ObjectStore) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// Drives the script through the three paths on stores `build` makes.
-fn check<S: Substrate + 'static>(build: impl Fn() -> Store<S>, seed: u64) {
+/// Drives the script through the three paths on stores `build` makes, and
+/// checks the keyed and named stores' structures with `verify` at the end.
+fn check<S: Substrate + 'static>(
+    build: impl Fn() -> Store<S>,
+    verify: fn(&Store<S>) -> Result<(), String>,
+    seed: u64,
+) {
     let steps = script(seed, 400);
     let covers = |store: &Store<S>, key: ObjectKey| store.covers(key);
     let mut keyed = build();
@@ -356,6 +363,11 @@ fn check<S: Substrate + 'static>(build: impl Fn() -> Store<S>, seed: u64) {
     }
     assert_eq!(state(&keyed), state(&named), "{kind}, seed {seed}");
     assert_eq!(state(&defaults), state(&named), "{kind}, seed {seed}");
+    for (path, store) in [("keyed", &keyed), ("named", &named)] {
+        if let Err(violation) = verify(store) {
+            panic!("{kind}, seed {seed}, {path} path: {violation}");
+        }
+    }
     // The script reached the cases it is for.
     let errors = named_outcomes.iter().filter(|(o, _)| o.is_err()).count();
     assert!(errors > 10, "{kind}, seed {seed}: {errors} typed errors");
@@ -378,6 +390,7 @@ fn keyed_named_and_default_paths_agree_on_every_substrate() {
                     let FsStoreConfig { volume, disk } = FsStoreConfig::new(VOLUME);
                     FsObjectStore::build(volume, disk, request, maintenance, 0).unwrap()
                 },
+                |store| store.volume().verify(),
                 seed,
             );
             check(
@@ -385,6 +398,7 @@ fn keyed_named_and_default_paths_agree_on_every_substrate() {
                     let DbStoreConfig { engine, disk } = DbStoreConfig::new(VOLUME);
                     DbObjectStore::build(engine, disk, request, maintenance, 0).unwrap()
                 },
+                |store| store.database().verify(),
                 seed,
             );
             check(
@@ -392,6 +406,7 @@ fn keyed_named_and_default_paths_agree_on_every_substrate() {
                     let LogStoreConfig { log, disk } = LogStoreConfig::new(VOLUME);
                     LogObjectStore::build(log, disk, request, maintenance, 0).unwrap()
                 },
+                LogObjectStore::verify,
                 seed,
             );
         }

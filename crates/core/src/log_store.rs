@@ -13,24 +13,21 @@
 //! checkpoints, but far more expensive, which is the log's trade-off.
 //!
 //! The log knows objects by the `u64` ids it issues ([`SegmentLog::next_id`],
-//! 1, 2, 3, … in put order); the key → id index lives here and is a
-//! hash map with a fixed state, as the volume's and the BLOB engine's name
-//! maps are: every name-addressed operation is a point look-up (one probe —
-//! a put refuses a taken key and claims its slot through the same entry),
-//! nothing an operation does walks the index, and `keys()`, the one reader
-//! of an order, sorts on demand.  The store's keyed gets and safe writes do
-//! not probe it at all: they reach the record by id, from the store's key
-//! table.  As an ordered map of strings it cost an aged run 13 %
-//! of its host time in `memcmp` and as much again in the descents around
-//! it (EXPERIMENTS.md, "Host cost of the key path").  Its keys are
-//! [`Name`]s, whose bytes live in the bucket itself, so a probe reads no
-//! second cache line and a put allocates no key.
+//! 1, 2, 3, … in put order); the key → id index lives here, a
+//! [`lor_alloc::NameMap`] as the volume's and the BLOB engine's are (its
+//! docs say why a hash map with a fixed state).  A put refuses a taken key
+//! and claims its slot through the same entry; the store's keyed gets and
+//! safe writes do not probe it at all (they reach the record by id, from
+//! the store's key table).  As an ordered map of strings it cost an aged
+//! run 13 % of its host time in `memcmp` and as much again in the descents
+//! around it (EXPERIMENTS.md, "Host cost of the key path").
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::collections::hash_map::Entry;
 
-use lor_alloc::{BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, Name};
+use lor_alloc::{
+    in_name_order, BandOccupancy, Extent, FragmentationSummary, FreeSpace, FreeSpaceReport, Name,
+    NameMap,
+};
 use lor_disksim::{ByteRun, DiskConfig, SimDuration};
 use lor_logstore::{AppendOutcome, CleanReport, LogConfig, LogError, SegmentLog};
 use lor_maint::MaintIo;
@@ -80,6 +77,30 @@ impl LogObjectStore {
     pub fn log(&self) -> &SegmentLog {
         &self.substrate.log
     }
+
+    /// Checks the log ([`SegmentLog::verify`]) and ties the name index to
+    /// it, naming the first violation: the index names exactly
+    /// [`SegmentLog::object_count`] objects, every one live, none twice.
+    pub fn verify(&self) -> Result<(), String> {
+        let LogSubstrate { log, names } = &self.substrate;
+        log.verify()?;
+        if names.len() != log.object_count() {
+            return Err(format!(
+                "the name index names {} objects but the log holds {}",
+                names.len(),
+                log.object_count()
+            ));
+        }
+        let mut ids: Vec<u64> = names.values().copied().collect();
+        ids.sort_unstable();
+        if let Some(dead) = ids.iter().find(|&&id| !log.contains(id)) {
+            return Err(format!("a name maps to dead object {dead}"));
+        }
+        if let Some(twice) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("two names map to object {}", twice[0]));
+        }
+        Ok(())
+    }
 }
 
 /// The segment log as a [`Substrate`], plus the name index the log itself
@@ -87,14 +108,9 @@ impl LogObjectStore {
 #[derive(Debug)]
 pub struct LogSubstrate {
     pub(crate) log: SegmentLog,
-    /// Key-to-record index (memory-resident, like the blob index the paper's
-    /// repositories keep in their metadata tier).  Hashed with a fixed
-    /// state (module docs): runs stay deterministic, and keys come from the
-    /// simulation's own workloads, never from an adversary.  A key's bytes
-    /// live in its bucket (a [`Name`] of up to [`Name::INLINE`] bytes; a
-    /// longer one on the heap), and the map is searched with
-    /// `key.as_bytes()`.
-    names: HashMap<Name, u64, BuildHasherDefault<DefaultHasher>>,
+    /// Key → id of every live object (memory-resident, like the blob index
+    /// the paper's repositories keep in their metadata tier).
+    names: NameMap<u64>,
 }
 
 impl LogSubstrate {
@@ -165,7 +181,7 @@ impl Substrate for LogSubstrate {
         // its own, only the allocation-pressure emergency path.
         Ok(LogSubstrate {
             log: SegmentLog::new(config)?,
-            names: HashMap::default(),
+            names: NameMap::default(),
         })
     }
 
@@ -270,13 +286,9 @@ impl Substrate for LogSubstrate {
 
     fn keys(&self) -> Vec<String> {
         // Only analysis and tests ask, never an operation.
-        let mut keys: Vec<String> = self
-            .names
-            .keys()
-            .map(|key| key.as_str().to_owned())
-            .collect();
-        keys.sort_unstable();
-        keys
+        in_name_order(&self.names)
+            .map(|(key, _)| key.as_str().to_owned())
+            .collect()
     }
 
     fn live_bytes(&self) -> u64 {
@@ -409,6 +421,51 @@ mod tests {
             .map(name)
             .collect();
         assert_eq!(store.keys(), expected);
+    }
+
+    /// `verify` ties the name index to the log: each mutation of a verified
+    /// store's index is named, and undone before the next.  The mutations:
+    /// a name re-pointed at a deleted object's id, a name re-pointed at
+    /// another live name's id, a name added for a live id, a name dropped.
+    #[test]
+    fn verify_ties_the_name_index_to_the_log() {
+        let mut store = LogObjectStore::new(256 * MB).unwrap();
+        for i in 0..8 {
+            store.put(&format!("o{i}"), MB).unwrap();
+        }
+        let id_of = |store: &LogObjectStore, key: &str| store.substrate.resolve(key).unwrap();
+        let dead = id_of(&store, "o3");
+        let other = id_of(&store, "o2");
+        store.delete("o3").unwrap();
+        assert_eq!(store.verify(), Ok(()));
+        let mut breaks = |edit: &dyn Fn(&mut NameMap<u64>), names: &str| {
+            let kept = store.substrate.names.clone();
+            edit(&mut store.substrate.names);
+            let violation = store.verify().unwrap_err();
+            assert!(violation.contains(names), "{violation:?} lacks {names:?}");
+            store.substrate.names = kept;
+            assert_eq!(store.verify(), Ok(()));
+        };
+        breaks(
+            &|names| *names.get_mut(b"o1".as_slice()).unwrap() = dead,
+            &format!("dead object {dead}"),
+        );
+        breaks(
+            &|names| *names.get_mut(b"o1".as_slice()).unwrap() = other,
+            &format!("two names map to object {other}"),
+        );
+        breaks(
+            &|names| {
+                names.insert(Name::new("extra"), other);
+            },
+            "names 8 objects but the log holds 7",
+        );
+        breaks(
+            &|names| {
+                names.remove(b"o1".as_slice());
+            },
+            "names 6 objects but the log holds 7",
+        );
     }
 
     #[test]

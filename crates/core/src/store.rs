@@ -1222,9 +1222,10 @@ pub(crate) mod tests {
                 StoreKind::Database => check(DbObjectStore::new(64 * MB).unwrap(), |store| {
                     store.database().verify()
                 }),
-                StoreKind::LogStructured => check(LogObjectStore::new(64 * MB).unwrap(), |store| {
-                    store.log().verify()
-                }),
+                StoreKind::LogStructured => check(
+                    LogObjectStore::new(64 * MB).unwrap(),
+                    LogObjectStore::verify,
+                ),
             }
         }
     }

@@ -70,18 +70,16 @@
 //! trim past the layout's units) by an excess it computed from that
 //! layout's own unit count.
 //! [`lor_alloc::IdTable::insert`] panics on an id that does not ascend, which
-//! `next_id` — the only source of ids — cannot produce.  `debug_verify`
-//! panics in debug builds naming the clause a step broke: the tripwire that
-//! keeps those comments honest.
+//! the table's own [`lor_alloc::IdTable::next_id`] — the only source of ids
+//! — cannot produce.  `debug_verify` panics in debug builds naming the
+//! clause a step broke: the tripwire that keeps those comments honest.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::collections::hash_map::Entry;
 
 use lor_alloc::{
     AllocError, AllocRequest, AllocationPolicy, BandOccupancy, CountMultiset, Extent,
     ExtentListExt, FragmentationSummary, FragmentationTracker, FreeSpace, FreeSpaceReport, IdTable,
-    Name, PlacementConsumer, PlacementPolicy, RunList, SelectableAllocator,
+    Name, NameMap, PlacementConsumer, PlacementPolicy, RunList, SelectableAllocator,
 };
 use lor_disksim::ByteRun;
 
@@ -281,17 +279,11 @@ struct Staged {
 pub struct Volume {
     config: VolumeConfig,
     space: Space,
-    /// Every live record, filed under its id: ids come from `next_id`, so
-    /// they ascend and are never reused, which is all [`IdTable`] asks.
+    /// Every live record, filed under the table's next id: one past the
+    /// newest ever filed, so ids ascend and are never reused.
     files: IdTable<FileRecord>,
-    /// Name → id of every named file.  Hashed with a fixed state: nothing
-    /// observable iterates it (listings walk `files`, in id order), so runs
-    /// stay deterministic, and names come from the simulation's own
-    /// workloads, never from an adversary.  A key's bytes live in its
-    /// bucket (a [`Name`] of up to [`Name::INLINE`] bytes; a longer one on
-    /// the heap), and the map is searched with `name.as_bytes()`.
-    names: HashMap<Name, FileId, BuildHasherDefault<DefaultHasher>>,
-    next_id: u64,
+    /// Name → id of every named file.
+    names: NameMap<FileId>,
     /// Unnamed temporaries of safe writes in flight (zero between
     /// operations).
     in_flight: u64,
@@ -330,8 +322,7 @@ impl Volume {
                 ops_since_checkpoint: 0,
             },
             files: IdTable::new(),
-            names: HashMap::default(),
-            next_id: 1,
+            names: NameMap::default(),
             in_flight: 0,
             reserved_clusters: 0,
             stats: VolumeStats::default(),
@@ -396,19 +387,19 @@ impl Volume {
         if name.is_empty() {
             return Err(FsError::InvalidName(name.to_string()));
         }
+        let id = FileId(self.files.next_id().max(1));
         let Entry::Vacant(slot) = self.names.entry(Name::new(name)) else {
             return Err(FsError::NameExists(name.to_string()));
         };
         let name = slot.key().clone();
-        slot.insert(FileId(self.next_id));
+        slot.insert(id);
         Ok(self.new_record(name))
     }
 
     /// Adds an empty record under the next id.  It counts as an object with
     /// zero fragments and zero allocated clusters.
     fn new_record(&mut self, name: Name) -> FileId {
-        let id = FileId(self.next_id);
-        self.next_id += 1;
+        let id = FileId(self.files.next_id().max(1));
         self.files.insert(id.0, FileRecord::new(id, name));
         self.stats.files_created += 1;
         self.frag_tracker.record_insert(0);

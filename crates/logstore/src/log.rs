@@ -257,9 +257,9 @@ pub struct SegmentLog {
     base_offset: u64,
     /// Free-segment map, one cluster per segment: the same structure the
     /// other substrates allocate clusters from, so placement policies apply
-    /// to segment selection unchanged.
+    /// to segment selection unchanged.  Its free-cluster count is the
+    /// number of free segments.
     free: RunIndexMap,
-    free_count: u64,
     segments: Vec<Segment>,
     /// One entry per `SUMMARY_BLOCK` segments, always equal to its
     /// recomputation (`block_summary`).
@@ -306,7 +306,6 @@ impl SegmentLog {
         Ok(SegmentLog {
             base_offset: meta * config.segment_bytes,
             free: RunIndexMap::new_free(data),
-            free_count: data,
             segments: vec![Segment::default(); data as usize],
             summary: vec![BlockSummary::EMPTY; (data as usize).div_ceil(SUMMARY_BLOCK)],
             residents: (0..data)
@@ -425,7 +424,8 @@ impl SegmentLog {
     pub fn segment_stats(&self) -> SegmentStats {
         let segment_bytes = self.config.segment_bytes;
         let total = self.segment_count();
-        let occupied = total - self.free_count;
+        let free = self.free.free_clusters();
+        let occupied = total - free;
         let mut deciles = [0u64; 10];
         // Unwritten is free ([`SegmentLog::verify`] holds the two equal).
         for segment in self.segments.iter().filter(|segment| segment.written > 0) {
@@ -440,7 +440,7 @@ impl SegmentLog {
         };
         SegmentStats {
             total_segments: total,
-            free_segments: self.free_count,
+            free_segments: free,
             occupied_segments: occupied,
             mean_utilization,
             utilization_deciles: deciles,
@@ -456,8 +456,8 @@ impl SegmentLog {
     /// * the object table's own structure holds
     ///   ([`lor_alloc::IdTable::verify`]);
     /// * the segment totals add up to `live_bytes` and `dead_bytes`;
-    /// * the free map holds exactly the unwritten segments, `free_segments`
-    ///   counts them, and the map's own structure holds
+    /// * the free map holds exactly the unwritten segments, its free-cluster
+    ///   count is their number, and its own structure holds
     ///   ([`lor_alloc::RunIndexMap::verify`]);
     /// * `residents[s]` is exactly the objects with an extent in `s`;
     /// * every object's extents add up to its size and are its maximal runs
@@ -593,10 +593,9 @@ impl SegmentLog {
                 self.dead_bytes
             ));
         }
-        if unwritten != self.free_count || self.free.free_clusters() != self.free_count {
+        if unwritten != self.free.free_clusters() {
             return Err(format!(
-                "free_segments is {} but {unwritten} segments are unwritten and the map holds {}",
-                self.free_count,
+                "{unwritten} segments are unwritten but the free map holds {}",
                 self.free.free_clusters()
             ));
         }
@@ -723,12 +722,14 @@ impl SegmentLog {
         self.pass_start.get_or_insert(self.seq);
         let mut report = CleanReport::default();
         while let Some(victim) = self.next_victim(None).victim {
-            let survivors = self.residents[victim as usize].clone();
-            let survivor_bytes: u64 = survivors.iter().map(|&id| self.record(id).size).sum();
+            let survivor_bytes: u64 = self.residents[victim as usize]
+                .iter()
+                .map(|&id| self.record(id).size)
+                .sum();
             if report.bytes_copied > 0 && report.bytes_copied + survivor_bytes > copy_budget {
                 break;
             }
-            match self.rewrite_segment(victim, survivors, survivor_bytes) {
+            match self.rewrite_segment(victim, survivor_bytes) {
                 Ok(cleaned) => report.absorb(cleaned),
                 // Placement refused the cleaner a destination: maintenance
                 // never spills, so the pass ends here.
@@ -762,7 +763,7 @@ impl SegmentLog {
         };
         let spare = head.map_or(0, |idx| segment_bytes - self.segments[idx as usize].written);
         let eligible_segments = if !consumer.is_maintenance() {
-            self.free_count
+            self.free.free_clusters()
         } else if let Some(cap) = self.config.placement.run_cap(consumer) {
             self.free
                 .free_runs()
@@ -781,7 +782,7 @@ impl SegmentLog {
                 .map(|run| run.end().min(hi).saturating_sub(run.start.max(lo)))
                 .sum()
         } else {
-            self.free_count
+            self.free.free_clusters()
         };
         spare + eligible_segments * segment_bytes
     }
@@ -943,24 +944,26 @@ impl SegmentLog {
         self.objects.get_mut(id).expect("id is a live object")
     }
 
-    /// Background cleaning of one victim: every survivor (`survivors`, its
-    /// residents in ascending order, `need` bytes in all) is rewritten *in
-    /// full* through the maintenance head (healing its fragmentation), then
-    /// the victim returns to the free pool.  Refused whole — nothing moved —
-    /// when placement leaves the cleaner less than `need`.
-    fn rewrite_segment(
-        &mut self,
-        victim: u64,
-        survivors: Vec<u64>,
-        need: u64,
-    ) -> Result<CleanReport, LogError> {
+    /// Background cleaning of one victim: every survivor (its residents in
+    /// ascending order, `need` bytes in all) is rewritten *in full* through
+    /// the maintenance head (healing its fragmentation), then the victim
+    /// returns to the free pool.  Refused whole — nothing moved, the
+    /// resident list untouched — when placement leaves the cleaner less
+    /// than `need`.
+    ///
+    /// The resident list is taken, not copied, as in
+    /// [`SegmentLog::vacate_segment`]: every survivor leaves the victim.
+    fn rewrite_segment(&mut self, victim: u64, need: u64) -> Result<CleanReport, LogError> {
         if need > self.available(Self::maintenance_consumer()) {
             return Err(LogError::OutOfSpace);
         }
+        let mut survivors = mem::take(&mut self.residents[victim as usize]);
         let mut report = CleanReport::default();
-        for id in survivors {
+        for &id in &survivors {
             let size = self.record(id).size;
-            let extents = self.append_bytes(size, Self::maintenance_consumer())?;
+            let extents = self
+                .append_bytes(size, Self::maintenance_consumer())
+                .expect("the cleaner takes the survivors' bytes, checked above");
             let old = mem::take(&mut self.record_mut(id).extents);
             self.deaden(&old);
             self.replace_residents(id, &old, &extents);
@@ -970,6 +973,10 @@ impl SegmentLog {
             report.objects_moved += 1;
             self.record_mut(id).extents = extents;
         }
+        // The fresh copies never land in the victim, which is sealed.
+        debug_assert!(self.residents[victim as usize].is_empty());
+        survivors.clear();
+        self.residents[victim as usize] = survivors;
         self.release_victim(victim);
         report.segments_freed += 1;
         self.debug_verify();
@@ -1130,7 +1137,6 @@ impl SegmentLog {
         self.free
             .reserve(Extent::new(idx, 1))
             .map_err(|_| LogError::OutOfSpace)?;
-        self.free_count -= 1;
         self.segments[idx as usize] = Segment {
             written: 0,
             live: 0,
@@ -1215,7 +1221,6 @@ impl SegmentLog {
         self.free
             .release(Extent::new(victim, 1))
             .expect("victim segment was reserved");
-        self.free_count += 1;
     }
 
     /// Moves `id`'s residency from the segments `old` touches to the segments
@@ -1347,11 +1352,11 @@ mod tests {
         }
         assert_eq!(log.live_bytes(), 0);
         assert_eq!(log.dead_bytes(), 4 * MB);
-        let free_before = log.free_count;
+        let free_before = log.free.free_clusters();
         let report = log.clean_all().unwrap();
         assert_eq!(report.bytes_copied, 0, "fully dead segments copy nothing");
         assert!(report.segments_freed >= 3);
-        assert!(log.free_count > free_before);
+        assert!(log.free.free_clusters() > free_before);
         assert_eq!(log.dead_bytes(), 0);
     }
 
@@ -1617,7 +1622,6 @@ mod tests {
         breaks(&|log| log.fg_head = None, "is no head");
         breaks(&|log| log.live_bytes += 1, "live_bytes is");
         breaks(&|log| log.dead_bytes += 1, "dead_bytes is");
-        breaks(&|log| log.free_count += 1, "free_segments is");
         breaks(&|log| log.segments[sealed].live -= 1, "live extents cover");
         breaks(
             &|log| log.free.release(Extent::new(head, 1)).unwrap(),
@@ -1687,7 +1691,7 @@ mod tests {
                 order.swap(i, (state >> 33) as usize % (i + 1));
             }
             for id in &order {
-                if log.free_count < 2 {
+                if log.free.free_clusters() < 2 {
                     let pick = log.next_victim(Some(log.available(PlacementConsumer::Foreground)));
                     assert!(pick.victim.is_some());
                     assert!(
@@ -1789,7 +1793,7 @@ mod tests {
         for id in 1..=3 {
             log.update(id, MB).unwrap();
         }
-        let free_before = log.free_count;
+        let free_before = log.free.free_clusters();
         let before: Vec<_> = log
             .ids()
             .map(|id| (log.size_of(id), log.extents_of(id).unwrap().to_vec()))
@@ -1800,7 +1804,7 @@ mod tests {
             log.update(6, log.data_capacity_bytes() - 9 * MB),
             Err(LogError::OutOfSpace)
         );
-        assert_eq!(log.free_count, free_before + 3, "the vacates ran");
+        assert_eq!(log.free.free_clusters(), free_before + 3, "the vacates ran");
         assert_eq!(log.dead_bytes(), 0);
         let after: Vec<_> = log
             .ids()
@@ -1827,7 +1831,7 @@ mod tests {
         for id in 1..=2 * segments {
             log.insert(id, MB / 2).unwrap();
         }
-        assert_eq!(log.free_count, 0);
+        assert_eq!(log.free.free_clusters(), 0);
         // Segment 0 half dead; segments 1 and 2, in the foreground's band,
         // fully dead.
         for id in [1, 3, 4, 5, 6] {
@@ -1839,7 +1843,7 @@ mod tests {
         // that placement allows, though two segments are free.
         assert_eq!(report.segments_freed, 2);
         assert_eq!(report.bytes_copied, 0);
-        assert_eq!(log.free_count, 2);
+        assert_eq!(log.free.free_clusters(), 2);
         assert_eq!(log.available(SegmentLog::maintenance_consumer()), 0);
         assert_eq!(log.extents_of(2).unwrap(), survivor);
         assert_eq!(log.residents[0], [2]);

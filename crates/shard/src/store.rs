@@ -650,12 +650,52 @@ impl ShardedStore {
     /// Returns the background I/O the migration performed; its time has
     /// already been charged to the source and destination shards' clocks.
     pub fn run_rebalance_slice(&mut self, budget_bytes: u64) -> MaintIo {
-        Rebalancer {
+        let io = Rebalancer {
             shards: &mut self.shards,
             directory: &mut self.directory,
             state: &mut self.rebalance_state,
         }
-        .migrate_step(budget_bytes)
+        .migrate_step(budget_bytes);
+        #[cfg(debug_assertions)]
+        if let Err(violation) = self.verify() {
+            panic!("fleet invariant violated after a rebalance slice: {violation}");
+        }
+        io
+    }
+
+    /// Checks that the directory and the shards agree, naming the first
+    /// violation: every entry names a shard in range that holds its key,
+    /// and the shards hold as many objects as the directory names — so no
+    /// key is on two shards and no shard holds a key the directory lacks.
+    /// Debug builds run it after every [`ShardedStore::run_rebalance_slice`],
+    /// the one step that moves an object between shards.
+    pub fn verify(&self) -> Result<(), String> {
+        let mut buf = ObjectKey::buf();
+        for (&key, &shard) in &self.directory {
+            let name = key.write_into(&mut buf);
+            match self.shards.get(shard as usize) {
+                None => {
+                    return Err(format!(
+                        "{name} is filed under shard {shard} of {}",
+                        self.shards.len()
+                    ))
+                }
+                Some(store) if !store.contains(name) => {
+                    return Err(format!(
+                        "{name} is filed under shard {shard}, which lacks it"
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+        if self.object_count() != self.directory.len() {
+            return Err(format!(
+                "the shards hold {} objects but the directory names {}",
+                self.object_count(),
+                self.directory.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Objects migrated between shards so far.
@@ -764,5 +804,47 @@ mod tests {
         // A zero budget moves nothing.
         assert!(fleet.run_rebalance_slice(0).is_none());
         assert_eq!(fleet.objects_migrated(), 2);
+    }
+
+    /// `verify` names a directory that disagrees with its shards.  The
+    /// mutations, each made on a fleet that verified and undone before the
+    /// next: an entry re-pointed at the other shard, which lacks the key;
+    /// an entry naming a shard out of range; the key put directly on the
+    /// other shard too, so the shards hold one object more than the
+    /// directory names.
+    #[test]
+    fn verify_names_a_directory_that_disagrees_with_its_shards() {
+        const SIZE: u64 = 256 << 10;
+        let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(SIZE));
+        config.volume_bytes = 64 << 20;
+        let policy = RouterPolicy::ConsistentHash { vnodes: 8 };
+        let mut fleet = ShardedStore::new(StoreKind::Database, &config, 2, policy).expect("fleet");
+        let puts = (0..12).map(|key| WorkloadOp::Put {
+            key: ObjectKey(key),
+            size: SIZE,
+        });
+        fleet.load(puts.collect()).expect("bulk load");
+        assert_eq!(fleet.verify(), Ok(()));
+        let key = ObjectKey(3);
+        let home = fleet.directory[&key];
+        let other = 1 - home;
+
+        fleet.directory.insert(key, other);
+        let violation = fleet.verify().unwrap_err();
+        assert!(violation.contains("which lacks it"), "{violation}");
+        fleet.directory.insert(key, 2);
+        let violation = fleet.verify().unwrap_err();
+        assert!(violation.contains("under shard 2 of 2"), "{violation}");
+        fleet.directory.insert(key, home);
+        assert_eq!(fleet.verify(), Ok(()));
+
+        fleet.shards[other as usize]
+            .put(&key.to_string(), SIZE)
+            .expect("the other shard takes a copy");
+        let violation = fleet.verify().unwrap_err();
+        assert!(
+            violation.contains("hold 13 objects but the directory names 12"),
+            "{violation}"
+        );
     }
 }
