@@ -528,10 +528,14 @@ impl Database {
 
     /// The id of the object stored under `key`.
     pub fn lookup(&self, key: &str) -> Result<BlobId, DbError> {
-        self.keys
-            .get(key.as_bytes())
-            .copied()
+        self.id_of(key)
             .ok_or_else(|| DbError::NoSuchKey(key.to_string()))
+    }
+
+    /// The id of the object stored under `key`, if there is one:
+    /// [`Database::lookup`] without the error a miss builds.
+    pub fn id_of(&self, key: &str) -> Option<BlobId> {
+        self.keys.get(key.as_bytes()).copied()
     }
 
     /// The record of the live object `id`, if there is one.

@@ -92,8 +92,8 @@ impl Substrate for Database {
         Database::reserve(self, keys);
     }
 
-    fn resolve(&self, key: &str) -> Result<BlobId, StoreError> {
-        Ok(self.lookup(key)?)
+    fn resolve(&self, key: &str) -> Option<BlobId> {
+        self.id_of(key)
     }
 
     fn is_live(&self, id: BlobId) -> bool {
@@ -142,8 +142,8 @@ impl Substrate for Database {
         DB_LOOKUP_TIME
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        Ok(self.get(key)?.size_bytes)
+    fn size(&self, id: BlobId) -> Option<u64> {
+        Some(self.blob(id)?.size_bytes)
     }
 
     fn object_count(&self) -> usize {

@@ -122,8 +122,8 @@ impl Substrate for FsSubstrate {
         self.volume.reserve(keys);
     }
 
-    fn resolve(&self, key: &str) -> Result<FileId, StoreError> {
-        Ok(self.volume.lookup(key)?)
+    fn resolve(&self, key: &str) -> Option<FileId> {
+        self.volume.id_of(key)
     }
 
     fn is_live(&self, id: FileId) -> bool {
@@ -180,9 +180,8 @@ impl Substrate for FsSubstrate {
         METADATA_IO_TIME
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        let id = self.volume.lookup(key)?;
-        Ok(self.volume.file(id)?.size_bytes)
+    fn size(&self, id: FileId) -> Option<u64> {
+        Some(self.volume.file(id).ok()?.size_bytes)
     }
 
     fn object_count(&self) -> usize {

@@ -9,45 +9,80 @@
 //! their substrate's structural check (`Volume::verify`,
 //! `Database::verify`, `LogObjectStore::verify`).
 //!
-//! The script reaches what the key table must survive:
+//! Every path reaches the key table: the keyed methods by key, the `&str`
+//! methods and the trait's defaults by a name in key form
+//! ([`ObjectKey::parse`]).  The engine's name map is left to the names not
+//! in key form and to keys past the table's reach.  The script reaches what
+//! the table must survive:
 //!
 //! * duplicate keys in one batch, and absent keys (a get, a delete, a batch
 //!   naming one);
-//! * names outside the table: the examples' names, and key numbers beyond
-//!   the table's reach;
-//! * stale handles: a `&str` delete and re-put of the same name, a `&str`
-//!   safe write (on the volume it moves the object to a new file), a full
-//!   `maintenance()` pass, and a `&str` delete followed by `migrate_in`.
+//! * names outside the table: the examples' names, an alias of key 42
+//!   (`object-000000042`, another object, put and read beside it), and key
+//!   numbers beyond the table's reach;
+//! * objects that move: a `&str` delete and re-put of the same name, a
+//!   `&str` safe write (on the volume it moves the object to a new file),
+//!   a full `maintenance()` pass, and a `&str` delete followed by
+//!   `migrate_in`;
+//! * a stale entry while its key lives: the `Behind` step deletes and
+//!   re-puts an object on the engine itself, behind the store.  It is the
+//!   only step that reaches one, on every substrate: every store method
+//!   that moves an object by its key or its key's name refreshes the entry,
+//!   and no full pass changes an id (the volume's defragmenter swaps a
+//!   file's layout in place, the BLOB rebuild and the log's cleaner keep
+//!   theirs), which the script checks too.  The engines' own code never
+//!   goes behind the store; the step stands for any route that might.
 //!
-//! After every successful keyed operation the keyed path's table must hold a
-//! live handle for each key the operation named (when the key is within the
-//! table's reach): the table is a hint, so a table that stopped being
-//! refreshed would still answer correctly, only slowly, and this is what
-//! notices.
+//! After every step, on every path:
+//!
+//! * the table agrees with the engine ([`Store::check_table`]: a live entry
+//!   is the handle the name map files its key's name under);
+//! * each key the step names and leaves live (within the table's reach)
+//!   has a live entry, unless the step went behind the store, which must
+//!   leave it stale;
+//! * `size_of`, `contains` and `layout_of` of every name the step names
+//!   agree with the engine's name map read directly;
+//! * a `maintenance()` pass leaves every live entry live.
+//!
+//! At the end, every path's store, the defaults' wrapped one included,
+//! holds a live entry for each of its live dense keys: the property that
+//! lets a wrapper speaking only `&str` (as `lorbench`'s `TimedStore` does)
+//! time the table and not the name map.
 //!
 //! Mutations this catches (each made in a copy of the tree, and seen to
 //! fail there on the first case below):
 //!
 //! * no refresh after a keyed batch (`safe_write_batch_keyed` skips
 //!   `note`): after the prologue's duplicate-key batch the filesystem's
-//!   table names the dead file — "the table holds no live handle";
+//!   table names the dead file — "no live table entry";
 //! * no refresh after a name fallback (`Store::handle` skips `note`): the
-//!   same message at the get after the volume's `&str` safe write;
+//!   same message at the get after the `Behind` step;
 //! * a hint trusted without its liveness check (`Store::handle` drops the
-//!   `is_live` filter): the get after the `&str` safe write panics on the
-//!   dead handle ("a resolved handle is live");
+//!   `is_live` filter): the get after the `Behind` step panics on the dead
+//!   handle ("a resolved handle is live");
 //! * a get that answers a dead hint's miss instead of falling back
 //!   (`get_keyed`): keyed against named differ at that same get;
 //! * the volume committing a duplicate target by its original id
 //!   (`safe_write_batch_by_id` without re-pointing a target an earlier item
 //!   replaced): the duplicate-key batch panics in `commit_replace`;
-//! * a put that does not extend the table (`put_keyed` skips `note_put`):
-//!   "the table holds no live handle" at the first put.
+//! * a put that does not extend the table (`put_keyed` passes no key to
+//!   `insert`): "no live table entry" at the first put, keyed path;
+//! * the same of `put(&str)`: the same message at the first `&str` put,
+//!   the prologue's delete and re-put of key 3 (the keyed path runs
+//!   first);
+//! * a safe write by name that does not refresh the entry
+//!   (`ObjectStore::safe_write` skips `note`): the same message at the
+//!   filesystem's first `&str` safe write;
+//! * a loosened parse (a leading zero accepted past 8 digits): "the key
+//!   table files object-00000042 under live handle …" at the alias's put;
+//! * a `size_of` that trusts a dead hint (answers from the entry's handle
+//!   without falling back): "size_of … disagrees with the name map" at the
+//!   `Behind` step.
 
-use lor_disksim::SimDuration;
+use lor_disksim::{ByteRun, SimDuration};
 use lor_maint::MaintenanceConfig;
 
-use crate::store::{ObjectStore, OpReceipt, Store};
+use crate::store::{ObjectStore, OpReceipt, Store, TABLE_SLACK};
 use crate::substrate::Substrate;
 use crate::workload::ObjectKey;
 use crate::{
@@ -62,10 +97,13 @@ const DENSE: u64 = 40;
 /// Key numbers far beyond any table's reach on a store of a few dozen
 /// objects.
 const FAR: u64 = 1 << 20;
+/// The key the alias names another object beside.
+const ALIASED: u64 = 42;
+/// A name that is not `ObjectKey(ALIASED)`'s string form, one zero longer.
+const ALIAS: &str = "object-000000042";
 
 /// One step of the script.  The `Str*` steps and `Named*` steps go through
-/// the `&str` methods on every path: on the keyed path they are the
-/// mutations the key table does not see.
+/// the `&str` methods on every path.
 #[derive(Debug, Clone)]
 enum Step {
     Put(ObjectKey, u64),
@@ -79,6 +117,42 @@ enum Step {
     NamedGet(String),
     NamedBatch(Vec<(String, u64)>),
     Maintenance,
+    /// Deletes the key's object and puts it again at this size on the
+    /// engine itself, behind the store: no clock, no disk, no table.
+    Behind(ObjectKey, u64),
+}
+
+impl Step {
+    /// The keys whose objects the step leaves live when it succeeds.
+    fn live_keys(&self) -> Vec<ObjectKey> {
+        match self {
+            Step::Put(key, _)
+            | Step::Get(key)
+            | Step::StrDeleteAndPut(key, _)
+            | Step::StrSafeWrite(key, _)
+            | Step::StrDeleteAndMigrateIn(key, _)
+            | Step::Behind(key, _) => vec![*key],
+            Step::Batch(items) => items.iter().map(|&(key, _)| key).collect(),
+            Step::NamedPut(name, _) | Step::NamedGet(name) => {
+                ObjectKey::parse(name).into_iter().collect()
+            }
+            Step::NamedBatch(items) => items
+                .iter()
+                .filter_map(|(name, _)| ObjectKey::parse(name))
+                .collect(),
+            Step::Delete(_) | Step::Maintenance => Vec::new(),
+        }
+    }
+
+    /// Every name the step names.
+    fn names(&self) -> Vec<String> {
+        match self {
+            Step::Delete(key) => vec![key.to_string()],
+            Step::NamedPut(name, _) | Step::NamedGet(name) => vec![name.clone()],
+            Step::NamedBatch(items) => items.iter().map(|(name, _)| name.clone()).collect(),
+            _ => self.live_keys().iter().map(ObjectKey::to_string).collect(),
+        }
+    }
 }
 
 /// A deterministic script of `len` steps from `seed`.
@@ -114,6 +188,18 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
         Step::StrDeleteAndMigrateIn(k(6), 64 * KB),
         Step::Get(k(6)),
         Step::Batch(vec![(k(6), 128 * KB)]),
+        Step::Behind(k(10), 160 * KB),
+        Step::Get(k(10)),
+        Step::Behind(k(11), 96 * KB),
+        Step::Batch(vec![(k(11), 64 * KB), (k(12), 64 * KB)]),
+        Step::Put(k(ALIASED), 160 * KB),
+        Step::NamedPut(ALIAS.into(), 224 * KB),
+        Step::Get(k(ALIASED)),
+        Step::NamedGet(ALIAS.into()),
+        Step::NamedBatch(vec![
+            (ALIAS.into(), 96 * KB),
+            (k(ALIASED).to_string(), 64 * KB),
+        ]),
         Step::Get(absent),
         Step::Delete(absent),
         Step::Batch(vec![(k(7), 64 * KB), (absent, 64 * KB)]),
@@ -172,7 +258,8 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
 }
 
 /// What one step returned: its receipts (none for maintenance, which
-/// reports the bytes it copied) or its error, and the clock after it.
+/// reports the bytes it copied, nor for a step behind the store) or its
+/// error, and the clock after it.
 type Outcome = (Result<(Vec<OpReceipt>, u64), StoreError>, SimDuration);
 
 /// Which of a store's methods the keyed steps go through.
@@ -182,20 +269,78 @@ enum Path {
     Named,
 }
 
-/// Whether a store's key table holds a live handle for a key.
-type Covers<'a, T> = &'a dyn Fn(&T, ObjectKey) -> bool;
+/// A store the script drives and the [`Store`] whose table it checks:
+/// the store itself, or the one [`Defaulted`] wraps.
+trait Driven<S: Substrate>: ObjectStore {
+    fn inner(&self) -> &Store<S>;
+    fn inner_mut(&mut self) -> &mut Store<S>;
+}
 
-/// Runs `steps` on `store` along `path`, checking the key table after every
-/// keyed step when `table` reads it.
-fn drive<T: ObjectStore>(
+impl<S: Substrate> Driven<S> for Store<S> {
+    fn inner(&self) -> &Store<S> {
+        self
+    }
+    fn inner_mut(&mut self) -> &mut Store<S> {
+        self
+    }
+}
+
+impl<S: Substrate> Driven<S> for Defaulted<S> {
+    fn inner(&self) -> &Store<S> {
+        &self.0
+    }
+    fn inner_mut(&mut self) -> &mut Store<S> {
+        &mut self.0
+    }
+}
+
+/// [`Step::Behind`] on `store`'s engine.
+fn behind<S: Substrate>(store: &mut Store<S>, key: ObjectKey, size: u64) -> Result<(), StoreError> {
+    let name = key.to_string();
+    let request = store.write_request_size();
+    let engine = &mut store.substrate;
+    let handle = engine
+        .resolve(&name)
+        .ok_or_else(|| StoreError::NoSuchObject(name.clone()))?;
+    engine.remove(handle, &name)?;
+    engine.insert(&name, size, request, false)?;
+    Ok(())
+}
+
+/// What the engine's name map, read directly, says of the object `name`
+/// names: its size and layout.
+fn by_name<S: Substrate>(store: &Store<S>, name: &str) -> (Option<u64>, Option<Vec<ByteRun>>) {
+    let engine = &store.substrate;
+    let handle = engine.resolve(name);
+    (
+        handle.and_then(|handle| engine.size(handle)),
+        handle.and_then(|handle| Some(engine.read_plan(handle)?.runs)),
+    )
+}
+
+/// The keys below this are within every table's reach.
+const NEAR: u64 = TABLE_SLACK;
+
+/// Runs `steps` on `store` along `path`, checking the key table after
+/// every step (module docs), and returns each step's outcome and how many
+/// steps left a stale entry behind.
+fn drive<S: Substrate, T: Driven<S>>(
     store: &mut T,
     path: Path,
     steps: &[Step],
-    table: Option<Covers<'_, T>>,
-) -> Vec<Outcome> {
+) -> (Vec<Outcome>, usize) {
     let name = |key: ObjectKey| key.to_string();
+    let kind = S::KIND;
     let mut outcomes = Vec::with_capacity(steps.len());
+    let mut stale = 0;
     for (index, step) in steps.iter().enumerate() {
+        let covered: Vec<ObjectKey> = match step {
+            Step::Maintenance => (0..NEAR)
+                .map(ObjectKey)
+                .filter(|&key| store.inner().covers(key))
+                .collect(),
+            _ => Vec::new(),
+        };
         let one = |receipt: Result<OpReceipt, StoreError>| receipt.map(|r| (vec![r], 0));
         let outcome = match (step, path) {
             (Step::Put(key, size), Path::Keyed) => one(store.put_keyed(*key, *size)),
@@ -230,30 +375,68 @@ fn drive<T: ObjectStore>(
                 store.safe_write_batch(items).map(|receipts| (receipts, 0))
             }
             (Step::Maintenance, _) => store.maintenance().map(|copied| (Vec::new(), copied)),
-        };
-        if let (Some(covers), Path::Keyed, Ok(_)) = (table, path, &outcome) {
-            let named: Vec<ObjectKey> = match step {
-                Step::Put(key, _) | Step::Get(key) => vec![*key],
-                Step::Batch(items) => items.iter().map(|&(key, _)| key).collect(),
-                _ => Vec::new(),
-            };
-            for key in named.into_iter().filter(|key| key.0 < DENSE) {
-                assert!(
-                    covers(store, key),
-                    "step {index} {step:?}: the table holds no live handle for {key:?}"
-                );
+            (Step::Behind(key, size), _) => {
+                behind(store.inner_mut(), *key, *size).map(|()| (Vec::new(), 0))
             }
+        };
+        let at = |what: String| format!("{kind}, {path:?} path, step {index} {step:?}: {what}");
+        let table = store.inner();
+        if let Err(violation) = table.check_table() {
+            panic!("{}", at(violation));
+        }
+        if outcome.is_ok() {
+            for key in step.live_keys().into_iter().filter(|key| key.0 < NEAR) {
+                if let Step::Behind(..) = step {
+                    assert!(
+                        table.is_stale(key),
+                        "{}",
+                        at(format!("{key:?} is not stale"))
+                    );
+                    stale += 1;
+                } else {
+                    assert!(
+                        table.covers(key),
+                        "{}",
+                        at(format!("no live table entry for {key:?}"))
+                    );
+                }
+            }
+        }
+        for key in covered {
+            assert!(
+                table.covers(key),
+                "{}",
+                at(format!("the pass left {key:?}'s entry dead"))
+            );
+        }
+        for name in step.names() {
+            let truth = by_name(table, &name);
+            let present = truth.0.is_some();
+            assert_eq!(
+                (store.size_of(&name).ok(), store.layout_of(&name).ok()),
+                truth,
+                "{}",
+                at(format!(
+                    "size_of / layout_of {name:?} disagrees with the name map"
+                ))
+            );
+            assert_eq!(
+                store.contains(&name),
+                present,
+                "{}",
+                at(format!("contains {name:?} disagrees with the name map"))
+            );
         }
         outcomes.push((outcome, store.elapsed()));
     }
-    outcomes
+    (outcomes, stale)
 }
 
-/// Forwards the required methods (and `migrate_in`) to a store, so that
-/// every keyed call takes the trait's default.
-struct NamesOnly(Box<dyn ObjectStore>);
+/// Wraps a store and forwards only the required methods (and
+/// `migrate_in`), so that every keyed call takes the trait's default.
+struct Defaulted<S: Substrate>(Store<S>);
 
-impl ObjectStore for NamesOnly {
+impl<S: Substrate> ObjectStore for Defaulted<S> {
     fn kind(&self) -> StoreKind {
         self.0.kind()
     }
@@ -284,7 +467,7 @@ impl ObjectStore for NamesOnly {
     fn size_of(&self, key: &str) -> Result<u64, StoreError> {
         self.0.size_of(key)
     }
-    fn layout_of(&self, key: &str) -> Result<Vec<lor_disksim::ByteRun>, StoreError> {
+    fn layout_of(&self, key: &str) -> Result<Vec<ByteRun>, StoreError> {
         self.0.layout_of(key)
     }
     fn fragmentation(&self) -> lor_alloc::FragmentationSummary {
@@ -317,7 +500,7 @@ impl ObjectStore for NamesOnly {
 fn state(store: &dyn ObjectStore) -> impl PartialEq + std::fmt::Debug {
     let mut keys = store.keys();
     keys.sort_unstable();
-    let objects: Vec<(String, u64, Vec<lor_disksim::ByteRun>)> = keys
+    let objects: Vec<(String, u64, Vec<ByteRun>)> = keys
         .into_iter()
         .map(|key| {
             let size = store.size_of(&key).unwrap();
@@ -336,19 +519,18 @@ fn state(store: &dyn ObjectStore) -> impl PartialEq + std::fmt::Debug {
 
 /// Drives the script through the three paths on stores `build` makes, and
 /// checks the keyed and named stores' structures with `verify` at the end.
-fn check<S: Substrate + 'static>(
+fn check<S: Substrate>(
     build: impl Fn() -> Store<S>,
     verify: fn(&Store<S>) -> Result<(), String>,
     seed: u64,
 ) {
     let steps = script(seed, 400);
-    let covers = |store: &Store<S>, key: ObjectKey| store.covers(key);
     let mut keyed = build();
-    let keyed_outcomes = drive(&mut keyed, Path::Keyed, &steps, Some(&covers));
+    let (keyed_outcomes, keyed_stale) = drive(&mut keyed, Path::Keyed, &steps);
     let mut named = build();
-    let named_outcomes = drive(&mut named, Path::Named, &steps, None);
-    let mut defaults = NamesOnly(Box::new(build()));
-    let default_outcomes = drive(&mut defaults, Path::Keyed, &steps, None);
+    let (named_outcomes, named_stale) = drive(&mut named, Path::Named, &steps);
+    let mut defaults = Defaulted(build());
+    let (default_outcomes, default_stale) = drive(&mut defaults, Path::Keyed, &steps);
 
     let kind = S::KIND;
     for (index, step) in steps.iter().enumerate() {
@@ -367,6 +549,28 @@ fn check<S: Substrate + 'static>(
         if let Err(violation) = verify(store) {
             panic!("{kind}, seed {seed}, {path} path: {violation}");
         }
+    }
+    // Every path ends with a live entry for each live dense key, the
+    // defaults' wrapped store too: a caller speaking only `&str` reaches
+    // the engine through the table.
+    let stores = [
+        ("keyed", &keyed, keyed_stale),
+        ("named", &named, named_stale),
+        ("defaults", &defaults.0, default_stale),
+    ];
+    for (path, store, stale) in stores {
+        for key in (0..DENSE).map(ObjectKey) {
+            if store.contains(&key.to_string()) {
+                assert!(
+                    store.covers(key),
+                    "{kind}, seed {seed}, {path} path: no live table entry for {key:?} at the end"
+                );
+            }
+        }
+        assert!(
+            stale >= 2,
+            "{kind}, seed {seed}, {path} path: {stale} stale entries reached"
+        );
     }
     // The script reached the cases it is for.
     let errors = named_outcomes.iter().filter(|(o, _)| o.is_err()).count();

@@ -213,11 +213,8 @@ impl Substrate for LogSubstrate {
         self.log.reserve(keys);
     }
 
-    fn resolve(&self, key: &str) -> Result<u64, StoreError> {
-        self.names
-            .get(key.as_bytes())
-            .copied()
-            .ok_or_else(|| StoreError::NoSuchObject(key.to_string()))
+    fn resolve(&self, key: &str) -> Option<u64> {
+        self.names.get(key.as_bytes()).copied()
     }
 
     fn is_live(&self, id: u64) -> bool {
@@ -275,9 +272,8 @@ impl Substrate for LogSubstrate {
         METADATA_IO_TIME
     }
 
-    fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        let id = self.resolve(key)?;
-        self.log.size_of(id).map_err(|e| log_err(e, key))
+    fn size(&self, id: u64) -> Option<u64> {
+        self.log.size_of(id).ok()
     }
 
     fn object_count(&self) -> usize {

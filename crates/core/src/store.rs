@@ -148,6 +148,10 @@ pub(crate) fn host_costs() -> String {
 /// and call the `&str` method; [`Store`] overrides them to reach the engine
 /// by the object's handle, without building or hashing the name.  The
 /// request scheduler ([`crate::StoreServer`]) dispatches only through them.
+/// The other way round, a name in key form is its key: every `&str`
+/// method of [`Store`] parses the name ([`ObjectKey::parse`]) and reaches
+/// such an object by handle too, so a caller that speaks only `&str` (a
+/// wrapper taking the defaults) hashes only the names not in key form.
 ///
 /// Stores are `Send` so a sharded fleet can drain each shard's
 /// sub-stream on its own worker thread (`lor-shard`'s parallel
@@ -337,6 +341,11 @@ pub trait ObjectStore: Send {
     }
 }
 
+/// The error of a name no object is stored under.
+fn missing(name: &str) -> StoreError {
+    StoreError::NoSuchObject(name.to_owned())
+}
+
 thread_local! {
     /// The names [`ObjectStore::safe_write_batch_keyed`]'s default hands
     /// `safe_write_batch`, kept per thread between batches.
@@ -364,20 +373,22 @@ pub struct Store<S: Substrate> {
     defrag_backoff: u64,
     obs: Option<Obs>,
     /// Key number → the handle of the object under that key, as noted by
-    /// the last keyed operation that resolved or wrote it (0: none).  An
-    /// entry is a hint, checked live at use: a `&str` mutation bypasses the
-    /// table, and the volume's safe write moves an object to a new handle,
-    /// but no substrate reuses a handle, so a live one still names its key.
-    /// Only a put extends it, to a key below twice the objects held plus
-    /// [`TABLE_SLACK`], so a shard that sees keys from a whole fleet's range
-    /// keeps no table over it.  4 bytes a key.
+    /// the last operation that resolved or wrote it by its key or by its
+    /// key's string form (0: none); a name not in key form never reaches
+    /// it.  An entry is a hint, checked live at use: a deleted object
+    /// leaves its entry dead, and the volume's safe write moves an object
+    /// to a new handle, but no substrate reuses a handle, so a live one
+    /// still names its key.  Only a put or a migration extends it, to a key
+    /// below twice the objects held plus [`TABLE_SLACK`], so a shard that
+    /// sees keys from a whole fleet's range keeps no table over it.  4
+    /// bytes a key.
     handles: Vec<u32>,
 }
 
 /// A key gets a table entry only while its number is below twice the
 /// objects held plus this: dense workload keys always do, a fleet shard's
 /// keys (one in every few of the fleet's) soon do not.
-const TABLE_SLACK: u64 = 64;
+pub(crate) const TABLE_SLACK: u64 = 64;
 
 /// Safe-write batches of up to this many items resolve their handles into
 /// a buffer on the stack; a longer one (an open-loop burst) allocates one.
@@ -492,18 +503,25 @@ impl<S: Substrate> Store<S> {
         )
     }
 
-    /// Puts (or migrates in) a new object under `key`.
+    /// Puts (or migrates in) a new object named `name`, noting its handle
+    /// under `key`, the key `name` is the string form of, if it is one
+    /// ([`Store::note_put`]).
     fn insert(
         &mut self,
         op: WriteOp,
-        key: &str,
+        name: &str,
+        key: Option<ObjectKey>,
         size: u64,
-    ) -> Result<(S::Handle, OpReceipt), StoreError> {
+    ) -> Result<OpReceipt, StoreError> {
         let migrating = op == WriteOp::MigrateIn;
         let written = self
             .substrate
-            .insert(key, size, self.write_request_size, migrating)?;
-        Ok(self.commit(op, written))
+            .insert(name, size, self.write_request_size, migrating)?;
+        let (handle, receipt) = self.commit(op, written);
+        if let Some(key) = key {
+            self.note_put(key, handle);
+        }
+        Ok(receipt)
     }
 
     /// Safe-writes every live object of `batch` as one batch whose write
@@ -565,16 +583,6 @@ impl<S: Substrate> Store<S> {
         }
     }
 
-    /// Where the bytes of the object under `key` are.
-    fn plan(&self, key: &str) -> Result<ReadPlan, StoreError> {
-        let handle = self.substrate.resolve(key)?;
-        // A handle just resolved is live.
-        Ok(self
-            .substrate
-            .read_plan(handle)
-            .expect("a resolved handle is live"))
-    }
-
     /// Deletes the live object `handle`, stored under `key`.
     fn remove(&mut self, handle: S::Handle, key: &str) -> Result<OpReceipt, StoreError> {
         self.substrate.remove(handle, key)?;
@@ -599,17 +607,80 @@ impl<S: Substrate> Store<S> {
         if let Some(handle) = self.hint(key).filter(|&h| self.substrate.is_live(h)) {
             return Ok(handle);
         }
-        let handle = self
-            .substrate
-            .resolve(key.write_into(&mut ObjectKey::buf()))?;
+        let mut buf = ObjectKey::buf();
+        let name = key.write_into(&mut buf);
+        let handle = self.substrate.resolve(name).ok_or_else(|| missing(name))?;
         self.note(key, handle);
         Ok(handle)
+    }
+
+    /// The resolver behind every `&str` method that writes or reads an
+    /// object's bytes: the handle of the object named `name`, and the key
+    /// `name` is the string form of, if it is one.  Such a name is its key:
+    /// it goes through the table as the keyed methods do
+    /// ([`Store::handle`]), refreshing its entry.  Any other name goes to
+    /// the engine's name map.
+    fn resolve(&mut self, name: &str) -> Result<(Option<ObjectKey>, S::Handle), StoreError> {
+        let key = ObjectKey::parse(name);
+        let handle = match key {
+            Some(key) => self.handle(key)?,
+            None => self.substrate.resolve(name).ok_or_else(|| missing(name))?,
+        };
+        Ok((key, handle))
+    }
+
+    /// The resolver behind the `&str` methods that only look: what `read`
+    /// answers of the object named `name`.  A name in key form is asked of
+    /// the table's handle for its key first, and `read`, which answers
+    /// `None` for a handle that is not live, is the liveness check; a dead
+    /// or missing entry and any other name go to the engine's name map.
+    /// The table is only read.
+    fn find<T>(&self, name: &str, read: impl Fn(&S, S::Handle) -> Option<T>) -> Option<T> {
+        let hinted = ObjectKey::parse(name).and_then(|key| self.hint(key));
+        hinted
+            .and_then(|handle| read(&self.substrate, handle))
+            .or_else(|| read(&self.substrate, self.substrate.resolve(name)?))
     }
 
     /// `true` when the key table holds a live handle for `key`.
     #[cfg(test)]
     pub(crate) fn covers(&self, key: ObjectKey) -> bool {
         self.hint(key).is_some_and(|h| self.substrate.is_live(h))
+    }
+
+    /// `true` when the table's entry for `key` is stale while the key lives:
+    /// the entry's handle is dead and the engine's name map files the key's
+    /// name under another.
+    #[cfg(test)]
+    pub(crate) fn is_stale(&self, key: ObjectKey) -> bool {
+        let mut buf = ObjectKey::buf();
+        self.hint(key).is_some_and(|h| !self.substrate.is_live(h))
+            && self.substrate.resolve(key.write_into(&mut buf)).is_some()
+    }
+
+    /// Checks the key table against the engine, naming the first entry that
+    /// disagrees: every entry whose handle is live must be the handle the
+    /// engine's name map files its key's name under.  A dead entry is a
+    /// hint nobody may trust, and every resolver checks it.
+    #[cfg(test)]
+    pub(crate) fn check_table(&self) -> Result<(), String> {
+        let mut buf = ObjectKey::buf();
+        for (number, &slot) in self.handles.iter().enumerate() {
+            let Some(handle) = self.hint(ObjectKey(number as u64)) else {
+                continue;
+            };
+            if !self.substrate.is_live(handle) {
+                continue;
+            }
+            let name = ObjectKey(number as u64).write_into(&mut buf);
+            let named = self.substrate.resolve(name);
+            if named != Some(handle) {
+                return Err(format!(
+                    "the key table files {name} under live handle {slot}, the name map under {named:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Notes `handle` as the object `key` numbers, if the table has an
@@ -623,10 +694,10 @@ impl<S: Substrate> Store<S> {
         }
     }
 
-    /// Notes the handle a put gave `key`, first extending the table to the
-    /// key if it is within reach: below twice the objects held plus
-    /// [`TABLE_SLACK`].  Only a put extends the table, so it follows the
-    /// population, not the keys the store is asked about.
+    /// Notes the handle a put or a migration gave `key`, first extending
+    /// the table to the key if it is within reach: below twice the objects
+    /// held plus [`TABLE_SLACK`].  Only they extend the table, so it
+    /// follows the population, not the keys the store is asked about.
     fn note_put(&mut self, key: ObjectKey, handle: S::Handle) {
         let reach = 2 * self.substrate.object_count() as u64 + TABLE_SLACK;
         if let Ok(index) = usize::try_from(key.0) {
@@ -665,46 +736,60 @@ impl<S: Substrate> ObjectStore for Store<S> {
     }
 
     fn put(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        Ok(self.insert(WriteOp::Put, key, size_bytes)?.1)
+        self.insert(WriteOp::Put, key, ObjectKey::parse(key), size_bytes)
     }
 
     fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let plan = self.plan(key)?;
+        let (_, handle) = self.resolve(key)?;
+        // A handle just resolved is live.
+        let plan = self
+            .substrate
+            .read_plan(handle)
+            .expect("a resolved handle is live");
         Ok(self.read(plan))
     }
 
     fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let handle = self.substrate.resolve(key)?;
+        let (number, handle) = self.resolve(key)?;
         let written = self
             .substrate
             .replace(handle, size_bytes, self.write_request_size)?;
-        Ok(self.commit(WriteOp::Replace, written).1)
+        let (handle, receipt) = self.commit(WriteOp::Replace, written);
+        if let Some(number) = number {
+            self.note(number, handle);
+        }
+        Ok(receipt)
     }
 
     fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
         self.with_batch(items.len(), |store, batch| {
             for (item, (key, size)) in batch.iter_mut().zip(items) {
-                *item = (store.substrate.resolve(key)?, *size);
+                *item = (store.resolve(key)?.1, *size);
             }
             let mut receipts = Vec::with_capacity(items.len());
             store.replace_batch(batch, &mut receipts)?;
+            for ((key, _), &(handle, _)) in items.iter().zip(batch.iter()) {
+                if let Some(number) = ObjectKey::parse(key) {
+                    store.note(number, handle);
+                }
+            }
             Ok(receipts)
         })
     }
 
     fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let handle = self.substrate.resolve(key)?;
+        let (_, handle) = self.resolve(key)?;
         self.remove(handle, key)
     }
 
     fn put_keyed(&mut self, key: ObjectKey, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let (handle, receipt) = self.insert(
+        let mut buf = ObjectKey::buf();
+        self.insert(
             WriteOp::Put,
-            key.write_into(&mut ObjectKey::buf()),
+            key.write_into(&mut buf),
+            Some(key),
             size_bytes,
-        )?;
-        self.note_put(key, handle);
-        Ok(receipt)
+        )
     }
 
     fn get_keyed(&mut self, key: ObjectKey) -> Result<OpReceipt, StoreError> {
@@ -744,11 +829,11 @@ impl<S: Substrate> ObjectStore for Store<S> {
     }
 
     fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        Ok(self.insert(WriteOp::MigrateIn, key, size_bytes)?.1)
+        self.insert(WriteOp::MigrateIn, key, ObjectKey::parse(key), size_bytes)
     }
 
     fn contains(&self, key: &str) -> bool {
-        self.substrate.size_of(key).is_ok()
+        self.find(key, S::size).is_some()
     }
 
     fn object_count(&self) -> usize {
@@ -760,11 +845,12 @@ impl<S: Substrate> ObjectStore for Store<S> {
     }
 
     fn size_of(&self, key: &str) -> Result<u64, StoreError> {
-        self.substrate.size_of(key)
+        self.find(key, S::size).ok_or_else(|| missing(key))
     }
 
     fn layout_of(&self, key: &str) -> Result<Vec<ByteRun>, StoreError> {
-        Ok(self.plan(key)?.runs)
+        let plan = self.find(key, S::read_plan).ok_or_else(|| missing(key))?;
+        Ok(plan.runs)
     }
 
     fn fragmentation(&self) -> FragmentationSummary {

@@ -104,10 +104,13 @@ impl Moved {
 /// so each store monomorphises to direct calls into its engine.
 ///
 /// An object is addressed by name only to create it, to resolve it and to
-/// remove it from the engine's name map; reads and replacements take its
-/// [`Substrate::Handle`], the id the engine files it under.  No engine reuses
-/// a handle, so a handle that is still live still names the object it was
-/// resolved for, and the store may keep handles as hints.
+/// remove it from the engine's name map; reads, sizes and replacements take
+/// its [`Substrate::Handle`], the id the engine files it under, and answer
+/// `None` (or fail) for a handle that is not live.  No engine reuses a
+/// handle, so a handle that is still live still names the object it was
+/// resolved for, and the store keeps handles as hints: its key table, which
+/// every store method on a key's name goes through.  The engine's name map
+/// is the authority the store falls back on.
 pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// The engine's own configuration.
     type Config;
@@ -138,8 +141,9 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
         migrating: bool,
     ) -> Result<Written, StoreError>;
 
-    /// The handle of the object stored under `key`.
-    fn resolve(&self, key: &str) -> Result<Self::Handle, StoreError>;
+    /// The handle of the object stored under `key`, if there is one: one
+    /// probe of the engine's name map, which builds nothing on a miss.
+    fn resolve(&self, key: &str) -> Option<Self::Handle>;
 
     /// `true` while `handle` names a live object.
     fn is_live(&self, handle: Self::Handle) -> bool;
@@ -182,8 +186,8 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// Host time of a delete.
     fn remove_host_time() -> SimDuration;
 
-    /// Logical size of an object.
-    fn size_of(&self, key: &str) -> Result<u64, StoreError>;
+    /// Logical size of the object `handle`; `None` when it is not live.
+    fn size(&self, handle: Self::Handle) -> Option<u64>;
     /// Number of live objects.
     fn object_count(&self) -> usize;
     /// Keys of all live objects, in deterministic order.

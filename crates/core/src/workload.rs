@@ -79,7 +79,8 @@ impl SizeDistribution {
 /// only to create, resolve or remove an object, and otherwise reaches the
 /// object through its key table by the engine's handle; the trait's default
 /// keyed methods build it for every call, with [`ObjectKey::write_into`],
-/// which formats into a stack buffer instead of the heap.
+/// which formats into a stack buffer instead of the heap.  Handed a name,
+/// [`crate::Store`] takes it back to its key with [`ObjectKey::parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ObjectKey(pub u64);
 
@@ -108,6 +109,30 @@ impl ObjectKey {
         start -= PREFIX.len();
         buf[start..start + PREFIX.len()].copy_from_slice(PREFIX);
         std::str::from_utf8(&buf[start..]).expect("the key form is pure ASCII")
+    }
+
+    /// The key whose string form is `name`, if it is one: the exact
+    /// inverse of [`ObjectKey::write_into`].  That form is `object-`
+    /// followed by exactly 8 digits, or by 9 to 20 digits with no leading
+    /// zero, within `u64`, so `object-000000042` and `object-0000042` name
+    /// other objects than `ObjectKey(42)` and parse to `None`.
+    pub fn parse(name: &str) -> Option<ObjectKey> {
+        let digits = name.strip_prefix("object-")?.as_bytes();
+        let canonical = match digits.len() {
+            8 => true,
+            9..=20 => digits[0] != b'0',
+            _ => false,
+        };
+        if !canonical {
+            return None;
+        }
+        digits
+            .iter()
+            .try_fold(0u64, |number, &digit| {
+                let digit = digit.checked_sub(b'0').filter(|&d| d < 10)?;
+                number.checked_mul(10)?.checked_add(u64::from(digit))
+            })
+            .map(ObjectKey)
     }
 }
 
@@ -791,12 +816,57 @@ mod tests {
         }
     }
 
+    /// `parse` inverts `write_into` at the edges, and refuses every name
+    /// that is not exactly a key's string form, so a store never files such
+    /// a name under a key.
+    ///
+    /// Mutations this catches (each made in a copy of the tree and seen to
+    /// fail here): a leading zero accepted past 8 digits (`9..=20 => true`)
+    /// fails on `object-000000042`; 7 digits accepted (`7..=8 => true`) on
+    /// `object-0000042`; an overflow that wraps (`wrapping_mul` /
+    /// `wrapping_add` for the checked pair) on 2⁶⁴.
+    #[test]
+    fn parse_inverts_the_key_form_and_refuses_every_other_name() {
+        let mut buf = ObjectKey::buf();
+        for n in [0, 42, 99_999_999, 100_000_000, u64::MAX] {
+            let name = ObjectKey(n).write_into(&mut buf);
+            assert_eq!(ObjectKey::parse(name), Some(ObjectKey(n)), "{name}");
+        }
+        for name in [
+            "object-000000042",             // a leading zero past 8 digits
+            "object-012345678901234567",    // ditto, longer
+            "object-0000042",               // 7 digits
+            "object-",                      // none
+            "object-+0000042",              // a sign
+            "object--0000042",              // ditto
+            "object-18446744073709551616",  // 2⁶⁴
+            "object-99999999999999999999",  // 20 digits past u64::MAX
+            "object-123456789012345678901", // 21 digits
+            "Object-00000042",              // a wrong prefix
+            "objects00000042",
+            "00000042",
+            "object-00000042 ",  // trailing bytes
+            "object-00000042\0", // ditto
+            "object-0000004x",   // a non-digit
+            "object-0000004٢",   // a non-ASCII digit
+        ] {
+            assert_eq!(ObjectKey::parse(name), None, "{name:?}");
+        }
+    }
+
     proptest! {
         /// Every digit count, not only the twenty a uniform `u64` nearly
         /// always has.
         #[test]
         fn hand_written_key_digits_match_the_formatter(n in any::<u64>(), shift in 0u32..64) {
             assert_key_forms(n >> shift);
+        }
+
+        /// `parse` inverts `write_into` at every digit count.
+        #[test]
+        fn parse_inverts_write_into(n in any::<u64>(), shift in 0u32..64) {
+            let key = ObjectKey(n >> shift);
+            prop_assert_eq!(ObjectKey::parse(key.write_into(&mut ObjectKey::buf())), Some(key));
         }
 
         /// Empirical rank frequencies converge on the analytic pmf for the

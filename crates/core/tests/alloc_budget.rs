@@ -1,5 +1,6 @@
 //! The heap-call budgets of a bulk load, of a batched safe write, of a get
-//! and of a safe write issued alone, of a bare segment log's emergency
+//! and of a safe write issued alone, of the name look-ups that only read
+//! (`size_of`, `contains`), of a bare segment log's emergency
 //! vacates and background cleaning, the heap bytes an aged store holds,
 //! and the peak heap a mixed-load calibration adds per operation, pinned by
 //! a test and not only by a benchmark: `lor-obs`'s counting allocator,
@@ -289,6 +290,61 @@ fn lone_safe_writes_stay_inside_their_heap_call_budget() {
             (StoreKind::LogStructured, 6_299, 10_395),
         ],
         |kind| lone_calls(kind)[1],
+    );
+}
+
+/// Heap calls of `size_of` of every live object's name, then of `contains`
+/// of `OBJECTS` absent names (half in key form past the population, half
+/// not), on a fresh store after its bulk load and one round.
+fn lookup_calls(kind: StoreKind) -> u64 {
+    let mut store = small_store(kind);
+    let mut server = StoreServer::new(store.as_mut());
+    server
+        .run_closed_loop(puts(), 1, SimDuration::ZERO)
+        .expect("bulk load");
+    server
+        .run_closed_loop(round(192 * KB), CLIENTS, SimDuration::ZERO)
+        .expect("warm-up round");
+    drop(server);
+    let live: Vec<String> = (0..OBJECTS).map(|key| ObjectKey(key).to_string()).collect();
+    let absent: Vec<String> = (0..OBJECTS / 2)
+        .map(|i| ObjectKey(OBJECTS + i).to_string())
+        .chain((0..OBJECTS / 2).map(|i| format!("photos/IMG_{i:04}.jpg")))
+        .collect();
+    let ((sizes, misses), [allocs, reallocs]) = counted(|| {
+        let sizes: u64 = live
+            .iter()
+            .filter_map(|name| store.size_of(name).ok())
+            .sum();
+        let misses = absent.iter().filter(|name| !store.contains(name)).count();
+        (sizes, misses)
+    });
+    assert_eq!(
+        sizes,
+        OBJECTS * 192 * KB,
+        "{kind}: every live name has its size"
+    );
+    assert_eq!(misses as u64, OBJECTS, "{kind}: every absent name misses");
+    allocs + reallocs
+}
+
+#[test]
+fn name_lookups_that_only_read_make_no_heap_call() {
+    // (substrate, calls recorded, calls at the commit before the one that
+    // recorded them) for `OBJECTS` = 128 `size_of`s and 128 `contains`
+    // misses.  A name in key form is its key: it reaches the object through
+    // the key table, and any other name through the engine's name map,
+    // whose miss builds no error.  Before, each `contains` miss built the
+    // `NoSuchObject` error it discarded, one `String` a miss.
+    check_budgets(
+        "look-up",
+        2 * OBJECTS,
+        [
+            (StoreKind::Filesystem, 0, 128),
+            (StoreKind::Database, 0, 128),
+            (StoreKind::LogStructured, 0, 128),
+        ],
+        lookup_calls,
     );
 }
 

@@ -371,10 +371,14 @@ impl Volume {
 
     /// Looks a file id up by name.
     pub fn lookup(&self, name: &str) -> Result<FileId, FsError> {
-        self.names
-            .get(name.as_bytes())
-            .copied()
+        self.id_of(name)
             .ok_or_else(|| FsError::NoSuchName(name.to_string()))
+    }
+
+    /// The id of the file named `name`, if there is one: [`Volume::lookup`]
+    /// without the error a miss builds.
+    pub fn id_of(&self, name: &str) -> Option<FileId> {
+        self.names.get(name.as_bytes()).copied()
     }
 
     /// Iterates over all live file records in id order.

@@ -437,7 +437,16 @@ impl ShardedStore {
     /// kept: each shard's server drops them as they complete, so all a load
     /// holds per operation is the stream and the per-shard sub-streams
     /// partitioned from it.
+    ///
+    /// After a failed load the directory names what the shards hold, read
+    /// back off them.
     pub fn load(&mut self, ops: Vec<WorkloadOp>) -> Result<usize, StoreError> {
+        let outcome = self.drain_load(ops);
+        self.settle(outcome)
+    }
+
+    /// [`ShardedStore::load`] before the directory is settled.
+    fn drain_load(&mut self, ops: Vec<WorkloadOp>) -> Result<usize, StoreError> {
         let applied = ops.len();
         let streams: Vec<Arrivals> = self
             .partition(ops, |op| op)?
@@ -506,8 +515,15 @@ impl ShardedStore {
     /// time zero — [`OpenLoop::schedule`] or
     /// [`lor_core::MixedOpenLoop::schedule`] — so the per-shard streams are
     /// deterministic for a fixed seed and the offered pattern does not
-    /// depend on the shard count.
+    /// depend on the shard count.  After a failed run the directory names
+    /// what the shards hold, read back off them.
     pub fn run(&mut self, schedule: Vec<StoreRequest>) -> Result<Vec<Completion>, StoreError> {
+        let outcome = self.drain_run(schedule);
+        self.settle(outcome)
+    }
+
+    /// [`ShardedStore::run`] before the directory is settled.
+    fn drain_run(&mut self, schedule: Vec<StoreRequest>) -> Result<Vec<Completion>, StoreError> {
         let mut merged: Vec<Completion> = Vec::with_capacity(schedule.len());
         let streams = self.partition(schedule, |request| &request.op)?;
         self.drain_interval(streams, |obs, offset, shard, run| {
@@ -542,7 +558,8 @@ impl ShardedStore {
     /// Migrations and foreground routing alternate on the coordinating
     /// thread; queue backlog does not carry across window boundaries
     /// (each window re-opens its shard queues, as separate measurement
-    /// intervals do).
+    /// intervals do).  A window that fails ends the run with the directory
+    /// settled, as [`ShardedStore::run`] leaves it.
     pub fn run_with_rebalance(
         &mut self,
         schedule: Vec<StoreRequest>,
@@ -582,6 +599,26 @@ impl ShardedStore {
             self.run_rebalance_slice(budget_bytes);
         }
         Ok(merged)
+    }
+
+    /// Passes `outcome` on, first rebuilding the directory from the shards
+    /// when it failed.  Partitioning files a put's entry and drops a
+    /// delete's before any shard runs them, so a put a shard refused or
+    /// never reached, and a delete it never ran, would leave the directory
+    /// naming what no shard holds, or missing what one does.  On that path
+    /// alone, the directory is read back off every shard's `keys()`.
+    fn settle<T>(&mut self, outcome: Result<T, StoreError>) -> Result<T, StoreError> {
+        if outcome.is_err() {
+            self.directory.clear();
+            for (shard, store) in (0u32..).zip(&self.shards) {
+                let keys = store.keys();
+                self.directory.extend(
+                    keys.iter()
+                        .filter_map(|name| Some((ObjectKey::parse(name)?, shard))),
+                );
+            }
+        }
+        outcome
     }
 
     /// Runs fan-out reads: each group of keys is one multi-object request
@@ -804,6 +841,86 @@ mod tests {
         // A zero budget moves nothing.
         assert!(fleet.run_rebalance_slice(0).is_none());
         assert_eq!(fleet.objects_migrated(), 2);
+    }
+
+    /// A failed drain leaves the directory equal to what the shards hold,
+    /// on every substrate.  40 puts of 4 MiB overfill a 2-shard 64 MiB
+    /// fleet: `load` fails `OutOfSpace`, having filed all 40 entries while
+    /// partitioning, and must then name exactly the objects the shards
+    /// kept, so that `verify` passes and a rebalance slice (which verifies
+    /// in a debug build) does not panic.  A `run` whose put is refused and
+    /// whose later delete never ran is settled the same way, and so is one
+    /// whose partitioning fails part-way.  Before the directory was
+    /// settled, the first `verify` failed on every substrate with "… is
+    /// filed under shard 0, which lacks it" (which key, the map's order
+    /// decides).
+    #[test]
+    fn a_failed_drain_leaves_the_directory_naming_what_the_shards_hold() {
+        const SIZE: u64 = 4 << 20;
+        let policy = RouterPolicy::ConsistentHash { vnodes: 8 };
+        for kind in StoreKind::ALL {
+            let mut config = ExperimentConfig::paper_default(SizeDistribution::Constant(SIZE));
+            config.volume_bytes = 64 << 20;
+            let mut fleet = ShardedStore::new(kind, &config, 2, policy).expect("fleet");
+            let puts = (0..40).map(|key| WorkloadOp::Put {
+                key: ObjectKey(key),
+                size: SIZE,
+            });
+            let err = fleet.load(puts.collect()).unwrap_err();
+            assert!(matches!(err, StoreError::OutOfSpace(_)), "{kind}: {err:?}");
+            assert_eq!(fleet.verify(), Ok(()), "{kind}");
+            let held = fleet.object_count();
+            assert!((1..40).contains(&held), "{kind}: {held} objects held");
+            assert_eq!(fleet.directory.len(), held, "{kind}");
+            fleet.run_rebalance_slice(16 << 20);
+            assert_eq!(fleet.verify(), Ok(()), "{kind}");
+
+            // A refused put, then a delete of a held key that never runs on
+            // a shard that already failed.
+            let stored = *fleet.directory.keys().min().expect("a held key");
+            let request = |client, op| StoreRequest {
+                client: ClientId(client),
+                op,
+                arrival: SimDuration::ZERO,
+            };
+            let full = fleet.router().route(ObjectKey(100), 16 * SIZE);
+            let late = fleet
+                .directory
+                .iter()
+                .find(|&(_, &shard)| shard == full)
+                .map(|(&key, _)| key);
+            let mut schedule = vec![request(
+                0,
+                WorkloadOp::Put {
+                    key: ObjectKey(100),
+                    size: 16 * SIZE,
+                },
+            )];
+            if let Some(key) = late {
+                schedule.push(request(1, WorkloadOp::Delete { key }));
+            }
+            assert!(fleet.run(schedule).is_err(), "{kind}");
+            assert_eq!(fleet.verify(), Ok(()), "{kind}");
+            assert!(!fleet.directory.contains_key(&ObjectKey(100)), "{kind}");
+            if let Some(key) = late {
+                assert!(fleet.directory.contains_key(&key), "{kind}");
+            }
+
+            // Partitioning fails at the get of a key no shard holds, after
+            // the delete before it was filed.
+            let schedule = vec![
+                request(0, WorkloadOp::Delete { key: stored }),
+                request(
+                    1,
+                    WorkloadOp::Get {
+                        key: ObjectKey(999),
+                    },
+                ),
+            ];
+            assert!(fleet.run(schedule).is_err(), "{kind}");
+            assert_eq!(fleet.verify(), Ok(()), "{kind}");
+            assert!(fleet.directory.contains_key(&stored), "{kind}");
+        }
     }
 
     /// `verify` names a directory that disagrees with its shards.  The
