@@ -2,14 +2,14 @@
 
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
 use lor_blobkit::{BlobId, Database, DbWriteReceipt, EngineConfig};
-use lor_disksim::{DiskConfig, SimDuration};
+use lor_disksim::{merged, DiskConfig, SimDuration};
 
 use crate::error::StoreError;
 use crate::store::{
     Store, StoreKind, DB_CLIENT_CHUNK_BYTES, DB_LOOKUP_TIME, DB_PER_CHUNK_TIME, DB_PER_PAGE_TIME,
     PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, Written, WrittenFragments};
+use crate::substrate::{Moved, ReadPlan, Substrate, Written};
 
 /// Configuration of a database-backed store: the engine and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,14 +49,18 @@ impl DbObjectStore {
     }
 }
 
-/// What the store must service and cost for one engine write.
+/// What the store must service and cost for one engine write.  The
+/// receipt's runs are the version's maximal page runs, so their number is
+/// its fragment count.
 fn written(receipt: DbWriteReceipt) -> Written {
+    let fragments = receipt.runs.len() as u64;
+    debug_assert_eq!(fragments, merged(&receipt.runs).count() as u64);
     Written {
         handle: receipt.blob_id.0,
         runs: receipt.runs,
         payload_bytes: receipt.bytes_written,
         units: receipt.pages_written,
-        fragments: WrittenFragments::OfRequest,
+        fragments,
         forced_copy: Moved::default(),
     }
 }
@@ -94,10 +98,6 @@ impl Substrate for Database {
 
     fn resolve(&self, key: &str) -> Option<BlobId> {
         self.id_of(key)
-    }
-
-    fn is_live(&self, id: BlobId) -> bool {
-        self.blob(id).is_some()
     }
 
     fn replace(&mut self, id: BlobId, size: u64, _request: u64) -> Result<Written, StoreError> {

@@ -7,12 +7,14 @@
 //! computation: markers are placed every `marker_interval` logical bytes,
 //! mapped to physical byte addresses through the layout, and a new fragment is
 //! counted whenever two consecutive markers are not the expected distance
-//! apart on disk.  A direct extent-walk counter is provided as well; the two
-//! agree (which is how the authors validated their tool against the NTFS
-//! defragmentation report).
+//! apart on disk.  The extent walk it is checked against is the disk
+//! model's own rule ([`lor_disksim::merged`], which every substrate's write
+//! receipt and every read's segment count use too), so the tests here check
+//! the marker tool against the one way a fragment is counted, as the
+//! authors validated theirs against the NTFS defragmentation report.
 
 use lor_alloc::FragmentationSummary;
-use lor_disksim::ByteRun;
+use lor_disksim::{merged, ByteRun};
 
 use crate::error::StoreError;
 use crate::store::ObjectStore;
@@ -77,17 +79,10 @@ pub fn fragments_from_markers(markers: &[Marker]) -> u64 {
     fragments
 }
 
-/// Counts fragments by walking the layout directly (adjacent runs merge).
+/// Counts fragments by walking the layout directly: the segments the disk
+/// model merges it into ([`merged`]).
 pub fn fragments_from_layout(layout: &[ByteRun]) -> u64 {
-    let mut fragments = 0u64;
-    let mut previous_end: Option<u64> = None;
-    for run in layout.iter().filter(|r| !r.is_empty()) {
-        if previous_end != Some(run.offset) {
-            fragments += 1;
-        }
-        previous_end = Some(run.end());
-    }
-    fragments
+    merged(layout).count() as u64
 }
 
 /// A per-store fragmentation report produced by the analyzer.

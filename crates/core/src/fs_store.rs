@@ -1,7 +1,7 @@
 //! The filesystem-backed object store (one file per object, safe writes).
 
 use lor_alloc::{BandOccupancy, FragmentationSummary, FreeSpaceReport};
-use lor_disksim::{DiskConfig, SimDuration};
+use lor_disksim::{merged, DiskConfig, SimDuration};
 use lor_fskit::{
     DefragCursor, DefragReport, Defragmenter, FileId, Volume, VolumeConfig, WriteReceipt,
 };
@@ -11,7 +11,7 @@ use crate::store::{
     Store, StoreKind, FS_CREATE_METADATA_IOS, FS_OPEN_METADATA_IOS, FS_PER_WRITE_REQUEST_TIME,
     METADATA_IO_TIME, PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, Written, WrittenFragments};
+use crate::substrate::{Moved, ReadPlan, Substrate, Written};
 
 /// Configuration of a filesystem-backed store: the volume and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,19 +60,24 @@ pub struct FsSubstrate {
     cursor: DefragCursor,
 }
 
-/// What the store must service and cost for one volume write.
-fn written(receipt: WriteReceipt, request: u64) -> Written {
+/// What the store must service and cost for one volume write, read off
+/// `volume` once the write has committed.
+fn written(volume: &Volume, receipt: WriteReceipt, request: u64) -> Written {
+    // The committed file's extent count, not the request's run count.
+    // When one batch names the same key twice, the later duplicate's
+    // commit replaces (and removes) the earlier item's just-committed
+    // file — last writer wins — and the earlier receipt falls back to
+    // the fragments its request physically produced.
+    let fragments = match volume.file(receipt.file_id) {
+        Ok(file) => file.fragment_count(),
+        Err(_) => merged(&receipt.runs).count(),
+    };
     Written {
         handle: receipt.file_id.0,
         runs: receipt.runs,
         payload_bytes: receipt.bytes_written,
         units: receipt.bytes_written.div_ceil(request).max(1),
-        // The committed file's extent count, not the request's run count.
-        // When one batch names the same key twice, the later duplicate's
-        // commit replaces (and removes) the earlier item's just-committed
-        // file — last writer wins — and the earlier receipt falls back to
-        // the fragments its request physically produced.
-        fragments: WrittenFragments::OfRecord(receipt.file_id.0),
+        fragments: fragments as u64,
         forced_copy: Moved::default(),
     }
 }
@@ -115,7 +120,7 @@ impl Substrate for FsSubstrate {
         } else {
             self.volume.write_file(key, size, request)
         }?;
-        Ok(written(receipt, request))
+        Ok(written(&self.volume, receipt, request))
     }
 
     fn reserve(&mut self, keys: usize) {
@@ -126,13 +131,9 @@ impl Substrate for FsSubstrate {
         self.volume.id_of(key)
     }
 
-    fn is_live(&self, id: FileId) -> bool {
-        self.volume.file(id).is_ok()
-    }
-
     fn replace(&mut self, id: FileId, size: u64, request: u64) -> Result<Written, StoreError> {
         let receipt = self.volume.safe_write_by_id(id, size, request)?;
-        Ok(written(receipt, request))
+        Ok(written(&self.volume, receipt, request))
     }
 
     fn replace_interleaved(
@@ -141,9 +142,10 @@ impl Substrate for FsSubstrate {
         request: u64,
     ) -> Result<Option<Vec<Written>>, StoreError> {
         let receipts = self.volume.safe_write_batch_by_id(items, request)?;
-        Ok(Some(
-            receipts.into_iter().map(|r| written(r, request)).collect(),
-        ))
+        let written = receipts
+            .into_iter()
+            .map(|r| written(&self.volume, r, request));
+        Ok(Some(written.collect()))
     }
 
     fn read_plan(&self, id: FileId) -> Option<ReadPlan> {
@@ -157,11 +159,6 @@ impl Substrate for FsSubstrate {
 
     fn remove(&mut self, id: FileId, _key: &str) -> Result<(), StoreError> {
         Ok(self.volume.delete(id)?)
-    }
-
-    fn record_fragments(&self, version: u64) -> Option<u64> {
-        let record = self.volume.file(FileId(version)).ok()?;
-        Some(record.fragment_count() as u64)
     }
 
     /// Opening and creating the file (its metadata I/Os), plus a system call
@@ -257,7 +254,7 @@ impl Substrate for FsSubstrate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ObjectStore;
+    use crate::store::{ObjectStore, OpReceipt};
     use lor_maint::{MaintenanceConfig, MaintenancePolicy};
 
     const MB: u64 = 1 << 20;
@@ -310,6 +307,45 @@ mod tests {
         assert!(substrate.fragmentation().total_fragments < before);
         // A second pass finds nothing left to move.
         assert_eq!(substrate.full_pass().unwrap(), Moved::default());
+    }
+
+    /// A batch's receipts count the fragments each version was written
+    /// into, taken when the batch commits, so the maintenance tick the
+    /// batch's first item triggers cannot reach a later item's count.  Two
+    /// stores run one script: 7 puts, then a batch whose first commit is
+    /// the 8th operation, the first tick.  Under a 512-unit budget that
+    /// tick defragments the batch's interleaved new files; under `Idle` it
+    /// moves nothing.  While the store read each item's count off the
+    /// volume after the previous item's tick, the budgeted store reported
+    /// the later items as defragmented.
+    #[test]
+    fn a_batch_reports_the_fragments_it_wrote_before_any_tick_moves_them() {
+        let receipts = |maintenance: MaintenanceConfig| {
+            let FsStoreConfig { volume, disk } = FsStoreConfig::new(256 * MB);
+            let mut store =
+                FsObjectStore::build(volume, disk, PAPER_WRITE_REQUEST_SIZE, Some(maintenance), 0)
+                    .unwrap();
+            assert_eq!(store.volume().config().checkpoint_interval_ops, 0);
+            for i in 0..7 {
+                store.put(&format!("o{i}"), MB).unwrap();
+            }
+            let batch: Vec<(String, u64)> = (0..4).map(|i| (format!("o{i}"), 2 * MB)).collect();
+            let receipts = store.safe_write_batch(&batch).unwrap();
+            let stats = store.maintenance_stats().unwrap();
+            (receipts, stats.ticks, stats.background_bytes)
+        };
+        let (budgeted, ticks, moved) = receipts(MaintenanceConfig::fixed_budget(512));
+        let (idle, idle_ticks, idle_moved) = receipts(MaintenanceConfig::idle());
+        assert_eq!(
+            (ticks, idle_ticks),
+            (1, 1),
+            "the batch's first commit ticks"
+        );
+        assert!(moved > 0 && idle_moved == 0, "{moved} / {idle_moved}");
+        assert!(idle.iter().all(|r| r.fragments > 1), "{idle:?}");
+        let fragments =
+            |receipts: &[OpReceipt]| receipts.iter().map(|r| r.fragments).collect::<Vec<_>>();
+        assert_eq!(fragments(&budgeted), fragments(&idle));
     }
 
     #[test]

@@ -58,8 +58,9 @@
 //! * no refresh after a name fallback (`Store::handle` skips `note`): the
 //!   same message at the get after the `Behind` step;
 //! * a hint trusted without its liveness check (`Store::handle` drops the
-//!   `is_live` filter): the get after the `Behind` step panics on the dead
-//!   handle ("a resolved handle is live");
+//!   `size(h).is_some()` filter, the engine's one answer to "is this handle
+//!   live?"): the get after the `Behind` step panics on the dead handle ("a
+//!   resolved handle is live");
 //! * a get that answers a dead hint's miss instead of falling back
 //!   (`get_keyed`): keyed against named differ at that same get;
 //! * the volume committing a duplicate target by its original id

@@ -38,7 +38,7 @@ use crate::store::{
     Store, StoreKind, DB_LOOKUP_TIME, FS_PER_WRITE_REQUEST_TIME, METADATA_IO_TIME,
     PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, Written, WrittenFragments};
+use crate::substrate::{Moved, ReadPlan, Substrate, Written};
 
 /// Configuration of a log-structured store: the log and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +133,7 @@ impl LogSubstrate {
             runs: byte_runs(&outcome.extents),
             payload_bytes: size,
             units: size.div_ceil(request).max(1),
-            fragments: WrittenFragments::Counted(outcome.fragments),
+            fragments: outcome.fragments,
             // Any emergency cleaning the append forced is charged to it.
             forced_copy: moved(outcome.emergency),
         }
@@ -215,10 +215,6 @@ impl Substrate for LogSubstrate {
 
     fn resolve(&self, key: &str) -> Option<u64> {
         self.names.get(key.as_bytes()).copied()
-    }
-
-    fn is_live(&self, id: u64) -> bool {
-        self.log.contains(id)
     }
 
     fn replace(&mut self, id: u64, size: u64, request: u64) -> Result<Written, StoreError> {

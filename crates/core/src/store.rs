@@ -19,7 +19,7 @@ use lor_obs::Obs;
 
 use crate::error::StoreError;
 use crate::maintenance::{copy_io, Drive};
-use crate::substrate::{ReadPlan, Substrate, WriteOp, Written, WrittenFragments};
+use crate::substrate::{ReadPlan, Substrate, WriteOp, Written};
 use crate::workload::ObjectKey;
 
 /// Which storage system backs a store.
@@ -72,7 +72,8 @@ pub struct OpReceipt {
     /// Host-side time (opens, lookups, per-page processing, client chunking).
     pub host_time: SimDuration,
     /// Physical fragments the object's data occupied at the time of the
-    /// operation (for reads) or was written into (for writes).
+    /// operation (for reads) or was written into (for writes, counted when
+    /// the version commits, before any maintenance the write ticks).
     pub fragments: u64,
 }
 
@@ -470,20 +471,12 @@ impl<S: Substrate> Store<S> {
             }
         }
         self.charge(disk_time, host_time);
-        let fragments = match written.fragments {
-            WrittenFragments::Counted(fragments) => fragments,
-            WrittenFragments::OfRequest => served.segments,
-            WrittenFragments::OfRecord(version) => self
-                .substrate
-                .record_fragments(version)
-                .unwrap_or(served.segments),
-        };
         OpReceipt {
             payload_bytes: written.payload_bytes,
             transferred_bytes: transferred,
             disk_time,
             host_time,
-            fragments,
+            fragments: written.fragments,
         }
     }
 
@@ -604,7 +597,7 @@ impl<S: Substrate> Store<S> {
     /// live, else the name's, which the table then notes.  A key with no
     /// object fails as its name does.
     fn handle(&mut self, key: ObjectKey) -> Result<S::Handle, StoreError> {
-        if let Some(handle) = self.hint(key).filter(|&h| self.substrate.is_live(h)) {
+        if let Some(handle) = self.hint(key).filter(|&h| self.substrate.size(h).is_some()) {
             return Ok(handle);
         }
         let mut buf = ObjectKey::buf();
@@ -645,7 +638,8 @@ impl<S: Substrate> Store<S> {
     /// `true` when the key table holds a live handle for `key`.
     #[cfg(test)]
     pub(crate) fn covers(&self, key: ObjectKey) -> bool {
-        self.hint(key).is_some_and(|h| self.substrate.is_live(h))
+        self.hint(key)
+            .is_some_and(|h| self.substrate.size(h).is_some())
     }
 
     /// `true` when the table's entry for `key` is stale while the key lives:
@@ -654,7 +648,8 @@ impl<S: Substrate> Store<S> {
     #[cfg(test)]
     pub(crate) fn is_stale(&self, key: ObjectKey) -> bool {
         let mut buf = ObjectKey::buf();
-        self.hint(key).is_some_and(|h| !self.substrate.is_live(h))
+        self.hint(key)
+            .is_some_and(|h| self.substrate.size(h).is_none())
             && self.substrate.resolve(key.write_into(&mut buf)).is_some()
     }
 
@@ -666,12 +661,10 @@ impl<S: Substrate> Store<S> {
     pub(crate) fn check_table(&self) -> Result<(), String> {
         let mut buf = ObjectKey::buf();
         for (number, &slot) in self.handles.iter().enumerate() {
-            let Some(handle) = self.hint(ObjectKey(number as u64)) else {
+            let hint = self.hint(ObjectKey(number as u64));
+            let Some(handle) = hint.filter(|&h| self.substrate.size(h).is_some()) else {
                 continue;
             };
-            if !self.substrate.is_live(handle) {
-                continue;
-            }
             let name = ObjectKey(number as u64).write_into(&mut buf);
             let named = self.substrate.resolve(name);
             if named != Some(handle) {
@@ -985,6 +978,53 @@ macro_rules! adapter_suite {
             assert_eq!(store.size_of("b").unwrap(), 2 * MB);
             assert_eq!(store.object_count(), 2);
             assert_eq!(store.live_bytes(), 5 * MB);
+        }
+
+        #[test]
+        fn a_write_receipt_counts_the_fragments_of_its_layout() {
+            // Every second small object deleted leaves holes for the writes
+            // to land in, and the batch interleaves its items' requests.
+            let mut store = $Store::new(64 * MB).unwrap();
+            for i in 0..32 {
+                store.put(&format!("pad{i}"), MB / 2).unwrap();
+            }
+            for i in (0..32).step_by(2) {
+                store.delete(&format!("pad{i}")).unwrap();
+            }
+            let layout_fragments = |store: &$Store, name: &str| {
+                lor_disksim::merged(&store.layout_of(name).unwrap()).count() as u64
+            };
+            let mut counted = Vec::new();
+            for name in ["a", "b", "c"] {
+                let put = store.put(name, 3 * MB).unwrap();
+                assert_eq!(put.fragments, layout_fragments(&store, name), "put {name}");
+                counted.push(put.fragments);
+            }
+            let rewrite = store.safe_write("a", 2 * MB).unwrap();
+            assert_eq!(rewrite.fragments, layout_fragments(&store, "a"));
+            counted.push(rewrite.fragments);
+            let batch = [("a", MB), ("b", 2 * MB), ("c", 3 * MB)];
+            let items: Vec<(String, u64)> = batch
+                .iter()
+                .map(|&(name, size)| (name.to_owned(), size))
+                .collect();
+            let receipts = store.safe_write_batch(&items).unwrap();
+            for ((name, _), receipt) in batch.iter().zip(&receipts) {
+                assert_eq!(
+                    receipt.fragments,
+                    layout_fragments(&store, name),
+                    "batch {name}"
+                );
+                counted.push(receipt.fragments);
+            }
+            // The log appends each version whole at its head; the other two
+            // must have written something in pieces, or nothing was pinned.
+            if $kind != StoreKind::LogStructured {
+                assert!(
+                    counted.iter().any(|&fragments| fragments > 1),
+                    "{counted:?}"
+                );
+            }
         }
 
         #[test]

@@ -27,20 +27,6 @@ pub enum WriteOp {
     MigrateIn,
 }
 
-/// How the `fragments` of a write receipt are determined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WrittenFragments {
-    /// The substrate counted them as it placed the data.
-    Counted(u64),
-    /// The run count of the coalesced write request (what the disk saw).
-    OfRequest,
-    /// Read back from the substrate's record of this version
-    /// ([`Substrate::record_fragments`]) once the request has been serviced;
-    /// the request's run count if a later item of the same batch already
-    /// replaced the record.
-    OfRecord(u64),
-}
-
 /// What a write-path operation placed, for the store to service and cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Written {
@@ -54,8 +40,9 @@ pub struct Written {
     /// What [`Substrate::write_host_time`] charges per unit of (write
     /// requests or pages).
     pub units: u64,
-    /// How to fill in the receipt's `fragments`.
-    pub fragments: WrittenFragments,
+    /// Fragments the version was written into, counted by the engine when
+    /// the version commits: the receipt's `fragments`.
+    pub fragments: u64,
     /// Copying the write forced inside the substrate (the log's emergency
     /// cleaning), charged to this operation.
     pub forced_copy: Moved,
@@ -106,11 +93,16 @@ impl Moved {
 /// An object is addressed by name only to create it, to resolve it and to
 /// remove it from the engine's name map; reads, sizes and replacements take
 /// its [`Substrate::Handle`], the id the engine files it under, and answer
-/// `None` (or fail) for a handle that is not live.  No engine reuses a
-/// handle, so a handle that is still live still names the object it was
-/// resolved for, and the store keeps handles as hints: its key table, which
-/// every store method on a key's name goes through.  The engine's name map
-/// is the authority the store falls back on.
+/// `None` (or fail) for a handle that is not live.  Liveness is
+/// [`Substrate::size`]: a handle is live while it has a size.  No engine
+/// reuses a handle, so a handle that is still live still names the object
+/// it was resolved for, and the store keeps handles as hints: its key
+/// table, which every store method on a key's name goes through.  The
+/// engine's name map is the authority the store falls back on.
+///
+/// Each write hands back the fragments the version was written into,
+/// counted by the engine when the version commits ([`Written::fragments`]):
+/// the store services and costs the write but never counts them.
 pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// The engine's own configuration.
     type Config;
@@ -145,9 +137,6 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// probe of the engine's name map, which builds nothing on a miss.
     fn resolve(&self, key: &str) -> Option<Self::Handle>;
 
-    /// `true` while `handle` names a live object.
-    fn is_live(&self, handle: Self::Handle) -> bool;
-
     /// Safe-writes the live object `handle` alone.
     fn replace(
         &mut self,
@@ -173,12 +162,6 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// Deletes the live object `handle`, stored under `key`.
     fn remove(&mut self, handle: Self::Handle, key: &str) -> Result<(), StoreError>;
 
-    /// Current fragment count of the version a write tagged
-    /// [`WrittenFragments::OfRecord`], if it still exists.
-    fn record_fragments(&self, _version: u64) -> Option<u64> {
-        None
-    }
-
     /// Host time of a write of `payload_bytes` in `units`.
     fn write_host_time(units: u64, payload_bytes: u64) -> SimDuration;
     /// Host time of a read of `payload_bytes` in `units`.
@@ -186,7 +169,8 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// Host time of a delete.
     fn remove_host_time() -> SimDuration;
 
-    /// Logical size of the object `handle`; `None` when it is not live.
+    /// Logical size of the object `handle`; `None` when it is not live,
+    /// which makes it the liveness check of every handle the store holds.
     fn size(&self, handle: Self::Handle) -> Option<u64>;
     /// Number of live objects.
     fn object_count(&self) -> usize;

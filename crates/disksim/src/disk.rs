@@ -43,8 +43,7 @@ pub struct Served {
     pub time: ServiceTime,
     /// Bytes transferred ([`IoRequest::total_bytes`]).
     pub bytes: u64,
-    /// Segments the disk saw: the merged ones
-    /// ([`IoRequest::merged_segments`]).
+    /// Segments the disk saw: the merged ones ([`crate::merged`]).
     pub segments: u64,
 }
 
@@ -195,7 +194,7 @@ impl Disk {
     /// [`Disk::serve`]: one walk over the runs.
     ///
     /// Returns `(served, new_head_position, sequential_hit)`.  The segments
-    /// charged are the *merged* ones ([`IoRequest::merged_segments`]), so
+    /// charged are the *merged* ones ([`crate::merged`]), so
     /// costing a request copies nothing.  Each is costed with the
     /// [`DiskConfig`] formulas, through their caches (`memo.rs`).
     fn compute(&self, kind: AccessKind, runs: &[ByteRun]) -> (Served, Option<u64>, bool) {

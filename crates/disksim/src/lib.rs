@@ -54,6 +54,6 @@ mod time;
 
 pub use config::DiskConfig;
 pub use disk::{Disk, Served, ServiceTime};
-pub use request::{AccessKind, ByteRun, IoRequest};
+pub use request::{merged, AccessKind, ByteRun, IoRequest};
 pub use stats::{DirectionStats, DiskStats};
 pub use time::{throughput_bytes_per_sec, throughput_mb_per_sec, SimClock, SimDuration};

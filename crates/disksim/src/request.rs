@@ -60,9 +60,13 @@ impl ByteRun {
     }
 }
 
-/// The segments the disk sees of `runs`: [`IoRequest::merged_segments`]
-/// for a request of these runs.
-pub(crate) fn merged(runs: &[ByteRun]) -> impl Iterator<Item = ByteRun> + '_ {
+/// The one rule by which adjacent byte runs merge: the segments the disk
+/// sees of `runs`, in order, with empty runs dropped and a run that begins
+/// where its predecessor ends folded into it.  Formed on the fly, so
+/// costing or counting them copies nothing.  [`crate::Disk`] charges these
+/// segments, [`IoRequest::coalesced`] collects them, and a layout's
+/// fragment count is their number.
+pub fn merged(runs: &[ByteRun]) -> impl Iterator<Item = ByteRun> + '_ {
     let mut runs = runs.iter().filter(|run| !run.is_empty()).peekable();
     std::iter::from_fn(move || {
         let mut segment = *runs.next()?;
@@ -132,32 +136,21 @@ impl IoRequest {
         self.segments.iter().filter(|s| !s.is_empty()).count()
     }
 
-    /// The segments the disk sees — what [`IoRequest::coalesced`] lists:
-    /// empty runs dropped, a run that begins where its predecessor ends
-    /// folded into it — formed on the fly, so costing or counting them
-    /// copies nothing.
-    pub fn merged_segments(&self) -> impl Iterator<Item = ByteRun> + '_ {
-        merged(&self.segments)
-    }
-
     /// `true` if the request transfers no bytes.
     pub fn is_empty(&self) -> bool {
         self.total_bytes() == 0
     }
 
-    /// Merges physically adjacent segments, preserving transfer order.
+    /// The request with its physically adjacent segments merged, in
+    /// transfer order: the segments [`merged`] forms, collected.
     ///
     /// The simulators build requests extent-by-extent; when two extents happen
     /// to be adjacent on disk the transfer is mechanically one sequential run,
     /// so collapsing them gives the disk model an accurate picture.
     pub fn coalesced(&self) -> IoRequest {
-        let mut segments: Vec<ByteRun> = Vec::with_capacity(self.segments.len());
-        for run in self.segments.iter().filter(|r| !r.is_empty()) {
-            match segments.last_mut() {
-                Some(last) if last.is_followed_by(run) => last.len += run.len,
-                _ => segments.push(*run),
-            }
-        }
+        // Sized for the runs as given: one allocation a request.
+        let mut segments = Vec::with_capacity(self.segments.len());
+        segments.extend(merged(&self.segments));
         IoRequest {
             kind: self.kind,
             segments,
@@ -210,7 +203,10 @@ mod tests {
         );
         assert_eq!(merged.total_bytes(), req.total_bytes());
         assert_eq!(merged.kind, AccessKind::Write);
-        assert_eq!(req.merged_segments().collect::<Vec<_>>(), merged.segments);
+        assert_eq!(
+            super::merged(&req.segments).collect::<Vec<_>>(),
+            merged.segments
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 mod reference;
 
-use lor_disksim::{AccessKind, ByteRun, Disk, DiskConfig, IoRequest};
+use lor_disksim::{merged, AccessKind, ByteRun, Disk, DiskConfig, IoRequest};
 use proptest::prelude::*;
 use reference::RefDisk;
 
@@ -182,11 +182,12 @@ fn run_differential(
     let mut model = RefDisk::new(config);
     for (kind, runs) in requests {
         let request = materialize(capacity, &boundaries, disk.head_position(), *kind, runs);
-        let merged = request.coalesced().segments;
+        let segments = reference::coalesce(&request.segments);
         prop_assert_eq!(
-            request.merged_segments().collect::<Vec<_>>(),
-            merged.clone()
+            merged(&request.segments).collect::<Vec<_>>(),
+            segments.clone()
         );
+        prop_assert_eq!(request.coalesced().segments, segments.clone());
         prop_assert_eq!(disk.estimate(&request), model.estimate(&request));
         let served = disk.serve(request.kind, &request.segments);
         let (got, want) = (served.time, model.service(&request));
@@ -202,7 +203,7 @@ fn run_differential(
         );
         prop_assert_eq!(got.overhead, want.overhead);
         prop_assert_eq!(served.bytes, request.total_bytes());
-        prop_assert_eq!(served.segments, merged.len() as u64);
+        prop_assert_eq!(served.segments, segments.len() as u64);
         prop_assert_eq!(disk.head_position(), model.head_position());
         prop_assert_eq!(disk.elapsed(), model.elapsed());
         // Requests, segments, bytes and the four time sums per direction,
@@ -316,7 +317,7 @@ fn the_cases_the_merge_must_get_right_all_occur() {
     ];
     let segments = [1, 2, 1, 0, 1, 1];
     for (request, expected) in requests.iter().zip(segments) {
-        assert_eq!(request.merged_segments().count(), expected);
+        assert_eq!(merged(&request.segments).count(), expected);
         assert_eq!(disk.service(request), model.service(request));
         assert_eq!(disk.head_position(), model.head_position());
         assert_eq!(disk.stats(), model.stats());

@@ -1,6 +1,8 @@
 //! Test-only reference model of the disk: the service-time computation as
 //! it stood before `Disk::compute` merged adjacent runs inside its own loop
-//! — the request is first cloned through [`IoRequest::coalesced`], then the
+//! — the request's runs are first merged into a copy by the loop
+//! `IoRequest::coalesced` ran before it collected [`lor_disksim::merged`]
+//! ([`coalesce`], kept here so the reference merges on its own), then the
 //! merged copy is costed segment by segment.  The per-segment mechanics
 //! (seek curve, zone-integrated transfer, overheads) are the drive's own
 //! [`DiskConfig`] methods, called here for every segment, where
@@ -12,7 +14,23 @@
 //! position and statistics after every request, which is what "host-time
 //! change only" means for the disk model.
 
-use lor_disksim::{AccessKind, DiskConfig, DiskStats, IoRequest, ServiceTime, SimDuration};
+use lor_disksim::{
+    AccessKind, ByteRun, DiskConfig, DiskStats, IoRequest, ServiceTime, SimDuration,
+};
+
+/// `runs` with empty runs dropped and each run that begins where the one
+/// before it ends folded into it, in order: a copy, merged one push at a
+/// time.
+pub fn coalesce(runs: &[ByteRun]) -> Vec<ByteRun> {
+    let mut segments: Vec<ByteRun> = Vec::with_capacity(runs.len());
+    for run in runs.iter().filter(|r| !r.is_empty()) {
+        match segments.last_mut() {
+            Some(last) if last.is_followed_by(run) => last.len += run.len,
+            _ => segments.push(*run),
+        }
+    }
+    segments
+}
 
 /// The disk, costing a coalesced copy of each request.
 #[derive(Debug, Clone)]
@@ -73,8 +91,8 @@ impl RefDisk {
     }
 
     fn compute(&self, request: &IoRequest) -> (ServiceTime, Option<u64>, bool, u64) {
-        let coalesced = request.coalesced();
-        let segments = coalesced.segments.len() as u64;
+        let coalesced = coalesce(&request.segments);
+        let segments = coalesced.len() as u64;
         let mut service = ServiceTime {
             overhead: self.config.request_overhead(segments),
             ..ServiceTime::default()
@@ -85,7 +103,7 @@ impl RefDisk {
 
         let mut head = self.head;
         let mut sequential_hit = false;
-        for (index, segment) in coalesced.segments.iter().enumerate() {
+        for (index, segment) in coalesced.iter().enumerate() {
             let is_first = index == 0;
             let continues_stream = is_first
                 && matches!(self.last_transfer, Some((end, kind)) if end == segment.offset && kind == request.kind);

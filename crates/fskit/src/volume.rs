@@ -153,6 +153,16 @@ impl VolumeConfig {
         (self.total_clusters() as f64 * MFT_ZONE_FRACTION).round() as u64
     }
 
+    /// Clusters available to file data: the volume less its MFT zone.
+    pub fn data_clusters(&self) -> u64 {
+        self.total_clusters() - self.mft_clusters()
+    }
+
+    /// Cluster size in bytes: 4 KB on every volume.
+    pub fn cluster_size(&self) -> u64 {
+        CLUSTER_SIZE
+    }
+
     fn validate(&self) -> Result<(), FsError> {
         if self.total_clusters() == 0 {
             return Err(FsError::BadConfig("capacity must be at least one cluster"));
@@ -346,7 +356,7 @@ impl Volume {
 
     /// Capacity available to file data (total minus the MFT zone), in bytes.
     pub fn data_capacity_bytes(&self) -> u64 {
-        (self.config.total_clusters() - self.config.mft_clusters()) * CLUSTER_SIZE
+        self.config.data_clusters() * CLUSTER_SIZE
     }
 
     /// Clusters held in the pending-free queue.

@@ -78,6 +78,13 @@ impl LogConfig {
         self.capacity_bytes / self.segment_bytes
     }
 
+    /// Data segments: the total less the metadata slice (1/32 of the
+    /// segments, at least one).
+    pub fn data_segments(&self) -> u64 {
+        let total = self.total_segments();
+        total.saturating_sub((total / 32).max(1))
+    }
+
     /// Validates internal consistency.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.segment_bytes == 0 {

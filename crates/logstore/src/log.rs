@@ -300,9 +300,8 @@ impl SegmentLog {
     /// Formats a fresh log.
     pub fn new(config: LogConfig) -> Result<Self, LogError> {
         config.validate().map_err(LogError::BadConfig)?;
-        let total = config.total_segments();
-        let meta = (total / 32).max(1);
-        let data = total - meta;
+        let data = config.data_segments();
+        let meta = config.total_segments() - data;
         Ok(SegmentLog {
             base_offset: meta * config.segment_bytes,
             free: RunIndexMap::new_free(data),
