@@ -645,19 +645,14 @@ impl Database {
     }
 
     /// Replaces the object stored under `key` with a new version of
-    /// `size_bytes`: [`Database::update_by_id`] of the id `key` resolves to.
+    /// `size_bytes` (wholesale replacement, the BLOB analogue of a safe
+    /// write), allocated in one request.  The new version is written before
+    /// the old version's pages are ghosted, exactly as a transactional
+    /// update must; it keeps the id.  Engine API only: no store path
+    /// reaches it, because a store's safe write is a batch
+    /// ([`Database::update_batch_by_id`]) that allocates in write requests.
     pub fn update(&mut self, key: &str, size_bytes: u64) -> Result<DbWriteReceipt, DbError> {
         let id = self.lookup(key)?;
-        self.update_by_id(id, size_bytes)
-    }
-
-    /// Replaces the object `id` with a new version of `size_bytes`
-    /// (wholesale replacement, the BLOB analogue of a safe write), allocated
-    /// in one request.  The new version is written before the old version's
-    /// pages are ghosted, exactly as a transactional update must; it keeps
-    /// the id.
-    pub fn update_by_id(&mut self, id: BlobId, size_bytes: u64) -> Result<DbWriteReceipt, DbError> {
-        self.blob(id).ok_or(DbError::NoSuchBlob(id.0))?;
         let pages = self.config.pages_for(size_bytes);
         self.with_version_buffer(|db, layout| {
             db.allocate_lob_pages(pages, layout)?;

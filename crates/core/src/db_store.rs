@@ -9,7 +9,7 @@ use crate::store::{
     Store, StoreKind, DB_CLIENT_CHUNK_BYTES, DB_LOOKUP_TIME, DB_PER_CHUNK_TIME, DB_PER_PAGE_TIME,
     PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, Written};
+use crate::substrate::{Moved, ReadPlan, Replaced, Substrate, Written};
 
 /// Configuration of a database-backed store: the engine and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,17 +100,9 @@ impl Substrate for Database {
         self.id_of(key)
     }
 
-    fn replace(&mut self, id: BlobId, size: u64, _request: u64) -> Result<Written, StoreError> {
-        Ok(written(self.update_by_id(id, size)?))
-    }
-
-    fn replace_interleaved(
-        &mut self,
-        items: &[(BlobId, u64)],
-        request: u64,
-    ) -> Result<Option<Vec<Written>>, StoreError> {
+    fn replace(&mut self, items: &[(BlobId, u64)], request: u64) -> Result<Replaced, StoreError> {
         let receipts = self.update_batch_by_id(items, request)?;
-        Ok(Some(receipts.into_iter().map(written).collect()))
+        Ok(Replaced::All(receipts.into_iter().map(written).collect()))
     }
 
     fn read_plan(&self, id: BlobId) -> Option<ReadPlan> {

@@ -29,7 +29,7 @@
 //! queue depth alongside the paper's throughput and fragmentation metrics.
 
 use lor_alloc::{AllocationPolicy, PlacementPolicy};
-use lor_blobkit::Database;
+use lor_blobkit::{Database, PAGES_PER_EXTENT};
 use lor_disksim::{throughput_mb_per_sec, DiskConfig, SimDuration};
 use lor_maint::MaintenanceConfig;
 
@@ -362,9 +362,11 @@ impl ExperimentConfig {
     /// bytes, so padding can overfill one substrate while the others load.
     /// Each bound is read off the engine config [`ExperimentConfig::build_store`]
     /// builds: the volume's 4 KiB clusters outside its MFT zone, the
-    /// engine's LOB pages plus one metadata-row page per `rows_per_page`
-    /// objects within its data file, and the log's bytes within its data
-    /// segments.  A uniform distribution is bounded by its mean plus less
+    /// engine's extents within its data file (its LOB pages and its
+    /// metadata-row pages, one per `rows_per_page` objects, each rounded up
+    /// to whole 8-page extents, because the LOB unit and the row unit each
+    /// take whole extents of their own), and the log's bytes within its
+    /// data segments.  A uniform distribution is bounded by its mean plus less
     /// than one unit of padding per object.  What aging adds on top (a safe
     /// write's second copy, fragmented free space) is not judged here.
     fn overfilled(&self) -> Option<String> {
@@ -388,9 +390,12 @@ impl ExperimentConfig {
             ),
             (
                 StoreKind::Database,
-                units(engine.lob_payload_per_page) + objects.div_ceil(engine.rows_per_page),
-                engine.total_pages(),
-                "pages",
+                units(engine.lob_payload_per_page).div_ceil(PAGES_PER_EXTENT)
+                    + objects
+                        .div_ceil(engine.rows_per_page)
+                        .div_ceil(PAGES_PER_EXTENT),
+                engine.total_extents(),
+                "extents",
             ),
             (
                 StoreKind::LogStructured,
@@ -927,12 +932,9 @@ mod tests {
     /// 1 failed three ways: below four `MIN_SEGMENT_BYTES` segments
     /// (256 KiB) the log was `BadConfig` at build, the database `BadConfig`
     /// below one 64 KiB extent and `OutOfSpace` above it, and the
-    /// filesystem ran even at 16 KiB.  At 256 KiB every substrate builds.
-    /// Not covered: the database's bulk load still runs out of space on
-    /// 256 and 512 KiB at this occupancy.  An 8,192-byte object takes two
-    /// 8,064-byte pages, which the padding bound counts, but the engine's
-    /// metadata rows take a whole 8-page extent where the bound counts one
-    /// page.
+    /// filesystem ran even at 16 KiB.  At 256 KiB every substrate builds,
+    /// and at 40 % every substrate loads: 12 objects take 24 LOB pages, 3
+    /// of the engine's 4 extents, and their rows the fourth.
     #[test]
     fn a_volume_too_small_for_any_substrate_is_refused_on_every_substrate() {
         let smallest = 4 * lor_logstore::MIN_SEGMENT_BYTES;
@@ -950,9 +952,46 @@ mod tests {
             }
         }
         config.volume_bytes = smallest;
+        config.occupancy = 0.4;
+        assert_eq!(config.object_count(), 12);
         assert_eq!(config.validate(), Ok(()));
         for kind in StoreKind::ALL {
             assert!(config.build_store(kind).is_ok(), "{kind}");
+            let outcome = run_aging_experiment(kind, &config, &[0], false);
+            assert!(outcome.is_ok(), "{kind}: {outcome:?}");
+        }
+    }
+
+    /// The engine's LOB unit and its metadata-row unit each take whole
+    /// 8-page extents, so `validate` counts the database's room in extents.
+    /// While it counted the row pages as single pages, `Constant(8 KiB)` at
+    /// 50 % passed on 256, 384, 512 and 768 KiB volumes and the database's
+    /// bulk load ran out of space there.  1 and 2 MiB load on every
+    /// substrate.
+    #[test]
+    fn a_population_whose_engine_units_overfill_its_extents_is_refused_on_every_substrate() {
+        let mut config = mini_config();
+        config.object_size = SizeDistribution::Constant(8 * 1024);
+        for kib in [256, 384, 512, 768] {
+            config.volume_bytes = kib * 1024;
+            assert!(
+                matches!(config.validate(), Err(StoreError::BadConfig(_))),
+                "{kib} KiB"
+            );
+            for kind in StoreKind::ALL {
+                let outcome = run_aging_experiment(kind, &config, &[0], false);
+                assert!(
+                    matches!(outcome, Err(StoreError::BadConfig(_))),
+                    "{kind} on {kib} KiB: {outcome:?}"
+                );
+            }
+        }
+        for kib in [1024, 2048] {
+            config.volume_bytes = kib * 1024;
+            for kind in StoreKind::ALL {
+                let outcome = run_aging_experiment(kind, &config, &[0], false);
+                assert!(outcome.is_ok(), "{kind} on {kib} KiB: {outcome:?}");
+            }
         }
     }
 

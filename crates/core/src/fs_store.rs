@@ -11,7 +11,7 @@ use crate::store::{
     Store, StoreKind, FS_CREATE_METADATA_IOS, FS_OPEN_METADATA_IOS, FS_PER_WRITE_REQUEST_TIME,
     METADATA_IO_TIME, PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, Written};
+use crate::substrate::{Moved, ReadPlan, Replaced, Substrate, Written};
 
 /// Configuration of a filesystem-backed store: the volume and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,21 +131,12 @@ impl Substrate for FsSubstrate {
         self.volume.id_of(key)
     }
 
-    fn replace(&mut self, id: FileId, size: u64, request: u64) -> Result<Written, StoreError> {
-        let receipt = self.volume.safe_write_by_id(id, size, request)?;
-        Ok(written(&self.volume, receipt, request))
-    }
-
-    fn replace_interleaved(
-        &mut self,
-        items: &[(FileId, u64)],
-        request: u64,
-    ) -> Result<Option<Vec<Written>>, StoreError> {
+    fn replace(&mut self, items: &[(FileId, u64)], request: u64) -> Result<Replaced, StoreError> {
         let receipts = self.volume.safe_write_batch_by_id(items, request)?;
         let written = receipts
             .into_iter()
             .map(|r| written(&self.volume, r, request));
-        Ok(Some(written.collect()))
+        Ok(Replaced::All(written.collect()))
     }
 
     fn read_plan(&self, id: FileId) -> Option<ReadPlan> {

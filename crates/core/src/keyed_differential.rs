@@ -21,7 +21,9 @@
 //!   (`object-000000042`, another object, put and read beside it), and key
 //!   numbers beyond the table's reach;
 //! * objects that move: a `&str` delete and re-put of the same name, a
-//!   `&str` safe write (on the volume it moves the object to a new file),
+//!   lone safe write (on the volume it moves the object to a new file; by
+//!   name on the named and default paths, a one-item keyed batch on the
+//!   keyed path, which must agree: a safe write is a batch of one),
 //!   a full `maintenance()` pass, and a `&str` delete followed by
 //!   `migrate_in`;
 //! * a stale entry while its key lives: the `Behind` step deletes and
@@ -52,9 +54,10 @@
 //! Mutations this catches (each made in a copy of the tree, and seen to
 //! fail there on the first case below):
 //!
-//! * no refresh after a keyed batch (`safe_write_batch_keyed` skips
-//!   `note`): after the prologue's duplicate-key batch the filesystem's
-//!   table names the dead file — "no live table entry";
+//! * no refresh after a safe write (`safe_write_items`, the one body of
+//!   every safe write, skips `note`): after the prologue's duplicate-key
+//!   batch the filesystem's table names the dead file — "no live table
+//!   entry";
 //! * no refresh after a name fallback (`Store::handle` skips `note`): the
 //!   same message at the get after the `Behind` step;
 //! * a hint trusted without its liveness check (`Store::handle` drops the
@@ -71,9 +74,11 @@
 //! * the same of `put(&str)`: the same message at the first `&str` put,
 //!   the prologue's delete and re-put of key 3 (the keyed path runs
 //!   first);
-//! * a safe write by name that does not refresh the entry
-//!   (`ObjectStore::safe_write` skips `note`): the same message at the
-//!   filesystem's first `&str` safe write;
+//! * a lone safe write with a path of its own (the database's
+//!   `safe_write` allocating the whole version in one request, as
+//!   `Database::update` does, while a batch's item streams in write
+//!   requests): keyed against named differ at seed 1's step 251, a
+//!   `LoneSafeWrite` the keyed path sends as a one-item keyed batch;
 //! * a loosened parse (a leading zero accepted past 8 digits): "the key
 //!   table files object-00000042 under live handle …" at the alias's put;
 //! * a `size_of` that trusts a dead hint (answers from the entry's handle
@@ -104,7 +109,8 @@ const ALIASED: u64 = 42;
 const ALIAS: &str = "object-000000042";
 
 /// One step of the script.  The `Str*` steps and `Named*` steps go through
-/// the `&str` methods on every path.
+/// the `&str` methods on every path; a `LoneSafeWrite` is a one-item keyed
+/// batch on the keyed path and `safe_write` by name on the others.
 #[derive(Debug, Clone)]
 enum Step {
     Put(ObjectKey, u64),
@@ -112,7 +118,7 @@ enum Step {
     Delete(ObjectKey),
     Batch(Vec<(ObjectKey, u64)>),
     StrDeleteAndPut(ObjectKey, u64),
-    StrSafeWrite(ObjectKey, u64),
+    LoneSafeWrite(ObjectKey, u64),
     StrDeleteAndMigrateIn(ObjectKey, u64),
     NamedPut(String, u64),
     NamedGet(String),
@@ -130,7 +136,7 @@ impl Step {
             Step::Put(key, _)
             | Step::Get(key)
             | Step::StrDeleteAndPut(key, _)
-            | Step::StrSafeWrite(key, _)
+            | Step::LoneSafeWrite(key, _)
             | Step::StrDeleteAndMigrateIn(key, _)
             | Step::Behind(key, _) => vec![*key],
             Step::Batch(items) => items.iter().map(|&(key, _)| key).collect(),
@@ -177,7 +183,7 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
     steps.extend([
         Step::Batch(vec![(k(0), 96 * KB), (k(1), 64 * KB), (k(0), 160 * KB)]),
         Step::Get(k(0)),
-        Step::StrSafeWrite(k(2), 128 * KB),
+        Step::LoneSafeWrite(k(2), 128 * KB),
         Step::Get(k(2)),
         Step::Batch(vec![(k(2), 64 * KB)]),
         Step::StrDeleteAndPut(k(3), 96 * KB),
@@ -238,7 +244,7 @@ fn script(seed: u64, len: usize) -> Vec<Step> {
                 _ => Step::Put(dense(next(DENSE)), size),
             },
             11 => Step::StrDeleteAndPut(dense(next(DENSE)), size),
-            12 => Step::StrSafeWrite(dense(next(DENSE)), size),
+            12 => Step::LoneSafeWrite(dense(next(DENSE)), size),
             13 => Step::StrDeleteAndMigrateIn(dense(next(DENSE)), size),
             14 => Step::Get(ObjectKey(FAR + next(2))),
             15 => Step::NamedGet(format!("photos/IMG_000{}.jpg", 1 + next(2))),
@@ -365,7 +371,15 @@ fn drive<S: Substrate, T: Driven<S>>(
                 .delete(&name(*key))
                 .and_then(|_| store.put(&name(*key), *size))
                 .map(|r| (vec![r], 0)),
-            (Step::StrSafeWrite(key, size), _) => one(store.safe_write(&name(*key), *size)),
+            (Step::LoneSafeWrite(key, size), Path::Keyed) => {
+                let mut receipts = Vec::new();
+                store
+                    .safe_write_batch_keyed(&[(*key, *size)], &mut receipts)
+                    .map(|()| (receipts, 0))
+            }
+            (Step::LoneSafeWrite(key, size), Path::Named) => {
+                one(store.safe_write(&name(*key), *size))
+            }
             (Step::StrDeleteAndMigrateIn(key, size), _) => store
                 .delete(&name(*key))
                 .and_then(|_| store.migrate_in(&name(*key), *size))

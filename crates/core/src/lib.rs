@@ -108,7 +108,7 @@ pub use server::{
     StoreRequest, StoreServer,
 };
 pub use store::{ObjectStore, OpReceipt, Store, StoreKind, PAPER_WRITE_REQUEST_SIZE};
-pub use substrate::{Moved, ReadPlan, Substrate, WriteOp, Written};
+pub use substrate::{Moved, ReadPlan, Replaced, Substrate, WriteOp, Written};
 pub use workload::{
     ObjectKey, ObjectKeyBuf, SizeDistribution, StorageAgeTracker, WorkloadGenerator, WorkloadOp,
     WorkloadSpec, ZipfDistribution,

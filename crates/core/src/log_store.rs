@@ -38,7 +38,7 @@ use crate::store::{
     Store, StoreKind, DB_LOOKUP_TIME, FS_PER_WRITE_REQUEST_TIME, METADATA_IO_TIME,
     PAPER_WRITE_REQUEST_SIZE,
 };
-use crate::substrate::{Moved, ReadPlan, Substrate, Written};
+use crate::substrate::{Moved, ReadPlan, Replaced, Substrate, Written};
 
 /// Configuration of a log-structured store: the log and its disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,26 +217,21 @@ impl Substrate for LogSubstrate {
         self.names.get(key.as_bytes()).copied()
     }
 
-    fn replace(&mut self, id: u64, size: u64, request: u64) -> Result<Written, StoreError> {
-        // Append-then-deaden *is* the log's safe write: the old version stays
-        // readable until the new one is fully on disk, no temp file needed.
-        match self.log.update(id, size) {
-            Ok(outcome) => Ok(Self::written(id, size, request, outcome)),
-            Err(err) => Err(log_err(err, &self.key_of(id))),
-        }
-    }
-
-    fn replace_interleaved(
-        &mut self,
-        _items: &[(u64, u64)],
-        _request: u64,
-    ) -> Result<Option<Vec<Written>>, StoreError> {
+    fn replace(&mut self, items: &[(u64, u64)], request: u64) -> Result<Replaced, StoreError> {
         // Group commit: a log serializes appends, so concurrent safe writes
         // land whole and contiguous in batch order at the head — the log
         // never interleaves a batch the way the filesystem's round-robin
-        // temp-file writes do.  (Each record is still its own version, so
-        // per-item receipts fall out naturally.)
-        Ok(None)
+        // temp-file writes do.  It appends the first item alone and the
+        // store asks again for the rest.  Append-then-deaden *is* the log's
+        // safe write: the old version stays readable until the new one is
+        // fully on disk, no temp file needed.
+        let Some(&(id, size)) = items.first() else {
+            return Ok(Replaced::All(Vec::new()));
+        };
+        match self.log.update(id, size) {
+            Ok(outcome) => Ok(Replaced::First(Self::written(id, size, request, outcome))),
+            Err(err) => Err(log_err(err, &self.key_of(id))),
+        }
     }
 
     fn read_plan(&self, id: u64) -> Option<ReadPlan> {

@@ -19,7 +19,7 @@ use lor_obs::Obs;
 
 use crate::error::StoreError;
 use crate::maintenance::{copy_io, Drive};
-use crate::substrate::{ReadPlan, Substrate, WriteOp, Written};
+use crate::substrate::{ReadPlan, Replaced, Substrate, WriteOp, Written};
 use crate::workload::ObjectKey;
 
 /// Which storage system backs a store.
@@ -169,7 +169,10 @@ pub trait ObjectStore: Send {
     fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError>;
 
     /// Atomically replaces the object under `key` with a new version of
-    /// `size_bytes` (safe write / wholesale BLOB replacement).
+    /// `size_bytes` (safe write / wholesale BLOB replacement): a one-item
+    /// [`ObjectStore::safe_write_batch`], with the same receipt, clock and
+    /// layout, so a lone safe write is written in the same write requests
+    /// as a batch's item.
     fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError>;
 
     /// Replaces several objects whose writes are in flight concurrently, so
@@ -178,7 +181,7 @@ pub trait ObjectStore: Send {
     ///
     /// Which operations form a batch is decided in exactly one place — the
     /// request scheduler ([`crate::StoreServer`]) groups the safe writes
-    /// that are queued together when the spindle frees up — so both
+    /// that are queued together when the spindle frees up — so the
     /// substrates share one batching path and only implement the interleaved
     /// allocation itself.  (There is deliberately no sequential fallback
     /// implementation: a batch that did not interleave would silently
@@ -345,6 +348,12 @@ pub trait ObjectStore: Send {
 /// The error of a name no object is stored under.
 fn missing(name: &str) -> StoreError {
     StoreError::NoSuchObject(name.to_owned())
+}
+
+/// What a `&str` method names: the key a name in key form is the string
+/// form of ([`ObjectKey::parse`]), or any other name as it is.
+fn target(name: &str) -> Result<ObjectKey, &str> {
+    ObjectKey::parse(name).ok_or(name)
 }
 
 thread_local! {
@@ -517,34 +526,58 @@ impl<S: Substrate> Store<S> {
         Ok(receipt)
     }
 
-    /// Safe-writes every live object of `batch` as one batch whose write
-    /// requests interleave, pushing a receipt per item onto `receipts` and
-    /// leaving in `batch` each item's handle after its write.  An engine that
-    /// serialises concurrent writes replaces them one at a time.
+    /// Safe-writes every live object of `batch`, handing each item's
+    /// receipt to `receipt` and leaving in `batch` each item's handle after
+    /// its write.  Each [`Substrate::replace`] is asked for the items not
+    /// yet written, and each item it wrote is committed before it is asked
+    /// again.
     fn replace_batch(
         &mut self,
         batch: &mut [(S::Handle, u64)],
-        receipts: &mut Vec<OpReceipt>,
+        mut receipt: impl FnMut(OpReceipt),
     ) -> Result<(), StoreError> {
-        let request = self.write_request_size;
-        match self.substrate.replace_interleaved(batch, request)? {
-            Some(written) => {
-                for (item, written) in batch.iter_mut().zip(written) {
-                    let (handle, receipt) = self.commit(WriteOp::Replace, written);
-                    item.0 = handle;
-                    receipts.push(receipt);
-                }
-            }
-            None => {
-                for item in batch.iter_mut() {
-                    let written = self.substrate.replace(item.0, item.1, request)?;
-                    let (handle, receipt) = self.commit(WriteOp::Replace, written);
-                    item.0 = handle;
-                    receipts.push(receipt);
-                }
+        let mut next = 0;
+        while next < batch.len() {
+            let (all, first) = match self
+                .substrate
+                .replace(&batch[next..], self.write_request_size)?
+            {
+                Replaced::All(written) => (written, None),
+                Replaced::First(written) => (Vec::new(), Some(written)),
+            };
+            for written in all.into_iter().chain(first) {
+                let (handle, committed) = self.commit(WriteOp::Replace, written);
+                batch[next].0 = handle;
+                receipt(committed);
+                next += 1;
             }
         }
         Ok(())
+    }
+
+    /// The one safe-write body, behind [`ObjectStore::safe_write`],
+    /// `safe_write_batch` and `safe_write_batch_keyed`: resolves every item
+    /// ([`Store::resolve`] of what `target_of` says it names), replaces them as
+    /// one batch ([`Store::replace_batch`]) and notes each key's new handle.
+    /// A missing object fails the batch before anything is written.
+    fn safe_write_items<T>(
+        &mut self,
+        items: &[(T, u64)],
+        target_of: impl Fn(&T) -> Result<ObjectKey, &str>,
+        receipt: impl FnMut(OpReceipt),
+    ) -> Result<(), StoreError> {
+        self.with_batch(items.len(), |store, batch| {
+            for (slot, (item, size)) in batch.iter_mut().zip(items) {
+                *slot = (store.resolve(target_of(item))?, *size);
+            }
+            store.replace_batch(batch, receipt)?;
+            for ((item, _), &(handle, _)) in items.iter().zip(batch.iter()) {
+                if let Ok(key) = target_of(item) {
+                    store.note(key, handle);
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Runs `serve` on a batch buffer of `len` blank items, on the stack up
@@ -607,19 +640,15 @@ impl<S: Substrate> Store<S> {
         Ok(handle)
     }
 
-    /// The resolver behind every `&str` method that writes or reads an
-    /// object's bytes: the handle of the object named `name`, and the key
-    /// `name` is the string form of, if it is one.  Such a name is its key:
-    /// it goes through the table as the keyed methods do
-    /// ([`Store::handle`]), refreshing its entry.  Any other name goes to
-    /// the engine's name map.
-    fn resolve(&mut self, name: &str) -> Result<(Option<ObjectKey>, S::Handle), StoreError> {
-        let key = ObjectKey::parse(name);
-        let handle = match key {
-            Some(key) => self.handle(key)?,
-            None => self.substrate.resolve(name).ok_or_else(|| missing(name))?,
-        };
-        Ok((key, handle))
+    /// The resolver behind every method that writes or reads an object's
+    /// bytes: the handle of the object `target` names ([`target`]).  A key
+    /// goes through the table ([`Store::handle`]), refreshing its entry; a
+    /// name not in key form goes to the engine's name map.
+    fn resolve(&mut self, target: Result<ObjectKey, &str>) -> Result<S::Handle, StoreError> {
+        match target {
+            Ok(key) => self.handle(key),
+            Err(name) => self.substrate.resolve(name).ok_or_else(|| missing(name)),
+        }
     }
 
     /// The resolver behind the `&str` methods that only look: what `read`
@@ -733,7 +762,7 @@ impl<S: Substrate> ObjectStore for Store<S> {
     }
 
     fn get(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let (_, handle) = self.resolve(key)?;
+        let handle = self.resolve(target(key))?;
         // A handle just resolved is live.
         let plan = self
             .substrate
@@ -743,35 +772,19 @@ impl<S: Substrate> ObjectStore for Store<S> {
     }
 
     fn safe_write(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
-        let (number, handle) = self.resolve(key)?;
-        let written = self
-            .substrate
-            .replace(handle, size_bytes, self.write_request_size)?;
-        let (handle, receipt) = self.commit(WriteOp::Replace, written);
-        if let Some(number) = number {
-            self.note(number, handle);
-        }
+        let mut receipt = OpReceipt::default();
+        self.safe_write_items(&[(key, size_bytes)], |name| target(name), |r| receipt = r)?;
         Ok(receipt)
     }
 
     fn safe_write_batch(&mut self, items: &[(String, u64)]) -> Result<Vec<OpReceipt>, StoreError> {
-        self.with_batch(items.len(), |store, batch| {
-            for (item, (key, size)) in batch.iter_mut().zip(items) {
-                *item = (store.resolve(key)?.1, *size);
-            }
-            let mut receipts = Vec::with_capacity(items.len());
-            store.replace_batch(batch, &mut receipts)?;
-            for ((key, _), &(handle, _)) in items.iter().zip(batch.iter()) {
-                if let Some(number) = ObjectKey::parse(key) {
-                    store.note(number, handle);
-                }
-            }
-            Ok(receipts)
-        })
+        let mut receipts = Vec::with_capacity(items.len());
+        self.safe_write_items(items, |name| target(name), |r| receipts.push(r))?;
+        Ok(receipts)
     }
 
     fn delete(&mut self, key: &str) -> Result<OpReceipt, StoreError> {
-        let (_, handle) = self.resolve(key)?;
+        let handle = self.resolve(target(key))?;
         self.remove(handle, key)
     }
 
@@ -809,16 +822,7 @@ impl<S: Substrate> ObjectStore for Store<S> {
         items: &[(ObjectKey, u64)],
         receipts: &mut Vec<OpReceipt>,
     ) -> Result<(), StoreError> {
-        self.with_batch(items.len(), |store, batch| {
-            for (item, &(key, size)) in batch.iter_mut().zip(items) {
-                *item = (store.handle(key)?, size);
-            }
-            store.replace_batch(batch, receipts)?;
-            for (&(key, _), &(handle, _)) in items.iter().zip(batch.iter()) {
-                store.note(key, handle);
-            }
-            Ok(())
-        })
+        self.safe_write_items(items, |&key| Ok(key), |r| receipts.push(r))
     }
 
     fn migrate_in(&mut self, key: &str, size_bytes: u64) -> Result<OpReceipt, StoreError> {
@@ -1025,6 +1029,71 @@ macro_rules! adapter_suite {
                     "{counted:?}"
                 );
             }
+        }
+
+        /// One safe write is one operation however it arrives: by name, as a
+        /// one-item batch by name or by key, or dispatched by a one-client
+        /// `StoreServer`, it gives the same receipt, clock, layout and
+        /// fragmentation.  The store leaves holes for the write to land in:
+        /// 24 puts of 1 MiB + 3,000 B, every second one deleted, then 16
+        /// puts of 100,000 B.  While a lone safe write on the database
+        /// allocated its whole version in one request and a batch's item in
+        /// write requests, the 3 MiB version took 4 fragments by name and 11
+        /// as a batch.
+        #[test]
+        fn one_safe_write_is_the_same_however_it_arrives() {
+            use $crate::{ObjectKey, OpReceipt, StoreServer, WorkloadOp};
+            let (key, size) = (ObjectKey(1), 3 * MB);
+            let name = key.to_string();
+            let aged = || {
+                let mut store = $Store::new(64 * MB).unwrap();
+                for i in 0..24 {
+                    store.put_keyed(ObjectKey(i), MB + 3_000).unwrap();
+                }
+                for i in (0..24).step_by(2) {
+                    store.delete_keyed(ObjectKey(i)).unwrap();
+                }
+                for i in 24..40 {
+                    store.put_keyed(ObjectKey(i), 100_000).unwrap();
+                }
+                store
+            };
+            let outcome = |store: &$Store, receipts: Vec<OpReceipt>| {
+                let layout = store.layout_of(&name).unwrap();
+                (receipts, store.elapsed(), layout, store.fragmentation())
+            };
+
+            let mut by_name = aged();
+            let receipt = by_name.safe_write(&name, size).unwrap();
+            let expected = outcome(&by_name, vec![receipt]);
+            assert_eq!(by_name.size_of(&name).unwrap(), size);
+
+            let mut batch = aged();
+            let receipts = batch.safe_write_batch(&[(name.clone(), size)]).unwrap();
+            assert_eq!(outcome(&batch, receipts), expected, "a one-item batch");
+
+            let mut keyed = aged();
+            let mut receipts = Vec::new();
+            keyed
+                .safe_write_batch_keyed(&[(key, size)], &mut receipts)
+                .unwrap();
+            assert_eq!(
+                outcome(&keyed, receipts),
+                expected,
+                "a one-item keyed batch"
+            );
+
+            let mut served = aged();
+            let write = vec![WorkloadOp::SafeWrite { key, size }];
+            let completions = StoreServer::new(&mut served)
+                .run_closed_loop(write, 1, SimDuration::ZERO)
+                .unwrap();
+            let receipts = completions.iter().map(|done| done.receipt).collect();
+            assert_eq!(
+                outcome(&served, receipts),
+                expected,
+                "a one-client server run"
+            );
         }
 
         #[test]

@@ -48,6 +48,18 @@ pub struct Written {
     pub forced_copy: Moved,
 }
 
+/// What [`Substrate::replace`] wrote of its batch.
+#[derive(Debug)]
+pub enum Replaced {
+    /// Every item, in batch order, their write requests interleaved on disk
+    /// (the volume and the BLOB engine).
+    All(Vec<Written>),
+    /// The first item alone (the log's group commit serialises concurrent
+    /// writes): the store commits it, which may tick a store-attached
+    /// maintenance drive, and then asks for the rest.
+    First(Written),
+}
+
 /// Where an object's bytes are, for the store to read and cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadPlan {
@@ -100,6 +112,14 @@ impl Moved {
 /// table, which every store method on a key's name goes through.  The
 /// engine's name map is the authority the store falls back on.
 ///
+/// A safe write has one method, [`Substrate::replace`], over a batch: a lone
+/// safe write is a batch of one, written in the same write requests as any
+/// batch's item.  The volume and the BLOB engine replace the whole batch
+/// with their write requests interleaved ([`Replaced::All`]).  The log
+/// replaces only the first item ([`Replaced::First`]); the store commits it
+/// before it asks for the rest, so a store-attached maintenance drive ticks
+/// between the log's items.
+///
 /// Each write hands back the fragments the version was written into,
 /// counted by the engine when the version commits ([`Written::fragments`]):
 /// the store services and costs the write but never counts them.
@@ -137,23 +157,14 @@ pub trait Substrate: Send + std::fmt::Debug + Sized {
     /// probe of the engine's name map, which builds nothing on a miss.
     fn resolve(&self, key: &str) -> Option<Self::Handle>;
 
-    /// Safe-writes the live object `handle` alone.
+    /// Safe-writes the live objects `items` name, a batch whose writes are
+    /// in flight together, and says what it wrote ([`Replaced`]; an empty
+    /// batch is [`Replaced::All`] of nothing).
     fn replace(
-        &mut self,
-        handle: Self::Handle,
-        size: u64,
-        request: u64,
-    ) -> Result<Written, StoreError>;
-
-    /// Safe-writes the live objects `items` name, their write requests
-    /// interleaved on disk, one [`Written`] per item.  `Ok(None)` when the
-    /// engine serialises concurrent writes (the log's group commit): the
-    /// store then replaces the items one at a time.
-    fn replace_interleaved(
         &mut self,
         items: &[(Self::Handle, u64)],
         request: u64,
-    ) -> Result<Option<Vec<Written>>, StoreError>;
+    ) -> Result<Replaced, StoreError>;
 
     /// Where the bytes of the object `handle` are; `None` when it is not
     /// live.

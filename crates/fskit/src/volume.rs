@@ -59,8 +59,8 @@
 //!
 //! The volume returns [`FsError`] for everything a caller can cause (unknown
 //! id or name, duplicate or empty name, out of space, bad configuration).
-//! Five `expect`s are left outside the tests.  `safe_write_by_id` takes the
-//! one receipt of its batch of one; the other four are each commented with
+//! Five `expect`s are left outside the tests.  `safe_write` takes the one
+//! receipt of its batch of one; the other four are each commented with
 //! the [`Volume::verify`] clause that makes them unreachable: the
 //! checkpoint's free of the pending queue (one owner per cluster), and the
 //! three in `commit_replace` (the target was checked live before staging;
@@ -696,27 +696,15 @@ impl Volume {
     /// Atomically replaces the contents of `name` with `size_bytes` of new
     /// data, using the safe-write protocol the paper describes: write a
     /// temporary file, force it to disk, then swap it in and delete the old
-    /// file.  [`Volume::safe_write_by_id`] of the file `name` resolves to.
+    /// file.  A [`Volume::safe_write_batch`] of one item: the new version is
+    /// a new file ([`WriteReceipt::file_id`]) under the same name.
     pub fn safe_write(
         &mut self,
         name: &str,
         size_bytes: u64,
         write_request_size: u64,
     ) -> Result<WriteReceipt, FsError> {
-        let id = self.lookup(name)?;
-        self.safe_write_by_id(id, size_bytes, write_request_size)
-    }
-
-    /// [`Volume::safe_write`] of the file `id`: a
-    /// [`Volume::safe_write_batch_by_id`] of one item.  The new version is a
-    /// new file ([`WriteReceipt::file_id`]); `id` is gone afterwards.
-    pub fn safe_write_by_id(
-        &mut self,
-        id: FileId,
-        size_bytes: u64,
-        write_request_size: u64,
-    ) -> Result<WriteReceipt, FsError> {
-        let mut receipts = self.safe_write_batch_by_id(&[(id, size_bytes)], write_request_size)?;
+        let mut receipts = self.safe_write_batch(&[(name, size_bytes)], write_request_size)?;
         Ok(receipts
             .pop()
             .expect("a batch returns one receipt per item"))
